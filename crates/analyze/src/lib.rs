@@ -16,7 +16,8 @@
 //! * **A — atomic ordering**: every `Ordering::{Relaxed,…,SeqCst}` use
 //!   needs a `// ordering:` happens-before argument.
 //! * **P — panic surface**: no `unwrap`/`expect`/`panic!` in
-//!   `engine.rs` non-test paths; `// panic-ok:` documents exceptions.
+//!   `engine.rs` / `join.rs` non-test paths (nor anywhere in
+//!   `crates/serve/src/`); `// panic-ok:` documents exceptions.
 //! * **F — float totality**: `partial_cmp` and float-literal `==` in
 //!   cascade-bound code; `// float-ok:` documents exceptions.
 //! * **C — dependency policy**: manifests may only reference workspace

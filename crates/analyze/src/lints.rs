@@ -96,6 +96,12 @@ fn output_affecting(rel_path: &str) -> bool {
     rel_path.contains("crates/core/src/") || rel_path.contains("crates/serve/src/")
 }
 
+/// The session-API surface of `au-core`: `engine.rs` and `join.rs`, the
+/// file holding the verify driver every `Engine::join` runs.
+fn engine_path(rel_path: &str) -> bool {
+    rel_path.ends_with("engine.rs") || rel_path.ends_with("crates/core/src/join.rs")
+}
+
 /// Methods whose call on a hash map/set observes iteration order.
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -119,7 +125,7 @@ pub fn lint_file(rel_path: &str, file: &ScannedFile) -> Vec<Finding> {
         lint_determinism(rel_path, file, &mut out);
         lint_float_totality(rel_path, file, &mut out);
     }
-    if rel_path.ends_with("engine.rs") || rel_path.contains("crates/serve/src/") {
+    if engine_path(rel_path) || rel_path.contains("crates/serve/src/") {
         lint_panic_surface(rel_path, file, &mut out);
     }
     out
@@ -446,8 +452,8 @@ fn find_word(code: &str, word: &str) -> Option<usize> {
 // P — panic surface
 // ---------------------------------------------------------------------
 
-/// No `unwrap`/`expect`/`panic!`/`unreachable!` in `engine.rs` or
-/// `crates/serve/src/` non-test code: public session paths return
+/// No `unwrap`/`expect`/`panic!`/`unreachable!` in `engine.rs`,
+/// `au-core`'s `join.rs` or `crates/serve/src/` non-test code: public session paths return
 /// `AuError`/`ServeError` instead of aborting a long-lived service (the
 /// serving layer is exactly the long-lived process the rule exists for).
 /// `// panic-ok:` documents the sites that stay.
@@ -725,7 +731,15 @@ mod tests {
         assert_eq!(p.len(), 2, "{p:?}");
         assert!(p[0].is_violation());
         assert!(!p[1].is_violation());
-        assert!(lint_file("crates/core/src/join.rs", &f)
+        assert_eq!(
+            lint_file("crates/core/src/join.rs", &f)
+                .iter()
+                .filter(|f| f.lint == Lint::PanicSurface)
+                .count(),
+            2,
+            "the verify driver's file is an engine path too"
+        );
+        assert!(lint_file("crates/core/src/index.rs", &f)
             .iter()
             .all(|f| f.lint != Lint::PanicSurface));
     }

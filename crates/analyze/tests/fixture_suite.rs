@@ -78,7 +78,7 @@ fn p_fixture_trips_only_under_engine_path() {
     let (violations, audited) = by_lint(&f, Lint::PanicSurface);
     assert_eq!(violations, 3, "{f:?}"); // unwrap, expect, panic!
     assert_eq!(audited, 1); // panic-ok: expect
-    let elsewhere = lint_as("p_fixture.rs", "crates/core/src/join.rs");
+    let elsewhere = lint_as("p_fixture.rs", "crates/core/src/index.rs");
     assert!(elsewhere.iter().all(|f| f.lint != Lint::PanicSurface));
 }
 

@@ -80,10 +80,9 @@ mod tests {
             res.pairs
         );
         // while the unified measure does reach it (~0.822)
-        let cfg = au_core::config::SimConfig::default();
-        let sp = au_core::join::prepare_corpus(&kn, &cfg, &s);
-        let tp = au_core::join::prepare_corpus(&kn, &cfg, &t);
-        let sim = au_core::usim::usim_approx_seg(&kn, &cfg, &sp.segrecs[0], &tp.segrecs[0]);
+        let engine = au_core::Engine::new(kn, au_core::SimConfig::default()).unwrap();
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let sim = engine.usim(&ps, 0, &pt, 0).unwrap();
         assert!(sim >= theta, "unified sim {sim} below θ");
     }
 }

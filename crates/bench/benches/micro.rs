@@ -4,8 +4,8 @@
 
 use au_bench::harness::med_dataset;
 use au_core::config::{GramMeasure, SimConfig};
-use au_core::engine::{Engine, JoinSpec};
-use au_core::join::{apply_global_order, filter_stage, prepare_corpus, JoinOptions};
+use au_core::engine::{Engine, JoinSpec, Prepared};
+use au_core::join::FilterOutcome;
 use au_core::pebble::{generate_pebbles, PebbleOrder};
 use au_core::segment::segment_record;
 use au_core::signature::{dp_prefix_len, heuristic_prefix_len, MpMode};
@@ -120,24 +120,30 @@ fn bench_pebbles_and_signatures(c: &mut Criterion) {
     g.finish();
 }
 
+/// Stages 2–4 from a cold memo: ordering, signature selection, index
+/// build and probe are all paid inside the measured call.
+fn cold_filter(engine: &Engine, ps: &Prepared, pt: &Prepared, spec: &JoinSpec) -> FilterOutcome {
+    ps.clear_memo();
+    pt.clear_memo();
+    engine
+        .filter_outcome(ps, Some(pt), spec)
+        .expect("filter run")
+}
+
 fn bench_filter_stage_mp_ablation(c: &mut Criterion) {
     let ds = med_dataset(200, 7);
-    let cfg = SimConfig::default();
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
     let mut g = c.benchmark_group("micro_filter_stage");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     for (name, mp) in [
         ("mp_exact", MpMode::ExactDp),
         ("mp_greedy", MpMode::GreedyLn),
     ] {
-        let opts = JoinOptions {
-            mp_mode: mp,
-            ..JoinOptions::au_dp(0.85, 3)
-        };
+        let spec = JoinSpec::threshold(0.85).au_dp(3).mp_mode(mp);
         g.bench_function(name, |b| {
-            b.iter(|| black_box(filter_stage(&sp, &tp, &opts, cfg.eps, false)))
+            b.iter(|| black_box(cold_filter(&engine, &ps, &pt, &spec)))
         });
     }
     g.finish();
@@ -235,12 +241,12 @@ fn bench_gram_measures(c: &mut Criterion) {
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     for gram in GramMeasure::ALL {
         let cfg = SimConfig::default().with_gram(gram);
-        let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-        let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-        apply_global_order(&mut sp, &mut tp);
-        let opts = JoinOptions::au_dp(0.85, 3);
+        let engine = Engine::new(ds.kn.clone(), cfg).expect("valid config");
+        let ps = engine.prepare(&ds.s).expect("prepare S");
+        let pt = engine.prepare(&ds.t).expect("prepare T");
+        let spec = JoinSpec::threshold(0.85).au_dp(3);
         g.bench_function(gram.label(), |b| {
-            b.iter(|| black_box(filter_stage(&sp, &tp, &opts, cfg.eps, false)))
+            b.iter(|| black_box(cold_filter(&engine, &ps, &pt, &spec)))
         });
     }
     g.finish();

@@ -11,8 +11,10 @@
 use au_bench::harness::{fmt_secs, med_dataset, score_join, Table};
 use au_bench::scale_from_env;
 use au_core::config::{GramMeasure, SimConfig};
-use au_core::engine::{Engine, JoinSpec};
-use au_core::join::{apply_global_order, filter_stage, prepare_corpus, JoinOptions};
+use au_core::engine::{Engine, JoinSpec, Prepared};
+use au_core::index::CsrIndex;
+use au_core::join::{candidate_pass, CompatCtx, SelectedSignatures};
+use au_core::pebble::{generate_pebbles, Pebble};
 use au_core::segment::segment_record;
 use au_core::signature::MpMode;
 use au_core::usim::{usim_approx_seg, usim_exact_seg};
@@ -34,24 +36,50 @@ fn main() {
 fn ablate_pebble_order(n: usize) {
     let ds = med_dataset(n, 201);
     let cfg = SimConfig::default();
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
-    let opts = JoinOptions::au_dp(0.85, 3);
-    let freq = filter_stage(&sp, &tp, &opts, cfg.eps, false);
+    let engine = Engine::new(ds.kn.clone(), cfg).expect("valid config");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let spec = JoinSpec::threshold(0.85).au_dp(3);
+    let freq = engine
+        .filter_outcome(&ps, Some(&pt), &spec)
+        .expect("filter run");
 
-    // Re-sort every pebble list pseudo-randomly (hash of key) — violating
+    // Sort every pebble list pseudo-randomly (hash of key) — violating
     // the rare-first principle while keeping determinism and the safety of
-    // the bounds (which hold for ANY global order).
-    for p in sp.pebbles.iter_mut().chain(tp.pebbles.iter_mut()) {
-        p.sort_by_key(|x| {
-            use std::hash::{Hash, Hasher};
-            let mut h = au_text::hash::FxHasher64::default();
-            x.key.hash(&mut h);
-            (h.finish(), x.seg, x.measure.idx())
-        });
-    }
-    let rand = filter_stage(&sp, &tp, &opts, cfg.eps, false);
+    // the bounds (which hold for ANY global order) — and run the same
+    // signature selection and candidate pass on the shuffled lists.
+    let shuffled = |p: &Prepared| -> (Vec<Vec<Pebble>>, Vec<(u32, u32)>) {
+        p.seg_records()
+            .iter()
+            .map(|sr| {
+                let mut pebbles = generate_pebbles(&ds.kn, &cfg, sr);
+                pebbles.sort_by_key(|x| {
+                    use std::hash::{Hash, Hasher};
+                    let mut h = au_text::hash::FxHasher64::default();
+                    x.key.hash(&mut h);
+                    (h.finish(), x.seg, x.measure.idx())
+                });
+                (pebbles, (sr.n_tokens() as u32, sr.min_partition))
+            })
+            .unzip()
+    };
+    let (pebbles_s, tier0_s) = shuffled(&ps);
+    let (pebbles_t, tier0_t) = shuffled(&pt);
+    let sel_s = SelectedSignatures::select_from(ps.seg_records(), &pebbles_s, &spec, cfg.eps);
+    let sel_t = SelectedSignatures::select_from(pt.seg_records(), &pebbles_t, &spec, cfg.eps);
+    let rand = candidate_pass(
+        &sel_s,
+        &sel_t,
+        &CsrIndex::from_record_keys(&sel_t.record_keys),
+        false,
+        3,
+        true,
+        &CompatCtx {
+            tier0_s: &tier0_s,
+            tier0_t: &tier0_t,
+            min_sim: 0.85 - cfg.eps,
+        },
+    );
     let mut t = Table::new(
         "Ablation 1 — pebble global order (AU-DP, θ=0.85, τ=3)",
         &["order", "avg sig len", "candidates", "processed"],

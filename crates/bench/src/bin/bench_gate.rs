@@ -7,29 +7,20 @@
 //!
 //! Checks, per `BENCH_*.json` present in the baseline directory:
 //!
-//! * **determinism** — candidate counts, processed pairs, result pairs,
-//!   P/R/F and the per-tier verification rejection counters must match
-//!   the baseline exactly (they are pure functions of the seed, so any
-//!   drift is a behaviour change, not noise);
+//! * **determinism** — candidate counts, processed pairs, in-probe
+//!   compatibility rejections, result pairs, P/R/F and the per-tier
+//!   verification rejection counters must match the baseline exactly
+//!   (they are pure functions of the seed, so any drift is a behaviour
+//!   change, not noise);
 //! * **throughput** — `records_per_second` and `verify_cands_per_second`
 //!   may not regress by more than `BENCH_GATE_TOL` (default 0.25: a drop
 //!   past 25% fails) against the baseline; rows whose baseline or current
 //!   throughput is 0 (timings disabled) are skipped;
-//! * **engine** — in `BENCH_fig7.json`, both engines must agree on
-//!   candidates/processed pairs, and `csr_speedup` must be at least
-//!   `BENCH_GATE_MIN_SPEEDUP` (default 1.0: the CSR engine may never be
-//!   slower than the legacy one);
 //! * **memory** — in `BENCH_fig_shard.json`, `memory_ratio` (sharded
 //!   peak bytes / monolithic whole-corpus prepare bytes) may not exceed
 //!   `BENCH_GATE_MAX_MEMORY_RATIO` (default 0.25 — the memory-lean
 //!   acceptance bound), and the sharded row must report pruned tasks
 //!   whenever the baseline did;
-//! * **candidate cut** — in `BENCH_fig_position.json`, the in-probe
-//!   rejection counters (`pos_rejected`, `compat_rejected`) are
-//!   exact-matched like every other deterministic counter, and the
-//!   current `candidate_cut` (unfiltered Vτ / filtered Vτ) may not drop
-//!   below `BENCH_GATE_MIN_CANDIDATE_CUT` (default 1.0 — the position
-//!   filter may never grow the candidate set);
 //! * **robustness** — in `BENCH_fig_serve.json`, the top-level
 //!   durability counters (`wal_frames`, `wal_replayed_frames`,
 //!   `wal_retries`, `wal_backoff_waits`, `degraded_entries`,
@@ -71,9 +62,7 @@ fn rows_by_id<'a>(doc: &'a Value, list_key: &str) -> Vec<(&'a str, &'a Value)> {
 
 struct Gate {
     tol: f64,
-    min_speedup: f64,
     max_memory_ratio: f64,
-    min_candidate_cut: f64,
     failures: Vec<String>,
     checks: usize,
 }
@@ -133,13 +122,8 @@ impl Gate {
                 self.check_exact(name, key, f64_field(base, key), f64_field(cur, key));
             }
         }
-        let list_key = if base.get("engines").is_some() {
-            "engines"
-        } else {
-            "workloads"
-        };
-        let cur_rows = rows_by_id(cur, list_key);
-        for (id, brow) in rows_by_id(base, list_key) {
+        let cur_rows = rows_by_id(cur, "workloads");
+        for (id, brow) in rows_by_id(base, "workloads") {
             let Some((_, crow)) = cur_rows.iter().find(|(cid, _)| *cid == id) else {
                 self.fail(format!("{name}: row '{id}' missing from current run"));
                 continue;
@@ -161,10 +145,8 @@ impl Gate {
                 "rowmax_rejects",
                 "greedy_rejects",
                 "tier2_rejects",
-                // In-probe position-filter counters (workload rows and
-                // fig_position rows): exact functions of (scale, seed,
-                // θ) — drift means the positional/compat bound changed.
-                "pos_rejected",
+                // In-probe compatibility rejections: an exact function
+                // of (scale, seed, θ) — drift means the bound changed.
                 "compat_rejected",
                 // fig_shard rows: the task grid and the deep memory
                 // accounting are pure functions of (scale, seed) and the
@@ -216,47 +198,6 @@ impl Gate {
                 );
             }
         }
-        // Candidate-cut floor on the current fig_position artifact: the
-        // ratio of exact counters is deterministic, so like memory_ratio
-        // it is an absolute acceptance bound, not a regression tolerance.
-        if let Some(cut) = cur.get("candidate_cut").and_then(Value::as_f64) {
-            self.checks += 1;
-            if cut.is_nan() || cut < self.min_candidate_cut {
-                self.fail(format!(
-                    "{name}: candidate_cut {cut:.2}x below floor {:.2}x",
-                    self.min_candidate_cut
-                ));
-            } else {
-                println!(
-                    "  ok {name}: candidate_cut {cut:.2}x ≥ {:.2}x",
-                    self.min_candidate_cut
-                );
-            }
-        }
-        // Engine self-consistency + speedup floor on the current artifact.
-        if list_key == "engines" {
-            let rows = rows_by_id(cur, "engines");
-            if let (Some((_, a)), Some((_, b))) = (rows.first(), rows.get(1)) {
-                self.checks += 1;
-                if f64_field(a, "candidates") != f64_field(b, "candidates")
-                    || f64_field(a, "processed_pairs") != f64_field(b, "processed_pairs")
-                {
-                    self.fail(format!("{name}: CSR and legacy engines disagree on counts"));
-                }
-            }
-            let speedup = f64_field(cur, "csr_speedup");
-            if speedup > 0.0 {
-                self.checks += 1;
-                if speedup < self.min_speedup {
-                    self.fail(format!(
-                        "{name}: csr_speedup {speedup:.2}x below floor {:.2}x",
-                        self.min_speedup
-                    ));
-                } else {
-                    println!("  ok {name}: csr_speedup {speedup:.2}x");
-                }
-            }
-        }
     }
 }
 
@@ -268,9 +209,7 @@ fn main() {
     };
     let mut gate = Gate {
         tol: env_f64("BENCH_GATE_TOL", 0.25),
-        min_speedup: env_f64("BENCH_GATE_MIN_SPEEDUP", 1.0),
         max_memory_ratio: env_f64("BENCH_GATE_MAX_MEMORY_RATIO", 0.25),
-        min_candidate_cut: env_f64("BENCH_GATE_MIN_CANDIDATE_CUT", 1.0),
         failures: Vec::new(),
         checks: 0,
     };

@@ -20,7 +20,7 @@ fn main() {
         "perf: AU_SCALE={} seed={} timings={}",
         opts.scale, opts.seed, opts.timings
     );
-    let (workloads, engines, verify, shard, position) = run_all(&opts);
+    let (workloads, shard) = run_all(&opts);
     for w in &workloads {
         for r in &w.rows {
             println!(
@@ -29,23 +29,6 @@ fn main() {
             );
         }
     }
-    for r in &engines.rows {
-        println!(
-            "{:<24} candidates={:<10} filter={:.3}s rec/s={:.0}",
-            r.id, r.candidates, r.filter_seconds, r.records_per_second
-        );
-    }
-    println!("csr_speedup={:.2}x", engines.csr_speedup);
-    for r in &verify.rows {
-        println!(
-            "{:<24} candidates={:<10} pairs={:<8} verify={:.3}s cands/s={:.0}",
-            r.id, r.candidates, r.result_pairs, r.verify_seconds, r.verify_cands_per_second
-        );
-    }
-    println!(
-        "verify_speedup: vs reference {:.2}x, vs PR3 tiered {:.2}x",
-        verify.grouped_speedup_vs_reference, verify.grouped_speedup_vs_tiered
-    );
     for r in &shard.rows {
         println!(
             "{:<24} pairs={:<8} tasks={}+{}p mem={:.1}MiB prep={:.3}s join={:.3}s",
@@ -66,23 +49,8 @@ fn main() {
         shard.memory_ratio,
         shard.sharded_speedup
     );
-    for r in &position.rows {
-        println!(
-            "{:<24} candidates={:<10} pos_rej={:<10} compat_rej={:<8} pairs={:<8} verify={:.3}s",
-            r.id, r.candidates, r.pos_rejected, r.compat_rejected, r.result_pairs, r.verify_seconds
-        );
-    }
-    println!("fig_position: candidate_cut={:.2}x", position.candidate_cut);
-    let paths = write_reports(
-        &out_dir,
-        &workloads,
-        &engines,
-        &verify,
-        &shard,
-        &position,
-        opts.timings,
-    )
-    .expect("write BENCH_*.json");
+    let paths =
+        write_reports(&out_dir, &workloads, &shard, opts.timings).expect("write BENCH_*.json");
     for p in paths {
         eprintln!("wrote {}", p.display());
     }

@@ -8,21 +8,20 @@
 use crate::experiments::sized;
 use crate::harness::{med_dataset, wiki_dataset, Table};
 use au_core::config::SimConfig;
-use au_core::join::{apply_global_order, filter_stage, prepare_corpus, JoinOptions};
+use au_core::engine::{Engine, JoinSpec};
 use au_core::signature::FilterKind;
 
 /// Run the experiment; returns the rendered tables.
 pub fn run(scale: f64) -> String {
-    let cfg = SimConfig::default();
     let theta = 0.85;
     let mut out = String::new();
     for (name, ds) in [
         ("MED-like", med_dataset(sized(1200, scale), 51)),
         ("WIKI-like", wiki_dataset(sized(1200, scale), 52)),
     ] {
-        let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-        let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-        apply_global_order(&mut sp, &mut tp);
+        let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
+        let ps = engine.prepare(&ds.s).expect("prepare S");
+        let pt = engine.prepare(&ds.t).expect("prepare T");
         let mut sig = Table::new(
             &format!("Figure 5 — avg signature length, θ=0.85 ({name})"),
             &["τ", "U-Filter", "AU-heur", "AU-DP"],
@@ -39,14 +38,10 @@ pub fn run(scale: f64) -> String {
                 FilterKind::AuHeuristic { tau },
                 FilterKind::AuDp { tau },
             ] {
-                let opts = JoinOptions {
-                    theta,
-                    filter,
-                    mp_mode: au_core::signature::MpMode::ExactDp,
-                    parallel: false,
-                    pos_filter: true,
-                };
-                let o = filter_stage(&sp, &tp, &opts, cfg.eps, false);
+                let spec = JoinSpec::threshold(theta).filter(filter).serial();
+                let o = engine
+                    .filter_outcome(&ps, Some(&pt), &spec)
+                    .expect("filter run");
                 s_cells.push(format!("{:.1}", o.avg_sig_len_s));
                 c_cells.push(o.candidates.len().to_string());
             }
@@ -66,26 +61,16 @@ mod tests {
     #[test]
     fn dp_prunes_at_least_as_well_as_heuristic() {
         let ds = med_dataset(300, 15);
-        let cfg = SimConfig::default();
-        let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-        let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-        apply_global_order(&mut sp, &mut tp);
+        let engine = Engine::new(ds.kn.clone(), SimConfig::default()).unwrap();
+        let ps = engine.prepare(&ds.s).unwrap();
+        let pt = engine.prepare(&ds.t).unwrap();
         for tau in [2u32, 4] {
-            let mk = |filter| JoinOptions {
-                theta: 0.85,
-                filter,
-                mp_mode: au_core::signature::MpMode::ExactDp,
-                parallel: false,
-                pos_filter: true,
+            let run = |filter| {
+                let spec = JoinSpec::threshold(0.85).filter(filter).serial();
+                engine.filter_outcome(&ps, Some(&pt), &spec).unwrap()
             };
-            let h = filter_stage(
-                &sp,
-                &tp,
-                &mk(FilterKind::AuHeuristic { tau }),
-                cfg.eps,
-                false,
-            );
-            let d = filter_stage(&sp, &tp, &mk(FilterKind::AuDp { tau }), cfg.eps, false);
+            let h = run(FilterKind::AuHeuristic { tau });
+            let d = run(FilterKind::AuDp { tau });
             // DP signatures are no longer than the heuristic's (±1 pebble
             // boundary convention, hence the small slack).
             assert!(

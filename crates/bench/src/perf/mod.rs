@@ -2,16 +2,11 @@
 //!
 //! `cargo run --release -p au-bench --bin perf` runs MED-like and
 //! WIKI-like workloads (sized by `AU_SCALE`) across the three filters
-//! {U, AU-heuristic, AU-DP} × {serial, parallel}, plus a fig7-style
-//! engine comparison of the CSR candidate pass against the legacy PR-1
-//! hashmap pass, a `fig_verify` stage-5 engine comparison, a
-//! `fig_shard` sharded-vs-monolithic self-join comparison (memory and
-//! pruning) and a `fig_position` in-probe position-filter comparison
-//! (candidate volume with the filter on vs off, byte-identical output),
-//! and writes one `BENCH_<name>.json` per workload. Those
-//! artifacts are what the CI `perf-smoke` job uploads and what
-//! `bench_gate` diffs against the checked-in baseline in
-//! `tools/perf_baseline/`.
+//! {U, AU-heuristic, AU-DP} × {serial, parallel}, plus a `fig_shard`
+//! sharded-vs-monolithic self-join comparison (memory and pruning), and
+//! writes one `BENCH_<name>.json` per workload. Those artifacts are what
+//! the CI `perf-smoke` job uploads and what `bench_gate` diffs against
+//! the checked-in baseline in `tools/perf_baseline/`.
 //!
 //! Determinism contract: every non-timing field (candidate counts,
 //! processed pairs, result pairs, P/R/F) is a pure function of
@@ -25,11 +20,6 @@ pub mod json;
 use crate::harness::{med_dataset, score_join_at, wiki_dataset, Prf};
 use au_core::config::SimConfig;
 use au_core::engine::{Engine, JoinSpec};
-use au_core::join::{
-    apply_global_order, candidate_pass, candidate_pass_legacy, prepare_corpus,
-    verify_candidates_per_pair, verify_candidates_reference, verify_candidates_stats, JoinOptions,
-    SelectedSignatures,
-};
 use au_core::shard::ShardSpec;
 use au_core::signature::FilterKind;
 use au_core::usim::VerifyTiers;
@@ -84,12 +74,9 @@ pub struct WorkloadRow {
     pub candidates: u64,
     /// `Tτ`: posting entries touched (Eq. 16).
     pub processed_pairs: u64,
-    /// Pairs rejected in-probe by the positional upper bound
-    /// ([`au_core::join::JoinStats::pos_rejected`]). Deterministic, so
-    /// `bench_gate` exact-matches it.
-    pub pos_rejected: u64,
     /// Pairs rejected in-probe by the tier-0 compatibility bound
-    /// ([`au_core::join::JoinStats::compat_rejected`]). Deterministic.
+    /// ([`au_core::join::JoinStats::compat_rejected`]). Deterministic, so
+    /// `bench_gate` exact-matches it.
     pub compat_rejected: u64,
     /// Pairs accepted by verification.
     pub result_pairs: u64,
@@ -147,91 +134,6 @@ pub struct WorkloadReport {
     pub prepare_memory_bytes: u64,
     /// Measurements.
     pub rows: Vec<WorkloadRow>,
-}
-
-/// One engine measurement of the fig7-style comparison.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    /// `fig7/csr` or `fig7/legacy`.
-    pub id: String,
-    /// Engine name.
-    pub engine: &'static str,
-    /// Candidates produced (must agree across engines).
-    pub candidates: u64,
-    /// Posting entries touched (must agree across engines).
-    pub processed_pairs: u64,
-    /// Candidate-pass wall-clock (best of the measured repetitions).
-    pub filter_seconds: f64,
-    /// Records (both sides) per candidate-pass second.
-    pub records_per_second: f64,
-}
-
-/// The fig7-style CSR vs legacy engine comparison.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Always `fig7`.
-    pub name: String,
-    /// Scale the run used.
-    pub au_scale: f64,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Records per side.
-    pub n_records: usize,
-    /// Join threshold θ.
-    pub theta: f64,
-    /// Per-engine rows (`csr` first).
-    pub rows: Vec<EngineRow>,
-    /// `legacy filter_seconds / csr filter_seconds` (0 when timings are
-    /// disabled).
-    pub csr_speedup: f64,
-}
-
-/// One engine measurement of the `fig_verify` stage-5 comparison.
-#[derive(Debug, Clone)]
-pub struct VerifyEngineRow {
-    /// `fig_verify/grouped`, `fig_verify/tiered`, `fig_verify/reference`.
-    pub id: String,
-    /// Engine name.
-    pub engine: &'static str,
-    /// Candidates verified (identical across engines; capped — see
-    /// [`VerifyReport::candidate_cap`]).
-    pub candidates: u64,
-    /// Accepted pairs (must agree across engines).
-    pub result_pairs: u64,
-    /// Verify wall-clock (best of the measured repetitions).
-    pub verify_seconds: f64,
-    /// Candidates verified per second.
-    pub verify_cands_per_second: f64,
-}
-
-/// The stage-5 verification engine comparison: the probe-grouped
-/// bound-cascade engine vs the PR 3 tiered per-pair engine vs the
-/// reference per-candidate path, on one shared candidate set.
-#[derive(Debug, Clone)]
-pub struct VerifyReport {
-    /// Always `fig_verify`.
-    pub name: String,
-    /// Scale the run used.
-    pub au_scale: f64,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Records per side.
-    pub n_records: usize,
-    /// Join threshold θ.
-    pub theta: f64,
-    /// Upper bound applied to the candidate list (the reference path is
-    /// ~30× slower than the grouped engine at scale 1 — the comparison
-    /// stays honest and the harness stays fast on a deterministic
-    /// prefix).
-    pub candidate_cap: u64,
-    /// Per-engine rows (`grouped` first).
-    pub rows: Vec<VerifyEngineRow>,
-    /// `reference verify_seconds / grouped verify_seconds` (0 when
-    /// timings are disabled).
-    pub grouped_speedup_vs_reference: f64,
-    /// `tiered verify_seconds / grouped verify_seconds` (0 when timings
-    /// are disabled).
-    pub grouped_speedup_vs_tiered: f64,
 }
 
 /// One engine measurement of the `fig_shard` comparison.
@@ -301,62 +203,6 @@ pub struct ShardReport {
     /// `monolithic join_seconds / sharded join_seconds` (0 when timings
     /// are disabled).
     pub sharded_speedup: f64,
-}
-
-/// One probe-mode measurement of the `fig_position` comparison.
-#[derive(Debug, Clone)]
-pub struct PositionRow {
-    /// `fig_position/filtered` or `fig_position/unfiltered`.
-    pub id: String,
-    /// `filtered` (position filter on, the default) or `unfiltered`.
-    pub probe: &'static str,
-    /// `Vτ`: candidates surviving the probe and entering verification.
-    pub candidates: u64,
-    /// `Tτ`: posting entries touched — identical across the two rows by
-    /// construction (the filter reads every entry it kills).
-    pub processed_pairs: u64,
-    /// Pairs rejected in-probe by the positional upper bound (0 on the
-    /// unfiltered row).
-    pub pos_rejected: u64,
-    /// Pairs rejected in-probe by the tier-0 compatibility bound (0 on
-    /// the unfiltered row).
-    pub compat_rejected: u64,
-    /// Pairs accepted by verification (byte-identical across rows —
-    /// asserted before the report is emitted).
-    pub result_pairs: u64,
-    /// Stage-4 wall-clock (candidate generation).
-    pub filter_seconds: f64,
-    /// Stage-5 wall-clock (verification — where the candidate cut pays).
-    pub verify_seconds: f64,
-    /// End-to-end throughput: records (both sides) per second over the
-    /// measured stages.
-    pub records_per_second: f64,
-}
-
-/// The `fig_position` comparison: one U-Filter join with the in-probe
-/// position/compat filter on vs off — same prepared artifacts, same
-/// signatures, byte-identical output; the interesting column is the
-/// candidate volume entering stage-5 verification.
-#[derive(Debug, Clone)]
-pub struct PositionReport {
-    /// Always `fig_position`.
-    pub name: String,
-    /// Scale the run used.
-    pub au_scale: f64,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Records per side.
-    pub n_records: usize,
-    /// Join threshold θ.
-    pub theta: f64,
-    /// Per-probe-mode rows (`filtered` first).
-    pub rows: Vec<PositionRow>,
-    /// `unfiltered candidates / filtered candidates` — the candidate-cut
-    /// factor. Deterministic (a ratio of two exact counters), so never
-    /// zeroed; `bench_gate` fails the run when it drops below
-    /// `BENCH_GATE_MIN_CANDIDATE_CUT` (default 1.0 — the filter may
-    /// never *grow* the candidate set).
-    pub candidate_cut: f64,
 }
 
 /// One phase measurement of the `fig_serve` serving workload.
@@ -738,80 +584,6 @@ fn persistent_fault_scenario() -> (u64, u64) {
     (stats.degraded_entries, stats.degraded_writes)
 }
 
-/// Run the `fig_position` comparison: the same prepared U-Filter join
-/// with [`JoinSpec::position_filter`] on vs off, byte-identical results
-/// asserted, serial, best of `reps` repetitions.
-pub fn run_position_comparison(scale: f64, seed: u64, timings: bool) -> PositionReport {
-    let theta = 0.90;
-    let n = crate::experiments::sized(1200, scale);
-    let ds = med_dataset(n, seed);
-    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("default config valid");
-    let ps = engine.prepare(&ds.s).expect("S side prepares");
-    let pt = engine.prepare(&ds.t).expect("T side prepares");
-    let reps = if timings { 3 } else { 1 };
-    let total_records = (ds.s.len() + ds.t.len()) as f64;
-
-    let run_mode = |probe: &'static str, on: bool| {
-        let spec = JoinSpec::threshold(theta).serial().position_filter(on);
-        // Warm the memoized order/signature/CSR artifacts so both rows
-        // measure the steady-state probe + verify cost only.
-        let _ = engine.join(&ps, &pt, &spec).expect("warm-up join");
-        let mut best: Option<au_core::join::JoinResult> = None;
-        for _ in 0..reps {
-            let res = engine.join(&ps, &pt, &spec).expect("prepared join");
-            if best
-                .as_ref()
-                .is_none_or(|b| res.stats.total_time() < b.stats.total_time())
-            {
-                best = Some(res);
-            }
-        }
-        let res = best.expect("at least one rep");
-        let total = res.stats.total_time().as_secs_f64();
-        let row = PositionRow {
-            id: format!("fig_position/{probe}"),
-            probe,
-            candidates: res.stats.candidates,
-            processed_pairs: res.stats.processed_pairs,
-            pos_rejected: res.stats.pos_rejected,
-            compat_rejected: res.stats.compat_rejected,
-            result_pairs: res.pairs.len() as u64,
-            filter_seconds: zero_if(!timings, res.stats.filter_time.as_secs_f64()),
-            verify_seconds: zero_if(!timings, res.stats.verify_time.as_secs_f64()),
-            records_per_second: zero_if(
-                !timings,
-                if total > 0.0 {
-                    total_records / total
-                } else {
-                    0.0
-                },
-            ),
-        };
-        (row, res.pairs)
-    };
-
-    let (filtered, filtered_pairs) = run_mode("filtered", true);
-    let (unfiltered, unfiltered_pairs) = run_mode("unfiltered", false);
-    assert_eq!(
-        filtered_pairs, unfiltered_pairs,
-        "position filter changed the join output"
-    );
-    let candidate_cut = if filtered.candidates > 0 {
-        unfiltered.candidates as f64 / filtered.candidates as f64
-    } else {
-        1.0
-    };
-    PositionReport {
-        name: "fig_position".into(),
-        au_scale: scale,
-        seed,
-        n_records: n,
-        theta,
-        rows: vec![filtered, unfiltered],
-        candidate_cut,
-    }
-}
-
 /// Shard count of the `fig_shard` sharded row: fixed (not
 /// [`au_core::shard::ShardPlan::auto_shard_count`]) so the resident
 /// fraction — 2 cached shards of 32, plus one task's pair-order/
@@ -977,90 +749,6 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
     }
 }
 
-/// Candidate-list cap of the `fig_verify` comparison.
-const VERIFY_COMPARE_CAP: usize = 200_000;
-
-/// Run the stage-5 engine comparison: identical candidates, then the
-/// probe-grouped cascade vs the PR 3 tiered per-pair engine vs the
-/// reference verify, all serial, best of `reps` repetitions.
-pub fn run_verify_comparison(scale: f64, seed: u64, timings: bool) -> VerifyReport {
-    let theta = 0.90;
-    let n = crate::experiments::sized(1200, scale);
-    let ds = med_dataset(n, seed);
-    let cfg = SimConfig::default();
-    let opts = JoinOptions {
-        parallel: false,
-        ..JoinOptions::u_filter(theta)
-    };
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
-    let out = au_core::join::filter_stage(&sp, &tp, &opts, cfg.eps, false);
-    let cands = &out.candidates[..out.candidates.len().min(VERIFY_COMPARE_CAP)];
-    let reps = if timings { 3 } else { 1 };
-
-    let time_verify = |f: &dyn Fn() -> u64| -> (u64, f64) {
-        let mut best = f64::INFINITY;
-        let mut pairs = 0u64;
-        for _ in 0..reps {
-            let start = Instant::now();
-            pairs = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (pairs, best)
-    };
-
-    let (grouped_pairs, grouped_secs) = time_verify(&|| {
-        verify_candidates_stats(&ds.kn, &cfg, &sp, &tp, cands, theta, false)
-            .0
-            .len() as u64
-    });
-    let (tiered_pairs, tiered_secs) = time_verify(&|| {
-        verify_candidates_per_pair(&ds.kn, &cfg, &sp, &tp, cands, theta, false).len() as u64
-    });
-    let (ref_pairs, ref_secs) = time_verify(&|| {
-        verify_candidates_reference(&ds.kn, &cfg, &sp, &tp, cands, theta, false).len() as u64
-    });
-
-    let throughput = |secs: f64| {
-        if timings && secs > 0.0 {
-            cands.len() as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let row = |id: &str, engine: &'static str, pairs: u64, secs: f64| VerifyEngineRow {
-        id: format!("fig_verify/{id}"),
-        engine,
-        candidates: cands.len() as u64,
-        result_pairs: pairs,
-        verify_seconds: zero_if(!timings, secs),
-        verify_cands_per_second: throughput(secs),
-    };
-    let speedup = |other: f64| {
-        if timings && grouped_secs > 0.0 {
-            other / grouped_secs
-        } else {
-            0.0
-        }
-    };
-    VerifyReport {
-        name: "fig_verify".into(),
-        au_scale: scale,
-        seed,
-        n_records: n,
-        theta,
-        candidate_cap: VERIFY_COMPARE_CAP as u64,
-        rows: vec![
-            row("grouped", "grouped-cascade", grouped_pairs, grouped_secs),
-            row("tiered", "tiered-per-pair", tiered_pairs, tiered_secs),
-            row("reference", "reference", ref_pairs, ref_secs),
-        ],
-        grouped_speedup_vs_reference: speedup(ref_secs),
-        grouped_speedup_vs_tiered: speedup(tiered_secs),
-    }
-}
-
 type FilterSpec = (&'static str, fn() -> FilterKind);
 
 const FILTERS: [FilterSpec; 3] = [
@@ -1126,7 +814,6 @@ pub fn run_workload(
                 prepare_seconds: zero_if(!timings, res.stats.prepare_time.as_secs_f64()),
                 candidates: res.stats.candidates,
                 processed_pairs: res.stats.processed_pairs,
-                pos_rejected: res.stats.pos_rejected,
                 compat_rejected: res.stats.compat_rejected,
                 result_pairs: res.pairs.len() as u64,
                 tiers: res.stats.tiers,
@@ -1166,101 +853,9 @@ pub fn run_workload(
     }
 }
 
-/// Run the fig7-style engine comparison: identical signature prefixes,
-/// then the CSR candidate pass vs the legacy hashmap pass, both serial,
-/// best of `reps` repetitions.
-pub fn run_engine_comparison(scale: f64, seed: u64, timings: bool) -> EngineReport {
-    let theta = 0.90;
-    let n = crate::experiments::sized(2400, scale);
-    let ds = med_dataset(n, seed);
-    let cfg = SimConfig::default();
-    let opts = JoinOptions {
-        parallel: false,
-        ..JoinOptions::au_dp(theta, 3)
-    };
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
-    let sel_s = SelectedSignatures::select(&sp, &opts, cfg.eps);
-    let sel_t = SelectedSignatures::select(&tp, &opts, cfg.eps);
-    let tau = opts.filter.tau();
-    let reps = if timings { 3 } else { 1 };
-
-    let time_pass = |f: &dyn Fn() -> (u64, u64)| -> (u64, u64, f64) {
-        let mut best = f64::INFINITY;
-        let mut counts = (0, 0);
-        for _ in 0..reps {
-            let start = Instant::now();
-            counts = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (counts.0, counts.1, best)
-    };
-
-    let (csr_cand, csr_proc, csr_secs) = time_pass(&|| {
-        let out = candidate_pass(&sel_s, Some(&sel_t), tau, false, None);
-        (out.candidates.len() as u64, out.processed_pairs)
-    });
-    let (leg_cand, leg_proc, leg_secs) = time_pass(&|| {
-        let out = candidate_pass_legacy(&sel_s, Some(&sel_t), tau);
-        (out.candidates.len() as u64, out.processed_pairs)
-    });
-
-    let total_records = (ds.s.len() + ds.t.len()) as f64;
-    let throughput = |secs: f64| {
-        if timings && secs > 0.0 {
-            total_records / secs
-        } else {
-            0.0
-        }
-    };
-    let rows = vec![
-        EngineRow {
-            id: "fig7/csr".into(),
-            engine: "csr",
-            candidates: csr_cand,
-            processed_pairs: csr_proc,
-            filter_seconds: zero_if(!timings, csr_secs),
-            records_per_second: throughput(csr_secs),
-        },
-        EngineRow {
-            id: "fig7/legacy".into(),
-            engine: "legacy",
-            candidates: leg_cand,
-            processed_pairs: leg_proc,
-            filter_seconds: zero_if(!timings, leg_secs),
-            records_per_second: throughput(leg_secs),
-        },
-    ];
-    EngineReport {
-        name: "fig7".into(),
-        au_scale: scale,
-        seed,
-        n_records: n,
-        theta,
-        rows,
-        csr_speedup: if timings && csr_secs > 0.0 {
-            leg_secs / csr_secs
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Run the full suite: `med` + `wiki` workloads, the `fig7` engine
-/// comparison, the `fig_verify` verification-engine comparison, the
-/// `fig_shard` sharded-vs-monolithic comparison and the `fig_position`
-/// probe-filter comparison.
-#[allow(clippy::type_complexity)]
-pub fn run_all(
-    opts: &PerfOptions,
-) -> (
-    Vec<WorkloadReport>,
-    EngineReport,
-    VerifyReport,
-    ShardReport,
-    PositionReport,
-) {
+/// Run the full suite: `med` + `wiki` workloads and the `fig_shard`
+/// sharded-vs-monolithic comparison.
+pub fn run_all(opts: &PerfOptions) -> (Vec<WorkloadReport>, ShardReport) {
     let mut reports = Vec::new();
     for (name, theta, seed) in [("med", 0.90, opts.seed), ("wiki", 0.95, opts.seed + 1)] {
         let n = crate::experiments::sized(1200, opts.scale);
@@ -1279,11 +874,8 @@ pub fn run_all(
             opts.timings,
         ));
     }
-    let engines = run_engine_comparison(opts.scale, opts.seed, opts.timings);
-    let verify = run_verify_comparison(opts.scale, opts.seed, opts.timings);
     let shard = run_shard_comparison(opts.scale, opts.seed, opts.timings);
-    let position = run_position_comparison(opts.scale, opts.seed, opts.timings);
-    (reports, engines, verify, shard, position)
+    (reports, shard)
 }
 
 fn push_field(out: &mut String, indent: &str, key: &str, value: String, last: bool) {
@@ -1363,13 +955,6 @@ impl WorkloadReport {
                 "      ",
                 "processed_pairs",
                 r.processed_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "pos_rejected",
-                r.pos_rejected.to_string(),
                 false,
             );
             push_field(
@@ -1497,306 +1082,6 @@ impl WorkloadReport {
             });
         }
         o.push_str("  ]\n}\n");
-        o
-    }
-}
-
-impl EngineReport {
-    /// Stable-format JSON (see [`WorkloadReport::to_json`]).
-    pub fn to_json(&self, timings: bool) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        push_field(
-            &mut o,
-            "  ",
-            "schema",
-            format!("\"{}\"", json::escape(SCHEMA)),
-            false,
-        );
-        push_field(
-            &mut o,
-            "  ",
-            "name",
-            format!("\"{}\"", json::escape(&self.name)),
-            false,
-        );
-        push_field(&mut o, "  ", "au_scale", num(self.au_scale), false);
-        push_field(&mut o, "  ", "seed", self.seed.to_string(), false);
-        push_field(&mut o, "  ", "n_records", self.n_records.to_string(), false);
-        push_field(&mut o, "  ", "theta", num(self.theta), false);
-        o.push_str("  \"engines\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            o.push_str("    {\n");
-            push_field(
-                &mut o,
-                "      ",
-                "id",
-                format!("\"{}\"", json::escape(&r.id)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "engine",
-                format!("\"{}\"", r.engine),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "candidates",
-                r.candidates.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "processed_pairs",
-                r.processed_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "filter_seconds",
-                num(zero_if(!timings, r.filter_seconds)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "records_per_second",
-                num(zero_if(!timings, r.records_per_second)),
-                true,
-            );
-            o.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        o.push_str("  ],\n");
-        push_field(
-            &mut o,
-            "  ",
-            "csr_speedup",
-            num(zero_if(!timings, self.csr_speedup)),
-            true,
-        );
-        o.push_str("}\n");
-        o
-    }
-}
-
-impl VerifyReport {
-    /// Stable-format JSON. Rows are emitted under `workloads` so
-    /// `bench_gate` exact-matches `candidates`/`result_pairs` and
-    /// throughput-gates `verify_cands_per_second` with its generic row
-    /// logic.
-    pub fn to_json(&self, timings: bool) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        push_field(
-            &mut o,
-            "  ",
-            "schema",
-            format!("\"{}\"", json::escape(SCHEMA)),
-            false,
-        );
-        push_field(
-            &mut o,
-            "  ",
-            "name",
-            format!("\"{}\"", json::escape(&self.name)),
-            false,
-        );
-        push_field(&mut o, "  ", "au_scale", num(self.au_scale), false);
-        push_field(&mut o, "  ", "seed", self.seed.to_string(), false);
-        push_field(&mut o, "  ", "n_records", self.n_records.to_string(), false);
-        push_field(&mut o, "  ", "theta", num(self.theta), false);
-        push_field(
-            &mut o,
-            "  ",
-            "candidate_cap",
-            self.candidate_cap.to_string(),
-            false,
-        );
-        o.push_str("  \"workloads\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            o.push_str("    {\n");
-            push_field(
-                &mut o,
-                "      ",
-                "id",
-                format!("\"{}\"", json::escape(&r.id)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "engine",
-                format!("\"{}\"", r.engine),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "candidates",
-                r.candidates.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "result_pairs",
-                r.result_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "verify_seconds",
-                num(zero_if(!timings, r.verify_seconds)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "verify_cands_per_second",
-                num(zero_if(!timings, r.verify_cands_per_second)),
-                true,
-            );
-            o.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        o.push_str("  ],\n");
-        push_field(
-            &mut o,
-            "  ",
-            "grouped_speedup_vs_reference",
-            num(zero_if(!timings, self.grouped_speedup_vs_reference)),
-            false,
-        );
-        push_field(
-            &mut o,
-            "  ",
-            "grouped_speedup_vs_tiered",
-            num(zero_if(!timings, self.grouped_speedup_vs_tiered)),
-            true,
-        );
-        o.push_str("}\n");
-        o
-    }
-}
-
-impl PositionReport {
-    /// Stable-format JSON. Rows are emitted under `workloads` so
-    /// `bench_gate` exact-matches the deterministic counters
-    /// (`candidates`, `processed_pairs`, `pos_rejected`,
-    /// `compat_rejected`, `result_pairs`) and throughput-gates
-    /// `records_per_second` with its generic row logic;
-    /// `candidate_cut` is deterministic (never zeroed) and gated
-    /// against a fixed floor.
-    pub fn to_json(&self, timings: bool) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        push_field(
-            &mut o,
-            "  ",
-            "schema",
-            format!("\"{}\"", json::escape(SCHEMA)),
-            false,
-        );
-        push_field(
-            &mut o,
-            "  ",
-            "name",
-            format!("\"{}\"", json::escape(&self.name)),
-            false,
-        );
-        push_field(&mut o, "  ", "au_scale", num(self.au_scale), false);
-        push_field(&mut o, "  ", "seed", self.seed.to_string(), false);
-        push_field(&mut o, "  ", "n_records", self.n_records.to_string(), false);
-        push_field(&mut o, "  ", "theta", num(self.theta), false);
-        o.push_str("  \"workloads\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            o.push_str("    {\n");
-            push_field(
-                &mut o,
-                "      ",
-                "id",
-                format!("\"{}\"", json::escape(&r.id)),
-                false,
-            );
-            push_field(&mut o, "      ", "probe", format!("\"{}\"", r.probe), false);
-            push_field(
-                &mut o,
-                "      ",
-                "candidates",
-                r.candidates.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "processed_pairs",
-                r.processed_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "pos_rejected",
-                r.pos_rejected.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "compat_rejected",
-                r.compat_rejected.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "result_pairs",
-                r.result_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "filter_seconds",
-                num(zero_if(!timings, r.filter_seconds)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "verify_seconds",
-                num(zero_if(!timings, r.verify_seconds)),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "records_per_second",
-                num(zero_if(!timings, r.records_per_second)),
-                true,
-            );
-            o.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        o.push_str("  ],\n");
-        push_field(&mut o, "  ", "candidate_cut", num(self.candidate_cut), true);
-        o.push_str("}\n");
         o
     }
 }
@@ -2087,14 +1372,10 @@ pub fn write_serve_report(
 
 /// Write every report as `BENCH_<name>.json` under `dir`; returns the
 /// written paths.
-#[allow(clippy::too_many_arguments)]
 pub fn write_reports(
     dir: &Path,
     workloads: &[WorkloadReport],
-    engines: &EngineReport,
-    verify: &VerifyReport,
     shard: &ShardReport,
-    position: &PositionReport,
     timings: bool,
 ) -> std::io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
@@ -2103,16 +1384,7 @@ pub fn write_reports(
         std::fs::write(&p, w.to_json(timings))?;
         paths.push(p);
     }
-    let p = dir.join(format!("BENCH_{}.json", engines.name));
-    std::fs::write(&p, engines.to_json(timings))?;
-    paths.push(p);
-    let p = dir.join(format!("BENCH_{}.json", verify.name));
-    std::fs::write(&p, verify.to_json(timings))?;
-    paths.push(p);
     paths.push(write_shard_report(dir, shard, timings)?);
-    let p = dir.join(format!("BENCH_{}.json", position.name));
-    std::fs::write(&p, position.to_json(timings))?;
-    paths.push(p);
     Ok(paths)
 }
 
@@ -2177,16 +1449,6 @@ mod tests {
             assert!(r.get("result_pairs").unwrap().as_f64().unwrap() > 0.0);
             assert_eq!(r.get("records_per_second").unwrap().as_f64(), Some(0.0));
         }
-    }
-
-    #[test]
-    fn engine_comparison_counts_agree() {
-        let rep = run_engine_comparison(0.02, 5, false);
-        assert_eq!(rep.rows.len(), 2);
-        assert_eq!(rep.rows[0].candidates, rep.rows[1].candidates);
-        assert_eq!(rep.rows[0].processed_pairs, rep.rows[1].processed_pairs);
-        let v = json::Value::parse(&rep.to_json(false)).expect("engine JSON parses");
-        assert_eq!(v.get("csr_speedup").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
@@ -2269,59 +1531,5 @@ mod tests {
             assert_eq!(r.get("join_seconds").unwrap().as_f64(), Some(0.0));
         }
         assert!(v.get("memory_ratio").unwrap().as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn position_comparison_cuts_candidates_not_output() {
-        let rep = run_position_comparison(0.04, 5, false);
-        assert_eq!(rep.rows.len(), 2);
-        let (f, u) = (&rep.rows[0], &rep.rows[1]);
-        assert_eq!(f.probe, "filtered");
-        assert_eq!(u.probe, "unfiltered");
-        // run_position_comparison asserts pair-level identity internally;
-        // the emitted rows must agree on the accepted count too.
-        assert_eq!(f.result_pairs, u.result_pairs);
-        // Tτ is shared by construction: the filter reads every posting
-        // entry it kills, it only stops them becoming candidates.
-        assert_eq!(f.processed_pairs, u.processed_pairs);
-        // The unfiltered probe never rejects; the filtered probe's cut is
-        // fully accounted for by its two rejection counters.
-        assert_eq!(u.pos_rejected + u.compat_rejected, 0);
-        assert_eq!(
-            u.candidates - f.candidates,
-            f.pos_rejected + f.compat_rejected,
-            "every dropped candidate is attributed to a rejection counter"
-        );
-        assert!(rep.candidate_cut >= 1.0, "the filter may never grow Vτ");
-        let v = json::Value::parse(&rep.to_json(false)).expect("position JSON parses");
-        assert_eq!(v.get("name").unwrap().as_str(), Some("fig_position"));
-        let rows = v.get("workloads").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        for r in rows {
-            assert!(r.get("pos_rejected").unwrap().as_f64().is_some());
-            assert!(r.get("compat_rejected").unwrap().as_f64().is_some());
-            assert_eq!(r.get("verify_seconds").unwrap().as_f64(), Some(0.0));
-        }
-        // candidate_cut is a ratio of exact counters — deterministic, so
-        // it survives the timings-off projection un-zeroed.
-        assert!(v.get("candidate_cut").unwrap().as_f64().unwrap() >= 1.0);
-    }
-
-    #[test]
-    fn verify_comparison_engines_agree() {
-        let rep = run_verify_comparison(0.04, 5, false);
-        assert_eq!(rep.rows.len(), 3);
-        for r in &rep.rows[1..] {
-            assert_eq!(rep.rows[0].candidates, r.candidates, "{}", r.id);
-            assert_eq!(rep.rows[0].result_pairs, r.result_pairs, "{}", r.id);
-        }
-        let v = json::Value::parse(&rep.to_json(false)).expect("verify JSON parses");
-        assert_eq!(v.get("name").unwrap().as_str(), Some("fig_verify"));
-        let rows = v.get("workloads").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            v.get("grouped_speedup_vs_reference").unwrap().as_f64(),
-            Some(0.0)
-        );
     }
 }

@@ -4,10 +4,7 @@
 //! rely on.
 
 use au_bench::med_dataset;
-use au_bench::perf::{
-    json, run_engine_comparison, run_position_comparison, run_shard_comparison, run_workload,
-    SCHEMA,
-};
+use au_bench::perf::{json, run_shard_comparison, run_workload, SCHEMA};
 
 const SCALE: f64 = 0.04; // 48 records/side via sized(1200, scale)
 
@@ -27,22 +24,12 @@ fn same_seed_emits_byte_identical_json() {
         "same-seed runs must emit identical JSON"
     );
 
-    let ea = run_engine_comparison(0.02, 71, false).to_json(false);
-    let eb = run_engine_comparison(0.02, 71, false).to_json(false);
-    assert_eq!(ea.as_bytes(), eb.as_bytes());
-
     // fig_shard carries deterministic memory-bytes columns: the peak is
     // taken at fixed points of a sequential task schedule, so it must be
     // byte-stable too — that's what lets bench_gate diff it.
     let sa = run_shard_comparison(SCALE, 71, false).to_json(false);
     let sb = run_shard_comparison(SCALE, 71, false).to_json(false);
     assert_eq!(sa.as_bytes(), sb.as_bytes());
-
-    // fig_position's rejection counters and candidate_cut are exact-match
-    // gated, so they must be byte-stable too.
-    let pa = run_position_comparison(SCALE, 71, false).to_json(false);
-    let pb = run_position_comparison(SCALE, 71, false).to_json(false);
-    assert_eq!(pa.as_bytes(), pb.as_bytes());
 }
 
 #[test]

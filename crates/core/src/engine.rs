@@ -1,12 +1,10 @@
 //! The unified session API: one engine, one prepared artifact.
 //!
 //! The paper's whole point is that threshold joins, top-k joins and online
-//! search all run on the *same* USIM signatures and U-/AU-Filters. Before
-//! this module, the public surface contradicted that: `join`, `topk_join`,
-//! `SearchIndex::build`, `suggest_tau` and friends were disconnected free
-//! functions, each re-segmenting records and rebuilding posting tables on
-//! every call. A long-lived service answering many operations over the
-//! same corpora wants the opposite shape:
+//! search all run on the *same* USIM signatures and U-/AU-Filters, so the
+//! public surface is one pipeline with one options type ([`JoinSpec`]) and
+//! one prepared artifact ([`Prepared`]) — the shape a long-lived service
+//! answering many operations over the same corpora wants:
 //!
 //! ```text
 //! Engine (Knowledge + SimConfig, validated once)
@@ -15,7 +13,7 @@
 //!        ├─ join / join_self / join_sink  (threshold, streaming optional)
 //!        ├─ topk / topk_self              (threshold descent)
 //!        ├─ searcher(..).query(..)        (online search, no &mut)
-//!        └─ suggest_tau / calibrate / filter_counts / probe (tuning)
+//!        └─ suggest_tau / calibrate / filter_outcome / probe (tuning)
 //! ```
 //!
 //! A [`Prepared`] lazily memoizes the order-dependent artifacts — the
@@ -23,9 +21,9 @@
 //! ([`SelectedSignatures`]) and the CSR inverted index — keyed by
 //! `(order, θ, filter, MP mode)`, so a `tune_tau`-then-join workflow, a
 //! top-k descent revisiting a θ, or a search following a join never
-//! prepares (or re-selects) the same thing twice. Every operation is
-//! byte-identical to the legacy free function it replaces — enforced by
-//! `tests/api_equivalence.rs`.
+//! prepares (or re-selects) the same thing twice. Output bytes are pinned
+//! by `tests/determinism_pin.rs`; completeness is checked against
+//! [`crate::join::brute_force_join`] throughout the test suites.
 //!
 //! **Staleness guard.** Every vocabulary mutation mints a new
 //! [`Knowledge::generation`], and each [`Prepared`] stamps the generation
@@ -42,25 +40,24 @@
 
 use crate::config::SimConfig;
 use crate::error::AuError;
-use crate::estimate::{filter_counts_impl, CostModel, FilterCounts};
+use crate::estimate::{CostModel, FilterCounts};
 use crate::index::{CsrIndex, OverlapCounter};
 use crate::join::{
-    candidate_pass_with_index, prepare_corpus, verify_candidates, verify_candidates_stats,
-    FilterOutcome, JoinOptions, JoinResult, JoinStats, PosFilterCtx, PreparedCorpus,
-    SelectedSignatures,
+    batched_verify_index, candidate_pass, verify_candidates, CompatCtx, FilterOutcome, JoinResult,
+    JoinStats, SelectedSignatures,
 };
 use crate::knowledge::Knowledge;
-use crate::pebble::{Pebble, PebbleOrder};
+use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
 use crate::probe::{probe_loop, ProbeOutcome};
 use crate::search::{run_query, QueryEnv, SearchOutcome};
-use crate::segment::{segment_record_with, segment_stats, SegRecord};
+use crate::segment::{segment_record, segment_record_with, segment_stats, SegRecord};
 use crate::shard::{
     shard_pair_compatible, ShardCache, ShardInfo, ShardPlan, ShardSpec, ShardedPrepared,
 };
 use crate::signature::{FilterKind, MpMode};
 use crate::suggest::{suggest_loop, SuggestConfig, SuggestOutcome};
 use crate::topk::TopkResult;
-use crate::usim::{usim_approx_seg, Verifier, VerifyScratch};
+use crate::usim::{usim_approx_seg, Verifier, VerifyScratch, VerifyTiers};
 use au_text::record::Corpus;
 use au_text::{FxHashMap, ScratchVocab, TokenId};
 use std::collections::VecDeque;
@@ -70,6 +67,22 @@ use std::time::{Duration, Instant};
 
 /// Mint for [`Prepared`] identities (memo keys for pair orders).
 static NEXT_PREPARED_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Process-wide count of stage-1 runs (whole-corpus segmentation + pebble
+/// generation inside [`Engine::prepare`]). Tests assert that session
+/// workflows (`calibrate` + join, search after join) prepare a corpus
+/// exactly once; a service dashboard can watch it for accidental
+/// re-preparation.
+static PREPARE_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times stage 1 has run in this process.
+pub fn prepare_invocations() -> u64 {
+    // ordering: Relaxed — an advisory monotonic counter; readers tolerate
+    // any in-flight increment, and tests that need an exact value create
+    // the happens-before edge themselves by joining the preparing thread
+    // (or running single-threaded) before loading.
+    PREPARE_INVOCATIONS.load(Ordering::Relaxed)
+}
 
 /// Lock a session mutex, recovering from poisoning instead of panicking.
 ///
@@ -83,7 +96,7 @@ static NEXT_PREPARED_ID: AtomicU64 = AtomicU64::new(1);
 /// cleared and the guard handed out. This keeps `unwrap`/`expect` out of
 /// the public engine paths (the `P` lint): a long-lived service survives
 /// a stray panic in one request instead of unwinding every later caller.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -129,16 +142,15 @@ enum SpecMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinSpec {
     mode: SpecMode,
-    theta: f64,
-    filter: FilterKind,
-    mp_mode: MpMode,
-    parallel: bool,
+    pub(crate) theta: f64,
+    pub(crate) filter: FilterKind,
+    pub(crate) mp_mode: MpMode,
+    pub(crate) parallel: bool,
     k: usize,
     theta_start: f64,
     theta_floor: f64,
     step: f64,
     shards: usize,
-    pos_filter: bool,
 }
 
 impl JoinSpec {
@@ -158,7 +170,6 @@ impl JoinSpec {
             theta_floor: 0.3,
             step: 0.1,
             shards: 0,
-            pos_filter: true,
         }
     }
 
@@ -253,28 +264,6 @@ impl JoinSpec {
         self.shards
     }
 
-    /// Enable/disable the in-probe position/compatibility filter (on by
-    /// default). Output is byte-identical either way — the knob exists
-    /// for A/B measurement of candidate volume
-    /// ([`JoinStats::pos_rejected`] / [`JoinStats::compat_rejected`]).
-    ///
-    /// ```
-    /// use au_core::engine::JoinSpec;
-    ///
-    /// let spec = JoinSpec::threshold(0.8).position_filter(false);
-    /// assert!(!spec.position_filter_enabled());
-    /// assert!(JoinSpec::threshold(0.8).position_filter_enabled());
-    /// ```
-    pub fn position_filter(mut self, on: bool) -> Self {
-        self.pos_filter = on;
-        self
-    }
-
-    /// Whether the in-probe position/compatibility filter is enabled.
-    pub fn position_filter_enabled(&self) -> bool {
-        self.pos_filter
-    }
-
     /// Top-k descent schedule: first-round θ, the floor below which the
     /// descent stops, and the per-round subtractive step.
     pub fn descent(mut self, theta_start: f64, theta_floor: f64, step: f64) -> Self {
@@ -311,8 +300,10 @@ impl JoinSpec {
         AuError::InvalidSpec { field, message }
     }
 
-    /// Validate and convert for a threshold-mode operation.
-    fn threshold_options(&self) -> Result<JoinOptions, AuError> {
+    /// Validate for a threshold-mode operation (the stage functions read
+    /// `theta` / `filter` / `mp_mode` / `parallel` straight off a spec
+    /// that passed this).
+    fn validate_threshold(&self) -> Result<(), AuError> {
         if self.mode != SpecMode::Threshold {
             return Err(Self::invalid(
                 "mode",
@@ -325,7 +316,7 @@ impl JoinSpec {
                 format!("threshold must be in [0, 1], got {}", self.theta),
             ));
         }
-        Ok(self.join_options(self.theta))
+        Ok(())
     }
 
     /// Validate a top-k spec (descent schedule sanity).
@@ -363,13 +354,13 @@ impl JoinSpec {
         Ok(())
     }
 
-    fn join_options(&self, theta: f64) -> JoinOptions {
-        JoinOptions {
+    /// The same spec as a threshold-mode operation at `theta` (one round
+    /// of the top-k descent).
+    fn at_theta(&self, theta: f64) -> Self {
+        Self {
+            mode: SpecMode::Threshold,
             theta,
-            filter: self.filter,
-            mp_mode: self.mp_mode,
-            parallel: self.parallel,
-            pos_filter: self.pos_filter,
+            ..*self
         }
     }
 }
@@ -385,8 +376,7 @@ enum OrderKey {
     SelfOrder,
     /// Order built over this corpus and the partner [`Prepared`] with the
     /// given id (R×S joins). `Pair(own id)` means R×S of a corpus with
-    /// itself — frequencies count both sides, exactly like passing the
-    /// same corpus twice to the legacy `join`.
+    /// itself — frequencies count both sides.
     Pair(u64),
 }
 
@@ -403,12 +393,12 @@ struct SigKey {
 }
 
 impl SigKey {
-    fn new(order: OrderKey, opts: &JoinOptions) -> Self {
+    fn new(order: OrderKey, spec: &JoinSpec) -> Self {
         Self {
             order,
-            theta_bits: opts.theta.to_bits(),
-            filter: opts.filter,
-            mp_mode: opts.mp_mode,
+            theta_bits: spec.theta.to_bits(),
+            filter: spec.filter,
+            mp_mode: spec.mp_mode,
         }
     }
 }
@@ -510,7 +500,11 @@ pub struct Prepared {
     /// engine operation — see [`AuError::ConfigMismatch`]).
     cfg: SimConfig,
     corpus: Corpus,
-    prep: PreparedCorpus,
+    /// Segmented records (posting tables included), by record id.
+    segrecs: Vec<SegRecord>,
+    /// Per-record pebble lists in generation order; order-sorted copies
+    /// live in the memo.
+    pebbles: Vec<Vec<Pebble>>,
     /// `(|S|, MP(S))` per record — the two integers of the verifier's
     /// tier-0 record-level bound `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))`,
     /// packed for O(1) [`Engine::usim_upper_bound`] pre-screens.
@@ -522,12 +516,12 @@ pub struct Prepared {
 impl Prepared {
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.prep.len()
+        self.segrecs.len()
     }
 
     /// True when the corpus has no records.
     pub fn is_empty(&self) -> bool {
-        self.prep.is_empty()
+        self.segrecs.is_empty()
     }
 
     /// The corpus this artifact was prepared from.
@@ -558,10 +552,10 @@ impl Prepared {
         use std::mem::size_of;
         let mut total = size_of::<Self>();
         total += self.corpus.memory_bytes();
-        for sr in &self.prep.segrecs {
+        for sr in &self.segrecs {
             total += sr.memory_bytes();
         }
-        for p in &self.prep.pebbles {
+        for p in &self.pebbles {
             total += p.len() * size_of::<Pebble>();
         }
         total += self.tier0.len() * size_of::<(u32, u32)>();
@@ -589,14 +583,19 @@ impl Prepared {
         total
     }
 
+    /// Every segmented record, indexed by record id — the slices the
+    /// stage functions of [`crate::join`] take.
+    pub fn seg_records(&self) -> &[SegRecord] {
+        &self.segrecs
+    }
+
     /// The segmented record `id`.
     pub fn seg_record(&self, id: u32) -> Result<&SegRecord, AuError> {
-        self.prep
-            .segrecs
+        self.segrecs
             .get(id as usize)
             .ok_or(AuError::RecordOutOfBounds {
                 id,
-                len: self.prep.len(),
+                len: self.len(),
             })
     }
 
@@ -801,14 +800,28 @@ impl Engine {
                 });
             }
         }
+        Ok(self.prepare_trusted(corpus))
+    }
+
+    /// Stage 1 on a corpus whose tokens are known to be in this engine's
+    /// vocabulary ([`Engine::prepare_owned`] checks; Bernoulli samples of
+    /// an already-prepared corpus need no re-check).
+    fn prepare_trusted(&self, corpus: Corpus) -> Prepared {
+        // ordering: Relaxed — the count only needs each increment applied
+        // exactly once, which RMW atomicity guarantees; nothing else is
+        // published through this counter (see `prepare_invocations`).
+        PREPARE_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let prep = prepare_corpus(&self.kn, &self.cfg, &corpus);
-        let tier0 = prep
-            .segrecs
-            .iter()
-            .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
-            .collect();
-        Ok(Prepared {
+        let mut segrecs = Vec::with_capacity(corpus.len());
+        let mut pebbles = Vec::with_capacity(corpus.len());
+        let mut tier0 = Vec::with_capacity(corpus.len());
+        for r in corpus.iter() {
+            let sr = segment_record(&self.kn, &self.cfg, &r.tokens);
+            pebbles.push(generate_pebbles(&self.kn, &self.cfg, &sr));
+            tier0.push((sr.n_tokens() as u32, sr.min_partition));
+            segrecs.push(sr);
+        }
+        Prepared {
             // ordering: Relaxed — the id only needs uniqueness, which the
             // RMW atomicity of fetch_add alone guarantees; no other memory
             // is published through this counter (the Prepared itself is
@@ -818,11 +831,12 @@ impl Engine {
             gen: self.kn.generation(),
             cfg: self.cfg,
             corpus,
-            prep,
+            segrecs,
+            pebbles,
             tier0,
             prepare_time: start.elapsed(),
             memo: Mutex::new(Memo::default()),
-        })
+        }
     }
 
     /// Artifact guard: the knowledge generation must match
@@ -855,9 +869,7 @@ impl Engine {
                 return o;
             }
         }
-        let order = Arc::new(PebbleOrder::build(
-            c.prep.pebbles.iter().map(|v| v.as_slice()),
-        ));
+        let order = Arc::new(PebbleOrder::build(c.pebbles.iter().map(|v| v.as_slice())));
         let mut m = c.memo();
         m.misses += 1;
         let out = m
@@ -870,8 +882,7 @@ impl Engine {
     }
 
     /// The global order over both sides of an R×S join (document
-    /// frequencies counted across the pair, as in
-    /// [`crate::join::apply_global_order`]). Stored symmetrically in both
+    /// frequencies counted across the pair). Stored symmetrically in both
     /// artifacts' memos.
     fn order_pair(&self, s: &Prepared, t: &Prepared) -> Arc<PebbleOrder> {
         let key_s = OrderKey::Pair(t.id);
@@ -883,11 +894,10 @@ impl Engine {
             }
         }
         let order = Arc::new(PebbleOrder::build(
-            s.prep
-                .pebbles
+            s.pebbles
                 .iter()
                 .map(|v| v.as_slice())
-                .chain(t.prep.pebbles.iter().map(|v| v.as_slice())),
+                .chain(t.pebbles.iter().map(|v| v.as_slice())),
         ));
         let order = {
             let mut m = s.memo();
@@ -924,7 +934,7 @@ impl Engine {
                 return p;
             }
         }
-        let mut pebbles = c.prep.pebbles.clone();
+        let mut pebbles = c.pebbles.clone();
         for p in pebbles.iter_mut() {
             order.sort(p);
         }
@@ -946,9 +956,9 @@ impl Engine {
         c: &Prepared,
         key: OrderKey,
         order: &PebbleOrder,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
     ) -> Arc<SelectedSignatures> {
-        let sig_key = SigKey::new(key, opts);
+        let sig_key = SigKey::new(key, spec);
         {
             let mut m = c.memo();
             if let Some(s) = m.sigs.get(&sig_key).cloned() {
@@ -958,9 +968,9 @@ impl Engine {
         }
         let sorted = self.sorted_pebbles(c, key, order);
         let sel = Arc::new(SelectedSignatures::select_from(
-            &c.prep.segrecs,
+            &c.segrecs,
             &sorted,
-            opts,
+            spec,
             self.cfg.eps,
         ));
         let mut m = c.memo();
@@ -1000,7 +1010,7 @@ impl Engine {
         s: &Prepared,
         t: &Prepared,
         self_join: bool,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
     ) -> (FilterOutcome, Duration, Duration) {
         let sig_start = Instant::now();
         let (key_s, key_t, order) = if self_join {
@@ -1012,74 +1022,97 @@ impl Engine {
                 self.order_pair(s, t),
             )
         };
-        let sel_s = self.signatures(s, key_s, &order, opts);
+        let sel_s = self.signatures(s, key_s, &order, spec);
         let sel_t = if self_join || s.id == t.id {
             sel_s.clone()
         } else {
-            self.signatures(t, key_t, &order, opts)
+            self.signatures(t, key_t, &order, spec)
         };
         let sig_time = sig_start.elapsed();
 
         let filter_start = Instant::now();
-        let index = self.csr(t, SigKey::new(key_t, opts), &sel_t);
-        let ctx = opts.pos_filter.then(|| PosFilterCtx {
-            tier0_s: &s.tier0,
-            tier0_t: &t.tier0,
-            min_sim: opts.theta - self.cfg.eps,
-        });
-        let outcome = candidate_pass_with_index(
+        let index = self.csr(t, SigKey::new(key_t, spec), &sel_t);
+        let outcome = candidate_pass(
             &sel_s,
             &sel_t,
             &index,
             self_join,
-            opts.filter.tau(),
-            opts.parallel,
-            ctx.as_ref(),
+            spec.filter.tau(),
+            spec.parallel,
+            &CompatCtx {
+                tier0_s: &s.tier0,
+                tier0_t: &t.tier0,
+                min_sim: spec.theta - self.cfg.eps,
+            },
         );
         (outcome, sig_time, filter_start.elapsed())
     }
 
-    /// Stages 2–5 on prepared state; `prepare_time` is always zero here —
-    /// the corpora were prepared exactly once, up front.
+    /// Stages 2–5 on prepared state, with accepted pairs handed to `sink`
+    /// in `(s, t)` order. Candidates are verified in batches of at most
+    /// `chunk`, so that many results at most are ever materialized; the
+    /// batches share one corpus-level verification index, chosen once
+    /// from the whole stream's size.
+    fn join_run(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        self_join: bool,
+        spec: &JoinSpec,
+        chunk: usize,
+        mut sink: impl FnMut(u32, u32, f64),
+    ) -> JoinStats {
+        let (outcome, sig_time, filter_time) = self.filter_run(s, t, self_join, spec);
+        let verify_start = Instant::now();
+        let mut result_count = 0usize;
+        let mut tiers = VerifyTiers::default();
+        let index = batched_verify_index(outcome.candidates.len(), &s.segrecs, &t.segrecs);
+        for batch in outcome.candidates.chunks(chunk) {
+            let (accepted, batch_tiers) = verify_candidates(
+                &self.kn,
+                &self.cfg,
+                &s.segrecs,
+                &t.segrecs,
+                batch,
+                spec.theta,
+                spec.parallel,
+                index.as_ref(),
+            );
+            tiers.merge(&batch_tiers);
+            result_count += accepted.len();
+            for (a, b, sim) in accepted {
+                sink(a, b, sim);
+            }
+        }
+        JoinStats {
+            prepare_time: Duration::ZERO,
+            sig_time,
+            filter_time,
+            verify_time: verify_start.elapsed(),
+            processed_pairs: outcome.processed_pairs,
+            candidates: outcome.candidates.len() as u64,
+            compat_rejected: outcome.compat_rejected,
+            avg_sig_len_s: outcome.avg_sig_len_s,
+            avg_sig_len_t: outcome.avg_sig_len_t,
+            result_count,
+            tiers,
+            shard_tasks: 0,
+            shard_tasks_pruned: 0,
+        }
+    }
+
+    /// [`Engine::join_run`] materializing the whole result.
     fn join_full(
         &self,
         s: &Prepared,
         t: &Prepared,
         self_join: bool,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
     ) -> JoinResult {
-        let (outcome, sig_time, filter_time) = self.filter_run(s, t, self_join, opts);
-        let verify_start = Instant::now();
-        let (pairs, tiers) = verify_candidates_stats(
-            &self.kn,
-            &self.cfg,
-            &s.prep,
-            &t.prep,
-            &outcome.candidates,
-            opts.theta,
-            opts.parallel,
-        );
-        let verify_time = verify_start.elapsed();
-        let stats = JoinStats {
-            prepare_time: Duration::ZERO,
-            sig_time,
-            filter_time,
-            verify_time,
-            processed_pairs: outcome.processed_pairs,
-            candidates: outcome.candidates.len() as u64,
-            pos_rejected: outcome.pos_rejected,
-            compat_rejected: outcome.compat_rejected,
-            avg_sig_len_s: outcome.avg_sig_len_s,
-            avg_sig_len_t: if self_join {
-                outcome.avg_sig_len_s
-            } else {
-                outcome.avg_sig_len_t
-            },
-            result_count: pairs.len(),
-            tiers,
-            shard_tasks: 0,
-            shard_tasks_pruned: 0,
-        };
+        let mut pairs = Vec::new();
+        let stats = self.join_run(s, t, self_join, spec, usize::MAX, |a, b, sim| {
+            pairs.push((a, b, sim))
+        });
         JoinResult { pairs, stats }
     }
 
@@ -1089,21 +1122,21 @@ impl Engine {
     pub fn join(&self, s: &Prepared, t: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
         self.check(s)?;
         self.check(t)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         if spec.shards > 1 {
-            return self.join_rs_sliced(s, t, spec.shards, &opts);
+            return self.join_rs_sliced(s, t, spec);
         }
-        Ok(self.join_full(s, t, false, &opts))
+        Ok(self.join_full(s, t, false, spec))
     }
 
     /// Threshold self-join (pairs reported with `s < t`).
     pub fn join_self(&self, c: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
         self.check(c)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         if spec.shards > 1 {
-            return self.join_self_sliced(c, spec.shards, &opts);
+            return self.join_self_sliced(c, spec);
         }
-        Ok(self.join_full(c, c, true, &opts))
+        Ok(self.join_full(c, c, true, spec))
     }
 
     /// Streaming threshold R×S join: accepted pairs are emitted to `sink`
@@ -1119,19 +1152,19 @@ impl Engine {
     ) -> Result<JoinStats, AuError> {
         self.check(s)?;
         self.check(t)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         if spec.shards > 1 {
             // Sharded streaming: the result is materialized (memory is
             // bounded by shard artifacts, not by the result set; the
             // deterministic (s, t) emission order requires the final
             // merge anyway) and then replayed into the sink.
-            let res = self.join_rs_sliced(s, t, spec.shards, &opts)?;
+            let res = self.join_rs_sliced(s, t, spec)?;
             for &(a, b, sim) in &res.pairs {
                 sink(a, b, sim);
             }
             return Ok(res.stats);
         }
-        Ok(self.join_sink_impl(s, t, false, &opts, sink))
+        Ok(self.join_run(s, t, false, spec, sink_chunk(), sink))
     }
 
     /// Streaming threshold self-join (see [`Engine::join_sink`]).
@@ -1142,75 +1175,15 @@ impl Engine {
         mut sink: impl FnMut(u32, u32, f64),
     ) -> Result<JoinStats, AuError> {
         self.check(c)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         if spec.shards > 1 {
-            let res = self.join_self_sliced(c, spec.shards, &opts)?;
+            let res = self.join_self_sliced(c, spec)?;
             for &(a, b, sim) in &res.pairs {
                 sink(a, b, sim);
             }
             return Ok(res.stats);
         }
-        Ok(self.join_sink_impl(c, c, true, &opts, sink))
-    }
-
-    fn join_sink_impl(
-        &self,
-        s: &Prepared,
-        t: &Prepared,
-        self_join: bool,
-        opts: &JoinOptions,
-        mut sink: impl FnMut(u32, u32, f64),
-    ) -> JoinStats {
-        let (outcome, sig_time, filter_time) = self.filter_run(s, t, self_join, opts);
-        let verify_start = Instant::now();
-        let mut result_count = 0usize;
-        let mut tiers = crate::usim::VerifyTiers::default();
-        // One corpus-level verification index for the whole stream — the
-        // chunks share it instead of rebuilding it per SINK_CHUNK (same
-        // applicability rule as the batch path, so eligibility stays a
-        // pure function of sizes).
-        let index = crate::join::use_batched_verify(outcome.candidates.len(), &s.prep, &t.prep)
-            .then(|| crate::join::build_verify_index(&t.prep));
-        // Bounded-memory verification: at most SINK_CHUNK candidates'
-        // results are ever materialized; chunk order preserves the
-        // deterministic (s, t) output order of the batch path.
-        for chunk in outcome.candidates.chunks(sink_chunk()) {
-            let (accepted, chunk_tiers) = crate::join::verify_candidates_stats_indexed(
-                &self.kn,
-                &self.cfg,
-                &s.prep,
-                &t.prep,
-                chunk,
-                opts.theta,
-                opts.parallel,
-                index.as_ref(),
-            );
-            tiers.merge(&chunk_tiers);
-            result_count += accepted.len();
-            for (a, b, sim) in accepted {
-                sink(a, b, sim);
-            }
-        }
-        JoinStats {
-            prepare_time: Duration::ZERO,
-            sig_time,
-            filter_time,
-            verify_time: verify_start.elapsed(),
-            processed_pairs: outcome.processed_pairs,
-            candidates: outcome.candidates.len() as u64,
-            pos_rejected: outcome.pos_rejected,
-            compat_rejected: outcome.compat_rejected,
-            avg_sig_len_s: outcome.avg_sig_len_s,
-            avg_sig_len_t: if self_join {
-                outcome.avg_sig_len_s
-            } else {
-                outcome.avg_sig_len_t
-            },
-            result_count,
-            tiers,
-            shard_tasks: 0,
-            shard_tasks_pruned: 0,
-        }
+        Ok(self.join_run(c, c, true, spec, sink_chunk(), sink))
     }
 
     // -- sharded joins ------------------------------------------------------
@@ -1267,10 +1240,10 @@ impl Engine {
         spec: &JoinSpec,
     ) -> Result<JoinResult, AuError> {
         self.check_sharded(sp)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         let res = self.sharded_self_executor(
             &sp.plan,
-            &opts,
+            spec,
             sp.cache_capacity,
             &mut |i| self.shard_artifact(sp, i),
             &mut |ids| relock(&sp.cache).set_pinned(ids),
@@ -1290,11 +1263,11 @@ impl Engine {
     ) -> Result<JoinResult, AuError> {
         self.check_sharded(s)?;
         self.check_sharded(t)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         let res = self.sharded_rs_executor(
             &s.plan,
             &t.plan,
-            &opts,
+            spec,
             s.cache_capacity,
             &mut |i| self.shard_artifact(s, i),
             &mut |j| self.shard_artifact(t, j),
@@ -1354,12 +1327,12 @@ impl Engine {
         let segrecs = info
             .records()
             .iter()
-            .map(|&id| p.prep.segrecs[id as usize].clone())
+            .map(|&id| p.segrecs[id as usize].clone())
             .collect();
         let pebbles = info
             .records()
             .iter()
-            .map(|&id| p.prep.pebbles[id as usize].clone())
+            .map(|&id| p.pebbles[id as usize].clone())
             .collect();
         let tier0 = info
             .records()
@@ -1376,7 +1349,8 @@ impl Engine {
             gen: p.gen,
             cfg: p.cfg,
             corpus,
-            prep: PreparedCorpus { segrecs, pebbles },
+            segrecs,
+            pebbles,
             tier0,
             prepare_time: Duration::ZERO,
             memo: Mutex::new(Memo::default()),
@@ -1385,18 +1359,13 @@ impl Engine {
 
     /// The [`JoinSpec::sharded`] knob on an existing [`Prepared`]:
     /// self-join through the sharded executor over slices of `c`.
-    fn join_self_sliced(
-        &self,
-        c: &Prepared,
-        shards: usize,
-        opts: &JoinOptions,
-    ) -> Result<JoinResult, AuError> {
-        let plan = ShardPlan::build(&c.tier0, shards);
+    fn join_self_sliced(&self, c: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
+        let plan = ShardPlan::build(&c.tier0, spec.shards);
         let cache = std::cell::RefCell::new(ShardCache::default());
         let cap = ShardSpec::default().effective_cache_capacity();
         self.sharded_self_executor(
             &plan,
-            opts,
+            spec,
             cap,
             &mut |i| {
                 cache.borrow_mut().get_or_build(
@@ -1415,18 +1384,17 @@ impl Engine {
         &self,
         s: &Prepared,
         t: &Prepared,
-        shards: usize,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
     ) -> Result<JoinResult, AuError> {
-        let plan_s = ShardPlan::build(&s.tier0, shards);
-        let plan_t = ShardPlan::build(&t.tier0, shards);
+        let plan_s = ShardPlan::build(&s.tier0, spec.shards);
+        let plan_t = ShardPlan::build(&t.tier0, spec.shards);
         let cache_s = std::cell::RefCell::new(ShardCache::default());
         let cache_t = std::cell::RefCell::new(ShardCache::default());
         let cap = ShardSpec::default().effective_cache_capacity();
         self.sharded_rs_executor(
             &plan_s,
             &plan_t,
-            opts,
+            spec,
             cap,
             &mut |i| {
                 cache_s
@@ -1459,11 +1427,11 @@ impl Engine {
     /// run sequentially (bounded memory: at most the cache capacity of
     /// shards is live, and `end_task` trims task-scoped memos after
     /// recording the peak) while each task's inner pipeline honours
-    /// `opts.parallel`.
+    /// `spec.parallel`.
     fn sharded_self_executor(
         &self,
         plan: &ShardPlan,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
         cache_capacity: usize,
         fetch: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
         pin: &mut dyn FnMut(&[usize]),
@@ -1483,7 +1451,7 @@ impl Engine {
                     if !shard_pair_compatible(
                         plan.shard(i),
                         plan.shard(j),
-                        opts.theta,
+                        spec.theta,
                         self.cfg.eps,
                     ) {
                         agg.pruned += 1;
@@ -1493,7 +1461,7 @@ impl Engine {
                     if i == j {
                         let pa = fetch(i)?;
                         let ids = plan.shard(i).records();
-                        let res = self.join_full(&pa, &pa, true, opts);
+                        let res = self.join_full(&pa, &pa, true, spec);
                         agg.absorb(&res.stats, pa.len(), pa.len());
                         pairs.extend(
                             res.pairs
@@ -1508,7 +1476,7 @@ impl Engine {
                             &pb,
                             plan.shard(i).records(),
                             plan.shard(j).records(),
-                            opts,
+                            spec,
                             &mut agg,
                             &mut pairs,
                         );
@@ -1541,11 +1509,11 @@ impl Engine {
         pb: &Prepared,
         ids_a: &[u32],
         ids_b: &[u32],
-        opts: &JoinOptions,
+        spec: &JoinSpec,
         agg: &mut StatAgg,
         pairs: &mut Vec<(u32, u32, f64)>,
     ) {
-        let (outcome, sig_time, filter_time) = self.filter_run(pa, pb, false, opts);
+        let (outcome, sig_time, filter_time) = self.filter_run(pa, pb, false, spec);
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         let mut rev: Vec<(u32, u32)> = Vec::new();
         for &(la, lb) in &outcome.candidates {
@@ -1560,23 +1528,25 @@ impl Engine {
         fwd.sort_unstable();
         rev.sort_unstable();
         let verify_start = Instant::now();
-        let (pf, tf) = verify_candidates_stats(
+        let (pf, tf) = verify_candidates(
             &self.kn,
             &self.cfg,
-            &pa.prep,
-            &pb.prep,
+            &pa.segrecs,
+            &pb.segrecs,
             &fwd,
-            opts.theta,
-            opts.parallel,
+            spec.theta,
+            spec.parallel,
+            None,
         );
-        let (pr, tr) = verify_candidates_stats(
+        let (pr, tr) = verify_candidates(
             &self.kn,
             &self.cfg,
-            &pb.prep,
-            &pa.prep,
+            &pb.segrecs,
+            &pa.segrecs,
             &rev,
-            opts.theta,
-            opts.parallel,
+            spec.theta,
+            spec.parallel,
+            None,
         );
         let verify_time = verify_start.elapsed();
         pairs.extend(
@@ -1592,7 +1562,6 @@ impl Engine {
         agg.verify_time += verify_time;
         agg.processed_pairs += outcome.processed_pairs;
         agg.candidates += outcome.candidates.len() as u64;
-        agg.pos_rejected += outcome.pos_rejected;
         agg.compat_rejected += outcome.compat_rejected;
         agg.add_sig_len(
             outcome.avg_sig_len_s,
@@ -1616,7 +1585,7 @@ impl Engine {
         &self,
         plan_s: &ShardPlan,
         plan_t: &ShardPlan,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
         cache_capacity: usize,
         fetch_s: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
         fetch_t: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
@@ -1638,7 +1607,7 @@ impl Engine {
                     if !shard_pair_compatible(
                         plan_s.shard(i),
                         plan_t.shard(j),
-                        opts.theta,
+                        spec.theta,
                         self.cfg.eps,
                     ) {
                         agg.pruned += 1;
@@ -1647,7 +1616,7 @@ impl Engine {
                     agg.tasks += 1;
                     let ps = fetch_s(i)?;
                     let pt = fetch_t(j)?;
-                    let res = self.join_full(&ps, &pt, false, opts);
+                    let res = self.join_full(&ps, &pt, false, spec);
                     agg.absorb(&res.stats, ps.len(), pt.len());
                     let (ids_s, ids_t) = (plan_s.shard(i).records(), plan_t.shard(j).records());
                     pairs.extend(
@@ -1699,8 +1668,7 @@ impl Engine {
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            let opts = spec.join_options(theta);
-            let res = self.join_full(s, t, self_join, &opts);
+            let res = self.join_full(s, t, self_join, &spec.at_theta(theta));
             let done = res.pairs.len() >= spec.k || theta <= spec.theta_floor + self.cfg.eps;
             if done {
                 // Re-score fully (the verifier's early-accept may report a
@@ -1713,11 +1681,11 @@ impl Engine {
                     spec.parallel,
                     |&(a, _, _)| a as u64,
                     VerifyScratch::default,
-                    |scr, &(a, _, _)| verifier.begin_probe(&s.prep.segrecs[a as usize], scr),
+                    |scr, &(a, _, _)| verifier.begin_probe(&s.segrecs[a as usize], scr),
                     |scr, &(a, b, _)| {
                         let sim = verifier.probed_sim(
-                            &s.prep.segrecs[a as usize],
-                            &t.prep.segrecs[b as usize],
+                            &s.segrecs[a as usize],
+                            &t.segrecs[b as usize],
                             scr,
                         );
                         Some((a, b, sim))
@@ -1780,13 +1748,13 @@ impl Engine {
 
     fn search_core(&self, c: &Prepared, spec: &JoinSpec) -> Result<SearchCore, AuError> {
         self.check(c)?;
-        let opts = spec.threshold_options()?;
+        spec.validate_threshold()?;
         let order = self.order_self(c);
-        let sel = self.signatures(c, OrderKey::SelfOrder, &order, &opts);
-        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, &opts), &sel);
+        let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
+        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &sel);
         let counter = Mutex::new(OverlapCounter::new(index.record_count()));
         Ok(SearchCore {
-            opts,
+            spec: *spec,
             order,
             sel,
             index,
@@ -1798,8 +1766,28 @@ impl Engine {
 
     // -- tuning -------------------------------------------------------------
 
-    /// Stages 2–4 only (no verification) on prepared corpora: the raw
-    /// `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17).
+    /// Stages 2–4 only (no verification) on prepared corpora: the
+    /// candidate list with its funnel counters — `Tτ`, the in-probe
+    /// compatibility rejections, mean signature lengths. `t = None` runs
+    /// the self-join of `s` (pairs with `s < t`). Served from the same
+    /// memoized order / signatures / CSR index as [`Engine::join`], whose
+    /// filtering stage this *is*.
+    pub fn filter_outcome(
+        &self,
+        s: &Prepared,
+        t: Option<&Prepared>,
+        spec: &JoinSpec,
+    ) -> Result<FilterOutcome, AuError> {
+        self.check(s)?;
+        if let Some(t) = t {
+            self.check(t)?;
+        }
+        spec.validate_threshold()?;
+        Ok(self.filter_run(s, t.unwrap_or(s), t.is_none(), spec).0)
+    }
+
+    /// The raw `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17):
+    /// [`Engine::filter_outcome`] of a serial R×S pass, counted.
     pub fn filter_counts(
         &self,
         s: &Prepared,
@@ -1807,23 +1795,34 @@ impl Engine {
         theta: f64,
         filter: FilterKind,
     ) -> Result<FilterCounts, AuError> {
-        self.check(s)?;
-        self.check(t)?;
-        let opts = JoinSpec::threshold(theta)
-            .filter(filter)
-            .serial()
-            .threshold_options()?;
-        let (outcome, _, _) = self.filter_run(s, t, false, &opts);
-        Ok(FilterCounts {
-            processed: outcome.processed_pairs,
-            candidates: outcome.candidates.len() as u64,
-        })
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        Ok(FilterCounts::of(&self.filter_outcome(s, Some(t), &spec)?))
+    }
+
+    /// [`Engine::filter_counts`] on one Bernoulli sample pair drawn from
+    /// corpora this engine already prepared: each sample is prepared and
+    /// filtered through exactly the stages the full join runs, so Eq. 17
+    /// scales the production path's own counts.
+    fn sample_counts(
+        &self,
+        s: &Corpus,
+        t: &Corpus,
+        theta: f64,
+        filter: FilterKind,
+    ) -> FilterCounts {
+        let (ps, pt) = (
+            self.prepare_trusted(s.clone()),
+            self.prepare_trusted(t.clone()),
+        );
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        FilterCounts::of(&self.filter_run(&ps, &pt, false, &spec).0)
     }
 
     /// Measure the per-unit costs `c_f` / `c_v` of Eq. 15 on prepared
-    /// corpora. Unlike the legacy `CostModel::calibrate`, preparation is
-    /// never repeated: both the filtering and the verification timing run
-    /// on this engine's memoized artifacts.
+    /// corpora: `c_f` from one timed filtering pass over the memoized
+    /// artifacts, `c_v` from timing up to `max_verifications` of its
+    /// candidates through [`verify_candidates`]. Preparation is never
+    /// repeated.
     pub fn calibrate(
         &self,
         s: &Prepared,
@@ -1834,12 +1833,10 @@ impl Engine {
     ) -> Result<CostModel, AuError> {
         self.check(s)?;
         self.check(t)?;
-        let opts = JoinSpec::threshold(theta)
-            .filter(filter)
-            .serial()
-            .threshold_options()?;
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        spec.validate_threshold()?;
         let f_start = Instant::now();
-        let (outcome, _, _) = self.filter_run(s, t, false, &opts);
+        let (outcome, _, _) = self.filter_run(s, t, false, &spec);
         let f_time = f_start.elapsed().as_secs_f64();
         Ok(crate::estimate::cost_model_from_filter_run(
             outcome.processed_pairs,
@@ -1850,8 +1847,9 @@ impl Engine {
             max_verifications,
             |pairs| {
                 let v_start = Instant::now();
-                let _ =
-                    verify_candidates(&self.kn, &self.cfg, &s.prep, &t.prep, pairs, theta, false);
+                let _ = verify_candidates(
+                    &self.kn, &self.cfg, &s.segrecs, &t.segrecs, pairs, theta, false, None,
+                );
                 v_start.elapsed().as_secs_f64()
             },
         ))
@@ -1886,7 +1884,7 @@ impl Engine {
             }
         }
         Ok(suggest_loop(&s.corpus, &t.corpus, model, sc, |a, b, f| {
-            filter_counts_impl(&self.kn, &self.cfg, a, b, theta, f)
+            self.sample_counts(a, b, theta, f)
         }))
     }
 
@@ -1922,7 +1920,7 @@ impl Engine {
             &spec.universe,
             spec.pilot_iters,
             spec.seed,
-            |a, b, f| filter_counts_impl(&self.kn, &self.cfg, a, b, theta, f),
+            |a, b, f| self.sample_counts(a, b, theta, f),
         ))
     }
 
@@ -1983,13 +1981,12 @@ struct StatAgg {
     verify_time: Duration,
     processed_pairs: u64,
     candidates: u64,
-    pos_rejected: u64,
     compat_rejected: u64,
     sig_len_s_weighted: f64,
     sig_len_s_records: u64,
     sig_len_t_weighted: f64,
     sig_len_t_records: u64,
-    tiers: crate::usim::VerifyTiers,
+    tiers: VerifyTiers,
     tasks: u64,
     pruned: u64,
 }
@@ -2001,7 +1998,6 @@ impl StatAgg {
         self.verify_time += st.verify_time;
         self.processed_pairs += st.processed_pairs;
         self.candidates += st.candidates;
-        self.pos_rejected += st.pos_rejected;
         self.compat_rejected += st.compat_rejected;
         self.add_sig_len(st.avg_sig_len_s, n_s, st.avg_sig_len_t, n_t);
         self.tiers.merge(&st.tiers);
@@ -2022,7 +2018,6 @@ impl StatAgg {
             verify_time: self.verify_time,
             processed_pairs: self.processed_pairs,
             candidates: self.candidates,
-            pos_rejected: self.pos_rejected,
             compat_rejected: self.compat_rejected,
             avg_sig_len_s: if self.sig_len_s_records == 0 {
                 0.0
@@ -2081,7 +2076,8 @@ pub struct Searcher<'e> {
 /// code path.
 #[derive(Debug)]
 struct SearchCore {
-    opts: JoinOptions,
+    /// The (validated, threshold-mode) spec queries are answered under.
+    spec: JoinSpec,
     order: Arc<PebbleOrder>,
     sel: Arc<SelectedSignatures>,
     index: Arc<CsrIndex>,
@@ -2139,8 +2135,8 @@ impl SearchCore {
             &QueryEnv {
                 kn,
                 cfg,
-                opts: &self.opts,
-                segrecs: &prepared.prep.segrecs,
+                spec: &self.spec,
+                segrecs: &prepared.segrecs,
                 order: &self.order,
                 levels: &self.sel.levels,
                 index: &self.index,
@@ -2166,7 +2162,7 @@ impl Searcher<'_> {
 
     /// The threshold θ this searcher answers at.
     pub fn theta(&self) -> f64 {
-        self.core.opts.theta
+        self.core.spec.theta
     }
 
     /// Mean signature length of the indexed records.
@@ -2215,7 +2211,7 @@ impl SnapshotSearcher {
 
     /// The threshold θ this searcher answers at.
     pub fn theta(&self) -> f64 {
-        self.core.opts.theta
+        self.core.spec.theta
     }
 
     /// Knowledge generation of the indexed collection.

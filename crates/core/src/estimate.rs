@@ -7,10 +7,7 @@
 //! `V̂τ = V′τ / (p_s·p_t)` (Eq. 17), because each pair survives sampling
 //! with probability `p_s·p_t`.
 
-use crate::config::SimConfig;
-use crate::join::{filter_stage, prepare_corpus, JoinOptions};
-use crate::knowledge::Knowledge;
-use crate::signature::FilterKind;
+use crate::join::FilterOutcome;
 use au_text::record::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,36 +30,13 @@ pub struct FilterCounts {
     pub candidates: u64,
 }
 
-/// Run stages 1–4 only (no verification) and report `T′τ`, `V′τ`.
-///
-/// This is the estimator's inner loop and deliberately calls the same
-/// [`filter_stage`] (CSR index + epoch-stamped counter probes) as the
-/// production join: Eq. 17 scales *this* path's counts, so sampling a
-/// different engine would calibrate the wrong cost model. Samples are
-/// fresh corpora, prepared exactly once here; the *full* corpora go
-/// through [`crate::engine::Engine::filter_counts`]'s memo instead.
-pub(crate) fn filter_counts_impl(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &Corpus,
-    t: &Corpus,
-    theta: f64,
-    filter: FilterKind,
-) -> FilterCounts {
-    let mut sp = prepare_corpus(kn, cfg, s);
-    let mut tp = prepare_corpus(kn, cfg, t);
-    crate::join::apply_global_order(&mut sp, &mut tp);
-    let opts = JoinOptions {
-        theta,
-        filter,
-        mp_mode: crate::signature::MpMode::ExactDp,
-        parallel: false,
-        pos_filter: true,
-    };
-    let out = filter_stage(&sp, &tp, &opts, cfg.eps, false);
-    FilterCounts {
-        processed: out.processed_pairs,
-        candidates: out.candidates.len() as u64,
+impl FilterCounts {
+    /// The counts of one filtering pass.
+    pub fn of(outcome: &FilterOutcome) -> Self {
+        Self {
+            processed: outcome.processed_pairs,
+            candidates: outcome.candidates.len() as u64,
+        }
     }
 }
 
@@ -84,13 +58,11 @@ pub fn estimate_from_counts(counts: FilterCounts, ps: f64, pt: f64) -> Bernoulli
     }
 }
 
-/// One calibration protocol for both the legacy `CostModel::calibrate`
-/// and `Engine::calibrate`: derive `c_f` from the measured filtering time
-/// over the processed pairs, pick up to `max_verifications` candidate
-/// pairs (or a small synthesized cross product when filtering produced
-/// none), and time them through `timed_verify` (which returns seconds).
-/// The protocol lives here exactly once so the shim and the engine cannot
-/// drift (same rationale as `suggest_loop`/`probe_loop`).
+/// The calibration protocol of [`crate::engine::Engine::calibrate`]:
+/// derive `c_f` from the measured filtering time over the processed
+/// pairs, pick up to `max_verifications` candidate pairs (or a small
+/// synthesized cross product when filtering produced none), and time
+/// them through `timed_verify` (which returns seconds).
 pub(crate) fn cost_model_from_filter_run(
     processed_pairs: u64,
     candidates: &[(u32, u32)],
@@ -146,32 +118,6 @@ impl CostModel {
     }
 }
 
-/// Exhaustively measure true `(Tτ, Vτ)` on the *full* corpora for every τ
-/// in `universe` (used by the accuracy experiments to find the true best
-/// τ).
-#[allow(clippy::too_many_arguments)]
-pub fn true_costs(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &Corpus,
-    t: &Corpus,
-    theta: f64,
-    universe: &[u32],
-    make_filter: impl Fn(u32) -> FilterKind,
-    model: &CostModel,
-) -> Vec<(u32, f64)> {
-    universe
-        .iter()
-        .map(|&tau| {
-            let c = filter_counts_impl(kn, cfg, s, t, theta, make_filter(tau));
-            (
-                tau,
-                model.c_f * c.processed as f64 + model.c_v * c.candidates as f64,
-            )
-        })
-        .collect()
-}
-
 /// A prepared sample pair kept by the suggestion loop.
 #[derive(Debug)]
 pub struct SamplePair {
@@ -200,7 +146,10 @@ pub fn draw_sample_pair(s: &Corpus, t: &Corpus, ps: f64, pt: f64, seed: u64, n: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::KnowledgeBuilder;
+    use crate::config::SimConfig;
+    use crate::engine::Engine;
+    use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::signature::FilterKind;
 
     fn setup() -> (Knowledge, Corpus, Corpus) {
         let mut b = KnowledgeBuilder::new();
@@ -251,17 +200,20 @@ mod tests {
         // Mean of many independent estimates must approach the true value
         // (CLT); tolerance is generous to keep the test fast.
         let (kn, s, t) = setup();
-        let cfg = SimConfig::default();
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
         let filter = FilterKind::AuHeuristic { tau: 2 };
-        let truth = filter_counts_impl(&kn, &cfg, &s, &t, 0.7, filter);
+        let counts_of = |a: &Corpus, b: &Corpus| {
+            let (pa, pb) = (engine.prepare(a).unwrap(), engine.prepare(b).unwrap());
+            engine.filter_counts(&pa, &pb, 0.7, filter).unwrap()
+        };
+        let truth = counts_of(&s, &t);
         assert!(truth.processed > 0, "fixture must produce filter work");
         let (ps, pt) = (0.5, 0.5);
         let mut sum_t = 0.0;
         let runs = 60;
         for n in 0..runs {
             let sp = draw_sample_pair(&s, &t, ps, pt, 7, n);
-            let c = filter_counts_impl(&kn, &cfg, &sp.s, &sp.t, 0.7, filter);
-            sum_t += estimate_from_counts(c, ps, pt).t_hat;
+            sum_t += estimate_from_counts(counts_of(&sp.s, &sp.t), ps, pt).t_hat;
         }
         let mean_t = sum_t / runs as f64;
         let rel = (mean_t - truth.processed as f64).abs() / truth.processed as f64;
@@ -270,6 +222,45 @@ mod tests {
             "relative bias {rel:.3} (mean {mean_t}, truth {})",
             truth.processed
         );
+    }
+
+    /// Sample counts and the suggestion loop's outcome, recorded before
+    /// samples were routed through `Engine::prepare` + the production
+    /// filter run: the estimator's inputs must not move.
+    #[test]
+    fn sample_counts_and_suggestion_are_pinned() {
+        let (kn, s, t) = setup();
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
+        let sp = draw_sample_pair(&s, &t, 0.5, 0.5, 7, 3);
+        assert_eq!((sp.s.len(), sp.t.len()), (17, 19));
+        let (pa, pb) = (
+            engine.prepare(&sp.s).unwrap(),
+            engine.prepare(&sp.t).unwrap(),
+        );
+        for (filter, want) in [
+            (FilterKind::AuHeuristic { tau: 2 }, (406, 48)),
+            (FilterKind::AuDp { tau: 3 }, (641, 73)),
+            (FilterKind::UFilter, (97, 35)),
+        ] {
+            let c = engine.filter_counts(&pa, &pb, 0.7, filter).unwrap();
+            assert_eq!((c.processed, c.candidates), want, "{}", filter.label());
+        }
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let model = CostModel {
+            c_f: 5e-8,
+            c_v: 5e-6,
+        };
+        let sc = crate::suggest::SuggestConfig {
+            ps: 0.5,
+            pt: 0.5,
+            n_star: 3,
+            max_iters: 12,
+            universe: vec![1, 2, 3],
+            seed: 99,
+            ..Default::default()
+        };
+        let out = engine.suggest_tau(&ps, &pt, 0.7, &model, &sc).unwrap();
+        assert_eq!((out.tau, out.iterations), (1, 7));
     }
 
     #[test]
@@ -286,8 +277,7 @@ mod tests {
     #[test]
     fn calibration_produces_positive_costs() {
         let (kn, s, t) = setup();
-        let cfg = SimConfig::default();
-        let engine = crate::engine::Engine::new(kn, cfg).expect("valid config");
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
         let ps = engine.prepare(&s).expect("prepare S");
         let pt = engine.prepare(&t).expect("prepare T");
         let m = engine

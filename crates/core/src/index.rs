@@ -1,72 +1,58 @@
-//! Pebble inverted indexes (the `L_S` / `L_T` of Algorithms 3 and 6).
+//! Pebble inverted index (the `L_S` / `L_T` of Algorithms 3 and 6).
 //!
 //! Keys are signature pebbles; values are the record ids whose signature
 //! contains the key. Signatures are key *sets* (a record lists each key at
 //! most once), so the τ-overlap count of Algorithm 6 counts distinct
 //! common pebbles.
 //!
-//! Two engines live here:
+//! [`CsrIndex`] is one `PebbleKey → (offset, len)` table over a single
+//! flattened postings arena (compressed sparse row), probed
+//! record-at-a-time with an epoch-stamped dense [`OverlapCounter`]:
+//! overlap counts live in a plain `Vec<u32>` indexed by record id, so
+//! counting one posting entry is an array increment instead of a hash-map
+//! probe on a packed pair key. Per-record distinct keys come from
+//! [`RecordKeys`], whose sort-dedup build is parallelised over
+//! [`crate::parallel`].
 //!
-//! * [`CsrIndex`] — the production engine. One `PebbleKey → (offset, len)`
-//!   table over a single flattened postings arena (compressed sparse row),
-//!   probed record-at-a-time with an epoch-stamped dense
-//!   [`OverlapCounter`]: overlap counts live in a plain `Vec<u32>` indexed
-//!   by record id, so counting one posting entry is an array increment
-//!   instead of a hash-map probe on a packed pair key. Per-record distinct
-//!   keys come from [`RecordKeys`], whose sort-dedup build is parallelised
-//!   over [`crate::parallel`].
-//! * [`InvertedIndex`] — the original `FxHashMap<PebbleKey, Vec<u32>>`
-//!   engine, kept as the oracle for the equivalence harness
-//!   (`tests/index_equivalence.rs`) and as the baseline the perf harness
-//!   (`au-bench --bin perf`) measures the CSR engine against. New code
-//!   should not use it.
+//! [`OverlapCounter::probe`] is the one scan: read each of the probe's
+//! posting lists, count the records already admitted, and decide at a
+//! record's *first touch* whether it is admitted at all:
 //!
-//! The probe applies the τ-overlap skip *per posting list*: when only
-//! `rem` of the probe's keys remain (current list included), a record not
-//! yet touched can accumulate at most `rem` overlaps, so it is admitted
-//! only when `rem` still covers its overlap demand
-//! `min(τ, level_probe, level_record).max(1)`. Records that can no longer
-//! qualify are never added to the touched set (their posting entries are
-//! still read, so the processed-pairs count `Tτ` of Eq. 16 is unchanged).
-//!
-//! On top of the τ-skip, [`OverlapCounter::probe_filtered`] layers two
-//! *per-pair* rejection bounds applied during the posting scan (the
-//! PPJoin family's positional reasoning, transplanted to pebble
-//! signatures):
-//!
-//! * **positional** — every posting entry carries the key's position in
-//!   the indexed record's sorted distinct-key list. Both sides sort keys
-//!   by the same `PebbleKey` total order, so when the probe's key `i`
-//!   matches the indexed record's position `p`, every further shared key
-//!   lies strictly after both: the final overlap is at most
-//!   `overlap_so_far + min(m − i − 1, |sig_t| − p − 1)`. When that upper
-//!   bound cannot reach the pair's demand the record is marked dead and
-//!   never becomes a candidate;
+//! * **τ-skip** — when only `rem` of the probe's keys remain (current list
+//!   included), a record not yet touched can accumulate at most `rem`
+//!   overlaps, so it is admitted only when `rem` still covers its overlap
+//!   demand `min(τ, level_probe, level_record).max(1)`;
 //! * **compatibility** — the verifier's tier-0 record-level bound
 //!   `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` evaluated from cached
-//!   integers at the record's first touch; pairs whose bound falls below
-//!   `θ − ε` would be rejected by verification tier 0 anyway, so they are
-//!   dropped here, before they are ever materialized.
+//!   integers; pairs whose bound falls below `θ − ε` would be rejected by
+//!   verification tier 0 anyway, so they are dropped here, before they
+//!   are ever materialized.
 //!
-//! Both bounds reject pairs that verification would reject, so the join
-//! *output* is byte-identical with the filter on or off; `Tτ` is also
-//! unchanged (posting entries are still read). Only the candidate set
-//! shrinks — the whole point.
+//! Neither test skips *reading* a posting entry, so the processed-pairs
+//! count `Tτ` of Eq. 16 is the plain sum of the scanned list lengths.
 //!
-//! ## Why there is no *weighted* (mass) positional bound
+//! ## Why there is no positional bound
 //!
-//! A natural-looking refinement would track matched pebble *mass* per
-//! pair against the `(θ − ε) · max(MP)` demand, the way the signature
-//! selectors budget mass via AS (Definition 4). It cannot be made both
-//! sound and useful here: the probe observes only `sig(S) ∩ sig(T)`, yet
-//! a key can be shared through one side's *non-signature tail* (it is in
-//! `sig(T)` but past S's prefix, or vice versa). Covering that unseen
-//! mass requires charging the bound with a full tail's AS — and the
-//! selectors cut prefixes precisely so each tail holds *just under*
-//! `θ · MP` of mass, which drives any such bound's slack to ≈ 0. The
-//! sound per-pair information available in-probe is exactly the tier-0
-//! scalars plus count-level prefix overlap — the two bounds above. See
-//! `docs/ARCHITECTURE.md` for the measured consequences.
+//! A PPJoin-style bound `overlap_so_far + min(keys left in S, keys left in
+//! T) < demand` cannot remove a candidate here. Keys are distinct and both
+//! sides are scanned in one total order; a record the τ-skip refuses at its
+//! first shared key is refused at every later one (`rem` only shrinks), so
+//! an admitted record's final count is exactly its number of shared keys.
+//! The positional expression is an upper bound on that final count, hence a
+//! record it kills ends below its demand and fails the emission test
+//! anyway. (Measured before its removal: 0 candidates cut on every
+//! workload; see `docs/ARCHITECTURE.md`.)
+//!
+//! ## Why there is no *weighted* (mass) bound either
+//!
+//! Tracking matched pebble *mass* per pair against the `(θ − ε) · max(MP)`
+//! demand, the way the signature selectors budget mass via AS
+//! (Definition 4), cannot be made both sound and useful: the probe
+//! observes only `sig(S) ∩ sig(T)`, yet a key can be shared through one
+//! side's *non-signature tail*. Covering that unseen mass requires
+//! charging the bound with a full tail's AS — and the selectors cut
+//! prefixes precisely so each tail holds *just under* `θ · MP` of mass,
+//! which drives any such bound's slack to ≈ 0.
 
 use crate::parallel::par_map;
 use crate::pebble::{Pebble, PebbleKey};
@@ -163,30 +149,20 @@ impl RecordKeys {
 /// postings arena.
 ///
 /// Postings of one key are record ids in ascending order (records are
-/// scattered in id order). A parallel `positions` arena stores, for each
-/// posting entry, the key's position inside that record's sorted distinct
-/// key list — the payload of the positional filter
-/// ([`OverlapCounter::probe_filtered`]). Probing is done with
-/// [`OverlapCounter::probe`] / [`OverlapCounter::probe_filtered`].
+/// scattered in id order). Probing is done with
+/// [`OverlapCounter::probe`].
 #[derive(Debug, Default, Clone)]
 pub struct CsrIndex {
     /// Key → slot. Slot `k` owns `postings[offsets[k] .. offsets[k+1]]`.
     slots: FxHashMap<PebbleKey, u32>,
     offsets: Vec<u32>,
     postings: Vec<u32>,
-    /// `positions[e]` = position of the slot's key in record
-    /// `postings[e]`'s sorted distinct key list (same arena layout).
-    positions: Vec<u32>,
-    /// Per-record distinct-key signature length (the `|sig_t|` of the
-    /// positional bound), indexed by record id.
-    sig_lens: Vec<u32>,
     total_records: usize,
 }
 
 impl CsrIndex {
     /// Build from per-record distinct key sets (two-pass counting sort:
-    /// count per key, prefix-sum into offsets, scatter record ids and key
-    /// positions).
+    /// count per key, prefix-sum into offsets, scatter record ids).
     pub fn from_record_keys(rk: &RecordKeys) -> Self {
         debug_assert!(
             rk.keys.len() < u32::MAX as usize,
@@ -212,15 +188,10 @@ impl CsrIndex {
         // Scatter in record order so every posting list stays ascending.
         let mut cursor: Vec<u32> = offsets[..counts.len()].to_vec();
         let mut postings = vec![0u32; rk.keys.len()];
-        let mut positions = vec![0u32; rk.keys.len()];
-        let mut sig_lens = Vec::with_capacity(rk.len());
         for r in 0..rk.len() as u32 {
-            let keys = rk.get(r);
-            sig_lens.push(keys.len() as u32);
-            for (pos, &key) in keys.iter().enumerate() {
+            for &key in rk.get(r) {
                 let slot = slots[&key] as usize;
                 postings[cursor[slot] as usize] = r;
-                positions[cursor[slot] as usize] = pos as u32;
                 cursor[slot] += 1;
             }
         }
@@ -228,8 +199,6 @@ impl CsrIndex {
             slots,
             offsets,
             postings,
-            positions,
-            sig_lens,
             total_records: rk.len(),
         }
     }
@@ -247,8 +216,6 @@ impl CsrIndex {
         self.slots.len() * std::mem::size_of::<(PebbleKey, u32)>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.postings.len() * std::mem::size_of::<u32>()
-            + self.positions.len() * std::mem::size_of::<u32>()
-            + self.sig_lens.len() * std::mem::size_of::<u32>()
     }
 
     /// Records whose signature contains `key` (ascending ids).
@@ -256,40 +223,6 @@ impl CsrIndex {
         self.slots.get(&key).map(|&slot| {
             let (a, b) = (self.offsets[slot as usize], self.offsets[slot as usize + 1]);
             &self.postings[a as usize..b as usize]
-        })
-    }
-
-    /// Records whose signature contains `key`, paired with the key's
-    /// position in each record's sorted distinct key list (the positional
-    /// filter payload). Both slices share the posting-list order.
-    pub fn get_with_positions(&self, key: PebbleKey) -> Option<(&[u32], &[u32])> {
-        self.slots.get(&key).map(|&slot| {
-            let (a, b) = (
-                self.offsets[slot as usize] as usize,
-                self.offsets[slot as usize + 1] as usize,
-            );
-            (&self.postings[a..b], &self.positions[a..b])
-        })
-    }
-
-    /// Signature length (distinct keys) of one indexed record.
-    pub fn sig_len(&self, record: u32) -> u32 {
-        self.sig_lens[record as usize]
-    }
-
-    /// Iterate `(key, postings)` pairs (arbitrary order).
-    ///
-    /// The arbitrary order is part of this method's contract: callers on
-    /// output paths must sort or fold commutatively, exactly as
-    /// [`candidate_pass_legacy`](crate::join::candidate_pass_legacy) —
-    /// the one output-path consumer of the twin
-    /// [`InvertedIndex::iter`] — does.
-    pub fn iter(&self) -> impl Iterator<Item = (PebbleKey, &[u32])> {
-        // det: order is documented arbitrary; every output-path caller
-        // sorts its result or folds order-insensitively (see above).
-        self.slots.iter().map(|(&k, &slot)| {
-            let (a, b) = (self.offsets[slot as usize], self.offsets[slot as usize + 1]);
-            (k, &self.postings[a as usize..b as usize])
         })
     }
 
@@ -310,7 +243,7 @@ impl CsrIndex {
 }
 
 /// Epoch-stamped dense overlap counter: the probe-side scratch of the CSR
-/// engine.
+/// index.
 ///
 /// `counts[r]` is valid only while `stamps[r] == epoch`; bumping the epoch
 /// at the start of every probe invalidates every count in O(1), so one
@@ -323,15 +256,12 @@ pub struct OverlapCounter {
     counts: Vec<u32>,
     stamps: Vec<u32>,
     epoch: u32,
+    /// Records admitted by the current probe (stamped *and* compatible);
+    /// the only ids the emission pass looks at.
     touched: Vec<u32>,
 }
 
-/// One probe's outcome: qualifying candidates are appended to the `out`
-/// argument of [`OverlapCounter::probe`]; the posting entries read come
-/// back as this count (`Tτ` contribution, Eq. 16).
-pub type ProcessedEntries = u64;
-
-/// Funnel telemetry of one [`OverlapCounter::probe_filtered`] call.
+/// Funnel telemetry of one [`OverlapCounter::probe`] call.
 ///
 /// Every field is a pure function of the probe inputs (the loop is
 /// sequential per probe), so per-record stats — and any sum of them over
@@ -339,13 +269,10 @@ pub type ProcessedEntries = u64;
 /// and hosts. The perf gate exact-matches them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Posting entries read (`Tτ` contribution, Eq. 16) — identical with
-    /// the filter on or off: rejection never skips reading an entry.
+    /// Posting entries read (`Tτ` contribution, Eq. 16): rejection never
+    /// skips reading an entry.
     pub processed: u64,
-    /// Pairs whose positional upper bound `overlap + min(remaining_s,
-    /// remaining_t)` fell below their demand.
-    pub pos_rejected: u64,
-    /// Pairs killed at first touch by the tier-0 compatibility bound
+    /// Pairs refused at first touch by the tier-0 compatibility bound
     /// `min(|S|,|T|) / max(MP(S),MP(T)) < θ − ε`.
     pub compat_rejected: u64,
 }
@@ -355,20 +282,18 @@ impl ProbeStats {
     /// outcomes into a join-level total).
     pub fn merge(&mut self, other: &ProbeStats) {
         self.processed += other.processed;
-        self.pos_rejected += other.pos_rejected;
         self.compat_rejected += other.compat_rejected;
     }
 }
 
-/// Parameters of the in-probe position/compatibility filter
-/// ([`OverlapCounter::probe_filtered`]).
+/// Inputs of the in-probe compatibility bound ([`OverlapCounter::probe`]).
 ///
 /// `tier0` holds the indexed side's cached `(|T|, MP(T))` integers (one
 /// per record id); `probe_tier0` is the probe record's `(|S|, MP(S))`;
 /// `min_sim` is `θ − ε` — exactly the verifier's acceptance threshold, so
 /// a pair rejected here is a pair tier-0 verification would reject.
 #[derive(Debug, Clone, Copy)]
-pub struct PositionFilter<'a> {
+pub struct CompatBound<'a> {
     /// Indexed-side `(n_tokens, min_partition)` per record id.
     pub tier0: &'a [(u32, u32)],
     /// Probe-side `(n_tokens, min_partition)`.
@@ -391,11 +316,6 @@ fn tier0_upper_bound(ns: u32, mps: u32, nt: u32, mpt: u32) -> f64 {
         ns.min(nt) as f64 / mps.max(mpt) as f64
     }
 }
-
-/// Count sentinel marking a record rejected for the rest of the probe: a
-/// dead record's posting entries are still *read* (`Tτ` unchanged) but
-/// never re-counted, and the final pass never reports it.
-const DEAD: u32 = u32::MAX;
 
 impl OverlapCounter {
     /// Counter for an indexed side of `n_records` records.
@@ -422,8 +342,8 @@ impl OverlapCounter {
 
     /// Count distinct-key overlaps between one probe record and every
     /// indexed record, appending the ids whose overlap reaches
-    /// `min(τ, probe_level, levels[id]).max(1)` to `out` in ascending
-    /// order.
+    /// `min(τ, probe_level, levels[id]).max(1)` — and whose tier-0 bound
+    /// reaches `compat.min_sim` — to `out` in ascending order.
     ///
     /// * `keys` — the probe record's distinct signature keys;
     /// * `levels` — per indexed record guarantee levels (see
@@ -431,11 +351,11 @@ impl OverlapCounter {
     /// * `min_excl` — for self-joins: only ids strictly greater than this
     ///   are counted, so every pair is produced exactly once.
     ///
-    /// Returns the number of posting entries read. The τ-overlap skip is
-    /// applied per posting list: with `rem` keys left, untouched records
-    /// are admitted only if `rem` can still meet their demand; lists whose
-    /// remaining budget covers the probe's maximum demand take a branchless
-    /// fast path that skips the per-record level lookup.
+    /// A record's fate is settled at its first posting: refused by the
+    /// τ-skip it stays unstamped (and is refused again at any later key,
+    /// since `rem` only shrinks); refused by the compatibility bound it is
+    /// stamped but never enters `touched`, so its later postings land in
+    /// the plain increment branch and the emission pass never sees it.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
@@ -445,32 +365,7 @@ impl OverlapCounter {
         tau: u32,
         levels: &[u32],
         min_excl: Option<u32>,
-        out: &mut Vec<u32>,
-    ) -> ProcessedEntries {
-        self.probe_filtered(index, keys, probe_level, tau, levels, min_excl, None, out)
-            .processed
-    }
-
-    /// [`OverlapCounter::probe`] with the optional in-probe
-    /// position/compatibility filter (see the module docs for the two
-    /// bounds and their soundness argument).
-    ///
-    /// With `pos = None` the behaviour — candidates, order, `Tτ` — is
-    /// byte-identical to [`OverlapCounter::probe`]. With `pos = Some`,
-    /// pairs provably below the verifier's acceptance threshold are
-    /// marked dead during the scan and never reported; the candidate set
-    /// is a subset of the unfiltered one that still contains every pair
-    /// verification would accept, and `Tτ` is unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_filtered(
-        &mut self,
-        index: &CsrIndex,
-        keys: &[PebbleKey],
-        probe_level: u32,
-        tau: u32,
-        levels: &[u32],
-        min_excl: Option<u32>,
-        pos: Option<&PositionFilter<'_>>,
+        compat: &CompatBound<'_>,
         out: &mut Vec<u32>,
     ) -> ProbeStats {
         debug_assert!(self.counts.len() >= index.record_count());
@@ -478,35 +373,9 @@ impl OverlapCounter {
         // Maximum demand any indexed record can pose against this probe.
         let dmax = tau.min(probe_level).max(1);
         let mut stats = ProbeStats::default();
-        match pos {
-            None => self.scan_unfiltered(index, keys, dmax, levels, min_excl, &mut stats),
-            Some(pf) => self.scan_filtered(index, keys, dmax, levels, min_excl, pf, &mut stats),
-        }
-        self.touched.sort_unstable();
-        for &b in &self.touched {
-            let bi = b as usize;
-            let c = self.counts[bi];
-            if c != DEAD && c >= dmax.min(levels[bi]).max(1) {
-                out.push(b);
-            }
-        }
-        stats
-    }
-
-    /// The original counting scan (no per-pair rejection; `counts` never
-    /// holds [`DEAD`], so the shared final pass behaves exactly as
-    /// before).
-    fn scan_unfiltered(
-        &mut self,
-        index: &CsrIndex,
-        keys: &[PebbleKey],
-        dmax: u32,
-        levels: &[u32],
-        min_excl: Option<u32>,
-        stats: &mut ProbeStats,
-    ) {
         let epoch = self.epoch;
         let m = keys.len();
+        let (ns, mps) = compat.probe_tier0;
         for (i, &key) in keys.iter().enumerate() {
             let Some(mut list) = index.get(key) else {
                 continue;
@@ -516,191 +385,35 @@ impl OverlapCounter {
             }
             stats.processed += list.len() as u64;
             let rem = (m - i) as u32;
-            if rem >= dmax {
-                // Every untouched record can still reach its demand.
-                for &b in list {
-                    let b = b as usize;
-                    if self.stamps[b] == epoch {
-                        self.counts[b] += 1;
-                    } else {
-                        self.stamps[b] = epoch;
-                        self.counts[b] = 1;
-                        self.touched.push(b as u32);
-                    }
-                }
-            } else {
-                // τ-skip: admit an untouched record only if the remaining
-                // keys can still meet its demand.
-                for &b in list {
-                    let bi = b as usize;
-                    if self.stamps[bi] == epoch {
-                        self.counts[bi] += 1;
-                    } else if rem >= dmax.min(levels[bi]).max(1) {
-                        self.stamps[bi] = epoch;
-                        self.counts[bi] = 1;
-                        self.touched.push(b);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The position/compat-filtered scan. Per entry: dead records are
-    /// skipped; live ones are counted and then checked against the
-    /// positional upper bound; first touches additionally pass the τ-skip
-    /// and the tier-0 compatibility bound. A record that fails a bound is
-    /// stamped [`DEAD`] — final, never re-admitted, never re-counted.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_filtered(
-        &mut self,
-        index: &CsrIndex,
-        keys: &[PebbleKey],
-        dmax: u32,
-        levels: &[u32],
-        min_excl: Option<u32>,
-        pf: &PositionFilter<'_>,
-        stats: &mut ProbeStats,
-    ) {
-        let epoch = self.epoch;
-        let m = keys.len();
-        let (ns, mps) = pf.probe_tier0;
-        for (i, &key) in keys.iter().enumerate() {
-            let Some((mut list, mut list_pos)) = index.get_with_positions(key) else {
-                continue;
-            };
-            if let Some(a) = min_excl {
-                let cut = list.partition_point(|&b| b <= a);
-                list = &list[cut..];
-                list_pos = &list_pos[cut..];
-            }
-            stats.processed += list.len() as u64;
-            let rem = (m - i) as u32;
-            // Probe keys strictly after this one (the probe side of the
-            // positional bound).
-            let rem_s = rem - 1;
-            for (&b, &p) in list.iter().zip(list_pos) {
+            for &b in list {
                 let bi = b as usize;
                 if self.stamps[bi] == epoch {
-                    let c = self.counts[bi];
-                    if c == DEAD {
-                        continue;
-                    }
-                    let c = c + 1;
-                    self.counts[bi] = c;
-                    // Cheap pre-screen: rejection needs ub < demand and
-                    // demand ≤ dmax, so ub ≥ dmax can never reject — skip
-                    // the level lookup on the common path.
-                    let ub = c + rem_s.min(index.sig_lens[bi] - p - 1);
-                    if ub < dmax && ub < dmax.min(levels[bi]).max(1) {
-                        self.counts[bi] = DEAD;
-                        stats.pos_rejected += 1;
-                    }
+                    self.counts[bi] += 1;
+                    continue;
+                }
+                // τ-skip (`rem ≥ dmax` covers every record's demand, so
+                // the level lookup is only paid on the probe's tail keys).
+                if rem < dmax && rem < dmax.min(levels[bi]).max(1) {
+                    continue;
+                }
+                self.stamps[bi] = epoch;
+                self.counts[bi] = 1;
+                let (nt, mpt) = compat.tier0[bi];
+                if tier0_upper_bound(ns, mps, nt, mpt) < compat.min_sim {
+                    stats.compat_rejected += 1;
                 } else {
-                    let demand = dmax.min(levels[bi]).max(1);
-                    if rem < demand {
-                        // τ-skip — same non-admission as the unfiltered
-                        // scan (not a filter rejection; never counted).
-                        continue;
-                    }
-                    let (nt, mpt) = pf.tier0[bi];
-                    if tier0_upper_bound(ns, mps, nt, mpt) < pf.min_sim {
-                        self.stamps[bi] = epoch;
-                        self.counts[bi] = DEAD;
-                        stats.compat_rejected += 1;
-                        continue;
-                    }
-                    let ub = 1 + rem_s.min(index.sig_lens[bi] - p - 1);
-                    if ub < demand {
-                        self.stamps[bi] = epoch;
-                        self.counts[bi] = DEAD;
-                        stats.pos_rejected += 1;
-                        continue;
-                    }
-                    self.stamps[bi] = epoch;
-                    self.counts[bi] = 1;
                     self.touched.push(b);
                 }
             }
         }
-    }
-}
-
-/// Legacy hashmap inverted index (the PR-1 engine).
-///
-/// Kept solely as the oracle of the CSR equivalence harness and as the
-/// baseline of the perf harness's engine comparison; the join, search,
-/// top-k and estimator paths all run on [`CsrIndex`].
-#[derive(Debug, Default, Clone)]
-pub struct InvertedIndex {
-    map: FxHashMap<PebbleKey, Vec<u32>>,
-    sig_lens: Vec<u32>,
-    total_records: usize,
-}
-
-impl InvertedIndex {
-    /// Build from per-record signatures. `signatures[i]` is the *prefix*
-    /// of record `i`'s sorted pebble list selected by a filter; duplicate
-    /// keys within a record are collapsed (sort-dedup — the original
-    /// `Vec::contains` scan per pebble was quadratic in signature length).
-    pub fn build(signatures: &[&[Pebble]]) -> Self {
-        let mut map: FxHashMap<PebbleKey, Vec<u32>> = FxHashMap::default();
-        let mut sig_lens = Vec::with_capacity(signatures.len());
-        let mut distinct: Vec<PebbleKey> = Vec::new();
-        for (rid, sig) in signatures.iter().enumerate() {
-            distinct.clear();
-            distinct.extend(sig.iter().map(|p| p.key));
-            distinct.sort_unstable();
-            distinct.dedup();
-            sig_lens.push(distinct.len() as u32);
-            for &k in &distinct {
-                map.entry(k).or_default().push(rid as u32);
+        self.touched.sort_unstable();
+        for &b in &self.touched {
+            let bi = b as usize;
+            if self.counts[bi] >= dmax.min(levels[bi]).max(1) {
+                out.push(b);
             }
         }
-        Self {
-            map,
-            sig_lens,
-            total_records: signatures.len(),
-        }
-    }
-
-    /// Records whose signature contains `key`.
-    pub fn get(&self, key: PebbleKey) -> Option<&[u32]> {
-        self.map.get(&key).map(|v| v.as_slice())
-    }
-
-    /// Iterate `(key, postings)` pairs (arbitrary order).
-    ///
-    /// Arbitrary order is part of the contract; the one output-path
-    /// caller ([`candidate_pass_legacy`](crate::join::candidate_pass_legacy))
-    /// sorts its candidate list and folds its counters commutatively, so
-    /// map order never reaches join output.
-    pub fn iter(&self) -> impl Iterator<Item = (PebbleKey, &[u32])> {
-        // det: order is documented arbitrary; output-path callers sort
-        // or fold order-insensitively (see above).
-        self.map.iter().map(|(&k, v)| (k, v.as_slice()))
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Number of indexed records.
-    pub fn record_count(&self) -> usize {
-        self.total_records
-    }
-
-    /// Signature length (distinct keys) of one record.
-    pub fn sig_len(&self, record: u32) -> u32 {
-        self.sig_lens[record as usize]
-    }
-
-    /// Mean signature length over all records (Figure 3a/5a metric).
-    pub fn avg_sig_len(&self) -> f64 {
-        if self.sig_lens.is_empty() {
-            return 0.0;
-        }
-        self.sig_lens.iter().map(|&x| x as u64).sum::<u64>() as f64 / self.sig_lens.len() as f64
+        stats
     }
 }
 
@@ -708,6 +421,7 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use crate::msim::MeasureKind;
+    use proptest::prelude::*;
 
     fn pb(key: PebbleKey) -> Pebble {
         Pebble {
@@ -720,6 +434,20 @@ mod tests {
 
     fn grams(ids: &[u64]) -> Vec<Pebble> {
         ids.iter().map(|&g| pb(PebbleKey::Gram(g))).collect()
+    }
+
+    fn gram_keys(ids: &[u64]) -> Vec<PebbleKey> {
+        ids.iter().map(|&g| PebbleKey::Gram(g)).collect()
+    }
+
+    /// Tier-0 integers under which the compatibility bound never fires
+    /// (`min_sim = 0`), isolating the overlap count and the τ-skip.
+    fn loose(tier0: &[(u32, u32)]) -> CompatBound<'_> {
+        CompatBound {
+            tier0,
+            probe_tier0: (1, 1),
+            min_sim: 0.0,
+        }
     }
 
     #[test]
@@ -774,45 +502,28 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_legacy_engine_content() {
-        let recs: Vec<Vec<Pebble>> = vec![
-            grams(&[1, 2, 3]),
-            grams(&[2, 3, 4, 2]),
-            grams(&[5]),
-            Vec::new(),
-            grams(&[1, 5, 9]),
-        ];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let csr = CsrIndex::build(&sigs, false);
-        let legacy = InvertedIndex::build(&sigs);
-        assert_eq!(csr.key_count(), legacy.key_count());
-        assert_eq!(csr.record_count(), legacy.record_count());
-        for (key, postings) in legacy.iter() {
-            assert_eq!(csr.get(key), Some(postings));
-        }
-    }
-
-    #[test]
     fn probe_counts_distinct_overlaps() {
         let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2, 3]), grams(&[2, 3]), grams(&[9])];
         let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let rk = RecordKeys::build(&sigs, false);
-        let idx = CsrIndex::from_record_keys(&rk);
+        let idx = CsrIndex::build(&sigs, false);
         let levels = vec![3, 2, 1];
+        let tier0 = vec![(1, 1); 3];
         let mut ctr = OverlapCounter::new(idx.record_count());
         let mut out = Vec::new();
         // Probe with keys {2, 3}: overlaps → rec0: 2, rec1: 2, rec2: 0.
-        let processed = ctr.probe(
+        let stats = ctr.probe(
             &idx,
-            &[PebbleKey::Gram(2), PebbleKey::Gram(3)],
+            &gram_keys(&[2, 3]),
             2,
             2,
             &levels,
             None,
+            &loose(&tier0),
             &mut out,
         );
         assert_eq!(out, vec![0, 1]);
-        assert_eq!(processed, 4); // lists for 2 and 3 each hold 2 entries
+        assert_eq!(stats.processed, 4); // lists for 2 and 3 each hold 2 entries
+        assert_eq!(stats.compat_rejected, 0);
     }
 
     #[test]
@@ -821,19 +532,21 @@ mod tests {
         let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
         let idx = CsrIndex::build(&sigs, false);
         let levels = vec![1, 1, 1];
+        let tier0 = vec![(1, 1); 3];
         let mut ctr = OverlapCounter::new(3);
         let mut out = Vec::new();
-        let processed = ctr.probe(
+        let stats = ctr.probe(
             &idx,
-            &[PebbleKey::Gram(1)],
+            &gram_keys(&[1]),
             1,
             1,
             &levels,
             Some(1),
+            &loose(&tier0),
             &mut out,
         );
         assert_eq!(out, vec![2]); // only ids > 1
-        assert_eq!(processed, 1);
+        assert_eq!(stats.processed, 1);
     }
 
     #[test]
@@ -844,32 +557,16 @@ mod tests {
         let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2]), grams(&[2])];
         let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
         let idx = CsrIndex::build(&sigs, false);
-        let levels = vec![2, 2];
+        let tier0 = vec![(1, 1); 2];
+        let keys = gram_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(2);
         let mut out = Vec::new();
-        ctr.probe(
-            &idx,
-            &[PebbleKey::Gram(1), PebbleKey::Gram(2)],
-            2,
-            2,
-            &levels,
-            None,
-            &mut out,
-        );
+        ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &loose(&tier0), &mut out);
         assert_eq!(out, vec![0]);
         // A level-1 record first seen on the last key still qualifies
         // (demand min(τ, levels) = 1).
-        let levels = vec![2, 1];
         out.clear();
-        ctr.probe(
-            &idx,
-            &[PebbleKey::Gram(1), PebbleKey::Gram(2)],
-            2,
-            2,
-            &levels,
-            None,
-            &mut out,
-        );
+        ctr.probe(&idx, &keys, 2, 2, &[2, 1], None, &loose(&tier0), &mut out);
         assert_eq!(out, vec![0, 1]);
     }
 
@@ -878,99 +575,15 @@ mod tests {
         let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2])];
         let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
         let idx = CsrIndex::build(&sigs, false);
-        let levels = vec![2];
+        let tier0 = vec![(1, 1)];
+        let keys = gram_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(1);
         let mut out = Vec::new();
         for _ in 0..100 {
             out.clear();
-            ctr.probe(
-                &idx,
-                &[PebbleKey::Gram(1), PebbleKey::Gram(2)],
-                2,
-                2,
-                &levels,
-                None,
-                &mut out,
-            );
+            ctr.probe(&idx, &keys, 2, 2, &[2], None, &loose(&tier0), &mut out);
             assert_eq!(out, vec![0]); // exactly 2 overlaps every round, never 4
         }
-    }
-
-    /// A loose tier0/min_sim pairing that disables the compatibility
-    /// bound, isolating the positional bound.
-    fn loose_pf(tier0: &[(u32, u32)]) -> PositionFilter<'_> {
-        PositionFilter {
-            tier0,
-            probe_tier0: (10, 1),
-            min_sim: 0.0,
-        }
-    }
-
-    #[test]
-    fn position_filter_rejects_hopeless_suffix_overlap() {
-        // Record 1 holds keys {0, 2}; its match with probe key 2 sits at
-        // the *end* of its own list (position 1 of 2). At τ = 2 the τ-skip
-        // admits it (3 probe keys remain ≥ demand 2), but the positional
-        // bound sees ub = 1 + min(rem_s = 2, record remaining = 0) = 1 < 2
-        // — dead on first touch. Record 0 shares all three keys and must
-        // survive. The unfiltered probe also excludes record 1, but only
-        // in the final pass (overlap 1 < 2), so candidates agree while
-        // only the filtered probe reports the early rejection.
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[2, 3, 4]), grams(&[0, 2])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let rk = RecordKeys::build(&sigs, false);
-        let idx = CsrIndex::from_record_keys(&rk);
-        let levels = vec![2, 2];
-        let tier0 = vec![(3, 1), (2, 1)];
-        let keys = [PebbleKey::Gram(2), PebbleKey::Gram(3), PebbleKey::Gram(4)];
-        let mut ctr = OverlapCounter::new(2);
-        let mut unf = Vec::new();
-        let ustats = ctr.probe_filtered(&idx, &keys, 3, 2, &levels, None, None, &mut unf);
-        let pf = loose_pf(&tier0);
-        let mut fil = Vec::new();
-        let fstats = ctr.probe_filtered(&idx, &keys, 3, 2, &levels, None, Some(&pf), &mut fil);
-        assert_eq!(unf, vec![0]);
-        assert_eq!(fil, vec![0]);
-        assert_eq!(fstats.processed, ustats.processed, "Tτ must be unchanged");
-        assert_eq!(
-            fstats.pos_rejected, 1,
-            "record 1 dies on the positional bound"
-        );
-        assert_eq!(fstats.compat_rejected, 0);
-        assert_eq!(ustats.pos_rejected + ustats.compat_rejected, 0);
-    }
-
-    #[test]
-    fn position_filter_mid_scan_death_is_final() {
-        // Record 1 = {1, 3, 8, 9} vs probe {1, 2, 3, 4} at τ = 4. First
-        // touch on key 1: ub = 1 + min(3, 3) = 4 ≥ 4 → admitted alive
-        // (and pushed to `touched`). Second match on key 3:
-        // ub = 2 + min(1, 2) = 3 < 4 → dead mid-scan. The final pass must
-        // not resurrect it even though it sits in `touched`, and the DEAD
-        // sentinel must not leak into the next probe epoch.
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2, 3, 4]), grams(&[1, 3, 8, 9])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let rk = RecordKeys::build(&sigs, false);
-        let idx = CsrIndex::from_record_keys(&rk);
-        let levels = vec![4, 4];
-        let tier0 = vec![(4, 1), (4, 1)];
-        let keys = [
-            PebbleKey::Gram(1),
-            PebbleKey::Gram(2),
-            PebbleKey::Gram(3),
-            PebbleKey::Gram(4),
-        ];
-        let pf = loose_pf(&tier0);
-        let mut ctr = OverlapCounter::new(2);
-        let mut fil = Vec::new();
-        let stats = ctr.probe_filtered(&idx, &keys, 4, 4, &levels, None, Some(&pf), &mut fil);
-        assert_eq!(fil, vec![0]);
-        assert_eq!(stats.pos_rejected, 1);
-        // Reusing the counter afterwards stays sound (DEAD does not leak
-        // into the next epoch).
-        let mut again = Vec::new();
-        ctr.probe_filtered(&idx, &keys, 4, 1, &levels, None, None, &mut again);
-        assert_eq!(again, vec![0, 1]);
     }
 
     #[test]
@@ -980,54 +593,87 @@ mod tests {
         // touch. Record 0 is same-sized and survives.
         let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2]), grams(&[1, 2])];
         let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let rk = RecordKeys::build(&sigs, false);
-        let idx = CsrIndex::from_record_keys(&rk);
-        let levels = vec![2, 2];
+        let idx = CsrIndex::build(&sigs, false);
         let tier0 = vec![(2, 1), (30, 15)];
-        let pf = PositionFilter {
+        let compat = CompatBound {
             tier0: &tier0,
             probe_tier0: (2, 1),
             min_sim: 0.9,
         };
-        let keys = [PebbleKey::Gram(1), PebbleKey::Gram(2)];
+        let keys = gram_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(2);
-        let mut fil = Vec::new();
-        let stats = ctr.probe_filtered(&idx, &keys, 2, 2, &levels, None, Some(&pf), &mut fil);
-        assert_eq!(fil, vec![0]);
-        assert_eq!(stats.compat_rejected, 1);
-        assert_eq!(stats.pos_rejected, 0);
-        assert_eq!(stats.processed, 4, "dead entries still count toward Tτ");
+        let mut out = Vec::new();
+        let stats = ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &compat, &mut out);
+        assert_eq!(out, vec![0]);
+        assert_eq!(stats.compat_rejected, 1, "counted once, not per posting");
+        assert_eq!(stats.processed, 4, "rejected entries still count toward Tτ");
+        // The rejection does not leak into the next probe epoch.
+        out.clear();
+        ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &loose(&tier0), &mut out);
+        assert_eq!(out, vec![0, 1]);
     }
 
-    #[test]
-    fn filtered_probe_without_filter_matches_probe() {
-        let recs: Vec<Vec<Pebble>> = vec![
-            grams(&[1, 2, 3]),
-            grams(&[2, 3, 4]),
-            grams(&[5]),
-            grams(&[1, 5, 9]),
-        ];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let rk = RecordKeys::build(&sigs, false);
-        let idx = CsrIndex::from_record_keys(&rk);
-        let levels = vec![3, 3, 1, 2];
-        let keys = [PebbleKey::Gram(2), PebbleKey::Gram(3), PebbleKey::Gram(5)];
-        let mut ctr = OverlapCounter::new(4);
-        for tau in 1..=3u32 {
-            let mut a = Vec::new();
-            let pa = ctr.probe(&idx, &keys, 3, tau, &levels, None, &mut a);
-            let mut b = Vec::new();
-            let sb = ctr.probe_filtered(&idx, &keys, 3, tau, &levels, None, None, &mut b);
-            assert_eq!(a, b, "τ={tau}");
-            assert_eq!(pa, sb.processed, "τ={tau}");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scan against its definition on random key sets: `b` is
+        /// reported ⇔ `|keys(probe) ∩ keys(b)| ≥ max(1, min(τ, level_probe,
+        /// level_b))` and the tier-0 bound holds (and `b > min_excl`);
+        /// `Tτ` is the summed posting-list lengths. Equality with the
+        /// *full* intersection size is the executable form of the
+        /// positional-bound argument in the module docs: admission happens
+        /// at the first shared key or never, so no early-termination bound
+        /// can change the reported set.
+        #[test]
+        fn probe_matches_definition(
+            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 1..10),
+            probe in prop::collection::vec(0u64..12, 0..8),
+            levels in prop::collection::vec(1u32..5, 10),
+            tier0 in prop::collection::vec((0u32..6, 1u32..4), 10),
+            probe_level in 1u32..5,
+            probe_tier0 in (0u32..6, 1u32..4),
+            tau in 1u32..5,
+            min_sim in 0.0f64..1.2,
+            min_excl in prop::sample::select(vec![None, Some(0u32), Some(3)]),
+        ) {
+            let pebbles: Vec<Vec<Pebble>> = recs.iter().map(|r| grams(r)).collect();
+            let sigs: Vec<&[Pebble]> = pebbles.iter().map(|v| v.as_slice()).collect();
+            let rk = RecordKeys::build(&sigs, false);
+            let idx = CsrIndex::from_record_keys(&rk);
+            let probe_rk = RecordKeys::build(&[&grams(&probe)], false);
+            let keys = probe_rk.get(0);
+            let compat = CompatBound { tier0: &tier0, probe_tier0, min_sim };
+            let mut ctr = OverlapCounter::new(idx.record_count());
+            let mut got = Vec::new();
+            let stats = ctr.probe(&idx, keys, probe_level, tau, &levels, min_excl, &compat, &mut got);
+
+            let in_range = |b: u32| min_excl.is_none_or(|a| b > a);
+            let mut want = Vec::new();
+            let mut processed = 0u64;
+            let mut compat_rejected = 0u64;
+            for b in 0..rk.len() as u32 {
+                if !in_range(b) {
+                    continue;
+                }
+                let shared = keys.iter().filter(|k| rk.get(b).contains(k)).count() as u32;
+                processed += shared as u64;
+                let demand = tau.min(probe_level).min(levels[b as usize]).max(1);
+                let (nt, mpt) = tier0[b as usize];
+                let compatible =
+                    tier0_upper_bound(probe_tier0.0, probe_tier0.1, nt, mpt) >= min_sim;
+                if shared >= demand {
+                    if compatible {
+                        want.push(b);
+                    } else {
+                        compat_rejected += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(stats.processed, processed);
+            // The counter covers every incompatible record the τ-skip
+            // admits — a superset of those that reach their demand.
+            prop_assert!(stats.compat_rejected >= compat_rejected);
         }
-    }
-
-    #[test]
-    fn legacy_build_still_dedups() {
-        let a = grams(&[1, 1]);
-        let idx = InvertedIndex::build(&[&a]);
-        assert_eq!(idx.get(PebbleKey::Gram(1)), Some(&[0u32][..]));
-        assert_eq!(idx.sig_len(0), 1);
     }
 }

@@ -1,95 +1,45 @@
-//! Filter-and-verification joins (Algorithms 3 and 6).
+//! Filter-and-verification joins (Algorithms 3 and 6): the stage
+//! functions behind [`crate::engine::Engine`].
 //!
 //! Pipeline:
-//! 1. **prepare** — segment every record and generate its pebbles;
+//! 1. **prepare** — segment every record and generate its pebbles
+//!    ([`crate::engine::Engine::prepare`]);
 //! 2. **order** — count global pebble frequencies across both sides and
 //!    sort every record's pebble list by the global order;
 //! 3. **signature** — select a pebble prefix per record with the chosen
-//!    filter (U / AU-heuristic / AU-DP);
-//! 4. **filter** — build inverted indexes and collect candidate pairs
-//!    sharing ≥ τ signature pebbles;
+//!    filter (U / AU-heuristic / AU-DP): [`SelectedSignatures`];
+//! 4. **filter** — probe the CSR index and collect candidate pairs
+//!    sharing ≥ τ signature pebbles: [`candidate_pass`];
 //! 5. **verify** — compute the unified similarity (Algorithm 1) of each
-//!    candidate and keep pairs with `USIM ≥ θ`.
+//!    candidate and keep pairs with `USIM ≥ θ`: [`verify_candidates`].
 //!
-//! The stage boundaries are public because the τ-recommendation estimator
-//! (Section 4) re-runs stages 1–4 on small samples.
+//! The engine owns stages 1–2 and the memoization of 3–4; this module
+//! holds the one implementation of stages 3, 4 and 5 plus the two oracles
+//! tests compare against ([`verify_candidates_reference`],
+//! [`brute_force_join`]).
 
 use crate::config::SimConfig;
-use crate::index::{
-    CsrIndex, InvertedIndex, OverlapCounter, PositionFilter, ProbeStats, RecordKeys,
-};
+use crate::engine::{relock, JoinSpec};
+use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, RecordKeys};
 use crate::knowledge::Knowledge;
-use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
+use crate::pebble::Pebble;
 use crate::segment::{segment_record, SegRecord};
-use crate::signature::{select_signature, FilterKind, MpMode, SignatureChoice};
+use crate::signature::{select_signature, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers};
 use au_text::record::Corpus;
-use au_text::FxHashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Join configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct JoinOptions {
-    /// Similarity threshold θ ∈ [0, 1].
-    pub theta: f64,
-    /// Filter (and overlap constraint τ).
-    pub filter: FilterKind,
-    /// Minimum-partition bound mode (exact DP by default; the paper's
-    /// greedy estimate is available for ablation).
-    pub mp_mode: MpMode,
-    /// Verify candidates on multiple threads.
-    pub parallel: bool,
-    /// Apply the in-probe position/compatibility filter
-    /// ([`crate::index::OverlapCounter::probe_filtered`]) during the
-    /// candidate pass. On by default; the opt-out exists for A/B
-    /// measurement — output is byte-identical either way, only the
-    /// candidate set (and therefore verification work) changes.
-    pub pos_filter: bool,
-}
-
-impl JoinOptions {
-    /// U-Filter join at threshold `theta`.
-    pub fn u_filter(theta: f64) -> Self {
-        Self {
-            theta,
-            filter: FilterKind::UFilter,
-            mp_mode: MpMode::ExactDp,
-            parallel: true,
-            pos_filter: true,
-        }
-    }
-
-    /// AU-Filter (heuristics) join.
-    pub fn au_heuristic(theta: f64, tau: u32) -> Self {
-        Self {
-            filter: FilterKind::AuHeuristic { tau },
-            ..Self::u_filter(theta)
-        }
-    }
-
-    /// AU-Filter (DP) join.
-    pub fn au_dp(theta: f64, tau: u32) -> Self {
-        Self {
-            filter: FilterKind::AuDp { tau },
-            ..Self::u_filter(theta)
-        }
-    }
-}
+use std::time::Duration;
 
 /// Timing and cardinality statistics of one join run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinStats {
-    /// Stage 1 wall-clock: segmentation + pebble generation. Zero when the
-    /// operation ran on an already-prepared corpus
-    /// ([`crate::engine::Engine::join`] reusing a
-    /// [`crate::engine::Prepared`]) — the whole point of the session API.
+    /// Stage 1 wall-clock: segmentation + pebble generation. Always zero:
+    /// every operation runs on corpora prepared once, up front
+    /// ([`crate::engine::Prepared::prepare_seconds`] holds that cost).
     pub prepare_time: Duration,
-    /// Ordering + signature selection (plus segmentation + pebble
-    /// generation on the legacy one-shot paths, which fold stage 1 in
-    /// here when `prepare_time` is not tracked separately).
+    /// Global ordering + signature selection (zero on a memo hit).
     pub sig_time: Duration,
-    /// Candidate generation over the inverted indexes.
+    /// Candidate generation over the inverted index.
     pub filter_time: Duration,
     /// Verification.
     pub verify_time: Duration,
@@ -104,16 +54,11 @@ pub struct JoinStats {
     /// `sharded_t_tau_is_per_task_sum` in `tests/shard_equivalence.rs`;
     /// result pairs, by contrast, are byte-identical across executors.
     pub processed_pairs: u64,
-    /// `Vτ`: candidates surviving the τ-overlap test (after in-probe
-    /// position/compat rejection when [`JoinOptions::pos_filter`] is on).
+    /// `Vτ`: candidates surviving the τ-overlap test and the in-probe
+    /// compatibility bound.
     pub candidates: u64,
-    /// Pairs rejected during the posting scan by the positional upper
-    /// bound (see [`crate::index::ProbeStats::pos_rejected`]). Zero when
-    /// the position filter is off.
-    pub pos_rejected: u64,
     /// Pairs rejected at first touch by the tier-0 compatibility bound
-    /// (see [`crate::index::ProbeStats::compat_rejected`]). Zero when the
-    /// position filter is off.
+    /// (see [`crate::index::ProbeStats::compat_rejected`]).
     pub compat_rejected: u64,
     /// Mean signature length (distinct pebbles), S side.
     pub avg_sig_len_s: f64,
@@ -150,89 +95,6 @@ pub struct JoinResult {
     pub stats: JoinStats,
 }
 
-/// A corpus with cached segmentations and (after ordering) sorted pebbles.
-#[derive(Debug, Clone)]
-pub struct PreparedCorpus {
-    /// Segmented records.
-    pub segrecs: Vec<SegRecord>,
-    /// Per-record pebble lists (sorted once an order is applied).
-    pub pebbles: Vec<Vec<Pebble>>,
-}
-
-impl PreparedCorpus {
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.segrecs.len()
-    }
-
-    /// True when the corpus has no records.
-    pub fn is_empty(&self) -> bool {
-        self.segrecs.is_empty()
-    }
-}
-
-/// Process-wide count of [`prepare_corpus`] invocations. Tests assert that
-/// session-API workflows (`tune_tau` + join, search after join) prepare a
-/// corpus exactly once; a service dashboard can watch it for accidental
-/// re-preparation.
-static PREPARE_INVOCATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// How many times [`prepare_corpus`] has run in this process.
-pub fn prepare_invocations() -> u64 {
-    // ordering: Relaxed — an advisory monotonic counter; readers tolerate
-    // any in-flight increment, and tests that need an exact value create
-    // the happens-before edge themselves by joining the preparing thread
-    // (or running single-threaded) before loading.
-    PREPARE_INVOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Stage 1: segment and generate pebbles for every record.
-pub fn prepare_corpus(kn: &Knowledge, cfg: &SimConfig, corpus: &Corpus) -> PreparedCorpus {
-    // ordering: Relaxed — the count only needs each increment applied
-    // exactly once, which RMW atomicity guarantees; nothing else is
-    // published through this counter (see `prepare_invocations`).
-    PREPARE_INVOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut segrecs = Vec::with_capacity(corpus.len());
-    let mut pebbles = Vec::with_capacity(corpus.len());
-    for r in corpus.iter() {
-        let sr = segment_record(kn, cfg, &r.tokens);
-        pebbles.push(generate_pebbles(kn, cfg, &sr));
-        segrecs.push(sr);
-    }
-    PreparedCorpus { segrecs, pebbles }
-}
-
-/// Stage 2: build the global order over both sides and sort every pebble
-/// list.
-pub fn apply_global_order(s: &mut PreparedCorpus, t: &mut PreparedCorpus) {
-    let order = PebbleOrder::build(
-        s.pebbles
-            .iter()
-            .map(|v| v.as_slice())
-            .chain(t.pebbles.iter().map(|v| v.as_slice())),
-    );
-    for p in s.pebbles.iter_mut().chain(t.pebbles.iter_mut()) {
-        order.sort(p);
-    }
-}
-
-/// Stage 3: per-record signature selections (prefix length + guarantee
-/// level). Selection is independent per record and runs over
-/// [`crate::parallel`] when `parallel`.
-pub fn select_signatures(
-    prep: &PreparedCorpus,
-    filter: FilterKind,
-    theta: f64,
-    eps: f64,
-    mp_mode: MpMode,
-    parallel: bool,
-) -> Vec<SignatureChoice> {
-    let items: Vec<(&SegRecord, &Vec<Pebble>)> = prep.segrecs.iter().zip(&prep.pebbles).collect();
-    crate::parallel::par_map(&items, parallel, |&(sr, p)| {
-        select_signature(sr, p, filter, theta, eps, mp_mode)
-    })
-}
-
 /// One join side after stage 3: signature prefixes, per-record distinct
 /// key sets, and guarantee levels — everything the candidate pass needs.
 #[derive(Debug, Clone)]
@@ -245,25 +107,21 @@ pub struct SelectedSignatures {
 }
 
 impl SelectedSignatures {
-    /// Run signature selection (stage 3) and flatten the prefixes for the
-    /// candidate pass.
-    pub fn select(prep: &PreparedCorpus, opts: &JoinOptions, eps: f64) -> Self {
-        Self::select_from(&prep.segrecs, &prep.pebbles, opts, eps)
-    }
-
-    /// [`SelectedSignatures::select`] over raw slices — the session API
-    /// keeps order-sorted pebble lists separate from the canonical
-    /// [`PreparedCorpus`], so selection must not insist on one struct.
+    /// Stage 3: select every record's signature prefix from its
+    /// order-sorted pebble list under `spec`'s θ / filter / MP mode and
+    /// flatten the prefixes for the candidate pass. Selection is
+    /// independent per record and runs over [`crate::parallel`] when the
+    /// spec is parallel.
     pub fn select_from(
         segrecs: &[SegRecord],
         pebbles: &[Vec<Pebble>],
-        opts: &JoinOptions,
+        spec: &JoinSpec,
         eps: f64,
     ) -> Self {
         let items: Vec<(&SegRecord, &Vec<Pebble>)> = segrecs.iter().zip(pebbles).collect();
         let choices: Vec<SignatureChoice> =
-            crate::parallel::par_map(&items, opts.parallel, |&(sr, p)| {
-                select_signature(sr, p, opts.filter, opts.theta, eps, opts.mp_mode)
+            crate::parallel::par_map(&items, spec.parallel, |&(sr, p)| {
+                select_signature(sr, p, spec.filter, spec.theta, eps, spec.mp_mode)
             });
         let sigs: Vec<&[Pebble]> = pebbles
             .iter()
@@ -271,7 +129,7 @@ impl SelectedSignatures {
             .map(|(p, c)| &p[..c.len])
             .collect();
         Self {
-            record_keys: RecordKeys::build(&sigs, opts.parallel),
+            record_keys: RecordKeys::build(&sigs, spec.parallel),
             levels: choices.iter().map(|c| c.level).collect(),
         }
     }
@@ -292,19 +150,15 @@ impl SelectedSignatures {
     }
 }
 
-/// Output of the filtering stage (stages 3–4).
+/// Output of the filtering stage (stages 2–4).
 #[derive(Debug, Clone, Default)]
 pub struct FilterOutcome {
-    /// Candidate pairs with ≥ τ common signature pebbles (minus the pairs
-    /// the in-probe position/compat filter rejected, when enabled).
+    /// Candidate pairs with ≥ τ common signature pebbles that pass the
+    /// in-probe compatibility bound, sorted by `(s, t)`.
     pub candidates: Vec<(u32, u32)>,
-    /// `Tτ` (Eq. 16) — unchanged by the position filter.
+    /// `Tτ` (Eq. 16).
     pub processed_pairs: u64,
-    /// Pairs rejected in-probe by the positional bound (0 when the
-    /// filter is off).
-    pub pos_rejected: u64,
-    /// Pairs rejected in-probe by the tier-0 compatibility bound (0 when
-    /// the filter is off).
+    /// Pairs rejected in-probe by the tier-0 compatibility bound.
     pub compat_rejected: u64,
     /// Mean signature length on the S side.
     pub avg_sig_len_s: f64,
@@ -312,13 +166,11 @@ pub struct FilterOutcome {
     pub avg_sig_len_t: f64,
 }
 
-/// Everything the in-probe position/compatibility filter needs from the
-/// two join sides: the cached tier-0 `(n_tokens, min_partition)` integers
-/// and the verifier's acceptance threshold `θ − ε`. Borrowed from
-/// [`crate::engine::Prepared`] on the session paths; derived from the
-/// [`PreparedCorpus`] segmentations on the free-function paths.
+/// What the in-probe compatibility bound needs from the two join sides:
+/// the cached tier-0 `(n_tokens, min_partition)` integers and the
+/// verifier's acceptance threshold `θ − ε`.
 #[derive(Debug, Clone, Copy)]
-pub struct PosFilterCtx<'a> {
+pub struct CompatCtx<'a> {
     /// Probe-side `(|S|, MP(S))` per record id.
     pub tier0_s: &'a [(u32, u32)],
     /// Indexed-side `(|T|, MP(T))` per record id.
@@ -327,54 +179,22 @@ pub struct PosFilterCtx<'a> {
     pub min_sim: f64,
 }
 
-/// Per-record tier-0 integers of a [`PreparedCorpus`] — the free-function
-/// path's source for [`PosFilterCtx`] (the session API reuses the copy
-/// cached in [`crate::engine::Prepared`] instead).
-pub fn tier0_of(prep: &PreparedCorpus) -> Vec<(u32, u32)> {
-    prep.segrecs
-        .iter()
-        .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
-        .collect()
-}
-
-/// Stage 4 on pre-selected signatures: build the CSR index over the
-/// indexed side and probe every record of the other side through an
-/// epoch-stamped [`OverlapCounter`].
+/// Stage 4: probe every record of `s` against the CSR `index` over
+/// `indexed`'s signatures through an epoch-stamped [`OverlapCounter`].
 ///
-/// For a self-join pass `t = None`: the single side is indexed once and
+/// For a self-join (`self_join`, with `s` and `indexed` the same side)
 /// each record `a` probes only ids `> a`, producing every pair exactly
-/// once. Probing is parallelised over [`crate::parallel::par_map_scratch`]
-/// (one counter per worker); output order is deterministic either way.
-///
-/// `pos = Some` enables the in-probe position/compatibility filter;
-/// `None` reproduces the unfiltered candidate set (the legacy-engine
-/// oracle's behaviour — the equivalence harness relies on it).
+/// once. Probing is parallelised over
+/// [`crate::parallel::par_map_scratch`] (one counter per worker); output
+/// order is deterministic either way.
 pub fn candidate_pass(
-    s: &SelectedSignatures,
-    t: Option<&SelectedSignatures>,
-    tau: u32,
-    parallel: bool,
-    pos: Option<&PosFilterCtx<'_>>,
-) -> FilterOutcome {
-    let indexed = t.unwrap_or(s);
-    let index = CsrIndex::from_record_keys(&indexed.record_keys);
-    candidate_pass_with_index(s, indexed, &index, t.is_none(), tau, parallel, pos)
-}
-
-/// [`candidate_pass`] against a pre-built CSR index over `indexed`'s
-/// signatures. The session API memoizes the index per `(corpus, θ,
-/// filter)` so repeated operations skip the rebuild; output is
-/// byte-identical to [`candidate_pass`] (the index is a pure function of
-/// the signatures).
-#[allow(clippy::too_many_arguments)]
-pub fn candidate_pass_with_index(
     s: &SelectedSignatures,
     indexed: &SelectedSignatures,
     index: &CsrIndex,
     self_join: bool,
     tau: u32,
     parallel: bool,
-    pos: Option<&PosFilterCtx<'_>>,
+    ctx: &CompatCtx<'_>,
 ) -> FilterOutcome {
     let ids: Vec<u32> = (0..s.len() as u32).collect();
     let per_record: Vec<(Vec<u32>, ProbeStats)> = crate::parallel::par_map_scratch(
@@ -383,19 +203,18 @@ pub fn candidate_pass_with_index(
         || OverlapCounter::new(index.record_count()),
         |ctr, &a| {
             let mut hits = Vec::new();
-            let pf = pos.map(|ctx| PositionFilter {
-                tier0: ctx.tier0_t,
-                probe_tier0: ctx.tier0_s[a as usize],
-                min_sim: ctx.min_sim,
-            });
-            let stats = ctr.probe_filtered(
+            let stats = ctr.probe(
                 index,
                 s.record_keys.get(a),
                 s.levels[a as usize],
                 tau,
                 &indexed.levels,
                 self_join.then_some(a),
-                pf.as_ref(),
+                &CompatBound {
+                    tier0: ctx.tier0_t,
+                    probe_tier0: ctx.tier0_s[a as usize],
+                    min_sim: ctx.min_sim,
+                },
                 &mut hits,
             );
             (hits, stats)
@@ -410,285 +229,96 @@ pub fn candidate_pass_with_index(
     FilterOutcome {
         candidates,
         processed_pairs: totals.processed,
-        pos_rejected: totals.pos_rejected,
         compat_rejected: totals.compat_rejected,
         avg_sig_len_s: s.record_keys.avg_sig_len(),
         avg_sig_len_t: indexed.record_keys.avg_sig_len(),
     }
 }
 
-/// Run stages 3–4 for an R×S join (`self_join = false`) or a self-join
-/// (both sides must then be the same `PreparedCorpus`). The in-probe
-/// position/compat filter follows [`JoinOptions::pos_filter`]; its tier-0
-/// integers are derived from the segmentations here (the session API
-/// passes [`crate::engine::Prepared`]'s cached copy instead).
-pub fn filter_stage(
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-    opts: &JoinOptions,
-    eps: f64,
-    self_join: bool,
-) -> FilterOutcome {
-    let sel_s = SelectedSignatures::select(s, opts, eps);
-    let tau = opts.filter.tau();
-    if self_join {
-        let tier0 = opts.pos_filter.then(|| tier0_of(s));
-        let ctx = tier0.as_ref().map(|t0| PosFilterCtx {
-            tier0_s: t0,
-            tier0_t: t0,
-            min_sim: opts.theta - eps,
-        });
-        candidate_pass(&sel_s, None, tau, opts.parallel, ctx.as_ref())
-    } else {
-        let sel_t = SelectedSignatures::select(t, opts, eps);
-        let tier0 = opts.pos_filter.then(|| (tier0_of(s), tier0_of(t)));
-        let ctx = tier0.as_ref().map(|(t0s, t0t)| PosFilterCtx {
-            tier0_s: t0s,
-            tier0_t: t0t,
-            min_sim: opts.theta - eps,
-        });
-        candidate_pass(&sel_s, Some(&sel_t), tau, opts.parallel, ctx.as_ref())
-    }
-}
-
-/// Stage 4 on the PR-1 hashmap engine: [`InvertedIndex`] per side, overlap
-/// counts in a `FxHashMap` keyed by the packed pair.
-///
-/// Retained only for the equivalence harness and the perf harness's
-/// engine comparison — it must keep producing byte-identical
-/// [`FilterOutcome`]s to [`candidate_pass`]. Always serial.
-pub fn candidate_pass_legacy(
-    s: &SelectedSignatures,
-    t: Option<&SelectedSignatures>,
-    tau: u32,
-) -> FilterOutcome {
-    let sigs_of = |side: &SelectedSignatures| -> Vec<Vec<Pebble>> {
-        // Rebuild pebble slices from the distinct key sets so the legacy
-        // engine sees exactly the same signatures.
-        (0..side.len() as u32)
-            .map(|r| {
-                side.record_keys
-                    .get(r)
-                    .iter()
-                    .map(|&key| Pebble {
-                        key,
-                        weight: 0.0,
-                        seg: 0,
-                        measure: crate::msim::MeasureKind::Jaccard,
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let pebbles_s = sigs_of(s);
-    let sigs_s: Vec<&[Pebble]> = pebbles_s.iter().map(|v| v.as_slice()).collect();
-    let idx_s = InvertedIndex::build(&sigs_s);
-
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut processed: u64 = 0;
-    let lvl_s = &s.levels;
-    let avg_t;
-    let lvl_t: &Vec<u32>;
-    match t {
-        None => {
-            // One index; count pairs within each posting list.
-            for (_, list) in idx_s.iter() {
-                let n = list.len() as u64;
-                processed += n * (n - 1) / 2;
-                for i in 0..list.len() {
-                    for j in i + 1..list.len() {
-                        let (a, b) = (list[i].min(list[j]), list[i].max(list[j]));
-                        *counts.entry(pack(a, b)).or_insert(0) += 1;
-                    }
-                }
-            }
-            avg_t = idx_s.avg_sig_len();
-            lvl_t = lvl_s;
-        }
-        Some(t) => {
-            let pebbles_t = sigs_of(t);
-            let sigs_t: Vec<&[Pebble]> = pebbles_t.iter().map(|v| v.as_slice()).collect();
-            let idx_t = InvertedIndex::build(&sigs_t);
-            for (key, ls) in idx_s.iter() {
-                if let Some(lt) = idx_t.get(key) {
-                    processed += ls.len() as u64 * lt.len() as u64;
-                    for &a in ls {
-                        for &b in lt {
-                            *counts.entry(pack(a, b)).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-            avg_t = idx_t.avg_sig_len();
-            lvl_t = &t.levels;
-        }
-    }
-
-    // det: map order cannot reach output — surviving pairs are collected
-    // into `candidates` and fully ordered by the sort_unstable below
-    // (pair keys are distinct, so the sort admits no ties), and
-    // `processed` folds as a commutative sum.
-    let mut candidates: Vec<(u32, u32)> = counts
-        .into_iter()
-        .filter(|&(k, c)| {
-            let (a, b) = unpack(k);
-            c >= tau.min(lvl_s[a as usize]).min(lvl_t[b as usize]).max(1)
-        })
-        .map(|(k, _)| unpack(k))
-        .collect();
-    candidates.sort_unstable();
-    FilterOutcome {
-        candidates,
-        processed_pairs: processed,
-        pos_rejected: 0,
-        compat_rejected: 0,
-        avg_sig_len_s: idx_s.avg_sig_len(),
-        avg_sig_len_t: avg_t,
-    }
-}
-
-/// Stages 3–4 on the legacy engine (see [`candidate_pass_legacy`]).
-pub fn filter_stage_legacy(
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-    opts: &JoinOptions,
-    eps: f64,
-    self_join: bool,
-) -> FilterOutcome {
-    let sel_s = SelectedSignatures::select(s, opts, eps);
-    if self_join {
-        candidate_pass_legacy(&sel_s, None, opts.filter.tau())
-    } else {
-        let sel_t = SelectedSignatures::select(t, opts, eps);
-        candidate_pass_legacy(&sel_s, Some(&sel_t), opts.filter.tau())
-    }
-}
-
-#[inline]
-fn pack(a: u32, b: u32) -> u64 {
-    (a as u64) << 32 | b as u64
-}
-
-#[inline]
-fn unpack(k: u64) -> (u32, u32) {
-    ((k >> 32) as u32, k as u32)
-}
-
-/// Stage 5: verify candidates with the probe-grouped bound-cascade
-/// engine (see [`crate::usim::verify`]). The sorted candidate list is
-/// partitioned into per-probe-record runs: each worker builds an indexed
-/// view of the probe side's posting tables once per run
-/// ([`Verifier::begin_probe`]) and streams every partner through it and
-/// the bound cascade. Accepted pairs and similarities are byte-identical
-/// to running [`crate::usim::usim_approx_seg_at_least`] per candidate —
-/// the equivalence harness (`tests/verify_equivalence.rs`) enforces it.
-pub fn verify_candidates(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-) -> Vec<(u32, u32, f64)> {
-    verify_candidates_stats(kn, cfg, s, t, candidates, theta, parallel).0
-}
-
-/// [`verify_candidates`] also returning the per-tier decision telemetry
-/// ([`VerifyTiers`]). Worker tallies are folded in the parallel layer's
-/// drain hook; the tier buckets are pure per-candidate functions, so the
-/// aggregate is deterministic regardless of scheduling.
 /// Below this many candidates the run-batched path's one-time
-/// corpus-level gram index is not worth building (and per-pair probing
-/// already amortizes the probe view); results are identical either way.
+/// corpus-level gram index is not worth building (and probe-grouped
+/// verification already amortizes the probe view); results are identical
+/// either way.
 const BATCHED_VERIFY_MIN: usize = 2048;
 
-/// Should this verification run build the corpus-level posting index?
-/// A pure function of sizes, so the choice (and therefore which path a
-/// workload takes) is deterministic; results and tier counters are
-/// identical either way. Records exceeding the packed-event segment
-/// limit force the per-pair path.
-pub(crate) fn use_batched_verify(
+/// The corpus-level posting index of the run-batched verification path
+/// (see [`GramPostingsIndex`]) when a run of `n_candidates` against `t`
+/// is large enough to pay for it, `None` otherwise. A pure function of
+/// sizes, so which path a workload takes is deterministic; results and
+/// tier counters are identical either way.
+pub(crate) fn batched_verify_index(
     n_candidates: usize,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-) -> bool {
-    n_candidates >= BATCHED_VERIFY_MIN
-        && n_candidates * 4 >= t.segrecs.len()
-        && !t.segrecs.is_empty()
-        && segments_fit_events(s, t)
+    s: &[SegRecord],
+    t: &[SegRecord],
+) -> Option<GramPostingsIndex> {
+    (n_candidates >= BATCHED_VERIFY_MIN
+        && n_candidates * 4 >= t.len()
+        && !t.is_empty()
+        && segments_fit_events(s, t))
+    .then(|| GramPostingsIndex::build(t))
 }
 
 /// Packed run events hold 13 bits per segment index; a record at or past
-/// [`crate::usim::verify::EVENT_SEG_LIMIT`] segments forces the per-pair
-/// path. Checked by [`use_batched_verify`] *and* re-checked inside
-/// [`verify_candidates_stats_indexed`] — a caller-supplied index must
+/// [`crate::usim::verify::EVENT_SEG_LIMIT`] segments forces the
+/// probe-grouped path. Checked by [`batched_verify_index`] *and*
+/// re-checked inside [`verify_candidates`] — a caller-supplied index must
 /// never reach event packing with an oversized record (the overflow
 /// would be silent in release builds).
-fn segments_fit_events(s: &PreparedCorpus, t: &PreparedCorpus) -> bool {
-    s.segrecs
-        .iter()
-        .chain(t.segrecs.iter())
+fn segments_fit_events(s: &[SegRecord], t: &[SegRecord]) -> bool {
+    s.iter()
+        .chain(t)
         .all(|r| r.segments.len() < crate::usim::verify::EVENT_SEG_LIMIT)
 }
 
-/// Build the corpus-level transposed posting index the run-batched
-/// verification path joins through (see
-/// [`crate::usim::GramPostingsIndex`]). [`verify_candidates_stats`]
-/// builds one per call; long-lived callers verifying many candidate
-/// batches against one partner corpus (the streaming sink path) build it
-/// once and pass it to [`verify_candidates_stats_indexed`].
-pub fn build_verify_index(t: &PreparedCorpus) -> GramPostingsIndex {
-    GramPostingsIndex::build(&t.segrecs)
-}
-
-/// Stage 5 with telemetry: [`verify_candidates`] plus the per-tier
-/// cascade decision counts ([`VerifyTiers`]).
-pub fn verify_candidates_stats(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
-    let index = use_batched_verify(candidates.len(), s, t).then(|| build_verify_index(t));
-    verify_candidates_stats_indexed(kn, cfg, s, t, candidates, theta, parallel, index.as_ref())
-}
-
-/// [`verify_candidates_stats`] with a caller-owned corpus-level index:
-/// `Some` runs the run-batched path through it, `None` the per-pair
-/// probe path. Output and tier counters are byte-identical either way.
+/// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
+/// probe-grouped bound-cascade engine (see [`crate::usim::verify`]) and
+/// return the accepted `(a, b, usim)` in candidate order plus the
+/// per-tier decision telemetry.
+///
+/// The sorted candidate list is partitioned into per-probe-record runs.
+/// Large runs join through a corpus-level transposed posting index over
+/// `t` (work ∝ the probe's document frequencies + true shared-posting
+/// events); small ones index the probe side's posting tables once per run
+/// ([`Verifier::begin_probe`]) and stream every partner through them.
+/// Which one runs is decided from the candidate count
+/// (`batched_verify_index`); a long-lived caller verifying many
+/// batches against one `t` (the streaming sink) makes that decision once
+/// for the whole stream and passes its index as `index`. Accepted pairs,
+/// similarities and tier counters are byte-identical on both paths and to
+/// [`verify_candidates_reference`] — `tests/verify_equivalence.rs`
+/// enforces it.
 #[allow(clippy::too_many_arguments)]
-pub fn verify_candidates_stats_indexed(
+pub fn verify_candidates(
     kn: &Knowledge,
     cfg: &SimConfig,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
+    s: &[SegRecord],
+    t: &[SegRecord],
     candidates: &[(u32, u32)],
     theta: f64,
     parallel: bool,
     index: Option<&GramPostingsIndex>,
 ) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
+    let own_index;
+    let index = match index {
+        // Packed events cannot represent records past the segment limit,
+        // so such corpora always take the probe-grouped path.
+        Some(idx) => segments_fit_events(s, t).then_some(idx),
+        None => {
+            own_index = batched_verify_index(candidates.len(), s, t);
+            own_index.as_ref()
+        }
+    };
     let engine = Verifier::new(kn, cfg);
+    // Worker tallies are folded in the parallel layer's drain hook; the
+    // tier buckets are pure per-candidate functions, so the aggregate is
+    // deterministic regardless of scheduling.
     let tally = Mutex::new(VerifyTiers::default());
     // Both paths keep results in candidate order, so serial and parallel
-    // runs return identical vectors (candidates arrive sorted from
-    // `filter_stage`); the scratch — including the memo and the probe
-    // view — is per worker, so the parallel path stays lock-free. Runs
-    // are split across workers when one probe record owns a huge
-    // candidate list.
-    // Safety valve for caller-supplied indexes: packed events cannot
-    // represent records past the segment limit, so such corpora always
-    // take the per-pair path (results identical, no silent overflow).
-    let index = index.filter(|_| segments_fit_events(s, t));
+    // runs return identical vectors; the scratch — including the memo and
+    // the probe view — is per worker, so the parallel path stays
+    // lock-free. Runs are split across workers when one probe record owns
+    // a huge candidate list.
     let pairs = if let Some(gram_index) = index {
-        // Run-batched: the corpus-level transposed posting index is
-        // shared read-only by every worker; each run walks only the
-        // probe's keys' posting lists (work ∝ the probe's document
-        // frequencies + true shared-posting events) instead of every
-        // partner's full posting tables.
         crate::parallel::par_fragments_scratch(
             candidates,
             parallel,
@@ -704,8 +334,8 @@ pub fn verify_candidates_stats_indexed(
                         j += 1;
                     }
                     engine.verify_run_at_least(
-                        &s.segrecs[a as usize],
-                        &t.segrecs,
+                        &s[a as usize],
+                        t,
                         &frag[i..j],
                         gram_index,
                         theta,
@@ -716,12 +346,7 @@ pub fn verify_candidates_stats_indexed(
                 }
                 out
             },
-            |rs| {
-                tally
-                    .lock()
-                    .expect("verify tally poisoned")
-                    .merge(&rs.take_tally());
-            },
+            |rs| relock(&tally).merge(&rs.take_tally()),
         )
     } else {
         crate::parallel::par_filter_map_runs_scratch(
@@ -729,65 +354,28 @@ pub fn verify_candidates_stats_indexed(
             parallel,
             |&(a, _)| a as u64,
             VerifyScratch::default,
-            |scr, &(a, _)| engine.begin_probe(&s.segrecs[a as usize], scr),
+            |scr, &(a, _)| engine.begin_probe(&s[a as usize], scr),
             |scr, &(a, b)| {
-                let sim = engine.probed_sim_at_least(
-                    &s.segrecs[a as usize],
-                    &t.segrecs[b as usize],
-                    theta,
-                    scr,
-                );
+                let sim = engine.probed_sim_at_least(&s[a as usize], &t[b as usize], theta, scr);
                 (sim >= theta - cfg.eps).then_some((a, b, sim))
             },
-            |scr| {
-                tally
-                    .lock()
-                    .expect("verify tally poisoned")
-                    .merge(&scr.take_tally());
-            },
+            |scr| relock(&tally).merge(&scr.take_tally()),
         )
     };
-    let tiers = tally.into_inner().expect("verify tally poisoned");
+    let tiers = *relock(&tally);
     debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
     (pairs, tiers)
 }
 
-/// Stage 5 on the PR 3 engine: tiered per-candidate verification with no
-/// probe grouping and no bound cascade. Retained for the perf harness's
-/// `fig_verify` comparison; must keep producing byte-identical output to
-/// [`verify_candidates`].
-pub fn verify_candidates_per_pair(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-) -> Vec<(u32, u32, f64)> {
-    let engine = Verifier::new(kn, cfg).with_cascade(false);
-    crate::parallel::par_filter_map_scratch(
-        candidates,
-        parallel,
-        VerifyScratch::default,
-        |scr, &(a, b)| {
-            let sim =
-                engine.sim_at_least(&s.segrecs[a as usize], &t.segrecs[b as usize], theta, scr);
-            (sim >= theta - cfg.eps).then_some((a, b, sim))
-        },
-    )
-}
-
 /// Stage 5 on the reference per-candidate path
 /// ([`crate::usim::usim_approx_seg_at_least`] with no cross-candidate
-/// sharing beyond per-worker bound/search buffers). Retained for the
-/// tier-equivalence harness and perf comparisons; must keep producing
-/// byte-identical output to [`verify_candidates`].
+/// sharing beyond per-worker bound/search buffers): the oracle
+/// [`verify_candidates`] must match bit for bit.
 pub fn verify_candidates_reference(
     kn: &Knowledge,
     cfg: &SimConfig,
-    s: &PreparedCorpus,
-    t: &PreparedCorpus,
+    s: &[SegRecord],
+    t: &[SegRecord],
     candidates: &[(u32, u32)],
     theta: f64,
     parallel: bool,
@@ -800,84 +388,14 @@ pub fn verify_candidates_reference(
             let sim = crate::usim::approx::usim_approx_seg_at_least_with(
                 kn,
                 cfg,
-                &s.segrecs[a as usize],
-                &t.segrecs[b as usize],
+                &s[a as usize],
+                &t[b as usize],
                 theta,
                 rs,
             );
             (sim >= theta - cfg.eps).then_some((a, b, sim))
         },
     )
-}
-
-/// Full join over prepared corpora (stages 2–5). `s` and `t` must share
-/// the knowledge context; for a self-join pass the same corpus reference
-/// twice and `self_join = true`.
-pub fn join_prepared(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &mut PreparedCorpus,
-    t: &mut Option<PreparedCorpus>,
-    opts: &JoinOptions,
-) -> JoinResult {
-    let sig_start = Instant::now();
-    match t {
-        Some(t) => apply_global_order(s, t),
-        None => {
-            let mut empty = PreparedCorpus {
-                segrecs: Vec::new(),
-                pebbles: Vec::new(),
-            };
-            apply_global_order(s, &mut empty);
-        }
-    }
-    let sig_time = sig_start.elapsed();
-
-    let filter_start = Instant::now();
-    let self_join = t.is_none();
-    let outcome = match t {
-        Some(t) => filter_stage(s, t, opts, cfg.eps, false),
-        None => filter_stage(s, s, opts, cfg.eps, true),
-    };
-    let filter_time = filter_start.elapsed();
-
-    let verify_start = Instant::now();
-    let t_ref: &PreparedCorpus = match t {
-        Some(t) => t,
-        None => s,
-    };
-    let (pairs, tiers) = verify_candidates_stats(
-        kn,
-        cfg,
-        s,
-        t_ref,
-        &outcome.candidates,
-        opts.theta,
-        opts.parallel,
-    );
-    let verify_time = verify_start.elapsed();
-
-    let stats = JoinStats {
-        prepare_time: Duration::ZERO,
-        sig_time,
-        filter_time,
-        verify_time,
-        processed_pairs: outcome.processed_pairs,
-        candidates: outcome.candidates.len() as u64,
-        pos_rejected: outcome.pos_rejected,
-        compat_rejected: outcome.compat_rejected,
-        avg_sig_len_s: outcome.avg_sig_len_s,
-        avg_sig_len_t: if self_join {
-            outcome.avg_sig_len_s
-        } else {
-            outcome.avg_sig_len_t
-        },
-        result_count: pairs.len(),
-        tiers,
-        shard_tasks: 0,
-        shard_tasks_pruned: 0,
-    };
-    JoinResult { pairs, stats }
 }
 
 /// Brute force: verify all |S|×|T| pairs (the oracle for filter tests).
@@ -888,52 +406,47 @@ pub fn brute_force_join(
     t: &Corpus,
     theta: f64,
 ) -> Vec<(u32, u32, f64)> {
-    let sp = prepare_corpus(kn, cfg, s);
-    let tp = prepare_corpus(kn, cfg, t);
+    let segment = |c: &Corpus| -> Vec<SegRecord> {
+        c.iter()
+            .map(|r| segment_record(kn, cfg, &r.tokens))
+            .collect()
+    };
+    let (sp, tp) = (segment(s), segment(t));
     let all: Vec<(u32, u32)> = (0..s.len() as u32)
         .flat_map(|a| (0..t.len() as u32).map(move |b| (a, b)))
         .collect();
-    verify_candidates(kn, cfg, &sp, &tp, &all, theta, true)
+    verify_candidates(kn, cfg, &sp, &tp, &all, theta, true, None).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, JoinSpec};
+    use crate::engine::Engine;
     use crate::knowledge::KnowledgeBuilder;
-    use au_text::record::Corpus;
+    use crate::signature::FilterKind;
 
-    /// Threshold join through the session API (the legacy free functions
-    /// are gone); prepares fresh state per call like they used to.
+    /// Threshold join on freshly prepared corpora.
     fn join(
         kn: &Knowledge,
         cfg: &SimConfig,
         s: &Corpus,
         t: &Corpus,
-        opts: &JoinOptions,
+        spec: &JoinSpec,
     ) -> JoinResult {
         let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
         let ps = engine.prepare(s).expect("prepare S");
         let pt = engine.prepare(t).expect("prepare T");
-        let spec = JoinSpec::threshold(opts.theta)
-            .filter(opts.filter)
-            .mp_mode(opts.mp_mode)
-            .parallel(opts.parallel);
-        engine.join(&ps, &pt, &spec).expect("join")
+        engine.join(&ps, &pt, spec).expect("join")
     }
 
-    fn join_self(kn: &Knowledge, cfg: &SimConfig, c: &Corpus, opts: &JoinOptions) -> JoinResult {
+    fn join_self(kn: &Knowledge, cfg: &SimConfig, c: &Corpus, spec: &JoinSpec) -> JoinResult {
         let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
         let pc = engine.prepare(c).expect("prepare");
-        let spec = JoinSpec::threshold(opts.theta)
-            .filter(opts.filter)
-            .mp_mode(opts.mp_mode)
-            .parallel(opts.parallel);
-        engine.join_self(&pc, &spec).expect("self join")
+        engine.join_self(&pc, spec).expect("self join")
     }
 
     fn u_join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, theta: f64) -> JoinResult {
-        join(kn, cfg, s, t, &JoinOptions::u_filter(theta))
+        join(kn, cfg, s, t, &JoinSpec::threshold(theta))
     }
 
     fn setup() -> (Knowledge, Corpus, Corpus) {
@@ -984,13 +497,7 @@ mod tests {
                 FilterKind::AuDp { tau: 2 },
                 FilterKind::AuDp { tau: 3 },
             ] {
-                let opts = JoinOptions {
-                    theta,
-                    filter,
-                    mp_mode: MpMode::ExactDp,
-                    parallel: false,
-                    pos_filter: true,
-                };
+                let opts = JoinSpec::threshold(theta).filter(filter).serial();
                 let res = join(&kn, &cfg, &s, &t, &opts);
                 let got: Vec<(u32, u32)> = res.pairs.iter().map(|&(a, b, _)| (a, b)).collect();
                 let want: Vec<(u32, u32)> = oracle.iter().map(|&(a, b, _)| (a, b)).collect();
@@ -1012,13 +519,7 @@ mod tests {
                     FilterKind::AuHeuristic { tau: 2 },
                     FilterKind::AuDp { tau: 2 },
                 ] {
-                    let opts = JoinOptions {
-                        theta,
-                        filter,
-                        mp_mode: MpMode::ExactDp,
-                        parallel: false,
-                        pos_filter: true,
-                    };
+                    let opts = JoinSpec::threshold(theta).filter(filter).serial();
                     let res = join(&kn, &cfg, &s, &t, &opts);
                     let got: Vec<(u32, u32)> = res.pairs.iter().map(|&(a, b, _)| (a, b)).collect();
                     let want: Vec<(u32, u32)> = oracle.iter().map(|&(a, b, _)| (a, b)).collect();
@@ -1044,13 +545,7 @@ mod tests {
             FilterKind::AuDp { tau: 2 },
             FilterKind::AuDp { tau: 5 },
         ] {
-            let opts = JoinOptions {
-                theta: 0.9,
-                filter,
-                mp_mode: MpMode::ExactDp,
-                parallel: false,
-                pos_filter: true,
-            };
+            let opts = JoinSpec::threshold(0.9).filter(filter).serial();
             let res = join(&kn, &cfg, &s, &t, &opts);
             let got: Vec<(u32, u32)> = res.pairs.iter().map(|&(a, b, _)| (a, b)).collect();
             assert!(
@@ -1077,7 +572,7 @@ mod tests {
             kn.corpus_from_lines(refs)
         };
         drop(s);
-        let res = join_self(&kn, &cfg, &c, &JoinOptions::au_dp(0.9, 2));
+        let res = join_self(&kn, &cfg, &c, &JoinSpec::threshold(0.9).au_dp(2));
         for &(a, b, _) in &res.pairs {
             assert!(a < b);
         }
@@ -1096,7 +591,13 @@ mod tests {
         for tau in [1u32, 2, 3] {
             let mut last = u64::MAX;
             for theta in [0.5, 0.7, 0.85, 0.95] {
-                let res = join(&kn, &cfg, &s, &t, &JoinOptions::au_heuristic(theta, tau));
+                let res = join(
+                    &kn,
+                    &cfg,
+                    &s,
+                    &t,
+                    &JoinSpec::threshold(theta).au_heuristic(tau),
+                );
                 assert!(
                     res.stats.candidates <= last,
                     "τ={tau} θ={theta}: {} candidates > {last}",
@@ -1112,10 +613,10 @@ mod tests {
         let (kn, s, _) = setup();
         let cfg = SimConfig::default();
         let empty = Corpus::new();
-        let res = join(&kn, &cfg, &s, &empty, &JoinOptions::u_filter(0.8));
+        let res = join(&kn, &cfg, &s, &empty, &JoinSpec::threshold(0.8));
         assert!(res.pairs.is_empty());
         assert_eq!(res.stats.candidates, 0);
-        let res = join(&kn, &cfg, &empty, &empty, &JoinOptions::u_filter(0.8));
+        let res = join(&kn, &cfg, &empty, &empty, &JoinSpec::threshold(0.8));
         assert!(res.pairs.is_empty());
     }
 
@@ -1123,11 +624,9 @@ mod tests {
     fn parallel_and_serial_agree() {
         let (kn, s, t) = setup();
         let cfg = SimConfig::default();
-        let mut opts = JoinOptions::au_dp(0.6, 2);
-        opts.parallel = false;
-        let serial = join(&kn, &cfg, &s, &t, &opts);
-        opts.parallel = true;
-        let parallel = join(&kn, &cfg, &s, &t, &opts);
+        let spec = JoinSpec::threshold(0.6).au_dp(2);
+        let serial = join(&kn, &cfg, &s, &t, &spec.serial());
+        let parallel = join(&kn, &cfg, &s, &t, &spec);
         assert_eq!(serial.pairs, parallel.pairs);
     }
 }

@@ -4,7 +4,7 @@
 //! of independent items (candidate pairs, accepted pairs to re-score,
 //! per-query candidates), a pure function per item, and a result list that
 //! must come back in a deterministic order. This module is the single
-//! audited implementation of that pattern, so `JoinOptions::parallel` means
+//! audited implementation of that pattern, so `JoinSpec::parallel` means
 //! one thing everywhere.
 //!
 //! Design:

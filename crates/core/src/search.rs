@@ -19,8 +19,8 @@
 //! consistent total order — `(frequency, key)` is one.
 
 use crate::config::SimConfig;
-use crate::index::{CsrIndex, OverlapCounter, PositionFilter};
-use crate::join::JoinOptions;
+use crate::engine::JoinSpec;
+use crate::index::{CompatBound, CsrIndex, OverlapCounter};
 use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles, PebbleKey, PebbleOrder};
 
@@ -38,13 +38,8 @@ pub struct SearchOutcome {
     pub candidates: u64,
     /// Posting entries touched while counting overlaps.
     pub processed: u64,
-    /// Records rejected in-probe by the positional upper bound
-    /// ([`crate::index::ProbeStats::pos_rejected`]); zero when
-    /// [`JoinOptions::pos_filter`] is off.
-    pub pos_rejected: u64,
     /// Records rejected in-probe by the tier-0 compatibility bound
-    /// ([`crate::index::ProbeStats::compat_rejected`]); zero when
-    /// [`JoinOptions::pos_filter`] is off.
+    /// ([`crate::index::ProbeStats::compat_rejected`]).
     pub compat_rejected: u64,
 }
 
@@ -54,7 +49,7 @@ pub struct SearchOutcome {
 pub(crate) struct QueryEnv<'a> {
     pub kn: &'a Knowledge,
     pub cfg: &'a SimConfig,
-    pub opts: &'a JoinOptions,
+    pub spec: &'a JoinSpec,
     pub segrecs: &'a [crate::segment::SegRecord],
     pub order: &'a PebbleOrder,
     pub levels: &'a [u32],
@@ -75,10 +70,10 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
     let choice = select_signature(
         sr,
         &pebbles,
-        env.opts.filter,
-        env.opts.theta,
+        env.spec.filter,
+        env.spec.theta,
         env.cfg.eps,
-        env.opts.mp_mode,
+        env.spec.mp_mode,
     );
     // Count distinct-key overlaps between the query signature and every
     // indexed record via the CSR probe; keep records reaching `min(τ,
@@ -90,26 +85,25 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
         let mut distinct: Vec<PebbleKey> = pebbles[..choice.len].iter().map(|p| p.key).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        let pf = env.opts.pos_filter.then(|| PositionFilter {
-            tier0: env.tier0,
-            probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
-            min_sim: env.opts.theta - env.cfg.eps,
-        });
         let mut ctr = env.counter.lock().expect("search counter poisoned");
         let mut out = Vec::new();
-        let stats = ctr.probe_filtered(
+        let stats = ctr.probe(
             env.index,
             &distinct,
             choice.level,
-            env.opts.filter.tau(),
+            env.spec.filter.tau(),
             env.levels,
             None,
-            pf.as_ref(),
+            &CompatBound {
+                tier0: env.tier0,
+                probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
+                min_sim: env.spec.theta - env.cfg.eps,
+            },
             &mut out,
         );
         (out, stats)
     };
-    let theta = env.opts.theta;
+    let theta = env.spec.theta;
     // Same probe-grouped cascade engine as the joins, deterministic
     // either way: the *query* is the probe record of every candidate, so
     // one run covers the whole candidate list and the probe-side posting
@@ -121,7 +115,7 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
     let engine = Verifier::new(env.kn, env.cfg);
     let mut matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
         &candidates,
-        env.opts.parallel,
+        env.spec.parallel,
         |_| 0,
         || {
             env.pool
@@ -147,7 +141,6 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
         matches,
         candidates: candidates.len() as u64,
         processed: probe_stats.processed,
-        pos_rejected: probe_stats.pos_rejected,
         compat_rejected: probe_stats.compat_rejected,
     }
 }

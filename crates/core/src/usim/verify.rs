@@ -1,16 +1,15 @@
 //! Probe-grouped bound-cascade verification — the join's fifth stage.
 //!
-//! PR 2 made candidate generation nearly free and PR 3's tiered engine
-//! cut verification 9.6×, yet stage 5 still owned ~94% of join wall-clock:
-//! tier 0 rejects less than half the candidates, and every survivor
-//! re-ran the full posting-table merge-join and row-max bound
-//! independently even though `filter_stage` emits candidates sorted by
-//! probe record. This engine keeps the reference semantics — byte-identical
-//! accepted `(pair, sim)` results, enforced by
-//! `tests/verify_equivalence.rs` — while amortizing per-record work across
-//! each probe record's whole candidate run (PASS-JOIN's shared-verification
-//! idea) and rejecting through a cascade of progressively stronger, still
-//! cheap upper bounds (AdaptJoin's filter-power-vs-cost trade):
+//! Stage 5 owns most of the join's wall-clock: tier 0 rejects less than
+//! half the candidates, and without sharing every survivor would re-run
+//! the full posting-table merge-join and row-max bound independently even
+//! though the candidate pass emits candidates sorted by probe record.
+//! This engine keeps the reference semantics — byte-identical accepted
+//! `(pair, sim)` results, enforced by `tests/verify_equivalence.rs` —
+//! while amortizing per-record work across each probe record's whole
+//! candidate run (PASS-JOIN's shared-verification idea) and rejecting
+//! through a cascade of progressively stronger, still cheap upper bounds
+//! (AdaptJoin's filter-power-vs-cost trade):
 //!
 //! * **Tier 0 — record-level pre-graph rejection.** Every matched pair
 //!   scores `msim ≤ 1` (gram measures and taxonomy similarity are ratios
@@ -304,7 +303,8 @@ const EV_GRAM: u32 = 1;
 const EV_RULE: u32 = 2;
 
 /// Segment indices in packed events get 13 bits each; records with more
-/// segments fall back to the per-pair path (`verify_candidates` guards).
+/// segments fall back to the probe-grouped path (`verify_candidates`
+/// guards).
 pub const EVENT_SEG_LIMIT: usize = 1 << 13;
 
 #[inline]
@@ -596,29 +596,12 @@ impl VerifyScratch {
 pub struct Verifier<'a> {
     kn: &'a Knowledge,
     cfg: &'a SimConfig,
-    /// Run the full bound cascade (surfaced cap, incremental abort,
-    /// greedy matching). Off = the PR 3 tiered engine, kept for the perf
-    /// harness's verify comparison; decisions are identical either way.
-    cascade: bool,
 }
 
 impl<'a> Verifier<'a> {
     /// New engine over a knowledge context and similarity configuration.
     pub fn new(kn: &'a Knowledge, cfg: &'a SimConfig) -> Self {
-        Self {
-            kn,
-            cfg,
-            cascade: true,
-        }
-    }
-
-    /// Enable/disable the bound cascade (default on). With the cascade
-    /// off the engine is the PR 3 three-tier path — same decisions, same
-    /// accepted bits, fewer rejection tiers; the perf harness uses this
-    /// to measure the cascade's contribution.
-    pub fn with_cascade(mut self, on: bool) -> Self {
-        self.cascade = on;
-        self
+        Self { kn, cfg }
     }
 
     /// The tier-0 record-level bound `min(|S|,|T|)/max(MP(S),MP(T))`
@@ -847,8 +830,7 @@ impl<'a> Verifier<'a> {
     ) -> f64 {
         let (cnt_s, cnt_t) = self.surface_pairs(s, t, grams, scr);
         let denom = s.min_partition.max(t.min_partition);
-        let cascade_target = if self.cascade { target } else { None };
-        if let Some(th) = cascade_target {
+        if let Some(th) = target {
             // Surfaced-segment cap: an independent set needs distinct
             // surfaced segments per side, each weighing ≤ 1 — checked
             // before a single `msim` is scored.
@@ -862,7 +844,7 @@ impl<'a> Verifier<'a> {
                 return cap.min(th);
             }
         }
-        if let Some(rejected) = self.score_pairs(s, t, denom, cascade_target, scr) {
+        if let Some(rejected) = self.score_pairs(s, t, denom, target, scr) {
             scr.tally.enum_rejects += 1;
             return rejected;
         }
@@ -875,20 +857,18 @@ impl<'a> Verifier<'a> {
                 scr.tally.rowmax_rejects += 1;
                 return ub.min(th);
             }
-            if self.cascade {
-                let gm = greedy_matching_bound_with(
-                    s.n_tokens(),
-                    t.n_tokens(),
-                    denom,
-                    &scr.best_s,
-                    &scr.best_t,
-                    &mut scr.gm_s,
-                    &mut scr.gm_t,
-                );
-                if gm < th - self.cfg.eps {
-                    scr.tally.greedy_rejects += 1;
-                    return gm.min(th);
-                }
+            let gm = greedy_matching_bound_with(
+                s.n_tokens(),
+                t.n_tokens(),
+                denom,
+                &scr.best_s,
+                &scr.best_t,
+                &mut scr.gm_s,
+                &mut scr.gm_t,
+            );
+            if gm < th - self.cfg.eps {
+                scr.tally.greedy_rejects += 1;
+                return gm.min(th);
             }
         }
         // Tier 2: rebuild the conflict graph in reused buffers. The
@@ -1383,8 +1363,8 @@ mod tests {
     }
 
     /// No cascade bound ever rejects a pair the reference accepts, and
-    /// accepted values are bitwise equal to the reference — per-pair,
-    /// probed, and with the cascade disabled.
+    /// accepted values are bitwise equal to the reference — per-pair and
+    /// probed.
     #[test]
     fn tiered_decisions_match_reference() {
         let mut kn = kn_figure1();
@@ -1395,10 +1375,8 @@ mod tests {
             .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
             .collect();
         let v = Verifier::new(&kn, &cfg);
-        let v_plain = v.with_cascade(false);
         let mut scr = VerifyScratch::default();
         let mut scr_probed = VerifyScratch::default();
-        let mut scr_plain = VerifyScratch::default();
         for theta in [0.2, 0.5, 0.7, 0.9, 1.0] {
             for a in &segs {
                 v.begin_probe(a, &mut scr_probed);
@@ -1406,10 +1384,8 @@ mod tests {
                     let reference = usim_approx_seg_at_least(&kn, &cfg, a, b, theta);
                     let tiered = v.sim_at_least(a, b, theta, &mut scr);
                     let probed = v.probed_sim_at_least(a, b, theta, &mut scr_probed);
-                    let plain = v_plain.sim_at_least(a, b, theta, &mut scr_plain);
                     let ref_accept = reference >= theta - cfg.eps;
-                    for (label, got) in [("cascade", tiered), ("probed", probed), ("plain", plain)]
-                    {
+                    for (label, got) in [("merged", tiered), ("probed", probed)] {
                         let accept = got >= theta - cfg.eps;
                         assert_eq!(ref_accept, accept, "{label} decision at θ={theta}");
                         if ref_accept {
@@ -1528,8 +1504,9 @@ mod tests {
     }
 
     /// The run-batched driver (corpus-level posting index + event
-    /// collection + tier-0 pre-screen) accepts exactly the per-pair
-    /// engine's pairs with identical bits, and its tally matches.
+    /// collection + tier-0 pre-screen) accepts exactly the pairs of
+    /// per-pair `sim_at_least` calls with identical bits, and its tally
+    /// matches.
     #[test]
     fn run_batched_equals_per_pair() {
         let mut kn = kn_figure1();

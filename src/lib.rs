@@ -97,7 +97,7 @@ pub mod prelude {
 
     pub use au_core::config::{GramMeasure, MeasureSet, SimConfig};
     pub use au_core::estimate::{CostModel, FilterCounts};
-    pub use au_core::join::{JoinOptions, JoinResult, JoinStats};
+    pub use au_core::join::{JoinResult, JoinStats};
     pub use au_core::knowledge::{Knowledge, KnowledgeBuilder};
     pub use au_core::search::SearchOutcome;
     pub use au_core::shard::{ShardPlan, ShardSpec, ShardedPrepared};

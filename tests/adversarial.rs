@@ -1,23 +1,18 @@
 //! Adversarial and edge-case integration tests: weird knowledge bases,
 //! unicode, degenerate records, overlapping knowledge sources.
 
-use au_join::core::join::{brute_force_join, JoinOptions, JoinResult};
+use au_join::core::join::{brute_force_join, JoinResult};
 use au_join::core::segment::segment_record;
-use au_join::core::signature::{FilterKind, MpMode};
+use au_join::core::signature::FilterKind;
 use au_join::core::usim::{usim_approx_seg, usim_exact_seg};
 use au_join::prelude::*;
 
-/// One-shot R×S join through the session API (the legacy free function
-/// this suite used was removed after its deprecation window).
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, opts: &JoinOptions) -> JoinResult {
+/// One-shot R×S join on freshly prepared corpora.
+fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
     let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
     let ps = engine.prepare(s).expect("prepare S");
     let pt = engine.prepare(t).expect("prepare T");
-    let spec = JoinSpec::threshold(opts.theta)
-        .filter(opts.filter)
-        .mp_mode(opts.mp_mode)
-        .parallel(opts.parallel);
-    engine.join(&ps, &pt, &spec).expect("join")
+    engine.join(&ps, &pt, spec).expect("join")
 }
 
 #[test]
@@ -65,7 +60,7 @@ fn unicode_through_the_whole_pipeline() {
     let s = kn.corpus_from_lines(["kahvila keskusta espresso", "jäätelö kioski"]);
     let t = kn.corpus_from_lines(["café centrum latte", "jäätelo kioski"]);
     let cfg = SimConfig::default();
-    let res = join(&kn, &cfg, &s, &t, &JoinOptions::au_dp(0.7, 2));
+    let res = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(0.7).au_dp(2));
     assert!(
         res.pairs.iter().any(|&(a, b, _)| (a, b) == (0, 0)),
         "unicode synonym+taxonomy pair missing: {:?}",
@@ -87,13 +82,7 @@ fn degenerate_records_never_crash_or_match() {
     let t = kn.corpus_from_lines(["", "x", "a", "b"]);
     let cfg = SimConfig::default();
     for filter in [FilterKind::UFilter, FilterKind::AuDp { tau: 2 }] {
-        let opts = JoinOptions {
-            theta: 0.9,
-            filter,
-            mp_mode: MpMode::ExactDp,
-            parallel: false,
-            pos_filter: true,
-        };
+        let opts = JoinSpec::threshold(0.9).filter(filter).serial();
         let res = join(&kn, &cfg, &s, &t, &opts);
         // identical "a" records must match; empty/punctuation must not
         // match anything (similarity to empty is 0, and empty-vs-empty
@@ -154,13 +143,9 @@ fn long_rule_chains_stay_lossless() {
                 &cfg,
                 &s,
                 &t,
-                &JoinOptions {
-                    theta,
-                    filter: FilterKind::AuDp { tau },
-                    mp_mode: MpMode::ExactDp,
-                    parallel: false,
-                    pos_filter: true,
-                },
+                &JoinSpec::threshold(theta)
+                    .filter(FilterKind::AuDp { tau })
+                    .serial(),
             )
             .pairs
             .iter()
@@ -233,7 +218,7 @@ fn zero_and_one_thresholds() {
     let t = kn.corpus_from_lines(["b x", "p q"]);
     let cfg = SimConfig::default();
     // θ = 1: only perfect matches survive; (0,0) = (1 + 1)/2 = 1.0 ✓
-    let res = join(&kn, &cfg, &s, &t, &JoinOptions::au_dp(1.0, 1));
+    let res = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(1.0).au_dp(1));
     assert_eq!(
         res.pairs
             .iter()
@@ -243,6 +228,6 @@ fn zero_and_one_thresholds() {
     );
     // θ = 0: everything with any shared pebble is a result; must at least
     // contain the oracle at any positive θ and never crash.
-    let res0 = join(&kn, &cfg, &s, &t, &JoinOptions::u_filter(0.0));
+    let res0 = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(0.0));
     assert!(!res0.pairs.is_empty());
 }

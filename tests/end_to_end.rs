@@ -2,33 +2,24 @@
 //! spanning au-text, au-taxonomy, au-synonym, au-matching, au-core and
 //! au-datagen through the facade crate.
 
-use au_join::core::join::{brute_force_join, JoinOptions, JoinResult};
+use au_join::core::join::{brute_force_join, JoinResult};
 use au_join::core::signature::{FilterKind, MpMode};
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
-/// One-shot R×S join through the session API (the legacy free function
-/// this suite used was removed after its deprecation window).
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, opts: &JoinOptions) -> JoinResult {
+/// One-shot R×S join on freshly prepared corpora.
+fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
     let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
     let ps = engine.prepare(s).expect("prepare S");
     let pt = engine.prepare(t).expect("prepare T");
-    let spec = JoinSpec::threshold(opts.theta)
-        .filter(opts.filter)
-        .mp_mode(opts.mp_mode)
-        .parallel(opts.parallel);
-    engine.join(&ps, &pt, &spec).expect("join")
+    engine.join(&ps, &pt, spec).expect("join")
 }
 
 /// One-shot self-join through the session API.
-fn join_self(kn: &Knowledge, cfg: &SimConfig, c: &Corpus, opts: &JoinOptions) -> JoinResult {
+fn join_self(kn: &Knowledge, cfg: &SimConfig, c: &Corpus, spec: &JoinSpec) -> JoinResult {
     let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
     let pc = engine.prepare(c).expect("prepare");
-    let spec = JoinSpec::threshold(opts.theta)
-        .filter(opts.filter)
-        .mp_mode(opts.mp_mode)
-        .parallel(opts.parallel);
-    engine.join_self(&pc, &spec).expect("join_self")
+    engine.join_self(&pc, spec).expect("join_self")
 }
 
 fn figure1_knowledge() -> Knowledge {
@@ -53,13 +44,7 @@ fn figure1_pair_survives_every_filter() {
         FilterKind::AuDp { tau: 2 },
         FilterKind::AuDp { tau: 4 },
     ] {
-        let opts = JoinOptions {
-            theta: 0.8,
-            filter,
-            mp_mode: MpMode::ExactDp,
-            parallel: false,
-            pos_filter: true,
-        };
+        let opts = JoinSpec::threshold(0.8).filter(filter).serial();
         let res = join(&kn, &cfg, &s, &t, &opts);
         assert!(
             res.pairs.iter().any(|&(a, b, _)| (a, b) == (0, 0)),
@@ -87,13 +72,7 @@ fn no_false_negatives_on_generated_data() {
             FilterKind::AuHeuristic { tau: 3 },
             FilterKind::AuDp { tau: 3 },
         ] {
-            let opts = JoinOptions {
-                theta,
-                filter,
-                mp_mode: MpMode::ExactDp,
-                parallel: false,
-                pos_filter: true,
-            };
+            let opts = JoinSpec::threshold(theta).filter(filter).serial();
             let got: Vec<(u32, u32)> = join(&ds.kn, &cfg, &ds.s, &ds.t, &opts)
                 .pairs
                 .iter()
@@ -117,26 +96,19 @@ fn greedy_mp_mode_also_lossless() {
         &cfg,
         &ds.s,
         &ds.t,
-        &JoinOptions {
-            theta,
-            filter: FilterKind::AuDp { tau: 2 },
-            mp_mode: MpMode::ExactDp,
-            parallel: false,
-            pos_filter: true,
-        },
+        &JoinSpec::threshold(theta)
+            .filter(FilterKind::AuDp { tau: 2 })
+            .serial(),
     );
     let greedy = join(
         &ds.kn,
         &cfg,
         &ds.s,
         &ds.t,
-        &JoinOptions {
-            theta,
-            filter: FilterKind::AuDp { tau: 2 },
-            mp_mode: MpMode::GreedyLn,
-            parallel: false,
-            pos_filter: true,
-        },
+        &JoinSpec::threshold(theta)
+            .filter(FilterKind::AuDp { tau: 2 })
+            .mp_mode(MpMode::GreedyLn)
+            .serial(),
     );
     assert_eq!(exact.pairs, greedy.pairs);
     // and the ablation claim: the exact bound filters at least as hard
@@ -156,8 +128,8 @@ fn self_join_matches_cross_join_on_duplicated_corpus() {
     let c = kn.corpus_from_lines(lines);
     let cfg = SimConfig::default();
     let theta = 0.6;
-    let selfj = join_self(&kn, &cfg, &c, &JoinOptions::au_dp(theta, 2));
-    let cross = join(&kn, &cfg, &c, &c, &JoinOptions::au_dp(theta, 2));
+    let selfj = join_self(&kn, &cfg, &c, &JoinSpec::threshold(theta).au_dp(2));
+    let cross = join(&kn, &cfg, &c, &c, &JoinSpec::threshold(theta).au_dp(2));
     // cross join contains (a,b) and (b,a) plus the diagonal; the self join
     // must equal its strict upper triangle.
     let cross_upper: Vec<(u32, u32)> = cross

@@ -1,167 +1,159 @@
-//! CSR ↔ legacy-hashmap equivalence harness.
+//! Candidate generation against its definition.
 //!
-//! The CSR candidate-generation engine (flattened postings + epoch-stamped
-//! dense counters + per-posting-list τ-skip, PR 2) must be *observationally
-//! identical* to the PR-1 `FxHashMap` engine it replaced: same candidate
-//! set, same processed-pair count (`Tτ`, Eq. 16), same mean signature
-//! lengths — on R×S joins and self-joins, every filter, serial and
+//! The production scan (CSR postings + epoch-stamped dense counters +
+//! per-posting-list τ-skip + first-touch compatibility bound, reached
+//! through `Engine::filter_outcome`) must report exactly the candidate set
+//! and the `Tτ` (Eq. 16) that the *definition* assigns to the selected
+//! signatures — on R×S joins and self-joins, every filter, serial and
 //! parallel, across `au-datagen` corpora and randomized small corpora.
-//! The legacy engine stays in the tree exactly for this harness (and the
-//! perf comparison); any divergence here is a correctness bug in the new
-//! engine, not a tuning difference.
+//!
+//! The oracle below is deliberately naive — O(|S|·|T|·k), no index, no
+//! skipping — and is computed from `SelectedSignatures` built here with
+//! the public stage functions, independently of the engine's memoized
+//! order / signature / index artifacts.
+//!
+//! (The `csr_matches_legacy_*` test ids are kept stable for the suite's
+//! pass-list: the oracle used to be the PR-1 hashmap engine, and
+//! `definition` is that engine's candidate rule with the engine removed.)
 
 use au_join::core::config::SimConfig;
-use au_join::core::join::{
-    apply_global_order, candidate_pass, candidate_pass_legacy, prepare_corpus, tier0_of,
-    verify_candidates, JoinOptions, PosFilterCtx, SelectedSignatures,
-};
+use au_join::core::engine::{Engine, JoinSpec, Prepared};
+use au_join::core::join::SelectedSignatures;
+use au_join::core::pebble::{generate_pebbles, Pebble, PebbleOrder};
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use proptest::prelude::*;
 
-fn assert_equivalent(ds: &LabeledDataset, opts: &JoinOptions, label: &str) {
-    let cfg = SimConfig::default();
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
-    let sel_s = SelectedSignatures::select(&sp, opts, cfg.eps);
-    let sel_t = SelectedSignatures::select(&tp, opts, cfg.eps);
-    let tau = opts.filter.tau();
+/// Every side's pebble lists sorted under the global order built over
+/// exactly these sides (stage 2, done by hand).
+fn sorted_pebbles(
+    ds: &LabeledDataset,
+    cfg: &SimConfig,
+    sides: &[&Prepared],
+) -> Vec<Vec<Vec<Pebble>>> {
+    let mut lists: Vec<Vec<Vec<Pebble>>> = sides
+        .iter()
+        .map(|p| {
+            p.seg_records()
+                .iter()
+                .map(|sr| generate_pebbles(&ds.kn, cfg, sr))
+                .collect()
+        })
+        .collect();
+    let order = PebbleOrder::build(lists.iter().flatten().map(|v| v.as_slice()));
+    for list in lists.iter_mut().flatten() {
+        order.sort(list);
+    }
+    lists
+}
 
-    // R×S join, serial and parallel CSR vs legacy.
-    let legacy = candidate_pass_legacy(&sel_s, Some(&sel_t), tau);
+/// One join side as the definition sees it: key sets, guarantee levels
+/// and the tier-0 integers `(|r|, MP(r))`.
+struct Side {
+    sel: SelectedSignatures,
+    tier0: Vec<(u32, u32)>,
+}
+
+impl Side {
+    fn new(p: &Prepared, sorted: &[Vec<Pebble>], spec: &JoinSpec, eps: f64) -> Self {
+        Self {
+            sel: SelectedSignatures::select_from(p.seg_records(), sorted, spec, eps),
+            tier0: p
+                .seg_records()
+                .iter()
+                .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
+                .collect(),
+        }
+    }
+}
+
+/// The definition. `(a, b)` is a candidate ⇔
+/// `|keys(a) ∩ keys(b)| ≥ max(1, min(τ, level_a, level_b))` and the tier-0
+/// bound `min(|a|,|b|) / max(MP(a),MP(b)) ≥ θ − ε`. `Tτ` is
+/// `Σ_key |L_S(key)|·|L_T(key)|`, which is the shared-key count summed
+/// over all pairs; a self-join (`t = None`) ranges over `a < b`, i.e.
+/// `n(n−1)/2` pairs per posting list.
+fn definition(s: &Side, t: Option<&Side>, tau: u32, min_sim: f64) -> (Vec<(u32, u32)>, u64) {
+    let indexed = t.unwrap_or(s);
+    let mut candidates = Vec::new();
+    let mut t_tau = 0u64;
+    for a in 0..s.sel.len() as u32 {
+        let first = if t.is_none() { a + 1 } else { 0 };
+        for b in first..indexed.sel.len() as u32 {
+            let keys_b = indexed.sel.record_keys.get(b);
+            let shared = s
+                .sel
+                .record_keys
+                .get(a)
+                .iter()
+                .filter(|k| keys_b.binary_search(k).is_ok())
+                .count() as u32;
+            t_tau += shared as u64;
+            let demand = tau
+                .min(s.sel.levels[a as usize])
+                .min(indexed.sel.levels[b as usize])
+                .max(1);
+            let ((na, mpa), (nb, mpb)) = (s.tier0[a as usize], indexed.tier0[b as usize]);
+            if shared >= demand && na.min(nb) as f64 / mpa.max(mpb) as f64 >= min_sim {
+                candidates.push((a, b));
+            }
+        }
+    }
+    (candidates, t_tau)
+}
+
+fn assert_scan_matches_definition(
+    ds: &LabeledDataset,
+    theta: f64,
+    filter: FilterKind,
+    label: &str,
+) {
+    let cfg = SimConfig::default();
+    let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let spec = JoinSpec::threshold(theta).filter(filter);
+    let (tau, min_sim) = (filter.tau(), theta - cfg.eps);
+
+    // R×S: the order counts frequencies across both sides.
+    let sorted = sorted_pebbles(ds, &cfg, &[&ps, &pt]);
+    let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
+    let t = Side::new(&pt, &sorted[1], &spec, cfg.eps);
+    let (want, want_t_tau) = definition(&s, Some(&t), tau, min_sim);
     for parallel in [false, true] {
-        let csr = candidate_pass(&sel_s, Some(&sel_t), tau, parallel, None);
+        let got = engine
+            .filter_outcome(&ps, Some(&pt), &spec.parallel(parallel))
+            .expect("R×S filter run");
         assert_eq!(
-            csr.candidates, legacy.candidates,
+            got.candidates, want,
             "{label} candidates (parallel={parallel})"
         );
         assert_eq!(
-            csr.processed_pairs, legacy.processed_pairs,
+            got.processed_pairs, want_t_tau,
             "{label} Tτ (parallel={parallel})"
         );
         assert!(
-            (csr.avg_sig_len_s - legacy.avg_sig_len_s).abs() < 1e-12,
-            "{label} avg_sig_len_s"
-        );
-        assert!(
-            (csr.avg_sig_len_t - legacy.avg_sig_len_t).abs() < 1e-12,
-            "{label} avg_sig_len_t"
+            (got.avg_sig_len_s - s.sel.record_keys.avg_sig_len()).abs() < 1e-12
+                && (got.avg_sig_len_t - t.sel.record_keys.avg_sig_len()).abs() < 1e-12,
+            "{label} mean signature lengths"
         );
     }
 
-    // Self-join on the S side.
-    let legacy_self = candidate_pass_legacy(&sel_s, None, tau);
+    // Self-join on the S side: the order is built from S alone.
+    let sorted = sorted_pebbles(ds, &cfg, &[&ps]);
+    let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
+    let (want, want_t_tau) = definition(&s, None, tau, min_sim);
     for parallel in [false, true] {
-        let csr_self = candidate_pass(&sel_s, None, tau, parallel, None);
+        let got = engine
+            .filter_outcome(&ps, None, &spec.parallel(parallel))
+            .expect("self filter run");
         assert_eq!(
-            csr_self.candidates, legacy_self.candidates,
+            got.candidates, want,
             "{label} self candidates (parallel={parallel})"
         );
         assert_eq!(
-            csr_self.processed_pairs, legacy_self.processed_pairs,
+            got.processed_pairs, want_t_tau,
             "{label} self Tτ (parallel={parallel})"
-        );
-    }
-
-    // Position/compat-filtered probe vs the unfiltered probe: the filter
-    // may only shrink the candidate set; Tτ, every verified result pair,
-    // and the final output must be byte-identical.
-    let t0s = tier0_of(&sp);
-    let t0t = tier0_of(&tp);
-    let ctx = PosFilterCtx {
-        tier0_s: &t0s,
-        tier0_t: &t0t,
-        min_sim: opts.theta - cfg.eps,
-    };
-    for parallel in [false, true] {
-        let unf = candidate_pass(&sel_s, Some(&sel_t), tau, parallel, None);
-        let fil = candidate_pass(&sel_s, Some(&sel_t), tau, parallel, Some(&ctx));
-        assert_eq!(
-            fil.processed_pairs, unf.processed_pairs,
-            "{label} filtered Tτ (parallel={parallel})"
-        );
-        assert!(
-            fil.candidates.len() <= unf.candidates.len(),
-            "{label} filtered candidate count (parallel={parallel})"
-        );
-        assert!(
-            fil.candidates
-                .iter()
-                .all(|c| unf.candidates.binary_search(c).is_ok()),
-            "{label} filtered ⊆ unfiltered (parallel={parallel})"
-        );
-        let dropped = unf.candidates.len() - fil.candidates.len();
-        assert!(
-            dropped <= (fil.pos_rejected + fil.compat_rejected) as usize,
-            "{label} rejection accounting: dropped {dropped} > pos {} + compat {}",
-            fil.pos_rejected,
-            fil.compat_rejected
-        );
-        let pairs_unf = verify_candidates(
-            &ds.kn,
-            &cfg,
-            &sp,
-            &tp,
-            &unf.candidates,
-            opts.theta,
-            parallel,
-        );
-        let pairs_fil = verify_candidates(
-            &ds.kn,
-            &cfg,
-            &sp,
-            &tp,
-            &fil.candidates,
-            opts.theta,
-            parallel,
-        );
-        assert_eq!(
-            pairs_fil, pairs_unf,
-            "{label} filtered output (parallel={parallel})"
-        );
-    }
-
-    // Same sweep on the self-join path (min_excl slicing + tier0 shared).
-    let ctx_self = PosFilterCtx {
-        tier0_s: &t0s,
-        tier0_t: &t0s,
-        min_sim: opts.theta - cfg.eps,
-    };
-    for parallel in [false, true] {
-        let unf = candidate_pass(&sel_s, None, tau, parallel, None);
-        let fil = candidate_pass(&sel_s, None, tau, parallel, Some(&ctx_self));
-        assert_eq!(
-            fil.processed_pairs, unf.processed_pairs,
-            "{label} self filtered Tτ (parallel={parallel})"
-        );
-        assert!(
-            fil.candidates
-                .iter()
-                .all(|c| unf.candidates.binary_search(c).is_ok()),
-            "{label} self filtered ⊆ unfiltered (parallel={parallel})"
-        );
-        let pairs_unf = verify_candidates(
-            &ds.kn,
-            &cfg,
-            &sp,
-            &sp,
-            &unf.candidates,
-            opts.theta,
-            parallel,
-        );
-        let pairs_fil = verify_candidates(
-            &ds.kn,
-            &cfg,
-            &sp,
-            &sp,
-            &fil.candidates,
-            opts.theta,
-            parallel,
-        );
-        assert_eq!(
-            pairs_fil, pairs_unf,
-            "{label} self filtered output (parallel={parallel})"
         );
     }
 }
@@ -176,22 +168,21 @@ fn all_filters() -> Vec<FilterKind> {
     ]
 }
 
+/// MED-like dataset without depending on the bench crate (the root facade
+/// only links the library crates).
+fn au_bench_free_med(n: usize, seed: u64) -> LabeledDataset {
+    let profile = DatasetProfile::med_like((n as f64 / 2000.0).max(1.0));
+    LabeledDataset::generate(&profile, n, n, n / 5, seed)
+}
+
 #[test]
 fn csr_matches_legacy_on_med_corpora() {
     for (n, seed) in [(60usize, 11u64), (150, 12)] {
         let ds = au_bench_free_med(n, seed);
         for theta in [0.7, 0.9] {
             for filter in all_filters() {
-                let opts = JoinOptions {
-                    theta,
-                    filter,
-                    ..JoinOptions::u_filter(theta)
-                };
-                assert_equivalent(
-                    &ds,
-                    &opts,
-                    &format!("med n={n} θ={theta} {}", filter.label()),
-                );
+                let label = format!("med n={n} θ={theta} {}", filter.label());
+                assert_scan_matches_definition(&ds, theta, filter, &label);
             }
         }
     }
@@ -203,82 +194,8 @@ fn csr_matches_legacy_on_wiki_corpora() {
     let ds = LabeledDataset::generate(&profile, 120, 120, 24, 21);
     for theta in [0.8, 0.95] {
         for filter in all_filters() {
-            let opts = JoinOptions {
-                theta,
-                filter,
-                ..JoinOptions::u_filter(theta)
-            };
-            assert_equivalent(&ds, &opts, &format!("wiki θ={theta} {}", filter.label()));
-        }
-    }
-}
-
-/// MED-like dataset without depending on the bench crate (the root facade
-/// only links the library crates).
-fn au_bench_free_med(n: usize, seed: u64) -> LabeledDataset {
-    let profile = DatasetProfile::med_like((n as f64 / 2000.0).max(1.0));
-    LabeledDataset::generate(&profile, n, n, n / 5, seed)
-}
-
-/// Session-API byte-equality of the position-filter knob: joins with the
-/// filter on and off must return identical pairs and similarities on the
-/// monolithic (serial and parallel) and sharded executors, and the on-run
-/// must report a (weakly) smaller candidate count plus matching rejection
-/// telemetry.
-#[test]
-fn engine_position_filter_byte_equality() {
-    use au_join::core::engine::{Engine, JoinSpec};
-    let ds = au_bench_free_med(140, 33);
-    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
-    let ps = engine.prepare(&ds.s).expect("prepare S");
-    let pt = engine.prepare(&ds.t).expect("prepare T");
-    for theta in [0.7, 0.9] {
-        for filter in all_filters() {
-            for parallel in [false, true] {
-                let spec = JoinSpec::threshold(theta).filter(filter).parallel(parallel);
-                let on = engine.join(&ps, &pt, &spec).expect("filtered join");
-                let off = engine
-                    .join(&ps, &pt, &spec.position_filter(false))
-                    .expect("unfiltered join");
-                let label = format!("θ={theta} {} parallel={parallel}", filter.label());
-                assert_eq!(on.pairs, off.pairs, "{label} pairs");
-                assert_eq!(
-                    on.stats.processed_pairs, off.stats.processed_pairs,
-                    "{label} Tτ"
-                );
-                assert!(on.stats.candidates <= off.stats.candidates, "{label} Vτ");
-                assert_eq!(
-                    off.stats.pos_rejected + off.stats.compat_rejected,
-                    0,
-                    "{label} off-run must report zero rejections"
-                );
-                assert!(
-                    off.stats.candidates - on.stats.candidates
-                        <= on.stats.pos_rejected + on.stats.compat_rejected,
-                    "{label} rejection accounting"
-                );
-            }
-            // Sharded executor inherits the filter through the same
-            // filter_run choke point; pairs stay byte-identical.
-            let spec = JoinSpec::threshold(theta).filter(filter).sharded(3);
-            let sharded_on = engine.join(&ps, &pt, &spec).expect("sharded filtered");
-            let sharded_off = engine
-                .join(&ps, &pt, &spec.position_filter(false))
-                .expect("sharded unfiltered");
-            let mono = engine
-                .join(&ps, &pt, &JoinSpec::threshold(theta).filter(filter))
-                .expect("monolithic");
-            assert_eq!(sharded_on.pairs, mono.pairs, "θ={theta} sharded=mono");
-            assert_eq!(
-                sharded_on.pairs, sharded_off.pairs,
-                "θ={theta} sharded on=off"
-            );
-            // Self-join flavor too.
-            let self_on = engine.join_self(&ps, &spec).expect("sharded self");
-            let self_off = engine
-                .join_self(&ps, &spec.position_filter(false))
-                .expect("sharded self unfiltered");
-            assert_eq!(self_on.pairs, self_off.pairs, "θ={theta} self on=off");
+            let label = format!("wiki θ={theta} {}", filter.label());
+            assert_scan_matches_definition(&ds, theta, filter, &label);
         }
     }
 }
@@ -287,7 +204,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Randomized corpora: sizes, seeds, θ and τ drawn by proptest; the
-    /// two engines must agree on every draw.
+    /// scan must agree with the definition on every draw.
     #[test]
     fn csr_matches_legacy_on_random_corpora(
         n in 20usize..90,
@@ -303,7 +220,7 @@ proptest! {
         } else {
             FilterKind::AuHeuristic { tau }
         };
-        let opts = JoinOptions { theta, filter, ..JoinOptions::u_filter(theta) };
-        assert_equivalent(&ds, &opts, &format!("random n={n} seed={seed} θ={theta} τ={tau}"));
+        let label = format!("random n={n} seed={seed} θ={theta} τ={tau}");
+        assert_scan_matches_definition(&ds, theta, filter, &label);
     }
 }

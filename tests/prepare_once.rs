@@ -3,14 +3,14 @@
 //!
 //! This test lives alone in its own integration-test binary on purpose:
 //! the counter is a process-global `AtomicU64`, and sibling tests in a
-//! shared binary (the equivalence harness calls the legacy `join`, which
-//! calls `prepare_corpus`) would bump it concurrently on multi-core
-//! hosts, making exact-delta assertions racy. Cargo runs test binaries
-//! sequentially, so a solo test owns the counter.
+//! shared binary (anything calling `Engine::prepare`) would bump it
+//! concurrently on multi-core hosts, making exact-delta assertions racy.
+//! Cargo runs test binaries sequentially, so a solo test owns the
+//! counter.
 
 use au_join::core::config::SimConfig;
+use au_join::core::engine::prepare_invocations;
 use au_join::core::engine::{Engine, JoinSpec};
-use au_join::core::join::prepare_invocations;
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 
@@ -20,10 +20,8 @@ fn med(n: usize, seed: u64) -> LabeledDataset {
     LabeledDataset::generate(&profile, n, n, n / 5, seed)
 }
 
-/// The satellite fix: a calibrate + filter_counts + join + search workflow
-/// on prepared corpora must run `prepare_corpus` exactly once per corpus
-/// (the legacy `CostModel::calibrate` + `filter_counts` pair re-prepared
-/// the same corpora on every call).
+/// A calibrate + filter_counts + join + search workflow on prepared
+/// corpora must run stage 1 exactly once per corpus.
 #[test]
 fn session_workflow_prepares_each_corpus_exactly_once() {
     let ds = med(80, 61);

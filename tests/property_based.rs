@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the core invariants.
 
-use au_join::core::join::{brute_force_join, JoinOptions, JoinResult};
+use au_join::core::join::{brute_force_join, JoinResult};
 use au_join::core::segment::segment_record;
 use au_join::core::signature::{FilterKind, MpMode};
 use au_join::core::usim::{usim_approx_seg, usim_exact_seg};
@@ -36,17 +36,12 @@ fn text_strategy(max_tokens: usize) -> impl Strategy<Value = String> {
     prop::collection::vec(word_strategy(), 1..=max_tokens).prop_map(|v| v.join(" "))
 }
 
-/// One-shot R×S join through the session API (the legacy free function
-/// this suite used was removed after its deprecation window).
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, opts: &JoinOptions) -> JoinResult {
+/// One-shot R×S join on freshly prepared corpora.
+fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
     let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
     let ps = engine.prepare(s).expect("prepare S");
     let pt = engine.prepare(t).expect("prepare T");
-    let spec = JoinSpec::threshold(opts.theta)
-        .filter(opts.filter)
-        .mp_mode(opts.mp_mode)
-        .parallel(opts.parallel);
-    engine.join(&ps, &pt, &spec).expect("join")
+    engine.join(&ps, &pt, spec).expect("join")
 }
 
 fn test_knowledge() -> Knowledge {
@@ -117,7 +112,7 @@ proptest! {
         let oracle: Vec<(u32, u32)> = brute_force_join(&kn, &cfg, &s, &t, theta)
             .iter().map(|&(a, b, _)| (a, b)).collect();
         for filter in [FilterKind::UFilter, FilterKind::AuHeuristic { tau }, FilterKind::AuDp { tau }] {
-            let opts = JoinOptions { theta, filter, mp_mode: MpMode::ExactDp, parallel: false, pos_filter: true };
+            let opts = JoinSpec::threshold(theta).filter(filter).serial();
             let got: Vec<(u32, u32)> = join(&kn, &cfg, &s, &t, &opts)
                 .pairs.iter().map(|&(a, b, _)| (a, b)).collect();
             prop_assert_eq!(got, oracle.clone(), "θ={} {:?}", theta, filter);
@@ -139,7 +134,7 @@ proptest! {
         let oracle: Vec<(u32, u32)> = brute_force_join(&kn, &cfg, &s, &t, theta)
             .iter().map(|&(a, b, _)| (a, b)).collect();
         for filter in [FilterKind::AuHeuristic { tau: 2 }, FilterKind::AuDp { tau: 3 }] {
-            let opts = JoinOptions { theta, filter, mp_mode: MpMode::ExactDp, parallel: false, pos_filter: true };
+            let opts = JoinSpec::threshold(theta).filter(filter).serial();
             let got: Vec<(u32, u32)> = join(&kn, &cfg, &s, &t, &opts)
                 .pairs.iter().map(|&(a, b, _)| (a, b)).collect();
             prop_assert_eq!(got, oracle.clone(), "{:?} θ={} {:?}", gram, theta, filter);

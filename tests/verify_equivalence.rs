@@ -1,25 +1,31 @@
-//! Tier-equivalence harness: the tiered verification engine
-//! (`au_core::usim::verify`) must produce **byte-identical** `(pairs,
-//! sims)` to the reference per-candidate path
-//! (`usim_approx_seg_at_least`), on generated datasets and on adversarial
-//! proptest corpora, serial and parallel alike.
+//! Tier-equivalence harness: the production verification driver
+//! (`au_core::join::verify_candidates` over the tiered engine in
+//! `au_core::usim::verify`) must produce **byte-identical** `(pairs,
+//! sims)` — compared through `f64::to_bits` — to the reference
+//! per-candidate path (`verify_candidates_reference`), on generated
+//! datasets and on adversarial proptest corpora, serial and parallel
+//! alike, through *both* of its gram sources: the run-batched one the
+//! driver picks at ≥ 2048 candidates and the probe-grouped one it picks
+//! below.
 //!
 //! This is the contract that lets the engine reject candidates before any
 //! segment-pair enumeration (tier 0), share `msim` across candidates
 //! (tier 1) and reuse every per-candidate buffer (tier 2): none of it may
 //! change a single output bit.
 
-use au_join::core::join::{
-    apply_global_order, filter_stage, prepare_corpus, verify_candidates,
-    verify_candidates_per_pair, verify_candidates_reference, verify_candidates_stats, JoinOptions,
-};
-use au_join::core::segment::segment_record;
+use au_join::core::join::{verify_candidates, verify_candidates_reference};
+use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::usim::{
     usim_approx_seg, usim_approx_seg_at_least, usim_exact_seg, Verifier, VerifyScratch,
 };
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 use proptest::prelude::*;
+
+/// The driver's size switch (`BATCHED_VERIFY_MIN` in `au_core::join`):
+/// candidate lists at least this long verify through the run-batched gram
+/// source, shorter ones through the probe-grouped one.
+const BATCHED_MIN: usize = 2048;
 
 fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: result count");
@@ -32,14 +38,14 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
     }
 }
 
-/// Grouped-cascade vs PR 3 per-pair vs reference on one candidate set,
-/// serial and parallel — byte-identical `(pair, sim)` everywhere, plus
-/// the tier-telemetry invariants (every candidate in exactly one bucket,
+/// The production driver vs the reference on one candidate list, serial
+/// and parallel — byte-identical `(pair, sim)` everywhere, plus the
+/// tier-telemetry invariants (every candidate in exactly one bucket,
 /// accepted == results, identical counters across schedules).
 fn check_candidates(
-    ds: &LabeledDataset,
-    sp: &au_join::core::join::PreparedCorpus,
-    tp: &au_join::core::join::PreparedCorpus,
+    kn: &Knowledge,
+    s: &[SegRecord],
+    t: &[SegRecord],
     candidates: &[(u32, u32)],
     theta: f64,
     ctx: &str,
@@ -47,28 +53,20 @@ fn check_candidates(
     let cfg = SimConfig::default();
     let mut tallies = Vec::new();
     for parallel in [false, true] {
-        let (grouped, tiers) =
-            verify_candidates_stats(&ds.kn, &cfg, sp, tp, candidates, theta, parallel);
-        let per_pair =
-            verify_candidates_per_pair(&ds.kn, &cfg, sp, tp, candidates, theta, parallel);
-        let reference =
-            verify_candidates_reference(&ds.kn, &cfg, sp, tp, candidates, theta, parallel);
+        let (production, tiers) =
+            verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, None);
+        let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, parallel);
         assert_bit_identical(
-            &grouped,
+            &production,
             &reference,
-            &format!("{ctx} parallel={parallel} grouped vs reference"),
-        );
-        assert_bit_identical(
-            &per_pair,
-            &reference,
-            &format!("{ctx} parallel={parallel} per-pair vs reference"),
+            &format!("{ctx} parallel={parallel} production vs reference"),
         );
         assert_eq!(
             tiers.decisions(),
             candidates.len() as u64,
             "{ctx}: tier buckets must partition the candidate set"
         );
-        assert_eq!(tiers.accepted, grouped.len() as u64, "{ctx}: accepted");
+        assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
         tallies.push(tiers);
     }
     // Tier counters are pure per-candidate functions: serial == parallel.
@@ -91,33 +89,38 @@ fn check_candidates(
     );
 }
 
+/// Filter one dataset at θ, then check the whole candidate list (long
+/// enough for the run-batched gram source) and a prefix short enough for
+/// the probe-grouped one.
 fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
-    let cfg = SimConfig::default();
-    let opts = JoinOptions::u_filter(theta);
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    if self_join {
-        let mut empty = prepare_corpus(&ds.kn, &cfg, &au_join::text::record::Corpus::new());
-        apply_global_order(&mut sp, &mut empty);
-        let out = filter_stage(&sp, &sp, &opts, cfg.eps, true);
-        check_candidates(
-            ds,
-            &sp,
-            &sp,
-            &out.candidates,
-            theta,
-            &format!("self-join θ={theta}"),
-        );
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let (t, label) = if self_join {
+        (None, format!("self-join θ={theta}"))
     } else {
-        let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-        apply_global_order(&mut sp, &mut tp);
-        let out = filter_stage(&sp, &tp, &opts, cfg.eps, false);
+        (Some(&pt), format!("R×S θ={theta}"))
+    };
+    let out = engine
+        .filter_outcome(&ps, t, &JoinSpec::threshold(theta))
+        .expect("filter run");
+    assert!(
+        out.candidates.len() >= BATCHED_MIN,
+        "{label}: {} candidates never reach the run-batched path",
+        out.candidates.len()
+    );
+    let t_recs = t.unwrap_or(&ps).seg_records();
+    for (path, cands) in [
+        ("run-batched", &out.candidates[..]),
+        ("probe-grouped", &out.candidates[..BATCHED_MIN - 1]),
+    ] {
         check_candidates(
-            ds,
-            &sp,
-            &tp,
-            &out.candidates,
+            &ds.kn,
+            ps.seg_records(),
+            t_recs,
+            cands,
             theta,
-            &format!("R×S θ={theta}"),
+            &format!("{label} {path}"),
         );
     }
 }
@@ -166,13 +169,17 @@ fn tiered_equals_reference_on_wiki() {
 fn cascade_bounds_dominate_usim_on_datagen() {
     for ds in [med_ds(), wiki_ds()] {
         let cfg = SimConfig::default();
-        let sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-        let tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
+        let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
+        let (ps, pt) = (
+            engine.prepare(&ds.s).unwrap(),
+            engine.prepare(&ds.t).unwrap(),
+        );
+        let (sp, tp) = (ps.seg_records(), pt.seg_records());
         let v = Verifier::new(&ds.kn, &cfg);
         let mut scr = VerifyScratch::default();
         // Planted pairs (high similarity — bounds must not clip them).
         for g in &ds.truth {
-            let (a, b) = (&sp.segrecs[g.s as usize], &tp.segrecs[g.t as usize]);
+            let (a, b) = (&sp[g.s as usize], &tp[g.t as usize]);
             let bounds = v.upper_bounds(a, b, &mut scr);
             let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
             for (name, ub) in [
@@ -192,9 +199,9 @@ fn cascade_bounds_dominate_usim_on_datagen() {
             assert!(bounds.rowmax >= bounds.greedy - 1e-12);
         }
         // A deterministic stride of arbitrary pairs.
-        for i in (0..sp.segrecs.len()).step_by(17) {
-            for j in (0..tp.segrecs.len()).step_by(23) {
-                let (a, b) = (&sp.segrecs[i], &tp.segrecs[j]);
+        for i in (0..sp.len()).step_by(17) {
+            for j in (0..tp.len()).step_by(23) {
+                let (a, b) = (&sp[i], &tp[j]);
                 let bounds = v.upper_bounds(a, b, &mut scr);
                 let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
                 assert!(bounds.greedy >= sim - 1e-12, "greedy < sim at ({i}, {j})");
@@ -270,28 +277,25 @@ proptest! {
         prop_assert_eq!(full_ref.to_bits(), full_tier.to_bits());
     }
 
-    /// Whole-corpus: the verify stage output is byte-identical, serial and
-    /// parallel, for the grouped-cascade and the per-pair engines alike.
+    /// Whole-corpus: the verify stage output is byte-identical to the
+    /// reference, serial and parallel (short lists: probe-grouped source).
     #[test]
     fn tiered_corpus_verify_matches(texts in prop::collection::vec(text_strategy(6), 4..16), theta in 0.3f64..0.95) {
         let mut kn = test_knowledge();
         let cfg = SimConfig::default();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let c = kn.corpus_from_lines(refs);
-        let sp = prepare_corpus(&kn, &cfg, &c);
+        let sp: Vec<SegRecord> = c.iter().map(|r| segment_record(&kn, &cfg, &r.tokens)).collect();
         // All pairs as candidates — stresses tier 0 on pairs the filter
         // would normally never surface.
         let all: Vec<(u32, u32)> = (0..c.len() as u32)
             .flat_map(|x| (0..c.len() as u32).map(move |y| (x, y)))
             .collect();
         for parallel in [false, true] {
-            let tiered = verify_candidates(&kn, &cfg, &sp, &sp, &all, theta, parallel);
+            let (tiered, _) = verify_candidates(&kn, &cfg, &sp, &sp, &all, theta, parallel, None);
             let reference =
                 verify_candidates_reference(&kn, &cfg, &sp, &sp, &all, theta, parallel);
             assert_bit_identical(&tiered, &reference, "proptest corpus");
-            let per_pair =
-                verify_candidates_per_pair(&kn, &cfg, &sp, &sp, &all, theta, parallel);
-            assert_bit_identical(&per_pair, &reference, "proptest corpus per-pair");
         }
     }
 

@@ -1,5 +1,7 @@
-//! Grouped-vs-reference verification equivalence under a pinned
-//! `AU_THREADS` override.
+//! Production-driver-vs-reference verification equivalence under a pinned
+//! `AU_THREADS` override, through both gram sources of
+//! `au_core::join::verify_candidates`: the whole candidate list (≥ 2048,
+//! run-batched) and a prefix below the switch (probe-grouped).
 //!
 //! `au_core::parallel::available_threads` reads `AU_THREADS` once per
 //! process, so this check lives in its own integration-test binary: the
@@ -9,10 +11,7 @@
 //! run-aligned fragments; on single-core CI it still pins the worker
 //! count deterministically.
 
-use au_join::core::join::{
-    apply_global_order, filter_stage, prepare_corpus, verify_candidates_reference,
-    verify_candidates_stats, JoinOptions,
-};
+use au_join::core::join::{verify_candidates, verify_candidates_reference};
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
@@ -27,43 +26,47 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
     profile.synonym_rules = 120;
     let ds = LabeledDataset::generate(&profile, 220, 220, 60, 17);
     let cfg = SimConfig::default();
-    let mut sp = prepare_corpus(&ds.kn, &cfg, &ds.s);
-    let mut tp = prepare_corpus(&ds.kn, &cfg, &ds.t);
-    apply_global_order(&mut sp, &mut tp);
+    let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let (sp, tp) = (ps.seg_records(), pt.seg_records());
     for theta in [0.6, 0.9] {
-        let opts = JoinOptions::u_filter(theta);
-        let out = filter_stage(&sp, &tp, &opts, cfg.eps, false);
-        let (serial, serial_tiers) =
-            verify_candidates_stats(&ds.kn, &cfg, &sp, &tp, &out.candidates, theta, false);
-        let (parallel, parallel_tiers) =
-            verify_candidates_stats(&ds.kn, &cfg, &sp, &tp, &out.candidates, theta, true);
-        let reference =
-            verify_candidates_reference(&ds.kn, &cfg, &sp, &tp, &out.candidates, theta, true);
-        assert_eq!(serial.len(), parallel.len(), "θ={theta}");
-        for (x, y) in serial.iter().zip(&parallel) {
-            assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
+        let out = engine
+            .filter_outcome(&ps, Some(&pt), &JoinSpec::threshold(theta))
+            .expect("filter run");
+        assert!(out.candidates.len() >= 2048, "θ={theta}: run-batched path");
+        for cands in [&out.candidates[..], &out.candidates[..2047]] {
+            let (serial, serial_tiers) =
+                verify_candidates(&ds.kn, &cfg, sp, tp, cands, theta, false, None);
+            let (parallel, parallel_tiers) =
+                verify_candidates(&ds.kn, &cfg, sp, tp, cands, theta, true, None);
+            let reference = verify_candidates_reference(&ds.kn, &cfg, sp, tp, cands, theta, true);
+            assert_eq!(serial.len(), parallel.len(), "θ={theta}");
+            for (x, y) in serial.iter().zip(&parallel) {
+                assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
+            }
+            for (x, y) in parallel.iter().zip(&reference) {
+                assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
+            }
+            // Tier counters are pure per-candidate functions — identical
+            // under any worker count. (The memo hit/miss diagnostics are
+            // scheduling-dependent and deliberately not compared.)
+            let buckets = |t: &au_join::core::usim::VerifyTiers| {
+                (
+                    t.tier0_rejects,
+                    t.enum_rejects,
+                    t.rowmax_rejects,
+                    t.greedy_rejects,
+                    t.tier2_rejects,
+                    t.accepted,
+                )
+            };
+            assert_eq!(
+                buckets(&serial_tiers),
+                buckets(&parallel_tiers),
+                "θ={theta}"
+            );
+            assert_eq!(serial_tiers.decisions(), cands.len() as u64);
         }
-        for (x, y) in parallel.iter().zip(&reference) {
-            assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
-        }
-        // Tier counters are pure per-candidate functions — identical
-        // under any worker count. (The memo hit/miss diagnostics are
-        // scheduling-dependent and deliberately not compared.)
-        let buckets = |t: &au_join::core::usim::VerifyTiers| {
-            (
-                t.tier0_rejects,
-                t.enum_rejects,
-                t.rowmax_rejects,
-                t.greedy_rejects,
-                t.tier2_rejects,
-                t.accepted,
-            )
-        };
-        assert_eq!(
-            buckets(&serial_tiers),
-            buckets(&parallel_tiers),
-            "θ={theta}"
-        );
-        assert_eq!(serial_tiers.decisions(), out.candidates.len() as u64);
     }
 }
