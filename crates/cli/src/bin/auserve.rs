@@ -240,7 +240,8 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
         "stats" => {
             let s = svc.stats();
             println!(
-                "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {} pause {:.2}ms",
+                "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {} pause {:.2}ms \
+                 prepared {}",
                 s.generation,
                 s.live,
                 s.delta_len,
@@ -249,7 +250,8 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
                 s.inserts,
                 s.deletes,
                 s.compactions,
-                s.last_compact_nanos as f64 / 1e6
+                s.last_compact_nanos as f64 / 1e6,
+                s.records_prepared
             );
         }
         "quit" | "exit" => return Ok(false),

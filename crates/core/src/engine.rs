@@ -14,6 +14,9 @@
 //!        ├─ topk / topk_self              (threshold descent)
 //!        ├─ searcher(..).query(..)        (online search, no &mut)
 //!        └─ suggest_tau / calibrate / filter_outcome / probe (tuning)
+//!   └─ scan(session, rows, query)        filterless search over loose
+//!                                        SegRecords (small append-only
+//!                                        segments; no Prepared at all)
 //! ```
 //!
 //! A [`Prepared`] lazily memoizes the order-dependent artifacts — the
@@ -49,7 +52,7 @@ use crate::join::{
 use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
 use crate::probe::{probe_loop, ProbeOutcome};
-use crate::search::{run_query, QueryEnv, SearchOutcome};
+use crate::search::{run_query, run_scan, QueryEnv, SearchOutcome, VerifyEnv};
 use crate::segment::{segment_record, segment_record_with, segment_stats, SegRecord};
 use crate::shard::{
     shard_pair_compatible, ShardCache, ShardInfo, ShardPlan, ShardSpec, ShardedPrepared,
@@ -744,6 +747,14 @@ impl Engine {
     pub fn new(kn: Knowledge, cfg: SimConfig) -> Result<Self, AuError> {
         validate_config(&cfg)?;
         Ok(Self { kn, cfg })
+    }
+
+    /// An engine over `kn` under this engine's already-validated
+    /// configuration — infallible, which is what lets a serving layer
+    /// publish a new knowledge state (one more interned record) without a
+    /// failure path after its commit point.
+    pub fn with_knowledge(&self, kn: Knowledge) -> Self {
+        Self { kn, cfg: self.cfg }
     }
 
     /// The engine's knowledge context (read-only: every mutation path
@@ -1759,9 +1770,43 @@ impl Engine {
             sel,
             index,
             counter,
-            pool: Mutex::new(Vec::new()),
-            scratch: Mutex::new(ScratchVocab::new()),
+            session: QuerySession::default(),
         })
+    }
+
+    /// Filterless search over already-segmented `rows`: every row whose
+    /// tier-0 bound can still reach the spec's θ is verified — there is no
+    /// order, signature or index, so nothing has to be built (or rebuilt
+    /// when a row is appended) and completeness is trivial. `matches`
+    /// carry row indices into `rows` and equal, bit for bit, what
+    /// [`Searcher::query`] returns over the same records: both end in the
+    /// same verification and similarity is a pure function of the pair.
+    /// Cost is verification work linear in `rows.len()` — the trade a
+    /// small append-only segment (`au-serve`'s delta) wants, and nothing
+    /// larger does.
+    ///
+    /// Only the spec's θ and parallel switch are read (there is no
+    /// signature to select), so no spec can fail here. Each row must have
+    /// been segmented ([`crate::segment::segment_record`]) under this
+    /// engine's configuration and under this knowledge or an earlier
+    /// state of the same lineage — interning only appends, so earlier
+    /// segmentations stay valid.
+    pub fn scan(
+        &self,
+        session: &QuerySession,
+        rows: &[&SegRecord],
+        text: &str,
+        spec: &JoinSpec,
+    ) -> SearchOutcome {
+        let sr = session.segment(&self.kn, &self.cfg, text);
+        let env = VerifyEnv {
+            kn: &self.kn,
+            cfg: &self.cfg,
+            theta: spec.theta(),
+            parallel: spec.parallel,
+            pool: &session.pool,
+        };
+        run_scan(&env, rows, &sr)
     }
 
     // -- tuning -------------------------------------------------------------
@@ -2069,6 +2114,43 @@ pub struct Searcher<'e> {
     core: SearchCore,
 }
 
+/// The mutable per-session state every query path shares: the
+/// verification-scratch pool and the out-of-vocabulary overlay. An
+/// indexed search session owns one inside its `SearchCore`; a filterless
+/// [`Engine::scan`] borrows one from its caller, who keeps it for as long
+/// as overlay ids should stay stable (one knowledge lineage). Overlay ids
+/// are what make the pooled scratches' `msim` memo sound across queries:
+/// a repeated unknown word keeps one identity for the session's lifetime.
+#[derive(Debug, Default)]
+pub struct QuerySession {
+    pool: Mutex<Vec<VerifyScratch>>,
+    scratch: Mutex<ScratchVocab>,
+}
+
+impl QuerySession {
+    /// Tokenize and segment a raw query string under `kn`.
+    fn segment(&self, kn: &Knowledge, cfg: &SimConfig, text: &str) -> SegRecord {
+        let toks = au_text::tokenize::tokenize(text, &kn.tokenize);
+        // The overlay lock covers interning + a tiny per-query snapshot
+        // only; segmentation (the expensive part) runs outside it, so
+        // concurrent queries don't serialize.
+        let (ids, snap) = {
+            let mut scratch = relock(&self.scratch);
+            let ids: Vec<TokenId> = toks.iter().map(|t| scratch.intern(&kn.vocab, t)).collect();
+            let snap = scratch.snapshot(&ids);
+            (ids, snap)
+        };
+        segment_record_with(kn, cfg, &ids, &|span| snap.join(&kn.vocab, span))
+    }
+
+    /// Segment pre-tokenized ids (vocabulary ids, or overlay ids this
+    /// session minted earlier).
+    fn segment_tokens(&self, kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> SegRecord {
+        let snap = relock(&self.scratch).snapshot(tokens);
+        segment_record_with(kn, cfg, tokens, &|span| snap.join(&kn.vocab, span))
+    }
+}
+
 /// The engine-independent guts of a search session: selected artifacts
 /// plus the per-session mutable scratch (overlap counter, verification
 /// pool, OOV overlay). Shared by the borrowing [`Searcher`] and the
@@ -2082,8 +2164,7 @@ struct SearchCore {
     sel: Arc<SelectedSignatures>,
     index: Arc<CsrIndex>,
     counter: Mutex<OverlapCounter>,
-    pool: Mutex<Vec<VerifyScratch>>,
-    scratch: Mutex<ScratchVocab>,
+    session: QuerySession,
 }
 
 impl SearchCore {
@@ -2096,17 +2177,7 @@ impl SearchCore {
         prepared: &Prepared,
         text: &str,
     ) -> SearchOutcome {
-        let toks = au_text::tokenize::tokenize(text, &kn.tokenize);
-        // The overlay lock covers interning + a tiny per-query snapshot
-        // only; segmentation (the expensive part) runs outside it, so
-        // concurrent queries don't serialize.
-        let (ids, snap) = {
-            let mut scratch = relock(&self.scratch);
-            let ids: Vec<TokenId> = toks.iter().map(|t| scratch.intern(&kn.vocab, t)).collect();
-            let snap = scratch.snapshot(&ids);
-            (ids, snap)
-        };
-        let sr = segment_record_with(kn, cfg, &ids, &|span| snap.join(&kn.vocab, span));
+        let sr = self.session.segment(kn, cfg, text);
         self.query_seg(kn, cfg, prepared, &sr)
     }
 
@@ -2119,8 +2190,7 @@ impl SearchCore {
         prepared: &Prepared,
         tokens: &[TokenId],
     ) -> SearchOutcome {
-        let snap = relock(&self.scratch).snapshot(tokens);
-        let sr = segment_record_with(kn, cfg, tokens, &|span| snap.join(&kn.vocab, span));
+        let sr = self.session.segment_tokens(kn, cfg, tokens);
         self.query_seg(kn, cfg, prepared, &sr)
     }
 
@@ -2141,7 +2211,7 @@ impl SearchCore {
                 levels: &self.sel.levels,
                 index: &self.index,
                 counter: &self.counter,
-                pool: &self.pool,
+                pool: &self.session.pool,
                 tier0: &prepared.tier0,
             },
             sr,

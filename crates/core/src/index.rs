@@ -317,6 +317,15 @@ fn tier0_upper_bound(ns: u32, mps: u32, nt: u32, mpt: u32) -> f64 {
     }
 }
 
+/// The in-probe compatibility decision on two records' tier-0 integers
+/// `(n_tokens, min_partition)`: false when the pair's tier-0 bound is
+/// already below `min_sim` (`θ − ε`). The one formula behind the indexed
+/// probe's first-touch reject and the filterless scan's row screen.
+#[inline]
+pub(crate) fn tier0_compatible(probe: (u32, u32), rec: (u32, u32), min_sim: f64) -> bool {
+    tier0_upper_bound(probe.0, probe.1, rec.0, rec.1) >= min_sim
+}
+
 impl OverlapCounter {
     /// Counter for an indexed side of `n_records` records.
     pub fn new(n_records: usize) -> Self {
@@ -375,7 +384,6 @@ impl OverlapCounter {
         let mut stats = ProbeStats::default();
         let epoch = self.epoch;
         let m = keys.len();
-        let (ns, mps) = compat.probe_tier0;
         for (i, &key) in keys.iter().enumerate() {
             let Some(mut list) = index.get(key) else {
                 continue;
@@ -398,11 +406,10 @@ impl OverlapCounter {
                 }
                 self.stamps[bi] = epoch;
                 self.counts[bi] = 1;
-                let (nt, mpt) = compat.tier0[bi];
-                if tier0_upper_bound(ns, mps, nt, mpt) < compat.min_sim {
-                    stats.compat_rejected += 1;
-                } else {
+                if tier0_compatible(compat.probe_tier0, compat.tier0[bi], compat.min_sim) {
                     self.touched.push(b);
+                } else {
+                    stats.compat_rejected += 1;
                 }
             }
         }

@@ -11,6 +11,7 @@ use au_text::record::{Corpus, Record, RecordId};
 use au_text::tokenize::{tokenize, TokenizeConfig};
 use au_text::{PhraseId, PhraseTable, TokenId, Vocab};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Mint for [`Knowledge::generation`] ids: one per build *and* per
 /// vocabulary mutation, so two clones that diverge after the fork can
@@ -33,18 +34,29 @@ fn mint_generation() -> u64 {
 /// Build with [`KnowledgeBuilder`]; add records at any time with
 /// [`Knowledge::add_record`] (records only touch the vocabulary, never the
 /// taxonomy/synonym structure).
+///
+/// **Clone cost.** The four knowledge sources are frozen by
+/// [`KnowledgeBuilder::build`] and shared by `Arc`; the vocabulary shares
+/// its sealed core the same way ([`Vocab`]). A clone therefore costs four
+/// reference-count bumps plus a copy of the tokens interned since the
+/// vocabulary was last sealed (and of the built-in `corpus`) — independent
+/// of how many rules, taxonomy nodes or sealed tokens the context holds.
+/// [`KnowledgeBuilder::build`] and [`Knowledge::corpus_from_lines`] seal;
+/// the per-line [`Knowledge::push_line`] / [`Knowledge::add_record`] do
+/// not (call `kn.vocab.seal()` after a batch of them, before taking
+/// clones that should be cheap).
 #[derive(Debug, Clone)]
 pub struct Knowledge {
-    /// Token interner + document frequencies.
+    /// Token interner.
     pub vocab: Vocab,
     /// Phrase interner (rule sides, entity names).
-    pub phrases: PhraseTable,
+    pub phrases: Arc<PhraseTable>,
     /// IS-A hierarchy.
-    pub taxonomy: Taxonomy,
+    pub taxonomy: Arc<Taxonomy>,
     /// Phrase → taxonomy node mapping.
-    pub entities: EntityDict,
+    pub entities: Arc<EntityDict>,
     /// Synonym rules.
-    pub synonyms: SynonymSet,
+    pub synonyms: Arc<SynonymSet>,
     /// Default corpus for one-off similarity calls and the examples.
     pub corpus: Corpus,
     /// Tokenizer settings shared by all record ingestion.
@@ -57,13 +69,10 @@ pub struct Knowledge {
     /// if one reuses the other's freed memory. The verification engine
     /// keys its cross-candidate memo on this to rule out stale hits.
     ///
-    /// Caveat: the knowledge sources above are `pub` (the read API lives
-    /// on them), so a caller *can* mutate e.g. `kn.synonyms` in place
-    /// without the generation changing. The supported workflow is
+    /// The knowledge sources above are `pub` for their read API only:
+    /// they are shared between clones, so the supported workflow is
     /// build-then-read — assemble rules/taxonomy through
-    /// [`KnowledgeBuilder`] and rebuild when they change; mutating the
-    /// sources of a built context directly invalidates any verification
-    /// scratch warmed against it.
+    /// [`KnowledgeBuilder`] and rebuild when they change.
     pub(crate) generation: u64,
 }
 
@@ -116,13 +125,15 @@ impl Knowledge {
     }
 
     /// Tokenize a standalone string into a fresh corpus sharing this
-    /// knowledge's vocabulary.
+    /// knowledge's vocabulary. Seals the vocabulary once the batch is in,
+    /// so clones taken afterwards are cheap.
     pub fn corpus_from_lines<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) -> Corpus {
         self.remint_generation();
         let mut c = Corpus::new();
         for l in lines {
             c.push_str(l, &mut self.vocab, &self.tokenize);
         }
+        self.vocab.seal();
         c
     }
 
@@ -308,14 +319,16 @@ impl KnowledgeBuilder {
         self.taxonomy.len()
     }
 
-    /// Freeze into a [`Knowledge`].
-    pub fn build(self) -> Knowledge {
+    /// Freeze into a [`Knowledge`]: the sources go behind `Arc`s and the
+    /// vocabulary is sealed, so every later clone shares them.
+    pub fn build(mut self) -> Knowledge {
+        self.vocab.seal();
         Knowledge {
             vocab: self.vocab,
-            phrases: self.phrases,
-            taxonomy: self.taxonomy.build(),
-            entities: self.entities,
-            synonyms: self.synonyms,
+            phrases: Arc::new(self.phrases),
+            taxonomy: Arc::new(self.taxonomy.build()),
+            entities: Arc::new(self.entities),
+            synonyms: Arc::new(self.synonyms),
             corpus: Corpus::new(),
             tokenize: self.tokenize,
             generation: mint_generation(),
@@ -403,8 +416,8 @@ mod tests {
 
     #[test]
     fn push_line_streams_identically_to_corpus_from_lines() {
-        // The streaming API must evolve the vocabulary (ids, doc freqs)
-        // and the corpus exactly as the batch API does — datagen relies
+        // The streaming API must evolve the vocabulary (ids) and the
+        // corpus exactly as the batch API does — datagen relies
         // on this to stream large corpora without changing a byte.
         let lines = [
             "espresso cafe Helsinki",
@@ -429,7 +442,6 @@ mod tests {
         for w in ["espresso", "cafe", "latte", "gateau"] {
             let tid = batch_kn.vocab.get(w).unwrap();
             assert_eq!(Some(tid), stream_kn.vocab.get(w));
-            assert_eq!(batch_kn.vocab.doc_freq(tid), stream_kn.vocab.doc_freq(tid));
         }
     }
 

@@ -34,7 +34,7 @@ pub mod topk;
 pub mod usim;
 
 pub use config::{GramMeasure, MeasureSet, SimConfig};
-pub use engine::{Engine, JoinSpec, Prepared, ProbeSpec, Searcher, SnapshotSearcher};
+pub use engine::{Engine, JoinSpec, Prepared, ProbeSpec, QuerySession, Searcher, SnapshotSearcher};
 pub use error::AuError;
 pub use index::{CsrIndex, OverlapCounter, RecordKeys};
 pub use knowledge::{Knowledge, KnowledgeBuilder};

@@ -19,11 +19,11 @@
 //! consistent total order — `(frequency, key)` is one.
 
 use crate::config::SimConfig;
-use crate::engine::JoinSpec;
-use crate::index::{CompatBound, CsrIndex, OverlapCounter};
+use crate::engine::{relock, JoinSpec};
+use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter};
 use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles, PebbleKey, PebbleOrder};
-
+use crate::segment::SegRecord;
 use crate::signature::select_signature;
 use crate::usim::{Verifier, VerifyScratch};
 use std::sync::Mutex;
@@ -34,23 +34,35 @@ pub struct SearchOutcome {
     /// `(record id, USIM)` of every record with similarity ≥ θ, sorted by
     /// descending similarity (ties by ascending id).
     pub matches: Vec<(u32, f64)>,
-    /// Candidates that reached verification (≥ τ pebble overlaps).
+    /// Candidates that reached verification (≥ τ pebble overlaps; for a
+    /// filterless [`crate::engine::Engine::scan`], every row that passed
+    /// the tier-0 bound).
     pub candidates: u64,
-    /// Posting entries touched while counting overlaps.
+    /// Posting entries touched while counting overlaps (0 for a scan).
     pub processed: u64,
-    /// Records rejected in-probe by the tier-0 compatibility bound
-    /// ([`crate::index::ProbeStats::compat_rejected`]).
+    /// Records rejected by the tier-0 compatibility bound before
+    /// verification ([`crate::index::ProbeStats::compat_rejected`]).
     pub compat_rejected: u64,
 }
 
-/// Everything one query evaluation needs, borrowed from the session that
-/// owns the artifacts ([`crate::engine::Searcher`]).
+/// What the verification half of a query needs, indexed or scanned.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerifyEnv<'a> {
+    pub kn: &'a Knowledge,
+    pub cfg: &'a SimConfig,
+    pub theta: f64,
+    pub parallel: bool,
+    pub pool: &'a Mutex<Vec<VerifyScratch>>,
+}
+
+/// Everything one indexed query evaluation needs, borrowed from the
+/// session that owns the artifacts ([`crate::engine::Searcher`]).
 #[derive(Debug)]
 pub(crate) struct QueryEnv<'a> {
     pub kn: &'a Knowledge,
     pub cfg: &'a SimConfig,
     pub spec: &'a JoinSpec,
-    pub segrecs: &'a [crate::segment::SegRecord],
+    pub segrecs: &'a [SegRecord],
     pub order: &'a PebbleOrder,
     pub levels: &'a [u32],
     pub index: &'a CsrIndex,
@@ -62,9 +74,9 @@ pub(crate) struct QueryEnv<'a> {
 }
 
 /// One query against a prepared collection: signature selection for the
-/// query record, CSR overlap probe, tiered verification. The single
-/// audited implementation behind the search front end.
-pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> SearchOutcome {
+/// query record and the CSR overlap probe produce the candidate rows,
+/// [`verify_rows`] decides them.
+pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
     let mut pebbles = generate_pebbles(env.kn, env.cfg, sr);
     env.order.sort(&mut pebbles);
     let choice = select_signature(
@@ -85,7 +97,7 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
         let mut distinct: Vec<PebbleKey> = pebbles[..choice.len].iter().map(|p| p.key).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut ctr = env.counter.lock().expect("search counter poisoned");
+        let mut ctr = relock(env.counter);
         let mut out = Vec::new();
         let stats = ctr.probe(
             env.index,
@@ -103,56 +115,95 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &crate::segment::SegRecord) -> S
         );
         (out, stats)
     };
-    let theta = env.spec.theta;
-    // Same probe-grouped cascade engine as the joins, deterministic
-    // either way: the *query* is the probe record of every candidate, so
-    // one run covers the whole candidate list and the probe-side posting
-    // view is built once per worker fragment. Scratches come from the
-    // session's pool — the msim memo warms across the query *stream*
-    // (serial and parallel alike; workers check scratches out in `init`
-    // and return them in `drain`), and the pool lock is never held
-    // during verification.
-    let engine = Verifier::new(env.kn, env.cfg);
-    let mut matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
-        &candidates,
-        env.spec.parallel,
-        |_| 0,
-        || {
-            env.pool
-                .lock()
-                .expect("search pool poisoned")
-                .pop()
-                .unwrap_or_default()
-        },
-        |scr, _| engine.begin_probe(sr, scr),
-        |scr, &rid| {
-            let sim = engine.probed_sim_at_least(sr, &env.segrecs[rid as usize], theta, scr);
-            (sim >= theta - env.cfg.eps).then_some((rid, sim))
-        },
-        |scr| {
-            env.pool
-                .lock()
-                .expect("search pool poisoned")
-                .push(std::mem::take(scr));
-        },
-    );
-    matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let verify = VerifyEnv {
+        kn: env.kn,
+        cfg: env.cfg,
+        theta: env.spec.theta,
+        parallel: env.spec.parallel,
+        pool: env.pool,
+    };
     SearchOutcome {
-        matches,
+        matches: verify_rows(&verify, sr, &candidates, |rid| &env.segrecs[rid as usize]),
         candidates: candidates.len() as u64,
         processed: probe_stats.processed,
         compat_rejected: probe_stats.compat_rejected,
     }
 }
 
+/// One query against `rows` with no filter at all: every row whose tier-0
+/// bound can still reach θ is a candidate, and [`verify_rows`] — the same
+/// verification the indexed path ends in — decides it. Similarity is a
+/// pure function of the pair, so `matches` equal [`run_query`]'s over the
+/// same records bit for bit (the index only ever *removes* non-matches);
+/// the price is verification work linear in `rows.len()`, which is why
+/// this serves small append-only segments and nothing else.
+pub(crate) fn run_scan(env: &VerifyEnv<'_>, rows: &[&SegRecord], sr: &SegRecord) -> SearchOutcome {
+    let probe_tier0 = (sr.n_tokens() as u32, sr.min_partition);
+    let candidates: Vec<u32> = (0..rows.len() as u32)
+        .filter(|&i| {
+            let row = rows[i as usize];
+            let tier0 = (row.n_tokens() as u32, row.min_partition);
+            tier0_compatible(probe_tier0, tier0, env.theta - env.cfg.eps)
+        })
+        .collect();
+    SearchOutcome {
+        matches: verify_rows(env, sr, &candidates, |i| rows[i as usize]),
+        candidates: candidates.len() as u64,
+        processed: 0,
+        compat_rejected: (rows.len() - candidates.len()) as u64,
+    }
+}
+
+/// The verification half of every query, indexed or scanned: the *query*
+/// is the probe record of every candidate, so one probe-grouped run of the
+/// joins' cascade engine covers the whole list and the probe-side posting
+/// view is built once per worker fragment. Scratches come from the
+/// session's pool — the msim memo warms across the query *stream* (serial
+/// and parallel alike; workers check scratches out in `init` and return
+/// them in `drain`), and the pool lock is never held during verification.
+/// Returns the accepted `(row, similarity)` pairs under the global
+/// contract: descending similarity, ties by ascending row. Deterministic
+/// whatever the thread count.
+fn verify_rows<'r>(
+    env: &VerifyEnv<'_>,
+    sr: &SegRecord,
+    candidates: &[u32],
+    rec: impl Fn(u32) -> &'r SegRecord + Sync,
+) -> Vec<(u32, f64)> {
+    let VerifyEnv {
+        kn,
+        cfg,
+        theta,
+        parallel,
+        pool,
+    } = *env;
+    let engine = Verifier::new(kn, cfg);
+    let mut matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
+        candidates,
+        parallel,
+        |_| 0,
+        || relock(pool).pop().unwrap_or_default(),
+        |scr, _| engine.begin_probe(sr, scr),
+        |scr, &rid| {
+            let sim = engine.probed_sim_at_least(sr, rec(rid), theta, scr);
+            (sim >= theta - cfg.eps).then_some((rid, sim))
+        },
+        |scr| relock(pool).push(std::mem::take(scr)),
+    );
+    matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    matches
+}
+
 #[cfg(test)]
 mod tests {
     use crate::config::SimConfig;
-    use crate::engine::{Engine, JoinSpec};
+    use crate::engine::{Engine, JoinSpec, QuerySession};
     use crate::join::brute_force_join;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::segment::{segment_record, SegRecord};
     use crate::signature::FilterKind;
-    use au_text::record::Corpus;
+    use au_text::record::{Corpus, RecordId};
+    use proptest::prelude::*;
 
     fn setup() -> (Knowledge, Corpus) {
         let mut b = KnowledgeBuilder::new();
@@ -253,6 +304,123 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "q={qi}");
         }
+    }
+
+    /// `Engine::scan` against `Searcher::query` over the same records:
+    /// identical `matches` (rows, order, similarity bits); the scan's
+    /// `candidates` are exactly the rows the tier-0 bound admits, a
+    /// superset of what the index lets through.
+    fn assert_scan_equals_index(lines: &[String], queries: &[String]) {
+        let mut kn = scan_knowledge();
+        let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        let cfg = SimConfig::default();
+        // The queries are interned on a *clone*: the engine's vocabulary
+        // never sees them (so their unknown words take the overlay path),
+        // while the test can still segment them for the tier-0 count.
+        let mut kn_q = kn.clone();
+        let qc = kn_q.corpus_from_lines(queries.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).expect("valid config");
+        let pt = engine.prepare(&t).expect("prepare");
+        let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+        for theta in [0.5, 0.7, 0.9] {
+            for parallel in [false, true] {
+                let spec = JoinSpec::threshold(theta).au_dp(2).parallel(parallel);
+                let searcher = engine.searcher(&pt, &spec).expect("searcher");
+                let session = QuerySession::default();
+                for (qi, q) in queries.iter().enumerate() {
+                    let indexed = searcher.query(q);
+                    let scanned = engine.scan(&session, &rows, q, &spec);
+                    let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                        m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&scanned.matches),
+                        bits(&indexed.matches),
+                        "θ={theta} parallel={parallel} q={q:?}"
+                    );
+                    let sq = segment_record(&kn_q, &cfg, &qc.get(RecordId(qi as u32)).tokens);
+                    let admitted = rows
+                        .iter()
+                        .filter(|r| {
+                            let n = sq.n_tokens().min(r.n_tokens()) as f64;
+                            n / sq.min_partition.max(r.min_partition) as f64 >= theta - cfg.eps
+                        })
+                        .count() as u64;
+                    assert_eq!(scanned.candidates, admitted, "θ={theta} q={q:?}");
+                    assert_eq!(scanned.compat_rejected, rows.len() as u64 - admitted);
+                    assert_eq!(scanned.processed, 0, "a scan reads no postings");
+                    assert!(indexed.candidates <= scanned.candidates);
+                }
+            }
+        }
+    }
+
+    /// The knowledge and word pool of `tests/property_based.rs`, plus two
+    /// query-only words no record ever contains.
+    fn scan_knowledge() -> Knowledge {
+        let mut kb = KnowledgeBuilder::new();
+        kb.synonym("coffee shop", "cafe", 1.0);
+        kb.synonym("tea house", "tearoom", 0.9);
+        kb.taxonomy_path(&["root", "drinks", "coffee", "latte"]);
+        kb.taxonomy_path(&["root", "drinks", "coffee", "espresso"]);
+        kb.taxonomy_path(&["root", "food", "cake", "apple cake"]);
+        kb.build()
+    }
+
+    const WORDS: [&str; 15] = [
+        "coffee",
+        "shop",
+        "cafe",
+        "latte",
+        "espresso",
+        "helsinki",
+        "helsingki",
+        "cake",
+        "apple",
+        "tea",
+        "house",
+        "bar",
+        "corner",
+        "grande",
+        "small",
+    ];
+
+    fn text_strategy(words: Vec<&'static str>, max: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(prop::sample::select(words), 1..=max).prop_map(|v| v.join(" "))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn scan_equals_indexed_search(
+            lines in prop::collection::vec(text_strategy(WORDS.to_vec(), 6), 1..40),
+            queries in prop::collection::vec(
+                text_strategy([&WORDS[..], &["lattte", "zanzibar"]].concat(), 6),
+                1..6,
+            ),
+        ) {
+            assert_scan_equals_index(&lines, &queries);
+        }
+    }
+
+    /// The same equivalence past [`crate::parallel::MIN_PARALLEL_ITEMS`]
+    /// candidates, where `parallel(true)` really fans out.
+    #[test]
+    fn scan_equals_indexed_search_when_verification_fans_out() {
+        let mut x = 0x9e37_79b9_u32;
+        let mut word = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            WORDS[(x >> 16) as usize % WORDS.len()]
+        };
+        let lines: Vec<String> = (0..600)
+            .map(|i| (0..3 + i % 3).map(|_| word()).collect::<Vec<_>>().join(" "))
+            .collect();
+        let queries = [
+            "coffee shop latte helsinki".to_string(),
+            "tea house zanzibar".to_string(),
+        ];
+        assert_scan_equals_index(&lines, &queries);
     }
 
     #[test]

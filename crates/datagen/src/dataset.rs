@@ -180,6 +180,10 @@ impl LabeledDataset {
             kn.push_line(&mut t, &sk.render(&blueprint));
         }
         drop(planted_t);
+        // Every line is in: fold the streamed tokens into the vocabulary's
+        // shared core, so the engines, services and harnesses that clone
+        // `kn` from here on copy nothing of it.
+        kn.vocab.seal();
         // Label every planted pair with its actual unified similarity so
         // consumers can score θ-joins against [`Self::truth_at`]. Runs
         // over the shared parallel layer (deterministic output) — the

@@ -5,15 +5,24 @@
 //! one join at a time; this crate turns it into a *service*:
 //!
 //! * [`Service`] owns an atomically-swappable [`Snapshot`] — an
-//!   immutable base `Prepared` plus one small sealed delta segment —
-//!   and serves `search` / `topk` / `join_window` traffic from any
-//!   number of threads.
+//!   immutable, indexed base `Prepared` plus a small append-only delta
+//!   of already-segmented rows — and serves `search` / `topk` /
+//!   `join_window` traffic from any number of threads. The delta has no
+//!   filter: a read *scans* it ([`au_core::engine::Engine::scan`]),
+//!   verifying every row the tier-0 bound admits with the same verifier
+//!   the base's candidates end in.
 //! * Mutations ([`Service::insert_record`] / [`Service::delete_record`])
-//!   append to the delta segment and tombstone set under a single writer
-//!   lock, then publish a fresh snapshot (one `Arc` swap) minting a new
-//!   knowledge generation through the same process-wide counter as
-//!   every other engine artifact — a compact-then-shard interleaving can
-//!   never collide generations.
+//!   run under a single writer lock and publish a fresh snapshot (one
+//!   `Arc` swap) that shares everything it did not change: an insert
+//!   segments its one record and appends the row, a delete adds one
+//!   tombstone and touches no segment. An acknowledged write therefore
+//!   costs one fsync plus one record's segmentation, whatever the size
+//!   of the knowledge base or the delta
+//!   ([`ServeStats::records_prepared`]); what remains is a read-side
+//!   cost linear in [`ServeConfig::compact_threshold`]. Every publish
+//!   mints a new knowledge generation through the same process-wide
+//!   counter as every other engine artifact — a compact-then-shard
+//!   interleaving can never collide generations.
 //! * A background [`Compactor`] (or an explicit [`Service::compact`])
 //!   folds the delta and tombstones into a fresh monolithic base,
 //!   after which query results are byte-identical to a from-scratch

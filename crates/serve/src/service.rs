@@ -2,7 +2,7 @@
 
 use crate::admission::{Admission, AdmissionStats, Permit};
 use crate::error::ServeError;
-use crate::snapshot::{DeltaSegment, JoinWindowResponse, SearchResponse, Snapshot, TopkResponse};
+use crate::snapshot::{DeltaRow, JoinWindowResponse, SearchResponse, Snapshot, TopkResponse};
 use crate::storage::{FileStorage, Storage};
 use crate::tombstone::TombstoneSet;
 use crate::wal::{RetryPolicy, Wal, WalOp, WalStats};
@@ -18,9 +18,10 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Recover a poisoned mutex: every structure under these locks is valid
-/// after any partial operation (worst case: a mutation half-applied to
-/// the writer state is simply republished by the next mutation), so the
-/// service keeps serving instead of propagating panics across requests.
+/// after any partial operation (the writer state is the knowledge
+/// lineage, the id watermark and the log; what readers see lives in the
+/// published snapshot, which is only ever replaced whole), so the service
+/// keeps serving instead of propagating panics across requests.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -123,6 +124,13 @@ pub struct ServeConfig {
     /// Auto-compact once the delta segment reaches this many records
     /// (0 = compact only on [`Service::compact`] / the background
     /// [`crate::Compactor`]).
+    ///
+    /// The delta segment has no filter: a write appends one segmented
+    /// row and touches nothing else, and a read verifies every delta row
+    /// that passes the tier-0 bound. So the threshold is the bound on what
+    /// a read pays for the delta — ≈ 1.7 µs per delta record, linear in
+    /// this value — where an indexed delta made every *write* pay ≈ 130 µs
+    /// per delta record to rebuild the index.
     pub compact_threshold: usize,
     /// Max concurrently executing requests before
     /// [`ServeError::Overloaded`] (0 = unbounded).
@@ -190,6 +198,11 @@ pub struct ServeStats {
     pub deletes: u64,
     /// Compactions performed.
     pub compactions: u64,
+    /// Records segmented by this service so far: base builds (create,
+    /// open, compaction) count every record they prepare, an insert
+    /// counts one, a delete none. Monotone; the deterministic statement
+    /// of "a write costs one record's segmentation".
+    pub records_prepared: u64,
     /// Duration of the most recent compaction in nanoseconds (the
     /// "compaction pause" — though reads never block on it; only
     /// writers queue behind the writer lock).
@@ -211,22 +224,45 @@ pub struct ServeStats {
 
 /// Mutable state owned by the single writer path (mutations and
 /// compaction). Readers never touch this — they only clone the
-/// published snapshot `Arc`.
+/// published snapshot `Arc`. The delta rows and tombstones are *not*
+/// duplicated here: the published snapshot is their one copy, and only
+/// the holder of this lock replaces it.
 #[derive(Debug)]
 struct WriterState {
     /// The service's private knowledge lineage. Delta inserts intern
     /// into *this* vocabulary; the engines inside published snapshots
-    /// each hold their own clone, so no shared `Knowledge` is ever
-    /// mutated mid-generation.
+    /// each hold their own (cheap) clone, so no shared `Knowledge` is
+    /// ever mutated mid-generation.
     kn: Knowledge,
-    delta_corpus: Corpus,
-    delta_ids: Vec<u64>,
-    tombstones: TombstoneSet,
     next_id: u64,
     /// The write-ahead log, when this service is durable. Every
     /// mutation commits here (append + sync) *before* it is applied in
     /// memory or acknowledged — the WAL offset is the commit point.
     wal: Option<Wal>,
+}
+
+/// Prepare a base segment over `corpus` and wrap it in a snapshot at
+/// `generation` with no delta and no tombstones. This is where the
+/// O(|knowledge|) steps of the service live: the vocabulary is sealed
+/// first, so the base engine's knowledge copy — and every per-insert copy
+/// until the next base build — shares all of it.
+fn base_snapshot(
+    kn: &mut Knowledge,
+    cfg: &ServeConfig,
+    corpus: Corpus,
+    ids: Vec<u64>,
+    generation: u64,
+) -> Result<Snapshot, ServeError> {
+    kn.vocab.seal();
+    let engine = Arc::new(Engine::new(kn.clone(), cfg.sim)?);
+    let prepared = Arc::new(
+        engine
+            .prepare_owned(corpus)?
+            .with_memo_capacity(cfg.memo_capacity),
+    );
+    let spec = cfg.spec();
+    let base_search = Engine::snapshot_searcher(engine, prepared, &spec)?;
+    Ok(Snapshot::of_base(generation, ids, base_search, spec))
 }
 
 /// A concurrent serving session over one evolving corpus.
@@ -260,6 +296,7 @@ pub struct Service {
     inserts: AtomicU64,
     deletes: AtomicU64,
     compactions: AtomicU64,
+    records_prepared: AtomicU64,
     last_compact_nanos: AtomicU64,
     /// Sticky degraded flag: set (under the writer lock) when a WAL
     /// commit exhausts its retries, cleared only by a successful
@@ -281,17 +318,13 @@ impl Service {
     ) -> Result<Self, ServeError> {
         let corpus = kn.corpus_from_lines(lines);
         let n = corpus.len() as u64;
-        let (generation, snapshot) =
-            Self::base_snapshot(&kn, &cfg, corpus, (0..n).collect(), kn.generation())?;
+        let generation = kn.generation();
+        let snapshot = base_snapshot(&mut kn, &cfg, corpus, (0..n).collect(), generation)?;
         Ok(Self::from_parts(
             cfg,
-            generation,
             snapshot,
             WriterState {
                 kn,
-                delta_corpus: Corpus::new(),
-                delta_ids: Vec::new(),
-                tombstones: TombstoneSet::new(),
                 next_id: n,
                 wal: None,
             },
@@ -399,17 +432,13 @@ impl Service {
                 .map_err(|e| wal_error("create", &e))?;
             let corpus = kn.corpus_from_lines(lines.iter().copied());
             let n = corpus.len() as u64;
-            let (generation, snapshot) =
-                Self::base_snapshot(&kn, &cfg, corpus, (0..n).collect(), kn.generation())?;
+            let generation = kn.generation();
+            let snapshot = base_snapshot(&mut kn, &cfg, corpus, (0..n).collect(), generation)?;
             return Ok(Self::from_parts(
                 cfg,
-                generation,
                 snapshot,
                 WriterState {
                     kn,
-                    delta_corpus: Corpus::new(),
-                    delta_ids: Vec::new(),
-                    tombstones: TombstoneSet::new(),
                     next_id: n,
                     wal: Some(wal),
                 },
@@ -424,92 +453,61 @@ impl Service {
         let generation = kn.remint_generation();
         let mut base_corpus = Corpus::new();
         let mut base_ids = Vec::new();
-        let mut delta_corpus = Corpus::new();
-        let mut delta_ids = Vec::new();
-        for (i, rec) in replay.corpus.records().iter().enumerate() {
-            if i < replay.base_upto {
-                if replay.alive[i] {
-                    base_corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
-                    base_ids.push(replay.ids[i]);
-                }
-            } else {
-                delta_corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
-                delta_ids.push(replay.ids[i]);
+        let mut delta = Vec::new();
+        for (i, rec) in replay.corpus.into_records().into_iter().enumerate() {
+            if i >= replay.base_upto {
+                delta.push((replay.ids[i], rec));
+            } else if replay.alive[i] {
+                base_corpus.push_tokens(rec.tokens, rec.raw);
+                base_ids.push(replay.ids[i]);
             }
         }
-        let (_, snapshot) = Self::base_snapshot(&kn, &cfg, base_corpus, base_ids, generation)?;
-        let has_delta = !delta_ids.is_empty();
-        let has_tombstones = !replay.tombstones.is_empty();
-        let svc = Self::from_parts(
+        let base = base_snapshot(&mut kn, &cfg, base_corpus, base_ids, generation)?;
+        // The pending delta, segmented row by row exactly as the inserts
+        // that logged it did, and the tombstones set since the last
+        // compaction. The base engine's knowledge already holds every
+        // replayed token, so it is the snapshot's newest engine too.
+        let rows = delta
+            .into_iter()
+            .enumerate()
+            .map(|(pos, (id, rec))| Arc::new(DeltaRow::new(&kn, &cfg.sim, id, pos, rec)))
+            .collect();
+        let snapshot = Snapshot {
+            delta: Arc::new(rows),
+            tombstones: Arc::new(replay.tombstones),
+            ..base
+        };
+        Ok(Self::from_parts(
             cfg,
-            generation,
             snapshot,
             WriterState {
                 kn,
-                delta_corpus,
-                delta_ids,
-                tombstones: replay.tombstones,
                 next_id: replay.next_id,
                 wal: Some(wal),
             },
             degraded,
-        );
-        if has_delta || has_tombstones {
-            // The base snapshot above was published bare; rebuild the
-            // delta segment / tombstone mask the recovered writer state
-            // describes.
-            let mut w = relock(&svc.writer);
-            let republished = svc.republish(&mut w);
-            drop(w);
-            republished?;
-        }
-        Ok(svc)
-    }
-
-    /// Prepare a base segment over `corpus` and wrap it in a published
-    /// snapshot at `generation` with no delta and no tombstones.
-    fn base_snapshot(
-        kn: &Knowledge,
-        cfg: &ServeConfig,
-        corpus: Corpus,
-        ids: Vec<u64>,
-        generation: u64,
-    ) -> Result<(u64, Snapshot), ServeError> {
-        let engine = Arc::new(Engine::new(kn.clone(), cfg.sim)?);
-        let prepared = Arc::new(
-            engine
-                .prepare_owned(corpus)?
-                .with_memo_capacity(cfg.memo_capacity),
-        );
-        let base_search = Arc::new(Engine::snapshot_searcher(engine, prepared, &cfg.spec())?);
-        let snapshot = Snapshot::new(
-            generation,
-            Arc::new(ids),
-            base_search,
-            None,
-            TombstoneSet::new(),
-        );
-        Ok((generation, snapshot))
+        ))
     }
 
     /// Assemble the service value around an already-published snapshot.
     fn from_parts(
         cfg: ServeConfig,
-        generation: u64,
         snapshot: Snapshot,
         writer: WriterState,
         degraded: bool,
     ) -> Self {
+        let prepared = (snapshot.base_len() + snapshot.delta_len()) as u64;
         Self {
             cfg,
+            published_gen: AtomicU64::new(snapshot.generation()),
             current: RwLock::new(Arc::new(snapshot)),
             writer: Mutex::new(writer),
             admission: Admission::new(cfg.max_in_flight),
-            published_gen: AtomicU64::new(generation),
             queries: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            records_prepared: AtomicU64::new(prepared),
             last_compact_nanos: AtomicU64::new(0),
             degraded: AtomicBool::new(degraded),
             degraded_entries: AtomicU64::new(u64::from(degraded)),
@@ -627,19 +625,33 @@ impl Service {
                 return Err(self.enter_degraded("insert", &e));
             }
         }
-        // Commit point passed: apply in memory and acknowledge.
+        // Commit point passed: apply in memory and acknowledge. Nothing
+        // below can fail — the configuration was validated when the
+        // service was constructed — so an operation the log holds is
+        // always published.
         w.next_id = id + 1;
-        // push_line re-mints the knowledge generation through the shared
-        // process-wide mint (see `Knowledge::remint_generation`).
-        let WriterState {
-            kn, delta_corpus, ..
-        } = &mut *w;
-        kn.push_line(delta_corpus, text);
-        w.delta_ids.push(id);
-        let mut generation = self.republish(&mut w)?;
+        let prev = self.snapshot();
+        // Tokenize through the writer lineage (push_line re-mints the
+        // knowledge generation through the shared process-wide mint, see
+        // `Knowledge::remint_generation`) and segment this one record;
+        // the published snapshot is its predecessor plus that row.
+        let mut line = Corpus::new();
+        let rid = w.kn.push_line(&mut line, text);
+        let record = line.get(rid).clone();
+        let mut rows = Vec::with_capacity(prev.delta.len() + 1);
+        rows.extend(prev.delta.iter().cloned());
+        let row = DeltaRow::new(&w.kn, &self.cfg.sim, id, rows.len(), record);
+        rows.push(Arc::new(row));
+        self.count_prepared(1);
+        let mut generation = self.install(Snapshot {
+            generation: w.kn.generation(),
+            engine: Arc::new(prev.engine.with_knowledge(w.kn.clone())),
+            delta: Arc::new(rows),
+            ..Snapshot::clone(&prev)
+        });
         // ordering: Relaxed — statistics counter only.
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.compact_threshold > 0 && w.delta_ids.len() >= self.cfg.compact_threshold {
+        if self.cfg.compact_threshold > 0 && prev.delta.len() + 1 >= self.cfg.compact_threshold {
             // The insert is already durable and acknowledged; a failure
             // of the *compaction's* WAL frame must not retract it. The
             // service degrades (flag set inside) and the receipt stands.
@@ -658,12 +670,10 @@ impl Service {
         if id >= w.next_id {
             return Err(ServeError::UnknownId { id });
         }
-        if w.tombstones.contains(id) {
-            return Err(ServeError::AlreadyDeleted { id });
-        }
-        // An id below next_id that is in neither segment was deleted and
-        // then folded away by a compaction.
-        if !self.snapshot().contains_id(id) {
+        // An id below next_id that is tombstoned — or in neither segment:
+        // deleted and then folded away by a compaction — is gone already.
+        let prev = self.snapshot();
+        if prev.tombstones.contains(id) || !prev.contains_id(id) {
             return Err(ServeError::AlreadyDeleted { id });
         }
         // Validation passed — commit to the log before applying, so the
@@ -673,12 +683,17 @@ impl Service {
                 return Err(self.enter_degraded("delete", &e));
             }
         }
-        w.tombstones.insert(id);
-        // Deletes change no vocabulary, but they do change what a reader
-        // may see — publish under a fresh generation through the same
-        // shared mint as every other engine artifact.
-        w.kn.remint_generation();
-        let generation = self.republish(&mut w)?;
+        // Deletes change no vocabulary and touch no segment, but they do
+        // change what a reader may see — publish the predecessor with one
+        // more tombstone under a fresh generation from the same shared
+        // mint as every other engine artifact.
+        let mut tombstones = TombstoneSet::clone(&prev.tombstones);
+        tombstones.insert(id);
+        let generation = self.install(Snapshot {
+            generation: w.kn.remint_generation(),
+            tombstones: Arc::new(tombstones),
+            ..Snapshot::clone(&prev)
+        });
         // ordering: Relaxed — statistics counter only.
         self.deletes.fetch_add(1, Ordering::Relaxed);
         Ok(Mutation { id, generation })
@@ -691,7 +706,7 @@ impl Service {
     pub fn compact(&self) -> Result<u64, ServeError> {
         let mut w = relock(&self.writer);
         self.check_writable()?;
-        if w.delta_ids.is_empty() && w.tombstones.is_empty() {
+        if self.snapshot().is_compact() {
             return Ok(self.generation());
         }
         self.compact_locked(&mut w)
@@ -706,7 +721,7 @@ impl Service {
         let mut w = relock(&self.writer);
         self.check_writable()?;
         let mut generation = self.generation();
-        if !w.delta_ids.is_empty() || !w.tombstones.is_empty() {
+        if !self.snapshot().is_compact() {
             generation = self.compact_locked(&mut w)?;
         }
         if w.wal.is_some() {
@@ -799,6 +814,8 @@ impl Service {
             deletes: self.deletes.load(Ordering::Relaxed), // ordering: Relaxed — see above
             compactions: self.compactions.load(Ordering::Relaxed), // ordering: Relaxed — see above
             // ordering: Relaxed — see above
+            records_prepared: self.records_prepared.load(Ordering::Relaxed),
+            // ordering: Relaxed — see above
             last_compact_nanos: self.last_compact_nanos.load(Ordering::Relaxed),
             admission: self.admission.stats(),
             // ordering: Relaxed — see above (independent counters).
@@ -812,40 +829,6 @@ impl Service {
     }
 
     // -- publication --------------------------------------------------------
-
-    /// Rebuild the delta segment from the writer state and publish a
-    /// snapshot at the writer's current generation. The base segment is
-    /// reused as-is (its searcher is shared by `Arc` across snapshots).
-    fn republish(&self, w: &mut WriterState) -> Result<u64, ServeError> {
-        let prev = self.snapshot();
-        let delta = if w.delta_corpus.is_empty() {
-            None
-        } else {
-            let engine = Arc::new(Engine::new(w.kn.clone(), self.cfg.sim)?);
-            let prepared = Arc::new(
-                engine
-                    .prepare_owned(w.delta_corpus.clone())?
-                    .with_memo_capacity(self.cfg.memo_capacity),
-            );
-            let search = Arc::new(Engine::snapshot_searcher(
-                engine,
-                prepared,
-                &self.cfg.spec(),
-            )?);
-            Some(DeltaSegment {
-                search,
-                ids: Arc::new(w.delta_ids.clone()),
-            })
-        };
-        let snap = Snapshot::new(
-            w.kn.generation(),
-            prev.base_ids().clone(),
-            prev.base_search().clone(),
-            delta,
-            w.tombstones.clone(),
-        );
-        Ok(self.install(snap))
-    }
 
     /// Rebuild the base from every live record and publish a compacted
     /// snapshot (empty delta, empty tombstones). Record ids survive
@@ -870,27 +853,8 @@ impl Service {
             ids.push(gid);
         }
         let generation = w.kn.remint_generation();
-        let engine = Arc::new(Engine::new(w.kn.clone(), self.cfg.sim)?);
-        let prepared = Arc::new(
-            engine
-                .prepare_owned(corpus)?
-                .with_memo_capacity(self.cfg.memo_capacity),
-        );
-        let base_search = Arc::new(Engine::snapshot_searcher(
-            engine,
-            prepared,
-            &self.cfg.spec(),
-        )?);
-        w.delta_corpus = Corpus::new();
-        w.delta_ids.clear();
-        w.tombstones.clear();
-        let snap = Snapshot::new(
-            generation,
-            Arc::new(ids),
-            base_search,
-            None,
-            TombstoneSet::new(),
-        );
+        let snap = base_snapshot(&mut w.kn, &self.cfg, corpus, ids, generation)?;
+        self.count_prepared(snap.base_len());
         let gen = self.install(snap);
         // ordering: Relaxed — statistics counter only.
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -899,6 +863,14 @@ impl Service {
         // control flow or memory visibility from the pause duration.
         self.last_compact_nanos.store(pause, Ordering::Relaxed);
         Ok(gen)
+    }
+
+    fn count_prepared(&self, records: usize) {
+        let n = records as u64;
+        // ordering: Relaxed — statistics counter only; every increment
+        // happens under the writer lock, and readers of `stats()` are
+        // promised no consistent cut across counters.
+        self.records_prepared.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The single point where a snapshot becomes visible: one pointer
@@ -1011,6 +983,91 @@ mod tests {
                 "served ≠ monolithic for {q:?}"
             );
         }
+    }
+
+    /// Records whose tokens the base vocabulary has never seen travel
+    /// through the cheap-clone vocabulary (tail ids on the writer lineage,
+    /// copied into each insert's engine) — and must be found by exact
+    /// text, through grams (a typo) and through the knowledge sources,
+    /// live, compacted and recovered alike.
+    #[test]
+    fn new_words_are_served_through_the_cheap_clone_vocabulary() {
+        use crate::storage::MemStorage;
+        fn kn() -> Knowledge {
+            let mut b = KnowledgeBuilder::new();
+            b.synonym("coffee shop", "cafe", 1.0);
+            b.taxonomy_path(&["food", "coffee", "latte"]);
+            b.taxonomy_path(&["food", "coffee", "espresso"]);
+            b.build()
+        }
+        let mem = MemStorage::new();
+        let s = Service::create_with(kn(), LINES, cfg(), Box::new(mem.clone())).unwrap();
+        let base_vocab = s.snapshot().knowledge().vocab.len();
+        let inserted = [
+            "zanzibar latte kiosk wharf",
+            "cafe quixotic mezzanine",
+            // repeats tokens an earlier insert of the same delta introduced
+            "wharf kiosk quixotic annex",
+        ];
+        let ids: Vec<u64> = inserted
+            .iter()
+            .map(|t| s.insert_record(t).unwrap().id)
+            .collect();
+        let snap = s.snapshot();
+        assert_eq!(
+            snap.knowledge().vocab.len(),
+            base_vocab + 6,
+            "zanzibar kiosk wharf quixotic mezzanine annex — each interned once"
+        );
+        assert_eq!(
+            snap.base_search.engine().knowledge().vocab.len(),
+            base_vocab,
+            "the base engine's copy never sees the delta's words"
+        );
+
+        let queries = [
+            // exact text
+            (inserted[0], Some(ids[0])),
+            (inserted[1], Some(ids[1])),
+            (inserted[2], Some(ids[2])),
+            // one-character typo in a new word: the gram path
+            ("zanzibar latte kiosk wharv", Some(ids[0])),
+            ("cafe quixotik mezzanine", Some(ids[1])),
+            // a synonym / taxonomy neighbour of a known token beside new ones
+            ("coffee shop quixotic mezzanine", Some(ids[1])),
+            ("zanzibar espresso kiosk wharf", Some(ids[0])),
+            // base traffic and words nobody has
+            ("coffee shop downtown main street", Some(0)),
+            ("xylophone zeppelin", None),
+        ];
+        let bits = |m: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            m.into_iter().map(|(id, sim)| (id, sim.to_bits())).collect()
+        };
+        let check = |svc: &Service, stage: &str| {
+            let snap = svc.snapshot();
+            for (q, best) in queries {
+                let served = svc.search(q).unwrap().matches;
+                assert_eq!(
+                    served.first().map(|m| m.0),
+                    best,
+                    "{stage}: best hit for {q:?}"
+                );
+                assert_eq!(
+                    bits(served),
+                    bits(reference_search(&snap, svc.config(), q)),
+                    "{stage}: served ≠ monolithic for {q:?}"
+                );
+            }
+        };
+        check(&s, "delta");
+        s.compact().unwrap();
+        check(&s, "compacted");
+        s.insert_record("annex mezzanine zanzibar").unwrap();
+        check(&s, "compacted + delta");
+        drop(s);
+        let reopened =
+            Service::open_with(kn(), cfg(), Box::new(MemStorage::with_bytes(mem.bytes()))).unwrap();
+        check(&reopened, "reopened");
     }
 
     #[test]

@@ -1,22 +1,45 @@
-//! Immutable serving snapshots: base segment + sealed delta + tombstones.
+//! Immutable serving snapshots: base segment + append-only delta rows +
+//! tombstones.
 
 use crate::error::ServeError;
 use crate::tombstone::TombstoneSet;
-use au_core::engine::{Engine, JoinSpec, SnapshotSearcher};
+use au_core::engine::{Engine, JoinSpec, QuerySession, SnapshotSearcher};
 use au_core::search::SearchOutcome;
-use au_text::record::{Corpus, Record};
+use au_core::segment::{segment_record, SegRecord};
+use au_core::{Knowledge, SimConfig};
+use au_text::record::{Corpus, Record, RecordId};
 use std::sync::Arc;
 
-/// The sealed delta segment of a snapshot: a small fully-prepared corpus
-/// of the records inserted since the last compaction, with its own
-/// postings and tier-0 integers, plus the mapping from its row numbers
-/// to global record ids. Built from the writer's private knowledge
-/// lineage, so the base segment's artifacts are never touched
-/// mid-generation.
+/// One record of the delta segment: everything a read needs of it,
+/// produced **once**, by the writer, when the record is inserted (or
+/// replayed). Rows are immutable and shared by `Arc` between every
+/// snapshot published until the next compaction.
 #[derive(Debug)]
-pub(crate) struct DeltaSegment {
-    pub(crate) search: Arc<SnapshotSearcher>,
-    pub(crate) ids: Arc<Vec<u64>>,
+pub(crate) struct DeltaRow {
+    /// Global record id.
+    pub(crate) id: u64,
+    /// Tokens and raw text (`record.id` is the row's delta position).
+    pub(crate) record: Record,
+    /// The segmented record, carrying the tier-0 integers the scan screens
+    /// on (`n_tokens`, `min_partition`).
+    pub(crate) seg: SegRecord,
+}
+
+impl DeltaRow {
+    /// Segment `record` under `kn` — the service's writer lineage, whose
+    /// vocabulary already holds the record's tokens — as delta row
+    /// `position`.
+    pub(crate) fn new(
+        kn: &Knowledge,
+        cfg: &SimConfig,
+        id: u64,
+        position: usize,
+        mut record: Record,
+    ) -> Self {
+        record.id = RecordId(position as u32);
+        let seg = segment_record(kn, cfg, &record.tokens);
+        Self { id, record, seg }
+    }
 }
 
 /// One immutable published state of the service: everything a query
@@ -24,17 +47,37 @@ pub(crate) struct DeltaSegment {
 /// keep the whole state alive; publishing a new snapshot never blocks
 /// them.
 ///
+/// Every part is itself shared, so a write publishes only what it
+/// changed: an insert's snapshot is its predecessor's row pointers plus
+/// one row and an engine over the grown vocabulary; a delete's differs in
+/// the tombstone set alone. (`Clone` is that sharing — a handful of
+/// reference-count bumps.)
+///
+/// The delta segment has **no filter**: no pebble order, signatures or
+/// inverted index exist for it, so nothing is rebuilt when a row is
+/// appended. A read answers it by scanning ([`Engine::scan`]) — every row
+/// passing the tier-0 bound is verified by the same verifier the base
+/// segment's candidates end in.
+///
 /// Global record ids are ascending within the base (`base_ids`) and
 /// within the delta, and every delta id is greater than every base id
 /// (ids are minted monotonically and compaction preserves them), so the
 /// two segments concatenate in global-id order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
-    generation: u64,
-    base_ids: Arc<Vec<u64>>,
-    base_search: Arc<SnapshotSearcher>,
-    delta: Option<DeltaSegment>,
-    tombstones: TombstoneSet,
+    pub(crate) generation: u64,
+    pub(crate) base_ids: Arc<Vec<u64>>,
+    pub(crate) base_search: Arc<SnapshotSearcher>,
+    /// The service's validated θ-spec (the base searcher's own).
+    pub(crate) spec: JoinSpec,
+    /// Engine over the newest knowledge of the lineage: the base engine
+    /// until an insert interns past it, then a cheap clone per insert.
+    pub(crate) engine: Arc<Engine>,
+    /// Scratch pool + out-of-vocabulary overlay of the delta scans; lives
+    /// as long as the base segment it was created with.
+    pub(crate) session: Arc<QuerySession>,
+    pub(crate) delta: Arc<Vec<Arc<DeltaRow>>>,
+    pub(crate) tombstones: Arc<TombstoneSet>,
 }
 
 /// A θ-search answered by one snapshot.
@@ -47,9 +90,11 @@ pub struct SearchResponse {
     /// sorted by descending similarity (ties by ascending id) — the same
     /// contract as [`au_core::search::SearchOutcome::matches`].
     pub matches: Vec<(u64, f64)>,
-    /// Candidates that reached verification, summed over both segments.
+    /// Candidates that reached verification, summed over both segments
+    /// (in the delta: every row that passed the tier-0 bound).
     pub candidates: u64,
-    /// Posting entries touched, summed over both segments.
+    /// Posting entries touched (the base segment's; the delta has no
+    /// postings to read).
     pub processed: u64,
     /// Matches suppressed because their id was tombstoned.
     pub masked: u64,
@@ -76,19 +121,22 @@ pub struct JoinWindowResponse {
 }
 
 impl Snapshot {
-    pub(crate) fn new(
+    /// A freshly built base segment with no delta and no tombstones.
+    pub(crate) fn of_base(
         generation: u64,
-        base_ids: Arc<Vec<u64>>,
-        base_search: Arc<SnapshotSearcher>,
-        delta: Option<DeltaSegment>,
-        tombstones: TombstoneSet,
+        base_ids: Vec<u64>,
+        base_search: SnapshotSearcher,
+        spec: JoinSpec,
     ) -> Self {
         Self {
             generation,
-            base_ids,
-            base_search,
-            delta,
-            tombstones,
+            base_ids: Arc::new(base_ids),
+            engine: base_search.engine().clone(),
+            base_search: Arc::new(base_search),
+            spec,
+            session: Arc::default(),
+            delta: Arc::default(),
+            tombstones: Arc::default(),
         }
     }
 
@@ -104,7 +152,7 @@ impl Snapshot {
 
     /// Records in the delta segment.
     pub fn delta_len(&self) -> usize {
-        self.delta.as_ref().map_or(0, |d| d.ids.len())
+        self.delta.len()
     }
 
     /// Currently tombstoned ids.
@@ -117,91 +165,63 @@ impl Snapshot {
         self.base_len() + self.delta_len() - self.tombstone_len()
     }
 
+    /// True when there is nothing for a compaction to fold.
+    pub(crate) fn is_compact(&self) -> bool {
+        self.delta.is_empty() && self.tombstones.is_empty()
+    }
+
     /// True when `id` exists in this snapshot and is not tombstoned.
     pub fn is_live(&self, id: u64) -> bool {
-        if self.tombstones.contains(id) {
-            return false;
-        }
-        self.base_ids.binary_search(&id).is_ok()
-            || self
-                .delta
-                .as_ref()
-                .is_some_and(|d| d.ids.binary_search(&id).is_ok())
+        !self.tombstones.contains(id) && self.contains_id(id)
     }
 
     /// True when `id` exists in this snapshot, live or tombstoned.
     pub(crate) fn contains_id(&self, id: u64) -> bool {
         self.base_ids.binary_search(&id).is_ok()
-            || self
-                .delta
-                .as_ref()
-                .is_some_and(|d| d.ids.binary_search(&id).is_ok())
+            || self.delta.binary_search_by_key(&id, |r| r.id).is_ok()
     }
 
-    /// The newest engine of this snapshot (the delta's if one exists —
-    /// its knowledge lineage extends the base's vocabulary).
-    pub(crate) fn latest_engine(&self) -> &Arc<Engine> {
-        match &self.delta {
-            Some(d) => d.search.engine(),
-            None => self.base_search.engine(),
-        }
-    }
-
-    /// The knowledge lineage of this snapshot's newest segment. Cloning
-    /// it gives a reference rebuild the exact vocabulary (token ids)
+    /// The newest knowledge of this snapshot's lineage: the vocabulary
+    /// every live record's token ids resolve under. Cloning it (cheap —
+    /// see [`Knowledge`]) gives a reference rebuild the exact vocabulary
     /// the served corpus was interned under — the equivalence tests use
     /// this for the byte-identical monolithic comparison.
-    pub fn knowledge(&self) -> &au_core::knowledge::Knowledge {
-        self.latest_engine().knowledge()
-    }
-
-    pub(crate) fn base_search(&self) -> &Arc<SnapshotSearcher> {
-        &self.base_search
-    }
-
-    pub(crate) fn base_ids(&self) -> &Arc<Vec<u64>> {
-        &self.base_ids
+    pub fn knowledge(&self) -> &Knowledge {
+        self.engine.knowledge()
     }
 
     /// Every live record in ascending global-id order, with its id.
     /// This is the corpus a monolithic rebuild would prepare — the
     /// compactor and the byte-identical equivalence checks both walk it.
     pub fn live_records(&self) -> Vec<(u64, &Record)> {
-        let mut out = Vec::with_capacity(self.live_len());
         let base = self.base_search.prepared().corpus().records();
-        for (row, rec) in base.iter().enumerate() {
-            let gid = self.base_ids[row];
-            if !self.tombstones.contains(gid) {
-                out.push((gid, rec));
-            }
-        }
-        if let Some(d) = &self.delta {
-            for (row, rec) in d.search.prepared().corpus().records().iter().enumerate() {
-                let gid = d.ids[row];
-                if !self.tombstones.contains(gid) {
-                    out.push((gid, rec));
-                }
-            }
-        }
+        let base = self.base_ids.iter().copied().zip(base);
+        let delta = self.delta.iter().map(|r| (r.id, &r.record));
+        let mut out = Vec::with_capacity(self.live_len());
+        out.extend(
+            base.chain(delta)
+                .filter(|&(gid, _)| !self.tombstones.contains(gid)),
+        );
         out
     }
 
-    /// θ-search at the service threshold using the snapshot's prebuilt
-    /// searchers: probe the base segment and the delta segment, map row
-    /// numbers to global ids, mask tombstones, and merge under the
-    /// global ordering contract.
+    /// θ-search at the service threshold: probe the base segment through
+    /// its prebuilt searcher, scan the delta rows, map row numbers to
+    /// global ids, mask tombstones, and merge under the global ordering
+    /// contract.
     pub fn search(&self, text: &str) -> SearchResponse {
-        let base_out = self.base_search.query(text);
-        let delta_out = self.delta.as_ref().map(|d| d.search.query(text));
-        self.merge(base_out, delta_out)
+        self.merge(
+            self.base_search.query(text),
+            self.scan_delta(text, &self.spec),
+        )
     }
 
     /// Like [`Snapshot::search`], but at an arbitrary spec (the top-k
-    /// descent path): builds one-shot searchers over the same artifacts.
-    /// Selection artifacts come from the shared `Prepared` memo, so
-    /// repeated thresholds stay warm — and the service's memo capacity
-    /// bound keeps a hostile threshold stream from growing it without
-    /// limit.
+    /// descent path): a one-shot base searcher over the same artifacts,
+    /// and the same delta scan at the spec's θ. Selection artifacts come
+    /// from the shared `Prepared` memo, so repeated thresholds stay warm —
+    /// and the service's memo capacity bound keeps a hostile threshold
+    /// stream from growing it without limit.
     pub(crate) fn search_spec(
         &self,
         text: &str,
@@ -212,39 +232,40 @@ impl Snapshot {
             self.base_search.prepared().clone(),
             spec,
         )?;
-        let base_out = base.query(text);
-        let delta_out = match &self.delta {
-            Some(d) => {
-                let ds = Engine::snapshot_searcher(
-                    d.search.engine().clone(),
-                    d.search.prepared().clone(),
-                    spec,
-                )?;
-                Some(ds.query(text))
-            }
-            None => None,
-        };
-        Ok(self.merge(base_out, delta_out))
+        Ok(self.merge(base.query(text), self.scan_delta(text, spec)))
+    }
+
+    /// The delta's answer to one query: tokenize + segment the query
+    /// under the newest knowledge (an inserted word the base vocabulary
+    /// never saw has a real id there) and verify every row the tier-0
+    /// bound admits.
+    fn scan_delta(&self, text: &str, spec: &JoinSpec) -> Option<SearchOutcome> {
+        if self.delta.is_empty() {
+            return None;
+        }
+        let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &r.seg).collect();
+        Some(self.engine.scan(&self.session, &rows, text, spec))
     }
 
     fn merge(&self, base: SearchOutcome, delta: Option<SearchOutcome>) -> SearchResponse {
         let mut matches: Vec<(u64, f64)> =
             Vec::with_capacity(base.matches.len() + delta.as_ref().map_or(0, |d| d.matches.len()));
         let mut masked = 0u64;
-        let mut push = |ids: &[u64], m: &[(u32, f64)]| {
-            for &(row, sim) in m {
-                let gid = ids[row as usize];
-                if self.tombstones.contains(gid) {
-                    masked += 1;
-                } else {
-                    matches.push((gid, sim));
-                }
+        let mut push = |gid: u64, sim: f64| {
+            if self.tombstones.contains(gid) {
+                masked += 1;
+            } else {
+                matches.push((gid, sim));
             }
         };
-        push(&self.base_ids, &base.matches);
+        for &(row, sim) in &base.matches {
+            push(self.base_ids[row as usize], sim);
+        }
         let (mut candidates, mut processed) = (base.candidates, base.processed);
-        if let (Some(d), Some(out)) = (&self.delta, &delta) {
-            push(&d.ids, &out.matches);
+        if let Some(out) = &delta {
+            for &(row, sim) in &out.matches {
+                push(self.delta[row as usize].id, sim);
+            }
             candidates += out.candidates;
             processed += out.processed;
         }
@@ -278,9 +299,8 @@ impl Snapshot {
                 gids.push(gid);
             }
         }
-        let engine = self.latest_engine();
-        let prepared = engine.prepare_owned(corpus)?;
-        let res = engine.join_self(&prepared, spec)?;
+        let prepared = self.engine.prepare_owned(corpus)?;
+        let res = self.engine.join_self(&prepared, spec)?;
         let pairs = res
             .pairs
             .iter()

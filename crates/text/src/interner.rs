@@ -1,13 +1,14 @@
 //! Token interning.
 //!
 //! Every token (word) in the system is represented by a dense [`TokenId`].
-//! The [`Vocab`] owns the id ↔ string mapping plus global document
-//! frequencies, which drive the paper's "global order" for pebbles and
-//! prefix signatures (Section 3.1: sort "by a global order, e.g. by the
-//! ascending order of frequencies").
+//! The [`Vocab`] owns the id ↔ string mapping. (The paper's "global
+//! order" for pebbles and prefix signatures — Section 3.1, "by the
+//! ascending order of frequencies" — is counted by the pebble order over
+//! the collections being joined, not here.)
 
 use crate::hash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense id of an interned token.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,13 +28,43 @@ impl fmt::Debug for TokenId {
     }
 }
 
-/// String ↔ [`TokenId`] interner with document frequencies.
+/// One level of a [`Vocab`]: strings in interning order plus the reverse
+/// map. The map's values are *global* ids, so the tail level (whose first
+/// string has the id after the core's last) needs no offset arithmetic on
+/// lookup.
 #[derive(Debug, Default, Clone)]
-pub struct Vocab {
+struct Level {
     by_str: FxHashMap<Box<str>, TokenId>,
     strings: Vec<Box<str>>,
-    /// How many records contain each token at least once.
-    doc_freq: Vec<u32>,
+}
+
+/// String ↔ [`TokenId`] interner.
+///
+/// Two levels: a frozen **core** shared by `Arc` between clones, and a
+/// small append-only **tail** holding the tokens interned since the last
+/// [`Vocab::seal`], with ids continuing after the core's. Ids are dense in
+/// interning order whichever level a token sits in.
+///
+/// **Clone cost** is one `Arc` bump plus a copy of the tail — O(tokens
+/// interned since the last seal), not O(|vocabulary|). A vocabulary that
+/// is never sealed keeps everything in the tail and clones exactly as a
+/// flat interner would.
+///
+/// **Seal contract.** [`Vocab::seal`] folds the tail into the core
+/// (O(|vocabulary|) when the core is shared with a clone, O(|tail|) when
+/// it is not) and changes no id, string or lookup result — only what the
+/// next clone costs. Call it where an O(|vocabulary|) step is being paid
+/// anyway and clones are about to be taken.
+///
+/// **Diverging clones.** Two clones that intern after the fork each grow
+/// their own tail: every pre-fork id resolves identically on both, but
+/// neither sees the other's post-fork tokens, and both may assign the same
+/// fresh id to different words — ids are only comparable within one
+/// lineage.
+#[derive(Debug, Default, Clone)]
+pub struct Vocab {
+    core: Arc<Level>,
+    tail: Level,
 }
 
 impl Vocab {
@@ -44,44 +75,56 @@ impl Vocab {
 
     /// Intern `s`, returning its id (existing or fresh).
     pub fn intern(&mut self, s: &str) -> TokenId {
-        if let Some(&id) = self.by_str.get(s) {
+        if let Some(id) = self.get(s) {
             return id;
         }
-        let id = TokenId(self.strings.len() as u32);
-        self.strings.push(s.into());
-        self.doc_freq.push(0);
-        self.by_str.insert(self.strings[id.idx()].clone(), id);
+        let id = TokenId(self.len() as u32);
+        let owned: Box<str> = s.into();
+        self.tail.strings.push(owned.clone());
+        self.tail.by_str.insert(owned, id);
         id
     }
 
     /// Look up an already-interned token.
     pub fn get(&self, s: &str) -> Option<TokenId> {
-        self.by_str.get(s).copied()
+        self.core
+            .by_str
+            .get(s)
+            .or_else(|| self.tail.by_str.get(s))
+            .copied()
     }
 
     /// The string for `id`. Panics on an id from another vocabulary.
     pub fn resolve(&self, id: TokenId) -> &str {
-        &self.strings[id.idx()]
+        let core_len = self.core.strings.len();
+        match id.idx().checked_sub(core_len) {
+            None => &self.core.strings[id.idx()],
+            Some(i) => &self.tail.strings[i],
+        }
     }
 
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.core.strings.len() + self.tail.strings.len()
     }
 
     /// True when no token has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.len() == 0
     }
 
-    /// Record that one document contains `id` (call once per document).
-    pub fn bump_doc_freq(&mut self, id: TokenId) {
-        self.doc_freq[id.idx()] += 1;
-    }
-
-    /// Document frequency of `id` (0 if never bumped).
-    pub fn doc_freq(&self, id: TokenId) -> u32 {
-        self.doc_freq[id.idx()]
+    /// Fold the tail into the core so that subsequent clones share every
+    /// token interned so far (see the type-level seal contract). No id,
+    /// string or lookup changes.
+    pub fn seal(&mut self) {
+        if self.tail.strings.is_empty() {
+            return;
+        }
+        let core = Arc::make_mut(&mut self.core);
+        // det: a map-to-map move — the ids are the values, so the drain
+        // order reaches nothing observable.
+        core.by_str.extend(self.tail.by_str.drain());
+        core.strings.append(&mut self.tail.strings);
     }
 
     /// Render a token slice back into a space-joined string.
@@ -98,8 +141,10 @@ impl Vocab {
 
     /// Iterate `(id, string)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (TokenId, &str)> {
-        self.strings
+        self.core
+            .strings
             .iter()
+            .chain(&self.tail.strings)
             .enumerate()
             .map(|(i, s)| (TokenId(i as u32), s.as_ref()))
     }
@@ -270,15 +315,68 @@ mod tests {
     }
 
     #[test]
-    fn doc_freq_counts() {
+    fn seal_changes_no_id_and_makes_clones_share_the_core() {
         let mut v = Vocab::new();
-        let a = v.intern("a");
-        let b = v.intern("b");
-        v.bump_doc_freq(a);
-        v.bump_doc_freq(a);
-        v.bump_doc_freq(b);
-        assert_eq!(v.doc_freq(a), 2);
-        assert_eq!(v.doc_freq(b), 1);
+        let words = ["espresso", "cafe", "helsinki"];
+        let ids: Vec<_> = words.iter().map(|w| v.intern(w)).collect();
+        let unsealed = v.clone();
+        assert!(unsealed.core.strings.is_empty(), "nothing sealed yet");
+        assert_eq!(unsealed.tail.strings.len(), 3, "an unsealed clone copies");
+        v.seal();
+        v.seal(); // idempotent
+        for (w, id) in words.iter().zip(&ids) {
+            assert_eq!(v.get(w), Some(*id));
+            assert_eq!(v.resolve(*id), *w);
+            assert_eq!(v.intern(w), *id, "re-interning a sealed word is a lookup");
+        }
+        assert_eq!(v.len(), 3);
+        let sealed = v.clone();
+        assert!(Arc::ptr_eq(&sealed.core, &v.core), "one Arc bump");
+        assert!(sealed.tail.strings.is_empty(), "and an empty tail to copy");
+        // Ids continue after the core.
+        assert_eq!(v.intern("latte"), TokenId(3));
+        assert_eq!(v.resolve(TokenId(3)), "latte");
+        assert_eq!(v.get("latte"), Some(TokenId(3)));
+    }
+
+    #[test]
+    fn clones_that_diverge_after_a_seal_keep_their_own_tails() {
+        let mut a = Vocab::new();
+        let pre: Vec<_> = ["coffee", "shop"].iter().map(|w| a.intern(w)).collect();
+        a.seal();
+        let mut b = a.clone();
+        let a_new = a.intern("plaza");
+        let b_new = b.intern("avenue");
+        let b_second = b.intern("boulevard");
+        // Every pre-fork id resolves identically on both sides.
+        for &id in &pre {
+            assert_eq!(a.resolve(id), b.resolve(id));
+        }
+        // Both sides assign the same fresh id to different words — ids are
+        // comparable only within one lineage — and neither tail leaks.
+        assert_eq!(a_new, b_new);
+        assert_eq!(a.resolve(a_new), "plaza");
+        assert_eq!(b.resolve(b_new), "avenue");
+        assert_eq!(a.get("avenue"), None);
+        assert_eq!(b.get("plaza"), None);
+        assert_eq!((a.len(), b.len()), (3, 4));
+        assert_eq!(b_second, TokenId(3));
+        // iter() is interning order across both levels.
+        let listed: Vec<_> = b.iter().map(|(id, s)| (id.0, s)).collect();
+        assert_eq!(
+            listed,
+            vec![(0, "coffee"), (1, "shop"), (2, "avenue"), (3, "boulevard")]
+        );
+        // Sealing one side leaves the other's view untouched.
+        b.seal();
+        assert!(
+            !Arc::ptr_eq(&a.core, &b.core),
+            "b's seal copied, not shared"
+        );
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.resolve(a_new), "plaza");
+        assert_eq!(b.resolve(b_new), "avenue");
+        assert_eq!(b.join(&[pre[0], b_second]), "coffee boulevard");
     }
 
     #[test]

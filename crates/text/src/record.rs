@@ -2,9 +2,8 @@
 //!
 //! A [`Record`] is one string of a join collection, kept both in raw form
 //! (for display and gram extraction) and as interned tokens (for segment
-//! detection). A [`Corpus`] owns a batch of records and updates the shared
-//! [`Vocab`]'s document frequencies as records are added, which later drives
-//! the global pebble order.
+//! detection). A [`Corpus`] owns a batch of records whose tokens are
+//! interned in one shared [`Vocab`].
 
 use crate::interner::{TokenId, Vocab};
 use crate::tokenize::{tokenize, TokenizeConfig};
@@ -57,27 +56,15 @@ impl Corpus {
     }
 
     /// Tokenize and append one string; returns its id.
-    ///
-    /// Document frequencies in `vocab` are bumped once per distinct token in
-    /// the record.
     pub fn push_str(&mut self, text: &str, vocab: &mut Vocab, cfg: &TokenizeConfig) -> RecordId {
-        let toks = tokenize(text, cfg);
-        let mut ids = Vec::with_capacity(toks.len());
-        for t in &toks {
-            ids.push(vocab.intern(t));
-        }
-        let mut distinct = ids.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for t in distinct {
-            vocab.bump_doc_freq(t);
-        }
+        let ids = tokenize(text, cfg)
+            .iter()
+            .map(|t| vocab.intern(t))
+            .collect();
         self.push_tokens(ids, text.to_string())
     }
 
-    /// Append a pre-tokenized record (document frequencies are **not**
-    /// bumped; callers that build token ids directly manage frequencies
-    /// themselves).
+    /// Append a pre-tokenized record.
     pub fn push_tokens(&mut self, tokens: Vec<TokenId>, raw: String) -> RecordId {
         let id = RecordId(self.records.len() as u32);
         self.records.push(Record { id, tokens, raw });
@@ -92,6 +79,12 @@ impl Corpus {
     /// All records.
     pub fn records(&self) -> &[Record] {
         &self.records
+    }
+
+    /// The records by value, in id order (a consumer that regroups them
+    /// moves tokens and text instead of cloning).
+    pub fn into_records(self) -> Vec<Record> {
+        self.records
     }
 
     /// Number of records.
@@ -165,10 +158,10 @@ mod tests {
         let r = c.get(id);
         assert_eq!(r.len(), 3);
         assert_eq!(r.tokens[0], r.tokens[2]);
-        // doc freq counts records, not occurrences
-        assert_eq!(v.doc_freq(v.get("coffee").unwrap()), 1);
-        c.push_str("coffee", &mut v, &cfg);
-        assert_eq!(v.doc_freq(v.get("coffee").unwrap()), 2);
+        // a later record re-uses the interned id
+        let again = c.push_str("coffee", &mut v, &cfg);
+        assert_eq!(c.get(again).tokens, vec![v.get("coffee").unwrap()]);
+        assert_eq!(v.len(), 2);
     }
 
     #[test]

@@ -108,6 +108,8 @@ fn queries() -> Vec<String> {
             "tea house".to_string(),
             "probe target item alpha".to_string(),
             "no such tokens anywhere".to_string(),
+            "espresso cart harbor walk".to_string(),
+            "harbor cart noodle stand".to_string(),
         ])
         .collect()
 }
@@ -125,6 +127,14 @@ fn run_script(svc: &Service) {
     svc.delete_record(2).unwrap(); // masks a compacted base id
     svc.compact().unwrap();
     svc.insert_record("espresso cart harbor walk").unwrap();
+    // Two inserts of one delta introducing the same new tokens ("harbor",
+    // "cart"): a crash between them must replay the first's interning
+    // exactly as the live service shared it with the second.
+    let repeat = svc.insert_record("harbor cart noodle stand").unwrap();
+    // A delete right behind an insert of the same delta: the published
+    // snapshot shares the insert's row and differs by one tombstone.
+    svc.delete_record(repeat.id).unwrap();
+    svc.insert_record("noodle stand harbor annex").unwrap();
 }
 
 #[test]
