@@ -138,9 +138,8 @@ impl Gate {
                 // Per-tier verification counters: pure per-candidate
                 // functions — deterministic across runs, thread counts
                 // and hosts, so any drift is a cascade behaviour change.
-                // (Memo hit/miss counts are scheduling-dependent and are
-                // deliberately NOT gated.)
                 "tier0_rejects",
+                "mass_rejects",
                 "enum_rejects",
                 "rowmax_rejects",
                 "greedy_rejects",

@@ -81,11 +81,9 @@ pub struct WorkloadRow {
     /// Pairs accepted by verification.
     pub result_pairs: u64,
     /// Per-tier verification telemetry (see
-    /// [`au_core::usim::VerifyTiers`]). The five tier counters are pure
+    /// [`au_core::usim::VerifyTiers`]). The tier counters are pure
     /// per-candidate functions — deterministic across runs, thread
-    /// counts and hosts — and `bench_gate` exact-matches them; the memo
-    /// hit/miss counters depend on work scheduling and are zeroed with
-    /// the timings in deterministic mode.
+    /// counts and hosts — and `bench_gate` exact-matches them.
     pub tiers: VerifyTiers,
     /// Precision/recall/F1 against the planted ground truth.
     pub prf: Prf,
@@ -981,6 +979,13 @@ impl WorkloadReport {
             push_field(
                 &mut o,
                 "      ",
+                "mass_rejects",
+                r.tiers.mass_rejects.to_string(),
+                false,
+            );
+            push_field(
+                &mut o,
+                "      ",
                 "enum_rejects",
                 r.tiers.enum_rejects.to_string(),
                 false,
@@ -1004,23 +1009,6 @@ impl WorkloadReport {
                 "      ",
                 "tier2_rejects",
                 r.tiers.tier2_rejects.to_string(),
-                false,
-            );
-            // Memo hit/miss counts depend on which worker verified which
-            // candidates — scheduling-dependent like the timings, so the
-            // deterministic form zeroes them.
-            push_field(
-                &mut o,
-                "      ",
-                "memo_hits",
-                if timings { r.tiers.memo_hits } else { 0 }.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "memo_misses",
-                if timings { r.tiers.memo_misses } else { 0 }.to_string(),
                 false,
             );
             push_field(&mut o, "      ", "precision", num(r.prf.p), false);
@@ -1466,33 +1454,15 @@ mod tests {
             assert_eq!(r.tiers.accepted, r.result_pairs, "{}", r.id);
         }
         // Serial and parallel rows agree on every tier bucket (pure
-        // per-candidate functions; memo diagnostics are
-        // scheduling-dependent and not compared).
-        let buckets = |t: &VerifyTiers| {
-            (
-                t.tier0_rejects,
-                t.enum_rejects,
-                t.rowmax_rejects,
-                t.greedy_rejects,
-                t.tier2_rejects,
-                t.accepted,
-            )
-        };
+        // per-candidate functions).
         for pair in rep.rows.chunks(2) {
-            assert_eq!(
-                buckets(&pair[0].tiers),
-                buckets(&pair[1].tiers),
-                "{}",
-                pair[0].id
-            );
+            assert_eq!(pair[0].tiers, pair[1].tiers, "{}", pair[0].id);
         }
         let v = json::Value::parse(&rep.to_json(false)).expect("JSON parses");
         let rows = v.get("workloads").unwrap().as_arr().unwrap();
         for r in rows {
             assert!(r.get("tier0_rejects").unwrap().as_f64().is_some());
-            // Memo counters are scheduling-dependent → zeroed with the
-            // timings in the deterministic form.
-            assert_eq!(r.get("memo_hits").unwrap().as_f64(), Some(0.0));
+            assert!(r.get("mass_rejects").unwrap().as_f64().is_some());
         }
     }
 

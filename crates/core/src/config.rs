@@ -342,6 +342,28 @@ mod tests {
         }
     }
 
+    /// The mass bound's gram credit (`usim::verify`): with `c` of a
+    /// segment's `n` grams occurring anywhere in the partner, no partner
+    /// segment — `m` grams, `i ≤ min(c, m)` of them shared — scores above
+    /// `score(c, n, c)`. Exact float comparison, no tolerance: the bound
+    /// must dominate the row-max sum bit for bit.
+    #[test]
+    fn shared_gram_credit_dominates_every_segment_score() {
+        for g in GramMeasure::ALL {
+            for n in 1usize..=64 {
+                for c in 0..=n {
+                    let credit = g.score(c, n, c);
+                    for m in 1usize..=64 {
+                        for i in 0..=c.min(m) {
+                            let s = g.score(i, n, m);
+                            assert!(s <= credit, "{g:?}: score({i},{n},{m})={s} > {credit}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gram_measure_chain() {
         // J ≤ D ≤ C ≤ O pointwise on a feasibility grid.

@@ -1077,7 +1077,7 @@ impl Engine {
         let verify_start = Instant::now();
         let mut result_count = 0usize;
         let mut tiers = VerifyTiers::default();
-        let index = batched_verify_index(outcome.candidates.len(), &s.segrecs, &t.segrecs);
+        let index = batched_verify_index(outcome.candidates.len(), &t.segrecs);
         for batch in outcome.candidates.chunks(chunk) {
             let (accepted, batch_tiers) = verify_candidates(
                 &self.kn,
@@ -2104,8 +2104,7 @@ pub struct ProbeSpec {
 ///
 /// Queries take `&self`: out-of-vocabulary tokens go to a
 /// searcher-private [`ScratchVocab`] overlay whose ids are stable for the
-/// searcher's lifetime, so repeated unknown tokens keep one identity (and
-/// the verification scratch pool's cross-candidate memo stays sound)
+/// searcher's lifetime, so repeated unknown tokens keep one identity
 /// without ever mutating the shared knowledge context.
 #[derive(Debug)]
 pub struct Searcher<'e> {
@@ -2118,9 +2117,8 @@ pub struct Searcher<'e> {
 /// verification-scratch pool and the out-of-vocabulary overlay. An
 /// indexed search session owns one inside its `SearchCore`; a filterless
 /// [`Engine::scan`] borrows one from its caller, who keeps it for as long
-/// as overlay ids should stay stable (one knowledge lineage). Overlay ids
-/// are what make the pooled scratches' `msim` memo sound across queries:
-/// a repeated unknown word keeps one identity for the session's lifetime.
+/// as overlay ids should stay stable (one knowledge lineage): a repeated
+/// unknown word keeps one identity for the session's lifetime.
 #[derive(Debug, Default)]
 pub struct QuerySession {
     pool: Mutex<Vec<VerifyScratch>>,

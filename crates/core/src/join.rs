@@ -67,9 +67,9 @@ pub struct JoinStats {
     /// Number of result pairs.
     pub result_count: usize,
     /// Per-tier verification telemetry: which cascade stage decided each
-    /// candidate, plus `msim` memo hit/miss diagnostics. The tier buckets
-    /// are pure per-candidate functions — deterministic across thread
-    /// counts and runs — and `tiers.decisions() == candidates`.
+    /// candidate. The tier buckets are pure per-candidate functions —
+    /// deterministic across thread counts and runs — and
+    /// `tiers.decisions() == candidates`.
     pub tiers: VerifyTiers,
     /// Shard-pair tasks actually executed (0 on monolithic joins).
     pub shard_tasks: u64,
@@ -236,7 +236,7 @@ pub fn candidate_pass(
 }
 
 /// Below this many candidates the run-batched path's one-time
-/// corpus-level gram index is not worth building (and probe-grouped
+/// corpus-level posting index is not worth building (and probe-grouped
 /// verification already amortizes the probe view); results are identical
 /// either way.
 const BATCHED_VERIFY_MIN: usize = 2048;
@@ -245,29 +245,14 @@ const BATCHED_VERIFY_MIN: usize = 2048;
 /// (see [`GramPostingsIndex`]) when a run of `n_candidates` against `t`
 /// is large enough to pay for it, `None` otherwise. A pure function of
 /// sizes, so which path a workload takes is deterministic; results and
-/// tier counters are identical either way.
+/// tier counters are identical either way, for records of any size (a
+/// run's mass counters are chunked, never overflowed).
 pub(crate) fn batched_verify_index(
     n_candidates: usize,
-    s: &[SegRecord],
     t: &[SegRecord],
 ) -> Option<GramPostingsIndex> {
-    (n_candidates >= BATCHED_VERIFY_MIN
-        && n_candidates * 4 >= t.len()
-        && !t.is_empty()
-        && segments_fit_events(s, t))
-    .then(|| GramPostingsIndex::build(t))
-}
-
-/// Packed run events hold 13 bits per segment index; a record at or past
-/// [`crate::usim::verify::EVENT_SEG_LIMIT`] segments forces the
-/// probe-grouped path. Checked by [`batched_verify_index`] *and*
-/// re-checked inside [`verify_candidates`] — a caller-supplied index must
-/// never reach event packing with an oversized record (the overflow
-/// would be silent in release builds).
-fn segments_fit_events(s: &[SegRecord], t: &[SegRecord]) -> bool {
-    s.iter()
-        .chain(t)
-        .all(|r| r.segments.len() < crate::usim::verify::EVENT_SEG_LIMIT)
+    (n_candidates >= BATCHED_VERIFY_MIN && n_candidates * 4 >= t.len() && !t.is_empty())
+        .then(|| GramPostingsIndex::build(t))
 }
 
 /// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
@@ -276,11 +261,12 @@ fn segments_fit_events(s: &[SegRecord], t: &[SegRecord]) -> bool {
 /// per-tier decision telemetry.
 ///
 /// The sorted candidate list is partitioned into per-probe-record runs.
-/// Large runs join through a corpus-level transposed posting index over
-/// `t` (work ∝ the probe's document frequencies + true shared-posting
-/// events); small ones index the probe side's posting tables once per run
-/// ([`Verifier::begin_probe`]) and stream every partner through them.
-/// Which one runs is decided from the candidate count
+/// Large lists count each run's shared pebble mass in one walk of a
+/// corpus-level transposed posting index over `t` (work ∝ the probe's
+/// document frequencies) and enumerate only the candidates that bound
+/// cannot reject; small ones index the probe side's posting tables once
+/// per run ([`Verifier::begin_probe`]) and stream every partner through
+/// them. Which one runs is decided from the candidate count
 /// (`batched_verify_index`); a long-lived caller verifying many
 /// batches against one `t` (the streaming sink) makes that decision once
 /// for the whole stream and passes its index as `index`. Accepted pairs,
@@ -298,27 +284,22 @@ pub fn verify_candidates(
     parallel: bool,
     index: Option<&GramPostingsIndex>,
 ) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
-    let own_index;
-    let index = match index {
-        // Packed events cannot represent records past the segment limit,
-        // so such corpora always take the probe-grouped path.
-        Some(idx) => segments_fit_events(s, t).then_some(idx),
-        None => {
-            own_index = batched_verify_index(candidates.len(), s, t);
-            own_index.as_ref()
-        }
+    let own_index = match index {
+        Some(_) => None,
+        None => batched_verify_index(candidates.len(), t),
     };
+    let index = index.or(own_index.as_ref());
     let engine = Verifier::new(kn, cfg);
     // Worker tallies are folded in the parallel layer's drain hook; the
     // tier buckets are pure per-candidate functions, so the aggregate is
     // deterministic regardless of scheduling.
     let tally = Mutex::new(VerifyTiers::default());
     // Both paths keep results in candidate order, so serial and parallel
-    // runs return identical vectors; the scratch — including the memo and
-    // the probe view — is per worker, so the parallel path stays
-    // lock-free. Runs are split across workers when one probe record owns
-    // a huge candidate list.
-    let pairs = if let Some(gram_index) = index {
+    // runs return identical vectors; the scratch — including the probe
+    // view and the run's mass counters — is per worker, so the parallel
+    // path stays lock-free. A run is split across workers only when one
+    // probe record owns more than a worker's fair share of the list.
+    let pairs = if let Some(posting_index) = index {
         crate::parallel::par_fragments_scratch(
             candidates,
             parallel,
@@ -337,7 +318,7 @@ pub fn verify_candidates(
                         &s[a as usize],
                         t,
                         &frag[i..j],
-                        gram_index,
+                        posting_index,
                         theta,
                         rs,
                         &mut out,

@@ -66,8 +66,8 @@ pub struct Knowledge {
     /// [`Knowledge::corpus_from_lines`]). Un-mutated clones share it
     /// (their semantic content is identical); independently built
     /// contexts — or clones that diverged after the fork — never do, even
-    /// if one reuses the other's freed memory. The verification engine
-    /// keys its cross-candidate memo on this to rule out stale hits.
+    /// if one reuses the other's freed memory. Prepared artifacts record
+    /// it, so an engine refuses corpora prepared under another context.
     ///
     /// The knowledge sources above are `pub` for their read API only:
     /// they are shared between clones, so the supported workflow is

@@ -53,6 +53,20 @@ fn batch_size(len: usize, threads: usize) -> usize {
     (len / (threads * BATCHES_PER_WORKER)).clamp(MIN_BATCH, MAX_BATCH)
 }
 
+/// Unit size of a run-aligned plan ([`par_fragments_scratch`]): a run is
+/// a unit of work — its setup (the probe view, the run-level posting
+/// walk) costs what the *run* costs, not what the fragment holds, so
+/// every cut of a run pays it again. Whole runs are packed up to a
+/// worker's fair share of the list, [`BATCHES_PER_WORKER`] units per
+/// worker, and a run is split only when it alone exceeds that:
+/// [`batch_size`] without the [`MAX_BATCH`] cap (which exists to bound
+/// cursor traffic per *item*, not to cut runs), so lists shorter than
+/// `MAX_BATCH × threads × BATCHES_PER_WORKER` plan exactly as uniform
+/// batches do.
+fn run_unit_size(len: usize, threads: usize) -> usize {
+    (len / (threads * BATCHES_PER_WORKER)).max(MIN_BATCH)
+}
+
 /// The one audited batch loop every public entry point delegates to:
 /// workers claim adaptively-sized batches off an atomic cursor, run
 /// `run_batch` on each with a per-worker scratch from `init`, and the
@@ -87,7 +101,7 @@ where
         items,
         parallel,
         threads,
-        uniform_units,
+        |threads| uniform_units(items.len(), batch_size(items.len(), threads)),
         init,
         run_batch,
         |_| {},
@@ -148,8 +162,9 @@ fn run_units<T>(
 }
 
 /// Range-driven core of the batch loop: the unit plan is computed lazily
-/// (the serial path never needs it), units are claimed off the atomic
-/// cursor exactly like uniform batches, and `drain` runs once per worker
+/// from the worker count (the serial path never needs it), units are
+/// claimed off the atomic cursor exactly like uniform batches, and
+/// `drain` runs once per worker
 /// scratch after that worker's last unit (serial: once, at the end) — the
 /// hook callers use to fold per-worker statistics without sharing mutable
 /// state inside the loop.
@@ -165,7 +180,7 @@ fn par_units_on<T, U, S, P, I, F, D>(
 where
     T: Sync,
     U: Send,
-    P: Fn(usize, usize) -> Vec<(usize, usize)>,
+    P: Fn(usize) -> Vec<(usize, usize)>,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
     D: Fn(&mut S) + Sync,
@@ -177,7 +192,7 @@ where
         return out;
     }
 
-    let units = plan(items.len(), batch_size(items.len(), threads));
+    let units = plan(threads);
     let n_units = units.len();
     let cursor = AtomicUsize::new(0);
     // Unit outputs land in their slot; a Mutex per run (not per slot)
@@ -250,8 +265,7 @@ where
 /// Like [`par_filter_map`], but each worker carries a mutable scratch
 /// value created once by `init` and reused across every item that worker
 /// processes — the shape of tiered candidate verification, where the
-/// scratch holds the cross-candidate `msim` memo and the Algorithm 1
-/// buffers.
+/// scratch holds the enumeration tables and the Algorithm 1 buffers.
 pub fn par_filter_map_scratch<T, U, S, I, F>(items: &[T], parallel: bool, init: I, f: F) -> Vec<U>
 where
     T: Sync,
@@ -267,8 +281,9 @@ where
 /// Like [`par_filter_map_scratch`], but the items form *runs* — maximal
 /// stretches of consecutive items sharing `run_key` — and work units are
 /// aligned to them: consecutive whole runs pack into one unit, and a unit
-/// never holds more items than the adaptive batch size, so a single heavy
-/// run is split across workers instead of starving them. This is the
+/// never holds more items than a worker's fair share of the list
+/// (`run_unit_size`), so a single heavy run is split across workers
+/// instead of starving them. This is the
 /// shape of probe-grouped verification: candidates arrive sorted by probe
 /// record, and per-run setup (the probe-side posting view) is paid once
 /// per run fragment, not once per candidate.
@@ -327,10 +342,10 @@ where
 /// The fragment-level form of [`par_filter_map_runs_scratch`]: work units
 /// are the same run-aligned fragments, but `frag_fn` receives each whole
 /// fragment slice and returns its outputs — for callers that batch work
-/// *across* a run's items (e.g. collecting one run's gram events through
-/// a corpus-level index) instead of mapping them independently. A
-/// fragment holds whole runs back to back, or a piece of a single run
-/// longer than the adaptive batch size; `frag_fn` must detect run
+/// *across* a run's items (e.g. counting one run's shared pebble mass
+/// through a corpus-level index) instead of mapping them independently.
+/// A fragment holds whole runs back to back, or a piece of a single run
+/// longer than `run_unit_size`; `frag_fn` must detect run
 /// boundaries itself (compare `run_key` of consecutive items) and must
 /// treat a fragment-initial item as a fresh run (fragments of one run may
 /// land on different workers). Outputs are concatenated in fragment
@@ -355,7 +370,7 @@ where
         items,
         parallel,
         available_threads(),
-        |_, target| run_units(items, run_key, target),
+        |threads| run_units(items, run_key, run_unit_size(items.len(), threads)),
         init,
         frag_fn,
         drain,
@@ -631,6 +646,37 @@ mod tests {
         assert_eq!(out, items);
         // ordering: Relaxed — reads after the scope join (see above).
         assert!(begins.load(Ordering::Relaxed) >= 1);
+    }
+
+    /// A run is a unit of work: on a list long enough that a worker's
+    /// fair share exceeds a run, units pack whole runs and cut none; a
+    /// run that alone exceeds the share is still split; and below
+    /// `MAX_BATCH × threads × BATCHES_PER_WORKER` items the plan is the
+    /// uniform-batch-sized one.
+    #[test]
+    fn run_units_keep_runs_whole_up_to_a_fair_share() {
+        let threads = 2;
+        let runs: Vec<u64> = (0..64u64)
+            .flat_map(|r| std::iter::repeat_n(r, 700))
+            .collect();
+        let share = run_unit_size(runs.len(), threads);
+        assert_eq!(share, 64 * 700 / (threads * BATCHES_PER_WORKER));
+        let units = run_units(&runs, &|x: &u64| *x, share);
+        assert!(units.len() >= threads * BATCHES_PER_WORKER);
+        for &(start, end) in &units {
+            assert!(
+                start % 700 == 0 && end % 700 == 0,
+                "run cut at ({start}, {end})"
+            );
+        }
+        let giant: Vec<u64> = vec![7; 64 * 700];
+        let units = run_units(&giant, &|x: &u64| *x, run_unit_size(giant.len(), threads));
+        assert_eq!(units.len(), threads * BATCHES_PER_WORKER);
+        // Four runs of 700 are a short list: planned as before.
+        assert_eq!(
+            run_unit_size(4 * 700, threads),
+            batch_size(4 * 700, threads)
+        );
     }
 
     #[test]

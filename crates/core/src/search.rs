@@ -158,7 +158,7 @@ pub(crate) fn run_scan(env: &VerifyEnv<'_>, rows: &[&SegRecord], sr: &SegRecord)
 /// is the probe record of every candidate, so one probe-grouped run of the
 /// joins' cascade engine covers the whole list and the probe-side posting
 /// view is built once per worker fragment. Scratches come from the
-/// session's pool — the msim memo warms across the query *stream* (serial
+/// session's pool — buffers grown by one query serve the next (serial
 /// and parallel alike; workers check scratches out in `init` and return
 /// them in `drain`), and the pool lock is never held during verification.
 /// Returns the accepted `(row, similarity)` pairs under the global

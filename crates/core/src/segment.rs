@@ -64,7 +64,7 @@ pub struct Segment {
     /// for multi-token segments. Tokens never contain whitespace and
     /// phrase interning is injective on token sequences, so two segments
     /// have equal `key` **iff** they have equal `text` — the identity the
-    /// cross-candidate `msim` memo and the sparse vertex enumeration are
+    /// mass bound's full credit and the sparse vertex enumeration are
     /// keyed on.
     pub key: u64,
 }
@@ -105,15 +105,16 @@ pub struct SegRecord {
     pub min_partition: u32,
     /// Sorted postings `(gram hash, segment index)` over every segment's
     /// distinct grams — the J side of the sparse vertex enumeration
-    /// (empty when J is disabled). The verification engine consumes
-    /// these three ways: merge-joined per pair, hash-indexed per probe
-    /// run, or transposed corpus-wide into a
-    /// [`crate::usim::GramPostingsIndex`] for run-batched event
-    /// collection.
+    /// (empty when J is disabled). The verification engine joins two
+    /// records' tables by merge (per pair) or through a hash view of the
+    /// probe side (per probe run) — to count shared pebble mass, then to
+    /// surface the survivors' segment pairs — and transposes the distinct
+    /// keys corpus-wide into a [`crate::usim::GramPostingsIndex`] (which
+    /// *records* carry a key) for the run-batched mass count.
     pub gram_posts: Vec<(u64, u32)>,
     /// Sorted postings `(rule id, segment index)` over every segment's
     /// applicable synonym rules — the S side of the sparse enumeration
-    /// (same three consumers as `gram_posts`).
+    /// (same consumers as `gram_posts`).
     pub rule_posts: Vec<(u32, u32)>,
     /// Indices of segments mapped to a taxonomy node — the T side
     /// (always cross-producted per candidate: every node pair is a
@@ -121,7 +122,7 @@ pub struct SegRecord {
     pub node_segs: Vec<u32>,
     /// Sorted postings `(segment key, segment index)` — the
     /// surface-identity side (`msim`'s `a.text == b.text ⇒ 1` rule, which
-    /// applies under every measure subset; same three consumers as
+    /// applies under every measure subset; same consumers as
     /// `gram_posts`).
     pub key_posts: Vec<(u64, u32)>,
 }

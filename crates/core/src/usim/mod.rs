@@ -9,8 +9,8 @@
 //!   local search on the similarity objective (Theorem 2's guarantee).
 //! * [`verify`] — the probe-grouped bound-cascade verification engine
 //!   behind the join/search pipelines: record-level pre-graph rejection,
-//!   probe-grouped sparse vertex enumeration with a cross-candidate
-//!   `msim` memo and in-enumeration aborts, a greedy-matching bound, and
+//!   a run-batched shared-pebble-mass bound, probe-grouped sparse vertex
+//!   enumeration with in-enumeration aborts, a greedy-matching bound, and
 //!   an allocation-free Algorithm 1 over per-worker scratch —
 //!   byte-identical to the [`approx`] reference path.
 

@@ -19,7 +19,22 @@
 //!   `max(MP(S), MP(T))` (matched + residual segments partition each
 //!   side). Hence `USIM ≤ min(|S|, |T|) / max(MP(S), MP(T))` — two cached
 //!   integers per record, O(1) per candidate, no segment-pair work at all.
-//! * **Tier 1 — sparse vertex enumeration, probe-grouped.** `msim > 0`
+//! * **Tier "mass" — shared pebble mass, before any pair is surfaced.**
+//!   Each probe segment `sa` is credited the most it could score against
+//!   *any* segment of `T`: 1 when `T` carries its surface key or one of
+//!   its synonym rules, otherwise the gram score of `sa` against the
+//!   `c = |G(sa) ∩ G(T)|` of its distinct grams that occur anywhere in
+//!   `T` (`score(c, |G(sa)|, c)`) or its best taxonomy similarity to a
+//!   node of `T`. The credits, summed in segment order over
+//!   `max(MP(S), MP(T))`, dominate the row-max bound **as floats**
+//!   (`Verifier::mass_bound`), so this tier rejects only pairs tier 1
+//!   rejects anyway — but it needs *which records* carry a key, not which
+//!   segment pairs share it: no stamp table, no pair list, no `msim`. A
+//!   probe record's whole candidate run is counted in one walk of the
+//!   corpus-level [`GramPostingsIndex`] ([`Verifier::verify_run_at_least`]);
+//!   per-pair and probe-grouped calls count over the two records' own
+//!   posting tables.
+//! * **Tier 1 — sparse vertex enumeration.** `msim > 0`
 //!   requires a shared gram (J), a shared synonym rule (S), taxonomy nodes
 //!   on both sides (T), or surface equality — so positive pairs are
 //!   surfaced from per-record posting tables
@@ -36,10 +51,7 @@
 //!   - **incremental abort** — while scoring surfaced pairs (s-major
 //!     order) the running S-side row-max sum is tracked, and scoring
 //!     aborts the moment even crediting every unscored segment with the
-//!     maximal weight 1 cannot reach θ;
-//!   - the `msim` of each surfaced pair is memoised across candidates in
-//!     a direct-mapped cache-resident table keyed by the interned surface
-//!     identity pair ([`crate::segment::Segment::key`]).
+//!     maximal weight 1 cannot reach θ.
 //! * **Tier 1 bound — row-max.** The classic vertex upper bound
 //!   `min(Σ_s best, Σ_t best) / max(MP(S), MP(T))`, float-identical to the
 //!   reference decision fast path.
@@ -59,11 +71,11 @@
 //! accepted values, which always come from the shared `refine_set` — are
 //! byte-identical to the reference per-candidate path. Per-worker scratch composes with
 //! [`crate::parallel::par_filter_map_runs_scratch`]: workers never share
-//! mutable state, memo contents affect only speed, and the per-tier
+//! mutable state, nothing is cached across candidates, and the per-tier
 //! rejection counters ([`VerifyTiers`]) are pure per-candidate functions,
 //! so counts and results are independent of scheduling.
 
-use crate::config::{GramMeasure, MeasureSet, SimConfig};
+use crate::config::{GramMeasure, SimConfig};
 use crate::knowledge::Knowledge;
 use crate::msim::MeasureKind;
 use crate::segment::SegRecord;
@@ -75,84 +87,37 @@ use crate::usim::graph::{add_conflict_edges, UsimGraph, VertexPair};
 use au_text::FxHashMap;
 use std::hash::Hash;
 
-/// Slots in the direct-mapped cross-candidate `msim` memo (2^16 entries ≈
-/// 2.5 MB — sized to stay cache-resident; a bigger hash map was measured
-/// *slower* than recomputation because every probe became a DRAM miss).
-const MEMO_SLOTS: usize = 1 << 16;
-
-/// Sentinel key marking an empty memo slot (no segment key uses the high
-/// bits above bit 32, so this collides with nothing).
-const MEMO_EMPTY: (u64, u64) = (u64::MAX, u64::MAX);
-
-/// Direct-mapped `msim` memo keyed by interned surface-identity pairs
-/// ([`crate::segment::Segment::key`]). Collisions overwrite — the memo is
-/// a performance cache, never a source of truth, and `msim` is a pure
-/// function of the key pair under a fixed knowledge context, so a stale
-/// hit is impossible and an evicted entry merely recomputes.
-#[derive(Debug, Clone, Default)]
-struct MsimMemo {
-    /// Lazily sized to [`MEMO_SLOTS`] on first insert — a scratch that
-    /// never verifies enough pairs to insert (tiny joins, single search
-    /// queries) pays no allocation or memset.
-    keys: Vec<(u64, u64)>,
-    vals: Vec<(f64, MeasureKind)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl MsimMemo {
-    #[inline]
-    fn slot(key: (u64, u64)) -> usize {
-        // Fx-style multiplicative mix of both halves.
-        let h = (key.0 ^ key.1.rotate_left(32)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        (h >> 32) as usize & (MEMO_SLOTS - 1)
-    }
-
-    #[inline]
-    fn get(&mut self, key: (u64, u64)) -> Option<(f64, MeasureKind)> {
-        if self.keys.is_empty() {
-            self.misses += 1;
-            return None;
-        }
-        let s = Self::slot(key);
-        if self.keys[s] == key {
-            self.hits += 1;
-            Some(self.vals[s])
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    #[inline]
-    fn put(&mut self, key: (u64, u64), val: (f64, MeasureKind)) {
-        if self.keys.is_empty() {
-            self.keys.resize(MEMO_SLOTS, MEMO_EMPTY);
-            self.vals.resize(MEMO_SLOTS, (0.0, MeasureKind::Jaccard));
-        }
-        let s = Self::slot(key);
-        self.keys[s] = key;
-        self.vals[s] = val;
-    }
-}
-
 /// Per-pair flags of the epoch-stamped surfacing table.
 const FLAG_RULE: u8 = 1;
 const FLAG_NODE: u8 = 2;
 
+/// Mass-count mark: some segment of the partner has this probe segment's
+/// surface key or shares a synonym rule with it — full credit. Gram counts
+/// live in the low bits (a segment's distinct grams never reach 2³¹).
+const FULL: u32 = 1 << 31;
+
+/// Mass counters (`partners × probe segments`) one worker holds at a
+/// time; a run needing more is counted in partner chunks.
+const RUN_COUNTERS_MAX: usize = 1 << 20;
+
+/// [`RunScratch`] row of a record that is not a partner of the current
+/// run chunk.
+const NO_ROW: u32 = u32::MAX;
+
 /// Per-tier decision telemetry of the verification cascade. Every
 /// decision-mode call ([`Verifier::sim_at_least`] /
-/// [`Verifier::probed_sim_at_least`]) lands in exactly one decision
-/// bucket; the tier buckets are **pure per-candidate functions** of
-/// `(S, T, θ, config)` — independent of scheduling, thread count and memo
-/// state — so their sums over a candidate set are deterministic and CI
-/// gates them exactly. The memo counters are *not* deterministic under
-/// parallel execution (they depend on which worker verified which
-/// candidates) and are reported as diagnostics only.
+/// [`Verifier::probed_sim_at_least`] / [`Verifier::verify_run_at_least`])
+/// lands in exactly one bucket, and every bucket is a **pure
+/// per-candidate function** of `(S, T, θ, config)` — independent of
+/// scheduling, thread count and which count source ran — so their sums
+/// over a candidate set are deterministic and CI gates them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyTiers {
     /// Rejected by the tier-0 record-level bound (or an empty side).
     pub tier0_rejects: u64,
+    /// Rejected by the shared-pebble-mass bound, before any segment pair
+    /// was surfaced.
+    pub mass_rejects: u64,
     /// Rejected during sparse enumeration: the surfaced-segment cap, or
     /// the incremental abort while scoring surfaced pairs.
     pub enum_rejects: u64,
@@ -164,29 +129,25 @@ pub struct VerifyTiers {
     pub tier2_rejects: u64,
     /// Accepted (always via Algorithm 1 — bounds only ever reject).
     pub accepted: u64,
-    /// `msim` memo probes that hit (diagnostic, scheduling-dependent).
-    pub memo_hits: u64,
-    /// `msim` memo probes that missed (diagnostic, scheduling-dependent).
-    pub memo_misses: u64,
 }
 
 impl VerifyTiers {
     /// Fold another tally into this one (worker drain).
     pub fn merge(&mut self, o: &VerifyTiers) {
         self.tier0_rejects += o.tier0_rejects;
+        self.mass_rejects += o.mass_rejects;
         self.enum_rejects += o.enum_rejects;
         self.rowmax_rejects += o.rowmax_rejects;
         self.greedy_rejects += o.greedy_rejects;
         self.tier2_rejects += o.tier2_rejects;
         self.accepted += o.accepted;
-        self.memo_hits += o.memo_hits;
-        self.memo_misses += o.memo_misses;
     }
 
     /// Total decision-mode verifications (every candidate lands in
     /// exactly one bucket).
     pub fn decisions(&self) -> u64 {
         self.tier0_rejects
+            + self.mass_rejects
             + self.enum_rejects
             + self.rowmax_rejects
             + self.greedy_rejects
@@ -197,7 +158,8 @@ impl VerifyTiers {
 
 /// Every cascade upper bound of one pair, fully evaluated (no early
 /// exits) — the soundness-proptest and explain surface. Each bound
-/// dominates exact USIM; additionally `tier0 ≥ surfaced` and
+/// dominates exact USIM; additionally `tier0 ≥ surfaced`,
+/// `mass ≥ rowmax` (as floats, not just up to rounding) and
 /// `rowmax ≥ greedy` (the surfaced cap counts *segments*, which can
 /// exceed the row-max weight sum when segments overlap, so those two are
 /// not mutually ordered).
@@ -205,6 +167,8 @@ impl VerifyTiers {
 pub struct CascadeBounds {
     /// Tier 0: `min(|S|,|T|) / max(MP(S),MP(T))`.
     pub tier0: f64,
+    /// Tier "mass": shared pebble mass of the probe side.
+    pub mass: f64,
     /// Tier 1a: surfaced-segment cap.
     pub surfaced: f64,
     /// Tier 1: row-max vertex bound.
@@ -213,38 +177,12 @@ pub struct CascadeBounds {
     pub greedy: f64,
 }
 
-/// Identity of the `(Knowledge, SimConfig)` context a memo's entries were
-/// computed under. The knowledge side is the process-unique
-/// [`Knowledge::generation`] id (minted per build and per vocabulary
-/// mutation, so diverged clones never share one — immune to
-/// address-reuse ABA); the config side is the `msim`-relevant fields. A
-/// [`VerifyScratch`] reused against a *different* context flushes its
-/// memo instead of serving stale similarities.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MemoStamp {
-    generation: u64,
-    measures: MeasureSet,
-    gram: GramMeasure,
-    q: usize,
-}
-
-impl MemoStamp {
-    fn of(kn: &Knowledge, cfg: &SimConfig) -> Self {
-        Self {
-            generation: kn.generation(),
-            measures: cfg.measures,
-            gram: cfg.gram,
-            q: cfg.q,
-        }
-    }
-}
-
 /// Hash-indexed view of one probe record's posting tables: each key maps
 /// to its contiguous `(offset, len)` group inside the record's own sorted
 /// posting array. Built once per candidate run by
-/// [`Verifier::begin_probe`]; a partner's enumeration then walks *its*
-/// postings only and joins through O(1) lookups instead of re-merging the
-/// probe side per candidate.
+/// [`Verifier::begin_probe`]; a partner's mass count and enumeration then
+/// walk *its* postings only and join through O(1) lookups instead of
+/// re-merging the probe side per candidate.
 ///
 /// The view holds offsets, not references — it stays valid only for the
 /// record it was built from, which [`Verifier::probed_sim_at_least`]
@@ -280,83 +218,93 @@ impl ProbeIndex {
     }
 }
 
-/// Where a candidate's shared-posting pairs come from during surfacing.
+/// The gram credits of one probe record, tabulated once per run:
+/// `get(sa, c) = gram.score(c, |G(sa)|, c)` for every `c ≤ |G(sa)|` —
+/// the very call the per-pair path makes, so the float is the same and a
+/// run pays no division per candidate.
+#[derive(Debug, Clone, Default)]
+struct CreditTable {
+    /// Start of each segment's `|G(sa)| + 1` entries in `val`.
+    off: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl CreditTable {
+    fn build(&mut self, s: &SegRecord, gram: GramMeasure) {
+        self.off.clear();
+        self.val.clear();
+        for seg in &s.segments {
+            self.off.push(self.val.len() as u32);
+            let n = seg.grams.len();
+            self.val.extend((0..=n).map(|c| gram.score(c, n, c)));
+        }
+    }
+
+    #[inline]
+    fn get(&self, sa: usize, c: u32) -> f64 {
+        self.val[(self.off[sa] + c) as usize]
+    }
+}
+
+/// Which view of the probe record a candidate's shared postings are
+/// joined through — for the mass count and for surfacing alike.
 #[derive(Clone, Copy)]
-enum GramSource<'e> {
-    /// Two-pointer merge of both records' posting tables (per-pair path).
+enum GramSource {
+    /// Two-pointer merge of both records' posting tables (per-pair path,
+    /// and the survivors of a run-batched mass count).
     Merge,
     /// Walk the partner's postings against the probe index
     /// ([`Verifier::begin_probe`]).
     Probe,
-    /// Pre-collected packed `(kind, s_seg, t_seg)` touches of this
-    /// candidate — identity, gram and rule joins batched over the whole
-    /// run through the corpus-level [`GramPostingsIndex`]
-    /// ([`RunScratch::collect_events`]). Only the taxonomy cross product
-    /// remains per-candidate.
-    Events(&'e [u32]),
 }
 
-/// Event payloads of the run-batched join (which posting table surfaced
-/// the pair — determines the `touch` contribution).
-const EV_KEY: u32 = 0;
-const EV_GRAM: u32 = 1;
-const EV_RULE: u32 = 2;
-
-/// Segment indices in packed events get 13 bits each; records with more
-/// segments fall back to the probe-grouped path (`verify_candidates`
-/// guards).
-pub const EVENT_SEG_LIMIT: usize = 1 << 13;
-
-#[inline]
-fn pack_event(kind: u32, sa: u32, ta: u32) -> u32 {
-    debug_assert!((sa as usize) < EVENT_SEG_LIMIT && (ta as usize) < EVENT_SEG_LIMIT);
-    (kind << 26) | (sa << 13) | ta
-}
-
-#[inline]
-fn unpack_event(ev: u32) -> (u32, u32, u32) {
-    (ev >> 26, (ev >> 13) & 0x1fff, ev & 0x1fff)
-}
-
-/// One corpus-level transposed posting table: every `(record, segment)`
-/// entry carrying a key, grouped by key.
+/// One corpus-level transposed posting table: the sorted distinct ids of
+/// the records carrying a key, grouped by key.
 #[derive(Debug, Clone, Default)]
 struct PostingTable {
     map: FxHashMap<u64, (u32, u32)>,
-    postings: Vec<(u32, u32)>,
+    postings: Vec<u32>,
 }
 
 impl PostingTable {
-    fn build<'r, I>(recs: &'r [SegRecord], posts_of: impl Fn(&'r SegRecord) -> I) -> Self
-    where
-        I: Iterator<Item = (u64, u32)> + 'r,
-    {
-        let mut triples: Vec<(u64, u32, u32)> = Vec::new();
+    fn build<K: PartialEq + Copy + Into<u64>>(
+        recs: &[SegRecord],
+        posts_of: impl Fn(&SegRecord) -> &[(K, u32)],
+    ) -> Self {
+        let mut pairs: Vec<(u64, u32)> = Vec::new();
         for (rid, rec) in recs.iter().enumerate() {
-            triples.extend(posts_of(rec).map(|(g, seg)| (g, rid as u32, seg)));
+            for_each_group(posts_of(rec), |k, _| pairs.push((k.into(), rid as u32)));
         }
-        triples.sort_unstable();
+        pairs.sort_unstable();
         let mut map = FxHashMap::default();
-        let mut postings = Vec::with_capacity(triples.len());
         for_each_group_range(
-            &triples,
-            |t| t.0,
-            |g, start, end| {
-                map.insert(g, (start as u32, (end - start) as u32));
-                postings.extend(triples[start..end].iter().map(|&(_, rid, seg)| (rid, seg)));
+            &pairs,
+            |p| p.0,
+            |k, start, end| {
+                map.insert(k, (start as u32, (end - start) as u32));
             },
         );
-        Self { map, postings }
+        Self {
+            map,
+            postings: pairs.into_iter().map(|(_, rid)| rid).collect(),
+        }
+    }
+
+    /// Ids of the records carrying `key` (ascending).
+    fn records(&self, key: u64) -> &[u32] {
+        self.map
+            .get(&key)
+            .map_or(&[], |&(o, l)| &self.postings[o as usize..(o + l) as usize])
     }
 }
 
 /// Corpus-level transposed posting tables of one prepared join side
-/// (surface keys, grams, synonym rules). Built once per verification
-/// stage and shared read-only across workers;
-/// [`RunScratch::collect_events`] walks only the probe record's keys'
-/// posting lists — work proportional to the probe's document frequencies
-/// plus the true shared-posting events, instead of every partner's full
-/// posting tables.
+/// (surface keys, grams, synonym rules): which *records* carry a key —
+/// the mass bound never asks which segment. Built once per verification
+/// stage and shared read-only across workers; a run's mass count
+/// ([`Verifier::verify_run_at_least`]) walks only the probe record's
+/// keys' posting lists — work proportional to the probe's document
+/// frequencies, instead of every partner's full posting tables.
 #[derive(Debug, Clone, Default)]
 pub struct GramPostingsIndex {
     keys: PostingTable,
@@ -369,11 +317,9 @@ impl GramPostingsIndex {
     /// u32 in [`SegRecord`]; the shared tables widen them to u64.
     pub fn build(recs: &[SegRecord]) -> Self {
         Self {
-            keys: PostingTable::build(recs, |r| r.key_posts.iter().copied()),
-            grams: PostingTable::build(recs, |r| r.gram_posts.iter().copied()),
-            rules: PostingTable::build(recs, |r| {
-                r.rule_posts.iter().map(|&(rule, seg)| (rule as u64, seg))
-            }),
+            keys: PostingTable::build(recs, |r| &r.key_posts),
+            grams: PostingTable::build(recs, |r| &r.gram_posts),
+            rules: PostingTable::build(recs, |r| &r.rule_posts),
         }
     }
 
@@ -389,50 +335,34 @@ impl GramPostingsIndex {
 }
 
 /// Per-worker state of run-batched verification: a [`VerifyScratch`] plus
-/// the run-level buffers — partner membership stamps and the per-run
-/// event table. Fields are module-private; the run driver
-/// ([`Verifier::verify_run_at_least`]) borrows the event slices and the
+/// the run-level mass counters. Fields are module-private; the run driver
+/// ([`Verifier::verify_run_at_least`]) borrows the counter rows and the
 /// verify scratch disjointly.
 #[derive(Debug, Clone, Default)]
 pub struct RunScratch {
     /// The per-candidate verification scratch.
     pub verify: VerifyScratch,
-    /// Epoch-stamped partner membership (indexed by t-record id).
-    stamp: Vec<u32>,
-    /// Partner id → local index within the current run (valid where
-    /// `stamp` matches the epoch).
-    local: Vec<u32>,
-    epoch: u32,
-    /// Collected events: `local partner << 32 | packed (kind, sa, ta)`.
-    events: Vec<u64>,
-    /// Packed events grouped by local partner (counting sort of
-    /// `events`, low halves only).
-    sorted: Vec<u32>,
-    /// Group offsets into `sorted` (`run_len + 1` entries).
-    offsets: Vec<u32>,
-    /// Counting-sort cursors.
-    cursors: Vec<u32>,
-    /// Reused widening buffer for the probe's rule postings (rule ids
-    /// are u32 in [`SegRecord`], the shared tables are keyed by u64).
-    rules64: Vec<(u64, u32)>,
+    /// Partner record id → its row in `acc` for the current run chunk
+    /// ([`NO_ROW`] for everyone else; reset after every chunk).
+    row_of: Vec<u32>,
+    /// Mass counters, one row of `s.segments.len()` per partner of the
+    /// chunk: shared distinct grams, or [`FULL`].
+    acc: Vec<u32>,
 }
 
 impl RunScratch {
-    /// Collect the surfacing events of one probe run: for every distinct
-    /// surface key, gram and rule of `s`, walk its corpus-level posting
-    /// list and keep the entries whose record is one of the run's
-    /// partners. After this, [`RunScratch::events_of`] yields each
-    /// candidate's `(s_seg, t_seg, kind)` touches — exactly the pairs
-    /// the per-partner merge joins would surface; only the taxonomy
-    /// cross product stays per-candidate (it has no misses to skip).
+    /// Mass-count one chunk of a probe run: for every distinct surface
+    /// key, gram and rule of `s`, walk the ids of the records carrying it
+    /// and bump the counters of those that are partners of `run` —
+    /// exactly the counts [`VerifyScratch::count_shared`] makes pair by
+    /// pair.
     ///
-    /// `n_t_records` is the partner-side record count (sizes the
-    /// membership stamps); partner ids within one run must be unique
-    /// (candidate lists are deduplicated pairs). `keep(b)` filters which
-    /// partners participate at all — the run driver passes the tier-0
-    /// pre-screen, so partners the record-level bound already rejects
-    /// never cost a single posting walk.
-    pub fn collect_events(
+    /// `n_t_records` is the partner-side record count; partner ids within
+    /// one run must be unique (candidate lists are deduplicated pairs).
+    /// `keep(b)` filters which partners participate at all — the run
+    /// driver passes the tier-0 pre-screen, so partners the record-level
+    /// bound already rejects never cost a counter bump.
+    fn count_run(
         &mut self,
         s: &SegRecord,
         n_t_records: usize,
@@ -440,74 +370,24 @@ impl RunScratch {
         idx: &GramPostingsIndex,
         keep: impl Fn(u32) -> bool,
     ) {
-        if self.stamp.len() < n_t_records {
-            self.stamp.resize(n_t_records, 0);
-            self.local.resize(n_t_records, 0);
+        let ns = s.segments.len();
+        if self.row_of.len() < n_t_records {
+            self.row_of.resize(n_t_records, NO_ROW);
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
+        self.acc.clear();
+        self.acc.resize(run.len() * ns, 0);
         for (k, &(_, b)) in run.iter().enumerate() {
             if keep(b) {
-                self.stamp[b as usize] = epoch;
-                self.local[b as usize] = k as u32;
+                self.row_of[b as usize] = k as u32;
             }
         }
-        self.events.clear();
-        // Widen the probe's rule ids into the reused buffer first (the
-        // walk closure borrows `self` mutably): tiny lists, but this
-        // runs once per run fragment — no per-run allocation.
-        let mut rules64 = std::mem::take(&mut self.rules64);
-        rules64.clear();
-        rules64.extend(s.rule_posts.iter().map(|&(r, seg)| (r as u64, seg)));
-        let mut walk = |posts: &[(u64, u32)], table: &PostingTable, kind: u32| {
-            for_each_group(posts, |g, sg| {
-                if let Some(&(o, l)) = table.map.get(&g) {
-                    for &(b, tseg) in &table.postings[o as usize..(o + l) as usize] {
-                        if self.stamp[b as usize] == epoch {
-                            let j = self.local[b as usize] as u64;
-                            for &(_, sa) in sg {
-                                self.events
-                                    .push(j << 32 | pack_event(kind, sa, tseg) as u64);
-                            }
-                        }
-                    }
-                }
-            });
-        };
-        walk(&s.key_posts, &idx.keys, EV_KEY);
-        walk(&s.gram_posts, &idx.grams, EV_GRAM);
-        walk(&rules64, &idx.rules, EV_RULE);
-        // `walk`'s borrow of `self` ends with its last call; hand the
-        // widening buffer back for the next run.
-        self.rules64 = rules64;
-        // Counting sort by local partner index (stable — per-candidate
-        // event order is a pure function of the probe and partner).
-        self.offsets.clear();
-        self.offsets.resize(run.len() + 1, 0);
-        for &ev in &self.events {
-            self.offsets[(ev >> 32) as usize + 1] += 1;
+        let Self { row_of, acc, .. } = self;
+        walk_postings(&s.key_posts, &idx.keys, row_of, ns, acc, |c| *c |= FULL);
+        walk_postings(&s.gram_posts, &idx.grams, row_of, ns, acc, |c| *c += 1);
+        walk_postings(&s.rule_posts, &idx.rules, row_of, ns, acc, |c| *c |= FULL);
+        for &(_, b) in run {
+            row_of[b as usize] = NO_ROW;
         }
-        for i in 1..self.offsets.len() {
-            self.offsets[i] += self.offsets[i - 1];
-        }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..run.len()]);
-        self.sorted.clear();
-        self.sorted.resize(self.events.len(), 0);
-        for &ev in &self.events {
-            let c = &mut self.cursors[(ev >> 32) as usize];
-            self.sorted[*c as usize] = ev as u32;
-            *c += 1;
-        }
-    }
-
-    /// The collected packed events of the run's `k`-th candidate.
-    pub fn events_of(&self, k: usize) -> &[u32] {
-        &self.sorted[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// Take (and reset) the inner verify scratch's tier tally.
@@ -516,13 +396,40 @@ impl RunScratch {
     }
 }
 
+/// One table's share of [`RunScratch::count_run`]: `hit` fires on the
+/// counter of every `(partner row, probe segment)` whose partner carries
+/// a key of that segment — once per distinct key.
+fn walk_postings<K: PartialEq + Copy + Into<u64>>(
+    posts: &[(K, u32)],
+    table: &PostingTable,
+    row_of: &[u32],
+    ns: usize,
+    acc: &mut [u32],
+    hit: impl Fn(&mut u32),
+) {
+    for_each_group(posts, |key, sg| {
+        for &b in table.records(key.into()) {
+            let row = row_of[b as usize];
+            if row != NO_ROW {
+                for &(_, sa) in sg {
+                    hit(&mut acc[row as usize * ns + sa as usize]);
+                }
+            }
+        }
+    });
+}
+
 /// Reusable per-worker state of the verification engine. Create one per
 /// worker (e.g. via `Default` in `par_filter_map_runs_scratch`'s `init`)
 /// and feed it to every [`Verifier`] call on that worker.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyScratch {
-    /// Cross-candidate `msim` memo.
-    memo: MsimMemo,
+    /// Mass counters of the current candidate, one per probe segment
+    /// ([`VerifyScratch::count_shared`]).
+    shared: Vec<u32>,
+    /// Gram credits of the current run's probe record
+    /// ([`Verifier::begin_probe`] / [`Verifier::verify_run_at_least`]).
+    credit: CreditTable,
     /// Epoch stamps of the dense per-candidate `(s_seg, t_seg)` table.
     stamps: Vec<u32>,
     /// Shared-gram counts per surfaced pair (valid where stamp == epoch).
@@ -555,29 +462,43 @@ pub struct VerifyScratch {
     refine: RefineScratch,
     /// Per-tier decision counters since the last [`VerifyScratch::take_tally`].
     tally: VerifyTiers,
-    /// Context the memo entries belong to (see [`MemoStamp`]).
-    stamp: Option<MemoStamp>,
 }
 
 impl VerifyScratch {
-    /// Memo probes that hit (diagnostics).
-    pub fn memo_hits(&self) -> u64 {
-        self.memo.hits
-    }
-
-    /// Memo probes that missed (diagnostics).
-    pub fn memo_misses(&self) -> u64 {
-        self.memo.misses
-    }
-
     /// Take (and reset) the per-tier decision counters accumulated since
-    /// the last call, folding in the memo hit/miss counts. Workers call
-    /// this from the parallel drain hook.
+    /// the last call. Workers call this from the parallel drain hook.
     pub fn take_tally(&mut self) -> VerifyTiers {
-        let mut t = std::mem::take(&mut self.tally);
-        t.memo_hits += std::mem::take(&mut self.memo.hits);
-        t.memo_misses += std::mem::take(&mut self.memo.misses);
-        t
+        std::mem::take(&mut self.tally)
+    }
+
+    /// The mass count of one pair into `self.shared`: per probe segment,
+    /// the number of its distinct grams occurring anywhere in `t`, or
+    /// [`FULL`] when `t` carries its surface key or one of its rules.
+    fn count_shared(&mut self, s: &SegRecord, t: &SegRecord, grams: GramSource) {
+        let Self { shared, probe, .. } = self;
+        shared.clear();
+        shared.resize(s.segments.len(), 0);
+        shared_groups(grams, &probe.keys, &s.key_posts, &t.key_posts, |sg, _| {
+            sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
+        });
+        shared_groups(
+            grams,
+            &probe.grams,
+            &s.gram_posts,
+            &t.gram_posts,
+            |sg, _| {
+                sg.iter().for_each(|&(_, sa)| shared[sa as usize] += 1);
+            },
+        );
+        shared_groups(
+            grams,
+            &probe.rules,
+            &s.rule_posts,
+            &t.rule_posts,
+            |sg, _| {
+                sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
+            },
+        );
     }
 }
 
@@ -608,7 +529,7 @@ impl<'a> Verifier<'a> {
     /// from the two cached integers. `None` when a side is empty (the
     /// callers' empty-record conventions differ from any ratio). The
     /// single formula behind both the per-candidate tier-0 check and the
-    /// run driver's event pre-screen — the two must never drift.
+    /// run driver's pre-screen — the two must never drift.
     #[inline]
     fn tier0_bound(s: &SegRecord, t: &SegRecord) -> Option<f64> {
         let ns = s.n_tokens();
@@ -620,33 +541,95 @@ impl<'a> Verifier<'a> {
     }
 
     /// The tier-0 decision of [`Verifier::tier0_bound`] (the run
-    /// driver's event pre-screen; empty sides never surface events).
+    /// driver's pre-screen; empty sides are never counted).
     #[inline]
     fn passes_tier0(&self, s: &SegRecord, t: &SegRecord, theta: f64) -> bool {
         Self::tier0_bound(s, t).is_some_and(|ub0| ub0 >= theta - self.cfg.eps)
     }
 
-    /// Flush the scratch's memo if it was populated under a different
-    /// `(Knowledge, SimConfig)` context — a reused scratch must never
-    /// serve `msim` values from another world.
-    fn restamp(&self, scr: &mut VerifyScratch) {
-        let stamp = MemoStamp::of(self.kn, self.cfg);
-        if scr.stamp != Some(stamp) {
-            if scr.stamp.is_some() {
-                scr.memo.keys.fill(MEMO_EMPTY);
-            }
-            scr.stamp = Some(stamp);
+    /// Tier "mass": `Σ_sa credit(sa, T) / max(MP(S), MP(T))` from the
+    /// mass counts `shared` of the pair (one per segment of `s`; see
+    /// [`VerifyScratch::count_shared`]), where `credit(sa, T)` is 1 for a
+    /// [`FULL`] count and otherwise the larger of
+    /// `gram_credit(sa, c) = gram.score(c, |G(sa)|, c)` and `sa`'s best
+    /// taxonomy similarity to a node of `t`.
+    ///
+    /// Sound against the row-max bound at the float level, term by term:
+    /// `c ≥ |G(sa) ∩ G(ta)|` for every segment `ta` of `t`, and
+    /// `score(i, n, m) ≤ score(c, n, c)` whenever `i ≤ c`, `i ≤ m`, for
+    /// every [`GramMeasure`] (the division and square root are monotone
+    /// and correctly rounded; `c × pebble_weight(n)` would *not* do —
+    /// `1/n` rounds); rule closeness is ≤ 1; the taxonomy term is the
+    /// exact value. So `credit(sa, T) ≥ max_ta msim(sa, ta)` as `f64`s,
+    /// float addition is monotone in each argument, and the sum runs in
+    /// the segment order of `vertex_upper_bound_with`'s `Σ_s best`: the
+    /// result is `≥ Σ_s best / denom ≥` the row-max bound, bit for bit.
+    ///
+    /// The taxonomy term is lazy: node-bearing segments are first
+    /// credited 1, and LCAs are computed only when that optimistic sum
+    /// does not already fall below `reject_below` — the returned value
+    /// then is the optimistic one, which decides the same way (it
+    /// dominates the exact sum). With `reject_below = None` the exact
+    /// bound is always returned.
+    fn mass_bound(
+        &self,
+        s: &SegRecord,
+        t: &SegRecord,
+        shared: &[u32],
+        gram_credit: impl Fn(usize, u32) -> f64,
+        reject_below: Option<f64>,
+    ) -> f64 {
+        let denom = s.min_partition.max(t.min_partition) as f64;
+        let t_nodes = !t.node_segs.is_empty();
+        let mut lazy = false;
+        let mut mass = 0.0f64;
+        for (sa, &c) in shared.iter().enumerate() {
+            mass += if c >= FULL {
+                1.0
+            } else if t_nodes && s.segments[sa].node.is_some() {
+                lazy = true;
+                1.0
+            } else {
+                gram_credit(sa, c)
+            };
         }
+        if !lazy || reject_below.is_some_and(|min| mass / denom < min) {
+            return mass / denom;
+        }
+        let mut mass = 0.0f64;
+        for (sa, &c) in shared.iter().enumerate() {
+            mass += match s.segments[sa].node {
+                _ if c >= FULL => 1.0,
+                None => gram_credit(sa, c),
+                Some(na) => t
+                    .node_segs
+                    .iter()
+                    .filter_map(|&tb| t.segments[tb as usize].node)
+                    .map(|nb| self.kn.taxonomy.sim(na, nb))
+                    .fold(gram_credit(sa, c), f64::max),
+            };
+        }
+        mass / denom
+    }
+
+    /// [`CreditTable`]'s entry computed on the spot (per-pair calls have
+    /// no run to tabulate for).
+    #[inline]
+    fn gram_credit(&self, s: &SegRecord, sa: usize, c: u32) -> f64 {
+        let c = c as usize;
+        self.cfg.gram.score(c, s.segments[sa].grams.len(), c)
     }
 
     /// Index the probe record `s`'s posting tables into the scratch's
-    /// probe view, starting a probe-grouped run: every subsequent
-    /// [`Verifier::probed_sim_at_least`] / [`Verifier::probed_sim`] call
-    /// on this scratch must pass the same `s` until the next
-    /// `begin_probe`. The view is rebuilt unconditionally — identity
-    /// caching across runs would be unsound under address reuse.
+    /// probe view and tabulate its gram credits, starting a probe-grouped
+    /// run: every subsequent [`Verifier::probed_sim_at_least`] /
+    /// [`Verifier::probed_sim`] call on this scratch must pass the same
+    /// `s` until the next `begin_probe`. The view is rebuilt
+    /// unconditionally — identity caching across runs would be unsound
+    /// under address reuse.
     pub fn begin_probe(&self, s: &SegRecord, scr: &mut VerifyScratch) {
         scr.probe.build(s);
+        scr.credit.build(s, self.cfg.gram);
     }
 
     /// Decision-oriented verification: a valid lower bound of `USIM(s, t)`
@@ -659,7 +642,7 @@ impl<'a> Verifier<'a> {
         theta: f64,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        self.sim_at_least_impl(s, t, theta, GramSource::Merge, scr)
+        self.sim_at_least_impl(s, t, theta, GramSource::Merge, None, scr)
     }
 
     /// [`Verifier::sim_at_least`] through the probe-grouped enumeration:
@@ -678,16 +661,18 @@ impl<'a> Verifier<'a> {
             scr.probe.ptr, s as *const SegRecord as usize,
             "probed call against a record begin_probe never saw"
         );
-        self.sim_at_least_impl(s, t, theta, GramSource::Probe, scr)
+        self.sim_at_least_impl(s, t, theta, GramSource::Probe, None, scr)
     }
 
-    /// Verify one whole probe run through the run-batched gram path: `s`
-    /// against every `(a, b)` candidate of `run` (ids into `t_recs`),
-    /// with shared-gram pairs pre-collected through the corpus-level
-    /// `idx` and key/rule joins through the per-run probe index.
-    /// Accepted `(a, b, sim)` triples are pushed to `out` in run order —
-    /// byte-identical to calling [`Verifier::sim_at_least`] per
-    /// candidate.
+    /// Verify one whole probe run through the run-batched mass count: `s`
+    /// against every `(a, b)` candidate of `run` (ids into `t_recs`). One
+    /// walk of the corpus-level `idx` counts the shared pebble mass of
+    /// every partner at once — in partner chunks when the run needs more
+    /// than `RUN_COUNTERS_MAX` (2²⁰) counters — and only the candidates the
+    /// mass bound cannot reject go on to per-pair enumeration. Accepted
+    /// `(a, b, sim)` triples are pushed to `out` in run order —
+    /// byte-identical, tallies included, to calling
+    /// [`Verifier::sim_at_least`] per candidate.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_run_at_least(
         &self,
@@ -699,37 +684,45 @@ impl<'a> Verifier<'a> {
         rs: &mut RunScratch,
         out: &mut Vec<(u32, u32, f64)>,
     ) {
-        // Tier-0 pre-screen while stamping run membership: partners the
-        // record-level bound rejects never cost a posting walk (their
-        // per-candidate call below still lands them in the tier-0
-        // bucket without looking at events).
-        rs.collect_events(s, t_recs.len(), run, idx, |b| {
-            self.passes_tier0(s, &t_recs[b as usize], theta)
-        });
-        for (k, &(a, b)) in run.iter().enumerate() {
-            let ev = &rs.sorted[rs.offsets[k] as usize..rs.offsets[k + 1] as usize];
-            let sim = self.sim_at_least_impl(
-                s,
-                &t_recs[b as usize],
-                theta,
-                GramSource::Events(ev),
-                &mut rs.verify,
-            );
-            if sim >= theta - self.cfg.eps {
-                out.push((a, b, sim));
+        let ns = s.segments.len();
+        rs.verify.credit.build(s, self.cfg.gram);
+        for part in run.chunks((RUN_COUNTERS_MAX / ns.max(1)).max(1)) {
+            // Tier-0 pre-screen while assigning rows: partners the
+            // record-level bound rejects never cost a counter bump (their
+            // per-candidate call below still lands them in the tier-0
+            // bucket without looking at the counts).
+            rs.count_run(s, t_recs.len(), part, idx, |b| {
+                self.passes_tier0(s, &t_recs[b as usize], theta)
+            });
+            for (k, &(a, b)) in part.iter().enumerate() {
+                let sim = self.sim_at_least_impl(
+                    s,
+                    &t_recs[b as usize],
+                    theta,
+                    GramSource::Merge,
+                    Some(&rs.acc[k * ns..(k + 1) * ns]),
+                    &mut rs.verify,
+                );
+                if sim >= theta - self.cfg.eps {
+                    out.push((a, b, sim));
+                }
             }
         }
     }
 
+    /// The decision cascade of one candidate. `counted` carries the
+    /// pair's mass counts when a run walk already made them (the scratch
+    /// then holds the probe's credit table); otherwise they are counted
+    /// here through `grams`.
     fn sim_at_least_impl(
         &self,
         s: &SegRecord,
         t: &SegRecord,
         theta: f64,
-        grams: GramSource<'_>,
+        grams: GramSource,
+        counted: Option<&[u32]>,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        self.restamp(scr);
         // Tier 0: record-level upper bound from two cached integers
         // (None = an empty side; both empty scores 1 by convention).
         let Some(ub0) = Self::tier0_bound(s, t) else {
@@ -744,9 +737,28 @@ impl<'a> Verifier<'a> {
             scr.tally.tier0_rejects += 1;
             return 0.0;
         };
-        if ub0 < theta - self.cfg.eps {
+        let min_sim = theta - self.cfg.eps;
+        if ub0 < min_sim {
             scr.tally.tier0_rejects += 1;
             return ub0.min(theta);
+        }
+        // Tier "mass": one bound, whichever source counted. A run walk
+        // and `begin_probe` tabulate the probe's gram credits; a lone
+        // per-pair call computes them on the spot — the same `score` call.
+        if counted.is_none() {
+            scr.count_shared(s, t, grams);
+        }
+        let shared = counted.unwrap_or(&scr.shared);
+        let mass = match (counted, grams) {
+            (None, GramSource::Merge) => {
+                let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
+                self.mass_bound(s, t, shared, on_the_spot, Some(min_sim))
+            }
+            _ => self.mass_bound(s, t, shared, |sa, c| scr.credit.get(sa, c), Some(min_sim)),
+        };
+        if mass < min_sim {
+            scr.tally.mass_rejects += 1;
+            return mass.min(theta);
         }
         self.sim_tiered(s, t, Some(theta), grams, scr)
     }
@@ -755,7 +767,6 @@ impl<'a> Verifier<'a> {
     /// [`crate::usim::usim_approx_seg`] (no early stop), with all
     /// enumeration sharing. Used by top-k re-scoring.
     pub fn sim(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> f64 {
-        self.restamp(scr);
         self.sim_tiered(s, t, None, GramSource::Merge, scr)
     }
 
@@ -766,7 +777,6 @@ impl<'a> Verifier<'a> {
             scr.probe.ptr, s as *const SegRecord as usize,
             "probed call against a record begin_probe never saw"
         );
-        self.restamp(scr);
         self.sim_tiered(s, t, None, GramSource::Probe, scr)
     }
 
@@ -779,19 +789,22 @@ impl<'a> Verifier<'a> {
         t: &SegRecord,
         scr: &mut VerifyScratch,
     ) -> CascadeBounds {
-        self.restamp(scr);
         let ns = s.n_tokens();
         let nt = t.n_tokens();
         if ns == 0 || nt == 0 {
             let v = if ns == 0 && nt == 0 { 1.0 } else { 0.0 };
             return CascadeBounds {
                 tier0: v,
+                mass: v,
                 surfaced: v,
                 rowmax: v,
                 greedy: v,
             };
         }
         let denom = s.min_partition.max(t.min_partition);
+        scr.count_shared(s, t, GramSource::Merge);
+        let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
+        let mass = self.mass_bound(s, t, &scr.shared, on_the_spot, None);
         let (cnt_s, cnt_t) = self.surface_pairs(s, t, GramSource::Merge, scr);
         let aborted = self.score_pairs(s, t, denom, None, scr);
         debug_assert!(aborted.is_none(), "no abort without a target");
@@ -809,23 +822,24 @@ impl<'a> Verifier<'a> {
         );
         CascadeBounds {
             tier0,
+            mass,
             surfaced,
             rowmax,
             greedy,
         }
     }
 
-    /// Tiers 1–2 (the caller has already applied tier 0 when a target
-    /// exists). Each cascade stage only ever rejects with a provable
-    /// upper bound below `θ − eps`; acceptance always comes from the
-    /// shared `refine_set`, so accepted values mirror the reference bit
-    /// for bit.
+    /// Tiers 1–2 (the caller has already applied tier 0 and the mass
+    /// bound when a target exists). Each cascade stage only ever rejects
+    /// with a provable upper bound below `θ − eps`; acceptance always
+    /// comes from the shared `refine_set`, so accepted values mirror the
+    /// reference bit for bit.
     fn sim_tiered(
         &self,
         s: &SegRecord,
         t: &SegRecord,
         target: Option<f64>,
-        grams: GramSource<'_>,
+        grams: GramSource,
         scr: &mut VerifyScratch,
     ) -> f64 {
         let (cnt_s, cnt_t) = self.surface_pairs(s, t, grams, scr);
@@ -901,17 +915,17 @@ impl<'a> Verifier<'a> {
     }
 
     /// Tier 1, phase one: surface every segment pair that can have
-    /// `msim > 0` into the epoch-stamped tables, via per-pair merge
-    /// joins, the prebuilt probe index, or pre-collected run events (see
-    /// [`GramSource`]) — identical surfaced *sets* whichever path ran.
-    /// Returns the distinct surfaced segment counts per side. Pairs are
-    /// left in surfacing order in `scr.pairs`;
-    /// [`Verifier::score_pairs`] groups them by s-segment itself.
+    /// `msim > 0` into the epoch-stamped tables, via per-pair merge joins
+    /// or the prebuilt probe index (see [`GramSource`]) — identical
+    /// surfaced *sets* whichever path ran. Returns the distinct surfaced
+    /// segment counts per side. Pairs are left in surfacing order in
+    /// `scr.pairs`; [`Verifier::score_pairs`] groups them by s-segment
+    /// itself.
     fn surface_pairs(
         &self,
         s: &SegRecord,
         t: &SegRecord,
-        grams: GramSource<'_>,
+        grams: GramSource,
         scr: &mut VerifyScratch,
     ) -> (u32, u32) {
         let ns_segs = s.segments.len();
@@ -960,72 +974,33 @@ impl<'a> Verifier<'a> {
                 counts[slot] += dcount;
                 flags[slot] |= flag;
             };
-            match grams {
-                GramSource::Merge => {
-                    // Surface identity (`msim`'s text-equality rule,
-                    // every config).
-                    merge_join(&s.key_posts, &t.key_posts, &mut |sa, ta| {
-                        touch(sa, ta, 0, 0);
-                    });
-                    // J: a positive gram score needs a shared distinct
-                    // gram; count them (postings are empty when J is
-                    // disabled).
-                    merge_join(&s.gram_posts, &t.gram_posts, &mut |sa, ta| {
-                        touch(sa, ta, 1, 0);
-                    });
-                    // S: a positive synonym score needs a rule with both
-                    // surfaces as sides — that rule is in both segments'
-                    // rule lists.
-                    merge_join(&s.rule_posts, &t.rule_posts, &mut |sa, ta| {
-                        touch(sa, ta, 0, FLAG_RULE);
-                    });
-                }
-                GramSource::Probe => {
-                    // Probe-grouped: walk the partner's postings only;
-                    // the probe side is joined through the per-run hash
-                    // index.
-                    for_each_group(&t.key_posts, |key, tg| {
-                        if let Some(&(o, l)) = probe.keys.get(&key) {
-                            for &(_, sa) in &s.key_posts[o as usize..(o + l) as usize] {
-                                for &(_, ta) in tg {
-                                    touch(sa, ta, 0, 0);
-                                }
-                            }
-                        }
-                    });
-                    for_each_group(&t.gram_posts, |key, tg| {
-                        if let Some(&(o, l)) = probe.grams.get(&key) {
-                            for &(_, sa) in &s.gram_posts[o as usize..(o + l) as usize] {
-                                for &(_, ta) in tg {
-                                    touch(sa, ta, 1, 0);
-                                }
-                            }
-                        }
-                    });
-                    for_each_group(&t.rule_posts, |key, tg| {
-                        if let Some(&(o, l)) = probe.rules.get(&key) {
-                            for &(_, sa) in &s.rule_posts[o as usize..(o + l) as usize] {
-                                for &(_, ta) in tg {
-                                    touch(sa, ta, 0, FLAG_RULE);
-                                }
-                            }
-                        }
-                    });
-                }
-                GramSource::Events(events) => {
-                    // Run-batched: this candidate's identity/gram/rule
-                    // touches were pre-collected through the corpus-level
-                    // posting index — exactly what the merges surface.
-                    for &ev in events {
-                        let (kind, sa, ta) = unpack_event(ev);
-                        match kind {
-                            EV_KEY => touch(sa, ta, 0, 0),
-                            EV_GRAM => touch(sa, ta, 1, 0),
-                            _ => touch(sa, ta, 0, FLAG_RULE),
-                        }
-                    }
-                }
-            }
+            // Surface identity (`msim`'s text-equality rule, every
+            // config).
+            shared_groups(grams, &probe.keys, &s.key_posts, &t.key_posts, |sg, tg| {
+                cross(sg, tg, |sa, ta| touch(sa, ta, 0, 0));
+            });
+            // J: a positive gram score needs a shared distinct gram;
+            // count them (postings are empty when J is disabled).
+            shared_groups(
+                grams,
+                &probe.grams,
+                &s.gram_posts,
+                &t.gram_posts,
+                |sg, tg| {
+                    cross(sg, tg, |sa, ta| touch(sa, ta, 1, 0));
+                },
+            );
+            // S: a positive synonym score needs a rule with both surfaces
+            // as sides — that rule is in both segments' rule lists.
+            shared_groups(
+                grams,
+                &probe.rules,
+                &s.rule_posts,
+                &t.rule_posts,
+                |sg, tg| {
+                    cross(sg, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
+                },
+            );
             // T: a positive taxonomy score needs nodes on both sides.
             for &sa in &s.node_segs {
                 for &ta in &t.node_segs {
@@ -1082,7 +1057,6 @@ impl<'a> Verifier<'a> {
         let ns_segs = s.segments.len();
         let nt_segs = t.segments.len();
         let VerifyScratch {
-            memo,
             counts,
             flags,
             pairs,
@@ -1140,56 +1114,37 @@ impl<'a> Verifier<'a> {
             let b = &t.segments[ta as usize];
             let slot = sa as usize * nt_segs + ta as usize;
             let (w, kind) = if a.key == b.key {
-                // msim's identity rule (any measure subset) — free, no
-                // memo traffic.
+                // msim's identity rule (any measure subset).
                 (1.0, MeasureKind::Jaccard)
-            } else if flags[slot] == 0 {
-                // Pure-gram pair (surfaced by the gram join alone): the J
-                // score from the precomputed shared-gram count is two
-                // float ops — cheaper than the memo's two random cache
-                // lines, and gram pairs are too diverse to hit anyway.
-                let inter = counts[slot] as usize;
-                (
-                    self.cfg.gram.score(inter, a.grams.len(), b.grams.len()),
-                    MeasureKind::Jaccard,
-                )
             } else {
-                // Rule/node-flagged pair: synonym and taxonomy lookups do
-                // real work (rule tables, LCA walks) and the pair space
-                // is small — exactly what the cross-candidate memo is
-                // for.
-                let key = (a.key, b.key);
-                match memo.get(key) {
-                    Some(v) => v,
-                    None => {
-                        let mut best = (0.0f64, MeasureKind::Jaccard);
-                        let inter = counts[slot] as usize;
-                        if inter > 0 {
-                            let j = self.cfg.gram.score(inter, a.grams.len(), b.grams.len());
-                            if j > best.0 {
-                                best = (j, MeasureKind::Jaccard);
-                            }
-                        }
-                        if flags[slot] & FLAG_RULE != 0 {
-                            if let (Some(pa), Some(pb)) = (a.phrase, b.phrase) {
-                                let sv = self.kn.synonyms.sim(pa, pb);
-                                if sv > best.0 {
-                                    best = (sv, MeasureKind::Synonym);
-                                }
-                            }
-                        }
-                        if flags[slot] & FLAG_NODE != 0 {
-                            if let (Some(na), Some(nb)) = (a.node, b.node) {
-                                let tv = self.kn.taxonomy.sim(na, nb);
-                                if tv > best.0 {
-                                    best = (tv, MeasureKind::Taxonomy);
-                                }
-                            }
-                        }
-                        memo.put(key, best);
-                        best
+                // J from the precomputed shared-gram count; synonym and
+                // taxonomy lookups only where the rule / node joins
+                // surfaced the pair.
+                let mut best = (0.0f64, MeasureKind::Jaccard);
+                let inter = counts[slot] as usize;
+                if inter > 0 {
+                    let j = self.cfg.gram.score(inter, a.grams.len(), b.grams.len());
+                    if j > best.0 {
+                        best = (j, MeasureKind::Jaccard);
                     }
                 }
+                if flags[slot] & FLAG_RULE != 0 {
+                    if let (Some(pa), Some(pb)) = (a.phrase, b.phrase) {
+                        let sv = self.kn.synonyms.sim(pa, pb);
+                        if sv > best.0 {
+                            best = (sv, MeasureKind::Synonym);
+                        }
+                    }
+                }
+                if flags[slot] & FLAG_NODE != 0 {
+                    if let (Some(na), Some(nb)) = (a.node, b.node) {
+                        let tv = self.kn.taxonomy.sim(na, nb);
+                        if tv > best.0 {
+                            best = (tv, MeasureKind::Taxonomy);
+                        }
+                    }
+                }
+                best
             };
             debug_assert_eq!(
                 {
@@ -1254,30 +1209,55 @@ fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, 
     for_each_group_range(posts, |p| p.0, |k, start, end| f(k, &posts[start..end]));
 }
 
-/// Two-pointer merge of key-sorted postings; `emit` fires for every cross
-/// pair of entries sharing a key.
-fn merge_join<K: Ord + Copy>(a: &[(K, u32)], b: &[(K, u32)], emit: &mut impl FnMut(u32, u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let k = a[i].0;
-                let i0 = i;
-                while i < a.len() && a[i].0 == k {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < b.len() && b[j].0 == k {
-                    j += 1;
-                }
-                for &(_, x) in &a[i0..i] {
-                    for &(_, y) in &b[j0..j] {
-                        emit(x, y);
+/// A sorted posting list.
+type Posts<K> = [(K, u32)];
+
+/// The join of the probe record's postings `sp` with a partner's `tp`:
+/// `f(s_group, t_group)` fires once per key both carry, with each side's
+/// entries for it — by two-pointer merge, or by walking the partner's
+/// groups against the probe `view` of `sp` (see [`GramSource`]). The mass
+/// count reads the probe group only; surfacing crosses the two.
+fn shared_groups<K: Ord + Hash + Copy>(
+    grams: GramSource,
+    view: &FxHashMap<K, (u32, u32)>,
+    sp: &Posts<K>,
+    tp: &Posts<K>,
+    mut f: impl FnMut(&Posts<K>, &Posts<K>),
+) {
+    match grams {
+        GramSource::Merge => {
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < sp.len() && j < tp.len() {
+                match sp[i].0.cmp(&tp[j].0) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let k = sp[i].0;
+                        let (i0, j0) = (i, j);
+                        while i < sp.len() && sp[i].0 == k {
+                            i += 1;
+                        }
+                        while j < tp.len() && tp[j].0 == k {
+                            j += 1;
+                        }
+                        f(&sp[i0..i], &tp[j0..j]);
                     }
                 }
             }
+        }
+        GramSource::Probe => for_each_group(tp, |key, tg| {
+            if let Some(&(o, l)) = view.get(&key) {
+                f(&sp[o as usize..(o + l) as usize], tg);
+            }
+        }),
+    }
+}
+
+/// Every `(s_seg, t_seg)` pair of two posting groups sharing a key.
+fn cross<K>(sg: &Posts<K>, tg: &Posts<K>, mut emit: impl FnMut(u32, u32)) {
+    for &(_, sa) in sg {
+        for &(_, ta) in tg {
+            emit(sa, ta);
         }
     }
 }
@@ -1285,7 +1265,7 @@ fn merge_join<K: Ord + Copy>(a: &[(K, u32)], b: &[(K, u32)], emit: &mut impl FnM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MeasureSet;
+    use crate::config::{GramMeasure, MeasureSet};
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
     use crate::segment::segment_record;
     use crate::usim::approx::{usim_approx_seg, usim_approx_seg_at_least};
@@ -1427,33 +1407,48 @@ mod tests {
     }
 
     /// Every cascade bound dominates exact USIM, with the provable
-    /// orderings `tier0 ≥ surfaced` and `rowmax ≥ greedy`.
+    /// orderings `tier0 ≥ surfaced`, `rowmax ≥ greedy` and — **as
+    /// floats**, no tolerance — `mass ≥ rowmax`, under every measure
+    /// subset (J off: the key credit alone carries identity; S off; T
+    /// off) and every gram measure.
     #[test]
     fn cascade_bounds_are_sound_and_ordered() {
-        let mut kn = kn_figure1();
-        let cfg = SimConfig::default();
-        let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
-        let segs: Vec<_> = ids
-            .iter()
-            .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
-            .collect();
-        let v = Verifier::new(&kn, &cfg);
-        let mut scr = VerifyScratch::default();
-        for a in &segs {
-            for b in &segs {
-                let bounds = v.upper_bounds(a, b, &mut scr);
-                let approx = usim_approx_seg(&kn, &cfg, a, b);
-                assert!(bounds.tier0 >= bounds.surfaced - 1e-12, "tier0 < surfaced");
-                assert!(bounds.rowmax >= bounds.greedy - 1e-12, "rowmax < greedy");
-                for (name, ub) in [
-                    ("tier0", bounds.tier0),
-                    ("surfaced", bounds.surfaced),
-                    ("rowmax", bounds.rowmax),
-                    ("greedy", bounds.greedy),
-                ] {
-                    assert!(ub >= approx - 1e-12, "{name} {ub} < approx {approx}");
-                    if let Some(exact) = usim_exact_seg(&kn, &cfg, a, b) {
-                        assert!(ub >= exact - 1e-9, "{name} {ub} < exact {exact}");
+        for measures in MeasureSet::all_combinations() {
+            for gram in GramMeasure::ALL {
+                let mut kn = kn_figure1();
+                let cfg = SimConfig::default().with_measures(measures).with_gram(gram);
+                let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
+                let segs: Vec<_> = ids
+                    .iter()
+                    .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
+                    .collect();
+                let v = Verifier::new(&kn, &cfg);
+                let mut scr = VerifyScratch::default();
+                for a in &segs {
+                    for b in &segs {
+                        let ctx = format!("{measures:?} {gram:?}");
+                        let bounds = v.upper_bounds(a, b, &mut scr);
+                        let approx = usim_approx_seg(&kn, &cfg, a, b);
+                        assert!(bounds.tier0 >= bounds.surfaced - 1e-12, "tier0 < surfaced");
+                        assert!(bounds.rowmax >= bounds.greedy - 1e-12, "rowmax < greedy");
+                        assert!(
+                            bounds.mass >= bounds.rowmax,
+                            "{ctx}: mass {} < rowmax {}",
+                            bounds.mass,
+                            bounds.rowmax
+                        );
+                        for (name, ub) in [
+                            ("tier0", bounds.tier0),
+                            ("mass", bounds.mass),
+                            ("surfaced", bounds.surfaced),
+                            ("rowmax", bounds.rowmax),
+                            ("greedy", bounds.greedy),
+                        ] {
+                            assert!(ub >= approx - 1e-12, "{ctx}: {name} {ub} < approx {approx}");
+                            if let Some(exact) = usim_exact_seg(&kn, &cfg, a, b) {
+                                assert!(ub >= exact - 1e-9, "{ctx}: {name} {ub} < exact {exact}");
+                            }
+                        }
                     }
                 }
             }
@@ -1488,25 +1483,20 @@ mod tests {
         let tally = scr.take_tally();
         let tally_probed = scr_probed.take_tally();
         assert_eq!(tally.decisions(), n);
-        assert!(tally.accepted > 0 && tally.tier0_rejects > 0);
-        for (a, b) in [
-            (tally.tier0_rejects, tally_probed.tier0_rejects),
-            (tally.enum_rejects, tally_probed.enum_rejects),
-            (tally.rowmax_rejects, tally_probed.rowmax_rejects),
-            (tally.greedy_rejects, tally_probed.greedy_rejects),
-            (tally.tier2_rejects, tally_probed.tier2_rejects),
-            (tally.accepted, tally_probed.accepted),
-        ] {
-            assert_eq!(a, b, "tier buckets diverge between per-pair and probed");
-        }
+        assert!(tally.accepted > 0 && tally.tier0_rejects > 0 && tally.mass_rejects > 0);
+        assert_eq!(
+            tally, tally_probed,
+            "tier buckets diverge between per-pair and probed"
+        );
         // Taking the tally resets it.
         assert_eq!(scr.take_tally().decisions(), 0);
     }
 
-    /// The run-batched driver (corpus-level posting index + event
-    /// collection + tier-0 pre-screen) accepts exactly the pairs of
-    /// per-pair `sim_at_least` calls with identical bits, and its tally
-    /// matches.
+    /// The run-batched driver (corpus-level posting index + run-level
+    /// mass count + tier-0 pre-screen) accepts exactly the pairs of
+    /// per-pair `sim_at_least` calls with identical bits, and all three
+    /// count sources — batched, probe-grouped, per-pair — land every
+    /// candidate in the same one of the seven buckets.
     #[test]
     fn run_batched_equals_per_pair() {
         let mut kn = kn_figure1();
@@ -1522,6 +1512,7 @@ mod tests {
         for theta in [0.3, 0.6, 0.9] {
             let mut rs = RunScratch::default();
             let mut per_pair = VerifyScratch::default();
+            let mut probed = VerifyScratch::default();
             for (a, sa) in segs.iter().enumerate() {
                 // One run: record a against every record (including
                 // empty/degenerate partners).
@@ -1529,8 +1520,11 @@ mod tests {
                 let mut batched = Vec::new();
                 v.verify_run_at_least(sa, &segs, &run, &idx, theta, &mut rs, &mut batched);
                 let mut expect = Vec::new();
+                v.begin_probe(sa, &mut probed);
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(sa, &segs[b as usize], theta, &mut per_pair);
+                    let p = v.probed_sim_at_least(sa, &segs[b as usize], theta, &mut probed);
+                    assert_eq!(sim.to_bits(), p.to_bits());
                     if sim >= theta - cfg.eps {
                         expect.push((x, b, sim));
                     }
@@ -1542,15 +1536,13 @@ mod tests {
             }
             let bt = rs.take_tally();
             let pt = per_pair.take_tally();
-            assert_eq!(bt.decisions(), pt.decisions(), "θ={theta}");
             assert_eq!(
-                (bt.tier0_rejects, bt.enum_rejects, bt.rowmax_rejects),
-                (pt.tier0_rejects, pt.enum_rejects, pt.rowmax_rejects),
+                bt.decisions(),
+                (segs.len() * segs.len()) as u64,
+                "θ={theta}"
             );
-            assert_eq!(
-                (bt.greedy_rejects, bt.tier2_rejects, bt.accepted),
-                (pt.greedy_rejects, pt.tier2_rejects, pt.accepted),
-            );
+            assert_eq!(bt, pt, "θ={theta}: batched vs per-pair");
+            assert_eq!(probed.take_tally(), pt, "θ={theta}: probed vs per-pair");
         }
     }
 
@@ -1573,73 +1565,6 @@ mod tests {
                     / a.min_partition.max(b.min_partition) as f64;
                 let sim = usim_approx_seg(&kn, &cfg, a, b);
                 assert!(ub0 >= sim - 1e-12, "tier0 {ub0} < sim {sim}");
-            }
-        }
-    }
-
-    /// A scratch reused against a different `(Knowledge, SimConfig)`
-    /// context must flush its memo instead of serving stale similarities.
-    #[test]
-    fn scratch_reuse_across_configs_is_safe() {
-        let mut kn = kn_figure1();
-        let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
-        let mut scr = VerifyScratch::default();
-        for measures in [
-            MeasureSet::TJS,
-            MeasureSet::J,
-            MeasureSet::S,
-            MeasureSet::TJS, // back again — memo flushed in between
-        ] {
-            let cfg = SimConfig::default().with_measures(measures);
-            let segs: Vec<_> = ids
-                .iter()
-                .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
-                .collect();
-            let v = Verifier::new(&kn, &cfg);
-            for a in &segs {
-                for b in &segs {
-                    let reference = usim_approx_seg_at_least(&kn, &cfg, a, b, 0.4);
-                    let tiered = v.sim_at_least(a, b, 0.4, &mut scr);
-                    let ra = reference >= 0.4 - cfg.eps;
-                    assert_eq!(ra, tiered >= 0.4 - cfg.eps);
-                    if ra {
-                        assert_eq!(reference.to_bits(), tiered.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    /// The memo never changes values: a warm scratch returns the same
-    /// bits as a cold one.
-    #[test]
-    fn warm_memo_is_transparent() {
-        let mut kn = kn_figure1();
-        let cfg = SimConfig::default();
-        let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
-        let segs: Vec<_> = ids
-            .iter()
-            .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
-            .collect();
-        let v = Verifier::new(&kn, &cfg);
-        let mut warm = VerifyScratch::default();
-        // Warm the memo on every pair, then re-verify and compare against
-        // per-pair cold scratches.
-        for a in &segs {
-            for b in &segs {
-                v.sim_at_least(a, b, 0.5, &mut warm);
-            }
-        }
-        assert!(
-            warm.memo_hits() > 0,
-            "repeated surfaces should hit the memo"
-        );
-        for a in &segs {
-            for b in &segs {
-                let mut cold = VerifyScratch::default();
-                let x = v.sim_at_least(a, b, 0.5, &mut cold);
-                let y = v.sim_at_least(a, b, 0.5, &mut warm);
-                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }

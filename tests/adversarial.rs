@@ -1,10 +1,12 @@
 //! Adversarial and edge-case integration tests: weird knowledge bases,
 //! unicode, degenerate records, overlapping knowledge sources.
 
-use au_join::core::join::{brute_force_join, JoinResult};
-use au_join::core::segment::segment_record;
+use au_join::core::join::{
+    brute_force_join, verify_candidates, verify_candidates_reference, JoinResult,
+};
+use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::signature::FilterKind;
-use au_join::core::usim::{usim_approx_seg, usim_exact_seg};
+use au_join::core::usim::{usim_approx_seg, usim_exact_seg, Verifier, VerifyScratch};
 use au_join::prelude::*;
 
 /// One-shot R×S join on freshly prepared corpora.
@@ -230,4 +232,81 @@ fn zero_and_one_thresholds() {
     // contain the oracle at any positive θ and never crash.
     let res0 = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(0.0));
     assert!(!res0.pairs.is_empty());
+}
+
+/// A probe record whose run needs more mass counters than one worker may
+/// hold (520 segments × 2100 partners > 2²⁰): the run-batched source
+/// counts it in partner chunks — the case a per-record segment limit used
+/// to divert to the probe-grouped path — with the same pairs and the same
+/// seven-bucket tally as the reference and the per-pair source.
+#[test]
+fn oversized_run_takes_the_batched_path_in_chunks() {
+    // Five-letter pseudo-random words: few shared bigrams, so a pair's
+    // similarity is essentially its count of shared whole tokens.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut word = || {
+        (0..5)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (b'a' + (state >> 33) as u8 % 26) as char
+            })
+            .collect::<String>()
+    };
+    let giant: Vec<String> = (0..520).map(|_| word()).collect();
+    // Partner `b` shares `b % 13` of its 12 tokens with the giant.
+    let partners: Vec<String> = (0..2100usize)
+        .map(|b| {
+            (0..12)
+                .map(|i| {
+                    if i < b % 13 {
+                        giant[(b * 7 + i * 41) % giant.len()].clone()
+                    } else {
+                        word()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    let mut kn = KnowledgeBuilder::new().build();
+    let cfg = SimConfig::default();
+    let segment = |kn: &Knowledge, c: &Corpus| -> Vec<SegRecord> {
+        c.iter()
+            .map(|r| segment_record(kn, &cfg, &r.tokens))
+            .collect()
+    };
+    let s = kn.corpus_from_lines([giant.join(" ").as_str(), partners[12].as_str()]);
+    let t = kn.corpus_from_lines(partners.iter().map(String::as_str));
+    let (sp, tp) = (segment(&kn, &s), segment(&kn, &t));
+    assert!(sp[0].segments.len() * tp.len() > 1 << 20);
+    let candidates: Vec<(u32, u32)> = (0..2u32)
+        .flat_map(|a| (0..tp.len() as u32).map(move |b| (a, b)))
+        .collect();
+    // 12 of 520 tokens is the most a partner can share with the giant:
+    // θ = 0.02 passes tier 0 (12/520) and accepts the 11- and 12-sharers.
+    let theta = 0.02;
+    let reference = verify_candidates_reference(&kn, &cfg, &sp, &tp, &candidates, theta, false);
+    assert!(reference.iter().any(|&(a, _, _)| a == 0));
+    let per_pair = {
+        let v = Verifier::new(&kn, &cfg);
+        let mut scr = VerifyScratch::default();
+        for &(a, b) in &candidates {
+            v.sim_at_least(&sp[a as usize], &tp[b as usize], theta, &mut scr);
+        }
+        scr.take_tally()
+    };
+    assert!(per_pair.mass_rejects > 0 && per_pair.accepted == reference.len() as u64);
+    // ≥ 2048 candidates against 2100 records: the driver picks the
+    // run-batched source by itself; serial keeps the giant's run whole.
+    for parallel in [false, true] {
+        let (pairs, tiers) =
+            verify_candidates(&kn, &cfg, &sp, &tp, &candidates, theta, parallel, None);
+        let bits = |v: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+            v.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&pairs), bits(&reference), "parallel={parallel}");
+        assert_eq!(tiers, per_pair, "parallel={parallel}");
+    }
 }

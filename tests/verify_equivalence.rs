@@ -4,27 +4,29 @@
 //! sims)` — compared through `f64::to_bits` — to the reference
 //! per-candidate path (`verify_candidates_reference`), on generated
 //! datasets and on adversarial proptest corpora, serial and parallel
-//! alike, through *both* of its gram sources: the run-batched one the
+//! alike, through *both* of its count sources: the run-batched one the
 //! driver picks at ≥ 2048 candidates and the probe-grouped one it picks
-//! below.
+//! below — and both must land every candidate in the same one of the
+//! seven tier buckets as a per-pair `Verifier::sim_at_least` call.
 //!
 //! This is the contract that lets the engine reject candidates before any
-//! segment-pair enumeration (tier 0), share `msim` across candidates
-//! (tier 1) and reuse every per-candidate buffer (tier 2): none of it may
-//! change a single output bit.
+//! segment-pair enumeration (tier 0, the mass bound), share the probe
+//! side's work across a run and reuse every per-candidate buffer (tier
+//! 2): none of it may change a single output bit.
 
 use au_join::core::join::{verify_candidates, verify_candidates_reference};
 use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::usim::{
-    usim_approx_seg, usim_approx_seg_at_least, usim_exact_seg, Verifier, VerifyScratch,
+    usim_approx_seg, usim_approx_seg_at_least, usim_exact_seg, GramPostingsIndex, Verifier,
+    VerifyScratch,
 };
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 use proptest::prelude::*;
 
 /// The driver's size switch (`BATCHED_VERIFY_MIN` in `au_core::join`):
-/// candidate lists at least this long verify through the run-batched gram
-/// source, shorter ones through the probe-grouped one.
+/// candidate lists at least this long verify through the run-batched mass
+/// count, shorter ones through the probe-grouped one.
 const BATCHED_MIN: usize = 2048;
 
 fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str) {
@@ -41,7 +43,8 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
 /// The production driver vs the reference on one candidate list, serial
 /// and parallel — byte-identical `(pair, sim)` everywhere, plus the
 /// tier-telemetry invariants (every candidate in exactly one bucket,
-/// accepted == results, identical counters across schedules).
+/// accepted == results, and the seven-bucket tally identical across
+/// schedules *and* across the batched / probe-grouped / per-pair sources).
 fn check_candidates(
     kn: &Knowledge,
     s: &[SegRecord],
@@ -51,42 +54,36 @@ fn check_candidates(
     ctx: &str,
 ) {
     let cfg = SimConfig::default();
-    let mut tallies = Vec::new();
-    for parallel in [false, true] {
-        let (production, tiers) =
-            verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, None);
-        let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, parallel);
-        assert_bit_identical(
-            &production,
-            &reference,
-            &format!("{ctx} parallel={parallel} production vs reference"),
-        );
-        assert_eq!(
-            tiers.decisions(),
-            candidates.len() as u64,
-            "{ctx}: tier buckets must partition the candidate set"
-        );
-        assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
-        tallies.push(tiers);
-    }
-    // Tier counters are pure per-candidate functions: serial == parallel.
-    // (The memo hit/miss diagnostics are scheduling-dependent — which
-    // worker verified which candidates — and deliberately not compared.)
-    let buckets = |t: &au_join::core::usim::VerifyTiers| {
-        (
-            t.tier0_rejects,
-            t.enum_rejects,
-            t.rowmax_rejects,
-            t.greedy_rejects,
-            t.tier2_rejects,
-            t.accepted,
-        )
+    // The per-pair source: one `sim_at_least` call per candidate.
+    let per_pair = {
+        let v = Verifier::new(kn, &cfg);
+        let mut scr = VerifyScratch::default();
+        for &(a, b) in candidates {
+            v.sim_at_least(&s[a as usize], &t[b as usize], theta, &mut scr);
+        }
+        scr.take_tally()
     };
-    assert_eq!(
-        buckets(&tallies[0]),
-        buckets(&tallies[1]),
-        "{ctx}: tier counters scheduling-dependent"
-    );
+    // `None` lets the driver pick by size (probe-grouped below
+    // `BATCHED_MIN`); a supplied index forces the run-batched source.
+    let forced = GramPostingsIndex::build(t);
+    for parallel in [false, true] {
+        let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, parallel);
+        for index in [None, Some(&forced)] {
+            let (production, tiers) =
+                verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, index);
+            let ctx = format!("{ctx} parallel={parallel} batched={}", index.is_some());
+            assert_bit_identical(&production, &reference, &ctx);
+            assert_eq!(
+                tiers.decisions(),
+                candidates.len() as u64,
+                "{ctx}: tier buckets must partition the candidate set"
+            );
+            assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
+            // Tier counters are pure per-candidate functions: whichever
+            // source counted, however the list was scheduled.
+            assert_eq!(tiers, per_pair, "{ctx}: tally differs from per-pair");
+        }
+    }
 }
 
 /// Filter one dataset at θ, then check the whole candidate list (long
@@ -162,7 +159,7 @@ fn tiered_equals_reference_on_wiki() {
 }
 
 /// Soundness sweep on generated data: every cascade bound (tier 0,
-/// surfaced-segment cap, row-max, greedy matching) dominates the
+/// shared mass, surfaced-segment cap, row-max, greedy matching) dominates the
 /// Algorithm 1 similarity on a broad sample of record pairs — planted
 /// matches and random non-matches alike.
 #[test]
@@ -184,6 +181,7 @@ fn cascade_bounds_dominate_usim_on_datagen() {
             let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
             for (name, ub) in [
                 ("tier0", bounds.tier0),
+                ("mass", bounds.mass),
                 ("surfaced", bounds.surfaced),
                 ("rowmax", bounds.rowmax),
                 ("greedy", bounds.greedy),
@@ -197,6 +195,7 @@ fn cascade_bounds_dominate_usim_on_datagen() {
             }
             assert!(bounds.tier0 >= bounds.surfaced - 1e-12);
             assert!(bounds.rowmax >= bounds.greedy - 1e-12);
+            assert!(bounds.mass >= bounds.rowmax, "mass < rowmax as floats");
         }
         // A deterministic stride of arbitrary pairs.
         for i in (0..sp.len()).step_by(17) {
@@ -206,6 +205,7 @@ fn cascade_bounds_dominate_usim_on_datagen() {
                 let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
                 assert!(bounds.greedy >= sim - 1e-12, "greedy < sim at ({i}, {j})");
                 assert!(bounds.rowmax >= bounds.greedy - 1e-12);
+                assert!(bounds.mass >= bounds.rowmax, "mass < rowmax at ({i}, {j})");
             }
         }
     }
@@ -301,11 +301,19 @@ proptest! {
 
     /// Adversarial soundness: every cascade bound dominates **exact**
     /// USIM (exponential enumeration) on small repeated-token corpora —
-    /// no recall loss by construction, for any bound in the cascade.
+    /// no recall loss by construction, for any bound in the cascade,
+    /// under every measure subset and gram measure.
     #[test]
-    fn cascade_bounds_dominate_exact_usim(a in text_strategy(6), b in text_strategy(6)) {
+    fn cascade_bounds_dominate_exact_usim(
+        a in text_strategy(6),
+        b in text_strategy(6),
+        measures in 0usize..7,
+        gram in 0usize..4,
+    ) {
         let mut kn = test_knowledge();
-        let cfg = SimConfig::default();
+        let cfg = SimConfig::default()
+            .with_measures(MeasureSet::all_combinations()[measures])
+            .with_gram(GramMeasure::ALL[gram]);
         let ra = kn.add_record(&a);
         let rb = kn.add_record(&b);
         let sa = segment_record(&kn, &cfg, &kn.record(ra).tokens);
@@ -315,6 +323,9 @@ proptest! {
         let bounds = v.upper_bounds(&sa, &sb, &mut scr);
         prop_assert!(bounds.tier0 >= bounds.surfaced - 1e-12);
         prop_assert!(bounds.rowmax >= bounds.greedy - 1e-12);
+        // As floats, no tolerance: the mass tier may only reject what
+        // row-max rejects.
+        prop_assert!(bounds.mass >= bounds.rowmax, "mass {} < rowmax {}", bounds.mass, bounds.rowmax);
         let approx = usim_approx_seg(&kn, &cfg, &sa, &sb);
         let floor = match usim_exact_seg(&kn, &cfg, &sa, &sb) {
             Some(exact) => {
@@ -325,6 +336,7 @@ proptest! {
         };
         for (name, ub) in [
             ("tier0", bounds.tier0),
+            ("mass", bounds.mass),
             ("surfaced", bounds.surfaced),
             ("rowmax", bounds.rowmax),
             ("greedy", bounds.greedy),

@@ -1,5 +1,5 @@
 //! Production-driver-vs-reference verification equivalence under a pinned
-//! `AU_THREADS` override, through both gram sources of
+//! `AU_THREADS` override, through both count sources of
 //! `au_core::join::verify_candidates`: the whole candidate list (≥ 2048,
 //! run-batched) and a prefix below the switch (probe-grouped).
 //!
@@ -48,24 +48,9 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
             for (x, y) in parallel.iter().zip(&reference) {
                 assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
             }
-            // Tier counters are pure per-candidate functions — identical
-            // under any worker count. (The memo hit/miss diagnostics are
-            // scheduling-dependent and deliberately not compared.)
-            let buckets = |t: &au_join::core::usim::VerifyTiers| {
-                (
-                    t.tier0_rejects,
-                    t.enum_rejects,
-                    t.rowmax_rejects,
-                    t.greedy_rejects,
-                    t.tier2_rejects,
-                    t.accepted,
-                )
-            };
-            assert_eq!(
-                buckets(&serial_tiers),
-                buckets(&parallel_tiers),
-                "θ={theta}"
-            );
+            // Tier counters are pure per-candidate functions — all seven
+            // buckets identical under any worker count.
+            assert_eq!(serial_tiers, parallel_tiers, "θ={theta}");
             assert_eq!(serial_tiers.decisions(), cands.len() as u64);
         }
     }
