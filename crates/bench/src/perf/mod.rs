@@ -584,7 +584,7 @@ fn persistent_fault_scenario() -> (u64, u64) {
 
 /// Shard count of the `fig_shard` sharded row: fixed (not
 /// [`au_core::shard::ShardPlan::auto_shard_count`]) so the resident
-/// fraction — 2 cached shards of 32, plus one task's pair-order/
+/// fraction — 2 resident shards of 32, plus one task's pair-order/
 /// signature/CSR memos — is the same at every scale and the gated
 /// `memory_ratio` (measured ≈ 0.19, ceiling 0.25) is comparable across
 /// baselines.
@@ -594,28 +594,8 @@ const SHARD_COMPARE_CACHE: usize = 2;
 
 /// Run the `fig_shard` comparison: monolithic prepare + self-join vs
 /// the lean sharded path, byte-identical results asserted.
-///
-/// Two env knobs exist for very large acceptance runs (never set in CI,
-/// where the gated baselines pin the defaults):
-///
-/// * `SHARD_COMPARE_THETA` — override the join threshold (default 0.90;
-///   the value used lands in the JSON `theta` field either way);
-/// * `SHARD_COMPARE_SKIP_MONO_JOIN=1` — still measure the monolithic
-///   whole-corpus prepare (its `memory_bytes` is the denominator of the
-///   memory-lean ratio) but skip its *join*, which contributes nothing
-///   to the memory claim and costs hours at `AU_SCALE=100`. The
-///   monolithic row then reports zero candidates/pairs/join-seconds and
-///   `sharded_speedup` is 0; the pair-identity assertion is skipped
-///   (the equivalence harness pins it at every tested scale).
 pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport {
-    let theta = std::env::var("SHARD_COMPARE_THETA")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| (0.0..=1.0).contains(t))
-        .unwrap_or(0.90);
-    let skip_mono_join = std::env::var("SHARD_COMPARE_SKIP_MONO_JOIN")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let theta = 0.90;
     let n = crate::experiments::sized(1200, scale);
     let ds = med_dataset(n, seed);
     // Self-join corpus = S ∪ T: MED plants its near-duplicate pairs
@@ -637,13 +617,9 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
     let ps = engine.prepare(&corpus).expect("monolithic prepare");
     let mono_prep = prep_start.elapsed().as_secs_f64();
     let mono_bytes = ps.memory_bytes() as u64;
-    let (mono, mono_join) = if skip_mono_join {
-        (None, 0.0)
-    } else {
-        let join_start = Instant::now();
-        let res = engine.join_self(&ps, &spec).expect("monolithic self-join");
-        (Some(res), join_start.elapsed().as_secs_f64())
-    };
+    let join_start = Instant::now();
+    let mono = engine.join_self(&ps, &spec).expect("monolithic self-join");
+    let mono_join = join_start.elapsed().as_secs_f64();
     drop(ps);
 
     // Sharded: lean tier-0 plan, shards segmented on demand.
@@ -665,12 +641,10 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
     // The artifact must never report a sharded run that drifted from the
     // monolithic engine (tests/shard_equivalence.rs pins this broadly;
     // this keeps the emitted JSON honest too).
-    if let Some(mono) = &mono {
-        assert_eq!(
-            mono.pairs, sharded.pairs,
-            "sharded self-join diverged from the monolithic engine"
-        );
-    }
+    assert_eq!(
+        mono.pairs, sharded.pairs,
+        "sharded self-join diverged from the monolithic engine"
+    );
 
     let throughput = |secs: f64| {
         if timings && secs > 0.0 {
@@ -681,26 +655,20 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
     };
     let row = |id: &str,
                engine: &'static str,
-               res: Option<&au_core::join::JoinResult>,
+               res: &au_core::join::JoinResult,
                bytes: u64,
                prep: f64,
                join: f64| ShardRow {
         id: format!("fig_shard/{id}"),
         engine,
-        candidates: res.map_or(0, |r| r.stats.candidates),
-        result_pairs: res.map_or(0, |r| r.pairs.len() as u64),
-        shard_tasks: res.map_or(0, |r| r.stats.shard_tasks),
-        shard_tasks_pruned: res.map_or(0, |r| r.stats.shard_tasks_pruned),
+        candidates: res.stats.candidates,
+        result_pairs: res.pairs.len() as u64,
+        shard_tasks: res.stats.shard_tasks,
+        shard_tasks_pruned: res.stats.shard_tasks_pruned,
         memory_bytes: bytes,
         prepare_seconds: zero_if(!timings, prep),
         join_seconds: zero_if(!timings, join),
-        // A skipped join makes end-to-end throughput meaningless, not
-        // merely untimed.
-        records_per_second: if res.is_some() {
-            throughput(prep + join)
-        } else {
-            0.0
-        },
+        records_per_second: throughput(prep + join),
     };
     let total_tasks = sharded.stats.shard_tasks + sharded.stats.shard_tasks_pruned;
     ShardReport {
@@ -730,7 +698,7 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
             row(
                 "monolithic",
                 "monolithic",
-                mono.as_ref(),
+                &mono,
                 mono_bytes,
                 mono_prep,
                 mono_join,
@@ -738,7 +706,7 @@ pub fn run_shard_comparison(scale: f64, seed: u64, timings: bool) -> ShardReport
             row(
                 "sharded",
                 "sharded",
-                Some(&sharded),
+                &sharded,
                 shard_bytes,
                 shard_prep,
                 shard_join,

@@ -54,14 +54,12 @@ use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
 use crate::probe::{probe_loop, ProbeOutcome};
 use crate::search::{run_query, run_scan, QueryEnv, SearchOutcome, VerifyEnv};
 use crate::segment::{segment_record, segment_record_with, segment_stats, SegRecord};
-use crate::shard::{
-    shard_pair_compatible, ShardCache, ShardInfo, ShardPlan, ShardSpec, ShardedPrepared,
-};
+use crate::shard::{shard_pair_compatible, ShardPlan, ShardSpec, ShardedPrepared};
 use crate::signature::{FilterKind, MpMode};
 use crate::suggest::{suggest_loop, SuggestConfig, SuggestOutcome};
 use crate::topk::TopkResult;
 use crate::usim::{usim_approx_seg, Verifier, VerifyScratch, VerifyTiers};
-use au_text::record::Corpus;
+use au_text::record::{Corpus, RecordId};
 use au_text::{FxHashMap, ScratchVocab, TokenId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,8 +89,8 @@ pub fn prepare_invocations() -> u64 {
 ///
 /// Every mutex in the session API guards cache or scratch state whose
 /// contents are correctness-neutral: memoized artifacts equal what a
-/// rebuild would produce byte-for-byte, shard-cache bookkeeping only
-/// tunes evictions, and the searcher overlay is a lookup-or-append
+/// rebuild would produce byte-for-byte, the sharded-join counters are
+/// monotone telemetry, and the searcher overlay is a lookup-or-append
 /// interner. A panic on another thread while holding one of these locks
 /// therefore cannot leave state a later reader must not observe — at
 /// worst an entry is missing and gets rebuilt — so the poison flag is
@@ -106,17 +104,6 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Candidates verified per batch by the streaming sink paths — bounds the
 /// materialized result memory without starving the parallel verifier.
 const SINK_CHUNK: usize = 64 * 1024;
-
-/// The sink batch size, overridable with `AU_SINK_CHUNK` (positive
-/// integer; tests use tiny chunks to exercise the batching, benches may
-/// raise it).
-fn sink_chunk() -> usize {
-    std::env::var("AU_SINK_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(SINK_CHUNK)
-}
 
 // ---------------------------------------------------------------------------
 // JoinSpec
@@ -153,7 +140,6 @@ pub struct JoinSpec {
     theta_start: f64,
     theta_floor: f64,
     step: f64,
-    shards: usize,
 }
 
 impl JoinSpec {
@@ -172,7 +158,6 @@ impl JoinSpec {
             theta_start: 0.95,
             theta_floor: 0.3,
             step: 0.1,
-            shards: 0,
         }
     }
 
@@ -230,41 +215,6 @@ impl JoinSpec {
     pub fn parallel(mut self, on: bool) -> Self {
         self.parallel = on;
         self
-    }
-
-    /// Execute threshold joins through the sharded executor: the corpus
-    /// is length-partitioned into `g` shards
-    /// ([`crate::shard::ShardPlan`]) and the join runs as shard-pair
-    /// tasks, skipping every pair whose
-    /// [`crate::shard::shard_pair_bound`] falls below θ. Results (pairs
-    /// and similarities) are byte-identical to the monolithic executor;
-    /// [`JoinStats::shard_tasks`] / [`JoinStats::shard_tasks_pruned`]
-    /// report the task census. `0` or `1` means monolithic (the
-    /// default); top-k descent and search ignore the knob.
-    ///
-    /// ```
-    /// use au_core::engine::{Engine, JoinSpec};
-    /// use au_core::{KnowledgeBuilder, SimConfig};
-    ///
-    /// let mut kn = KnowledgeBuilder::new().build();
-    /// let c = kn.corpus_from_lines(["coffee shop", "coffee shop", "tea"]);
-    /// let engine = Engine::new(kn, SimConfig::default()).unwrap();
-    /// let p = engine.prepare(&c).unwrap();
-    /// let mono = engine.join_self(&p, &JoinSpec::threshold(0.8)).unwrap();
-    /// let sharded = engine
-    ///     .join_self(&p, &JoinSpec::threshold(0.8).sharded(2))
-    ///     .unwrap();
-    /// assert_eq!(mono.pairs, sharded.pairs); // byte-identical results
-    /// assert!(sharded.stats.shard_tasks + sharded.stats.shard_tasks_pruned > 0);
-    /// ```
-    pub fn sharded(mut self, g: usize) -> Self {
-        self.shards = g;
-        self
-    }
-
-    /// The configured shard count (0 = monolithic).
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Top-k descent schedule: first-round θ, the floor below which the
@@ -549,7 +499,7 @@ impl Prepared {
     /// every *currently memoized* order/sorted-list/signature/CSR
     /// artifact. Length-based accounting (buffer lengths, not
     /// capacities), so the figure is deterministic for a given corpus and
-    /// operation history — the number the sharded executor's peak-memory
+    /// operation history — the number the sharded joins' peak-memory
     /// claim and the perf harness's memory column are measured in.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -802,6 +752,12 @@ impl Engine {
     /// need the records), so `prepare(&c)` costs one deep corpus clone
     /// that this variant avoids.
     pub fn prepare_owned(&self, corpus: Corpus) -> Result<Prepared, AuError> {
+        self.check_tokens(&corpus)?;
+        Ok(self.prepare_trusted(corpus))
+    }
+
+    /// Every token of `corpus` must be an id of this engine's vocabulary.
+    fn check_tokens(&self, corpus: &Corpus) -> Result<(), AuError> {
         let vocab_len = self.kn.vocab.len();
         for r in corpus.iter() {
             if let Some(&bad) = r.tokens.iter().find(|t| t.idx() >= vocab_len) {
@@ -811,12 +767,14 @@ impl Engine {
                 });
             }
         }
-        Ok(self.prepare_trusted(corpus))
+        Ok(())
     }
 
     /// Stage 1 on a corpus whose tokens are known to be in this engine's
-    /// vocabulary ([`Engine::prepare_owned`] checks; Bernoulli samples of
-    /// an already-prepared corpus need no re-check).
+    /// vocabulary ([`Engine::prepare_owned`] and
+    /// [`Engine::prepare_sharded`] check; Bernoulli samples of an
+    /// already-prepared corpus and shards of an already-checked one need
+    /// no re-check).
     fn prepare_trusted(&self, corpus: Corpus) -> Prepared {
         // ordering: Relaxed — the count only needs each increment applied
         // exactly once, which RMW atomicity guarantees; nothing else is
@@ -855,18 +813,22 @@ impl Engine {
     /// generations are shared by un-mutated [`Knowledge`] clones, so two
     /// engines over the same knowledge but different [`SimConfig`]s would
     /// otherwise accept each other's (config-dependent) artifacts.
-    fn check(&self, p: &Prepared) -> Result<(), AuError> {
+    fn check_stamp(&self, gen: u64, cfg: &SimConfig) -> Result<(), AuError> {
         let expected = self.kn.generation();
-        if p.gen != expected {
+        if gen != expected {
             return Err(AuError::StaleKnowledge {
                 expected,
-                found: p.gen,
+                found: gen,
             });
         }
-        if p.cfg != self.cfg {
+        if *cfg != self.cfg {
             return Err(AuError::ConfigMismatch);
         }
         Ok(())
+    }
+
+    fn check(&self, p: &Prepared) -> Result<(), AuError> {
+        self.check_stamp(p.gen, &p.cfg)
     }
 
     // -- memoized artifact builders -----------------------------------------
@@ -1134,9 +1096,6 @@ impl Engine {
         self.check(s)?;
         self.check(t)?;
         spec.validate_threshold()?;
-        if spec.shards > 1 {
-            return self.join_rs_sliced(s, t, spec);
-        }
         Ok(self.join_full(s, t, false, spec))
     }
 
@@ -1144,9 +1103,6 @@ impl Engine {
     pub fn join_self(&self, c: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
         self.check(c)?;
         spec.validate_threshold()?;
-        if spec.shards > 1 {
-            return self.join_self_sliced(c, spec);
-        }
         Ok(self.join_full(c, c, true, spec))
     }
 
@@ -1159,23 +1115,12 @@ impl Engine {
         s: &Prepared,
         t: &Prepared,
         spec: &JoinSpec,
-        mut sink: impl FnMut(u32, u32, f64),
+        sink: impl FnMut(u32, u32, f64),
     ) -> Result<JoinStats, AuError> {
         self.check(s)?;
         self.check(t)?;
         spec.validate_threshold()?;
-        if spec.shards > 1 {
-            // Sharded streaming: the result is materialized (memory is
-            // bounded by shard artifacts, not by the result set; the
-            // deterministic (s, t) emission order requires the final
-            // merge anyway) and then replayed into the sink.
-            let res = self.join_rs_sliced(s, t, spec)?;
-            for &(a, b, sim) in &res.pairs {
-                sink(a, b, sim);
-            }
-            return Ok(res.stats);
-        }
-        Ok(self.join_run(s, t, false, spec, sink_chunk(), sink))
+        Ok(self.join_run(s, t, false, spec, SINK_CHUNK, sink))
     }
 
     /// Streaming threshold self-join (see [`Engine::join_sink`]).
@@ -1183,18 +1128,11 @@ impl Engine {
         &self,
         c: &Prepared,
         spec: &JoinSpec,
-        mut sink: impl FnMut(u32, u32, f64),
+        sink: impl FnMut(u32, u32, f64),
     ) -> Result<JoinStats, AuError> {
         self.check(c)?;
         spec.validate_threshold()?;
-        if spec.shards > 1 {
-            let res = self.join_self_sliced(c, spec)?;
-            for &(a, b, sim) in &res.pairs {
-                sink(a, b, sim);
-            }
-            return Ok(res.stats);
-        }
-        Ok(self.join_run(c, c, true, spec, sink_chunk(), sink))
+        Ok(self.join_run(c, c, true, spec, SINK_CHUNK, sink))
     }
 
     // -- sharded joins ------------------------------------------------------
@@ -1204,23 +1142,16 @@ impl Engine {
     /// [`segment_stats`] pass — no gram hashing, no posting tables), then
     /// length-partitioned into a [`ShardPlan`]. Shards are segmented on
     /// demand during [`Engine::join_self_sharded`] /
-    /// [`Engine::join_sharded`], at most `spec.cache_capacity` at a time,
-    /// so peak memory stays a small fraction of a whole-corpus
-    /// [`Engine::prepare`] ([`ShardedPrepared::peak_memory_bytes`]).
+    /// [`Engine::join_sharded`], `spec.cache_capacity` of them at a time
+    /// (plus one streaming partner in an R×S join), so peak memory stays
+    /// a small fraction of a whole-corpus [`Engine::prepare`]
+    /// ([`ShardedPrepared::peak_memory_bytes`]).
     pub fn prepare_sharded(
         &self,
         corpus: &Corpus,
         spec: &ShardSpec,
     ) -> Result<ShardedPrepared, AuError> {
-        let vocab_len = self.kn.vocab.len();
-        for r in corpus.iter() {
-            if let Some(&bad) = r.tokens.iter().find(|t| t.idx() >= vocab_len) {
-                return Err(AuError::UnknownToken {
-                    id: bad.0,
-                    vocab_len,
-                });
-            }
-        }
+        self.check_tokens(corpus)?;
         let tier0: Vec<(u32, u32)> = corpus
             .iter()
             .map(|r| segment_stats(&self.kn, &self.cfg, &r.tokens))
@@ -1238,7 +1169,7 @@ impl Engine {
             tier0,
             plan,
             cache_capacity: spec.effective_cache_capacity(),
-            cache: Mutex::new(ShardCache::default()),
+            counters: Mutex::default(),
         })
     }
 
@@ -1250,18 +1181,9 @@ impl Engine {
         sp: &ShardedPrepared,
         spec: &JoinSpec,
     ) -> Result<JoinResult, AuError> {
-        self.check_sharded(sp)?;
+        self.check_stamp(sp.gen, &sp.cfg)?;
         spec.validate_threshold()?;
-        let res = self.sharded_self_executor(
-            &sp.plan,
-            spec,
-            sp.cache_capacity,
-            &mut |i| self.shard_artifact(sp, i),
-            &mut |ids| relock(&sp.cache).set_pinned(ids),
-            &mut || relock(&sp.cache).end_task(),
-        );
-        relock(&sp.cache).note_usage();
-        res
+        Ok(self.join_shards(sp, None, spec))
     }
 
     /// Threshold R×S join over two lazily-segmented [`ShardedPrepared`]
@@ -1272,237 +1194,124 @@ impl Engine {
         t: &ShardedPrepared,
         spec: &JoinSpec,
     ) -> Result<JoinResult, AuError> {
-        self.check_sharded(s)?;
-        self.check_sharded(t)?;
+        self.check_stamp(s.gen, &s.cfg)?;
+        self.check_stamp(t.gen, &t.cfg)?;
         spec.validate_threshold()?;
-        let res = self.sharded_rs_executor(
-            &s.plan,
-            &t.plan,
-            spec,
-            s.cache_capacity,
-            &mut |i| self.shard_artifact(s, i),
-            &mut |j| self.shard_artifact(t, j),
-            &mut |ids| relock(&s.cache).set_pinned(ids),
-            &mut || {
-                relock(&s.cache).end_task();
-                relock(&t.cache).end_task();
-            },
-        );
-        relock(&s.cache).note_usage();
-        relock(&t.cache).note_usage();
-        res
+        Ok(self.join_shards(s, Some(t), spec))
     }
 
-    /// Generation/config guard for sharded artifacts (mirrors
-    /// [`Engine::check`]).
-    fn check_sharded(&self, sp: &ShardedPrepared) -> Result<(), AuError> {
-        let expected = self.kn.generation();
-        if sp.gen != expected {
-            return Err(AuError::StaleKnowledge {
-                expected,
-                found: sp.gen,
-            });
-        }
-        if sp.cfg != self.cfg {
-            return Err(AuError::ConfigMismatch);
-        }
-        Ok(())
-    }
-
-    /// Fetch shard `idx` of a [`ShardedPrepared`], segmenting its records
-    /// on a cache miss (bounded LRU; see [`ShardCache`]).
-    fn shard_artifact(&self, sp: &ShardedPrepared, idx: usize) -> Result<Arc<Prepared>, AuError> {
-        let info = sp.plan.shard(idx);
-        let mut cache = relock(&sp.cache);
-        cache.get_or_build(idx, sp.cache_capacity, || {
-            let mut mask = vec![false; sp.corpus.len()];
-            for &id in info.records() {
-                mask[id as usize] = true;
+    /// The shard in `slot`, segmenting shard `idx` of `sp` into it first
+    /// when the slot is empty. Cannot fail: the tokens were checked by
+    /// [`Engine::prepare_sharded`], the generation stamp by the join's
+    /// entry point.
+    fn resident_shard(
+        &self,
+        slot: &mut Option<Arc<Prepared>>,
+        sp: &ShardedPrepared,
+        idx: usize,
+    ) -> Arc<Prepared> {
+        slot.get_or_insert_with(|| {
+            relock(&sp.counters).builds += 1;
+            let mut sub = Corpus::new();
+            for &id in sp.plan.shard(idx).records() {
+                let r = sp.corpus.get(RecordId(id));
+                sub.push_tokens(r.tokens.clone(), r.raw.clone());
             }
-            let (sub, _) = sp.corpus.filter(|r| mask[r.id.idx()]);
-            self.prepare_owned(sub)
+            Arc::new(self.prepare_trusted(sub))
         })
+        .clone()
     }
 
-    /// Cut one shard out of an already-prepared corpus: segmentation and
-    /// pebbles are pure per-record (given the knowledge context), so the
-    /// slice reuses them by clone instead of re-segmenting. Fresh id and
-    /// empty memo — per-shard orders/signatures/indexes are built (and
-    /// dropped with the slice) on demand.
-    fn slice_prepared(&self, p: &Prepared, info: &ShardInfo) -> Prepared {
-        let mut mask = vec![false; p.len()];
-        for &id in info.records() {
-            mask[id as usize] = true;
-        }
-        let (corpus, _) = p.corpus.filter(|r| mask[r.id.idx()]);
-        let segrecs = info
-            .records()
-            .iter()
-            .map(|&id| p.segrecs[id as usize].clone())
-            .collect();
-        let pebbles = info
-            .records()
-            .iter()
-            .map(|&id| p.pebbles[id as usize].clone())
-            .collect();
-        let tier0 = info
-            .records()
-            .iter()
-            .map(|&id| p.tier0[id as usize])
-            .collect();
-        Prepared {
-            // ordering: Relaxed — the id only needs uniqueness, which the
-            // RMW atomicity of fetch_add alone guarantees; no other memory
-            // is published through this counter (the Prepared itself is
-            // handed to other threads via &-reference or Arc, whose
-            // construction/send provides the happens-before edge).
-            id: NEXT_PREPARED_ID.fetch_add(1, Ordering::Relaxed),
-            gen: p.gen,
-            cfg: p.cfg,
-            corpus,
-            segrecs,
-            pebbles,
-            tier0,
-            prepare_time: Duration::ZERO,
-            memo: Mutex::new(Memo::default()),
-        }
-    }
-
-    /// The [`JoinSpec::sharded`] knob on an existing [`Prepared`]:
-    /// self-join through the sharded executor over slices of `c`.
-    fn join_self_sliced(&self, c: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
-        let plan = ShardPlan::build(&c.tier0, spec.shards);
-        let cache = std::cell::RefCell::new(ShardCache::default());
-        let cap = ShardSpec::default().effective_cache_capacity();
-        self.sharded_self_executor(
-            &plan,
-            spec,
-            cap,
-            &mut |i| {
-                cache.borrow_mut().get_or_build(
-                    i,
-                    cap,
-                    || Ok(self.slice_prepared(c, plan.shard(i))),
-                )
-            },
-            &mut |ids| cache.borrow_mut().set_pinned(ids),
-            &mut || cache.borrow_mut().end_task(),
-        )
-    }
-
-    /// The [`JoinSpec::sharded`] knob for R×S joins over slices.
-    fn join_rs_sliced(
+    /// The sharded join: every compatible shard-pair task of the grid —
+    /// unordered pairs `(i, j ≥ i)` of `s` for a self-join (`t = None`),
+    /// `s × t` otherwise — run one at a time, each task's inner pipeline
+    /// honouring `spec.parallel`. Tasks cover disjoint record-pair sets,
+    /// so no dedup is needed and the final `(s, t)` sort is the
+    /// deterministic merge; that also frees the task *order*, which is
+    /// chosen for residency and is the whole residency policy.
+    ///
+    /// A band of `s`-shards stays segmented while every partner `j`
+    /// streams past it once. A band shard is built on its first
+    /// compatible task and dropped at band end, the partner likewise for
+    /// its one `j`. The band is `cache_capacity − 1` wide for a self-join
+    /// (the partner comes out of the same budget — and *is* a band
+    /// member while `j` lies inside the band) and `cache_capacity` wide
+    /// for R×S, so at most `cache_capacity` (self) or
+    /// `cache_capacity + 1` (R×S) shards are ever live, and a shard is
+    /// built once per band in which it has a compatible task.
+    ///
+    /// After each task the resident bytes are sampled at their fullest —
+    /// the task's order/signature/CSR memos included — and those memos
+    /// dropped: they are keyed by join partner and every shard pair is
+    /// visited once, so no later task could reuse them, while keeping
+    /// them would let a band shard accumulate one partner's worth per
+    /// task.
+    fn join_shards(
         &self,
-        s: &Prepared,
-        t: &Prepared,
+        s: &ShardedPrepared,
+        t: Option<&ShardedPrepared>,
         spec: &JoinSpec,
-    ) -> Result<JoinResult, AuError> {
-        let plan_s = ShardPlan::build(&s.tier0, spec.shards);
-        let plan_t = ShardPlan::build(&t.tier0, spec.shards);
-        let cache_s = std::cell::RefCell::new(ShardCache::default());
-        let cache_t = std::cell::RefCell::new(ShardCache::default());
-        let cap = ShardSpec::default().effective_cache_capacity();
-        self.sharded_rs_executor(
-            &plan_s,
-            &plan_t,
-            spec,
-            cap,
-            &mut |i| {
-                cache_s
-                    .borrow_mut()
-                    .get_or_build(i, cap, || Ok(self.slice_prepared(s, plan_s.shard(i))))
-            },
-            &mut |j| {
-                cache_t
-                    .borrow_mut()
-                    .get_or_build(j, cap, || Ok(self.slice_prepared(t, plan_t.shard(j))))
-            },
-            &mut |ids| cache_s.borrow_mut().set_pinned(ids),
-            &mut || {
-                cache_s.borrow_mut().end_task();
-                cache_t.borrow_mut().end_task();
-            },
-        )
-    }
-
-    /// Self-join as shard-pair tasks over unordered pairs `(i, j ≥ i)`.
-    /// Tasks cover disjoint record-pair sets, so no dedup is needed; the
-    /// final `(s, t)` sort is the deterministic merge — which also frees
-    /// the task *order*, so the grid is walked as a blocked traversal
-    /// matched to the LRU cache: a band of `cache_capacity − 1` i-shards
-    /// is pinned resident while every partner j streams through the one
-    /// remaining slot. Each shard is then built once as a band member
-    /// plus once per later band that streams it, cutting rebuilds
-    /// roughly `capacity`-fold versus the row-major walk (where the LRU
-    /// recency order ran exactly opposite to the revisit order). Tasks
-    /// run sequentially (bounded memory: at most the cache capacity of
-    /// shards is live, and `end_task` trims task-scoped memos after
-    /// recording the peak) while each task's inner pipeline honours
-    /// `spec.parallel`.
-    fn sharded_self_executor(
-        &self,
-        plan: &ShardPlan,
-        spec: &JoinSpec,
-        cache_capacity: usize,
-        fetch: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
-        pin: &mut dyn FnMut(&[usize]),
-        end_task: &mut dyn FnMut(),
-    ) -> Result<JoinResult, AuError> {
-        let g = plan.shard_count();
+    ) -> JoinResult {
+        let self_join = t.is_none();
+        let t = t.unwrap_or(s);
+        let (g_s, g_t) = (s.plan.shard_count(), t.plan.shard_count());
+        // `effective_cache_capacity` is ≥ 2, so the band is never empty.
+        let band = s.cache_capacity - usize::from(self_join);
         let mut agg = StatAgg::default();
         let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
-        let band = cache_capacity.saturating_sub(1).max(1);
-        let mut b0 = 0;
-        while b0 < g {
-            let b1 = (b0 + band).min(g);
-            let band_ids: Vec<usize> = (b0..b1).collect();
-            pin(&band_ids);
-            for j in b0..g {
-                for i in b0..b1.min(j + 1) {
-                    if !shard_pair_compatible(
-                        plan.shard(i),
-                        plan.shard(j),
-                        spec.theta,
-                        self.cfg.eps,
-                    ) {
+        let (mut peak_bytes, mut most_resident) = (0usize, 0usize);
+        for b0 in (0..g_s).step_by(band) {
+            let b1 = (b0 + band).min(g_s);
+            let mut held: Vec<Option<Arc<Prepared>>> = vec![None; b1 - b0];
+            let j0 = if self_join { b0 } else { 0 };
+            for j in j0..g_t {
+                let mut partner: Option<Arc<Prepared>> = None;
+                let i1 = if self_join { b1.min(j + 1) } else { b1 };
+                for i in b0..i1 {
+                    let (info_a, info_b) = (s.plan.shard(i), t.plan.shard(j));
+                    if !shard_pair_compatible(info_a, info_b, spec.theta, self.cfg.eps) {
                         agg.pruned += 1;
                         continue;
                     }
                     agg.tasks += 1;
-                    if i == j {
-                        let pa = fetch(i)?;
-                        let ids = plan.shard(i).records();
-                        let res = self.join_full(&pa, &pa, true, spec);
-                        agg.absorb(&res.stats, pa.len(), pa.len());
+                    let pa = self.resident_shard(&mut held[i - b0], s, i);
+                    let pb = if self_join && j < b1 {
+                        self.resident_shard(&mut held[j - b0], s, j)
+                    } else {
+                        self.resident_shard(&mut partner, t, j)
+                    };
+                    let (ids_a, ids_b) = (info_a.records(), info_b.records());
+                    if self_join && i != j {
+                        self.cross_self_task(&pa, &pb, ids_a, ids_b, spec, &mut agg, &mut pairs);
+                    } else {
+                        let res = self.join_full(&pa, &pb, self_join, spec);
+                        agg.absorb(&res.stats, pa.len(), pb.len());
                         pairs.extend(
                             res.pairs
                                 .iter()
-                                .map(|&(a, b, sim)| (ids[a as usize], ids[b as usize], sim)),
-                        );
-                    } else {
-                        let pa = fetch(i)?;
-                        let pb = fetch(j)?;
-                        self.cross_self_task(
-                            &pa,
-                            &pb,
-                            plan.shard(i).records(),
-                            plan.shard(j).records(),
-                            spec,
-                            &mut agg,
-                            &mut pairs,
+                                .map(|&(a, b, sim)| (ids_a[a as usize], ids_b[b as usize], sim)),
                         );
                     }
-                    end_task();
+                    let resident = || held.iter().flatten().chain(&partner);
+                    peak_bytes = peak_bytes.max(resident().map(|p| p.memory_bytes()).sum());
+                    most_resident = most_resident.max(resident().count());
+                    pa.clear_memo();
+                    pb.clear_memo();
                 }
             }
-            b0 = b1;
         }
-        pin(&[]);
+        // Both sides report the whole join's residency (`t` aliases `s`
+        // in a self-join; taking the max twice is harmless).
+        for sp in [s, t] {
+            let mut c = relock(&sp.counters);
+            c.peak_bytes = c.peak_bytes.max(peak_bytes);
+            c.most_resident = c.most_resident.max(most_resident);
+        }
         pairs.sort_unstable_by_key(|x| (x.0, x.1));
-        Ok(JoinResult {
+        JoinResult {
             stats: agg.into_stats(pairs.len()),
             pairs,
-        })
+        }
     }
 
     /// One cross-shard task of a self-join: filter shard `A` against
@@ -1582,70 +1391,6 @@ impl Engine {
         );
         agg.tiers.merge(&tf);
         agg.tiers.merge(&tr);
-    }
-
-    /// R×S join as all compatible shard-pair tasks (each one a plain
-    /// [`Engine::join_full`] over the two slices, ids mapped back to the
-    /// global spaces). Like the self executor, the grid is walked as a
-    /// blocked traversal: a band of S-shards (sized to the S cache,
-    /// whose slots are all pinnable because T lives in its own cache)
-    /// stays pinned while every T-shard streams past it once, so T
-    /// rebuilds drop from `g_s·g_t` to `g_t·⌈g_s/capacity⌉`.
-    #[allow(clippy::too_many_arguments)]
-    fn sharded_rs_executor(
-        &self,
-        plan_s: &ShardPlan,
-        plan_t: &ShardPlan,
-        spec: &JoinSpec,
-        cache_capacity: usize,
-        fetch_s: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
-        fetch_t: &mut dyn FnMut(usize) -> Result<Arc<Prepared>, AuError>,
-        pin_s: &mut dyn FnMut(&[usize]),
-        end_task: &mut dyn FnMut(),
-    ) -> Result<JoinResult, AuError> {
-        let g_s = plan_s.shard_count();
-        let g_t = plan_t.shard_count();
-        let mut agg = StatAgg::default();
-        let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
-        let band = cache_capacity.max(1);
-        let mut b0 = 0;
-        while b0 < g_s {
-            let b1 = (b0 + band).min(g_s);
-            let band_ids: Vec<usize> = (b0..b1).collect();
-            pin_s(&band_ids);
-            for j in 0..g_t {
-                for i in b0..b1 {
-                    if !shard_pair_compatible(
-                        plan_s.shard(i),
-                        plan_t.shard(j),
-                        spec.theta,
-                        self.cfg.eps,
-                    ) {
-                        agg.pruned += 1;
-                        continue;
-                    }
-                    agg.tasks += 1;
-                    let ps = fetch_s(i)?;
-                    let pt = fetch_t(j)?;
-                    let res = self.join_full(&ps, &pt, false, spec);
-                    agg.absorb(&res.stats, ps.len(), pt.len());
-                    let (ids_s, ids_t) = (plan_s.shard(i).records(), plan_t.shard(j).records());
-                    pairs.extend(
-                        res.pairs
-                            .iter()
-                            .map(|&(a, b, sim)| (ids_s[a as usize], ids_t[b as usize], sim)),
-                    );
-                    end_task();
-                }
-            }
-            b0 = b1;
-        }
-        pin_s(&[]);
-        pairs.sort_unstable_by_key(|x| (x.0, x.1));
-        Ok(JoinResult {
-            stats: agg.into_stats(pairs.len()),
-            pairs,
-        })
     }
 
     // -- top-k --------------------------------------------------------------
@@ -2016,9 +1761,9 @@ impl Engine {
 /// Accumulator merging per-task [`JoinStats`] into the honest aggregate
 /// of a sharded run: times, `Tτ` and `Vτ` are sums over the executed
 /// tasks (each task runs its own order/signature/filter pipeline, so the
-/// totals are comparable across executors but not identical to the
-/// monolithic run's — see DESIGN.md "Sharded joins"); signature lengths
-/// are record-weighted means; tier telemetry merges exactly.
+/// totals are comparable with a monolithic run's but not identical to
+/// them — see DESIGN.md "Memory-lean joins"); signature lengths are
+/// record-weighted means; tier telemetry merges exactly.
 #[derive(Default)]
 struct StatAgg {
     sig_time: Duration,
@@ -2531,6 +2276,48 @@ mod tests {
         assert_eq!(stats.candidates, batch.stats.candidates);
     }
 
+    /// `n` four-word records over a 12-word pool, deterministic in
+    /// `salt`: dense enough that most record pairs become candidates.
+    fn pooled_corpus(kn: &mut Knowledge, n: usize, salt: usize) -> Corpus {
+        const POOL: [&str; 12] = [
+            "coffee", "shop", "latte", "espresso", "cafe", "helsinki", "tea", "cake", "north",
+            "south", "house", "garden",
+        ];
+        let word = |i: usize, k: usize| POOL[(i * 7 + k * (i % 5 + 1) + salt) % POOL.len()];
+        let lines: Vec<String> = (0..n)
+            .map(|i| [0, 1, 2, 3].map(|k| word(i, k)).join(" "))
+            .collect();
+        kn.corpus_from_lines(lines.iter().map(String::as_str))
+    }
+
+    #[test]
+    fn chunk_boundaries_move_no_pair_and_no_tier_tally() {
+        // The sink verifies in batches that share one corpus-level index;
+        // a batch boundary — even one inside a probe record's run, which
+        // splits the run's mass count in two — must move neither a pair,
+        // a similarity bit nor a tier counter.
+        let mut kn = KnowledgeBuilder::new().build();
+        let (s, t) = (pooled_corpus(&mut kn, 90, 0), pooled_corpus(&mut kn, 90, 3));
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let ps = engine.prepare(&s).unwrap();
+        let pt = engine.prepare(&t).unwrap();
+        for parallel in [false, true] {
+            let spec = JoinSpec::threshold(0.7).au_dp(2).parallel(parallel);
+            let whole = engine.join_full(&ps, &pt, false, &spec);
+            // Enough candidates that the shared verification index is built.
+            assert!(whole.stats.candidates >= 2048 && !whole.pairs.is_empty());
+            assert!(whole.stats.tiers.mass_rejects > 0);
+            for chunk in [1, 7, 100] {
+                let mut pairs = Vec::new();
+                let stats = engine.join_run(&ps, &pt, false, &spec, chunk, |a, b, sim| {
+                    pairs.push((a, b, sim))
+                });
+                assert_eq!(pairs, whole.pairs, "chunk {chunk} parallel={parallel}");
+                assert_eq!(stats.tiers, whole.stats.tiers, "chunk {chunk}");
+            }
+        }
+    }
+
     #[test]
     fn searcher_handles_unknown_tokens_without_mut() {
         let (kn, _, t) = setup();
@@ -2569,36 +2356,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_knob_matches_monolithic() {
-        let (kn, s, t) = setup();
-        let engine = Engine::new(kn, SimConfig::default()).unwrap();
-        let ps = engine.prepare(&s).unwrap();
-        let pt = engine.prepare(&t).unwrap();
-        for theta in [0.5, 0.7, 0.9] {
-            let mono = engine.join(&ps, &pt, &JoinSpec::threshold(theta)).unwrap();
-            let shard = engine
-                .join(&ps, &pt, &JoinSpec::threshold(theta).sharded(3))
-                .unwrap();
-            assert_eq!(mono.pairs, shard.pairs, "R×S at θ = {theta}");
-            assert!(shard.stats.shard_tasks >= 1);
-            let mono_self = engine.join_self(&ps, &JoinSpec::threshold(theta)).unwrap();
-            let shard_self = engine
-                .join_self(&ps, &JoinSpec::threshold(theta).sharded(3))
-                .unwrap();
-            assert_eq!(mono_self.pairs, shard_self.pairs, "self at θ = {theta}");
-        }
-        assert_eq!(mono_tasks_are_zero(&engine, &ps, &pt), (0, 0));
-    }
-
-    fn mono_tasks_are_zero(engine: &Engine, ps: &Prepared, pt: &Prepared) -> (u64, u64) {
-        let st = engine
-            .join(ps, pt, &JoinSpec::threshold(0.8))
-            .unwrap()
-            .stats;
-        (st.shard_tasks, st.shard_tasks_pruned)
-    }
-
-    #[test]
     fn lazy_sharded_prepare_matches_full_prepare() {
         let (kn, s, _) = setup();
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
@@ -2622,6 +2379,35 @@ mod tests {
         let rs = engine.join_sharded(&sp, &sp, &spec).unwrap();
         let mono_rs = engine.join(&ps, &ps, &spec).unwrap();
         assert_eq!(mono_rs.pairs, rs.pairs);
+    }
+
+    #[test]
+    fn sharded_joins_hold_at_most_the_configured_shards() {
+        // Equal-length records: every shard pair is compatible, so the
+        // whole grid runs and the residency budget is actually reached.
+        let mut kn = KnowledgeBuilder::new().build();
+        let c = pooled_corpus(&mut kn, 42, 1);
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let pc = engine.prepare(&c).unwrap();
+        let spec = JoinSpec::threshold(0.7);
+        let mono_self = engine.join_self(&pc, &spec).unwrap();
+        let mono_rs = engine.join(&pc, &pc, &spec).unwrap();
+        for cap in [2usize, 3, 5] {
+            let sspec = ShardSpec::auto().with_shards(7).with_cache_capacity(cap);
+            let sp = engine.prepare_sharded(&c, &sspec).unwrap();
+            let lazy = engine.join_self_sharded(&sp, &spec).unwrap();
+            assert_eq!(lazy.pairs, mono_self.pairs, "cap {cap}");
+            assert_eq!(relock(&sp.counters).most_resident, cap, "self, cap {cap}");
+            // R×S: the band is a full `cap` wide and T streams beside it.
+            let sp = engine.prepare_sharded(&c, &sspec).unwrap();
+            let lazy = engine.join_sharded(&sp, &sp, &spec).unwrap();
+            assert_eq!(lazy.pairs, mono_rs.pairs, "cap {cap}");
+            assert_eq!(
+                relock(&sp.counters).most_resident,
+                cap + 1,
+                "R×S, cap {cap}"
+            );
+        }
     }
 
     #[test]

@@ -45,14 +45,17 @@ pub struct JoinStats {
     pub verify_time: Duration,
     /// `Tτ`: index pairs touched during filtering (Eq. 16).
     ///
-    /// **Sharded-join invariant:** on a sharded run this is the honest
-    /// *sum of the per-task counts* — each shard-pair task runs its own
-    /// order/signature/filter pipeline over its slices, so per-task
+    /// **Sharded-join invariant:** on a sharded run
+    /// ([`crate::engine::Engine::join_self_sharded`] /
+    /// [`crate::engine::Engine::join_sharded`]) this is the honest *sum
+    /// of the per-task counts* — each shard-pair task runs its own
+    /// order/signature/filter pipeline over its two shards, so per-task
     /// signature prefixes (and hence posting lists) differ from the
     /// monolithic run's and the sum is structurally *not* the monolithic
     /// `Tτ`. Pruned tasks contribute zero. The relationship is pinned by
     /// `sharded_t_tau_is_per_task_sum` in `tests/shard_equivalence.rs`;
-    /// result pairs, by contrast, are byte-identical across executors.
+    /// result pairs, by contrast, are byte-identical to the monolithic
+    /// join's.
     pub processed_pairs: u64,
     /// `Vτ`: candidates surviving the τ-overlap test and the in-probe
     /// compatibility bound.
@@ -71,7 +74,9 @@ pub struct JoinStats {
     /// deterministic across thread counts and runs — and
     /// `tiers.decisions() == candidates`.
     pub tiers: VerifyTiers,
-    /// Shard-pair tasks actually executed (0 on monolithic joins).
+    /// Shard-pair tasks actually executed by a sharded join
+    /// ([`crate::engine::Engine::join_self_sharded`] /
+    /// [`crate::engine::Engine::join_sharded`]; 0 on monolithic joins).
     pub shard_tasks: u64,
     /// Shard-pair tasks skipped wholesale by the shard-pair bound
     /// ([`crate::shard::shard_pair_bound`] `< θ − ε`; 0 on monolithic

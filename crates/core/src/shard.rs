@@ -28,24 +28,22 @@
 //! partition of the full cross product, so results are exactly the
 //! monolithic join's (`tests/shard_equivalence.rs` pins them bitwise).
 //!
-//! Two ways to shard:
-//!
-//! * [`crate::engine::JoinSpec::sharded`] — slice an existing
-//!   [`crate::engine::Prepared`] at join time (segmentation reused, only
-//!   the per-shard order/signature/CSR artifacts are built, at most a few
-//!   shards' worth at a time).
-//! * [`crate::engine::Engine::prepare_sharded`] — the memory-lean path
-//!   for corpora too large to prepare whole: only the tier-0 integers are
-//!   computed up front, and each shard is segmented on demand inside a
-//!   bounded LRU cache ([`ShardedPrepared::peak_memory_bytes`] reports
-//!   the high-water mark, a small fraction of a whole-corpus prepare).
+//! The one entry point is [`crate::engine::Engine::prepare_sharded`], for
+//! corpora too large to prepare whole: only the tier-0 integers are
+//! computed up front, and each shard is segmented on demand by the join
+//! ([`crate::engine::Engine::join_self_sharded`] /
+//! [`crate::engine::Engine::join_sharded`]), which keeps
+//! [`ShardSpec::cache_capacity`] of them live at a time and drops every
+//! one before it returns. [`ShardedPrepared::peak_memory_bytes`] reports
+//! the high-water mark, a small fraction of a whole-corpus prepare. It is
+//! a memory tool, not a speed-up: every task rebuilds its own pebble
+//! order, signatures and index, so a sharded join is slower than the
+//! monolithic one whenever the latter fits.
 
 use crate::config::SimConfig;
-use crate::engine::Prepared;
-use crate::error::AuError;
+use crate::engine::relock;
 use au_text::record::Corpus;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How a corpus should be sharded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,13 +51,15 @@ pub struct ShardSpec {
     /// Number of length-ordered shards (0 = choose automatically from the
     /// corpus size, [`ShardPlan::auto_shard_count`]).
     pub shards: usize,
-    /// Shards kept segmented at once by the lazy path (0 = default 3;
-    /// clamped to ≥ 2 — a cross-shard task needs both sides live).
+    /// Segmented shards resident at once during a join (0 = default 3;
+    /// clamped to ≥ 2 — a cross-shard task needs both sides live). An
+    /// R×S join holds this many shards of its left side plus one of its
+    /// right side.
     pub cache_capacity: usize,
 }
 
 impl ShardSpec {
-    /// Automatic shard count and default cache capacity.
+    /// Automatic shard count and default residency.
     pub fn auto() -> Self {
         Self::default()
     }
@@ -70,7 +70,7 @@ impl ShardSpec {
         self
     }
 
-    /// Keep up to `cap` shards segmented at once on the lazy path.
+    /// Keep `cap` shards segmented at once.
     pub fn with_cache_capacity(mut self, cap: usize) -> Self {
         self.cache_capacity = cap;
         self
@@ -157,7 +157,7 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Default shard count for an `n`-record corpus: one shard per ~4096
     /// records, at least 8, at most 64 (small corpora still exercise the
-    /// sharded executor; huge corpora keep per-shard artifacts a small
+    /// sharded join; huge corpora keep per-shard artifacts a small
     /// fraction of the whole).
     pub fn auto_shard_count(n: usize) -> usize {
         (n / 4096).clamp(8, 64)
@@ -229,148 +229,23 @@ impl ShardPlan {
     pub fn iter(&self) -> impl Iterator<Item = &ShardInfo> {
         self.shards.iter()
     }
-
-    /// Shard-pair pruning census for a join at `theta`: `(run, pruned)`
-    /// task counts. `other = None` is the self-join census over unordered
-    /// shard pairs `(i, j ≥ i)` of this plan; `Some(t)` the R×S census
-    /// over this plan's shards × `t`'s shards.
-    pub fn prune_census(&self, other: Option<&ShardPlan>, theta: f64, eps: f64) -> (usize, usize) {
-        let mut run = 0usize;
-        let mut pruned = 0usize;
-        match other {
-            None => {
-                for i in 0..self.shards.len() {
-                    for j in i..self.shards.len() {
-                        if shard_pair_compatible(&self.shards[i], &self.shards[j], theta, eps) {
-                            run += 1;
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                }
-            }
-            Some(t) => {
-                for a in &self.shards {
-                    for b in &t.shards {
-                        if shard_pair_compatible(a, b, theta, eps) {
-                            run += 1;
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        (run, pruned)
-    }
 }
 
-/// Bounded LRU of segmented shards plus the peak-memory high-water mark.
-/// Front of the deque is most recently used.
+/// What the joins over one [`ShardedPrepared`] have cost so far.
 #[derive(Debug, Default)]
-pub(crate) struct ShardCache {
-    entries: VecDeque<(usize, Arc<Prepared>)>,
-    /// Shard indexes the blocked executors keep resident for the current
-    /// band of tasks; eviction skips them. Executors size bands so that
-    /// at least one unpinned slot remains for the streaming partner.
-    pinned: Vec<usize>,
-    peak_bytes: usize,
-    builds: u64,
-    hits: u64,
-}
-
-impl ShardCache {
-    /// Fetch shard `idx`, building (and caching) it on a miss. `cap`
-    /// bounds how many segmented shards stay live; the peak accounting
-    /// re-measures every cached shard on each touch, so memo growth
-    /// during join tasks is captured before eviction drops it.
-    pub(crate) fn get_or_build(
-        &mut self,
-        idx: usize,
-        cap: usize,
-        build: impl FnOnce() -> Result<Prepared, AuError>,
-    ) -> Result<Arc<Prepared>, AuError> {
-        if let Some(pos) = self.entries.iter().position(|(i, _)| *i == idx) {
-            let entry = self.entries.remove(pos).expect("position just found");
-            self.entries.push_front(entry);
-            self.hits += 1;
-            let arc = self.entries.front().expect("just pushed").1.clone();
-            self.note_usage();
-            return Ok(arc);
-        }
-        let p = Arc::new(build()?);
-        self.builds += 1;
-        self.entries.push_front((idx, p.clone()));
-        self.note_usage();
-        while self.entries.len() > cap.max(1) {
-            // Evict the least-recently-used entry that is neither pinned
-            // (band member mid-traversal) nor the one just inserted at
-            // the front; with nothing evictable, tolerate a transient
-            // over-cap rather than throw away live band state.
-            match self
-                .entries
-                .iter()
-                .rposition(|(i, _)| !self.pinned.contains(i))
-            {
-                Some(pos) if pos > 0 => {
-                    self.entries.remove(pos);
-                }
-                _ => break,
-            }
-        }
-        Ok(p)
-    }
-
-    /// Replace the pinned set (the blocked executors' current band).
-    /// Pinned shards are skipped by eviction until the next call; pass an
-    /// empty slice to release the band.
-    pub(crate) fn set_pinned(&mut self, ids: &[usize]) {
-        self.pinned.clear();
-        self.pinned.extend_from_slice(ids);
-    }
-
-    /// Record the current live total against the peak (called on every
-    /// touch and once more when a join finishes, so post-task memo growth
-    /// is never missed).
-    pub(crate) fn note_usage(&mut self) {
-        let total: usize = self.entries.iter().map(|(_, p)| p.memory_bytes()).sum();
-        self.peak_bytes = self.peak_bytes.max(total);
-    }
-
-    /// End-of-task hook for the sharded executors: measure the resident
-    /// set at its fullest — the just-finished task's order/signature/CSR
-    /// memos included — then drop those memos from every cached shard.
-    /// Pair memos are keyed by join partner and every shard pair is
-    /// visited exactly once per join, so no task later in the same join
-    /// could have reused them; without the trim a shard that stays
-    /// cache-resident across a row of tasks accumulates one partner's
-    /// worth of artifacts per task and the "peak ≈ cache/shards of a
-    /// full prepare" claim erodes. (The expensive part of a cached shard
-    /// — its segmentation and posting tables — is exactly what the trim
-    /// keeps.)
-    pub(crate) fn end_task(&mut self) {
-        self.note_usage();
-        for (_, p) in &self.entries {
-            p.clear_memo();
-        }
-    }
-
-    pub(crate) fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    pub(crate) fn builds(&self) -> u64 {
-        self.builds
-    }
-
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits
-    }
+pub(crate) struct ShardCounters {
+    /// Most segmented-shard bytes any join held at once.
+    pub(crate) peak_bytes: usize,
+    /// Shards segmented.
+    pub(crate) builds: u64,
+    /// Most segmented shards any join held at once.
+    pub(crate) most_resident: usize,
 }
 
 /// A corpus prepared for sharded joins without ever segmenting it whole:
 /// the tier-0 integers come from the lean stats pass, shards are
-/// segmented on demand into a bounded cache. Create with
+/// segmented on demand by each join and dropped before it returns (the
+/// artifact itself never holds one). Create with
 /// [`crate::engine::Engine::prepare_sharded`]; join with
 /// [`crate::engine::Engine::join_self_sharded`] /
 /// [`crate::engine::Engine::join_sharded`].
@@ -382,7 +257,7 @@ pub struct ShardedPrepared {
     pub(crate) tier0: Vec<(u32, u32)>,
     pub(crate) plan: ShardPlan,
     pub(crate) cache_capacity: usize,
-    pub(crate) cache: Mutex<ShardCache>,
+    pub(crate) counters: Mutex<ShardCounters>,
 }
 
 impl ShardedPrepared {
@@ -418,27 +293,21 @@ impl ShardedPrepared {
         &self.tier0
     }
 
-    /// High-water mark of segmented-shard bytes held simultaneously
-    /// (deep, length-based accounting via
-    /// [`crate::engine::Prepared::memory_bytes`]). The memory-lean
-    /// claim: with `G` shards and a cache of `c`, this stays near `c/G`
-    /// of a whole-corpus prepare.
+    /// High-water mark of the segmented-shard bytes a join over this
+    /// artifact held at once — both sides of an R×S join, each task's
+    /// order/signature/CSR memos included (deep, length-based accounting
+    /// via [`crate::engine::Prepared::memory_bytes`]). The memory-lean
+    /// claim: with `G` shards and `c` of them resident, this stays near
+    /// `c/G` of a whole-corpus prepare.
     pub fn peak_memory_bytes(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("shard cache poisoned")
-            .peak_bytes()
+        relock(&self.counters).peak_bytes
     }
 
-    /// Shards segmented so far (cache misses; re-builds after eviction
-    /// count again).
+    /// Shards of this artifact segmented so far. Nothing is retained
+    /// between bands or joins: a shard counts once per band in which it
+    /// has a compatible task, in every join.
     pub fn shard_builds(&self) -> u64 {
-        self.cache.lock().expect("shard cache poisoned").builds()
-    }
-
-    /// Shard fetches served from the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.lock().expect("shard cache poisoned").hits()
+        relock(&self.counters).builds
     }
 }
 
@@ -511,22 +380,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn census_counts_all_unordered_pairs() {
-        let tier0 = tier0_ramp(40);
-        let plan = ShardPlan::build(&tier0, 5);
-        let g = plan.shard_count();
-        let (run, pruned) = plan.prune_census(None, 0.9, 1e-9);
-        assert_eq!(run + pruned, g * (g + 1) / 2);
-        // θ = 0 prunes nothing; θ just above every bound prunes all.
-        let (run0, pruned0) = plan.prune_census(None, 0.0, 0.0);
-        assert_eq!((run0, pruned0), (g * (g + 1) / 2, 0));
-        // θ above every shard-pair bound (max possible bound here is
-        // len_max / 1 = 40) prunes every task.
-        let (run1, pruned1) = plan.prune_census(Some(&plan), 41.0, 0.0);
-        assert_eq!((run1, pruned1), (0, g * g));
     }
 
     #[test]

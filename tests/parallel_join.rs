@@ -54,20 +54,27 @@ fn self_join_identical_serial_vs_parallel() {
 
 #[test]
 fn sharded_join_identical_serial_vs_parallel() {
-    // The sharded executor runs shard-pair tasks sequentially but honours
+    // The sharded join runs shard-pair tasks sequentially but honours
     // the parallel knob inside each task's filter/verify pipeline; the
     // merged output must stay byte-identical either way.
     let ds = dataset();
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
-    let ps = engine.prepare(&ds.s).expect("prepare");
-    let spec = JoinSpec::threshold(0.6).au_dp(2).sharded(4);
-    let serial = engine.join_self(&ps, &spec.parallel(false)).expect("join");
-    let parallel = engine.join_self(&ps, &spec.parallel(true)).expect("join");
+    let sspec = ShardSpec::auto().with_shards(4);
+    let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard");
+    let spec = JoinSpec::threshold(0.6).au_dp(2);
+    let serial = engine
+        .join_self_sharded(&sps, &spec.parallel(false))
+        .expect("join");
+    let parallel = engine
+        .join_self_sharded(&sps, &spec.parallel(true))
+        .expect("join");
     assert_eq!(serial.pairs, parallel.pairs);
     // Cross-check against the R×S grid too: the sharded self-join must
     // equal the strict upper triangle of the sharded cross join.
-    let pt = engine.prepare(&ds.s).expect("prepare T-copy");
-    let cross = engine.join(&ps, &pt, &spec.parallel(false)).expect("join");
+    let spt = engine.prepare_sharded(&ds.s, &sspec).expect("shard T-copy");
+    let cross = engine
+        .join_sharded(&sps, &spt, &spec.parallel(false))
+        .expect("join");
     let upper: Vec<(u32, u32, f64)> = cross.pairs.into_iter().filter(|&(a, b, _)| a < b).collect();
     assert_eq!(serial.pairs, upper);
 }

@@ -1,9 +1,9 @@
 //! Sharded ↔ monolithic equivalence harness.
 //!
-//! The sharded join architecture (length-partitioned shard pairs with the
-//! PASS-JOIN-style compatibility bound, both the `JoinSpec::sharded` knob
-//! over an ordinary `Prepared` and the memory-lean lazy `ShardedPrepared`
-//! path) must be *observationally identical* to the monolithic engine:
+//! The memory-lean sharded joins (length-partitioned shard pairs with the
+//! PASS-JOIN-style compatibility bound, segmented on demand from a
+//! `ShardedPrepared`) must be *observationally identical* to the
+//! monolithic engine:
 //! same pairs, same similarities (bitwise), same deterministic `(s, t)`
 //! order — on datagen MED/WIKI corpora and randomized proptest corpora,
 //! serial and parallel, for every filter. Join *statistics* are the one
@@ -43,9 +43,9 @@ fn all_filters() -> Vec<FilterKind> {
     ]
 }
 
-/// Joins (R×S and self), serial and parallel, knob path and lazy path:
-/// pairs and sims must match the monolithic engine bitwise, and the
-/// shard-task accounting must cover the full pair grid.
+/// Joins (R×S and self), serial and parallel: pairs and sims must match
+/// the monolithic engine bitwise, and the shard-task accounting must
+/// cover the full pair grid.
 fn assert_sharded_equivalent(
     ds: &LabeledDataset,
     theta: f64,
@@ -61,20 +61,12 @@ fn assert_sharded_equivalent(
     let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard S");
     let spt = engine.prepare_sharded(&ds.t, &sspec).expect("shard T");
     for parallel in [false, true] {
-        let mono = JoinSpec::threshold(theta).filter(filter).parallel(parallel);
-        let spec = mono.sharded(shards);
+        let spec = JoinSpec::threshold(theta).filter(filter).parallel(parallel);
 
-        let base = engine.join(&ps, &pt, &mono).expect("monolithic join");
+        let base = engine.join(&ps, &pt, &spec).expect("monolithic join");
         assert_eq!(base.stats.shard_tasks, 0, "{label} mono task count");
 
-        // Knob path: same Prepared, sliced on the fly.
-        let knob = engine.join(&ps, &pt, &spec).expect("sharded join");
-        assert_eq!(
-            base.pairs, knob.pairs,
-            "{label} knob pairs (parallel={parallel})"
-        );
-
-        // Lazy path: shards segmented on demand from raw corpora.
+        // Shards segmented on demand from raw corpora.
         let lazy = engine.join_sharded(&sps, &spt, &spec).expect("lazy join");
         assert_eq!(
             base.pairs, lazy.pairs,
@@ -89,22 +81,7 @@ fn assert_sharded_equivalent(
             "{label} R×S task grid"
         );
 
-        // Streaming sink over the sharded path: identical pairs in
-        // identical order, stats consistent with the materialized run.
-        let mut streamed = Vec::new();
-        let sink_stats = engine
-            .join_sink(&ps, &pt, &spec, |a, b, sim| streamed.push((a, b, sim)))
-            .expect("sharded sink join");
-        assert_eq!(streamed, base.pairs, "{label} sharded sink pairs");
-        assert_eq!(sink_stats.shard_tasks, knob.stats.shard_tasks);
-
-        // Self-joins through both sharded paths.
-        let base_self = engine.join_self(&ps, &mono).expect("monolithic self");
-        let knob_self = engine.join_self(&ps, &spec).expect("sharded self");
-        assert_eq!(
-            base_self.pairs, knob_self.pairs,
-            "{label} self pairs (parallel={parallel})"
-        );
+        let base_self = engine.join_self(&ps, &spec).expect("monolithic self");
         let lazy_self = engine.join_self_sharded(&sps, &spec).expect("lazy self");
         assert_eq!(
             base_self.pairs, lazy_self.pairs,
@@ -164,8 +141,11 @@ fn high_theta_prunes_shard_pairs_without_losing_results() {
     let mono = engine
         .join_self(&ps, &JoinSpec::threshold(0.9).au_dp(2))
         .expect("monolithic");
+    let sps = engine
+        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(8))
+        .expect("shard");
     let sharded = engine
-        .join_self(&ps, &JoinSpec::threshold(0.9).au_dp(2).sharded(8))
+        .join_self_sharded(&sps, &JoinSpec::threshold(0.9).au_dp(2))
         .expect("sharded");
     assert_eq!(mono.pairs, sharded.pairs);
     assert!(
@@ -211,9 +191,10 @@ fn sharded_t_tau_is_per_task_sum() {
 
     let spec = JoinSpec::threshold(0.9);
     let mono = engine.join_self(&p_full, &spec).expect("monolithic");
-    let sharded = engine
-        .join_self(&p_full, &spec.sharded(2))
-        .expect("sharded");
+    let sp_full = engine
+        .prepare_sharded(&full, &ShardSpec::auto().with_shards(2))
+        .expect("shard full");
+    let sharded = engine.join_self_sharded(&sp_full, &spec).expect("sharded");
     assert_eq!(mono.pairs, sharded.pairs, "pairs must stay byte-identical");
 
     // 2-token vs ≥29-token shards cannot meet θ=0.9: the cross task of the
@@ -222,7 +203,7 @@ fn sharded_t_tau_is_per_task_sum() {
     assert_eq!(sharded.stats.shard_tasks_pruned, 1, "cross task pruned");
 
     // Each diagonal task runs the full order/signature/filter pipeline on
-    // its slice — identical to a standalone self-join over that group —
+    // its shard — identical to a standalone self-join over that group —
     // and the pruned task contributes zero, so the sharded Tτ is exactly
     // the per-task sum.
     let t_short = engine.join_self(&p_short, &spec).expect("short self");
@@ -242,8 +223,10 @@ fn sharded_t_tau_is_per_task_sum() {
 
 #[test]
 fn lazy_cache_evicts_and_rebuilds_without_changing_results() {
-    // A cache capacity of 2 over 6 shards forces evictions mid-join; the
-    // rebuilt shards must be bitwise-identical to the first build.
+    // Two resident shards over a 6-shard plan: a band of one plus its
+    // streaming partner, so every shard is dropped and re-segmented once
+    // per band that reaches it; the rebuilt shards must be
+    // bitwise-identical to the first build.
     let ds = med(120, 44);
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
     let ps = engine.prepare(&ds.s).expect("prepare");
@@ -255,27 +238,22 @@ fn lazy_cache_evicts_and_rebuilds_without_changing_results() {
             &ShardSpec::auto().with_shards(6).with_cache_capacity(2),
         )
         .expect("shard");
-    let lazy = engine
-        .join_self_sharded(&sp, &spec.sharded(6))
-        .expect("lazy");
+    let lazy = engine.join_self_sharded(&sp, &spec).expect("lazy");
     assert_eq!(mono.pairs, lazy.pairs);
-    assert!(
-        sp.shard_builds() > 6,
-        "cache cap 2 over 6 shards must rebuild at least one evicted shard, built {}",
-        sp.shard_builds()
-    );
+    // No task of this grid is pruned, so band b₀ builds shards b₀..6.
+    assert_eq!(lazy.stats.shard_tasks_pruned, 0);
+    assert_eq!(sp.shard_builds(), 6 + 5 + 4 + 3 + 2 + 1);
     assert!(sp.peak_memory_bytes() > 0);
 }
 
 #[test]
 fn blocked_traversal_cuts_rebuilds_without_changing_results() {
-    // The executors walk the shard-pair grid as a blocked traversal
-    // matched to the LRU capacity: a pinned band of shards stays
-    // resident while partners stream through the remaining slot(s).
-    // Output must stay byte-identical to the monolithic join, while the
-    // build count drops to at most one build per shard per band —
-    // Σ_bands (g − band_start) for a self-join — instead of roughly one
-    // per task as with the old row-major walk.
+    // The grid is walked band by band: a band of shards stays resident
+    // while every partner streams past it once. Output must stay
+    // byte-identical to the monolithic join, and a shard is built exactly
+    // once per band in which it has a compatible task — with nothing
+    // pruned, Σ_bands (g − band_start) for a self-join — instead of
+    // roughly once per task as with a row-major walk.
     let ds = med(200, 47);
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
     let ps = engine.prepare(&ds.s).expect("prepare");
@@ -288,75 +266,31 @@ fn blocked_traversal_cuts_rebuilds_without_changing_results() {
             &ShardSpec::auto().with_shards(g).with_cache_capacity(cap),
         )
         .expect("shard");
-    let lazy = engine
-        .join_self_sharded(&sp, &spec.sharded(g))
-        .expect("lazy");
+    let lazy = engine.join_self_sharded(&sp, &spec).expect("lazy");
     assert_eq!(mono.pairs, lazy.pairs, "blocked traversal changed output");
-    // Bands of width cap−1 = 4 start at 0, 4, 8: at most (10−0) +
-    // (10−4) + (10−8) = 18 distinct fetches can miss.
-    let band = cap - 1;
-    let bound: u64 = (0..g).step_by(band).map(|b0| (g - b0) as u64).sum();
-    assert!(
-        sp.shard_builds() <= bound,
-        "self-join built {} shards, blocked bound is {bound}",
-        sp.shard_builds()
-    );
-    assert!(
-        sp.cache_hits() > sp.shard_builds(),
-        "band pinning should make hits ({}) dominate builds ({})",
-        sp.cache_hits(),
-        sp.shard_builds()
-    );
+    assert_eq!(lazy.stats.shard_tasks_pruned, 0);
+    // Bands of width cap−1 = 4 (the partner takes the fifth slot) start
+    // at 0, 4, 8: (10−0) + (10−4) + (10−8) = 18 builds.
+    let per_join: u64 = (0..g).step_by(cap - 1).map(|b0| (g - b0) as u64).sum();
+    assert_eq!(sp.shard_builds(), per_join);
+    // No shard outlives the join that built it: a second join over the
+    // same artifact segments every one of them again.
+    let again = engine.join_self_sharded(&sp, &spec).expect("lazy again");
+    assert_eq!(again.pairs, lazy.pairs);
+    assert_eq!(sp.shard_builds(), 2 * per_join);
 
-    // R×S: the S band is pinned whole (T has its own cache), so T
-    // rebuilds at most once per band and S at most once overall.
+    // R×S: the S band is cap wide (T streams beside it), so each
+    // S-shard is built once and each T-shard once per band.
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let mono_rs = engine.join(&ps, &pt, &spec).expect("monolithic R×S");
     let sspec = ShardSpec::auto().with_shards(6).with_cache_capacity(3);
     let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard S");
     let spt = engine.prepare_sharded(&ds.t, &sspec).expect("shard T");
-    let lazy_rs = engine
-        .join_sharded(&sps, &spt, &spec.sharded(6))
-        .expect("lazy R×S");
+    let lazy_rs = engine.join_sharded(&sps, &spt, &spec).expect("lazy R×S");
     assert_eq!(mono_rs.pairs, lazy_rs.pairs, "blocked R×S changed output");
+    assert_eq!(lazy_rs.stats.shard_tasks_pruned, 0);
     let bands = 6u64.div_ceil(3);
-    assert!(
-        sps.shard_builds() <= 6 && spt.shard_builds() <= 6 * bands,
-        "R×S builds S={} (≤6) T={} (≤{})",
-        sps.shard_builds(),
-        spt.shard_builds(),
-        6 * bands
-    );
-}
-
-#[test]
-fn sink_chunk_size_does_not_change_the_stream() {
-    // The streaming path re-chunks verification at AU_SINK_CHUNK; a tiny
-    // chunk size must produce the identical pair stream (order included)
-    // on both the monolithic and the sharded sink.
-    let ds = med(100, 55);
-    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
-    let ps = engine.prepare(&ds.s).expect("prepare S");
-    let pt = engine.prepare(&ds.t).expect("prepare T");
-    let spec = JoinSpec::threshold(0.7).au_dp(2);
-    let reference = engine.join(&ps, &pt, &spec).expect("join");
-    std::env::set_var("AU_SINK_CHUNK", "7");
-    let mut tiny = Vec::new();
-    engine
-        .join_sink(&ps, &pt, &spec, |a, b, s| tiny.push((a, b, s)))
-        .expect("tiny-chunk sink");
-    let mut tiny_sharded = Vec::new();
-    engine
-        .join_sink(&ps, &pt, &spec.sharded(4), |a, b, s| {
-            tiny_sharded.push((a, b, s))
-        })
-        .expect("tiny-chunk sharded sink");
-    std::env::remove_var("AU_SINK_CHUNK");
-    assert_eq!(tiny, reference.pairs, "chunk=7 stream diverged");
-    assert_eq!(
-        tiny_sharded, reference.pairs,
-        "sharded chunk=7 stream diverged"
-    );
+    assert_eq!((sps.shard_builds(), spt.shard_builds()), (6, 6 * bands));
 }
 
 /// The generation guard: artifacts built before a knowledge mutation must
@@ -382,7 +316,6 @@ fn staleness_guard_rejects_mutated_knowledge() {
     for err in [
         engine.join(&ps, &pt, &spec).unwrap_err(),
         engine.join_self(&ps, &spec).unwrap_err(),
-        engine.join(&ps, &pt, &spec.sharded(3)).unwrap_err(),
         engine.join_self_sharded(&sps, &spec).unwrap_err(),
         engine.join_sharded(&sps, &sps, &spec).unwrap_err(),
         engine.topk(&ps, &pt, &JoinSpec::topk(3)).unwrap_err(),
