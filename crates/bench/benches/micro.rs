@@ -8,7 +8,7 @@ use au_core::engine::{Engine, JoinSpec, Prepared};
 use au_core::join::FilterOutcome;
 use au_core::pebble::{generate_pebbles, PebbleOrder};
 use au_core::segment::segment_record;
-use au_core::signature::{dp_prefix_len, heuristic_prefix_len, MpMode};
+use au_core::signature::{dp_prefix_len, heuristic_prefix_len, DpScratch, MpMode};
 use au_core::usim::usim_approx_seg;
 use au_matching::{exact_wmis, max_weight_matching, square_imp, ConflictGraph, SquareImpConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -99,8 +99,19 @@ fn bench_pebbles_and_signatures(c: &mut Criterion) {
             ))
         })
     });
+    let mut scratch = DpScratch::default();
     g.bench_function("dp_tau4", |b| {
-        b.iter(|| black_box(dp_prefix_len(&sr, &pebbles, 4, 0.85, 1e-9, MpMode::ExactDp)))
+        b.iter(|| {
+            black_box(dp_prefix_len(
+                &sr,
+                &pebbles,
+                4,
+                0.85,
+                1e-9,
+                MpMode::ExactDp,
+                &mut scratch,
+            ))
+        })
     });
     // Ablation: exact-DP vs greedy-ln MP bound (DESIGN.md ablation; the
     // greedy bound weakens filtering, which shows up as longer runtimes in

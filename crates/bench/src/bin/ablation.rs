@@ -14,7 +14,7 @@ use au_core::config::{GramMeasure, SimConfig};
 use au_core::engine::{Engine, JoinSpec, Prepared};
 use au_core::index::CsrIndex;
 use au_core::join::{candidate_pass, CompatCtx, SelectedSignatures};
-use au_core::pebble::{generate_pebbles, Pebble};
+use au_core::pebble::{generate_pebbles, PebbleKey, PebbleOrder};
 use au_core::segment::segment_record;
 use au_core::signature::MpMode;
 use au_core::usim::{usim_approx_seg, usim_exact_seg};
@@ -44,29 +44,34 @@ fn ablate_pebble_order(n: usize) {
         .filter_outcome(&ps, Some(&pt), &spec)
         .expect("filter run");
 
-    // Sort every pebble list pseudo-randomly (hash of key) — violating
-    // the rare-first principle while keeping determinism and the safety of
-    // the bounds (which hold for ANY global order) — and run the same
-    // signature selection and candidate pass on the shuffled lists.
-    let shuffled = |p: &Prepared| -> (Vec<Vec<Pebble>>, Vec<(u32, u32)>) {
+    // Rank every pebble key pseudo-randomly (by a hash of the key) —
+    // violating the rare-first principle while keeping determinism and the
+    // safety of the bounds (which hold for ANY global order) — and run the
+    // same signature pass and candidate pass under that order.
+    let mut keys: Vec<(u64, PebbleKey)> = [&ps, &pt]
+        .iter()
+        .flat_map(|p| p.seg_records())
+        .flat_map(|sr| generate_pebbles(&ds.kn, &cfg, sr))
+        .map(|pebble| {
+            use std::hash::{Hash, Hasher};
+            let mut h = au_text::hash::FxHasher64::default();
+            pebble.key.hash(&mut h);
+            (h.finish(), pebble.key)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let shuffled = PebbleOrder::from_ranking(keys.into_iter().map(|(_, key)| key));
+    let select =
+        |p: &Prepared| SelectedSignatures::select(&ds.kn, &cfg, p.seg_records(), &shuffled, &spec);
+    let tier0 = |p: &Prepared| -> Vec<(u32, u32)> {
         p.seg_records()
             .iter()
-            .map(|sr| {
-                let mut pebbles = generate_pebbles(&ds.kn, &cfg, sr);
-                pebbles.sort_by_key(|x| {
-                    use std::hash::{Hash, Hasher};
-                    let mut h = au_text::hash::FxHasher64::default();
-                    x.key.hash(&mut h);
-                    (h.finish(), x.seg, x.measure.idx())
-                });
-                (pebbles, (sr.n_tokens() as u32, sr.min_partition))
-            })
-            .unzip()
+            .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
+            .collect()
     };
-    let (pebbles_s, tier0_s) = shuffled(&ps);
-    let (pebbles_t, tier0_t) = shuffled(&pt);
-    let sel_s = SelectedSignatures::select_from(ps.seg_records(), &pebbles_s, &spec, cfg.eps);
-    let sel_t = SelectedSignatures::select_from(pt.seg_records(), &pebbles_t, &spec, cfg.eps);
+    let (sel_s, sel_t) = (select(&ps), select(&pt));
+    let (tier0_s, tier0_t) = (tier0(&ps), tier0(&pt));
     let rand = candidate_pass(
         &sel_s,
         &sel_t,

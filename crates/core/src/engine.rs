@@ -9,7 +9,8 @@
 //! ```text
 //! Engine (Knowledge + SimConfig, validated once)
 //!   └─ prepare(corpus) → Prepared        segmentation + SegRecord posting
-//!        │                               tables + cached tier-0 integers
+//!        │                               tables + cached tier-0 integers +
+//!        │                               pebble document frequencies
 //!        ├─ join / join_self / join_sink  (threshold, streaming optional)
 //!        ├─ topk / topk_self              (threshold descent)
 //!        ├─ searcher(..).query(..)        (online search, no &mut)
@@ -20,11 +21,13 @@
 //! ```
 //!
 //! A [`Prepared`] lazily memoizes the order-dependent artifacts — the
-//! global [`PebbleOrder`], order-sorted pebble lists, signature prefixes
-//! ([`SelectedSignatures`]) and the CSR inverted index — keyed by
-//! `(order, θ, filter, MP mode)`, so a `tune_tau`-then-join workflow, a
-//! top-k descent revisiting a θ, or a search following a join never
-//! prepares (or re-selects) the same thing twice. Output bytes are pinned
+//! global [`PebbleOrder`], signature key sets ([`SelectedSignatures`]) and
+//! the CSR inverted index — keyed by `(order, θ, filter, MP mode)`, so a
+//! `tune_tau`-then-join workflow, a top-k descent revisiting a θ, or a
+//! search following a join never prepares (or re-selects) the same thing
+//! twice. Pebble lists are never resident: a record's pebbles exist only
+//! inside the pass that selects its signature
+//! ([`crate::join::record_signature`]). Output bytes are pinned
 //! by `tests/determinism_pin.rs`; completeness is checked against
 //! [`crate::join::brute_force_join`] throughout the test suites.
 //!
@@ -50,7 +53,7 @@ use crate::join::{
     JoinStats, SelectedSignatures,
 };
 use crate::knowledge::Knowledge;
-use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
+use crate::pebble::{DocFreqs, PebbleOrder};
 use crate::probe::{probe_loop, ProbeOutcome};
 use crate::search::{run_query, run_scan, QueryEnv, SearchOutcome, VerifyEnv};
 use crate::segment::{segment_record, segment_record_with, segment_stats, SegRecord};
@@ -69,8 +72,8 @@ use std::time::{Duration, Instant};
 /// Mint for [`Prepared`] identities (memo keys for pair orders).
 static NEXT_PREPARED_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Process-wide count of stage-1 runs (whole-corpus segmentation + pebble
-/// generation inside [`Engine::prepare`]). Tests assert that session
+/// Process-wide count of stage-1 runs (whole-corpus segmentation inside
+/// [`Engine::prepare`]). Tests assert that session
 /// workflows (`calibrate` + join, search after join) prepare a corpus
 /// exactly once; a service dashboard can watch it for accidental
 /// re-preparation.
@@ -361,7 +364,6 @@ impl SigKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemoSlot {
     Order(OrderKey),
-    Sorted(OrderKey),
     Sig(SigKey),
     Csr(SigKey),
 }
@@ -370,22 +372,21 @@ enum MemoSlot {
 #[derive(Debug, Default)]
 struct Memo {
     orders: FxHashMap<OrderKey, Arc<PebbleOrder>>,
-    sorted: FxHashMap<OrderKey, Arc<Vec<Vec<Pebble>>>>,
     sigs: FxHashMap<SigKey, Arc<SelectedSignatures>>,
     csr: FxHashMap<SigKey, Arc<CsrIndex>>,
     hits: u64,
     misses: u64,
     /// Arrival order of every resident entry (front = oldest), kept in
-    /// lockstep with the four maps; drives capacity eviction.
+    /// lockstep with the three maps; drives capacity eviction.
     arrivals: VecDeque<MemoSlot>,
-    /// Max resident entries across the four maps; 0 = unbounded.
+    /// Max resident entries across the three maps; 0 = unbounded.
     capacity: usize,
     evictions: u64,
 }
 
 impl Memo {
     fn resident(&self) -> usize {
-        self.orders.len() + self.sorted.len() + self.sigs.len() + self.csr.len()
+        self.orders.len() + self.sigs.len() + self.csr.len()
     }
 
     /// Record that `slot` is (still) resident, then evict the oldest
@@ -414,9 +415,6 @@ impl Memo {
                 MemoSlot::Order(k) => {
                     self.orders.remove(&k);
                 }
-                MemoSlot::Sorted(k) => {
-                    self.sorted.remove(&k);
-                }
                 MemoSlot::Sig(k) => {
                     self.sigs.remove(&k);
                 }
@@ -430,9 +428,11 @@ impl Memo {
 }
 
 /// One corpus, prepared once: segmentation, per-record posting tables
-/// (inside each [`SegRecord`]), pebbles, cached tier-0 integers, and a
-/// memo of order-dependent artifacts. Create with [`Engine::prepare`];
-/// every engine operation consumes `&Prepared`.
+/// (inside each [`SegRecord`]), cached tier-0 integers, the corpus's pebble
+/// document frequencies, and a memo of order-dependent artifacts. Nothing
+/// here is proportional to the pebble count — pebbles are regenerated per
+/// record inside signature selection and dropped. Create with
+/// [`Engine::prepare`]; every engine operation consumes `&Prepared`.
 ///
 /// ```
 /// use au_core::engine::Engine;
@@ -455,9 +455,10 @@ pub struct Prepared {
     corpus: Corpus,
     /// Segmented records (posting tables included), by record id.
     segrecs: Vec<SegRecord>,
-    /// Per-record pebble lists in generation order; order-sorted copies
-    /// live in the memo.
-    pebbles: Vec<Vec<Pebble>>,
+    /// Pebble key → number of this corpus's records carrying it, counted
+    /// once here; every global order over this corpus (alone or with a
+    /// join partner) is built by adding such tables.
+    df: DocFreqs,
     /// `(|S|, MP(S))` per record — the two integers of the verifier's
     /// tier-0 record-level bound `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))`,
     /// packed for O(1) [`Engine::usim_upper_bound`] pre-screens.
@@ -487,7 +488,7 @@ impl Prepared {
         self.gen
     }
 
-    /// Wall-clock spent segmenting + pebbling at [`Engine::prepare`] time.
+    /// Wall-clock spent segmenting at [`Engine::prepare`] time.
     /// Operations on this artifact never pay it again — their
     /// [`JoinStats::prepare_time`] is zero.
     pub fn prepare_seconds(&self) -> f64 {
@@ -495,9 +496,9 @@ impl Prepared {
     }
 
     /// Deep heap footprint of this artifact in bytes: corpus, segmented
-    /// records (posting tables included), pebbles, tier-0 integers, plus
-    /// every *currently memoized* order/sorted-list/signature/CSR
-    /// artifact. Length-based accounting (buffer lengths, not
+    /// records (posting tables included), tier-0 integers, the document
+    /// frequency table, plus every *currently memoized* order / signature
+    /// / CSR artifact. Length-based accounting (buffer lengths, not
     /// capacities), so the figure is deterministic for a given corpus and
     /// operation history — the number the sharded joins' peak-memory
     /// claim and the perf harness's memory column are measured in.
@@ -508,22 +509,13 @@ impl Prepared {
         for sr in &self.segrecs {
             total += sr.memory_bytes();
         }
-        for p in &self.pebbles {
-            total += p.len() * size_of::<Pebble>();
-        }
         total += self.tier0.len() * size_of::<(u32, u32)>();
+        total += self.df.memory_bytes();
         let m = self.memo();
-        // det: the four memo walks below fold into a commutative +=
+        // det: the three memo walks below fold into a commutative +=
         // sum, so map iteration order cannot reach the returned total.
         for order in m.orders.values() {
             total += order.memory_bytes();
-        }
-        // det: order-insensitive sum (see above).
-        for lists in m.sorted.values() {
-            total += lists
-                .iter()
-                .map(|v| v.len() * size_of::<Pebble>())
-                .sum::<usize>();
         }
         // det: order-insensitive sum (see above).
         for sel in m.sigs.values() {
@@ -552,8 +544,8 @@ impl Prepared {
             })
     }
 
-    /// Memoized-artifact lookups served from cache so far (orders, sorted
-    /// pebble lists, signatures, CSR indexes).
+    /// Memoized-artifact lookups served from cache so far (orders,
+    /// signatures, CSR indexes).
     pub fn memo_hits(&self) -> u64 {
         relock(&self.memo).hits
     }
@@ -565,9 +557,9 @@ impl Prepared {
 
     /// Number of memoized artifacts currently retained.
     ///
-    /// The memo grows by one entry per distinct `(order, θ, filter, MP
-    /// mode)` combination (plus one sorted-pebble list per distinct
-    /// order). By default it never evicts: a service exposing
+    /// The memo grows by two entries — signatures and CSR index — per
+    /// distinct `(order, θ, filter, MP mode)` combination, plus one per
+    /// distinct order. By default it never evicts: a service exposing
     /// *user-chosen* thresholds to a long-lived `Prepared` should either
     /// bucket them to a fixed grid, set a bound with
     /// [`Prepared::with_memo_capacity`], or call
@@ -614,7 +606,6 @@ impl Prepared {
     pub fn clear_memo(&self) {
         let mut m = relock(&self.memo);
         m.orders.clear();
-        m.sorted.clear();
         m.sigs.clear();
         m.csr.clear();
         m.arrivals.clear();
@@ -739,7 +730,9 @@ impl Engine {
     }
 
     /// Stage 1, once per corpus: segment every record, build its posting
-    /// tables and pebbles, cache the tier-0 integers. Everything else an
+    /// tables, cache the tier-0 integers and count the corpus's pebble
+    /// document frequencies (records are independent, so the pass fans out
+    /// over [`crate::parallel`] past its size floor). Everything else an
     /// operation needs is derived lazily (and memoized) from this.
     pub fn prepare(&self, corpus: &Corpus) -> Result<Prepared, AuError> {
         self.prepare_owned(corpus.clone())
@@ -776,20 +769,35 @@ impl Engine {
     /// already-prepared corpus and shards of an already-checked one need
     /// no re-check).
     fn prepare_trusted(&self, corpus: Corpus) -> Prepared {
+        self.prepare_with(corpus, true)
+    }
+
+    /// [`Engine::prepare_trusted`] with the fan-out switch exposed (the
+    /// serial leg exists for the parallel ≡ serial test).
+    fn prepare_with(&self, corpus: Corpus, parallel: bool) -> Prepared {
         // ordering: Relaxed — the count only needs each increment applied
         // exactly once, which RMW atomicity guarantees; nothing else is
         // published through this counter (see `prepare_invocations`).
         PREPARE_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let mut segrecs = Vec::with_capacity(corpus.len());
-        let mut pebbles = Vec::with_capacity(corpus.len());
-        let mut tier0 = Vec::with_capacity(corpus.len());
-        for r in corpus.iter() {
-            let sr = segment_record(&self.kn, &self.cfg, &r.tokens);
-            pebbles.push(generate_pebbles(&self.kn, &self.cfg, &sr));
-            tier0.push((sr.n_tokens() as u32, sr.min_partition));
-            segrecs.push(sr);
-        }
+        // Each worker counts its records' keys into a table of its own,
+        // folded here when the worker is done; frequencies add.
+        let df = Mutex::new(DocFreqs::default());
+        let segrecs = crate::parallel::par_map_scratch(
+            corpus.records(),
+            parallel,
+            || (Vec::new(), DocFreqs::default()),
+            |(keys, counts): &mut (Vec<_>, DocFreqs), r| {
+                let sr = segment_record(&self.kn, &self.cfg, &r.tokens);
+                counts.count_record(&self.kn, &sr, keys);
+                sr
+            },
+            |(_, counts)| relock(&df).add(counts),
+        );
+        let tier0 = segrecs
+            .iter()
+            .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
+            .collect();
         Prepared {
             // ordering: Relaxed — the id only needs uniqueness, which the
             // RMW atomicity of fetch_add alone guarantees; no other memory
@@ -801,7 +809,9 @@ impl Engine {
             cfg: self.cfg,
             corpus,
             segrecs,
-            pebbles,
+            df: df
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
             tier0,
             prepare_time: start.elapsed(),
             memo: Mutex::new(Memo::default()),
@@ -842,7 +852,7 @@ impl Engine {
                 return o;
             }
         }
-        let order = Arc::new(PebbleOrder::build(c.pebbles.iter().map(|v| v.as_slice())));
+        let order = Arc::new(PebbleOrder::from_doc_freqs(&[&c.df]));
         let mut m = c.memo();
         m.misses += 1;
         let out = m
@@ -866,12 +876,7 @@ impl Engine {
                 return o;
             }
         }
-        let order = Arc::new(PebbleOrder::build(
-            s.pebbles
-                .iter()
-                .map(|v| v.as_slice())
-                .chain(t.pebbles.iter().map(|v| v.as_slice())),
-        ));
+        let order = Arc::new(PebbleOrder::from_doc_freqs(&[&s.df, &t.df]));
         let order = {
             let mut m = s.memo();
             m.misses += 1;
@@ -892,38 +897,7 @@ impl Engine {
         order
     }
 
-    /// This corpus's pebble lists sorted under `order` (cloned once, then
-    /// shared by every θ/filter combination under the same order).
-    fn sorted_pebbles(
-        &self,
-        c: &Prepared,
-        key: OrderKey,
-        order: &PebbleOrder,
-    ) -> Arc<Vec<Vec<Pebble>>> {
-        {
-            let mut m = c.memo();
-            if let Some(p) = m.sorted.get(&key).cloned() {
-                m.hits += 1;
-                return p;
-            }
-        }
-        let mut pebbles = c.pebbles.clone();
-        for p in pebbles.iter_mut() {
-            order.sort(p);
-        }
-        let pebbles = Arc::new(pebbles);
-        let mut m = c.memo();
-        m.misses += 1;
-        let out = m
-            .sorted
-            .entry(key)
-            .or_insert_with(|| pebbles.clone())
-            .clone();
-        m.note_insert(MemoSlot::Sorted(key));
-        out
-    }
-
-    /// Signature prefixes + guarantee levels for `(order, θ, filter, MP)`.
+    /// Signature key sets + guarantee levels for `(order, θ, filter, MP)`.
     fn signatures(
         &self,
         c: &Prepared,
@@ -939,12 +913,8 @@ impl Engine {
                 return s;
             }
         }
-        let sorted = self.sorted_pebbles(c, key, order);
-        let sel = Arc::new(SelectedSignatures::select_from(
-            &c.segrecs,
-            &sorted,
-            spec,
-            self.cfg.eps,
+        let sel = Arc::new(SelectedSignatures::select(
+            &self.kn, &self.cfg, &c.segrecs, order, spec,
         ));
         let mut m = c.memo();
         m.misses += 1;
@@ -2093,7 +2063,11 @@ mod tests {
         let first = engine.join(&ps, &pt, &spec).unwrap();
         assert!(first.pairs.iter().any(|&(a, b, _)| a == 0 && b == 0));
         assert_eq!(first.stats.prepare_time, Duration::ZERO);
+        // One order, a signature set per side, the indexed side's CSR —
+        // and no per-order pebble list beside them.
         let misses_after_first = ps.memo_misses() + pt.memo_misses();
+        assert_eq!(misses_after_first, 4);
+        assert_eq!((ps.memo_len(), pt.memo_len()), (2, 3));
         let second = engine.join(&ps, &pt, &spec).unwrap();
         assert_eq!(first.pairs, second.pairs);
         assert_eq!(
@@ -2112,8 +2086,10 @@ mod tests {
         let (kn, s, _) = setup();
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let unbounded = engine.prepare(&s).unwrap();
-        let bounded = engine.prepare(&s).unwrap().with_memo_capacity(4);
-        assert_eq!(bounded.memo_capacity(), 4);
+        // One θ of a self-join keeps three artifacts: the order, the
+        // signatures, the CSR index.
+        let bounded = engine.prepare(&s).unwrap().with_memo_capacity(3);
+        assert_eq!(bounded.memo_capacity(), 3);
         let thetas: Vec<f64> = (30..=90).step_by(5).map(|t| t as f64 / 100.0).collect();
         let mut reference = Vec::new();
         for &th in &thetas {
@@ -2122,15 +2098,13 @@ mod tests {
             let got = engine.join_self(&bounded, &spec).unwrap().pairs;
             assert_eq!(got, *reference.last().unwrap(), "theta {th}");
             assert!(
-                bounded.memo_len() <= 4,
+                bounded.memo_len() <= 3,
                 "memo grew past capacity: {}",
                 bounded.memo_len()
             );
         }
-        assert!(
-            unbounded.memo_len() > 4,
-            "sweep too small to exercise eviction"
-        );
+        // The order once, signatures + CSR per θ.
+        assert_eq!(unbounded.memo_len(), 1 + 2 * thetas.len());
         assert!(bounded.memo_evictions() > 0);
         // Re-running an evicted threshold still matches byte-for-byte.
         for (th, expect) in thetas.iter().zip(&reference) {
@@ -2182,12 +2156,26 @@ mod tests {
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let ps = engine.prepare(&s).unwrap();
         let pt = engine.prepare(&t).unwrap();
+        // A fresh artifact is its corpus, its segmentation, the tier-0
+        // integers and the frequency table: nothing per pebble.
+        let fresh = ps.memory_bytes();
+        assert_eq!(
+            fresh,
+            std::mem::size_of::<Prepared>()
+                + ps.corpus.memory_bytes()
+                + ps.segrecs.iter().map(|sr| sr.memory_bytes()).sum::<usize>()
+                + ps.tier0.len() * std::mem::size_of::<(u32, u32)>()
+                + ps.df.memory_bytes()
+        );
         let spec = JoinSpec::threshold(0.7).au_dp(2);
         let first = engine.join(&ps, &pt, &spec).unwrap();
         assert!(ps.memo_len() > 0 && pt.memo_len() > 0);
+        assert!(ps.memory_bytes() > fresh);
         ps.clear_memo();
         pt.clear_memo();
         assert_eq!(ps.memo_len() + pt.memo_len(), 0);
+        // The join left nothing behind outside the memo.
+        assert_eq!(ps.memory_bytes(), fresh);
         // Operations rebuild lazily and return identical results.
         let again = engine.join(&ps, &pt, &spec).unwrap();
         assert_eq!(first.pairs, again.pairs);
@@ -2288,6 +2276,54 @@ mod tests {
             .map(|i| [0, 1, 2, 3].map(|k| word(i, k)).join(" "))
             .collect();
         kn.corpus_from_lines(lines.iter().map(String::as_str))
+    }
+
+    #[test]
+    fn parallel_prepare_equals_serial_prepare() {
+        // Past `MIN_PARALLEL_ITEMS` the record pass fans out and each
+        // worker counts its own frequency table; the artifact must not
+        // show it. (Rules and entities included: `setup`'s knowledge
+        // knows half the pool's words.)
+        let (mut kn, _, _) = setup();
+        let c = pooled_corpus(&mut kn, 1200, 2);
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let fanned = engine.prepare_with(c.clone(), true);
+        let serial = engine.prepare_with(c, false);
+        assert_eq!(fanned.segrecs, serial.segrecs);
+        assert_eq!(fanned.tier0, serial.tier0);
+        assert_eq!(fanned.df, serial.df);
+        assert!(fanned.segrecs.iter().any(|sr| !sr.rule_posts.is_empty()));
+        assert!(fanned.segrecs.iter().any(|sr| !sr.node_segs.is_empty()));
+    }
+
+    #[test]
+    fn query_signature_equals_the_indexed_records_signature() {
+        // A query goes through the same record → signature function as
+        // the indexed side: querying a record's own text derives exactly
+        // the key set and level the index holds for it.
+        let (kn, _, t) = setup();
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let pt = engine.prepare(&t).unwrap();
+        for spec in [
+            JoinSpec::threshold(0.7).u_filter(),
+            JoinSpec::threshold(0.8).au_heuristic(3),
+            JoinSpec::threshold(0.6).au_dp(2),
+        ] {
+            let core = engine.search_core(&pt, &spec).unwrap();
+            for r in t.iter() {
+                let sr = core.session.segment(&engine.kn, &engine.cfg, &r.raw);
+                let (choice, keys) = crate::join::record_signature(
+                    &engine.kn,
+                    &engine.cfg,
+                    &core.order,
+                    &spec,
+                    &sr,
+                    &mut Default::default(),
+                );
+                assert_eq!(keys, core.sel.record_keys.get(r.id.0), "{:?}", r.raw);
+                assert_eq!(choice.level, core.sel.levels[r.id.idx()]);
+            }
+        }
     }
 
     #[test]

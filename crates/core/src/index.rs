@@ -11,8 +11,7 @@
 //! overlap counts live in a plain `Vec<u32>` indexed by record id, so
 //! counting one posting entry is an array increment instead of a hash-map
 //! probe on a packed pair key. Per-record distinct keys come from
-//! [`RecordKeys`], whose sort-dedup build is parallelised over
-//! [`crate::parallel`].
+//! [`RecordKeys`], the flattened output of signature selection.
 //!
 //! [`OverlapCounter::probe`] is the one scan: read each of the probe's
 //! posting lists, count the records already admitted, and decide at a
@@ -54,8 +53,7 @@
 //! prefixes precisely so each tail holds *just under* `θ · MP` of mass,
 //! which drives any such bound's slack to ≈ 0.
 
-use crate::parallel::par_map;
-use crate::pebble::{Pebble, PebbleKey};
+use crate::pebble::PebbleKey;
 use au_text::FxHashMap;
 
 /// Per-record distinct signature keys in one flattened arena.
@@ -83,17 +81,16 @@ impl Default for RecordKeys {
 }
 
 impl RecordKeys {
-    /// Sort-dedup every record's signature keys; the per-record work is
-    /// independent and runs over [`crate::parallel`] when `parallel`.
-    pub fn build(signatures: &[&[Pebble]], parallel: bool) -> Self {
-        let per_record: Vec<Vec<PebbleKey>> = par_map(signatures, parallel, |sig| {
-            let mut ks: Vec<PebbleKey> = sig.iter().map(|p| p.key).collect();
-            ks.sort_unstable();
-            ks.dedup();
-            ks
-        });
-        let mut offsets = Vec::with_capacity(signatures.len() + 1);
-        offsets.push(0u32);
+    /// Flatten per-record signature key sets — each distinct and sorted by
+    /// `PebbleKey` order, as [`crate::join::record_signature`] emits them —
+    /// into one arena.
+    pub fn build(per_record: &[Vec<PebbleKey>]) -> Self {
+        debug_assert!(
+            per_record
+                .iter()
+                .all(|ks| ks.windows(2).all(|w| w[0] < w[1])),
+            "record key sets must be sorted and distinct"
+        );
         let total: usize = per_record.iter().map(|v| v.len()).sum();
         // u32 offsets keep the arena cache-dense; a corpus whose flattened
         // key count crosses 2^32 must fail loudly, not wrap.
@@ -101,8 +98,10 @@ impl RecordKeys {
             total < u32::MAX as usize,
             "signature key arena exceeds u32 offsets ({total} keys)"
         );
+        let mut offsets = Vec::with_capacity(per_record.len() + 1);
+        offsets.push(0u32);
         let mut keys = Vec::with_capacity(total);
-        for ks in &per_record {
+        for ks in per_record {
             keys.extend_from_slice(ks);
             offsets.push(keys.len() as u32);
         }
@@ -201,12 +200,6 @@ impl CsrIndex {
             postings,
             total_records: rk.len(),
         }
-    }
-
-    /// Build straight from signatures (dedup + scatter). `parallel` gates
-    /// the [`RecordKeys`] pass.
-    pub fn build(signatures: &[&[Pebble]], parallel: bool) -> Self {
-        Self::from_record_keys(&RecordKeys::build(signatures, parallel))
     }
 
     /// Heap footprint in bytes (length-based; the hash map is counted at
@@ -427,24 +420,23 @@ impl OverlapCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msim::MeasureKind;
     use proptest::prelude::*;
 
-    fn pb(key: PebbleKey) -> Pebble {
-        Pebble {
-            key,
-            weight: 1.0,
-            seg: 0,
-            measure: MeasureKind::Jaccard,
-        }
-    }
-
-    fn grams(ids: &[u64]) -> Vec<Pebble> {
-        ids.iter().map(|&g| pb(PebbleKey::Gram(g))).collect()
-    }
-
+    /// A record's key set from gram ids in any order, repeats allowed.
     fn gram_keys(ids: &[u64]) -> Vec<PebbleKey> {
-        ids.iter().map(|&g| PebbleKey::Gram(g)).collect()
+        let mut keys: Vec<PebbleKey> = ids.iter().map(|&g| PebbleKey::Gram(g)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    fn record_keys(recs: &[&[u64]]) -> RecordKeys {
+        let per_record: Vec<Vec<PebbleKey>> = recs.iter().map(|r| gram_keys(r)).collect();
+        RecordKeys::build(&per_record)
+    }
+
+    fn index_of(recs: &[&[u64]]) -> CsrIndex {
+        CsrIndex::from_record_keys(&record_keys(recs))
     }
 
     /// Tier-0 integers under which the compatibility bound never fires
@@ -459,37 +451,49 @@ mod tests {
 
     #[test]
     fn builds_postings() {
-        let a = grams(&[1, 2]);
-        let b = grams(&[2, 3]);
-        for parallel in [false, true] {
-            let idx = CsrIndex::build(&[&a, &b], parallel);
-            assert_eq!(idx.get(PebbleKey::Gram(1)), Some(&[0u32][..]));
-            assert_eq!(idx.get(PebbleKey::Gram(2)), Some(&[0u32, 1][..]));
-            assert_eq!(idx.get(PebbleKey::Gram(3)), Some(&[1u32][..]));
-            assert_eq!(idx.get(PebbleKey::Gram(9)), None);
-            assert_eq!(idx.key_count(), 3);
-            assert_eq!(idx.record_count(), 2);
-            assert_eq!(idx.posting_count(), 4);
-        }
+        let idx = index_of(&[&[1, 2], &[2, 3]]);
+        assert_eq!(idx.get(PebbleKey::Gram(1)), Some(&[0u32][..]));
+        assert_eq!(idx.get(PebbleKey::Gram(2)), Some(&[0u32, 1][..]));
+        assert_eq!(idx.get(PebbleKey::Gram(3)), Some(&[1u32][..]));
+        assert_eq!(idx.get(PebbleKey::Gram(9)), None);
+        assert_eq!(idx.key_count(), 3);
+        assert_eq!(idx.record_count(), 2);
+        assert_eq!(idx.posting_count(), 4);
     }
 
     #[test]
     fn dedups_keys_within_record() {
-        let a = grams(&[1, 1]);
-        let rk = RecordKeys::build(&[&a], false);
+        // The dedup happens where the keys are selected: "aa aa" has the
+        // pebble `Gram("aa")` in both segments, and its signature — the
+        // whole list at θ = 0 — lists the key once.
+        use crate::engine::JoinSpec;
+        use crate::join::{record_signature, SignatureScratch};
+        let mut kn = crate::knowledge::KnowledgeBuilder::new().build();
+        let cfg = crate::config::SimConfig::default();
+        let id = kn.add_record("aa aa");
+        let sr = crate::segment::segment_record(&kn, &cfg, &kn.record(id).tokens);
+        let (choice, keys) = record_signature(
+            &kn,
+            &cfg,
+            &crate::pebble::PebbleOrder::default(),
+            &JoinSpec::threshold(0.0),
+            &sr,
+            &mut SignatureScratch::default(),
+        );
+        assert_eq!(choice.len, 2);
+        let gram = PebbleKey::Gram(crate::segment::hash_gram("aa"));
+        assert_eq!(keys, vec![gram]);
+        let rk = RecordKeys::build(&[keys]);
         assert_eq!(rk.sig_len(0), 1);
         let idx = CsrIndex::from_record_keys(&rk);
-        assert_eq!(idx.get(PebbleKey::Gram(1)), Some(&[0u32][..]));
+        assert_eq!(idx.get(gram), Some(&[0u32][..]));
     }
 
     #[test]
     fn avg_sig_len() {
-        let a = grams(&[1, 2]);
-        let b = grams(&[2]);
-        let empty: Vec<Pebble> = Vec::new();
-        let rk = RecordKeys::build(&[&a, &b, &empty], false);
+        let rk = record_keys(&[&[1, 2], &[2], &[]]);
         assert!((rk.avg_sig_len() - 1.0).abs() < 1e-12);
-        let none = RecordKeys::build(&[], false);
+        let none = record_keys(&[]);
         assert_eq!(none.avg_sig_len(), 0.0);
     }
 
@@ -498,21 +502,18 @@ mod tests {
         use au_taxonomy::NodeId;
         use au_text::PhraseId;
         let a = vec![
-            pb(PebbleKey::Gram(7)),
-            pb(PebbleKey::Rule(PhraseId(7))),
-            pb(PebbleKey::Node(NodeId(7))),
+            PebbleKey::Gram(7),
+            PebbleKey::Rule(PhraseId(7)),
+            PebbleKey::Node(NodeId(7)),
         ];
-        let idx = CsrIndex::build(&[&a], false);
-        assert_eq!(idx.key_count(), 3);
-        let rk = RecordKeys::build(&[&a], false);
+        let rk = RecordKeys::build(&[a]);
         assert_eq!(rk.sig_len(0), 3);
+        assert_eq!(CsrIndex::from_record_keys(&rk).key_count(), 3);
     }
 
     #[test]
     fn probe_counts_distinct_overlaps() {
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2, 3]), grams(&[2, 3]), grams(&[9])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let idx = CsrIndex::build(&sigs, false);
+        let idx = index_of(&[&[1, 2, 3], &[2, 3], &[9]]);
         let levels = vec![3, 2, 1];
         let tier0 = vec![(1, 1); 3];
         let mut ctr = OverlapCounter::new(idx.record_count());
@@ -535,9 +536,7 @@ mod tests {
 
     #[test]
     fn probe_respects_min_excl_for_self_joins() {
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1]), grams(&[1]), grams(&[1])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let idx = CsrIndex::build(&sigs, false);
+        let idx = index_of(&[&[1], &[1], &[1]]);
         let levels = vec![1, 1, 1];
         let tier0 = vec![(1, 1); 3];
         let mut ctr = OverlapCounter::new(3);
@@ -561,9 +560,7 @@ mod tests {
         // Probe has 2 keys; τ = 2. A record sharing only the *last* key can
         // reach 1 < 2 overlaps — it must be skipped; a record sharing both
         // stays.
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2]), grams(&[2])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let idx = CsrIndex::build(&sigs, false);
+        let idx = index_of(&[&[1, 2], &[2]]);
         let tier0 = vec![(1, 1); 2];
         let keys = gram_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(2);
@@ -579,9 +576,7 @@ mod tests {
 
     #[test]
     fn counter_epochs_do_not_leak_across_probes() {
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let idx = CsrIndex::build(&sigs, false);
+        let idx = index_of(&[&[1, 2]]);
         let tier0 = vec![(1, 1)];
         let keys = gram_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(1);
@@ -598,9 +593,7 @@ mod tests {
         // Probe tier0 (2, 1) vs record 1 tier0 (30, 15): upper bound
         // min(2,30)/max(1,15) = 2/15 < 0.9 → compat-rejected at first
         // touch. Record 0 is same-sized and survives.
-        let recs: Vec<Vec<Pebble>> = vec![grams(&[1, 2]), grams(&[1, 2])];
-        let sigs: Vec<&[Pebble]> = recs.iter().map(|v| v.as_slice()).collect();
-        let idx = CsrIndex::build(&sigs, false);
+        let idx = index_of(&[&[1, 2], &[1, 2]]);
         let tier0 = vec![(2, 1), (30, 15)];
         let compat = CompatBound {
             tier0: &tier0,
@@ -643,12 +636,10 @@ mod tests {
             min_sim in 0.0f64..1.2,
             min_excl in prop::sample::select(vec![None, Some(0u32), Some(3)]),
         ) {
-            let pebbles: Vec<Vec<Pebble>> = recs.iter().map(|r| grams(r)).collect();
-            let sigs: Vec<&[Pebble]> = pebbles.iter().map(|v| v.as_slice()).collect();
-            let rk = RecordKeys::build(&sigs, false);
+            let recs: Vec<&[u64]> = recs.iter().map(|r| r.as_slice()).collect();
+            let rk = record_keys(&recs);
             let idx = CsrIndex::from_record_keys(&rk);
-            let probe_rk = RecordKeys::build(&[&grams(&probe)], false);
-            let keys = probe_rk.get(0);
+            let keys = &gram_keys(&probe)[..];
             let compat = CompatBound { tier0: &tier0, probe_tier0, min_sim };
             let mut ctr = OverlapCounter::new(idx.record_count());
             let mut got = Vec::new();

@@ -2,12 +2,14 @@
 //! functions behind [`crate::engine::Engine`].
 //!
 //! Pipeline:
-//! 1. **prepare** — segment every record and generate its pebbles
-//!    ([`crate::engine::Engine::prepare`]);
-//! 2. **order** — count global pebble frequencies across both sides and
-//!    sort every record's pebble list by the global order;
-//! 3. **signature** — select a pebble prefix per record with the chosen
-//!    filter (U / AU-heuristic / AU-DP): [`SelectedSignatures`];
+//! 1. **prepare** — segment every record and count the corpus's pebble
+//!    document frequencies ([`crate::engine::Engine::prepare`]);
+//! 2. **order** — add the two sides' frequency tables and rank every key
+//!    ([`crate::pebble::PebbleOrder`]);
+//! 3. **signature** — per record, in one pass: generate its pebbles into a
+//!    scratch buffer, sort them by rank, select a prefix with the chosen
+//!    filter (U / AU-heuristic / AU-DP) and keep the prefix's distinct
+//!    keys ([`record_signature`], [`SelectedSignatures`]);
 //! 4. **filter** — probe the CSR index and collect candidate pairs
 //!    sharing ≥ τ signature pebbles: [`candidate_pass`];
 //! 5. **verify** — compute the unified similarity (Algorithm 1) of each
@@ -22,9 +24,9 @@ use crate::config::SimConfig;
 use crate::engine::{relock, JoinSpec};
 use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, RecordKeys};
 use crate::knowledge::Knowledge;
-use crate::pebble::Pebble;
+use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder};
 use crate::segment::{segment_record, SegRecord};
-use crate::signature::{select_signature, SignatureChoice};
+use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers};
 use au_text::record::Corpus;
 use std::sync::Mutex;
@@ -33,11 +35,12 @@ use std::time::Duration;
 /// Timing and cardinality statistics of one join run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinStats {
-    /// Stage 1 wall-clock: segmentation + pebble generation. Always zero:
+    /// Stage 1 wall-clock (segmentation). Always zero:
     /// every operation runs on corpora prepared once, up front
     /// ([`crate::engine::Prepared::prepare_seconds`] holds that cost).
     pub prepare_time: Duration,
-    /// Global ordering + signature selection (zero on a memo hit).
+    /// Stages 2–3: ranking the pebble keys and the per-record signature
+    /// pass (near zero on a memo hit).
     pub sig_time: Duration,
     /// Candidate generation over the inverted index.
     pub filter_time: Duration,
@@ -100,8 +103,53 @@ pub struct JoinResult {
     pub stats: JoinStats,
 }
 
-/// One join side after stage 3: signature prefixes, per-record distinct
-/// key sets, and guarantee levels — everything the candidate pass needs.
+/// Per-worker buffers of [`record_signature`]: the record's transient
+/// pebble list and the DP selector's tables.
+#[derive(Debug, Default)]
+pub struct SignatureScratch {
+    pebbles: Vec<Pebble>,
+    dp: DpScratch,
+}
+
+/// Stage 3 for one record, the one record → signature function of joins
+/// and queries alike: generate `sr`'s pebbles into the scratch buffer, sort
+/// them under `order`, select the signature prefix under `spec`'s θ /
+/// filter / MP mode, and return the selection with the prefix's distinct
+/// keys (sorted by `PebbleKey` order). The pebble list does not outlive
+/// the call.
+pub fn record_signature(
+    kn: &Knowledge,
+    cfg: &SimConfig,
+    order: &PebbleOrder,
+    spec: &JoinSpec,
+    sr: &SegRecord,
+    scratch: &mut SignatureScratch,
+) -> (SignatureChoice, Vec<PebbleKey>) {
+    generate_pebbles_into(kn, cfg, sr, &mut scratch.pebbles);
+    order.sort(&mut scratch.pebbles);
+    signature_of_sorted(sr, &scratch.pebbles, spec, cfg.eps, &mut scratch.dp)
+}
+
+/// The selection half of [`record_signature`], on an order-sorted list.
+fn signature_of_sorted(
+    sr: &SegRecord,
+    sorted: &[Pebble],
+    spec: &JoinSpec,
+    eps: f64,
+    dp: &mut DpScratch,
+) -> (SignatureChoice, Vec<PebbleKey>) {
+    let choice = select_signature(sr, sorted, spec.filter, spec.theta, eps, spec.mp_mode, dp);
+    let mut keys: Vec<PebbleKey> = sorted[..choice.len].iter().map(|p| p.key).collect();
+    // Equal keys are adjacent after the order sort, so this leaves each
+    // key once; then from rank order to `PebbleKey` order.
+    keys.dedup();
+    keys.sort_unstable();
+    (choice, keys)
+}
+
+/// One join side after stage 3: per-record distinct signature key sets and
+/// guarantee levels — everything the candidate pass needs. (The pebble
+/// lists the keys were selected from are gone by the time this exists.)
 #[derive(Debug, Clone)]
 pub struct SelectedSignatures {
     /// Flattened per-record distinct signature keys.
@@ -112,11 +160,29 @@ pub struct SelectedSignatures {
 }
 
 impl SelectedSignatures {
-    /// Stage 3: select every record's signature prefix from its
-    /// order-sorted pebble list under `spec`'s θ / filter / MP mode and
-    /// flatten the prefixes for the candidate pass. Selection is
-    /// independent per record and runs over [`crate::parallel`] when the
-    /// spec is parallel.
+    /// Stage 3 over a whole side: [`record_signature`] per record —
+    /// independent per record, over [`crate::parallel`] when the spec is
+    /// parallel, one scratch per worker — flattened for the candidate
+    /// pass.
+    pub fn select(
+        kn: &Knowledge,
+        cfg: &SimConfig,
+        segrecs: &[SegRecord],
+        order: &PebbleOrder,
+        spec: &JoinSpec,
+    ) -> Self {
+        Self::assemble(crate::parallel::par_map_scratch(
+            segrecs,
+            spec.parallel,
+            SignatureScratch::default,
+            |scratch, sr| record_signature(kn, cfg, order, spec, sr, scratch),
+            |_| {},
+        ))
+    }
+
+    /// Stage 3 on pebble lists the caller generated and sorted itself —
+    /// the definitional form (`tests/index_equivalence.rs` builds its
+    /// oracle with it, independently of the engine's fused pass).
     pub fn select_from(
         segrecs: &[SegRecord],
         pebbles: &[Vec<Pebble>],
@@ -124,18 +190,23 @@ impl SelectedSignatures {
         eps: f64,
     ) -> Self {
         let items: Vec<(&SegRecord, &Vec<Pebble>)> = segrecs.iter().zip(pebbles).collect();
-        let choices: Vec<SignatureChoice> =
-            crate::parallel::par_map(&items, spec.parallel, |&(sr, p)| {
-                select_signature(sr, p, spec.filter, spec.theta, eps, spec.mp_mode)
-            });
-        let sigs: Vec<&[Pebble]> = pebbles
-            .iter()
-            .zip(&choices)
-            .map(|(p, c)| &p[..c.len])
-            .collect();
+        Self::assemble(crate::parallel::par_map_scratch(
+            &items,
+            spec.parallel,
+            DpScratch::default,
+            |dp, &(sr, p)| signature_of_sorted(sr, p, spec, eps, dp),
+            |_| {},
+        ))
+    }
+
+    fn assemble(per_record: Vec<(SignatureChoice, Vec<PebbleKey>)>) -> Self {
+        let (levels, keys): (Vec<u32>, Vec<Vec<PebbleKey>>) = per_record
+            .into_iter()
+            .map(|(choice, keys)| (choice.level, keys))
+            .unzip();
         Self {
-            record_keys: RecordKeys::build(&sigs, spec.parallel),
-            levels: choices.iter().map(|c| c.level).collect(),
+            record_keys: RecordKeys::build(&keys),
+            levels,
         }
     }
 
@@ -224,6 +295,7 @@ pub fn candidate_pass(
             );
             (hits, stats)
         },
+        |_| {},
     );
     let mut candidates = Vec::new();
     let mut totals = ProbeStats::default();

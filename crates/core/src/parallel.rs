@@ -72,30 +72,39 @@ fn run_unit_size(len: usize, threads: usize) -> usize {
 /// `run_batch` on each with a per-worker scratch from `init`, and the
 /// per-batch outputs are concatenated in batch order — so the result is
 /// exactly the serial output regardless of thread count or scheduling.
-fn par_batches<T, U, S, I, F>(items: &[T], parallel: bool, init: I, run_batch: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
-{
-    par_batches_on(items, parallel, available_threads(), init, run_batch)
-}
-
-/// [`par_batches`] with an explicit worker count (tests pin it; production
-/// callers go through [`available_threads`], which honours `AU_THREADS`).
-fn par_batches_on<T, U, S, I, F>(
+fn par_batches<T, U, S, I, F, D>(
     items: &[T],
     parallel: bool,
-    threads: usize,
     init: I,
     run_batch: F,
+    drain: D,
 ) -> Vec<U>
 where
     T: Sync,
     U: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
+    D: Fn(&mut S) + Sync,
+{
+    par_batches_on(items, parallel, available_threads(), init, run_batch, drain)
+}
+
+/// [`par_batches`] with an explicit worker count (tests pin it; production
+/// callers go through [`available_threads`], which honours `AU_THREADS`).
+fn par_batches_on<T, U, S, I, F, D>(
+    items: &[T],
+    parallel: bool,
+    threads: usize,
+    init: I,
+    run_batch: F,
+    drain: D,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
+    D: Fn(&mut S) + Sync,
 {
     par_units_on(
         items,
@@ -104,7 +113,7 @@ where
         |threads| uniform_units(items.len(), batch_size(items.len(), threads)),
         init,
         run_batch,
-        |_| {},
+        drain,
     )
 }
 
@@ -249,6 +258,7 @@ where
         parallel,
         || (),
         |_, chunk| chunk.iter().filter_map(&f).collect(),
+        |_| {},
     )
 }
 
@@ -273,9 +283,13 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> Option<U> + Sync,
 {
-    par_batches(items, parallel, init, |scratch, chunk| {
-        chunk.iter().filter_map(|x| f(scratch, x)).collect()
-    })
+    par_batches(
+        items,
+        parallel,
+        init,
+        |scratch, chunk| chunk.iter().filter_map(|x| f(scratch, x)).collect(),
+        |_| {},
+    )
 }
 
 /// Like [`par_filter_map_scratch`], but the items form *runs* — maximal
@@ -379,7 +393,9 @@ where
 
 /// Like [`par_map`], but each worker carries a mutable scratch value
 /// created once by `init` and reused across every item that worker
-/// processes.
+/// processes; `drain(scratch)` fires once per worker after its last item
+/// (serial: once at the end) — the hook for folding per-worker state (a
+/// frequency table, a tally) without sharing it inside the loop.
 ///
 /// This is the shape of the CSR probe loop: each probe needs a dense
 /// [`crate::index::OverlapCounter`] sized to the indexed side, and
@@ -389,16 +405,27 @@ where
 ///
 /// Output order is the input order regardless of scheduling, exactly as
 /// in [`par_filter_map`].
-pub fn par_map_scratch<T, U, S, I, F>(items: &[T], parallel: bool, init: I, f: F) -> Vec<U>
+pub fn par_map_scratch<T, U, S, I, F, D>(
+    items: &[T],
+    parallel: bool,
+    init: I,
+    f: F,
+    drain: D,
+) -> Vec<U>
 where
     T: Sync,
     U: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
+    D: Fn(&mut S) + Sync,
 {
-    par_batches(items, parallel, init, |scratch, chunk| {
-        chunk.iter().map(|x| f(scratch, x)).collect()
-    })
+    par_batches(
+        items,
+        parallel,
+        init,
+        |scratch, chunk| chunk.iter().map(|x| f(scratch, x)).collect(),
+        drain,
+    )
 }
 
 /// Worker count for parallel sections (1 when parallelism is unavailable).
@@ -490,6 +517,7 @@ mod tests {
                 scratch.push(x); // scratch grows across items — must not leak into results
                 x * 3
             },
+            |_| {},
         );
         let serial: Vec<u32> = items.iter().map(|&x| x * 3).collect();
         assert_eq!(out, serial);
@@ -544,6 +572,7 @@ mod tests {
             4,
             || (),
             |_, chunk| chunk.iter().map(|&x| x * 3).collect(),
+            |_| {},
         );
         let serial: Vec<u32> = items.iter().map(|&x| x * 3).collect();
         assert_eq!(out, serial);

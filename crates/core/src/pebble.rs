@@ -21,12 +21,21 @@
 //!
 //! Pebbles are sorted by a **global order**: ascending document frequency
 //! (rare pebbles first), ties broken by key then segment then measure, so
-//! runs are deterministic.
+//! runs are deterministic. [`PebbleOrder`] holds that order as one dense
+//! integer **rank** per key, built from per-corpus document-frequency
+//! tables (`DocFreqs`) that are counted once per prepared corpus.
+//!
+//! A record's pebble list is a *transient*: it is generated into a scratch
+//! buffer, rank-sorted, a signature prefix is selected from it, the
+//! prefix's distinct keys are kept, and the list is dropped (see
+//! [`crate::join::record_signature`]). Nothing proportional to the pebble
+//! count stays resident.
 
 use crate::config::{MeasureSet, SimConfig};
 use crate::knowledge::Knowledge;
 use crate::msim::MeasureKind;
 use crate::segment::SegRecord;
+use au_synonym::RuleId;
 use au_taxonomy::NodeId;
 use au_text::{FxHashMap, PhraseId};
 
@@ -57,6 +66,20 @@ pub struct Pebble {
 /// Generate all pebbles of a segmented record (unsorted).
 pub fn generate_pebbles(kn: &Knowledge, cfg: &SimConfig, sr: &SegRecord) -> Vec<Pebble> {
     let mut out = Vec::new();
+    generate_pebbles_into(kn, cfg, sr, &mut out);
+    out
+}
+
+/// [`generate_pebbles`] into a caller-owned buffer (cleared first), so a
+/// worker streaming records through signature selection reuses one
+/// allocation.
+pub fn generate_pebbles_into(
+    kn: &Knowledge,
+    cfg: &SimConfig,
+    sr: &SegRecord,
+    out: &mut Vec<Pebble>,
+) {
+    out.clear();
     for (si, seg) in sr.segments.iter().enumerate() {
         let si = si as u32;
         if cfg.measures.contains(MeasureSet::J) && !seg.grams.is_empty() {
@@ -95,68 +118,215 @@ pub fn generate_pebbles(kn: &Knowledge, cfg: &SimConfig, sr: &SegRecord) -> Vec<
             }
         }
     }
-    out
+}
+
+/// Document frequencies of one record set: pebble key → number of records
+/// whose pebble set contains it. Additive over disjoint record sets, so the
+/// order of an R×S join is built from the two sides' tables without a pass
+/// over either side's records.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct DocFreqs {
+    counts: FxHashMap<PebbleKey, u32>,
+}
+
+impl DocFreqs {
+    /// Count one record straight off its posting tables — the key set
+    /// [`generate_pebbles`] emits for a record segmented under the same
+    /// configuration — so no pebble is materialized. `keys` is scratch.
+    pub(crate) fn count_record(
+        &mut self,
+        kn: &Knowledge,
+        sr: &SegRecord,
+        keys: &mut Vec<PebbleKey>,
+    ) {
+        keys.clear();
+        // `gram_posts` is sorted by (hash, segment): equal hashes are
+        // adjacent.
+        keys.extend(sr.gram_posts.iter().map(|&(g, _)| PebbleKey::Gram(g)));
+        keys.dedup();
+        let grams = keys.len();
+        // Distinct rules can share a lhs and distinct entities an ancestor.
+        keys.extend(
+            sr.rule_posts
+                .iter()
+                .map(|&(r, _)| PebbleKey::Rule(kn.synonyms.get(RuleId(r)).lhs)),
+        );
+        for &si in &sr.node_segs {
+            let node = sr.segments[si as usize]
+                .node
+                .expect("node_segs lists only segments mapped to a node");
+            keys.extend(kn.taxonomy.ancestors(node).map(PebbleKey::Node));
+        }
+        keys[grams..].sort_unstable();
+        keys.dedup();
+        self.count_distinct(keys);
+    }
+
+    /// Count one record from its pebble list. `keys` is scratch.
+    pub(crate) fn count_pebbles(&mut self, pebbles: &[Pebble], keys: &mut Vec<PebbleKey>) {
+        keys.clear();
+        keys.extend(pebbles.iter().map(|p| p.key));
+        keys.sort_unstable();
+        keys.dedup();
+        self.count_distinct(keys);
+    }
+
+    fn count_distinct(&mut self, keys: &[PebbleKey]) {
+        for &k in keys {
+            *self.counts.entry(k).or_insert(0) += 1;
+        }
+    }
+
+    /// Add the frequencies of another (disjoint) record set.
+    pub(crate) fn add(&mut self, other: &DocFreqs) {
+        // det: map order cannot reach output — the walk folds into a
+        // commutative += per key.
+        for (&k, &f) in other.counts.iter() {
+            *self.counts.entry(k).or_insert(0) += f;
+        }
+    }
+
+    /// Heap footprint in bytes (length-based, like every `memory_bytes`).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.counts.len() * std::mem::size_of::<(PebbleKey, u32)>()
+    }
+
+    /// Frequency of `key` (0 when unseen).
+    #[cfg(test)]
+    pub(crate) fn get(&self, key: PebbleKey) -> u32 {
+        self.counts.get(&key).copied().unwrap_or(0)
+    }
 }
 
 /// Global frequency order over pebble keys.
 ///
-/// Frequencies are *document* frequencies: the number of records (across
-/// both join sides) whose pebble set contains the key.
+/// Every key the order was built over has a dense **rank**: its position
+/// under ascending `(document frequency, key)`, where a document frequency
+/// is the number of records (across both join sides) whose pebble set
+/// contains the key. A key the order has never seen (query side) has
+/// frequency 0: it sorts before every ranked key, by key.
 #[derive(Debug, Default, Clone)]
 pub struct PebbleOrder {
-    freq: FxHashMap<PebbleKey, u32>,
+    rank: FxHashMap<PebbleKey, u32>,
 }
+
+/// Bit layout of one pebble's sort key in [`PebbleOrder::sort`]: `ranked`
+/// flag, rank, segment, measure, input position — most significant first,
+/// so comparing the integers compares that tuple.
+const SORT_RANKED: u128 = 1 << 98;
+const SORT_RANK_SHIFT: u32 = 66;
+const SORT_SEG_SHIFT: u32 = 34;
+const SORT_MEASURE_SHIFT: u32 = 32;
 
 impl PebbleOrder {
     /// Count key frequencies over an iterator of per-record pebble lists.
     pub fn build<'a>(records: impl Iterator<Item = &'a [Pebble]>) -> Self {
-        let mut freq: FxHashMap<PebbleKey, u32> = FxHashMap::default();
-        let mut seen: Vec<PebbleKey> = Vec::new();
+        let mut freq = DocFreqs::default();
+        let mut keys = Vec::new();
         for pebbles in records {
-            // Sort-dedup the record's keys (the per-pebble `contains` scan
-            // this replaces was quadratic in record length).
-            seen.clear();
-            seen.extend(pebbles.iter().map(|p| p.key));
-            seen.sort_unstable();
-            seen.dedup();
-            for &k in &seen {
-                *freq.entry(k).or_insert(0) += 1;
-            }
+            freq.count_pebbles(pebbles, &mut keys);
         }
-        Self { freq }
+        Self::from_frequencies(freq.counts)
     }
 
-    /// Document frequency of `key` (0 when unseen).
-    pub fn freq(&self, key: PebbleKey) -> u32 {
-        self.freq.get(&key).copied().unwrap_or(0)
+    /// The order over the union of the record sets `tables` were counted
+    /// from (frequencies add; a table listed twice counts twice).
+    pub(crate) fn from_doc_freqs(tables: &[&DocFreqs]) -> Self {
+        let mut total = DocFreqs::default();
+        for table in tables {
+            total.add(table);
+        }
+        Self::from_frequencies(total.counts)
+    }
+
+    fn from_frequencies(freq: FxHashMap<PebbleKey, u32>) -> Self {
+        // det: map order cannot reach output — the entries are sorted by
+        // `(frequency, key)` immediately below, a total order over distinct
+        // keys, so the ranking is a pure function of the table's contents.
+        let mut keys: Vec<(u32, PebbleKey)> = freq.into_iter().map(|(k, f)| (f, k)).collect();
+        keys.sort_unstable();
+        Self::from_ranking(keys.into_iter().map(|(_, k)| k))
+    }
+
+    /// The order that ranks `keys` (distinct) by their position in the
+    /// sequence — for experiments that replace the frequency order by
+    /// another one. The signature bounds hold under *any* total order
+    /// shared by both join sides.
+    pub fn from_ranking(keys: impl IntoIterator<Item = PebbleKey>) -> Self {
+        let rank: FxHashMap<PebbleKey, u32> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(r, k)| {
+                (
+                    k,
+                    u32::try_from(r).expect("more than 2^32 distinct pebble keys"),
+                )
+            })
+            .collect();
+        Self { rank }
     }
 
     /// Heap footprint in bytes (length-based: one entry's payload per
     /// distinct key, deterministic across map capacities).
     pub fn memory_bytes(&self) -> usize {
-        self.freq.len() * std::mem::size_of::<(PebbleKey, u32)>()
+        self.rank.len() * std::mem::size_of::<(PebbleKey, u32)>()
     }
 
     /// Sort a record's pebbles ascending by `(frequency, key, seg,
-    /// measure)` — the paper's "global order" with deterministic ties.
+    /// measure)` — the paper's "global order" with deterministic ties
+    /// (stable: fully tied pebbles keep their input order). Afterwards all
+    /// instances of one key are adjacent, which the signature selectors
+    /// rely on.
+    ///
+    /// Each pebble's position in that order is packed into one integer up
+    /// front — a single rank lookup per pebble — so the sort itself
+    /// compares integers.
     pub fn sort(&self, pebbles: &mut [Pebble]) {
-        pebbles.sort_by(|a, b| {
-            self.freq(a.key)
-                .cmp(&self.freq(b.key))
-                .then_with(|| a.key.cmp(&b.key))
-                .then_with(|| a.seg.cmp(&b.seg))
-                .then_with(|| a.measure.idx().cmp(&b.measure.idx()))
-        });
+        assert!(
+            u32::try_from(pebbles.len()).is_ok(),
+            "more than 2^32 pebbles in one record"
+        );
+        let mut unseen: Vec<PebbleKey> = Vec::new();
+        let mut keyed: Vec<u128> = pebbles
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let tail = (p.seg as u128) << SORT_SEG_SHIFT
+                    | (p.measure.idx() as u128) << SORT_MEASURE_SHIFT
+                    | i as u128;
+                match self.rank.get(&p.key) {
+                    Some(&r) => SORT_RANKED | (r as u128) << SORT_RANK_SHIFT | tail,
+                    None => {
+                        unseen.push(p.key);
+                        tail
+                    }
+                }
+            })
+            .collect();
+        if !unseen.is_empty() {
+            // Frequency-0 keys order among themselves by key: rank them by
+            // their position in this record's sorted distinct unseen keys.
+            unseen.sort_unstable();
+            unseen.dedup();
+            for k in keyed.iter_mut().filter(|k| **k & SORT_RANKED == 0) {
+                let key = pebbles[*k as u32 as usize].key;
+                let r = unseen.binary_search(&key).expect("collected above");
+                *k |= (r as u128) << SORT_RANK_SHIFT;
+            }
+        }
+        keyed.sort_unstable();
+        let sorted: Vec<Pebble> = keyed.iter().map(|&k| pebbles[k as u32 as usize]).collect();
+        pebbles.copy_from_slice(&sorted);
     }
 
     /// Number of distinct keys seen.
     pub fn len(&self) -> usize {
-        self.freq.len()
+        self.rank.len()
     }
 
     /// True when no key has been counted.
     pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
+        self.rank.is_empty()
     }
 }
 
@@ -341,13 +511,74 @@ mod tests {
             order.sort(p);
         }
         // In record 2, latte-grams (freq 1) must precede coffee-grams
-        // (freq 2).
+        // (freq 2: the keys record 1 carries too).
+        let in_both = |key: PebbleKey| pebbles[0].iter().any(|p| p.key == key);
         let sorted = &pebbles[1];
-        let first_coffee = sorted.iter().position(|p| order.freq(p.key) == 2).unwrap();
-        assert!(sorted[..first_coffee]
-            .iter()
-            .all(|p| order.freq(p.key) == 1));
+        let first_coffee = sorted.iter().position(|p| in_both(p.key)).unwrap();
+        assert!(sorted[first_coffee..].iter().all(|p| in_both(p.key)));
         assert!(first_coffee > 0);
+    }
+
+    /// Two corpora with shared and private keys, rule sides and entities
+    /// sharing ancestors included.
+    fn two_sides(kn: &mut Knowledge, cfg: &SimConfig) -> [Vec<SegRecord>; 2] {
+        [
+            vec!["coffee shop latte", "latte latte espresso", "cafe", ""],
+            vec!["espresso cafe helsinki", "coffee", "tea house latte"],
+        ]
+        .map(|lines| {
+            lines
+                .iter()
+                .map(|line| {
+                    let id = kn.add_record(line);
+                    segment_record(kn, cfg, &kn.record(id).tokens)
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn record_keys_are_the_distinct_pebble_keys() {
+        let mut kn = setup();
+        let cfg = SimConfig::default();
+        let mut keys = Vec::new();
+        for sr in two_sides(&mut kn, &cfg).iter().flatten() {
+            let (mut from_posts, mut from_pebbles) = (DocFreqs::default(), DocFreqs::default());
+            from_posts.count_record(&kn, sr, &mut keys);
+            from_pebbles.count_pebbles(&generate_pebbles(&kn, &cfg, sr), &mut keys);
+            assert_eq!(from_posts, from_pebbles);
+            assert!(from_posts.counts.values().all(|&f| f == 1));
+        }
+    }
+
+    #[test]
+    fn pair_order_from_two_tables_matches_build_over_both_sides() {
+        let mut kn = setup();
+        let cfg = SimConfig::default();
+        let sides = two_sides(&mut kn, &cfg);
+        let mut keys = Vec::new();
+        let tables = sides.each_ref().map(|side| {
+            let mut df = DocFreqs::default();
+            for sr in side {
+                df.count_record(&kn, sr, &mut keys);
+            }
+            df
+        });
+        let lists: Vec<Vec<Pebble>> = sides
+            .iter()
+            .flatten()
+            .map(|sr| generate_pebbles(&kn, &cfg, sr))
+            .collect();
+        let built = PebbleOrder::build(lists.iter().map(|v| v.as_slice()));
+        let added = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[1]]);
+        assert_eq!(added.rank, built.rank);
+        assert!(built.len() > tables[0].counts.len().max(tables[1].counts.len()));
+        // One side alone, and the same side against itself: frequencies
+        // double, the ranking does not move.
+        let alone = PebbleOrder::from_doc_freqs(&[&tables[0]]);
+        let doubled = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[0]]);
+        assert_eq!(alone.rank, doubled.rank);
+        assert_eq!(alone.memory_bytes(), tables[0].memory_bytes());
     }
 
     #[test]

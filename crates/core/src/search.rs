@@ -5,8 +5,8 @@
 //! collection fixed (a product catalogue, a gazetteer, a keyword
 //! dictionary) and look up strings one at a time.
 //! [`crate::engine::Engine::searcher`] builds the indexed side once —
-//! segmentation, pebbles, global frequency order, signature prefixes,
-//! inverted index — and answers queries with the same
+//! segmentation, global frequency order, signature key sets, inverted
+//! index — and answers queries with the same
 //! filter-and-verification guarantee as the join: every record with
 //! `USIM(query, record) ≥ θ` is returned (Lemmas 1 and 2 are symmetric in
 //! the two strings, so a fresh query signature selected under the same
@@ -21,10 +21,10 @@
 use crate::config::SimConfig;
 use crate::engine::{relock, JoinSpec};
 use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter};
+use crate::join::{record_signature, SignatureScratch};
 use crate::knowledge::Knowledge;
-use crate::pebble::{generate_pebbles, PebbleKey, PebbleOrder};
+use crate::pebble::PebbleOrder;
 use crate::segment::SegRecord;
-use crate::signature::select_signature;
 use crate::usim::{Verifier, VerifyScratch};
 use std::sync::Mutex;
 
@@ -73,19 +73,17 @@ pub(crate) struct QueryEnv<'a> {
     pub tier0: &'a [(u32, u32)],
 }
 
-/// One query against a prepared collection: signature selection for the
-/// query record and the CSR overlap probe produce the candidate rows,
-/// [`verify_rows`] decides them.
+/// One query against a prepared collection: the same record → signature
+/// pass the indexed side went through ([`record_signature`]) and the CSR
+/// overlap probe produce the candidate rows, [`verify_rows`] decides them.
 pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
-    let mut pebbles = generate_pebbles(env.kn, env.cfg, sr);
-    env.order.sort(&mut pebbles);
-    let choice = select_signature(
+    let (choice, distinct) = record_signature(
+        env.kn,
+        env.cfg,
+        env.order,
+        env.spec,
         sr,
-        &pebbles,
-        env.spec.filter,
-        env.spec.theta,
-        env.cfg.eps,
-        env.spec.mp_mode,
+        &mut SignatureScratch::default(),
     );
     // Count distinct-key overlaps between the query signature and every
     // indexed record via the CSR probe; keep records reaching `min(τ,
@@ -94,9 +92,6 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
     // is O(1) reuse), so per-query work is proportional to the postings
     // touched, never to the collection size.
     let (candidates, probe_stats) = {
-        let mut distinct: Vec<PebbleKey> = pebbles[..choice.len].iter().map(|p| p.key).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
         let mut ctr = relock(env.counter);
         let mut out = Vec::new();
         let stats = ctr.probe(

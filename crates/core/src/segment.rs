@@ -18,7 +18,6 @@ use au_matching::{min_partition, IntervalsByEnd};
 use au_synonym::RuleId;
 use au_taxonomy::NodeId;
 use au_text::hash::FxHasher64;
-use au_text::qgram::qgrams;
 use au_text::{PhraseId, TokenId};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -30,16 +29,28 @@ pub fn hash_gram(g: &str) -> u64 {
     h.finish()
 }
 
-/// Sorted, deduplicated gram hashes of `text`.
+/// Sorted, deduplicated gram hashes of `text` — the hashes of the gram set
+/// [`au_text::qgram::qgrams`] defines, with every `q`-scalar window hashed
+/// in place instead of being copied out as a `String` first.
 pub fn gram_hashes(text: &str, q: usize) -> Vec<u64> {
-    let mut v: Vec<u64> = qgrams(text, q).iter().map(|g| hash_gram(g)).collect();
+    assert!(q > 0, "q must be positive");
+    // Window `i` spans char boundaries `i .. i + q`. A text of at most `q`
+    // scalars has no boundary `q` to pair with, so its one window ends at
+    // the end of the text (the whole-string gram); the empty text has no
+    // start at all.
+    let starts = text.char_indices().map(|(i, _)| i);
+    let ends = starts.clone().skip(q).chain([text.len()]);
+    // At most one window per byte; sized up front because the iterator's
+    // own lower bound (a quarter of the bytes) regrows the buffer twice.
+    let mut v: Vec<u64> = Vec::with_capacity(text.len());
+    v.extend(starts.zip(ends).map(|(a, b)| hash_gram(&text[a..b])));
     v.sort_unstable();
     v.dedup();
     v
 }
 
 /// One well-defined segment of a record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// First token position.
     pub start: usize,
@@ -86,7 +97,7 @@ impl Segment {
 }
 
 /// A record with its enumerated well-defined segments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegRecord {
     /// Token sequence of the record.
     pub tokens: Vec<TokenId>,
@@ -482,5 +493,44 @@ mod tests {
         // espresso: es,sp,pr,re,ss,so → 6 distinct
         assert_eq!(g.len(), 6);
         assert_eq!(gram_hashes("", 2).len(), 0);
+    }
+
+    #[test]
+    fn gram_hashes_match_the_qgram_definition() {
+        // Hashing the windows in place is hashing `qgrams`' strings:
+        // multi-byte scalars, texts shorter than / exactly q scalars,
+        // the empty text, repeated grams.
+        let by_definition = |text: &str, q: usize| {
+            let mut v: Vec<u64> = au_text::qgram::qgrams(text, q)
+                .iter()
+                .map(|g| hash_gram(g))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for text in [
+            "",
+            "a",
+            "ż",
+            "ab",
+            "żó",
+            "abc",
+            "żółw",
+            "aaaa",
+            "abababab",
+            "helsingki",
+            "coffee shop",
+            "日本語のテキスト",
+            "e\u{301}e\u{301}e",
+        ] {
+            for q in 1..=5 {
+                assert_eq!(
+                    gram_hashes(text, q),
+                    by_definition(text, q),
+                    "{text:?} q={q}"
+                );
+            }
+        }
     }
 }

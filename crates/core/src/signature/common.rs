@@ -1,14 +1,42 @@
 //! Shared signature-selection machinery: accumulated similarity, top-k
 //! prefix sums, and the minimum-partition lower bound `MP(S)`.
+//!
+//! **Precondition of every per-key aggregate here** ([`prefix_topk_sums`],
+//! [`guarantee_level`]): all instances of one key are *adjacent* in the
+//! pebble list. That is what sorting by the global order leaves behind
+//! ([`crate::pebble::PebbleOrder::sort`] — any sort whose primary key is a
+//! total order on pebble keys does), and it is what lets a key's aggregate
+//! be summed over one run of the list instead of through a hash map.
+//! Debug builds check it.
 
 use crate::pebble::{Pebble, PebbleKey};
 use crate::segment::SegRecord;
 use au_matching::greedy_cover_size;
-use au_text::FxHashMap;
+
+/// The maximal runs of equal-key pebbles, in list order.
+pub(crate) fn key_runs(pebbles: &[Pebble]) -> impl Iterator<Item = &[Pebble]> {
+    pebbles.chunk_by(|a, b| a.key == b.key)
+}
+
+/// Debug-build check of the module-level precondition: all instances of
+/// every key are adjacent.
+pub(crate) fn debug_assert_keys_adjacent(pebbles: &[Pebble]) {
+    if cfg!(debug_assertions) {
+        let mut firsts: Vec<PebbleKey> = key_runs(pebbles).map(|run| run[0].key).collect();
+        let runs = firsts.len();
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert_eq!(
+            firsts.len(),
+            runs,
+            "instances of one pebble key must be adjacent: sort by the global order first"
+        );
+    }
+}
 
 /// Incremental accumulated similarity (Definition 4):
 /// `AS = Σ_P max_f W(B_{P,f})` over the pebbles added so far.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SuffixState {
     sums: Vec<[f64; 3]>,
     seg_max: Vec<f64>,
@@ -18,11 +46,19 @@ pub struct SuffixState {
 impl SuffixState {
     /// State for a record with `n_segments` segments; AS = 0.
     pub fn new(n_segments: usize) -> Self {
-        Self {
-            sums: vec![[0.0; 3]; n_segments],
-            seg_max: vec![0.0; n_segments],
-            total: 0.0,
-        }
+        let mut st = Self::default();
+        st.reset(n_segments);
+        st
+    }
+
+    /// Back to AS = 0 for a record with `n_segments` segments, keeping the
+    /// buffers.
+    pub fn reset(&mut self, n_segments: usize) {
+        self.sums.clear();
+        self.sums.resize(n_segments, [0.0; 3]);
+        self.seg_max.clear();
+        self.seg_max.resize(n_segments, 0.0);
+        self.total = 0.0;
     }
 
     /// Add one pebble to the tracked set.
@@ -77,22 +113,28 @@ pub fn suffix_masses(sr: &SegRecord, pebbles: &[Pebble]) -> Vec<f64> {
 /// reading — undercounts exactly then, and the filter drops true positives.
 /// Aggregating per key restores the guarantee: the mass τ−1 shared keys can
 /// carry is at most the sum of the τ−1 largest per-key aggregates.
+///
+/// Requires equal keys to be adjacent (module docs): the touched key's
+/// aggregate is then a running sum that restarts at every key change.
 pub fn prefix_topk_sums(pebbles: &[Pebble], k: usize) -> Vec<f64> {
+    debug_assert_keys_adjacent(pebbles);
     let n = pebbles.len();
     let mut out = vec![0.0; n + 1];
     if k == 0 {
         return out;
     }
-    let mut agg: FxHashMap<PebbleKey, f64> = FxHashMap::default();
     // The k largest aggregates (unordered) and their running sum.
     // Aggregates only grow, so re-evaluating the touched key against the
     // current minimum keeps the invariant exact.
     let mut top: Vec<(PebbleKey, f64)> = Vec::with_capacity(k);
     let mut sum = 0.0f64;
+    // Aggregate of the current key's run so far.
+    let mut a = 0.0f64;
     for (j, p) in pebbles.iter().enumerate() {
-        let e = agg.entry(p.key).or_insert(0.0);
-        *e += p.weight;
-        let a = *e;
+        if j == 0 || pebbles[j - 1].key != p.key {
+            a = 0.0;
+        }
+        a += p.weight;
         if let Some(t) = top.iter_mut().find(|t| t.0 == p.key) {
             sum += a - t.1;
             t.1 = a;
@@ -133,6 +175,8 @@ pub fn prefix_topk_sums(pebbles: &[Pebble], k: usize) -> Vec<f64> {
 /// Joins therefore select each record's signature at its guarantee level
 /// and require `min(τ, level(S), level(T))` overlaps per pair — the
 /// strongest demand that is still complete.
+///
+/// Requires equal keys to be adjacent (module docs).
 pub fn guarantee_level(
     sr: &SegRecord,
     pebbles: &[Pebble],
@@ -150,18 +194,20 @@ pub fn guarantee_level(
         // convention the selectors use too).
         return tau;
     }
+    debug_assert_keys_adjacent(pebbles);
     // Per-key aggregated masses: a θ-similar partner overlapping on τ'−1
     // *distinct* keys can collect every instance of those keys (see
-    // `prefix_topk_sums`), so feasibility must budget aggregates too.
-    let mut agg: FxHashMap<PebbleKey, f64> = FxHashMap::default();
-    for p in pebbles {
-        *agg.entry(p.key).or_insert(0.0) += p.weight;
+    // `prefix_topk_sums`), so feasibility must budget aggregates too. One
+    // key is one run of the list.
+    let mut weights: Vec<f64> = key_runs(pebbles)
+        .map(|run| run.iter().fold(0.0, |agg, p| agg + p.weight))
+        .collect();
+    // Only the τ−1 heaviest are read, in descending order.
+    let budget = (tau - 1) as usize;
+    if weights.len() > budget {
+        weights.select_nth_unstable_by(budget - 1, |a, b| b.total_cmp(a));
+        weights.truncate(budget);
     }
-    // det: map order cannot reach output — the values are sorted by
-    // `total_cmp` immediately below, a *total* order on f64 bits, so the
-    // sorted sequence is a pure function of the value multiset no matter
-    // what order the map yields it in.
-    let mut weights: Vec<f64> = agg.into_values().collect();
     weights.sort_by(|a, b| b.total_cmp(a));
     let mut tw = 0.0f64; // TW_{τ'−1} for the current τ'
     let mut level = 1u32;
@@ -223,6 +269,7 @@ mod tests {
     use crate::knowledge::KnowledgeBuilder;
     use crate::pebble::generate_pebbles;
     use crate::segment::segment_record;
+    use au_text::FxHashMap;
 
     fn fixture() -> (SegRecord, Vec<Pebble>) {
         let mut b = KnowledgeBuilder::new();
@@ -299,11 +346,12 @@ mod tests {
             seg,
             ..base[key_src]
         };
-        // Key A (from base[0]) in three segments; keys B, C single.
+        // Key A (from base[0]) in three segments; keys B, C single. As in
+        // any order-sorted list, A's instances are adjacent.
         let p = vec![
+            mk(1, 0.4, 2),
             mk(0, 0.25, 0),
             mk(0, 0.25, 1),
-            mk(1, 0.4, 2),
             mk(0, 0.25, 3),
             mk(2, 0.1, 2),
         ];

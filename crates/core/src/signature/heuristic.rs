@@ -26,6 +26,9 @@ use crate::signature::common::{min_partition_bound, prefix_topk_sums, suffix_mas
 /// true positives; candidates here start at `n` — keeping the whole list
 /// is a valid outcome, exactly as Lemma 2's "smallest `i` satisfying the
 /// inequality" reading allows.
+///
+/// Requires equal keys to be adjacent in `pebbles` (see
+/// [`prefix_topk_sums`]).
 pub fn heuristic_prefix_len(
     sr: &SegRecord,
     pebbles: &[Pebble],

@@ -11,14 +11,22 @@
 //!   covers the top `τ−1` heaviest signature pebbles (Lemma 2).
 //! * [`dp`] (Alg. 5) — τ required overlaps with a tighter per-segment
 //!   dynamic-programming bound on the `τ−1` insertions (Eq. 12–14).
+//!
+//! Every selector takes the list **as sorted by the global order**
+//! ([`crate::pebble::PebbleOrder::sort`]). Beyond fixing which pebbles a
+//! prefix holds, the sort makes all instances of one key adjacent, and the
+//! per-key aggregates of the two AU-Filters are summed over those runs
+//! (see [`common`]); debug builds assert the adjacency.
 
 pub mod common;
 pub mod dp;
 pub mod heuristic;
+#[cfg(test)]
+mod reference;
 pub mod ufilter;
 
 pub use common::{guarantee_level, min_partition_bound, prefix_topk_sums, suffix_masses, MpMode};
-pub use dp::dp_prefix_len;
+pub use dp::{dp_prefix_len, DpScratch};
 pub use heuristic::heuristic_prefix_len;
 pub use ufilter::ufilter_prefix_len;
 
@@ -72,7 +80,9 @@ pub struct SignatureChoice {
 
 /// Dispatch to the right selector, clamping τ to the record's guarantee
 /// level first (records too short/light for the requested τ still demand
-/// every overlap they can actually promise).
+/// every overlap they can actually promise). `pebbles` must be sorted by
+/// the global order (module docs); `scratch` is the DP selector's reusable
+/// buffers.
 pub fn select_signature(
     sr: &crate::segment::SegRecord,
     pebbles: &[crate::pebble::Pebble],
@@ -80,6 +90,7 @@ pub fn select_signature(
     theta: f64,
     eps: f64,
     mp_mode: MpMode,
+    scratch: &mut DpScratch,
 ) -> SignatureChoice {
     match kind {
         FilterKind::UFilter => SignatureChoice {
@@ -96,7 +107,7 @@ pub fn select_signature(
         FilterKind::AuDp { tau } => {
             let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps, mp_mode);
             SignatureChoice {
-                len: dp_prefix_len(sr, pebbles, level, theta, eps, mp_mode),
+                len: dp_prefix_len(sr, pebbles, level, theta, eps, mp_mode, scratch),
                 level,
             }
         }
@@ -112,5 +123,14 @@ pub fn signature_prefix_len(
     eps: f64,
     mp_mode: MpMode,
 ) -> usize {
-    select_signature(sr, pebbles, kind, theta, eps, mp_mode).len
+    select_signature(
+        sr,
+        pebbles,
+        kind,
+        theta,
+        eps,
+        mp_mode,
+        &mut DpScratch::default(),
+    )
+    .len
 }

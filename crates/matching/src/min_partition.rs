@@ -20,7 +20,7 @@
 /// runs the masked DP once per candidate independent set — thousands of
 /// times per verified pair — which made the bucket rebuild the dominant
 /// allocator traffic of verification.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalsByEnd {
     /// `offsets[e]..offsets[e + 1]` indexes `starts` for intervals ending
     /// at `e` (offsets has `n + 2` entries).

@@ -9,7 +9,7 @@
 //! * [`phrase`] — interning of multi-token phrases ([`PhraseId`],
 //!   [`PhraseTable`]) used for synonym-rule sides and taxonomy entity names.
 //! * [`tokenize`](mod@tokenize) — configurable tokenization.
-//! * [`qgram`] — q-gram extraction and interning.
+//! * [`qgram`] — q-gram extraction.
 //! * [`jaccard`] — Jaccard coefficient over sorted id sets (Eq. 1 of the
 //!   paper).
 //! * [`setsim`] — the other gram-set measures named in Section 2.1
@@ -31,6 +31,5 @@ pub mod tokenize;
 pub use hash::{FxHashMap, FxHashSet, FxHasher64};
 pub use interner::{OverlaySnapshot, ScratchVocab, TokenId, Vocab, SCRATCH_TOKEN_BASE};
 pub use phrase::{PhraseId, PhraseTable};
-pub use qgram::{GramId, GramTable};
 pub use record::{Corpus, Record, RecordId};
 pub use tokenize::{tokenize, TokenizeConfig};

@@ -1,4 +1,4 @@
-//! q-gram extraction and interning.
+//! q-gram extraction.
 //!
 //! The paper's gram-based measure (Eq. 1) splits strings into fixed-length
 //! substrings. `G(S, q)` is defined over *letters*; we operate on Unicode
@@ -7,29 +7,10 @@
 //! an empty gram set (this keeps Jaccard well-defined and matches common
 //! practice in the similarity-join literature).
 //!
-//! Grams are interned into dense [`GramId`]s by [`GramTable`] so the pebble
-//! machinery treats them as cheap `u32` keys.
+//! Grams leave this module as strings. The join pipeline never stores them:
+//! `au-core` hashes each gram window to a 64-bit pebble key in place.
 
-use crate::hash::FxHashMap;
-use std::fmt;
-
-/// Dense id of an interned q-gram.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GramId(pub u32);
-
-impl GramId {
-    /// Index form for slice access.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for GramId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{}", self.0)
-    }
-}
+use crate::hash::FxHashSet;
 
 /// Extract the *set* of q-grams of `s` (deduplicated, order of first
 /// occurrence).
@@ -39,78 +20,23 @@ impl fmt::Debug for GramId {
 pub fn qgrams(s: &str, q: usize) -> Vec<String> {
     assert!(q > 0, "q must be positive");
     let chars: Vec<char> = s.chars().collect();
-    let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
     if chars.is_empty() {
-        return out;
+        return Vec::new();
     }
     if chars.len() <= q {
-        out.push(s.to_string());
-        return out;
+        return vec![s.to_string()];
     }
-    for w in chars.windows(q) {
-        let g: String = w.iter().collect();
-        if seen.insert(g.clone()) {
-            out.push(g);
-        }
-    }
-    out
+    let mut seen: FxHashSet<&[char]> = FxHashSet::default();
+    chars
+        .windows(q)
+        .filter(|&w| seen.insert(w))
+        .map(|w| w.iter().collect())
+        .collect()
 }
 
 /// Count of *distinct* q-grams, i.e. `|G(s, q)|`.
 pub fn qgram_count(s: &str, q: usize) -> usize {
     qgrams(s, q).len()
-}
-
-/// String ↔ [`GramId`] interner.
-#[derive(Debug, Default, Clone)]
-pub struct GramTable {
-    by_str: FxHashMap<Box<str>, GramId>,
-    grams: Vec<Box<str>>,
-}
-
-impl GramTable {
-    /// New empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern one gram.
-    pub fn intern(&mut self, g: &str) -> GramId {
-        if let Some(&id) = self.by_str.get(g) {
-            return id;
-        }
-        let id = GramId(self.grams.len() as u32);
-        self.grams.push(g.into());
-        self.by_str.insert(self.grams[id.idx()].clone(), id);
-        id
-    }
-
-    /// Intern every distinct q-gram of `s`, returning their ids in first
-    /// occurrence order.
-    pub fn intern_qgrams(&mut self, s: &str, q: usize) -> Vec<GramId> {
-        qgrams(s, q).iter().map(|g| self.intern(g)).collect()
-    }
-
-    /// Look up an interned gram.
-    pub fn get(&self, g: &str) -> Option<GramId> {
-        self.by_str.get(g).copied()
-    }
-
-    /// The string for `id`.
-    pub fn resolve(&self, id: GramId) -> &str {
-        &self.grams[id.idx()]
-    }
-
-    /// Number of distinct grams interned.
-    pub fn len(&self) -> usize {
-        self.grams.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.grams.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -155,19 +81,6 @@ mod tests {
     fn unicode_grams_are_char_based() {
         let g = qgrams("żółw", 2);
         assert_eq!(g, vec!["żó", "ół", "łw"]);
-    }
-
-    #[test]
-    fn table_roundtrip() {
-        let mut t = GramTable::new();
-        let ids = t.intern_qgrams("coffee", 2);
-        // co, of, ff, fe, ee (Table 2 of the paper)
-        assert_eq!(ids.len(), 5);
-        assert_eq!(t.resolve(ids[0]), "co");
-        assert_eq!(t.resolve(ids[4]), "ee");
-        let again = t.intern_qgrams("coffee", 2);
-        assert_eq!(ids, again);
-        assert_eq!(t.len(), 5);
     }
 
     #[test]
