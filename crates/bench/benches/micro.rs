@@ -9,7 +9,7 @@ use au_core::join::FilterOutcome;
 use au_core::pebble::{generate_pebbles, PebbleOrder};
 use au_core::segment::segment_record;
 use au_core::signature::{dp_prefix_len, heuristic_prefix_len, DpScratch, MpMode};
-use au_core::usim::usim_approx_seg;
+use au_core::usim::{usim_approx_seg, GramPostingsIndex};
 use au_matching::{exact_wmis, max_weight_matching, square_imp, ConflictGraph, SquareImpConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -220,6 +220,16 @@ fn bench_search_queries(c: &mut Criterion) {
                 black_box(searcher.query_tokens(q));
             }
         })
+    });
+    // The per-corpus transposed posting index a searcher forces (and a
+    // large join builds): the price of verifying a query as one run, at
+    // the repo benchmark's `search_online` size. Divide by 5 for the
+    // per-1,000-records figure DESIGN.md quotes.
+    let big = med_dataset(5000, 11);
+    let big_engine = Engine::new(big.kn.clone(), cfg).expect("valid config");
+    let big_pt = big_engine.prepare(&big.t).expect("prepare T");
+    g.bench_function("transposed_build_5000", |b| {
+        b.iter(|| black_box(GramPostingsIndex::build(big_pt.seg_records())))
     });
     g.finish();
 }

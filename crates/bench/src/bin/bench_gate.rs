@@ -11,7 +11,8 @@
 //!   compatibility rejections, result pairs, P/R/F and the per-tier
 //!   verification rejection counters must match the baseline exactly
 //!   (they are pure functions of the seed, so any drift is a behaviour
-//!   change, not noise);
+//!   change, not noise) — on the join rows and on `BENCH_med.json`'s
+//!   `search/…` row, the same sums over a fixed query set;
 //! * **throughput** — `records_per_second` and `verify_cands_per_second`
 //!   may not regress by more than `BENCH_GATE_TOL` (default 0.25: a drop
 //!   past 25% fails) against the baseline; rows whose baseline or current
@@ -154,6 +155,9 @@ impl Gate {
                 "shard_tasks",
                 "shard_tasks_pruned",
                 "memory_bytes",
+                // The search row: the size of its fixed query set (its
+                // funnel sums ride on the keys above).
+                "queries",
             ] {
                 if brow.get(key).is_some() {
                     self.check_exact(id, key, f64_field(brow, key), f64_field(crow, key));

@@ -29,6 +29,12 @@ fn main() {
             );
         }
     }
+    for r in workloads.iter().filter_map(|w| w.search.as_ref()) {
+        println!(
+            "{:<24} candidates={:<10} pairs={:<8} queries={} postings={}",
+            r.id, r.candidates, r.result_pairs, r.queries, r.processed_pairs
+        );
+    }
     for r in &shard.rows {
         println!(
             "{:<24} pairs={:<8} tasks={}+{}p mem={:.1}MiB prep={:.3}s join={:.3}s",

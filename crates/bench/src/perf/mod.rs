@@ -2,9 +2,10 @@
 //!
 //! `cargo run --release -p au-bench --bin perf` runs MED-like and
 //! WIKI-like workloads (sized by `AU_SCALE`) across the three filters
-//! {U, AU-heuristic, AU-DP} × {serial, parallel}, plus a `fig_shard`
-//! sharded-vs-monolithic self-join comparison (memory and pruning), and
-//! writes one `BENCH_<name>.json` per workload. Those artifacts are what
+//! {U, AU-heuristic, AU-DP} × {serial, parallel}, the query funnel of a
+//! fixed 200-query set on scale-1 MED (one more row of `BENCH_med.json`),
+//! plus a `fig_shard` sharded-vs-monolithic self-join comparison (memory
+//! and pruning), and writes one `BENCH_<name>.json` per workload. Those artifacts are what
 //! the CI `perf-smoke` job uploads and what `bench_gate` diffs against
 //! the checked-in baseline in `tools/perf_baseline/`.
 //!
@@ -108,6 +109,31 @@ pub struct WorkloadRow {
     pub verify_cands_per_second: f64,
 }
 
+/// The query funnel of [`run_search_row`]: every field a sum over the
+/// query set and a pure function of the seed, so `bench_gate`
+/// exact-matches all of them — the search path's counterpart of a join
+/// row's counters.
+#[derive(Debug, Clone)]
+pub struct SearchRow {
+    /// Stable row id (`search/med-scale1/AU-DP`).
+    pub id: String,
+    /// Records in the searched collection (always scale 1, whatever
+    /// `AU_SCALE` sizes the join rows to).
+    pub n_records: usize,
+    /// Queries issued.
+    pub queries: u64,
+    /// Σ candidates that reached verification.
+    pub candidates: u64,
+    /// Σ posting entries the probes read.
+    pub processed_pairs: u64,
+    /// Σ records refused in-probe by the tier-0 compatibility bound.
+    pub compat_rejected: u64,
+    /// Σ matches returned.
+    pub result_pairs: u64,
+    /// Σ per-tier verification decisions (`decisions() == candidates`).
+    pub tiers: VerifyTiers,
+}
+
 /// One workload (dataset × θ) across all filter/mode combinations.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
@@ -132,6 +158,9 @@ pub struct WorkloadReport {
     pub prepare_memory_bytes: u64,
     /// Measurements.
     pub rows: Vec<WorkloadRow>,
+    /// The query funnel, emitted after `rows` ([`run_all`] attaches it to
+    /// the `med` report).
+    pub search: Option<SearchRow>,
 }
 
 /// One engine measurement of the `fig_shard` comparison.
@@ -816,7 +845,53 @@ pub fn run_workload(
         prepare_seconds: zero_if(!timings, prepare_seconds),
         prepare_memory_bytes,
         rows,
+        search: None,
     }
+}
+
+/// Records per side of the search row's collection: scale-1 MED.
+const SEARCH_ROW_RECORDS: usize = 1200;
+/// Size of its fixed query set.
+const SEARCH_ROW_QUERIES: usize = 200;
+
+/// The query funnel on scale-1 MED: a searcher over the T side at
+/// θ = 0.9 (AU-DP, τ = 3), queried with the raw text of every sixth S
+/// record — 200 queries, a fifth of them with a planted partner. Counts
+/// only, no timings: what the run-level verification of a query decides,
+/// gated like the join's tier counters.
+pub fn run_search_row(seed: u64) -> SearchRow {
+    let n = SEARCH_ROW_RECORDS;
+    let ds = med_dataset(n, seed);
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("default SimConfig");
+    let pt = engine.prepare(&ds.t).expect("T side prepares");
+    let spec = JoinSpec::threshold(0.90).filter(FilterKind::AuDp { tau: 3 });
+    let searcher = engine.searcher(&pt, &spec).expect("searcher");
+    let mut row = SearchRow {
+        id: "search/med-scale1/AU-DP".into(),
+        n_records: n,
+        queries: 0,
+        candidates: 0,
+        processed_pairs: 0,
+        compat_rejected: 0,
+        result_pairs: 0,
+        tiers: VerifyTiers::default(),
+    };
+    let every = n / SEARCH_ROW_QUERIES;
+    for r in
+        ds.s.records()
+            .iter()
+            .step_by(every)
+            .take(SEARCH_ROW_QUERIES)
+    {
+        let out = searcher.query(&r.raw);
+        row.queries += 1;
+        row.candidates += out.candidates;
+        row.processed_pairs += out.processed;
+        row.compat_rejected += out.compat_rejected;
+        row.result_pairs += out.matches.len() as u64;
+        row.tiers.merge(&out.tiers);
+    }
+    row
 }
 
 /// Run the full suite: `med` + `wiki` workloads and the `fig_shard`
@@ -840,6 +915,7 @@ pub fn run_all(opts: &PerfOptions) -> (Vec<WorkloadReport>, ShardReport) {
             opts.timings,
         ));
     }
+    reports[0].search = Some(run_search_row(opts.seed));
     let shard = run_shard_comparison(opts.scale, opts.seed, opts.timings);
     (reports, shard)
 }
@@ -851,6 +927,28 @@ fn push_field(out: &mut String, indent: &str, key: &str, value: String, last: bo
 
 fn num(x: f64) -> String {
     format!("{x:.6}")
+}
+
+/// The funnel counters every gated row carries, in their fixed order.
+fn push_funnel(o: &mut String, counts: [(&str, u64); 4], tiers: &VerifyTiers, last: bool) {
+    let tier_fields = [
+        ("tier0_rejects", tiers.tier0_rejects),
+        ("mass_rejects", tiers.mass_rejects),
+        ("enum_rejects", tiers.enum_rejects),
+        ("rowmax_rejects", tiers.rowmax_rejects),
+        ("greedy_rejects", tiers.greedy_rejects),
+        ("tier2_rejects", tiers.tier2_rejects),
+    ];
+    let fields: Vec<_> = counts.into_iter().chain(tier_fields).collect();
+    for (i, (key, v)) in fields.iter().enumerate() {
+        push_field(
+            o,
+            "      ",
+            key,
+            v.to_string(),
+            last && i + 1 == fields.len(),
+        );
+    }
 }
 
 impl WorkloadReport {
@@ -909,74 +1007,15 @@ impl WorkloadReport {
                 false,
             );
             push_field(&mut o, "      ", "mode", format!("\"{}\"", r.mode), false);
-            push_field(
+            push_funnel(
                 &mut o,
-                "      ",
-                "candidates",
-                r.candidates.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "processed_pairs",
-                r.processed_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "compat_rejected",
-                r.compat_rejected.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "result_pairs",
-                r.result_pairs.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "tier0_rejects",
-                r.tiers.tier0_rejects.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "mass_rejects",
-                r.tiers.mass_rejects.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "enum_rejects",
-                r.tiers.enum_rejects.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "rowmax_rejects",
-                r.tiers.rowmax_rejects.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "greedy_rejects",
-                r.tiers.greedy_rejects.to_string(),
-                false,
-            );
-            push_field(
-                &mut o,
-                "      ",
-                "tier2_rejects",
-                r.tiers.tier2_rejects.to_string(),
+                [
+                    ("candidates", r.candidates),
+                    ("processed_pairs", r.processed_pairs),
+                    ("compat_rejected", r.compat_rejected),
+                    ("result_pairs", r.result_pairs),
+                ],
+                &r.tiers,
                 false,
             );
             push_field(&mut o, "      ", "precision", num(r.prf.p), false);
@@ -1031,11 +1070,41 @@ impl WorkloadReport {
                 num(zero_if(!timings, r.verify_cands_per_second)),
                 true,
             );
-            o.push_str(if i + 1 == self.rows.len() {
+            o.push_str(if i + 1 == self.rows.len() && self.search.is_none() {
                 "    }\n"
             } else {
                 "    },\n"
             });
+        }
+        if let Some(r) = &self.search {
+            o.push_str("    {\n");
+            push_field(
+                &mut o,
+                "      ",
+                "id",
+                format!("\"{}\"", json::escape(&r.id)),
+                false,
+            );
+            push_field(
+                &mut o,
+                "      ",
+                "n_records",
+                r.n_records.to_string(),
+                false,
+            );
+            push_field(&mut o, "      ", "queries", r.queries.to_string(), false);
+            push_funnel(
+                &mut o,
+                [
+                    ("candidates", r.candidates),
+                    ("processed_pairs", r.processed_pairs),
+                    ("compat_rejected", r.compat_rejected),
+                    ("result_pairs", r.result_pairs),
+                ],
+                &r.tiers,
+                true,
+            );
+            o.push_str("    }\n");
         }
         o.push_str("  ]\n}\n");
         o
@@ -1432,6 +1501,26 @@ mod tests {
             assert!(r.get("tier0_rejects").unwrap().as_f64().is_some());
             assert!(r.get("mass_rejects").unwrap().as_f64().is_some());
         }
+    }
+
+    #[test]
+    fn search_row_is_a_deterministic_funnel() {
+        let a = run_search_row(5);
+        assert_eq!(a.queries, SEARCH_ROW_QUERIES as u64);
+        assert_eq!(a.tiers.decisions(), a.candidates);
+        assert_eq!(a.tiers.accepted, a.result_pairs);
+        assert!(a.result_pairs > 0 && a.tiers.mass_rejects > 0);
+        let mut rep = run_workload("med", &med_dataset(48, 5), 48, 0.9, 5, 0.04, false);
+        rep.search = Some(a);
+        let first = rep.to_json(false);
+        rep.search = Some(run_search_row(5));
+        assert_eq!(first, rep.to_json(false), "same seed, same bytes");
+        let v = json::Value::parse(&first).expect("emitted JSON parses");
+        let rows = v.get("workloads").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 7);
+        let row = rows.last().unwrap();
+        assert_eq!(row.get("queries").unwrap().as_f64(), Some(200.0));
+        assert!(row.get("mass_rejects").unwrap().as_f64().unwrap() > 0.0);
     }
 
     #[test]

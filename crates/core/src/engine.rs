@@ -49,7 +49,7 @@ use crate::error::AuError;
 use crate::estimate::{CostModel, FilterCounts};
 use crate::index::{CsrIndex, OverlapCounter};
 use crate::join::{
-    batched_verify_index, candidate_pass, verify_candidates, CompatCtx, FilterOutcome, JoinResult,
+    batched_verify_pays, candidate_pass, verify_candidates, CompatCtx, FilterOutcome, JoinResult,
     JoinStats, SelectedSignatures,
 };
 use crate::knowledge::Knowledge;
@@ -61,7 +61,9 @@ use crate::shard::{shard_pair_compatible, ShardPlan, ShardSpec, ShardedPrepared}
 use crate::signature::{FilterKind, MpMode};
 use crate::suggest::{suggest_loop, SuggestConfig, SuggestOutcome};
 use crate::topk::TopkResult;
-use crate::usim::{usim_approx_seg, Verifier, VerifyScratch, VerifyTiers};
+use crate::usim::{
+    usim_approx_seg, GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers,
+};
 use au_text::record::{Corpus, RecordId};
 use au_text::{FxHashMap, ScratchVocab, TokenId};
 use std::collections::VecDeque;
@@ -374,6 +376,10 @@ struct Memo {
     orders: FxHashMap<OrderKey, Arc<PebbleOrder>>,
     sigs: FxHashMap<SigKey, Arc<SelectedSignatures>>,
     csr: FxHashMap<SigKey, Arc<CsrIndex>>,
+    /// [`Prepared::transposed`]: one per corpus (no order, no θ), so
+    /// outside `arrivals` and the capacity bound, which exist for the
+    /// artifacts a threshold sweep multiplies.
+    transposed: Option<Arc<GramPostingsIndex>>,
     hits: u64,
     misses: u64,
     /// Arrival order of every resident entry (front = oldest), kept in
@@ -429,7 +435,9 @@ impl Memo {
 
 /// One corpus, prepared once: segmentation, per-record posting tables
 /// (inside each [`SegRecord`]), cached tier-0 integers, the corpus's pebble
-/// document frequencies, and a memo of order-dependent artifacts. Nothing
+/// document frequencies, and a memo of the artifacts operations derive
+/// from them (per order and θ: order, signatures, CSR index; per corpus:
+/// the verifier's transposed posting index). Nothing
 /// here is proportional to the pebble count — pebbles are regenerated per
 /// record inside signature selection and dropped. Create with
 /// [`Engine::prepare`]; every engine operation consumes `&Prepared`.
@@ -463,7 +471,7 @@ pub struct Prepared {
     /// tier-0 record-level bound `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))`,
     /// packed for O(1) [`Engine::usim_upper_bound`] pre-screens.
     tier0: Vec<(u32, u32)>,
-    prepare_time: Duration,
+    prepare_seconds: f64,
     memo: Mutex<Memo>,
 }
 
@@ -492,13 +500,14 @@ impl Prepared {
     /// Operations on this artifact never pay it again — their
     /// [`JoinStats::prepare_time`] is zero.
     pub fn prepare_seconds(&self) -> f64 {
-        self.prepare_time.as_secs_f64()
+        self.prepare_seconds
     }
 
     /// Deep heap footprint of this artifact in bytes: corpus, segmented
     /// records (posting tables included), tier-0 integers, the document
     /// frequency table, plus every *currently memoized* order / signature
-    /// / CSR artifact. Length-based accounting (buffer lengths, not
+    /// / CSR artifact and the transposed posting index once an operation
+    /// has built it. Length-based accounting (buffer lengths, not
     /// capacities), so the figure is deterministic for a given corpus and
     /// operation history — the number the sharded joins' peak-memory
     /// claim and the perf harness's memory column are measured in.
@@ -525,7 +534,7 @@ impl Prepared {
         for csr in m.csr.values() {
             total += csr.memory_bytes();
         }
-        total
+        total + m.transposed.as_ref().map_or(0, |idx| idx.memory_bytes())
     }
 
     /// Every segmented record, indexed by record id — the slices the
@@ -550,7 +559,8 @@ impl Prepared {
         relock(&self.memo).hits
     }
 
-    /// Memoized-artifact builds (cache misses) so far.
+    /// Memoized-artifact builds (cache misses) so far — orders,
+    /// signatures, CSR indexes, the one transposed posting index.
     pub fn memo_misses(&self) -> u64 {
         relock(&self.memo).misses
     }
@@ -559,7 +569,8 @@ impl Prepared {
     ///
     /// The memo grows by two entries — signatures and CSR index — per
     /// distinct `(order, θ, filter, MP mode)` combination, plus one per
-    /// distinct order. By default it never evicts: a service exposing
+    /// distinct order (the per-corpus transposed posting index is not
+    /// counted here). By default it never evicts: a service exposing
     /// *user-chosen* thresholds to a long-lived `Prepared` should either
     /// bucket them to a fixed grid, set a bound with
     /// [`Prepared::with_memo_capacity`], or call
@@ -599,16 +610,41 @@ impl Prepared {
         relock(&self.memo).evictions
     }
 
-    /// Drop every memoized artifact (the segmentation itself is kept —
-    /// subsequent operations rebuild orders/signatures/indexes lazily,
-    /// never stage 1). Bounds memory for services that stream distinct
-    /// thresholds or join partners through one long-lived `Prepared`.
+    /// Drop every memoized artifact, the transposed posting index
+    /// included (the segmentation itself is kept — subsequent operations
+    /// rebuild orders/signatures/indexes lazily, never stage 1). Bounds
+    /// memory for services that stream distinct thresholds or join
+    /// partners through one long-lived `Prepared`.
     pub fn clear_memo(&self) {
         let mut m = relock(&self.memo);
         m.orders.clear();
         m.sigs.clear();
         m.csr.clear();
         m.arrivals.clear();
+        m.transposed = None;
+    }
+
+    /// The corpus-level transposed posting index (which records carry a
+    /// surface key, gram or rule), built on first use — under the memo
+    /// lock, so exactly once — and shared from then on by every join
+    /// against, and every searcher over, this corpus at any θ.
+    fn transposed(&self) -> Arc<GramPostingsIndex> {
+        let mut m = self.memo();
+        if let Some(idx) = &m.transposed {
+            return idx.clone();
+        }
+        m.misses += 1;
+        let idx = Arc::new(GramPostingsIndex::build(&self.segrecs));
+        m.transposed = Some(idx.clone());
+        idx
+    }
+
+    /// The index stage 5 verifies `n_candidates` against this corpus
+    /// through: [`Prepared::transposed`] once it exists, or when the
+    /// candidates pay for building it; `None` = the probe-grouped path.
+    fn verify_index(&self, n_candidates: usize) -> Option<Arc<GramPostingsIndex>> {
+        let built = self.memo().transposed.is_some();
+        (built || batched_verify_pays(n_candidates, self.len())).then(|| self.transposed())
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -813,7 +849,7 @@ impl Engine {
                 .into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
             tier0,
-            prepare_time: start.elapsed(),
+            prepare_seconds: start.elapsed().as_secs_f64(),
             memo: Mutex::new(Memo::default()),
         }
     }
@@ -994,8 +1030,9 @@ impl Engine {
     /// Stages 2–5 on prepared state, with accepted pairs handed to `sink`
     /// in `(s, t)` order. Candidates are verified in batches of at most
     /// `chunk`, so that many results at most are ever materialized; the
-    /// batches share one corpus-level verification index, chosen once
-    /// from the whole stream's size.
+    /// batches share `t`'s transposed posting index
+    /// ([`Prepared::verify_index`], decided once from the whole stream's
+    /// size).
     fn join_run(
         &self,
         s: &Prepared,
@@ -1009,7 +1046,7 @@ impl Engine {
         let verify_start = Instant::now();
         let mut result_count = 0usize;
         let mut tiers = VerifyTiers::default();
-        let index = batched_verify_index(outcome.candidates.len(), &t.segrecs);
+        let index = t.verify_index(outcome.candidates.len());
         for batch in outcome.candidates.chunks(chunk) {
             let (accepted, batch_tiers) = verify_candidates(
                 &self.kn,
@@ -1019,7 +1056,7 @@ impl Engine {
                 batch,
                 spec.theta,
                 spec.parallel,
-                index.as_ref(),
+                index.as_deref(),
             );
             tiers.merge(&batch_tiers);
             result_count += accepted.len();
@@ -1215,7 +1252,9 @@ impl Engine {
     /// dropped: they are keyed by join partner and every shard pair is
     /// visited once, so no later task could reuse them, while keeping
     /// them would let a band shard accumulate one partner's worth per
-    /// task.
+    /// task. The posting index a task's stage 5 may have built over its
+    /// indexed shard is a transient of that stage, as it always was: gone
+    /// before the sample.
     fn join_shards(
         &self,
         s: &ShardedPrepared,
@@ -1262,6 +1301,7 @@ impl Engine {
                                 .map(|&(a, b, sim)| (ids_a[a as usize], ids_b[b as usize], sim)),
                         );
                     }
+                    relock(&pb.memo).transposed = None;
                     let resident = || held.iter().flatten().chain(&partner);
                     peak_bytes = peak_bytes.max(resident().map(|p| p.memory_bytes()).sum());
                     most_resident = most_resident.max(resident().count());
@@ -1484,6 +1524,9 @@ impl Engine {
             order,
             sel,
             index,
+            // Forced: its build belongs to making the collection
+            // searchable, not to a first query.
+            transposed: c.transposed(),
             counter,
             session: QuerySession::default(),
         })
@@ -1836,7 +1879,7 @@ pub struct Searcher<'e> {
 /// unknown word keeps one identity for the session's lifetime.
 #[derive(Debug, Default)]
 pub struct QuerySession {
-    pool: Mutex<Vec<VerifyScratch>>,
+    pool: Mutex<Vec<RunScratch>>,
     scratch: Mutex<ScratchVocab>,
 }
 
@@ -1876,6 +1919,8 @@ struct SearchCore {
     order: Arc<PebbleOrder>,
     sel: Arc<SelectedSignatures>,
     index: Arc<CsrIndex>,
+    /// A query is one probe run, verified in one walk of this.
+    transposed: Arc<GramPostingsIndex>,
     counter: Mutex<OverlapCounter>,
     session: QuerySession,
 }
@@ -1891,7 +1936,7 @@ impl SearchCore {
         text: &str,
     ) -> SearchOutcome {
         let sr = self.session.segment(kn, cfg, text);
-        self.query_seg(kn, cfg, prepared, &sr)
+        run_query(&self.env(kn, cfg, prepared), &sr)
     }
 
     /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
@@ -1904,31 +1949,29 @@ impl SearchCore {
         tokens: &[TokenId],
     ) -> SearchOutcome {
         let sr = self.session.segment_tokens(kn, cfg, tokens);
-        self.query_seg(kn, cfg, prepared, &sr)
+        run_query(&self.env(kn, cfg, prepared), &sr)
     }
 
-    fn query_seg(
-        &self,
-        kn: &Knowledge,
-        cfg: &SimConfig,
-        prepared: &Prepared,
-        sr: &SegRecord,
-    ) -> SearchOutcome {
-        run_query(
-            &QueryEnv {
-                kn,
-                cfg,
-                spec: &self.spec,
-                segrecs: &prepared.segrecs,
-                order: &self.order,
-                levels: &self.sel.levels,
-                index: &self.index,
-                counter: &self.counter,
-                pool: &self.session.pool,
-                tier0: &prepared.tier0,
-            },
-            sr,
-        )
+    /// What one query evaluation borrows from this session.
+    fn env<'a>(
+        &'a self,
+        kn: &'a Knowledge,
+        cfg: &'a SimConfig,
+        prepared: &'a Prepared,
+    ) -> QueryEnv<'a> {
+        QueryEnv {
+            kn,
+            cfg,
+            spec: &self.spec,
+            segrecs: &prepared.segrecs,
+            order: &self.order,
+            levels: &self.sel.levels,
+            index: &self.index,
+            transposed: &self.transposed,
+            counter: &self.counter,
+            pool: &self.session.pool,
+            tier0: &prepared.tier0,
+        }
     }
 }
 
@@ -2351,6 +2394,66 @@ mod tests {
                 assert_eq!(pairs, whole.pairs, "chunk {chunk} parallel={parallel}");
                 assert_eq!(stats.tiers, whole.stats.tiers, "chunk {chunk}");
             }
+        }
+    }
+
+    /// A query is verified as one run of the transposed index
+    /// (`run_query`); the per-pair form of the same verification
+    /// (`verify_rows`, what a scan does) over the *same* candidates must
+    /// agree in rows, order, similarity bits and in every tier bucket.
+    /// Covers queries with out-of-vocabulary words (overlay ids no posting
+    /// table has seen), the empty query, an empty collection, and — the
+    /// mass counters are shrunk under test — runs counted in several
+    /// chunks.
+    #[test]
+    fn query_run_walk_equals_per_pair_verification_of_its_candidates() {
+        use crate::search::{probe_candidates, verify_rows};
+        let queries = [
+            "coffee shop latte helsinki",
+            "tea cake south garden",
+            "lattte zanzibar qwertz",
+            "espresso cafe house north coffee",
+            "",
+        ];
+        for (n, theta) in [(500, 0.5), (500, 0.8), (0, 0.5)] {
+            let (mut kn, _, _) = setup();
+            let c = pooled_corpus(&mut kn, n, 5);
+            let engine = Engine::new(kn, SimConfig::default()).unwrap();
+            let pt = engine.prepare(&c).unwrap();
+            let spec = JoinSpec::threshold(theta).au_dp(2).serial();
+            let core = engine.search_core(&pt, &spec).unwrap();
+            let env = core.env(&engine.kn, &engine.cfg, &pt);
+            let per_pair = VerifyEnv {
+                kn: &engine.kn,
+                cfg: &engine.cfg,
+                theta,
+                parallel: false,
+                pool: &core.session.pool,
+            };
+            let (mut most, mut seen) = (0usize, VerifyTiers::default());
+            for q in queries {
+                let sr = core.session.segment(&engine.kn, &engine.cfg, q);
+                let walked = run_query(&env, &sr);
+                let (candidates, _) = probe_candidates(&env, &sr);
+                let (matches, tiers) =
+                    verify_rows(&per_pair, &sr, &candidates, |r| &pt.segrecs[r as usize]);
+                let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&walked.matches), bits(&matches), "θ={theta} q={q:?}");
+                assert_eq!(walked.tiers, tiers, "θ={theta} q={q:?}");
+                assert_eq!(walked.candidates, candidates.len() as u64);
+                assert_eq!(walked.tiers.decisions(), walked.candidates);
+                assert_eq!(walked.tiers.accepted, walked.matches.len() as u64);
+                most = most.max(candidates.len() * sr.segments.len());
+                seen.merge(&walked.tiers);
+            }
+            // 256 counters per chunk under test: the big runs were cut.
+            assert!(n == 0 || most > 4 * 256, "largest run: {most} counters");
+            assert!(
+                n == 0 || (seen.accepted > 0 && seen.mass_rejects > 0),
+                "{seen:?}"
+            );
         }
     }
 

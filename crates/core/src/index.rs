@@ -55,6 +55,7 @@
 
 use crate::pebble::PebbleKey;
 use au_text::FxHashMap;
+use std::hash::Hash;
 
 /// Per-record distinct signature keys in one flattened arena.
 ///
@@ -144,75 +145,147 @@ impl RecordKeys {
     }
 }
 
-/// Flattened CSR inverted index: `PebbleKey → (offset, len)` over one
-/// postings arena.
-///
-/// Postings of one key are record ids in ascending order (records are
-/// scattered in id order). Probing is done with
-/// [`OverlapCounter::probe`].
-#[derive(Debug, Default, Clone)]
-pub struct CsrIndex {
-    /// Key → slot. Slot `k` owns `postings[offsets[k] .. offsets[k+1]]`.
-    slots: FxHashMap<PebbleKey, u32>,
+/// A transposed posting table: key → the ascending ids of the records
+/// carrying it, one `key → slot` directory over a single postings arena
+/// (compressed sparse row). The signature index ([`CsrIndex`]) and the
+/// verifier's [`crate::usim::GramPostingsIndex`] tables are both this.
+#[derive(Debug, Clone)]
+pub struct Transposed<K> {
+    /// Key → slot. Slot `k` owns `postings[offsets[k] .. offsets[k + 1]]`.
+    slots: FxHashMap<K, u32>,
     offsets: Vec<u32>,
     postings: Vec<u32>,
-    total_records: usize,
+    /// Records covered: ids `0..records` (of a range's table, its end).
+    records: usize,
+}
+
+/// The signature inverted index of one join side (the `L_S` / `L_T` of
+/// Algorithms 3 and 6), probed with [`OverlapCounter::probe`].
+pub type CsrIndex = Transposed<PebbleKey>;
+
+impl<K> Default for Transposed<K> {
+    fn default() -> Self {
+        Self {
+            slots: FxHashMap::default(),
+            offsets: vec![0],
+            postings: Vec::new(),
+            records: 0,
+        }
+    }
 }
 
 impl CsrIndex {
-    /// Build from per-record distinct key sets (two-pass counting sort:
-    /// count per key, prefix-sum into offsets, scatter record ids).
+    /// Build from per-record distinct key sets — in one range: a signature
+    /// keeps a record's *rarest* keys, so lists are short and cutting the
+    /// records up would only buy directories to merge.
     pub fn from_record_keys(rk: &RecordKeys) -> Self {
-        debug_assert!(
-            rk.keys.len() < u32::MAX as usize,
-            "postings arena overflows u32"
-        );
-        let mut slots: FxHashMap<PebbleKey, u32> = FxHashMap::default();
+        Self::build_range(0, rk.len() as u32, &|r, keys| {
+            keys.extend_from_slice(rk.get(r))
+        })
+    }
+}
+
+impl<K: Copy + Eq + Hash> Transposed<K> {
+    /// The table of records `lo..hi` (ids stay corpus-wide), `keys_into(r,
+    /// buf)` filling the empty `buf` with record `r`'s **distinct** keys:
+    /// count → prefix-sum → scatter with one hash per `(record, key)` —
+    /// the counting pass notes each key's slot, the scatter replays the
+    /// notes in record order, so every list is ascending. Ranges built on
+    /// several threads are joined by [`Transposed::concat`].
+    pub(crate) fn build_range(lo: u32, hi: u32, keys_into: &impl Fn(u32, &mut Vec<K>)) -> Self {
+        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
         let mut counts: Vec<u32> = Vec::new();
-        for &key in &rk.keys {
-            let next = counts.len() as u32;
-            let slot = *slots.entry(key).or_insert(next);
-            if slot == next {
-                counts.push(0);
+        // Slot of every `(record, key)`, records back to back, and how
+        // many each record contributed.
+        let (mut noted, mut lens) = (Vec::new(), Vec::with_capacity((hi - lo) as usize));
+        let mut keys: Vec<K> = Vec::new();
+        for r in lo..hi {
+            keys.clear();
+            keys_into(r, &mut keys);
+            for &key in &keys {
+                let next = counts.len() as u32;
+                let slot = slots.get(&key).copied().unwrap_or(next);
+                if slot == next {
+                    slots.insert(key, next);
+                    counts.push(0);
+                }
+                counts[slot as usize] += 1;
+                noted.push(slot);
             }
-            counts[slot as usize] += 1;
+            lens.push(keys.len());
         }
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
-        let mut sum = 0u32;
-        offsets.push(0u32);
-        for &c in &counts {
-            sum += c;
-            offsets.push(sum);
-        }
-        // Scatter in record order so every posting list stays ascending.
+        let offsets = prefix_sums(&counts, noted.len());
         let mut cursor: Vec<u32> = offsets[..counts.len()].to_vec();
-        let mut postings = vec![0u32; rk.keys.len()];
-        for r in 0..rk.len() as u32 {
-            for &key in rk.get(r) {
-                let slot = slots[&key] as usize;
-                postings[cursor[slot] as usize] = r;
-                cursor[slot] += 1;
+        let mut postings = vec![0u32; noted.len()];
+        let mut noted = noted.into_iter();
+        for (r, len) in (lo..hi).zip(lens) {
+            for slot in noted.by_ref().take(len) {
+                let at = &mut cursor[slot as usize];
+                postings[*at as usize] = r;
+                *at += 1;
             }
         }
         Self {
             slots,
             offsets,
             postings,
-            total_records: rk.len(),
+            records: hi as usize,
         }
     }
 
-    /// Heap footprint in bytes (length-based; the hash map is counted at
-    /// one entry's payload per key so the figure stays deterministic
-    /// across load-factor/capacity differences).
-    pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<(PebbleKey, u32)>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.postings.len() * std::mem::size_of::<u32>()
+    /// The table of consecutive record ranges from the ranges' own tables:
+    /// a key's list is its lists in range order, back to back; slots are
+    /// numbered as keys first appear in that order.
+    pub(crate) fn concat(mut parts: Vec<Self>) -> Self {
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_default();
+        }
+        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        // Per part: the merged slot of each of its slots.
+        let mut merged: Vec<Vec<u32>> = Vec::new();
+        for part in &parts {
+            let mut keys: Vec<Option<K>> = vec![None; part.slots.len()];
+            // det: every key lands at its own slot's index, whatever
+            // order the map yields them in.
+            for (&key, &slot) in part.slots.iter() {
+                keys[slot as usize] = Some(key);
+            }
+            let lens = part.offsets.windows(2).map(|w| w[1] - w[0]);
+            let slot_of = |(key, len)| {
+                let next = counts.len() as u32;
+                let slot = *slots.entry(key).or_insert(next);
+                if slot == next {
+                    counts.push(0);
+                }
+                counts[slot as usize] += len;
+                slot
+            };
+            merged.push(keys.into_iter().flatten().zip(lens).map(slot_of).collect());
+        }
+        let total = parts.iter().map(|p| p.postings.len()).sum();
+        let offsets = prefix_sums(&counts, total);
+        let mut cursor: Vec<u32> = offsets[..counts.len()].to_vec();
+        let mut postings = vec![0u32; total];
+        for (part, merged) in parts.iter().zip(&merged) {
+            for (list, &slot) in part.offsets.windows(2).zip(merged) {
+                let list = &part.postings[list[0] as usize..list[1] as usize];
+                let at = &mut cursor[slot as usize];
+                postings[*at as usize..*at as usize + list.len()].copy_from_slice(list);
+                *at += list.len() as u32;
+            }
+        }
+        Self {
+            slots,
+            offsets,
+            postings,
+            records: parts.last().map_or(0, |p| p.records),
+        }
     }
 
-    /// Records whose signature contains `key` (ascending ids).
-    pub fn get(&self, key: PebbleKey) -> Option<&[u32]> {
+    /// Ids of the records carrying `key` (ascending), `None` when no
+    /// record does.
+    pub fn get(&self, key: K) -> Option<&[u32]> {
         self.slots.get(&key).map(|&slot| {
             let (a, b) = (self.offsets[slot as usize], self.offsets[slot as usize + 1]);
             &self.postings[a as usize..b as usize]
@@ -226,13 +299,38 @@ impl CsrIndex {
 
     /// Number of indexed records.
     pub fn record_count(&self) -> usize {
-        self.total_records
+        self.records
     }
 
     /// Total posting entries (the arena length).
     pub fn posting_count(&self) -> usize {
         self.postings.len()
     }
+
+    /// Heap footprint in bytes (length-based; the hash map is counted at
+    /// one entry's payload per key so the figure stays deterministic
+    /// across load-factor/capacity differences).
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<(K, u32)>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.postings.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// `[0, c0, c0 + c1, …]`: the CSR offsets of lists of the given lengths,
+/// `total` postings in all (u32 keeps the arena cache-dense; a table
+/// crossing 2^32 postings must fail loudly, not wrap).
+fn prefix_sums(counts: &[u32], total: usize) -> Vec<u32> {
+    assert!(
+        u32::try_from(total).is_ok(),
+        "postings arena exceeds u32 offsets ({total} postings)"
+    );
+    let mut sum = 0u32;
+    let sums = counts.iter().map(|&c| {
+        sum += c;
+        sum
+    });
+    std::iter::once(0).chain(sums).collect()
 }
 
 /// Epoch-stamped dense overlap counter: the probe-side scratch of the CSR
@@ -418,9 +516,44 @@ impl OverlapCounter {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl<K: Copy + Ord + Hash> Transposed<K> {
+        /// Every `(key, list)`, by key — the table's whole content, free
+        /// of slot numbering (what the builder-equivalence tests compare).
+        pub(crate) fn sorted_lists(&self) -> Vec<(K, Vec<u32>)> {
+            let mut lists: Vec<(K, Vec<u32>)> = (self.slots.keys())
+                .map(|&k| (k, self.get(k).expect("listed key").to_vec()))
+                .collect();
+            lists.sort_unstable();
+            lists
+        }
+    }
+
+    /// The sort-based transposition `Transposed` replaced — gather every
+    /// `(key, record)` pair, sort, group — kept as the test oracle.
+    pub(crate) fn transpose_by_sorting<K: Ord + Copy>(
+        n_records: usize,
+        keys_into: impl Fn(u32, &mut Vec<K>),
+    ) -> Vec<(K, Vec<u32>)> {
+        let (mut pairs, mut keys) = (Vec::new(), Vec::new());
+        for r in 0..n_records as u32 {
+            keys.clear();
+            keys_into(r, &mut keys);
+            pairs.extend(keys.iter().map(|&k| (k, r)));
+        }
+        pairs.sort_unstable();
+        let mut lists: Vec<(K, Vec<u32>)> = Vec::new();
+        for (k, r) in pairs {
+            match lists.last_mut() {
+                Some((last, list)) if *last == k => list.push(r),
+                _ => lists.push((k, vec![r])),
+            }
+        }
+        lists
+    }
 
     /// A record's key set from gram ids in any order, repeats allowed.
     fn gram_keys(ids: &[u64]) -> Vec<PebbleKey> {
@@ -615,6 +748,38 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The count → prefix-sum → scatter builder against the sort-based
+        /// one it replaced, whole and cut into any number of ranges: same
+        /// key set, same ascending id lists (records with no keys and an
+        /// empty corpus included), and the CSR shape holds together.
+        #[test]
+        fn transposed_equals_the_sort_based_builder(
+            recs in prop::collection::vec(prop::collection::vec(0u64..40, 0..9), 0..30),
+            cuts in 1usize..6,
+        ) {
+            let sets: Vec<Vec<u64>> = recs.iter().map(|r| {
+                let mut r = r.clone();
+                r.sort_unstable();
+                r.dedup();
+                r
+            }).collect();
+            let keys_into = |r: u32, out: &mut Vec<u64>| out.extend_from_slice(&sets[r as usize]);
+            let want = transpose_by_sorting(sets.len(), keys_into);
+            let n = sets.len() as u32;
+            let whole = Transposed::build_range(0, n, &keys_into);
+            prop_assert_eq!(&whole.sorted_lists(), &want);
+            let bound = |p: usize| (sets.len() * p / cuts) as u32;
+            let parts = (0..cuts).map(|p| Transposed::build_range(bound(p), bound(p + 1), &keys_into));
+            let joined = Transposed::concat(parts.collect());
+            prop_assert_eq!(&joined.sorted_lists(), &want);
+            for t in [&whole, &joined] {
+                prop_assert_eq!(t.key_count(), want.len());
+                prop_assert_eq!(t.posting_count(), sets.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(t.offsets.len(), t.key_count() + 1);
+                prop_assert_eq!(t.memory_bytes(), whole.memory_bytes());
+            }
+        }
 
         /// The scan against its definition on random key sets: `b` is
         /// reported ⇔ `|keys(probe) ∩ keys(b)| ≥ max(1, min(τ, level_probe,

@@ -318,18 +318,13 @@ pub fn candidate_pass(
 /// either way.
 const BATCHED_VERIFY_MIN: usize = 2048;
 
-/// The corpus-level posting index of the run-batched verification path
-/// (see [`GramPostingsIndex`]) when a run of `n_candidates` against `t`
-/// is large enough to pay for it, `None` otherwise. A pure function of
+/// Whether verifying `n_candidates` against a collection of `n_t` records
+/// pays for *building* its transposed posting index ([`GramPostingsIndex`];
+/// one that exists already is used whatever the size). A pure function of
 /// sizes, so which path a workload takes is deterministic; results and
-/// tier counters are identical either way, for records of any size (a
-/// run's mass counters are chunked, never overflowed).
-pub(crate) fn batched_verify_index(
-    n_candidates: usize,
-    t: &[SegRecord],
-) -> Option<GramPostingsIndex> {
-    (n_candidates >= BATCHED_VERIFY_MIN && n_candidates * 4 >= t.len() && !t.is_empty())
-        .then(|| GramPostingsIndex::build(t))
+/// tier counters are identical either way.
+pub(crate) fn batched_verify_pays(n_candidates: usize, n_t: usize) -> bool {
+    n_candidates >= BATCHED_VERIFY_MIN && n_candidates * 4 >= n_t && n_t > 0
 }
 
 /// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
@@ -343,10 +338,11 @@ pub(crate) fn batched_verify_index(
 /// document frequencies) and enumerate only the candidates that bound
 /// cannot reject; small ones index the probe side's posting tables once
 /// per run ([`Verifier::begin_probe`]) and stream every partner through
-/// them. Which one runs is decided from the candidate count
-/// (`batched_verify_index`); a long-lived caller verifying many
-/// batches against one `t` (the streaming sink) makes that decision once
-/// for the whole stream and passes its index as `index`. Accepted pairs,
+/// them. With `index = None` the candidate count decides
+/// (`batched_verify_pays`) and an index built here dies with the call;
+/// the engine passes the indexed collection's own (built at most once per
+/// corpus, shared by every sink batch, later join and searcher).
+/// Accepted pairs,
 /// similarities and tier counters are byte-identical on both paths and to
 /// [`verify_candidates_reference`] — `tests/verify_equivalence.rs`
 /// enforces it.
@@ -361,10 +357,8 @@ pub fn verify_candidates(
     parallel: bool,
     index: Option<&GramPostingsIndex>,
 ) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
-    let own_index = match index {
-        Some(_) => None,
-        None => batched_verify_index(candidates.len(), t),
-    };
+    let own_index = (index.is_none() && batched_verify_pays(candidates.len(), t.len()))
+        .then(|| GramPostingsIndex::build(t));
     let index = index.or(own_index.as_ref());
     let engine = Verifier::new(kn, cfg);
     // Worker tallies are folded in the parallel layer's drain hook; the

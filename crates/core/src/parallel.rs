@@ -110,6 +110,7 @@ where
         items,
         parallel,
         threads,
+        MIN_PARALLEL_ITEMS,
         |threads| uniform_units(items.len(), batch_size(items.len(), threads)),
         init,
         run_batch,
@@ -170,17 +171,20 @@ fn run_units<T>(
     units
 }
 
-/// Range-driven core of the batch loop: the unit plan is computed lazily
+/// Range-driven core of the batch loop (lists shorter than `floor` run
+/// serially): the unit plan is computed lazily
 /// from the worker count (the serial path never needs it), units are
 /// claimed off the atomic cursor exactly like uniform batches, and
 /// `drain` runs once per worker
 /// scratch after that worker's last unit (serial: once, at the end) — the
 /// hook callers use to fold per-worker statistics without sharing mutable
 /// state inside the loop.
+#[allow(clippy::too_many_arguments)]
 fn par_units_on<T, U, S, P, I, F, D>(
     items: &[T],
     parallel: bool,
     threads: usize,
+    floor: usize,
     plan: P,
     init: I,
     run_unit: F,
@@ -194,7 +198,7 @@ where
     F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
     D: Fn(&mut S) + Sync,
 {
-    if !parallel || threads <= 1 || items.len() < MIN_PARALLEL_ITEMS {
+    if !parallel || threads <= 1 || items.len() < floor {
         let mut scratch = init();
         let out = run_unit(&mut scratch, items);
         drain(&mut scratch);
@@ -384,6 +388,7 @@ where
         items,
         parallel,
         available_threads(),
+        MIN_PARALLEL_ITEMS,
         |threads| run_units(items, run_key, run_unit_size(items.len(), threads)),
         init,
         frag_fn,
@@ -425,6 +430,27 @@ where
         init,
         |scratch, chunk| chunk.iter().map(|x| f(scratch, x)).collect(),
         drain,
+    )
+}
+
+/// Maps `f` over a handful of heavy, uneven tasks (the pieces of an index
+/// build): one work unit each, parallel from two tasks up — [`par_map`]'s
+/// floor is made for many light items. Results in task order.
+pub(crate) fn par_tasks<T, U, F>(tasks: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    par_units_on(
+        tasks,
+        true,
+        available_threads(),
+        2,
+        |_| uniform_units(tasks.len(), 1),
+        || (),
+        |_, unit| unit.iter().map(&f).collect(),
+        |_| {},
     )
 }
 

@@ -20,12 +20,12 @@
 
 use crate::config::SimConfig;
 use crate::engine::{relock, JoinSpec};
-use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter};
+use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter, ProbeStats};
 use crate::join::{record_signature, SignatureScratch};
 use crate::knowledge::Knowledge;
 use crate::pebble::PebbleOrder;
 use crate::segment::SegRecord;
-use crate::usim::{Verifier, VerifyScratch};
+use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
 use std::sync::Mutex;
 
 /// One query's outcome with filtering statistics.
@@ -43,6 +43,10 @@ pub struct SearchOutcome {
     /// Records rejected by the tier-0 compatibility bound before
     /// verification ([`crate::index::ProbeStats::compat_rejected`]).
     pub compat_rejected: u64,
+    /// Which cascade stage decided each candidate — the join's
+    /// [`crate::join::JoinStats::tiers`] for one probe record
+    /// (`tiers.decisions() == candidates`, whatever the thread count).
+    pub tiers: VerifyTiers,
 }
 
 /// What the verification half of a query needs, indexed or scanned.
@@ -52,7 +56,7 @@ pub(crate) struct VerifyEnv<'a> {
     pub cfg: &'a SimConfig,
     pub theta: f64,
     pub parallel: bool,
-    pub pool: &'a Mutex<Vec<VerifyScratch>>,
+    pub pool: &'a Mutex<Vec<RunScratch>>,
 }
 
 /// Everything one indexed query evaluation needs, borrowed from the
@@ -66,17 +70,18 @@ pub(crate) struct QueryEnv<'a> {
     pub order: &'a PebbleOrder,
     pub levels: &'a [u32],
     pub index: &'a CsrIndex,
+    pub transposed: &'a GramPostingsIndex,
     pub counter: &'a Mutex<OverlapCounter>,
-    pub pool: &'a Mutex<Vec<VerifyScratch>>,
+    pub pool: &'a Mutex<Vec<RunScratch>>,
     /// Per-record tier-0 integers `(|S|, MP(S))` of the indexed
     /// collection, for the in-probe compatibility bound.
     pub tier0: &'a [(u32, u32)],
 }
 
-/// One query against a prepared collection: the same record → signature
-/// pass the indexed side went through ([`record_signature`]) and the CSR
-/// overlap probe produce the candidate rows, [`verify_rows`] decides them.
-pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
+/// The filter half of an indexed query: the same record → signature pass
+/// the indexed side went through ([`record_signature`]), then the CSR
+/// overlap probe. Returns the candidate rows, ascending.
+pub(crate) fn probe_candidates(env: &QueryEnv<'_>, sr: &SegRecord) -> (Vec<u32>, ProbeStats) {
     let (choice, distinct) = record_signature(
         env.kn,
         env.cfg,
@@ -91,47 +96,65 @@ pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
     // The epoch-stamped counter is shared across queries (its whole point
     // is O(1) reuse), so per-query work is proportional to the postings
     // touched, never to the collection size.
-    let (candidates, probe_stats) = {
-        let mut ctr = relock(env.counter);
-        let mut out = Vec::new();
-        let stats = ctr.probe(
-            env.index,
-            &distinct,
-            choice.level,
-            env.spec.filter.tau(),
-            env.levels,
-            None,
-            &CompatBound {
-                tier0: env.tier0,
-                probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
-                min_sim: env.spec.theta - env.cfg.eps,
-            },
-            &mut out,
-        );
-        (out, stats)
-    };
-    let verify = VerifyEnv {
-        kn: env.kn,
-        cfg: env.cfg,
-        theta: env.spec.theta,
-        parallel: env.spec.parallel,
-        pool: env.pool,
-    };
+    let mut ctr = relock(env.counter);
+    let mut out = Vec::new();
+    let stats = ctr.probe(
+        env.index,
+        &distinct,
+        choice.level,
+        env.spec.filter.tau(),
+        env.levels,
+        None,
+        &CompatBound {
+            tier0: env.tier0,
+            probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
+            min_sim: env.spec.theta - env.cfg.eps,
+        },
+        &mut out,
+    );
+    (out, stats)
+}
+
+/// One query against a prepared collection. A query *is* a probe run — one
+/// probe record, its candidates — so it is verified as the join verifies a
+/// run: one walk of the collection's transposed posting index counts every
+/// candidate's shared pebble mass ([`Verifier::verify_run_at_least`],
+/// byte-identical to per-pair calls, tallies included). Serially, on the
+/// caller's thread, over a pooled scratch: the walk costs less than
+/// starting threads for it.
+pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
+    let (candidates, probe_stats) = probe_candidates(env, sr);
+    let run: Vec<(u32, u32)> = candidates.iter().map(|&row| (0, row)).collect();
+    let mut accepted = Vec::new();
+    let mut scratch = relock(env.pool).pop().unwrap_or_default();
+    Verifier::new(env.kn, env.cfg).verify_run_at_least(
+        sr,
+        env.segrecs,
+        &run,
+        env.transposed,
+        env.spec.theta,
+        &mut scratch,
+        &mut accepted,
+    );
+    let tiers = scratch.take_tally();
+    relock(env.pool).push(scratch);
     SearchOutcome {
-        matches: verify_rows(&verify, sr, &candidates, |rid| &env.segrecs[rid as usize]),
+        matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
         candidates: candidates.len() as u64,
         processed: probe_stats.processed,
         compat_rejected: probe_stats.compat_rejected,
+        tiers,
     }
 }
 
 /// One query against `rows` with no filter at all: every row whose tier-0
-/// bound can still reach θ is a candidate, and [`verify_rows`] — the same
-/// verification the indexed path ends in — decides it. Similarity is a
-/// pure function of the pair, so `matches` equal [`run_query`]'s over the
-/// same records bit for bit (the index only ever *removes* non-matches);
-/// the price is verification work linear in `rows.len()`, which is why
-/// this serves small append-only segments and nothing else.
+/// bound can still reach θ is a candidate, and [`verify_rows`] — the
+/// per-pair form of the verification the indexed path ends in — decides
+/// it. Similarity is a pure function of the pair, so `matches` equal
+/// [`run_query`]'s over the same records bit for bit (the index only ever
+/// *removes* non-matches); the price is verification work linear in
+/// `rows.len()`, which is why this serves small append-only segments and
+/// nothing else.
 pub(crate) fn run_scan(env: &VerifyEnv<'_>, rows: &[&SegRecord], sr: &SegRecord) -> SearchOutcome {
     let probe_tier0 = (sr.n_tokens() as u32, sr.min_partition);
     let candidates: Vec<u32> = (0..rows.len() as u32)
@@ -141,30 +164,37 @@ pub(crate) fn run_scan(env: &VerifyEnv<'_>, rows: &[&SegRecord], sr: &SegRecord)
             tier0_compatible(probe_tier0, tier0, env.theta - env.cfg.eps)
         })
         .collect();
+    let (matches, tiers) = verify_rows(env, sr, &candidates, |i| rows[i as usize]);
     SearchOutcome {
-        matches: verify_rows(env, sr, &candidates, |i| rows[i as usize]),
+        matches,
         candidates: candidates.len() as u64,
         processed: 0,
         compat_rejected: (rows.len() - candidates.len()) as u64,
+        tiers,
     }
 }
 
-/// The verification half of every query, indexed or scanned: the *query*
+/// Accepted `(row, similarity)` pairs under the global contract:
+/// descending similarity, ties by ascending row.
+fn ranked(mut matches: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+    matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    matches
+}
+
+/// Verification of loose rows no corpus-level index covers: the *query*
 /// is the probe record of every candidate, so one probe-grouped run of the
 /// joins' cascade engine covers the whole list and the probe-side posting
 /// view is built once per worker fragment. Scratches come from the
-/// session's pool — buffers grown by one query serve the next (serial
-/// and parallel alike; workers check scratches out in `init` and return
-/// them in `drain`), and the pool lock is never held during verification.
-/// Returns the accepted `(row, similarity)` pairs under the global
-/// contract: descending similarity, ties by ascending row. Deterministic
-/// whatever the thread count.
-fn verify_rows<'r>(
+/// session's pool — buffers grown by one query serve the next (workers
+/// check them out in `init` and return them, tally taken, in `drain`), and
+/// the pool lock is never held during verification. Returns the [`ranked`]
+/// matches and the tier tally; deterministic whatever the thread count.
+pub(crate) fn verify_rows<'r>(
     env: &VerifyEnv<'_>,
     sr: &SegRecord,
     candidates: &[u32],
     rec: impl Fn(u32) -> &'r SegRecord + Sync,
-) -> Vec<(u32, f64)> {
+) -> (Vec<(u32, f64)>, VerifyTiers) {
     let VerifyEnv {
         kn,
         cfg,
@@ -173,20 +203,24 @@ fn verify_rows<'r>(
         pool,
     } = *env;
     let engine = Verifier::new(kn, cfg);
-    let mut matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
+    let tally = Mutex::new(VerifyTiers::default());
+    let matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
         candidates,
         parallel,
         |_| 0,
         || relock(pool).pop().unwrap_or_default(),
-        |scr, _| engine.begin_probe(sr, scr),
-        |scr, &rid| {
-            let sim = engine.probed_sim_at_least(sr, rec(rid), theta, scr);
+        |rs: &mut RunScratch, _| engine.begin_probe(sr, &mut rs.verify),
+        |rs, &rid| {
+            let sim = engine.probed_sim_at_least(sr, rec(rid), theta, &mut rs.verify);
             (sim >= theta - cfg.eps).then_some((rid, sim))
         },
-        |scr| relock(pool).push(std::mem::take(scr)),
+        |rs| {
+            relock(&tally).merge(&rs.take_tally());
+            relock(pool).push(std::mem::take(rs));
+        },
     );
-    matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    matches
+    let tiers = *relock(&tally);
+    (ranked(matches), tiers)
 }
 
 #[cfg(test)]
@@ -345,6 +379,12 @@ mod tests {
                     assert_eq!(scanned.compat_rejected, rows.len() as u64 - admitted);
                     assert_eq!(scanned.processed, 0, "a scan reads no postings");
                     assert!(indexed.candidates <= scanned.candidates);
+                    // Each path tallies exactly its own candidates — per
+                    // query, nothing carried over in the pooled scratch.
+                    for out in [&indexed, &scanned] {
+                        assert_eq!(out.tiers.decisions(), out.candidates);
+                        assert_eq!(out.tiers.accepted, out.matches.len() as u64);
+                    }
                 }
             }
         }

@@ -76,6 +76,7 @@
 //! so counts and results are independent of scheduling.
 
 use crate::config::{GramMeasure, SimConfig};
+use crate::index::Transposed;
 use crate::knowledge::Knowledge;
 use crate::msim::MeasureKind;
 use crate::segment::SegRecord;
@@ -98,7 +99,12 @@ const FULL: u32 = 1 << 31;
 
 /// Mass counters (`partners × probe segments`) one worker holds at a
 /// time; a run needing more is counted in partner chunks.
+#[cfg(not(test))]
 const RUN_COUNTERS_MAX: usize = 1 << 20;
+/// Shrunk under test, so that a query's few hundred candidates span
+/// several chunks and this crate's unit tests cross chunk boundaries.
+#[cfg(test)]
+const RUN_COUNTERS_MAX: usize = 256;
 
 /// [`RunScratch`] row of a record that is not a partner of the current
 /// run chunk.
@@ -208,13 +214,11 @@ impl ProbeIndex {
 
     fn fill<K: Eq + Hash + Copy>(map: &mut FxHashMap<K, (u32, u32)>, posts: &[(K, u32)]) {
         map.clear();
-        for_each_group_range(
-            posts,
-            |p| p.0,
-            |k, start, end| {
-                map.insert(k, (start as u32, (end - start) as u32));
-            },
-        );
+        let mut start = 0u32;
+        for_each_group(posts, |k, group| {
+            map.insert(k, (start, group.len() as u32));
+            start += group.len() as u32;
+        });
     }
 }
 
@@ -258,79 +262,106 @@ enum GramSource {
     Probe,
 }
 
-/// One corpus-level transposed posting table: the sorted distinct ids of
-/// the records carrying a key, grouped by key.
-#[derive(Debug, Clone, Default)]
-struct PostingTable {
-    map: FxHashMap<u64, (u32, u32)>,
-    postings: Vec<u32>,
+/// The distinct keys of a key-sorted posting list into the empty `out`.
+/// Branch-free — every key is written, the cursor moves only past a new
+/// one: whether a posting repeats its predecessor's key is a coin flip,
+/// and this loop reads every posting of a corpus.
+fn distinct_keys_into<K: PartialEq + Copy + Into<u64>>(posts: &Posts<K>, out: &mut Vec<u64>) {
+    let Some(&(first, _)) = posts.first() else {
+        return;
+    };
+    out.resize(posts.len(), first.into());
+    let mut n = 1usize;
+    for w in posts.windows(2) {
+        out[n] = w[1].0.into();
+        n += usize::from(w[1].0 != w[0].0);
+    }
+    out.truncate(n);
 }
 
-impl PostingTable {
-    fn build<K: PartialEq + Copy + Into<u64>>(
-        recs: &[SegRecord],
-        posts_of: impl Fn(&SegRecord) -> &[(K, u32)],
-    ) -> Self {
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        for (rid, rec) in recs.iter().enumerate() {
-            for_each_group(posts_of(rec), |k, _| pairs.push((k.into(), rid as u32)));
-        }
-        pairs.sort_unstable();
-        let mut map = FxHashMap::default();
-        for_each_group_range(
-            &pairs,
-            |p| p.0,
-            |k, start, end| {
-                map.insert(k, (start as u32, (end - start) as u32));
-            },
-        );
-        Self {
-            map,
-            postings: pairs.into_iter().map(|(_, rid)| rid).collect(),
-        }
-    }
+/// Fewest records per gram range of [`GramPostingsIndex::build`] (each
+/// range hashes a directory of every gram it sees).
+const GRAM_RANGE_RECORDS: usize = 512;
 
-    /// Ids of the records carrying `key` (ascending).
-    fn records(&self, key: u64) -> &[u32] {
-        self.map
-            .get(&key)
-            .map_or(&[], |&(o, l)| &self.postings[o as usize..(o + l) as usize])
-    }
-}
-
-/// Corpus-level transposed posting tables of one prepared join side
-/// (surface keys, grams, synonym rules): which *records* carry a key —
-/// the mass bound never asks which segment. Built once per verification
-/// stage and shared read-only across workers; a run's mass count
-/// ([`Verifier::verify_run_at_least`]) walks only the probe record's
-/// keys' posting lists — work proportional to the probe's document
-/// frequencies, instead of every partner's full posting tables.
+/// Corpus-level transposed posting tables of one prepared collection
+/// (surface keys, grams, synonym rules; rule ids widened to u64): which
+/// *records* carry a key — the mass bound never asks which segment. An
+/// artifact of the corpus alone (no order, no θ), built at most once per
+/// [`crate::engine::Prepared`] and shared read-only by every join against
+/// and query over it. A run's mass count
+/// ([`Verifier::verify_run_at_least`]) walks only the probe record's keys'
+/// posting lists — work proportional to the probe's document frequencies,
+/// instead of every partner's full posting tables.
 #[derive(Debug, Clone, Default)]
 pub struct GramPostingsIndex {
-    keys: PostingTable,
-    grams: PostingTable,
-    rules: PostingTable,
+    keys: Transposed<u64>,
+    grams: Transposed<u64>,
+    rules: Transposed<u64>,
 }
 
 impl GramPostingsIndex {
-    /// Transpose the per-record posting tables of `recs`. Rule ids are
-    /// u32 in [`SegRecord`]; the shared tables widen them to u64.
+    /// Transpose the per-record posting tables of `recs`. Grams are shared
+    /// by much of the corpus, so their table — nine tenths of the postings
+    /// — is built over record ranges (two per worker) and concatenated; a
+    /// surface key or a rule is carried by a record or two, so those
+    /// tables (almost a key per posting) are built whole, beside the gram
+    /// ranges (`parallel::par_tasks`, longest task first). Every
+    /// list is the same whatever the thread count.
     pub fn build(recs: &[SegRecord]) -> Self {
+        let workers = crate::parallel::available_threads();
+        Self::build_in(
+            recs,
+            (recs.len() / GRAM_RANGE_RECORDS).clamp(1, 2 * workers),
+        )
+    }
+
+    /// [`GramPostingsIndex::build`] with the gram table cut into `ranges`.
+    fn build_in(recs: &[SegRecord], ranges: usize) -> Self {
+        #[derive(Clone, Copy)]
+        enum Task {
+            Keys,
+            Grams(u32, u32),
+            Rules,
+        }
+        fn table<'r, K: PartialEq + Copy + Into<u64> + 'r>(
+            (lo, hi): (u32, u32),
+            posts_of: impl Fn(u32) -> &'r Posts<K>,
+        ) -> Transposed<u64> {
+            Transposed::build_range(lo, hi, &|r, out| distinct_keys_into(posts_of(r), out))
+        }
+        let n = u32::try_from(recs.len()).expect("record ids exceed u32");
+        let of = |r: u32| &recs[r as usize];
+        let bound = |p: usize| (recs.len() * p / ranges) as u32;
+        let tasks: Vec<Task> = std::iter::once(Task::Keys)
+            .chain((0..ranges).map(|p| Task::Grams(bound(p), bound(p + 1))))
+            .chain([Task::Rules])
+            .collect();
+        let mut built = crate::parallel::par_tasks(&tasks, |&task| match task {
+            Task::Keys => table((0, n), |r| &of(r).key_posts),
+            Task::Grams(lo, hi) => table((lo, hi), |r| &of(r).gram_posts),
+            Task::Rules => table((0, n), |r| &of(r).rule_posts),
+        })
+        .into_iter();
         Self {
-            keys: PostingTable::build(recs, |r| &r.key_posts),
-            grams: PostingTable::build(recs, |r| &r.gram_posts),
-            rules: PostingTable::build(recs, |r| &r.rule_posts),
+            keys: built.next().unwrap_or_default(),
+            rules: built.next_back().unwrap_or_default(),
+            grams: Transposed::concat(built.collect()),
         }
     }
 
     /// Total posting entries (diagnostics).
     pub fn len(&self) -> usize {
-        self.keys.postings.len() + self.grams.postings.len() + self.rules.postings.len()
+        self.keys.posting_count() + self.grams.posting_count() + self.rules.posting_count()
     }
 
     /// True when no record contributed a posting.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Heap footprint in bytes (length-based, deterministic).
+    pub fn memory_bytes(&self) -> usize {
+        self.keys.memory_bytes() + self.grams.memory_bytes() + self.rules.memory_bytes()
     }
 }
 
@@ -401,14 +432,14 @@ impl RunScratch {
 /// a key of that segment — once per distinct key.
 fn walk_postings<K: PartialEq + Copy + Into<u64>>(
     posts: &[(K, u32)],
-    table: &PostingTable,
+    table: &Transposed<u64>,
     row_of: &[u32],
     ns: usize,
     acc: &mut [u32],
     hit: impl Fn(&mut u32),
 ) {
     for_each_group(posts, |key, sg| {
-        for &b in table.records(key.into()) {
+        for &b in table.get(key.into()).unwrap_or_default() {
             let row = row_of[b as usize];
             if row != NO_ROW {
                 for &(_, sa) in sg {
@@ -1182,31 +1213,19 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// Iterate the key-groups of any key-sorted slice: `f(key, start, end)`
-/// fires once per distinct key with the `[start, end)` range of
-/// contiguous items carrying it. The one group-walk implementation
-/// behind the probe index, the corpus-level posting tables and the
+/// Iterate the key-groups of a sorted posting list: `f(key, group)` fires
+/// once per distinct key with the contiguous entries carrying it. The one
+/// group-walk behind the probe index, the run-level posting walk and the
 /// posting-list joins.
-fn for_each_group_range<T, K: PartialEq + Copy>(
-    items: &[T],
-    key: impl Fn(&T) -> K,
-    mut f: impl FnMut(K, usize, usize),
-) {
+fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, &[(K, u32)])) {
     let mut i = 0usize;
-    while i < items.len() {
-        let k = key(&items[i]);
-        let start = i;
-        while i < items.len() && key(&items[i]) == k {
+    while i < posts.len() {
+        let (k, start) = (posts[i].0, i);
+        while i < posts.len() && posts[i].0 == k {
             i += 1;
         }
-        f(k, start, i);
+        f(k, &posts[start..i]);
     }
-}
-
-/// Iterate the key-groups of a sorted posting list: `f(key, group)` fires
-/// once per distinct key with the contiguous entries carrying it.
-fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, &[(K, u32)])) {
-    for_each_group_range(posts, |p| p.0, |k, start, end| f(k, &posts[start..end]));
 }
 
 /// A sorted posting list.
@@ -1543,6 +1562,117 @@ mod tests {
             );
             assert_eq!(bt, pt, "θ={theta}: batched vs per-pair");
             assert_eq!(probed.take_tally(), pt, "θ={theta}: probed vs per-pair");
+        }
+    }
+
+    /// `n` records of 1–6 words drawn (deterministically in `salt`) from
+    /// a pool that holds the knowledge's rule sides and entities, one empty
+    /// record among them.
+    fn pooled_lines(n: usize, salt: u32) -> Vec<String> {
+        const POOL: [&str; 14] = [
+            "coffee",
+            "shop",
+            "cafe",
+            "latte",
+            "espresso",
+            "helsinki",
+            "helsingki",
+            "cake",
+            "gateau",
+            "apple",
+            "tea",
+            "corner",
+            "north",
+            "zanzibar",
+        ];
+        let mut x = 0x9e37_79b9_u32 ^ salt;
+        let mut next = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (x >> 16) as usize
+        };
+        (0..n)
+            .map(|i| {
+                let words = if i == n / 2 { 0 } else { 1 + next() % 6 };
+                let line: Vec<&str> = (0..words).map(|_| POOL[next() % POOL.len()]).collect();
+                line.join(" ")
+            })
+            .collect()
+    }
+
+    fn segment_lines(kn: &mut Knowledge, cfg: &SimConfig, lines: &[String]) -> Vec<SegRecord> {
+        let c = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        c.iter()
+            .map(|r| segment_record(kn, cfg, &r.tokens))
+            .collect()
+    }
+
+    /// The three tables of `idx` against the sort-based builder.
+    fn assert_index_equals_sorted(idx: &GramPostingsIndex, recs: &[SegRecord], ctx: &str) {
+        use crate::index::tests::transpose_by_sorting;
+        let of = |r: u32| &recs[r as usize];
+        let n = recs.len();
+        let keys = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).key_posts, out));
+        let grams = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).gram_posts, out));
+        let rules = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).rule_posts, out));
+        assert_eq!(idx.keys.sorted_lists(), keys, "{ctx}: surface keys");
+        assert_eq!(idx.grams.sorted_lists(), grams, "{ctx}: grams");
+        assert_eq!(idx.rules.sorted_lists(), rules, "{ctx}: rules");
+        assert_eq!(
+            idx.len(),
+            keys.iter()
+                .chain(&grams)
+                .chain(&rules)
+                .map(|(_, l)| l.len())
+                .sum::<usize>()
+        );
+    }
+
+    /// The range-parallel builder equals the sort-based one it replaced —
+    /// same key sets, same ascending id lists — however many ranges the
+    /// gram table is cut into (one, as many as three workers would get,
+    /// more than there are records), with every measure subset (J off: no
+    /// record has a gram), on an empty corpus, and through the public
+    /// entry point on this host's thread count.
+    #[test]
+    fn transposed_index_equals_the_sort_based_builder() {
+        for measures in [MeasureSet::TJS, MeasureSet::J, MeasureSet::S] {
+            let cfg = SimConfig::default().with_measures(measures);
+            let mut kn = kn_figure1();
+            let recs = segment_lines(&mut kn, &cfg, &pooled_lines(700, 7));
+            assert!(recs.iter().any(|r| r.tokens.is_empty()));
+            assert_eq!(
+                recs.iter().all(|r| r.gram_posts.is_empty()),
+                !measures.contains(MeasureSet::J)
+            );
+            let whole = GramPostingsIndex::build_in(&recs, 1);
+            assert_index_equals_sorted(&whole, &recs, &format!("{measures:?} whole"));
+            for ranges in [2, 6, 701] {
+                let cut = GramPostingsIndex::build_in(&recs, ranges);
+                assert_index_equals_sorted(&cut, &recs, &format!("{measures:?} {ranges} ranges"));
+                assert_eq!(cut.memory_bytes(), whole.memory_bytes());
+            }
+            assert_index_equals_sorted(&GramPostingsIndex::build(&recs), &recs, "build");
+        }
+        let none = GramPostingsIndex::build(&[]);
+        assert!(none.is_empty());
+        assert_index_equals_sorted(&none, &[], "empty corpus");
+    }
+
+    /// `distinct_keys_into` is `dedup` on the key column.
+    #[test]
+    fn distinct_keys_are_the_deduplicated_key_column() {
+        let mut out = Vec::new();
+        for posts in [
+            vec![],
+            vec![(7u64, 0u32)],
+            vec![(1, 0), (1, 1), (1, 2)],
+            vec![(1, 0), (2, 0), (2, 3), (5, 1), (9, 0), (9, 9)],
+        ] {
+            out.clear();
+            distinct_keys_into(&posts, &mut out);
+            let mut want: Vec<u64> = posts.iter().map(|p| p.0).collect();
+            want.dedup();
+            assert_eq!(out, want);
         }
     }
 

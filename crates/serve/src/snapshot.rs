@@ -6,6 +6,7 @@ use crate::tombstone::TombstoneSet;
 use au_core::engine::{Engine, JoinSpec, QuerySession, SnapshotSearcher};
 use au_core::search::SearchOutcome;
 use au_core::segment::{segment_record, SegRecord};
+use au_core::usim::VerifyTiers;
 use au_core::{Knowledge, SimConfig};
 use au_text::record::{Corpus, Record, RecordId};
 use std::sync::Arc;
@@ -98,6 +99,10 @@ pub struct SearchResponse {
     pub processed: u64,
     /// Matches suppressed because their id was tombstoned.
     pub masked: u64,
+    /// Which verification tier decided each candidate, summed over both
+    /// segments (`tiers.decisions() == candidates`; tombstoned matches
+    /// were verified and count as accepted).
+    pub tiers: VerifyTiers,
 }
 
 /// A top-k search answered by threshold descent over one snapshot.
@@ -262,12 +267,14 @@ impl Snapshot {
             push(self.base_ids[row as usize], sim);
         }
         let (mut candidates, mut processed) = (base.candidates, base.processed);
+        let mut tiers = base.tiers;
         if let Some(out) = &delta {
             for &(row, sim) in &out.matches {
                 push(self.delta[row as usize].id, sim);
             }
             candidates += out.candidates;
             processed += out.processed;
+            tiers.merge(&out.tiers);
         }
         // Each segment arrives sorted; re-establish the global contract
         // across segments: descending similarity, ties ascending id.
@@ -278,6 +285,7 @@ impl Snapshot {
             candidates,
             processed,
             masked,
+            tiers,
         }
     }
 

@@ -13,7 +13,15 @@
 //! segment-pair enumeration (tier 0, the mass bound), share the probe
 //! side's work across a run and reuse every per-candidate buffer (tier
 //! 2): none of it may change a single output bit.
+//!
+//! A *query* is one such run, verified in one walk of the collection's
+//! transposed posting index — built once per `Prepared`, shared by every
+//! join and searcher over it. The second half of this file holds queries
+//! to the same standard: `Searcher::query` against the filterless,
+//! per-pair `Engine::scan` of the same rows, from many threads at once,
+//! with exactly one index build behind all of it.
 
+use au_join::core::engine::QuerySession;
 use au_join::core::join::{verify_candidates, verify_candidates_reference};
 use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::usim::{
@@ -209,6 +217,185 @@ fn cascade_bounds_dominate_usim_on_datagen() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Queries are runs.
+
+/// Every S record of `ds` as a query, each fourth one with a word no
+/// vocabulary holds appended (an out-of-vocabulary token: overlay id,
+/// grams the index may or may not know), plus the empty query.
+fn query_set(ds: &LabeledDataset) -> Vec<String> {
+    let mut queries: Vec<String> = (ds.s.records().iter().enumerate())
+        .map(|(i, r)| match i % 4 {
+            0 => format!("{} zzyzxq", r.raw),
+            _ => r.raw.clone(),
+        })
+        .collect();
+    queries.push(String::new());
+    queries
+}
+
+fn match_bits(m: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+}
+
+/// `Searcher::query` (probe, then one run walk of the transposed index)
+/// against `Engine::scan` over *all* rows (no filter; every tier-0
+/// compatible row verified pair by pair): identical rows, order and
+/// similarity bits. The scan's candidates are a superset of the
+/// query's, so its tier tally dominates bucket by bucket, and both
+/// account for exactly their own candidates.
+fn check_queries(ds: &LabeledDataset, theta: f64) {
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+    let spec = JoinSpec::threshold(theta).au_dp(2);
+    let searcher = engine.searcher(&pt, &spec).expect("searcher");
+    let session = QuerySession::default();
+    let mut accepted = 0u64;
+    for q in query_set(ds) {
+        let walked = searcher.query(&q);
+        let scanned = engine.scan(&session, &rows, &q, &spec);
+        let ctx = format!("θ={theta} q={q:?}");
+        assert_eq!(
+            match_bits(&walked.matches),
+            match_bits(&scanned.matches),
+            "{ctx}"
+        );
+        for out in [&walked, &scanned] {
+            assert_eq!(out.tiers.decisions(), out.candidates, "{ctx}");
+            assert_eq!(out.tiers.accepted, out.matches.len() as u64, "{ctx}");
+        }
+        let (w, s) = (walked.tiers, scanned.tiers);
+        assert!(
+            w.tier0_rejects <= s.tier0_rejects
+                && w.mass_rejects <= s.mass_rejects
+                && w.enum_rejects <= s.enum_rejects
+                && w.rowmax_rejects <= s.rowmax_rejects
+                && w.greedy_rejects <= s.greedy_rejects
+                && w.tier2_rejects <= s.tier2_rejects,
+            "{ctx}: {w:?} vs {s:?}"
+        );
+        accepted += w.accepted;
+    }
+    assert!(accepted > 0, "θ={theta}: no query matched anything");
+}
+
+#[test]
+fn queries_equal_a_per_pair_scan_on_med_and_wiki() {
+    for theta in [0.6, 0.9] {
+        check_queries(&med_ds(), theta);
+    }
+    check_queries(&wiki_ds(), 0.8);
+}
+
+#[test]
+fn queries_on_an_empty_collection_match_nothing() {
+    let ds = med_ds();
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
+    let empty = engine.prepare(&Corpus::new()).expect("prepare nothing");
+    let spec = JoinSpec::threshold(0.8).au_dp(2);
+    let searcher = engine.searcher(&empty, &spec).expect("searcher");
+    for q in query_set(&ds).iter().take(8) {
+        let out = searcher.query(q);
+        assert!(out.matches.is_empty());
+        assert_eq!((out.candidates, out.tiers.decisions()), (0, 0));
+    }
+}
+
+/// Eight threads querying one `Searcher` and one `SnapshotSearcher` at
+/// once — every query from every thread, released together — get the
+/// answers (matches, counters, tiers) a lone caller gets: the pooled run
+/// scratches and the shared index carry nothing from one query to the
+/// next.
+#[test]
+fn concurrent_queries_return_the_serial_answers() {
+    use std::sync::{Arc, Barrier};
+    let ds = med_ds();
+    let engine = Arc::new(Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine"));
+    let pt = Arc::new(engine.prepare(&ds.t).expect("prepare T"));
+    let spec = JoinSpec::threshold(0.7).au_dp(2);
+    let borrowed = engine.searcher(&pt, &spec).expect("searcher");
+    let owned =
+        Engine::snapshot_searcher(engine.clone(), pt.clone(), &spec).expect("snapshot searcher");
+    let queries = query_set(&ds);
+    let answer = |out: SearchOutcome| {
+        (
+            match_bits(&out.matches),
+            out.candidates,
+            out.processed,
+            out.compat_rejected,
+            out.tiers,
+        )
+    };
+    let serial: Vec<_> = queries.iter().map(|q| answer(borrowed.query(q))).collect();
+    let threads = 8;
+    let barrier = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (barrier, queries, serial) = (&barrier, &queries, &serial);
+            let (borrowed, owned) = (&borrowed, &owned);
+            scope.spawn(move || {
+                barrier.wait();
+                // Each thread starts elsewhere, so different queries
+                // overlap in time.
+                for i in 0..queries.len() {
+                    let i = (i + t * 37) % queries.len();
+                    let got = match t % 2 {
+                        0 => borrowed.query(&queries[i]),
+                        _ => owned.query(&queries[i]),
+                    };
+                    assert_eq!(answer(got), serial[i], "thread {t} query {i}");
+                }
+            });
+        }
+    });
+}
+
+/// The transposed posting index is an artifact of the corpus alone: a
+/// join large enough to want it and two searchers at different θ, in
+/// either order, build it exactly once (`memo_misses` counts every
+/// memoized build: the order, signatures + CSR per θ, and the index).
+#[test]
+fn joins_and_searchers_share_one_transposed_index() {
+    let ds = med_ds();
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let searcher_builds = |pt: &Prepared, theta: f64| {
+        let before = pt.memo_misses();
+        let spec = JoinSpec::threshold(theta).au_dp(2);
+        engine.searcher(pt, &spec).expect("searcher").query("x");
+        pt.memo_misses() - before
+    };
+    // Searchers first: order + signatures + CSR + the index, then
+    // signatures + CSR alone; the R×S join adds its pair order, its
+    // signatures and CSR — and finds the index there.
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let fresh = pt.memory_bytes();
+    assert_eq!(searcher_builds(&pt, 0.9), 4);
+    let with_index = pt.memory_bytes();
+    assert_eq!(searcher_builds(&pt, 0.6), 2);
+    let before = pt.memo_misses();
+    let joined = engine
+        .join(&ps, &pt, &JoinSpec::threshold(0.5))
+        .expect("join");
+    assert!(joined.stats.candidates >= BATCHED_MIN as u64);
+    assert_eq!(pt.memo_misses() - before, 2, "signatures + CSR only");
+    // Join first: it builds the index (one miss more than above), and
+    // neither searcher builds it again.
+    let pt2 = engine.prepare(&ds.t).expect("prepare T again");
+    let rejoined = engine
+        .join(&ps, &pt2, &JoinSpec::threshold(0.5))
+        .expect("join");
+    assert_eq!(pt2.memo_misses(), 3, "signatures + CSR + the index");
+    assert_eq!(searcher_builds(&pt2, 0.9), 3);
+    assert_eq!(searcher_builds(&pt2, 0.6), 2);
+    assert_bit_identical(&joined.pairs, &rejoined.pairs, "shared vs own index");
+    // Counted once built, dropped with the memo.
+    assert!(with_index > fresh);
+    pt.clear_memo();
+    assert_eq!(pt.memory_bytes(), fresh);
 }
 
 // ---------------------------------------------------------------------

@@ -9,9 +9,14 @@
 //! guaranteeing the override is what the work-stealing layer sees. On
 //! multi-core hosts this exercises true 3-worker scheduling of the
 //! run-aligned fragments; on single-core CI it still pins the worker
-//! count deterministically.
+//! count deterministically. The same pin cuts the transposed posting
+//! index's gram table into ranges built on three workers
+//! (`GramPostingsIndex::build`); queries verified through it must equal a
+//! per-pair scan that never touches it.
 
+use au_join::core::engine::QuerySession;
 use au_join::core::join::{verify_candidates, verify_candidates_reference};
+use au_join::core::segment::SegRecord;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
@@ -54,4 +59,28 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
             assert_eq!(serial_tiers.decisions(), cands.len() as u64);
         }
     }
+
+    // Past 512 records per range the index's gram table is built in
+    // ranges (three here) and concatenated: every query through it must
+    // answer as the filterless per-pair scan does, tiers accounted.
+    let big = LabeledDataset::generate(&profile, 1600, 1600, 300, 19);
+    let engine = Engine::new(big.kn.clone(), cfg).expect("engine");
+    let pt = engine.prepare(&big.t).expect("prepare T");
+    let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+    let spec = JoinSpec::threshold(0.8).au_dp(2);
+    let searcher = engine.searcher(&pt, &spec).expect("searcher");
+    let session = QuerySession::default();
+    let mut matched = 0usize;
+    for r in big.s.records().iter().step_by(40) {
+        let walked = searcher.query(&r.raw);
+        let scanned = engine.scan(&session, &rows, &r.raw, &spec);
+        let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            m.iter().map(|&(row, sim)| (row, sim.to_bits())).collect()
+        };
+        assert_eq!(bits(&walked.matches), bits(&scanned.matches), "{:?}", r.raw);
+        assert_eq!(walked.tiers.decisions(), walked.candidates);
+        assert_eq!(walked.tiers.accepted, scanned.tiers.accepted);
+        matched += walked.matches.len();
+    }
+    assert!(matched > 0, "no query matched anything");
 }
