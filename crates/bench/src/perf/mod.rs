@@ -806,7 +806,7 @@ pub fn run_workload(
                 id: format!("{name}/{fname}/{mode}"),
                 filter: fname.to_string(),
                 mode,
-                prepare_seconds: zero_if(!timings, res.stats.prepare_time.as_secs_f64()),
+                prepare_seconds: 0.0,
                 candidates: res.stats.candidates,
                 processed_pairs: res.stats.processed_pairs,
                 compat_rejected: res.stats.compat_rejected,

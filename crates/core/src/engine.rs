@@ -47,7 +47,7 @@
 use crate::config::SimConfig;
 use crate::error::AuError;
 use crate::estimate::{CostModel, FilterCounts};
-use crate::index::{CsrIndex, OverlapCounter};
+use crate::index::CsrIndex;
 use crate::join::{
     batched_verify_pays, candidate_pass, verify_candidates, CompatCtx, FilterOutcome, JoinResult,
     JoinStats, SelectedSignatures,
@@ -55,17 +55,16 @@ use crate::join::{
 use crate::knowledge::Knowledge;
 use crate::pebble::{DocFreqs, PebbleOrder};
 use crate::probe::{probe_loop, ProbeOutcome};
-use crate::search::{run_query, run_scan, QueryEnv, SearchOutcome, VerifyEnv};
-use crate::segment::{segment_record, segment_record_with, segment_stats, SegRecord};
+use crate::search::{run_scan, SearchCore, SearchOutcome};
+pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
+use crate::segment::{segment_record, segment_stats, SegRecord};
 use crate::shard::{shard_pair_compatible, ShardPlan, ShardSpec, ShardedPrepared};
 use crate::signature::{FilterKind, MpMode};
 use crate::suggest::{suggest_loop, SuggestConfig, SuggestOutcome};
 use crate::topk::TopkResult;
-use crate::usim::{
-    usim_approx_seg, GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers,
-};
+use crate::usim::{usim_approx_seg, GramPostingsIndex, Verifier, VerifyScratch, VerifyTiers};
 use au_text::record::{Corpus, RecordId};
-use au_text::{FxHashMap, ScratchVocab, TokenId};
+use au_text::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -470,7 +469,7 @@ pub struct Prepared {
     /// `(|S|, MP(S))` per record — the two integers of the verifier's
     /// tier-0 record-level bound `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))`,
     /// packed for O(1) [`Engine::usim_upper_bound`] pre-screens.
-    tier0: Vec<(u32, u32)>,
+    pub(crate) tier0: Vec<(u32, u32)>,
     prepare_seconds: f64,
     memo: Mutex<Memo>,
 }
@@ -497,8 +496,8 @@ impl Prepared {
     }
 
     /// Wall-clock spent segmenting at [`Engine::prepare`] time.
-    /// Operations on this artifact never pay it again — their
-    /// [`JoinStats::prepare_time`] is zero.
+    /// Operations on this artifact never pay it again — [`JoinStats`]
+    /// times stages 2–5 only.
     pub fn prepare_seconds(&self) -> f64 {
         self.prepare_seconds
     }
@@ -641,7 +640,7 @@ impl Prepared {
 
     /// The index stage 5 verifies `n_candidates` against this corpus
     /// through: [`Prepared::transposed`] once it exists, or when the
-    /// candidates pay for building it; `None` = the probe-grouped path.
+    /// candidates pay for building it; `None` = count pair by pair.
     fn verify_index(&self, n_candidates: usize) -> Option<Arc<GramPostingsIndex>> {
         let built = self.memo().transposed.is_some();
         (built || batched_verify_pays(n_candidates, self.len())).then(|| self.transposed())
@@ -676,7 +675,8 @@ impl Prepared {
 /// assert_eq!(res.pairs[0].0, 0);
 /// // Second operation on the same artifacts skips preparation entirely.
 /// let again = engine.join(&ps, &pt, &JoinSpec::threshold(0.7).au_dp(2)).unwrap();
-/// assert_eq!(again.stats.prepare_time.as_nanos(), 0);
+/// assert_eq!(again.pairs, res.pairs);
+/// assert!(pt.memo_hits() > 0);
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -1065,7 +1065,6 @@ impl Engine {
             }
         }
         JoinStats {
-            prepare_time: Duration::ZERO,
             sig_time,
             filter_time,
             verify_time: verify_start.elapsed(),
@@ -1438,23 +1437,15 @@ impl Engine {
             let done = res.pairs.len() >= spec.k || theta <= spec.theta_floor + self.cfg.eps;
             if done {
                 // Re-score fully (the verifier's early-accept may report a
-                // lower bound), rank, truncate. Accepted pairs arrive
-                // sorted by probe record, so re-scoring rides the same
-                // probe-grouped engine as stage-5 verification.
+                // lower bound), rank, truncate.
                 let verifier = Verifier::new(&self.kn, &self.cfg);
-                let mut pairs: Vec<(u32, u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
+                let mut pairs: Vec<(u32, u32, f64)> = crate::parallel::par_map_scratch(
                     &res.pairs,
                     spec.parallel,
-                    |&(a, _, _)| a as u64,
                     VerifyScratch::default,
-                    |scr, &(a, _, _)| verifier.begin_probe(&s.segrecs[a as usize], scr),
                     |scr, &(a, b, _)| {
-                        let sim = verifier.probed_sim(
-                            &s.segrecs[a as usize],
-                            &t.segrecs[b as usize],
-                            scr,
-                        );
-                        Some((a, b, sim))
+                        let sim = verifier.sim(&s.segrecs[a as usize], &t.segrecs[b as usize], scr);
+                        (a, b, sim)
                     },
                     |_| {},
                 );
@@ -1518,7 +1509,6 @@ impl Engine {
         let order = self.order_self(c);
         let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
         let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &sel);
-        let counter = Mutex::new(OverlapCounter::new(index.record_count()));
         Ok(SearchCore {
             spec: *spec,
             order,
@@ -1527,7 +1517,6 @@ impl Engine {
             // Forced: its build belongs to making the collection
             // searchable, not to a first query.
             transposed: c.transposed(),
-            counter,
             session: QuerySession::default(),
         })
     }
@@ -1539,32 +1528,24 @@ impl Engine {
     /// carry row indices into `rows` and equal, bit for bit, what
     /// [`Searcher::query`] returns over the same records: both end in the
     /// same verification and similarity is a pure function of the pair.
-    /// Cost is verification work linear in `rows.len()` — the trade a
-    /// small append-only segment (`au-serve`'s delta) wants, and nothing
-    /// larger does.
+    /// Cost is verification work linear in `rows.len()`, on the caller's
+    /// thread — the trade a small append-only segment (`au-serve`'s delta)
+    /// wants, and nothing larger does.
     ///
-    /// Only the spec's θ and parallel switch are read (there is no
-    /// signature to select), so no spec can fail here. Each row must have
-    /// been segmented ([`crate::segment::segment_record`]) under this
-    /// engine's configuration and under this knowledge or an earlier
-    /// state of the same lineage — interning only appends, so earlier
-    /// segmentations stay valid.
+    /// Only the spec's θ is read (there is no signature to select), so no
+    /// spec can fail here. `query` ([`QuerySession::segment`]) and each
+    /// row ([`crate::segment::segment_record`]) must have been segmented
+    /// under this engine's configuration and under this knowledge or an
+    /// earlier state of the same lineage — interning only appends, so
+    /// earlier segmentations stay valid.
     pub fn scan(
         &self,
         session: &QuerySession,
         rows: &[&SegRecord],
-        text: &str,
+        query: &SegRecord,
         spec: &JoinSpec,
     ) -> SearchOutcome {
-        let sr = session.segment(&self.kn, &self.cfg, text);
-        let env = VerifyEnv {
-            kn: &self.kn,
-            cfg: &self.cfg,
-            theta: spec.theta(),
-            parallel: spec.parallel,
-            pool: &session.pool,
-        };
-        run_scan(&env, rows, &sr)
+        run_scan(self, session, rows, query, spec.theta())
     }
 
     // -- tuning -------------------------------------------------------------
@@ -1815,7 +1796,6 @@ impl StatAgg {
 
     fn into_stats(self, result_count: usize) -> JoinStats {
         JoinStats {
-            prepare_time: Duration::ZERO,
             sig_time: self.sig_time,
             filter_time: self.filter_time,
             verify_time: self.verify_time,
@@ -1853,223 +1833,6 @@ pub struct ProbeSpec {
     pub seed: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Searcher
-// ---------------------------------------------------------------------------
-
-/// An online similarity-search session bound to one [`Engine`] and one
-/// [`Prepared`] collection (see [`Engine::searcher`]).
-///
-/// Queries take `&self`: out-of-vocabulary tokens go to a
-/// searcher-private [`ScratchVocab`] overlay whose ids are stable for the
-/// searcher's lifetime, so repeated unknown tokens keep one identity
-/// without ever mutating the shared knowledge context.
-#[derive(Debug)]
-pub struct Searcher<'e> {
-    engine: &'e Engine,
-    prepared: &'e Prepared,
-    core: SearchCore,
-}
-
-/// The mutable per-session state every query path shares: the
-/// verification-scratch pool and the out-of-vocabulary overlay. An
-/// indexed search session owns one inside its `SearchCore`; a filterless
-/// [`Engine::scan`] borrows one from its caller, who keeps it for as long
-/// as overlay ids should stay stable (one knowledge lineage): a repeated
-/// unknown word keeps one identity for the session's lifetime.
-#[derive(Debug, Default)]
-pub struct QuerySession {
-    pool: Mutex<Vec<RunScratch>>,
-    scratch: Mutex<ScratchVocab>,
-}
-
-impl QuerySession {
-    /// Tokenize and segment a raw query string under `kn`.
-    fn segment(&self, kn: &Knowledge, cfg: &SimConfig, text: &str) -> SegRecord {
-        let toks = au_text::tokenize::tokenize(text, &kn.tokenize);
-        // The overlay lock covers interning + a tiny per-query snapshot
-        // only; segmentation (the expensive part) runs outside it, so
-        // concurrent queries don't serialize.
-        let (ids, snap) = {
-            let mut scratch = relock(&self.scratch);
-            let ids: Vec<TokenId> = toks.iter().map(|t| scratch.intern(&kn.vocab, t)).collect();
-            let snap = scratch.snapshot(&ids);
-            (ids, snap)
-        };
-        segment_record_with(kn, cfg, &ids, &|span| snap.join(&kn.vocab, span))
-    }
-
-    /// Segment pre-tokenized ids (vocabulary ids, or overlay ids this
-    /// session minted earlier).
-    fn segment_tokens(&self, kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> SegRecord {
-        let snap = relock(&self.scratch).snapshot(tokens);
-        segment_record_with(kn, cfg, tokens, &|span| snap.join(&kn.vocab, span))
-    }
-}
-
-/// The engine-independent guts of a search session: selected artifacts
-/// plus the per-session mutable scratch (overlap counter, verification
-/// pool, OOV overlay). Shared by the borrowing [`Searcher`] and the
-/// `Arc`-owning [`SnapshotSearcher`] so both answer queries through one
-/// code path.
-#[derive(Debug)]
-struct SearchCore {
-    /// The (validated, threshold-mode) spec queries are answered under.
-    spec: JoinSpec,
-    order: Arc<PebbleOrder>,
-    sel: Arc<SelectedSignatures>,
-    index: Arc<CsrIndex>,
-    /// A query is one probe run, verified in one walk of this.
-    transposed: Arc<GramPostingsIndex>,
-    counter: Mutex<OverlapCounter>,
-    session: QuerySession,
-}
-
-impl SearchCore {
-    /// Query with a raw string: every indexed record with
-    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
-    fn query(
-        &self,
-        kn: &Knowledge,
-        cfg: &SimConfig,
-        prepared: &Prepared,
-        text: &str,
-    ) -> SearchOutcome {
-        let sr = self.session.segment(kn, cfg, text);
-        run_query(&self.env(kn, cfg, prepared), &sr)
-    }
-
-    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
-    /// searcher minted earlier).
-    fn query_tokens(
-        &self,
-        kn: &Knowledge,
-        cfg: &SimConfig,
-        prepared: &Prepared,
-        tokens: &[TokenId],
-    ) -> SearchOutcome {
-        let sr = self.session.segment_tokens(kn, cfg, tokens);
-        run_query(&self.env(kn, cfg, prepared), &sr)
-    }
-
-    /// What one query evaluation borrows from this session.
-    fn env<'a>(
-        &'a self,
-        kn: &'a Knowledge,
-        cfg: &'a SimConfig,
-        prepared: &'a Prepared,
-    ) -> QueryEnv<'a> {
-        QueryEnv {
-            kn,
-            cfg,
-            spec: &self.spec,
-            segrecs: &prepared.segrecs,
-            order: &self.order,
-            levels: &self.sel.levels,
-            index: &self.index,
-            transposed: &self.transposed,
-            counter: &self.counter,
-            pool: &self.session.pool,
-            tier0: &prepared.tier0,
-        }
-    }
-}
-
-impl Searcher<'_> {
-    /// Number of indexed records.
-    pub fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// True when the collection holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// The threshold θ this searcher answers at.
-    pub fn theta(&self) -> f64 {
-        self.core.spec.theta
-    }
-
-    /// Mean signature length of the indexed records.
-    pub fn avg_sig_len(&self) -> f64 {
-        self.core.sel.record_keys.avg_sig_len()
-    }
-
-    /// Query with a raw string: every indexed record with
-    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
-    pub fn query(&self, text: &str) -> SearchOutcome {
-        self.core
-            .query(&self.engine.kn, &self.engine.cfg, self.prepared, text)
-    }
-
-    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
-    /// searcher minted earlier).
-    pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
-        self.core
-            .query_tokens(&self.engine.kn, &self.engine.cfg, self.prepared, tokens)
-    }
-}
-
-/// A `'static`, `Arc`-owning [`Searcher`]: same artifacts, same query
-/// path, but the engine and prepared collection are held by reference
-/// count instead of borrow, so the session can live inside an
-/// atomically-swapped service snapshot (`au-serve`) and be shared across
-/// worker threads for as long as the snapshot is referenced. Create with
-/// [`Engine::snapshot_searcher`].
-#[derive(Debug)]
-pub struct SnapshotSearcher {
-    engine: Arc<Engine>,
-    prepared: Arc<Prepared>,
-    core: SearchCore,
-}
-
-impl SnapshotSearcher {
-    /// Number of indexed records.
-    pub fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// True when the collection holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// The threshold θ this searcher answers at.
-    pub fn theta(&self) -> f64 {
-        self.core.spec.theta
-    }
-
-    /// Knowledge generation of the indexed collection.
-    pub fn generation(&self) -> u64 {
-        self.prepared.generation()
-    }
-
-    /// The indexed collection.
-    pub fn prepared(&self) -> &Arc<Prepared> {
-        &self.prepared
-    }
-
-    /// The owning engine.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// Query with a raw string: every indexed record with
-    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
-    pub fn query(&self, text: &str) -> SearchOutcome {
-        self.core
-            .query(&self.engine.kn, &self.engine.cfg, &self.prepared, text)
-    }
-
-    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
-    /// searcher minted earlier).
-    pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
-        self.core
-            .query_tokens(&self.engine.kn, &self.engine.cfg, &self.prepared, tokens)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2105,7 +1868,6 @@ mod tests {
         let spec = JoinSpec::threshold(0.7).u_filter();
         let first = engine.join(&ps, &pt, &spec).unwrap();
         assert!(first.pairs.iter().any(|&(a, b, _)| a == 0 && b == 0));
-        assert_eq!(first.stats.prepare_time, Duration::ZERO);
         // One order, a signature set per side, the indexed side's CSR —
         // and no per-order pebble list beside them.
         let misses_after_first = ps.memo_misses() + pt.memo_misses();
@@ -2397,17 +2159,14 @@ mod tests {
         }
     }
 
-    /// A query is verified as one run of the transposed index
-    /// (`run_query`); the per-pair form of the same verification
-    /// (`verify_rows`, what a scan does) over the *same* candidates must
-    /// agree in rows, order, similarity bits and in every tier bucket.
-    /// Covers queries with out-of-vocabulary words (overlay ids no posting
-    /// table has seen), the empty query, an empty collection, and — the
-    /// mass counters are shrunk under test — runs counted in several
-    /// chunks.
+    /// A query is verified as one run of the transposed index; per-pair
+    /// verification (what a scan does) of the *same* candidates must agree
+    /// in rows, order, similarity bits and in every tier bucket. Covers
+    /// queries with out-of-vocabulary words (overlay ids no posting table
+    /// has seen), the empty query, an empty collection, and — the mass
+    /// counters are shrunk under test — runs counted in several chunks.
     #[test]
     fn query_run_walk_equals_per_pair_verification_of_its_candidates() {
-        use crate::search::{probe_candidates, verify_rows};
         let queries = [
             "coffee shop latte helsinki",
             "tea cake south garden",
@@ -2421,27 +2180,36 @@ mod tests {
             let engine = Engine::new(kn, SimConfig::default()).unwrap();
             let pt = engine.prepare(&c).unwrap();
             let spec = JoinSpec::threshold(theta).au_dp(2).serial();
-            let core = engine.search_core(&pt, &spec).unwrap();
-            let env = core.env(&engine.kn, &engine.cfg, &pt);
-            let per_pair = VerifyEnv {
-                kn: &engine.kn,
-                cfg: &engine.cfg,
-                theta,
-                parallel: false,
-                pool: &core.session.pool,
-            };
+            let searcher = engine.searcher(&pt, &spec).unwrap();
+            let core = &searcher.core;
+            let verifier = Verifier::new(&engine.kn, &engine.cfg);
             let (mut most, mut seen) = (0usize, VerifyTiers::default());
             for q in queries {
                 let sr = core.session.segment(&engine.kn, &engine.cfg, q);
-                let walked = run_query(&env, &sr);
-                let (candidates, _) = probe_candidates(&env, &sr);
-                let (matches, tiers) =
-                    verify_rows(&per_pair, &sr, &candidates, |r| &pt.segrecs[r as usize]);
+                let walked = searcher.query(q);
+                let mut scratch = core.session.checkout(pt.len());
+                let (candidates, _) = core.probe_candidates(&engine, &pt, &sr, &mut scratch);
+                core.session.check_in(scratch);
+                let mut per_pair = VerifyScratch::default();
+                let mut matches: Vec<(u32, f64)> = candidates
+                    .iter()
+                    .map(|&r| {
+                        let sim = verifier.sim_at_least(
+                            &sr,
+                            &pt.segrecs[r as usize],
+                            theta,
+                            &mut per_pair,
+                        );
+                        (r, sim)
+                    })
+                    .filter(|&(_, sim)| sim >= theta - engine.cfg.eps)
+                    .collect();
+                matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
                     m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
                 };
                 assert_eq!(bits(&walked.matches), bits(&matches), "θ={theta} q={q:?}");
-                assert_eq!(walked.tiers, tiers, "θ={theta} q={q:?}");
+                assert_eq!(walked.tiers, per_pair.take_tally(), "θ={theta} q={q:?}");
                 assert_eq!(walked.candidates, candidates.len() as u64);
                 assert_eq!(walked.tiers.decisions(), walked.candidates);
                 assert_eq!(walked.tiers.accepted, walked.matches.len() as u64);

@@ -27,7 +27,7 @@ use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder};
 use crate::segment::{segment_record, SegRecord};
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
-use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers};
+use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
 use au_text::record::Corpus;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -35,10 +35,6 @@ use std::time::Duration;
 /// Timing and cardinality statistics of one join run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinStats {
-    /// Stage 1 wall-clock (segmentation). Always zero:
-    /// every operation runs on corpora prepared once, up front
-    /// ([`crate::engine::Prepared::prepare_seconds`] holds that cost).
-    pub prepare_time: Duration,
     /// Stages 2–3: ranking the pebble keys and the per-record signature
     /// pass (near zero on a memo hit).
     pub sig_time: Duration,
@@ -88,9 +84,10 @@ pub struct JoinStats {
 }
 
 impl JoinStats {
-    /// Total wall-clock of the measured stages.
+    /// Total wall-clock of the measured stages (stage 1 ran once, up
+    /// front: [`crate::engine::Prepared::prepare_seconds`] holds its cost).
     pub fn total_time(&self) -> Duration {
-        self.prepare_time + self.sig_time + self.filter_time + self.verify_time
+        self.sig_time + self.filter_time + self.verify_time
     }
 }
 
@@ -313,9 +310,8 @@ pub fn candidate_pass(
 }
 
 /// Below this many candidates the run-batched path's one-time
-/// corpus-level posting index is not worth building (and probe-grouped
-/// verification already amortizes the probe view); results are identical
-/// either way.
+/// corpus-level posting index is not worth building; results are
+/// identical either way.
 const BATCHED_VERIFY_MIN: usize = 2048;
 
 /// Whether verifying `n_candidates` against a collection of `n_t` records
@@ -328,24 +324,22 @@ pub(crate) fn batched_verify_pays(n_candidates: usize, n_t: usize) -> bool {
 }
 
 /// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
-/// probe-grouped bound-cascade engine (see [`crate::usim::verify`]) and
-/// return the accepted `(a, b, usim)` in candidate order plus the
-/// per-tier decision telemetry.
+/// bound-cascade engine (see [`crate::usim::verify`]) and return the
+/// accepted `(a, b, usim)` in candidate order plus the per-tier decision
+/// telemetry.
 ///
 /// The sorted candidate list is partitioned into per-probe-record runs.
 /// Large lists count each run's shared pebble mass in one walk of a
 /// corpus-level transposed posting index over `t` (work ∝ the probe's
 /// document frequencies) and enumerate only the candidates that bound
-/// cannot reject; small ones index the probe side's posting tables once
-/// per run ([`Verifier::begin_probe`]) and stream every partner through
-/// them. With `index = None` the candidate count decides
-/// (`batched_verify_pays`) and an index built here dies with the call;
-/// the engine passes the indexed collection's own (built at most once per
-/// corpus, shared by every sink batch, later join and searcher).
-/// Accepted pairs,
-/// similarities and tier counters are byte-identical on both paths and to
-/// [`verify_candidates_reference`] — `tests/verify_equivalence.rs`
-/// enforces it.
+/// cannot reject; small ones count pair by pair
+/// ([`Verifier::sim_at_least`]). With `index = None` the candidate count
+/// decides (`batched_verify_pays`) and an index built here dies with the
+/// call; the engine passes the indexed collection's own (built at most
+/// once per corpus, shared by every sink batch, later join and searcher).
+/// Accepted pairs, similarities and tier counters are byte-identical on
+/// both paths and to [`verify_candidates_reference`] —
+/// `tests/verify_equivalence.rs` enforces it.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates(
     kn: &Knowledge,
@@ -365,55 +359,47 @@ pub fn verify_candidates(
     // tier buckets are pure per-candidate functions, so the aggregate is
     // deterministic regardless of scheduling.
     let tally = Mutex::new(VerifyTiers::default());
-    // Both paths keep results in candidate order, so serial and parallel
-    // runs return identical vectors; the scratch — including the probe
-    // view and the run's mass counters — is per worker, so the parallel
-    // path stays lock-free. A run is split across workers only when one
-    // probe record owns more than a worker's fair share of the list.
-    let pairs = if let Some(posting_index) = index {
-        crate::parallel::par_fragments_scratch(
-            candidates,
-            parallel,
-            &|&(a, _): &(u32, u32)| a as u64,
-            RunScratch::default,
-            |rs, frag| {
-                let mut out = Vec::new();
-                let mut i = 0usize;
-                while i < frag.len() {
-                    let a = frag[i].0;
-                    let mut j = i + 1;
-                    while j < frag.len() && frag[j].0 == a {
-                        j += 1;
+    // Results stay in candidate order, so serial and parallel runs return
+    // identical vectors; the scratch — including a run's mass counters —
+    // is per worker, so the parallel path stays lock-free. A run is split
+    // across workers only when one probe record owns more than a worker's
+    // fair share of the list.
+    let pairs = crate::parallel::par_fragments_scratch(
+        candidates,
+        parallel,
+        &|&(a, _): &(u32, u32)| a as u64,
+        RunScratch::default,
+        |rs, frag| {
+            let mut out = Vec::new();
+            match index {
+                Some(posting_index) => {
+                    for run in frag.chunk_by(|x, y| x.0 == y.0) {
+                        let probe = &s[run[0].0 as usize];
+                        engine.verify_run_at_least(
+                            probe,
+                            t,
+                            run,
+                            posting_index,
+                            theta,
+                            rs,
+                            &mut out,
+                        );
                     }
-                    engine.verify_run_at_least(
-                        &s[a as usize],
-                        t,
-                        &frag[i..j],
-                        posting_index,
-                        theta,
-                        rs,
-                        &mut out,
-                    );
-                    i = j;
                 }
-                out
-            },
-            |rs| relock(&tally).merge(&rs.take_tally()),
-        )
-    } else {
-        crate::parallel::par_filter_map_runs_scratch(
-            candidates,
-            parallel,
-            |&(a, _)| a as u64,
-            VerifyScratch::default,
-            |scr, &(a, _)| engine.begin_probe(&s[a as usize], scr),
-            |scr, &(a, b)| {
-                let sim = engine.probed_sim_at_least(&s[a as usize], &t[b as usize], theta, scr);
-                (sim >= theta - cfg.eps).then_some((a, b, sim))
-            },
-            |scr| relock(&tally).merge(&scr.take_tally()),
-        )
-    };
+                None => {
+                    for &(a, b) in frag {
+                        let (sa, tb) = (&s[a as usize], &t[b as usize]);
+                        let sim = engine.sim_at_least(sa, tb, theta, &mut rs.verify);
+                        if sim >= theta - cfg.eps {
+                            out.push((a, b, sim));
+                        }
+                    }
+                }
+            }
+            out
+        },
+        |rs| relock(&tally).merge(&rs.take_tally()),
+    );
     let tiers = *relock(&tally);
     debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
     (pairs, tiers)

@@ -54,8 +54,8 @@ fn batch_size(len: usize, threads: usize) -> usize {
 }
 
 /// Unit size of a run-aligned plan ([`par_fragments_scratch`]): a run is
-/// a unit of work — its setup (the probe view, the run-level posting
-/// walk) costs what the *run* costs, not what the fragment holds, so
+/// a unit of work — its setup (the run-level posting walk) costs what the
+/// *run* costs, not what the fragment holds, so
 /// every cut of a run pays it again. Whole runs are packed up to a
 /// worker's fair share of the list, [`BATCHES_PER_WORKER`] units per
 /// worker, and a run is split only when it alone exceeds that:
@@ -296,78 +296,26 @@ where
     )
 }
 
-/// Like [`par_filter_map_scratch`], but the items form *runs* — maximal
-/// stretches of consecutive items sharing `run_key` — and work units are
-/// aligned to them: consecutive whole runs pack into one unit, and a unit
-/// never holds more items than a worker's fair share of the list
-/// (`run_unit_size`), so a single heavy run is split across workers
-/// instead of starving them. This is the
-/// shape of probe-grouped verification: candidates arrive sorted by probe
-/// record, and per-run setup (the probe-side posting view) is paid once
-/// per run fragment, not once per candidate.
+/// Like [`par_map_scratch`], but the items form *runs* — maximal stretches
+/// of consecutive items sharing `run_key` — and work units are aligned to
+/// them: consecutive whole runs pack into one unit, and a unit never holds
+/// more items than a worker's fair share of the list (`run_unit_size`), so
+/// a single heavy run is split across workers instead of starving them.
+/// This is the shape of run-batched verification: candidates arrive sorted
+/// by probe record, and `frag_fn` receives each whole fragment slice and
+/// returns its outputs, batching work *across* a run's items (counting one
+/// run's shared pebble mass through a corpus-level index) instead of
+/// mapping them independently.
 ///
-/// `begin_run(scratch, item)` fires before the first item of every run
-/// *fragment* a worker processes — at the start of each unit and at every
-/// key change inside one — and must fully (re)initialize the per-run
-/// state: fragments of one run may land on different workers.
-/// `drain(scratch)` fires once per worker after its last unit (serial:
-/// once at the end); callers use it to fold per-worker statistics.
-///
-/// Output is the `Some` results in input order, byte-identical to the
-/// serial path regardless of thread count or scheduling.
-pub fn par_filter_map_runs_scratch<T, U, S, K, I, B, F, D>(
-    items: &[T],
-    parallel: bool,
-    run_key: K,
-    init: I,
-    begin_run: B,
-    f: F,
-    drain: D,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    K: Fn(&T) -> u64 + Sync,
-    I: Fn() -> S + Sync,
-    B: Fn(&mut S, &T) + Sync,
-    F: Fn(&mut S, &T) -> Option<U> + Sync,
-    D: Fn(&mut S) + Sync,
-{
-    par_fragments_scratch(
-        items,
-        parallel,
-        &run_key,
-        init,
-        |scratch, unit| {
-            let mut out = Vec::new();
-            let mut cur: Option<u64> = None;
-            for item in unit {
-                let key = run_key(item);
-                if cur != Some(key) {
-                    begin_run(scratch, item);
-                    cur = Some(key);
-                }
-                if let Some(u) = f(scratch, item) {
-                    out.push(u);
-                }
-            }
-            out
-        },
-        drain,
-    )
-}
-
-/// The fragment-level form of [`par_filter_map_runs_scratch`]: work units
-/// are the same run-aligned fragments, but `frag_fn` receives each whole
-/// fragment slice and returns its outputs — for callers that batch work
-/// *across* a run's items (e.g. counting one run's shared pebble mass
-/// through a corpus-level index) instead of mapping them independently.
 /// A fragment holds whole runs back to back, or a piece of a single run
-/// longer than `run_unit_size`; `frag_fn` must detect run
-/// boundaries itself (compare `run_key` of consecutive items) and must
-/// treat a fragment-initial item as a fresh run (fragments of one run may
-/// land on different workers). Outputs are concatenated in fragment
-/// order — byte-identical to the serial path.
+/// longer than `run_unit_size`; `frag_fn` must detect run boundaries
+/// itself (compare `run_key` of consecutive items) and must treat a
+/// fragment-initial item as a fresh run (fragments of one run may land on
+/// different workers). `drain(scratch)` fires once per worker after its
+/// last unit (serial: once at the end); callers use it to fold per-worker
+/// statistics. Outputs are concatenated in fragment order —
+/// byte-identical to the serial path regardless of thread count or
+/// scheduling.
 pub fn par_fragments_scratch<T, U, S, K, I, F, D>(
     items: &[T],
     parallel: bool,
@@ -635,72 +583,6 @@ mod tests {
                 assert!(run_end - run_start > target, "needless split at {s}");
             }
         }
-    }
-
-    #[test]
-    fn runs_scratch_matches_serial_and_begins_every_fragment() {
-        // Items grouped by key; begin_run must have set up the run state
-        // before any item of that run is mapped, on every worker.
-        let items: Vec<(u64, u32)> = (0..6000u32).map(|i| ((i / 37) as u64, i)).collect();
-        let f = |state: &mut u64, &(k, v): &(u64, u32)| {
-            assert_eq!(*state, k + 1, "begin_run missed a fragment start");
-            (v % 3 != 0).then_some((k, v * 2))
-        };
-        let serial: Vec<(u64, u32)> = items
-            .iter()
-            .filter_map(|&(k, v)| (v % 3 != 0).then_some((k, v * 2)))
-            .collect();
-        for parallel in [false, true] {
-            let drained = AtomicUsize::new(0);
-            let out = par_filter_map_runs_scratch(
-                &items,
-                parallel,
-                |&(k, _)| k,
-                || 0u64,
-                |state, &(k, _)| *state = k + 1,
-                f,
-                |_| {
-                    // ordering: Relaxed — counting only; the load below
-                    // runs after the call returns, and the scope join
-                    // inside it orders every increment before that load.
-                    drained.fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(out, serial, "parallel={parallel}");
-            // ordering: Relaxed — reads after the scope join (see above).
-            let d = drained.load(Ordering::Relaxed);
-            assert!(d >= 1 && d <= available_threads().max(1));
-        }
-    }
-
-    #[test]
-    fn runs_scratch_single_heavy_run_is_split() {
-        // One run of 4096 items: the plan must offer more than one unit so
-        // a lone heavy record cannot starve the other workers.
-        let items: Vec<u32> = vec![7; 4096];
-        let units = run_units(&items, &|_: &u32| 0, batch_size(items.len(), 4));
-        assert!(
-            units.len() >= 8,
-            "heavy run not split: {} units",
-            units.len()
-        );
-        let begins = AtomicUsize::new(0);
-        let out = par_filter_map_runs_scratch(
-            &items,
-            true,
-            |_| 0,
-            || (),
-            |_, _| {
-                // ordering: Relaxed — counting only; ordered before the
-                // assertion below by the scope join inside the call.
-                begins.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, &x| Some(x),
-            |_| {},
-        );
-        assert_eq!(out, items);
-        // ordering: Relaxed — reads after the scope join (see above).
-        assert!(begins.load(Ordering::Relaxed) >= 1);
     }
 
     /// A run is a unit of work: on a list long enough that a worker's

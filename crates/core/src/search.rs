@@ -19,14 +19,15 @@
 //! consistent total order — `(frequency, key)` is one.
 
 use crate::config::SimConfig;
-use crate::engine::{relock, JoinSpec};
+use crate::engine::{relock, Engine, JoinSpec, Prepared};
 use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter, ProbeStats};
-use crate::join::{record_signature, SignatureScratch};
+use crate::join::{record_signature, SelectedSignatures, SignatureScratch};
 use crate::knowledge::Knowledge;
 use crate::pebble::PebbleOrder;
-use crate::segment::SegRecord;
+use crate::segment::{segment_record_with, SegRecord};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
-use std::sync::Mutex;
+use au_text::{ScratchVocab, TokenId};
+use std::sync::{Arc, Mutex};
 
 /// One query's outcome with filtering statistics.
 #[derive(Debug, Clone, Default)]
@@ -49,127 +50,228 @@ pub struct SearchOutcome {
     pub tiers: VerifyTiers,
 }
 
-/// What the verification half of a query needs, indexed or scanned.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct VerifyEnv<'a> {
-    pub kn: &'a Knowledge,
-    pub cfg: &'a SimConfig,
-    pub theta: f64,
-    pub parallel: bool,
-    pub pool: &'a Mutex<Vec<RunScratch>>,
-}
-
-/// Everything one indexed query evaluation needs, borrowed from the
-/// session that owns the artifacts ([`crate::engine::Searcher`]).
+/// Everything one query evaluation mutates: the probe's overlap counter,
+/// the signature pass's buffers and the verifier's scratch. Pooled per
+/// session, so a query checks one out, runs with no lock held, and returns
+/// it — buffers grown by one query serve the next.
 #[derive(Debug)]
-pub(crate) struct QueryEnv<'a> {
-    pub kn: &'a Knowledge,
-    pub cfg: &'a SimConfig,
-    pub spec: &'a JoinSpec,
-    pub segrecs: &'a [SegRecord],
-    pub order: &'a PebbleOrder,
-    pub levels: &'a [u32],
-    pub index: &'a CsrIndex,
-    pub transposed: &'a GramPostingsIndex,
-    pub counter: &'a Mutex<OverlapCounter>,
-    pub pool: &'a Mutex<Vec<RunScratch>>,
-    /// Per-record tier-0 integers `(|S|, MP(S))` of the indexed
-    /// collection, for the in-probe compatibility bound.
-    pub tier0: &'a [(u32, u32)],
+pub(crate) struct QueryScratch {
+    counter: OverlapCounter,
+    signature: SignatureScratch,
+    run: RunScratch,
 }
 
-/// The filter half of an indexed query: the same record → signature pass
-/// the indexed side went through ([`record_signature`]), then the CSR
-/// overlap probe. Returns the candidate rows, ascending.
-pub(crate) fn probe_candidates(env: &QueryEnv<'_>, sr: &SegRecord) -> (Vec<u32>, ProbeStats) {
-    let (choice, distinct) = record_signature(
-        env.kn,
-        env.cfg,
-        env.order,
-        env.spec,
-        sr,
-        &mut SignatureScratch::default(),
-    );
-    // Count distinct-key overlaps between the query signature and every
-    // indexed record via the CSR probe; keep records reaching `min(τ,
-    // query level, record level)` — the demand both sides can guarantee.
-    // The epoch-stamped counter is shared across queries (its whole point
-    // is O(1) reuse), so per-query work is proportional to the postings
-    // touched, never to the collection size.
-    let mut ctr = relock(env.counter);
-    let mut out = Vec::new();
-    let stats = ctr.probe(
-        env.index,
-        &distinct,
-        choice.level,
-        env.spec.filter.tau(),
-        env.levels,
-        None,
-        &CompatBound {
-            tier0: env.tier0,
-            probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
-            min_sim: env.spec.theta - env.cfg.eps,
-        },
-        &mut out,
-    );
-    (out, stats)
+/// The mutable per-session state every query path shares: the pool of
+/// per-query scratches and the out-of-vocabulary overlay. An indexed
+/// search session owns one inside its `SearchCore`; a filterless
+/// [`Engine::scan`] borrows one from its caller, who keeps it for as long
+/// as overlay ids should stay stable (one knowledge lineage): a repeated
+/// unknown word keeps one identity for the session's lifetime.
+#[derive(Debug, Default)]
+pub struct QuerySession {
+    pool: Mutex<Vec<QueryScratch>>,
+    overlay: Mutex<ScratchVocab>,
 }
 
-/// One query against a prepared collection. A query *is* a probe run — one
-/// probe record, its candidates — so it is verified as the join verifies a
-/// run: one walk of the collection's transposed posting index counts every
-/// candidate's shared pebble mass ([`Verifier::verify_run_at_least`],
-/// byte-identical to per-pair calls, tallies included). Serially, on the
-/// caller's thread, over a pooled scratch: the walk costs less than
-/// starting threads for it.
-pub(crate) fn run_query(env: &QueryEnv<'_>, sr: &SegRecord) -> SearchOutcome {
-    let (candidates, probe_stats) = probe_candidates(env, sr);
-    let run: Vec<(u32, u32)> = candidates.iter().map(|&row| (0, row)).collect();
-    let mut accepted = Vec::new();
-    let mut scratch = relock(env.pool).pop().unwrap_or_default();
-    Verifier::new(env.kn, env.cfg).verify_run_at_least(
-        sr,
-        env.segrecs,
-        &run,
-        env.transposed,
-        env.spec.theta,
-        &mut scratch,
-        &mut accepted,
-    );
-    let tiers = scratch.take_tally();
-    relock(env.pool).push(scratch);
-    SearchOutcome {
-        matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
-        candidates: candidates.len() as u64,
-        processed: probe_stats.processed,
-        compat_rejected: probe_stats.compat_rejected,
-        tiers,
+impl QuerySession {
+    /// Tokenize and segment a raw query string under `kn`; words `kn`'s
+    /// vocabulary does not hold get this session's overlay ids.
+    pub fn segment(&self, kn: &Knowledge, cfg: &SimConfig, text: &str) -> SegRecord {
+        let toks = au_text::tokenize::tokenize(text, &kn.tokenize);
+        // The overlay lock covers interning + a tiny per-query snapshot
+        // only; segmentation (the expensive part) runs outside it, so
+        // concurrent queries don't serialize.
+        let (ids, snap) = {
+            let mut overlay = relock(&self.overlay);
+            let ids: Vec<TokenId> = toks.iter().map(|t| overlay.intern(&kn.vocab, t)).collect();
+            let snap = overlay.snapshot(&ids);
+            (ids, snap)
+        };
+        segment_record_with(kn, cfg, &ids, &|span| snap.join(&kn.vocab, span))
+    }
+
+    /// Segment pre-tokenized ids (vocabulary ids, or overlay ids this
+    /// session minted earlier).
+    fn segment_tokens(&self, kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> SegRecord {
+        let snap = relock(&self.overlay).snapshot(tokens);
+        segment_record_with(kn, cfg, tokens, &|span| snap.join(&kn.vocab, span))
+    }
+
+    /// Check a scratch out of the pool (a new one when every pooled one is
+    /// in use), its overlap counter sized for `n_indexed` records. A
+    /// session serves one indexed collection — or scans, which never probe
+    /// (`n_indexed = 0`) — so pooled counters always fit.
+    pub(crate) fn checkout(&self, n_indexed: usize) -> QueryScratch {
+        relock(&self.pool).pop().unwrap_or_else(|| QueryScratch {
+            counter: OverlapCounter::new(n_indexed),
+            signature: SignatureScratch::default(),
+            run: RunScratch::default(),
+        })
+    }
+
+    /// Return a scratch to the pool.
+    pub(crate) fn check_in(&self, scratch: QueryScratch) {
+        relock(&self.pool).push(scratch);
+    }
+
+    /// Scratches resting in the pool (at most one per concurrent query).
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        relock(&self.pool).len()
     }
 }
 
-/// One query against `rows` with no filter at all: every row whose tier-0
-/// bound can still reach θ is a candidate, and [`verify_rows`] — the
-/// per-pair form of the verification the indexed path ends in — decides
-/// it. Similarity is a pure function of the pair, so `matches` equal
-/// [`run_query`]'s over the same records bit for bit (the index only ever
+/// The engine-independent guts of a search session: the selected
+/// artifacts of one collection under one spec, plus the session's
+/// scratch pool and OOV overlay. Shared by the borrowing [`Searcher`] and
+/// the `Arc`-owning [`SnapshotSearcher`] so both answer queries through
+/// one code path. Built by `Engine::search_core`.
+#[derive(Debug)]
+pub(crate) struct SearchCore {
+    /// The (validated, threshold-mode) spec queries are answered under.
+    pub(crate) spec: JoinSpec,
+    pub(crate) order: Arc<PebbleOrder>,
+    pub(crate) sel: Arc<SelectedSignatures>,
+    pub(crate) index: Arc<CsrIndex>,
+    /// A query is one probe run, verified in one walk of this.
+    pub(crate) transposed: Arc<GramPostingsIndex>,
+    pub(crate) session: QuerySession,
+}
+
+impl SearchCore {
+    /// The filter half of an indexed query: the same record → signature
+    /// pass the indexed side went through ([`record_signature`]), then the
+    /// CSR overlap probe. Returns the candidate rows, ascending.
+    pub(crate) fn probe_candidates(
+        &self,
+        engine: &Engine,
+        prepared: &Prepared,
+        sr: &SegRecord,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<u32>, ProbeStats) {
+        let (kn, cfg) = (engine.knowledge(), engine.config());
+        let (choice, distinct) =
+            record_signature(kn, cfg, &self.order, &self.spec, sr, &mut scratch.signature);
+        // Count distinct-key overlaps between the query signature and every
+        // indexed record via the CSR probe; keep records reaching `min(τ,
+        // query level, record level)` — the demand both sides can
+        // guarantee. The epoch-stamped counter travels with the pooled
+        // scratch (its whole point is O(1) reuse), so per-query work is
+        // proportional to the postings touched, never to the collection.
+        let mut out = Vec::new();
+        let stats = scratch.counter.probe(
+            &self.index,
+            &distinct,
+            choice.level,
+            self.spec.filter.tau(),
+            &self.sel.levels,
+            None,
+            &CompatBound {
+                tier0: &prepared.tier0,
+                probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
+                min_sim: self.spec.theta - cfg.eps,
+            },
+            &mut out,
+        );
+        (out, stats)
+    }
+
+    /// One segmented query against the prepared collection. A query *is* a
+    /// probe run — one probe record, its candidates — so it is verified as
+    /// the join verifies a run: one walk of the collection's transposed
+    /// posting index counts every candidate's shared pebble mass
+    /// ([`Verifier::verify_run_at_least`], byte-identical to per-pair
+    /// calls, tallies included). Serially, on the caller's thread, over one
+    /// pooled scratch — the walk costs less than starting threads for it,
+    /// and no lock is held while the query probes or verifies, so
+    /// concurrent queries never wait on each other.
+    fn query_record(&self, engine: &Engine, prepared: &Prepared, sr: &SegRecord) -> SearchOutcome {
+        let mut scratch = self.session.checkout(self.index.record_count());
+        let (candidates, probe_stats) = self.probe_candidates(engine, prepared, sr, &mut scratch);
+        let run: Vec<(u32, u32)> = candidates.iter().map(|&row| (0, row)).collect();
+        let mut accepted = Vec::new();
+        Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
+            sr,
+            prepared.seg_records(),
+            &run,
+            &self.transposed,
+            self.spec.theta,
+            &mut scratch.run,
+            &mut accepted,
+        );
+        let tiers = scratch.run.take_tally();
+        self.session.check_in(scratch);
+        SearchOutcome {
+            matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
+            candidates: candidates.len() as u64,
+            processed: probe_stats.processed,
+            compat_rejected: probe_stats.compat_rejected,
+            tiers,
+        }
+    }
+
+    /// Query with a raw string, segmented under this session's overlay.
+    fn query(&self, engine: &Engine, prepared: &Prepared, text: &str) -> SearchOutcome {
+        let sr = self
+            .session
+            .segment(engine.knowledge(), engine.config(), text);
+        self.query_record(engine, prepared, &sr)
+    }
+
+    /// Query with pre-tokenized ids.
+    fn query_tokens(
+        &self,
+        engine: &Engine,
+        prepared: &Prepared,
+        tokens: &[TokenId],
+    ) -> SearchOutcome {
+        let sr = self
+            .session
+            .segment_tokens(engine.knowledge(), engine.config(), tokens);
+        self.query_record(engine, prepared, &sr)
+    }
+}
+
+/// One segmented query against `rows` with no filter at all: every row
+/// whose tier-0 bound can still reach θ is a candidate, decided per pair
+/// ([`Verifier::sim_at_least`]) by the verification the indexed path ends
+/// in. Similarity is a pure function of the pair, so `matches` equal an
+/// indexed query's over the same records bit for bit (the index only ever
 /// *removes* non-matches); the price is verification work linear in
 /// `rows.len()`, which is why this serves small append-only segments and
-/// nothing else.
-pub(crate) fn run_scan(env: &VerifyEnv<'_>, rows: &[&SegRecord], sr: &SegRecord) -> SearchOutcome {
+/// nothing else — serially, over one pooled scratch of `session`.
+pub(crate) fn run_scan(
+    engine: &Engine,
+    session: &QuerySession,
+    rows: &[&SegRecord],
+    sr: &SegRecord,
+    theta: f64,
+) -> SearchOutcome {
+    let min_sim = theta - engine.config().eps;
     let probe_tier0 = (sr.n_tokens() as u32, sr.min_partition);
-    let candidates: Vec<u32> = (0..rows.len() as u32)
-        .filter(|&i| {
-            let row = rows[i as usize];
-            let tier0 = (row.n_tokens() as u32, row.min_partition);
-            tier0_compatible(probe_tier0, tier0, env.theta - env.cfg.eps)
-        })
-        .collect();
-    let (matches, tiers) = verify_rows(env, sr, &candidates, |i| rows[i as usize]);
+    let verifier = Verifier::new(engine.knowledge(), engine.config());
+    let mut scratch = session.checkout(0);
+    let (mut candidates, mut matches) = (0u64, Vec::new());
+    for (i, row) in rows.iter().enumerate() {
+        if tier0_compatible(
+            probe_tier0,
+            (row.n_tokens() as u32, row.min_partition),
+            min_sim,
+        ) {
+            candidates += 1;
+            let sim = verifier.sim_at_least(sr, row, theta, &mut scratch.run.verify);
+            if sim >= min_sim {
+                matches.push((i as u32, sim));
+            }
+        }
+    }
+    let tiers = scratch.run.take_tally();
+    session.check_in(scratch);
     SearchOutcome {
-        matches,
-        candidates: candidates.len() as u64,
+        matches: ranked(matches),
+        candidates,
         processed: 0,
-        compat_rejected: (rows.len() - candidates.len()) as u64,
+        compat_rejected: rows.len() as u64 - candidates,
         tiers,
     }
 }
@@ -181,46 +283,121 @@ fn ranked(mut matches: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     matches
 }
 
-/// Verification of loose rows no corpus-level index covers: the *query*
-/// is the probe record of every candidate, so one probe-grouped run of the
-/// joins' cascade engine covers the whole list and the probe-side posting
-/// view is built once per worker fragment. Scratches come from the
-/// session's pool — buffers grown by one query serve the next (workers
-/// check them out in `init` and return them, tally taken, in `drain`), and
-/// the pool lock is never held during verification. Returns the [`ranked`]
-/// matches and the tier tally; deterministic whatever the thread count.
-pub(crate) fn verify_rows<'r>(
-    env: &VerifyEnv<'_>,
-    sr: &SegRecord,
-    candidates: &[u32],
-    rec: impl Fn(u32) -> &'r SegRecord + Sync,
-) -> (Vec<(u32, f64)>, VerifyTiers) {
-    let VerifyEnv {
-        kn,
-        cfg,
-        theta,
-        parallel,
-        pool,
-    } = *env;
-    let engine = Verifier::new(kn, cfg);
-    let tally = Mutex::new(VerifyTiers::default());
-    let matches: Vec<(u32, f64)> = crate::parallel::par_filter_map_runs_scratch(
-        candidates,
-        parallel,
-        |_| 0,
-        || relock(pool).pop().unwrap_or_default(),
-        |rs: &mut RunScratch, _| engine.begin_probe(sr, &mut rs.verify),
-        |rs, &rid| {
-            let sim = engine.probed_sim_at_least(sr, rec(rid), theta, &mut rs.verify);
-            (sim >= theta - cfg.eps).then_some((rid, sim))
-        },
-        |rs| {
-            relock(&tally).merge(&rs.take_tally());
-            relock(pool).push(std::mem::take(rs));
-        },
-    );
-    let tiers = *relock(&tally);
-    (ranked(matches), tiers)
+/// An online similarity-search session bound to one [`Engine`] and one
+/// [`Prepared`] collection (see [`Engine::searcher`]).
+///
+/// Queries take `&self`: out-of-vocabulary tokens go to a
+/// searcher-private [`ScratchVocab`] overlay whose ids are stable for the
+/// searcher's lifetime, so repeated unknown tokens keep one identity
+/// without ever mutating the shared knowledge context.
+#[derive(Debug)]
+pub struct Searcher<'e> {
+    pub(crate) engine: &'e Engine,
+    pub(crate) prepared: &'e Prepared,
+    pub(crate) core: SearchCore,
+}
+
+impl Searcher<'_> {
+    /// Number of indexed records.
+    pub fn len(&self) -> usize {
+        self.prepared.len()
+    }
+
+    /// True when the collection holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.prepared.is_empty()
+    }
+
+    /// The threshold θ this searcher answers at.
+    pub fn theta(&self) -> f64 {
+        self.core.spec.theta
+    }
+
+    /// Mean signature length of the indexed records.
+    pub fn avg_sig_len(&self) -> f64 {
+        self.core.sel.record_keys.avg_sig_len()
+    }
+
+    /// Query with a raw string: every indexed record with
+    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
+    pub fn query(&self, text: &str) -> SearchOutcome {
+        self.core.query(self.engine, self.prepared, text)
+    }
+
+    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
+    /// searcher minted earlier).
+    pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
+        self.core.query_tokens(self.engine, self.prepared, tokens)
+    }
+}
+
+/// A `'static`, `Arc`-owning [`Searcher`]: same artifacts, same query
+/// path, but the engine and prepared collection are held by reference
+/// count instead of borrow, so the session can live inside an
+/// atomically-swapped service snapshot (`au-serve`) and be shared across
+/// worker threads for as long as the snapshot is referenced. Create with
+/// [`Engine::snapshot_searcher`].
+#[derive(Debug)]
+pub struct SnapshotSearcher {
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) prepared: Arc<Prepared>,
+    pub(crate) core: SearchCore,
+}
+
+impl SnapshotSearcher {
+    /// Number of indexed records.
+    pub fn len(&self) -> usize {
+        self.prepared.len()
+    }
+
+    /// True when the collection holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.prepared.is_empty()
+    }
+
+    /// The threshold θ this searcher answers at.
+    pub fn theta(&self) -> f64 {
+        self.core.spec.theta
+    }
+
+    /// Knowledge generation of the indexed collection.
+    pub fn generation(&self) -> u64 {
+        self.prepared.generation()
+    }
+
+    /// The indexed collection.
+    pub fn prepared(&self) -> &Arc<Prepared> {
+        &self.prepared
+    }
+
+    /// The owning engine.
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
+    }
+
+    /// Query with a raw string: every indexed record with
+    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
+    pub fn query(&self, text: &str) -> SearchOutcome {
+        self.core.query(&self.engine, &self.prepared, text)
+    }
+
+    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
+    /// searcher minted earlier).
+    pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
+        self.core.query_tokens(&self.engine, &self.prepared, tokens)
+    }
+
+    /// Query with a record the caller segmented ([`QuerySession::segment`])
+    /// under this engine's configuration and under its knowledge or a
+    /// *later* state of the same lineage — what lets a serving layer
+    /// segment a query once for this collection and for rows appended
+    /// since. Interning only appends: a word the indexed vocabulary never
+    /// saw is in no indexed record whichever id it carries, so matches,
+    /// order and similarity bits equal [`SnapshotSearcher::query`]'s on
+    /// the query's text.
+    pub fn query_record(&self, query: &SegRecord) -> SearchOutcome {
+        self.core.query_record(&self.engine, &self.prepared, query)
+    }
 }
 
 #[cfg(test)]
@@ -358,7 +535,8 @@ mod tests {
                 let session = QuerySession::default();
                 for (qi, q) in queries.iter().enumerate() {
                     let indexed = searcher.query(q);
-                    let scanned = engine.scan(&session, &rows, q, &spec);
+                    let segmented = session.segment(engine.knowledge(), engine.config(), q);
+                    let scanned = engine.scan(&session, &rows, &segmented, &spec);
                     let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
                         m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
                     };
@@ -456,6 +634,67 @@ mod tests {
             "tea house zanzibar".to_string(),
         ];
         assert_scan_equals_index(&lines, &queries);
+    }
+
+    /// The pooled scratch is the only shared mutable state on the read
+    /// path: eight threads querying one `SnapshotSearcher` — known words,
+    /// unknown ones, the empty query — get the serial answers (matches,
+    /// bits, candidates, tiers), and every query checked out one scratch
+    /// and returned it, so at most eight rest in the pool afterwards.
+    #[test]
+    fn eight_threads_share_one_searcher_and_at_most_eight_scratches() {
+        use std::sync::Arc;
+        let mut x = 0x2545_f491_u32;
+        let mut word = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            WORDS[(x >> 16) as usize % WORDS.len()]
+        };
+        let lines: Vec<String> = (0..400)
+            .map(|i| (0..3 + i % 3).map(|_| word()).collect::<Vec<_>>().join(" "))
+            .collect();
+        let mut queries: Vec<String> = lines.iter().step_by(9).cloned().collect();
+        queries.extend([
+            "tea house zanzibar".into(),
+            "lattte lattte".into(),
+            "".into(),
+        ]);
+        let mut kn = scan_knowledge();
+        let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        let engine = Arc::new(Engine::new(kn, SimConfig::default()).expect("valid config"));
+        let pt = Arc::new(engine.prepare(&t).expect("prepare"));
+        let spec = JoinSpec::threshold(0.6).au_dp(2);
+        let searcher = Engine::snapshot_searcher(engine, pt, &spec).expect("searcher");
+        let answer = |q: &String| {
+            let out = searcher.query(q);
+            let bits: Vec<(u32, u64)> =
+                out.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect();
+            (bits, out.candidates, out.processed, out.tiers)
+        };
+        let serial: Vec<_> = queries.iter().map(answer).collect();
+        assert!(serial.iter().any(|a| !a.0.is_empty()));
+        assert_eq!(
+            searcher.core.session.pooled(),
+            1,
+            "serial queries reuse one"
+        );
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for worker in 0..8 {
+                let (queries, serial, answer, start) = (&queries, &serial, &answer, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..4 {
+                        for i in 0..queries.len() {
+                            // Each thread walks the list from its own start.
+                            let i = (i + worker * 7 + round) % queries.len();
+                            assert_eq!(answer(&queries[i]), serial[i], "{:?}", queries[i]);
+                        }
+                    }
+                });
+            }
+        });
+        let pooled = searcher.core.session.pooled();
+        assert!((1..=8).contains(&pooled), "{pooled} pooled scratches");
     }
 
     #[test]

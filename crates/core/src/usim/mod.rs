@@ -7,10 +7,10 @@
 //!   (exponential; budgeted). Ground truth for Table 9.
 //! * [`approx`] — Algorithm 1: SquareImp seed plus `1/t`-improvement claw
 //!   local search on the similarity objective (Theorem 2's guarantee).
-//! * [`verify`] — the probe-grouped bound-cascade verification engine
-//!   behind the join/search pipelines: record-level pre-graph rejection,
-//!   a run-batched shared-pebble-mass bound, probe-grouped sparse vertex
-//!   enumeration with in-enumeration aborts, a greedy-matching bound, and
+//! * [`verify`] — the bound-cascade verification engine behind the
+//!   join/search pipelines: record-level pre-graph rejection, a
+//!   shared-pebble-mass bound counted per pair or per probe run, sparse
+//!   vertex enumeration with in-enumeration aborts, a greedy-matching bound, and
 //!   an allocation-free Algorithm 1 over per-worker scratch —
 //!   byte-identical to the [`approx`] reference path.
 

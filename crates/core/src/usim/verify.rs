@@ -1,4 +1,4 @@
-//! Probe-grouped bound-cascade verification — the join's fifth stage.
+//! Bound-cascade verification — the join's fifth stage.
 //!
 //! Stage 5 owns most of the join's wall-clock: tier 0 rejects less than
 //! half the candidates, and without sharing every survivor would re-run
@@ -6,10 +6,14 @@
 //! though the candidate pass emits candidates sorted by probe record.
 //! This engine keeps the reference semantics — byte-identical accepted
 //! `(pair, sim)` results, enforced by `tests/verify_equivalence.rs` —
-//! while amortizing per-record work across each probe record's whole
-//! candidate run (PASS-JOIN's shared-verification idea) and rejecting
-//! through a cascade of progressively stronger, still cheap upper bounds
-//! (AdaptJoin's filter-power-vs-cost trade):
+//! while rejecting through a cascade of progressively stronger, still
+//! cheap upper bounds (AdaptJoin's filter-power-vs-cost trade). The
+//! shared pebble mass the cascade starts from has exactly **two count
+//! sources**: per pair, a two-pointer merge of the two records' posting
+//! tables ([`Verifier::sim_at_least`]); per probe run, one walk of the
+//! corpus-level [`GramPostingsIndex`] that counts every partner of the
+//! run at once ([`Verifier::verify_run_at_least`] — PASS-JOIN's
+//! shared-verification idea):
 //!
 //! * **Tier 0 — record-level pre-graph rejection.** Every matched pair
 //!   scores `msim ≤ 1` (gram measures and taxonomy similarity are ratios
@@ -32,18 +36,14 @@
 //!   segment pairs share it: no stamp table, no pair list, no `msim`. A
 //!   probe record's whole candidate run is counted in one walk of the
 //!   corpus-level [`GramPostingsIndex`] ([`Verifier::verify_run_at_least`]);
-//!   per-pair and probe-grouped calls count over the two records' own
-//!   posting tables.
+//!   per-pair calls count over the two records' own posting tables.
 //! * **Tier 1 — sparse vertex enumeration.** `msim > 0`
 //!   requires a shared gram (J), a shared synonym rule (S), taxonomy nodes
 //!   on both sides (T), or surface equality — so positive pairs are
 //!   surfaced from per-record posting tables
-//!   ([`crate::segment::SegRecord::gram_posts`] and friends). Per-pair
-//!   calls merge-join the two tables; the probe-grouped path
-//!   ([`Verifier::begin_probe`] + [`Verifier::probed_sim_at_least`])
-//!   instead indexes the probe side's tables into hash maps **once per
-//!   run** and streams every partner through them, so a partner pays for
-//!   its own postings only. Enumeration feeds a cascade:
+//!   ([`crate::segment::SegRecord::gram_posts`] and friends) by
+//!   merge-joining the two tables — whichever source counted the mass,
+//!   only its survivors get here. Enumeration feeds a cascade:
 //!   - **surfaced-segment cap** — an independent set uses distinct,
 //!     positive-`msim` segments per side, so
 //!     `USIM ≤ min(#surfaced S-segs, #surfaced T-segs, |S|, |T|) /
@@ -69,9 +69,9 @@
 //! Every bound only ever *rejects* (never accepts), and every bound is a
 //! provable upper bound of exact USIM, so the accept set — and the
 //! accepted values, which always come from the shared `refine_set` — are
-//! byte-identical to the reference per-candidate path. Per-worker scratch composes with
-//! [`crate::parallel::par_filter_map_runs_scratch`]: workers never share
-//! mutable state, nothing is cached across candidates, and the per-tier
+//! byte-identical to the reference per-candidate path. Per-worker scratch
+//! composes with [`crate::parallel::par_fragments_scratch`]: workers never
+//! share mutable state, nothing is cached across candidates, and the per-tier
 //! rejection counters ([`VerifyTiers`]) are pure per-candidate functions,
 //! so counts and results are independent of scheduling.
 
@@ -85,8 +85,6 @@ use crate::usim::approx::{
 };
 use crate::usim::eval::get_sim_with;
 use crate::usim::graph::{add_conflict_edges, UsimGraph, VertexPair};
-use au_text::FxHashMap;
-use std::hash::Hash;
 
 /// Per-pair flags of the epoch-stamped surfacing table.
 const FLAG_RULE: u8 = 1;
@@ -112,8 +110,7 @@ const NO_ROW: u32 = u32::MAX;
 
 /// Per-tier decision telemetry of the verification cascade. Every
 /// decision-mode call ([`Verifier::sim_at_least`] /
-/// [`Verifier::probed_sim_at_least`] / [`Verifier::verify_run_at_least`])
-/// lands in exactly one bucket, and every bucket is a **pure
+/// [`Verifier::verify_run_at_least`]) lands in exactly one bucket, and every bucket is a **pure
 /// per-candidate function** of `(S, T, θ, config)` — independent of
 /// scheduling, thread count and which count source ran — so their sums
 /// over a candidate set are deterministic and CI gates them exactly.
@@ -183,45 +180,6 @@ pub struct CascadeBounds {
     pub greedy: f64,
 }
 
-/// Hash-indexed view of one probe record's posting tables: each key maps
-/// to its contiguous `(offset, len)` group inside the record's own sorted
-/// posting array. Built once per candidate run by
-/// [`Verifier::begin_probe`]; a partner's mass count and enumeration then
-/// walk *its* postings only and join through O(1) lookups instead of
-/// re-merging the probe side per candidate.
-///
-/// The view holds offsets, not references — it stays valid only for the
-/// record it was built from, which [`Verifier::probed_sim_at_least`]
-/// debug-asserts by pointer identity. It is rebuilt unconditionally at
-/// every run start (never identity-cached): a freed record's address can
-/// be reused by a new one, and a stale view would score silently wrong.
-#[derive(Debug, Clone, Default)]
-struct ProbeIndex {
-    grams: FxHashMap<u64, (u32, u32)>,
-    rules: FxHashMap<u32, (u32, u32)>,
-    keys: FxHashMap<u64, (u32, u32)>,
-    /// Pointer identity of the probed record (debug-assert only).
-    ptr: usize,
-}
-
-impl ProbeIndex {
-    fn build(&mut self, s: &SegRecord) {
-        self.ptr = s as *const SegRecord as usize;
-        Self::fill(&mut self.grams, &s.gram_posts);
-        Self::fill(&mut self.rules, &s.rule_posts);
-        Self::fill(&mut self.keys, &s.key_posts);
-    }
-
-    fn fill<K: Eq + Hash + Copy>(map: &mut FxHashMap<K, (u32, u32)>, posts: &[(K, u32)]) {
-        map.clear();
-        let mut start = 0u32;
-        for_each_group(posts, |k, group| {
-            map.insert(k, (start, group.len() as u32));
-            start += group.len() as u32;
-        });
-    }
-}
-
 /// The gram credits of one probe record, tabulated once per run:
 /// `get(sa, c) = gram.score(c, |G(sa)|, c)` for every `c ≤ |G(sa)|` —
 /// the very call the per-pair path makes, so the float is the same and a
@@ -248,18 +206,6 @@ impl CreditTable {
     fn get(&self, sa: usize, c: u32) -> f64 {
         self.val[(self.off[sa] + c) as usize]
     }
-}
-
-/// Which view of the probe record a candidate's shared postings are
-/// joined through — for the mass count and for surfacing alike.
-#[derive(Clone, Copy)]
-enum GramSource {
-    /// Two-pointer merge of both records' posting tables (per-pair path,
-    /// and the survivors of a run-batched mass count).
-    Merge,
-    /// Walk the partner's postings against the probe index
-    /// ([`Verifier::begin_probe`]).
-    Probe,
 }
 
 /// The distinct keys of a key-sorted posting list into the empty `out`.
@@ -451,15 +397,15 @@ fn walk_postings<K: PartialEq + Copy + Into<u64>>(
 }
 
 /// Reusable per-worker state of the verification engine. Create one per
-/// worker (e.g. via `Default` in `par_filter_map_runs_scratch`'s `init`)
-/// and feed it to every [`Verifier`] call on that worker.
+/// worker (e.g. via `Default` in a [`crate::parallel`] `init`) and feed it
+/// to every [`Verifier`] call on that worker.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyScratch {
     /// Mass counters of the current candidate, one per probe segment
     /// ([`VerifyScratch::count_shared`]).
     shared: Vec<u32>,
     /// Gram credits of the current run's probe record
-    /// ([`Verifier::begin_probe`] / [`Verifier::verify_run_at_least`]).
+    /// ([`Verifier::verify_run_at_least`]).
     credit: CreditTable,
     /// Epoch stamps of the dense per-candidate `(s_seg, t_seg)` table.
     stamps: Vec<u32>,
@@ -487,8 +433,6 @@ pub struct VerifyScratch {
     /// Greedy-matching bound sort buffers.
     gm_s: Vec<f64>,
     gm_t: Vec<f64>,
-    /// Probe-side posting view of the current run ([`Verifier::begin_probe`]).
-    probe: ProbeIndex,
     /// Algorithm 1 local-search buffers (shared with the reference path).
     refine: RefineScratch,
     /// Per-tier decision counters since the last [`VerifyScratch::take_tally`].
@@ -505,31 +449,19 @@ impl VerifyScratch {
     /// The mass count of one pair into `self.shared`: per probe segment,
     /// the number of its distinct grams occurring anywhere in `t`, or
     /// [`FULL`] when `t` carries its surface key or one of its rules.
-    fn count_shared(&mut self, s: &SegRecord, t: &SegRecord, grams: GramSource) {
-        let Self { shared, probe, .. } = self;
+    fn count_shared(&mut self, s: &SegRecord, t: &SegRecord) {
+        let shared = &mut self.shared;
         shared.clear();
         shared.resize(s.segments.len(), 0);
-        shared_groups(grams, &probe.keys, &s.key_posts, &t.key_posts, |sg, _| {
+        shared_groups(&s.key_posts, &t.key_posts, |sg, _| {
             sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
         });
-        shared_groups(
-            grams,
-            &probe.grams,
-            &s.gram_posts,
-            &t.gram_posts,
-            |sg, _| {
-                sg.iter().for_each(|&(_, sa)| shared[sa as usize] += 1);
-            },
-        );
-        shared_groups(
-            grams,
-            &probe.rules,
-            &s.rule_posts,
-            &t.rule_posts,
-            |sg, _| {
-                sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
-            },
-        );
+        shared_groups(&s.gram_posts, &t.gram_posts, |sg, _| {
+            sg.iter().for_each(|&(_, sa)| shared[sa as usize] += 1);
+        });
+        shared_groups(&s.rule_posts, &t.rule_posts, |sg, _| {
+            sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
+        });
     }
 }
 
@@ -651,18 +583,6 @@ impl<'a> Verifier<'a> {
         self.cfg.gram.score(c, s.segments[sa].grams.len(), c)
     }
 
-    /// Index the probe record `s`'s posting tables into the scratch's
-    /// probe view and tabulate its gram credits, starting a probe-grouped
-    /// run: every subsequent [`Verifier::probed_sim_at_least`] /
-    /// [`Verifier::probed_sim`] call on this scratch must pass the same
-    /// `s` until the next `begin_probe`. The view is rebuilt
-    /// unconditionally — identity caching across runs would be unsound
-    /// under address reuse.
-    pub fn begin_probe(&self, s: &SegRecord, scr: &mut VerifyScratch) {
-        scr.probe.build(s);
-        scr.credit.build(s, self.cfg.gram);
-    }
-
     /// Decision-oriented verification: a valid lower bound of `USIM(s, t)`
     /// whose `≥ θ − eps` decision — and accepted value — is byte-identical
     /// to [`crate::usim::usim_approx_seg_at_least`].
@@ -673,26 +593,7 @@ impl<'a> Verifier<'a> {
         theta: f64,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        self.sim_at_least_impl(s, t, theta, GramSource::Merge, None, scr)
-    }
-
-    /// [`Verifier::sim_at_least`] through the probe-grouped enumeration:
-    /// `s` must be the record of the scratch's last
-    /// [`Verifier::begin_probe`]. Identical decisions and bits; the probe
-    /// side's posting tables are joined through the prebuilt index
-    /// instead of per-candidate merges.
-    pub fn probed_sim_at_least(
-        &self,
-        s: &SegRecord,
-        t: &SegRecord,
-        theta: f64,
-        scr: &mut VerifyScratch,
-    ) -> f64 {
-        debug_assert_eq!(
-            scr.probe.ptr, s as *const SegRecord as usize,
-            "probed call against a record begin_probe never saw"
-        );
-        self.sim_at_least_impl(s, t, theta, GramSource::Probe, None, scr)
+        self.sim_at_least_impl(s, t, theta, None, scr)
     }
 
     /// Verify one whole probe run through the run-batched mass count: `s`
@@ -730,7 +631,6 @@ impl<'a> Verifier<'a> {
                     s,
                     &t_recs[b as usize],
                     theta,
-                    GramSource::Merge,
                     Some(&rs.acc[k * ns..(k + 1) * ns]),
                     &mut rs.verify,
                 );
@@ -744,13 +644,12 @@ impl<'a> Verifier<'a> {
     /// The decision cascade of one candidate. `counted` carries the
     /// pair's mass counts when a run walk already made them (the scratch
     /// then holds the probe's credit table); otherwise they are counted
-    /// here through `grams`.
+    /// here by merging the two records' posting tables.
     fn sim_at_least_impl(
         &self,
         s: &SegRecord,
         t: &SegRecord,
         theta: f64,
-        grams: GramSource,
         counted: Option<&[u32]>,
         scr: &mut VerifyScratch,
     ) -> f64 {
@@ -774,41 +673,30 @@ impl<'a> Verifier<'a> {
             return ub0.min(theta);
         }
         // Tier "mass": one bound, whichever source counted. A run walk
-        // and `begin_probe` tabulate the probe's gram credits; a lone
-        // per-pair call computes them on the spot — the same `score` call.
-        if counted.is_none() {
-            scr.count_shared(s, t, grams);
-        }
-        let shared = counted.unwrap_or(&scr.shared);
-        let mass = match (counted, grams) {
-            (None, GramSource::Merge) => {
-                let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
-                self.mass_bound(s, t, shared, on_the_spot, Some(min_sim))
+        // tabulated the probe's gram credits; a per-pair call computes
+        // them on the spot — the same `score` call.
+        let mass = match counted {
+            Some(shared) => {
+                self.mass_bound(s, t, shared, |sa, c| scr.credit.get(sa, c), Some(min_sim))
             }
-            _ => self.mass_bound(s, t, shared, |sa, c| scr.credit.get(sa, c), Some(min_sim)),
+            None => {
+                scr.count_shared(s, t);
+                let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
+                self.mass_bound(s, t, &scr.shared, on_the_spot, Some(min_sim))
+            }
         };
         if mass < min_sim {
             scr.tally.mass_rejects += 1;
             return mass.min(theta);
         }
-        self.sim_tiered(s, t, Some(theta), grams, scr)
+        self.sim_tiered(s, t, Some(theta), scr)
     }
 
     /// Full-value verification: same value as
-    /// [`crate::usim::usim_approx_seg`] (no early stop), with all
-    /// enumeration sharing. Used by top-k re-scoring.
+    /// [`crate::usim::usim_approx_seg`] (no early stop), over the sparse
+    /// enumeration and reused buffers. Used by top-k re-scoring.
     pub fn sim(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> f64 {
-        self.sim_tiered(s, t, None, GramSource::Merge, scr)
-    }
-
-    /// [`Verifier::sim`] through the probe-grouped enumeration (see
-    /// [`Verifier::probed_sim_at_least`]).
-    pub fn probed_sim(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> f64 {
-        debug_assert_eq!(
-            scr.probe.ptr, s as *const SegRecord as usize,
-            "probed call against a record begin_probe never saw"
-        );
-        self.sim_tiered(s, t, None, GramSource::Probe, scr)
+        self.sim_tiered(s, t, None, scr)
     }
 
     /// Every cascade bound of one pair, fully evaluated with no early
@@ -833,10 +721,10 @@ impl<'a> Verifier<'a> {
             };
         }
         let denom = s.min_partition.max(t.min_partition);
-        scr.count_shared(s, t, GramSource::Merge);
+        scr.count_shared(s, t);
         let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
         let mass = self.mass_bound(s, t, &scr.shared, on_the_spot, None);
-        let (cnt_s, cnt_t) = self.surface_pairs(s, t, GramSource::Merge, scr);
+        let (cnt_s, cnt_t) = self.surface_pairs(s, t, scr);
         let aborted = self.score_pairs(s, t, denom, None, scr);
         debug_assert!(aborted.is_none(), "no abort without a target");
         let tier0 = ns.min(nt) as f64 / denom as f64;
@@ -870,10 +758,9 @@ impl<'a> Verifier<'a> {
         s: &SegRecord,
         t: &SegRecord,
         target: Option<f64>,
-        grams: GramSource,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        let (cnt_s, cnt_t) = self.surface_pairs(s, t, grams, scr);
+        let (cnt_s, cnt_t) = self.surface_pairs(s, t, scr);
         let denom = s.min_partition.max(t.min_partition);
         if let Some(th) = target {
             // Surfaced-segment cap: an independent set needs distinct
@@ -946,19 +833,11 @@ impl<'a> Verifier<'a> {
     }
 
     /// Tier 1, phase one: surface every segment pair that can have
-    /// `msim > 0` into the epoch-stamped tables, via per-pair merge joins
-    /// or the prebuilt probe index (see [`GramSource`]) — identical
-    /// surfaced *sets* whichever path ran. Returns the distinct surfaced
-    /// segment counts per side. Pairs are left in surfacing order in
-    /// `scr.pairs`; [`Verifier::score_pairs`] groups them by s-segment
-    /// itself.
-    fn surface_pairs(
-        &self,
-        s: &SegRecord,
-        t: &SegRecord,
-        grams: GramSource,
-        scr: &mut VerifyScratch,
-    ) -> (u32, u32) {
+    /// `msim > 0` into the epoch-stamped tables, by merge-joining the two
+    /// records' posting tables. Returns the distinct surfaced segment
+    /// counts per side. Pairs are left in surfacing order in `scr.pairs`;
+    /// [`Verifier::score_pairs`] groups them by s-segment itself.
+    fn surface_pairs(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> (u32, u32) {
         let ns_segs = s.segments.len();
         let nt_segs = t.segments.len();
         let slots = ns_segs * nt_segs;
@@ -970,7 +849,6 @@ impl<'a> Verifier<'a> {
             seen_t,
             epoch,
             pairs,
-            probe,
             ..
         } = scr;
         if stamps.len() < slots {
@@ -1007,31 +885,19 @@ impl<'a> Verifier<'a> {
             };
             // Surface identity (`msim`'s text-equality rule, every
             // config).
-            shared_groups(grams, &probe.keys, &s.key_posts, &t.key_posts, |sg, tg| {
+            shared_groups(&s.key_posts, &t.key_posts, |sg, tg| {
                 cross(sg, tg, |sa, ta| touch(sa, ta, 0, 0));
             });
             // J: a positive gram score needs a shared distinct gram;
             // count them (postings are empty when J is disabled).
-            shared_groups(
-                grams,
-                &probe.grams,
-                &s.gram_posts,
-                &t.gram_posts,
-                |sg, tg| {
-                    cross(sg, tg, |sa, ta| touch(sa, ta, 1, 0));
-                },
-            );
+            shared_groups(&s.gram_posts, &t.gram_posts, |sg, tg| {
+                cross(sg, tg, |sa, ta| touch(sa, ta, 1, 0));
+            });
             // S: a positive synonym score needs a rule with both surfaces
             // as sides — that rule is in both segments' rule lists.
-            shared_groups(
-                grams,
-                &probe.rules,
-                &s.rule_posts,
-                &t.rule_posts,
-                |sg, tg| {
-                    cross(sg, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
-                },
-            );
+            shared_groups(&s.rule_posts, &t.rule_posts, |sg, tg| {
+                cross(sg, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
+            });
             // T: a positive taxonomy score needs nodes on both sides.
             for &sa in &s.node_segs {
                 for &ta in &t.node_segs {
@@ -1100,8 +966,8 @@ impl<'a> Verifier<'a> {
         // Group the surfaced pairs by s-segment with a stable counting
         // sort (cheaper than a comparison sort, and the incremental
         // abort below only needs group-contiguity — group maxima are
-        // order-independent, so the tier split stays a pure function of
-        // the pair *sets* whichever surfacing path produced them).
+        // order-independent, so the tier split is a pure function of the
+        // pair *set*).
         sort_bucket.clear();
         sort_bucket.resize(ns_segs + 1, 0);
         let mut groups_left = 0u32;
@@ -1206,7 +1072,7 @@ impl<'a> Verifier<'a> {
     #[cfg(test)]
     fn enumerate_vertices(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) {
         let denom = s.min_partition.max(t.min_partition).max(1);
-        self.surface_pairs(s, t, GramSource::Merge, scr);
+        self.surface_pairs(s, t, scr);
         let aborted = self.score_pairs(s, t, denom, None, scr);
         debug_assert!(aborted.is_none());
         scr.vertices.sort_unstable_by_key(|v| (v.s_seg, v.t_seg));
@@ -1214,9 +1080,8 @@ impl<'a> Verifier<'a> {
 }
 
 /// Iterate the key-groups of a sorted posting list: `f(key, group)` fires
-/// once per distinct key with the contiguous entries carrying it. The one
-/// group-walk behind the probe index, the run-level posting walk and the
-/// posting-list joins.
+/// once per distinct key with the contiguous entries carrying it (the
+/// run-level posting walk).
 fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, &[(K, u32)])) {
     let mut i = 0usize;
     while i < posts.len() {
@@ -1231,44 +1096,32 @@ fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, 
 /// A sorted posting list.
 type Posts<K> = [(K, u32)];
 
-/// The join of the probe record's postings `sp` with a partner's `tp`:
-/// `f(s_group, t_group)` fires once per key both carry, with each side's
-/// entries for it — by two-pointer merge, or by walking the partner's
-/// groups against the probe `view` of `sp` (see [`GramSource`]). The mass
-/// count reads the probe group only; surfacing crosses the two.
-fn shared_groups<K: Ord + Hash + Copy>(
-    grams: GramSource,
-    view: &FxHashMap<K, (u32, u32)>,
+/// The join of the probe record's postings `sp` with a partner's `tp` by
+/// two-pointer merge: `f(s_group, t_group)` fires once per key both carry,
+/// with each side's entries for it. The mass count reads the probe group
+/// only; surfacing crosses the two.
+fn shared_groups<K: Ord + Copy>(
     sp: &Posts<K>,
     tp: &Posts<K>,
     mut f: impl FnMut(&Posts<K>, &Posts<K>),
 ) {
-    match grams {
-        GramSource::Merge => {
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < sp.len() && j < tp.len() {
-                match sp[i].0.cmp(&tp[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let k = sp[i].0;
-                        let (i0, j0) = (i, j);
-                        while i < sp.len() && sp[i].0 == k {
-                            i += 1;
-                        }
-                        while j < tp.len() && tp[j].0 == k {
-                            j += 1;
-                        }
-                        f(&sp[i0..i], &tp[j0..j]);
-                    }
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < sp.len() && j < tp.len() {
+        match sp[i].0.cmp(&tp[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let k = sp[i].0;
+                let (i0, j0) = (i, j);
+                while i < sp.len() && sp[i].0 == k {
+                    i += 1;
                 }
+                while j < tp.len() && tp[j].0 == k {
+                    j += 1;
+                }
+                f(&sp[i0..i], &tp[j0..j]);
             }
         }
-        GramSource::Probe => for_each_group(tp, |key, tg| {
-            if let Some(&(o, l)) = view.get(&key) {
-                f(&sp[o as usize..(o + l) as usize], tg);
-            }
-        }),
     }
 }
 
@@ -1317,8 +1170,7 @@ mod tests {
     }
 
     /// The sparse enumeration must reproduce the dense vertex list
-    /// byte for byte: same order, same weights, same winning measures —
-    /// through the merge-join path *and* the probe-grouped path.
+    /// byte for byte: same order, same weights, same winning measures.
     #[test]
     fn sparse_matches_dense_vertices() {
         for measures in [MeasureSet::TJS, MeasureSet::J, MeasureSet::S, MeasureSet::T] {
@@ -1331,27 +1183,12 @@ mod tests {
                 .collect();
             let v = Verifier::new(&kn, &cfg);
             let mut scr = VerifyScratch::default();
-            let mut probed_scr = VerifyScratch::default();
             for a in &segs {
-                v.begin_probe(a, &mut probed_scr);
                 for b in &segs {
                     let dense = build_vertices(&kn, &cfg, a, b);
                     v.enumerate_vertices(a, b, &mut scr);
                     assert_eq!(dense.len(), scr.vertices.len(), "vertex count");
                     for (x, y) in dense.iter().zip(&scr.vertices) {
-                        assert_eq!((x.s_seg, x.t_seg), (y.s_seg, y.t_seg));
-                        assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-                        assert_eq!(x.kind, y.kind);
-                    }
-                    // Probe-grouped surfacing finds the identical set.
-                    let denom = a.min_partition.max(b.min_partition).max(1);
-                    v.surface_pairs(a, b, GramSource::Probe, &mut probed_scr);
-                    let _ = v.score_pairs(a, b, denom, None, &mut probed_scr);
-                    probed_scr
-                        .vertices
-                        .sort_unstable_by_key(|v| (v.s_seg, v.t_seg));
-                    assert_eq!(dense.len(), probed_scr.vertices.len(), "probed count");
-                    for (x, y) in dense.iter().zip(&probed_scr.vertices) {
                         assert_eq!((x.s_seg, x.t_seg), (y.s_seg, y.t_seg));
                         assert_eq!(x.weight.to_bits(), y.weight.to_bits());
                         assert_eq!(x.kind, y.kind);
@@ -1362,8 +1199,7 @@ mod tests {
     }
 
     /// No cascade bound ever rejects a pair the reference accepts, and
-    /// accepted values are bitwise equal to the reference — per-pair and
-    /// probed.
+    /// accepted values are bitwise equal to the reference.
     #[test]
     fn tiered_decisions_match_reference() {
         let mut kn = kn_figure1();
@@ -1375,25 +1211,23 @@ mod tests {
             .collect();
         let v = Verifier::new(&kn, &cfg);
         let mut scr = VerifyScratch::default();
-        let mut scr_probed = VerifyScratch::default();
         for theta in [0.2, 0.5, 0.7, 0.9, 1.0] {
             for a in &segs {
-                v.begin_probe(a, &mut scr_probed);
                 for b in &segs {
                     let reference = usim_approx_seg_at_least(&kn, &cfg, a, b, theta);
                     let tiered = v.sim_at_least(a, b, theta, &mut scr);
-                    let probed = v.probed_sim_at_least(a, b, theta, &mut scr_probed);
                     let ref_accept = reference >= theta - cfg.eps;
-                    for (label, got) in [("merged", tiered), ("probed", probed)] {
-                        let accept = got >= theta - cfg.eps;
-                        assert_eq!(ref_accept, accept, "{label} decision at θ={theta}");
-                        if ref_accept {
-                            assert_eq!(
-                                reference.to_bits(),
-                                got.to_bits(),
-                                "{label} accepted value at θ={theta}"
-                            );
-                        }
+                    assert_eq!(
+                        ref_accept,
+                        tiered >= theta - cfg.eps,
+                        "decision at θ={theta}"
+                    );
+                    if ref_accept {
+                        assert_eq!(
+                            reference.to_bits(),
+                            tiered.to_bits(),
+                            "accepted value at θ={theta}"
+                        );
                     }
                 }
             }
@@ -1401,7 +1235,7 @@ mod tests {
     }
 
     /// The full-value path equals `usim_approx_seg` bitwise (top-k
-    /// re-scoring relies on this), per-pair and probed.
+    /// re-scoring relies on this).
     #[test]
     fn full_value_matches_reference() {
         let mut kn = kn_figure1();
@@ -1414,11 +1248,8 @@ mod tests {
         let v = Verifier::new(&kn, &cfg);
         let mut scr = VerifyScratch::default();
         for a in &segs {
-            v.begin_probe(a, &mut scr);
             for b in &segs {
                 let reference = usim_approx_seg(&kn, &cfg, a, b);
-                let probed = v.probed_sim(a, b, &mut scr);
-                assert_eq!(reference.to_bits(), probed.to_bits());
                 let tiered = v.sim(a, b, &mut scr);
                 assert_eq!(reference.to_bits(), tiered.to_bits());
             }
@@ -1474,9 +1305,7 @@ mod tests {
         }
     }
 
-    /// Every decision lands in exactly one tally bucket, and the tier
-    /// buckets are identical whether the cascade runs per-pair or probed
-    /// (pure per-candidate functions).
+    /// Every decision lands in exactly one tally bucket.
     #[test]
     fn tally_buckets_partition_decisions() {
         let mut kn = kn_figure1();
@@ -1488,33 +1317,22 @@ mod tests {
             .collect();
         let v = Verifier::new(&kn, &cfg);
         let mut scr = VerifyScratch::default();
-        let mut scr_probed = VerifyScratch::default();
-        let mut n = 0u64;
         for a in &segs {
-            v.begin_probe(a, &mut scr_probed);
             for b in &segs {
-                let x = v.sim_at_least(a, b, 0.7, &mut scr);
-                let y = v.probed_sim_at_least(a, b, 0.7, &mut scr_probed);
-                assert_eq!(x.to_bits(), y.to_bits());
-                n += 1;
+                v.sim_at_least(a, b, 0.7, &mut scr);
             }
         }
         let tally = scr.take_tally();
-        let tally_probed = scr_probed.take_tally();
-        assert_eq!(tally.decisions(), n);
+        assert_eq!(tally.decisions(), (segs.len() * segs.len()) as u64);
         assert!(tally.accepted > 0 && tally.tier0_rejects > 0 && tally.mass_rejects > 0);
-        assert_eq!(
-            tally, tally_probed,
-            "tier buckets diverge between per-pair and probed"
-        );
         // Taking the tally resets it.
         assert_eq!(scr.take_tally().decisions(), 0);
     }
 
     /// The run-batched driver (corpus-level posting index + run-level
     /// mass count + tier-0 pre-screen) accepts exactly the pairs of
-    /// per-pair `sim_at_least` calls with identical bits, and all three
-    /// count sources — batched, probe-grouped, per-pair — land every
+    /// per-pair `sim_at_least` calls with identical bits, and both count
+    /// sources — the run walk and the per-pair merge — land every
     /// candidate in the same one of the seven buckets.
     #[test]
     fn run_batched_equals_per_pair() {
@@ -1531,7 +1349,6 @@ mod tests {
         for theta in [0.3, 0.6, 0.9] {
             let mut rs = RunScratch::default();
             let mut per_pair = VerifyScratch::default();
-            let mut probed = VerifyScratch::default();
             for (a, sa) in segs.iter().enumerate() {
                 // One run: record a against every record (including
                 // empty/degenerate partners).
@@ -1539,11 +1356,8 @@ mod tests {
                 let mut batched = Vec::new();
                 v.verify_run_at_least(sa, &segs, &run, &idx, theta, &mut rs, &mut batched);
                 let mut expect = Vec::new();
-                v.begin_probe(sa, &mut probed);
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(sa, &segs[b as usize], theta, &mut per_pair);
-                    let p = v.probed_sim_at_least(sa, &segs[b as usize], theta, &mut probed);
-                    assert_eq!(sim.to_bits(), p.to_bits());
                     if sim >= theta - cfg.eps {
                         expect.push((x, b, sim));
                     }
@@ -1561,7 +1375,6 @@ mod tests {
                 "θ={theta}"
             );
             assert_eq!(bt, pt, "θ={theta}: batched vs per-pair");
-            assert_eq!(probed.take_tally(), pt, "θ={theta}: probed vs per-pair");
         }
     }
 

@@ -1070,6 +1070,62 @@ mod tests {
         check(&reopened, "reopened");
     }
 
+    /// A read segments its query once, under the newest knowledge, and
+    /// hands the same record to the base probe and the delta scan. One
+    /// query text holds every kind of word that could tell the two
+    /// vocabularies apart — a word inserted after the base was built
+    /// ("zanzibar"), a word neither segment has, twice ("qwertz"), and a
+    /// word unknown until a later insert makes it known ("plaza") — and
+    /// the live answer must stay the monolithic rebuild's, bit for bit,
+    /// before that insert, after it, and across a compaction.
+    #[test]
+    fn one_segmentation_answers_base_and_delta_as_a_rebuild_would() {
+        let s = svc(cfg());
+        let zanzibar = s
+            .insert_record("zanzibar coffee shop main street")
+            .unwrap()
+            .id;
+        let queries = [
+            "zanzibar coffee shop qwertz main qwertz plaza",
+            "qwertz coffee shop downtown main street",
+            "tea house uptown plaza",
+            "uptown plaza",
+        ];
+        let bits = |m: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            m.into_iter().map(|(id, sim)| (id, sim.to_bits())).collect()
+        };
+        let check = |stage: &str| -> Vec<Vec<(u64, u64)>> {
+            let snap = s.snapshot();
+            let served = |q: &str| bits(s.search(q).unwrap().matches);
+            queries
+                .iter()
+                .map(|q| {
+                    let live = served(q);
+                    let rebuilt = bits(reference_search(&snap, s.config(), q));
+                    assert_eq!(live, rebuilt, "{stage}: served ≠ monolithic for {q:?}");
+                    // The same overlay id again: a repeated read is stable.
+                    assert_eq!(served(q), live, "{stage}: repeated read of {q:?}");
+                    live
+                })
+                .collect()
+        };
+        let before = check("plaza unknown");
+        assert!(
+            before[0].iter().any(|&(id, _)| id == zanzibar),
+            "the delta row sharing the inserted word is served: {before:?}"
+        );
+        assert!(before[3].is_empty(), "nobody is close to uptown plaza yet");
+        // The overlay minted an id for "plaza"; this insert interns it.
+        let plaza = s.insert_record("tea house uptown plaza").unwrap().id;
+        let after = check("plaza known");
+        assert_eq!(after[2].first().map(|m| m.0), Some(plaza));
+        assert!(after[3].iter().any(|&(id, _)| id == plaza));
+        s.compact().unwrap();
+        assert_eq!(check("compacted"), after, "compaction moved an answer");
+        s.insert_record("qwertz plaza kiosk").unwrap();
+        check("compacted + delta");
+    }
+
     #[test]
     fn delete_masks_and_errors_are_typed() {
         let s = svc(cfg());

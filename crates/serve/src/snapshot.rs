@@ -74,8 +74,9 @@ pub struct Snapshot {
     /// Engine over the newest knowledge of the lineage: the base engine
     /// until an insert interns past it, then a cheap clone per insert.
     pub(crate) engine: Arc<Engine>,
-    /// Scratch pool + out-of-vocabulary overlay of the delta scans; lives
-    /// as long as the base segment it was created with.
+    /// Out-of-vocabulary overlay every read segments its query under, and
+    /// the delta scans' scratch pool; lives as long as the base segment it
+    /// was created with.
     pub(crate) session: Arc<QuerySession>,
     pub(crate) delta: Arc<Vec<Arc<DeltaRow>>>,
     pub(crate) tombstones: Arc<TombstoneSet>,
@@ -210,15 +211,12 @@ impl Snapshot {
         out
     }
 
-    /// θ-search at the service threshold: probe the base segment through
-    /// its prebuilt searcher, scan the delta rows, map row numbers to
-    /// global ids, mask tombstones, and merge under the global ordering
-    /// contract.
+    /// θ-search at the service threshold: segment the query once, probe
+    /// the base segment through its prebuilt searcher, scan the delta
+    /// rows, map row numbers to global ids, mask tombstones, and merge
+    /// under the global ordering contract.
     pub fn search(&self, text: &str) -> SearchResponse {
-        self.merge(
-            self.base_search.query(text),
-            self.scan_delta(text, &self.spec),
-        )
+        self.answer(&self.base_search, text, &self.spec)
     }
 
     /// Like [`Snapshot::search`], but at an arbitrary spec (the top-k
@@ -237,19 +235,24 @@ impl Snapshot {
             self.base_search.prepared().clone(),
             spec,
         )?;
-        Ok(self.merge(base.query(text), self.scan_delta(text, spec)))
+        Ok(self.answer(&base, text, spec))
     }
 
-    /// The delta's answer to one query: tokenize + segment the query
-    /// under the newest knowledge (an inserted word the base vocabulary
-    /// never saw has a real id there) and verify every row the tier-0
-    /// bound admits.
-    fn scan_delta(&self, text: &str, spec: &JoinSpec) -> Option<SearchOutcome> {
-        if self.delta.is_empty() {
-            return None;
-        }
-        let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &r.seg).collect();
-        Some(self.engine.scan(&self.session, &rows, text, spec))
+    /// Both segments' answers to one query, merged. The query is tokenized
+    /// and segmented **once**, under the newest knowledge (an inserted
+    /// word the base vocabulary never saw has a real id there, which the
+    /// delta rows carrying it share); the base probe takes the same record
+    /// — interners only append, so such a word is in no base record and
+    /// the base answer is what its own vocabulary would have given. The
+    /// delta's answer verifies every row the tier-0 bound admits.
+    fn answer(&self, base: &SnapshotSearcher, text: &str, spec: &JoinSpec) -> SearchResponse {
+        let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
+        let query = self.session.segment(kn, cfg, text);
+        let delta = (!self.delta.is_empty()).then(|| {
+            let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &r.seg).collect();
+            self.engine.scan(&self.session, &rows, &query, spec)
+        });
+        self.merge(base.query_record(&query), delta)
     }
 
     fn merge(&self, base: SearchOutcome, delta: Option<SearchOutcome>) -> SearchResponse {

@@ -43,7 +43,8 @@
 //!
 //! // A second operation on prepared state skips preparation entirely.
 //! let again = engine.join(&ps, &pt, &JoinSpec::threshold(0.8).au_dp(2))?;
-//! assert_eq!(again.stats.prepare_time.as_nanos(), 0);
+//! assert_eq!(again.pairs, res.pairs);
+//! assert!(pt.memo_hits() > 0);
 //! # Ok::<(), AuError>(())
 //! ```
 //!

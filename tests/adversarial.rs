@@ -236,8 +236,7 @@ fn zero_and_one_thresholds() {
 
 /// A probe record whose run needs more mass counters than one worker may
 /// hold (520 segments × 2100 partners > 2²⁰): the run-batched source
-/// counts it in partner chunks — the case a per-record segment limit used
-/// to divert to the probe-grouped path — with the same pairs and the same
+/// counts it in partner chunks, with the same pairs and the same
 /// seven-bucket tally as the reference and the per-pair source.
 #[test]
 fn oversized_run_takes_the_batched_path_in_chunks() {

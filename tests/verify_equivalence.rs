@@ -5,13 +5,13 @@
 //! per-candidate path (`verify_candidates_reference`), on generated
 //! datasets and on adversarial proptest corpora, serial and parallel
 //! alike, through *both* of its count sources: the run-batched one the
-//! driver picks at ≥ 2048 candidates and the probe-grouped one it picks
+//! driver picks at ≥ 2048 candidates and the per-pair one it picks
 //! below — and both must land every candidate in the same one of the
-//! seven tier buckets as a per-pair `Verifier::sim_at_least` call.
+//! seven tier buckets as a lone `Verifier::sim_at_least` call.
 //!
 //! This is the contract that lets the engine reject candidates before any
-//! segment-pair enumeration (tier 0, the mass bound), share the probe
-//! side's work across a run and reuse every per-candidate buffer (tier
+//! segment-pair enumeration (tier 0, the mass bound), count a whole run's
+//! mass in one index walk and reuse every per-candidate buffer (tier
 //! 2): none of it may change a single output bit.
 //!
 //! A *query* is one such run, verified in one walk of the collection's
@@ -34,7 +34,7 @@ use proptest::prelude::*;
 
 /// The driver's size switch (`BATCHED_VERIFY_MIN` in `au_core::join`):
 /// candidate lists at least this long verify through the run-batched mass
-/// count, shorter ones through the probe-grouped one.
+/// count, shorter ones pair by pair.
 const BATCHED_MIN: usize = 2048;
 
 fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str) {
@@ -52,7 +52,7 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
 /// and parallel — byte-identical `(pair, sim)` everywhere, plus the
 /// tier-telemetry invariants (every candidate in exactly one bucket,
 /// accepted == results, and the seven-bucket tally identical across
-/// schedules *and* across the batched / probe-grouped / per-pair sources).
+/// schedules *and* across the run-batched and per-pair sources).
 fn check_candidates(
     kn: &Knowledge,
     s: &[SegRecord],
@@ -71,7 +71,7 @@ fn check_candidates(
         }
         scr.take_tally()
     };
-    // `None` lets the driver pick by size (probe-grouped below
+    // `None` lets the driver pick by size (per-pair below
     // `BATCHED_MIN`); a supplied index forces the run-batched source.
     let forced = GramPostingsIndex::build(t);
     for parallel in [false, true] {
@@ -96,7 +96,7 @@ fn check_candidates(
 
 /// Filter one dataset at θ, then check the whole candidate list (long
 /// enough for the run-batched gram source) and a prefix short enough for
-/// the probe-grouped one.
+/// the per-pair one.
 fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
     let ps = engine.prepare(&ds.s).expect("prepare S");
@@ -117,7 +117,7 @@ fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
     let t_recs = t.unwrap_or(&ps).seg_records();
     for (path, cands) in [
         ("run-batched", &out.candidates[..]),
-        ("probe-grouped", &out.candidates[..BATCHED_MIN - 1]),
+        ("per-pair", &out.candidates[..BATCHED_MIN - 1]),
     ] {
         check_candidates(
             &ds.kn,
@@ -256,7 +256,8 @@ fn check_queries(ds: &LabeledDataset, theta: f64) {
     let mut accepted = 0u64;
     for q in query_set(ds) {
         let walked = searcher.query(&q);
-        let scanned = engine.scan(&session, &rows, &q, &spec);
+        let segmented = session.segment(engine.knowledge(), engine.config(), &q);
+        let scanned = engine.scan(&session, &rows, &segmented, &spec);
         let ctx = format!("θ={theta} q={q:?}");
         assert_eq!(
             match_bits(&walked.matches),
@@ -465,7 +466,7 @@ proptest! {
     }
 
     /// Whole-corpus: the verify stage output is byte-identical to the
-    /// reference, serial and parallel (short lists: probe-grouped source).
+    /// reference, serial and parallel (short lists: per-pair source).
     #[test]
     fn tiered_corpus_verify_matches(texts in prop::collection::vec(text_strategy(6), 4..16), theta in 0.3f64..0.95) {
         let mut kn = test_knowledge();

@@ -1,7 +1,7 @@
 //! Production-driver-vs-reference verification equivalence under a pinned
 //! `AU_THREADS` override, through both count sources of
 //! `au_core::join::verify_candidates`: the whole candidate list (≥ 2048,
-//! run-batched) and a prefix below the switch (probe-grouped).
+//! run-batched) and a prefix below the switch (per-pair).
 //!
 //! `au_core::parallel::available_threads` reads `AU_THREADS` once per
 //! process, so this check lives in its own integration-test binary: the
@@ -73,7 +73,8 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
     let mut matched = 0usize;
     for r in big.s.records().iter().step_by(40) {
         let walked = searcher.query(&r.raw);
-        let scanned = engine.scan(&session, &rows, &r.raw, &spec);
+        let segmented = session.segment(engine.knowledge(), engine.config(), &r.raw);
+        let scanned = engine.scan(&session, &rows, &segmented, &spec);
         let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
             m.iter().map(|&(row, sim)| (row, sim.to_bits())).collect()
         };
