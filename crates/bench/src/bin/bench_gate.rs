@@ -17,7 +17,9 @@
 //!   may not regress by more than `BENCH_GATE_TOL` (default 0.25: a drop
 //!   past 25% fails) against the baseline; rows whose baseline or current
 //!   throughput is 0 (timings disabled) are skipped;
-//! * **memory** — in `BENCH_fig_shard.json`, `memory_ratio` (sharded
+//! * **memory** — the join files' top-level `prepare_memory_bytes` and the
+//!   `fig_shard` rows' `memory_bytes` are length-based and exact-matched;
+//!   in `BENCH_fig_shard.json`, `memory_ratio` (sharded
 //!   peak bytes / monolithic whole-corpus prepare bytes) may not exceed
 //!   `BENCH_GATE_MAX_MEMORY_RATIO` (default 0.25 — the memory-lean
 //!   acceptance bound), and the sharded row must report pruned tasks
@@ -25,9 +27,10 @@
 //! * **robustness** — in `BENCH_fig_serve.json`, the top-level
 //!   durability counters (`wal_frames`, `wal_replayed_frames`,
 //!   `wal_retries`, `wal_backoff_waits`, `degraded_entries`,
-//!   `degraded_writes`, `admission_rejected`, plus `compactions` and
-//!   `stale_anomalies`) are exact-matched — the fault schedules are
-//!   seeded, so any drift is a durability behaviour change.
+//!   `degraded_writes`, `admission_rejected`, plus `compactions`,
+//!   `stale_anomalies` and `records_prepared`) are exact-matched — the
+//!   fault schedules are seeded, so any drift is a durability behaviour
+//!   change (or, for `records_prepared`, stage-1 work that came back).
 //!
 //! Exit code 1 on any failure; every failure is printed.
 
@@ -103,11 +106,11 @@ impl Gate {
     }
 
     fn gate_file(&mut self, name: &str, base: &Value, cur: &Value) {
-        // Top-level deterministic counters (fig_serve robustness trail):
-        // compaction count, WAL frame/replay/retry/backoff counters, the
-        // degradation counters and the admission shed count are exact
-        // functions of (scale, seed, fault seed) — any drift is a
-        // durability behaviour change, not noise.
+        // Top-level deterministic counters (mostly the fig_serve
+        // robustness trail): compaction count, WAL frame / replay / retry
+        // / backoff counters, the degradation counters and the admission
+        // shed count are exact functions of (scale, seed, fault seed) —
+        // any drift is a durability behaviour change, not noise.
         for key in [
             "stale_anomalies",
             "compactions",
@@ -118,6 +121,12 @@ impl Gate {
             "degraded_entries",
             "degraded_writes",
             "admission_rejected",
+            // Stage-1 work of the served workload: the initial corpus
+            // plus one record per insert, whatever the compactions did.
+            "records_prepared",
+            // BENCH_{med,wiki}: the two fresh `Prepared`s' deep bytes —
+            // length-based, so a pure function of (scale, seed) too.
+            "prepare_memory_bytes",
         ] {
             if base.get(key).is_some() {
                 self.check_exact(name, key, f64_field(base, key), f64_field(cur, key));

@@ -38,11 +38,13 @@ fn main() {
         );
     }
     println!(
-        "fig_serve: initial={} +{} -{} compactions={} stale_anomalies={} pause={:.2}ms",
+        "fig_serve: initial={} +{} -{} compactions={} records_prepared={} stale_anomalies={} \
+         pause={:.2}ms",
         serve.n_initial,
         serve.n_inserts,
         serve.n_deletes,
         serve.compactions,
+        serve.records_prepared,
         serve.stale_anomalies,
         serve.compact_pause_seconds * 1e3
     );

@@ -305,6 +305,11 @@ pub struct ServeReport {
     pub degraded_writes: u64,
     /// Requests shed by admission control during the main workload.
     pub admission_rejected: u64,
+    /// Records the service segmented over the whole workload
+    /// (`ServeStats::records_prepared`): the initial corpus plus one per
+    /// insert — a compaction segments nothing, so the count does not
+    /// depend on how many ran. Pure function of (scale, seed).
+    pub records_prepared: u64,
     /// Per-phase rows (`steady` first).
     pub rows: Vec<ServeRow>,
     /// Longest single compaction in seconds (0 when timings disabled).
@@ -498,6 +503,7 @@ pub fn run_serve_workload(scale: f64, seed: u64, timings: bool) -> ServeReport {
         degraded_entries,
         degraded_writes,
         admission_rejected: stats.admission.overloads,
+        records_prepared: stats.records_prepared,
         rows: vec![
             ServeRow {
                 id: "serve/steady".into(),
@@ -1299,6 +1305,7 @@ impl ServeReport {
             ("degraded_entries", self.degraded_entries),
             ("degraded_writes", self.degraded_writes),
             ("admission_rejected", self.admission_rejected),
+            ("records_prepared", self.records_prepared),
         ] {
             push_field(&mut o, "  ", key, v.to_string(), false);
         }

@@ -24,7 +24,8 @@
 //! save              checkpoint the log (fold, then rewrite as live state)
 //! heal              retry a degraded (read-only) session's log
 //! wal-stats         durability counters: frames, bytes, retries, degradation
-//! stats             generation, live count, counters
+//! stats             generation, live count, counters, the last compaction's shape
+//!                   (`prepared` = records segmented; a compaction segments nothing)
 //! quit              exit
 //! ```
 //!
@@ -239,9 +240,12 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
         }
         "stats" => {
             let s = svc.stats();
+            let c = s.last_compact;
+            // `prepared` counts segmented records: creates, opens and
+            // inserts — a compaction segments nothing, it merges.
             println!(
                 "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {} pause {:.2}ms \
-                 prepared {}",
+                 (carried {} dropped {} appended {} merge {:.2}ms build {:.2}ms) prepared {}",
                 s.generation,
                 s.live,
                 s.delta_len,
@@ -251,6 +255,11 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
                 s.deletes,
                 s.compactions,
                 s.last_compact_nanos as f64 / 1e6,
+                c.carried,
+                c.dropped,
+                c.appended,
+                c.merge_nanos as f64 / 1e6,
+                c.build_nanos as f64 / 1e6,
                 s.records_prepared
             );
         }

@@ -65,6 +65,7 @@ use crate::topk::TopkResult;
 use crate::usim::{usim_approx_seg, GramPostingsIndex, Verifier, VerifyScratch, VerifyTiers};
 use au_text::record::{Corpus, RecordId};
 use au_text::FxHashMap;
+use au_text::TokenId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -460,8 +461,10 @@ pub struct Prepared {
     /// engine operation — see [`AuError::ConfigMismatch`]).
     cfg: SimConfig,
     corpus: Corpus,
-    /// Segmented records (posting tables included), by record id.
-    segrecs: Vec<SegRecord>,
+    /// Segmented records (posting tables included), by record id; shared
+    /// with every artifact [`Engine::merge_prepared`] derives from this
+    /// one (a row is immutable once segmented).
+    segrecs: Vec<Arc<SegRecord>>,
     /// Pebble key → number of this corpus's records carrying it, counted
     /// once here; every global order over this corpus (alone or with a
     /// join partner) is built by adding such tables.
@@ -495,9 +498,9 @@ impl Prepared {
         self.gen
     }
 
-    /// Wall-clock spent segmenting at [`Engine::prepare`] time.
-    /// Operations on this artifact never pay it again — [`JoinStats`]
-    /// times stages 2–5 only.
+    /// Wall-clock spent segmenting at [`Engine::prepare`] time (merging,
+    /// for [`Engine::merge_prepared`]). Operations on this artifact never
+    /// pay it again — [`JoinStats`] times stages 2–5 only.
     pub fn prepare_seconds(&self) -> f64 {
         self.prepare_seconds
     }
@@ -510,12 +513,15 @@ impl Prepared {
     /// capacities), so the figure is deterministic for a given corpus and
     /// operation history — the number the sharded joins' peak-memory
     /// claim and the perf harness's memory column are measured in.
+    /// A row counts in full (pointer and counts included) in every artifact
+    /// holding it: generations sharing rows sum to more than the process holds.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut total = size_of::<Self>();
         total += self.corpus.memory_bytes();
+        let arc_bytes = size_of::<Arc<SegRecord>>() + 2 * size_of::<usize>();
         for sr in &self.segrecs {
-            total += sr.memory_bytes();
+            total += arc_bytes + sr.memory_bytes();
         }
         total += self.tier0.len() * size_of::<(u32, u32)>();
         total += self.df.memory_bytes();
@@ -538,7 +544,7 @@ impl Prepared {
 
     /// Every segmented record, indexed by record id — the slices the
     /// stage functions of [`crate::join`] take.
-    pub fn seg_records(&self) -> &[SegRecord] {
+    pub fn seg_records(&self) -> &[Arc<SegRecord>] {
         &self.segrecs
     }
 
@@ -546,6 +552,7 @@ impl Prepared {
     pub fn seg_record(&self, id: u32) -> Result<&SegRecord, AuError> {
         self.segrecs
             .get(id as usize)
+            .map(|sr| &**sr)
             .ok_or(AuError::RecordOutOfBounds {
                 id,
                 len: self.len(),
@@ -787,16 +794,19 @@ impl Engine {
 
     /// Every token of `corpus` must be an id of this engine's vocabulary.
     fn check_tokens(&self, corpus: &Corpus) -> Result<(), AuError> {
+        corpus.iter().try_for_each(|r| self.check_ids(&r.tokens))
+    }
+
+    /// Every id of `tokens` must be an id of this engine's vocabulary.
+    fn check_ids(&self, tokens: &[TokenId]) -> Result<(), AuError> {
         let vocab_len = self.kn.vocab.len();
-        for r in corpus.iter() {
-            if let Some(&bad) = r.tokens.iter().find(|t| t.idx() >= vocab_len) {
-                return Err(AuError::UnknownToken {
-                    id: bad.0,
-                    vocab_len,
-                });
-            }
+        match tokens.iter().find(|t| t.idx() >= vocab_len) {
+            Some(bad) => Err(AuError::UnknownToken {
+                id: bad.0,
+                vocab_len,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Stage 1 on a corpus whose tokens are known to be in this engine's
@@ -830,6 +840,24 @@ impl Engine {
             },
             |(_, counts)| relock(&df).add(counts),
         );
+        // A pass of its own: row headers allocated back to back keep a
+        // candidate walk ≈ 15 % cheaper than interleaved ones (DESIGN.md).
+        let segrecs = segrecs.into_iter().map(Arc::new).collect();
+        let df = df
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.assemble(corpus, segrecs, df, start)
+    }
+
+    /// A fresh [`Prepared`] of this engine over `segrecs` (row `i` segments
+    /// `corpus` record `i`; `df` counts exactly these rows).
+    fn assemble(
+        &self,
+        corpus: Corpus,
+        segrecs: Vec<Arc<SegRecord>>,
+        df: DocFreqs,
+        start: Instant,
+    ) -> Prepared {
         let tier0 = segrecs
             .iter()
             .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
@@ -845,13 +873,75 @@ impl Engine {
             cfg: self.cfg,
             corpus,
             segrecs,
-            df: df
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            df,
             tier0,
             prepare_seconds: start.elapsed().as_secs_f64(),
             memo: Mutex::new(Memo::default()),
         }
+    }
+
+    /// A [`Prepared`] derived from `base` **without running stage 1**:
+    /// `base`'s rows minus the strictly ascending row ids `dropped_rows`,
+    /// then the already-segmented `appended` rows (each with its raw
+    /// text), stamped with this engine's knowledge generation. Carried
+    /// rows are the same `Arc`s, `df` is `base`'s − dropped + appended,
+    /// the memo empty: field for field what [`Engine::prepare_owned`]
+    /// makes of the same records.
+    ///
+    /// `base` and `appended` must have been segmented under this engine's
+    /// configuration (checked for `base`) and under this knowledge or an
+    /// earlier state of its lineage ([`Engine::scan`]'s precondition:
+    /// interners only append; phrases, rules and entities are fixed at
+    /// build time). A `base` that shows itself foreign — a newer generation,
+    /// a dropped row it never counted — is [`AuError::StaleKnowledge`].
+    pub fn merge_prepared<'a>(
+        &self,
+        base: &Prepared,
+        dropped_rows: &[u32],
+        appended: impl IntoIterator<Item = (&'a Arc<SegRecord>, &'a str)>,
+    ) -> Result<Prepared, AuError> {
+        let start = Instant::now();
+        if base.cfg != self.cfg {
+            return Err(AuError::ConfigMismatch);
+        }
+        if !dropped_rows.windows(2).all(|w| w[0] < w[1]) {
+            return Err(AuError::InvalidSpec {
+                field: "dropped_rows",
+                message: "row ids must be strictly ascending".into(),
+            });
+        }
+        let len = base.len();
+        if let Some(&id) = dropped_rows.last().filter(|&&r| r as usize >= len) {
+            return Err(AuError::RecordOutOfBounds { id, len });
+        }
+        // Generations are minted in increasing order.
+        let (expected, found) = (self.kn.generation(), base.gen);
+        let foreign = AuError::StaleKnowledge { expected, found };
+        if found > expected {
+            return Err(foreign);
+        }
+        let mut df = base.df.clone();
+        let mut keys = Vec::new();
+        let mut corpus = Corpus::new();
+        let mut segrecs = Vec::with_capacity(len - dropped_rows.len());
+        let mut dropped = dropped_rows.iter().peekable();
+        for (row, (sr, rec)) in base.segrecs.iter().zip(base.corpus.records()).enumerate() {
+            if dropped.next_if(|&&d| d as usize == row).is_some() {
+                if !df.uncount_record(&self.kn, sr, &mut keys) {
+                    return Err(foreign);
+                }
+                continue;
+            }
+            corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
+            segrecs.push(sr.clone());
+        }
+        for (sr, raw) in appended {
+            self.check_ids(&sr.tokens)?;
+            df.count_record(&self.kn, sr, &mut keys);
+            corpus.push_tokens(sr.tokens.clone(), raw.to_string());
+            segrecs.push(sr.clone());
+        }
+        Ok(self.assemble(corpus, segrecs, df, start))
     }
 
     /// Artifact guard: the knowledge generation must match
@@ -1961,14 +2051,16 @@ mod tests {
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let ps = engine.prepare(&s).unwrap();
         let pt = engine.prepare(&t).unwrap();
-        // A fresh artifact is its corpus, its segmentation, the tier-0
-        // integers and the frequency table: nothing per pebble.
+        // A fresh artifact is its corpus, its segmentation (each row
+        // behind a pointer and two reference counts), the tier-0 integers
+        // and the frequency table: nothing per pebble.
         let fresh = ps.memory_bytes();
         assert_eq!(
             fresh,
             std::mem::size_of::<Prepared>()
                 + ps.corpus.memory_bytes()
                 + ps.segrecs.iter().map(|sr| sr.memory_bytes()).sum::<usize>()
+                + ps.len() * 3 * std::mem::size_of::<usize>()
                 + ps.tier0.len() * std::mem::size_of::<(u32, u32)>()
                 + ps.df.memory_bytes()
         );
@@ -2099,6 +2191,217 @@ mod tests {
         assert_eq!(fanned.df, serial.df);
         assert!(fanned.segrecs.iter().any(|sr| !sr.rule_posts.is_empty()));
         assert!(fanned.segrecs.iter().any(|sr| !sr.node_segs.is_empty()));
+    }
+
+    /// The words `merge_lines` draws from; the last two are in no base
+    /// record, so an appended row can carry a token interned after the
+    /// base was prepared.
+    const MERGE_WORDS: [&str; 12] = [
+        "coffee", "shop", "cafe", "latte", "espresso", "helsinki", "tea", "cake", "north", "south",
+        "zanzibar", "quixotic",
+    ];
+
+    /// `base` prepared under an early state of the knowledge lineage, then
+    /// `drop[i]` deciding row `i`'s fate and `appended` interned and
+    /// segmented under a later state: the merged artifact must equal,
+    /// field for field, a from-scratch prepare of the surviving records —
+    /// and every operation over the two must agree down to the counters.
+    fn assert_merge_equals_prepare(base: &[String], drop: &[bool], appended: &[String]) {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        let base_corpus = kn.corpus_from_lines(base.iter().map(String::as_str));
+        let old = Engine::new(kn.clone(), cfg).unwrap();
+        let base_p = old.prepare(&base_corpus).unwrap();
+        let dropped: Vec<u32> = (0..base.len() as u32)
+            .filter(|&r| drop[r as usize])
+            .collect();
+        let new_rows: Vec<(Arc<SegRecord>, &str)> = appended
+            .iter()
+            .map(|line| {
+                let id = kn.add_record(line);
+                let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
+                (Arc::new(sr), line.as_str())
+            })
+            .collect();
+        let engine = Engine::new(kn, cfg).unwrap();
+        let merged = engine
+            .merge_prepared(
+                &base_p,
+                &dropped,
+                new_rows.iter().map(|(sr, raw)| (sr, *raw)),
+            )
+            .unwrap();
+
+        let mut live = Corpus::new();
+        for r in base_corpus.iter().filter(|r| !drop[r.id.idx()]) {
+            live.push_tokens(r.tokens.clone(), r.raw.clone());
+        }
+        for (sr, raw) in &new_rows {
+            live.push_tokens(sr.tokens.clone(), raw.to_string());
+        }
+        let fresh = engine.prepare_owned(live).unwrap();
+
+        assert_eq!(merged.segrecs, fresh.segrecs);
+        assert_eq!(merged.df, fresh.df);
+        assert_eq!(merged.tier0, fresh.tier0);
+        assert_eq!(merged.generation(), engine.knowledge().generation());
+        assert_eq!(merged.memo_len(), 0);
+        assert_eq!(merged.memory_bytes(), fresh.memory_bytes());
+        let rows = |p: &Prepared| -> Vec<(u32, Vec<TokenId>, String)> {
+            p.corpus()
+                .iter()
+                .map(|r| (r.id.0, r.tokens.clone(), r.raw.clone()))
+                .collect()
+        };
+        assert_eq!(rows(&merged), rows(&fresh));
+        // Carried rows are the base's own, not copies.
+        let kept = (0..base.len()).filter(|&r| !drop[r]);
+        for (row, from) in kept.enumerate() {
+            assert!(Arc::ptr_eq(&merged.segrecs[row], &base_p.segrecs[from]));
+        }
+
+        let bits = |pairs: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+            pairs.iter().map(|&(a, b, s)| (a, b, s.to_bits())).collect()
+        };
+        for spec in [
+            JoinSpec::threshold(0.5).au_dp(2),
+            JoinSpec::threshold(0.8).u_filter(),
+        ] {
+            let (m, f) = (
+                engine.join_self(&merged, &spec).unwrap(),
+                engine.join_self(&fresh, &spec).unwrap(),
+            );
+            assert_eq!(bits(&m.pairs), bits(&f.pairs));
+            assert_eq!(m.stats.candidates, f.stats.candidates);
+            assert_eq!(m.stats.processed_pairs, f.stats.processed_pairs);
+            assert_eq!(m.stats.compat_rejected, f.stats.compat_rejected);
+            assert_eq!(m.stats.tiers, f.stats.tiers, "all seven buckets");
+            assert_eq!(m.stats.tiers.decisions(), m.stats.candidates);
+            let (sm, sf) = (
+                engine.searcher(&merged, &spec).unwrap(),
+                engine.searcher(&fresh, &spec).unwrap(),
+            );
+            for q in base.iter().chain(appended).take(6) {
+                let (a, b) = (sm.query(q), sf.query(q));
+                let hits = |o: &SearchOutcome| -> Vec<(u32, u64)> {
+                    o.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+                };
+                assert_eq!(hits(&a), hits(&b), "{q:?}");
+                assert_eq!(
+                    (a.candidates, a.processed, a.compat_rejected, a.tiers),
+                    (b.candidates, b.processed, b.compat_rejected, b.tiers),
+                    "{q:?}"
+                );
+            }
+        }
+    }
+
+    /// `n` lines of 1–4 words off `MERGE_WORDS[..pool]`, deterministic in
+    /// `salt`.
+    fn merge_lines(n: usize, pool: usize, salt: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                (0..1 + (i + salt) % 4)
+                    .map(|k| MERGE_WORDS[(i * 5 + k * (i % 3 + 1) + salt) % pool])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_prepared_equals_prepare_at_the_edges() {
+        let mut base = merge_lines(24, 10, 1);
+        // Keys only a dropped row carries must leave the frequency table.
+        base[0] = "gizmo widget".into();
+        let appended = merge_lines(7, 12, 3);
+        assert!(appended.iter().any(|l| l.contains("zanzibar")));
+        let (all, none) = (vec![true; 24], vec![false; 24]);
+        let some: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
+        let most: Vec<bool> = (0..24).map(|i| i % 5 != 0).collect();
+        for (drop, appended) in [
+            (&all, &appended[..]),  // drop everything
+            (&all, &[][..]),        // … and append nothing: an empty artifact
+            (&none, &appended[..]), // drop nothing
+            (&none, &[][..]),       // the base again, re-stamped
+            (&some, &[][..]),       // tombstones only (subtracts)
+            (&most, &appended[..]), // a window
+            (&some, &appended[..]),
+        ] {
+            assert_merge_equals_prepare(&base, drop, appended);
+        }
+        assert_merge_equals_prepare(&[], &[], &appended); // empty base
+        assert_merge_equals_prepare(&[], &[], &[]);
+    }
+
+    mod merge_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn lines(pool: usize, max: usize) -> impl Strategy<Value = Vec<String>> {
+            let line =
+                prop::collection::vec(prop::sample::select(MERGE_WORDS[..pool].to_vec()), 0..5)
+                    .prop_map(|w| w.join(" "));
+            prop::collection::vec(line, 0..max)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn merge_prepared_equals_prepare_owned(
+                base in lines(10, 30),
+                drop in prop::collection::vec(prop::bool::weighted(0.4), 30),
+                appended in lines(12, 8),
+            ) {
+                assert_merge_equals_prepare(&base, &drop, &appended);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_prepared_rejects_what_it_cannot_merge() {
+        let (mut kn, s, _) = setup();
+        let cfg = SimConfig::default();
+        let engine = Engine::new(kn.clone(), cfg).unwrap();
+        let base = engine.prepare(&s).unwrap();
+        let none = std::iter::empty::<(&Arc<SegRecord>, &str)>;
+        assert!(engine.merge_prepared(&base, &[0, 3], none()).is_ok());
+        for unsorted in [&[2, 1][..], &[1, 1]] {
+            assert!(matches!(
+                engine.merge_prepared(&base, unsorted, none()),
+                Err(AuError::InvalidSpec {
+                    field: "dropped_rows",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(
+            engine.merge_prepared(&base, &[1, 4], none()).err(),
+            Some(AuError::RecordOutOfBounds { id: 4, len: 4 })
+        );
+        let other = Engine::new(kn.clone(), SimConfig { q: 3, ..cfg }).unwrap();
+        assert_eq!(
+            other.merge_prepared(&base, &[], none()).err(),
+            Some(AuError::ConfigMismatch)
+        );
+        // A row segmented under a later state of the lineage than the
+        // merging engine's: its new word is outside that vocabulary.
+        let id = kn.add_record("coffee zanzibar");
+        let late = Arc::new(segment_record(&kn, &cfg, &kn.record(id).tokens));
+        assert!(matches!(
+            engine.merge_prepared(&base, &[], [(&late, "coffee zanzibar")]),
+            Err(AuError::UnknownToken { .. })
+        ));
+        // … and a base prepared under that later state is not one this
+        // engine's knowledge can have descended from.
+        let later = Engine::new(kn, cfg).unwrap();
+        let newer = later.prepare(&s).unwrap();
+        assert!(matches!(
+            engine.merge_prepared(&newer, &[0], none()),
+            Err(AuError::StaleKnowledge { .. })
+        ));
+        assert!(later.merge_prepared(&base, &[0], none()).is_ok());
     }
 
     #[test]

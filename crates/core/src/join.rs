@@ -29,7 +29,7 @@ use crate::segment::{segment_record, SegRecord};
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
 use au_text::record::Corpus;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Timing and cardinality statistics of one join run.
@@ -164,7 +164,7 @@ impl SelectedSignatures {
     pub fn select(
         kn: &Knowledge,
         cfg: &SimConfig,
-        segrecs: &[SegRecord],
+        segrecs: &[Arc<SegRecord>],
         order: &PebbleOrder,
         spec: &JoinSpec,
     ) -> Self {
@@ -181,12 +181,12 @@ impl SelectedSignatures {
     /// the definitional form (`tests/index_equivalence.rs` builds its
     /// oracle with it, independently of the engine's fused pass).
     pub fn select_from(
-        segrecs: &[SegRecord],
+        segrecs: &[Arc<SegRecord>],
         pebbles: &[Vec<Pebble>],
         spec: &JoinSpec,
         eps: f64,
     ) -> Self {
-        let items: Vec<(&SegRecord, &Vec<Pebble>)> = segrecs.iter().zip(pebbles).collect();
+        let items: Vec<(&Arc<SegRecord>, &Vec<Pebble>)> = segrecs.iter().zip(pebbles).collect();
         Self::assemble(crate::parallel::par_map_scratch(
             &items,
             spec.parallel,
@@ -344,8 +344,8 @@ pub(crate) fn batched_verify_pays(n_candidates: usize, n_t: usize) -> bool {
 pub fn verify_candidates(
     kn: &Knowledge,
     cfg: &SimConfig,
-    s: &[SegRecord],
-    t: &[SegRecord],
+    s: &[Arc<SegRecord>],
+    t: &[Arc<SegRecord>],
     candidates: &[(u32, u32)],
     theta: f64,
     parallel: bool,
@@ -412,8 +412,8 @@ pub fn verify_candidates(
 pub fn verify_candidates_reference(
     kn: &Knowledge,
     cfg: &SimConfig,
-    s: &[SegRecord],
-    t: &[SegRecord],
+    s: &[Arc<SegRecord>],
+    t: &[Arc<SegRecord>],
     candidates: &[(u32, u32)],
     theta: f64,
     parallel: bool,
@@ -444,9 +444,9 @@ pub fn brute_force_join(
     t: &Corpus,
     theta: f64,
 ) -> Vec<(u32, u32, f64)> {
-    let segment = |c: &Corpus| -> Vec<SegRecord> {
+    let segment = |c: &Corpus| -> Vec<Arc<SegRecord>> {
         c.iter()
-            .map(|r| segment_record(kn, cfg, &r.tokens))
+            .map(|r| Arc::new(segment_record(kn, cfg, &r.tokens)))
             .collect()
     };
     let (sp, tp) = (segment(s), segment(t));

@@ -121,9 +121,9 @@ pub fn generate_pebbles_into(
 }
 
 /// Document frequencies of one record set: pebble key → number of records
-/// whose pebble set contains it. Additive over disjoint record sets, so the
-/// order of an R×S join is built from the two sides' tables without a pass
-/// over either side's records.
+/// whose pebble set contains it. Additive over disjoint record sets (and
+/// subtractive over subsets), so the order of an R×S join — or of a corpus
+/// that lost and gained rows — is built without a pass over its records.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct DocFreqs {
     counts: FxHashMap<PebbleKey, u32>,
@@ -139,6 +139,36 @@ impl DocFreqs {
         sr: &SegRecord,
         keys: &mut Vec<PebbleKey>,
     ) {
+        Self::record_keys(kn, sr, keys);
+        self.count_distinct(keys);
+    }
+
+    /// The inverse of [`DocFreqs::count_record`]. A key that reaches 0
+    /// leaves the table, so the key set — and every [`PebbleOrder`] rank —
+    /// is that of a table that never saw the record. `false` (table
+    /// half-updated) when a key is missing: `sr` was not counted here.
+    #[must_use]
+    pub(crate) fn uncount_record(
+        &mut self,
+        kn: &Knowledge,
+        sr: &SegRecord,
+        keys: &mut Vec<PebbleKey>,
+    ) -> bool {
+        Self::record_keys(kn, sr, keys);
+        for k in keys.iter() {
+            let Some(f) = self.counts.get_mut(k) else {
+                return false;
+            };
+            *f -= 1;
+            if *f == 0 {
+                self.counts.remove(k);
+            }
+        }
+        true
+    }
+
+    /// The distinct pebble keys of `sr`, into `keys`.
+    fn record_keys(kn: &Knowledge, sr: &SegRecord, keys: &mut Vec<PebbleKey>) {
         keys.clear();
         // `gram_posts` is sorted by (hash, segment): equal hashes are
         // adjacent.
@@ -159,7 +189,6 @@ impl DocFreqs {
         }
         keys[grams..].sort_unstable();
         keys.dedup();
-        self.count_distinct(keys);
     }
 
     /// Count one record from its pebble list. `keys` is scratch.
@@ -549,6 +578,36 @@ mod tests {
             assert_eq!(from_posts, from_pebbles);
             assert!(from_posts.counts.values().all(|&f| f == 1));
         }
+    }
+
+    #[test]
+    fn count_then_uncount_leaves_the_never_counted_table() {
+        let mut kn = setup();
+        let cfg = SimConfig::default();
+        let [stay, leave] = two_sides(&mut kn, &cfg);
+        let mut keys = Vec::new();
+        let mut never = DocFreqs::default();
+        for sr in &stay {
+            never.count_record(&kn, sr, &mut keys);
+        }
+        let mut df = never.clone();
+        for sr in &leave {
+            df.count_record(&kn, sr, &mut keys);
+        }
+        assert_ne!(df, never);
+        assert!(df.counts.len() > never.counts.len(), "private keys counted");
+        for sr in leave.iter().rev() {
+            assert!(df.uncount_record(&kn, sr, &mut keys));
+        }
+        assert_eq!(df, never, "no zero entries left behind");
+        assert!(df.counts.values().all(|&f| f > 0));
+        // Down to nothing: the empty table, not a table of zeros.
+        for sr in &stay {
+            assert!(df.uncount_record(&kn, sr, &mut keys));
+        }
+        assert_eq!(df, DocFreqs::default());
+        // A record the table never counted is reported, not a panic.
+        assert!(!df.uncount_record(&kn, &stay[0], &mut keys));
     }
 
     #[test]

@@ -527,7 +527,7 @@ mod tests {
         let qc = kn_q.corpus_from_lines(queries.iter().map(String::as_str));
         let engine = Engine::new(kn, cfg).expect("valid config");
         let pt = engine.prepare(&t).expect("prepare");
-        let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+        let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
         for theta in [0.5, 0.7, 0.9] {
             for parallel in [false, true] {
                 let spec = JoinSpec::threshold(theta).au_dp(2).parallel(parallel);

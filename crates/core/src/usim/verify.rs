@@ -85,6 +85,7 @@ use crate::usim::approx::{
 };
 use crate::usim::eval::get_sim_with;
 use crate::usim::graph::{add_conflict_edges, UsimGraph, VertexPair};
+use std::sync::Arc;
 
 /// Per-pair flags of the epoch-stamped surfacing table.
 const FLAG_RULE: u8 = 1;
@@ -253,7 +254,7 @@ impl GramPostingsIndex {
     /// tables (almost a key per posting) are built whole, beside the gram
     /// ranges (`parallel::par_tasks`, longest task first). Every
     /// list is the same whatever the thread count.
-    pub fn build(recs: &[SegRecord]) -> Self {
+    pub fn build(recs: &[Arc<SegRecord>]) -> Self {
         let workers = crate::parallel::available_threads();
         Self::build_in(
             recs,
@@ -262,7 +263,7 @@ impl GramPostingsIndex {
     }
 
     /// [`GramPostingsIndex::build`] with the gram table cut into `ranges`.
-    fn build_in(recs: &[SegRecord], ranges: usize) -> Self {
+    fn build_in(recs: &[Arc<SegRecord>], ranges: usize) -> Self {
         #[derive(Clone, Copy)]
         enum Task {
             Keys,
@@ -609,7 +610,7 @@ impl<'a> Verifier<'a> {
     pub fn verify_run_at_least(
         &self,
         s: &SegRecord,
-        t_recs: &[SegRecord],
+        t_recs: &[Arc<SegRecord>],
         run: &[(u32, u32)],
         idx: &GramPostingsIndex,
         theta: f64,
@@ -1341,7 +1342,7 @@ mod tests {
         let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
         let segs: Vec<_> = ids
             .iter()
-            .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
+            .map(|&id| Arc::new(segment_record(&kn, &cfg, &kn.record(id).tokens)))
             .collect();
         let idx = GramPostingsIndex::build(&segs);
         assert!(!idx.is_empty());
@@ -1412,15 +1413,15 @@ mod tests {
             .collect()
     }
 
-    fn segment_lines(kn: &mut Knowledge, cfg: &SimConfig, lines: &[String]) -> Vec<SegRecord> {
+    fn segment_lines(kn: &mut Knowledge, cfg: &SimConfig, lines: &[String]) -> Vec<Arc<SegRecord>> {
         let c = kn.corpus_from_lines(lines.iter().map(String::as_str));
         c.iter()
-            .map(|r| segment_record(kn, cfg, &r.tokens))
+            .map(|r| Arc::new(segment_record(kn, cfg, &r.tokens)))
             .collect()
     }
 
     /// The three tables of `idx` against the sort-based builder.
-    fn assert_index_equals_sorted(idx: &GramPostingsIndex, recs: &[SegRecord], ctx: &str) {
+    fn assert_index_equals_sorted(idx: &GramPostingsIndex, recs: &[Arc<SegRecord>], ctx: &str) {
         use crate::index::tests::transpose_by_sorting;
         let of = |r: u32| &recs[r as usize];
         let n = recs.len();

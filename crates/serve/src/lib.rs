@@ -24,9 +24,12 @@
 //!   counter as every other engine artifact — a compact-then-shard
 //!   interleaving can never collide generations.
 //! * A background [`Compactor`] (or an explicit [`Service::compact`])
-//!   folds the delta and tombstones into a fresh monolithic base,
-//!   after which query results are byte-identical to a from-scratch
-//!   prepare of the final corpus state.
+//!   folds the delta and tombstones into a fresh monolithic base —
+//!   a *merge* of rows that are already segmented
+//!   ([`au_core::engine::Engine::merge_prepared`]; only order,
+//!   signatures and indexes are rebuilt) — after which query results
+//!   are byte-identical to a from-scratch prepare of the final corpus
+//!   state.
 //! * Admission is bounded: past `max_in_flight` concurrent requests the
 //!   service sheds load with the typed [`ServeError::Overloaded`].
 //! * Durability: [`Service::create`] / [`Service::open`] commit every
@@ -61,7 +64,7 @@ pub use admission::AdmissionStats;
 pub use compactor::Compactor;
 pub use error::ServeError;
 pub use faults::{FaultCounts, FaultPlan, FaultyStorage};
-pub use service::{Mutation, ServeConfig, ServeStats, Service};
+pub use service::{CompactionStats, Mutation, ServeConfig, ServeStats, Service};
 pub use snapshot::{JoinWindowResponse, SearchResponse, Snapshot, TopkResponse};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use tombstone::TombstoneSet;

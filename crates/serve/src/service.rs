@@ -165,7 +165,7 @@ impl ServeConfig {
         JoinSpec::threshold(theta).filter(self.filter)
     }
 
-    fn spec(&self) -> JoinSpec {
+    pub(crate) fn spec(&self) -> JoinSpec {
         self.spec_at(self.theta)
     }
 }
@@ -198,15 +198,19 @@ pub struct ServeStats {
     pub deletes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Records segmented by this service so far: base builds (create,
-    /// open, compaction) count every record they prepare, an insert
-    /// counts one, a delete none. Monotone; the deterministic statement
-    /// of "a write costs one record's segmentation".
+    /// Records segmented by this service so far: a base build from text
+    /// (create, open) counts every record it prepares, an insert counts
+    /// one, a delete none — and **a compaction segments nothing**: it
+    /// merges rows that were segmented when they were created or
+    /// inserted. Monotone; the deterministic statement of "stage 1 runs
+    /// once per record, ever".
     pub records_prepared: u64,
     /// Duration of the most recent compaction in nanoseconds (the
     /// "compaction pause" — though reads never block on it; only
     /// writers queue behind the writer lock).
     pub last_compact_nanos: u64,
+    /// Shape of the most recent compaction (all zero before the first).
+    pub last_compact: CompactionStats,
     /// Admission counters.
     pub admission: AdmissionStats,
     /// True while the service is in degraded read-only mode.
@@ -220,6 +224,21 @@ pub struct ServeStats {
     /// Write-ahead-log counters (`durable: false` and all-zero for
     /// non-durable services).
     pub wal: WalStats,
+}
+
+/// What the most recent compaction did, and where its time went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompactionStats {
+    /// Base rows carried over as they were (shared, not re-segmented).
+    pub carried: u64,
+    /// Tombstoned base rows dropped.
+    pub dropped: u64,
+    /// Live delta rows appended.
+    pub appended: u64,
+    /// Nanoseconds assembling the merged artifact (`merge_prepared`).
+    pub merge_nanos: u64,
+    /// Nanoseconds rebuilding order, signatures and indexes over it.
+    pub build_nanos: u64,
 }
 
 /// Mutable state owned by the single writer path (mutations and
@@ -241,11 +260,12 @@ struct WriterState {
     wal: Option<Wal>,
 }
 
-/// Prepare a base segment over `corpus` and wrap it in a snapshot at
-/// `generation` with no delta and no tombstones. This is where the
-/// O(|knowledge|) steps of the service live: the vocabulary is sealed
-/// first, so the base engine's knowledge copy — and every per-insert copy
-/// until the next base build — shares all of it.
+/// Prepare a base segment over `corpus` — stage 1 over every record: a
+/// service created from text or recovered from its log has nothing
+/// segmented to carry — and publish it. This is where the O(|knowledge|)
+/// steps of the service live: the vocabulary is sealed first, so the base
+/// engine's knowledge copy — and every per-insert copy until the next base
+/// build — shares all of it.
 fn base_snapshot(
     kn: &mut Knowledge,
     cfg: &ServeConfig,
@@ -255,14 +275,8 @@ fn base_snapshot(
 ) -> Result<Snapshot, ServeError> {
     kn.vocab.seal();
     let engine = Arc::new(Engine::new(kn.clone(), cfg.sim)?);
-    let prepared = Arc::new(
-        engine
-            .prepare_owned(corpus)?
-            .with_memo_capacity(cfg.memo_capacity),
-    );
-    let spec = cfg.spec();
-    let base_search = Engine::snapshot_searcher(engine, prepared, &spec)?;
-    Ok(Snapshot::of_base(generation, ids, base_search, spec))
+    let prepared = engine.prepare_owned(corpus)?;
+    Snapshot::of_base(cfg, generation, ids, engine, prepared)
 }
 
 /// A concurrent serving session over one evolving corpus.
@@ -298,6 +312,10 @@ pub struct Service {
     compactions: AtomicU64,
     records_prepared: AtomicU64,
     last_compact_nanos: AtomicU64,
+    /// What only the write path knows and [`Service::stats`] reports,
+    /// copied here under the writer lock so that `stats()` never waits
+    /// for an fsync or a compaction.
+    write_side: Mutex<(WalStats, CompactionStats)>,
     /// Sticky degraded flag: set (under the writer lock) when a WAL
     /// commit exhausts its retries, cleared only by a successful
     /// [`Service::heal`]. Readers ignore it; writers fail fast on it.
@@ -497,6 +515,7 @@ impl Service {
         degraded: bool,
     ) -> Self {
         let prepared = (snapshot.base_len() + snapshot.delta_len()) as u64;
+        let wal = writer.wal.as_ref().map(Wal::stats).unwrap_or_default();
         Self {
             cfg,
             published_gen: AtomicU64::new(snapshot.generation()),
@@ -509,6 +528,7 @@ impl Service {
             compactions: AtomicU64::new(0),
             records_prepared: AtomicU64::new(prepared),
             last_compact_nanos: AtomicU64::new(0),
+            write_side: Mutex::new((wal, CompactionStats::default())),
             degraded: AtomicBool::new(degraded),
             degraded_entries: AtomicU64::new(u64::from(degraded)),
             degraded_writes: AtomicU64::new(0),
@@ -616,14 +636,14 @@ impl Service {
         // durable log never has id gaps, so a recovered service mints
         // the same ids a crashed one would have.
         let id = w.next_id;
-        if let Some(wal) = w.wal.as_mut() {
-            let op = WalOp::Insert {
+        let op = |wal: &mut Wal| {
+            wal.append_op(&WalOp::Insert {
                 id,
                 text: text.to_string(),
-            };
-            if let Err(e) = wal.append_op(&op) {
-                return Err(self.enter_degraded("insert", &e));
-            }
+            })
+        };
+        if let Err(e) = self.logged(&mut w, op) {
+            return Err(self.enter_degraded("insert", &e));
         }
         // Commit point passed: apply in memory and acknowledge. Nothing
         // below can fail — the configuration was validated when the
@@ -642,7 +662,10 @@ impl Service {
         rows.extend(prev.delta.iter().cloned());
         let row = DeltaRow::new(&w.kn, &self.cfg.sim, id, rows.len(), record);
         rows.push(Arc::new(row));
-        self.count_prepared(1);
+        // ordering: Relaxed — statistics counter only; incremented under
+        // the writer lock, and readers of `stats()` are promised no
+        // consistent cut across counters.
+        self.records_prepared.fetch_add(1, Ordering::Relaxed);
         let mut generation = self.install(Snapshot {
             generation: w.kn.generation(),
             engine: Arc::new(prev.engine.with_knowledge(w.kn.clone())),
@@ -678,10 +701,8 @@ impl Service {
         }
         // Validation passed — commit to the log before applying, so the
         // log never holds a delete that was not acknowledged.
-        if let Some(wal) = w.wal.as_mut() {
-            if let Err(e) = wal.append_op(&WalOp::Delete { id }) {
-                return Err(self.enter_degraded("delete", &e));
-            }
+        if let Err(e) = self.logged(&mut w, |wal| wal.append_op(&WalOp::Delete { id })) {
+            return Err(self.enter_degraded("delete", &e));
         }
         // Deletes change no vocabulary and touch no segment, but they do
         // change what a reader may see — publish the predecessor with one
@@ -737,12 +758,10 @@ impl Service {
             // Seal the checkpointed records into the base segment on
             // replay, mirroring the published snapshot exactly.
             ops.push(WalOp::Compact);
-            if let Some(wal) = w.wal.as_mut() {
-                // `replace` is atomic: on failure the previous log is
-                // intact and the service is *not* degraded — appends
-                // still work.
-                wal.rewrite(&ops).map_err(|e| wal_error("save", &e))?;
-            }
+            // `replace` is atomic: on failure the previous log is intact
+            // and the service is *not* degraded — appends still work.
+            self.logged(&mut w, |wal| wal.rewrite(&ops))
+                .map_err(|e| wal_error("save", &e))?;
         }
         Ok(generation)
     }
@@ -757,9 +776,8 @@ impl Service {
         if !self.degraded.load(Ordering::Relaxed) {
             return Ok(());
         }
-        if let Some(wal) = w.wal.as_mut() {
-            wal.probe().map_err(|e| wal_error("heal", &e))?;
-        }
+        self.logged(&mut w, Wal::probe)
+            .map_err(|e| wal_error("heal", &e))?;
         // ordering: Relaxed — see above.
         self.degraded.store(false, Ordering::Relaxed);
         Ok(())
@@ -798,10 +816,7 @@ impl Service {
     /// Point-in-time counters.
     pub fn stats(&self) -> ServeStats {
         let snap = self.snapshot();
-        let wal = {
-            let w = relock(&self.writer);
-            w.wal.as_ref().map(Wal::stats).unwrap_or_default()
-        };
+        let (wal, last_compact) = *relock(&self.write_side);
         ServeStats {
             generation: snap.generation(),
             live: snap.live_len(),
@@ -817,6 +832,7 @@ impl Service {
             records_prepared: self.records_prepared.load(Ordering::Relaxed),
             // ordering: Relaxed — see above
             last_compact_nanos: self.last_compact_nanos.load(Ordering::Relaxed),
+            last_compact,
             admission: self.admission.stats(),
             // ordering: Relaxed — see above (independent counters).
             degraded: self.degraded.load(Ordering::Relaxed),
@@ -830,31 +846,35 @@ impl Service {
 
     // -- publication --------------------------------------------------------
 
-    /// Rebuild the base from every live record and publish a compacted
-    /// snapshot (empty delta, empty tombstones). Record ids survive
-    /// compaction — only rows are renumbered.
+    /// Merge the live rows of both segments into a new base
+    /// ([`Snapshot::merge_live`]: nothing is segmented; order, signatures
+    /// and indexes are rebuilt because the frequencies moved) and publish
+    /// it with no delta and no tombstones. Record ids survive compaction —
+    /// only rows are renumbered.
     fn compact_locked(&self, w: &mut WriterState) -> Result<u64, ServeError> {
         let start = Instant::now();
         // Log the compaction point first: on replay it folds the same
-        // tombstones and seals the same records this rebuild does.
-        if let Some(wal) = w.wal.as_mut() {
-            if let Err(e) = wal.append_op(&WalOp::Compact) {
-                return Err(self.enter_degraded("compact", &e));
-            }
+        // tombstones and seals the same records this merge does.
+        if let Err(e) = self.logged(w, |wal| wal.append_op(&WalOp::Compact)) {
+            return Err(self.enter_degraded("compact", &e));
         }
         let prev = self.snapshot();
-        let mut corpus = Corpus::new();
-        let mut ids: Vec<u64> = Vec::with_capacity(prev.live_len());
-        for (gid, rec) in prev.live_records() {
-            // Token ids stay valid: the writer lineage's vocabulary only
-            // ever appends, so a compacted base re-uses interned tokens
-            // without re-tokenizing.
-            corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
-            ids.push(gid);
-        }
         let generation = w.kn.remint_generation();
-        let snap = base_snapshot(&mut w.kn, &self.cfg, corpus, ids, generation)?;
-        self.count_prepared(snap.base_len());
+        // Token ids and segmentations stay valid: the writer lineage's
+        // vocabulary only ever appends.
+        w.kn.vocab.seal();
+        let engine = Arc::new(prev.engine.with_knowledge(w.kn.clone()));
+        let merge_start = Instant::now();
+        let (prepared, ids, carried) = prev.merge_live(&engine, |_| true)?;
+        let (merged, appended) = (merge_start.elapsed(), ids.len() - carried);
+        let snap = Snapshot::of_base(&self.cfg, generation, ids, engine, prepared)?;
+        relock(&self.write_side).1 = CompactionStats {
+            carried: carried as u64,
+            dropped: (prev.base_len() - carried) as u64,
+            appended: appended as u64,
+            merge_nanos: merged.as_nanos() as u64,
+            build_nanos: (merge_start.elapsed() - merged).as_nanos() as u64,
+        };
         let gen = self.install(snap);
         // ordering: Relaxed — statistics counter only.
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -865,12 +885,18 @@ impl Service {
         Ok(gen)
     }
 
-    fn count_prepared(&self, records: usize) {
-        let n = records as u64;
-        // ordering: Relaxed — statistics counter only; every increment
-        // happens under the writer lock, and readers of `stats()` are
-        // promised no consistent cut across counters.
-        self.records_prepared.fetch_add(n, Ordering::Relaxed);
+    /// Run one operation on the log, if this service has one, and leave a
+    /// copy of the log's counters where [`Service::stats`] finds it.
+    fn logged(
+        &self,
+        w: &mut WriterState,
+        op: impl FnOnce(&mut Wal) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        w.wal.as_mut().map_or(Ok(()), |wal| {
+            let done = op(wal);
+            relock(&self.write_side).0 = wal.stats();
+            done
+        })
     }
 
     /// The single point where a snapshot becomes visible: one pointer
@@ -895,6 +921,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use au_core::usim::VerifyTiers;
     use au_core::KnowledgeBuilder;
 
     const LINES: [&str; 6] = [
@@ -1124,6 +1151,266 @@ mod tests {
         assert_eq!(check("compacted"), after, "compaction moved an answer");
         s.insert_record("qwertz plaza kiosk").unwrap();
         check("compacted + delta");
+    }
+
+    /// Every base this test publishes after the first is *merged*
+    /// (compaction) while `Service::open` rebuilds the same state with
+    /// `prepare_owned`, and a monolithic rebuild prepares the live records
+    /// from scratch: the three must give the same answers down to the
+    /// funnel counters — across cycles that delete base and delta rows, a
+    /// compaction that only folds tombstones, and one that drops every
+    /// base row.
+    #[test]
+    fn merged_bases_answer_as_prepared_and_recovered_ones() {
+        use crate::storage::MemStorage;
+        fn kn() -> Knowledge {
+            let mut b = KnowledgeBuilder::new();
+            b.synonym("coffee shop", "cafe", 1.0);
+            b.taxonomy_path(&["food", "coffee", "latte"]);
+            b.taxonomy_path(&["food", "coffee", "espresso"]);
+            b.build()
+        }
+        let queries = [
+            "coffee shop downtown main street",
+            "cafe uptown main avenue",
+            "tea house uptown",
+            "espresso bar main street",
+            "latte kiosk zanzibar wharf",
+            "nothing like any record",
+        ];
+        let mem = MemStorage::new();
+        let s = Service::create_with(kn(), LINES, cfg(), Box::new(mem.clone())).unwrap();
+        type Funnel = (Vec<(u64, u64)>, u64, u64, VerifyTiers);
+        let funnel = |m: &[(u64, f64)], candidates, processed, tiers| -> Funnel {
+            let bits = m.iter().map(|&(id, sim)| (id, sim.to_bits())).collect();
+            (bits, candidates, processed, tiers)
+        };
+        let served = |svc: &Service, q: &str| {
+            let r = svc.search(q).unwrap();
+            (
+                funnel(&r.matches, r.candidates, r.processed, r.tiers),
+                r.masked,
+            )
+        };
+        let check = |stage: &str| {
+            let snap = s.snapshot();
+            let recovered =
+                Service::open_with(kn(), cfg(), Box::new(MemStorage::with_bytes(mem.bytes())))
+                    .unwrap();
+            // Until the first `Compact` frame a replayed log is all delta;
+            // from then on recovery reproduces the live base/delta split.
+            let same_split = recovered.snapshot().base_len() == snap.base_len();
+            assert_eq!(same_split, s.stats().compactions > 0, "{stage}");
+            // The monolithic rebuild, searched whole.
+            let engine = Engine::new(snap.knowledge().clone(), s.config().sim).unwrap();
+            let mut corpus = Corpus::new();
+            let mut gids = Vec::new();
+            for (gid, rec) in snap.live_records() {
+                corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
+                gids.push(gid);
+            }
+            let rebuilt = engine.prepare_owned(corpus).unwrap();
+            let searcher = engine.searcher(&rebuilt, &s.config().spec()).unwrap();
+            for q in queries {
+                let (live, masked) = served(&s, q);
+                let (again, again_masked) = served(&recovered, q);
+                assert_eq!(live.0, again.0, "{stage}: recovered matches of {q:?}");
+                if same_split {
+                    assert_eq!((&live, masked), (&again, again_masked), "{stage}: {q:?}");
+                }
+                let out = searcher.query(q);
+                let mono: Vec<(u64, f64)> = out
+                    .matches
+                    .iter()
+                    .map(|&(row, sim)| (gids[row as usize], sim))
+                    .collect();
+                let mono = funnel(&mono, out.candidates, out.processed, out.tiers);
+                assert_eq!(live.0, mono.0, "{stage}: matches of {q:?}");
+                if snap.is_compact() {
+                    // One segment each: the whole funnel must agree.
+                    assert_eq!(live, mono, "{stage}: funnel of {q:?}");
+                }
+            }
+        };
+        check("created");
+        let mut next_base = 0u64;
+        for cycle in 0..3 {
+            let a = s
+                .insert_record("coffee shop downtown main plaza")
+                .unwrap()
+                .id;
+            s.insert_record("latte kiosk zanzibar wharf").unwrap();
+            s.insert_record(&format!("tea house uptown annex {cycle}"))
+                .unwrap();
+            // One row of the base (created or merged in) and one of the delta.
+            s.delete_record(next_base).unwrap();
+            s.delete_record(a).unwrap();
+            next_base += 2;
+            check(&format!("cycle {cycle}: delta + tombstones"));
+            s.compact().unwrap();
+            let shape = s.stats().last_compact;
+            assert_eq!((shape.dropped, shape.appended), (1, 2), "cycle {cycle}");
+            check(&format!("cycle {cycle}: compacted"));
+        }
+        // Tombstones only: nothing to append.
+        s.delete_record(next_base + 1).unwrap();
+        s.compact().unwrap();
+        let shape = s.stats().last_compact;
+        assert_eq!((shape.dropped, shape.appended), (1, 0));
+        check("tombstones-only compaction");
+        // Every base row goes; the new base is the delta alone.
+        let base_ids: Vec<u64> = s.snapshot().base_ids.to_vec();
+        s.insert_record("espresso bar main street").unwrap();
+        s.insert_record("cafe uptown main avenue").unwrap();
+        for id in &base_ids {
+            s.delete_record(*id).unwrap();
+        }
+        check("every base row tombstoned");
+        s.compact().unwrap();
+        let shape = s.stats().last_compact;
+        assert_eq!(
+            (shape.carried, shape.dropped, shape.appended),
+            (0, base_ids.len() as u64, 2)
+        );
+        assert_eq!(s.stats().live, 2);
+        check("compaction that dropped every base row");
+        s.insert_record("tea house downtown main street").unwrap();
+        check("and a delta over it");
+    }
+
+    /// A log storage whose `sync` parks (once armed) until the test lets
+    /// it go: the deterministic stand-in for a slow fsync.
+    #[derive(Debug)]
+    struct ParkingStorage {
+        inner: crate::storage::MemStorage,
+        armed: Arc<AtomicBool>,
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Storage for ParkingStorage {
+        fn append(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            // ordering: SeqCst — a test switch flipped once, before the
+            // only writer thread is spawned; the spawn orders it.
+            if self.armed.load(Ordering::SeqCst) {
+                self.entered.send(()).expect("test is listening");
+                self.release.recv().expect("test releases the sync");
+            }
+            self.inner.sync()
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+        fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn replace(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.replace(bytes)
+        }
+    }
+
+    /// `stats()` must not wait for the writer: with an insert parked
+    /// inside its fsync — writer lock held — a monitoring thread still
+    /// gets its counters (the last published ones), and a reader its
+    /// answer.
+    #[test]
+    fn stats_returns_while_a_write_is_parked_in_sync() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let armed = Arc::new(AtomicBool::new(false));
+        let storage = ParkingStorage {
+            inner: crate::storage::MemStorage::new(),
+            armed: armed.clone(),
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let kn = KnowledgeBuilder::new().build();
+        let s = Service::create_with(kn, LINES, cfg(), Box::new(storage)).unwrap();
+        let before = s.stats();
+        assert!(before.wal.durable);
+        assert_eq!(before.wal.frames, LINES.len() as u64);
+        // ordering: SeqCst — see `ParkingStorage::sync`.
+        armed.store(true, Ordering::SeqCst);
+        let s = &s;
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| s.insert_record("espresso bar uptown"));
+            entered
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the insert reaches its sync");
+            // The insert now sits inside `sync` with the writer lock held.
+            let (stats_tx, stats_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let seen = (s.stats(), s.search("tea house uptown"));
+                stats_tx.send(seen).expect("the test is waiting");
+            });
+            let during = stats_rx.recv_timeout(Duration::from_secs(10));
+            release.send(()).expect("the parked sync is listening");
+            let receipt = writer.join().expect("writer thread").unwrap();
+            let (during, read) = during.expect("stats() waited for the writer");
+            assert_eq!(during.wal, before.wal, "the last published log counters");
+            assert_eq!(during.inserts, before.inserts);
+            assert_eq!(during.generation, before.generation);
+            assert_eq!(read.unwrap().generation, before.generation);
+            let after = s.stats();
+            assert_eq!(after.wal.frames, before.wal.frames + 1);
+            assert!(after.wal.bytes > before.wal.bytes);
+            assert_eq!(after.generation, receipt.generation);
+        });
+    }
+
+    /// The write-ahead log of a service built at the commit before
+    /// compaction became a merge (three seed records, insert, delete 1,
+    /// compact, insert, delete 0): the format did not change, so it opens,
+    /// replays to the same split and serves what that service served.
+    #[test]
+    fn a_log_written_before_merge_compaction_still_opens() {
+        use crate::storage::MemStorage;
+        #[rustfmt::skip]
+        const PARENT_LOG: [u8; 220] = [
+            0x41, 0x55, 0x57, 0x41, 0x4c, 0x30, 0x30, 0x31, 0x1d, 0x00, 0x00, 0x00, 0x0c, 0xfb, 0x62, 0xe8,
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x66, 0x66, 0x65, 0x65, 0x20,
+            0x73, 0x68, 0x6f, 0x70, 0x20, 0x64, 0x6f, 0x77, 0x6e, 0x74, 0x6f, 0x77, 0x6e, 0x19, 0x00, 0x00,
+            0x00, 0x78, 0xe0, 0x36, 0xb9, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x74, 0x65,
+            0x61, 0x20, 0x68, 0x6f, 0x75, 0x73, 0x65, 0x20, 0x75, 0x70, 0x74, 0x6f, 0x77, 0x6e, 0x15, 0x00,
+            0x00, 0x00, 0xa4, 0x70, 0xee, 0x11, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x65,
+            0x73, 0x70, 0x72, 0x65, 0x73, 0x73, 0x6f, 0x20, 0x62, 0x61, 0x72, 0x1b, 0x00, 0x00, 0x00, 0x6a,
+            0x01, 0x54, 0xbd, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x66, 0x66,
+            0x65, 0x65, 0x20, 0x73, 0x68, 0x6f, 0x70, 0x20, 0x75, 0x70, 0x74, 0x6f, 0x77, 0x6e, 0x09, 0x00,
+            0x00, 0x00, 0xb6, 0x3c, 0x55, 0x04, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+            0x00, 0x00, 0x00, 0x37, 0xbe, 0x0b, 0x4b, 0x03, 0x1b, 0x00, 0x00, 0x00, 0x3d, 0x6a, 0xcc, 0x88,
+            0x01, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x74, 0x65, 0x61, 0x20, 0x68, 0x6f, 0x75,
+            0x73, 0x65, 0x20, 0x64, 0x6f, 0x77, 0x6e, 0x74, 0x6f, 0x77, 0x6e, 0x09, 0x00, 0x00, 0x00, 0x28,
+            0x3c, 0xff, 0xc8, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        let kn = KnowledgeBuilder::new().build();
+        let storage = MemStorage::with_bytes(PARENT_LOG.to_vec());
+        let s = Service::open_with(kn, cfg(), Box::new(storage)).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.wal.replayed_frames, 8);
+        assert_eq!((stats.live, stats.delta_len, stats.tombstones), (3, 1, 1));
+        assert_eq!(s.snapshot().base_ids.to_vec(), [0, 2, 3]);
+        let bits = |q: &str| -> Vec<(u64, u64)> {
+            let found = s.search(q).unwrap().matches;
+            found.iter().map(|&(id, sim)| (id, sim.to_bits())).collect()
+        };
+        // What the service that wrote the log answered before it stopped.
+        assert_eq!(
+            bits("coffee shop downtown"),
+            [(3, 0.809_523_809_523_809_4_f64.to_bits())]
+        );
+        assert_eq!(bits("tea house downtown"), [(4, 1.0f64.to_bits())]);
+        // And the log keeps growing in the same format.
+        s.compact().unwrap();
+        assert_eq!(s.stats().wal.frames, 9);
+        assert_eq!(bits("tea house downtown"), [(4, 1.0f64.to_bits())]);
     }
 
     #[test]

@@ -2,19 +2,22 @@
 //! tombstones.
 
 use crate::error::ServeError;
+use crate::service::ServeConfig;
 use crate::tombstone::TombstoneSet;
-use au_core::engine::{Engine, JoinSpec, QuerySession, SnapshotSearcher};
+use au_core::engine::{Engine, JoinSpec, Prepared, QuerySession, SnapshotSearcher};
 use au_core::search::SearchOutcome;
 use au_core::segment::{segment_record, SegRecord};
 use au_core::usim::VerifyTiers;
 use au_core::{Knowledge, SimConfig};
-use au_text::record::{Corpus, Record, RecordId};
+use au_text::record::{Record, RecordId};
 use std::sync::Arc;
 
 /// One record of the delta segment: everything a read needs of it,
 /// produced **once**, by the writer, when the record is inserted (or
 /// replayed). Rows are immutable and shared by `Arc` between every
-/// snapshot published until the next compaction.
+/// snapshot published until the next compaction, which hands `seg` itself
+/// to the new base ([`Engine::merge_prepared`]): a record is segmented by
+/// the insert that logged it and never again.
 #[derive(Debug)]
 pub(crate) struct DeltaRow {
     /// Global record id.
@@ -22,8 +25,8 @@ pub(crate) struct DeltaRow {
     /// Tokens and raw text (`record.id` is the row's delta position).
     pub(crate) record: Record,
     /// The segmented record, carrying the tier-0 integers the scan screens
-    /// on (`n_tokens`, `min_partition`).
-    pub(crate) seg: SegRecord,
+    /// on (`n_tokens`, `min_partition`); a compaction shares it with the base.
+    pub(crate) seg: Arc<SegRecord>,
 }
 
 impl DeltaRow {
@@ -38,7 +41,7 @@ impl DeltaRow {
         mut record: Record,
     ) -> Self {
         record.id = RecordId(position as u32);
-        let seg = segment_record(kn, cfg, &record.tokens);
+        let seg = Arc::new(segment_record(kn, cfg, &record.tokens));
         Self { id, record, seg }
     }
 }
@@ -127,23 +130,28 @@ pub struct JoinWindowResponse {
 }
 
 impl Snapshot {
-    /// A freshly built base segment with no delta and no tombstones.
+    /// `prepared` (prepared or merged by `engine`) made searchable at the
+    /// service spec: a base segment with no delta and no tombstones.
     pub(crate) fn of_base(
+        cfg: &ServeConfig,
         generation: u64,
         base_ids: Vec<u64>,
-        base_search: SnapshotSearcher,
-        spec: JoinSpec,
-    ) -> Self {
-        Self {
+        engine: Arc<Engine>,
+        prepared: Prepared,
+    ) -> Result<Self, ServeError> {
+        let prepared = Arc::new(prepared.with_memo_capacity(cfg.memo_capacity));
+        let spec = cfg.spec();
+        let base_search = Engine::snapshot_searcher(engine.clone(), prepared, &spec)?;
+        Ok(Self {
             generation,
             base_ids: Arc::new(base_ids),
-            engine: base_search.engine().clone(),
+            engine,
             base_search: Arc::new(base_search),
             spec,
             session: Arc::default(),
             delta: Arc::default(),
             tombstones: Arc::default(),
-        }
+        })
     }
 
     /// The knowledge generation this snapshot was published under.
@@ -249,7 +257,7 @@ impl Snapshot {
         let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
         let query = self.session.segment(kn, cfg, text);
         let delta = (!self.delta.is_empty()).then(|| {
-            let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &r.seg).collect();
+            let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &*r.seg).collect();
             self.engine.scan(&self.session, &rows, &query, spec)
         });
         self.merge(base.query_record(&query), delta)
@@ -292,25 +300,46 @@ impl Snapshot {
         }
     }
 
-    /// Self-join over the live records with global ids in `lo..hi`:
-    /// materialize the window as a corpus (token ids are already interned
-    /// under this snapshot's newest knowledge lineage, so no re-tokenize
-    /// happens), prepare, join, and map back to global ids.
+    /// The live records whose global id passes `keep`, as a [`Prepared`]
+    /// of `engine` (this snapshot's knowledge lineage, at or after its
+    /// newest state) with their ids by row and the number of base rows
+    /// among them — merged from the rows both segments already hold, so
+    /// nothing is tokenized or segmented.
+    pub(crate) fn merge_live(
+        &self,
+        engine: &Engine,
+        keep: impl Fn(u64) -> bool,
+    ) -> Result<(Prepared, Vec<u64>, usize), ServeError> {
+        let stays = |id: u64| keep(id) && !self.tombstones.contains(id);
+        let (mut ids, mut dropped) = (Vec::with_capacity(self.live_len()), Vec::new());
+        for (row, &id) in self.base_ids.iter().enumerate() {
+            if stays(id) {
+                ids.push(id);
+            } else {
+                dropped.push(row as u32);
+            }
+        }
+        let carried = ids.len();
+        let appended = || self.delta.iter().filter(|r| stays(r.id));
+        ids.extend(appended().map(|r| r.id));
+        let prepared = engine.merge_prepared(
+            self.base_search.prepared(),
+            &dropped,
+            appended().map(|r| (&r.seg, r.record.raw.as_str())),
+        )?;
+        Ok((prepared, ids, carried))
+    }
+
+    /// Self-join over the live records with global ids in `lo..hi`: merge
+    /// the window ([`Snapshot::merge_live`]), join, and map back to global
+    /// ids.
     pub(crate) fn join_window(
         &self,
         lo: u64,
         hi: u64,
         spec: &JoinSpec,
     ) -> Result<JoinWindowResponse, ServeError> {
-        let mut gids: Vec<u64> = Vec::new();
-        let mut corpus = Corpus::new();
-        for (gid, rec) in self.live_records() {
-            if gid >= lo && gid < hi {
-                corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
-                gids.push(gid);
-            }
-        }
-        let prepared = self.engine.prepare_owned(corpus)?;
+        let (prepared, gids, _) = self.merge_live(&self.engine, |id| (lo..hi).contains(&id))?;
         let res = self.engine.join_self(&prepared, spec)?;
         let pairs = res
             .pairs

@@ -1,6 +1,7 @@
 //! The deterministic statement of "a write is O(1)": between two
 //! compactions, `k` inserts and `m` deletes segment exactly `k` records,
-//! and a delete runs no stage 1 at all.
+//! a delete runs no stage 1 at all — and neither does the compaction that
+//! ends the cycle: stage 1 runs once per record, ever.
 //!
 //! This test lives alone in its own integration-test binary on purpose
 //! (the `tests/prepare_once.rs` pattern): `prepare_invocations()` is a
@@ -77,10 +78,25 @@ fn a_write_prepares_one_record_and_a_delete_none() {
     );
     assert_eq!(svc.stats().delta_len, inserts.len());
 
-    // The compaction is where preparation is paid again: every live record.
+    // The compaction segments nothing: it merges the rows the base build
+    // and the inserts above already segmented.
     let live = svc.stats().live as u64;
-    let before = svc.stats().records_prepared;
+    let (before, stage1) = (svc.stats().records_prepared, prepare_invocations());
     svc.compact().unwrap();
-    assert_eq!(svc.stats().records_prepared - before, live);
-    assert_eq!(svc.stats().delta_len, 0);
+    assert_eq!(
+        svc.stats().records_prepared,
+        before,
+        "a compaction segments no record"
+    );
+    assert_eq!(
+        prepare_invocations(),
+        stage1,
+        "a compaction runs no stage 1"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.delta_len, 0);
+    // 4 base rows − 2 deleted; 5 inserted − 2 deleted.
+    let shape = stats.last_compact;
+    assert_eq!((shape.carried, shape.dropped, shape.appended), (2, 2, 3));
+    assert_eq!(shape.carried + shape.appended, live);
 }

@@ -8,6 +8,7 @@ use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::signature::FilterKind;
 use au_join::core::usim::{usim_approx_seg, usim_exact_seg, Verifier, VerifyScratch};
 use au_join::prelude::*;
+use std::sync::Arc;
 
 /// One-shot R×S join on freshly prepared corpora.
 fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
@@ -271,9 +272,9 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
         .collect();
     let mut kn = KnowledgeBuilder::new().build();
     let cfg = SimConfig::default();
-    let segment = |kn: &Knowledge, c: &Corpus| -> Vec<SegRecord> {
+    let segment = |kn: &Knowledge, c: &Corpus| -> Vec<Arc<SegRecord>> {
         c.iter()
-            .map(|r| segment_record(kn, &cfg, &r.tokens))
+            .map(|r| Arc::new(segment_record(kn, &cfg, &r.tokens)))
             .collect()
     };
     let s = kn.corpus_from_lines([giant.join(" ").as_str(), partners[12].as_str()]);

@@ -31,6 +31,7 @@ use au_join::core::usim::{
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The driver's size switch (`BATCHED_VERIFY_MIN` in `au_core::join`):
 /// candidate lists at least this long verify through the run-batched mass
@@ -55,8 +56,8 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
 /// schedules *and* across the run-batched and per-pair sources).
 fn check_candidates(
     kn: &Knowledge,
-    s: &[SegRecord],
-    t: &[SegRecord],
+    s: &[Arc<SegRecord>],
+    t: &[Arc<SegRecord>],
     candidates: &[(u32, u32)],
     theta: f64,
     ctx: &str,
@@ -249,7 +250,7 @@ fn match_bits(m: &[(u32, f64)]) -> Vec<(u32, u64)> {
 fn check_queries(ds: &LabeledDataset, theta: f64) {
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
     let pt = engine.prepare(&ds.t).expect("prepare T");
-    let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+    let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
     let spec = JoinSpec::threshold(theta).au_dp(2);
     let searcher = engine.searcher(&pt, &spec).expect("searcher");
     let session = QuerySession::default();
@@ -473,7 +474,7 @@ proptest! {
         let cfg = SimConfig::default();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let c = kn.corpus_from_lines(refs);
-        let sp: Vec<SegRecord> = c.iter().map(|r| segment_record(&kn, &cfg, &r.tokens)).collect();
+        let sp: Vec<Arc<SegRecord>> = c.iter().map(|r| Arc::new(segment_record(&kn, &cfg, &r.tokens))).collect();
         // All pairs as candidates — stresses tier 0 on pairs the filter
         // would normally never surface.
         let all: Vec<(u32, u32)> = (0..c.len() as u32)

@@ -66,7 +66,7 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
     let big = LabeledDataset::generate(&profile, 1600, 1600, 300, 19);
     let engine = Engine::new(big.kn.clone(), cfg).expect("engine");
     let pt = engine.prepare(&big.t).expect("prepare T");
-    let rows: Vec<&SegRecord> = pt.seg_records().iter().collect();
+    let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
     let spec = JoinSpec::threshold(0.8).au_dp(2);
     let searcher = engine.searcher(&pt, &spec).expect("searcher");
     let session = QuerySession::default();
