@@ -81,7 +81,7 @@ fn bench_pebbles_and_signatures(c: &mut Criterion) {
     let sr = segment_record(&ds.kn, &cfg, &ds.s.get(au_text::record::RecordId(0)).tokens);
     let mut pebbles = generate_pebbles(&ds.kn, &cfg, &sr);
     let order = PebbleOrder::build(std::iter::once(pebbles.as_slice()));
-    order.sort(&mut pebbles);
+    order.sort(&mut pebbles, &mut Default::default());
     let mut g = c.benchmark_group("micro_signature");
     g.sample_size(50).measurement_time(Duration::from_secs(3));
     g.bench_function("generate_pebbles", |b| {

@@ -28,9 +28,12 @@
 //!   durability counters (`wal_frames`, `wal_replayed_frames`,
 //!   `wal_retries`, `wal_backoff_waits`, `degraded_entries`,
 //!   `degraded_writes`, `admission_rejected`, plus `compactions`,
-//!   `stale_anomalies` and `records_prepared`) are exact-matched — the
-//!   fault schedules are seeded, so any drift is a durability behaviour
-//!   change (or, for `records_prepared`, stage-1 work that came back).
+//!   `stale_anomalies`, `records_prepared`, `records_signed` and the
+//!   `inherited_candidates` / `fresh_candidates` pair) are exact-matched —
+//!   the fault schedules are seeded, so any drift is a durability
+//!   behaviour change (or, for `records_prepared` / `records_signed`,
+//!   stage-1 / stage-3 work that came back; for the pair, an inherited
+//!   pebble order that filters differently).
 //!
 //! Exit code 1 on any failure; every failure is printed.
 
@@ -124,6 +127,13 @@ impl Gate {
             // Stage-1 work of the served workload: the initial corpus
             // plus one record per insert, whatever the compactions did.
             "records_prepared",
+            // Stage-3 work: the initial corpus, what each inheriting
+            // compaction appended, every live row at a re-rank.
+            "records_signed",
+            // The final battery's `Vτ` under the served (inherited) order
+            // and under a fresh ranking of the same records.
+            "inherited_candidates",
+            "fresh_candidates",
             // BENCH_{med,wiki}: the two fresh `Prepared`s' deep bytes —
             // length-based, so a pure function of (scale, seed) too.
             "prepare_memory_bytes",

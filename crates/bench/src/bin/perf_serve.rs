@@ -38,13 +38,16 @@ fn main() {
         );
     }
     println!(
-        "fig_serve: initial={} +{} -{} compactions={} records_prepared={} stale_anomalies={} \
-         pause={:.2}ms",
+        "fig_serve: initial={} +{} -{} compactions={} records_prepared={} records_signed={} \
+         candidates inherited={} fresh={} stale_anomalies={} pause={:.2}ms",
         serve.n_initial,
         serve.n_inserts,
         serve.n_deletes,
         serve.compactions,
         serve.records_prepared,
+        serve.records_signed,
+        serve.inherited_candidates,
+        serve.fresh_candidates,
         serve.stale_anomalies,
         serve.compact_pause_seconds * 1e3
     );

@@ -310,6 +310,18 @@ pub struct ServeReport {
     /// insert — a compaction segments nothing, so the count does not
     /// depend on how many ran. Pure function of (scale, seed).
     pub records_prepared: u64,
+    /// Records the service's base builds ran through signature selection
+    /// (`ServeStats::records_signed`): the initial corpus, the rows each
+    /// inheriting compaction appended, every live row at a re-rank. Pure
+    /// function of (scale, seed).
+    pub records_signed: u64,
+    /// `Vτ` of the query battery against the final served base, whose
+    /// pebble order the last compaction inherited …
+    pub inherited_candidates: u64,
+    /// … and against a fresh prepare (fresh ranking) of the same records:
+    /// the pair is the gated measure of what an aged order costs the
+    /// filter. Matches are asserted identical.
+    pub fresh_candidates: u64,
     /// Per-phase rows (`steady` first).
     pub rows: Vec<ServeRow>,
     /// Longest single compaction in seconds (0 when timings disabled).
@@ -427,15 +439,18 @@ pub fn run_serve_workload(scale: f64, seed: u64, timings: bool) -> ServeReport {
     let searcher = engine
         .searcher(&prepared, &spec)
         .expect("reference searcher");
+    let (mut inherited_candidates, mut fresh_candidates) = (0u64, 0u64);
     for q in &battery {
-        let served: Vec<(u64, f64)> = svc.search(q).expect("served query").matches;
-        let reference: Vec<(u64, f64)> = searcher
-            .query(q)
+        let served = svc.search(q).expect("served query");
+        let fresh = searcher.query(q);
+        let reference: Vec<(u64, f64)> = fresh
             .matches
             .iter()
             .map(|&(row, sim)| (gids[row as usize], sim))
             .collect();
-        assert_eq!(served, reference, "served ≠ monolithic for {q:?}");
+        assert_eq!(served.matches, reference, "served ≠ monolithic for {q:?}");
+        inherited_candidates += served.candidates;
+        fresh_candidates += fresh.candidates;
     }
 
     // The funnel across restarts: crash (copy the log bytes, forget the
@@ -504,6 +519,9 @@ pub fn run_serve_workload(scale: f64, seed: u64, timings: bool) -> ServeReport {
         degraded_writes,
         admission_rejected: stats.admission.overloads,
         records_prepared: stats.records_prepared,
+        records_signed: stats.records_signed,
+        inherited_candidates,
+        fresh_candidates,
         rows: vec![
             ServeRow {
                 id: "serve/steady".into(),
@@ -1306,6 +1324,9 @@ impl ServeReport {
             ("degraded_writes", self.degraded_writes),
             ("admission_rejected", self.admission_rejected),
             ("records_prepared", self.records_prepared),
+            ("records_signed", self.records_signed),
+            ("inherited_candidates", self.inherited_candidates),
+            ("fresh_candidates", self.fresh_candidates),
         ] {
             push_field(&mut o, "  ", key, v.to_string(), false);
         }

@@ -242,10 +242,13 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
             let s = svc.stats();
             let c = s.last_compact;
             // `prepared` counts segmented records: creates, opens and
-            // inserts — a compaction segments nothing, it merges.
+            // inserts — a compaction segments nothing, it merges. `signed`
+            // counts signature selections: a compaction signs what it
+            // appends, and everything only when it re-ranks.
             println!(
                 "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {} pause {:.2}ms \
-                 (carried {} dropped {} appended {} merge {:.2}ms build {:.2}ms) prepared {}",
+                 (carried {} dropped {} appended {} merge {:.2}ms build {:.2}ms signed {} {} \
+                 churn {}/{}) prepared {} signed {}",
                 s.generation,
                 s.live,
                 s.delta_len,
@@ -260,7 +263,12 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
                 c.appended,
                 c.merge_nanos as f64 / 1e6,
                 c.build_nanos as f64 / 1e6,
-                s.records_prepared
+                c.signed,
+                if c.reranked { "reranked" } else { "inherited" },
+                c.churn,
+                c.ranked_over,
+                s.records_prepared,
+                s.records_signed
             );
         }
         "quit" | "exit" => return Ok(false),

@@ -359,6 +359,13 @@ impl SigKey {
             mp_mode: spec.mp_mode,
         }
     }
+
+    /// A spec selecting what this key memoizes.
+    fn spec(&self) -> JoinSpec {
+        JoinSpec::threshold(f64::from_bits(self.theta_bits))
+            .filter(self.filter)
+            .mp_mode(self.mp_mode)
+    }
 }
 
 /// One resident memo entry, queued in arrival order for capacity
@@ -370,10 +377,21 @@ enum MemoSlot {
     Csr(SigKey),
 }
 
+/// A resident order. It may be an inherited one ([`PebbleOrder::inherit`]),
+/// not a function of the corpus — so what was selected under it is filed
+/// and served only while it is resident ([`Memo::under`]), and leaves the
+/// memo before it does ([`Memo::enforce_capacity`]).
+#[derive(Debug)]
+struct Ranked {
+    order: Arc<PebbleOrder>,
+    /// Records run through stage 3 under this order for this memo.
+    signed: u64,
+}
+
 /// Lazily built, memoized artifacts of one prepared corpus.
 #[derive(Debug, Default)]
 struct Memo {
-    orders: FxHashMap<OrderKey, Arc<PebbleOrder>>,
+    orders: FxHashMap<OrderKey, Ranked>,
     sigs: FxHashMap<SigKey, Arc<SelectedSignatures>>,
     csr: FxHashMap<SigKey, Arc<CsrIndex>>,
     /// [`Prepared::transposed`]: one per corpus (no order, no θ), so
@@ -393,6 +411,20 @@ struct Memo {
 impl Memo {
     fn resident(&self) -> usize {
         self.orders.len() + self.sigs.len() + self.csr.len()
+    }
+
+    /// The entry of `key` while it still holds `order` itself (it may have
+    /// been cleared and re-ranked between a caller's two visits).
+    fn under(&mut self, key: OrderKey, order: &Arc<PebbleOrder>) -> Option<&mut Ranked> {
+        (self.orders.get_mut(&key)).filter(|e| Arc::ptr_eq(&e.order, order))
+    }
+
+    /// The resident order of `key`; `order`, filed, when there is none.
+    fn order_or_insert(&mut self, key: OrderKey, order: Arc<PebbleOrder>) -> Arc<PebbleOrder> {
+        let entry = self.orders.entry(key);
+        let out = entry.or_insert(Ranked { order, signed: 0 }).order.clone();
+        self.note_insert(MemoSlot::Order(key));
+        out
     }
 
     /// Record that `slot` is (still) resident, then evict the oldest
@@ -418,7 +450,18 @@ impl Memo {
                 None => break,
             };
             match old {
+                // An order outlives what was selected under it: back of
+                // the queue while it has dependents (each has a slot of its
+                // own, so the loop advances).
                 MemoSlot::Order(k) => {
+                    let under_k = |s: &MemoSlot| match s {
+                        MemoSlot::Sig(d) | MemoSlot::Csr(d) => d.order == k,
+                        MemoSlot::Order(_) => false,
+                    };
+                    if self.arrivals.iter().any(under_k) {
+                        self.arrivals.push_back(old);
+                        continue;
+                    }
                     self.orders.remove(&k);
                 }
                 MemoSlot::Sig(k) => {
@@ -528,8 +571,8 @@ impl Prepared {
         let m = self.memo();
         // det: the three memo walks below fold into a commutative +=
         // sum, so map iteration order cannot reach the returned total.
-        for order in m.orders.values() {
-            total += order.memory_bytes();
+        for ranked in m.orders.values() {
+            total += ranked.order.memory_bytes();
         }
         // det: order-insensitive sum (see above).
         for sel in m.sigs.values() {
@@ -616,11 +659,21 @@ impl Prepared {
         relock(&self.memo).evictions
     }
 
+    /// Records run through stage 3 under the orders this memo holds:
+    /// every row per selection made here, only the appended rows per
+    /// selection [`Engine::merge_prepared`] inherited.
+    pub fn records_signed(&self) -> u64 {
+        // det: order-insensitive sum.
+        self.memo().orders.values().map(|r| r.signed).sum()
+    }
+
     /// Drop every memoized artifact, the transposed posting index
     /// included (the segmentation itself is kept — subsequent operations
     /// rebuild orders/signatures/indexes lazily, never stage 1). Bounds
     /// memory for services that stream distinct thresholds or join
-    /// partners through one long-lived `Prepared`.
+    /// partners through one long-lived `Prepared`. An inherited order
+    /// ([`Engine::merge_prepared`]) goes too: the next operation ranks
+    /// this corpus's own frequencies, as a fresh prepare would.
     pub fn clear_memo(&self) {
         let mut m = relock(&self.memo);
         m.orders.clear();
@@ -884,9 +937,18 @@ impl Engine {
     /// `base`'s rows minus the strictly ascending row ids `dropped_rows`,
     /// then the already-segmented `appended` rows (each with its raw
     /// text), stamped with this engine's knowledge generation. Carried
-    /// rows are the same `Arc`s, `df` is `base`'s − dropped + appended,
-    /// the memo empty: field for field what [`Engine::prepare_owned`]
-    /// makes of the same records.
+    /// rows are the same `Arc`s and `df` is `base`'s − dropped + appended:
+    /// field for field what [`Engine::prepare_owned`] makes of the same
+    /// records.
+    ///
+    /// **The memo is inherited** while `base`'s self order is still
+    /// trusted ([`PebbleOrder::age`]): that order, and per signature
+    /// set `base` holds under it the carried rows' signatures copied and
+    /// only the appended rows selected — bit for bit
+    /// [`SelectedSignatures::select`] over all merged rows under that
+    /// order. Results equal a fresh prepare's; funnel counters are that
+    /// order's until [`Prepared::clear_memo`]. Past the churn rule the memo
+    /// starts empty (DESIGN.md, "Signatures outlive a compaction").
     ///
     /// `base` and `appended` must have been segmented under this engine's
     /// configuration (checked for `base`) and under this knowledge or an
@@ -941,7 +1003,42 @@ impl Engine {
             corpus.push_tokens(sr.tokens.clone(), raw.to_string());
             segrecs.push(sr.clone());
         }
-        Ok(self.assemble(corpus, segrecs, df, start))
+        let merged = self.assemble(corpus, segrecs, df, start);
+        self.inherit_memo(base, dropped_rows, &merged);
+        Ok(merged)
+    }
+
+    /// Seed the memo of `merged` — `base` minus `dropped` plus the rows
+    /// past the carried ones — with `base`'s self order and what `base`
+    /// holds selected under it, oldest first.
+    fn inherit_memo(&self, base: &Prepared, dropped: &[u32], merged: &Prepared) {
+        let key = OrderKey::SelfOrder;
+        let appended = &merged.segrecs[base.len() - dropped.len()..];
+        let (order, sets) = {
+            let from = base.memo();
+            let Some(ranked) = from.orders.get(&key) else {
+                return;
+            };
+            let sets = from.arrivals.iter().filter_map(|slot| match slot {
+                MemoSlot::Sig(k) if k.order == key => from.sigs.get(k).map(|s| (*k, s.clone())),
+                _ => None,
+            });
+            (ranked.order.clone(), sets.collect::<Vec<_>>())
+        };
+        let churned = dropped.len() + appended.len();
+        let Some(order) = order.inherit(&merged.df, churned).map(Arc::new) else {
+            return;
+        };
+        // `merged` is new and unbounded: nothing contends, nothing evicts.
+        let mut m = merged.memo();
+        let signed = (appended.len() * sets.len()) as u64;
+        m.arrivals.push_back(MemoSlot::Order(key));
+        for (k, sel) in sets {
+            let tail = SelectedSignatures::select(&self.kn, &self.cfg, appended, &order, &k.spec());
+            m.sigs.insert(k, Arc::new(sel.carry(dropped, &tail)));
+            m.arrivals.push_back(MemoSlot::Sig(k));
+        }
+        m.orders.insert(key, Ranked { order, signed });
     }
 
     /// Artifact guard: the knowledge generation must match
@@ -969,58 +1066,90 @@ impl Engine {
 
     // -- memoized artifact builders -----------------------------------------
 
-    /// The global order over this corpus alone (self-joins, search).
+    /// The global order over this corpus alone (self-joins, search): the
+    /// one its memo holds — inherited from the corpus it was merged from
+    /// ([`Engine::merge_prepared`]) or ranked earlier — else a fresh
+    /// ranking of its own document frequencies.
     fn order_self(&self, c: &Prepared) -> Arc<PebbleOrder> {
+        let key = OrderKey::SelfOrder;
         {
             let mut m = c.memo();
-            if let Some(o) = m.orders.get(&OrderKey::SelfOrder).cloned() {
+            if let Some(o) = m.orders.get(&key).map(|r| r.order.clone()) {
                 m.hits += 1;
                 return o;
             }
         }
-        let order = Arc::new(PebbleOrder::from_doc_freqs(&[&c.df]));
+        let order = Arc::new(PebbleOrder::from_doc_freqs(&[&c.df], c.len()));
         let mut m = c.memo();
         m.misses += 1;
-        let out = m
-            .orders
-            .entry(OrderKey::SelfOrder)
-            .or_insert_with(|| order.clone())
-            .clone();
-        m.note_insert(MemoSlot::Order(OrderKey::SelfOrder));
-        out
+        m.order_or_insert(key, order)
     }
 
     /// The global order over both sides of an R×S join (document
     /// frequencies counted across the pair). Stored symmetrically in both
     /// artifacts' memos.
     fn order_pair(&self, s: &Prepared, t: &Prepared) -> Arc<PebbleOrder> {
-        let key_s = OrderKey::Pair(t.id);
-        {
+        let (key_s, key_t) = (OrderKey::Pair(t.id), OrderKey::Pair(s.id));
+        let found = {
             let mut m = s.memo();
-            if let Some(o) = m.orders.get(&key_s).cloned() {
-                m.hits += 1;
-                return o;
-            }
-        }
-        let order = Arc::new(PebbleOrder::from_doc_freqs(&[&s.df, &t.df]));
-        let order = {
+            let found = m.orders.get(&key_s).map(|r| r.order.clone());
+            m.hits += u64::from(found.is_some());
+            found
+        };
+        let order = found.unwrap_or_else(|| {
+            let rows = s.len() + t.len();
+            let order = Arc::new(PebbleOrder::from_doc_freqs(&[&s.df, &t.df], rows));
             let mut m = s.memo();
             m.misses += 1;
-            let out = m
-                .orders
-                .entry(key_s)
-                .or_insert_with(|| order.clone())
-                .clone();
-            m.note_insert(MemoSlot::Order(key_s));
-            out
-        };
+            m.order_or_insert(key_s, order)
+        });
         if s.id != t.id {
-            let key_t = OrderKey::Pair(s.id);
             let mut m = t.memo();
-            m.orders.entry(key_t).or_insert_with(|| order.clone());
-            m.note_insert(MemoSlot::Order(key_t));
+            m.order_or_insert(key_t, order.clone());
+            // A pair order is a pure function of the two frequency tables:
+            // a copy `t` kept from an earlier join equals this one, so
+            // what `t` selected under it stays valid under this one.
+            if let Some(ranked) = m.orders.get_mut(&key_t) {
+                ranked.order = order.clone();
+            }
         }
         order
+    }
+
+    /// What `map` files for `slot` — served, and a `build` filed, only
+    /// while `order` is the resident order of the slot's key
+    /// ([`Memo::under`]); a filed signature set adds its records to that
+    /// order's stage-3 count.
+    fn memoized<T>(
+        c: &Prepared,
+        slot: MemoSlot,
+        order: &Arc<PebbleOrder>,
+        map: fn(&mut Memo) -> &mut FxHashMap<SigKey, Arc<T>>,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let (k, signs) = match slot {
+            MemoSlot::Sig(k) => (k, c.len() as u64),
+            MemoSlot::Csr(k) => (k, 0),
+            MemoSlot::Order(_) => return Arc::new(build()),
+        };
+        {
+            let mut m = c.memo();
+            let resident = m.under(k.order, order).is_some();
+            if let Some(hit) = map(&mut m).get(&k).filter(|_| resident).cloned() {
+                m.hits += 1;
+                return hit;
+            }
+        }
+        let built = Arc::new(build());
+        let mut m = c.memo();
+        m.misses += 1;
+        let Some(ranked) = m.under(k.order, order) else {
+            return built;
+        };
+        ranked.signed += signs;
+        let out = map(&mut m).entry(k).or_insert(built).clone();
+        m.note_insert(slot);
+        out
     }
 
     /// Signature key sets + guarantee levels for `(order, θ, filter, MP)`.
@@ -1028,47 +1157,25 @@ impl Engine {
         &self,
         c: &Prepared,
         key: OrderKey,
-        order: &PebbleOrder,
+        order: &Arc<PebbleOrder>,
         spec: &JoinSpec,
     ) -> Arc<SelectedSignatures> {
-        let sig_key = SigKey::new(key, spec);
-        {
-            let mut m = c.memo();
-            if let Some(s) = m.sigs.get(&sig_key).cloned() {
-                m.hits += 1;
-                return s;
-            }
-        }
-        let sel = Arc::new(SelectedSignatures::select(
-            &self.kn, &self.cfg, &c.segrecs, order, spec,
-        ));
-        let mut m = c.memo();
-        m.misses += 1;
-        let out = m.sigs.entry(sig_key).or_insert_with(|| sel.clone()).clone();
-        m.note_insert(MemoSlot::Sig(sig_key));
-        out
+        let slot = MemoSlot::Sig(SigKey::new(key, spec));
+        let select = || SelectedSignatures::select(&self.kn, &self.cfg, &c.segrecs, order, spec);
+        Self::memoized(c, slot, order, |m| &mut m.sigs, select)
     }
 
-    /// CSR inverted index over `sel`'s signature keys for the same memo
-    /// key.
-    fn csr(&self, c: &Prepared, sig_key: SigKey, sel: &SelectedSignatures) -> Arc<CsrIndex> {
-        {
-            let mut m = c.memo();
-            if let Some(i) = m.csr.get(&sig_key).cloned() {
-                m.hits += 1;
-                return i;
-            }
-        }
-        let index = Arc::new(CsrIndex::from_record_keys(&sel.record_keys));
-        let mut m = c.memo();
-        m.misses += 1;
-        let out = m
-            .csr
-            .entry(sig_key)
-            .or_insert_with(|| index.clone())
-            .clone();
-        m.note_insert(MemoSlot::Csr(sig_key));
-        out
+    /// CSR inverted index over `sel` — the signatures of memo key `k`,
+    /// selected under `order`.
+    fn csr(
+        &self,
+        c: &Prepared,
+        k: SigKey,
+        order: &Arc<PebbleOrder>,
+        sel: &SelectedSignatures,
+    ) -> Arc<CsrIndex> {
+        let build = || CsrIndex::from_record_keys(&sel.record_keys);
+        Self::memoized(c, MemoSlot::Csr(k), order, |m| &mut m.csr, build)
     }
 
     // -- pipeline stages ----------------------------------------------------
@@ -1100,7 +1207,7 @@ impl Engine {
         let sig_time = sig_start.elapsed();
 
         let filter_start = Instant::now();
-        let index = self.csr(t, SigKey::new(key_t, spec), &sel_t);
+        let index = self.csr(t, SigKey::new(key_t, spec), &order, &sel_t);
         let outcome = candidate_pass(
             &sel_s,
             &sel_t,
@@ -1598,7 +1705,7 @@ impl Engine {
         spec.validate_threshold()?;
         let order = self.order_self(c);
         let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
-        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &sel);
+        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &order, &sel);
         Ok(SearchCore {
             spec: *spec,
             order,
@@ -1926,6 +2033,7 @@ pub struct ProbeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::brute_force_join;
     use crate::knowledge::KnowledgeBuilder;
 
     fn setup() -> (Knowledge, Corpus, Corpus) {
@@ -2260,9 +2368,6 @@ mod tests {
             assert!(Arc::ptr_eq(&merged.segrecs[row], &base_p.segrecs[from]));
         }
 
-        let bits = |pairs: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
-            pairs.iter().map(|&(a, b, s)| (a, b, s.to_bits())).collect()
-        };
         for spec in [
             JoinSpec::threshold(0.5).au_dp(2),
             JoinSpec::threshold(0.8).u_filter(),
@@ -2271,7 +2376,7 @@ mod tests {
                 engine.join_self(&merged, &spec).unwrap(),
                 engine.join_self(&fresh, &spec).unwrap(),
             );
-            assert_eq!(bits(&m.pairs), bits(&f.pairs));
+            assert_eq!(pair_bits(&m.pairs), pair_bits(&f.pairs));
             assert_eq!(m.stats.candidates, f.stats.candidates);
             assert_eq!(m.stats.processed_pairs, f.stats.processed_pairs);
             assert_eq!(m.stats.compat_rejected, f.stats.compat_rejected);
@@ -2283,10 +2388,7 @@ mod tests {
             );
             for q in base.iter().chain(appended).take(6) {
                 let (a, b) = (sm.query(q), sf.query(q));
-                let hits = |o: &SearchOutcome| -> Vec<(u32, u64)> {
-                    o.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect()
-                };
-                assert_eq!(hits(&a), hits(&b), "{q:?}");
+                assert_eq!(hit_bits(&a), hit_bits(&b), "{q:?}");
                 assert_eq!(
                     (a.candidates, a.processed, a.compat_rejected, a.tiers),
                     (b.candidates, b.processed, b.compat_rejected, b.tiers),
@@ -2402,6 +2504,425 @@ mod tests {
             Err(AuError::StaleKnowledge { .. })
         ));
         assert!(later.merge_prepared(&base, &[0], none()).is_ok());
+    }
+
+    /// θ ∈ {0.7, 0.9} × U / AU-heuristic / AU-DP: what the inheritance
+    /// tests warm a base under before merging it.
+    fn inherit_specs() -> Vec<JoinSpec> {
+        let at = |theta: f64| {
+            let t = JoinSpec::threshold(theta);
+            [t.u_filter(), t.au_heuristic(2), t.au_dp(2)]
+        };
+        [0.7, 0.9].into_iter().flat_map(at).collect()
+    }
+
+    /// The memo invariant, checked from outside: every resident signature
+    /// set is the selection over *all* rows under the very order it is
+    /// filed under, and every resident index transposes that selection.
+    fn assert_memo_coherent(engine: &Engine, p: &Prepared) {
+        let (orders, sigs, csrs) = {
+            let m = p.memo();
+            let orders: Vec<_> = (m.orders.iter())
+                .map(|(k, r)| (*k, r.order.clone()))
+                .collect();
+            let sigs: Vec<_> = m.sigs.iter().map(|(k, v)| (*k, v.clone())).collect();
+            let csrs: Vec<_> = m.csr.iter().map(|(k, v)| (*k, v.clone())).collect();
+            (orders, sigs, csrs)
+        };
+        let select = |k: &SigKey| {
+            let filed = orders.iter().find(|(key, _)| *key == k.order);
+            let (_, order) = filed.unwrap_or_else(|| panic!("{k:?} outlived its order"));
+            SelectedSignatures::select(&engine.kn, &engine.cfg, &p.segrecs, order, &k.spec())
+        };
+        for (k, sel) in &sigs {
+            assert_eq!(**sel, select(k), "signatures of {k:?} under their order");
+        }
+        for (k, index) in &csrs {
+            let want = CsrIndex::from_record_keys(&select(k).record_keys);
+            assert_eq!(index.sorted_lists(), want.sorted_lists(), "index of {k:?}");
+        }
+    }
+
+    fn pair_bits(pairs: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        pairs.iter().map(|&(a, b, s)| (a, b, s.to_bits())).collect()
+    }
+
+    fn hit_bits(o: &SearchOutcome) -> Vec<(u32, u64)> {
+        o.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+    }
+
+    /// `base` searched under every [`inherit_specs`] spec, then merged:
+    /// while the churn rule holds the merged memo is the base's order
+    /// handed down and, per spec, exactly `SelectedSignatures::select(all
+    /// rows, that order)` with only the appended rows signed; past it the
+    /// memo is empty. Either way pairs, matches and bits are those of a
+    /// fresh prepare, and after `clear_memo` so is the whole funnel.
+    fn assert_inherited_equals_fresh(base: &[String], drop: &[bool], appended: &[String]) {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        let base_corpus = kn.corpus_from_lines(base.iter().map(String::as_str));
+        let old = Engine::new(kn.clone(), cfg).unwrap();
+        let base_p = old.prepare(&base_corpus).unwrap();
+        let specs = inherit_specs();
+        for spec in &specs {
+            old.searcher(&base_p, spec).unwrap();
+        }
+        let dropped: Vec<u32> = (0..base.len() as u32)
+            .filter(|&r| drop[r as usize])
+            .collect();
+        let tail = kn.corpus_from_lines(appended.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).unwrap();
+        let new_rows: Vec<Arc<SegRecord>> = tail
+            .iter()
+            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
+            .collect();
+        let with_text = || new_rows.iter().zip(appended.iter().map(String::as_str));
+        let merged = engine
+            .merge_prepared(&base_p, &dropped, with_text())
+            .unwrap();
+        let fresh = engine.prepare_owned(merged.corpus().clone()).unwrap();
+
+        let churn = dropped.len() + appended.len();
+        if churn > base.len() {
+            assert_eq!(merged.memo_len(), 0, "past the churn rule: rank afresh");
+            assert_eq!(merged.records_signed(), 0);
+        } else {
+            assert_eq!(merged.memo_len(), 1 + specs.len());
+            let signed = (appended.len() * specs.len()) as u64;
+            assert_eq!(merged.records_signed(), signed, "only appended rows");
+            let misses = merged.memo_misses();
+            let order = engine.order_self(&merged);
+            assert_eq!(merged.memo_misses(), misses, "found, not ranked");
+            assert_eq!(order.age(), (base.len(), churn));
+            // Exactly the merged table's keys: no key kept for a row that
+            // left, none missing for a row that came.
+            assert_eq!(order.memory_bytes(), merged.df.memory_bytes());
+            assert_memo_coherent(&engine, &merged);
+        }
+
+        let queries: Vec<&String> = base.iter().chain(appended).take(8).collect();
+        for spec in &specs {
+            let (m, f) = (
+                engine.join_self(&merged, spec).unwrap(),
+                engine.join_self(&fresh, spec).unwrap(),
+            );
+            assert_eq!(pair_bits(&m.pairs), pair_bits(&f.pairs), "{spec:?}");
+            let (sm, sf) = (
+                engine.searcher(&merged, spec).unwrap(),
+                engine.searcher(&fresh, spec).unwrap(),
+            );
+            for q in &queries {
+                assert_eq!(hit_bits(&sm.query(q)), hit_bits(&sf.query(q)), "{q:?}");
+            }
+        }
+        assert_memo_coherent(&engine, &merged);
+
+        // The inherited order dies with the memo: a cleared artifact ranks
+        // its own frequencies, and the whole funnel is the fresh one's.
+        merged.clear_memo();
+        for spec in &specs {
+            let (m, f) = (
+                engine.join_self(&merged, spec).unwrap().stats,
+                engine.join_self(&fresh, spec).unwrap().stats,
+            );
+            assert_eq!(
+                (m.candidates, m.processed_pairs, m.compat_rejected, m.tiers),
+                (f.candidates, f.processed_pairs, f.compat_rejected, f.tiers),
+            );
+            let (sm, sf) = (
+                engine.searcher(&merged, spec).unwrap(),
+                engine.searcher(&fresh, spec).unwrap(),
+            );
+            for q in &queries {
+                let (a, b) = (sm.query(q), sf.query(q));
+                assert_eq!(
+                    (a.candidates, a.processed, a.compat_rejected, a.tiers),
+                    (b.candidates, b.processed, b.compat_rejected, b.tiers),
+                    "{q:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inherited_memo_equals_fresh_selection_at_the_edges() {
+        let mut base = merge_lines(24, 10, 1);
+        // Keys whose last carrier is dropped must leave the order.
+        base[0] = "gizmo widget".into();
+        // "zanzibar" / "quixotic": keys first seen in an appended row.
+        let appended = merge_lines(7, 12, 3);
+        assert!(appended.iter().any(|l| l.contains("zanzibar")));
+        let (all, none) = (vec![true; 24], vec![false; 24]);
+        let first: Vec<bool> = (0..24).map(|i| i == 0).collect();
+        let some: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
+        for (drop, appended) in [
+            (&none, &appended[..]),  // drop nothing
+            (&none, &[][..]),        // … and append nothing: the base again
+            (&first, &appended[..]), // a key leaves, keys arrive
+            (&some, &[][..]),        // append nothing
+            (&some, &appended[..]),
+            (&all, &[][..]),        // drop everything: churn = rows ranked
+            (&all, &appended[..]),  // … and one more: past the rule
+            (&all, &appended[..1]), // likewise
+        ] {
+            assert_inherited_equals_fresh(&base, drop, appended);
+        }
+        assert_inherited_equals_fresh(&[], &[], &[]);
+        assert_inherited_equals_fresh(&[], &[], &appended);
+    }
+
+    #[test]
+    fn an_order_is_inherited_until_churn_exceeds_the_rows_it_ranked() {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        let base = kn.corpus_from_lines(merge_lines(20, 10, 1).iter().map(String::as_str));
+        let tail_lines = merge_lines(16, 12, 5);
+        let tail = kn.corpus_from_lines(tail_lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).unwrap();
+        let rows: Vec<Arc<SegRecord>> = tail
+            .iter()
+            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
+            .collect();
+        let spec = JoinSpec::threshold(0.7).au_dp(2);
+        let mut current = engine.prepare(&base).unwrap();
+        engine.searcher(&current, &spec).unwrap();
+        // Each merge drops three rows and appends four: churn 7.
+        let mut ages = Vec::new();
+        for round in 0..4 {
+            let new = (4 * round..4 * round + 4).map(|i| (&rows[i], tail_lines[i].as_str()));
+            let merged = engine.merge_prepared(&current, &[0, 1, 2], new).unwrap();
+            let inherited = merged.memo_len() > 0;
+            // A merged memo needs no search of its own to be handed on.
+            let order = engine.order_self(&merged);
+            ages.push((inherited, order.age()));
+            current = merged;
+        }
+        assert_eq!(
+            ages,
+            [
+                (true, (20, 7)),
+                (true, (20, 14)),
+                (false, (23, 0)), // 21 > 20: empty memo, ranked from its own 23 rows
+                (true, (23, 7)),
+            ]
+        );
+    }
+
+    /// The hazard an inherited order creates: were the order evicted alone
+    /// and re-ranked, signatures selected under the old one would meet
+    /// queries sorted under the new one and lose true pairs. Run merges
+    /// under a memo bound that pushes the inherited order out every other
+    /// round; after every step the memo is coherent and joins and queries
+    /// return exactly the brute-force pairs.
+    #[test]
+    fn memo_eviction_never_pairs_a_stale_signature_with_a_reranked_order() {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        let base = kn.corpus_from_lines(merge_lines(30, 10, 1).iter().map(String::as_str));
+        let partner = kn.corpus_from_lines(merge_lines(6, 10, 4).iter().map(String::as_str));
+        let tail_lines = merge_lines(18, 12, 7);
+        let tail = kn.corpus_from_lines(tail_lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).unwrap();
+        let rows: Vec<Arc<SegRecord>> = tail
+            .iter()
+            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
+            .collect();
+        let theta = 0.7;
+        let spec = JoinSpec::threshold(theta).au_dp(2);
+        let partner = engine.prepare(&partner).unwrap();
+        let mut current = engine.prepare(&base).unwrap();
+        engine.searcher(&current, &spec).unwrap();
+        for round in 0..6u32 {
+            let new = (3 * round as usize..).take(3);
+            let new = new.map(|i| (&rows[i], tail_lines[i].as_str()));
+            let merged = engine
+                .merge_prepared(&current, &[round, round + 5], new)
+                .unwrap();
+            assert!(merged.memo_len() > 0, "round {round}: inherited");
+            assert_memo_coherent(&engine, &merged);
+            let evict = round % 2 == 1;
+            if evict {
+                // Two entries at most, and an R×S join that needs both:
+                // the self order's signatures go first, then the order.
+                merged.set_memo_capacity(2);
+                engine.join(&merged, &partner, &spec).unwrap();
+                assert!(!merged.memo().orders.contains_key(&OrderKey::SelfOrder));
+                assert_memo_coherent(&engine, &merged);
+                merged.set_memo_capacity(0);
+            }
+            let searcher = engine.searcher(&merged, &spec).unwrap();
+            assert_eq!(searcher.core.order.age().1 == 0, evict, "round {round}");
+            assert_memo_coherent(&engine, &merged);
+
+            let c = merged.corpus();
+            let all = brute_force_join(&engine.kn, &cfg, c, c, theta);
+            let upper: Vec<_> = all.iter().copied().filter(|&(a, b, _)| a < b).collect();
+            let got = engine.join_self(&merged, &spec).unwrap();
+            assert_eq!(pair_bits(&got.pairs), pair_bits(&upper), "round {round}");
+            for rec in c.iter() {
+                let mut got: Vec<u32> = searcher
+                    .query(&rec.raw)
+                    .matches
+                    .iter()
+                    .map(|m| m.0)
+                    .collect();
+                got.sort_unstable();
+                let want = all.iter().filter(|p| p.0 == rec.id.0).map(|p| p.1);
+                assert_eq!(
+                    got,
+                    want.collect::<Vec<_>>(),
+                    "round {round}: {:?}",
+                    rec.raw
+                );
+            }
+            current = merged;
+        }
+    }
+
+    /// And for real: readers build searchers over a merged artifact and
+    /// query it while another thread clears the memo under them, so a
+    /// reader may hold the inherited order while the memo already files
+    /// selections under the re-ranked one. Every answer must be the brute
+    /// force one, and whatever is resident afterwards coherent.
+    #[test]
+    fn memo_eviction_races_never_lose_a_pair() {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        let base = kn.corpus_from_lines(merge_lines(30, 10, 1).iter().map(String::as_str));
+        let tail_lines = merge_lines(8, 12, 7);
+        let tail = kn.corpus_from_lines(tail_lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).unwrap();
+        let rows: Vec<Arc<SegRecord>> = tail
+            .iter()
+            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
+            .collect();
+        let theta = 0.7;
+        let spec = JoinSpec::threshold(theta).au_dp(2);
+        let base_p = engine.prepare(&base).unwrap();
+        engine.searcher(&base_p, &spec).unwrap();
+        for round in 0..12 {
+            let new = rows.iter().zip(tail_lines.iter().map(String::as_str));
+            let merged = engine.merge_prepared(&base_p, &[1, 4, 9], new).unwrap();
+            let c = merged.corpus();
+            let all = brute_force_join(&engine.kn, &cfg, c, c, theta);
+            let (engine, merged, all) = (&engine, &merged, &all);
+            std::thread::scope(|scope| {
+                for reader in 0..3usize {
+                    scope.spawn(move || {
+                        for i in 0..12 {
+                            let searcher = engine.searcher(merged, &spec).unwrap();
+                            let rec =
+                                &merged.corpus().records()[(reader * 11 + i * 5) % merged.len()];
+                            let found = searcher.query(&rec.raw);
+                            let mut got: Vec<u32> = found.matches.iter().map(|m| m.0).collect();
+                            got.sort_unstable();
+                            let want = all.iter().filter(|p| p.0 == rec.id.0).map(|p| p.1);
+                            assert_eq!(
+                                got,
+                                want.collect::<Vec<_>>(),
+                                "round {round}: {:?}",
+                                rec.raw
+                            );
+                        }
+                    });
+                }
+                scope.spawn(move || {
+                    for _ in 0..6 {
+                        std::thread::yield_now();
+                        merged.clear_memo();
+                    }
+                });
+            });
+            assert_memo_coherent(engine, merged);
+        }
+    }
+
+    /// The same hazard across threads, replayed in one: a caller that took
+    /// the inherited order before the memo was cleared and re-ranked comes
+    /// back with it. It must get what it asked for — the selection under
+    /// *its* order — and must neither be served nor overwrite what is
+    /// filed under the new one.
+    #[test]
+    fn a_stale_order_handle_is_served_but_never_filed() {
+        let (mut kn, _, _) = setup();
+        let cfg = SimConfig::default();
+        // Frequencies that move: "north" is everywhere in the base and the
+        // appended rows are all "tea".
+        let base_lines: Vec<String> = (0..16)
+            .map(|i| format!("north {} {}", MERGE_WORDS[i % 6], MERGE_WORDS[(i + 3) % 9]))
+            .collect();
+        let base = kn.corpus_from_lines(base_lines.iter().map(String::as_str));
+        let tail_lines: Vec<String> = (0..10)
+            .map(|i| format!("tea cake {}", MERGE_WORDS[i % 5]))
+            .collect();
+        let tail = kn.corpus_from_lines(tail_lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, cfg).unwrap();
+        let rows: Vec<Arc<SegRecord>> = tail
+            .iter()
+            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
+            .collect();
+        let spec = JoinSpec::threshold(0.7).au_dp(2);
+        let base_p = engine.prepare(&base).unwrap();
+        engine.searcher(&base_p, &spec).unwrap();
+        let new = rows.iter().zip(tail_lines.iter().map(String::as_str));
+        let merged = engine.merge_prepared(&base_p, &[], new).unwrap();
+
+        let key = OrderKey::SelfOrder;
+        let sig_key = SigKey::new(key, &spec);
+        let stale = engine.order_self(&merged);
+        assert!(stale.age().1 > 0);
+        merged.clear_memo();
+        let ranked = engine.order_self(&merged);
+        assert_eq!(ranked.age().1, 0);
+        let filed = engine.signatures(&merged, key, &ranked, &spec);
+        let select = |order: &PebbleOrder| {
+            SelectedSignatures::select(&engine.kn, &cfg, &merged.segrecs, order, &spec)
+        };
+        assert_ne!(select(&stale), *filed, "the two orders select differently");
+
+        let served = engine.signatures(&merged, key, &stale, &spec);
+        assert_eq!(*served, select(&stale));
+        let index = engine.csr(&merged, sig_key, &stale, &served);
+        let want = CsrIndex::from_record_keys(&served.record_keys);
+        assert_eq!(index.sorted_lists(), want.sorted_lists());
+        // Nothing of the stale order's was filed…
+        assert!(!merged.memo().csr.contains_key(&sig_key));
+        assert!(Arc::ptr_eq(
+            &engine.signatures(&merged, key, &ranked, &spec),
+            &filed
+        ));
+        // … and with the new order's index filed, the stale caller is still
+        // not served it.
+        let filed_index = engine.csr(&merged, sig_key, &ranked, &filed);
+        let again = engine.csr(&merged, sig_key, &stale, &served);
+        assert!(!Arc::ptr_eq(&again, &filed_index));
+        assert_eq!(again.sorted_lists(), want.sorted_lists());
+        assert_memo_coherent(&engine, &merged);
+    }
+
+    mod inherit_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn lines(pool: usize, max: usize) -> impl Strategy<Value = Vec<String>> {
+            let line =
+                prop::collection::vec(prop::sample::select(MERGE_WORDS[..pool].to_vec()), 0..5)
+                    .prop_map(|w| w.join(" "));
+            prop::collection::vec(line, 0..max)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn inherited_memo_equals_fresh_selection(
+                base in lines(10, 30),
+                drop in prop::collection::vec(prop::bool::weighted(0.3), 30),
+                appended in lines(12, 8),
+            ) {
+                assert_inherited_equals_fresh(&base, &drop, &appended);
+            }
+        }
     }
 
     #[test]

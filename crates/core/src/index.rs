@@ -64,7 +64,7 @@ use std::hash::Hash;
 /// side of a join (each record's key set is streamed against the other
 /// side's [`CsrIndex`]) and the single input of
 /// [`CsrIndex::from_record_keys`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordKeys {
     offsets: Vec<u32>,
     keys: Vec<PebbleKey>,
@@ -86,27 +86,37 @@ impl RecordKeys {
     /// `PebbleKey` order, as [`crate::join::record_signature`] emits them —
     /// into one arena.
     pub fn build(per_record: &[Vec<PebbleKey>]) -> Self {
+        let mut out = Self::default();
+        out.offsets.reserve(per_record.len());
+        out.keys.reserve(per_record.iter().map(Vec::len).sum());
+        per_record.iter().for_each(|ks| out.push(ks));
+        out
+    }
+
+    /// The arena of the records `kept` (ids into this one) followed by
+    /// `appended`'s, copied arena to arena — no per-record allocation.
+    /// (The cost is first touch of the new arena, ≈ 0.7 µs per KiB; copying
+    /// run by run between dropped rows measured no faster.)
+    pub(crate) fn carry(&self, kept: impl Iterator<Item = u32>, appended: &Self) -> Self {
+        let mut out = Self::default();
+        out.keys.reserve(self.keys.len() + appended.keys.len());
+        kept.for_each(|r| out.push(self.get(r)));
+        (0..appended.len() as u32).for_each(|r| out.push(appended.get(r)));
+        out
+    }
+
+    /// Append one record's key set (distinct, sorted).
+    pub(crate) fn push(&mut self, keys: &[PebbleKey]) {
         debug_assert!(
-            per_record
-                .iter()
-                .all(|ks| ks.windows(2).all(|w| w[0] < w[1])),
+            keys.windows(2).all(|w| w[0] < w[1]),
             "record key sets must be sorted and distinct"
         );
-        let total: usize = per_record.iter().map(|v| v.len()).sum();
+        self.keys.extend_from_slice(keys);
         // u32 offsets keep the arena cache-dense; a corpus whose flattened
         // key count crosses 2^32 must fail loudly, not wrap.
-        assert!(
-            total < u32::MAX as usize,
-            "signature key arena exceeds u32 offsets ({total} keys)"
-        );
-        let mut offsets = Vec::with_capacity(per_record.len() + 1);
-        offsets.push(0u32);
-        let mut keys = Vec::with_capacity(total);
-        for ks in per_record {
-            keys.extend_from_slice(ks);
-            offsets.push(keys.len() as u32);
-        }
-        Self { offsets, keys }
+        let end = u32::try_from(self.keys.len());
+        self.offsets
+            .push(end.expect("signature key arena exceeds u32 offsets"));
     }
 
     /// Record `r`'s distinct keys (sorted).
@@ -779,6 +789,24 @@ pub(crate) mod tests {
                 prop_assert_eq!(t.offsets.len(), t.key_count() + 1);
                 prop_assert_eq!(t.memory_bytes(), whole.memory_bytes());
             }
+        }
+
+        /// Carrying an arena across a merge against flattening the same
+        /// key sets afresh: any kept set (none, all, runs), any tail.
+        #[test]
+        fn carried_arena_equals_the_rebuilt_one(
+            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..6), 0..14),
+            drop in prop::collection::vec(prop::bool::weighted(0.4), 14),
+            tail in prop::collection::vec(prop::collection::vec(0u64..12, 0..6), 0..5),
+        ) {
+            let sets = |recs: &[Vec<u64>]| -> Vec<Vec<PebbleKey>> {
+                recs.iter().map(|r| gram_keys(r)).collect()
+            };
+            let (base, tail) = (sets(&recs), sets(&tail));
+            let kept = || (0..base.len()).filter(|&r| !drop[r]);
+            let want: Vec<_> = kept().map(|r| base[r].clone()).chain(tail.iter().cloned()).collect();
+            let got = RecordKeys::build(&base).carry(kept().map(|r| r as u32), &RecordKeys::build(&tail));
+            prop_assert_eq!(got, RecordKeys::build(&want));
         }
 
         /// The scan against its definition on random key sets: `b` is

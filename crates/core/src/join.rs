@@ -24,7 +24,7 @@ use crate::config::SimConfig;
 use crate::engine::{relock, JoinSpec};
 use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, RecordKeys};
 use crate::knowledge::Knowledge;
-use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder};
+use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortScratch};
 use crate::segment::{segment_record, SegRecord};
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
@@ -101,10 +101,11 @@ pub struct JoinResult {
 }
 
 /// Per-worker buffers of [`record_signature`]: the record's transient
-/// pebble list and the DP selector's tables.
+/// pebble list, the rank sort's buffers and the DP selector's tables.
 #[derive(Debug, Default)]
 pub struct SignatureScratch {
     pebbles: Vec<Pebble>,
+    sort: SortScratch,
     dp: DpScratch,
 }
 
@@ -123,7 +124,7 @@ pub fn record_signature(
     scratch: &mut SignatureScratch,
 ) -> (SignatureChoice, Vec<PebbleKey>) {
     generate_pebbles_into(kn, cfg, sr, &mut scratch.pebbles);
-    order.sort(&mut scratch.pebbles);
+    order.sort(&mut scratch.pebbles, &mut scratch.sort);
     signature_of_sorted(sr, &scratch.pebbles, spec, cfg.eps, &mut scratch.dp)
 }
 
@@ -147,7 +148,7 @@ fn signature_of_sorted(
 /// One join side after stage 3: per-record distinct signature key sets and
 /// guarantee levels — everything the candidate pass needs. (The pebble
 /// lists the keys were selected from are gone by the time this exists.)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectedSignatures {
     /// Flattened per-record distinct signature keys.
     pub record_keys: RecordKeys,
@@ -204,6 +205,22 @@ impl SelectedSignatures {
         Self {
             record_keys: RecordKeys::build(&keys),
             levels,
+        }
+    }
+
+    /// This side minus the strictly ascending rows `dropped`, then
+    /// `appended`'s records: what [`SelectedSignatures::select`] returns
+    /// for those rows under the order (or one inherited from it) both
+    /// were selected under.
+    pub(crate) fn carry(&self, dropped: &[u32], appended: &Self) -> Self {
+        let kept = || {
+            let mut gone = dropped.iter().peekable();
+            (0..self.len() as u32).filter(move |r| gone.next_if_eq(&r).is_none())
+        };
+        let levels = kept().map(|r| self.levels[r as usize]);
+        Self {
+            record_keys: self.record_keys.carry(kept(), &appended.record_keys),
+            levels: levels.chain(appended.levels.iter().copied()).collect(),
         }
     }
 

@@ -227,16 +227,25 @@ impl DocFreqs {
     }
 }
 
-/// Global frequency order over pebble keys.
+/// Global order over pebble keys.
 ///
-/// Every key the order was built over has a dense **rank**: its position
-/// under ascending `(document frequency, key)`, where a document frequency
-/// is the number of records (across both join sides) whose pebble set
-/// contains the key. A key the order has never seen (query side) has
-/// frequency 0: it sorts before every ranked key, by key.
+/// Every key the order was built over has a dense **rank**. Ranked from
+/// document frequencies, a key sits at its position under ascending
+/// `(document frequency, key)`, where a document frequency is the number
+/// of records (across both join sides) whose pebble set contains the key.
+/// A key the order has never seen (query side) has frequency 0: it sorts
+/// before every ranked key, by key.
+///
+/// Rare-first is a selectivity heuristic; the signature bounds hold under
+/// *any* total order both sides share. So an order may outlive the
+/// frequencies it was ranked from — [`crate::engine::Engine::merge_prepared`]
+/// hands it down to the merged corpus — and carries its age
+/// ([`PebbleOrder::age`]); see DESIGN.md, "Signatures outlive a compaction".
 #[derive(Debug, Default, Clone)]
 pub struct PebbleOrder {
     rank: FxHashMap<PebbleKey, u32>,
+    /// See [`PebbleOrder::age`].
+    age: (usize, usize),
 }
 
 /// Bit layout of one pebble's sort key in [`PebbleOrder::sort`]: `ranked`
@@ -247,34 +256,45 @@ const SORT_RANK_SHIFT: u32 = 66;
 const SORT_SEG_SHIFT: u32 = 34;
 const SORT_MEASURE_SHIFT: u32 = 32;
 
+/// Buffers of [`PebbleOrder::sort`], reused across records.
+#[derive(Debug, Default)]
+pub struct SortScratch {
+    unseen: Vec<PebbleKey>,
+    keyed: Vec<u128>,
+    sorted: Vec<Pebble>,
+}
+
 impl PebbleOrder {
     /// Count key frequencies over an iterator of per-record pebble lists.
     pub fn build<'a>(records: impl Iterator<Item = &'a [Pebble]>) -> Self {
         let mut freq = DocFreqs::default();
-        let mut keys = Vec::new();
+        let (mut keys, mut rows) = (Vec::new(), 0);
         for pebbles in records {
             freq.count_pebbles(pebbles, &mut keys);
+            rows += 1;
         }
-        Self::from_frequencies(freq.counts)
+        Self::from_doc_freqs(&[&freq], rows)
     }
 
     /// The order over the union of the record sets `tables` were counted
-    /// from (frequencies add; a table listed twice counts twice).
-    pub(crate) fn from_doc_freqs(tables: &[&DocFreqs]) -> Self {
+    /// from — `rows` records in all (frequencies add; a table listed twice
+    /// counts twice).
+    pub(crate) fn from_doc_freqs(tables: &[&DocFreqs], rows: usize) -> Self {
         let mut total = DocFreqs::default();
         for table in tables {
             total.add(table);
         }
-        Self::from_frequencies(total.counts)
-    }
-
-    fn from_frequencies(freq: FxHashMap<PebbleKey, u32>) -> Self {
         // det: map order cannot reach output — the entries are sorted by
         // `(frequency, key)` immediately below, a total order over distinct
         // keys, so the ranking is a pure function of the table's contents.
-        let mut keys: Vec<(u32, PebbleKey)> = freq.into_iter().map(|(k, f)| (f, k)).collect();
+        let counts = total.counts.into_iter();
+        let mut keys: Vec<(u32, PebbleKey)> = counts.map(|(k, f)| (f, k)).collect();
         keys.sort_unstable();
-        Self::from_ranking(keys.into_iter().map(|(_, k)| k))
+        let age = (rows, 0);
+        Self {
+            age,
+            ..Self::from_ranking(keys.into_iter().map(|(_, k)| k))
+        }
     }
 
     /// The order that ranks `keys` (distinct) by their position in the
@@ -292,7 +312,40 @@ impl PebbleOrder {
                 )
             })
             .collect();
-        Self { rank }
+        let age = (0, 0);
+        Self { rank, age }
+    }
+
+    /// This order handed down to a record set `churned` rows (dropped +
+    /// appended) away from the one it ranks, with frequencies `df`: keys
+    /// of `df` it ranks keep their relative positions, keys that left `df`
+    /// are gone, keys it never saw come first by `(frequency in df, key)`.
+    /// A record all of whose keys it ranked sorts identically under both.
+    /// `None` once the accumulated churn exceeds the rows the ranking was
+    /// made from: rank afresh.
+    pub(crate) fn inherit(&self, df: &DocFreqs, churned: usize) -> Option<Self> {
+        let age = (self.age.0, self.age.1 + churned);
+        if age.1 > age.0 {
+            return None;
+        }
+        // det: map order cannot reach output — sorted below, unseen keys
+        // (`None`) first by `(frequency, key)`, ranked ones by rank.
+        let keys = df.counts.iter();
+        let mut keys: Vec<_> = keys.map(|(&k, &f)| (self.rank.get(&k), f, k)).collect();
+        keys.sort_unstable();
+        let keys = keys.into_iter().map(|(_, _, k)| k);
+        Some(Self {
+            age,
+            ..Self::from_ranking(keys)
+        })
+    }
+
+    /// `(ranked_over, churn)`: rows counted in the frequencies this order
+    /// was ranked from, and rows dropped or appended since by the merges
+    /// that inherited it (0 = a fresh ranking). It is handed down only
+    /// while `churn ≤ ranked_over`.
+    pub fn age(&self) -> (usize, usize) {
+        self.age
     }
 
     /// Heap footprint in bytes (length-based: one entry's payload per
@@ -310,28 +363,30 @@ impl PebbleOrder {
     /// Each pebble's position in that order is packed into one integer up
     /// front — a single rank lookup per pebble — so the sort itself
     /// compares integers.
-    pub fn sort(&self, pebbles: &mut [Pebble]) {
+    pub fn sort(&self, pebbles: &mut [Pebble], scratch: &mut SortScratch) {
         assert!(
             u32::try_from(pebbles.len()).is_ok(),
             "more than 2^32 pebbles in one record"
         );
-        let mut unseen: Vec<PebbleKey> = Vec::new();
-        let mut keyed: Vec<u128> = pebbles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let tail = (p.seg as u128) << SORT_SEG_SHIFT
-                    | (p.measure.idx() as u128) << SORT_MEASURE_SHIFT
-                    | i as u128;
-                match self.rank.get(&p.key) {
-                    Some(&r) => SORT_RANKED | (r as u128) << SORT_RANK_SHIFT | tail,
-                    None => {
-                        unseen.push(p.key);
-                        tail
-                    }
+        let SortScratch {
+            unseen,
+            keyed,
+            sorted,
+        } = scratch;
+        unseen.clear();
+        keyed.clear();
+        keyed.extend(pebbles.iter().enumerate().map(|(i, p)| {
+            let tail = (p.seg as u128) << SORT_SEG_SHIFT
+                | (p.measure.idx() as u128) << SORT_MEASURE_SHIFT
+                | i as u128;
+            match self.rank.get(&p.key) {
+                Some(&r) => SORT_RANKED | (r as u128) << SORT_RANK_SHIFT | tail,
+                None => {
+                    unseen.push(p.key);
+                    tail
                 }
-            })
-            .collect();
+            }
+        }));
         if !unseen.is_empty() {
             // Frequency-0 keys order among themselves by key: rank them by
             // their position in this record's sorted distinct unseen keys.
@@ -344,8 +399,9 @@ impl PebbleOrder {
             }
         }
         keyed.sort_unstable();
-        let sorted: Vec<Pebble> = keyed.iter().map(|&k| pebbles[k as u32 as usize]).collect();
-        pebbles.copy_from_slice(&sorted);
+        sorted.clear();
+        sorted.extend(keyed.iter().map(|&k| pebbles[k as u32 as usize]));
+        pebbles.copy_from_slice(sorted);
     }
 
     /// Number of distinct keys seen.
@@ -537,7 +593,7 @@ mod tests {
             .collect();
         let order = PebbleOrder::build(pebbles.iter().map(|v| v.as_slice()));
         for p in &mut pebbles {
-            order.sort(p);
+            order.sort(p, &mut SortScratch::default());
         }
         // In record 2, latte-grams (freq 1) must precede coffee-grams
         // (freq 2: the keys record 1 carries too).
@@ -629,15 +685,75 @@ mod tests {
             .map(|sr| generate_pebbles(&kn, &cfg, sr))
             .collect();
         let built = PebbleOrder::build(lists.iter().map(|v| v.as_slice()));
-        let added = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[1]]);
+        let added = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[1]], 7);
         assert_eq!(added.rank, built.rank);
         assert!(built.len() > tables[0].counts.len().max(tables[1].counts.len()));
         // One side alone, and the same side against itself: frequencies
         // double, the ranking does not move.
-        let alone = PebbleOrder::from_doc_freqs(&[&tables[0]]);
-        let doubled = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[0]]);
+        let alone = PebbleOrder::from_doc_freqs(&[&tables[0]], 4);
+        let doubled = PebbleOrder::from_doc_freqs(&[&tables[0], &tables[0]], 8);
         assert_eq!(alone.rank, doubled.rank);
         assert_eq!(alone.memory_bytes(), tables[0].memory_bytes());
+    }
+
+    #[test]
+    fn inherited_order_keeps_positions_and_puts_unseen_keys_first() {
+        let mut kn = setup();
+        let cfg = SimConfig::default();
+        let [stay, leave] = two_sides(&mut kn, &cfg);
+        let id = kn.add_record("harbour kiosk");
+        let came = segment_record(&kn, &cfg, &kn.record(id).tokens);
+        let mut keys = Vec::new();
+        let table = |rows: &[&SegRecord], keys: &mut Vec<PebbleKey>| {
+            let mut df = DocFreqs::default();
+            for sr in rows {
+                df.count_record(&kn, sr, keys);
+            }
+            df
+        };
+        let all: Vec<&SegRecord> = stay.iter().chain(&leave).collect();
+        let parent = PebbleOrder::from_doc_freqs(&[&table(&all, &mut keys)], all.len());
+        assert_eq!(parent.age(), (7, 0));
+        let rows: Vec<&SegRecord> = stay.iter().chain([&came]).collect();
+        let df = table(&rows, &mut keys);
+        let child = parent.inherit(&df, leave.len() + 1).expect("4 ≤ 7");
+        assert_eq!(child.age(), (7, 4));
+        // Exactly the table's keys: private keys of `leave` are gone.
+        assert_eq!(child.len(), df.counts.len());
+        assert!(df.counts.keys().all(|k| child.rank.contains_key(k)));
+        let by_rank = |o: &PebbleOrder, keep: &dyn Fn(&PebbleKey) -> bool| {
+            let mut ks: Vec<(u32, PebbleKey)> = (o.rank.iter())
+                .filter(|(k, _)| keep(k))
+                .map(|(&k, &r)| (r, k))
+                .collect();
+            ks.sort_unstable();
+            ks.into_iter().map(|(_, k)| k).collect::<Vec<_>>()
+        };
+        let shared = |k: &PebbleKey| parent.rank.contains_key(k) && child.rank.contains_key(k);
+        assert_eq!(by_rank(&parent, &shared), by_rank(&child, &shared));
+        // Unseen keys lead, by (frequency, key).
+        let unseen = by_rank(&child, &|k| !parent.rank.contains_key(k));
+        assert!(unseen.len() > 3, "grams of harbour and kiosk: {unseen:?}");
+        assert_eq!(by_rank(&child, &|_| true)[..unseen.len()], unseen[..]);
+        let mut want: Vec<(u32, PebbleKey)> = unseen.iter().map(|&k| (df.get(k), k)).collect();
+        want.sort_unstable();
+        assert_eq!(unseen, want.into_iter().map(|(_, k)| k).collect::<Vec<_>>());
+        // A carried record sorts exactly as it did.
+        for sr in &stay {
+            let (mut a, mut b) = (
+                generate_pebbles(&kn, &cfg, sr),
+                generate_pebbles(&kn, &cfg, sr),
+            );
+            parent.sort(&mut a, &mut SortScratch::default());
+            child.sort(&mut b, &mut SortScratch::default());
+            let key = |v: &[Pebble]| -> Vec<(PebbleKey, u32, usize)> {
+                v.iter().map(|p| (p.key, p.seg, p.measure.idx())).collect()
+            };
+            assert_eq!(key(&a), key(&b));
+        }
+        // Churn adds up across generations; past the rows ranked, no more.
+        assert!(child.inherit(&df, 3).is_some_and(|o| o.age() == (7, 7)));
+        assert!(child.inherit(&df, 4).is_none());
     }
 
     #[test]
@@ -651,8 +767,8 @@ mod tests {
         let mut a = base.clone();
         let mut b = base.clone();
         b.reverse();
-        order.sort(&mut a);
-        order.sort(&mut b);
+        order.sort(&mut a, &mut SortScratch::default());
+        order.sort(&mut b, &mut SortScratch::default());
         let key = |v: &[Pebble]| -> Vec<(PebbleKey, u32, usize)> {
             v.iter().map(|p| (p.key, p.seg, p.measure.idx())).collect()
         };

@@ -375,6 +375,12 @@ impl SnapshotSearcher {
         &self.engine
     }
 
+    /// The global order the collection is indexed — and every query
+    /// signed — under; carries its age ([`PebbleOrder::age`]).
+    pub fn order(&self) -> &PebbleOrder {
+        &self.core.order
+    }
+
     /// Query with a raw string: every indexed record with
     /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
     pub fn query(&self, text: &str) -> SearchOutcome {

@@ -341,7 +341,7 @@ mod tests {
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
         let mut p = generate_pebbles(&kn, &cfg, &sr);
         let order = PebbleOrder::build(std::iter::once(p.as_slice()));
-        order.sort(&mut p);
+        order.sort(&mut p, &mut Default::default());
         (sr, p, cfg)
     }
 

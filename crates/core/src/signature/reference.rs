@@ -373,7 +373,7 @@ mod tests {
             let mut scratch = DpScratch::default();
             for (sr, list) in segrecs.iter().zip(&lists) {
                 let (mut ranked, mut compared) = (list.clone(), list.clone());
-                order.sort(&mut ranked);
+                order.sort(&mut ranked, &mut Default::default());
                 sort(&freq, &mut compared);
                 prop_assert_eq!(identity(&ranked), identity(&compared));
                 for kind in [
@@ -404,8 +404,8 @@ mod tests {
             let (_, _, lists) = pebble_lists(&all);
             let (seen, unseen) = lists.split_at(indexed.len());
             let freq = count_frequencies(seen);
-            let single = PebbleOrder::from_doc_freqs(&[&freq]);
-            let doubled = PebbleOrder::from_doc_freqs(&[&freq, &freq]);
+            let single = PebbleOrder::from_doc_freqs(&[&freq], 1);
+            let doubled = PebbleOrder::from_doc_freqs(&[&freq, &freq], 2);
             for list in unseen.iter().chain(seen) {
                 // Any input permutation sorts to the same list.
                 let mut input = list.clone();
@@ -417,7 +417,7 @@ mod tests {
                 sort(&freq, &mut want);
                 for order in [&single, &doubled] {
                     let mut got = input.clone();
-                    order.sort(&mut got);
+                    order.sort(&mut got, &mut Default::default());
                     prop_assert_eq!(identity(&got), identity(&want));
                 }
             }

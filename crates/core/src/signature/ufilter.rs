@@ -59,7 +59,7 @@ mod tests {
     fn sorted_pebbles(kn: &Knowledge, cfg: &SimConfig, sr: &SegRecord) -> Vec<Pebble> {
         let mut p = generate_pebbles(kn, cfg, sr);
         let order = PebbleOrder::build(std::iter::once(p.as_slice()));
-        order.sort(&mut p);
+        order.sort(&mut p, &mut Default::default());
         p
     }
 

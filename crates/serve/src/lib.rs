@@ -25,11 +25,15 @@
 //!   interleaving can never collide generations.
 //! * A background [`Compactor`] (or an explicit [`Service::compact`])
 //!   folds the delta and tombstones into a fresh monolithic base —
-//!   a *merge* of rows that are already segmented
-//!   ([`au_core::engine::Engine::merge_prepared`]; only order,
-//!   signatures and indexes are rebuilt) — after which query results
-//!   are byte-identical to a from-scratch prepare of the final corpus
-//!   state.
+//!   a *merge* of rows that are already segmented, under the pebble
+//!   order the previous base was signed under
+//!   ([`au_core::engine::Engine::merge_prepared`]; carried rows keep
+//!   their signatures, appended rows are signed, only the indexes are
+//!   rebuilt — [`ServeStats::records_signed`]) — after which query
+//!   *answers* are byte-identical to a from-scratch prepare of the
+//!   final corpus state. The funnel counters of a response are those of
+//!   the base's order: a fresh ranking's again once a compaction
+//!   re-ranks ([`CompactionStats::reranked`]) or the service is reopened.
 //! * Admission is bounded: past `max_in_flight` concurrent requests the
 //!   service sheds load with the typed [`ServeError::Overloaded`].
 //! * Durability: [`Service::create`] / [`Service::open`] commit every

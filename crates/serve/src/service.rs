@@ -205,6 +205,11 @@ pub struct ServeStats {
     /// inserted. Monotone; the deterministic statement of "stage 1 runs
     /// once per record, ever".
     pub records_prepared: u64,
+    /// Records run through signature selection by base builds so far:
+    /// every record of a base built from text (create, open) or ranked
+    /// afresh, only the appended rows of a compaction that inherited its
+    /// order. Monotone: "stage 3 runs once per record per ranking".
+    pub records_signed: u64,
     /// Duration of the most recent compaction in nanoseconds (the
     /// "compaction pause" — though reads never block on it; only
     /// writers queue behind the writer lock).
@@ -237,8 +242,19 @@ pub struct CompactionStats {
     pub appended: u64,
     /// Nanoseconds assembling the merged artifact (`merge_prepared`).
     pub merge_nanos: u64,
-    /// Nanoseconds rebuilding order, signatures and indexes over it.
+    /// Nanoseconds making it searchable: the indexes, and — only when
+    /// `reranked` — order and signatures.
     pub build_nanos: u64,
+    /// Signatures selected: `appended` per inherited selection, or every
+    /// live row after a re-rank.
+    pub signed: u64,
+    /// The new base ranked its pebble keys afresh instead of inheriting
+    /// the previous base's order.
+    pub reranked: bool,
+    /// Rows dropped + appended since the new base's order was ranked.
+    pub churn: u64,
+    /// Rows that ranking counted; inherited while `churn ≤ ranked_over`.
+    pub ranked_over: u64,
 }
 
 /// Mutable state owned by the single writer path (mutations and
@@ -311,6 +327,7 @@ pub struct Service {
     deletes: AtomicU64,
     compactions: AtomicU64,
     records_prepared: AtomicU64,
+    records_signed: AtomicU64,
     last_compact_nanos: AtomicU64,
     /// What only the write path knows and [`Service::stats`] reports,
     /// copied here under the writer lock so that `stats()` never waits
@@ -515,6 +532,7 @@ impl Service {
         degraded: bool,
     ) -> Self {
         let prepared = (snapshot.base_len() + snapshot.delta_len()) as u64;
+        let signed = snapshot.base_search.prepared().records_signed();
         let wal = writer.wal.as_ref().map(Wal::stats).unwrap_or_default();
         Self {
             cfg,
@@ -527,6 +545,7 @@ impl Service {
             deletes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             records_prepared: AtomicU64::new(prepared),
+            records_signed: AtomicU64::new(signed),
             last_compact_nanos: AtomicU64::new(0),
             write_side: Mutex::new((wal, CompactionStats::default())),
             degraded: AtomicBool::new(degraded),
@@ -831,6 +850,8 @@ impl Service {
             // ordering: Relaxed — see above
             records_prepared: self.records_prepared.load(Ordering::Relaxed),
             // ordering: Relaxed — see above
+            records_signed: self.records_signed.load(Ordering::Relaxed),
+            // ordering: Relaxed — see above
             last_compact_nanos: self.last_compact_nanos.load(Ordering::Relaxed),
             last_compact,
             admission: self.admission.stats(),
@@ -847,10 +868,11 @@ impl Service {
     // -- publication --------------------------------------------------------
 
     /// Merge the live rows of both segments into a new base
-    /// ([`Snapshot::merge_live`]: nothing is segmented; order, signatures
-    /// and indexes are rebuilt because the frequencies moved) and publish
-    /// it with no delta and no tombstones. Record ids survive compaction —
-    /// only rows are renumbered.
+    /// ([`Snapshot::merge_live`]: nothing is segmented, and while the churn
+    /// rule holds the order and the carried rows' signatures are inherited
+    /// — only the appended rows are signed, only the indexes rebuilt) and
+    /// publish it with no delta and no tombstones. Record ids survive
+    /// compaction — only rows are renumbered.
     fn compact_locked(&self, w: &mut WriterState) -> Result<u64, ServeError> {
         let start = Instant::now();
         // Log the compaction point first: on replay it folds the same
@@ -867,13 +889,23 @@ impl Service {
         let merge_start = Instant::now();
         let (prepared, ids, carried) = prev.merge_live(&engine, |_| true)?;
         let (merged, appended) = (merge_start.elapsed(), ids.len() - carried);
+        // An inherited memo is the only thing a merge files.
+        let reranked = prepared.memo_len() == 0;
         let snap = Snapshot::of_base(&self.cfg, generation, ids, engine, prepared)?;
+        let base = &snap.base_search;
+        let ((ranked_over, churn), signed) = (base.order().age(), base.prepared().records_signed());
+        // ordering: Relaxed — statistics counter only.
+        self.records_signed.fetch_add(signed, Ordering::Relaxed);
         relock(&self.write_side).1 = CompactionStats {
             carried: carried as u64,
             dropped: (prev.base_len() - carried) as u64,
             appended: appended as u64,
             merge_nanos: merged.as_nanos() as u64,
             build_nanos: (merge_start.elapsed() - merged).as_nanos() as u64,
+            signed,
+            reranked,
+            churn: churn as u64,
+            ranked_over: ranked_over as u64,
         };
         let gen = self.install(snap);
         // ordering: Relaxed — statistics counter only.
@@ -921,6 +953,8 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use au_core::search::SearchOutcome;
+    use au_core::segment::SegRecord;
     use au_core::usim::VerifyTiers;
     use au_core::KnowledgeBuilder;
 
@@ -1156,10 +1190,14 @@ mod tests {
     /// Every base this test publishes after the first is *merged*
     /// (compaction) while `Service::open` rebuilds the same state with
     /// `prepare_owned`, and a monolithic rebuild prepares the live records
-    /// from scratch: the three must give the same answers down to the
-    /// funnel counters — across cycles that delete base and delta rows, a
+    /// from scratch: the three must give the same *answers*, bit for bit,
+    /// at every stage — across cycles that delete base and delta rows, a
     /// compaction that only folds tombstones, and one that drops every
-    /// base row.
+    /// base row. The funnel counters are those of the base's pebble order:
+    /// a compaction that inherited its order answers with the funnel of a
+    /// rebuild *under that same order*; one that re-ranked (and a base no
+    /// compaction has touched) with the funnel of the fresh rebuild and of
+    /// the recovered service.
     #[test]
     fn merged_bases_answer_as_prepared_and_recovered_ones() {
         use crate::storage::MemStorage;
@@ -1201,6 +1239,13 @@ mod tests {
             // from then on recovery reproduces the live base/delta split.
             let same_split = recovered.snapshot().base_len() == snap.base_len();
             assert_eq!(same_split, s.stats().compactions > 0, "{stage}");
+            // Recovery and the rebuild below rank afresh; so did the live
+            // base unless its last compaction inherited.
+            let ranked = snap.base_search.order().age().1 == 0;
+            assert_eq!(
+                ranked,
+                s.stats().compactions == 0 || s.stats().last_compact.reranked
+            );
             // The monolithic rebuild, searched whole.
             let engine = Engine::new(snap.knowledge().clone(), s.config().sim).unwrap();
             let mut corpus = Corpus::new();
@@ -1211,30 +1256,53 @@ mod tests {
             }
             let rebuilt = engine.prepare_owned(corpus).unwrap();
             let searcher = engine.searcher(&rebuilt, &s.config().spec()).unwrap();
+            // The live base's rows under the live base's order, signed from
+            // scratch: an empty merge hands the order down, a memo bound of
+            // one entry evicts the signatures carried with it (an order
+            // outlives what was selected under it, never the reverse).
+            let none = std::iter::empty::<(&Arc<SegRecord>, &str)>();
+            let base = snap.base_search.prepared();
+            let seeded = engine.merge_prepared(base, &[], none).unwrap();
+            seeded.set_memo_capacity(1);
+            assert_eq!((seeded.memo_len(), seeded.records_signed()), (1, 0));
+            seeded.set_memo_capacity(0);
+            let same_order = engine.searcher(&seeded, &s.config().spec()).unwrap();
+            assert_eq!(seeded.records_signed(), base.len() as u64, "{stage}");
             for q in queries {
                 let (live, masked) = served(&s, q);
                 let (again, again_masked) = served(&recovered, q);
                 assert_eq!(live.0, again.0, "{stage}: recovered matches of {q:?}");
                 if same_split {
-                    assert_eq!((&live, masked), (&again, again_masked), "{stage}: {q:?}");
+                    assert_eq!(masked, again_masked, "{stage}: {q:?}");
                 }
-                let out = searcher.query(q);
-                let mono: Vec<(u64, f64)> = out
-                    .matches
-                    .iter()
-                    .map(|&(row, sim)| (gids[row as usize], sim))
-                    .collect();
-                let mono = funnel(&mono, out.candidates, out.processed, out.tiers);
+                if same_split && ranked {
+                    assert_eq!(live, again, "{stage}: recovered funnel of {q:?}");
+                }
+                let whole = |out: SearchOutcome| {
+                    let ids: Vec<(u64, f64)> = out
+                        .matches
+                        .iter()
+                        .map(|&(row, sim)| (gids[row as usize], sim))
+                        .collect();
+                    funnel(&ids, out.candidates, out.processed, out.tiers)
+                };
+                let mono = whole(searcher.query(q));
                 assert_eq!(live.0, mono.0, "{stage}: matches of {q:?}");
                 if snap.is_compact() {
-                    // One segment each: the whole funnel must agree.
-                    assert_eq!(live, mono, "{stage}: funnel of {q:?}");
+                    // One segment each: the whole funnel must agree with
+                    // the rebuild under the same order …
+                    assert_eq!(live, whole(same_order.query(q)), "{stage}: funnel of {q:?}");
+                    if ranked {
+                        // … which, freshly ranked, is the monolithic one.
+                        assert_eq!(live, mono, "{stage}: fresh funnel of {q:?}");
+                    }
                 }
             }
         };
         check("created");
         let mut next_base = 0u64;
-        for cycle in 0..3 {
+        // Six rows ranked; each cycle drops one and appends two.
+        for (cycle, reranked) in [false, false, true].into_iter().enumerate() {
             let a = s
                 .insert_record("coffee shop downtown main plaza")
                 .unwrap()
@@ -1250,13 +1318,17 @@ mod tests {
             s.compact().unwrap();
             let shape = s.stats().last_compact;
             assert_eq!((shape.dropped, shape.appended), (1, 2), "cycle {cycle}");
+            assert_eq!(shape.reranked, reranked, "cycle {cycle}: {shape:?}");
+            let signed = if reranked { s.stats().live as u64 } else { 2 };
+            assert_eq!(shape.signed, signed, "cycle {cycle}");
             check(&format!("cycle {cycle}: compacted"));
         }
-        // Tombstones only: nothing to append.
+        // Tombstones only: nothing to append, nothing to sign.
         s.delete_record(next_base + 1).unwrap();
         s.compact().unwrap();
         let shape = s.stats().last_compact;
         assert_eq!((shape.dropped, shape.appended), (1, 0));
+        assert_eq!((shape.reranked, shape.signed, shape.churn), (false, 0, 1));
         check("tombstones-only compaction");
         // Every base row goes; the new base is the delta alone.
         let base_ids: Vec<u64> = s.snapshot().base_ids.to_vec();
@@ -1272,10 +1344,87 @@ mod tests {
             (shape.carried, shape.dropped, shape.appended),
             (0, base_ids.len() as u64, 2)
         );
+        assert_eq!(
+            (shape.reranked, shape.signed, shape.ranked_over),
+            (true, 2, 2)
+        );
         assert_eq!(s.stats().live, 2);
         check("compaction that dropped every base row");
         s.insert_record("tea house downtown main street").unwrap();
         check("and a delta over it");
+    }
+
+    /// The `serve_mixed` operation mix — read, write, read, write …, the
+    /// writes cycling insert, insert, insert, delete-the-oldest — through
+    /// 40 threshold-triggered compactions, most of which inherit their
+    /// order: at each one the live base must return the fresh rebuild's
+    /// matches, and its filter must stay about as selective — candidates
+    /// per query within 2 % of a fresh ranking's over the same queries.
+    #[test]
+    fn forty_inherited_compactions_keep_the_filter_as_selective() {
+        // 48 words of skewed popularity, four to a record.
+        const SYL: [&str; 8] = ["ka", "to", "mi", "ren", "su", "lo", "vin", "da"];
+        let word = |w: usize| format!("{}{}{}", SYL[w % 8], SYL[(w / 8 + w) % 8], SYL[w / 6]);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut line = move || -> String {
+            let words = (0..4).map(|_| word((next() % 48).min(next() % 48)));
+            words.collect::<Vec<_>>().join(" ")
+        };
+        let seed: Vec<String> = (0..400).map(|_| line()).collect();
+        let queries: Vec<String> = (0..60).map(|_| line()).collect();
+        let cfg = ServeConfig {
+            theta: 0.7,
+            compact_threshold: 16,
+            ..ServeConfig::default()
+        };
+        let kn = KnowledgeBuilder::new().build();
+        let s = Service::build(kn, seed.iter().map(String::as_str), cfg).unwrap();
+        let (mut writes, mut oldest, mut inherited) = (0usize, 0u64, 0u64);
+        while s.stats().compactions < 40 {
+            s.search(&queries[writes % queries.len()]).unwrap();
+            if writes % 4 == 3 {
+                s.delete_record(oldest).unwrap();
+                oldest += 1;
+            } else {
+                s.insert_record(&line()).unwrap();
+            }
+            writes += 1;
+            let snap = s.snapshot();
+            if !snap.is_compact() {
+                continue;
+            }
+            // Just compacted: one segment, comparable to a rebuild of it.
+            inherited += u64::from(!s.stats().last_compact.reranked);
+            let engine = Engine::new(snap.knowledge().clone(), cfg.sim).unwrap();
+            let base = snap.base_search.prepared();
+            let rebuilt = engine.prepare_owned(base.corpus().clone()).unwrap();
+            let fresh = engine.searcher(&rebuilt, &cfg.spec()).unwrap();
+            let (mut live_candidates, mut fresh_candidates) = (0u64, 0u64);
+            for q in &queries {
+                let (live, want) = (snap.base_search.query(q), fresh.query(q));
+                assert_eq!(live.matches, want.matches, "{q:?}");
+                live_candidates += live.candidates;
+                fresh_candidates += want.candidates;
+            }
+            let drift = live_candidates as f64 / fresh_candidates as f64 - 1.0;
+            let shape = s.stats().last_compact;
+            assert!(
+                drift.abs() <= 0.02,
+                "{live_candidates} vs {fresh_candidates}: {shape:?}"
+            );
+        }
+        assert!(
+            inherited >= 36,
+            "the churn rule re-ranks rarely: {inherited} of 40"
+        );
+        let stats = s.stats();
+        assert!(stats.records_signed < stats.records_prepared + 3 * stats.live as u64);
     }
 
     /// A log storage whose `sync` parks (once armed) until the test lets

@@ -1,7 +1,9 @@
 //! The deterministic statement of "a write is O(1)": between two
 //! compactions, `k` inserts and `m` deletes segment exactly `k` records,
 //! a delete runs no stage 1 at all — and neither does the compaction that
-//! ends the cycle: stage 1 runs once per record, ever.
+//! ends the cycle: stage 1 runs once per record, ever. And stage 3 once
+//! per record per ranking: a compaction that inherits its order signs the
+//! rows it appends and nothing else.
 //!
 //! This test lives alone in its own integration-test binary on purpose
 //! (the `tests/prepare_once.rs` pattern): `prepare_invocations()` is a
@@ -82,6 +84,12 @@ fn a_write_prepares_one_record_and_a_delete_none() {
     // and the inserts above already segmented.
     let live = svc.stats().live as u64;
     let (before, stage1) = (svc.stats().records_prepared, prepare_invocations());
+    let signed = svc.stats().records_signed;
+    assert_eq!(
+        signed,
+        base.len() as u64,
+        "the base build signs every seed record once; an insert signs nothing yet"
+    );
     svc.compact().unwrap();
     assert_eq!(
         svc.stats().records_prepared,
@@ -99,4 +107,30 @@ fn a_write_prepares_one_record_and_a_delete_none() {
     let shape = stats.last_compact;
     assert_eq!((shape.carried, shape.dropped, shape.appended), (2, 2, 3));
     assert_eq!(shape.carried + shape.appended, live);
+    // Five rows churned against the four the order was ranked from: this
+    // base ranks afresh and signs every live row.
+    assert!(shape.reranked);
+    assert_eq!((shape.signed, stats.records_signed), (live, signed + live));
+
+    // The next cycle churns three rows against those five: the compaction
+    // inherits order and signatures, and stage 3 runs for what it appends.
+    svc.insert_record("bakery and tea uptown").unwrap();
+    svc.insert_record("espresso bar harbor walk").unwrap();
+    let oldest = svc.snapshot().live_records()[0].0;
+    svc.delete_record(oldest).unwrap();
+    let (prepared, signed) = (svc.stats().records_prepared, svc.stats().records_signed);
+    svc.compact().unwrap();
+    let stats = svc.stats();
+    let shape = stats.last_compact;
+    assert_eq!((shape.carried, shape.dropped, shape.appended), (4, 1, 2));
+    assert_eq!(
+        (shape.reranked, shape.churn, shape.ranked_over),
+        (false, 3, 5)
+    );
+    assert_eq!(stats.records_prepared, prepared, "still no stage 1");
+    assert_eq!(
+        stats.records_signed - signed,
+        shape.appended,
+        "records_signed rises by the rows appended"
+    );
 }

@@ -42,7 +42,7 @@ fn sorted_pebbles(
         .collect();
     let order = PebbleOrder::build(lists.iter().flatten().map(|v| v.as_slice()));
     for list in lists.iter_mut().flatten() {
-        order.sort(list);
+        order.sort(list, &mut Default::default());
     }
     lists
 }

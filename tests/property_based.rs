@@ -246,7 +246,7 @@ proptest! {
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
         let mut p = generate_pebbles(&kn, &cfg, &sr);
         let order = PebbleOrder::build(std::iter::once(p.as_slice()));
-        order.sort(&mut p);
+        order.sort(&mut p, &mut Default::default());
         let mut last = 0usize;
         for tau in 1..=5u32 {
             let len = signature_prefix_len(
