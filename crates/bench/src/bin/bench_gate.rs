@@ -175,8 +175,10 @@ impl Gate {
                 "shard_tasks_pruned",
                 "memory_bytes",
                 // The search row: the size of its fixed query set (its
-                // funnel sums ride on the keys above).
+                // funnel sums ride on the keys above) and the postings its
+                // verification mass walks read.
                 "queries",
+                "walked_postings",
             ] {
                 if brow.get(key).is_some() {
                     self.check_exact(id, key, f64_field(brow, key), f64_field(crow, key));

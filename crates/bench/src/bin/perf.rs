@@ -31,8 +31,8 @@ fn main() {
     }
     for r in workloads.iter().filter_map(|w| w.search.as_ref()) {
         println!(
-            "{:<24} candidates={:<10} pairs={:<8} queries={} postings={}",
-            r.id, r.candidates, r.result_pairs, r.queries, r.processed_pairs
+            "{:<24} candidates={:<10} pairs={:<8} queries={} postings={} walked={}",
+            r.id, r.candidates, r.result_pairs, r.queries, r.processed_pairs, r.walked_postings
         );
     }
     for r in &shard.rows {

@@ -126,6 +126,9 @@ pub struct SearchRow {
     pub candidates: u64,
     /// Σ posting entries the probes read.
     pub processed_pairs: u64,
+    /// Σ posting entries the verification mass walks read
+    /// ([`au_core::search::SearchOutcome::walked`]).
+    pub walked_postings: u64,
     /// Σ records refused in-probe by the tier-0 compatibility bound.
     pub compat_rejected: u64,
     /// Σ matches returned.
@@ -896,6 +899,7 @@ pub fn run_search_row(seed: u64) -> SearchRow {
         queries: 0,
         candidates: 0,
         processed_pairs: 0,
+        walked_postings: 0,
         compat_rejected: 0,
         result_pairs: 0,
         tiers: VerifyTiers::default(),
@@ -911,6 +915,7 @@ pub fn run_search_row(seed: u64) -> SearchRow {
         row.queries += 1;
         row.candidates += out.candidates;
         row.processed_pairs += out.processed;
+        row.walked_postings += out.walked;
         row.compat_rejected += out.compat_rejected;
         row.result_pairs += out.matches.len() as u64;
         row.tiers.merge(&out.tiers);
@@ -954,7 +959,7 @@ fn num(x: f64) -> String {
 }
 
 /// The funnel counters every gated row carries, in their fixed order.
-fn push_funnel(o: &mut String, counts: [(&str, u64); 4], tiers: &VerifyTiers, last: bool) {
+fn push_funnel(o: &mut String, counts: &[(&str, u64)], tiers: &VerifyTiers, last: bool) {
     let tier_fields = [
         ("tier0_rejects", tiers.tier0_rejects),
         ("mass_rejects", tiers.mass_rejects),
@@ -963,7 +968,7 @@ fn push_funnel(o: &mut String, counts: [(&str, u64); 4], tiers: &VerifyTiers, la
         ("greedy_rejects", tiers.greedy_rejects),
         ("tier2_rejects", tiers.tier2_rejects),
     ];
-    let fields: Vec<_> = counts.into_iter().chain(tier_fields).collect();
+    let fields: Vec<_> = counts.iter().copied().chain(tier_fields).collect();
     for (i, (key, v)) in fields.iter().enumerate() {
         push_field(
             o,
@@ -1033,7 +1038,7 @@ impl WorkloadReport {
             push_field(&mut o, "      ", "mode", format!("\"{}\"", r.mode), false);
             push_funnel(
                 &mut o,
-                [
+                &[
                     ("candidates", r.candidates),
                     ("processed_pairs", r.processed_pairs),
                     ("compat_rejected", r.compat_rejected),
@@ -1119,9 +1124,10 @@ impl WorkloadReport {
             push_field(&mut o, "      ", "queries", r.queries.to_string(), false);
             push_funnel(
                 &mut o,
-                [
+                &[
                     ("candidates", r.candidates),
                     ("processed_pairs", r.processed_pairs),
+                    ("walked_postings", r.walked_postings),
                     ("compat_rejected", r.compat_rejected),
                     ("result_pairs", r.result_pairs),
                 ],

@@ -2390,8 +2390,20 @@ mod tests {
                 let (a, b) = (sm.query(q), sf.query(q));
                 assert_eq!(hit_bits(&a), hit_bits(&b), "{q:?}");
                 assert_eq!(
-                    (a.candidates, a.processed, a.compat_rejected, a.tiers),
-                    (b.candidates, b.processed, b.compat_rejected, b.tiers),
+                    (
+                        a.candidates,
+                        a.processed,
+                        a.walked,
+                        a.compat_rejected,
+                        a.tiers
+                    ),
+                    (
+                        b.candidates,
+                        b.processed,
+                        b.walked,
+                        b.compat_rejected,
+                        b.tiers
+                    ),
                     "{q:?}"
                 );
             }
@@ -2636,8 +2648,20 @@ mod tests {
             for q in &queries {
                 let (a, b) = (sm.query(q), sf.query(q));
                 assert_eq!(
-                    (a.candidates, a.processed, a.compat_rejected, a.tiers),
-                    (b.candidates, b.processed, b.compat_rejected, b.tiers),
+                    (
+                        a.candidates,
+                        a.processed,
+                        a.walked,
+                        a.compat_rejected,
+                        a.tiers
+                    ),
+                    (
+                        b.candidates,
+                        b.processed,
+                        b.walked,
+                        b.compat_rejected,
+                        b.tiers
+                    ),
                     "{q:?}"
                 );
             }

@@ -7,25 +7,30 @@
 //!
 //! [`CsrIndex`] is one `PebbleKey → (offset, len)` table over a single
 //! flattened postings arena (compressed sparse row), probed
-//! record-at-a-time with an epoch-stamped dense [`OverlapCounter`]:
-//! overlap counts live in a plain `Vec<u32>` indexed by record id, so
-//! counting one posting entry is an array increment instead of a hash-map
-//! probe on a packed pair key. Per-record distinct keys come from
-//! [`RecordKeys`], the flattened output of signature selection.
+//! record-at-a-time with a dense [`OverlapCounter`]: overlap counts live
+//! in a plain `Vec<u32>` indexed by record id, so counting one posting
+//! entry is an array increment instead of a hash-map probe on a packed
+//! pair key. Per-record distinct keys come from [`RecordKeys`], the
+//! flattened output of signature selection.
 //!
-//! [`OverlapCounter::probe`] is the one scan: read each of the probe's
-//! posting lists, count the records already admitted, and decide at a
-//! record's *first touch* whether it is admitted at all:
+//! [`OverlapCounter::probe`] is one scan and one emission pass. The scan
+//! reads each of the probe's posting lists and does one load and one add
+//! per entry — it counts every record and logs each record's *first
+//! touch* (the record and the probe key it was first seen at), with no
+//! data-dependent branch. The emission pass settles each logged record
+//! exactly as a test at its first touch would:
 //!
 //! * **τ-skip** — when only `rem` of the probe's keys remain (current list
 //!   included), a record not yet touched can accumulate at most `rem`
-//!   overlaps, so it is admitted only when `rem` still covers its overlap
-//!   demand `min(τ, level_probe, level_record).max(1)`;
+//!   overlaps, so it is admitted only when `rem` at its first touch still
+//!   covers its overlap demand `min(τ, level_probe, level_record).max(1)`;
 //! * **compatibility** — the verifier's tier-0 record-level bound
 //!   `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` evaluated from cached
 //!   integers; pairs whose bound falls below `θ − ε` would be rejected by
 //!   verification tier 0 anyway, so they are dropped here, before they
-//!   are ever materialized.
+//!   are ever materialized;
+//! * **demand** — an admitted, compatible record is a candidate when its
+//!   count reaches its demand.
 //!
 //! Neither test skips *reading* a posting entry, so the processed-pairs
 //! count `Tτ` of Eq. 16 is the plain sum of the scanned list lengths.
@@ -40,7 +45,9 @@
 //! The positional expression is an upper bound on that final count, hence a
 //! record it kills ends below its demand and fails the emission test
 //! anyway. (Measured before its removal: 0 candidates cut on every
-//! workload; see `docs/ARCHITECTURE.md`.)
+//! workload; see `docs/ARCHITECTURE.md`.) The same argument is why the
+//! emission pass may decide the τ-skip after the scan, from the first
+//! touch alone.
 //!
 //! ## Why there is no *weighted* (mass) bound either
 //!
@@ -343,23 +350,22 @@ fn prefix_sums(counts: &[u32], total: usize) -> Vec<u32> {
     std::iter::once(0).chain(sums).collect()
 }
 
-/// Epoch-stamped dense overlap counter: the probe-side scratch of the CSR
-/// index.
+/// Dense overlap counter: the probe-side scratch of the CSR index.
 ///
-/// `counts[r]` is valid only while `stamps[r] == epoch`; bumping the epoch
-/// at the start of every probe invalidates every count in O(1), so one
-/// counter serves millions of probes with no clearing pass and no
-/// per-pair hashing. Size it to the *indexed* side once and reuse it for
-/// every probe (see [`crate::parallel::par_map_scratch`] for the parallel
-/// sharing pattern).
+/// `counts[r]` is record `r`'s overlap with the current probe, and the
+/// first-touch log lists every record the probe touched, with the probe
+/// key it was first touched at. The emission pass zeroes exactly the
+/// counts the probe raised, so every probe starts from all-zero counts
+/// with no clearing pass and no per-pair hashing. Size it to the
+/// *indexed* side once and reuse it for every probe (see
+/// [`crate::parallel::par_map_scratch`] for the parallel sharing pattern).
 #[derive(Debug, Clone)]
 pub struct OverlapCounter {
     counts: Vec<u32>,
-    stamps: Vec<u32>,
-    epoch: u32,
-    /// Records admitted by the current probe (stamped *and* compatible);
-    /// the only ids the emission pass looks at.
-    touched: Vec<u32>,
+    /// `(record, index of its first shared probe key)`, first touches in
+    /// scan order; one slot more than there are records, because the scan
+    /// writes a slot on every posting and advances only on a first touch.
+    log: Vec<(u32, u32)>,
 }
 
 /// Funnel telemetry of one [`OverlapCounter::probe`] call.
@@ -373,8 +379,9 @@ pub struct ProbeStats {
     /// Posting entries read (`Tτ` contribution, Eq. 16): rejection never
     /// skips reading an entry.
     pub processed: u64,
-    /// Pairs refused at first touch by the tier-0 compatibility bound
-    /// `min(|S|,|T|) / max(MP(S),MP(T)) < θ − ε`.
+    /// Pairs the τ-skip admits at their first touch and the tier-0
+    /// compatibility bound `min(|S|,|T|) / max(MP(S),MP(T)) < θ − ε`
+    /// refuses — once per pair, whatever its overlap.
     pub compat_rejected: u64,
 }
 
@@ -432,22 +439,8 @@ impl OverlapCounter {
     pub fn new(n_records: usize) -> Self {
         Self {
             counts: vec![0; n_records],
-            stamps: vec![0; n_records],
-            epoch: 0,
-            touched: Vec::new(),
+            log: vec![(0, 0); n_records + 1],
         }
-    }
-
-    /// Start a new probe: O(1) invalidation of all counts.
-    fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            // Epoch wrap (once per 2^32 probes): hard-clear the stamps so
-            // stale `stamps[r] == epoch` coincidences are impossible.
-            self.stamps.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.touched.clear();
     }
 
     /// Count distinct-key overlaps between one probe record and every
@@ -461,11 +454,13 @@ impl OverlapCounter {
     /// * `min_excl` — for self-joins: only ids strictly greater than this
     ///   are counted, so every pair is produced exactly once.
     ///
-    /// A record's fate is settled at its first posting: refused by the
-    /// τ-skip it stays unstamped (and is refused again at any later key,
-    /// since `rem` only shrinks); refused by the compatibility bound it is
-    /// stamped but never enters `touched`, so its later postings land in
-    /// the plain increment branch and the emission pass never sees it.
+    /// The scan is one load and one add per posting: it counts every
+    /// record and logs its first touch. The emission pass then settles
+    /// each logged record from its first key index `i₀` — the τ-skip with
+    /// `rem = m − i₀` (a record refused there would be refused at every
+    /// later key, since `rem` only shrinks), then the compatibility bound
+    /// (counted once per record), then `count ≥ demand` — and zeroes its
+    /// count.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
@@ -479,12 +474,11 @@ impl OverlapCounter {
         out: &mut Vec<u32>,
     ) -> ProbeStats {
         debug_assert!(self.counts.len() >= index.record_count());
-        self.begin();
         // Maximum demand any indexed record can pose against this probe.
         let dmax = tau.min(probe_level).max(1);
         let mut stats = ProbeStats::default();
-        let epoch = self.epoch;
         let m = keys.len();
+        let mut touched = 0;
         for (i, &key) in keys.iter().enumerate() {
             let Some(mut list) = index.get(key) else {
                 continue;
@@ -493,34 +487,28 @@ impl OverlapCounter {
                 list = &list[list.partition_point(|&b| b <= a)..];
             }
             stats.processed += list.len() as u64;
-            let rem = (m - i) as u32;
             for &b in list {
-                let bi = b as usize;
-                if self.stamps[bi] == epoch {
-                    self.counts[bi] += 1;
-                    continue;
-                }
-                // τ-skip (`rem ≥ dmax` covers every record's demand, so
-                // the level lookup is only paid on the probe's tail keys).
-                if rem < dmax && rem < dmax.min(levels[bi]).max(1) {
-                    continue;
-                }
-                self.stamps[bi] = epoch;
-                self.counts[bi] = 1;
-                if tier0_compatible(compat.probe_tier0, compat.tier0[bi], compat.min_sim) {
-                    self.touched.push(b);
-                } else {
-                    stats.compat_rejected += 1;
-                }
+                let count = &mut self.counts[b as usize];
+                self.log[touched] = (b, i as u32);
+                touched += usize::from(*count == 0);
+                *count += 1;
             }
         }
-        self.touched.sort_unstable();
-        for &b in &self.touched {
+        let first = out.len();
+        for &(b, i0) in &self.log[..touched] {
             let bi = b as usize;
-            if self.counts[bi] >= dmax.min(levels[bi]).max(1) {
+            let count = std::mem::take(&mut self.counts[bi]);
+            let demand = dmax.min(levels[bi]).max(1);
+            if m - (i0 as usize) < demand as usize {
+                continue; // τ-skip
+            }
+            if !tier0_compatible(compat.probe_tier0, compat.tier0[bi], compat.min_sim) {
+                stats.compat_rejected += 1;
+            } else if count >= demand {
                 out.push(b);
             }
         }
+        out[first..].sort_unstable();
         stats
     }
 }
@@ -717,6 +705,7 @@ pub(crate) mod tests {
         assert_eq!(out, vec![0, 1]);
     }
 
+    /// Each probe zeroes every count it raised, so none leaks into the next.
     #[test]
     fn counter_epochs_do_not_leak_across_probes() {
         let idx = index_of(&[&[1, 2]]);
@@ -750,7 +739,7 @@ pub(crate) mod tests {
         assert_eq!(out, vec![0]);
         assert_eq!(stats.compat_rejected, 1, "counted once, not per posting");
         assert_eq!(stats.processed, 4, "rejected entries still count toward Tτ");
-        // The rejection does not leak into the next probe epoch.
+        // The rejection does not leak into the next probe.
         out.clear();
         ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &loose(&tier0), &mut out);
         assert_eq!(out, vec![0, 1]);
@@ -812,15 +801,18 @@ pub(crate) mod tests {
         /// The scan against its definition on random key sets: `b` is
         /// reported ⇔ `|keys(probe) ∩ keys(b)| ≥ max(1, min(τ, level_probe,
         /// level_b))` and the tier-0 bound holds (and `b > min_excl`);
-        /// `Tτ` is the summed posting-list lengths. Equality with the
-        /// *full* intersection size is the executable form of the
-        /// positional-bound argument in the module docs: admission happens
-        /// at the first shared key or never, so no early-termination bound
-        /// can change the reported set.
+        /// `Tτ` is the summed posting-list lengths; `compat_rejected` is
+        /// exact ([`definition`]). Equality with the *full* intersection
+        /// size is the executable form of the positional-bound argument in
+        /// the module docs: admission happens at the first shared key or
+        /// never, so no early-termination bound can change the reported
+        /// set. Two probes run on one counter, and each must equal a fresh
+        /// counter's result — a count the first leaves non-zero fails the
+        /// second.
         #[test]
         fn probe_matches_definition(
             recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 1..10),
-            probe in prop::collection::vec(0u64..12, 0..8),
+            probes in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 2),
             levels in prop::collection::vec(1u32..5, 10),
             tier0 in prop::collection::vec((0u32..6, 1u32..4), 10),
             probe_level in 1u32..5,
@@ -832,39 +824,61 @@ pub(crate) mod tests {
             let recs: Vec<&[u64]> = recs.iter().map(|r| r.as_slice()).collect();
             let rk = record_keys(&recs);
             let idx = CsrIndex::from_record_keys(&rk);
-            let keys = &gram_keys(&probe)[..];
             let compat = CompatBound { tier0: &tier0, probe_tier0, min_sim };
-            let mut ctr = OverlapCounter::new(idx.record_count());
-            let mut got = Vec::new();
-            let stats = ctr.probe(&idx, keys, probe_level, tau, &levels, min_excl, &compat, &mut got);
-
-            let in_range = |b: u32| min_excl.is_none_or(|a| b > a);
-            let mut want = Vec::new();
-            let mut processed = 0u64;
-            let mut compat_rejected = 0u64;
-            for b in 0..rk.len() as u32 {
-                if !in_range(b) {
-                    continue;
-                }
-                let shared = keys.iter().filter(|k| rk.get(b).contains(k)).count() as u32;
-                processed += shared as u64;
-                let demand = tau.min(probe_level).min(levels[b as usize]).max(1);
-                let (nt, mpt) = tier0[b as usize];
-                let compatible =
-                    tier0_upper_bound(probe_tier0.0, probe_tier0.1, nt, mpt) >= min_sim;
-                if shared >= demand {
-                    if compatible {
-                        want.push(b);
-                    } else {
-                        compat_rejected += 1;
-                    }
-                }
+            let mut reused = OverlapCounter::new(idx.record_count());
+            for probe in &probes {
+                let keys = &gram_keys(probe)[..];
+                let run = |ctr: &mut OverlapCounter| {
+                    let mut got = Vec::new();
+                    let stats =
+                        ctr.probe(&idx, keys, probe_level, tau, &levels, min_excl, &compat, &mut got);
+                    (got, stats)
+                };
+                let got = run(&mut reused);
+                prop_assert_eq!(&got, &run(&mut OverlapCounter::new(idx.record_count())));
+                let want = definition(&rk, keys, probe_level, tau, &levels, min_excl, &compat);
+                prop_assert_eq!(got, want);
             }
-            prop_assert_eq!(got, want);
-            prop_assert_eq!(stats.processed, processed);
-            // The counter covers every incompatible record the τ-skip
-            // admits — a superset of those that reach their demand.
-            prop_assert!(stats.compat_rejected >= compat_rejected);
         }
+    }
+
+    /// What [`OverlapCounter::probe`] reports, by definition, computed
+    /// record by record with no index: `b` (with `b > min_excl`) is a
+    /// candidate ⇔ `shared(b) ≥ demand(b) = max(1, min(τ, level_probe,
+    /// level_b))` and its tier-0 bound reaches `min_sim`; it is
+    /// compat-rejected ⇔ it shares a key, `m − i₀(b) ≥ demand(b)` where
+    /// `i₀` is the first probe key it carries, and its tier-0 bound falls
+    /// below `min_sim`. `Tτ` is the summed shared-key counts.
+    fn definition(
+        rk: &RecordKeys,
+        keys: &[PebbleKey],
+        probe_level: u32,
+        tau: u32,
+        levels: &[u32],
+        min_excl: Option<u32>,
+        compat: &CompatBound<'_>,
+    ) -> (Vec<u32>, ProbeStats) {
+        let mut want = Vec::new();
+        let mut stats = ProbeStats::default();
+        for b in (0..rk.len() as u32).filter(|&b| min_excl.is_none_or(|a| b > a)) {
+            let carried: Vec<usize> = (0..keys.len())
+                .filter(|&i| rk.get(b).contains(&keys[i]))
+                .collect();
+            let Some(&i0) = carried.first() else {
+                continue;
+            };
+            stats.processed += carried.len() as u64;
+            let demand = tau.min(probe_level).min(levels[b as usize]).max(1) as usize;
+            let (ns, mps) = compat.probe_tier0;
+            let (nt, mpt) = compat.tier0[b as usize];
+            let compatible = tier0_upper_bound(ns, mps, nt, mpt) >= compat.min_sim;
+            if !compatible && keys.len() - i0 >= demand {
+                stats.compat_rejected += 1;
+            }
+            if compatible && carried.len() >= demand {
+                want.push(b);
+            }
+        }
+        (want, stats)
     }
 }

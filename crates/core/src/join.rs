@@ -270,7 +270,7 @@ pub struct CompatCtx<'a> {
 }
 
 /// Stage 4: probe every record of `s` against the CSR `index` over
-/// `indexed`'s signatures through an epoch-stamped [`OverlapCounter`].
+/// `indexed`'s signatures through a dense, branch-free [`OverlapCounter`].
 ///
 /// For a self-join (`self_join`, with `s` and `indexed` the same side)
 /// each record `a` probes only ids `> a`, producing every pair exactly

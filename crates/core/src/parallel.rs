@@ -214,8 +214,9 @@ where
     let slots: Vec<Mutex<Vec<U>>> = (0..n_units).map(|_| Mutex::new(Vec::new())).collect();
 
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         for _ in 0..threads.min(n_units) {
-            scope.spawn(|| {
+            workers.push(scope.spawn(|| {
                 let mut scratch = init();
                 loop {
                     // ordering: Relaxed — the cursor is a pure work
@@ -235,7 +236,15 @@ where
                     *slots[unit].lock().expect("parallel slot poisoned") = out;
                 }
                 drain(&mut scratch);
-            });
+            }));
+        }
+        // Join explicitly: the scope's wait ends when the closures return,
+        // `join` when the threads have exited and handed back their malloc
+        // arenas — else the next section may map a fresh one (DESIGN.md).
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -353,8 +362,8 @@ where
 /// This is the shape of the CSR probe loop: each probe needs a dense
 /// [`crate::index::OverlapCounter`] sized to the indexed side, and
 /// allocating one per item would dwarf the counting work. The scratch is
-/// per *worker*, not per item, so `f` must leave it reusable (the
-/// epoch-stamped counter resets itself at the start of every probe).
+/// per *worker*, not per item, so `f` must leave it reusable (a probe
+/// zeroes every count it raised before it returns).
 ///
 /// Output order is the input order regardless of scheduling, exactly as
 /// in [`par_filter_map`].

@@ -41,6 +41,12 @@ pub struct SearchOutcome {
     pub candidates: u64,
     /// Posting entries touched while counting overlaps (0 for a scan).
     pub processed: u64,
+    /// Posting entries the mass walk of the transposed index read, summed
+    /// over its counter chunks (0 without candidates, and for a scan).
+    /// Like `processed`, a pure function of the query and the index.
+    /// Joins report no such total: a run split across workers walks once
+    /// per fragment, so it would depend on the thread count.
+    pub walked: u64,
     /// Records rejected by the tier-0 compatibility bound before
     /// verification ([`crate::index::ProbeStats::compat_rejected`]).
     pub compat_rejected: u64,
@@ -155,8 +161,8 @@ impl SearchCore {
         // Count distinct-key overlaps between the query signature and every
         // indexed record via the CSR probe; keep records reaching `min(τ,
         // query level, record level)` — the demand both sides can
-        // guarantee. The epoch-stamped counter travels with the pooled
-        // scratch (its whole point is O(1) reuse), so per-query work is
+        // guarantee. The counter travels with the pooled scratch and each
+        // probe zeroes only the counts it raised, so per-query work is
         // proportional to the postings touched, never to the collection.
         let mut out = Vec::new();
         let stats = scratch.counter.probe(
@@ -190,7 +196,7 @@ impl SearchCore {
         let (candidates, probe_stats) = self.probe_candidates(engine, prepared, sr, &mut scratch);
         let run: Vec<(u32, u32)> = candidates.iter().map(|&row| (0, row)).collect();
         let mut accepted = Vec::new();
-        Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
+        let walked = Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
             sr,
             prepared.seg_records(),
             &run,
@@ -205,6 +211,7 @@ impl SearchCore {
             matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
             candidates: candidates.len() as u64,
             processed: probe_stats.processed,
+            walked,
             compat_rejected: probe_stats.compat_rejected,
             tiers,
         }
@@ -271,6 +278,7 @@ pub(crate) fn run_scan(
         matches: ranked(matches),
         candidates,
         processed: 0,
+        walked: 0,
         compat_rejected: rows.len() as u64 - candidates,
         tiers,
     }
@@ -562,6 +570,11 @@ mod tests {
                     assert_eq!(scanned.candidates, admitted, "θ={theta} q={q:?}");
                     assert_eq!(scanned.compat_rejected, rows.len() as u64 - admitted);
                     assert_eq!(scanned.processed, 0, "a scan reads no postings");
+                    assert_eq!(scanned.walked, 0, "a scan walks no postings");
+                    if indexed.candidates == 0 {
+                        assert_eq!(indexed.walked, 0, "no candidates, no walk");
+                    }
+                    assert_eq!(searcher.query(q).walked, indexed.walked, "walked repeats");
                     assert!(indexed.candidates <= scanned.candidates);
                     // Each path tallies exactly its own candidates — per
                     // query, nothing carried over in the pooled scratch.

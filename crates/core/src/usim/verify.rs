@@ -96,8 +96,8 @@ const FLAG_NODE: u8 = 2;
 /// live in the low bits (a segment's distinct grams never reach 2³¹).
 const FULL: u32 = 1 << 31;
 
-/// Mass counters (`partners × probe segments`) one worker holds at a
-/// time; a run needing more is counted in partner chunks.
+/// Mass counters (`(sinks + partners) × probe segments`) one worker holds
+/// at a time; a run needing more is counted in partner chunks.
 #[cfg(not(test))]
 const RUN_COUNTERS_MAX: usize = 1 << 20;
 /// Shrunk under test, so that a query's few hundred candidates span
@@ -105,9 +105,11 @@ const RUN_COUNTERS_MAX: usize = 1 << 20;
 #[cfg(test)]
 const RUN_COUNTERS_MAX: usize = 256;
 
-/// [`RunScratch`] row of a record that is not a partner of the current
-/// run chunk.
-const NO_ROW: u32 = u32::MAX;
+/// Counter rows at the front of [`RunScratch::acc`] that absorb the hits
+/// of records outside the current run chunk (record `b` → row `b % SINKS`),
+/// so the walk never tests partnership. Eight, not one: consecutive
+/// non-partners on a single sink serialize on its store → load chain.
+const SINKS: usize = 8;
 
 /// Per-tier decision telemetry of the verification cascade. Every
 /// decision-mode call ([`Verifier::sim_at_least`] /
@@ -316,30 +318,36 @@ impl GramPostingsIndex {
 /// the run-level mass counters. Fields are module-private; the run driver
 /// ([`Verifier::verify_run_at_least`]) borrows the counter rows and the
 /// verify scratch disjointly.
+///
+/// Every record has a counter row: a partner of the current run chunk its
+/// own, everyone else one of eight sink rows nobody reads — so the walk
+/// does one `row_of` load and one add per posting and never branches on
+/// partnership.
 #[derive(Debug, Clone, Default)]
 pub struct RunScratch {
     /// The per-candidate verification scratch.
     pub verify: VerifyScratch,
-    /// Partner record id → its row in `acc` for the current run chunk
-    /// ([`NO_ROW`] for everyone else; reset after every chunk).
+    /// Record id `b` → its row in `acc`: `SINKS + k` for the chunk's `k`-th
+    /// partner, sink `b % SINKS` for everyone else (restored after every
+    /// chunk).
     row_of: Vec<u32>,
-    /// Mass counters, one row of `s.segments.len()` per partner of the
-    /// chunk: shared distinct grams, or [`FULL`].
+    /// Mass counters, one row of `s.segments.len()` per sink, then per
+    /// partner of the chunk: shared distinct grams, or [`FULL`].
     acc: Vec<u32>,
 }
 
 impl RunScratch {
     /// Mass-count one chunk of a probe run: for every distinct surface
     /// key, gram and rule of `s`, walk the ids of the records carrying it
-    /// and bump the counters of those that are partners of `run` —
-    /// exactly the counts [`VerifyScratch::count_shared`] makes pair by
-    /// pair.
+    /// and bump their counters — for partners of `run`, exactly the counts
+    /// [`VerifyScratch::count_shared`] makes pair by pair. Returns the
+    /// posting entries read.
     ///
     /// `n_t_records` is the partner-side record count; partner ids within
     /// one run must be unique (candidate lists are deduplicated pairs).
-    /// `keep(b)` filters which partners participate at all — the run
-    /// driver passes the tier-0 pre-screen, so partners the record-level
-    /// bound already rejects never cost a counter bump.
+    /// `keep(b)` filters which partners get a row at all — the run driver
+    /// passes the tier-0 pre-screen, so partners the record-level bound
+    /// already rejects count into a sink.
     fn count_run(
         &mut self,
         s: &SegRecord,
@@ -347,25 +355,29 @@ impl RunScratch {
         run: &[(u32, u32)],
         idx: &GramPostingsIndex,
         keep: impl Fn(u32) -> bool,
-    ) {
+    ) -> u64 {
         let ns = s.segments.len();
-        if self.row_of.len() < n_t_records {
-            self.row_of.resize(n_t_records, NO_ROW);
-        }
+        let grown = self.row_of.len()..n_t_records;
+        self.row_of.extend(grown.map(|b| (b % SINKS) as u32));
         self.acc.clear();
-        self.acc.resize(run.len() * ns, 0);
+        self.acc.resize((SINKS + run.len()) * ns, 0);
         for (k, &(_, b)) in run.iter().enumerate() {
             if keep(b) {
-                self.row_of[b as usize] = k as u32;
+                self.row_of[b as usize] = (SINKS + k) as u32;
             }
         }
         let Self { row_of, acc, .. } = self;
-        walk_postings(&s.key_posts, &idx.keys, row_of, ns, acc, |c| *c |= FULL);
-        walk_postings(&s.gram_posts, &idx.grams, row_of, ns, acc, |c| *c += 1);
-        walk_postings(&s.rule_posts, &idx.rules, row_of, ns, acc, |c| *c |= FULL);
+        // Only a sink's gram count can approach 2³² (one add per posting
+        // the chunk walks); nobody reads a sink, so it may wrap.
+        let walked = walk_postings(&s.key_posts, &idx.keys, row_of, ns, acc, |c| *c |= FULL)
+            + walk_postings(&s.gram_posts, &idx.grams, row_of, ns, acc, |c| {
+                *c = c.wrapping_add(1)
+            })
+            + walk_postings(&s.rule_posts, &idx.rules, row_of, ns, acc, |c| *c |= FULL);
         for &(_, b) in run {
-            row_of[b as usize] = NO_ROW;
+            row_of[b as usize] = b % SINKS as u32;
         }
+        walked
     }
 
     /// Take (and reset) the inner verify scratch's tier tally.
@@ -375,8 +387,8 @@ impl RunScratch {
 }
 
 /// One table's share of [`RunScratch::count_run`]: `hit` fires on the
-/// counter of every `(partner row, probe segment)` whose partner carries
-/// a key of that segment — once per distinct key.
+/// counter of every `(row, probe segment)` whose record carries a key of
+/// that segment — once per distinct key. Returns the posting entries read.
 fn walk_postings<K: PartialEq + Copy + Into<u64>>(
     posts: &[(K, u32)],
     table: &Transposed<u64>,
@@ -384,17 +396,19 @@ fn walk_postings<K: PartialEq + Copy + Into<u64>>(
     ns: usize,
     acc: &mut [u32],
     hit: impl Fn(&mut u32),
-) {
+) -> u64 {
+    let mut walked = 0u64;
     for_each_group(posts, |key, sg| {
-        for &b in table.get(key.into()).unwrap_or_default() {
-            let row = row_of[b as usize];
-            if row != NO_ROW {
-                for &(_, sa) in sg {
-                    hit(&mut acc[row as usize * ns + sa as usize]);
-                }
+        let list = table.get(key.into()).unwrap_or_default();
+        walked += list.len() as u64;
+        for &b in list {
+            let row = row_of[b as usize] as usize * ns;
+            for &(_, sa) in sg {
+                hit(&mut acc[row + sa as usize]);
             }
         }
     });
+    walked
 }
 
 /// Reusable per-worker state of the verification engine. Create one per
@@ -601,11 +615,12 @@ impl<'a> Verifier<'a> {
     /// against every `(a, b)` candidate of `run` (ids into `t_recs`). One
     /// walk of the corpus-level `idx` counts the shared pebble mass of
     /// every partner at once — in partner chunks when the run needs more
-    /// than `RUN_COUNTERS_MAX` (2²⁰) counters — and only the candidates the
-    /// mass bound cannot reject go on to per-pair enumeration. Accepted
-    /// `(a, b, sim)` triples are pushed to `out` in run order —
-    /// byte-identical, tallies included, to calling
-    /// [`Verifier::sim_at_least`] per candidate.
+    /// than `RUN_COUNTERS_MAX` (2²⁰, sinks included) counters — and only
+    /// the candidates the mass bound cannot reject go on to per-pair
+    /// enumeration. Accepted `(a, b, sim)` triples are pushed to `out` in
+    /// run order — byte-identical, tallies included, to calling
+    /// [`Verifier::sim_at_least`] per candidate. Returns the posting
+    /// entries the walk read, summed over its chunks (0 for an empty run).
     #[allow(clippy::too_many_arguments)]
     pub fn verify_run_at_least(
         &self,
@@ -616,23 +631,26 @@ impl<'a> Verifier<'a> {
         theta: f64,
         rs: &mut RunScratch,
         out: &mut Vec<(u32, u32, f64)>,
-    ) {
+    ) -> u64 {
         let ns = s.segments.len();
         rs.verify.credit.build(s, self.cfg.gram);
-        for part in run.chunks((RUN_COUNTERS_MAX / ns.max(1)).max(1)) {
+        let mut walked = 0;
+        let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
+        for part in run.chunks(partners.max(1)) {
             // Tier-0 pre-screen while assigning rows: partners the
-            // record-level bound rejects never cost a counter bump (their
+            // record-level bound rejects count into a sink (their
             // per-candidate call below still lands them in the tier-0
             // bucket without looking at the counts).
-            rs.count_run(s, t_recs.len(), part, idx, |b| {
+            walked += rs.count_run(s, t_recs.len(), part, idx, |b| {
                 self.passes_tier0(s, &t_recs[b as usize], theta)
             });
             for (k, &(a, b)) in part.iter().enumerate() {
+                let row = (SINKS + k) * ns;
                 let sim = self.sim_at_least_impl(
                     s,
                     &t_recs[b as usize],
                     theta,
-                    Some(&rs.acc[k * ns..(k + 1) * ns]),
+                    Some(&rs.acc[row..row + ns]),
                     &mut rs.verify,
                 );
                 if sim >= theta - self.cfg.eps {
@@ -640,6 +658,7 @@ impl<'a> Verifier<'a> {
                 }
             }
         }
+        walked
     }
 
     /// The decision cascade of one candidate. `counted` carries the
@@ -1418,6 +1437,143 @@ mod tests {
         c.iter()
             .map(|r| Arc::new(segment_record(kn, cfg, &r.tokens)))
             .collect()
+    }
+
+    /// A corpus built to stress the sink rows: record `i` and `i + 8` have
+    /// the same text (so a partner and a non-partner congruent mod 8 carry
+    /// the same keys), every record carries "tea" (so every non-partner
+    /// hits a sink on its grams), and lengths vary (so the tier-0
+    /// pre-screen refuses some partners at a high θ). Partners are the
+    /// records of the even blocks of eight — 96 of 192.
+    fn sink_corpus() -> (Knowledge, SimConfig, Vec<Arc<SegRecord>>, Vec<u32>) {
+        const PHRASES: [&str; 8] = [
+            "coffee shop",
+            "latte",
+            "cafe helsinki",
+            "apple cake",
+            "gateau",
+            "espresso corner",
+            "north zanzibar",
+            "cake",
+        ];
+        let lines: Vec<String> = (0..192)
+            .map(|i| {
+                let base = i % 8;
+                let extra: Vec<&str> = (0..=base % 4).map(|j| PHRASES[(base + j) % 8]).collect();
+                format!("tea {}", extra.join(" "))
+            })
+            .collect();
+        let (mut kn, cfg) = (kn_figure1(), SimConfig::default());
+        let recs = segment_lines(&mut kn, &cfg, &lines);
+        let partners = (0..192u32).filter(|b| (b / 8).is_multiple_of(2)).collect();
+        (kn, cfg, recs, partners)
+    }
+
+    /// Partners per counter chunk of a probe with `ns` segments.
+    fn chunk_partners(ns: usize) -> usize {
+        (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS).max(1)
+    }
+
+    /// Σ over the distinct keys of `posts` of their list lengths in `table`.
+    fn list_lengths<K: PartialEq + Copy + Into<u64>>(
+        posts: &Posts<K>,
+        table: &Transposed<u64>,
+    ) -> u64 {
+        let mut keys = Vec::new();
+        distinct_keys_into(posts, &mut keys);
+        keys.iter()
+            .map(|&k| table.get(k).map_or(0, <[u32]>::len) as u64)
+            .sum()
+    }
+
+    fn assert_rows_restored(rs: &RunScratch) {
+        for (b, &row) in rs.row_of.iter().enumerate() {
+            assert_eq!(row as usize, b % SINKS, "row_of[{b}] after a chunk");
+        }
+    }
+
+    /// `count_run` chunk by chunk: a kept partner's row holds exactly the
+    /// per-pair count, a refused partner's row stays zero (its hits went
+    /// to a sink), the walk reads every posting of the probe's distinct
+    /// keys once per chunk, and every record is back on its sink after.
+    #[test]
+    fn run_rows_count_what_pairs_count_and_sinks_take_the_rest() {
+        let (_, _, recs, partners) = sink_corpus();
+        let idx = GramPostingsIndex::build(&recs);
+        let everyone = recs[0]
+            .gram_posts
+            .iter()
+            .any(|&(g, _)| idx.grams.get(g).map(<[u32]>::len) == Some(recs.len()));
+        assert!(everyone, "some gram is carried by every record");
+        let (mut rs, mut pair) = (RunScratch::default(), VerifyScratch::default());
+        let keep = |b: u32| !b.is_multiple_of(3);
+        for (a, s) in recs.iter().enumerate().take(16) {
+            let ns = s.segments.len();
+            let per_chunk = list_lengths(&s.key_posts, &idx.keys)
+                + list_lengths(&s.gram_posts, &idx.grams)
+                + list_lengths(&s.rule_posts, &idx.rules);
+            let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
+            for part in run.chunks(chunk_partners(ns)) {
+                let walked = rs.count_run(s, recs.len(), part, &idx, keep);
+                assert_eq!(walked, per_chunk, "a={a}: postings walked per chunk");
+                for (k, &(_, b)) in part.iter().enumerate() {
+                    let row = &rs.acc[(SINKS + k) * ns..(SINKS + k + 1) * ns];
+                    if keep(b) {
+                        pair.count_shared(s, &recs[b as usize]);
+                        assert_eq!(row, &pair.shared[..], "a={a} b={b}: run row ≡ pair count");
+                    } else {
+                        assert!(row.iter().all(|&c| c == 0), "a={a} b={b}: refused row");
+                    }
+                }
+                assert_rows_restored(&rs);
+            }
+        }
+    }
+
+    /// The run walk with sinks ≡ per-pair `sim_at_least` — accepted pairs,
+    /// similarity bits and all seven buckets — on the sink corpus: runs of
+    /// ≥ 3 chunks, partners the tier-0 pre-screen refuses, and every
+    /// record back on its sink after every run.
+    #[test]
+    fn run_walk_with_sinks_equals_per_pair() {
+        let (kn, cfg, recs, partners) = sink_corpus();
+        let idx = GramPostingsIndex::build(&recs);
+        let v = Verifier::new(&kn, &cfg);
+        let chunks = |a: usize| {
+            partners
+                .len()
+                .div_ceil(chunk_partners(recs[a].segments.len()))
+        };
+        assert!((0..8).any(|a| chunks(a) >= 3), "a run spans ≥ 3 chunks");
+        for theta in [0.3, 0.6, 0.9] {
+            let (mut rs, mut per_pair) = (RunScratch::default(), VerifyScratch::default());
+            // Probes: every distinct text, once as a partner, once not.
+            for a in (0..8).chain(8..16) {
+                let s = &recs[a];
+                let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
+                let mut batched = Vec::new();
+                v.verify_run_at_least(s, &recs, &run, &idx, theta, &mut rs, &mut batched);
+                assert_rows_restored(&rs);
+                let mut expect = Vec::new();
+                for &(x, b) in &run {
+                    let sim = v.sim_at_least(s, &recs[b as usize], theta, &mut per_pair);
+                    if sim >= theta - cfg.eps {
+                        expect.push((x, b, sim.to_bits()));
+                    }
+                }
+                let got: Vec<_> = batched
+                    .iter()
+                    .map(|&(x, b, sim)| (x, b, sim.to_bits()))
+                    .collect();
+                assert_eq!(got, expect, "θ={theta} a={a}");
+            }
+            let (bt, pt) = (rs.take_tally(), per_pair.take_tally());
+            assert_eq!(bt, pt, "θ={theta}: run walk vs per pair");
+            assert_eq!(bt.decisions(), 16 * partners.len() as u64);
+            if theta == 0.9 {
+                assert!(bt.tier0_rejects > 0, "the pre-screen refuses some partners");
+            }
+        }
     }
 
     /// The three tables of `idx` against the sort-based builder.

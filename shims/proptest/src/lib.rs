@@ -14,6 +14,12 @@
 //! * **derived seeding** — each test's RNG is seeded from a stable hash of
 //!   its module path and name (override with `PROPTEST_SEED=<u64>`), so runs
 //!   are reproducible across processes and machines.
+//!
+//! `PROPTEST_CASES=<u32>` overrides every property's configured case count
+//! — explicit `with_cases` included, unlike the real crate, so CI can scale
+//! a whole suite (see
+//! [`ProptestConfig::effective_cases`](test_runner::ProptestConfig::effective_cases));
+//! a value that is not a `u32` panics, as a bad `PROPTEST_SEED` does.
 
 pub mod strategy;
 pub mod test_runner;
@@ -79,10 +85,13 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let __cfg: $crate::test_runner::ProptestConfig = $cfg;
+            let __cases = __cfg.effective_cases();
             let mut __rng = $crate::test_runner::TestRng::for_test(
                 concat!(module_path!(), "::", stringify!($name)),
             );
-            for __case in 0..__cfg.cases {
+            for __case in 0..__cases {
+                // The closure is the `prop_assert!` return scope.
+                #[allow(clippy::redundant_closure_call)]
                 let __result: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| {
                         $crate::__proptest_bind!(__rng; $($params)*);
@@ -94,7 +103,7 @@ macro_rules! __proptest_items {
                         "property {} failed at case {}/{} (seed {}): {}",
                         stringify!($name),
                         __case + 1,
-                        __cfg.cases,
+                        __cases,
                         __rng.seed(),
                         __e,
                     );

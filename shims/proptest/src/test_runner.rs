@@ -14,6 +14,22 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         Self { cases }
     }
+
+    /// The case count a property runs: `PROPTEST_CASES=<u32>`, when set,
+    /// replaces every property's compiled `cases` (CI raises it for the
+    /// oracles, Miri lowers it); otherwise `cases`.
+    pub fn effective_cases(&self) -> u32 {
+        cases_override(std::env::var("PROPTEST_CASES").ok().as_deref()).unwrap_or(self.cases)
+    }
+}
+
+/// `PROPTEST_CASES`'s value as a case count, panicking with the offending
+/// value when it is not a `u32`.
+fn cases_override(var: Option<&str>) -> Option<u32> {
+    var.map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES must be a u32, got {s:?}"))
+    })
 }
 
 impl Default for ProptestConfig {
@@ -124,5 +140,44 @@ impl TestRng {
     /// Uniform `f64` in `[0, 1)`.
     pub fn f64_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    #[test]
+    fn cases_override_parses_a_u32_or_stays_out_of_the_way() {
+        assert_eq!(cases_override(None), None);
+        assert_eq!(cases_override(Some("32")), Some(32));
+        assert_eq!(cases_override(Some("0")), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES must be a u32, got \"lots\"")]
+    fn cases_override_rejects_a_non_number() {
+        cases_override(Some("lots"));
+    }
+
+    thread_local! {
+        static RUNS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    crate::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5))]
+        fn counted(_x in 0u32..3) {
+            RUNS.with(|runs| runs.set(runs.get() + 1));
+        }
+    }
+
+    /// The runner loops over the effective count, not the compiled one
+    /// (5 here, or whatever `PROPTEST_CASES` says).
+    #[test]
+    fn the_runner_runs_the_effective_case_count() {
+        counted();
+        let want = ProptestConfig::with_cases(5).effective_cases();
+        assert_eq!(RUNS.with(Cell::get), want);
     }
 }

@@ -1,11 +1,12 @@
 //! Candidate generation against its definition.
 //!
-//! The production scan (CSR postings + epoch-stamped dense counters +
-//! per-posting-list τ-skip + first-touch compatibility bound, reached
-//! through `Engine::filter_outcome`) must report exactly the candidate set
-//! and the `Tτ` (Eq. 16) that the *definition* assigns to the selected
-//! signatures — on R×S joins and self-joins, every filter, serial and
-//! parallel, across `au-datagen` corpora and randomized small corpora.
+//! The production scan (CSR postings + dense counters with a first-touch
+//! log, settled by one emission pass: τ-skip, compatibility bound,
+//! overlap demand — reached through `Engine::filter_outcome`) must report
+//! exactly the candidate set, the `Tτ` (Eq. 16) and the compatibility
+//! rejections that the *definition* assigns to the selected signatures —
+//! on R×S joins and self-joins, every filter, serial and parallel, across
+//! `au-datagen` corpora and randomized small corpora.
 //!
 //! The oracle below is deliberately naive — O(|S|·|T|·k), no index, no
 //! skipping — and is computed from `SelectedSignatures` built here with
@@ -67,39 +68,56 @@ impl Side {
     }
 }
 
+/// What the definition assigns to one join: candidates, `Tτ` and the
+/// in-probe compatibility rejections.
+struct Defined {
+    candidates: Vec<(u32, u32)>,
+    t_tau: u64,
+    compat_rejected: u64,
+}
+
 /// The definition. `(a, b)` is a candidate ⇔
-/// `|keys(a) ∩ keys(b)| ≥ max(1, min(τ, level_a, level_b))` and the tier-0
-/// bound `min(|a|,|b|) / max(MP(a),MP(b)) ≥ θ − ε`. `Tτ` is
-/// `Σ_key |L_S(key)|·|L_T(key)|`, which is the shared-key count summed
-/// over all pairs; a self-join (`t = None`) ranges over `a < b`, i.e.
-/// `n(n−1)/2` pairs per posting list.
-fn definition(s: &Side, t: Option<&Side>, tau: u32, min_sim: f64) -> (Vec<(u32, u32)>, u64) {
+/// `|keys(a) ∩ keys(b)| ≥ demand = max(1, min(τ, level_a, level_b))` and
+/// the tier-0 bound `min(|a|,|b|) / max(MP(a),MP(b)) ≥ θ − ε`; it is
+/// compat-rejected ⇔ the two share a key, `m − i₀ ≥ demand` (`m` keys in
+/// `a`'s signature, `i₀` the index of the first of them `b` carries) and
+/// the tier-0 bound is `< θ − ε`. `Tτ` is `Σ_key |L_S(key)|·|L_T(key)|`,
+/// which is the shared-key count summed over all pairs; a self-join
+/// (`t = None`) ranges over `a < b`, i.e. `n(n−1)/2` pairs per posting
+/// list.
+fn definition(s: &Side, t: Option<&Side>, tau: u32, min_sim: f64) -> Defined {
     let indexed = t.unwrap_or(s);
-    let mut candidates = Vec::new();
-    let mut t_tau = 0u64;
+    let mut out = Defined {
+        candidates: Vec::new(),
+        t_tau: 0,
+        compat_rejected: 0,
+    };
     for a in 0..s.sel.len() as u32 {
+        let keys_a = s.sel.record_keys.get(a);
         let first = if t.is_none() { a + 1 } else { 0 };
         for b in first..indexed.sel.len() as u32 {
             let keys_b = indexed.sel.record_keys.get(b);
-            let shared = s
-                .sel
-                .record_keys
-                .get(a)
-                .iter()
-                .filter(|k| keys_b.binary_search(k).is_ok())
-                .count() as u32;
-            t_tau += shared as u64;
+            let carried = |i: &usize| keys_b.binary_search(&keys_a[*i]).is_ok();
+            let shared = (0..keys_a.len()).filter(carried).count();
+            out.t_tau += shared as u64;
+            let Some(i0) = (0..keys_a.len()).find(carried) else {
+                continue;
+            };
             let demand = tau
                 .min(s.sel.levels[a as usize])
                 .min(indexed.sel.levels[b as usize])
-                .max(1);
+                .max(1) as usize;
             let ((na, mpa), (nb, mpb)) = (s.tier0[a as usize], indexed.tier0[b as usize]);
-            if shared >= demand && na.min(nb) as f64 / mpa.max(mpb) as f64 >= min_sim {
-                candidates.push((a, b));
+            if na.min(nb) as f64 / mpa.max(mpb) as f64 >= min_sim {
+                if shared >= demand {
+                    out.candidates.push((a, b));
+                }
+            } else if keys_a.len() - i0 >= demand {
+                out.compat_rejected += 1;
             }
         }
     }
-    (candidates, t_tau)
+    out
 }
 
 fn assert_scan_matches_definition(
@@ -119,18 +137,22 @@ fn assert_scan_matches_definition(
     let sorted = sorted_pebbles(ds, &cfg, &[&ps, &pt]);
     let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
     let t = Side::new(&pt, &sorted[1], &spec, cfg.eps);
-    let (want, want_t_tau) = definition(&s, Some(&t), tau, min_sim);
+    let want = definition(&s, Some(&t), tau, min_sim);
     for parallel in [false, true] {
         let got = engine
             .filter_outcome(&ps, Some(&pt), &spec.parallel(parallel))
             .expect("R×S filter run");
         assert_eq!(
-            got.candidates, want,
+            got.candidates, want.candidates,
             "{label} candidates (parallel={parallel})"
         );
         assert_eq!(
-            got.processed_pairs, want_t_tau,
+            got.processed_pairs, want.t_tau,
             "{label} Tτ (parallel={parallel})"
+        );
+        assert_eq!(
+            got.compat_rejected, want.compat_rejected,
+            "{label} compat_rejected (parallel={parallel})"
         );
         assert!(
             (got.avg_sig_len_s - s.sel.record_keys.avg_sig_len()).abs() < 1e-12
@@ -142,18 +164,22 @@ fn assert_scan_matches_definition(
     // Self-join on the S side: the order is built from S alone.
     let sorted = sorted_pebbles(ds, &cfg, &[&ps]);
     let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
-    let (want, want_t_tau) = definition(&s, None, tau, min_sim);
+    let want = definition(&s, None, tau, min_sim);
     for parallel in [false, true] {
         let got = engine
             .filter_outcome(&ps, None, &spec.parallel(parallel))
             .expect("self filter run");
         assert_eq!(
-            got.candidates, want,
+            got.candidates, want.candidates,
             "{label} self candidates (parallel={parallel})"
         );
         assert_eq!(
-            got.processed_pairs, want_t_tau,
+            got.processed_pairs, want.t_tau,
             "{label} self Tτ (parallel={parallel})"
+        );
+        assert_eq!(
+            got.compat_rejected, want.compat_rejected,
+            "{label} self compat_rejected (parallel={parallel})"
         );
     }
 }
