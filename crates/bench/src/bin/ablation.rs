@@ -22,7 +22,7 @@ use au_text::record::RecordId;
 use std::time::Instant;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_from_env(1.0);
     let n = ((1000.0 * scale) as usize).max(100);
     println!("[ablation] scale = {scale}, {n} records/side\n");
     ablate_pebble_order(n);

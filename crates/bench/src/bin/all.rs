@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 fn main() {
-    let scale = au_bench::scale_from_env();
+    let scale = au_bench::scale_from_env(1.0);
     println!("# AU-Join full evaluation (scale = {scale})\n");
     #[allow(clippy::type_complexity)]
     let experiments: Vec<(&str, fn(f64) -> String)> = vec![

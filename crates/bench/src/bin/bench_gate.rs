@@ -1,77 +1,68 @@
-//! CI perf regression gate: diff fresh `BENCH_*.json` artifacts against
-//! the checked-in baseline.
+//! CI perf gate: diff fresh `BENCH_*.json` artifacts against a
+//! checked-in baseline directory, value for value.
 //!
 //! ```text
 //! cargo run --release -p au-bench --bin bench_gate -- <baseline_dir> <current_dir>
 //! ```
 //!
-//! Checks, per `BENCH_*.json` present in the baseline directory:
+//! Every field the perf bins write is a pure function of (`AU_SCALE`,
+//! seed), so the gate needs no key list and no tolerance:
 //!
-//! * **determinism** — candidate counts, processed pairs, in-probe
-//!   compatibility rejections, result pairs, P/R/F and the per-tier
-//!   verification rejection counters must match the baseline exactly
-//!   (they are pure functions of the seed, so any drift is a behaviour
-//!   change, not noise) — on the join rows and on `BENCH_med.json`'s
-//!   `search/…` row, the same sums over a fixed query set;
-//! * **throughput** — `records_per_second` and `verify_cands_per_second`
-//!   may not regress by more than `BENCH_GATE_TOL` (default 0.25: a drop
-//!   past 25% fails) against the baseline; rows whose baseline or current
-//!   throughput is 0 (timings disabled) are skipped;
-//! * **memory** — the join files' top-level `prepare_memory_bytes` and the
-//!   `fig_shard` rows' `memory_bytes` are length-based and exact-matched;
-//!   in `BENCH_fig_shard.json`, `memory_ratio` (sharded
-//!   peak bytes / monolithic whole-corpus prepare bytes) may not exceed
-//!   `BENCH_GATE_MAX_MEMORY_RATIO` (default 0.25 — the memory-lean
-//!   acceptance bound), and the sharded row must report pruned tasks
-//!   whenever the baseline did;
-//! * **robustness** — in `BENCH_fig_serve.json`, the top-level
-//!   durability counters (`wal_frames`, `wal_replayed_frames`,
-//!   `wal_retries`, `wal_backoff_waits`, `degraded_entries`,
-//!   `degraded_writes`, `admission_rejected`, plus `compactions`,
-//!   `stale_anomalies`, `records_prepared`, `records_signed` and the
-//!   `inherited_candidates` / `fresh_candidates` pair) are exact-matched —
-//!   the fault schedules are seeded, so any drift is a durability
-//!   behaviour change (or, for `records_prepared` / `records_signed`,
-//!   stage-1 / stage-3 work that came back; for the pair, an inherited
-//!   pebble order that filters differently).
+//! * **exact** — both directories hold the same `BENCH_*.json` files and
+//!   each pair of documents is equal value for value, both ways: a missing
+//!   or extra file, row (matched by `id`) or key fails, and so does any
+//!   changed number or string. A baseline of another `schema` fails
+//!   whole, naming it: regenerate it.
+//! * **memory ceiling** — the current `BENCH_fig_shard.json`'s
+//!   `memory_ratio` (sharded peak / monolithic prepare bytes) must lie in
+//!   (0, `MAX_MEMORY_RATIO` = 0.25], whatever the baseline says.
 //!
-//! Exit code 1 on any failure; every failure is printed.
+//! Nothing timed is gated; the repo benchmark is the timing record. Exit
+//! code 1 on any failure (all printed), 2 on a usage or directory error.
 
 use au_bench::perf::json::Value;
+use au_bench::perf::{MAX_MEMORY_RATIO, SCHEMA};
 use std::path::Path;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn load(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     Value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn f64_field(row: &Value, key: &str) -> f64 {
-    row.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)
+/// The `BENCH_*.json` file names in `dir`, sorted.
+fn bench_files(dir: &Path) -> Result<Vec<String>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut names: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    Ok(names)
 }
 
-fn rows_by_id<'a>(doc: &'a Value, list_key: &str) -> Vec<(&'a str, &'a Value)> {
-    doc.get(list_key)
-        .and_then(Value::as_arr)
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|r| r.get("id").and_then(Value::as_str).map(|id| (id, r)))
-                .collect()
-        })
-        .unwrap_or_default()
+/// An object's members as `/key`, or an array's elements as `[id]`
+/// (`[position]` when they carry no `id`); `None` for a scalar.
+fn children(v: &Value) -> Option<Vec<(String, &Value)>> {
+    match v {
+        Value::Obj(members) => Some(members.iter().map(|(k, v)| (format!("/{k}"), v)).collect()),
+        Value::Arr(items) => Some(
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let id = v.get("id").and_then(Value::as_str);
+                    (format!("[{}]", id.map_or(i.to_string(), str::to_string)), v)
+                })
+                .collect(),
+        ),
+        _ => None,
+    }
 }
 
+#[derive(Default)]
 struct Gate {
-    tol: f64,
-    max_memory_ratio: f64,
-    failures: Vec<String>,
     checks: usize,
+    failures: Vec<String>,
 }
 
 impl Gate {
@@ -80,147 +71,69 @@ impl Gate {
         self.failures.push(msg);
     }
 
-    fn check_exact(&mut self, id: &str, key: &str, base: f64, cur: f64) {
-        self.checks += 1;
-        if (base - cur).abs() > 1e-9 || base.is_nan() != cur.is_nan() {
-            self.fail(format!(
-                "{id}: {key} changed (baseline {base}, current {cur})"
-            ));
+    /// Every `BENCH_*.json` of `base_dir` against its namesake in
+    /// `cur_dir`, and no file in `cur_dir` the baseline lacks. `Err` when
+    /// a directory cannot be read or the baseline holds no artifact.
+    fn gate_dirs(&mut self, base_dir: &Path, cur_dir: &Path) -> Result<(), String> {
+        let names = bench_files(base_dir)?;
+        if names.is_empty() {
+            return Err(format!("no BENCH_*.json in {}", base_dir.display()));
         }
-    }
-
-    fn check_throughput(&mut self, id: &str, unit: &str, base: f64, cur: f64) {
-        if base.is_nan() || cur.is_nan() || base <= 0.0 || cur <= 0.0 {
-            return; // timings disabled (or absent) on either side
+        let current = bench_files(cur_dir)?;
+        for extra in current.iter().filter(|n| !names.contains(n)) {
+            self.fail(format!("{extra}: not in the baseline"));
         }
-        self.checks += 1;
-        let floor = base * (1.0 - self.tol);
-        if cur < floor {
-            self.fail(format!(
-                "{id}: throughput regressed {:.0} → {:.0} {unit} (floor {:.0}, tol {:.0}%)",
-                base,
-                cur,
-                floor,
-                self.tol * 100.0
-            ));
-        } else {
-            println!("  ok {id}: {:.0} → {:.0} {unit}", base, cur);
-        }
-    }
-
-    fn gate_file(&mut self, name: &str, base: &Value, cur: &Value) {
-        // Top-level deterministic counters (mostly the fig_serve
-        // robustness trail): compaction count, WAL frame / replay / retry
-        // / backoff counters, the degradation counters and the admission
-        // shed count are exact functions of (scale, seed, fault seed) —
-        // any drift is a durability behaviour change, not noise.
-        for key in [
-            "stale_anomalies",
-            "compactions",
-            "wal_frames",
-            "wal_replayed_frames",
-            "wal_retries",
-            "wal_backoff_waits",
-            "degraded_entries",
-            "degraded_writes",
-            "admission_rejected",
-            // Stage-1 work of the served workload: the initial corpus
-            // plus one record per insert, whatever the compactions did.
-            "records_prepared",
-            // Stage-3 work: the initial corpus, what each inheriting
-            // compaction appended, every live row at a re-rank.
-            "records_signed",
-            // The final battery's `Vτ` under the served (inherited) order
-            // and under a fresh ranking of the same records.
-            "inherited_candidates",
-            "fresh_candidates",
-            // BENCH_{med,wiki}: the two fresh `Prepared`s' deep bytes —
-            // length-based, so a pure function of (scale, seed) too.
-            "prepare_memory_bytes",
-        ] {
-            if base.get(key).is_some() {
-                self.check_exact(name, key, f64_field(base, key), f64_field(cur, key));
+        for name in &names {
+            println!("gate {name}");
+            match (load(&base_dir.join(name)), load(&cur_dir.join(name))) {
+                (Ok(base), Ok(cur)) => self.gate_doc(name, &base, &cur),
+                (Err(e), _) | (_, Err(e)) => self.fail(e),
             }
         }
-        let cur_rows = rows_by_id(cur, "workloads");
-        for (id, brow) in rows_by_id(base, "workloads") {
-            let Some((_, crow)) = cur_rows.iter().find(|(cid, _)| *cid == id) else {
-                self.fail(format!("{name}: row '{id}' missing from current run"));
-                continue;
-            };
-            for key in [
-                "candidates",
-                "processed_pairs",
-                "result_pairs",
-                "precision",
-                "recall",
-                "f1",
-                // Per-tier verification counters: pure per-candidate
-                // functions — deterministic across runs, thread counts
-                // and hosts, so any drift is a cascade behaviour change.
-                "tier0_rejects",
-                "mass_rejects",
-                "enum_rejects",
-                "rowmax_rejects",
-                "greedy_rejects",
-                "tier2_rejects",
-                // In-probe compatibility rejections: an exact function
-                // of (scale, seed, θ) — drift means the bound changed.
-                "compat_rejected",
-                // fig_shard rows: the task grid and the deep memory
-                // accounting are pure functions of (scale, seed) and the
-                // fixed shard parameters — drift means the planner, the
-                // pruning bound or the accounting itself changed.
-                "shard_tasks",
-                "shard_tasks_pruned",
-                "memory_bytes",
-                // The search row: the size of its fixed query set (its
-                // funnel sums ride on the keys above) and the postings its
-                // verification mass walks read.
-                "queries",
-                "walked_postings",
-            ] {
-                if brow.get(key).is_some() {
-                    self.check_exact(id, key, f64_field(brow, key), f64_field(crow, key));
-                }
-            }
-            self.check_throughput(
-                id,
-                "records/s",
-                f64_field(brow, "records_per_second"),
-                f64_field(crow, "records_per_second"),
-            );
-            // Verification owns the join's wall-clock; gate its throughput
-            // directly so a tiered-engine regression cannot hide behind
-            // faster earlier stages. Absent in pre-tiering baselines (the
-            // NaN/0 guard skips it then).
-            self.check_throughput(
-                id,
-                "candidates/s",
-                f64_field(brow, "verify_cands_per_second"),
-                f64_field(crow, "verify_cands_per_second"),
-            );
+        Ok(())
+    }
+
+    /// One artifact: the baseline's schema, the two-way diff, and on
+    /// `BENCH_fig_shard.json` the memory ceiling.
+    fn gate_doc(&mut self, name: &str, base: &Value, cur: &Value) {
+        let schema = base.get("schema").and_then(Value::as_str);
+        if schema != Some(SCHEMA) {
+            self.fail(format!(
+                "{name}: baseline schema {schema:?} is not \"{SCHEMA}\"; regenerate the baseline"
+            ));
+            return;
         }
-        // Memory-lean ceiling on the current fig_shard artifact: the
-        // sharded peak may never exceed the configured fraction of a
-        // monolithic whole-corpus prepare. Checked on the current run
-        // (not diffed): this is an absolute acceptance bound, not a
-        // regression tolerance.
-        if let Some(ratio) = cur.get("memory_ratio").and_then(Value::as_f64) {
+        self.diff(name, base, cur);
+        if name == "BENCH_fig_shard.json" {
             self.checks += 1;
-            if ratio <= 0.0 || ratio.is_nan() {
-                self.fail(format!("{name}: memory_ratio {ratio} not positive"));
-            } else if ratio > self.max_memory_ratio {
-                self.fail(format!(
-                    "{name}: memory_ratio {ratio:.3} above ceiling {:.3}",
-                    self.max_memory_ratio
-                ));
-            } else {
-                println!(
-                    "  ok {name}: memory_ratio {ratio:.3} ≤ {:.3}",
-                    self.max_memory_ratio
-                );
+            match cur.get("memory_ratio").and_then(Value::as_f64) {
+                Some(r) if r > 0.0 && r <= MAX_MEMORY_RATIO => {
+                    println!("  ok {name}: memory_ratio {r:.3} ≤ {MAX_MEMORY_RATIO}");
+                }
+                r => self.fail(format!(
+                    "{name}: memory_ratio {r:?} outside (0, {MAX_MEMORY_RATIO}]"
+                )),
             }
+        }
+    }
+
+    /// Two-way structural diff; `path` names the node in messages.
+    fn diff(&mut self, path: &str, base: &Value, cur: &Value) {
+        let (Some(b), Some(c)) = (children(base), children(cur)) else {
+            self.checks += 1;
+            if base != cur {
+                self.fail(format!("{path}: changed (baseline {base}, current {cur})"));
+            }
+            return;
+        };
+        for (label, bv) in &b {
+            match c.iter().find(|(l, _)| l == label) {
+                Some((_, cv)) => self.diff(&format!("{path}{label}"), bv, cv),
+                None => self.fail(format!("{path}{label}: missing from the current run")),
+            }
+        }
+        for (label, _) in c.iter().filter(|(l, _)| !b.iter().any(|(bl, _)| bl == l)) {
+            self.fail(format!("{path}{label}: not in the baseline"));
         }
     }
 }
@@ -231,41 +144,129 @@ fn main() {
         eprintln!("usage: bench_gate <baseline_dir> <current_dir>");
         std::process::exit(2);
     };
-    let mut gate = Gate {
-        tol: env_f64("BENCH_GATE_TOL", 0.25),
-        max_memory_ratio: env_f64("BENCH_GATE_MAX_MEMORY_RATIO", 0.25),
-        failures: Vec::new(),
-        checks: 0,
-    };
-    let entries = std::fs::read_dir(baseline_dir).unwrap_or_else(|e| {
-        eprintln!("bench_gate: cannot read baseline dir {baseline_dir}: {e}");
-        std::process::exit(2);
-    });
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        eprintln!("bench_gate: no BENCH_*.json in {baseline_dir}");
+    let mut gate = Gate::default();
+    if let Err(e) = gate.gate_dirs(Path::new(baseline_dir), Path::new(current_dir)) {
+        eprintln!("bench_gate: {e}");
         std::process::exit(2);
     }
-    for name in &names {
-        println!("gate {name}");
-        let base = load(&Path::new(baseline_dir).join(name));
-        let cur = load(&Path::new(current_dir).join(name));
-        match (base, cur) {
-            (Ok(base), Ok(cur)) => gate.gate_file(name, &base, &cur),
-            (Err(e), _) | (_, Err(e)) => gate.fail(e),
+    let (checks, failed) = (gate.checks, gate.failures.len());
+    println!("bench_gate: {checks} checks, {failed} failures");
+    if failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `BENCH_fig_shard.json` in miniature; `SCHEMA` stands for the
+    /// current schema tag.
+    const SHARD: &str = r#"{"schema": "SCHEMA", "name": "fig_shard", "n_records": 240,
+        "workloads": [{"id": "fig_shard/sharded", "candidates": 6752}],
+        "prune_fraction": 0.303030, "memory_ratio": 0.190831}"#;
+
+    fn gate(base: &str, cur: &str) -> Gate {
+        let doc = |text: &str| Value::parse(&text.replace("SCHEMA", SCHEMA)).unwrap();
+        let mut gate = Gate::default();
+        gate.gate_doc("BENCH_fig_shard.json", &doc(base), &doc(cur));
+        gate
+    }
+
+    #[test]
+    fn identical_documents_pass() {
+        let g = gate(SHARD, SHARD);
+        assert_eq!(g.failures, Vec::<String>::new());
+        assert_eq!(g.checks, 8, "seven leaves and the memory ceiling");
+    }
+
+    #[test]
+    fn a_current_fig_shard_without_memory_ratio_fails() {
+        let cur = SHARD.replace(r#", "memory_ratio": 0.190831"#, "");
+        let f = gate(SHARD, &cur).failures;
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].contains("/memory_ratio: missing from the current run"));
+        assert!(f[1].contains("memory_ratio None outside"));
+    }
+
+    #[test]
+    fn a_row_only_in_the_current_run_fails() {
+        let cur = SHARD.replace("6752}]", r#"6752}, {"id": "fig_shard/extra"}]"#);
+        let f = gate(SHARD, &cur).failures;
+        assert_eq!(
+            f,
+            ["BENCH_fig_shard.json/workloads[fig_shard/extra]: not in the baseline"]
+        );
+    }
+
+    #[test]
+    fn any_changed_number_or_string_fails() {
+        for (from, to) in [
+            ("240", "241"),
+            ("0.303030", "0.310000"),
+            ("6752", "6751"),
+            (r#""fig_shard""#, r#""fig_shard2""#),
+        ] {
+            let f = gate(SHARD, &SHARD.replace(from, to)).failures;
+            assert_eq!(f.len(), 1, "{from} → {to}: {f:?}");
+            assert!(f[0].contains(&format!("changed (baseline {from}, current {to})")));
         }
     }
-    println!(
-        "bench_gate: {} checks, {} failures",
-        gate.checks,
-        gate.failures.len()
-    );
-    if !gate.failures.is_empty() {
-        std::process::exit(1);
+
+    #[test]
+    fn a_non_numeric_or_absent_value_is_compared_too() {
+        let base = SHARD.replace("6752", r#""n/a""#);
+        assert!(gate(&base, &base).failures.is_empty());
+        assert_eq!(gate(&base, &base.replace("n/a", "?")).failures.len(), 1);
+        let absent = base.replace(r#", "candidates": "n/a""#, "");
+        let f = gate(&base, &absent).failures;
+        assert_eq!(
+            f,
+            ["BENCH_fig_shard.json/workloads[fig_shard/sharded]/candidates: missing from the current run"]
+        );
+    }
+
+    #[test]
+    fn an_old_schema_baseline_fails_naming_its_schema() {
+        let f = gate(&SHARD.replace("SCHEMA", "au-bench/perf/v1"), SHARD).failures;
+        assert_eq!(f.len(), 1);
+        assert!(
+            f[0].contains(r#"baseline schema Some("au-bench/perf/v1")"#),
+            "{}",
+            f[0]
+        );
+    }
+
+    #[test]
+    fn memory_ratio_above_the_ceiling_fails() {
+        let over = SHARD.replace("0.190831", "0.26");
+        let f = gate(&over, &over).failures;
+        assert_eq!(
+            f,
+            ["BENCH_fig_shard.json: memory_ratio Some(0.26) outside (0, 0.25]"]
+        );
+    }
+
+    #[test]
+    fn a_missing_or_extra_file_fails() {
+        let root = std::env::temp_dir().join(format!("bench_gate_test_{}", std::process::id()));
+        let (base, cur) = (root.join("base"), root.join("cur"));
+        let doc = SHARD.replace("SCHEMA", SCHEMA);
+        for (dir, files) in [(&base, ["fig_shard", "med"]), (&cur, ["fig_shard", "wiki"])] {
+            std::fs::create_dir_all(dir).unwrap();
+            for f in files {
+                std::fs::write(dir.join(format!("BENCH_{f}.json")), &doc).unwrap();
+            }
+        }
+        let mut g = Gate::default();
+        g.gate_dirs(&base, &cur).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(g.failures.len(), 2, "{:?}", g.failures);
+        assert_eq!(g.failures[0], "BENCH_wiki.json: not in the baseline");
+        assert!(
+            g.failures[1].contains("BENCH_med.json"),
+            "{}",
+            g.failures[1]
+        );
     }
 }

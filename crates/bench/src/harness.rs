@@ -5,13 +5,20 @@ use au_core::join::JoinResult;
 use au_datagen::{DatasetProfile, LabeledDataset};
 use std::collections::BTreeSet;
 
-/// Experiment scale factor from `AU_SCALE` (default 1.0).
-pub fn scale_from_env() -> f64 {
-    std::env::var("AU_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s: &f64| s > 0.0)
-        .unwrap_or(1.0)
+/// Experiment scale factor: `AU_SCALE` when set, else `default`.
+pub fn scale_from_env(default: f64) -> f64 {
+    scale_override(std::env::var("AU_SCALE").ok().as_deref()).unwrap_or(default)
+}
+
+/// `AU_SCALE`'s value as a scale, panicking with the offending value when
+/// it is not a positive number — a typo must not run another scale.
+fn scale_override(var: Option<&str>) -> Option<f64> {
+    var.map(|s| {
+        s.parse()
+            .ok()
+            .filter(|&x: &f64| x > 0.0 && x.is_finite())
+            .unwrap_or_else(|| panic!("AU_SCALE must be a positive number, got {s:?}"))
+    })
 }
 
 /// MED-like labeled dataset scaled to `n` records per side with 20%
@@ -206,6 +213,27 @@ mod tests {
         let half = score_pairs(&ds, &truth_ids[..truth_ids.len() / 2]);
         assert_eq!(half.p, 1.0);
         assert!(half.r < 1.0);
+    }
+
+    #[test]
+    fn scale_override_parses_a_positive_number_or_stays_out_of_the_way() {
+        assert_eq!(scale_override(None), None);
+        assert_eq!(scale_override(Some("0.1")), Some(0.1));
+        assert_eq!(scale_override(Some("10")), Some(10.0));
+    }
+
+    #[test]
+    fn scale_override_rejects_a_typo_or_a_non_positive_scale() {
+        for bad in ["0,1", "", "0", "-1", "inf", "NaN"] {
+            let msg = std::panic::catch_unwind(|| scale_override(Some(bad)))
+                .expect_err(bad)
+                .downcast::<String>()
+                .expect("formatted panic message");
+            assert_eq!(
+                *msg,
+                format!("AU_SCALE must be a positive number, got {bad:?}")
+            );
+        }
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! whole evaluation.
 //!
 //! Sizes scale with the `AU_SCALE` environment variable (default 1.0 ≈
-//! laptop-minutes for the full suite). The absolute numbers differ from
+//! laptop-minutes for the full suite; anything but a positive number
+//! panics). The absolute numbers differ from
 //! the paper (synthetic data, different hardware, Rust vs JVM); the
 //! *shapes* — who wins, by what factor, where the knees are — are the
 //! reproduction targets recorded in EXPERIMENTS.md.
 //!
 //! Besides the paper experiments, [`perf`] is the machine-readable
 //! counterpart: `--bin perf` emits `BENCH_<name>.json` artifacts
-//! (per-stage wall-clock, candidate counts, P/R/F, records/s) that the CI
-//! `perf-smoke` job gates with `--bin bench_gate` against
-//! `tools/perf_baseline/`.
+//! (candidate counts, `Tτ`, per-tier verification counters, P/R/F,
+//! memory bytes — no timings) that the CI `perf-smoke` job gates with
+//! `--bin bench_gate` against `tools/perf_baseline/`.
 
 pub mod experiments;
 pub mod harness;

@@ -2,11 +2,12 @@
 //! harness's `BENCH_*.json` artifacts and the CI regression gate, with no
 //! external dependency (see DESIGN.md "Dependency policy").
 //!
-//! The emitter side lives with the report types in [`crate::perf`]; this
-//! module owns the data model and the reader used by `bench_gate` and the
-//! determinism tests.
+//! The report types in [`crate::perf`] list their fields once, as a
+//! [`Value`]; its [`Display`](std::fmt::Display) impl is the one writer,
+//! and [`Value::parse`] the reader `bench_gate` and the determinism tests
+//! use.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Object keys keep insertion order (the emitter writes a
 /// stable field order; the gate does keyed lookups).
@@ -70,6 +71,84 @@ impl Value {
         }
         Ok(v)
     }
+
+    /// An object with `fields` in emission order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<u64> for Value {
+    fn from(x: u64) -> Self {
+        Value::Num(x as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(x: usize) -> Self {
+        Value::Num(x as f64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Self {
+        Value::Num(x)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+/// Pretty form: two-space indent, one member or element per line. A
+/// number prints as an integer when it is one, else with six decimals.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, v: &Value, depth: usize) -> fmt::Result {
+    match v {
+        Value::Null => f.write_str("null"),
+        Value::Bool(b) => write!(f, "{b}"),
+        Value::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{}", *x as i64),
+        Value::Num(x) => write!(f, "{x:.6}"),
+        Value::Str(s) => write!(f, "\"{}\"", escape(s)),
+        Value::Arr(items) => write_seq(f, ['[', ']'], depth, items.iter().map(|v| (None, v))),
+        Value::Obj(members) => write_seq(
+            f,
+            ['{', '}'],
+            depth,
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+        ),
+    }
+}
+
+fn write_seq<'a>(
+    f: &mut fmt::Formatter<'_>,
+    [open, close]: [char; 2],
+    depth: usize,
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Value)>,
+) -> fmt::Result {
+    if items.len() == 0 {
+        return write!(f, "{open}{close}");
+    }
+    let pad = "  ".repeat(depth + 1);
+    f.write_char(open)?;
+    for (i, (key, v)) in items.enumerate() {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        write!(f, "\n{pad}")?;
+        if let Some(k) = key {
+            write!(f, "\"{}\": ", escape(k))?;
+        }
+        write_value(f, v, depth + 1)?;
+    }
+    write!(f, "\n{}{close}", "  ".repeat(depth))
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -223,7 +302,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 }
 
 /// Escape a string for embedding in JSON output.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -275,6 +354,25 @@ mod tests {
         let s = "a \"quoted\"\nline\\with\tstuff";
         let parsed = Value::parse(&format!("\"{}\"", escape(s))).unwrap();
         assert_eq!(parsed.as_str(), Some(s));
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_themselves() {
+        let doc = Value::obj([
+            ("name", "fig \"x\"".into()),
+            ("n", 240usize.into()),
+            ("ratio", 0.190831.into()),
+            ("none", Value::Arr(Vec::new())),
+            (
+                "rows",
+                Value::Arr(vec![Value::obj([("id", "a".into()), ("f1", 1.0.into())])]),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(Value::parse(&text), Ok(doc));
+        assert!(text.contains("\n  \"n\": 240,\n  \"ratio\": 0.190831,\n"));
+        assert!(text.contains("\"none\": [],\n  \"rows\": [\n    {\n      \"id\": \"a\",\n"));
+        assert!(text.ends_with("\"f1\": 1\n    }\n  ]\n}"));
     }
 
     #[test]

@@ -14,16 +14,8 @@ use au_core::config::SimConfig;
 use au_core::engine::{Engine, JoinSpec};
 use au_core::shard::ShardSpec;
 
-fn scale() -> f64 {
-    std::env::var("AU_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s: &f64| s > 0.0)
-        .unwrap_or(0.5)
-}
-
 fn n_records() -> usize {
-    au_bench::experiments::sized(1200, scale())
+    au_bench::experiments::sized(1200, au_bench::scale_from_env(0.5))
 }
 
 #[test]
