@@ -244,11 +244,13 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
             // `prepared` counts segmented records: creates, opens and
             // inserts — a compaction segments nothing, it merges. `signed`
             // counts signature selections: a compaction signs what it
-            // appends, and everything only when it re-ranks.
+            // appends, and everything only when it re-ranks. The pause is
+            // the writer lock's share; merge and build ran off it, while
+            // the rows and tombstones "landed meanwhile" arrived.
             println!(
-                "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {} pause {:.2}ms \
+                "gen {} live {} delta {} tombstones {} | q {} +{} -{} compactions {}{} pause {:.2}ms \
                  (carried {} dropped {} appended {} merge {:.2}ms build {:.2}ms signed {} {} \
-                 churn {}/{}) prepared {} signed {}",
+                 churn {}/{} landed meanwhile {}+{}) prepared {} signed {}",
                 s.generation,
                 s.live,
                 s.delta_len,
@@ -257,6 +259,7 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
                 s.inserts,
                 s.deletes,
                 s.compactions,
+                if s.compacting { " (one in flight)" } else { "" },
                 s.last_compact_nanos as f64 / 1e6,
                 c.carried,
                 c.dropped,
@@ -267,6 +270,8 @@ fn handle(repl: &mut Repl, line: &str) -> Result<bool, String> {
                 if c.reranked { "reranked" } else { "inherited" },
                 c.churn,
                 c.ranked_over,
+                c.carried_rows,
+                c.carried_tombstones,
                 s.records_prepared,
                 s.records_signed
             );

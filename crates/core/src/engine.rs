@@ -686,14 +686,20 @@ impl Prepared {
     /// The corpus-level transposed posting index (which records carry a
     /// surface key, gram or rule), built on first use — under the memo
     /// lock, so exactly once — and shared from then on by every join
-    /// against, and every searcher over, this corpus at any θ.
-    fn transposed(&self) -> Arc<GramPostingsIndex> {
+    /// against, and every searcher over, this corpus at any θ. A build for
+    /// a serial spec (`parallel == false`) runs on the caller's thread.
+    fn transposed(&self, parallel: bool) -> Arc<GramPostingsIndex> {
         let mut m = self.memo();
         if let Some(idx) = &m.transposed {
             return idx.clone();
         }
         m.misses += 1;
-        let idx = Arc::new(GramPostingsIndex::build(&self.segrecs));
+        let workers = if parallel {
+            crate::parallel::available_threads()
+        } else {
+            1
+        };
+        let idx = Arc::new(GramPostingsIndex::build_on(&self.segrecs, workers));
         m.transposed = Some(idx.clone());
         idx
     }
@@ -701,9 +707,9 @@ impl Prepared {
     /// The index stage 5 verifies `n_candidates` against this corpus
     /// through: [`Prepared::transposed`] once it exists, or when the
     /// candidates pay for building it; `None` = count pair by pair.
-    fn verify_index(&self, n_candidates: usize) -> Option<Arc<GramPostingsIndex>> {
+    fn verify_index(&self, n_candidates: usize, parallel: bool) -> Option<Arc<GramPostingsIndex>> {
         let built = self.memo().transposed.is_some();
-        (built || batched_verify_pays(n_candidates, self.len())).then(|| self.transposed())
+        (built || batched_verify_pays(n_candidates, self.len())).then(|| self.transposed(parallel))
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -1243,7 +1249,7 @@ impl Engine {
         let verify_start = Instant::now();
         let mut result_count = 0usize;
         let mut tiers = VerifyTiers::default();
-        let index = t.verify_index(outcome.candidates.len());
+        let index = t.verify_index(outcome.candidates.len(), spec.parallel);
         for batch in outcome.candidates.chunks(chunk) {
             let (accepted, batch_tiers) = verify_candidates(
                 &self.kn,
@@ -1713,7 +1719,7 @@ impl Engine {
             index,
             // Forced: its build belongs to making the collection
             // searchable, not to a first query.
-            transposed: c.transposed(),
+            transposed: c.transposed(spec.parallel),
             session: QuerySession::default(),
         })
     }

@@ -11,7 +11,7 @@
 //!
 //! * **scoped threads** ([`std::thread::scope`], no extra dependency — see
 //!   DESIGN.md "Dependency policy") borrow the items and the closure
-//!   directly, no `Arc` cloning;
+//!   directly, no `Arc` cloning; the calling thread is one of the workers;
 //! * **work stealing over an atomic batch cursor** — per-item cost is
 //!   wildly uneven (true matches cluster at low ids in generated data), so
 //!   static chunking leaves cores idle; workers instead claim fixed-size
@@ -213,31 +213,37 @@ where
     // the cursor hands every unit index to exactly one worker.
     let slots: Vec<Mutex<Vec<U>>> = (0..n_units).map(|_| Mutex::new(Vec::new())).collect();
 
-    std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        for _ in 0..threads.min(n_units) {
-            workers.push(scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    // ordering: Relaxed — the cursor is a pure work
-                    // ticket: RMW atomicity alone guarantees each unit
-                    // index is claimed exactly once. No data is published
-                    // through it — workers read `units`/`items` captured
-                    // before spawn, and unit outputs are published to the
-                    // main thread by the slot Mutex plus the
-                    // thread::scope join, which orders every worker
-                    // write before the collection loop below.
-                    let unit = cursor.fetch_add(1, Ordering::Relaxed);
-                    if unit >= n_units {
-                        break;
-                    }
-                    let (start, end) = units[unit];
-                    let out = run_unit(&mut scratch, &items[start..end]);
-                    *slots[unit].lock().expect("parallel slot poisoned") = out;
-                }
-                drain(&mut scratch);
-            }));
+    let work = || {
+        let mut scratch = init();
+        loop {
+            // ordering: Relaxed — the cursor is a pure work ticket: RMW
+            // atomicity alone guarantees each unit index is claimed exactly
+            // once. No data is published through it — workers read
+            // `units`/`items` captured before spawn, and unit outputs are
+            // published to the calling thread by the slot Mutex plus the
+            // join below, which orders every worker write before the
+            // collection loop.
+            let unit = cursor.fetch_add(1, Ordering::Relaxed);
+            if unit >= n_units {
+                break;
+            }
+            let (start, end) = units[unit];
+            let out = run_unit(&mut scratch, &items[start..end]);
+            *slots[unit].lock().expect("parallel slot poisoned") = out;
         }
+        drain(&mut scratch);
+    };
+    std::thread::scope(|scope| {
+        // The calling thread is one of the workers: one thread fewer to
+        // spawn, and one malloc arena fewer in the process — on two cores
+        // every parallel section shares the one arena a spawned worker
+        // takes, so a thread spawned between sections (a serve compaction's
+        // build) finds that arena free instead of whichever one the last
+        // section's workers happened to hand back last (DESIGN.md).
+        let workers: Vec<_> = (1..threads.min(n_units))
+            .map(|_| scope.spawn(work))
+            .collect();
+        work();
         // Join explicitly: the scope's wait ends when the closures return,
         // `join` when the threads have exited and handed back their malloc
         // arenas — else the next section may map a fresh one (DESIGN.md).
@@ -391,9 +397,10 @@ where
 }
 
 /// Maps `f` over a handful of heavy, uneven tasks (the pieces of an index
-/// build): one work unit each, parallel from two tasks up — [`par_map`]'s
-/// floor is made for many light items. Results in task order.
-pub(crate) fn par_tasks<T, U, F>(tasks: &[T], f: F) -> Vec<U>
+/// build) on up to `threads` workers: one work unit each, parallel from
+/// two tasks up — [`par_map`]'s floor is made for many light items.
+/// Results in task order.
+pub(crate) fn par_tasks<T, U, F>(tasks: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -402,7 +409,7 @@ where
     par_units_on(
         tasks,
         true,
-        available_threads(),
+        threads,
         2,
         |_| uniform_units(tasks.len(), 1),
         || (),
@@ -450,6 +457,20 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         let out = par_filter_map(&items, true, |&x| Some(x));
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        // Sixteen millisecond tasks on two threads: the caller claims some
+        // itself, beside the one thread spawned.
+        let tasks: Vec<u32> = (0..16).collect();
+        let ran_on = par_tasks(&tasks, 2, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        });
+        assert!(ran_on.contains(&std::thread::current().id()));
+        let distinct: std::collections::HashSet<_> = ran_on.into_iter().collect();
+        assert!(distinct.len() <= 2, "the caller and one spawned worker");
     }
 
     #[test]

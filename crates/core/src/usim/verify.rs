@@ -257,15 +257,22 @@ impl GramPostingsIndex {
     /// ranges (`parallel::par_tasks`, longest task first). Every
     /// list is the same whatever the thread count.
     pub fn build(recs: &[Arc<SegRecord>]) -> Self {
-        let workers = crate::parallel::available_threads();
-        Self::build_in(
-            recs,
-            (recs.len() / GRAM_RANGE_RECORDS).clamp(1, 2 * workers),
-        )
+        Self::build_on(recs, crate::parallel::available_threads())
     }
 
-    /// [`GramPostingsIndex::build`] with the gram table cut into `ranges`.
-    fn build_in(recs: &[Arc<SegRecord>], ranges: usize) -> Self {
+    /// [`GramPostingsIndex::build`] on `workers` threads; one builds every
+    /// table whole on the caller's thread.
+    pub(crate) fn build_on(recs: &[Arc<SegRecord>], workers: usize) -> Self {
+        let ranges = match workers {
+            0 | 1 => 1,
+            _ => (recs.len() / GRAM_RANGE_RECORDS).clamp(1, 2 * workers),
+        };
+        Self::build_in(recs, ranges, workers)
+    }
+
+    /// [`GramPostingsIndex::build_on`] with the gram table cut into
+    /// `ranges`.
+    fn build_in(recs: &[Arc<SegRecord>], ranges: usize, workers: usize) -> Self {
         #[derive(Clone, Copy)]
         enum Task {
             Keys,
@@ -285,7 +292,7 @@ impl GramPostingsIndex {
             .chain((0..ranges).map(|p| Task::Grams(bound(p), bound(p + 1))))
             .chain([Task::Rules])
             .collect();
-        let mut built = crate::parallel::par_tasks(&tasks, |&task| match task {
+        let mut built = crate::parallel::par_tasks(&tasks, workers, |&task| match task {
             Task::Keys => table((0, n), |r| &of(r).key_posts),
             Task::Grams(lo, hi) => table((lo, hi), |r| &of(r).gram_posts),
             Task::Rules => table((0, n), |r| &of(r).rule_posts),
@@ -1614,10 +1621,12 @@ mod tests {
                 recs.iter().all(|r| r.gram_posts.is_empty()),
                 !measures.contains(MeasureSet::J)
             );
-            let whole = GramPostingsIndex::build_in(&recs, 1);
+            let whole = GramPostingsIndex::build_in(&recs, 1, 2);
             assert_index_equals_sorted(&whole, &recs, &format!("{measures:?} whole"));
+            let serial = GramPostingsIndex::build_on(&recs, 1);
+            assert_index_equals_sorted(&serial, &recs, &format!("{measures:?} serial"));
             for ranges in [2, 6, 701] {
-                let cut = GramPostingsIndex::build_in(&recs, ranges);
+                let cut = GramPostingsIndex::build_in(&recs, ranges, 2);
                 assert_index_equals_sorted(&cut, &recs, &format!("{measures:?} {ranges} ranges"));
                 assert_eq!(cut.memory_bytes(), whole.memory_bytes());
             }

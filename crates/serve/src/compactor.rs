@@ -9,9 +9,13 @@ use std::time::Duration;
 /// interval until stopped. Stop is prompt (condvar, not sleep) and
 /// automatic on drop.
 ///
-/// Compaction and mutations serialize on the service's writer lock;
-/// readers keep serving the old snapshot `Arc` throughout, so the only
-/// observable "pause" is writer latency, reported as
+/// A tick does not serialize on the service's writer lock: it holds
+/// the lock to log the `Compact` frame and again for the swap, while the
+/// merge and index build in between run with no lock held and writes go
+/// on (they are carried into the new snapshot). The tick itself waits
+/// for its own swap. Readers keep serving the old snapshot `Arc`
+/// throughout, so the only observable "pause" is the writer latency of
+/// those two lock holds, reported as
 /// [`crate::ServeStats::last_compact_nanos`].
 #[derive(Debug)]
 pub struct Compactor {

@@ -23,8 +23,11 @@
 //!   mints a new knowledge generation through the same process-wide
 //!   counter as every other engine artifact — a compact-then-shard
 //!   interleaving can never collide generations.
-//! * A background [`Compactor`] (or an explicit [`Service::compact`])
-//!   folds the delta and tombstones into a fresh monolithic base —
+//! * A background [`Compactor`], an explicit [`Service::compact`] or the
+//!   insert that reaches [`ServeConfig::compact_threshold`] folds the
+//!   delta and tombstones into a fresh monolithic base off the writer
+//!   lock (the writes that land meanwhile are carried into the swapped-in
+//!   snapshot) —
 //!   a *merge* of rows that are already segmented, under the pebble
 //!   order the previous base was signed under
 //!   ([`au_core::engine::Engine::merge_prepared`]; carried rows keep

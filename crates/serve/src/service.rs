@@ -12,10 +12,12 @@ use au_core::parallel::par_map;
 use au_core::signature::FilterKind;
 use au_core::SimConfig;
 use au_text::record::Corpus;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Recover a poisoned mutex: every structure under these locks is valid
 /// after any partial operation (the writer state is the knowledge
@@ -131,6 +133,15 @@ pub struct ServeConfig {
     /// a read pays for the delta — ≈ 1.7 µs per delta record, linear in
     /// this value — where an indexed delta made every *write* pay ≈ 130 µs
     /// per delta record to rebuild the index.
+    ///
+    /// The insert that reaches the threshold only starts the compaction:
+    /// the merge and index build run on a thread of their own while
+    /// writes go on, and the rows those writes add stay in the delta
+    /// beside the new base. So the delta may overshoot the threshold by
+    /// one build's writes, and a read pays the same ≈ 1.7 µs for each
+    /// extra row until the next compaction folds it — up to twice the
+    /// threshold: an insert that finds the delta there with the build
+    /// still running waits for its swap.
     pub compact_threshold: usize,
     /// Max concurrently executing requests before
     /// [`ServeError::Overloaded`] (0 = unbounded).
@@ -175,7 +186,10 @@ impl ServeConfig {
 pub struct Mutation {
     /// Global id of the affected record.
     pub id: u64,
-    /// Generation of the snapshot that first reflects the mutation.
+    /// Generation of the snapshot that first reflects the mutation. An
+    /// insert that reaches [`ServeConfig::compact_threshold`] reports its
+    /// own publication too: the compaction it starts lands later, under
+    /// a larger generation.
     pub generation: u64,
 }
 
@@ -210,12 +224,17 @@ pub struct ServeStats {
     /// afresh, only the appended rows of a compaction that inherited its
     /// order. Monotone: "stage 3 runs once per record per ranking".
     pub records_signed: u64,
-    /// Duration of the most recent compaction in nanoseconds (the
-    /// "compaction pause" — though reads never block on it; only
-    /// writers queue behind the writer lock).
+    /// Nanoseconds the most recent compaction held the writer lock: the
+    /// `Compact` frame at its start plus the swap at its end (the
+    /// "compaction pause" — what a writer can queue behind; reads never
+    /// block on it). The merge and index build in between hold no lock
+    /// ([`CompactionStats::merge_nanos`], [`CompactionStats::build_nanos`]).
     pub last_compact_nanos: u64,
     /// Shape of the most recent compaction (all zero before the first).
     pub last_compact: CompactionStats,
+    /// True while a compaction is in flight: its `Compact` frame is
+    /// logged and its new base not yet swapped in.
+    pub compacting: bool,
     /// Admission counters.
     pub admission: AdmissionStats,
     /// True while the service is in degraded read-only mode.
@@ -240,10 +259,17 @@ pub struct CompactionStats {
     pub dropped: u64,
     /// Live delta rows appended.
     pub appended: u64,
-    /// Nanoseconds assembling the merged artifact (`merge_prepared`).
+    /// Delta rows inserted while the new base was built, carried into
+    /// the swapped-in snapshot's delta (shared, not re-segmented).
+    pub carried_rows: u64,
+    /// Tombstones set while the new base was built, carried into the
+    /// swapped-in snapshot (they mask; the next compaction folds them).
+    pub carried_tombstones: u64,
+    /// Nanoseconds assembling the merged artifact (`merge_prepared`),
+    /// with no lock held.
     pub merge_nanos: u64,
-    /// Nanoseconds making it searchable: the indexes, and — only when
-    /// `reranked` — order and signatures.
+    /// Nanoseconds making it searchable — the indexes, and only when
+    /// `reranked` order and signatures — with no lock held.
     pub build_nanos: u64,
     /// Signatures selected: `appended` per inherited selection, or every
     /// live row after a re-rank.
@@ -274,6 +300,259 @@ struct WriterState {
     /// mutation commits here (append + sync) *before* it is applied in
     /// memory or acknowledged — the WAL offset is the commit point.
     wal: Option<Wal>,
+    /// `Some` while a compaction is in flight — its `Compact` frame is
+    /// logged, its swap has not landed — holding how long its start held
+    /// this lock. At most one is in flight.
+    building: Option<Duration>,
+    /// The thread of the last threshold-started compaction, until the
+    /// next start, [`Service::compact`], [`Service::save`] or drop joins
+    /// it (a compaction `compact()` starts is joined by `compact()`).
+    build: Option<JoinHandle<Result<u64, ServeError>>>,
+}
+
+impl WriterState {
+    fn new(kn: Knowledge, next_id: u64, wal: Option<Wal>) -> Self {
+        Self {
+            kn,
+            next_id,
+            wal,
+            building: None,
+            build: None,
+        }
+    }
+}
+
+/// What only the write path knows and [`Service::stats`] reports, copied
+/// here under the writer lock (by a write, or by a landing compaction)
+/// so that `stats()` never waits for an fsync or a compaction.
+#[derive(Debug, Clone, Copy, Default)]
+struct WriteSide {
+    wal: WalStats,
+    compactions: u64,
+    records_signed: u64,
+    last_compact_nanos: u64,
+    last_compact: CompactionStats,
+    compacting: bool,
+}
+
+/// The state a compaction's build thread publishes into, shared with the
+/// [`Service`] by `Arc`: the build re-takes the writer lock to land, so
+/// only the writer-lock holder ever replaces the snapshot.
+#[derive(Debug)]
+struct Shared {
+    current: RwLock<Arc<Snapshot>>,
+    /// Watermark of the latest published generation, readable without
+    /// the snapshot lock; strictly increases across publishes.
+    published_gen: AtomicU64,
+    writer: Mutex<WriterState>,
+    /// Signalled, under the writer lock, when a compaction lands (or is
+    /// abandoned); waited on with the writer lock by whoever must not
+    /// start while one is in flight ([`Shared::settled`]).
+    landed: Condvar,
+    write_side: Mutex<WriteSide>,
+    /// Test hook: the next build parks here, between its off-lock half
+    /// and its landing, until the test releases it.
+    #[cfg(test)]
+    gate: Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
+}
+
+/// A compaction's off-lock half: the merged base, made searchable.
+struct Built {
+    /// The new base, generation not yet minted (that happens at the swap).
+    base: Snapshot,
+    carried: usize,
+    reranked: bool,
+    merge: Duration,
+    build: Duration,
+}
+
+impl Built {
+    /// Merge the live rows of `prev`'s two segments into a new base
+    /// ([`Snapshot::merge_live`]: nothing is segmented, and while the churn
+    /// rule holds the order and the carried rows' signatures are inherited
+    /// — only the appended rows are signed, only the indexes rebuilt).
+    ///
+    /// Everything runs on the calling (build) thread: the build has the
+    /// core the writer is not on, and parallel workers beside it would
+    /// each need an allocator arena of their own, on top of the one the
+    /// build thread takes — ≈ +30 MiB of peak RSS on `serve_mixed`.
+    fn new(cfg: &ServeConfig, prev: &Snapshot, engine: Arc<Engine>) -> Result<Self, ServeError> {
+        let start = Instant::now();
+        let (prepared, ids, carried) = prev.merge_live(&engine, |_| true)?;
+        let merge = start.elapsed();
+        // An inherited memo is the only thing a merge files.
+        let reranked = prepared.memo_len() == 0;
+        let base = Snapshot::of_base(cfg, cfg.spec().serial(), 0, ids, engine, prepared)?;
+        Ok(Self {
+            base,
+            carried,
+            reranked,
+            merge,
+            build: start.elapsed() - merge,
+        })
+    }
+}
+
+impl Shared {
+    fn snapshot(&self) -> Arc<Snapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// The writer lock once no compaction is in flight, the last one's
+    /// thread joined.
+    fn settled(&self) -> MutexGuard<'_, WriterState> {
+        // ordering: `building` is written only under the writer lock, and
+        // a landing compaction notifies while holding it, so this wait
+        // (which re-checks under the lock) cannot miss the landing.
+        let mut w = self
+            .landed
+            .wait_while(relock(&self.writer), |w| w.building.is_some())
+            .unwrap_or_else(|e| e.into_inner());
+        // Landed: the thread has nothing left to do but return.
+        if let Some(done) = w.build.take() {
+            let _ = done.join();
+        }
+        w
+    }
+
+    /// A compaction's build thread: the merge and index build with no
+    /// lock held, then the swap ([`Shared::land`]). A build that fails or
+    /// panics still clears the in-flight mark, so nothing waits on it
+    /// forever; the panic then goes on to whoever joins the thread.
+    fn build(
+        &self,
+        cfg: ServeConfig,
+        prev: Arc<Snapshot>,
+        engine: Arc<Engine>,
+    ) -> Result<u64, ServeError> {
+        let built = panic::catch_unwind(AssertUnwindSafe(|| Built::new(&cfg, &prev, engine)));
+        #[cfg(test)]
+        self.park();
+        match built {
+            Ok(Ok(built)) => Ok(self.land(&prev, Some(built))),
+            Ok(Err(e)) => {
+                self.land(&prev, None);
+                Err(e)
+            }
+            Err(panicked) => {
+                self.land(&prev, None);
+                panic::resume_unwind(panicked)
+            }
+        }
+    }
+
+    /// The swap, under the writer lock: the new base plus what arrived
+    /// since `prev` was captured — the delta rows inserted meanwhile
+    /// (renumbered, still sharing their segmented records) and the
+    /// tombstones set meanwhile — published under a fresh generation.
+    /// `None` (the build failed) only clears the in-flight mark. Returns
+    /// the published generation.
+    fn land(&self, prev: &Snapshot, built: Option<Built>) -> u64 {
+        let mut w = relock(&self.writer);
+        let start = Instant::now();
+        let trigger_held = w.building.take().unwrap_or_default();
+        // ordering: notified under the writer lock; see `settled`.
+        self.landed.notify_all();
+        let Some(built) = built else {
+            relock(&self.write_side).compacting = false;
+            return self.generation();
+        };
+        let cur = self.snapshot();
+        // Only inserts append delta rows and only a compaction removes
+        // them, so `prev`'s rows are a prefix of the current delta; and a
+        // tombstone set since is not one the build folded.
+        let arrived = &cur.delta[prev.delta.len()..];
+        let delta: Vec<_> = arrived
+            .iter()
+            .enumerate()
+            .map(|(pos, row)| Arc::new(row.renumbered(pos)))
+            .collect();
+        let mut tombstones = TombstoneSet::new();
+        for id in cur.tombstones.iter() {
+            if !prev.tombstones.contains(id) {
+                tombstones.insert(id);
+            }
+        }
+        let (carried_rows, carried_tombstones) = (delta.len() as u64, tombstones.len() as u64);
+        let base = &built.base.base_search;
+        let ((ranked_over, churn), signed) = (base.order().age(), base.prepared().records_signed());
+        let shape = CompactionStats {
+            carried: built.carried as u64,
+            dropped: (prev.base_len() - built.carried) as u64,
+            appended: (built.base.base_len() - built.carried) as u64,
+            carried_rows,
+            carried_tombstones,
+            merge_nanos: built.merge.as_nanos() as u64,
+            build_nanos: built.build.as_nanos() as u64,
+            signed,
+            reranked: built.reranked,
+            churn: churn as u64,
+            ranked_over: ranked_over as u64,
+        };
+        let generation = self.install(Snapshot {
+            generation: w.kn.remint_generation(),
+            // The newest knowledge: the build's own engine unless an
+            // insert interned past it since.
+            engine: if delta.is_empty() {
+                Arc::clone(&built.base.engine)
+            } else {
+                Arc::clone(&cur.engine)
+            },
+            delta: Arc::new(delta),
+            tombstones: Arc::new(tombstones),
+            ..built.base
+        });
+        // Counted after the install: a `stats()` that sees this compaction
+        // counted sees its snapshot too.
+        let mut side = relock(&self.write_side);
+        side.compactions += 1;
+        side.records_signed += signed;
+        side.last_compact_nanos = (trigger_held + start.elapsed()).as_nanos() as u64;
+        side.last_compact = shape;
+        side.compacting = false;
+        generation
+    }
+
+    /// The single point where a snapshot becomes visible: one pointer
+    /// swap under the write lock, then the generation watermark.
+    fn install(&self, snap: Snapshot) -> u64 {
+        let gen = snap.generation();
+        let arc = Arc::new(snap);
+        {
+            let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
+            *cur = arc;
+        }
+        // ordering: Release pairs with the Acquire load in `generation`
+        // — a reader that observes this watermark and then takes the
+        // snapshot read lock sees a snapshot at least this new (the
+        // write-lock release above happened-before this store, and the
+        // reader's lock acquisition synchronizes with it).
+        self.published_gen.store(gen, Ordering::Release);
+        gen
+    }
+
+    fn generation(&self) -> u64 {
+        // ordering: Acquire pairs with the Release store in `install` —
+        // a caller that observes generation G here and then calls
+        // `snapshot()` is guaranteed a snapshot of generation ≥ G (the
+        // RwLock write that published G happened-before the store).
+        self.published_gen.load(Ordering::Acquire)
+    }
+
+    /// Park at the test's gate, if one is set (once).
+    #[cfg(test)]
+    fn park(&self) {
+        // ordering: the test sets the gate before the insert that starts
+        // the build (the spawn orders the two); only the build takes it.
+        let gate = relock(&self.gate).take();
+        if let Some((entered, release)) = gate {
+            let _ = entered.send(());
+            let _ = release.recv();
+        }
+    }
 }
 
 /// Prepare a base segment over `corpus` — stage 1 over every record: a
@@ -292,7 +571,7 @@ fn base_snapshot(
     kn.vocab.seal();
     let engine = Arc::new(Engine::new(kn.clone(), cfg.sim)?);
     let prepared = engine.prepare_owned(corpus)?;
-    Snapshot::of_base(cfg, generation, ids, engine, prepared)
+    Snapshot::of_base(cfg, cfg.spec(), generation, ids, engine, prepared)
 }
 
 /// A concurrent serving session over one evolving corpus.
@@ -316,23 +595,12 @@ fn base_snapshot(
 #[derive(Debug)]
 pub struct Service {
     cfg: ServeConfig,
-    current: RwLock<Arc<Snapshot>>,
-    writer: Mutex<WriterState>,
+    shared: Arc<Shared>,
     admission: Admission,
-    /// Watermark of the latest published generation, readable without
-    /// the snapshot lock; strictly increases across publishes.
-    published_gen: AtomicU64,
     queries: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
-    compactions: AtomicU64,
     records_prepared: AtomicU64,
-    records_signed: AtomicU64,
-    last_compact_nanos: AtomicU64,
-    /// What only the write path knows and [`Service::stats`] reports,
-    /// copied here under the writer lock so that `stats()` never waits
-    /// for an fsync or a compaction.
-    write_side: Mutex<(WalStats, CompactionStats)>,
     /// Sticky degraded flag: set (under the writer lock) when a WAL
     /// commit exhausts its retries, cleared only by a successful
     /// [`Service::heal`]. Readers ignore it; writers fail fast on it.
@@ -358,11 +626,7 @@ impl Service {
         Ok(Self::from_parts(
             cfg,
             snapshot,
-            WriterState {
-                kn,
-                next_id: n,
-                wal: None,
-            },
+            WriterState::new(kn, n, None),
             false,
         ))
     }
@@ -472,11 +736,7 @@ impl Service {
             return Ok(Self::from_parts(
                 cfg,
                 snapshot,
-                WriterState {
-                    kn,
-                    next_id: n,
-                    wal: Some(wal),
-                },
+                WriterState::new(kn, n, Some(wal)),
                 degraded,
             ));
         }
@@ -515,11 +775,7 @@ impl Service {
         Ok(Self::from_parts(
             cfg,
             snapshot,
-            WriterState {
-                kn,
-                next_id: replay.next_id,
-                wal: Some(wal),
-            },
+            WriterState::new(kn, replay.next_id, Some(wal)),
             degraded,
         ))
     }
@@ -534,20 +790,27 @@ impl Service {
         let prepared = (snapshot.base_len() + snapshot.delta_len()) as u64;
         let signed = snapshot.base_search.prepared().records_signed();
         let wal = writer.wal.as_ref().map(Wal::stats).unwrap_or_default();
-        Self {
-            cfg,
+        let shared = Shared {
             published_gen: AtomicU64::new(snapshot.generation()),
             current: RwLock::new(Arc::new(snapshot)),
             writer: Mutex::new(writer),
+            landed: Condvar::new(),
+            write_side: Mutex::new(WriteSide {
+                wal,
+                records_signed: signed,
+                ..WriteSide::default()
+            }),
+            #[cfg(test)]
+            gate: Mutex::default(),
+        };
+        Self {
+            cfg,
+            shared: Arc::new(shared),
             admission: Admission::new(cfg.max_in_flight),
             queries: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
             records_prepared: AtomicU64::new(prepared),
-            records_signed: AtomicU64::new(signed),
-            last_compact_nanos: AtomicU64::new(0),
-            write_side: Mutex::new((wal, CompactionStats::default())),
             degraded: AtomicBool::new(degraded),
             degraded_entries: AtomicU64::new(u64::from(degraded)),
             degraded_writes: AtomicU64::new(0),
@@ -557,20 +820,13 @@ impl Service {
     /// The currently published snapshot (cheap: one `Arc` clone under a
     /// read lock held only for the clone).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.current
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.shared.snapshot()
     }
 
     /// Generation of the latest published snapshot, without touching
     /// the snapshot lock.
     pub fn generation(&self) -> u64 {
-        // ordering: Acquire pairs with the Release store in `install` —
-        // a caller that observes generation G here and then calls
-        // `snapshot()` is guaranteed a snapshot of generation ≥ G (the
-        // RwLock write that published G happened-before the store).
-        self.published_gen.load(Ordering::Acquire)
+        self.shared.generation()
     }
 
     /// The service configuration.
@@ -646,10 +902,25 @@ impl Service {
     // -- write path ---------------------------------------------------------
 
     /// Insert one record; returns its global id and the generation that
-    /// first serves it. Triggers an inline compaction when the delta
-    /// segment reaches [`ServeConfig::compact_threshold`].
+    /// first serves it. Starts a compaction when the delta segment
+    /// reaches [`ServeConfig::compact_threshold`] and none is in flight —
+    /// it logs the `Compact` frame and returns, the merge and index build
+    /// run on a thread of their own. An insert that finds the delta at
+    /// twice the threshold with a build still in flight waits for its
+    /// swap first, so a slow build cannot grow what every read scans
+    /// without bound.
     pub fn insert_record(&self, text: &str) -> Result<Mutation, ServeError> {
-        let mut w = relock(&self.writer);
+        let full = 2 * self.cfg.compact_threshold;
+        // ordering: the predicate reads `building` and the published
+        // delta under the writer lock, and only a holder of that lock
+        // changes either; a landing notifies while holding it.
+        let mut w = self
+            .shared
+            .landed
+            .wait_while(self.writer(), |w| {
+                w.building.is_some() && full > 0 && self.snapshot().delta_len() >= full
+            })
+            .unwrap_or_else(|e| e.into_inner());
         self.check_writable()?;
         // The id is not consumed until the WAL accepts the frame: a
         // durable log never has id gaps, so a recovered service mints
@@ -685,7 +956,8 @@ impl Service {
         // the writer lock, and readers of `stats()` are promised no
         // consistent cut across counters.
         self.records_prepared.fetch_add(1, Ordering::Relaxed);
-        let mut generation = self.install(Snapshot {
+        let delta_len = rows.len();
+        let generation = self.shared.install(Snapshot {
             generation: w.kn.generation(),
             engine: Arc::new(prev.engine.with_knowledge(w.kn.clone())),
             delta: Arc::new(rows),
@@ -693,13 +965,19 @@ impl Service {
         });
         // ordering: Relaxed — statistics counter only.
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.compact_threshold > 0 && prev.delta.len() + 1 >= self.cfg.compact_threshold {
+        let threshold = self.cfg.compact_threshold;
+        if threshold > 0 && delta_len >= threshold && w.building.is_none() {
+            // The previous build landed (none is in flight), so its thread
+            // has nothing left to do but return. Joined before the next is
+            // spawned, it has handed its allocator arena back for the next
+            // one to take, instead of that one opening another.
+            if let Some(done) = w.build.take() {
+                let _ = done.join();
+            }
             // The insert is already durable and acknowledged; a failure
             // of the *compaction's* WAL frame must not retract it. The
             // service degrades (flag set inside) and the receipt stands.
-            if let Ok(g) = self.compact_locked(&mut w) {
-                generation = g;
-            }
+            w.build = self.start_compaction(&mut w).ok();
         }
         Ok(Mutation { id, generation })
     }
@@ -707,7 +985,7 @@ impl Service {
     /// Delete record `id`; returns the generation that first hides it.
     /// Unknown ids and double deletes are typed errors.
     pub fn delete_record(&self, id: u64) -> Result<Mutation, ServeError> {
-        let mut w = relock(&self.writer);
+        let mut w = self.writer();
         self.check_writable()?;
         if id >= w.next_id {
             return Err(ServeError::UnknownId { id });
@@ -729,7 +1007,7 @@ impl Service {
         // mint as every other engine artifact.
         let mut tombstones = TombstoneSet::clone(&prev.tombstones);
         tombstones.insert(id);
-        let generation = self.install(Snapshot {
+        let generation = self.shared.install(Snapshot {
             generation: w.kn.remint_generation(),
             tombstones: Arc::new(tombstones),
             ..Snapshot::clone(&prev)
@@ -740,32 +1018,37 @@ impl Service {
     }
 
     /// Fold the delta segment and tombstones into a fresh monolithic
-    /// base and publish it. No-op (returning the current generation)
-    /// when there is nothing to fold. Readers are never blocked: the
-    /// rebuild happens off to the side and lands as one `Arc` swap.
+    /// base and publish it, once any compaction already in flight has
+    /// landed. No-op (returning the current generation) when there is
+    /// nothing to fold. The merge and index build hold no lock — writes go
+    /// on and are carried into the new snapshot — and this call returns
+    /// when its own swap has landed. Readers are never blocked: the new
+    /// base lands as one `Arc` swap.
     pub fn compact(&self) -> Result<u64, ServeError> {
-        let mut w = relock(&self.writer);
+        let mut w = self.shared.settled();
         self.check_writable()?;
         if self.snapshot().is_compact() {
             return Ok(self.generation());
         }
-        self.compact_locked(&mut w)
+        let build = self.start_compaction(&mut w)?;
+        drop(w);
+        build
+            .join()
+            .unwrap_or_else(|panicked| panic::resume_unwind(panicked))
     }
 
-    /// Checkpoint the log: fold any pending delta/tombstones, then
-    /// atomically rewrite the log as one checkpoint + the live records
-    /// — replaying the rewritten log is a single base build instead of
-    /// the whole mutation history. Returns the published generation.
-    /// No-op (beyond the fold) for non-durable services.
+    /// Checkpoint the log: fold any pending delta/tombstones (waiting for
+    /// a compaction in flight first), then atomically rewrite the log as
+    /// one checkpoint + the live records — replaying the rewritten log is
+    /// a single base build instead of the whole mutation history. Returns
+    /// the checkpointed generation. No-op (beyond the fold) for
+    /// non-durable services.
     pub fn save(&self) -> Result<u64, ServeError> {
-        let mut w = relock(&self.writer);
+        self.compact()?;
+        let mut w = self.shared.settled();
         self.check_writable()?;
-        let mut generation = self.generation();
-        if !self.snapshot().is_compact() {
-            generation = self.compact_locked(&mut w)?;
-        }
+        let snap = self.snapshot();
         if w.wal.is_some() {
-            let snap = self.snapshot();
             let mut ops = Vec::with_capacity(snap.live_len() + 2);
             ops.push(WalOp::Checkpoint { next_id: w.next_id });
             for (gid, rec) in snap.live_records() {
@@ -775,21 +1058,22 @@ impl Service {
                 });
             }
             // Seal the checkpointed records into the base segment on
-            // replay, mirroring the published snapshot exactly.
+            // replay: the published split, unless a write landed between
+            // the fold and this rewrite (the answers are the same).
             ops.push(WalOp::Compact);
             // `replace` is atomic: on failure the previous log is intact
             // and the service is *not* degraded — appends still work.
             self.logged(&mut w, |wal| wal.rewrite(&ops))
                 .map_err(|e| wal_error("save", &e))?;
         }
-        Ok(generation)
+        Ok(snap.generation())
     }
 
     /// Try to leave degraded read-only mode: repair and sync the log.
     /// On success writes are accepted again; on failure the service
     /// stays degraded and the typed error says why.
     pub fn heal(&self) -> Result<(), ServeError> {
-        let mut w = relock(&self.writer);
+        let mut w = self.writer();
         // ordering: Relaxed — the flag is only mutated under the writer
         // lock held here; the load/store pair cannot race another writer.
         if !self.degraded.load(Ordering::Relaxed) {
@@ -834,8 +1118,11 @@ impl Service {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> ServeStats {
+        // The write side first: a landing compaction installs its snapshot
+        // before it counts itself, so counters that include it come with
+        // a snapshot that does too.
+        let side = *relock(&self.shared.write_side);
         let snap = self.snapshot();
-        let (wal, last_compact) = *relock(&self.write_side);
         ServeStats {
             generation: snap.generation(),
             live: snap.live_len(),
@@ -846,14 +1133,13 @@ impl Service {
             queries: self.queries.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed), // ordering: Relaxed — see above
             deletes: self.deletes.load(Ordering::Relaxed), // ordering: Relaxed — see above
-            compactions: self.compactions.load(Ordering::Relaxed), // ordering: Relaxed — see above
+            compactions: side.compactions,
             // ordering: Relaxed — see above
             records_prepared: self.records_prepared.load(Ordering::Relaxed),
-            // ordering: Relaxed — see above
-            records_signed: self.records_signed.load(Ordering::Relaxed),
-            // ordering: Relaxed — see above
-            last_compact_nanos: self.last_compact_nanos.load(Ordering::Relaxed),
-            last_compact,
+            records_signed: side.records_signed,
+            last_compact_nanos: side.last_compact_nanos,
+            last_compact: side.last_compact,
+            compacting: side.compacting,
             admission: self.admission.stats(),
             // ordering: Relaxed — see above (independent counters).
             degraded: self.degraded.load(Ordering::Relaxed),
@@ -861,60 +1147,42 @@ impl Service {
             degraded_entries: self.degraded_entries.load(Ordering::Relaxed),
             // ordering: Relaxed — see above
             degraded_writes: self.degraded_writes.load(Ordering::Relaxed),
-            wal,
+            wal: side.wal,
         }
     }
 
     // -- publication --------------------------------------------------------
 
-    /// Merge the live rows of both segments into a new base
-    /// ([`Snapshot::merge_live`]: nothing is segmented, and while the churn
-    /// rule holds the order and the carried rows' signatures are inherited
-    /// — only the appended rows are signed, only the indexes rebuilt) and
-    /// publish it with no delta and no tombstones. Record ids survive
+    fn writer(&self) -> MutexGuard<'_, WriterState> {
+        relock(&self.shared.writer)
+    }
+
+    /// Start a compaction, under the writer lock with none in flight: log
+    /// the `Compact` frame, seal the vocabulary and capture the published
+    /// snapshot — on replay the frame folds the same tombstones and seals
+    /// the same records the merge does — then hand the merge and index
+    /// build to a thread of their own and return it. The thread re-takes
+    /// the lock only to land ([`Shared::land`]). Record ids survive
     /// compaction — only rows are renumbered.
-    fn compact_locked(&self, w: &mut WriterState) -> Result<u64, ServeError> {
+    fn start_compaction(
+        &self,
+        w: &mut WriterState,
+    ) -> Result<JoinHandle<Result<u64, ServeError>>, ServeError> {
         let start = Instant::now();
-        // Log the compaction point first: on replay it folds the same
-        // tombstones and seals the same records this merge does.
         if let Err(e) = self.logged(w, |wal| wal.append_op(&WalOp::Compact)) {
             return Err(self.enter_degraded("compact", &e));
         }
         let prev = self.snapshot();
-        let generation = w.kn.remint_generation();
+        w.kn.remint_generation();
         // Token ids and segmentations stay valid: the writer lineage's
         // vocabulary only ever appends.
         w.kn.vocab.seal();
         let engine = Arc::new(prev.engine.with_knowledge(w.kn.clone()));
-        let merge_start = Instant::now();
-        let (prepared, ids, carried) = prev.merge_live(&engine, |_| true)?;
-        let (merged, appended) = (merge_start.elapsed(), ids.len() - carried);
-        // An inherited memo is the only thing a merge files.
-        let reranked = prepared.memo_len() == 0;
-        let snap = Snapshot::of_base(&self.cfg, generation, ids, engine, prepared)?;
-        let base = &snap.base_search;
-        let ((ranked_over, churn), signed) = (base.order().age(), base.prepared().records_signed());
-        // ordering: Relaxed — statistics counter only.
-        self.records_signed.fetch_add(signed, Ordering::Relaxed);
-        relock(&self.write_side).1 = CompactionStats {
-            carried: carried as u64,
-            dropped: (prev.base_len() - carried) as u64,
-            appended: appended as u64,
-            merge_nanos: merged.as_nanos() as u64,
-            build_nanos: (merge_start.elapsed() - merged).as_nanos() as u64,
-            signed,
-            reranked,
-            churn: churn as u64,
-            ranked_over: ranked_over as u64,
-        };
-        let gen = self.install(snap);
-        // ordering: Relaxed — statistics counter only.
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        let pause = start.elapsed().as_nanos() as u64;
-        // ordering: Relaxed — statistics value only; no reader derives
-        // control flow or memory visibility from the pause duration.
-        self.last_compact_nanos.store(pause, Ordering::Relaxed);
-        Ok(gen)
+        let (shared, cfg) = (Arc::clone(&self.shared), self.cfg);
+        let build = std::thread::spawn(move || shared.build(cfg, prev, engine));
+        w.building = Some(start.elapsed());
+        relock(&self.shared.write_side).compacting = true;
+        Ok(build)
     }
 
     /// Run one operation on the log, if this service has one, and leave a
@@ -926,27 +1194,21 @@ impl Service {
     ) -> std::io::Result<()> {
         w.wal.as_mut().map_or(Ok(()), |wal| {
             let done = op(wal);
-            relock(&self.write_side).0 = wal.stats();
+            relock(&self.shared.write_side).wal = wal.stats();
             done
         })
     }
+}
 
-    /// The single point where a snapshot becomes visible: one pointer
-    /// swap under the write lock, then the generation watermark.
-    fn install(&self, snap: Snapshot) -> u64 {
-        let gen = snap.generation();
-        let arc = Arc::new(snap);
-        {
-            let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
-            *cur = arc;
+impl Drop for Service {
+    /// Join a threshold-started compaction still in flight: it lands (in
+    /// memory only — it writes no frame) and no thread outlives the
+    /// service.
+    fn drop(&mut self) {
+        let build = self.writer().build.take();
+        if let Some(build) = build {
+            let _ = build.join();
         }
-        // ordering: Release pairs with the Acquire load in `generation`
-        // — a reader that observes this watermark and then takes the
-        // snapshot read lock sees a snapshot at least this new (the
-        // write-lock release above happened-before this store, and the
-        // reader's lock acquisition synchronizes with it).
-        self.published_gen.store(gen, Ordering::Release);
-        gen
     }
 }
 
@@ -1360,6 +1622,10 @@ mod tests {
     /// order: at each one the live base must return the fresh rebuild's
     /// matches, and its filter must stay about as selective — candidates
     /// per query within 2 % of a fresh ranking's over the same queries.
+    /// A compaction lands off the writer's thread, so the writes keep
+    /// going while it builds and the snapshot it lands in may already
+    /// hold carried rows: it is seen by the `compactions` counter, and
+    /// only its base is compared.
     #[test]
     fn forty_inherited_compactions_keep_the_filter_as_selective() {
         // 48 words of skewed popularity, four to a record.
@@ -1386,7 +1652,8 @@ mod tests {
         let kn = KnowledgeBuilder::new().build();
         let s = Service::build(kn, seed.iter().map(String::as_str), cfg).unwrap();
         let (mut writes, mut oldest, mut inherited) = (0usize, 0u64, 0u64);
-        while s.stats().compactions < 40 {
+        let (mut seen, mut checked) = (0u64, 0u64);
+        while checked < 40 {
             s.search(&queries[writes % queries.len()]).unwrap();
             if writes % 4 == 3 {
                 s.delete_record(oldest).unwrap();
@@ -1395,12 +1662,15 @@ mod tests {
                 s.insert_record(&line()).unwrap();
             }
             writes += 1;
-            let snap = s.snapshot();
-            if !snap.is_compact() {
+            let stats = s.stats();
+            if stats.compactions == seen {
                 continue;
             }
-            // Just compacted: one segment, comparable to a rebuild of it.
-            inherited += u64::from(!s.stats().last_compact.reranked);
+            // Just landed: the base is one fresh segment, comparable to a
+            // rebuild of it (what `stats` counted, the snapshot holds).
+            (seen, checked) = (stats.compactions, checked + 1);
+            let snap = s.snapshot();
+            inherited += u64::from(!stats.last_compact.reranked);
             let engine = Engine::new(snap.knowledge().clone(), cfg.sim).unwrap();
             let base = snap.base_search.prepared();
             let rebuilt = engine.prepare_owned(base.corpus().clone()).unwrap();
@@ -1513,6 +1783,177 @@ mod tests {
             assert!(after.wal.bytes > before.wal.bytes);
             assert_eq!(after.generation, receipt.generation);
         });
+    }
+
+    /// The insert that reaches the threshold returns once its `Compact`
+    /// frame is logged; the merge and index build run with no lock held —
+    /// parked here at the test's gate — while inserts and deletes land.
+    /// The swap carries them into the new snapshot (rows renumbered, not
+    /// re-segmented; tombstones still masking), and the answers equal a
+    /// fresh prepare's before, during and after it, and a recovered
+    /// service's, whose replay folds at the same frame.
+    #[test]
+    fn a_parked_build_carries_the_writes_that_land_meanwhile() {
+        use crate::storage::MemStorage;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let live_cfg = ServeConfig {
+            compact_threshold: 3,
+            ..cfg()
+        };
+        let mem = MemStorage::new();
+        let kn = KnowledgeBuilder::new().build();
+        let s = Service::create_with(kn, LINES, live_cfg, Box::new(mem.clone())).unwrap();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *relock(&s.shared.gate) = Some((entered_tx, release_rx));
+        let queries = [
+            "coffee shop downtown main plaza",
+            "tea house uptown annex",
+            "bakery and tea main street",
+            "juice bar uptown plaza",
+            "espresso bar main street",
+            "coffee shop downtown main street",
+        ];
+        let check = |svc: &Service, stage: &str| {
+            let snap = svc.snapshot();
+            for q in queries {
+                let served = svc.search(q).unwrap();
+                assert_eq!(served.generation, snap.generation(), "{stage}");
+                let want = reference_search(&snap, svc.config(), q);
+                assert_eq!(
+                    served.matches, want,
+                    "{stage}: served ≠ fresh prepare for {q:?}"
+                );
+            }
+        };
+        check(&s, "before");
+        s.insert_record("coffee shop downtown main plaza").unwrap();
+        s.delete_record(1).unwrap();
+        s.insert_record("tea house uptown annex").unwrap();
+        let trigger = s.insert_record("espresso bar uptown plaza").unwrap();
+        assert_eq!(
+            trigger.generation,
+            s.generation(),
+            "the insert's own publication"
+        );
+        entered
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the build reaches the gate with no lock held");
+        let during = s.stats();
+        assert!(during.compacting);
+        assert_eq!((during.compactions, during.delta_len), (0, 3));
+        // Writes land while the build is parked: two inserts, and deletes
+        // of a base row it carries, a row it appends and a row that
+        // arrived after it started.
+        let late = s.insert_record("bakery and tea main street").unwrap().id;
+        s.insert_record("juice bar uptown plaza").unwrap();
+        s.delete_record(0).unwrap();
+        s.delete_record(trigger.id).unwrap();
+        s.delete_record(late).unwrap();
+        assert_eq!(
+            s.delete_record(1),
+            Err(ServeError::AlreadyDeleted { id: 1 })
+        );
+        let during = s.stats();
+        assert!(
+            during.compacting,
+            "one build in flight, none started beside it"
+        );
+        assert_eq!((during.delta_len, during.tombstones), (5, 4));
+        check(&s, "during");
+        let swapped_from = s.generation();
+        release.send(()).expect("the parked build is listening");
+        drop(s.shared.settled());
+        let after = s.stats();
+        assert!(!after.compacting);
+        assert_eq!(after.compactions, 1);
+        assert!(after.generation > swapped_from);
+        let shape = after.last_compact;
+        assert_eq!((shape.dropped, shape.appended), (1, 3), "{shape:?}");
+        assert_eq!((shape.carried_rows, shape.carried_tombstones), (2, 3));
+        assert_eq!((after.delta_len, after.tombstones), (2, 3));
+        assert_eq!(after.live, during.live);
+        assert!(after.last_compact_nanos > 0);
+        check(&s, "after");
+        // Replay folds at the `Compact` frame: the same split.
+        let reopened = Service::open_with(
+            KnowledgeBuilder::new().build(),
+            cfg(),
+            Box::new(MemStorage::with_bytes(mem.bytes())),
+        )
+        .unwrap();
+        let (live, again) = (s.snapshot(), reopened.snapshot());
+        assert_eq!(again.base_ids, live.base_ids);
+        assert_eq!(again.tombstone_len(), live.tombstone_len());
+        for q in queries {
+            assert_eq!(
+                reopened.search(q).unwrap().matches,
+                s.search(q).unwrap().matches
+            );
+        }
+        // The next compaction folds what was carried.
+        s.compact().unwrap();
+        assert!(s.snapshot().is_compact());
+        assert_eq!(s.stats().last_compact.appended, 1);
+        check(&s, "carried rows folded");
+    }
+
+    /// A build parked off-lock lets the delta grow to twice the threshold,
+    /// no further: the insert that finds it there waits for the swap, and
+    /// then starts the next compaction over the rows the swap carried.
+    #[test]
+    fn an_insert_at_twice_the_threshold_waits_for_the_swap() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let s = svc(ServeConfig {
+            compact_threshold: 2,
+            ..cfg()
+        });
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *relock(&s.shared.gate) = Some((entered_tx, release_rx));
+        s.insert_record("first extra record").unwrap();
+        s.insert_record("second extra record").unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the build parks");
+        s.insert_record("third extra record").unwrap();
+        s.insert_record("fourth extra record").unwrap();
+        assert_eq!(s.stats().delta_len, 4);
+        // A second gate, for the compaction the waiting insert starts.
+        let (entered_tx, entered) = mpsc::channel();
+        let (release_next, release_rx) = mpsc::channel();
+        *relock(&s.shared.gate) = Some((entered_tx, release_rx));
+        let s = &s;
+        std::thread::scope(|scope| {
+            let (done_tx, done) = mpsc::channel();
+            scope.spawn(move || {
+                let receipt = s.insert_record("fifth extra record");
+                done_tx.send(receipt).expect("the test is waiting");
+            });
+            assert!(
+                done.recv_timeout(Duration::from_millis(100)).is_err(),
+                "the insert waits while the build is parked"
+            );
+            release.send(()).expect("the parked build is listening");
+            let receipt = done
+                .recv_timeout(Duration::from_secs(60))
+                .expect("it lands");
+            assert!(s.snapshot().is_live(receipt.unwrap().id));
+        });
+        entered
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the waiting insert started the next compaction");
+        let stats = s.stats();
+        assert_eq!((stats.compactions, stats.delta_len), (1, 3));
+        assert!(stats.compacting);
+        assert_eq!(stats.last_compact.carried_rows, 2);
+        release_next
+            .send(())
+            .expect("the parked build is listening");
+        drop(s.shared.settled());
+        assert_eq!((s.stats().compactions, s.stats().delta_len), (2, 0));
     }
 
     /// The write-ahead log of a service built at the commit before
@@ -1633,12 +2074,17 @@ mod tests {
         assert_eq!(s.stats().compactions, 0);
         assert_eq!(s.snapshot().delta_len(), 1);
         let m = s.insert_record("second extra record").unwrap();
+        // The receipt is the insert's own publication; the compaction it
+        // started lands off the writer's thread, later.
+        let after_insert = s.stats();
+        assert!(after_insert.compacting || after_insert.compactions == 1);
+        drop(s.shared.settled());
         assert_eq!(s.stats().compactions, 1, "threshold reached");
+        assert!(!s.stats().compacting);
         assert_eq!(s.snapshot().delta_len(), 0);
-        assert_eq!(
-            s.generation(),
-            m.generation,
-            "receipt names the compacted generation"
+        assert!(
+            s.generation() > m.generation,
+            "the compaction lands under a later generation than the receipt's"
         );
         assert!(s.snapshot().is_live(m.id));
     }

@@ -44,6 +44,18 @@ impl DeltaRow {
         let seg = Arc::new(segment_record(kn, cfg, &record.tokens));
         Self { id, record, seg }
     }
+
+    /// This row as delta row `position` of another snapshot: the same
+    /// segmented record, shared, not re-segmented.
+    pub(crate) fn renumbered(&self, position: usize) -> Self {
+        let mut record = self.record.clone();
+        record.id = RecordId(position as u32);
+        Self {
+            id: self.id,
+            record,
+            seg: Arc::clone(&self.seg),
+        }
+    }
 }
 
 /// One immutable published state of the service: everything a query
@@ -72,7 +84,8 @@ pub struct Snapshot {
     pub(crate) generation: u64,
     pub(crate) base_ids: Arc<Vec<u64>>,
     pub(crate) base_search: Arc<SnapshotSearcher>,
-    /// The service's validated θ-spec (the base searcher's own).
+    /// The service's validated θ-spec (the base searcher's own: serial
+    /// for a base a compaction built, which no query path reads).
     pub(crate) spec: JoinSpec,
     /// Engine over the newest knowledge of the lineage: the base engine
     /// until an insert interns past it, then a cheap clone per insert.
@@ -130,17 +143,19 @@ pub struct JoinWindowResponse {
 }
 
 impl Snapshot {
-    /// `prepared` (prepared or merged by `engine`) made searchable at the
-    /// service spec: a base segment with no delta and no tombstones.
+    /// `prepared` (prepared or merged by `engine`) made searchable at
+    /// `spec` — the service spec, serial or not (a query reads the same
+    /// artifacts either way): a base segment with no delta and no
+    /// tombstones.
     pub(crate) fn of_base(
         cfg: &ServeConfig,
+        spec: JoinSpec,
         generation: u64,
         base_ids: Vec<u64>,
         engine: Arc<Engine>,
         prepared: Prepared,
     ) -> Result<Self, ServeError> {
         let prepared = Arc::new(prepared.with_memo_capacity(cfg.memo_capacity));
-        let spec = cfg.spec();
         let base_search = Engine::snapshot_searcher(engine.clone(), prepared, &spec)?;
         Ok(Self {
             generation,

@@ -14,7 +14,7 @@
 
 use au_join::core::engine::{Engine, JoinSpec};
 use au_join::core::signature::FilterKind;
-use au_join::serve::{ServeConfig, Service};
+use au_join::serve::{ServeConfig, Service, Snapshot};
 use au_join::text::record::Corpus;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -71,11 +71,96 @@ fn live_at(events: &[(u64, Op)], gen: u64) -> BTreeSet<u64> {
 
 #[test]
 fn readers_never_observe_stale_or_torn_state() {
+    readers_race_one_writer(config());
+}
+
+/// The same race with compactions started by the threshold instead of
+/// called: each one builds on a thread of its own while the writer goes
+/// on, and lands whenever it is done. Every snapshot a landing published
+/// must answer as a monolithic rebuild of its live records.
+#[test]
+fn readers_never_observe_stale_or_torn_state_under_auto_compaction() {
+    let auto = ServeConfig {
+        compact_threshold: 4,
+        ..config()
+    };
+    let (svc, landed) = readers_race_one_writer(auto);
+    let stats = svc.stats();
+    assert!(
+        stats.compactions + u64::from(stats.compacting) >= 1,
+        "the fourth insert starts a compaction"
+    );
+    svc.compact().unwrap();
+    for snap in landed.iter().chain([&svc.snapshot()]) {
+        assert_answers_as_a_rebuild(&svc, snap);
+    }
+}
+
+/// Dropping a service joins the compaction it started: the build thread
+/// holds the snapshot it folds, and that is gone once `drop` returns.
+#[test]
+fn dropping_a_service_joins_its_compaction() {
+    let auto = ServeConfig {
+        compact_threshold: 1,
+        ..config()
+    };
+    let kn = au_join::prelude::KnowledgeBuilder::new().build();
+    let svc = Service::build(kn, initial_lines().iter().map(|s| s.as_str()), auto).unwrap();
+    svc.insert_record(&inserted_line(0)).unwrap();
+    let folded = Arc::downgrade(&svc.snapshot());
+    drop(svc);
+    assert!(
+        folded.upgrade().is_none(),
+        "a build thread outlived its service"
+    );
+}
+
+/// Answers of `snap` against a fresh prepare of its live records, for the
+/// initial lines, the inserted lines and a miss.
+fn assert_answers_as_a_rebuild(svc: &Service, snap: &Snapshot) {
+    let engine = Engine::new(snap.knowledge().clone(), svc.config().sim).unwrap();
+    let mut corpus = Corpus::new();
+    let mut gids: Vec<u64> = Vec::new();
+    for (gid, rec) in snap.live_records() {
+        corpus.push_tokens(rec.tokens.clone(), rec.raw.clone());
+        gids.push(gid);
+    }
+    let prepared = engine.prepare_owned(corpus).unwrap();
+    let spec = JoinSpec::threshold(svc.config().theta).filter(svc.config().filter);
+    let searcher = engine.searcher(&prepared, &spec).unwrap();
+    for q in initial_lines()
+        .iter()
+        .cloned()
+        .chain((0..INSERTS).map(inserted_line))
+        .chain(["no such tokens anywhere".to_string()])
+    {
+        let reference: Vec<(u64, f64)> = searcher
+            .query(&q)
+            .matches
+            .iter()
+            .map(|&(row, sim)| (gids[row as usize], sim))
+            .collect();
+        let served = snap.search(&q);
+        assert_eq!(
+            served.matches,
+            reference,
+            "generation {}: {q:?}",
+            snap.generation()
+        );
+    }
+}
+
+/// `READERS` threads query while one writer runs the insert/delete script
+/// (and, when `cfg` does not compact by threshold, an explicit compaction
+/// every tenth insert). Returns the service and every snapshot the writer
+/// saw a compaction land in.
+fn readers_race_one_writer(cfg: ServeConfig) -> (Arc<Service>, Vec<Arc<Snapshot>>) {
+    let explicit = cfg.compact_threshold == 0;
     let svc = Arc::new(
         Service::build(
             au_join::prelude::KnowledgeBuilder::new().build(),
             initial_lines().iter().map(|s| s.as_str()),
-            config(),
+            cfg,
         )
         .unwrap(),
     );
@@ -88,6 +173,7 @@ fn readers_never_observe_stale_or_torn_state() {
         .collect();
 
     let mut events: Vec<(u64, Op)> = Vec::new();
+    let mut landed: Vec<Arc<Snapshot>> = Vec::new();
     let mut observations: Vec<(u64, u64, String, Vec<u64>)> = Vec::new();
 
     std::thread::scope(|s| {
@@ -95,6 +181,8 @@ fn readers_never_observe_stale_or_torn_state() {
             let svc = Arc::clone(&svc);
             s.spawn(move || {
                 let mut log = Vec::new();
+                let mut landed = Vec::new();
+                let mut compactions = 0;
                 for i in 0..INSERTS {
                     let m = svc.insert_record(&inserted_line(i)).unwrap();
                     assert_eq!(m.id, (INITIAL + i) as u64, "ids mint densely");
@@ -106,15 +194,20 @@ fn readers_never_observe_stale_or_torn_state() {
                         let d = svc.delete_record(victim).unwrap();
                         log.push((d.generation, Op::Delete(victim)));
                     }
-                    if i % 10 == 9 {
+                    if explicit && i % 10 == 9 {
                         let g = svc.compact().unwrap();
                         log.push((g, Op::Compact));
                         let snap = svc.snapshot();
                         assert_eq!(snap.delta_len(), 0, "compaction folded the delta");
                         assert_eq!(snap.tombstone_len(), 0, "compaction folded tombstones");
                     }
+                    let stats = svc.stats();
+                    if stats.compactions > compactions {
+                        compactions = stats.compactions;
+                        landed.push(svc.snapshot());
+                    }
                 }
-                log
+                (log, landed)
             })
         };
 
@@ -156,7 +249,7 @@ fn readers_never_observe_stale_or_torn_state() {
             })
             .collect();
 
-        events = writer.join().unwrap();
+        (events, landed) = writer.join().unwrap();
         for r in readers {
             observations.extend(r.join().unwrap());
         }
@@ -199,6 +292,7 @@ fn readers_never_observe_stale_or_torn_state() {
             }
         }
     }
+    (svc, landed)
 }
 
 #[test]

@@ -159,52 +159,188 @@ fn crash_point_sweep_recovers_exactly_the_acknowledged_prefix() {
     cuts.sort_unstable();
     cuts.dedup();
 
+    for &cut in &cuts {
+        assert_recovers_the_prefix(&bytes, cut);
+    }
+}
+
+/// Crash the log `bytes` at byte `cut` and recover: exactly the
+/// acknowledged prefix is live, it answers as a fresh prepare of that
+/// prefix's live corpus, and the id mint resumes right after it.
+fn assert_recovers_the_prefix(bytes: &[u8], cut: u64) {
     let qs = queries();
     let q_refs: Vec<&str> = qs.iter().map(|s| s.as_str()).collect();
-    for &cut in &cuts {
-        let prefix = bytes[..cut as usize].to_vec();
-        let scanned = scan_log(&prefix).unwrap();
-        let live = live_from_ops(&scanned.ops);
+    let prefix = bytes[..cut as usize].to_vec();
+    let scanned = scan_log(&prefix).unwrap();
+    let live = live_from_ops(&scanned.ops);
 
-        let recovered =
-            Service::open_with(fresh_kn(), cfg(), Box::new(MemStorage::with_bytes(prefix)))
-                .unwrap();
-        assert!(!recovered.is_degraded(), "cut {cut}: clean recovery");
-        let stats = recovered.stats();
-        assert_eq!(
-            stats.wal.replayed_frames,
-            scanned.ops.len() as u64,
-            "cut {cut}: replay count"
+    let recovered =
+        Service::open_with(fresh_kn(), cfg(), Box::new(MemStorage::with_bytes(prefix))).unwrap();
+    assert!(!recovered.is_degraded(), "cut {cut}: clean recovery");
+    let stats = recovered.stats();
+    assert_eq!(
+        stats.wal.replayed_frames,
+        scanned.ops.len() as u64,
+        "cut {cut}: replay count"
+    );
+    assert_eq!(stats.live, live.len(), "cut {cut}: live set size");
+    for (id, _) in &live {
+        assert!(
+            recovered.snapshot().is_live(*id),
+            "cut {cut}: acknowledged record {id} lost"
         );
-        assert_eq!(stats.live, live.len(), "cut {cut}: live set size");
-        for (id, _) in &live {
-            assert!(
-                recovered.snapshot().is_live(*id),
-                "cut {cut}: acknowledged record {id} lost"
-            );
-        }
+    }
 
-        let want = reference_answers(&live, &cfg(), &q_refs);
-        for (q, want) in q_refs.iter().zip(&want) {
-            let got: Vec<(u64, f64)> = recovered.search(q).unwrap().matches;
-            assert_eq!(&got, want, "cut {cut}: served ≠ monolithic for {q:?}");
-        }
+    let want = reference_answers(&live, &cfg(), &q_refs);
+    for (q, want) in q_refs.iter().zip(&want) {
+        let got: Vec<(u64, f64)> = recovered.search(q).unwrap().matches;
+        assert_eq!(&got, want, "cut {cut}: served ≠ monolithic for {q:?}");
+    }
 
-        // The id mint continues past the recovered history: ids stay
-        // gap-free with respect to the acknowledged prefix.
-        let next = recovered.insert_record("post recovery probe").unwrap();
-        let max_acked = scanned
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                WalOp::Insert { id, .. } => Some(*id),
-                _ => None,
-            })
-            .max();
+    // The id mint continues past the recovered history: ids stay
+    // gap-free with respect to the acknowledged prefix.
+    let next = recovered.insert_record("post recovery probe").unwrap();
+    let max_acked = scanned
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            WalOp::Insert { id, .. } => Some(*id),
+            _ => None,
+        })
+        .max();
+    assert_eq!(
+        next.id,
+        max_acked.map(|m| m + 1).unwrap_or(0),
+        "cut {cut}: id mint must resume exactly after the prefix"
+    );
+}
+
+/// A durable service over `LINES` plus a few hundred filler records — a
+/// base whose merge and index build take far longer than a write does —
+/// that starts a compaction every `threshold` delta records.
+fn background_service(mem: &MemStorage, threshold: usize) -> Service {
+    let filler = (0..240).map(|i| format!("filler record {i} kind{} lane{}", i % 7, i % 11));
+    let lines: Vec<String> = LINES.iter().map(|l| l.to_string()).chain(filler).collect();
+    let cfg = ServeConfig {
+        compact_threshold: threshold,
+        ..cfg()
+    };
+    let lines = lines.iter().map(String::as_str);
+    Service::create_with(fresh_kn(), lines, cfg, Box::new(mem.clone())).unwrap()
+}
+
+/// Insert until an insert reaches the threshold and starts a compaction.
+fn start_a_compaction(svc: &Service, next: &mut usize) {
+    let before = svc.stats().compactions;
+    loop {
+        let stats = svc.stats();
+        if stats.compacting || stats.compactions > before {
+            return;
+        }
+        svc.insert_record(&format!("harbor cart item {next} alpha"))
+            .unwrap();
+        *next += 1;
+    }
+}
+
+fn wait_for_the_swap(svc: &Service) {
+    while svc.stats().compacting {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A compaction the threshold starts logs its `Compact` frame and returns;
+/// its merge and index build run off the writer lock while inserts and
+/// deletes land, and its swap carries them. Crash at every frame boundary
+/// and mid-frame offset from there on — before and after the `Compact`
+/// frame, between the writes that landed mid-build, after the swap — and
+/// recovery must equal a fresh prepare of the acknowledged prefix.
+#[test]
+fn crash_sweep_across_a_background_compaction() {
+    let mem = MemStorage::new();
+    let svc = background_service(&mem, 4);
+    let seeded = mem.bytes().len() as u64;
+    let (mut next, mut next_base) = (0usize, 0u64);
+    // The mid-build writes take microseconds and the build milliseconds,
+    // so the first try almost always lands them all before the swap; a
+    // try whose build swapped in first is simply part of the history.
+    let mut carried = None;
+    for _ in 0..20 {
+        start_a_compaction(&svc, &mut next);
+        let mid = svc.insert_record("espresso cart harbor walk").unwrap();
+        svc.insert_record("noodle stand harbor annex").unwrap();
+        svc.delete_record(next_base).unwrap();
+        next_base += 1;
+        svc.delete_record(mid.id).unwrap();
+        let in_flight = svc.stats().compacting;
+        wait_for_the_swap(&svc);
+        if in_flight {
+            carried = Some(svc.stats().last_compact);
+            break;
+        }
+    }
+    let shape = carried.expect("no try landed its writes before the swap");
+    assert_eq!((shape.carried_rows, shape.carried_tombstones), (2, 2));
+    // After the swap.
+    svc.insert_record("juice bar uptown plaza").unwrap();
+    svc.delete_record(next_base).unwrap();
+    drop(svc);
+
+    let bytes = mem.bytes();
+    let bounds: Vec<u64> = frame_boundaries(&bytes)
+        .into_iter()
+        .filter(|&b| b >= seeded)
+        .collect();
+    let ops = scan_log(&bytes).unwrap().ops;
+    assert!(ops.iter().any(|op| matches!(op, WalOp::Compact)));
+    let mut cuts = bounds.clone();
+    cuts.extend(bounds.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2));
+    cuts.sort_unstable();
+    for cut in cuts {
+        assert_recovers_the_prefix(&bytes, cut);
+    }
+}
+
+/// `save()` issued while a threshold-started build is in flight waits for
+/// its swap, folds what the swap carried, and checkpoints that state: the
+/// rewritten log replays to the live answers.
+#[test]
+fn save_during_a_background_compaction_checkpoints_the_post_swap_state() {
+    let mem = MemStorage::new();
+    let svc = background_service(&mem, 4);
+    start_a_compaction(&svc, &mut 0);
+    svc.insert_record("espresso cart harbor walk").unwrap();
+    svc.delete_record(0).unwrap();
+    let gen = svc.save().unwrap();
+    let stats = svc.stats();
+    assert!(!stats.compacting);
+    assert_eq!(gen, stats.generation);
+    assert_eq!(
+        (stats.delta_len, stats.tombstones),
+        (0, 0),
+        "save folds what the swap carried"
+    );
+    let ops = scan_log(&mem.bytes()).unwrap().ops;
+    assert!(matches!(ops.first(), Some(WalOp::Checkpoint { .. })));
+    assert!(matches!(ops.last(), Some(WalOp::Compact)));
+    assert_eq!(ops.len(), stats.live + 2);
+
+    let live = live_from_ops(&ops);
+    let qs = queries();
+    let q_refs: Vec<&str> = qs.iter().map(|s| s.as_str()).collect();
+    let want = reference_answers(&live, &cfg(), &q_refs);
+    let recovered = Service::open_with(
+        fresh_kn(),
+        cfg(),
+        Box::new(MemStorage::with_bytes(mem.bytes())),
+    )
+    .unwrap();
+    for (q, want) in q_refs.iter().zip(&want) {
+        assert_eq!(&svc.search(q).unwrap().matches, want, "live {q:?}");
         assert_eq!(
-            next.id,
-            max_acked.map(|m| m + 1).unwrap_or(0),
-            "cut {cut}: id mint must resume exactly after the prefix"
+            &recovered.search(q).unwrap().matches,
+            want,
+            "recovered {q:?}"
         );
     }
 }
@@ -447,11 +583,14 @@ proptest! {
     /// acknowledged history (with transient faults and healing along
     /// the way) and a crash at an arbitrary log cut, recovery equals
     /// the monolithic prepare of the acknowledged-prefix live corpus.
+    /// A nonzero `compact_every` lets inserts start compactions that build
+    /// in the background, and puts `Compact` frames in the fault schedule.
     #[test]
     fn recovery_equals_prefix_replay(
         choices in prop::collection::vec((0u8..10, 0usize..32), 4..24),
         fault_seed in 0u64..1_000,
         cut_frac in 0.0f64..1.0,
+        compact_every in 0usize..4,
     ) {
         let mem = MemStorage::new();
         let plan = FaultPlan::new(fault_seed)
@@ -459,7 +598,8 @@ proptest! {
             .with_sync_fault_per_mille(100)
             .with_skip_calls(4);
         let faulty = FaultyStorage::new(Box::new(mem.clone()), plan);
-        let svc = Service::create_with(fresh_kn(), LINES, cfg(), Box::new(faulty)).unwrap();
+        let live_cfg = ServeConfig { compact_threshold: compact_every, ..cfg() };
+        let svc = Service::create_with(fresh_kn(), LINES, live_cfg, Box::new(faulty)).unwrap();
 
         for (kind, x) in choices {
             let r = match kind {
