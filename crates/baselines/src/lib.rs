@@ -19,13 +19,11 @@
 pub mod adaptjoin;
 pub mod combination;
 pub mod kjoin;
-pub mod kjoin_plus;
 pub mod pkduck;
 
 pub use adaptjoin::{adapt_join, AdaptJoinConfig};
 pub use combination::combination_join;
 pub use kjoin::{k_join, KJoinConfig};
-pub use kjoin_plus::{k_join_plus, KJoinPlusConfig};
 pub use pkduck::{pkduck_join, PkduckConfig};
 
 use std::time::Duration;

@@ -1,7 +1,8 @@
 //! Runs every experiment in sequence and prints the full evaluation.
 //!
-//! `AU_SCALE` scales every dataset (default 1.0). Output is the content
-//! recorded in EXPERIMENTS.md.
+//! `AU_SCALE` scales every dataset (default 1.0). The reproduction
+//! targets are the tables' shapes, not their numbers (DESIGN.md
+//! "Substitutions (data)").
 use std::time::Instant;
 
 fn main() {

@@ -12,7 +12,7 @@
 //! panics). The absolute numbers differ from
 //! the paper (synthetic data, different hardware, Rust vs JVM); the
 //! *shapes* — who wins, by what factor, where the knees are — are the
-//! reproduction targets recorded in EXPERIMENTS.md.
+//! reproduction targets (DESIGN.md "Substitutions (data)").
 //!
 //! Besides the paper experiments, [`perf`] is the machine-readable
 //! counterpart: `--bin perf` emits `BENCH_<name>.json` artifacts

@@ -125,8 +125,7 @@ pub enum GramMeasure {
     Cosine,
     /// `|A∩B| / min(|A|,|B|)`. No useful one-sided filter bound exists
     /// (the other side may be a single shared gram), so gram pebbles get
-    /// weight 1 — correct but with much weaker pruning; see the
-    /// gram-measure ablation bench.
+    /// weight 1 — correct but with much weaker pruning.
     Overlap,
 }
 

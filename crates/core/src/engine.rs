@@ -14,7 +14,7 @@
 //!        ├─ join / join_self / join_sink  (threshold, streaming optional)
 //!        ├─ topk / topk_self              (threshold descent)
 //!        ├─ searcher(..).query(..)        (online search, no &mut)
-//!        └─ suggest_tau / calibrate / filter_outcome / probe (tuning)
+//!        └─ suggest_tau / calibrate / filter_outcome (tuning)
 //!   └─ scan(session, rows, query)        filterless search over loose
 //!                                        SegRecords (small append-only
 //!                                        segments; no Prepared at all)
@@ -22,7 +22,7 @@
 //!
 //! A [`Prepared`] lazily memoizes the order-dependent artifacts — the
 //! global [`PebbleOrder`], signature key sets ([`SelectedSignatures`]) and
-//! the CSR inverted index — keyed by `(order, θ, filter, MP mode)`, so a
+//! the CSR inverted index — keyed by `(order, θ, filter)`, so a
 //! `tune_tau`-then-join workflow, a top-k descent revisiting a θ, or a
 //! search following a join never prepares (or re-selects) the same thing
 //! twice. Pebble lists are never resident: a record's pebbles exist only
@@ -54,12 +54,11 @@ use crate::join::{
 };
 use crate::knowledge::Knowledge;
 use crate::pebble::{DocFreqs, PebbleOrder};
-use crate::probe::{probe_loop, ProbeOutcome};
 use crate::search::{run_scan, SearchCore, SearchOutcome};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, segment_stats, SegRecord};
 use crate::shard::{shard_pair_compatible, ShardPlan, ShardSpec, ShardedPrepared};
-use crate::signature::{FilterKind, MpMode};
+use crate::signature::FilterKind;
 use crate::suggest::{suggest_loop, SuggestConfig, SuggestOutcome};
 use crate::topk::TopkResult;
 use crate::usim::{usim_approx_seg, GramPostingsIndex, Verifier, VerifyScratch, VerifyTiers};
@@ -139,7 +138,6 @@ pub struct JoinSpec {
     mode: SpecMode,
     pub(crate) theta: f64,
     pub(crate) filter: FilterKind,
-    pub(crate) mp_mode: MpMode,
     pub(crate) parallel: bool,
     k: usize,
     theta_start: f64,
@@ -150,14 +148,12 @@ pub struct JoinSpec {
 impl JoinSpec {
     /// Threshold mode: report every pair with `USIM ≥ theta`.
     ///
-    /// Defaults: U-Filter, exact-DP minimum partitions, parallel
-    /// execution.
+    /// Defaults: U-Filter, parallel execution.
     pub fn threshold(theta: f64) -> Self {
         Self {
             mode: SpecMode::Threshold,
             theta,
             filter: FilterKind::UFilter,
-            mp_mode: MpMode::ExactDp,
             parallel: true,
             k: 0,
             theta_start: 0.95,
@@ -199,12 +195,6 @@ impl JoinSpec {
     /// Use an explicit [`FilterKind`].
     pub fn filter(mut self, filter: FilterKind) -> Self {
         self.filter = filter;
-        self
-    }
-
-    /// Minimum-partition bound mode (default exact DP).
-    pub fn mp_mode(mut self, mp: MpMode) -> Self {
-        self.mp_mode = mp;
         self
     }
 
@@ -259,8 +249,8 @@ impl JoinSpec {
     }
 
     /// Validate for a threshold-mode operation (the stage functions read
-    /// `theta` / `filter` / `mp_mode` / `parallel` straight off a spec
-    /// that passed this).
+    /// `theta` / `filter` / `parallel` straight off a spec that passed
+    /// this).
     fn validate_threshold(&self) -> Result<(), AuError> {
         if self.mode != SpecMode::Threshold {
             return Err(Self::invalid(
@@ -347,7 +337,6 @@ struct SigKey {
     order: OrderKey,
     theta_bits: u64,
     filter: FilterKind,
-    mp_mode: MpMode,
 }
 
 impl SigKey {
@@ -356,15 +345,12 @@ impl SigKey {
             order,
             theta_bits: spec.theta.to_bits(),
             filter: spec.filter,
-            mp_mode: spec.mp_mode,
         }
     }
 
     /// A spec selecting what this key memoizes.
     fn spec(&self) -> JoinSpec {
-        JoinSpec::threshold(f64::from_bits(self.theta_bits))
-            .filter(self.filter)
-            .mp_mode(self.mp_mode)
+        JoinSpec::threshold(f64::from_bits(self.theta_bits)).filter(self.filter)
     }
 }
 
@@ -617,7 +603,7 @@ impl Prepared {
     /// Number of memoized artifacts currently retained.
     ///
     /// The memo grows by two entries — signatures and CSR index — per
-    /// distinct `(order, θ, filter, MP mode)` combination, plus one per
+    /// distinct `(order, θ, filter)` combination, plus one per
     /// distinct order (the per-corpus transposed posting index is not
     /// counted here). By default it never evicts: a service exposing
     /// *user-chosen* thresholds to a long-lived `Prepared` should either
@@ -843,9 +829,8 @@ impl Engine {
     /// [`Engine::prepare`] taking the corpus by value — the zero-copy
     /// path for services that don't keep their own handle. The corpus is
     /// retained inside the [`Prepared`] (sampling for
-    /// [`Engine::suggest_tau`]/[`Engine::probe`] and result rendering
-    /// need the records), so `prepare(&c)` costs one deep corpus clone
-    /// that this variant avoids.
+    /// [`Engine::suggest_tau`] and result rendering need the records), so
+    /// `prepare(&c)` costs one deep corpus clone that this variant avoids.
     pub fn prepare_owned(&self, corpus: Corpus) -> Result<Prepared, AuError> {
         self.check_tokens(&corpus)?;
         Ok(self.prepare_trusted(corpus))
@@ -1875,42 +1860,6 @@ impl Engine {
         }))
     }
 
-    /// Pilot-based sampling-probability tuner (the paper's stated future
-    /// work) on prepared corpora.
-    pub fn probe(
-        &self,
-        s: &Prepared,
-        t: &Prepared,
-        theta: f64,
-        model: &CostModel,
-        spec: &ProbeSpec,
-    ) -> Result<ProbeOutcome, AuError> {
-        self.check(s)?;
-        self.check(t)?;
-        if spec.candidates.is_empty() {
-            return Err(AuError::InvalidSpec {
-                field: "candidates",
-                message: "need at least one candidate probability".into(),
-            });
-        }
-        if spec.universe.is_empty() {
-            return Err(AuError::InvalidSpec {
-                field: "universe",
-                message: "the τ universe must not be empty".into(),
-            });
-        }
-        Ok(probe_loop(
-            &s.corpus,
-            &t.corpus,
-            model,
-            &spec.candidates,
-            &spec.universe,
-            spec.pilot_iters,
-            spec.seed,
-            |a, b, f| self.sample_counts(a, b, theta, f),
-        ))
-    }
-
     // -- one-off similarities -----------------------------------------------
 
     /// Unified similarity of two prepared records (Algorithm 1).
@@ -2021,19 +1970,6 @@ impl StatAgg {
             shard_tasks_pruned: self.pruned,
         }
     }
-}
-
-/// Per-probe tuner parameters for [`Engine::probe`].
-#[derive(Debug, Clone)]
-pub struct ProbeSpec {
-    /// Candidate sampling probabilities to pilot.
-    pub candidates: Vec<f64>,
-    /// τ universe the suggestion loop would use.
-    pub universe: Vec<u32>,
-    /// Pilot iterations per candidate (≥ 2; 5–8 is plenty).
-    pub pilot_iters: usize,
-    /// RNG seed (all sampling deterministic given this).
-    pub seed: u64,
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!    filter (U / AU-heuristic / AU-DP) and keep the prefix's distinct
 //!    keys ([`record_signature`], [`SelectedSignatures`]);
 //! 4. **filter** — probe the CSR index and collect candidate pairs
-//!    sharing ≥ τ signature pebbles: [`candidate_pass`];
+//!    sharing ≥ τ signature pebbles: `candidate_pass`;
 //! 5. **verify** — compute the unified similarity (Algorithm 1) of each
 //!    candidate and keep pairs with `USIM ≥ θ`: [`verify_candidates`].
 //!
@@ -111,10 +111,10 @@ pub struct SignatureScratch {
 
 /// Stage 3 for one record, the one record → signature function of joins
 /// and queries alike: generate `sr`'s pebbles into the scratch buffer, sort
-/// them under `order`, select the signature prefix under `spec`'s θ /
-/// filter / MP mode, and return the selection with the prefix's distinct
-/// keys (sorted by `PebbleKey` order). The pebble list does not outlive
-/// the call.
+/// them under `order`, select the signature prefix under `spec`'s θ and
+/// filter, and return the selection with the prefix's distinct keys
+/// (sorted by `PebbleKey` order). The pebble list does not outlive the
+/// call.
 pub fn record_signature(
     kn: &Knowledge,
     cfg: &SimConfig,
@@ -136,7 +136,7 @@ fn signature_of_sorted(
     eps: f64,
     dp: &mut DpScratch,
 ) -> (SignatureChoice, Vec<PebbleKey>) {
-    let choice = select_signature(sr, sorted, spec.filter, spec.theta, eps, spec.mp_mode, dp);
+    let choice = select_signature(sr, sorted, spec.filter, spec.theta, eps, dp);
     let mut keys: Vec<PebbleKey> = sorted[..choice.len].iter().map(|p| p.key).collect();
     // Equal keys are adjacent after the order sort, so this leaves each
     // key once; then from rank order to `PebbleKey` order.
@@ -260,7 +260,7 @@ pub struct FilterOutcome {
 /// the cached tier-0 `(n_tokens, min_partition)` integers and the
 /// verifier's acceptance threshold `θ − ε`.
 #[derive(Debug, Clone, Copy)]
-pub struct CompatCtx<'a> {
+pub(crate) struct CompatCtx<'a> {
     /// Probe-side `(|S|, MP(S))` per record id.
     pub tier0_s: &'a [(u32, u32)],
     /// Indexed-side `(|T|, MP(T))` per record id.
@@ -277,7 +277,7 @@ pub struct CompatCtx<'a> {
 /// once. Probing is parallelised over
 /// [`crate::parallel::par_map_scratch`] (one counter per worker); output
 /// order is deterministic either way.
-pub fn candidate_pass(
+pub(crate) fn candidate_pass(
     s: &SelectedSignatures,
     indexed: &SelectedSignatures,
     index: &CsrIndex,

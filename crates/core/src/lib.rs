@@ -23,7 +23,6 @@ pub mod knowledge;
 pub mod msim;
 pub mod parallel;
 pub mod pebble;
-pub mod probe;
 pub mod search;
 pub mod segment;
 pub mod shard;
@@ -34,7 +33,7 @@ pub mod topk;
 pub mod usim;
 
 pub use config::{GramMeasure, MeasureSet, SimConfig};
-pub use engine::{Engine, JoinSpec, Prepared, ProbeSpec, QuerySession, Searcher, SnapshotSearcher};
+pub use engine::{Engine, JoinSpec, Prepared, QuerySession, Searcher, SnapshotSearcher};
 pub use error::AuError;
 pub use index::{CsrIndex, OverlapCounter, RecordKeys};
 pub use knowledge::{Knowledge, KnowledgeBuilder};

@@ -11,7 +11,6 @@
 
 use crate::pebble::{Pebble, PebbleKey};
 use crate::segment::SegRecord;
-use au_matching::greedy_cover_size;
 
 /// The maximal runs of equal-key pebbles, in list order.
 pub(crate) fn key_runs(pebbles: &[Pebble]) -> impl Iterator<Item = &[Pebble]> {
@@ -177,18 +176,11 @@ pub fn prefix_topk_sums(pebbles: &[Pebble], k: usize) -> Vec<f64> {
 /// strongest demand that is still complete.
 ///
 /// Requires equal keys to be adjacent (module docs).
-pub fn guarantee_level(
-    sr: &SegRecord,
-    pebbles: &[Pebble],
-    tau: u32,
-    theta: f64,
-    eps: f64,
-    mode: MpMode,
-) -> u32 {
+pub fn guarantee_level(sr: &SegRecord, pebbles: &[Pebble], tau: u32, theta: f64, eps: f64) -> u32 {
     if tau <= 1 || pebbles.is_empty() {
         return tau.max(1);
     }
-    let target = theta * min_partition_bound(sr, mode) as f64;
+    let target = theta * min_partition_bound(sr) as f64;
     if target <= eps {
         // θ = 0: the τ-overlap demand is kept as-is (the degenerate
         // convention the selectors use too).
@@ -225,41 +217,11 @@ pub fn guarantee_level(
     level
 }
 
-/// How to lower-bound the minimum partition size `MP(S)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MpMode {
-    /// Exact interval DP (tighter filtering; the minimum is exact because
-    /// segments are token intervals). Default.
-    #[default]
-    ExactDp,
-    /// The paper's greedy-cover estimate `⌈|A| / (ln n + 1)⌉`
-    /// (GetMinPartitionSize, Algorithm 2 Lines 6–12); kept for the
-    /// faithfulness ablation.
-    GreedyLn,
-}
-
-/// Lower bound on the minimum number of well-defined segments in any
-/// partition of the record (the `m` of Algorithms 2/4/5).
-pub fn min_partition_bound(sr: &SegRecord, mode: MpMode) -> u32 {
-    let n = sr.n_tokens();
-    if n == 0 {
-        return 0;
-    }
-    match mode {
-        MpMode::ExactDp => sr.min_partition,
-        MpMode::GreedyLn => {
-            let greedy = greedy_cover_size(n, &sr.multi_intervals);
-            let nmax = sr
-                .multi_intervals
-                .iter()
-                .map(|&(_, l)| l)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            let denom = (nmax as f64).ln() + 1.0;
-            (greedy as f64 / denom).ceil() as u32
-        }
-    }
+/// The minimum number of well-defined segments in any partition of the
+/// record (the `m` of Algorithms 2/4/5): the exact interval DP computed at
+/// segmentation, 0 for an empty record.
+pub fn min_partition_bound(sr: &SegRecord) -> u32 {
+    sr.min_partition
 }
 
 #[cfg(test)]
@@ -376,9 +338,7 @@ mod tests {
     fn mp_bounds() {
         let (sr, _) = fixture();
         // "espresso cafe helsinki": no multi-token segments → MP = 3.
-        assert_eq!(min_partition_bound(&sr, MpMode::ExactDp), 3);
-        // Greedy mode with nmax = 1: ⌈3/(ln 1 + 1)⌉ = 3 (paper Example 6).
-        assert_eq!(min_partition_bound(&sr, MpMode::GreedyLn), 3);
+        assert_eq!(min_partition_bound(&sr), 3);
     }
 
     #[test]
@@ -390,10 +350,7 @@ mod tests {
         let id = kn.add_record("coffee shop latte helsingki");
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
         // Exact: {coffee shop},{latte},{helsingki} = 3.
-        assert_eq!(min_partition_bound(&sr, MpMode::ExactDp), 3);
-        // Greedy: |A| = 3 picks, nmax = 2 → ⌈3/1.693⌉ = 2 — weaker (valid)
-        // lower bound.
-        assert_eq!(min_partition_bound(&sr, MpMode::GreedyLn), 2);
+        assert_eq!(min_partition_bound(&sr), 3);
     }
 
     #[test]
@@ -403,11 +360,11 @@ mod tests {
         // Weights descending: 1.0 (syn lhs), 3×1/3 (cafe grams),
         // 5×1/5 (taxonomy), 6×1/6, 7×1/7. TW_5 = 2.2 < 2.4 but
         // TW_6 = 2.4 ≥ 2.4 → level caps at 6.
-        assert_eq!(guarantee_level(&sr, &p, 10, 0.8, 1e-9, MpMode::ExactDp), 6);
+        assert_eq!(guarantee_level(&sr, &p, 10, 0.8, 1e-9), 6);
         // Requested τ below the cap is returned unchanged.
-        assert_eq!(guarantee_level(&sr, &p, 3, 0.8, 1e-9, MpMode::ExactDp), 3);
+        assert_eq!(guarantee_level(&sr, &p, 3, 0.8, 1e-9), 3);
         // τ = 1 needs no evidence beyond a nonempty list.
-        assert_eq!(guarantee_level(&sr, &p, 1, 0.8, 1e-9, MpMode::ExactDp), 1);
+        assert_eq!(guarantee_level(&sr, &p, 1, 0.8, 1e-9), 1);
     }
 
     #[test]
@@ -425,11 +382,7 @@ mod tests {
             s
         };
         for tau in [2u32, 3, 8] {
-            assert_eq!(
-                guarantee_level(&sr1, &single, tau, 0.9, 1e-9, MpMode::ExactDp),
-                1,
-                "τ={tau}"
-            );
+            assert_eq!(guarantee_level(&sr1, &single, tau, 0.9, 1e-9), 1, "τ={tau}");
         }
     }
 
@@ -438,7 +391,6 @@ mod tests {
         let kn = KnowledgeBuilder::new().build();
         let cfg = SimConfig::default();
         let sr = segment_record(&kn, &cfg, &[]);
-        assert_eq!(min_partition_bound(&sr, MpMode::ExactDp), 0);
-        assert_eq!(min_partition_bound(&sr, MpMode::GreedyLn), 0);
+        assert_eq!(min_partition_bound(&sr), 0);
     }
 }

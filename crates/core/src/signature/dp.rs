@@ -47,8 +47,7 @@ use crate::msim::MeasureKind;
 use crate::pebble::{Pebble, PebbleKey};
 use crate::segment::SegRecord;
 use crate::signature::common::{
-    debug_assert_keys_adjacent, key_runs, min_partition_bound, prefix_topk_sums, MpMode,
-    SuffixState,
+    debug_assert_keys_adjacent, key_runs, min_partition_bound, prefix_topk_sums, SuffixState,
 };
 
 /// Slack of the knapsack skip: the DP bound and `TW_{τ−1}` are the same
@@ -201,7 +200,6 @@ pub fn dp_prefix_len(
     tau: u32,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
     scratch: &mut DpScratch,
 ) -> usize {
     let n = pebbles.len();
@@ -209,7 +207,7 @@ pub fn dp_prefix_len(
     if n == 0 || t_segs == 0 {
         return 0;
     }
-    let m = min_partition_bound(sr, mp_mode);
+    let m = min_partition_bound(sr);
     let target = theta * m as f64;
     let tau = tau.max(1) as usize;
     if target <= eps {
@@ -357,16 +355,8 @@ mod tests {
             let (sr, p, cfg) = fixture(text);
             for tau in 1..=5u32 {
                 for theta in [0.7, 0.8, 0.9] {
-                    let h = heuristic_prefix_len(&sr, &p, tau, theta, cfg.eps, MpMode::ExactDp);
-                    let d = dp_prefix_len(
-                        &sr,
-                        &p,
-                        tau,
-                        theta,
-                        cfg.eps,
-                        MpMode::ExactDp,
-                        &mut DpScratch::default(),
-                    );
+                    let h = heuristic_prefix_len(&sr, &p, tau, theta, cfg.eps);
+                    let d = dp_prefix_len(&sr, &p, tau, theta, cfg.eps, &mut DpScratch::default());
                     assert!(
                         d <= h + 1,
                         "{text:?} τ={tau} θ={theta}: dp {d} > heur {h} + 1"
@@ -388,16 +378,8 @@ mod tests {
             let (sr, p, cfg) = fixture(text);
             for tau in 2..=6u32 {
                 for theta in [0.7, 0.75, 0.8, 0.85] {
-                    let h = heuristic_prefix_len(&sr, &p, tau, theta, cfg.eps, MpMode::ExactDp);
-                    let d = dp_prefix_len(
-                        &sr,
-                        &p,
-                        tau,
-                        theta,
-                        cfg.eps,
-                        MpMode::ExactDp,
-                        &mut DpScratch::default(),
-                    );
+                    let h = heuristic_prefix_len(&sr, &p, tau, theta, cfg.eps);
+                    let d = dp_prefix_len(&sr, &p, tau, theta, cfg.eps, &mut DpScratch::default());
                     if d < h {
                         found = true;
                     }
@@ -415,15 +397,7 @@ mod tests {
         let (sr, p, cfg) = fixture("espresso cafe helsinki coffee shop latte");
         let mut last = 0usize;
         for tau in 1..=20u32 {
-            let len = dp_prefix_len(
-                &sr,
-                &p,
-                tau,
-                0.8,
-                cfg.eps,
-                MpMode::ExactDp,
-                &mut DpScratch::default(),
-            );
+            let len = dp_prefix_len(&sr, &p, tau, 0.8, cfg.eps, &mut DpScratch::default());
             assert!(len >= last, "τ={tau}: {len} < {last}");
             last = len;
         }
@@ -453,15 +427,7 @@ mod tests {
         };
         // target = θ·MP = 2.0; 20 pebbles of 0.1 reach it only if the
         // budget really admits τ−1 = 24 items.
-        let len = dp_prefix_len(
-            &sr1,
-            &many,
-            25,
-            2.0,
-            cfg.eps,
-            MpMode::ExactDp,
-            &mut DpScratch::default(),
-        );
+        let len = dp_prefix_len(&sr1, &many, 25, 2.0, cfg.eps, &mut DpScratch::default());
         assert_eq!(len, many.len(), "full budget must keep the whole list");
     }
 
@@ -472,15 +438,7 @@ mod tests {
             x.weight *= 0.05;
         }
         assert_eq!(
-            dp_prefix_len(
-                &sr,
-                &p,
-                3,
-                0.9,
-                cfg.eps,
-                MpMode::ExactDp,
-                &mut DpScratch::default()
-            ),
+            dp_prefix_len(&sr, &p, 3, 0.9, cfg.eps, &mut DpScratch::default()),
             0
         );
     }
@@ -489,41 +447,16 @@ mod tests {
     fn edge_cases() {
         let (sr, p, cfg) = fixture("latte espresso");
         assert_eq!(
-            dp_prefix_len(
-                &sr,
-                &[],
-                2,
-                0.8,
-                cfg.eps,
-                MpMode::ExactDp,
-                &mut DpScratch::default()
-            ),
+            dp_prefix_len(&sr, &[], 2, 0.8, cfg.eps, &mut DpScratch::default()),
             0
         );
         assert_eq!(
-            dp_prefix_len(
-                &sr,
-                &p,
-                3,
-                0.0,
-                cfg.eps,
-                MpMode::ExactDp,
-                &mut DpScratch::default()
-            ),
+            dp_prefix_len(&sr, &p, 3, 0.0, cfg.eps, &mut DpScratch::default()),
             p.len()
         );
         // τ = 1 degenerates to the U-Filter bound (W ≡ 0).
-        let d1 = dp_prefix_len(
-            &sr,
-            &p,
-            1,
-            0.9,
-            cfg.eps,
-            MpMode::ExactDp,
-            &mut DpScratch::default(),
-        );
-        let u =
-            crate::signature::ufilter::ufilter_prefix_len(&sr, &p, 0.9, cfg.eps, MpMode::ExactDp);
+        let d1 = dp_prefix_len(&sr, &p, 1, 0.9, cfg.eps, &mut DpScratch::default());
+        let u = crate::signature::ufilter::ufilter_prefix_len(&sr, &p, 0.9, cfg.eps);
         assert_eq!(d1, u);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::pebble::Pebble;
 use crate::segment::SegRecord;
-use crate::signature::common::{min_partition_bound, prefix_topk_sums, suffix_masses, MpMode};
+use crate::signature::common::{min_partition_bound, prefix_topk_sums, suffix_masses};
 
 /// Signature prefix length for AU-Filter (heuristics) with overlap
 /// constraint `tau`.
@@ -35,13 +35,12 @@ pub fn heuristic_prefix_len(
     tau: u32,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
 ) -> usize {
     let n = pebbles.len();
     if n == 0 {
         return 0;
     }
-    let m = min_partition_bound(sr, mp_mode);
+    let m = min_partition_bound(sr);
     let target = theta * m as f64;
     if target <= eps {
         // Zero removal budget → the signature is the whole list.
@@ -90,7 +89,7 @@ mod tests {
         let (sr, p, cfg) = fixture("espresso cafe helsinki coffee shop latte");
         let mut last = 0usize;
         for tau in 1..=6u32 {
-            let len = heuristic_prefix_len(&sr, &p, tau, 0.8, cfg.eps, MpMode::ExactDp);
+            let len = heuristic_prefix_len(&sr, &p, tau, 0.8, cfg.eps);
             assert!(len >= last, "τ={tau}: {len} < {last}");
             last = len;
         }
@@ -104,8 +103,8 @@ mod tests {
         // U-Filter's strict `<` scan produces identically).
         let (sr, p, cfg) = fixture("espresso cafe helsinki");
         for theta in [0.7, 0.8, 0.9] {
-            let u = ufilter_prefix_len(&sr, &p, theta, cfg.eps, MpMode::ExactDp);
-            let h = heuristic_prefix_len(&sr, &p, 1, theta, cfg.eps, MpMode::ExactDp);
+            let u = ufilter_prefix_len(&sr, &p, theta, cfg.eps);
+            let h = heuristic_prefix_len(&sr, &p, 1, theta, cfg.eps);
             assert_eq!(h, u, "θ={theta}");
         }
     }
@@ -120,7 +119,7 @@ mod tests {
         let single = &p[..1];
         let mut boosted = single.to_vec();
         boosted[0].weight = 1.0;
-        let len = heuristic_prefix_len(&sr, &boosted, 1, 0.2, cfg.eps, MpMode::ExactDp);
+        let len = heuristic_prefix_len(&sr, &boosted, 1, 0.2, cfg.eps);
         assert_eq!(len, 1);
     }
 
@@ -130,8 +129,8 @@ mod tests {
         // pebbles (the synonym lhs at weight 1 plus heavy grams) extend the
         // removal budget, so the heuristic keeps more pebbles than τ=1.
         let (sr, p, cfg) = fixture("espresso cafe helsinki");
-        let t1 = heuristic_prefix_len(&sr, &p, 1, 0.8, cfg.eps, MpMode::ExactDp);
-        let t4 = heuristic_prefix_len(&sr, &p, 4, 0.8, cfg.eps, MpMode::ExactDp);
+        let t1 = heuristic_prefix_len(&sr, &p, 1, 0.8, cfg.eps);
+        let t4 = heuristic_prefix_len(&sr, &p, 4, 0.8, cfg.eps);
         assert!(t4 > t1, "τ=4 ({t4}) must keep more than τ=1 ({t1})");
         let mass = suffix_masses(&sr, &p);
         let tw = prefix_topk_sums(&p, 3);
@@ -144,23 +143,14 @@ mod tests {
         for x in &mut p {
             x.weight *= 0.05;
         }
-        assert_eq!(
-            heuristic_prefix_len(&sr, &p, 3, 0.9, cfg.eps, MpMode::ExactDp),
-            0
-        );
+        assert_eq!(heuristic_prefix_len(&sr, &p, 3, 0.9, cfg.eps), 0);
     }
 
     #[test]
     fn empty_and_zero_theta() {
         let (sr, p, cfg) = fixture("latte espresso");
-        assert_eq!(
-            heuristic_prefix_len(&sr, &[], 2, 0.8, cfg.eps, MpMode::ExactDp),
-            0
-        );
+        assert_eq!(heuristic_prefix_len(&sr, &[], 2, 0.8, cfg.eps), 0);
         // θ=0: zero removal budget keeps the whole list.
-        assert_eq!(
-            heuristic_prefix_len(&sr, &p, 3, 0.0, cfg.eps, MpMode::ExactDp),
-            p.len()
-        );
+        assert_eq!(heuristic_prefix_len(&sr, &p, 3, 0.0, cfg.eps), p.len());
     }
 }

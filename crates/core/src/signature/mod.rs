@@ -25,7 +25,7 @@ pub mod heuristic;
 mod reference;
 pub mod ufilter;
 
-pub use common::{guarantee_level, min_partition_bound, prefix_topk_sums, suffix_masses, MpMode};
+pub use common::{guarantee_level, min_partition_bound, prefix_topk_sums, suffix_masses};
 pub use dp::{dp_prefix_len, DpScratch};
 pub use heuristic::heuristic_prefix_len;
 pub use ufilter::ufilter_prefix_len;
@@ -89,25 +89,24 @@ pub fn select_signature(
     kind: FilterKind,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
     scratch: &mut DpScratch,
 ) -> SignatureChoice {
     match kind {
         FilterKind::UFilter => SignatureChoice {
-            len: ufilter_prefix_len(sr, pebbles, theta, eps, mp_mode),
+            len: ufilter_prefix_len(sr, pebbles, theta, eps),
             level: 1,
         },
         FilterKind::AuHeuristic { tau } => {
-            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps, mp_mode);
+            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps);
             SignatureChoice {
-                len: heuristic_prefix_len(sr, pebbles, level, theta, eps, mp_mode),
+                len: heuristic_prefix_len(sr, pebbles, level, theta, eps),
                 level,
             }
         }
         FilterKind::AuDp { tau } => {
-            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps, mp_mode);
+            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps);
             SignatureChoice {
-                len: dp_prefix_len(sr, pebbles, level, theta, eps, mp_mode, scratch),
+                len: dp_prefix_len(sr, pebbles, level, theta, eps, scratch),
                 level,
             }
         }
@@ -121,16 +120,6 @@ pub fn signature_prefix_len(
     kind: FilterKind,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
 ) -> usize {
-    select_signature(
-        sr,
-        pebbles,
-        kind,
-        theta,
-        eps,
-        mp_mode,
-        &mut DpScratch::default(),
-    )
-    .len
+    select_signature(sr, pebbles, kind, theta, eps, &mut DpScratch::default()).len
 }

@@ -6,7 +6,7 @@
 //! `ufilter_prefix_len` has no copy here: its body did not change, so the
 //! U-Filter leg of the tests below exercises the sort alone.
 
-use super::common::{min_partition_bound, suffix_masses, MpMode, SuffixState};
+use super::common::{min_partition_bound, suffix_masses, SuffixState};
 use super::dp::PrefixSlot;
 use super::{ufilter_prefix_len, FilterKind, SignatureChoice};
 use crate::msim::MeasureKind;
@@ -61,18 +61,11 @@ fn prefix_topk_sums(pebbles: &[Pebble], k: usize) -> Vec<f64> {
     out
 }
 
-fn guarantee_level(
-    sr: &SegRecord,
-    pebbles: &[Pebble],
-    tau: u32,
-    theta: f64,
-    eps: f64,
-    mode: MpMode,
-) -> u32 {
+fn guarantee_level(sr: &SegRecord, pebbles: &[Pebble], tau: u32, theta: f64, eps: f64) -> u32 {
     if tau <= 1 || pebbles.is_empty() {
         return tau.max(1);
     }
-    let target = theta * min_partition_bound(sr, mode) as f64;
+    let target = theta * min_partition_bound(sr) as f64;
     if target <= eps {
         return tau;
     }
@@ -106,13 +99,12 @@ fn heuristic_prefix_len(
     tau: u32,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
 ) -> usize {
     let n = pebbles.len();
     if n == 0 {
         return 0;
     }
-    let target = theta * min_partition_bound(sr, mp_mode) as f64;
+    let target = theta * min_partition_bound(sr) as f64;
     if target <= eps {
         return n;
     }
@@ -135,14 +127,13 @@ pub(crate) fn dp_prefix_len(
     tau: u32,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
 ) -> usize {
     let n = pebbles.len();
     let t_segs = sr.segments.len();
     if n == 0 || t_segs == 0 {
         return 0;
     }
-    let target = theta * min_partition_bound(sr, mp_mode) as f64;
+    let target = theta * min_partition_bound(sr) as f64;
     let tau = tau.max(1) as usize;
     if target <= eps {
         return n;
@@ -252,24 +243,23 @@ fn select_signature(
     kind: FilterKind,
     theta: f64,
     eps: f64,
-    mp_mode: MpMode,
 ) -> SignatureChoice {
     match kind {
         FilterKind::UFilter => SignatureChoice {
-            len: ufilter_prefix_len(sr, pebbles, theta, eps, mp_mode),
+            len: ufilter_prefix_len(sr, pebbles, theta, eps),
             level: 1,
         },
         FilterKind::AuHeuristic { tau } => {
-            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps, mp_mode);
+            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps);
             SignatureChoice {
-                len: heuristic_prefix_len(sr, pebbles, level, theta, eps, mp_mode),
+                len: heuristic_prefix_len(sr, pebbles, level, theta, eps),
                 level,
             }
         }
         FilterKind::AuDp { tau } => {
-            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps, mp_mode);
+            let level = guarantee_level(sr, pebbles, tau.max(1), theta, eps);
             SignatureChoice {
-                len: dp_prefix_len(sr, pebbles, level, theta, eps, mp_mode),
+                len: dp_prefix_len(sr, pebbles, level, theta, eps),
                 level,
             }
         }
@@ -364,7 +354,6 @@ mod tests {
             lines in prop::collection::vec(text_strategy(), 1..12),
             tau in 1u32..=6,
             theta in prop::sample::select(vec![0.5, 0.7, 0.8, 0.9, 0.95]),
-            mp_mode in prop::sample::select(vec![MpMode::ExactDp, MpMode::GreedyLn]),
         ) {
             let (_, segrecs, lists) = pebble_lists(&lines);
             let order = PebbleOrder::build(lists.iter().map(|v| v.as_slice()));
@@ -382,9 +371,9 @@ mod tests {
                     FilterKind::AuDp { tau },
                 ] {
                     let got = crate::signature::select_signature(
-                        sr, &ranked, kind, theta, eps, mp_mode, &mut scratch,
+                        sr, &ranked, kind, theta, eps, &mut scratch,
                     );
-                    let want = select_signature(sr, &compared, kind, theta, eps, mp_mode);
+                    let want = select_signature(sr, &compared, kind, theta, eps);
                     prop_assert_eq!(got, want, "{:?} θ={} on {:?}", kind, theta, lines);
                 }
             }

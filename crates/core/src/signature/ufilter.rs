@@ -9,21 +9,15 @@
 
 use crate::pebble::Pebble;
 use crate::segment::SegRecord;
-use crate::signature::common::{min_partition_bound, suffix_masses, MpMode};
+use crate::signature::common::{min_partition_bound, suffix_masses};
 
 /// Signature prefix length for U-Filter.
 ///
 /// Returns the smallest `L` such that the suffix `B[L..)` has accumulated
 /// similarity `< θ·MP(S)`; `L = 0` means the whole record can never reach
 /// the threshold (it is pruned entirely).
-pub fn ufilter_prefix_len(
-    sr: &SegRecord,
-    pebbles: &[Pebble],
-    theta: f64,
-    eps: f64,
-    mp_mode: MpMode,
-) -> usize {
-    let m = min_partition_bound(sr, mp_mode);
+pub fn ufilter_prefix_len(sr: &SegRecord, pebbles: &[Pebble], theta: f64, eps: f64) -> usize {
+    let m = min_partition_bound(sr);
     let target = theta * m as f64;
     if target <= eps {
         // θ = 0 (or an empty record): the removal budget θ·MP is zero, so
@@ -73,7 +67,7 @@ mod tests {
         let id = kn.add_record("espresso cafe helsinki");
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
         let p = sorted_pebbles(&kn, &cfg, &sr);
-        let len = ufilter_prefix_len(&sr, &p, 0.8, cfg.eps, MpMode::ExactDp);
+        let len = ufilter_prefix_len(&sr, &p, 0.8, cfg.eps);
         assert!(len > 0 && len < p.len(), "len {len} of {}", p.len());
         // The removed mass must stay under the target and the kept prefix
         // must push it to (or past) the boundary.
@@ -91,7 +85,7 @@ mod tests {
         let p = sorted_pebbles(&kn, &cfg, &sr);
         let mut last = 0usize;
         for theta in [0.95, 0.85, 0.75, 0.6] {
-            let len = ufilter_prefix_len(&sr, &p, theta, cfg.eps, MpMode::ExactDp);
+            let len = ufilter_prefix_len(&sr, &p, theta, cfg.eps);
             assert!(
                 len >= last,
                 "θ={theta}: signature shrank from {last} to {len}"
@@ -113,7 +107,7 @@ mod tests {
         for x in &mut p {
             x.weight *= 0.1; // simulate weak pebbles
         }
-        let len = ufilter_prefix_len(&sr, &p, 0.9, cfg.eps, MpMode::ExactDp);
+        let len = ufilter_prefix_len(&sr, &p, 0.9, cfg.eps);
         assert_eq!(len, 0);
     }
 
@@ -125,10 +119,7 @@ mod tests {
         let id = kn.add_record("latte espresso");
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
         let p = sorted_pebbles(&kn, &cfg, &sr);
-        assert_eq!(
-            ufilter_prefix_len(&sr, &p, 0.0, cfg.eps, MpMode::ExactDp),
-            p.len()
-        );
+        assert_eq!(ufilter_prefix_len(&sr, &p, 0.0, cfg.eps), p.len());
     }
 
     #[test]
@@ -136,9 +127,6 @@ mod tests {
         let kn = kn_figure1();
         let cfg = SimConfig::default();
         let sr = segment_record(&kn, &cfg, &[]);
-        assert_eq!(
-            ufilter_prefix_len(&sr, &[], 0.8, cfg.eps, MpMode::ExactDp),
-            0
-        );
+        assert_eq!(ufilter_prefix_len(&sr, &[], 0.8, cfg.eps), 0);
     }
 }

@@ -15,7 +15,7 @@
 //! dominates, so the total stays within a small factor of a single join at
 //! the final θ — the price of not knowing that θ in advance. Every round
 //! runs through the CSR candidate-generation engine
-//! ([`crate::join::candidate_pass`]): the signature prefixes are
+//! (`join::candidate_pass`): the signature prefixes are
 //! θ-dependent and rebuilt per round, but each round's filtering cost is a
 //! flat index build plus dense-counter probes rather than a per-pair
 //! hashmap.

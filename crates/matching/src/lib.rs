@@ -9,9 +9,9 @@
 //!   Section 2.3 — [`greedy_mis`] (initialisation), [`squareimp`]
 //!   (Berman's w² local search for k+1-claw-free graphs) and [`exact_mis`]
 //!   (branch-and-bound used by the exact USIM and by Table 9).
-//! * **Greedy set cover / minimum exact cover** (GetMinPartitionSize of
-//!   Algorithm 2) — [`set_cover`], plus an exact interval-partition DP in
-//!   [`min_partition()`] used to build partitions from an independent set.
+//! * **Minimum exact cover** (GetMinPartitionSize of Algorithm 2) — the
+//!   exact interval-partition DP in [`min_partition()`], which also builds
+//!   partitions from an independent set.
 
 pub mod bitset;
 pub mod conflict;
@@ -19,7 +19,6 @@ pub mod exact_mis;
 pub mod greedy_mis;
 pub mod hungarian;
 pub mod min_partition;
-pub mod set_cover;
 pub mod squareimp;
 
 pub use bitset::BitSet;
@@ -30,5 +29,4 @@ pub use hungarian::max_weight_matching;
 pub use min_partition::{
     min_partition, min_partition_masked, min_partition_masked_with, IntervalsByEnd,
 };
-pub use set_cover::greedy_cover_size;
 pub use squareimp::{apply_swap, for_each_talon_set, square_imp, SquareImpConfig};

@@ -120,6 +120,65 @@ pub fn min_partition_masked_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition: the fewest pieces over every way to cut `0..n`
+    /// into consecutive pieces, where a piece is a singleton or one of
+    /// `segments`. Bit `i` of `cuts` cuts before token `i + 1`.
+    fn min_partition_exhaustive(n: usize, segments: &[(usize, usize)]) -> u32 {
+        if n == 0 {
+            return 0;
+        }
+        (0u32..1 << (n - 1))
+            .filter_map(|cuts| {
+                let (mut pieces, mut start) = (0, 0);
+                for end in 1..=n {
+                    if end == n || cuts >> (end - 1) & 1 == 1 {
+                        let len = end - start;
+                        if len > 1 && !segments.contains(&(start, len)) {
+                            return None;
+                        }
+                        pieces += 1;
+                        start = end;
+                    }
+                }
+                Some(pieces)
+            })
+            .min()
+            .expect("all singletons is always a partition")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The interval DP finds the minimum partition, on up to eight
+        /// tokens and any set of intervals (overlapping, nested,
+        /// duplicated, single-token).
+        #[test]
+        fn min_partition_matches_exhaustive_enumeration(
+            n in 0usize..=8,
+            raw in prop::collection::vec((0usize..8, 0usize..8), 0..8),
+        ) {
+            // Fold each raw pair onto a valid interval of `0..n`.
+            let segments: Vec<(usize, usize)> = if n == 0 {
+                Vec::new()
+            } else {
+                raw.iter()
+                    .map(|&(s, l)| {
+                        let s = s % n;
+                        (s, 1 + l % (n - s))
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(
+                min_partition(n, &segments),
+                min_partition_exhaustive(n, &segments),
+                "n={} segments={:?}",
+                n,
+                segments
+            );
+        }
+    }
 
     #[test]
     fn all_singletons() {

@@ -93,7 +93,7 @@ pub use au_text as text;
 /// after their one-PR `#[deprecated]` grace period — see DESIGN.md
 /// "Session API" for the migration table.
 pub mod prelude {
-    pub use au_core::engine::{Engine, JoinSpec, Prepared, ProbeSpec, Searcher};
+    pub use au_core::engine::{Engine, JoinSpec, Prepared, Searcher};
     pub use au_core::error::AuError;
 
     pub use au_core::config::{GramMeasure, MeasureSet, SimConfig};

@@ -3,7 +3,7 @@
 //! au-datagen through the facade crate.
 
 use au_join::core::join::{brute_force_join, JoinResult};
-use au_join::core::signature::{FilterKind, MpMode};
+use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
@@ -81,38 +81,6 @@ fn no_false_negatives_on_generated_data() {
             assert_eq!(got, oracle, "θ={theta}, {:?}", filter);
         }
     }
-}
-
-#[test]
-fn greedy_mp_mode_also_lossless() {
-    // The paper's greedy GetMinPartitionSize produces a weaker (smaller)
-    // lower bound — still a valid one, so results must be identical.
-    let profile = DatasetProfile::med_like(0.05);
-    let ds = LabeledDataset::generate(&profile, 60, 60, 15, 7);
-    let cfg = SimConfig::default();
-    let theta = 0.8;
-    let exact = join(
-        &ds.kn,
-        &cfg,
-        &ds.s,
-        &ds.t,
-        &JoinSpec::threshold(theta)
-            .filter(FilterKind::AuDp { tau: 2 })
-            .serial(),
-    );
-    let greedy = join(
-        &ds.kn,
-        &cfg,
-        &ds.s,
-        &ds.t,
-        &JoinSpec::threshold(theta)
-            .filter(FilterKind::AuDp { tau: 2 })
-            .mp_mode(MpMode::GreedyLn)
-            .serial(),
-    );
-    assert_eq!(exact.pairs, greedy.pairs);
-    // and the ablation claim: the exact bound filters at least as hard
-    assert!(exact.stats.candidates <= greedy.stats.candidates);
 }
 
 #[test]

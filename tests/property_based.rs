@@ -2,7 +2,7 @@
 
 use au_join::core::join::{brute_force_join, JoinResult};
 use au_join::core::segment::segment_record;
-use au_join::core::signature::{FilterKind, MpMode};
+use au_join::core::signature::FilterKind;
 use au_join::core::usim::{usim_approx_seg, usim_exact_seg};
 use au_join::prelude::*;
 use au_join::text::edit::levenshtein;
@@ -250,7 +250,7 @@ proptest! {
         let mut last = 0usize;
         for tau in 1..=5u32 {
             let len = signature_prefix_len(
-                &sr, &p, FilterKind::AuHeuristic { tau }, theta, cfg.eps, MpMode::ExactDp);
+                &sr, &p, FilterKind::AuHeuristic { tau }, theta, cfg.eps);
             prop_assert!(len >= last, "τ={tau}: {len} < {last}");
             prop_assert!(len <= p.len());
             last = len;
