@@ -239,11 +239,6 @@ impl JoinSpec {
         self.filter
     }
 
-    /// True for [`JoinSpec::topk`] specs.
-    pub fn is_topk(&self) -> bool {
-        self.mode == SpecMode::Topk
-    }
-
     fn invalid(field: &'static str, message: String) -> AuError {
         AuError::InvalidSpec { field, message }
     }
@@ -810,11 +805,6 @@ impl Engine {
     /// artifacts become stale (see [`Engine::knowledge_mut`]).
     pub fn corpus_from_lines<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) -> Corpus {
         self.kn.corpus_from_lines(lines)
-    }
-
-    /// Recover the knowledge context.
-    pub fn into_knowledge(self) -> Knowledge {
-        self.kn
     }
 
     /// Stage 1, once per corpus: segment every record, build its posting

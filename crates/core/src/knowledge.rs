@@ -213,11 +213,6 @@ impl KnowledgeBuilder {
         Some((self.phrases.intern(&ids), len))
     }
 
-    /// Intern a pre-tokenized phrase.
-    pub fn phrase_from_tokens(&mut self, tokens: &[TokenId]) -> PhraseId {
-        self.phrases.intern(tokens)
-    }
-
     /// Add a synonym rule `lhs → rhs` with closeness `c` (Eq. 2).
     ///
     /// Sides that tokenize to nothing are rejected (returns `false`).
@@ -230,13 +225,6 @@ impl KnowledgeBuilder {
         };
         self.synonyms.add(Rule::new(l, r, c), ll, rl);
         true
-    }
-
-    /// Add a synonym rule from already-interned phrases.
-    pub fn synonym_phrases(&mut self, lhs: PhraseId, rhs: PhraseId, c: f64) {
-        let ll = self.phrases.len_of(lhs);
-        let rl = self.phrases.len_of(rhs);
-        self.synonyms.add(Rule::new(lhs, rhs, c), ll, rl);
     }
 
     /// Ensure a root-to-leaf taxonomy path exists; each element is an

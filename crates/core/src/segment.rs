@@ -104,11 +104,9 @@ pub struct SegRecord {
     /// All well-defined segments (singletons first, then longer spans, in
     /// position order within each length).
     pub segments: Vec<Segment>,
-    /// Intervals `(start, len)` of the multi-token segments — the input to
-    /// the min-partition DP.
-    pub multi_intervals: Vec<(usize, usize)>,
-    /// `multi_intervals` grouped by end position (CSR), precomputed so the
-    /// masked min-partition DP inside `GetSim` allocates nothing per call.
+    /// Intervals `(start, len)` of the multi-token segments grouped by end
+    /// position (CSR), precomputed so the masked min-partition DP inside
+    /// `GetSim` allocates nothing per call.
     pub intervals_by_end: IntervalsByEnd,
     /// Exact minimum number of well-defined segments partitioning the
     /// record (cached; the `MP(S)` of Algorithms 2/4/5 and the denominator
@@ -152,7 +150,6 @@ impl SegRecord {
         use std::mem::size_of;
         let mut total = size_of::<Self>();
         total += self.tokens.len() * size_of::<TokenId>();
-        total += self.multi_intervals.len() * size_of::<(usize, usize)>();
         total += self.intervals_by_end.memory_bytes();
         total += self.gram_posts.len() * size_of::<(u64, u32)>();
         total += self.rule_posts.len() * size_of::<(u32, u32)>();
@@ -233,7 +230,6 @@ pub fn segment_record_with(
         tokens: tokens.to_vec(),
         segments,
         intervals_by_end: IntervalsByEnd::build(n, &multi_intervals),
-        multi_intervals,
         min_partition: mp,
         gram_posts,
         rule_posts,
@@ -357,6 +353,14 @@ mod tests {
         sr.segments.iter().map(|s| &*s.text).collect()
     }
 
+    /// `sr`'s multi-token segments are exactly the intervals `want`, and
+    /// its minimum partition is the one they allow.
+    fn assert_multi_intervals(sr: &SegRecord, want: &[(usize, usize)]) {
+        let n = sr.n_tokens();
+        assert_eq!(sr.intervals_by_end, IntervalsByEnd::build(n, want));
+        assert_eq!(sr.min_partition, min_partition(n, want));
+    }
+
     #[test]
     fn figure1_string_s_segments() {
         let mut kn = kn_figure1();
@@ -369,7 +373,7 @@ mod tests {
             seg_texts(&sr),
             vec!["coffee", "shop", "latte", "helsingki", "coffee shop"]
         );
-        assert_eq!(sr.multi_intervals, vec![(0, 2)]);
+        assert_multi_intervals(&sr, &[(0, 2)]);
         let cs = &sr.segments[4];
         assert_eq!(cs.rules.len(), 1);
         assert!(cs.node.is_none());
@@ -400,7 +404,7 @@ mod tests {
         // J-only: no multi-token segments at all.
         let cfg_j = SimConfig::default().with_measures(MeasureSet::J);
         let sr = segment_record(&kn, &cfg_j, &toks);
-        assert!(sr.multi_intervals.is_empty());
+        assert_multi_intervals(&sr, &[]);
         assert!(sr
             .segments
             .iter()
@@ -409,13 +413,13 @@ mod tests {
         // entity), but "coffee" still maps to its node; grams are skipped.
         let cfg_t = SimConfig::default().with_measures(MeasureSet::T);
         let sr = segment_record(&kn, &cfg_t, &toks);
-        assert!(sr.multi_intervals.is_empty());
+        assert_multi_intervals(&sr, &[]);
         assert!(sr.segments.iter().all(|s| s.grams.is_empty()));
         assert!(sr.segments[0].node.is_some());
         // S-only: "coffee shop" is back.
         let cfg_s = SimConfig::default().with_measures(MeasureSet::S);
         let sr = segment_record(&kn, &cfg_s, &toks);
-        assert_eq!(sr.multi_intervals, vec![(0, 2)]);
+        assert_multi_intervals(&sr, &[(0, 2)]);
     }
 
     #[test]

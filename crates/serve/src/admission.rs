@@ -14,7 +14,7 @@ pub(crate) struct Admission {
 }
 
 /// Point-in-time admission counters for [`crate::ServeStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Requests currently executing.
     pub in_flight: usize,

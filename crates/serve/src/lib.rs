@@ -58,20 +58,24 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod compactor;
+mod compaction;
+mod config;
 mod error;
 mod faults;
+mod replay;
 mod service;
 mod snapshot;
 mod storage;
 mod tombstone;
 mod wal;
+mod write;
 
 pub use admission::AdmissionStats;
-pub use compactor::Compactor;
+pub use compaction::Compactor;
+pub use config::{CompactionStats, Mutation, ServeConfig, ServeStats};
 pub use error::ServeError;
 pub use faults::{FaultCounts, FaultPlan, FaultyStorage};
-pub use service::{CompactionStats, Mutation, ServeConfig, ServeStats, Service};
+pub use service::Service;
 pub use snapshot::{JoinWindowResponse, SearchResponse, Snapshot, TopkResponse};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use tombstone::TombstoneSet;

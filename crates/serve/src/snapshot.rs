@@ -1,16 +1,20 @@
 //! Immutable serving snapshots: base segment + append-only delta rows +
 //! tombstones.
 
+use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::service::ServeConfig;
 use crate::tombstone::TombstoneSet;
 use au_core::engine::{Engine, JoinSpec, Prepared, QuerySession, SnapshotSearcher};
 use au_core::search::SearchOutcome;
 use au_core::segment::{segment_record, SegRecord};
 use au_core::usim::VerifyTiers;
 use au_core::{Knowledge, SimConfig};
-use au_text::record::{Record, RecordId};
+use au_text::record::{Corpus, Record, RecordId};
 use std::sync::Arc;
+
+/// Memo capacity of each base `Prepared` ([`Prepared::with_memo_capacity`]):
+/// bounds the artifact cache a client sweeping top-k thresholds can grow.
+const MEMO_CAPACITY: usize = 64;
 
 /// One record of the delta segment: everything a read needs of it,
 /// produced **once**, by the writer, when the record is inserted (or
@@ -54,6 +58,55 @@ impl DeltaRow {
             id: self.id,
             record,
             seg: Arc::clone(&self.seg),
+        }
+    }
+}
+
+/// What arrived since generation `g`: the delta rows inserted after it,
+/// in log order, and the tombstones set after it. A compaction's swap
+/// carries the batch that arrived while it built ([`Batch::since`]); log
+/// replay folds the pending batch into the base at each `Compact` frame,
+/// with rows not yet segmented.
+#[derive(Debug)]
+pub(crate) struct Batch<R> {
+    pub(crate) rows: Vec<R>,
+    pub(crate) tombstones: TombstoneSet,
+}
+
+impl<R> Batch<R> {
+    pub(crate) fn new() -> Self {
+        Self {
+            rows: Vec::new(),
+            tombstones: TombstoneSet::new(),
+        }
+    }
+}
+
+impl Batch<Arc<DeltaRow>> {
+    /// What `cur` holds that `prev` — an earlier snapshot with no
+    /// compaction landed since — did not: its later rows, renumbered from
+    /// 0 and still sharing their segmented records, and its later
+    /// tombstones. Only inserts append delta rows and only a compaction
+    /// removes them, so `prev`'s rows are a prefix of `cur`'s.
+    pub(crate) fn since(prev: &Snapshot, cur: &Snapshot) -> Self {
+        let mut batch = Self::new();
+        for (pos, row) in cur.delta[prev.delta.len()..].iter().enumerate() {
+            batch.rows.push(Arc::new(row.renumbered(pos)));
+        }
+        for id in cur.tombstones.iter() {
+            if !prev.tombstones.contains(id) {
+                batch.tombstones.insert(id);
+            }
+        }
+        batch
+    }
+
+    /// `base` with this batch as its delta and tombstones.
+    pub(crate) fn over(self, base: Snapshot) -> Snapshot {
+        Snapshot {
+            delta: Arc::new(self.rows),
+            tombstones: Arc::new(self.tombstones),
+            ..base
         }
     }
 }
@@ -143,19 +196,37 @@ pub struct JoinWindowResponse {
 }
 
 impl Snapshot {
+    /// Prepare a base segment over `corpus` — stage 1 over every record: a
+    /// service created from text or recovered from its log has nothing
+    /// segmented to carry. This is where the O(|knowledge|) steps of the
+    /// service live: the vocabulary is sealed first, so the base engine's
+    /// knowledge copy — and every per-insert copy until the next base
+    /// build — shares all of it.
+    pub(crate) fn prepare_base(
+        kn: &mut Knowledge,
+        cfg: &ServeConfig,
+        corpus: Corpus,
+        ids: Vec<u64>,
+        generation: u64,
+    ) -> Result<Self, ServeError> {
+        kn.vocab.seal();
+        let engine = Arc::new(Engine::new(kn.clone(), cfg.sim)?);
+        let prepared = engine.prepare_owned(corpus)?;
+        Self::of_base(cfg.spec(), generation, ids, engine, prepared)
+    }
+
     /// `prepared` (prepared or merged by `engine`) made searchable at
     /// `spec` — the service spec, serial or not (a query reads the same
     /// artifacts either way): a base segment with no delta and no
     /// tombstones.
     pub(crate) fn of_base(
-        cfg: &ServeConfig,
         spec: JoinSpec,
         generation: u64,
         base_ids: Vec<u64>,
         engine: Arc<Engine>,
         prepared: Prepared,
     ) -> Result<Self, ServeError> {
-        let prepared = Arc::new(prepared.with_memo_capacity(cfg.memo_capacity));
+        let prepared = Arc::new(prepared.with_memo_capacity(MEMO_CAPACITY));
         let base_search = Engine::snapshot_searcher(engine.clone(), prepared, &spec)?;
         Ok(Self {
             generation,
