@@ -15,8 +15,10 @@
 //!   iteration order cannot reach output.
 //! * **A — atomic ordering**: every `Ordering::{Relaxed,…,SeqCst}` use
 //!   needs a `// ordering:` happens-before argument.
-//! * **P — panic surface**: no `unwrap`/`expect`/`panic!` in
-//!   `engine.rs` / `join.rs` non-test paths (nor anywhere in
+//! * **P — panic surface**: no `unwrap`/`expect`/`panic!` in the
+//!   `au-core` session files (`engine.rs`, `spec.rs`, `prepared.rs`,
+//!   `join.rs` and the stage modules holding `Engine` operations)
+//!   non-test paths (nor anywhere in
 //!   `crates/serve/src/`); `// panic-ok:` documents exceptions.
 //! * **F — float totality**: `partial_cmp` and float-literal `==` in
 //!   cascade-bound code; `// float-ok:` documents exceptions.

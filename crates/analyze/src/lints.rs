@@ -96,10 +96,18 @@ fn output_affecting(rel_path: &str) -> bool {
     rel_path.contains("crates/core/src/") || rel_path.contains("crates/serve/src/")
 }
 
-/// The session-API surface of `au-core`: `engine.rs` and `join.rs`, the
-/// file holding the verify driver every `Engine::join` runs.
+/// The session-API surface of `au-core`: every file holding `Engine`,
+/// `JoinSpec` or `Prepared` code — `engine.rs`, `spec.rs`, `prepared.rs`
+/// and the stage modules the `Engine` operations live beside — plus
+/// `join.rs`, the file holding the verify driver every `Engine::join` runs.
 fn engine_path(rel_path: &str) -> bool {
-    rel_path.ends_with("engine.rs") || rel_path.ends_with("crates/core/src/join.rs")
+    const SESSION_FILES: [&str; 9] = [
+        "engine", "spec", "prepared", "join", "shard", "topk", "search", "estimate", "suggest",
+    ];
+    rel_path.ends_with("engine.rs")
+        || (rel_path.strip_prefix("crates/core/src/"))
+            .and_then(|f| f.strip_suffix(".rs"))
+            .is_some_and(|stem| SESSION_FILES.contains(&stem))
 }
 
 /// Methods whose call on a hash map/set observes iteration order.
@@ -452,8 +460,8 @@ fn find_word(code: &str, word: &str) -> Option<usize> {
 // P — panic surface
 // ---------------------------------------------------------------------
 
-/// No `unwrap`/`expect`/`panic!`/`unreachable!` in `engine.rs`,
-/// `au-core`'s `join.rs` or `crates/serve/src/` non-test code: public session paths return
+/// No `unwrap`/`expect`/`panic!`/`unreachable!` in `au-core`'s session
+/// files ([`engine_path`]) or `crates/serve/src/` non-test code: public session paths return
 /// `AuError`/`ServeError` instead of aborting a long-lived service (the
 /// serving layer is exactly the long-lived process the rule exists for).
 /// `// panic-ok:` documents the sites that stay.
@@ -742,6 +750,37 @@ mod tests {
         assert!(lint_file("crates/core/src/index.rs", &f)
             .iter()
             .all(|f| f.lint != Lint::PanicSurface));
+    }
+
+    #[test]
+    fn panic_surface_follows_the_engine_operations() {
+        // `Engine` operations, `JoinSpec` and `Prepared` live beside the
+        // stage modules they drive; the panic rule goes with them.
+        let f = scan("let a = x.unwrap();\n");
+        for file in [
+            "crates/core/src/prepared.rs",
+            "crates/core/src/spec.rs",
+            "crates/core/src/shard.rs",
+            "crates/core/src/topk.rs",
+            "crates/core/src/search.rs",
+            "crates/core/src/estimate.rs",
+            "crates/core/src/suggest.rs",
+        ] {
+            let p: Vec<_> = lint_file(file, &f)
+                .into_iter()
+                .filter(|f| f.lint == Lint::PanicSurface)
+                .collect();
+            assert_eq!(p.len(), 1, "{file}: {p:?}");
+            assert!(p[0].is_violation(), "{file}");
+        }
+        for outside in [
+            "crates/core/src/pebble.rs",
+            "crates/core/src/usim/search.rs",
+        ] {
+            assert!(lint_file(outside, &f)
+                .iter()
+                .all(|f| f.lint != Lint::PanicSurface));
+        }
     }
 
     #[test]

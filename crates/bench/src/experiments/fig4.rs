@@ -22,7 +22,7 @@ fn suggested_join(
     use_dp: bool,
 ) -> au_core::join::JoinResult {
     let model = engine
-        .calibrate(ps, pt, theta, FilterKind::AuHeuristic { tau: 2 }, 64)
+        .calibrate(ps, pt, theta, FilterKind::AuHeuristic { tau: 2 })
         .expect("calibrate");
     let sc = SuggestConfig {
         ps: 0.1,

@@ -20,7 +20,7 @@ pub fn run(scale: f64) -> String {
     let ps = engine.prepare(&ds.s).expect("prepare S");
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let model = engine
-        .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 }, 64)
+        .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 })
         .expect("calibrate");
     let mut table = Table::new(
         "Figure 8 — suggestion iterations & time vs sampling probability (MED-like, θ=0.80)",

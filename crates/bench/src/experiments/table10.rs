@@ -27,7 +27,7 @@ pub fn run(scale: f64) -> String {
         let ps = engine.prepare(&ds.s).expect("prepare S");
         let pt = engine.prepare(&ds.t).expect("prepare T");
         let model = engine
-            .calibrate(&ps, &pt, theta, FilterKind::AuDp { tau: 2 }, 64)
+            .calibrate(&ps, &pt, theta, FilterKind::AuDp { tau: 2 })
             .expect("calibrate");
         let sc = SuggestConfig {
             ps: (200.0 / n as f64).min(0.5),

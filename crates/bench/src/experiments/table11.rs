@@ -37,7 +37,7 @@ pub fn run(scale: f64) -> String {
             })
             .collect();
         let model = engine
-            .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 }, 64)
+            .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 })
             .expect("calibrate");
         let sc = SuggestConfig {
             ps: 0.1,

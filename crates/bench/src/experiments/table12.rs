@@ -25,7 +25,7 @@ pub fn run(scale: f64) -> String {
     );
     for theta in [0.75, 0.80, 0.85, 0.90, 0.95] {
         let model = engine
-            .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 }, 64)
+            .calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 })
             .expect("calibrate");
         // True best τ under the calibrated cost model, measured on the
         // full datasets.

@@ -246,13 +246,7 @@ fn resolve_tau(
             let t_side = pt.unwrap_or(ps);
             let p = (500.0 / ps.len().max(1) as f64).clamp(0.01, 0.5);
             let model = engine
-                .calibrate(
-                    ps,
-                    t_side,
-                    args.theta,
-                    FilterKind::AuHeuristic { tau: 2 },
-                    64,
-                )
+                .calibrate(ps, t_side, args.theta, FilterKind::AuHeuristic { tau: 2 })
                 .map_err(|e| e.to_string())?;
             let sc = SuggestConfig {
                 ps: p,

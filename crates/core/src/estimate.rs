@@ -7,7 +7,12 @@
 //! `V̂τ = V′τ / (p_s·p_t)` (Eq. 17), because each pair survives sampling
 //! with probability `p_s·p_t`.
 
-use crate::join::FilterOutcome;
+use crate::engine::{Engine, VerifyIndex};
+use crate::error::AuError;
+use crate::join::{FilterOutcome, JoinStats};
+use crate::prepared::Prepared;
+use crate::signature::FilterKind;
+use crate::spec::JoinSpec;
 use au_text::record::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,41 +63,95 @@ pub fn estimate_from_counts(counts: FilterCounts, ps: f64, pt: f64) -> Bernoulli
     }
 }
 
-/// The calibration protocol of [`crate::engine::Engine::calibrate`]:
-/// derive `c_f` from the measured filtering time over the processed
-/// pairs, pick up to `max_verifications` candidate pairs (or a small
-/// synthesized cross product when filtering produced none), and time
-/// them through `timed_verify` (which returns seconds).
-pub(crate) fn cost_model_from_filter_run(
-    processed_pairs: u64,
-    candidates: &[(u32, u32)],
-    f_time: f64,
-    s_len: usize,
-    t_len: usize,
-    max_verifications: usize,
-    timed_verify: impl FnOnce(&[(u32, u32)]) -> f64,
-) -> CostModel {
-    let c_f = if processed_pairs > 0 {
-        f_time / processed_pairs as f64
-    } else {
-        5e-8
-    };
-    let pairs: Vec<(u32, u32)> = if candidates.is_empty() {
-        (0..s_len.min(16) as u32)
-            .flat_map(|a| (0..t_len.min(16) as u32).map(move |b| (a, b)))
-            .take(max_verifications)
-            .collect()
-    } else {
-        candidates.iter().copied().take(max_verifications).collect()
-    };
-    let c_v = if pairs.is_empty() {
-        2e-6
-    } else {
-        (timed_verify(&pairs) / pairs.len() as f64).max(1e-9)
-    };
-    CostModel {
-        c_f: c_f.max(1e-10),
-        c_v,
+/// Candidates [`Engine::calibrate`] times stage 5 on.
+const CALIBRATION_VERIFICATIONS: usize = 64;
+
+impl Engine {
+    /// Stages 2–4 only (no verification) on prepared corpora: the
+    /// candidate list with its funnel counters — `Tτ`, the in-probe
+    /// compatibility rejections, mean signature lengths. `t = None` runs
+    /// the self-join of `s` (pairs with `s < t`). Served from the same
+    /// memoized order / signatures / CSR index as [`Engine::join`], whose
+    /// filtering stage this *is*.
+    pub fn filter_outcome(
+        &self,
+        s: &Prepared,
+        t: Option<&Prepared>,
+        spec: &JoinSpec,
+    ) -> Result<FilterOutcome, AuError> {
+        self.check(s)?;
+        if let Some(t) = t {
+            self.check(t)?;
+        }
+        spec.validate_threshold()?;
+        Ok(self.filter_run(s, t.unwrap_or(s), t.is_none(), spec).0)
+    }
+
+    /// The raw `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17):
+    /// [`Engine::filter_outcome`] of a serial R×S pass, counted.
+    pub fn filter_counts(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        theta: f64,
+        filter: FilterKind,
+    ) -> Result<FilterCounts, AuError> {
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        Ok(FilterCounts::of(&self.filter_outcome(s, Some(t), &spec)?))
+    }
+
+    /// Measure the per-unit costs `c_f` / `c_v` of Eq. 15 on prepared
+    /// corpora, serially, through the join's own stages: `c_f` is one
+    /// filtering pass's stage-4 time (the CSR probe, not the order or
+    /// signature stages a memo miss adds) over its `Tτ`; `c_v` is the
+    /// time stage 5 (the join's own driver, through `t`'s memoized
+    /// index when one is warm) takes per candidate on the first 64
+    /// candidates — or on a small synthesized cross product when
+    /// filtering produced none. Preparation is never repeated.
+    pub fn calibrate(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        theta: f64,
+        filter: FilterKind,
+    ) -> Result<CostModel, AuError> {
+        self.check(s)?;
+        self.check(t)?;
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        spec.validate_threshold()?;
+        let (outcome, filtered) = self.filter_run(s, t, false, &spec);
+        let c_f = if filtered.processed_pairs > 0 {
+            filtered.filter_time.as_secs_f64() / filtered.processed_pairs as f64
+        } else {
+            5e-8
+        };
+        let mut pairs = outcome.candidates;
+        if pairs.is_empty() {
+            let (ns, nt) = (s.len().min(16) as u32, t.len().min(16) as u32);
+            pairs = (0..ns).flat_map(|a| (0..nt).map(move |b| (a, b))).collect();
+        }
+        pairs.truncate(CALIBRATION_VERIFICATIONS);
+        let c_v = if pairs.is_empty() {
+            2e-6
+        } else {
+            let mut verified = JoinStats::default();
+            let index = VerifyIndex::Memo;
+            self.verify_stage(
+                s,
+                t,
+                &pairs,
+                &spec,
+                index,
+                usize::MAX,
+                &mut verified,
+                |_, _, _| {},
+            );
+            (verified.verify_time.as_secs_f64() / pairs.len() as f64).max(1e-9)
+        };
+        Ok(CostModel {
+            c_f: c_f.max(1e-10),
+            c_v,
+        })
     }
 }
 
@@ -147,9 +206,7 @@ pub fn draw_sample_pair(s: &Corpus, t: &Corpus, ps: f64, pt: f64, seed: u64, n: 
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::engine::Engine;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
-    use crate::signature::FilterKind;
 
     fn setup() -> (Knowledge, Corpus, Corpus) {
         let mut b = KnowledgeBuilder::new();
@@ -281,7 +338,7 @@ mod tests {
         let ps = engine.prepare(&s).expect("prepare S");
         let pt = engine.prepare(&t).expect("prepare T");
         let m = engine
-            .calibrate(&ps, &pt, 0.7, FilterKind::UFilter, 50)
+            .calibrate(&ps, &pt, 0.7, FilterKind::UFilter)
             .expect("calibrate");
         assert!(m.c_f > 0.0 && m.c_f.is_finite());
         assert!(m.c_v > 0.0 && m.c_v.is_finite());

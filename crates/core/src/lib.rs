@@ -23,10 +23,12 @@ pub mod knowledge;
 pub mod msim;
 pub mod parallel;
 pub mod pebble;
+mod prepared;
 pub mod search;
 pub mod segment;
 pub mod shard;
 pub mod signature;
+mod spec;
 pub mod stats;
 pub mod suggest;
 pub mod topk;

@@ -19,12 +19,15 @@
 //! consistent total order — `(frequency, key)` is one.
 
 use crate::config::SimConfig;
-use crate::engine::{relock, Engine, JoinSpec, Prepared};
+use crate::engine::{relock, Engine};
+use crate::error::AuError;
 use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter, ProbeStats};
 use crate::join::{record_signature, SelectedSignatures, SignatureScratch};
 use crate::knowledge::Knowledge;
 use crate::pebble::PebbleOrder;
+use crate::prepared::{OrderKey, Prepared, SigKey};
 use crate::segment::{segment_record_with, SegRecord};
+use crate::spec::JoinSpec;
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
 use au_text::{ScratchVocab, TokenId};
 use std::sync::{Arc, Mutex};
@@ -131,7 +134,8 @@ impl QuerySession {
 /// artifacts of one collection under one spec, plus the session's
 /// scratch pool and OOV overlay. Shared by the borrowing [`Searcher`] and
 /// the `Arc`-owning [`SnapshotSearcher`] so both answer queries through
-/// one code path. Built by `Engine::search_core`.
+/// one code path. Built by [`Engine::searcher`] /
+/// [`Engine::snapshot_searcher`].
 #[derive(Debug)]
 pub(crate) struct SearchCore {
     /// The (validated, threshold-mode) spec queries are answered under.
@@ -239,48 +243,114 @@ impl SearchCore {
     }
 }
 
-/// One segmented query against `rows` with no filter at all: every row
-/// whose tier-0 bound can still reach θ is a candidate, decided per pair
-/// ([`Verifier::sim_at_least`]) by the verification the indexed path ends
-/// in. Similarity is a pure function of the pair, so `matches` equal an
-/// indexed query's over the same records bit for bit (the index only ever
-/// *removes* non-matches); the price is verification work linear in
-/// `rows.len()`, which is why this serves small append-only segments and
-/// nothing else — serially, over one pooled scratch of `session`.
-pub(crate) fn run_scan(
-    engine: &Engine,
-    session: &QuerySession,
-    rows: &[&SegRecord],
-    sr: &SegRecord,
-    theta: f64,
-) -> SearchOutcome {
-    let min_sim = theta - engine.config().eps;
-    let probe_tier0 = (sr.n_tokens() as u32, sr.min_partition);
-    let verifier = Verifier::new(engine.knowledge(), engine.config());
-    let mut scratch = session.checkout(0);
-    let (mut candidates, mut matches) = (0u64, Vec::new());
-    for (i, row) in rows.iter().enumerate() {
-        if tier0_compatible(
-            probe_tier0,
-            (row.n_tokens() as u32, row.min_partition),
-            min_sim,
-        ) {
-            candidates += 1;
-            let sim = verifier.sim_at_least(sr, row, theta, &mut scratch.run.verify);
-            if sim >= min_sim {
-                matches.push((i as u32, sim));
+impl Engine {
+    /// An online search session over one prepared collection: queries
+    /// arrive as free strings, results carry the same completeness
+    /// guarantee as the join at the spec's θ. Unknown query tokens are
+    /// interned into a searcher-private scratch vocabulary — the shared
+    /// knowledge context is never mutated by reads.
+    pub fn searcher<'e>(
+        &'e self,
+        c: &'e Prepared,
+        spec: &JoinSpec,
+    ) -> Result<Searcher<'e>, AuError> {
+        Ok(Searcher {
+            engine: self,
+            prepared: c,
+            core: self.search_core(c, spec)?,
+        })
+    }
+
+    /// Owning variant of [`Engine::searcher`] for long-lived services:
+    /// the engine and collection travel by `Arc`, so the returned
+    /// [`SnapshotSearcher`] is `'static` and can be stored inside an
+    /// atomically-swapped snapshot and shared across worker threads.
+    /// Artifact selection is identical (and served from the same
+    /// [`Prepared`] memo, so building a second searcher against a warm
+    /// collection is cheap).
+    pub fn snapshot_searcher(
+        engine: Arc<Engine>,
+        prepared: Arc<Prepared>,
+        spec: &JoinSpec,
+    ) -> Result<SnapshotSearcher, AuError> {
+        let core = engine.search_core(&prepared, spec)?;
+        Ok(SnapshotSearcher {
+            engine,
+            prepared,
+            core,
+        })
+    }
+
+    fn search_core(&self, c: &Prepared, spec: &JoinSpec) -> Result<SearchCore, AuError> {
+        self.check(c)?;
+        spec.validate_threshold()?;
+        let order = self.order_self(c);
+        let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
+        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &order, &sel);
+        Ok(SearchCore {
+            spec: *spec,
+            order,
+            sel,
+            index,
+            // Forced: its build belongs to making the collection
+            // searchable, not to a first query.
+            transposed: c.transposed(spec.parallel),
+            session: QuerySession::default(),
+        })
+    }
+
+    /// Filterless search over already-segmented `rows`: every row whose
+    /// tier-0 bound can still reach the spec's θ is verified per pair
+    /// ([`Verifier::sim_at_least`]) — no order, signature or index to
+    /// build or rebuild when a row is appended, and completeness is
+    /// trivial. `matches` carry row indices into `rows` and equal, bit for
+    /// bit, what [`Searcher::query`] returns over the same records. Cost
+    /// is verification work linear in `rows.len()`, serially on the
+    /// caller's thread — the trade a small append-only segment
+    /// (`au-serve`'s delta) wants, and nothing larger does.
+    ///
+    /// Only the spec's θ is read (there is no signature to select), so no
+    /// spec can fail here. `query` ([`QuerySession::segment`]) and each
+    /// row ([`crate::segment::segment_record`]) must have been segmented
+    /// under this engine's configuration and under this knowledge or an
+    /// earlier state of the same lineage — interning only appends, so
+    /// earlier segmentations stay valid.
+    pub fn scan(
+        &self,
+        session: &QuerySession,
+        rows: &[&SegRecord],
+        query: &SegRecord,
+        spec: &JoinSpec,
+    ) -> SearchOutcome {
+        let theta = spec.theta();
+        let min_sim = theta - self.cfg.eps;
+        let probe_tier0 = (query.n_tokens() as u32, query.min_partition);
+        let verifier = Verifier::new(&self.kn, &self.cfg);
+        let mut scratch = session.checkout(0);
+        let (mut candidates, mut matches) = (0u64, Vec::new());
+        for (i, row) in rows.iter().enumerate() {
+            if tier0_compatible(
+                probe_tier0,
+                (row.n_tokens() as u32, row.min_partition),
+                min_sim,
+            ) {
+                candidates += 1;
+                let sim = verifier.sim_at_least(query, row, theta, &mut scratch.run.verify);
+                if sim >= min_sim {
+                    matches.push((i as u32, sim));
+                }
             }
         }
-    }
-    let tiers = scratch.run.take_tally();
-    session.check_in(scratch);
-    SearchOutcome {
-        matches: ranked(matches),
-        candidates,
-        processed: 0,
-        walked: 0,
-        compat_rejected: rows.len() as u64 - candidates,
-        tiers,
+        let tiers = scratch.run.take_tally();
+        session.check_in(scratch);
+        SearchOutcome {
+            matches: ranked(matches),
+            candidates,
+            processed: 0,
+            walked: 0,
+            compat_rejected: rows.len() as u64 - candidates,
+            tiers,
+        }
     }
 }
 

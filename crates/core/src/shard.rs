@@ -41,9 +41,14 @@
 //! monolithic one whenever the latter fits.
 
 use crate::config::SimConfig;
-use crate::engine::relock;
-use au_text::record::Corpus;
-use std::sync::Mutex;
+use crate::engine::{relock, Engine, VerifyIndex};
+use crate::error::AuError;
+use crate::join::{JoinResult, JoinStats};
+use crate::prepared::Prepared;
+use crate::segment::segment_stats;
+use crate::spec::JoinSpec;
+use au_text::record::{Corpus, RecordId};
+use std::sync::{Arc, Mutex};
 
 /// How a corpus should be sharded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -179,18 +184,15 @@ impl ShardPlan {
         let mut cursor = 0usize;
         for k in 0..g {
             let size = base + usize::from(k < extra);
-            if size == 0 {
-                continue;
-            }
-            let mut ids: Vec<u32> = by_len[cursor..cursor + size].to_vec();
+            let chunk = &by_len[cursor..cursor + size];
             cursor += size;
-            let len_min = tier0[ids[0] as usize].0;
-            let len_max = tier0[ids[size - 1] as usize].0;
-            let mp_min = ids
-                .iter()
-                .map(|&i| tier0[i as usize].1)
-                .min()
-                .expect("non-empty shard");
+            // An empty chunk has no minimum and is dropped.
+            let Some(mp_min) = chunk.iter().map(|&i| tier0[i as usize].1).min() else {
+                continue;
+            };
+            let len_min = tier0[chunk[0] as usize].0;
+            let len_max = tier0[chunk[size - 1] as usize].0;
+            let mut ids = chunk.to_vec();
             ids.sort_unstable();
             out.push(ShardInfo {
                 ids,
@@ -308,6 +310,277 @@ impl ShardedPrepared {
     /// has a compatible task, in every join.
     pub fn shard_builds(&self) -> u64 {
         relock(&self.counters).builds
+    }
+}
+
+// -- the sharded joins --------------------------------------------------------
+
+impl Engine {
+    /// Plan a corpus for sharded joins **without preparing it**: only the
+    /// per-record tier-0 integers are computed (the lean
+    /// [`segment_stats`] pass — no gram hashing, no posting tables), then
+    /// length-partitioned into a [`ShardPlan`]. Shards are segmented on
+    /// demand during [`Engine::join_self_sharded`] /
+    /// [`Engine::join_sharded`], `spec.cache_capacity` of them at a time
+    /// (plus one streaming partner in an R×S join), so peak memory stays
+    /// a small fraction of a whole-corpus [`Engine::prepare`]
+    /// ([`ShardedPrepared::peak_memory_bytes`]).
+    pub fn prepare_sharded(
+        &self,
+        corpus: &Corpus,
+        spec: &ShardSpec,
+    ) -> Result<ShardedPrepared, AuError> {
+        self.check_tokens(corpus)?;
+        let tier0: Vec<(u32, u32)> = corpus
+            .iter()
+            .map(|r| segment_stats(&self.kn, &self.cfg, &r.tokens))
+            .collect();
+        let g = if spec.shards == 0 {
+            ShardPlan::auto_shard_count(corpus.len())
+        } else {
+            spec.shards
+        };
+        let plan = ShardPlan::build(&tier0, g);
+        Ok(ShardedPrepared {
+            gen: self.kn.generation(),
+            cfg: self.cfg,
+            corpus: corpus.clone(),
+            tier0,
+            plan,
+            cache_capacity: spec.effective_cache_capacity(),
+            counters: Mutex::default(),
+        })
+    }
+
+    /// Threshold self-join over a lazily-segmented [`ShardedPrepared`]
+    /// (pairs reported with `s < t`, byte-identical to
+    /// [`Engine::join_self`] on a full prepare of the same corpus).
+    pub fn join_self_sharded(
+        &self,
+        sp: &ShardedPrepared,
+        spec: &JoinSpec,
+    ) -> Result<JoinResult, AuError> {
+        self.check_stamp(sp.gen, &sp.cfg)?;
+        spec.validate_threshold()?;
+        Ok(self.join_shards(sp, None, spec))
+    }
+
+    /// Threshold R×S join over two lazily-segmented [`ShardedPrepared`]
+    /// artifacts (byte-identical to [`Engine::join`] on full prepares).
+    pub fn join_sharded(
+        &self,
+        s: &ShardedPrepared,
+        t: &ShardedPrepared,
+        spec: &JoinSpec,
+    ) -> Result<JoinResult, AuError> {
+        self.check_stamp(s.gen, &s.cfg)?;
+        self.check_stamp(t.gen, &t.cfg)?;
+        spec.validate_threshold()?;
+        Ok(self.join_shards(s, Some(t), spec))
+    }
+
+    /// The shard in `slot`, segmenting shard `idx` of `sp` into it first
+    /// when the slot is empty. Cannot fail: the tokens were checked by
+    /// [`Engine::prepare_sharded`], the generation stamp by the join's
+    /// entry point.
+    fn resident_shard(
+        &self,
+        slot: &mut Option<Arc<Prepared>>,
+        sp: &ShardedPrepared,
+        idx: usize,
+    ) -> Arc<Prepared> {
+        slot.get_or_insert_with(|| {
+            relock(&sp.counters).builds += 1;
+            let mut sub = Corpus::new();
+            for &id in sp.plan.shard(idx).records() {
+                let r = sp.corpus.get(RecordId(id));
+                sub.push_tokens(r.tokens.clone(), r.raw.clone());
+            }
+            Arc::new(self.prepare_trusted(sub))
+        })
+        .clone()
+    }
+
+    /// The sharded join: every compatible shard-pair task of the grid —
+    /// unordered pairs `(i, j ≥ i)` of `s` for a self-join (`t = None`),
+    /// `s × t` otherwise — run one at a time, each task's inner pipeline
+    /// honouring `spec.parallel`. Tasks cover disjoint record-pair sets,
+    /// so no dedup is needed and the final `(s, t)` sort is the
+    /// deterministic merge; that also frees the task *order*, which is
+    /// chosen for residency and is the whole residency policy.
+    ///
+    /// A band of `s`-shards stays segmented while every partner `j`
+    /// streams past it once. A band shard is built on its first
+    /// compatible task and dropped at band end, the partner likewise for
+    /// its one `j`. The band is `cache_capacity − 1` wide for a self-join
+    /// (the partner comes out of the same budget — and *is* a band
+    /// member while `j` lies inside the band) and `cache_capacity` wide
+    /// for R×S, so at most `cache_capacity` (self) or
+    /// `cache_capacity + 1` (R×S) shards are ever live, and a shard is
+    /// built once per band in which it has a compatible task.
+    ///
+    /// After each task the resident bytes are sampled at their fullest —
+    /// the task's order/signature/CSR memos included — and those memos
+    /// dropped: they are keyed by join partner and every shard pair is
+    /// visited once, so no later task could reuse them, while keeping
+    /// them would let a band shard accumulate one partner's worth per
+    /// task. The posting indexes a task's stage 5 builds are transients
+    /// of that stage, gone before the sample.
+    fn join_shards(
+        &self,
+        s: &ShardedPrepared,
+        t: Option<&ShardedPrepared>,
+        spec: &JoinSpec,
+    ) -> JoinResult {
+        let self_join = t.is_none();
+        let t = t.unwrap_or(s);
+        let (g_s, g_t) = (s.plan.shard_count(), t.plan.shard_count());
+        // `effective_cache_capacity` is ≥ 2, so the band is never empty.
+        let band = s.cache_capacity - usize::from(self_join);
+        let mut agg = StatAgg::default();
+        let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
+        let (mut peak_bytes, mut most_resident) = (0usize, 0usize);
+        for b0 in (0..g_s).step_by(band) {
+            let b1 = (b0 + band).min(g_s);
+            let mut held: Vec<Option<Arc<Prepared>>> = vec![None; b1 - b0];
+            let j0 = if self_join { b0 } else { 0 };
+            for j in j0..g_t {
+                let mut partner: Option<Arc<Prepared>> = None;
+                let i1 = if self_join { b1.min(j + 1) } else { b1 };
+                for i in b0..i1 {
+                    let (info_a, info_b) = (s.plan.shard(i), t.plan.shard(j));
+                    if !shard_pair_compatible(info_a, info_b, spec.theta, self.cfg.eps) {
+                        agg.sum.shard_tasks_pruned += 1;
+                        continue;
+                    }
+                    agg.sum.shard_tasks += 1;
+                    let pa = self.resident_shard(&mut held[i - b0], s, i);
+                    let pb = if self_join && j < b1 {
+                        self.resident_shard(&mut held[j - b0], s, j)
+                    } else {
+                        self.resident_shard(&mut partner, t, j)
+                    };
+                    let (ids_a, ids_b) = (info_a.records(), info_b.records());
+                    let task = self.shard_task(&pa, &pb, ids_a, ids_b, self_join, spec);
+                    agg.absorb(&task.stats, pa.len(), pb.len());
+                    pairs.extend(task.pairs);
+                    let resident = || held.iter().flatten().chain(&partner);
+                    peak_bytes = peak_bytes.max(resident().map(|p| p.memory_bytes()).sum());
+                    most_resident = most_resident.max(resident().count());
+                    pa.clear_memo();
+                    pb.clear_memo();
+                }
+            }
+        }
+        // Both sides report the whole join's residency (`t` aliases `s`
+        // in a self-join; taking the max twice is harmless).
+        for sp in [s, t] {
+            let mut c = relock(&sp.counters);
+            c.peak_bytes = c.peak_bytes.max(peak_bytes);
+            c.most_resident = c.most_resident.max(most_resident);
+        }
+        pairs.sort_unstable_by_key(|x| (x.0, x.1));
+        JoinResult {
+            stats: agg.into_stats(pairs.len()),
+            pairs,
+        }
+    }
+
+    /// One shard-pair task: filter shard `A` against shard `B` — as a
+    /// self-join on the diagonal of a self-join's grid, as an R×S pass
+    /// everywhere else — and verify, reporting global ids. Off that
+    /// diagonal a self-join's candidates are oriented by *global* id
+    /// first: shards partition by length, not by id range, so such a task
+    /// sees both orientations, while the monolithic self-join always
+    /// verifies `(min_id, max_id)` with the smaller id on the probe side,
+    /// and `usim` is not guaranteed bitwise-symmetric — a forward and a
+    /// reverse verification group reproduce its exact similarity values.
+    /// Each group verifies through an index of its own
+    /// ([`VerifyIndex::Transient`]), gone before the task's residency
+    /// sample.
+    fn shard_task(
+        &self,
+        pa: &Prepared,
+        pb: &Prepared,
+        ids_a: &[u32],
+        ids_b: &[u32],
+        self_join: bool,
+        spec: &JoinSpec,
+    ) -> JoinResult {
+        // On the diagonal both sides are the one resident shard.
+        let diagonal = self_join && std::ptr::eq(pa, pb);
+        let (outcome, mut stats) = self.filter_run(pa, pb, diagonal, spec);
+        // Candidates come sorted, so the forward group is probe-sorted;
+        // the reverse one is sorted to keep the verifier's runs contiguous.
+        let (mut fwd, mut rev) = (Vec::new(), Vec::new());
+        for (la, lb) in outcome.candidates {
+            // Distinct records: global ids never tie.
+            if !self_join || ids_a[la as usize] < ids_b[lb as usize] {
+                fwd.push((la, lb));
+            } else {
+                rev.push((lb, la));
+            }
+        }
+        rev.sort_unstable();
+        let mut pairs = Vec::new();
+        for (s, t, group, ids_s, ids_t) in
+            [(pa, pb, fwd, ids_a, ids_b), (pb, pa, rev, ids_b, ids_a)]
+        {
+            let sink =
+                |a: u32, b: u32, sim| pairs.push((ids_s[a as usize], ids_t[b as usize], sim));
+            let index = VerifyIndex::Transient;
+            self.verify_stage(s, t, &group, spec, index, usize::MAX, &mut stats, sink);
+        }
+        JoinResult { pairs, stats }
+    }
+}
+
+/// Accumulator merging per-task [`JoinStats`] into the honest aggregate
+/// of a sharded run: times, `Tτ` and `Vτ` are sums over the executed
+/// tasks (each task runs its own order/signature/filter pipeline, so the
+/// totals are comparable with a monolithic run's but not identical to
+/// them — see DESIGN.md "Memory-lean joins"); signature lengths are
+/// record-weighted means; tier telemetry merges exactly.
+#[derive(Default)]
+struct StatAgg {
+    /// The tasks' stats summed, the two mean signature lengths weighted
+    /// by their shards' records; task counts filed by the join.
+    sum: JoinStats,
+    /// Records the S- and T-side signature lengths are weighted by.
+    records: (u64, u64),
+}
+
+impl StatAgg {
+    /// Fold in one task's stats; `n_s` / `n_t` are its two shards' sizes.
+    fn absorb(&mut self, st: &JoinStats, n_s: usize, n_t: usize) {
+        let sum = &mut self.sum;
+        sum.sig_time += st.sig_time;
+        sum.filter_time += st.filter_time;
+        sum.verify_time += st.verify_time;
+        sum.processed_pairs += st.processed_pairs;
+        sum.candidates += st.candidates;
+        sum.compat_rejected += st.compat_rejected;
+        sum.avg_sig_len_s += st.avg_sig_len_s * n_s as f64;
+        sum.avg_sig_len_t += st.avg_sig_len_t * n_t as f64;
+        sum.tiers.merge(&st.tiers);
+        self.records.0 += n_s as u64;
+        self.records.1 += n_t as u64;
+    }
+
+    fn into_stats(self, result_count: usize) -> JoinStats {
+        let mean = |weighted: f64, records: u64| {
+            if records == 0 {
+                0.0
+            } else {
+                weighted / records as f64
+            }
+        };
+        JoinStats {
+            avg_sig_len_s: mean(self.sum.avg_sig_len_s, self.records.0),
+            avg_sig_len_t: mean(self.sum.avg_sig_len_t, self.records.1),
+            result_count,
+            ..self.sum
+        }
     }
 }
 

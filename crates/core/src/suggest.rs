@@ -14,8 +14,12 @@
 //! before drawing the sample; we predict it with the running mean of the
 //! per-iteration totals observed so far.
 
-use crate::estimate::{draw_sample_pair, estimate_from_counts, CostModel};
+use crate::engine::Engine;
+use crate::error::AuError;
+use crate::estimate::{draw_sample_pair, estimate_from_counts, CostModel, FilterCounts};
+use crate::prepared::Prepared;
 use crate::signature::FilterKind;
+use crate::spec::JoinSpec;
 use crate::stats::OnlineStats;
 use au_text::record::Corpus;
 use std::time::{Duration, Instant};
@@ -70,17 +74,16 @@ pub struct SuggestOutcome {
     pub elapsed: Duration,
 }
 
-/// The Algorithm 7 loop with the per-sample counting step abstracted out:
-/// the session API ([`crate::engine::Engine::suggest_tau`]) counts through
-/// prepared state; the loop (and its stopping rule) lives here exactly
-/// once.
-pub(crate) fn suggest_loop(
+/// The Algorithm 7 loop, counting each sample pair through `counts_of`
+/// ([`Engine::suggest_tau`] counts through prepared state). `None` when
+/// the universe is empty: there is no τ to suggest.
+fn suggest_loop(
     s: &Corpus,
     t: &Corpus,
     model: &CostModel,
     sc: &SuggestConfig,
-    mut counts_of: impl FnMut(&Corpus, &Corpus, FilterKind) -> crate::estimate::FilterCounts,
-) -> SuggestOutcome {
+    mut counts_of: impl FnMut(&Corpus, &Corpus, FilterKind) -> FilterCounts,
+) -> Option<SuggestOutcome> {
     let start = Instant::now();
     let make_filter = |tau: u32| -> FilterKind {
         if sc.use_dp {
@@ -120,9 +123,7 @@ pub(crate) fn suggest_loop(
                     (mean, mean - half, mean + half)
                 })
                 .collect();
-            let best = (0..k)
-                .min_by(|&a, &b| cis[a].0.total_cmp(&cis[b].0))
-                .expect("non-empty universe");
+            let best = (0..k).min_by(|&a, &b| cis[a].0.total_cmp(&cis[b].0))?;
             let upper_best = cis[best].2;
             let min_other_lower = (0..k)
                 .filter(|&i| i != best)
@@ -137,14 +138,70 @@ pub(crate) fn suggest_loop(
                     .zip(&cis)
                     .map(|(&tau, ci)| (tau, ci.0))
                     .collect();
-                return SuggestOutcome {
+                return Some(SuggestOutcome {
                     tau: sc.universe[best],
                     iterations: n,
                     estimates,
                     elapsed: start.elapsed(),
-                };
+                });
             }
         }
+    }
+}
+
+impl Engine {
+    /// Algorithm 7 on prepared corpora: recommend the overlap constraint
+    /// τ minimising the estimated join cost at `theta`. Bernoulli samples
+    /// are drawn from the prepared corpora's records; the full corpora
+    /// themselves are never re-prepared.
+    pub fn suggest_tau(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        theta: f64,
+        model: &CostModel,
+        sc: &SuggestConfig,
+    ) -> Result<SuggestOutcome, AuError> {
+        self.check(s)?;
+        self.check(t)?;
+        let empty = || AuError::InvalidSpec {
+            field: "universe",
+            message: "the τ universe must not be empty".into(),
+        };
+        if sc.universe.is_empty() {
+            return Err(empty());
+        }
+        for (name, p) in [("ps", sc.ps), ("pt", sc.pt)] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(AuError::InvalidSpec {
+                    field: name,
+                    message: format!("sampling probability out of range: {p}"),
+                });
+            }
+        }
+        suggest_loop(&s.corpus, &t.corpus, model, sc, |a, b, f| {
+            self.sample_counts(a, b, theta, f)
+        })
+        .ok_or_else(empty)
+    }
+
+    /// [`Engine::filter_counts`] on one Bernoulli sample pair drawn from
+    /// corpora this engine already prepared: each sample is prepared and
+    /// filtered through exactly the stages the full join runs, so Eq. 17
+    /// scales the production path's own counts.
+    fn sample_counts(
+        &self,
+        s: &Corpus,
+        t: &Corpus,
+        theta: f64,
+        filter: FilterKind,
+    ) -> FilterCounts {
+        let (ps, pt) = (
+            self.prepare_trusted(s.clone()),
+            self.prepare_trusted(t.clone()),
+        );
+        let spec = JoinSpec::threshold(theta).filter(filter).serial();
+        FilterCounts::of(&self.filter_run(&ps, &pt, false, &spec).0)
     }
 }
 
@@ -152,7 +209,6 @@ pub(crate) fn suggest_loop(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::engine::Engine;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
 
     /// τ suggestion through the session API (prepares fresh state per
@@ -238,6 +294,36 @@ mod tests {
         let b = suggest_tau(&kn, &cfg, &s, &t, 0.8, &model, &sc);
         assert_eq!(a.tau, b.tau);
         assert_eq!(a.iterations, b.iterations);
+    }
+
+    #[test]
+    fn an_empty_universe_or_a_bad_probability_is_a_typed_error() {
+        let (kn, s, t) = setup(20);
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let model = CostModel {
+            c_f: 5e-8,
+            c_v: 5e-6,
+        };
+        let field = |sc: SuggestConfig| match engine.suggest_tau(&ps, &pt, 0.8, &model, &sc) {
+            Err(AuError::InvalidSpec { field, .. }) => field,
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        };
+        let universe = Vec::new();
+        assert_eq!(
+            field(SuggestConfig {
+                universe,
+                ..Default::default()
+            }),
+            "universe"
+        );
+        assert_eq!(
+            field(SuggestConfig {
+                pt: 1.5,
+                ..Default::default()
+            }),
+            "pt"
+        );
     }
 
     #[test]

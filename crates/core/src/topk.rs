@@ -26,6 +26,12 @@
 //! before ranking, because the verifier's early-accept may undershoot the
 //! final value.
 
+use crate::engine::Engine;
+use crate::error::AuError;
+use crate::prepared::Prepared;
+use crate::spec::JoinSpec;
+use crate::usim::{Verifier, VerifyScratch};
+
 /// Result of a top-k join.
 #[derive(Debug, Clone, Default)]
 pub struct TopkResult {
@@ -37,6 +43,68 @@ pub struct TopkResult {
     pub rounds: usize,
     /// Threshold of the final round (the effective similarity cut).
     pub final_theta: f64,
+}
+
+impl Engine {
+    /// Top-k R×S join via threshold descent over prepared state.
+    pub fn topk(&self, s: &Prepared, t: &Prepared, spec: &JoinSpec) -> Result<TopkResult, AuError> {
+        self.check(s)?;
+        self.check(t)?;
+        spec.validate_topk()?;
+        Ok(self.topk_impl(s, t, false, spec))
+    }
+
+    /// Top-k self-join (pairs reported with `s < t`).
+    pub fn topk_self(&self, c: &Prepared, spec: &JoinSpec) -> Result<TopkResult, AuError> {
+        self.check(c)?;
+        spec.validate_topk()?;
+        Ok(self.topk_impl(c, c, true, spec))
+    }
+
+    fn topk_impl(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        self_join: bool,
+        spec: &JoinSpec,
+    ) -> TopkResult {
+        if spec.k() == 0 {
+            return TopkResult::default();
+        }
+        let mut theta = spec.theta();
+        let mut rounds = 0usize;
+        loop {
+            rounds += 1;
+            let res = self.join_full(s, t, self_join, &spec.at_theta(theta));
+            let done = res.pairs.len() >= spec.k() || theta <= spec.theta_floor + self.cfg.eps;
+            if done {
+                // Re-score fully (the verifier's early-accept may report a
+                // lower bound), rank, truncate.
+                let verifier = Verifier::new(&self.kn, &self.cfg);
+                let mut pairs: Vec<(u32, u32, f64)> = crate::parallel::par_map_scratch(
+                    &res.pairs,
+                    spec.parallel,
+                    VerifyScratch::default,
+                    |scr, &(a, b, _)| {
+                        let sim = verifier.sim(&s.segrecs[a as usize], &t.segrecs[b as usize], scr);
+                        (a, b, sim)
+                    },
+                    |_| {},
+                );
+                pairs.sort_by(|x, y| {
+                    y.2.total_cmp(&x.2)
+                        .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
+                });
+                pairs.truncate(spec.k());
+                return TopkResult {
+                    pairs,
+                    rounds,
+                    final_theta: theta,
+                };
+            }
+            theta = (theta - spec.step).max(spec.theta_floor);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ fn main() -> Result<(), AuError> {
     println!("θ      suggested  iters  est cost    measured best");
     for theta in [0.75, 0.85, 0.95] {
         // Calibrate c_f / c_v on the prepared state (no re-preparation).
-        let model = engine.calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 }, 64)?;
+        let model = engine.calibrate(&ps, &pt, theta, FilterKind::AuHeuristic { tau: 2 })?;
 
         // Algorithm 7.
         let sc = SuggestConfig {

@@ -39,7 +39,7 @@ fn session_workflow_prepares_each_corpus_exactly_once() {
     let theta = 0.85;
     let filter = FilterKind::AuHeuristic { tau: 2 };
     let _model = engine
-        .calibrate(&ps, &pt, theta, filter, 64)
+        .calibrate(&ps, &pt, theta, filter)
         .expect("calibrate");
     let _counts = engine
         .filter_counts(&ps, &pt, theta, filter)

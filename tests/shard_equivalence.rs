@@ -93,6 +93,24 @@ fn assert_sharded_equivalent(
             g * (g + 1) / 2,
             "{label} self task grid"
         );
+
+        // The per-task tier tallies fold into one decision per candidate
+        // — a cross-shard task's forward and reverse groups included —
+        // and the folded result count is the merged pair list's.
+        for (join, stats, n) in [
+            ("R×S", &lazy.stats, lazy.pairs.len()),
+            ("self", &lazy_self.stats, lazy_self.pairs.len()),
+        ] {
+            assert_eq!(
+                stats.tiers.decisions(),
+                stats.candidates,
+                "{label} {join} tier fold (parallel={parallel})"
+            );
+            assert_eq!(
+                stats.result_count, n,
+                "{label} {join} result count (parallel={parallel})"
+            );
+        }
     }
 }
 
