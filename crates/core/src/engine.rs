@@ -25,7 +25,7 @@
 //! exist only inside the pass that selects its signature
 //! ([`crate::join::record_signature`]). Output bytes are pinned by
 //! `tests/determinism_pin.rs`; completeness is checked against
-//! [`crate::join::brute_force_join`] throughout the test suites.
+//! [`crate::oracle::brute_force_join`] throughout the test suites.
 //!
 //! **Staleness guard.** Every vocabulary mutation mints a new
 //! [`Knowledge::generation`], and each [`Prepared`] stamps the generation
@@ -52,7 +52,7 @@ use crate::prepared::{OrderKey, SigKey};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
-use crate::usim::usim_approx_seg;
+use crate::usim::{usim_approx_seg, GramPostingsIndex};
 use au_text::record::Corpus;
 use au_text::TokenId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -436,8 +436,8 @@ impl Engine {
     /// probe-sorted — in batches of at most `chunk`, handing accepted
     /// pairs to `sink` in candidate order, and add the time, accepted
     /// count and tier tallies to `stats`. The batches share one transposed
-    /// posting index over `t`, chosen once from the whole list's size by
-    /// `index`.
+    /// posting index over `t`, obtained from `index` once and only when
+    /// there is a candidate; its time counts as verification.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify_stage(
         &self,
@@ -445,16 +445,16 @@ impl Engine {
         t: &Prepared,
         candidates: &[(u32, u32)],
         spec: &JoinSpec,
-        index: VerifyIndex,
+        index: impl FnOnce() -> Arc<GramPostingsIndex>,
         chunk: usize,
         stats: &mut JoinStats,
         mut sink: impl FnMut(u32, u32, f64),
     ) {
+        if candidates.is_empty() {
+            return;
+        }
         let start = Instant::now();
-        let index = match index {
-            VerifyIndex::Memo => t.verify_index(candidates.len(), spec.parallel),
-            VerifyIndex::Transient => None,
-        };
+        let index = index();
         for batch in candidates.chunks(chunk) {
             let (accepted, tiers) = verify_candidates(
                 &self.kn,
@@ -464,7 +464,7 @@ impl Engine {
                 batch,
                 spec.theta,
                 spec.parallel,
-                index.as_deref(),
+                &index,
             );
             stats.tiers.merge(&tiers);
             stats.result_count += accepted.len();
@@ -479,7 +479,7 @@ impl Engine {
     /// in `(s, t)` order. Candidates are verified in batches of at most
     /// `chunk`, so that many results at most are ever materialized; the
     /// batches share `t`'s memoized transposed posting index
-    /// ([`Prepared::verify_index`]).
+    /// ([`Prepared::transposed`]).
     pub(crate) fn join_run(
         &self,
         s: &Prepared,
@@ -490,7 +490,7 @@ impl Engine {
         sink: impl FnMut(u32, u32, f64),
     ) -> JoinStats {
         let (outcome, mut stats) = self.filter_run(s, t, self_join, spec);
-        let (candidates, index) = (&outcome.candidates, VerifyIndex::Memo);
+        let (candidates, index) = (&outcome.candidates, || t.transposed(spec.parallel));
         self.verify_stage(s, t, candidates, spec, index, chunk, &mut stats, sink);
         stats
     }
@@ -600,23 +600,11 @@ impl Engine {
     }
 }
 
-/// Where [`Engine::verify_stage`] finds its transposed posting index over
-/// the verified side.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum VerifyIndex {
-    /// The side's memoized one ([`Prepared::verify_index`]): walked when
-    /// warm, built and kept when the candidates pay for it.
-    Memo,
-    /// One built for this call alone when the candidates pay for it, and
-    /// dropped with it.
-    Transient,
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::join::brute_force_join;
     use crate::knowledge::KnowledgeBuilder;
+    use crate::oracle::brute_force_join;
     use crate::prepared::tests::assert_memo_coherent;
     use crate::search::SearchOutcome;
     use crate::shard::ShardSpec;
@@ -652,10 +640,11 @@ pub(crate) mod tests {
         let spec = JoinSpec::threshold(0.7).u_filter();
         let first = engine.join(&ps, &pt, &spec).unwrap();
         assert!(first.pairs.iter().any(|&(a, b, _)| a == 0 && b == 0));
-        // One order, a signature set per side, the indexed side's CSR —
-        // and no per-order pebble list beside them.
+        // One order, a signature set per side, the indexed side's CSR and
+        // its transposed index, which stage 5 walks — and no per-order
+        // pebble list beside them.
         let misses_after_first = ps.memo_misses() + pt.memo_misses();
-        assert_eq!(misses_after_first, 4);
+        assert_eq!(misses_after_first, 5);
         assert_eq!((ps.memo_len(), pt.memo_len()), (2, 3));
         let second = engine.join(&ps, &pt, &spec).unwrap();
         assert_eq!(first.pairs, second.pairs);

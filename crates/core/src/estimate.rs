@@ -7,7 +7,7 @@
 //! `V̂τ = V′τ / (p_s·p_t)` (Eq. 17), because each pair survives sampling
 //! with probability `p_s·p_t`.
 
-use crate::engine::{Engine, VerifyIndex};
+use crate::engine::Engine;
 use crate::error::AuError;
 use crate::join::{FilterOutcome, JoinStats};
 use crate::prepared::Prepared;
@@ -104,10 +104,11 @@ impl Engine {
     /// corpora, serially, through the join's own stages: `c_f` is one
     /// filtering pass's stage-4 time (the CSR probe, not the order or
     /// signature stages a memo miss adds) over its `Tτ`; `c_v` is the
-    /// time stage 5 (the join's own driver, through `t`'s memoized
-    /// index when one is warm) takes per candidate on the first 64
-    /// candidates — or on a small synthesized cross product when
-    /// filtering produced none. Preparation is never repeated.
+    /// time stage 5 (the join's own driver, walking `t`'s memoized
+    /// transposed index, built beforehand and untimed) takes per
+    /// candidate on the first 64 candidates — or on a small synthesized
+    /// cross product when filtering produced none. Preparation is never
+    /// repeated.
     pub fn calibrate(
         &self,
         s: &Prepared,
@@ -134,8 +135,11 @@ impl Engine {
         let c_v = if pairs.is_empty() {
             2e-6
         } else {
+            // Warm `t`'s transposed index first, so `c_v` times the walk a
+            // join runs and not the index's one-time build.
+            t.transposed(false);
+            let index = || t.transposed(false);
             let mut verified = JoinStats::default();
-            let index = VerifyIndex::Memo;
             self.verify_stage(
                 s,
                 t,

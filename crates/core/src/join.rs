@@ -12,23 +12,24 @@
 //!    keys ([`record_signature`], [`SelectedSignatures`]);
 //! 4. **filter** — probe the CSR index and collect candidate pairs
 //!    sharing ≥ τ signature pebbles: `candidate_pass`;
-//! 5. **verify** — compute the unified similarity (Algorithm 1) of each
-//!    candidate and keep pairs with `USIM ≥ θ`: [`verify_candidates`].
+//! 5. **verify** — bound the unified similarity (Algorithm 1) of each
+//!    candidate and keep pairs reaching `θ`: [`verify_candidates`], which
+//!    walks each probe record's run of candidates through the transposed
+//!    posting index of the verified side — every join verifies so; only
+//!    [`crate::engine::Engine::scan`] (a serving delta) counts per pair.
 //!
 //! The engine owns stages 1–2 and the memoization of 3–4; this module
-//! holds the one implementation of stages 3, 4 and 5 plus the two oracles
-//! tests compare against ([`verify_candidates_reference`],
-//! [`brute_force_join`]).
+//! holds the one implementation of stages 3, 4 and 5. Tests check them
+//! against [`crate::oracle`], which shares none of this code.
 
 use crate::config::SimConfig;
 use crate::engine::{relock, JoinSpec};
 use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, RecordKeys};
 use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortScratch};
-use crate::segment::{segment_record, SegRecord};
+use crate::segment::SegRecord;
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
-use au_text::record::Corpus;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -91,10 +92,14 @@ impl JoinStats {
     }
 }
 
-/// Result pairs `(s_record, t_record, usim)` plus statistics.
+/// Result pairs `(s_record, t_record, sim)` plus statistics.
 #[derive(Debug, Clone, Default)]
 pub struct JoinResult {
-    /// Accepted pairs, sorted by (s, t) id.
+    /// Accepted pairs, sorted by (s, t) id. `sim` is the value the
+    /// verifier accepted the pair at: a lower bound on Algorithm 1's
+    /// similarity that stops once θ is reached.
+    /// [`crate::engine::Engine::usim`] and the top-k joins give the full
+    /// value.
     pub pairs: Vec<(u32, u32, f64)>,
     /// Run statistics.
     pub stats: JoinStats,
@@ -326,36 +331,19 @@ pub(crate) fn candidate_pass(
     }
 }
 
-/// Below this many candidates the run-batched path's one-time
-/// corpus-level posting index is not worth building; results are
-/// identical either way.
-const BATCHED_VERIFY_MIN: usize = 2048;
-
-/// Whether verifying `n_candidates` against a collection of `n_t` records
-/// pays for *building* its transposed posting index ([`GramPostingsIndex`];
-/// one that exists already is used whatever the size). A pure function of
-/// sizes, so which path a workload takes is deterministic; results and
-/// tier counters are identical either way.
-pub(crate) fn batched_verify_pays(n_candidates: usize, n_t: usize) -> bool {
-    n_candidates >= BATCHED_VERIFY_MIN && n_candidates * 4 >= n_t && n_t > 0
-}
-
 /// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
 /// bound-cascade engine (see [`crate::usim::verify`]) and return the
-/// accepted `(a, b, usim)` in candidate order plus the per-tier decision
+/// accepted `(a, b, sim)` in candidate order plus the per-tier decision
 /// telemetry.
 ///
-/// The sorted candidate list is partitioned into per-probe-record runs.
-/// Large lists count each run's shared pebble mass in one walk of a
-/// corpus-level transposed posting index over `t` (work ∝ the probe's
-/// document frequencies) and enumerate only the candidates that bound
-/// cannot reject; small ones count pair by pair
-/// ([`Verifier::sim_at_least`]). With `index = None` the candidate count
-/// decides (`batched_verify_pays`) and an index built here dies with the
-/// call; the engine passes the indexed collection's own (built at most
-/// once per corpus, shared by every sink batch, later join and searcher).
-/// Accepted pairs, similarities and tier counters are byte-identical on
-/// both paths and to [`verify_candidates_reference`] —
+/// The sorted candidate list is partitioned into per-probe-record runs,
+/// and each run's shared pebble mass is counted in one walk of `index`,
+/// the transposed posting index over `t` (work ∝ the probe's document
+/// frequencies); only the candidates that bound cannot reject are
+/// enumerated. Joins always verify this way; only
+/// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs,
+/// similarities and tier counters are byte-identical to
+/// [`crate::oracle::verify_candidates_reference`] —
 /// `tests/verify_equivalence.rs` enforces it.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates(
@@ -366,11 +354,8 @@ pub fn verify_candidates(
     candidates: &[(u32, u32)],
     theta: f64,
     parallel: bool,
-    index: Option<&GramPostingsIndex>,
+    index: &GramPostingsIndex,
 ) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
-    let own_index = (index.is_none() && batched_verify_pays(candidates.len(), t.len()))
-        .then(|| GramPostingsIndex::build(t));
-    let index = index.or(own_index.as_ref());
     let engine = Verifier::new(kn, cfg);
     // Worker tallies are folded in the parallel layer's drain hook; the
     // tier buckets are pure per-candidate functions, so the aggregate is
@@ -388,30 +373,9 @@ pub fn verify_candidates(
         RunScratch::default,
         |rs, frag| {
             let mut out = Vec::new();
-            match index {
-                Some(posting_index) => {
-                    for run in frag.chunk_by(|x, y| x.0 == y.0) {
-                        let probe = &s[run[0].0 as usize];
-                        engine.verify_run_at_least(
-                            probe,
-                            t,
-                            run,
-                            posting_index,
-                            theta,
-                            rs,
-                            &mut out,
-                        );
-                    }
-                }
-                None => {
-                    for &(a, b) in frag {
-                        let (sa, tb) = (&s[a as usize], &t[b as usize]);
-                        let sim = engine.sim_at_least(sa, tb, theta, &mut rs.verify);
-                        if sim >= theta - cfg.eps {
-                            out.push((a, b, sim));
-                        }
-                    }
-                }
+            for run in frag.chunk_by(|x, y| x.0 == y.0) {
+                let probe = &s[run[0].0 as usize];
+                engine.verify_run_at_least(probe, t, run, index, theta, rs, &mut out);
             }
             out
         },
@@ -422,63 +386,14 @@ pub fn verify_candidates(
     (pairs, tiers)
 }
 
-/// Stage 5 on the reference per-candidate path
-/// ([`crate::usim::usim_approx_seg_at_least`] with no cross-candidate
-/// sharing beyond per-worker bound/search buffers): the oracle
-/// [`verify_candidates`] must match bit for bit.
-pub fn verify_candidates_reference(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &[Arc<SegRecord>],
-    t: &[Arc<SegRecord>],
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-) -> Vec<(u32, u32, f64)> {
-    crate::parallel::par_filter_map_scratch(
-        candidates,
-        parallel,
-        crate::usim::approx::RefineScratch::default,
-        |rs, &(a, b)| {
-            let sim = crate::usim::approx::usim_approx_seg_at_least_with(
-                kn,
-                cfg,
-                &s[a as usize],
-                &t[b as usize],
-                theta,
-                rs,
-            );
-            (sim >= theta - cfg.eps).then_some((a, b, sim))
-        },
-    )
-}
-
-/// Brute force: verify all |S|×|T| pairs (the oracle for filter tests).
-pub fn brute_force_join(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &Corpus,
-    t: &Corpus,
-    theta: f64,
-) -> Vec<(u32, u32, f64)> {
-    let segment = |c: &Corpus| -> Vec<Arc<SegRecord>> {
-        c.iter()
-            .map(|r| Arc::new(segment_record(kn, cfg, &r.tokens)))
-            .collect()
-    };
-    let (sp, tp) = (segment(s), segment(t));
-    let all: Vec<(u32, u32)> = (0..s.len() as u32)
-        .flat_map(|a| (0..t.len() as u32).map(move |b| (a, b)))
-        .collect();
-    verify_candidates(kn, cfg, &sp, &tp, &all, theta, true, None).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::knowledge::KnowledgeBuilder;
+    use crate::oracle::brute_force_join;
     use crate::signature::FilterKind;
+    use au_text::record::Corpus;
 
     /// Threshold join on freshly prepared corpora.
     fn join(

@@ -325,8 +325,18 @@ impl KnowledgeBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Figure 1's knowledge: the "coffee shop" ↔ "cafe" rule and the
+    /// latte / espresso taxonomy paths.
+    pub(crate) fn kn_figure1() -> Knowledge {
+        let mut b = KnowledgeBuilder::new();
+        b.synonym("coffee shop", "cafe", 1.0);
+        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
+        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
+        b.build()
+    }
 
     fn figure1_builder() -> KnowledgeBuilder {
         let mut b = KnowledgeBuilder::new();

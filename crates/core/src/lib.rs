@@ -9,6 +9,7 @@
 //! * [`pebble`] — the unified signature unit (Section 3.1).
 //! * [`signature`] — U-Filter (Alg. 2), AU-Filter heuristics (Alg. 4) and
 //!   AU-Filter DP (Alg. 5) signature selection.
+//! * [`oracle`] — the brute-force join the filters are checked against.
 
 #![warn(missing_docs)]
 
@@ -21,6 +22,7 @@ pub mod io;
 pub mod join;
 pub mod knowledge;
 pub mod msim;
+pub mod oracle;
 pub mod parallel;
 pub mod pebble;
 mod prepared;

@@ -11,7 +11,7 @@ use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
 use crate::error::AuError;
 use crate::index::CsrIndex;
-use crate::join::{batched_verify_pays, SelectedSignatures};
+use crate::join::SelectedSignatures;
 use crate::pebble::{DocFreqs, PebbleOrder};
 use crate::segment::SegRecord;
 use crate::signature::FilterKind;
@@ -423,26 +423,9 @@ impl Prepared {
             return idx.clone();
         }
         m.misses += 1;
-        let workers = if parallel {
-            crate::parallel::available_threads()
-        } else {
-            1
-        };
-        let idx = Arc::new(GramPostingsIndex::build_on(&self.segrecs, workers));
+        let idx = Arc::new(GramPostingsIndex::build_for(&self.segrecs, parallel));
         m.transposed = Some(idx.clone());
         idx
-    }
-
-    /// The index stage 5 verifies `n_candidates` against this corpus
-    /// through: [`Prepared::transposed`] once it exists, or when the
-    /// candidates pay for building it; `None` = count pair by pair.
-    pub(crate) fn verify_index(
-        &self,
-        n_candidates: usize,
-        parallel: bool,
-    ) -> Option<Arc<GramPostingsIndex>> {
-        let built = self.memo().transposed.is_some();
-        (built || batched_verify_pays(n_candidates, self.len())).then(|| self.transposed(parallel))
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -603,7 +586,7 @@ impl Engine {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::tests::{merge_lines, pair_bits, setup, MERGE_WORDS};
-    use crate::join::brute_force_join;
+    use crate::oracle::brute_force_join;
     use crate::segment::segment_record;
 
     /// The memo invariant, checked from outside: every resident signature

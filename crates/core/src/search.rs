@@ -35,8 +35,11 @@ use std::sync::{Arc, Mutex};
 /// One query's outcome with filtering statistics.
 #[derive(Debug, Clone, Default)]
 pub struct SearchOutcome {
-    /// `(record id, USIM)` of every record with similarity ≥ θ, sorted by
-    /// descending similarity (ties by ascending id).
+    /// `(record id, sim)` of every record with similarity ≥ θ, sorted by
+    /// descending `sim` (ties by ascending id). `sim` is the value the
+    /// verifier accepted the record at: a lower bound on Algorithm 1's
+    /// similarity that stops once θ is reached.
+    /// [`crate::engine::Engine::usim`] and top-k give the full value.
     pub matches: Vec<(u32, f64)>,
     /// Candidates that reached verification (≥ τ pebble overlaps; for a
     /// filterless [`crate::engine::Engine::scan`], every row that passed
@@ -488,8 +491,8 @@ impl SnapshotSearcher {
 mod tests {
     use crate::config::SimConfig;
     use crate::engine::{Engine, JoinSpec, QuerySession};
-    use crate::join::brute_force_join;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::oracle::brute_force_join;
     use crate::segment::{segment_record, SegRecord};
     use crate::signature::FilterKind;
     use au_text::record::{Corpus, RecordId};

@@ -339,15 +339,7 @@ fn make_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::KnowledgeBuilder;
-
-    fn kn_figure1() -> Knowledge {
-        let mut b = KnowledgeBuilder::new();
-        b.synonym("coffee shop", "cafe", 1.0);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
-        b.build()
-    }
+    use crate::knowledge::tests::kn_figure1;
 
     fn seg_texts(sr: &SegRecord) -> Vec<&str> {
         sr.segments.iter().map(|s| &*s.text).collect()

@@ -41,12 +41,13 @@
 //! monolithic one whenever the latter fits.
 
 use crate::config::SimConfig;
-use crate::engine::{relock, Engine, VerifyIndex};
+use crate::engine::{relock, Engine};
 use crate::error::AuError;
 use crate::join::{JoinResult, JoinStats};
 use crate::prepared::Prepared;
 use crate::segment::segment_stats;
 use crate::spec::JoinSpec;
+use crate::usim::GramPostingsIndex;
 use au_text::record::{Corpus, RecordId};
 use std::sync::{Arc, Mutex};
 
@@ -495,9 +496,9 @@ impl Engine {
     /// verifies `(min_id, max_id)` with the smaller id on the probe side,
     /// and `usim` is not guaranteed bitwise-symmetric — a forward and a
     /// reverse verification group reproduce its exact similarity values.
-    /// Each group verifies through an index of its own
-    /// ([`VerifyIndex::Transient`]), gone before the task's residency
-    /// sample.
+    /// Each non-empty group verifies through a transposed index of its
+    /// own, never filed in the shard's memo and gone before the task's
+    /// residency sample.
     fn shard_task(
         &self,
         pa: &Prepared,
@@ -528,7 +529,7 @@ impl Engine {
         {
             let sink =
                 |a: u32, b: u32, sim| pairs.push((ids_s[a as usize], ids_t[b as usize], sim));
-            let index = VerifyIndex::Transient;
+            let index = || Arc::new(GramPostingsIndex::build_for(&t.segrecs, spec.parallel));
             self.verify_stage(s, t, &group, spec, index, usize::MAX, &mut stats, sink);
         }
         JoinResult { pairs, stats }

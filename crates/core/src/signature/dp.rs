@@ -319,18 +319,10 @@ pub fn dp_prefix_len(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::knowledge::tests::kn_figure1;
     use crate::pebble::{generate_pebbles, PebbleOrder};
     use crate::segment::segment_record;
     use crate::signature::heuristic::heuristic_prefix_len;
-
-    fn kn_figure1() -> Knowledge {
-        let mut b = KnowledgeBuilder::new();
-        b.synonym("coffee shop", "cafe", 1.0);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
-        b.build()
-    }
 
     fn fixture(text: &str) -> (SegRecord, Vec<Pebble>, SimConfig) {
         let mut kn = kn_figure1();

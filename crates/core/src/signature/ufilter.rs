@@ -38,17 +38,10 @@ pub fn ufilter_prefix_len(sr: &SegRecord, pebbles: &[Pebble], theta: f64, eps: f
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::knowledge::tests::kn_figure1;
+    use crate::knowledge::Knowledge;
     use crate::pebble::{generate_pebbles, PebbleOrder};
     use crate::segment::segment_record;
-
-    fn kn_figure1() -> Knowledge {
-        let mut b = KnowledgeBuilder::new();
-        b.synonym("coffee shop", "cafe", 1.0);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
-        b.build()
-    }
 
     fn sorted_pebbles(kn: &Knowledge, cfg: &SimConfig, sr: &SegRecord) -> Vec<Pebble> {
         let mut p = generate_pebbles(kn, cfg, sr);

@@ -120,6 +120,16 @@ impl JoinSpec {
         }
     }
 
+    /// The floor below which a top-k descent stops.
+    pub fn theta_floor(&self) -> f64 {
+        self.theta_floor
+    }
+
+    /// The top-k descent's per-round subtractive step.
+    pub fn step(&self) -> f64 {
+        self.step
+    }
+
     /// The `k` of a top-k spec (0 for threshold specs).
     pub fn k(&self) -> usize {
         self.k

@@ -1,14 +1,11 @@
-//! Online statistics and quantile functions for the τ recommender.
+//! Online statistics for the τ recommender.
 //!
 //! Implements the paper's recursive mean/variance (Eq. 20–21):
 //!
 //! * `μ̂(n) = μ̂(n−1) + (x_n − μ̂(n−1)) / n`
 //! * `σ̂²(n) = (n−2)/(n−1) · σ̂²(n−1) + n · (μ̂(n) − μ̂(n−1))²`
 //!
-//! (algebraically identical to Welford's update), plus an inverse normal
-//! CDF (Acklam's rational approximation) and a Student-t quantile
-//! (exact closed forms for ν ∈ {1, 2}, a Cornish–Fisher expansion
-//! otherwise) for the confidence intervals of Eq. 23.
+//! (algebraically identical to Welford's update).
 
 /// Incrementally maintained sample mean and variance.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,107 +51,6 @@ impl OnlineStats {
             self.var
         }
     }
-
-    /// Standard error of the mean `σ̂/√n` (0 while `n < 2`).
-    pub fn std_err(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.sample_var() / self.n as f64).sqrt()
-        }
-    }
-
-    /// Confidence interval `μ̂ ± t* · σ̂/√n` (Eq. 23).
-    pub fn confidence_interval(&self, t_star: f64) -> (f64, f64) {
-        let half = t_star * self.std_err();
-        (self.mean - half, self.mean + half)
-    }
-}
-
-/// Inverse standard normal CDF (Acklam's approximation, |ε| < 1.15e−9).
-/// Panics outside `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -normal_quantile(1.0 - p)
-    }
-}
-
-/// Student-t quantile `t_{p,ν}` (upper-tail probability convention:
-/// returns x with `P(T ≤ x) = p`).
-///
-/// Exact for ν = 1 (Cauchy) and ν = 2; Cornish–Fisher expansion around the
-/// normal quantile otherwise (error < 1e−3 for ν ≥ 5, good enough for
-/// confidence-level selection).
-pub fn t_quantile(p: f64, df: u64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
-    assert!(df >= 1, "df must be positive");
-    match df {
-        1 => (std::f64::consts::PI * (p - 0.5)).tan(),
-        2 => {
-            let a = 2.0 * p - 1.0;
-            a * (2.0 / (1.0 - a * a)).sqrt()
-        }
-        _ => {
-            let x = normal_quantile(p);
-            let v = df as f64;
-            let x3 = x.powi(3);
-            let x5 = x.powi(5);
-            let x7 = x.powi(7);
-            let x9 = x.powi(9);
-            x + (x3 + x) / (4.0 * v)
-                + (5.0 * x5 + 16.0 * x3 + 3.0 * x) / (96.0 * v * v)
-                + (3.0 * x7 + 19.0 * x5 + 17.0 * x3 - 15.0 * x) / (384.0 * v.powi(3))
-                + (79.0 * x9 + 776.0 * x7 + 1482.0 * x5 - 1920.0 * x3 - 945.0 * x)
-                    / (92160.0 * v.powi(4))
-        }
-    }
-}
-
-/// Two-sided Student-t critical value at confidence `level` (e.g. 0.70
-/// gives the paper's t* = 1.036 for large ν).
-pub fn t_critical_two_sided(level: f64, df: u64) -> f64 {
-    assert!(level > 0.0 && level < 1.0);
-    t_quantile(0.5 + level / 2.0, df)
 }
 
 #[cfg(test)]
@@ -193,7 +89,6 @@ mod tests {
         st.push(5.0);
         assert_eq!(st.mean(), 5.0);
         assert_eq!(st.sample_var(), 0.0);
-        assert_eq!(st.std_err(), 0.0);
     }
 
     #[test]
@@ -204,52 +99,5 @@ mod tests {
         }
         assert!((st.mean() - 7.0).abs() < 1e-12);
         assert!(st.sample_var().abs() < 1e-18);
-    }
-
-    #[test]
-    fn confidence_interval_brackets_mean() {
-        let mut st = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            st.push(x);
-        }
-        let (lo, hi) = st.confidence_interval(2.0);
-        assert!(lo < 3.0 && 3.0 < hi);
-        assert!((hi - 3.0) - (3.0 - lo) < 1e-12, "interval is symmetric");
-    }
-
-    #[test]
-    fn normal_quantile_known_values() {
-        assert!((normal_quantile(0.5)).abs() < 1e-9);
-        assert!((normal_quantile(0.975) - 1.959964).abs() < 1e-5);
-        assert!((normal_quantile(0.841344746) - 1.0).abs() < 1e-5);
-        assert!((normal_quantile(0.05) + 1.644854).abs() < 1e-5);
-        assert!((normal_quantile(0.0001) + 3.719016).abs() < 1e-4);
-    }
-
-    #[test]
-    fn t_quantile_known_values() {
-        // Classic table values.
-        assert!((t_quantile(0.975, 1) - 12.7062).abs() < 1e-3);
-        assert!((t_quantile(0.975, 2) - 4.30265).abs() < 1e-4);
-        assert!((t_quantile(0.975, 10) - 2.22814).abs() < 2e-2);
-        assert!((t_quantile(0.95, 30) - 1.69726).abs() < 5e-3);
-        // Converges to normal for large df.
-        assert!((t_quantile(0.975, 100000) - 1.95996).abs() < 1e-3);
-    }
-
-    #[test]
-    fn papers_t_star() {
-        // Figure 8 caption: t* = 1.036 is the 70% two-sided level.
-        let t = t_critical_two_sided(0.70, 1000);
-        assert!((t - 1.036).abs() < 5e-3, "got {t}");
-    }
-
-    #[test]
-    fn t_is_symmetric() {
-        for df in [1u64, 2, 5, 20] {
-            let a = t_quantile(0.9, df);
-            let b = t_quantile(0.1, df);
-            assert!((a + b).abs() < 1e-9, "df={df}");
-        }
     }
 }

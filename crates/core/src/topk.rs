@@ -112,8 +112,8 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::{Engine, JoinSpec};
-    use crate::join::brute_force_join;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use crate::oracle::brute_force_join;
     use crate::usim::usim_approx_seg;
     use au_text::record::Corpus;
 

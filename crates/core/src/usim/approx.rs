@@ -340,7 +340,7 @@ pub fn usim_approx_seg_at_least(
 
 /// [`usim_approx_seg_at_least`] over a caller-owned scratch — the
 /// reference verification path's per-worker form
-/// ([`crate::join::verify_candidates_reference`]): identical value, but
+/// ([`crate::oracle::verify_candidates_reference`]): identical value, but
 /// the upper-bound tables and local-search buffers are reused across
 /// candidates instead of freshly allocated per call.
 pub(crate) fn usim_approx_seg_at_least_with(
@@ -405,16 +405,9 @@ pub fn usim_approx_explained(
 mod tests {
     use super::*;
     use crate::config::MeasureSet;
+    use crate::knowledge::tests::kn_figure1;
     use crate::knowledge::KnowledgeBuilder;
     use crate::usim::exact::usim_exact;
-
-    fn kn_figure1() -> Knowledge {
-        let mut b = KnowledgeBuilder::new();
-        b.synonym("coffee shop", "cafe", 1.0);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
-        b.build()
-    }
 
     #[test]
     fn figure1_approx_reaches_exact() {

@@ -44,15 +44,8 @@ pub fn usim_exact(kn: &Knowledge, s: RecordId, t: RecordId, cfg: &SimConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::tests::kn_figure1;
     use crate::knowledge::KnowledgeBuilder;
-
-    fn kn_figure1() -> Knowledge {
-        let mut b = KnowledgeBuilder::new();
-        b.synonym("coffee shop", "cafe", 1.0);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "latte"]);
-        b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
-        b.build()
-    }
 
     #[test]
     fn figure1_exact_value() {

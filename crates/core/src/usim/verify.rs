@@ -260,6 +260,17 @@ impl GramPostingsIndex {
         Self::build_on(recs, crate::parallel::available_threads())
     }
 
+    /// [`GramPostingsIndex::build`] for a spec: serially on the caller's
+    /// thread unless `parallel`.
+    pub(crate) fn build_for(recs: &[Arc<SegRecord>], parallel: bool) -> Self {
+        let workers = if parallel {
+            crate::parallel::available_threads()
+        } else {
+            1
+        };
+        Self::build_on(recs, workers)
+    }
+
     /// [`GramPostingsIndex::build`] on `workers` threads; one builds every
     /// table whole on the caller's thread.
     pub(crate) fn build_on(recs: &[Arc<SegRecord>], workers: usize) -> Self {

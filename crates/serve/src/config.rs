@@ -19,8 +19,7 @@ pub struct ServeConfig {
     /// Signature filter for every query/join spec.
     pub filter: FilterKind,
     /// Auto-compact once the delta segment reaches this many records
-    /// (0 = compact only on [`crate::Service::compact`] / the background
-    /// [`crate::Compactor`]).
+    /// (0 = compact only on [`crate::Service::compact`]).
     ///
     /// The delta segment has no filter: a write appends one segmented
     /// row and touches nothing else, and a read verifies every delta row

@@ -23,8 +23,8 @@
 //!   mints a new knowledge generation through the same process-wide
 //!   counter as every other engine artifact — a compact-then-shard
 //!   interleaving can never collide generations.
-//! * A background [`Compactor`], an explicit [`Service::compact`] or the
-//!   insert that reaches [`ServeConfig::compact_threshold`] folds the
+//! * An explicit [`Service::compact`] or the insert that reaches
+//!   [`ServeConfig::compact_threshold`] folds the
 //!   delta and tombstones into a fresh monolithic base off the writer
 //!   lock (the writes that land meanwhile are carried into the swapped-in
 //!   snapshot) —
@@ -71,7 +71,6 @@ mod wal;
 mod write;
 
 pub use admission::AdmissionStats;
-pub use compaction::Compactor;
 pub use config::{CompactionStats, Mutation, ServeConfig, ServeStats};
 pub use error::ServeError;
 pub use faults::{FaultCounts, FaultPlan, FaultyStorage};

@@ -16,11 +16,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Floor of the top-k threshold descent.
-const TOPK_FLOOR: f64 = 0.3;
-/// Subtractive step of the top-k threshold descent.
-const TOPK_STEP: f64 = 0.1;
-
 /// The file-backed log at `dir/wal.log`.
 fn file_log(dir: &Path) -> Result<Box<dyn Storage>, ServeError> {
     let storage = FileStorage::open(dir.join("wal.log")).map_err(|e| wal_error("open", &e))?;
@@ -239,25 +234,14 @@ impl Service {
     }
 
     /// Top-k search by threshold descent: answer at the service θ, then
-    /// retry at thresholds lowered by 0.1 until `k` matches are found or
-    /// the floor of 0.3 is reached.
+    /// retry at thresholds lowered by [`JoinSpec::topk`]'s step (0.1)
+    /// until `k` matches are found or its floor (0.3) is reached, and
+    /// rank the matches by their full similarity.
+    ///
+    /// [`JoinSpec::topk`]: au_core::engine::JoinSpec::topk
     pub fn topk(&self, text: &str, k: usize) -> Result<TopkResponse, ServeError> {
         let _permit = self.admit()?;
-        let snap = self.snapshot();
-        let cfg = self.config();
-        let mut theta = cfg.theta;
-        let mut resp = snap.search(text);
-        while resp.matches.len() < k && theta > TOPK_FLOOR + 1e-12 {
-            theta = (theta - TOPK_STEP).max(TOPK_FLOOR);
-            resp = snap.search_spec(text, &cfg.spec_at(theta))?;
-        }
-        let mut matches = resp.matches;
-        matches.truncate(k);
-        Ok(TopkResponse {
-            generation: resp.generation,
-            matches,
-            theta,
-        })
+        self.snapshot().topk(self.config(), text, k)
     }
 
     /// Self-join over the live records with global ids in `lo..hi`, at
@@ -1011,6 +995,37 @@ pub(crate) mod tests {
             top.matches.windows(2).all(|w| w[0].1 >= w[1].1),
             "best first"
         );
+    }
+
+    /// Top-k ranks by the full similarity, not by the lower bound the
+    /// θ-search accepted a match at: "apple cake" is 0.8 from "cake" (the
+    /// synonym), but the search stops once it reaches θ = 0.5, below
+    /// "food" (0.667, the taxonomy) — in the base and in the delta alike.
+    #[test]
+    fn topk_ranks_by_the_full_similarity() {
+        let knowledge = || {
+            let mut kb = KnowledgeBuilder::new();
+            kb.synonym("apple cake", "cake", 0.8);
+            kb.taxonomy_path(&["root", "food", "cake", "apple cake"]);
+            kb.build()
+        };
+        let cfg = ServeConfig {
+            theta: 0.5,
+            compact_threshold: 0,
+            ..ServeConfig::default()
+        };
+        let base = Service::build(knowledge(), ["apple cake", "food"], cfg).unwrap();
+        let delta = Service::build(knowledge(), ["food"], cfg).unwrap();
+        let inserted = delta.insert_record("apple cake").unwrap().id;
+        for (s, apple_cake) in [(&base, 0), (&delta, inserted)] {
+            let top = s.topk("cake", 1).unwrap();
+            assert_eq!(top.matches.len(), 1);
+            assert_eq!(top.matches[0].0, apple_cake, "{:?}", top.matches);
+            assert!((top.matches[0].1 - 0.8).abs() < 1e-9, "{:?}", top.matches);
+            let both = s.topk("cake", 2).unwrap().matches;
+            assert_eq!(both[0].0, apple_cake);
+            assert!((both[1].1 - 2.0 / 3.0).abs() < 1e-9, "{both:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::tombstone::TombstoneSet;
 use au_core::engine::{Engine, JoinSpec, Prepared, QuerySession, SnapshotSearcher};
 use au_core::search::SearchOutcome;
 use au_core::segment::{segment_record, SegRecord};
-use au_core::usim::VerifyTiers;
+use au_core::usim::{Verifier, VerifyScratch, VerifyTiers};
 use au_core::{Knowledge, SimConfig};
 use au_text::record::{Corpus, Record, RecordId};
 use std::sync::Arc;
@@ -157,9 +157,11 @@ pub struct SearchResponse {
     /// Generation of the snapshot that answered (exactly one per
     /// response — the stale-read guard the stress tests assert on).
     pub generation: u64,
-    /// `(global id, USIM)` of every live record with similarity ≥ θ,
-    /// sorted by descending similarity (ties by ascending id) — the same
-    /// contract as [`au_core::search::SearchOutcome::matches`].
+    /// `(global id, sim)` of every live record with similarity ≥ θ,
+    /// sorted by descending `sim` (ties by ascending id) — the same
+    /// contract as [`au_core::search::SearchOutcome::matches`]: `sim` is
+    /// the verifier's accepted value, a lower bound that stops once θ is
+    /// reached; [`crate::Service::topk`] ranks by the full value.
     pub matches: Vec<(u64, f64)>,
     /// Candidates that reached verification, summed over both segments
     /// (in the delta: every row that passed the tier-0 bound).
@@ -180,7 +182,8 @@ pub struct SearchResponse {
 pub struct TopkResponse {
     /// Generation of the snapshot that answered.
     pub generation: u64,
-    /// Up to `k` best `(global id, USIM)` matches, best first.
+    /// Up to `k` best `(global id, USIM)` matches, best first, scored
+    /// with the full Algorithm 1 value.
     pub matches: Vec<(u64, f64)>,
     /// The threshold the final (answering) descent step ran at.
     pub theta: f64,
@@ -193,6 +196,11 @@ pub struct JoinWindowResponse {
     pub generation: u64,
     /// `(s, t, USIM)` pairs over global ids, `s < t`, sorted by `(s, t)`.
     pub pairs: Vec<(u64, u64, f64)>,
+}
+
+/// The global order of matches: descending similarity, ties ascending id.
+fn ranking(a: &(u64, f64), b: &(u64, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 impl Snapshot {
@@ -310,43 +318,93 @@ impl Snapshot {
     /// rows, map row numbers to global ids, mask tombstones, and merge
     /// under the global ordering contract.
     pub fn search(&self, text: &str) -> SearchResponse {
-        self.answer(&self.base_search, text, &self.spec)
+        self.answer(&self.base_search, &self.segment(text), &self.spec)
     }
 
-    /// Like [`Snapshot::search`], but at an arbitrary spec (the top-k
-    /// descent path): a one-shot base searcher over the same artifacts,
-    /// and the same delta scan at the spec's θ. Selection artifacts come
-    /// from the shared `Prepared` memo, so repeated thresholds stay warm —
-    /// and the service's memo capacity bound keeps a hostile threshold
-    /// stream from growing it without limit.
-    pub(crate) fn search_spec(
+    /// Top-k search by threshold descent: answer at the service θ, then at
+    /// thresholds lowered by [`JoinSpec::topk`]'s step until `k` matches
+    /// are found or its floor is reached. A lower θ probes through a
+    /// one-shot base searcher over the same artifacts; selection artifacts
+    /// come from the shared `Prepared` memo, so repeated thresholds stay
+    /// warm — and the memo capacity bound keeps a hostile threshold stream
+    /// from growing it without limit. The final round's matches are
+    /// re-scored with the full Algorithm 1 value before ranking: the
+    /// search accepts a match at a lower bound that stops once θ is
+    /// reached.
+    pub(crate) fn topk(
         &self,
+        cfg: &ServeConfig,
         text: &str,
-        spec: &JoinSpec,
-    ) -> Result<SearchResponse, ServeError> {
-        let base = Engine::snapshot_searcher(
-            self.base_search.engine().clone(),
-            self.base_search.prepared().clone(),
-            spec,
-        )?;
-        Ok(self.answer(&base, text, spec))
+        k: usize,
+    ) -> Result<TopkResponse, ServeError> {
+        let descent = JoinSpec::topk(k);
+        let query = self.segment(text);
+        let mut theta = cfg.theta;
+        let mut resp = self.answer(&self.base_search, &query, &self.spec);
+        while resp.matches.len() < k && theta > descent.theta_floor() + 1e-12 {
+            theta = (theta - descent.step()).max(descent.theta_floor());
+            let spec = cfg.spec_at(theta);
+            let base = Engine::snapshot_searcher(
+                self.base_search.engine().clone(),
+                self.base_search.prepared().clone(),
+                &spec,
+            )?;
+            resp = self.answer(&base, &query, &spec);
+        }
+        let verifier = Verifier::new(self.engine.knowledge(), self.engine.config());
+        let mut scratch = VerifyScratch::default();
+        let mut matches: Vec<(u64, f64)> = resp
+            .matches
+            .iter()
+            .filter_map(|&(id, _)| {
+                let sim = verifier.sim(&query, self.seg_record(id)?, &mut scratch);
+                Some((id, sim))
+            })
+            .collect();
+        matches.sort_unstable_by(ranking);
+        matches.truncate(k);
+        Ok(TopkResponse {
+            generation: self.generation,
+            matches,
+            theta,
+        })
     }
 
-    /// Both segments' answers to one query, merged. The query is tokenized
-    /// and segmented **once**, under the newest knowledge (an inserted
-    /// word the base vocabulary never saw has a real id there, which the
-    /// delta rows carrying it share); the base probe takes the same record
-    /// — interners only append, so such a word is in no base record and
-    /// the base answer is what its own vocabulary would have given. The
-    /// delta's answer verifies every row the tier-0 bound admits.
-    fn answer(&self, base: &SnapshotSearcher, text: &str, spec: &JoinSpec) -> SearchResponse {
+    /// The query tokenized and segmented **once**, under the newest
+    /// knowledge (an inserted word the base vocabulary never saw has a
+    /// real id there, which the delta rows carrying it share); the base
+    /// probe takes the same record — interners only append, so such a
+    /// word is in no base record and the base answer is what its own
+    /// vocabulary would have given.
+    fn segment(&self, text: &str) -> SegRecord {
         let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
-        let query = self.session.segment(kn, cfg, text);
+        self.session.segment(kn, cfg, text)
+    }
+
+    /// The segmented record of global id `id`, base or delta.
+    fn seg_record(&self, id: u64) -> Option<&SegRecord> {
+        match self.base_ids.binary_search(&id) {
+            Ok(row) => Some(&self.base_search.prepared().seg_records()[row]),
+            Err(_) => {
+                let pos = self.delta.binary_search_by_key(&id, |r| r.id).ok()?;
+                Some(&self.delta[pos].seg)
+            }
+        }
+    }
+
+    /// Both segments' answers to one query, merged. The delta's answer
+    /// verifies every row the tier-0 bound admits.
+    fn answer(
+        &self,
+        base: &SnapshotSearcher,
+        query: &SegRecord,
+        spec: &JoinSpec,
+    ) -> SearchResponse {
         let delta = (!self.delta.is_empty()).then(|| {
             let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &*r.seg).collect();
-            self.engine.scan(&self.session, &rows, &query, spec)
+            self.engine.scan(&self.session, &rows, query, spec)
         });
-        self.merge(base.query_record(&query), delta)
+        self.merge(base.query_record(query), delta)
     }
 
     fn merge(&self, base: SearchOutcome, delta: Option<SearchOutcome>) -> SearchResponse {
@@ -374,8 +432,8 @@ impl Snapshot {
             tiers.merge(&out.tiers);
         }
         // Each segment arrives sorted; re-establish the global contract
-        // across segments: descending similarity, ties ascending id.
-        matches.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // across segments.
+        matches.sort_unstable_by(ranking);
         SearchResponse {
             generation: self.generation,
             matches,

@@ -107,8 +107,8 @@ pub mod prelude {
     pub use au_core::topk::TopkResult;
     pub use au_core::usim::{usim_approx, usim_exact};
     pub use au_serve::{
-        Compactor, FaultPlan, FaultyStorage, MemStorage, Mutation, RetryPolicy, ServeConfig,
-        ServeError, ServeStats, Service, Storage, WalOp, WalStats,
+        FaultPlan, FaultyStorage, MemStorage, Mutation, RetryPolicy, ServeConfig, ServeError,
+        ServeStats, Service, Storage, WalOp, WalStats,
     };
     pub use au_text::record::{Corpus, Record, RecordId};
 }

@@ -1,22 +1,18 @@
 //! Adversarial and edge-case integration tests: weird knowledge bases,
 //! unicode, degenerate records, overlapping knowledge sources.
 
-use au_join::core::join::{
-    brute_force_join, verify_candidates, verify_candidates_reference, JoinResult,
-};
+mod common;
+
+use au_join::core::join::verify_candidates;
+use au_join::core::oracle::{brute_force_join, verify_candidates_reference};
 use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::signature::FilterKind;
-use au_join::core::usim::{usim_approx_seg, usim_exact_seg, Verifier, VerifyScratch};
+use au_join::core::usim::{
+    usim_approx_seg, usim_exact_seg, GramPostingsIndex, Verifier, VerifyScratch,
+};
 use au_join::prelude::*;
+use common::join;
 use std::sync::Arc;
-
-/// One-shot R×S join on freshly prepared corpora.
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
-    let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
-    let ps = engine.prepare(s).expect("prepare S");
-    let pt = engine.prepare(t).expect("prepare T");
-    engine.join(&ps, &pt, spec).expect("join")
-}
 
 #[test]
 fn rule_side_that_is_also_an_entity() {
@@ -298,11 +294,11 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
         scr.take_tally()
     };
     assert!(per_pair.mass_rejects > 0 && per_pair.accepted == reference.len() as u64);
-    // ≥ 2048 candidates against 2100 records: the driver picks the
-    // run-batched source by itself; serial keeps the giant's run whole.
+    // Serial keeps the giant's run whole.
+    let index = GramPostingsIndex::build(&tp);
     for parallel in [false, true] {
         let (pairs, tiers) =
-            verify_candidates(&kn, &cfg, &sp, &tp, &candidates, theta, parallel, None);
+            verify_candidates(&kn, &cfg, &sp, &tp, &candidates, theta, parallel, &index);
         let bits = |v: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
             v.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
         };

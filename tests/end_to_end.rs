@@ -2,18 +2,14 @@
 //! spanning au-text, au-taxonomy, au-synonym, au-matching, au-core and
 //! au-datagen through the facade crate.
 
-use au_join::core::join::{brute_force_join, JoinResult};
+mod common;
+
+use au_join::core::join::JoinResult;
+use au_join::core::oracle::brute_force_join;
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
-
-/// One-shot R×S join on freshly prepared corpora.
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
-    let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
-    let ps = engine.prepare(s).expect("prepare S");
-    let pt = engine.prepare(t).expect("prepare T");
-    engine.join(&ps, &pt, spec).expect("join")
-}
+use common::join;
 
 /// One-shot self-join through the session API.
 fn join_self(kn: &Knowledge, cfg: &SimConfig, c: &Corpus, spec: &JoinSpec) -> JoinResult {

@@ -10,7 +10,7 @@
 //! Dice at θ = 0.6, τ = 3). Kept as a standing sweep so future signature
 //! work cannot silently trade completeness for pruning power.
 
-use au_join::core::join::brute_force_join;
+use au_join::core::oracle::brute_force_join;
 use au_join::core::signature::FilterKind;
 use au_join::prelude::*;
 

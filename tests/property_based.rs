@@ -1,12 +1,15 @@
 //! Property-based tests (proptest) over the core invariants.
 
-use au_join::core::join::{brute_force_join, JoinResult};
+mod common;
+
+use au_join::core::oracle::brute_force_join;
 use au_join::core::segment::segment_record;
 use au_join::core::signature::FilterKind;
 use au_join::core::usim::{usim_approx_seg, usim_exact_seg};
 use au_join::prelude::*;
 use au_join::text::edit::levenshtein;
 use au_join::text::jaccard::{jaccard_sorted, qgram_jaccard};
+use common::join;
 use proptest::prelude::*;
 
 /// A small token alphabet keeps collisions (and therefore interesting
@@ -34,14 +37,6 @@ fn word_strategy() -> impl Strategy<Value = String> {
 
 fn text_strategy(max_tokens: usize) -> impl Strategy<Value = String> {
     prop::collection::vec(word_strategy(), 1..=max_tokens).prop_map(|v| v.join(" "))
-}
-
-/// One-shot R×S join on freshly prepared corpora.
-fn join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, spec: &JoinSpec) -> JoinResult {
-    let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
-    let ps = engine.prepare(s).expect("prepare S");
-    let pt = engine.prepare(t).expect("prepare T");
-    engine.join(&ps, &pt, spec).expect("join")
 }
 
 fn test_knowledge() -> Knowledge {

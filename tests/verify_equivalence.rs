@@ -1,13 +1,14 @@
 //! Tier-equivalence harness: the production verification driver
 //! (`au_core::join::verify_candidates` over the tiered engine in
-//! `au_core::usim::verify`) must produce **byte-identical** `(pairs,
+//! `au_core::usim::verify`, which walks each probe run through the
+//! transposed posting index) must produce **byte-identical** `(pairs,
 //! sims)` — compared through `f64::to_bits` — to the reference
-//! per-candidate path (`verify_candidates_reference`), on generated
-//! datasets and on adversarial proptest corpora, serial and parallel
-//! alike, through *both* of its count sources: the run-batched one the
-//! driver picks at ≥ 2048 candidates and the per-pair one it picks
-//! below — and both must land every candidate in the same one of the
-//! seven tier buckets as a lone `Verifier::sim_at_least` call.
+//! per-candidate path (`au_core::oracle::verify_candidates_reference`),
+//! on generated datasets and on adversarial proptest corpora, serial and
+//! parallel alike; so must the per-pair count source (a lone
+//! `Verifier::sim_at_least` call per candidate, what `Engine::scan`
+//! runs), and both must land every candidate in the same one of the
+//! seven tier buckets.
 //!
 //! This is the contract that lets the engine reject candidates before any
 //! segment-pair enumeration (tier 0, the mass bound), count a whole run's
@@ -22,7 +23,8 @@
 //! with exactly one index build behind all of it.
 
 use au_join::core::engine::QuerySession;
-use au_join::core::join::{verify_candidates, verify_candidates_reference};
+use au_join::core::join::verify_candidates;
+use au_join::core::oracle::verify_candidates_reference;
 use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::usim::{
     usim_approx_seg, usim_approx_seg_at_least, usim_exact_seg, GramPostingsIndex, Verifier,
@@ -32,11 +34,6 @@ use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// The driver's size switch (`BATCHED_VERIFY_MIN` in `au_core::join`):
-/// candidate lists at least this long verify through the run-batched mass
-/// count, shorter ones pair by pair.
-const BATCHED_MIN: usize = 2048;
 
 fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: result count");
@@ -49,11 +46,12 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
     }
 }
 
-/// The production driver vs the reference on one candidate list, serial
-/// and parallel — byte-identical `(pair, sim)` everywhere, plus the
-/// tier-telemetry invariants (every candidate in exactly one bucket,
-/// accepted == results, and the seven-bucket tally identical across
-/// schedules *and* across the run-batched and per-pair sources).
+/// The production driver and the per-pair source vs the reference on one
+/// candidate list, serial and parallel — byte-identical `(pair, sim)`
+/// everywhere, plus the tier-telemetry invariants (every candidate in
+/// exactly one bucket, accepted == results, and the seven-bucket tally
+/// identical across schedules *and* across the run walk and the per-pair
+/// count).
 fn check_candidates(
     kn: &Knowledge,
     s: &[Arc<SegRecord>],
@@ -63,41 +61,46 @@ fn check_candidates(
     ctx: &str,
 ) {
     let cfg = SimConfig::default();
+    let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, false);
     // The per-pair source: one `sim_at_least` call per candidate.
     let per_pair = {
         let v = Verifier::new(kn, &cfg);
         let mut scr = VerifyScratch::default();
+        let mut accepted = Vec::new();
         for &(a, b) in candidates {
-            v.sim_at_least(&s[a as usize], &t[b as usize], theta, &mut scr);
+            let sim = v.sim_at_least(&s[a as usize], &t[b as usize], theta, &mut scr);
+            if sim >= theta - cfg.eps {
+                accepted.push((a, b, sim));
+            }
         }
+        assert_bit_identical(&accepted, &reference, &format!("{ctx} per-pair"));
         scr.take_tally()
     };
-    // `None` lets the driver pick by size (per-pair below
-    // `BATCHED_MIN`); a supplied index forces the run-batched source.
-    let forced = GramPostingsIndex::build(t);
+    let index = GramPostingsIndex::build(t);
     for parallel in [false, true] {
-        let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, parallel);
-        for index in [None, Some(&forced)] {
-            let (production, tiers) =
-                verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, index);
-            let ctx = format!("{ctx} parallel={parallel} batched={}", index.is_some());
-            assert_bit_identical(&production, &reference, &ctx);
-            assert_eq!(
-                tiers.decisions(),
-                candidates.len() as u64,
-                "{ctx}: tier buckets must partition the candidate set"
-            );
-            assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
-            // Tier counters are pure per-candidate functions: whichever
-            // source counted, however the list was scheduled.
-            assert_eq!(tiers, per_pair, "{ctx}: tally differs from per-pair");
-        }
+        let (production, tiers) =
+            verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, &index);
+        let ctx = format!("{ctx} parallel={parallel}");
+        assert_bit_identical(&production, &reference, &ctx);
+        assert_eq!(
+            tiers.decisions(),
+            candidates.len() as u64,
+            "{ctx}: tier buckets must partition the candidate set"
+        );
+        assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
+        // Tier counters are pure per-candidate functions: whichever
+        // source counted, however the list was scheduled.
+        assert_eq!(tiers, per_pair, "{ctx}: tally differs from per-pair");
     }
+    let parallel_reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, true);
+    assert_bit_identical(
+        &parallel_reference,
+        &reference,
+        &format!("{ctx} parallel reference"),
+    );
 }
 
-/// Filter one dataset at θ, then check the whole candidate list (long
-/// enough for the run-batched gram source) and a prefix short enough for
-/// the per-pair one.
+/// Filter one dataset at θ, then check its whole candidate list.
 fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
     let ps = engine.prepare(&ds.s).expect("prepare S");
@@ -110,25 +113,16 @@ fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
     let out = engine
         .filter_outcome(&ps, t, &JoinSpec::threshold(theta))
         .expect("filter run");
-    assert!(
-        out.candidates.len() >= BATCHED_MIN,
-        "{label}: {} candidates never reach the run-batched path",
-        out.candidates.len()
-    );
+    assert!(!out.candidates.is_empty(), "{label}: no candidates");
     let t_recs = t.unwrap_or(&ps).seg_records();
-    for (path, cands) in [
-        ("run-batched", &out.candidates[..]),
-        ("per-pair", &out.candidates[..BATCHED_MIN - 1]),
-    ] {
-        check_candidates(
-            &ds.kn,
-            ps.seg_records(),
-            t_recs,
-            cands,
-            theta,
-            &format!("{label} {path}"),
-        );
-    }
+    check_candidates(
+        &ds.kn,
+        ps.seg_records(),
+        t_recs,
+        &out.candidates,
+        theta,
+        &label,
+    );
 }
 
 fn med_ds() -> LabeledDataset {
@@ -382,7 +376,6 @@ fn joins_and_searchers_share_one_transposed_index() {
     let joined = engine
         .join(&ps, &pt, &JoinSpec::threshold(0.5))
         .expect("join");
-    assert!(joined.stats.candidates >= BATCHED_MIN as u64);
     assert_eq!(pt.memo_misses() - before, 2, "signatures + CSR only");
     // Join first: it builds the index (one miss more than above), and
     // neither searcher builds it again.
@@ -467,7 +460,7 @@ proptest! {
     }
 
     /// Whole-corpus: the verify stage output is byte-identical to the
-    /// reference, serial and parallel (short lists: per-pair source).
+    /// reference, serial and parallel.
     #[test]
     fn tiered_corpus_verify_matches(texts in prop::collection::vec(text_strategy(6), 4..16), theta in 0.3f64..0.95) {
         let mut kn = test_knowledge();
@@ -480,8 +473,9 @@ proptest! {
         let all: Vec<(u32, u32)> = (0..c.len() as u32)
             .flat_map(|x| (0..c.len() as u32).map(move |y| (x, y)))
             .collect();
+        let index = GramPostingsIndex::build(&sp);
         for parallel in [false, true] {
-            let (tiered, _) = verify_candidates(&kn, &cfg, &sp, &sp, &all, theta, parallel, None);
+            let (tiered, _) = verify_candidates(&kn, &cfg, &sp, &sp, &all, theta, parallel, &index);
             let reference =
                 verify_candidates_reference(&kn, &cfg, &sp, &sp, &all, theta, parallel);
             assert_bit_identical(&tiered, &reference, "proptest corpus");

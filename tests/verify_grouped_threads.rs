@@ -1,7 +1,7 @@
 //! Production-driver-vs-reference verification equivalence under a pinned
-//! `AU_THREADS` override, through both count sources of
-//! `au_core::join::verify_candidates`: the whole candidate list (≥ 2048,
-//! run-batched) and a prefix below the switch (per-pair).
+//! `AU_THREADS` override: `au_core::join::verify_candidates` walking a
+//! transposed posting index built on the pinned workers must equal
+//! `au_core::oracle::verify_candidates_reference`.
 //!
 //! `au_core::parallel::available_threads` reads `AU_THREADS` once per
 //! process, so this check lives in its own integration-test binary: the
@@ -15,8 +15,10 @@
 //! per-pair scan that never touches it.
 
 use au_join::core::engine::QuerySession;
-use au_join::core::join::{verify_candidates, verify_candidates_reference};
+use au_join::core::join::verify_candidates;
+use au_join::core::oracle::verify_candidates_reference;
 use au_join::core::segment::SegRecord;
+use au_join::core::usim::GramPostingsIndex;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
@@ -35,29 +37,29 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
     let ps = engine.prepare(&ds.s).expect("prepare S");
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let (sp, tp) = (ps.seg_records(), pt.seg_records());
+    let index = GramPostingsIndex::build(tp);
     for theta in [0.6, 0.9] {
-        let out = engine
+        let cands = engine
             .filter_outcome(&ps, Some(&pt), &JoinSpec::threshold(theta))
-            .expect("filter run");
-        assert!(out.candidates.len() >= 2048, "θ={theta}: run-batched path");
-        for cands in [&out.candidates[..], &out.candidates[..2047]] {
-            let (serial, serial_tiers) =
-                verify_candidates(&ds.kn, &cfg, sp, tp, cands, theta, false, None);
-            let (parallel, parallel_tiers) =
-                verify_candidates(&ds.kn, &cfg, sp, tp, cands, theta, true, None);
-            let reference = verify_candidates_reference(&ds.kn, &cfg, sp, tp, cands, theta, true);
-            assert_eq!(serial.len(), parallel.len(), "θ={theta}");
-            for (x, y) in serial.iter().zip(&parallel) {
-                assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
-            }
-            for (x, y) in parallel.iter().zip(&reference) {
-                assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
-            }
-            // Tier counters are pure per-candidate functions — all seven
-            // buckets identical under any worker count.
-            assert_eq!(serial_tiers, parallel_tiers, "θ={theta}");
-            assert_eq!(serial_tiers.decisions(), cands.len() as u64);
+            .expect("filter run")
+            .candidates;
+        let (serial, serial_tiers) =
+            verify_candidates(&ds.kn, &cfg, sp, tp, &cands, theta, false, &index);
+        let (parallel, parallel_tiers) =
+            verify_candidates(&ds.kn, &cfg, sp, tp, &cands, theta, true, &index);
+        let reference = verify_candidates_reference(&ds.kn, &cfg, sp, tp, &cands, theta, true);
+        assert_eq!(serial.len(), parallel.len(), "θ={theta}");
+        for (x, y) in serial.iter().zip(&parallel) {
+            assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
         }
+        assert_eq!(parallel.len(), reference.len(), "θ={theta}");
+        for (x, y) in parallel.iter().zip(&reference) {
+            assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
+        }
+        // Tier counters are pure per-candidate functions — all seven
+        // buckets identical under any worker count.
+        assert_eq!(serial_tiers, parallel_tiers, "θ={theta}");
+        assert_eq!(serial_tiers.decisions(), cands.len() as u64);
     }
 
     // Past 512 records per range the index's gram table is built in
