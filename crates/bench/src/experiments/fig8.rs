@@ -31,7 +31,6 @@ pub fn run(scale: f64) -> String {
             ps: p,
             pt: p,
             n_star: 10,
-            t_star: 1.036,
             max_iters: 400,
             universe: vec![1, 2, 3, 4],
             ..Default::default()

@@ -657,44 +657,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn memo_capacity_bounds_threshold_sweep() {
-        // A long-lived service sweeping user-chosen thresholds over one
-        // Prepared must stay bounded under with_memo_capacity, while
-        // evicted entries rebuild transparently with identical results.
-        let (kn, s, _) = setup();
-        let engine = Engine::new(kn, SimConfig::default()).unwrap();
-        let unbounded = engine.prepare(&s).unwrap();
-        // One θ of a self-join keeps three artifacts: the order, the
-        // signatures, the CSR index.
-        let bounded = engine.prepare(&s).unwrap().with_memo_capacity(3);
-        assert_eq!(bounded.memo_capacity(), 3);
-        let thetas: Vec<f64> = (30..=90).step_by(5).map(|t| t as f64 / 100.0).collect();
-        let mut reference = Vec::new();
-        for &th in &thetas {
-            let spec = JoinSpec::threshold(th).u_filter();
-            reference.push(engine.join_self(&unbounded, &spec).unwrap().pairs);
-            let got = engine.join_self(&bounded, &spec).unwrap().pairs;
-            assert_eq!(got, *reference.last().unwrap(), "theta {th}");
-            assert!(
-                bounded.memo_len() <= 3,
-                "memo grew past capacity: {}",
-                bounded.memo_len()
-            );
-        }
-        // The order once, signatures + CSR per θ.
-        assert_eq!(unbounded.memo_len(), 1 + 2 * thetas.len());
-        assert!(bounded.memo_evictions() > 0);
-        // Re-running an evicted threshold still matches byte-for-byte.
-        for (th, expect) in thetas.iter().zip(&reference) {
-            let spec = JoinSpec::threshold(*th).u_filter();
-            assert_eq!(engine.join_self(&bounded, &spec).unwrap().pairs, *expect);
-        }
-        // Tightening the capacity on a shared artifact evicts immediately.
-        bounded.set_memo_capacity(1);
-        assert!(bounded.memo_len() <= 1);
-    }
-
-    #[test]
     fn invalid_configs_and_specs_are_typed_errors() {
         let (kn, s, _) = setup();
         let bad_cfg = SimConfig {
@@ -718,13 +680,6 @@ pub(crate) mod tests {
         assert!(matches!(
             engine.topk_self(&ps, &JoinSpec::threshold(0.8)),
             Err(AuError::InvalidSpec { field: "mode", .. })
-        ));
-        assert!(matches!(
-            engine.topk_self(&ps, &JoinSpec::topk(3).descent(0.9, 0.0, 0.1)),
-            Err(AuError::InvalidSpec {
-                field: "theta_floor",
-                ..
-            })
         ));
     }
 

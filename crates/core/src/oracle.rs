@@ -7,6 +7,7 @@
 
 use crate::config::SimConfig;
 use crate::knowledge::Knowledge;
+use crate::parallel::par_map_scratch;
 use crate::segment::{segment_record, SegRecord};
 use crate::usim::approx::{usim_approx_seg_at_least_with, RefineScratch};
 use au_text::record::Corpus;
@@ -26,16 +27,12 @@ pub fn verify_candidates_reference(
     theta: f64,
     parallel: bool,
 ) -> Vec<(u32, u32, f64)> {
-    crate::parallel::par_filter_map_scratch(
-        candidates,
-        parallel,
-        RefineScratch::default,
-        |rs, &(a, b)| {
-            let sim =
-                usim_approx_seg_at_least_with(kn, cfg, &s[a as usize], &t[b as usize], theta, rs);
-            (sim >= theta - cfg.eps).then_some((a, b, sim))
-        },
-    )
+    let verify = |rs: &mut RefineScratch, &(a, b): &(u32, u32)| {
+        let sim = usim_approx_seg_at_least_with(kn, cfg, &s[a as usize], &t[b as usize], theta, rs);
+        (sim >= theta - cfg.eps).then_some((a, b, sim))
+    };
+    let verdicts = par_map_scratch(candidates, parallel, RefineScratch::default, verify, |_| {});
+    verdicts.into_iter().flatten().collect()
 }
 
 /// Brute force: verify all |S|×|T| pairs on the reference path, sorted by

@@ -67,30 +67,13 @@ fn run_unit_size(len: usize, threads: usize) -> usize {
     (len / (threads * BATCHES_PER_WORKER)).max(MIN_BATCH)
 }
 
-/// The one audited batch loop every public entry point delegates to:
+/// The one audited batch loop the item-wise entry points delegate to:
 /// workers claim adaptively-sized batches off an atomic cursor, run
 /// `run_batch` on each with a per-worker scratch from `init`, and the
 /// per-batch outputs are concatenated in batch order — so the result is
 /// exactly the serial output regardless of thread count or scheduling.
-fn par_batches<T, U, S, I, F, D>(
-    items: &[T],
-    parallel: bool,
-    init: I,
-    run_batch: F,
-    drain: D,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
-    D: Fn(&mut S) + Sync,
-{
-    par_batches_on(items, parallel, available_threads(), init, run_batch, drain)
-}
-
-/// [`par_batches`] with an explicit worker count (tests pin it; production
-/// callers go through [`available_threads`], which honours `AU_THREADS`).
+/// `threads` is explicit (tests pin it; production callers pass
+/// [`available_threads`], which honours `AU_THREADS`).
 fn par_batches_on<T, U, S, I, F, D>(
     items: &[T],
     parallel: bool,
@@ -261,54 +244,18 @@ where
     out
 }
 
-/// Maps `f` over `items`, keeping the `Some` results **in input order**.
+/// Maps `f` over `items`, returning all results **in input order**.
 ///
 /// Runs serially when `parallel` is false, when the machine has one core,
 /// or when `items` is shorter than [`MIN_PARALLEL_ITEMS`]; the parallel
 /// path returns exactly the serial output.
-pub fn par_filter_map<T, U, F>(items: &[T], parallel: bool, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    par_batches(
-        items,
-        parallel,
-        || (),
-        |_, chunk| chunk.iter().filter_map(&f).collect(),
-        |_| {},
-    )
-}
-
-/// Maps `f` over `items`, returning all results in input order.
 pub fn par_map<T, U, F>(items: &[T], parallel: bool, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_filter_map(items, parallel, |x| Some(f(x)))
-}
-
-/// Like [`par_filter_map`], but each worker carries a mutable scratch
-/// value created once by `init` and reused across every item that worker
-/// processes — the shape of tiered candidate verification, where the
-/// scratch holds the enumeration tables and the Algorithm 1 buffers.
-pub fn par_filter_map_scratch<T, U, S, I, F>(items: &[T], parallel: bool, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> Option<U> + Sync,
-{
-    par_batches(
-        items,
-        parallel,
-        init,
-        |scratch, chunk| chunk.iter().filter_map(|x| f(scratch, x)).collect(),
-        |_| {},
-    )
+    par_map_scratch(items, parallel, || (), |_, x| f(x), |_| {})
 }
 
 /// Like [`par_map_scratch`], but the items form *runs* — maximal stretches
@@ -372,7 +319,7 @@ where
 /// zeroes every count it raised before it returns).
 ///
 /// Output order is the input order regardless of scheduling, exactly as
-/// in [`par_filter_map`].
+/// in [`par_map`].
 pub fn par_map_scratch<T, U, S, I, F, D>(
     items: &[T],
     parallel: bool,
@@ -387,9 +334,10 @@ where
     F: Fn(&mut S, &T) -> U + Sync,
     D: Fn(&mut S) + Sync,
 {
-    par_batches(
+    par_batches_on(
         items,
         parallel,
+        available_threads(),
         init,
         |scratch, chunk| chunk.iter().map(|x| f(scratch, x)).collect(),
         drain,
@@ -447,15 +395,15 @@ mod tests {
     fn serial_and_parallel_agree_on_order() {
         let items: Vec<u32> = (0..10_000).collect();
         let f = |&x: &u32| (x % 3 != 0).then_some(x * 2);
-        let serial: Vec<u32> = items.iter().filter_map(f).collect();
-        let parallel = par_filter_map(&items, true, f);
+        let serial: Vec<Option<u32>> = items.iter().map(f).collect();
+        let parallel = par_map(&items, true, f);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn small_inputs_run_serially_but_identically() {
         let items: Vec<u32> = (0..10).collect();
-        let out = par_filter_map(&items, true, |&x| Some(x));
+        let out = par_map(&items, true, |&x| x);
         assert_eq!(out, items);
     }
 
@@ -494,9 +442,9 @@ mod tests {
             }
             (acc % 2 == 0).then_some((x, acc))
         };
-        let a = par_filter_map(&items, true, f);
-        let b = par_filter_map(&items, true, f);
-        let serial: Vec<(u64, u64)> = items.iter().filter_map(f).collect();
+        let a = par_map(&items, true, f);
+        let b = par_map(&items, true, f);
+        let serial: Vec<Option<(u64, u64)>> = items.iter().map(f).collect();
         assert_eq!(a, serial);
         assert_eq!(b, serial);
     }
@@ -533,17 +481,22 @@ mod tests {
     #[test]
     fn exact_batch_boundary() {
         let items: Vec<u32> = (0..(MAX_BATCH as u32 * 2)).collect();
-        let out = par_filter_map(&items, true, |&x| Some(x));
+        let out = par_map(&items, true, |&x| x);
         assert_eq!(out, items);
     }
 
+    /// The filter-map shape (the oracle's): map to `Option`s, flatten.
     #[test]
     fn scratch_filter_map_matches_serial() {
         let items: Vec<u32> = (0..10_000).collect();
-        let out = par_filter_map_scratch(&items, true, Vec::<u32>::new, |scratch, &x| {
+        let f = |scratch: &mut Vec<u32>, &x: &u32| {
             scratch.push(x);
             (x % 7 != 0).then_some(x * 2)
-        });
+        };
+        let out: Vec<u32> = par_map_scratch(&items, true, Vec::<u32>::new, f, |_| {})
+            .into_iter()
+            .flatten()
+            .collect();
         let serial: Vec<u32> = items
             .iter()
             .filter_map(|&x| (x % 7 != 0).then_some(x * 2))

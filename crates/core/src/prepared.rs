@@ -5,7 +5,8 @@
 //! inherited ([`Engine::merge_prepared`]) rather than a function of the
 //! corpus, so what was selected under an order is served and filed only
 //! while that very order is resident, and an order leaves the memo only
-//! after everything filed under it.
+//! together with everything filed under it ([`Prepared::clear_memo`]; the
+//! memo never evicts).
 
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
@@ -19,7 +20,6 @@ use crate::spec::JoinSpec;
 use crate::usim::GramPostingsIndex;
 use au_text::record::Corpus;
 use au_text::FxHashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -64,19 +64,10 @@ impl SigKey {
     }
 }
 
-/// One resident memo entry, queued in arrival order for capacity
-/// eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemoSlot {
-    Order(OrderKey),
-    Sig(SigKey),
-    Csr(SigKey),
-}
-
 /// A resident order. It may be an inherited one ([`PebbleOrder::inherit`]),
 /// not a function of the corpus — so what was selected under it is filed
 /// and served only while it is resident ([`Memo::under`]), and leaves the
-/// memo before it does ([`Memo::enforce_capacity`]).
+/// memo with it ([`Prepared::clear_memo`]).
 #[derive(Debug)]
 struct Ranked {
     order: Arc<PebbleOrder>,
@@ -90,18 +81,10 @@ struct Memo {
     orders: FxHashMap<OrderKey, Ranked>,
     sigs: FxHashMap<SigKey, Arc<SelectedSignatures>>,
     csr: FxHashMap<SigKey, Arc<CsrIndex>>,
-    /// [`Prepared::transposed`]: one per corpus (no order, no θ), so
-    /// outside `arrivals` and the capacity bound, which exist for the
-    /// artifacts a threshold sweep multiplies.
+    /// [`Prepared::transposed`]: one per corpus (no order, no θ).
     transposed: Option<Arc<GramPostingsIndex>>,
     hits: u64,
     misses: u64,
-    /// Arrival order of every resident entry (front = oldest), kept in
-    /// lockstep with the three maps; drives capacity eviction.
-    arrivals: VecDeque<MemoSlot>,
-    /// Max resident entries across the three maps; 0 = unbounded.
-    capacity: usize,
-    evictions: u64,
 }
 
 impl Memo {
@@ -118,57 +101,7 @@ impl Memo {
     /// The resident order of `key`; `order`, filed, when there is none.
     fn order_or_insert(&mut self, key: OrderKey, order: Arc<PebbleOrder>) -> Arc<PebbleOrder> {
         let entry = self.orders.entry(key);
-        let out = entry.or_insert(Ranked { order, signed: 0 }).order.clone();
-        self.note_insert(MemoSlot::Order(key));
-        out
-    }
-
-    /// Record that `slot` is (still) resident, then evict the oldest
-    /// entries past the capacity bound. Evicting an entry a caller just
-    /// received is harmless — the caller holds its own `Arc`, the memo is
-    /// purely a cache — and cannot happen to the entry recorded here
-    /// while anything older remains (`slot` sits at the back of the
-    /// queue, eviction pops the front).
-    fn note_insert(&mut self, slot: MemoSlot) {
-        if !self.arrivals.contains(&slot) {
-            self.arrivals.push_back(slot);
-        }
-        self.enforce_capacity();
-    }
-
-    fn enforce_capacity(&mut self) {
-        if self.capacity == 0 {
-            return;
-        }
-        while self.resident() > self.capacity {
-            let old = match self.arrivals.pop_front() {
-                Some(s) => s,
-                None => break,
-            };
-            match old {
-                // An order outlives what was selected under it: back of
-                // the queue while it has dependents (each has a slot of its
-                // own, so the loop advances).
-                MemoSlot::Order(k) => {
-                    let under_k = |s: &MemoSlot| match s {
-                        MemoSlot::Sig(d) | MemoSlot::Csr(d) => d.order == k,
-                        MemoSlot::Order(_) => false,
-                    };
-                    if self.arrivals.iter().any(under_k) {
-                        self.arrivals.push_back(old);
-                        continue;
-                    }
-                    self.orders.remove(&k);
-                }
-                MemoSlot::Sig(k) => {
-                    self.sigs.remove(&k);
-                }
-                MemoSlot::Csr(k) => {
-                    self.csr.remove(&k);
-                }
-            }
-            self.evictions += 1;
-        }
+        entry.or_insert(Ranked { order, signed: 0 }).order.clone()
     }
 }
 
@@ -348,44 +281,13 @@ impl Prepared {
     /// The memo grows by two entries — signatures and CSR index — per
     /// distinct `(order, θ, filter)` combination, plus one per
     /// distinct order (the per-corpus transposed posting index is not
-    /// counted here). By default it never evicts: a service exposing
-    /// *user-chosen* thresholds to a long-lived `Prepared` should either
-    /// bucket them to a fixed grid, set a bound with
-    /// [`Prepared::with_memo_capacity`], or call
-    /// [`Prepared::clear_memo`] periodically — entries for dropped join
-    /// partners are likewise only reclaimed by eviction or a clear.
+    /// counted here). It never evicts: a caller streaming *user-chosen*
+    /// thresholds or join partners through a long-lived `Prepared` should
+    /// bucket them to a fixed grid — as au-serve's fixed top-k schedule
+    /// does ([`crate::topk::descent`]) — or call [`Prepared::clear_memo`]
+    /// periodically.
     pub fn memo_len(&self) -> usize {
         relock(&self.memo).resident()
-    }
-
-    /// Cap the memo at `capacity` resident artifacts (0 = unbounded, the
-    /// default). Past the bound the oldest entries are evicted on every
-    /// insert — the pressure valve that keeps a threshold-sweeping
-    /// service's footprint flat without giving up warm-path memo hits.
-    /// Builder-style wrapper over [`Prepared::set_memo_capacity`] for
-    /// use at prepare time.
-    pub fn with_memo_capacity(self, capacity: usize) -> Self {
-        self.set_memo_capacity(capacity);
-        self
-    }
-
-    /// Set the memo capacity on a shared artifact (0 = unbounded). When
-    /// the new bound is below the current population the oldest entries
-    /// are evicted immediately.
-    pub fn set_memo_capacity(&self, capacity: usize) {
-        let mut m = relock(&self.memo);
-        m.capacity = capacity;
-        m.enforce_capacity();
-    }
-
-    /// Current memo capacity (0 = unbounded).
-    pub fn memo_capacity(&self) -> usize {
-        relock(&self.memo).capacity
-    }
-
-    /// Memo entries evicted by the capacity bound so far.
-    pub fn memo_evictions(&self) -> u64 {
-        relock(&self.memo).evictions
     }
 
     /// Records run through stage 3 under the orders this memo holds:
@@ -408,7 +310,6 @@ impl Prepared {
         m.orders.clear();
         m.sigs.clear();
         m.csr.clear();
-        m.arrivals.clear();
         m.transposed = None;
     }
 
@@ -486,22 +387,17 @@ impl Engine {
         order
     }
 
-    /// What `map` files for `slot` — served, and a `build` filed, only
-    /// while `order` is the resident order of the slot's key
-    /// ([`Memo::under`]); a filed signature set adds its records to that
-    /// order's stage-3 count.
+    /// What `map` files under `k` — served, and a `build` filed, only
+    /// while `order` is the resident order of `k`'s key ([`Memo::under`]);
+    /// a filed build adds `signs` records to that order's stage-3 count.
     fn memoized<T>(
         c: &Prepared,
-        slot: MemoSlot,
+        k: SigKey,
+        signs: u64,
         order: &Arc<PebbleOrder>,
         map: fn(&mut Memo) -> &mut FxHashMap<SigKey, Arc<T>>,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
-        let (k, signs) = match slot {
-            MemoSlot::Sig(k) => (k, c.len() as u64),
-            MemoSlot::Csr(k) => (k, 0),
-            MemoSlot::Order(_) => return Arc::new(build()),
-        };
         {
             let mut m = c.memo();
             let resident = m.under(k.order, order).is_some();
@@ -517,9 +413,7 @@ impl Engine {
             return built;
         };
         ranked.signed += signs;
-        let out = map(&mut m).entry(k).or_insert(built).clone();
-        m.note_insert(slot);
-        out
+        map(&mut m).entry(k).or_insert(built).clone()
     }
 
     /// Signature key sets + guarantee levels for `(order, θ, filter, MP)`.
@@ -530,9 +424,9 @@ impl Engine {
         order: &Arc<PebbleOrder>,
         spec: &JoinSpec,
     ) -> Arc<SelectedSignatures> {
-        let slot = MemoSlot::Sig(SigKey::new(key, spec));
+        let k = SigKey::new(key, spec);
         let select = || SelectedSignatures::select(&self.kn, &self.cfg, &c.segrecs, order, spec);
-        Self::memoized(c, slot, order, |m| &mut m.sigs, select)
+        Self::memoized(c, k, c.len() as u64, order, |m| &mut m.sigs, select)
     }
 
     /// CSR inverted index over `sel` — the signatures of memo key `k`,
@@ -545,12 +439,12 @@ impl Engine {
         sel: &SelectedSignatures,
     ) -> Arc<CsrIndex> {
         let build = || CsrIndex::from_record_keys(&sel.record_keys);
-        Self::memoized(c, MemoSlot::Csr(k), order, |m| &mut m.csr, build)
+        Self::memoized(c, k, 0, order, |m| &mut m.csr, build)
     }
 
     /// Seed the memo of `merged` — `base` minus `dropped` plus the rows
     /// past the carried ones — with `base`'s self order and what `base`
-    /// holds selected under it, oldest first.
+    /// holds selected under it.
     pub(crate) fn inherit_memo(&self, base: &Prepared, dropped: &[u32], merged: &Prepared) {
         let key = OrderKey::SelfOrder;
         let appended = &merged.segrecs[base.len() - dropped.len()..];
@@ -559,24 +453,22 @@ impl Engine {
             let Some(ranked) = from.orders.get(&key) else {
                 return;
             };
-            let sets = from.arrivals.iter().filter_map(|slot| match slot {
-                MemoSlot::Sig(k) if k.order == key => from.sigs.get(k).map(|s| (*k, s.clone())),
-                _ => None,
-            });
+            // det: map order reaches no output — each set is carried on
+            // its own, filed under its own key, and `signed` is a sum.
+            let sets = (from.sigs.iter()).filter(|(k, _)| k.order == key);
+            let sets = sets.map(|(k, sel)| (*k, sel.clone()));
             (ranked.order.clone(), sets.collect::<Vec<_>>())
         };
         let churned = dropped.len() + appended.len();
         let Some(order) = order.inherit(&merged.df, churned).map(Arc::new) else {
             return;
         };
-        // `merged` is new and unbounded: nothing contends, nothing evicts.
+        // `merged` is new: nothing contends.
         let mut m = merged.memo();
         let signed = (appended.len() * sets.len()) as u64;
-        m.arrivals.push_back(MemoSlot::Order(key));
         for (k, sel) in sets {
             let tail = SelectedSignatures::select(&self.kn, &self.cfg, appended, &order, &k.spec());
             m.sigs.insert(k, Arc::new(sel.carry(dropped, &tail)));
-            m.arrivals.push_back(MemoSlot::Sig(k));
         }
         m.orders.insert(key, Ranked { order, signed });
     }
@@ -616,14 +508,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// The hazard an inherited order creates: were the order evicted alone
+    /// The hazard an inherited order creates: were the order dropped alone
     /// and re-ranked, signatures selected under the old one would meet
     /// queries sorted under the new one and lose true pairs. Run merges
-    /// under a memo bound that pushes the inherited order out every other
-    /// round; after every step the memo is coherent and joins and queries
-    /// return exactly the brute-force pairs.
+    /// and clear the memo every other round, so the next searcher re-ranks;
+    /// after every step the memo is coherent and joins and queries return
+    /// exactly the brute-force pairs.
     #[test]
-    fn memo_eviction_never_pairs_a_stale_signature_with_a_reranked_order() {
+    fn a_cleared_memo_never_pairs_a_stale_signature_with_a_reranked_order() {
         let (mut kn, _, _) = setup();
         let cfg = SimConfig::default();
         let base = kn.corpus_from_lines(merge_lines(30, 10, 1).iter().map(String::as_str));
@@ -648,18 +540,16 @@ pub(crate) mod tests {
                 .unwrap();
             assert!(merged.memo_len() > 0, "round {round}: inherited");
             assert_memo_coherent(&engine, &merged);
-            let evict = round % 2 == 1;
-            if evict {
-                // Two entries at most, and an R×S join that needs both:
-                // the self order's signatures go first, then the order.
-                merged.set_memo_capacity(2);
-                engine.join(&merged, &partner, &spec).unwrap();
+            let clear = round % 2 == 1;
+            if clear {
+                merged.clear_memo();
                 assert!(!merged.memo().orders.contains_key(&OrderKey::SelfOrder));
                 assert_memo_coherent(&engine, &merged);
-                merged.set_memo_capacity(0);
             }
+            engine.join(&merged, &partner, &spec).unwrap();
+            assert_memo_coherent(&engine, &merged);
             let searcher = engine.searcher(&merged, &spec).unwrap();
-            assert_eq!(searcher.core.order.age().1 == 0, evict, "round {round}");
+            assert_eq!(searcher.core.order.age().1 == 0, clear, "round {round}");
             assert_memo_coherent(&engine, &merged);
 
             let c = merged.corpus();

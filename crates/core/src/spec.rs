@@ -21,8 +21,8 @@ enum SpecMode {
 ///
 /// let spec = JoinSpec::threshold(0.8).au_dp(2).serial();
 /// assert_eq!(spec.theta(), 0.8);
-/// let top = JoinSpec::topk(10).au_heuristic(3).descent(0.9, 0.4, 0.1);
-/// assert_eq!(top.k(), 10);
+/// let top = JoinSpec::topk(10).au_heuristic(3);
+/// assert_eq!((top.k(), top.theta()), (10, 0.95));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinSpec {
@@ -31,9 +31,6 @@ pub struct JoinSpec {
     pub(crate) filter: FilterKind,
     pub(crate) parallel: bool,
     k: usize,
-    theta_start: f64,
-    pub(crate) theta_floor: f64,
-    pub(crate) step: f64,
 }
 
 impl JoinSpec {
@@ -47,21 +44,18 @@ impl JoinSpec {
             filter: FilterKind::UFilter,
             parallel: true,
             k: 0,
-            theta_start: 0.95,
-            theta_floor: 0.3,
-            step: 0.1,
         }
     }
 
     /// Top-k mode: report the `k` most similar pairs via threshold
-    /// descent (defaults: AU-Filter DP τ=2, start 0.95, floor 0.3, step
-    /// 0.1).
+    /// descent (default filter: AU-Filter DP τ=2). The descent's schedule
+    /// is fixed ([`crate::topk::descent`]): it starts at 0.95.
     pub fn topk(k: usize) -> Self {
         Self {
             mode: SpecMode::Topk,
             k,
             filter: FilterKind::AuDp { tau: 2 },
-            ..Self::threshold(0.95)
+            ..Self::threshold(crate::topk::DESCENT_START)
         }
     }
 
@@ -103,31 +97,9 @@ impl JoinSpec {
         self
     }
 
-    /// Top-k descent schedule: first-round θ, the floor below which the
-    /// descent stops, and the per-round subtractive step.
-    pub fn descent(mut self, theta_start: f64, theta_floor: f64, step: f64) -> Self {
-        self.theta_start = theta_start;
-        self.theta_floor = theta_floor;
-        self.step = step;
-        self
-    }
-
     /// The threshold θ (threshold mode) or first-round θ (top-k mode).
     pub fn theta(&self) -> f64 {
-        match self.mode {
-            SpecMode::Threshold => self.theta,
-            SpecMode::Topk => self.theta_start,
-        }
-    }
-
-    /// The floor below which a top-k descent stops.
-    pub fn theta_floor(&self) -> f64 {
-        self.theta_floor
-    }
-
-    /// The top-k descent's per-round subtractive step.
-    pub fn step(&self) -> f64 {
-        self.step
+        self.theta
     }
 
     /// The `k` of a top-k spec (0 for threshold specs).
@@ -163,36 +135,12 @@ impl JoinSpec {
         Ok(())
     }
 
-    /// Validate a top-k spec (descent schedule sanity).
+    /// Validate a top-k spec (its mode; the schedule is fixed).
     pub(crate) fn validate_topk(&self) -> Result<(), AuError> {
         if self.mode != SpecMode::Topk {
             return Err(Self::invalid(
                 "mode",
                 "threshold spec passed to Engine::topk; use JoinSpec::topk(k)".into(),
-            ));
-        }
-        if self.theta_floor <= 0.0 || self.theta_floor.is_nan() {
-            return Err(Self::invalid(
-                "theta_floor",
-                format!(
-                    "floor must be positive (a floor of 0 degrades to brute force), got {}",
-                    self.theta_floor
-                ),
-            ));
-        }
-        if self.theta_start < self.theta_floor || self.theta_start > 1.0 {
-            return Err(Self::invalid(
-                "theta_start",
-                format!(
-                    "need theta_floor <= theta_start <= 1, got start {} floor {}",
-                    self.theta_start, self.theta_floor
-                ),
-            ));
-        }
-        if self.step <= 0.0 || self.step.is_nan() {
-            return Err(Self::invalid(
-                "step",
-                format!("descent step must be positive, got {}", self.step),
             ));
         }
         Ok(())

@@ -24,6 +24,10 @@ use crate::stats::OnlineStats;
 use au_text::record::Corpus;
 use std::time::{Duration, Instant};
 
+/// Student-t quantile t* of the stopping rule's confidence interval: the
+/// paper's 1.036, a 70 % two-sided interval.
+const T_STAR: f64 = 1.036;
+
 /// Configuration of the suggestion loop.
 #[derive(Debug, Clone)]
 pub struct SuggestConfig {
@@ -34,8 +38,6 @@ pub struct SuggestConfig {
     /// Burn-in: minimum number of iterations before stopping (the paper's
     /// `n*`; Figure 8 uses 10).
     pub n_star: usize,
-    /// Student-t quantile t* for the CI (paper: 1.036 = 70% two-sided).
-    pub t_star: f64,
     /// Safety cap on iterations.
     pub max_iters: usize,
     /// Candidate τ values (the universe `U`).
@@ -52,7 +54,6 @@ impl Default for SuggestConfig {
             ps: 0.02,
             pt: 0.02,
             n_star: 10,
-            t_star: 1.036,
             max_iters: 200,
             universe: vec![1, 2, 3, 4, 5, 6],
             seed: 0xA0_5EED,
@@ -119,7 +120,7 @@ fn suggest_loop(
                         t_stats[i].sample_var() / n as f64,
                         v_stats[i].sample_var() / n as f64,
                     );
-                    let half = sc.t_star * var.sqrt();
+                    let half = T_STAR * var.sqrt();
                     (mean, mean - half, mean + half)
                 })
                 .collect();

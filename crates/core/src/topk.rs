@@ -10,10 +10,11 @@
 //! < θ ≤ (k-th best), so the true top-k are all in hand.
 //!
 //! Cost: corpora are prepared (segmented, pebbled) once; each round redoes
-//! signature selection + filtering + verification at its θ. Rounds form a
-//! geometric-ish schedule, and in practice the last (cheapest-θ) round
-//! dominates, so the total stays within a small factor of a single join at
-//! the final θ — the price of not knowing that θ in advance. Every round
+//! signature selection + filtering + verification at its θ. Rounds follow
+//! one fixed schedule ([`descent`]: 0.95 down to 0.3 in steps of 0.1), and
+//! in practice the last (cheapest-θ) round dominates, so the total stays
+//! within a small factor of a single join at the final θ — the price of
+//! not knowing that θ in advance. Every round
 //! runs through the CSR candidate-generation engine
 //! (`join::candidate_pass`): the signature prefixes are
 //! θ-dependent and rebuilt per round, but each round's filtering cost is a
@@ -37,12 +38,34 @@ use crate::usim::{Verifier, VerifyScratch};
 pub struct TopkResult {
     /// At most `k` pairs `(s, t, usim)`, sorted by descending similarity
     /// (ties by ascending ids). Fewer than `k` when the corpus holds fewer
-    /// pairs with similarity ≥ `theta_floor`.
+    /// pairs with similarity ≥ the descent's floor, 0.3.
     pub pairs: Vec<(u32, u32, f64)>,
     /// Number of descent rounds executed.
     pub rounds: usize,
     /// Threshold of the final round (the effective similarity cut).
     pub final_theta: f64,
+}
+
+/// First θ of an [`Engine::topk`] descent.
+pub(crate) const DESCENT_START: f64 = 0.95;
+
+/// The θ no descent goes below: a floor of 0 would degrade to brute force.
+const DESCENT_FLOOR: f64 = 0.3;
+
+/// How much lower each round's θ is than the last.
+const DESCENT_STEP: f64 = 0.1;
+
+/// The θ schedule of a threshold descent from `start`: `start`, then 0.1
+/// lower each round, clamped to the floor 0.3, ending at the floor (a
+/// start at or below it is the whole schedule). The caller stops early
+/// once a round finds `k`. [`Engine::topk`] descends from 0.95, au-serve
+/// from its service θ; from any start in `[0, 1]` the schedule has at
+/// most 8 values, so the memo of a corpus a descent runs over files at
+/// most 8 θ values' artifacts.
+pub fn descent(start: f64) -> impl Iterator<Item = f64> {
+    std::iter::successors(Some(start), |&theta| {
+        (theta > DESCENT_FLOOR + 1e-12).then(|| (theta - DESCENT_STEP).max(DESCENT_FLOOR))
+    })
 }
 
 impl Engine {
@@ -71,39 +94,35 @@ impl Engine {
         if spec.k() == 0 {
             return TopkResult::default();
         }
-        let mut theta = spec.theta();
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            let res = self.join_full(s, t, self_join, &spec.at_theta(theta));
-            let done = res.pairs.len() >= spec.k() || theta <= spec.theta_floor + self.cfg.eps;
-            if done {
-                // Re-score fully (the verifier's early-accept may report a
-                // lower bound), rank, truncate.
-                let verifier = Verifier::new(&self.kn, &self.cfg);
-                let mut pairs: Vec<(u32, u32, f64)> = crate::parallel::par_map_scratch(
-                    &res.pairs,
-                    spec.parallel,
-                    VerifyScratch::default,
-                    |scr, &(a, b, _)| {
-                        let sim = verifier.sim(&s.segrecs[a as usize], &t.segrecs[b as usize], scr);
-                        (a, b, sim)
-                    },
-                    |_| {},
-                );
-                pairs.sort_by(|x, y| {
-                    y.2.total_cmp(&x.2)
-                        .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
-                });
-                pairs.truncate(spec.k());
-                return TopkResult {
-                    pairs,
-                    rounds,
-                    final_theta: theta,
-                };
+        let mut out = TopkResult::default();
+        let mut accepted = Vec::new();
+        for theta in descent(spec.theta()) {
+            out.rounds += 1;
+            out.final_theta = theta;
+            accepted = self.join_full(s, t, self_join, &spec.at_theta(theta)).pairs;
+            if accepted.len() >= spec.k() {
+                break;
             }
-            theta = (theta - spec.step).max(spec.theta_floor);
         }
+        // Re-score fully (the verifier's early-accept may report a lower
+        // bound), rank, truncate.
+        let verifier = Verifier::new(&self.kn, &self.cfg);
+        out.pairs = crate::parallel::par_map_scratch(
+            &accepted,
+            spec.parallel,
+            VerifyScratch::default,
+            |scr, &(a, b, _)| {
+                let sim = verifier.sim(&s.segrecs[a as usize], &t.segrecs[b as usize], scr);
+                (a, b, sim)
+            },
+            |_| {},
+        );
+        out.pairs.sort_by(|x, y| {
+            y.2.total_cmp(&x.2)
+                .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
+        });
+        out.pairs.truncate(spec.k());
+        out
     }
 }
 
@@ -141,7 +160,7 @@ mod tests {
     }
 
     /// Top-k through the session API with the historical `au_dp(k, 2)`
-    /// defaults (start 0.95, floor 0.3, step 0.1, parallel).
+    /// defaults (parallel).
     fn topk_join(kn: &Knowledge, cfg: &SimConfig, s: &Corpus, t: &Corpus, k: usize) -> TopkResult {
         let engine = Engine::new(kn.clone(), *cfg).expect("valid config");
         let ps = engine.prepare(s).expect("prepare S");
@@ -159,7 +178,7 @@ mod tests {
             .expect("topk self")
     }
 
-    const FLOOR: f64 = 0.3;
+    const FLOOR: f64 = DESCENT_FLOOR;
 
     /// Oracle: brute-force at the floor, re-score fully (the join verifier
     /// early-accepts at the threshold and may report a lower bound), rank,

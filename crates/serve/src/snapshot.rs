@@ -12,10 +12,6 @@ use au_core::{Knowledge, SimConfig};
 use au_text::record::{Corpus, Record, RecordId};
 use std::sync::Arc;
 
-/// Memo capacity of each base `Prepared` ([`Prepared::with_memo_capacity`]):
-/// bounds the artifact cache a client sweeping top-k thresholds can grow.
-const MEMO_CAPACITY: usize = 64;
-
 /// One record of the delta segment: everything a read needs of it,
 /// produced **once**, by the writer, when the record is inserted (or
 /// replayed). Rows are immutable and shared by `Arc` between every
@@ -234,8 +230,7 @@ impl Snapshot {
         engine: Arc<Engine>,
         prepared: Prepared,
     ) -> Result<Self, ServeError> {
-        let prepared = Arc::new(prepared.with_memo_capacity(MEMO_CAPACITY));
-        let base_search = Engine::snapshot_searcher(engine.clone(), prepared, &spec)?;
+        let base_search = Engine::snapshot_searcher(engine.clone(), Arc::new(prepared), &spec)?;
         Ok(Self {
             generation,
             base_ids: Arc::new(base_ids),
@@ -321,13 +316,11 @@ impl Snapshot {
         self.answer(&self.base_search, &self.segment(text), &self.spec)
     }
 
-    /// Top-k search by threshold descent: answer at the service θ, then at
-    /// thresholds lowered by [`JoinSpec::topk`]'s step until `k` matches
-    /// are found or its floor is reached. A lower θ probes through a
-    /// one-shot base searcher over the same artifacts; selection artifacts
-    /// come from the shared `Prepared` memo, so repeated thresholds stay
-    /// warm — and the memo capacity bound keeps a hostile threshold stream
-    /// from growing it without limit. The final round's matches are
+    /// Top-k search by threshold descent ([`au_core::topk::descent`] from
+    /// the service θ) until `k` matches are found or the floor is reached.
+    /// A lower θ probes through a one-shot base searcher over the same
+    /// artifacts, from the shared `Prepared` memo — warm, and bounded by
+    /// the schedule's at most 8 θ values. The final round's matches are
     /// re-scored with the full Algorithm 1 value before ranking: the
     /// search accepts a match at a lower bound that stops once θ is
     /// reached.
@@ -337,12 +330,12 @@ impl Snapshot {
         text: &str,
         k: usize,
     ) -> Result<TopkResponse, ServeError> {
-        let descent = JoinSpec::topk(k);
         let query = self.segment(text);
         let mut theta = cfg.theta;
         let mut resp = self.answer(&self.base_search, &query, &self.spec);
-        while resp.matches.len() < k && theta > descent.theta_floor() + 1e-12 {
-            theta = (theta - descent.step()).max(descent.theta_floor());
+        let mut lower = au_core::topk::descent(theta).skip(1);
+        while let Some(next) = lower.next().filter(|_| resp.matches.len() < k) {
+            theta = next;
             let spec = cfg.spec_at(theta);
             let base = Engine::snapshot_searcher(
                 self.base_search.engine().clone(),
@@ -494,5 +487,52 @@ impl Snapshot {
             generation: self.generation,
             pairs,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::ServeConfig;
+    use crate::service::tests::LINES;
+    use crate::Service;
+    use au_core::topk::descent;
+    use au_core::KnowledgeBuilder;
+
+    /// No client chooses a θ: a base is searched at the service θ and at
+    /// the top-k descent's fixed steps below it, so its memo holds the self
+    /// order plus a signature set and an index per θ of that descent — at
+    /// most 17 entries, from θ = 1.0 — with no capacity bound to enforce
+    /// it. Top-k at every k and θ-searches across threshold-started
+    /// compactions (each base inheriting its parent's signatures) reach
+    /// that bound and never pass it.
+    #[test]
+    fn a_base_memo_holds_at_most_the_descents_artifacts() {
+        for theta in [0.3, 0.4, 0.7, 1.0] {
+            let bound = 1 + 2 * descent(theta).count();
+            let cfg = ServeConfig {
+                theta,
+                compact_threshold: 4,
+                ..ServeConfig::default()
+            };
+            let s = Service::build(KnowledgeBuilder::new().build(), LINES, cfg).unwrap();
+            let mut most = 0;
+            for round in 0..12 {
+                let line = format!("coffee shop annex {round}");
+                let id = s.insert_record(&line).unwrap().id;
+                if round % 3 == 2 {
+                    s.delete_record(id).unwrap();
+                }
+                for k in [1, 2, 5, 50, 1000] {
+                    s.topk(LINES[round % LINES.len()], k).unwrap();
+                }
+                s.search("tea house uptown").unwrap();
+                let len = s.snapshot().base_search.prepared().memo_len();
+                assert!(len <= bound, "θ {theta}, round {round}: {len} > {bound}");
+                most = most.max(len);
+            }
+            assert!(s.stats().compactions > 0, "θ {theta}");
+            assert_eq!(most, bound, "θ {theta}: k = 1000 walks the whole descent");
+        }
+        assert_eq!(1 + 2 * descent(1.0).count(), 17);
     }
 }

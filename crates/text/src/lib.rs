@@ -12,8 +12,6 @@
 //! * [`qgram`] — q-gram extraction.
 //! * [`jaccard`] — Jaccard coefficient over sorted id sets (Eq. 1 of the
 //!   paper).
-//! * [`setsim`] — the other gram-set measures named in Section 2.1
-//!   (Dice, Cosine, Overlap, gram Hamming distance).
 //! * [`edit`] — Levenshtein distance (used by the data generator and the
 //!   PKduck baseline).
 //! * [`record`] — string records and corpora.
@@ -25,7 +23,6 @@ pub mod jaccard;
 pub mod phrase;
 pub mod qgram;
 pub mod record;
-pub mod setsim;
 pub mod tokenize;
 
 pub use hash::{FxHashMap, FxHashSet, FxHasher64};

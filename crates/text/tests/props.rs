@@ -108,46 +108,3 @@ proptest! {
         }
     }
 }
-
-mod setsim_props {
-    use au_text::jaccard::jaccard_sorted;
-    use au_text::setsim::{cosine_sorted, dice_sorted, hamming_sorted, overlap_sorted};
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn measure_chain_and_bounds(mut xs in prop::collection::vec(0u32..40, 0..25),
-                                    mut ys in prop::collection::vec(0u32..40, 0..25)) {
-            xs.sort_unstable(); xs.dedup();
-            ys.sort_unstable(); ys.dedup();
-            let j = jaccard_sorted(&xs, &ys);
-            let d = dice_sorted(&xs, &ys);
-            let c = cosine_sorted(&xs, &ys);
-            let o = overlap_sorted(&xs, &ys);
-            // J ≤ D ≤ C ≤ O, all in [0, 1].
-            prop_assert!(j <= d + 1e-12 && d <= c + 1e-12 && c <= o + 1e-12);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&o));
-            // Dice = 2J/(1+J) exactly.
-            if !xs.is_empty() || !ys.is_empty() {
-                prop_assert!((d - 2.0 * j / (1.0 + j)).abs() < 1e-9);
-            }
-        }
-
-        #[test]
-        fn hamming_is_a_metric(mut xs in prop::collection::vec(0u32..30, 0..20),
-                               mut ys in prop::collection::vec(0u32..30, 0..20),
-                               mut zs in prop::collection::vec(0u32..30, 0..20)) {
-            xs.sort_unstable(); xs.dedup();
-            ys.sort_unstable(); ys.dedup();
-            zs.sort_unstable(); zs.dedup();
-            prop_assert_eq!(hamming_sorted(&xs, &xs), 0);
-            prop_assert_eq!(hamming_sorted(&xs, &ys), hamming_sorted(&ys, &xs));
-            // triangle inequality on symmetric differences
-            prop_assert!(hamming_sorted(&xs, &zs)
-                <= hamming_sorted(&xs, &ys) + hamming_sorted(&ys, &zs));
-            if xs != ys {
-                prop_assert!(hamming_sorted(&xs, &ys) > 0);
-            }
-        }
-    }
-}

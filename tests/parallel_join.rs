@@ -5,7 +5,7 @@
 //! the parallel path actually engages (candidate sets past
 //! `MIN_PARALLEL_ITEMS`).
 
-use au_join::core::parallel::{par_filter_map, MIN_PARALLEL_ITEMS};
+use au_join::core::parallel::{par_map, MIN_PARALLEL_ITEMS};
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 
@@ -113,13 +113,13 @@ fn search_identical_serial_vs_parallel() {
 }
 
 #[test]
-fn par_filter_map_engages_threads_on_this_workload() {
+fn par_map_engages_threads_on_this_workload() {
     // Sanity-check the layer itself at a size well past the serial cutoff,
     // with reruns to catch scheduling-dependent ordering.
     let items: Vec<u64> = (0..(MIN_PARALLEL_ITEMS as u64 * 40)).collect();
     let f = |&x: &u64| (x % 7 != 0).then_some(x.wrapping_mul(0x9e3779b97f4a7c15));
-    let serial: Vec<u64> = items.iter().filter_map(f).collect();
+    let serial: Vec<Option<u64>> = items.iter().map(f).collect();
     for _ in 0..5 {
-        assert_eq!(par_filter_map(&items, true, f), serial);
+        assert_eq!(par_map(&items, true, f), serial);
     }
 }

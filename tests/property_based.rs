@@ -172,7 +172,7 @@ proptest! {
         let s = kn.corpus_from_lines(lines_s.iter().map(|x| x.as_str()));
         let t = kn.corpus_from_lines(lines_t.iter().map(|x| x.as_str()));
         let cfg = SimConfig::default();
-        let spec = JoinSpec::topk(k).au_dp(2).descent(0.95, 0.3, 0.1);
+        let spec = JoinSpec::topk(k).au_dp(2);
         let engine = Engine::new(kn.clone(), cfg).expect("valid config");
         let ps = engine.prepare(&s).expect("prepare S");
         let pt = engine.prepare(&t).expect("prepare T");
