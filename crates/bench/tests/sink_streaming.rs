@@ -1,7 +1,7 @@
 //! Streaming-join (`join_sink` / `join_self_sink`) contract on
 //! datagen-sized corpora: emission order is deterministic and identical
-//! to the batch join (that a verification-batch boundary moves nothing is
-//! `au-core`'s `chunk_boundaries_move_no_pair_and_no_tier_tally`), and
+//! to the batch join (that a probe-record block boundary moves nothing is
+//! `au-core`'s `block_boundaries_move_no_pair_and_no_tier_tally`), and
 //! the sharded prepare's measured peak stays below a monolithic prepare.
 //!
 //! Sized by `AU_SCALE` (default here 0.5 → 600 records/side, so plain
@@ -32,10 +32,10 @@ fn sink_emission_deterministic_across_chunk_sizes_and_matches_batch() {
             !batch.pairs.is_empty(),
             "planted MED pairs must survive θ=0.9"
         );
-        // The sink verifies in 64 Ki-candidate batches (three of them
-        // already at the default scale's ≈ 130 k candidates) and must
-        // emit the batch result in the batch's (s, t) order with the
-        // batch's tier tallies.
+        // The sink probes and verifies in blocks of 512 probe records
+        // (two of them already at the default scale's 600) and must emit
+        // the batch result in the batch's (s, t) order with the batch's
+        // tier tallies.
         let mut streamed = Vec::new();
         let stats = engine
             .join_sink(&ps, &pt, &spec, |a, b, sim| streamed.push((a, b, sim)))

@@ -19,9 +19,13 @@
 //!   └─ suggest_tau                   (Algorithm 7)           suggest.rs
 //! ```
 //!
-//! Stages 2–4 are `filter_run` here; stage 5 is `verify_stage`, the one
-//! driver the joins, every shard-pair task and [`Engine::calibrate`]
-//! verify through. Pebble lists are never resident: a record's pebbles
+//! Stages 2–3 and the CSR fetch are `candidate_pass` here; a join runs
+//! stages 4–5 as one pass per probe record (`join_run`: each record's
+//! candidates are verified on the worker that probed them, so no
+//! candidate list exists). Where the list is the product, `filter_run`
+//! collects it and `verify_stage` verifies it (every shard-pair task and
+//! [`Engine::calibrate`]); `count_run` only counts it (the Bernoulli
+//! estimator). Pebble lists are never resident: a record's pebbles
 //! exist only inside the pass that selects its signature
 //! ([`crate::join::record_signature`]). Output bytes are pinned by
 //! `tests/determinism_pin.rs`; completeness is checked against
@@ -42,8 +46,9 @@
 
 use crate::config::SimConfig;
 use crate::error::AuError;
+use crate::estimate::FilterCounts;
 use crate::join::{
-    candidate_pass, verify_candidates, CompatCtx, FilterOutcome, JoinResult, JoinStats,
+    verify_candidates, CandidatePass, CompatCtx, FilterOutcome, JoinResult, JoinStats, PassTotals,
 };
 use crate::knowledge::Knowledge;
 use crate::pebble::DocFreqs;
@@ -52,7 +57,7 @@ use crate::prepared::{OrderKey, SigKey};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
-use crate::usim::{usim_approx_seg, GramPostingsIndex};
+use crate::usim::{usim_approx_seg, GramPostingsIndex, Verifier, VerifyTiers};
 use au_text::record::Corpus;
 use au_text::TokenId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,9 +96,10 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Candidates verified per batch by the streaming sink paths — bounds the
-/// materialized result memory without starving the parallel verifier.
-const SINK_CHUNK: usize = 64 * 1024;
+/// Probe records per block of the streaming sink paths — bounds the
+/// materialized result memory to one block's accepted pairs while each
+/// block stays long enough for the parallel pass to balance.
+const SINK_BLOCK: usize = 512;
 
 /// The session root: an immutable knowledge context plus a validated
 /// similarity configuration.
@@ -376,16 +382,17 @@ impl Engine {
 
     // -- pipeline stages ----------------------------------------------------
 
-    /// Stages 2–4 on prepared state: order, signatures, CSR probe. The
-    /// returned stats carry the filter's funnel and times; stage 5
-    /// ([`Engine::verify_stage`]) adds its own.
-    pub(crate) fn filter_run(
+    /// Stages 2–3 on prepared state, plus the indexed side's CSR index:
+    /// stage 4 ready to run with any consumer. The returned stats carry
+    /// the signature time, the index fetch as filter time and the mean
+    /// signature lengths; the pass adds its funnel and the rest.
+    pub(crate) fn candidate_pass<'a>(
         &self,
-        s: &Prepared,
-        t: &Prepared,
+        s: &'a Prepared,
+        t: &'a Prepared,
         self_join: bool,
         spec: &JoinSpec,
-    ) -> (FilterOutcome, JoinStats) {
+    ) -> (CandidatePass<'a>, JoinStats) {
         let sig_start = Instant::now();
         let (key_s, key_t, order) = if self_join {
             (OrderKey::SelfOrder, OrderKey::SelfOrder, self.order_self(s))
@@ -406,38 +413,73 @@ impl Engine {
 
         let filter_start = Instant::now();
         let index = self.csr(t, SigKey::new(key_t, spec), &order, &sel_t);
-        let outcome = candidate_pass(
-            &sel_s,
-            &sel_t,
-            &index,
+        let stats = JoinStats {
+            sig_time,
+            filter_time: filter_start.elapsed(),
+            avg_sig_len_s: sel_s.record_keys.avg_sig_len(),
+            avg_sig_len_t: sel_t.record_keys.avg_sig_len(),
+            ..JoinStats::default()
+        };
+        let pass = CandidatePass {
+            s: sel_s,
+            indexed: sel_t,
+            index,
             self_join,
-            spec.filter.tau(),
-            spec.parallel,
-            &CompatCtx {
+            tau: spec.filter.tau(),
+            ctx: CompatCtx {
                 tier0_s: &s.tier0,
                 tier0_t: &t.tier0,
                 min_sim: spec.theta - self.cfg.eps,
             },
-        );
-        let stats = JoinStats {
-            sig_time,
-            filter_time: filter_start.elapsed(),
-            processed_pairs: outcome.processed_pairs,
-            candidates: outcome.candidates.len() as u64,
-            compat_rejected: outcome.compat_rejected,
-            avg_sig_len_s: outcome.avg_sig_len_s,
-            avg_sig_len_t: outcome.avg_sig_len_t,
-            ..JoinStats::default()
+        };
+        (pass, stats)
+    }
+
+    /// Stages 2–4 with the collect consumer: the candidate list, for the
+    /// callers whose product it is ([`Engine::filter_outcome`],
+    /// [`Engine::calibrate`], the shard-pair tasks, which verify it with
+    /// [`Engine::verify_stage`]). The returned stats carry the filter's
+    /// funnel and times.
+    pub(crate) fn filter_run(
+        &self,
+        s: &Prepared,
+        t: &Prepared,
+        self_join: bool,
+        spec: &JoinSpec,
+    ) -> (FilterOutcome, JoinStats) {
+        let (pass, mut stats) = self.candidate_pass(s, t, self_join, spec);
+        let start = Instant::now();
+        let (candidates, totals) = pass.collect(spec.parallel);
+        stats.filter_time += start.elapsed();
+        totals.funnel_into(&mut stats);
+        let outcome = FilterOutcome {
+            candidates,
+            processed_pairs: stats.processed_pairs,
+            compat_rejected: stats.compat_rejected,
+            avg_sig_len_s: stats.avg_sig_len_s,
+            avg_sig_len_t: stats.avg_sig_len_t,
         };
         (outcome, stats)
     }
 
-    /// Stage 5, the one driver: verify `candidates` — ids into `s` × `t`,
-    /// probe-sorted — in batches of at most `chunk`, handing accepted
-    /// pairs to `sink` in candidate order, and add the time, accepted
-    /// count and tier tallies to `stats`. The batches share one transposed
-    /// posting index over `t`, obtained from `index` once and only when
-    /// there is a candidate; its time counts as verification.
+    /// Stages 2–4 with the count consumer: the serial R×S funnel `T′τ` /
+    /// `V′τ` of the Bernoulli estimator (Eq. 17), and no candidate list.
+    pub(crate) fn count_run(&self, s: &Prepared, t: &Prepared, spec: &JoinSpec) -> FilterCounts {
+        let (pass, _) = self.candidate_pass(s, t, false, spec);
+        let totals = pass.count(spec.parallel);
+        FilterCounts {
+            processed: totals.probe.processed,
+            candidates: totals.candidates,
+        }
+    }
+
+    /// Stage 5 on a collected list: verify `candidates` — ids into
+    /// `s` × `t`, probe-sorted — handing accepted pairs to `sink` in
+    /// candidate order, and add the time, accepted count and tier tallies
+    /// to `stats`. The transposed posting index over `t` is obtained from
+    /// `index` once and only when there is a candidate; its time counts as
+    /// verification. [`Engine::calibrate`] and the shard-pair tasks verify
+    /// through it; the joins verify as they probe ([`Engine::join_run`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify_stage(
         &self,
@@ -446,7 +488,6 @@ impl Engine {
         candidates: &[(u32, u32)],
         spec: &JoinSpec,
         index: impl FnOnce() -> Arc<GramPostingsIndex>,
-        chunk: usize,
         stats: &mut JoinStats,
         mut sink: impl FnMut(u32, u32, f64),
     ) {
@@ -454,48 +495,80 @@ impl Engine {
             return;
         }
         let start = Instant::now();
-        let index = index();
-        for batch in candidates.chunks(chunk) {
-            let (accepted, tiers) = verify_candidates(
-                &self.kn,
-                &self.cfg,
-                &s.segrecs,
-                &t.segrecs,
-                batch,
-                spec.theta,
-                spec.parallel,
-                &index,
-            );
-            stats.tiers.merge(&tiers);
-            stats.result_count += accepted.len();
-            for (a, b, sim) in accepted {
-                sink(a, b, sim);
-            }
+        let (accepted, tiers) = verify_candidates(
+            &self.kn,
+            &self.cfg,
+            &s.segrecs,
+            &t.segrecs,
+            candidates,
+            spec.theta,
+            spec.parallel,
+            &index(),
+        );
+        stats.tiers.merge(&tiers);
+        stats.result_count += accepted.len();
+        for (a, b, sim) in accepted {
+            sink(a, b, sim);
         }
         stats.verify_time += start.elapsed();
     }
 
     /// Stages 2–5 on prepared state, with accepted pairs handed to `sink`
-    /// in `(s, t)` order. Candidates are verified in batches of at most
-    /// `chunk`, so that many results at most are ever materialized; the
-    /// batches share `t`'s memoized transposed posting index
-    /// ([`Prepared::transposed`]).
+    /// in `(s, t)` order: the verify consumer over blocks of at most
+    /// `block` probe records, so one block's results at most are ever
+    /// materialized and no candidate list at all. Every block walks `t`'s
+    /// memoized transposed posting index ([`Prepared::transposed`]),
+    /// fetched once before the pass — unless the probe side or the CSR
+    /// index is empty, when no probe can hit and nothing is fetched.
     pub(crate) fn join_run(
         &self,
         s: &Prepared,
         t: &Prepared,
         self_join: bool,
         spec: &JoinSpec,
-        chunk: usize,
-        sink: impl FnMut(u32, u32, f64),
+        block: usize,
+        mut sink: impl FnMut(u32, u32, f64),
     ) -> JoinStats {
-        let (outcome, mut stats) = self.filter_run(s, t, self_join, spec);
-        let (candidates, index) = (&outcome.candidates, || t.transposed(spec.parallel));
-        self.verify_stage(s, t, candidates, spec, index, chunk, &mut stats, sink);
+        let (pass, mut stats) = self.candidate_pass(s, t, self_join, spec);
+        if pass.is_empty() {
+            return stats;
+        }
+        let start = Instant::now();
+        let index = t.transposed(spec.parallel);
+        let fetched = start.elapsed();
+        let verifier = Verifier::new(&self.kn, &self.cfg);
+        let tiers = Mutex::new(VerifyTiers::default());
+        let mut totals = PassTotals::default();
+        let n = pass.s.len();
+        for lo in (0..n).step_by(block.max(1)) {
+            let hi = lo.saturating_add(block).min(n);
+            let (accepted, run) = pass.verify(
+                lo as u32..hi as u32,
+                spec.parallel,
+                &verifier,
+                &s.segrecs,
+                &t.segrecs,
+                &index,
+                spec.theta,
+                &tiers,
+            );
+            totals.merge(&run);
+            for (a, b, sim) in accepted.into_iter().flatten() {
+                stats.result_count += 1;
+                sink(a, b, sim);
+            }
+        }
+        let (probing, verifying) = totals.split(start.elapsed() - fetched);
+        stats.filter_time += probing;
+        stats.verify_time += fetched + verifying;
+        totals.funnel_into(&mut stats);
+        stats.tiers = *relock(&tiers);
+        debug_assert_eq!(stats.tiers.decisions(), stats.candidates);
         stats
     }
 
-    /// [`Engine::join_run`] materializing the whole result.
+    /// [`Engine::join_run`] materializing the whole result: the whole
+    /// probe side is one block.
     pub(crate) fn join_full(
         &self,
         s: &Prepared,
@@ -528,9 +601,9 @@ impl Engine {
     }
 
     /// Streaming threshold R×S join: accepted pairs are emitted to `sink`
-    /// in deterministic `(s, t)` order as verification batches complete,
-    /// instead of materializing one `Vec` of results. Returns the run's
-    /// statistics only.
+    /// in deterministic `(s, t)` order as each block of probe records is
+    /// probed and verified, instead of materializing one `Vec` of results.
+    /// Returns the run's statistics only.
     pub fn join_sink(
         &self,
         s: &Prepared,
@@ -541,7 +614,7 @@ impl Engine {
         self.check(s)?;
         self.check(t)?;
         spec.validate_threshold()?;
-        Ok(self.join_run(s, t, false, spec, SINK_CHUNK, sink))
+        Ok(self.join_run(s, t, false, spec, SINK_BLOCK, sink))
     }
 
     /// Streaming threshold self-join (see [`Engine::join_sink`]).
@@ -553,7 +626,7 @@ impl Engine {
     ) -> Result<JoinStats, AuError> {
         self.check(c)?;
         spec.validate_threshold()?;
-        Ok(self.join_run(c, c, true, spec, SINK_CHUNK, sink))
+        Ok(self.join_run(c, c, true, spec, SINK_BLOCK, sink))
     }
 
     // -- one-off similarities -----------------------------------------------
@@ -801,7 +874,7 @@ pub(crate) mod tests {
 
     /// `n` four-word records over a 12-word pool, deterministic in
     /// `salt`: dense enough that most record pairs become candidates.
-    fn pooled_corpus(kn: &mut Knowledge, n: usize, salt: usize) -> Corpus {
+    pub(crate) fn pooled_corpus(kn: &mut Knowledge, n: usize, salt: usize) -> Corpus {
         const POOL: [&str; 12] = [
             "coffee", "shop", "latte", "espresso", "cafe", "helsinki", "tea", "cake", "north",
             "south", "house", "garden",
@@ -1350,29 +1423,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn chunk_boundaries_move_no_pair_and_no_tier_tally() {
-        // The sink verifies in batches that share one corpus-level index;
-        // a batch boundary — even one inside a probe record's run, which
-        // splits the run's mass count in two — must move neither a pair,
-        // a similarity bit nor a tier counter.
+    fn block_boundaries_move_no_pair_and_no_tier_tally() {
+        // The sink probes and verifies in blocks of probe records that
+        // share one corpus-level index; a block boundary must move neither
+        // a pair, a similarity bit, a funnel counter nor a tier counter.
         let mut kn = KnowledgeBuilder::new().build();
         let (s, t) = (pooled_corpus(&mut kn, 90, 0), pooled_corpus(&mut kn, 90, 3));
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let ps = engine.prepare(&s).unwrap();
         let pt = engine.prepare(&t).unwrap();
+        let funnel = |st: &JoinStats| (st.candidates, st.processed_pairs, st.compat_rejected);
         for parallel in [false, true] {
             let spec = JoinSpec::threshold(0.7).au_dp(2).parallel(parallel);
             let whole = engine.join_full(&ps, &pt, false, &spec);
             // Enough candidates that the shared verification index is built.
             assert!(whole.stats.candidates >= 2048 && !whole.pairs.is_empty());
             assert!(whole.stats.tiers.mass_rejects > 0);
-            for chunk in [1, 7, 100] {
+            for block in [1, 7, 100] {
                 let mut pairs = Vec::new();
-                let stats = engine.join_run(&ps, &pt, false, &spec, chunk, |a, b, sim| {
+                let stats = engine.join_run(&ps, &pt, false, &spec, block, |a, b, sim| {
                     pairs.push((a, b, sim))
                 });
-                assert_eq!(pairs, whole.pairs, "chunk {chunk} parallel={parallel}");
-                assert_eq!(stats.tiers, whole.stats.tiers, "chunk {chunk}");
+                assert_eq!(pairs, whole.pairs, "block {block} parallel={parallel}");
+                assert_eq!(stats.tiers, whole.stats.tiers, "block {block}");
+                assert_eq!(funnel(&stats), funnel(&whole.stats), "block {block}");
             }
         }
     }

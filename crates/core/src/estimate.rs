@@ -35,16 +35,6 @@ pub struct FilterCounts {
     pub candidates: u64,
 }
 
-impl FilterCounts {
-    /// The counts of one filtering pass.
-    pub fn of(outcome: &FilterOutcome) -> Self {
-        Self {
-            processed: outcome.processed_pairs,
-            candidates: outcome.candidates.len() as u64,
-        }
-    }
-}
-
 /// The Bernoulli estimator of Eq. 17.
 #[derive(Debug, Clone, Copy)]
 pub struct BernoulliEstimate {
@@ -88,7 +78,8 @@ impl Engine {
     }
 
     /// The raw `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17):
-    /// [`Engine::filter_outcome`] of a serial R×S pass, counted.
+    /// the funnel [`Engine::filter_outcome`] reports for a serial R×S
+    /// pass, counted as the pass probes — no candidate list is built.
     pub fn filter_counts(
         &self,
         s: &Prepared,
@@ -96,8 +87,11 @@ impl Engine {
         theta: f64,
         filter: FilterKind,
     ) -> Result<FilterCounts, AuError> {
+        self.check(s)?;
+        self.check(t)?;
         let spec = JoinSpec::threshold(theta).filter(filter).serial();
-        Ok(FilterCounts::of(&self.filter_outcome(s, Some(t), &spec)?))
+        spec.validate_threshold()?;
+        Ok(self.count_run(s, t, &spec))
     }
 
     /// Measure the per-unit costs `c_f` / `c_v` of Eq. 15 on prepared
@@ -140,16 +134,7 @@ impl Engine {
             t.transposed(false);
             let index = || t.transposed(false);
             let mut verified = JoinStats::default();
-            self.verify_stage(
-                s,
-                t,
-                &pairs,
-                &spec,
-                index,
-                usize::MAX,
-                &mut verified,
-                |_, _, _| {},
-            );
+            self.verify_stage(s, t, &pairs, &spec, index, &mut verified, |_, _, _| {});
             (verified.verify_time.as_secs_f64() / pairs.len() as f64).max(1e-9)
         };
         Ok(CostModel {

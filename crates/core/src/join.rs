@@ -10,13 +10,20 @@
 //!    scratch buffer, sort them by rank, select a prefix with the chosen
 //!    filter (U / AU-heuristic / AU-DP) and keep the prefix's distinct
 //!    keys ([`record_signature`], [`SelectedSignatures`]);
-//! 4. **filter** — probe the CSR index and collect candidate pairs
-//!    sharing ≥ τ signature pebbles: `candidate_pass`;
+//! 4. **filter** — probe the CSR index with one record at a time and keep
+//!    the ids sharing ≥ τ signature pebbles with it: `CandidatePass`;
 //! 5. **verify** — bound the unified similarity (Algorithm 1) of each
-//!    candidate and keep pairs reaching `θ`: [`verify_candidates`], which
-//!    walks each probe record's run of candidates through the transposed
-//!    posting index of the verified side — every join verifies so; only
+//!    candidate and keep pairs reaching `θ`, one probe record's run of
+//!    candidates at a time, through the transposed posting index of the
+//!    verified side ([`crate::usim::Verifier::verify_run_at_least`]); only
 //!    [`crate::engine::Engine::scan`] (a serving delta) counts per pair.
+//!
+//! A join runs stages 4 and 5 as one pass per probe record: the worker
+//! that probed a record verifies its run there and then, so no candidate
+//! list exists (PASS-JOIN's shape). The list is built only where it is
+//! the product — [`crate::engine::Engine::filter_outcome`], cost
+//! calibration, the shard-pair tasks, which verify it with
+//! [`verify_candidates`] — and the Bernoulli estimator only counts it.
 //!
 //! The engine owns stages 1–2 and the memoization of 3–4; this module
 //! holds the one implementation of stages 3, 4 and 5. Tests check them
@@ -30,8 +37,9 @@ use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortS
 use crate::segment::SegRecord;
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Timing and cardinality statistics of one join run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,9 +47,16 @@ pub struct JoinStats {
     /// Stages 2–3: ranking the pebble keys and the per-record signature
     /// pass (near zero on a memo hit).
     pub sig_time: Duration,
-    /// Candidate generation over the inverted index.
+    /// Candidate generation over the inverted index (stage 4).
+    ///
+    /// A join probes and verifies in one pass, so this is the pass's
+    /// wall-clock × the share of its workers' summed time spent probing
+    /// (each worker times its per-record probe and verify spans), plus
+    /// the CSR index fetch.
     pub filter_time: Duration,
-    /// Verification.
+    /// Verification (stage 5): the rest of that pass's wall-clock, plus
+    /// the transposed posting index fetch. `sig_time + filter_time +
+    /// verify_time` stays the join's wall-clock.
     pub verify_time: Duration,
     /// `Tτ`: index pairs touched during filtering (Eq. 16).
     ///
@@ -245,7 +260,8 @@ impl SelectedSignatures {
     }
 }
 
-/// Output of the filtering stage (stages 2–4).
+/// Output of the filtering stage (stages 2–4) run with the collect
+/// consumer (`CandidatePass::collect`).
 #[derive(Debug, Clone, Default)]
 pub struct FilterOutcome {
     /// Candidate pairs with ≥ τ common signature pebbles that pass the
@@ -274,60 +290,223 @@ pub(crate) struct CompatCtx<'a> {
     pub min_sim: f64,
 }
 
-/// Stage 4: probe every record of `s` against the CSR `index` over
-/// `indexed`'s signatures through a dense, branch-free [`OverlapCounter`].
+/// Stage 4 of one join, ready to run: the probe side's signatures, the
+/// indexed side's, the CSR index over the latter, τ and the in-probe
+/// compatibility bound.
 ///
-/// For a self-join (`self_join`, with `s` and `indexed` the same side)
-/// each record `a` probes only ids `> a`, producing every pair exactly
-/// once. Probing is parallelised over
-/// [`crate::parallel::par_map_scratch`] (one counter per worker); output
-/// order is deterministic either way.
-pub(crate) fn candidate_pass(
-    s: &SelectedSignatures,
-    indexed: &SelectedSignatures,
-    index: &CsrIndex,
-    self_join: bool,
-    tau: u32,
-    parallel: bool,
-    ctx: &CompatCtx<'_>,
-) -> FilterOutcome {
-    let ids: Vec<u32> = (0..s.len() as u32).collect();
-    let per_record: Vec<(Vec<u32>, ProbeStats)> = crate::parallel::par_map_scratch(
-        &ids,
-        parallel,
-        || OverlapCounter::new(index.record_count()),
-        |ctr, &a| {
-            let mut hits = Vec::new();
-            let stats = ctr.probe(
-                index,
-                s.record_keys.get(a),
-                s.levels[a as usize],
-                tau,
-                &indexed.levels,
-                self_join.then_some(a),
-                &CompatBound {
-                    tier0: ctx.tier0_t,
-                    probe_tier0: ctx.tier0_s[a as usize],
-                    min_sim: ctx.min_sim,
-                },
-                &mut hits,
-            );
-            (hits, stats)
-        },
-        |_| {},
-    );
-    let mut candidates = Vec::new();
-    let mut totals = ProbeStats::default();
-    for (a, (hits, stats)) in per_record.into_iter().enumerate() {
-        totals.merge(&stats);
-        candidates.extend(hits.into_iter().map(|b| (a as u32, b)));
+/// [`CandidatePass::run`] probes one record at a time through a dense,
+/// branch-free [`OverlapCounter`] and hands the record's hits to a
+/// consumer on the worker that probed them; no candidate list outlives
+/// the record unless the consumer keeps one. Three consumers exist:
+/// verify ([`CandidatePass::verify`], every join), collect
+/// ([`CandidatePass::collect`], the list itself) and count
+/// ([`CandidatePass::count`], the funnel only).
+#[derive(Debug)]
+pub(crate) struct CandidatePass<'a> {
+    /// The probe side's signatures.
+    pub s: Arc<SelectedSignatures>,
+    /// The indexed side's signatures.
+    pub indexed: Arc<SelectedSignatures>,
+    /// CSR index over `indexed`.
+    pub index: Arc<CsrIndex>,
+    /// A self-join, with `s` and `indexed` the same side: each record `a`
+    /// probes only ids `> a`, producing every pair exactly once.
+    pub self_join: bool,
+    /// τ.
+    pub tau: u32,
+    /// The in-probe compatibility bound.
+    pub ctx: CompatCtx<'a>,
+}
+
+/// What a candidate pass adds up over its probe records: the probe funnel,
+/// `Vτ`, and the time workers spent probing and consuming, each summed
+/// over the workers.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PassTotals {
+    /// `Tτ` and the in-probe rejections.
+    pub probe: ProbeStats,
+    /// `Vτ`: hits handed to the consumer.
+    pub candidates: u64,
+    /// Worker time inside [`OverlapCounter::probe`].
+    pub probe_time: Duration,
+    /// Worker time inside the consumer.
+    pub consume_time: Duration,
+}
+
+impl PassTotals {
+    /// Add another pass's (or worker's) totals.
+    pub fn merge(&mut self, other: &Self) {
+        self.probe.merge(&other.probe);
+        self.candidates += other.candidates;
+        self.probe_time += other.probe_time;
+        self.consume_time += other.consume_time;
     }
-    FilterOutcome {
-        candidates,
-        processed_pairs: totals.processed,
-        compat_rejected: totals.compat_rejected,
-        avg_sig_len_s: s.record_keys.avg_sig_len(),
-        avg_sig_len_t: indexed.record_keys.avg_sig_len(),
+
+    /// `wall` split between probing and consuming in the ratio the
+    /// workers' summed spans give (all of it probing when neither ran).
+    pub fn split(&self, wall: Duration) -> (Duration, Duration) {
+        let spans = self.probe_time + self.consume_time;
+        if spans.is_zero() {
+            return (wall, Duration::ZERO);
+        }
+        let probing = wall.mul_f64(self.probe_time.as_secs_f64() / spans.as_secs_f64());
+        (probing, wall.saturating_sub(probing))
+    }
+
+    /// Fold the funnel into `stats`; its times stay the caller's.
+    pub fn funnel_into(&self, stats: &mut JoinStats) {
+        stats.processed_pairs += self.probe.processed;
+        stats.candidates += self.candidates;
+        stats.compat_rejected += self.probe.compat_rejected;
+    }
+}
+
+/// One probe record's accepted `(a, b, sim)` triples, in `b` order.
+pub(crate) type Accepted = Vec<(u32, u32, f64)>;
+
+/// Per-worker state of a candidate pass: the overlap counter, the hit
+/// buffer every probe refills, the worker's totals and the consumer's own
+/// scratch.
+struct PassWorker<W> {
+    counter: OverlapCounter,
+    hits: Vec<u32>,
+    totals: PassTotals,
+    consumer: W,
+}
+
+impl CandidatePass<'_> {
+    /// True when no probe can hit: the probe side or the CSR index is
+    /// empty.
+    pub fn is_empty(&self) -> bool {
+        self.s.is_empty() || self.index.posting_count() == 0
+    }
+
+    /// The probe step: record `a`'s hits — ids of `indexed` sharing ≥ τ
+    /// signature keys with it and passing the compatibility bound — into
+    /// `w.hits`, ascending.
+    fn probe<W>(&self, a: u32, w: &mut PassWorker<W>) {
+        w.hits.clear();
+        let stats = w.counter.probe(
+            &self.index,
+            self.s.record_keys.get(a),
+            self.s.levels[a as usize],
+            self.tau,
+            &self.indexed.levels,
+            self.self_join.then_some(a),
+            &CompatBound {
+                tier0: self.ctx.tier0_t,
+                probe_tier0: self.ctx.tier0_s[a as usize],
+                min_sim: self.ctx.min_sim,
+            },
+            &mut w.hits,
+        );
+        w.totals.probe.merge(&stats);
+        w.totals.candidates += w.hits.len() as u64;
+    }
+
+    /// Stage 4 over the probe records `block`: probe each record and hand
+    /// `(a, hits)` to `consume` on the same worker, then return the
+    /// consumer's outputs in record order with the pass's totals.
+    /// Parallel over [`crate::parallel::par_map_scratch`] when `parallel`
+    /// (one counter, hit buffer and consumer scratch from `init` per
+    /// worker; `drain` folds the consumer scratch once per worker); the
+    /// output is the serial output either way.
+    pub fn run<W, U>(
+        &self,
+        block: Range<u32>,
+        parallel: bool,
+        init: impl Fn() -> W + Sync,
+        consume: impl Fn(&mut W, u32, &[u32]) -> U + Sync,
+        drain: impl Fn(&mut W) + Sync,
+    ) -> (Vec<U>, PassTotals)
+    where
+        U: Send,
+    {
+        let ids: Vec<u32> = block.collect();
+        let totals = Mutex::new(PassTotals::default());
+        let out = crate::parallel::par_map_scratch(
+            &ids,
+            parallel,
+            || PassWorker {
+                counter: OverlapCounter::new(self.index.record_count()),
+                hits: Vec::new(),
+                totals: PassTotals::default(),
+                consumer: init(),
+            },
+            |w, &a| {
+                let start = Instant::now();
+                self.probe(a, w);
+                let probed = Instant::now();
+                let out = consume(&mut w.consumer, a, &w.hits);
+                w.totals.probe_time += probed - start;
+                w.totals.consume_time += probed.elapsed();
+                out
+            },
+            |w| {
+                relock(&totals).merge(&w.totals);
+                drain(&mut w.consumer);
+            },
+        );
+        let totals = *relock(&totals);
+        (out, totals)
+    }
+
+    /// The count consumer: the funnel of the whole probe side, and no
+    /// candidate kept.
+    pub fn count(&self, parallel: bool) -> PassTotals {
+        let all = 0..self.s.len() as u32;
+        self.run(all, parallel, || (), |_, _, _| (), |_| {}).1
+    }
+
+    /// The collect consumer: every candidate pair of the whole probe side,
+    /// sorted by `(s, t)`.
+    pub fn collect(&self, parallel: bool) -> (Vec<(u32, u32)>, PassTotals) {
+        let all = 0..self.s.len() as u32;
+        let (per_record, totals) =
+            self.run(all, parallel, || (), |_, _, hits| hits.to_vec(), |_| {});
+        let mut candidates = Vec::with_capacity(totals.candidates as usize);
+        for (a, hits) in per_record.into_iter().enumerate() {
+            candidates.extend(hits.into_iter().map(|b| (a as u32, b)));
+        }
+        (candidates, totals)
+    }
+
+    /// The verify consumer — stages 4 and 5 fused over the probe records
+    /// `block`: each record's hits become its run `(a, b…)` in a buffer
+    /// the worker reuses, verified on the spot through `index`, the
+    /// transposed posting index over `t` (see
+    /// [`Verifier::verify_run_at_least`]). Returns the accepted
+    /// `(a, b, sim)` per probe record, in record order; the workers' tier
+    /// tallies are folded into `tiers`. Pairs, similarity bits and tallies
+    /// are those [`verify_candidates`] gives the collected list.
+    #[allow(clippy::too_many_arguments)]
+    pub fn verify(
+        &self,
+        block: Range<u32>,
+        parallel: bool,
+        verifier: &Verifier<'_>,
+        s: &[Arc<SegRecord>],
+        t: &[Arc<SegRecord>],
+        index: &GramPostingsIndex,
+        theta: f64,
+        tiers: &Mutex<VerifyTiers>,
+    ) -> (Vec<Accepted>, PassTotals) {
+        self.run(
+            block,
+            parallel,
+            || (RunScratch::default(), Vec::new()),
+            |(rs, run), a, hits| {
+                let mut accepted = Vec::new();
+                if !hits.is_empty() {
+                    run.clear();
+                    run.extend(hits.iter().map(|&b| (a, b)));
+                    let probe = &s[a as usize];
+                    verifier.verify_run_at_least(probe, t, run, index, theta, rs, &mut accepted);
+                }
+                accepted
+            },
+            |(rs, _)| relock(tiers).merge(&rs.take_tally()),
+        )
     }
 }
 
@@ -340,7 +519,9 @@ pub(crate) fn candidate_pass(
 /// and each run's shared pebble mass is counted in one walk of `index`,
 /// the transposed posting index over `t` (work ∝ the probe's document
 /// frequencies); only the candidates that bound cannot reject are
-/// enumerated. Joins always verify this way; only
+/// enumerated. The joins verify each run the same way as they probe it
+/// (`CandidatePass::verify`); this collected-list form serves cost
+/// calibration and the shard-pair tasks. Only
 /// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs,
 /// similarities and tier counters are byte-identical to
 /// [`crate::oracle::verify_candidates_reference`] —
@@ -588,6 +769,65 @@ mod tests {
         assert_eq!(res.stats.candidates, 0);
         let res = join(&kn, &cfg, &empty, &empty, &JoinSpec::threshold(0.8));
         assert!(res.pairs.is_empty());
+    }
+
+    #[test]
+    fn the_fused_pass_equals_the_collected_list_verified_and_counted() {
+        // Past `MIN_PARALLEL_ITEMS` probe records the pass fans out, and
+        // every worker folds its funnel, times and tier tallies in the
+        // drain hook. The join's verify consumer, the collect consumer's
+        // list verified afterwards and the count consumer must agree on
+        // every pair, similarity bit and counter — R×S and self-join.
+        use crate::engine::tests::{pair_bits, pooled_corpus};
+        let mut kn = KnowledgeBuilder::new().build();
+        let (s, t) = (
+            pooled_corpus(&mut kn, 300, 0),
+            pooled_corpus(&mut kn, 300, 3),
+        );
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let theta = 0.7;
+        for parallel in [false, true] {
+            let spec = JoinSpec::threshold(theta).au_dp(2).parallel(parallel);
+            for other in [Some(&pt), None] {
+                let verified = other.unwrap_or(&ps);
+                let fused = match other {
+                    Some(pt) => engine.join(&ps, pt, &spec),
+                    None => engine.join_self(&ps, &spec),
+                };
+                let fused = fused.unwrap();
+                let listed = engine.filter_outcome(&ps, other, &spec).unwrap();
+                let (pairs, tiers) = verify_candidates(
+                    engine.knowledge(),
+                    engine.config(),
+                    ps.seg_records(),
+                    verified.seg_records(),
+                    &listed.candidates,
+                    theta,
+                    parallel,
+                    &verified.transposed(false),
+                );
+                let at = format!("parallel={parallel} self={}", other.is_none());
+                assert!(!pairs.is_empty() && tiers.mass_rejects > 0, "{at}");
+                assert_eq!(pair_bits(&fused.pairs), pair_bits(&pairs), "{at}");
+                assert_eq!(fused.stats.tiers, tiers, "{at}");
+                assert_eq!(
+                    (fused.stats.candidates, fused.stats.processed_pairs),
+                    (listed.candidates.len() as u64, listed.processed_pairs),
+                    "{at}"
+                );
+                assert_eq!(fused.stats.compat_rejected, listed.compat_rejected);
+                assert_eq!(fused.stats.result_count, pairs.len());
+            }
+            let counts = engine
+                .filter_counts(&ps, &pt, theta, FilterKind::AuDp { tau: 2 })
+                .unwrap();
+            let listed = engine.filter_outcome(&ps, Some(&pt), &spec).unwrap();
+            assert_eq!(
+                (counts.processed, counts.candidates),
+                (listed.processed_pairs, listed.candidates.len() as u64)
+            );
+        }
     }
 
     #[test]

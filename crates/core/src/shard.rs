@@ -530,7 +530,7 @@ impl Engine {
             let sink =
                 |a: u32, b: u32, sim| pairs.push((ids_s[a as usize], ids_t[b as usize], sim));
             let index = || Arc::new(GramPostingsIndex::build_for(&t.segrecs, spec.parallel));
-            self.verify_stage(s, t, &group, spec, index, usize::MAX, &mut stats, sink);
+            self.verify_stage(s, t, &group, spec, index, &mut stats, sink);
         }
         JoinResult { pairs, stats }
     }

@@ -202,7 +202,7 @@ impl Engine {
             self.prepare_trusted(t.clone()),
         );
         let spec = JoinSpec::threshold(theta).filter(filter).serial();
-        FilterCounts::of(&self.filter_run(&ps, &pt, false, &spec).0)
+        self.count_run(&ps, &pt, &spec)
     }
 }
 

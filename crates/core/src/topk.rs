@@ -15,8 +15,8 @@
 //! in practice the last (cheapest-θ) round dominates, so the total stays
 //! within a small factor of a single join at the final θ — the price of
 //! not knowing that θ in advance. Every round
-//! runs through the CSR candidate-generation engine
-//! (`join::candidate_pass`): the signature prefixes are
+//! runs through the join's fused probe-and-verify pass
+//! (`join::CandidatePass`): the signature prefixes are
 //! θ-dependent and rebuilt per round, but each round's filtering cost is a
 //! flat index build plus dense-counter probes rather than a per-pair
 //! hashmap.

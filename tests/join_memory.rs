@@ -1,0 +1,152 @@
+//! Heap accounting of the join, under a counting global allocator.
+//!
+//! The binary's one test is alone in its process, so every allocation the
+//! counter sees is the join's or the prepare's. It pins `AU_THREADS` to 2
+//! (the repository benchmark's worker count) before any parallel code
+//! runs, so per-worker scratch does not scale with the host's cores.
+//!
+//! (a) A warm threshold join — order, signatures, CSR and transposed
+//!     index all memoized — verifies each probe record's candidates on the
+//!     worker that probed it, so its transient heap peak is per-worker
+//!     scratch plus results: well under the 8 bytes per candidate a
+//!     materialized `(u32, u32)` candidate list alone would take.
+//! (b) `Prepared::memory_bytes()` — which the shard residency gate and
+//!     `core.prepared_bytes_per_record` rest on — against the live heap a
+//!     fresh `Engine::prepare` leaves behind: the accounting counts
+//!     lengths, the allocator capacities and headers, so the ratio sits a
+//!     fixed distance above 1.
+
+use au_join::datagen::{DatasetProfile, LabeledDataset};
+use au_join::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Live heap bytes, and the most seen since the last `reset_peak`.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(bytes: usize) {
+    // ordering: Relaxed — advisory counters read by the test thread after
+    // the parallel sections it measures have joined (the joins order every
+    // worker's update before the read).
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    // ordering: Relaxed — as above.
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    // ordering: Relaxed — as in `grew`.
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns what `System` returned, so `System`'s guarantees are this
+// allocator's; the bookkeeping only reads `layout.size()` and `new_size`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn live() -> usize {
+    // ordering: Relaxed — as in `grew`.
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Restart the peak at the current live bytes and return them.
+fn reset_peak() -> usize {
+    let now = live();
+    // ordering: Relaxed — as in `grew`.
+    PEAK.store(now, Ordering::Relaxed);
+    now
+}
+
+fn peak() -> usize {
+    // ordering: Relaxed — as in `grew`.
+    PEAK.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
+    // Before any call into au-core: pin the worker count.
+    std::env::set_var("AU_THREADS", "2");
+    assert_eq!(au_join::core::parallel::available_threads(), 2);
+
+    // The `join_dense` shape: a MED-like corpus, q = 2, θ = 0.9, AU-DP τ = 2.
+    let n = 600;
+    let ds = LabeledDataset::generate(&DatasetProfile::med_like(1.0), n, n, n / 5, 71);
+    let cfg = SimConfig {
+        q: 2,
+        ..SimConfig::default()
+    };
+    let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
+
+    // (b) One prepare's heap growth against its own accounting.
+    let before = live();
+    let ps = engine.prepare(&ds.s).expect("prepare S");
+    let grown = live() - before;
+    let ratio = grown as f64 / ps.memory_bytes() as f64;
+    assert!(
+        (1.2..=1.6).contains(&ratio),
+        "prepare grew the heap by {grown} B for {} accounted: ratio {ratio:.3}",
+        ps.memory_bytes()
+    );
+
+    // (a) A warm join's transient peak, per candidate.
+    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let spec = JoinSpec::threshold(0.9).au_dp(2);
+    let cold = engine.join(&ps, &pt, &spec).expect("cold join");
+    let start = reset_peak();
+    let warm = engine.join(&ps, &pt, &spec).expect("warm join");
+    let transient = peak() - start;
+    assert_eq!(warm.pairs, cold.pairs);
+    let candidates = warm.stats.candidates;
+    assert!(
+        candidates > 50_000,
+        "too few candidates to measure: {candidates}"
+    );
+    let per_candidate = transient as f64 / candidates as f64;
+    eprintln!(
+        "prepare: {ratio:.3} heap per accounted byte; warm join: {transient} B peak, \
+         {per_candidate:.2} B per candidate over {candidates}"
+    );
+    assert!(
+        per_candidate < 4.0,
+        "warm join peaked {transient} B above its start: {per_candidate:.2} B per candidate \
+         over {candidates} candidates"
+    );
+}
