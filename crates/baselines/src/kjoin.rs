@@ -35,7 +35,7 @@ pub struct KJoinConfig {
 fn entities_of(kn: &Knowledge, cfg: &SimConfig, tokens: &[au_text::TokenId]) -> Vec<NodeId> {
     let sr = segment_record(kn, cfg, tokens);
     let mut out: Vec<NodeId> = Vec::new();
-    for seg in &sr.segments {
+    for seg in sr.segments() {
         if let Some(n) = seg.node {
             if !out.contains(&n) {
                 out.push(n);

@@ -9,7 +9,7 @@
 
 use crate::config::{MeasureSet, SimConfig};
 use crate::knowledge::Knowledge;
-use crate::segment::Segment;
+use crate::segment::SegView;
 use au_text::jaccard::intersection_size_sorted;
 
 /// Which measure produced a score (for explanations and Table 8 style
@@ -63,19 +63,19 @@ impl MeasureKind {
 pub fn msim_explained(
     kn: &Knowledge,
     cfg: &SimConfig,
-    a: &Segment,
-    b: &Segment,
+    a: &SegView<'_>,
+    b: &SegView<'_>,
 ) -> (f64, MeasureKind) {
     // Text comparison keeps this entry point context-free: segments from
     // *different* Knowledge contexts are still compared correctly. The
-    // tiered engine's internal fast path uses the interned `Segment::key`
+    // tiered engine's internal fast path uses the interned `SegView::key`
     // instead, which is valid only within its single-context invariant.
     if a.text == b.text {
         return (1.0, MeasureKind::Jaccard);
     }
     let mut best = (0.0f64, MeasureKind::Jaccard);
     if cfg.measures.contains(MeasureSet::J) {
-        let inter = intersection_size_sorted(&a.grams, &b.grams);
+        let inter = intersection_size_sorted(a.grams, b.grams);
         let j = cfg.gram.score(inter, a.grams.len(), b.grams.len());
         if j > best.0 {
             best = (j, MeasureKind::Jaccard);
@@ -101,7 +101,7 @@ pub fn msim_explained(
 }
 
 /// `msim(a, b)` (Eq. 4): the score only.
-pub fn msim(kn: &Knowledge, cfg: &SimConfig, a: &Segment, b: &Segment) -> f64 {
+pub fn msim(kn: &Knowledge, cfg: &SimConfig, a: &SegView<'_>, b: &SegView<'_>) -> f64 {
     msim_explained(kn, cfg, a, b).0
 }
 
@@ -109,7 +109,7 @@ pub fn msim(kn: &Knowledge, cfg: &SimConfig, a: &Segment, b: &Segment) -> f64 {
 mod tests {
     use super::*;
     use crate::knowledge::KnowledgeBuilder;
-    use crate::segment::segment_record;
+    use crate::segment::{segment_record, SegRecord};
 
     fn setup() -> (Knowledge, SimConfig) {
         let mut b = KnowledgeBuilder::new();
@@ -120,21 +120,24 @@ mod tests {
         (b.build(), SimConfig::default())
     }
 
-    fn segment_of(kn: &mut Knowledge, cfg: &SimConfig, text: &str, want: &str) -> Segment {
+    fn record_of(kn: &mut Knowledge, cfg: &SimConfig, text: &str) -> SegRecord {
         let id = kn.add_record(text);
-        let sr = segment_record(kn, cfg, &kn.record(id).tokens);
-        sr.segments
-            .iter()
-            .find(|s| &*s.text == want)
-            .unwrap_or_else(|| panic!("segment {want:?} not found in {text:?}"))
-            .clone()
+        segment_record(kn, cfg, &kn.record(id).tokens)
+    }
+
+    fn segment_of<'a>(sr: &'a SegRecord, want: &str) -> SegView<'a> {
+        sr.segments()
+            .find(|s| s.text == want)
+            .unwrap_or_else(|| panic!("segment {want:?} not found"))
     }
 
     #[test]
     fn synonym_beats_jaccard_for_rule_pair() {
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "coffee shop latte", "coffee shop");
-        let b = segment_of(&mut kn, &cfg, "espresso cafe", "cafe");
+        let a_rec = record_of(&mut kn, &cfg, "coffee shop latte");
+        let a = segment_of(&a_rec, "coffee shop");
+        let b_rec = record_of(&mut kn, &cfg, "espresso cafe");
+        let b = segment_of(&b_rec, "cafe");
         let (score, kind) = msim_explained(&kn, &cfg, &a, &b);
         assert_eq!(score, 1.0);
         assert_eq!(kind, MeasureKind::Synonym);
@@ -143,8 +146,10 @@ mod tests {
     #[test]
     fn taxonomy_wins_latte_espresso() {
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "latte time", "latte");
-        let b = segment_of(&mut kn, &cfg, "espresso bar", "espresso");
+        let a_rec = record_of(&mut kn, &cfg, "latte time");
+        let a = segment_of(&a_rec, "latte");
+        let b_rec = record_of(&mut kn, &cfg, "espresso bar");
+        let b = segment_of(&b_rec, "espresso");
         let (score, kind) = msim_explained(&kn, &cfg, &a, &b);
         assert!((score - 0.8).abs() < 1e-12);
         assert_eq!(kind, MeasureKind::Taxonomy);
@@ -153,8 +158,10 @@ mod tests {
     #[test]
     fn jaccard_for_typos() {
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "visit helsingki", "helsingki");
-        let b = segment_of(&mut kn, &cfg, "visit helsinki", "helsinki");
+        let a_rec = record_of(&mut kn, &cfg, "visit helsingki");
+        let a = segment_of(&a_rec, "helsingki");
+        let b_rec = record_of(&mut kn, &cfg, "visit helsinki");
+        let b = segment_of(&b_rec, "helsinki");
         let (score, kind) = msim_explained(&kn, &cfg, &a, &b);
         assert!((score - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(kind, MeasureKind::Jaccard);
@@ -164,8 +171,10 @@ mod tests {
     fn paper_eq4_example_cake() {
         // Section 2.2: msim("cake", "apple cake") = max(J=1/3, T=0.75) = 0.75.
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "cake", "cake");
-        let b = segment_of(&mut kn, &cfg, "apple cake", "apple cake");
+        let a_rec = record_of(&mut kn, &cfg, "cake");
+        let a = segment_of(&a_rec, "cake");
+        let b_rec = record_of(&mut kn, &cfg, "apple cake");
+        let b = segment_of(&b_rec, "apple cake");
         let (score, kind) = msim_explained(&kn, &cfg, &a, &b);
         assert!((score - 0.75).abs() < 1e-12, "got {score}");
         assert_eq!(kind, MeasureKind::Taxonomy);
@@ -174,20 +183,17 @@ mod tests {
     #[test]
     fn measure_gating_respected() {
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "latte time", "latte");
-        let b = segment_of(&mut kn, &cfg, "espresso bar", "espresso");
+        let a_rec = record_of(&mut kn, &cfg, "latte time");
+        let a = segment_of(&a_rec, "latte");
+        let b_rec = record_of(&mut kn, &cfg, "espresso bar");
+        let b = segment_of(&b_rec, "espresso");
         // With taxonomy disabled, only Jaccard remains (latte/espresso are
         // distinct strings sharing no 2-grams → 0).
         let cfg_j = cfg.with_measures(MeasureSet::J);
         // Re-segment under the J-only config (nodes are not attached).
         let id = kn.add_record("latte time");
         let sr = segment_record(&kn, &cfg_j, &kn.record(id).tokens);
-        let a_j = sr
-            .segments
-            .iter()
-            .find(|s| &*s.text == "latte")
-            .unwrap()
-            .clone();
+        let a_j = segment_of(&sr, "latte");
         assert_eq!(msim(&kn, &cfg_j, &a_j, &b), 0.0);
         // Even with T-attached segments, a J-only config ignores nodes.
         assert_eq!(msim(&kn, &cfg_j, &a, &b), 0.0);
@@ -196,8 +202,10 @@ mod tests {
     #[test]
     fn identical_tokens_score_one() {
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "helsinki", "helsinki");
-        let b = segment_of(&mut kn, &cfg, "helsinki", "helsinki");
+        let a_rec = record_of(&mut kn, &cfg, "helsinki");
+        let a = segment_of(&a_rec, "helsinki");
+        let b_rec = record_of(&mut kn, &cfg, "helsinki");
+        let b = segment_of(&b_rec, "helsinki");
         assert_eq!(msim(&kn, &cfg, &a, &b), 1.0);
     }
 
@@ -206,8 +214,10 @@ mod tests {
         use crate::config::GramMeasure;
         let (mut kn, _) = setup();
         let cfg = SimConfig::default();
-        let a = segment_of(&mut kn, &cfg, "visit helsingki", "helsingki");
-        let b = segment_of(&mut kn, &cfg, "visit helsinki", "helsinki");
+        let a_rec = record_of(&mut kn, &cfg, "visit helsingki");
+        let a = segment_of(&a_rec, "helsingki");
+        let b_rec = record_of(&mut kn, &cfg, "visit helsinki");
+        let b = segment_of(&b_rec, "helsinki");
         // 8 and 7 grams, 6 shared.
         let expect = [
             (GramMeasure::Jaccard, 6.0 / 9.0),
@@ -227,8 +237,10 @@ mod tests {
     fn gram_measure_does_not_affect_semantic_scores() {
         use crate::config::GramMeasure;
         let (mut kn, cfg) = setup();
-        let a = segment_of(&mut kn, &cfg, "latte time", "latte");
-        let b = segment_of(&mut kn, &cfg, "espresso bar", "espresso");
+        let a_rec = record_of(&mut kn, &cfg, "latte time");
+        let a = segment_of(&a_rec, "latte");
+        let b_rec = record_of(&mut kn, &cfg, "espresso bar");
+        let b = segment_of(&b_rec, "espresso");
         for g in GramMeasure::ALL {
             let cfg_g = cfg.with_gram(g);
             let (score, kind) = msim_explained(&kn, &cfg_g, &a, &b);

@@ -80,11 +80,11 @@ pub fn generate_pebbles_into(
     out: &mut Vec<Pebble>,
 ) {
     out.clear();
-    for (si, seg) in sr.segments.iter().enumerate() {
+    for (si, seg) in sr.segments().enumerate() {
         let si = si as u32;
         if cfg.measures.contains(MeasureSet::J) && !seg.grams.is_empty() {
             let w = cfg.gram.pebble_weight(seg.grams.len());
-            for &g in &seg.grams {
+            for &g in seg.grams {
                 out.push(Pebble {
                     key: PebbleKey::Gram(g),
                     weight: w,
@@ -94,7 +94,7 @@ pub fn generate_pebbles_into(
             }
         }
         if cfg.measures.contains(MeasureSet::S) {
-            for &rid in &seg.rules {
+            for &rid in seg.rules {
                 let rule = kn.synonyms.get(rid);
                 out.push(Pebble {
                     key: PebbleKey::Rule(rule.lhs),
@@ -170,21 +170,19 @@ impl DocFreqs {
     /// The distinct pebble keys of `sr`, into `keys`.
     fn record_keys(kn: &Knowledge, sr: &SegRecord, keys: &mut Vec<PebbleKey>) {
         keys.clear();
-        // `gram_posts` is sorted by (hash, segment): equal hashes are
+        // Gram postings are sorted by (hash, segment): equal hashes are
         // adjacent.
-        keys.extend(sr.gram_posts.iter().map(|&(g, _)| PebbleKey::Gram(g)));
+        keys.extend(sr.gram_postings().keys().map(PebbleKey::Gram));
         keys.dedup();
         let grams = keys.len();
         // Distinct rules can share a lhs and distinct entities an ancestor.
-        keys.extend(
-            sr.rule_posts
-                .iter()
-                .map(|&(r, _)| PebbleKey::Rule(kn.synonyms.get(RuleId(r)).lhs)),
-        );
-        for &si in &sr.node_segs {
-            let node = sr.segments[si as usize]
-                .node
-                .expect("node_segs lists only segments mapped to a node");
+        keys.extend(sr.rule_postings().keys().map(|r| {
+            let r = RuleId(u32::try_from(r).expect("rule keys are widened rule ids"));
+            PebbleKey::Rule(kn.synonyms.get(r).lhs)
+        }));
+        for &si in sr.node_segs() {
+            let node = sr.node_of(si as usize);
+            let node = node.expect("node_segs lists only segments mapped to a node");
             keys.extend(kn.taxonomy.ancestors(node).map(PebbleKey::Node));
         }
         keys[grams..].sort_unstable();
@@ -215,7 +213,7 @@ impl DocFreqs {
         }
     }
 
-    /// Heap footprint in bytes (length-based, like every `memory_bytes`).
+    /// Heap footprint in bytes (its entries, not the hash table's slack).
     pub(crate) fn memory_bytes(&self) -> usize {
         self.counts.len() * std::mem::size_of::<(PebbleKey, u32)>()
     }

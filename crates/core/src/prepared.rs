@@ -157,10 +157,13 @@ impl Prepared {
         gen: u64,
         cfg: SimConfig,
         corpus: Corpus,
-        segrecs: Vec<Arc<SegRecord>>,
+        mut segrecs: Vec<Arc<SegRecord>>,
         df: DocFreqs,
         start: Instant,
     ) -> Self {
+        // A collect that reused the rows' own buffer in place, or a merge's
+        // pushes, leave slack behind the pointers.
+        segrecs.shrink_to_fit();
         let tier0 = segrecs
             .iter()
             .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
@@ -214,12 +217,15 @@ impl Prepared {
     /// records (posting tables included), tier-0 integers, the document
     /// frequency table, plus every *currently memoized* order / signature
     /// / CSR artifact and the transposed posting index once an operation
-    /// has built it. Length-based accounting (buffer lengths, not
-    /// capacities), so the figure is deterministic for a given corpus and
-    /// operation history — the number the sharded joins' peak-memory
-    /// claim and the perf harness's memory column are measured in.
-    /// A row counts in full (pointer and counts included) in every artifact
-    /// holding it: generations sharing rows sum to more than the process holds.
+    /// has built it — the number the sharded joins' peak-memory claim and
+    /// the perf harness's memory column are measured in. Every row is
+    /// exact-size, so the rows' share is what they hold on the heap;
+    /// tables count their entries, not their slack (a fresh prepare's
+    /// heap growth is within 1.0–1.15× of this figure,
+    /// `tests/join_memory.rs`). Deterministic for a given corpus and
+    /// operation history. A row counts in full (pointer and counts
+    /// included) in every artifact holding it: generations sharing rows
+    /// sum to more than the process holds.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut total = size_of::<Self>();
@@ -331,6 +337,23 @@ impl Prepared {
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
         relock(&self.memo)
+    }
+
+    /// Bytes of the pair order `self` and `other` both file — one `Arc`
+    /// ([`Engine::order_pair`] stores it in both memos), so the sum of the
+    /// two artifacts' [`Prepared::memory_bytes`] counts it twice.
+    pub(crate) fn shared_order_bytes(&self, other: &Prepared) -> usize {
+        if self.id == other.id {
+            return 0;
+        }
+        let (mine, theirs) = (self.memo(), other.memo());
+        match (
+            mine.orders.get(&OrderKey::Pair(other.id)),
+            theirs.orders.get(&OrderKey::Pair(self.id)),
+        ) {
+            (Some(a), Some(b)) if Arc::ptr_eq(&a.order, &b.order) => a.order.memory_bytes(),
+            _ => 0,
+        }
     }
 }
 

@@ -3,9 +3,10 @@
 //! A *well-defined segment* of a string is a consecutive token span that
 //! (i) maps to the lhs or rhs of a synonym rule, (ii) matches a taxonomy
 //! entity, or (iii) is a single token. [`segment_record`] enumerates all of
-//! them for a token sequence, caching everything the similarity and pebble
-//! layers need: the segment's distinct q-gram hashes (sorted), its taxonomy
-//! node and its applicable rules.
+//! them for a token sequence into one flat row, a [`SegRecord`], caching
+//! everything the similarity and pebble layers need: each segment's
+//! distinct q-gram hashes (sorted), its taxonomy node and its applicable
+//! rules. Consumers read a segment as a borrowed [`SegView`].
 //!
 //! Grams are represented by 64-bit Fx hashes rather than interned ids so
 //! segmentation needs no shared mutable state (important for parallel
@@ -19,8 +20,10 @@ use au_synonym::RuleId;
 use au_taxonomy::NodeId;
 use au_text::hash::FxHasher64;
 use au_text::{PhraseId, TokenId};
+use std::cell::RefCell;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::mem::size_of_val;
+use std::ops::Range;
 
 /// Hash one gram to its 64-bit pebble key payload.
 pub fn hash_gram(g: &str) -> u64 {
@@ -33,6 +36,14 @@ pub fn hash_gram(g: &str) -> u64 {
 /// [`au_text::qgram::qgrams`] defines, with every `q`-scalar window hashed
 /// in place instead of being copied out as a `String` first.
 pub fn gram_hashes(text: &str, q: usize) -> Vec<u64> {
+    let mut v = Vec::new();
+    gram_hashes_into(text, q, &mut v);
+    v
+}
+
+/// [`gram_hashes`] appended to `out`: its tail past the old length is
+/// sorted and deduplicated, what was there before is left alone.
+fn gram_hashes_into(text: &str, q: usize, out: &mut Vec<u64>) {
     assert!(q > 0, "q must be positive");
     // Window `i` spans char boundaries `i .. i + q`. A text of at most `q`
     // scalars has no boundary `q` to pair with, so its one window ends at
@@ -40,18 +51,65 @@ pub fn gram_hashes(text: &str, q: usize) -> Vec<u64> {
     // start at all.
     let starts = text.char_indices().map(|(i, _)| i);
     let ends = starts.clone().skip(q).chain([text.len()]);
-    // At most one window per byte; sized up front because the iterator's
+    let from = out.len();
+    // At most one window per byte; reserved up front because the iterator's
     // own lower bound (a quarter of the bytes) regrows the buffer twice.
-    let mut v: Vec<u64> = Vec::with_capacity(text.len());
-    v.extend(starts.zip(ends).map(|(a, b)| hash_gram(&text[a..b])));
-    v.sort_unstable();
-    v.dedup();
-    v
+    out.reserve(text.len());
+    out.extend(starts.zip(ends).map(|(a, b)| hash_gram(&text[a..b])));
+    out[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..out.len() {
+        if kept == from || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
 }
 
-/// One well-defined segment of a record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+/// Tag bit marking a multi-token phrase id in [`SegView::key`] (token and
+/// phrase interners use independent dense id spaces).
+pub const SEG_KEY_PHRASE: u64 = 1 << 32;
+
+/// The fixed-size part of one segment of a [`SegRecord`]. The segment's
+/// grams, rules and surface text are the runs of the record's `grams`,
+/// `rules` and `text` that end at this header's offsets and start where
+/// the previous header's end (at 0 for the first segment).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SegHeader {
+    start: u32,
+    len: u32,
+    phrase: OptId,
+    node: OptId,
+    grams_end: u32,
+    rules_end: u32,
+    text_end: u32,
+}
+
+/// An optional interned id in four bytes (`Option<u32>` takes eight):
+/// `u32::MAX` stands for `None`, an id no interner reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OptId(u32);
+
+impl OptId {
+    fn new(id: Option<u32>) -> Self {
+        assert_ne!(
+            id,
+            Some(u32::MAX),
+            "interned id collides with the None marker"
+        );
+        OptId(id.unwrap_or(u32::MAX))
+    }
+
+    fn get(self) -> Option<u32> {
+        (self.0 != u32::MAX).then_some(self.0)
+    }
+}
+
+/// One well-defined segment of a record, borrowed from its flat row
+/// ([`SegRecord::segment`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegView<'a> {
     /// First token position.
     pub start: usize,
     /// Token count (≥ 1).
@@ -63,13 +121,11 @@ pub struct Segment {
     /// Matching taxonomy entity node, if any.
     pub node: Option<NodeId>,
     /// Synonym rules having this span as lhs or rhs.
-    pub rules: Vec<RuleId>,
-    /// Space-joined surface text of the span (shared, not cloned: the
-    /// explanation path and result plumbing bump a refcount instead of
-    /// copying the string per matched pair).
-    pub text: Arc<str>,
+    pub rules: &'a [RuleId],
+    /// Space-joined surface text of the span.
+    pub text: &'a str,
     /// Sorted distinct gram hashes of `text` (empty when J is disabled).
-    pub grams: Vec<u64>,
+    pub grams: &'a [u64],
     /// Interned surface identity of the span: the single token's id for
     /// length-1 segments, the phrase id (tagged with [`SEG_KEY_PHRASE`])
     /// for multi-token segments. Tokens never contain whitespace and
@@ -80,30 +136,31 @@ pub struct Segment {
     pub key: u64,
 }
 
-/// Tag bit marking a multi-token phrase id in [`Segment::key`] (token and
-/// phrase interners use independent dense id spaces).
-pub const SEG_KEY_PHRASE: u64 = 1 << 32;
-
-impl Segment {
+impl SegView<'_> {
     /// Exclusive end position.
     pub fn end(&self) -> usize {
         self.start + self.len
     }
-
-    /// Token-span overlap test.
-    pub fn overlaps(&self, other: &Segment) -> bool {
-        self.start < other.end() && other.start < self.end()
-    }
 }
 
-/// A record with its enumerated well-defined segments.
+/// A record with its enumerated well-defined segments, as one flat row:
+/// a `Copy` header per segment, one record-level array each for the
+/// segments' grams, rules and surface texts (every segment's share is a
+/// sub-slice), and posting tables that name slots of those arrays instead
+/// of copying their keys. Every buffer is exact-size. Read a segment with
+/// [`SegRecord::segment`]; segments come singletons first, then longer
+/// spans, in position order within each length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegRecord {
     /// Token sequence of the record.
-    pub tokens: Vec<TokenId>,
-    /// All well-defined segments (singletons first, then longer spans, in
-    /// position order within each length).
-    pub segments: Vec<Segment>,
+    tokens: Box<[TokenId]>,
+    segs: Box<[SegHeader]>,
+    /// Every segment's sorted distinct gram hashes, segment after segment.
+    grams: Box<[u64]>,
+    /// Every segment's applicable rules, segment after segment.
+    rules: Box<[RuleId]>,
+    /// Every segment's surface text, segment after segment.
+    text: Box<str>,
     /// Intervals `(start, len)` of the multi-token segments grouped by end
     /// position (CSR), precomputed so the masked min-partition DP inside
     /// `GetSim` allocates nothing per call.
@@ -112,56 +169,233 @@ pub struct SegRecord {
     /// record (cached; the `MP(S)` of Algorithms 2/4/5 and the denominator
     /// floor of every USIM upper bound).
     pub min_partition: u32,
-    /// Sorted postings `(gram hash, segment index)` over every segment's
-    /// distinct grams — the J side of the sparse vertex enumeration
-    /// (empty when J is disabled). The verification engine joins two
-    /// records' tables by merge (per pair) or through a hash view of the
-    /// probe side (per probe run) — to count shared pebble mass, then to
-    /// surface the survivors' segment pairs — and transposes the distinct
-    /// keys corpus-wide into a [`crate::usim::GramPostingsIndex`] (which
-    /// *records* carry a key) for the run-batched mass count.
-    pub gram_posts: Vec<(u64, u32)>,
-    /// Sorted postings `(rule id, segment index)` over every segment's
-    /// applicable synonym rules — the S side of the sparse enumeration
-    /// (same consumers as `gram_posts`).
-    pub rule_posts: Vec<(u32, u32)>,
-    /// Indices of segments mapped to a taxonomy node — the T side
-    /// (always cross-producted per candidate: every node pair is a
-    /// potential match, so there are no misses to skip).
-    pub node_segs: Vec<u32>,
-    /// Sorted postings `(segment key, segment index)` — the
-    /// surface-identity side (`msim`'s `a.text == b.text ⇒ 1` rule, which
-    /// applies under every measure subset; same consumers as
-    /// `gram_posts`).
-    pub key_posts: Vec<(u64, u32)>,
+    /// Slots of `grams` sorted by (gram, slot): [`SegRecord::gram_postings`].
+    gram_posts: Box<[u32]>,
+    /// Slots of `rules` sorted by (rule, slot): [`SegRecord::rule_postings`].
+    rule_posts: Box<[u32]>,
+    /// Segment indices sorted by (surface key, index):
+    /// [`SegRecord::key_postings`].
+    key_posts: Box<[u32]>,
+    /// Indices of segments mapped to a taxonomy node.
+    node_segs: Box<[u32]>,
+}
+
+/// A `u32` offset into a row buffer.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a record's row outgrows u32 offsets")
+}
+
+/// [`SegView::key`] of `h` within `tokens`.
+fn seg_key(tokens: &[TokenId], h: &SegHeader) -> u64 {
+    if h.len == 1 {
+        u64::from(tokens[h.start as usize].0)
+    } else {
+        // Multi-token segments only exist for interned phrases.
+        SEG_KEY_PHRASE | u64::from(h.phrase.get().expect("multi-token segment without phrase"))
+    }
 }
 
 impl SegRecord {
+    /// Token sequence of the record.
+    pub fn tokens(&self) -> &[TokenId] {
+        &self.tokens
+    }
+
     /// Number of tokens.
     pub fn n_tokens(&self) -> usize {
         self.tokens.len()
     }
 
-    /// Deep heap footprint in bytes (length-based, so the figure is
-    /// deterministic across allocator growth policies). Counts every
-    /// owned buffer plus each segment's share; `Arc<str>` text is counted
-    /// once here even when the explanation path later shares it.
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut total = size_of::<Self>();
-        total += self.tokens.len() * size_of::<TokenId>();
-        total += self.intervals_by_end.memory_bytes();
-        total += self.gram_posts.len() * size_of::<(u64, u32)>();
-        total += self.rule_posts.len() * size_of::<(u32, u32)>();
-        total += self.node_segs.len() * size_of::<u32>();
-        total += self.key_posts.len() * size_of::<(u64, u32)>();
-        for seg in &self.segments {
-            total += size_of::<Segment>();
-            total += seg.rules.len() * size_of::<RuleId>();
-            total += seg.grams.len() * size_of::<u64>();
-            total += seg.text.len();
+    /// Number of well-defined segments.
+    pub fn n_segments(&self) -> usize {
+        self.segs.len()
+    }
+
+    /// Segment `i`, borrowed from the row.
+    #[inline]
+    pub fn segment(&self, i: usize) -> SegView<'_> {
+        let h = &self.segs[i];
+        SegView {
+            start: h.start as usize,
+            len: h.len as usize,
+            phrase: h.phrase.get().map(PhraseId),
+            node: h.node.get().map(NodeId),
+            rules: &self.rules[self.run(i, |h| h.rules_end)],
+            text: &self.text[self.run(i, |h| h.text_end)],
+            grams: self.grams_of(i),
+            key: seg_key(&self.tokens, h),
         }
-        total
+    }
+
+    /// Segment `i`'s run in the record-level array whose run ends `end`
+    /// reads off the headers.
+    #[inline]
+    fn run(&self, i: usize, end: impl Fn(&SegHeader) -> u32) -> Range<usize> {
+        let from = i.checked_sub(1).map_or(0, |p| end(&self.segs[p]));
+        from as usize..end(&self.segs[i]) as usize
+    }
+
+    /// Every segment, in index order.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = SegView<'_>> + '_ {
+        (0..self.segs.len()).map(|i| self.segment(i))
+    }
+
+    /// Token positions of segment `i` (its header alone, for the
+    /// free-mask loop).
+    #[inline]
+    pub(crate) fn span(&self, i: usize) -> Range<usize> {
+        let h = &self.segs[i];
+        h.start as usize..(h.start + h.len) as usize
+    }
+
+    /// Whether segments `a` and `b` share a token (the conflict-edge
+    /// test).
+    #[inline]
+    pub(crate) fn overlap(&self, a: usize, b: usize) -> bool {
+        let (x, y) = (self.span(a), self.span(b));
+        x.start < y.end && y.start < x.end
+    }
+
+    /// Taxonomy node of segment `i` (its header alone, for the per-candidate
+    /// mass bound).
+    #[inline]
+    pub(crate) fn node_of(&self, i: usize) -> Option<NodeId> {
+        self.segs[i].node.get().map(NodeId)
+    }
+
+    /// Sorted distinct gram hashes of segment `i` (no view built).
+    #[inline]
+    pub(crate) fn grams_of(&self, i: usize) -> &[u64] {
+        &self.grams[self.run(i, |h| h.grams_end)]
+    }
+
+    /// Postings `(gram hash, segment)` over every segment's distinct grams
+    /// — the J side of the sparse vertex enumeration (empty when J is
+    /// disabled). The verification engine joins two records' tables by
+    /// merge (per pair) or walks the probe's through the corpus-level
+    /// [`crate::usim::GramPostingsIndex`] (per probe run), to count shared
+    /// pebble mass and then to surface the survivors' segment pairs.
+    pub(crate) fn gram_postings(&self) -> Postings<'_> {
+        Postings {
+            rec: self,
+            slots: &self.gram_posts,
+            col: Column::Grams,
+        }
+    }
+
+    /// Postings `(rule id, segment)` over every segment's applicable
+    /// synonym rules — the S side of the sparse enumeration (same
+    /// consumers as [`SegRecord::gram_postings`]).
+    pub(crate) fn rule_postings(&self) -> Postings<'_> {
+        Postings {
+            rec: self,
+            slots: &self.rule_posts,
+            col: Column::Rules,
+        }
+    }
+
+    /// Postings `(segment key, segment)` — the surface-identity side
+    /// (`msim`'s `a.text == b.text ⇒ 1` rule, which applies under every
+    /// measure subset; same consumers as [`SegRecord::gram_postings`]).
+    pub(crate) fn key_postings(&self) -> Postings<'_> {
+        Postings {
+            rec: self,
+            slots: &self.key_posts,
+            col: Column::Keys,
+        }
+    }
+
+    /// Indices of segments mapped to a taxonomy node — the T side (always
+    /// cross-producted per candidate: every node pair is a potential
+    /// match, so there are no misses to skip).
+    pub(crate) fn node_segs(&self) -> &[u32] {
+        &self.node_segs
+    }
+
+    /// Deep footprint in bytes: the struct plus every buffer it owns.
+    /// Every buffer is exact-size, so this is what the row holds on the
+    /// heap (allocator headers aside) and the same on every allocator.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + size_of_val(&*self.tokens)
+            + size_of_val(&*self.segs)
+            + size_of_val(&*self.grams)
+            + size_of_val(&*self.rules)
+            + self.text.len()
+            + self.intervals_by_end.memory_bytes()
+            + size_of_val(&*self.gram_posts)
+            + size_of_val(&*self.rule_posts)
+            + size_of_val(&*self.key_posts)
+            + size_of_val(&*self.node_segs)
+    }
+}
+
+/// The record-level column a [`Postings`] table's slots point into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    Keys,
+    Grams,
+    Rules,
+}
+
+/// One posting table of a [`SegRecord`]: `(key, segment)` postings sorted
+/// by key, then segment, so equal keys are adjacent. A posting is stored
+/// as a slot of the column its key lives in — the record's grams, its
+/// rules, or its segments for surface keys — so no key is held twice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Postings<'a> {
+    rec: &'a SegRecord,
+    slots: &'a [u32],
+    col: Column,
+}
+
+impl<'a> Postings<'a> {
+    /// Number of postings.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the table has no posting.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Key of posting `i` (rule ids widened).
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> u64 {
+        let slot = self.slots[i] as usize;
+        match self.col {
+            Column::Keys => seg_key(&self.rec.tokens, &self.rec.segs[slot]),
+            Column::Grams => self.rec.grams[slot],
+            Column::Rules => u64::from(self.rec.rules[slot].0),
+        }
+    }
+
+    /// Segment of posting `i`: the header whose run holds its slot.
+    #[inline]
+    pub(crate) fn seg(&self, i: usize) -> u32 {
+        let slot = self.slots[i];
+        let segs = &self.rec.segs;
+        let seg = match self.col {
+            Column::Keys => return slot,
+            Column::Grams => segs.partition_point(|h| h.grams_end <= slot),
+            Column::Rules => segs.partition_point(|h| h.rules_end <= slot),
+        };
+        seg as u32
+    }
+
+    /// Every posting `(key, segment)`, in table order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u32)> + 'a {
+        let p = *self;
+        (0..p.len()).map(move |i| (p.key(i), p.seg(i)))
+    }
+
+    /// Every posting's key, in table order (no segment lookup).
+    pub(crate) fn keys(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let p = *self;
+        (0..p.len()).map(move |i| p.key(i))
     }
 }
 
@@ -182,59 +416,126 @@ pub fn segment_record(kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> Se
 /// interned phrase, rule side or entity — an out-of-vocabulary token
 /// cannot be part of known knowledge — so only the surface text needs the
 /// overlay.
+///
+/// Every [`SegRecord`] is built here, in this thread's row scratch, which
+/// stays borrowed while `join_span` runs: the renderer must not segment.
 pub fn segment_record_with(
     kn: &Knowledge,
     cfg: &SimConfig,
     tokens: &[TokenId],
     join_span: &dyn Fn(&[TokenId]) -> String,
 ) -> SegRecord {
+    ROW_SCRATCH.with_borrow_mut(|scratch| build_row(kn, cfg, tokens, join_span, scratch))
+}
+
+/// The growable buffers a row is assembled in, one set per thread: a
+/// segmentation then allocates its row's buffers once, at their exact
+/// sizes, instead of growing and shrinking buffers of its own. A thread
+/// keeps the capacity of the longest record it segmented.
+#[derive(Default)]
+struct RowScratch {
+    segs: Vec<SegHeader>,
+    grams: Vec<u64>,
+    rules: Vec<RuleId>,
+    text: String,
+    multi: Vec<(usize, usize)>,
+    /// `(key, slot)` pairs sorted into a posting table.
+    keyed: Vec<(u64, u32)>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::default();
+}
+
+fn build_row(
+    kn: &Knowledge,
+    cfg: &SimConfig,
+    tokens: &[TokenId],
+    join_span: &dyn Fn(&[TokenId]) -> String,
+    scratch: &mut RowScratch,
+) -> SegRecord {
     let n = tokens.len();
     let want_gram = cfg.measures.contains(MeasureSet::J);
     let want_syn = cfg.measures.contains(MeasureSet::S);
     let want_tax = cfg.measures.contains(MeasureSet::T);
-
-    let mut segments = Vec::with_capacity(n + 4);
-    let mut multi_intervals = Vec::new();
-
+    let RowScratch {
+        segs,
+        grams,
+        rules,
+        text,
+        multi,
+        keyed,
+    } = scratch;
+    segs.clear();
+    grams.clear();
+    rules.clear();
+    text.clear();
+    multi.clear();
+    let mut push = |start: usize, len: usize| {
+        let span = &tokens[start..start + len];
+        let phrase = kn.phrases.get(span);
+        debug_assert!(
+            len == 1 || phrase.is_some(),
+            "multi-token span without phrase"
+        );
+        let node = if want_tax {
+            phrase.and_then(|p| kn.entities.lookup(p))
+        } else {
+            None
+        };
+        if let Some(p) = phrase.filter(|_| want_syn) {
+            rules.extend(kn.synonyms.rules_with_side(p));
+        }
+        let text_start = text.len();
+        text.push_str(&join_span(span));
+        if want_gram {
+            gram_hashes_into(&text[text_start..], cfg.q, grams);
+        }
+        segs.push(SegHeader {
+            start: offset(start),
+            len: offset(len),
+            phrase: OptId::new(phrase.map(|p| p.0)),
+            node: OptId::new(node.map(|n| n.0)),
+            grams_end: offset(grams.len()),
+            rules_end: offset(rules.len()),
+            text_end: offset(text.len()),
+        });
+    };
     // Single tokens first (stable order helps tests and determinism).
     for start in 0..n {
-        segments.push(make_segment(
-            kn, cfg, tokens, start, 1, want_gram, want_syn, want_tax, join_span,
-        ));
+        push(start, 1);
     }
     // Multi-token spans up to the knowledge base's longest phrase.
     scan_multi_spans(kn, tokens, want_syn, want_tax, &mut |start, len| {
-        segments.push(make_segment(
-            kn, cfg, tokens, start, len, want_gram, want_syn, want_tax, join_span,
-        ));
-        multi_intervals.push((start, len));
+        push(start, len);
+        multi.push((start, len));
     });
-    let mp = min_partition(n, &multi_intervals);
-    let mut gram_posts = Vec::new();
-    let mut rule_posts = Vec::new();
-    let mut node_segs = Vec::new();
-    let mut key_posts = Vec::with_capacity(segments.len());
-    for (i, seg) in segments.iter().enumerate() {
-        let i = i as u32;
-        gram_posts.extend(seg.grams.iter().map(|&g| (g, i)));
-        rule_posts.extend(seg.rules.iter().map(|&r| (r.0, i)));
-        if seg.node.is_some() {
-            node_segs.push(i);
-        }
-        key_posts.push((seg.key, i));
-    }
-    gram_posts.sort_unstable();
-    rule_posts.sort_unstable();
-    key_posts.sort_unstable();
+    // Slots sorted by (key, slot) are postings sorted by (key, segment):
+    // a segment's slots follow the previous segment's.
+    let mut posts = |keys: &mut dyn Iterator<Item = u64>| -> Box<[u32]> {
+        keyed.clear();
+        keyed.extend(keys.zip(0..));
+        keyed.sort_unstable();
+        keyed.iter().map(|&(_, slot)| slot).collect()
+    };
+    let gram_posts = posts(&mut grams.iter().copied());
+    let rule_posts = posts(&mut rules.iter().map(|r| u64::from(r.0)));
+    let key_posts = posts(&mut segs.iter().map(|h| seg_key(tokens, h)));
+    let node_segs = (0..offset(segs.len()))
+        .filter(|&i| segs[i as usize].node.get().is_some())
+        .collect();
     SegRecord {
-        tokens: tokens.to_vec(),
-        segments,
-        intervals_by_end: IntervalsByEnd::build(n, &multi_intervals),
-        min_partition: mp,
+        tokens: tokens.into(),
+        segs: segs.as_slice().into(),
+        grams: grams.as_slice().into(),
+        rules: rules.as_slice().into(),
+        text: text.as_str().into(),
+        intervals_by_end: IntervalsByEnd::build(n, multi),
+        min_partition: min_partition(n, multi),
         gram_posts,
         rule_posts,
-        node_segs,
         key_posts,
+        node_segs,
     }
 }
 
@@ -287,62 +588,13 @@ pub fn segment_stats(kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> (u3
     (n as u32, min_partition(n, &multi_intervals))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn make_segment(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    tokens: &[TokenId],
-    start: usize,
-    len: usize,
-    want_gram: bool,
-    want_syn: bool,
-    want_tax: bool,
-    join_span: &dyn Fn(&[TokenId]) -> String,
-) -> Segment {
-    let span = &tokens[start..start + len];
-    let phrase = kn.phrases.get(span);
-    let node = if want_tax {
-        phrase.and_then(|p| kn.entities.lookup(p))
-    } else {
-        None
-    };
-    let rules = if want_syn {
-        phrase.map_or_else(Vec::new, |p| kn.synonyms.rules_with_side(p).collect())
-    } else {
-        Vec::new()
-    };
-    let text = join_span(span);
-    let grams = if want_gram {
-        gram_hashes(&text, cfg.q)
-    } else {
-        Vec::new()
-    };
-    let key = if len == 1 {
-        span[0].0 as u64
-    } else {
-        // Multi-token segments only exist for interned phrases (the caller
-        // checked `kn.phrases.get(span)` before creating the span).
-        SEG_KEY_PHRASE | phrase.expect("multi-token segment without phrase").0 as u64
-    };
-    Segment {
-        start,
-        len,
-        phrase,
-        node,
-        rules,
-        text: text.into(),
-        grams,
-        key,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knowledge::tests::kn_figure1;
 
     fn seg_texts(sr: &SegRecord) -> Vec<&str> {
-        sr.segments.iter().map(|s| &*s.text).collect()
+        sr.segments().map(|s| s.text).collect()
     }
 
     /// `sr`'s multi-token segments are exactly the intervals `want`, and
@@ -366,13 +618,13 @@ mod tests {
             vec!["coffee", "shop", "latte", "helsingki", "coffee shop"]
         );
         assert_multi_intervals(&sr, &[(0, 2)]);
-        let cs = &sr.segments[4];
+        let cs = sr.segment(4);
         assert_eq!(cs.rules.len(), 1);
         assert!(cs.node.is_none());
         // "latte" maps to the taxonomy
-        assert!(sr.segments[2].node.is_some());
+        assert!(sr.segment(2).node.is_some());
         // "coffee" is both an entity and a token
-        assert!(sr.segments[0].node.is_some());
+        assert!(sr.segment(0).node.is_some());
     }
 
     #[test]
@@ -381,9 +633,9 @@ mod tests {
         let id = kn.add_record("hot coffee drinks here");
         let cfg = SimConfig::default();
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
-        let multi: Vec<_> = sr.segments.iter().filter(|s| s.len > 1).collect();
+        let multi: Vec<_> = sr.segments().filter(|s| s.len > 1).collect();
         assert_eq!(multi.len(), 1);
-        assert_eq!(&*multi[0].text, "coffee drinks");
+        assert_eq!(multi[0].text, "coffee drinks");
         assert!(multi[0].node.is_some());
         assert!(multi[0].rules.is_empty());
     }
@@ -398,16 +650,15 @@ mod tests {
         let sr = segment_record(&kn, &cfg_j, &toks);
         assert_multi_intervals(&sr, &[]);
         assert!(sr
-            .segments
-            .iter()
+            .segments()
             .all(|s| s.node.is_none() && s.rules.is_empty()));
         // T-only: "coffee shop" is not a segment (it is a rule side, not an
         // entity), but "coffee" still maps to its node; grams are skipped.
         let cfg_t = SimConfig::default().with_measures(MeasureSet::T);
         let sr = segment_record(&kn, &cfg_t, &toks);
         assert_multi_intervals(&sr, &[]);
-        assert!(sr.segments.iter().all(|s| s.grams.is_empty()));
-        assert!(sr.segments[0].node.is_some());
+        assert!(sr.segments().all(|s| s.grams.is_empty()));
+        assert!(sr.segment(0).node.is_some());
         // S-only: "coffee shop" is back.
         let cfg_s = SimConfig::default().with_measures(MeasureSet::S);
         let sr = segment_record(&kn, &cfg_s, &toks);
@@ -419,7 +670,7 @@ mod tests {
         let kn = kn_figure1();
         let cfg = SimConfig::default();
         let sr = segment_record(&kn, &cfg, &[]);
-        assert!(sr.segments.is_empty());
+        assert_eq!(sr.n_segments(), 0);
         assert_eq!(sr.n_tokens(), 0);
     }
 
@@ -429,15 +680,13 @@ mod tests {
         let id = kn.add_record("coffee shop latte");
         let cfg = SimConfig::default();
         let sr = segment_record(&kn, &cfg, &kn.record(id).tokens);
-        let coffee = &sr.segments[0];
-        let shop = &sr.segments[1];
-        let latte = &sr.segments[2];
-        let coffee_shop = &sr.segments[3];
-        assert!(coffee.overlaps(coffee_shop));
-        assert!(shop.overlaps(coffee_shop));
-        assert!(!latte.overlaps(coffee_shop));
-        assert!(!coffee.overlaps(shop));
-        assert!(coffee.overlaps(coffee));
+        let (coffee, shop, latte, coffee_shop) = (0, 1, 2, 3);
+        assert_eq!(sr.segment(coffee_shop).text, "coffee shop");
+        assert!(sr.overlap(coffee, coffee_shop));
+        assert!(sr.overlap(shop, coffee_shop));
+        assert!(!sr.overlap(latte, coffee_shop));
+        assert!(!sr.overlap(coffee, shop));
+        assert!(sr.overlap(coffee, coffee));
     }
 
     #[test]
@@ -526,6 +775,104 @@ mod tests {
                     by_definition(text, q),
                     "{text:?} q={q}"
                 );
+            }
+        }
+    }
+
+    /// `sr` read segment by segment equals a direct rebuild from the
+    /// knowledge and each span, and its posting tables are exactly the
+    /// sorted `(key, segment)` pairs of those views.
+    fn assert_row_rebuilds(kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId], sr: &SegRecord) {
+        let measure = |m| cfg.measures.contains(m);
+        assert_eq!(sr.tokens(), tokens);
+        let (mut grams, mut rules, mut keys, mut nodes) = (vec![], vec![], vec![], vec![]);
+        for (i, v) in sr.segments().enumerate() {
+            let span = &tokens[v.start..v.end()];
+            let phrase = kn.phrases.get(span);
+            assert_eq!(sr.span(i), v.start..v.end());
+            assert_eq!(v.text, kn.vocab.join(span));
+            assert_eq!(v.phrase, phrase);
+            let node = phrase.and_then(|p| kn.entities.lookup(p));
+            assert_eq!(v.node, node.filter(|_| measure(MeasureSet::T)));
+            let want_rules: Vec<RuleId> = match phrase {
+                Some(p) if measure(MeasureSet::S) => kn.synonyms.rules_with_side(p).collect(),
+                _ => Vec::new(),
+            };
+            assert_eq!(v.rules, &want_rules[..]);
+            let want_grams = if measure(MeasureSet::J) {
+                gram_hashes(v.text, cfg.q)
+            } else {
+                Vec::new()
+            };
+            assert_eq!(v.grams, &want_grams[..]);
+            let key = match phrase {
+                _ if v.len == 1 => u64::from(span[0].0),
+                Some(p) => SEG_KEY_PHRASE | u64::from(p.0),
+                None => panic!("multi-token segment {:?} without phrase", v.text),
+            };
+            assert_eq!(v.key, key);
+            let i = i as u32;
+            grams.extend(v.grams.iter().map(|&g| (g, i)));
+            rules.extend(v.rules.iter().map(|r| (u64::from(r.0), i)));
+            keys.push((v.key, i));
+            if v.node.is_some() {
+                nodes.push(i);
+            }
+        }
+        for table in [&mut grams, &mut rules, &mut keys] {
+            table.sort_unstable();
+        }
+        let listed = |p: Postings<'_>| p.iter().collect::<Vec<_>>();
+        assert_eq!(listed(sr.gram_postings()), grams);
+        assert_eq!(listed(sr.rule_postings()), rules);
+        assert_eq!(listed(sr.key_postings()), keys);
+        assert_eq!(sr.node_segs(), &nodes[..]);
+    }
+
+    mod flat_row_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Rule sides, entities and a typo of `kn_figure1`, plus
+        /// multi-byte and one-letter words, so spans, phrases and gram
+        /// windows all vary.
+        const WORDS: [&str; 14] = [
+            "coffee",
+            "shop",
+            "cafe",
+            "latte",
+            "espresso",
+            "drinks",
+            "hot",
+            "helsingki",
+            "helsinki",
+            "cake",
+            "tea",
+            "żółw",
+            "日本",
+            "a",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn every_view_of_the_flat_row_equals_a_direct_rebuild(
+                lines in prop::collection::vec(
+                    prop::collection::vec(prop::sample::select(WORDS.to_vec()), 0..9)
+                        .prop_map(|w| w.join(" ")),
+                    1..6,
+                ),
+                q in 1usize..5,
+                measures in prop::sample::select(MeasureSet::all_combinations().to_vec()),
+            ) {
+                let mut kn = kn_figure1();
+                let cfg = SimConfig { q, ..SimConfig::default() }.with_measures(measures);
+                for line in &lines {
+                    let id = kn.add_record(line);
+                    let tokens = kn.record(id).tokens.clone();
+                    assert_row_rebuilds(&kn, &cfg, &tokens, &segment_record(&kn, &cfg, &tokens));
+                }
             }
         }
     }

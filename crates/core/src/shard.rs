@@ -298,8 +298,9 @@ impl ShardedPrepared {
 
     /// High-water mark of the segmented-shard bytes a join over this
     /// artifact held at once — both sides of an R×S join, each task's
-    /// order/signature/CSR memos included (deep, length-based accounting
-    /// via [`crate::engine::Prepared::memory_bytes`]). The memory-lean
+    /// order/signature/CSR memos included (deep accounting via
+    /// [`crate::engine::Prepared::memory_bytes`], the pair order the two
+    /// sides of a task share counted once). The memory-lean
     /// claim: with `G` shards and `c` of them resident, this stays near
     /// `c/G` of a whole-corpus prepare.
     pub fn peak_memory_bytes(&self) -> usize {
@@ -466,7 +467,9 @@ impl Engine {
                     agg.absorb(&task.stats, pa.len(), pb.len());
                     pairs.extend(task.pairs);
                     let resident = || held.iter().flatten().chain(&partner);
-                    peak_bytes = peak_bytes.max(resident().map(|p| p.memory_bytes()).sum());
+                    // The task's pair order is one `Arc` in both memos.
+                    let bytes: usize = resident().map(|p| p.memory_bytes()).sum();
+                    peak_bytes = peak_bytes.max(bytes - pa.shared_order_bytes(&pb));
                     most_resident = most_resident.max(resident().count());
                     pa.clear_memo();
                     pb.clear_memo();

@@ -91,7 +91,7 @@ impl SuffixState {
 pub fn suffix_masses(sr: &SegRecord, pebbles: &[Pebble]) -> Vec<f64> {
     let n = pebbles.len();
     let mut out = vec![0.0; n + 1];
-    let mut st = SuffixState::new(sr.segments.len());
+    let mut st = SuffixState::new(sr.n_segments());
     for k in (0..n).rev() {
         st.add(&pebbles[k]);
         out[k] = st.value();
@@ -261,7 +261,7 @@ mod tests {
     fn suffix_state_takes_max_over_measures() {
         let (sr, p) = fixture();
         // Adding ALL pebbles: AS = Σ_seg max_f (sum of that measure).
-        let mut st = SuffixState::new(sr.segments.len());
+        let mut st = SuffixState::new(sr.n_segments());
         for x in &p {
             st.add(x);
         }

@@ -203,7 +203,7 @@ pub fn dp_prefix_len(
     scratch: &mut DpScratch,
 ) -> usize {
     let n = pebbles.len();
-    let t_segs = sr.segments.len();
+    let t_segs = sr.n_segments();
     if n == 0 || t_segs == 0 {
         return 0;
     }

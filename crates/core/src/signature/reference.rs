@@ -129,7 +129,7 @@ pub(crate) fn dp_prefix_len(
     eps: f64,
 ) -> usize {
     let n = pebbles.len();
-    let t_segs = sr.segments.len();
+    let t_segs = sr.n_segments();
     if n == 0 || t_segs == 0 {
         return 0;
     }

@@ -20,10 +20,10 @@ use std::sync::Arc;
 /// One matched segment pair in an explanation.
 #[derive(Debug, Clone)]
 pub struct MatchedPair {
-    /// Matched segment text on the S side (shared with the segmentation —
-    /// no per-pair string copy).
+    /// Matched segment text on the S side (copied out of the row when the
+    /// explanation is built, off the join's hot path).
     pub s_text: Arc<str>,
-    /// Matched segment text on the T side (shared likewise).
+    /// Matched segment text on the T side (copied likewise).
     pub t_text: Arc<str>,
     /// Segment score (`msim`).
     pub score: f64,
@@ -240,9 +240,9 @@ pub(crate) fn vertex_upper_bound_with(
         };
     }
     best_s.clear();
-    best_s.resize(s.segments.len(), 0.0);
+    best_s.resize(s.n_segments(), 0.0);
     best_t.clear();
-    best_t.resize(t.segments.len(), 0.0);
+    best_t.resize(t.n_segments(), 0.0);
     for v in vertices {
         if v.weight > best_s[v.s_seg] {
             best_s[v.s_seg] = v.weight;
@@ -377,8 +377,8 @@ pub fn usim_explain_seg(
         .map(|&v| {
             let vp = &g.vertices[v];
             MatchedPair {
-                s_text: s.segments[vp.s_seg].text.clone(),
-                t_text: t.segments[vp.t_seg].text.clone(),
+                s_text: s.segment(vp.s_seg).text.into(),
+                t_text: t.segment(vp.t_seg).text.into(),
                 score: vp.weight,
                 kind: vp.kind,
             }

@@ -57,13 +57,11 @@ pub fn get_sim_with(
     for &v in set {
         let vp = &g.vertices[v];
         weight += vp.weight;
-        let ps = &s.segments[vp.s_seg];
-        let pt = &t.segments[vp.t_seg];
-        for slot in &mut ev.free_s[ps.start..ps.end()] {
+        for slot in &mut ev.free_s[s.span(vp.s_seg)] {
             debug_assert!(*slot, "independent set covers a token twice");
             *slot = false;
         }
-        for slot in &mut ev.free_t[pt.start..pt.end()] {
+        for slot in &mut ev.free_t[t.span(vp.t_seg)] {
             debug_assert!(*slot, "independent set covers a token twice");
             *slot = false;
         }
@@ -102,9 +100,7 @@ mod tests {
         let idx = |st: &str, tt: &str| {
             g.vertices
                 .iter()
-                .position(|v| {
-                    &*srec.segments[v.s_seg].text == st && &*trec.segments[v.t_seg].text == tt
-                })
+                .position(|v| srec.segment(v.s_seg).text == st && trec.segment(v.t_seg).text == tt)
                 .unwrap()
         };
         // Partition (i) of Example 3: {coffee shop, latte, Helsingki}.
@@ -150,8 +146,7 @@ mod tests {
             .vertices
             .iter()
             .position(|v| {
-                &*srec.segments[v.s_seg].text == "espresso"
-                    && &*trec.segments[v.t_seg].text == "latte"
+                srec.segment(v.s_seg).text == "espresso" && trec.segment(v.t_seg).text == "latte"
             })
             .unwrap();
         let sim = get_sim(&srec, &trec, &g, &[v]);

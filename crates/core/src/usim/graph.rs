@@ -47,9 +47,9 @@ pub fn build_vertices(
     t: &SegRecord,
 ) -> Vec<VertexPair> {
     let mut vertices = Vec::new();
-    for (si, ps) in s.segments.iter().enumerate() {
-        for (ti, pt) in t.segments.iter().enumerate() {
-            let (w, kind) = msim_explained(kn, cfg, ps, pt);
+    for (si, ps) in s.segments().enumerate() {
+        for (ti, pt) in t.segments().enumerate() {
+            let (w, kind) = msim_explained(kn, cfg, &ps, &pt);
             if w > 0.0 {
                 vertices.push(VertexPair {
                     s_seg: si,
@@ -79,8 +79,8 @@ pub(crate) fn add_conflict_edges(
         let (a, b) = (vertices[i].s_seg, vertices[i].t_seg);
         for j in i + 1..vertices.len() {
             let (c, d) = (vertices[j].s_seg, vertices[j].t_seg);
-            let s_conflict = s.segments[a].overlaps(&s.segments[c]);
-            let t_conflict = t.segments[b].overlaps(&t.segments[d]);
+            let s_conflict = s.overlap(a, c);
+            let t_conflict = t.overlap(b, d);
             if s_conflict || t_conflict {
                 graph.add_edge(i, j);
             }
@@ -130,9 +130,9 @@ mod tests {
         // the raw strings; paper's 0.875 uses a different gram convention,
         // we assert ours.
         let find = |st: &str, tt: &str| {
-            g.vertices.iter().find(|v| {
-                &*srec.segments[v.s_seg].text == st && &*trec.segments[v.t_seg].text == tt
-            })
+            g.vertices
+                .iter()
+                .find(|v| srec.segment(v.s_seg).text == st && trec.segment(v.t_seg).text == tt)
         };
         let syn = find("coffee shop", "cafe").expect("synonym vertex");
         assert_eq!(syn.weight, 1.0);
@@ -155,9 +155,7 @@ mod tests {
         let idx = |st: &str, tt: &str| {
             g.vertices
                 .iter()
-                .position(|v| {
-                    &*srec.segments[v.s_seg].text == st && &*trec.segments[v.t_seg].text == tt
-                })
+                .position(|v| srec.segment(v.s_seg).text == st && trec.segment(v.t_seg).text == tt)
                 .unwrap()
         };
         let syn = idx("coffee shop", "cafe");
@@ -182,7 +180,7 @@ mod tests {
         assert!(g.vertices.iter().all(|v| v.weight > 0.0));
         // e.g. ("shop", "espresso") shares no grams and no semantics.
         assert!(!g.vertices.iter().any(|v| {
-            &*srec.segments[v.s_seg].text == "shop" && &*trec.segments[v.t_seg].text == "espresso"
+            srec.segment(v.s_seg).text == "shop" && trec.segment(v.t_seg).text == "espresso"
         }));
     }
 

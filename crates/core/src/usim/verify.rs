@@ -41,7 +41,7 @@
 //!   requires a shared gram (J), a shared synonym rule (S), taxonomy nodes
 //!   on both sides (T), or surface equality — so positive pairs are
 //!   surfaced from per-record posting tables
-//!   ([`crate::segment::SegRecord::gram_posts`] and friends) by
+//!   (`SegRecord::gram_postings` and friends) by
 //!   merge-joining the two tables — whichever source counted the mass,
 //!   only its survivors get here. Enumeration feeds a cascade:
 //!   - **surfaced-segment cap** — an independent set uses distinct,
@@ -79,12 +79,13 @@ use crate::config::{GramMeasure, SimConfig};
 use crate::index::Transposed;
 use crate::knowledge::Knowledge;
 use crate::msim::MeasureKind;
-use crate::segment::SegRecord;
+use crate::segment::{Postings, SegRecord};
 use crate::usim::approx::{
     greedy_matching_bound_with, refine_set, vertex_upper_bound_with, RefineScratch,
 };
 use crate::usim::eval::get_sim_with;
 use crate::usim::graph::{add_conflict_edges, UsimGraph, VertexPair};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-pair flags of the epoch-stamped surfacing table.
@@ -198,7 +199,7 @@ impl CreditTable {
     fn build(&mut self, s: &SegRecord, gram: GramMeasure) {
         self.off.clear();
         self.val.clear();
-        for seg in &s.segments {
+        for seg in s.segments() {
             self.off.push(self.val.len() as u32);
             let n = seg.grams.len();
             self.val.extend((0..=n).map(|c| gram.score(c, n, c)));
@@ -211,19 +212,21 @@ impl CreditTable {
     }
 }
 
-/// The distinct keys of a key-sorted posting list into the empty `out`.
+/// The distinct keys of a key-sorted posting table into the empty `out`.
 /// Branch-free — every key is written, the cursor moves only past a new
 /// one: whether a posting repeats its predecessor's key is a coin flip,
 /// and this loop reads every posting of a corpus.
-fn distinct_keys_into<K: PartialEq + Copy + Into<u64>>(posts: &Posts<K>, out: &mut Vec<u64>) {
-    let Some(&(first, _)) = posts.first() else {
+fn distinct_keys_into(posts: Postings<'_>, out: &mut Vec<u64>) {
+    let mut keys = posts.keys();
+    let Some(mut prev) = keys.next() else {
         return;
     };
-    out.resize(posts.len(), first.into());
+    out.resize(posts.len(), prev);
     let mut n = 1usize;
-    for w in posts.windows(2) {
-        out[n] = w[1].0.into();
-        n += usize::from(w[1].0 != w[0].0);
+    for key in keys {
+        out[n] = key;
+        n += usize::from(key != prev);
+        prev = key;
     }
     out.truncate(n);
 }
@@ -290,9 +293,9 @@ impl GramPostingsIndex {
             Grams(u32, u32),
             Rules,
         }
-        fn table<'r, K: PartialEq + Copy + Into<u64> + 'r>(
+        fn table<'r>(
             (lo, hi): (u32, u32),
-            posts_of: impl Fn(u32) -> &'r Posts<K>,
+            posts_of: impl Fn(u32) -> Postings<'r>,
         ) -> Transposed<u64> {
             Transposed::build_range(lo, hi, &|r, out| distinct_keys_into(posts_of(r), out))
         }
@@ -304,9 +307,9 @@ impl GramPostingsIndex {
             .chain([Task::Rules])
             .collect();
         let mut built = crate::parallel::par_tasks(&tasks, workers, |&task| match task {
-            Task::Keys => table((0, n), |r| &of(r).key_posts),
-            Task::Grams(lo, hi) => table((lo, hi), |r| &of(r).gram_posts),
-            Task::Rules => table((0, n), |r| &of(r).rule_posts),
+            Task::Keys => table((0, n), |r| of(r).key_postings()),
+            Task::Grams(lo, hi) => table((lo, hi), |r| of(r).gram_postings()),
+            Task::Rules => table((0, n), |r| of(r).rule_postings()),
         })
         .into_iter();
         Self {
@@ -349,9 +352,11 @@ pub struct RunScratch {
     /// partner, sink `b % SINKS` for everyone else (restored after every
     /// chunk).
     row_of: Vec<u32>,
-    /// Mass counters, one row of `s.segments.len()` per sink, then per
+    /// Mass counters, one row of `s.n_segments()` per sink, then per
     /// partner of the chunk: shared distinct grams, or [`FULL`].
     acc: Vec<u32>,
+    /// The probe segments of the posting group being walked.
+    group_segs: Vec<u32>,
 }
 
 impl RunScratch {
@@ -374,7 +379,7 @@ impl RunScratch {
         idx: &GramPostingsIndex,
         keep: impl Fn(u32) -> bool,
     ) -> u64 {
-        let ns = s.segments.len();
+        let ns = s.n_segments();
         let grown = self.row_of.len()..n_t_records;
         self.row_of.extend(grown.map(|b| (b % SINKS) as u32));
         self.acc.clear();
@@ -384,14 +389,22 @@ impl RunScratch {
                 self.row_of[b as usize] = (SINKS + k) as u32;
             }
         }
-        let Self { row_of, acc, .. } = self;
+        let Self {
+            row_of,
+            acc,
+            group_segs: segs,
+            ..
+        } = self;
         // Only a sink's gram count can approach 2³² (one add per posting
         // the chunk walks); nobody reads a sink, so it may wrap.
-        let walked = walk_postings(&s.key_posts, &idx.keys, row_of, ns, acc, |c| *c |= FULL)
-            + walk_postings(&s.gram_posts, &idx.grams, row_of, ns, acc, |c| {
+        let walked =
+            walk_postings(s.key_postings(), &idx.keys, row_of, ns, acc, segs, |c| {
+                *c |= FULL
+            }) + walk_postings(s.gram_postings(), &idx.grams, row_of, ns, acc, segs, |c| {
                 *c = c.wrapping_add(1)
-            })
-            + walk_postings(&s.rule_posts, &idx.rules, row_of, ns, acc, |c| *c |= FULL);
+            }) + walk_postings(s.rule_postings(), &idx.rules, row_of, ns, acc, segs, |c| {
+                *c |= FULL
+            });
         for &(_, b) in run {
             row_of[b as usize] = b % SINKS as u32;
         }
@@ -406,22 +419,32 @@ impl RunScratch {
 
 /// One table's share of [`RunScratch::count_run`]: `hit` fires on the
 /// counter of every `(row, probe segment)` whose record carries a key of
-/// that segment — once per distinct key. Returns the posting entries read.
-fn walk_postings<K: PartialEq + Copy + Into<u64>>(
-    posts: &[(K, u32)],
+/// that segment — once per distinct key. `segs` is scratch for a group's
+/// probe segments, looked up once per group rather than per record.
+/// Returns the posting entries read.
+#[allow(clippy::too_many_arguments)]
+fn walk_postings(
+    posts: Postings<'_>,
     table: &Transposed<u64>,
     row_of: &[u32],
     ns: usize,
     acc: &mut [u32],
+    segs: &mut Vec<u32>,
     hit: impl Fn(&mut u32),
 ) -> u64 {
     let mut walked = 0u64;
-    for_each_group(posts, |key, sg| {
-        let list = table.get(key.into()).unwrap_or_default();
+    for_each_group(posts, |key, group| {
+        let list = table.get(key).unwrap_or_default();
+        if list.is_empty() {
+            return;
+        }
         walked += list.len() as u64;
+        segs.clear();
+        segs.extend(group.map(|i| posts.seg(i)));
+        let group_segs = &segs[..];
         for &b in list {
             let row = row_of[b as usize] as usize * ns;
-            for &(_, sa) in sg {
+            for &sa in group_segs {
                 hit(&mut acc[row + sa as usize]);
             }
         }
@@ -485,15 +508,18 @@ impl VerifyScratch {
     fn count_shared(&mut self, s: &SegRecord, t: &SegRecord) {
         let shared = &mut self.shared;
         shared.clear();
-        shared.resize(s.segments.len(), 0);
-        shared_groups(&s.key_posts, &t.key_posts, |sg, _| {
-            sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
+        shared.resize(s.n_segments(), 0);
+        let sp = s.key_postings();
+        shared_groups(sp, t.key_postings(), |sg, _| {
+            sg.for_each(|i| shared[sp.seg(i) as usize] |= FULL);
         });
-        shared_groups(&s.gram_posts, &t.gram_posts, |sg, _| {
-            sg.iter().for_each(|&(_, sa)| shared[sa as usize] += 1);
+        let sp = s.gram_postings();
+        shared_groups(sp, t.gram_postings(), |sg, _| {
+            sg.for_each(|i| shared[sp.seg(i) as usize] += 1);
         });
-        shared_groups(&s.rule_posts, &t.rule_posts, |sg, _| {
-            sg.iter().for_each(|&(_, sa)| shared[sa as usize] |= FULL);
+        let sp = s.rule_postings();
+        shared_groups(sp, t.rule_postings(), |sg, _| {
+            sg.for_each(|i| shared[sp.seg(i) as usize] |= FULL);
         });
     }
 }
@@ -576,13 +602,13 @@ impl<'a> Verifier<'a> {
         reject_below: Option<f64>,
     ) -> f64 {
         let denom = s.min_partition.max(t.min_partition) as f64;
-        let t_nodes = !t.node_segs.is_empty();
+        let t_nodes = !t.node_segs().is_empty();
         let mut lazy = false;
         let mut mass = 0.0f64;
         for (sa, &c) in shared.iter().enumerate() {
             mass += if c >= FULL {
                 1.0
-            } else if t_nodes && s.segments[sa].node.is_some() {
+            } else if t_nodes && s.node_of(sa).is_some() {
                 lazy = true;
                 1.0
             } else {
@@ -594,13 +620,11 @@ impl<'a> Verifier<'a> {
         }
         let mut mass = 0.0f64;
         for (sa, &c) in shared.iter().enumerate() {
-            mass += match s.segments[sa].node {
+            mass += match s.node_of(sa) {
                 _ if c >= FULL => 1.0,
                 None => gram_credit(sa, c),
-                Some(na) => t
-                    .node_segs
-                    .iter()
-                    .filter_map(|&tb| t.segments[tb as usize].node)
+                Some(na) => (t.node_segs().iter())
+                    .filter_map(|&tb| t.node_of(tb as usize))
                     .map(|nb| self.kn.taxonomy.sim(na, nb))
                     .fold(gram_credit(sa, c), f64::max),
             };
@@ -613,7 +637,7 @@ impl<'a> Verifier<'a> {
     #[inline]
     fn gram_credit(&self, s: &SegRecord, sa: usize, c: u32) -> f64 {
         let c = c as usize;
-        self.cfg.gram.score(c, s.segments[sa].grams.len(), c)
+        self.cfg.gram.score(c, s.grams_of(sa).len(), c)
     }
 
     /// Decision-oriented verification: a valid lower bound of `USIM(s, t)`
@@ -650,7 +674,7 @@ impl<'a> Verifier<'a> {
         rs: &mut RunScratch,
         out: &mut Vec<(u32, u32, f64)>,
     ) -> u64 {
-        let ns = s.segments.len();
+        let ns = s.n_segments();
         rs.verify.credit.build(s, self.cfg.gram);
         let mut walked = 0;
         let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
@@ -876,8 +900,8 @@ impl<'a> Verifier<'a> {
     /// counts per side. Pairs are left in surfacing order in `scr.pairs`;
     /// [`Verifier::score_pairs`] groups them by s-segment itself.
     fn surface_pairs(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> (u32, u32) {
-        let ns_segs = s.segments.len();
-        let nt_segs = t.segments.len();
+        let ns_segs = s.n_segments();
+        let nt_segs = t.n_segments();
         let slots = ns_segs * nt_segs;
         let VerifyScratch {
             stamps,
@@ -923,22 +947,25 @@ impl<'a> Verifier<'a> {
             };
             // Surface identity (`msim`'s text-equality rule, every
             // config).
-            shared_groups(&s.key_posts, &t.key_posts, |sg, tg| {
-                cross(sg, tg, |sa, ta| touch(sa, ta, 0, 0));
+            let (sp, tp) = (s.key_postings(), t.key_postings());
+            shared_groups(sp, tp, |sg, tg| {
+                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, 0));
             });
             // J: a positive gram score needs a shared distinct gram;
             // count them (postings are empty when J is disabled).
-            shared_groups(&s.gram_posts, &t.gram_posts, |sg, tg| {
-                cross(sg, tg, |sa, ta| touch(sa, ta, 1, 0));
+            let (sp, tp) = (s.gram_postings(), t.gram_postings());
+            shared_groups(sp, tp, |sg, tg| {
+                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 1, 0));
             });
             // S: a positive synonym score needs a rule with both surfaces
             // as sides — that rule is in both segments' rule lists.
-            shared_groups(&s.rule_posts, &t.rule_posts, |sg, tg| {
-                cross(sg, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
+            let (sp, tp) = (s.rule_postings(), t.rule_postings());
+            shared_groups(sp, tp, |sg, tg| {
+                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
             });
             // T: a positive taxonomy score needs nodes on both sides.
-            for &sa in &s.node_segs {
-                for &ta in &t.node_segs {
+            for &sa in s.node_segs() {
+                for &ta in t.node_segs() {
                     touch(sa, ta, 0, FLAG_NODE);
                 }
             }
@@ -989,8 +1016,8 @@ impl<'a> Verifier<'a> {
         abort_target: Option<f64>,
         scr: &mut VerifyScratch,
     ) -> Option<f64> {
-        let ns_segs = s.segments.len();
-        let nt_segs = t.segments.len();
+        let ns_segs = s.n_segments();
+        let nt_segs = t.n_segments();
         let VerifyScratch {
             counts,
             flags,
@@ -1045,8 +1072,8 @@ impl<'a> Verifier<'a> {
                 cur_sa = sa;
                 group_best = 0.0;
             }
-            let a = &s.segments[sa as usize];
-            let b = &t.segments[ta as usize];
+            let a = s.segment(sa as usize);
+            let b = t.segment(ta as usize);
             let slot = sa as usize * nt_segs + ta as usize;
             let (w, kind) = if a.key == b.key {
                 // msim's identity rule (any measure subset).
@@ -1083,7 +1110,7 @@ impl<'a> Verifier<'a> {
             };
             debug_assert_eq!(
                 {
-                    let m = crate::msim::msim_explained(self.kn, self.cfg, a, b);
+                    let m = crate::msim::msim_explained(self.kn, self.cfg, &a, &b);
                     (m.0.to_bits(), m.1)
                 },
                 (w.to_bits(), kind),
@@ -1117,57 +1144,72 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// Iterate the key-groups of a sorted posting list: `f(key, group)` fires
-/// once per distinct key with the contiguous entries carrying it (the
-/// run-level posting walk).
-fn for_each_group<K: PartialEq + Copy>(posts: &[(K, u32)], mut f: impl FnMut(K, &[(K, u32)])) {
+/// Iterate the key-groups of a sorted posting table: `f(key, group)`
+/// fires once per distinct key with the range of postings carrying it
+/// (the run-level posting walk).
+fn for_each_group(posts: Postings<'_>, mut f: impl FnMut(u64, Range<usize>)) {
     let mut i = 0usize;
     while i < posts.len() {
-        let (k, start) = (posts[i].0, i);
-        while i < posts.len() && posts[i].0 == k {
+        let (k, start) = (posts.key(i), i);
+        i += 1;
+        while i < posts.len() && posts.key(i) == k {
             i += 1;
         }
-        f(k, &posts[start..i]);
+        f(k, start..i);
     }
 }
 
-/// A sorted posting list.
-type Posts<K> = [(K, u32)];
-
 /// The join of the probe record's postings `sp` with a partner's `tp` by
 /// two-pointer merge: `f(s_group, t_group)` fires once per key both carry,
-/// with each side's entries for it. The mass count reads the probe group
-/// only; surfacing crosses the two.
-fn shared_groups<K: Ord + Copy>(
-    sp: &Posts<K>,
-    tp: &Posts<K>,
-    mut f: impl FnMut(&Posts<K>, &Posts<K>),
+/// with each side's range of postings for it. The mass count reads the
+/// probe group only; surfacing crosses the two.
+fn shared_groups(
+    sp: Postings<'_>,
+    tp: Postings<'_>,
+    mut f: impl FnMut(Range<usize>, Range<usize>),
 ) {
+    // Each posting's key is read once: it sits behind a slot.
+    let key = |p: &Postings<'_>, i: usize| (i < p.len()).then(|| p.key(i));
     let (mut i, mut j) = (0usize, 0usize);
-    while i < sp.len() && j < tp.len() {
-        match sp[i].0.cmp(&tp[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+    let (mut a, mut b) = (key(&sp, 0), key(&tp, 0));
+    while let (Some(ka), Some(kb)) = (a, b) {
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Less => {
+                i += 1;
+                a = key(&sp, i);
+            }
+            std::cmp::Ordering::Greater => {
+                j += 1;
+                b = key(&tp, j);
+            }
             std::cmp::Ordering::Equal => {
-                let k = sp[i].0;
                 let (i0, j0) = (i, j);
-                while i < sp.len() && sp[i].0 == k {
+                while a == Some(ka) {
                     i += 1;
+                    a = key(&sp, i);
                 }
-                while j < tp.len() && tp[j].0 == k {
+                while b == Some(ka) {
                     j += 1;
+                    b = key(&tp, j);
                 }
-                f(&sp[i0..i], &tp[j0..j]);
+                f(i0..i, j0..j);
             }
         }
     }
 }
 
 /// Every `(s_seg, t_seg)` pair of two posting groups sharing a key.
-fn cross<K>(sg: &Posts<K>, tg: &Posts<K>, mut emit: impl FnMut(u32, u32)) {
-    for &(_, sa) in sg {
-        for &(_, ta) in tg {
-            emit(sa, ta);
+fn cross(
+    sp: Postings<'_>,
+    sg: Range<usize>,
+    tp: Postings<'_>,
+    tg: Range<usize>,
+    mut emit: impl FnMut(u32, u32),
+) {
+    for i in sg {
+        let sa = sp.seg(i);
+        for j in tg.clone() {
+            emit(sa, tp.seg(j));
         }
     }
 }
@@ -1493,10 +1535,7 @@ mod tests {
     }
 
     /// Σ over the distinct keys of `posts` of their list lengths in `table`.
-    fn list_lengths<K: PartialEq + Copy + Into<u64>>(
-        posts: &Posts<K>,
-        table: &Transposed<u64>,
-    ) -> u64 {
+    fn list_lengths(posts: Postings<'_>, table: &Transposed<u64>) -> u64 {
         let mut keys = Vec::new();
         distinct_keys_into(posts, &mut keys);
         keys.iter()
@@ -1518,18 +1557,16 @@ mod tests {
     fn run_rows_count_what_pairs_count_and_sinks_take_the_rest() {
         let (_, _, recs, partners) = sink_corpus();
         let idx = GramPostingsIndex::build(&recs);
-        let everyone = recs[0]
-            .gram_posts
-            .iter()
-            .any(|&(g, _)| idx.grams.get(g).map(<[u32]>::len) == Some(recs.len()));
+        let everyone = (recs[0].gram_postings().keys())
+            .any(|g| idx.grams.get(g).map(<[u32]>::len) == Some(recs.len()));
         assert!(everyone, "some gram is carried by every record");
         let (mut rs, mut pair) = (RunScratch::default(), VerifyScratch::default());
         let keep = |b: u32| !b.is_multiple_of(3);
         for (a, s) in recs.iter().enumerate().take(16) {
-            let ns = s.segments.len();
-            let per_chunk = list_lengths(&s.key_posts, &idx.keys)
-                + list_lengths(&s.gram_posts, &idx.grams)
-                + list_lengths(&s.rule_posts, &idx.rules);
+            let ns = s.n_segments();
+            let per_chunk = list_lengths(s.key_postings(), &idx.keys)
+                + list_lengths(s.gram_postings(), &idx.grams)
+                + list_lengths(s.rule_postings(), &idx.rules);
             let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
             for part in run.chunks(chunk_partners(ns)) {
                 let walked = rs.count_run(s, recs.len(), part, &idx, keep);
@@ -1560,7 +1597,7 @@ mod tests {
         let chunks = |a: usize| {
             partners
                 .len()
-                .div_ceil(chunk_partners(recs[a].segments.len()))
+                .div_ceil(chunk_partners(recs[a].n_segments()))
         };
         assert!((0..8).any(|a| chunks(a) >= 3), "a run spans ≥ 3 chunks");
         for theta in [0.3, 0.6, 0.9] {
@@ -1599,9 +1636,11 @@ mod tests {
         use crate::index::tests::transpose_by_sorting;
         let of = |r: u32| &recs[r as usize];
         let n = recs.len();
-        let keys = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).key_posts, out));
-        let grams = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).gram_posts, out));
-        let rules = transpose_by_sorting(n, |r, out| distinct_keys_into(&of(r).rule_posts, out));
+        let keys = transpose_by_sorting(n, |r, out| distinct_keys_into(of(r).key_postings(), out));
+        let grams =
+            transpose_by_sorting(n, |r, out| distinct_keys_into(of(r).gram_postings(), out));
+        let rules =
+            transpose_by_sorting(n, |r, out| distinct_keys_into(of(r).rule_postings(), out));
         assert_eq!(idx.keys.sorted_lists(), keys, "{ctx}: surface keys");
         assert_eq!(idx.grams.sorted_lists(), grams, "{ctx}: grams");
         assert_eq!(idx.rules.sorted_lists(), rules, "{ctx}: rules");
@@ -1627,9 +1666,9 @@ mod tests {
             let cfg = SimConfig::default().with_measures(measures);
             let mut kn = kn_figure1();
             let recs = segment_lines(&mut kn, &cfg, &pooled_lines(700, 7));
-            assert!(recs.iter().any(|r| r.tokens.is_empty()));
+            assert!(recs.iter().any(|r| r.n_tokens() == 0));
             assert_eq!(
-                recs.iter().all(|r| r.gram_posts.is_empty()),
+                recs.iter().all(|r| r.gram_postings().is_empty()),
                 !measures.contains(MeasureSet::J)
             );
             let whole = GramPostingsIndex::build_in(&recs, 1, 2);
@@ -1652,18 +1691,18 @@ mod tests {
     #[test]
     fn distinct_keys_are_the_deduplicated_key_column() {
         let mut out = Vec::new();
-        for posts in [
-            vec![],
-            vec![(7u64, 0u32)],
-            vec![(1, 0), (1, 1), (1, 2)],
-            vec![(1, 0), (2, 0), (2, 3), (5, 1), (9, 0), (9, 9)],
-        ] {
-            out.clear();
-            distinct_keys_into(&posts, &mut out);
-            let mut want: Vec<u64> = posts.iter().map(|p| p.0).collect();
-            want.dedup();
-            assert_eq!(out, want);
+        let mut kn = kn_figure1();
+        let recs = segment_lines(&mut kn, &SimConfig::default(), &pooled_lines(200, 3));
+        for r in &recs {
+            for posts in [r.key_postings(), r.gram_postings(), r.rule_postings()] {
+                out.clear();
+                distinct_keys_into(posts, &mut out);
+                let mut want: Vec<u64> = posts.keys().collect();
+                want.dedup();
+                assert_eq!(out, want);
+            }
         }
+        assert!(recs.iter().any(|r| r.n_tokens() == 0));
     }
 
     /// Tier 0's bound dominates the reference similarity (soundness).

@@ -24,9 +24,9 @@
 pub struct IntervalsByEnd {
     /// `offsets[e]..offsets[e + 1]` indexes `starts` for intervals ending
     /// at `e` (offsets has `n + 2` entries).
-    offsets: Vec<u32>,
+    offsets: Box<[u32]>,
     /// Start positions, grouped by end.
-    starts: Vec<u32>,
+    starts: Box<[u32]>,
 }
 
 impl IntervalsByEnd {
@@ -49,7 +49,10 @@ impl IntervalsByEnd {
             starts[slot] = s as u32;
             cursor[s + l] += 1;
         }
-        Self { offsets, starts }
+        Self {
+            offsets: offsets.into_boxed_slice(),
+            starts: starts.into_boxed_slice(),
+        }
     }
 
     /// Start positions of intervals ending at `end`.
@@ -60,7 +63,7 @@ impl IntervalsByEnd {
         &self.starts[lo..hi]
     }
 
-    /// Heap footprint in bytes (length-based, deterministic).
+    /// Heap footprint in bytes (both buffers are exact-size).
     pub fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.starts.len()) * std::mem::size_of::<u32>()
     }

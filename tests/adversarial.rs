@@ -5,7 +5,7 @@ mod common;
 
 use au_join::core::join::verify_candidates;
 use au_join::core::oracle::{brute_force_join, verify_candidates_reference};
-use au_join::core::segment::{segment_record, SegRecord};
+use au_join::core::segment::{segment_record, SegRecord, SegView};
 use au_join::core::signature::FilterKind;
 use au_join::core::usim::{
     usim_approx_seg, usim_exact_seg, GramPostingsIndex, Verifier, VerifyScratch,
@@ -276,7 +276,7 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
     let s = kn.corpus_from_lines([giant.join(" ").as_str(), partners[12].as_str()]);
     let t = kn.corpus_from_lines(partners.iter().map(String::as_str));
     let (sp, tp) = (segment(&kn, &s), segment(&kn, &t));
-    assert!(sp[0].segments.len() * tp.len() > 1 << 20);
+    assert!(sp[0].n_segments() * tp.len() > 1 << 20);
     let candidates: Vec<(u32, u32)> = (0..2u32)
         .flat_map(|a| (0..tp.len() as u32).map(move |b| (a, b)))
         .collect();
@@ -305,4 +305,67 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
         assert_eq!(bits(&pairs), bits(&reference), "parallel={parallel}");
         assert_eq!(tiers, per_pair, "parallel={parallel}");
     }
+}
+
+/// One record with more gram postings than `u16::MAX` — and a surface
+/// text longer than that — joined against small partners: every offset
+/// of its flat row lies past 16 bits, and the join still equals the
+/// oracle, its pairs with the giant included.
+#[test]
+fn a_giant_record_joins_like_the_oracle() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut word = || {
+        (0..6)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (b'a' + (state >> 33) as u8 % 26) as char
+            })
+            .collect::<String>()
+    };
+    let giant: Vec<String> = (0..16_000).map(|_| word()).collect();
+    // Partner `b` shares `b % 9` of its 8 tokens (at most all of them)
+    // with the giant, drawn from all along it.
+    let partners: Vec<String> = (0..24usize)
+        .map(|b| {
+            (0..8)
+                .map(|i| {
+                    if i < b % 9 {
+                        giant[(b * 977 + i * 1999) % giant.len()].clone()
+                    } else {
+                        word()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    let mut kn = KnowledgeBuilder::new().build();
+    let cfg = SimConfig::default();
+    let giant_line = giant.join(" ");
+    let s = kn.corpus_from_lines(
+        std::iter::once(giant_line.as_str()).chain(partners[..4].iter().map(String::as_str)),
+    );
+    let t = kn.corpus_from_lines(partners.iter().map(String::as_str));
+    let row = segment_record(&kn, &cfg, &s.get(au_join::text::RecordId(0)).tokens);
+    let total = |f: fn(SegView<'_>) -> usize| row.segments().map(f).sum::<usize>();
+    assert!(
+        total(|v| v.grams.len()) > usize::from(u16::MAX),
+        "gram postings"
+    );
+    assert!(
+        total(|v| v.text.len()) > usize::from(u16::MAX),
+        "text bytes"
+    );
+    // A full sharer scores 8 / 16,000; θ sits between 5 and 6 sharers.
+    let theta = 0.00033;
+    let bits = |v: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+        v.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
+    };
+    let oracle = brute_force_join(&kn, &cfg, &s, &t, theta);
+    assert!(oracle.iter().any(|&(a, _, _)| a == 0), "the giant matches");
+    assert!(oracle.iter().any(|&(a, _, _)| a > 0), "small records match");
+    let got = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(theta));
+    assert_eq!(bits(&got.pairs), bits(&oracle));
 }

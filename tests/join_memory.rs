@@ -12,9 +12,13 @@
 //!     materialized `(u32, u32)` candidate list alone would take.
 //! (b) `Prepared::memory_bytes()` — which the shard residency gate and
 //!     `core.prepared_bytes_per_record` rest on — against the live heap a
-//!     fresh `Engine::prepare` leaves behind: the accounting counts
-//!     lengths, the allocator capacities and headers, so the ratio sits a
-//!     fixed distance above 1.
+//!     fresh `Engine::prepare` leaves behind: every row buffer is
+//!     exact-size, so the accounting is what was allocated and the ratio
+//!     sits just above 1 (the document-frequency table's hash slack).
+//! (c) At the `join_sparse` shape (q = 3) a fresh prepare leaves at most
+//!     4,000 live heap bytes and 16 live allocations per record: a
+//!     segmented record is one flat row — segment headers, one gram
+//!     array, one text — not a heap object per segment.
 
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
@@ -24,6 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Live heap bytes, and the most seen since the last `reset_peak`.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Live allocations (a `realloc` moves one; it adds none).
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -41,6 +47,18 @@ fn shrank(bytes: usize) {
     LIVE.fetch_sub(bytes, Ordering::Relaxed);
 }
 
+fn allocated(bytes: usize) {
+    // ordering: Relaxed — as in `grew`.
+    BLOCKS.fetch_add(1, Ordering::Relaxed);
+    grew(bytes);
+}
+
+fn freed(bytes: usize) {
+    // ordering: Relaxed — as in `grew`.
+    BLOCKS.fetch_sub(1, Ordering::Relaxed);
+    shrank(bytes);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System` and
 // returns what `System` returned, so `System`'s guarantees are this
 // allocator's; the bookkeeping only reads `layout.size()` and `new_size`.
@@ -48,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            grew(layout.size());
+            allocated(layout.size());
         }
         p
     }
@@ -56,14 +74,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            grew(layout.size());
+            allocated(layout.size());
         }
         p
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         System.dealloc(p, layout);
-        shrank(layout.size());
+        freed(layout.size());
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -87,6 +105,11 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+fn blocks() -> usize {
+    // ordering: Relaxed — as in `grew`.
+    BLOCKS.load(Ordering::Relaxed)
+}
+
 /// Restart the peak at the current live bytes and return them.
 fn reset_peak() -> usize {
     let now = live();
@@ -106,8 +129,30 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
     std::env::set_var("AU_THREADS", "2");
     assert_eq!(au_join::core::parallel::available_threads(), 2);
 
-    // The `join_dense` shape: a MED-like corpus, q = 2, θ = 0.9, AU-DP τ = 2.
+    // (c) The `join_sparse` shape: a MED-like corpus, q = 3.
     let n = 600;
+    let sparse = LabeledDataset::generate(&DatasetProfile::med_like(1.0), n, n, n / 5, 71);
+    let cfg = SimConfig {
+        q: 3,
+        ..SimConfig::default()
+    };
+    let engine = Engine::new(sparse.kn.clone(), cfg).expect("engine");
+    let (bytes_before, blocks_before) = (live(), blocks());
+    let prepared = engine.prepare(&sparse.s).expect("prepare");
+    let bytes = (live() - bytes_before) as f64 / n as f64;
+    let allocs = (blocks() - blocks_before) as f64 / n as f64;
+    eprintln!(
+        "prepare at q = 3: {bytes:.0} live heap bytes and {allocs:.2} allocations per record \
+         ({} accounted per record)",
+        prepared.memory_bytes() / n
+    );
+    assert!(
+        bytes <= 4000.0 && allocs <= 16.0,
+        "a prepare left {bytes:.0} B in {allocs:.2} allocations per record"
+    );
+    drop((prepared, engine, sparse));
+
+    // The `join_dense` shape: a MED-like corpus, q = 2, θ = 0.9, AU-DP τ = 2.
     let ds = LabeledDataset::generate(&DatasetProfile::med_like(1.0), n, n, n / 5, 71);
     let cfg = SimConfig {
         q: 2,
@@ -121,7 +166,7 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
     let grown = live() - before;
     let ratio = grown as f64 / ps.memory_bytes() as f64;
     assert!(
-        (1.2..=1.6).contains(&ratio),
+        (1.0..=1.15).contains(&ratio),
         "prepare grew the heap by {grown} B for {} accounted: ratio {ratio:.3}",
         ps.memory_bytes()
     );
