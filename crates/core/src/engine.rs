@@ -47,6 +47,7 @@
 use crate::config::SimConfig;
 use crate::error::AuError;
 use crate::estimate::FilterCounts;
+use crate::index::tier0_upper_bound;
 use crate::join::{
     verify_candidates, CandidatePass, CompatCtx, FilterOutcome, JoinResult, JoinStats, PassTotals,
 };
@@ -644,9 +645,10 @@ impl Engine {
         ))
     }
 
-    /// The verifier's tier-0 record-level bound
-    /// `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` from the cached integers —
-    /// O(1), no segment-pair work; useful as a cheap pre-screen.
+    /// The tier-0 record-level bound
+    /// `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` from the cached integers
+    /// ([`crate::index`]'s in-probe compatibility formula) — O(1), no
+    /// segment-pair work; useful as a cheap pre-screen.
     pub fn usim_upper_bound(
         &self,
         s: &Prepared,
@@ -664,13 +666,7 @@ impl Engine {
                 .ok_or(AuError::RecordOutOfBounds { id, len })
         };
         let ((ns, mps), (nt, mpt)) = (tier0(s, a)?, tier0(t, b)?);
-        Ok(if ns == 0 && nt == 0 {
-            1.0
-        } else if ns == 0 || nt == 0 {
-            0.0
-        } else {
-            ns.min(nt) as f64 / mps.max(mpt) as f64
-        })
+        Ok(tier0_upper_bound(ns, mps, nt, mpt))
     }
 }
 
@@ -987,7 +983,7 @@ pub(crate) mod tests {
             assert_eq!(m.stats.candidates, f.stats.candidates);
             assert_eq!(m.stats.processed_pairs, f.stats.processed_pairs);
             assert_eq!(m.stats.compat_rejected, f.stats.compat_rejected);
-            assert_eq!(m.stats.tiers, f.stats.tiers, "all seven buckets");
+            assert_eq!(m.stats.tiers, f.stats.tiers, "all four buckets");
             assert_eq!(m.stats.tiers.decisions(), m.stats.candidates);
             let (sm, sf) = (
                 engine.searcher(&merged, &spec).unwrap(),

@@ -24,10 +24,10 @@
 //!   included), a record not yet touched can accumulate at most `rem`
 //!   overlaps, so it is admitted only when `rem` at its first touch still
 //!   covers its overlap demand `min(τ, level_probe, level_record).max(1)`;
-//! * **compatibility** — the verifier's tier-0 record-level bound
+//! * **compatibility** — the tier-0 record-level bound
 //!   `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` evaluated from cached
-//!   integers; pairs whose bound falls below `θ − ε` would be rejected by
-//!   verification tier 0 anyway, so they are dropped here, before they
+//!   integers; pairs whose bound falls below `θ − ε` could never be
+//!   accepted by verification, so they are dropped here, before they
 //!   are ever materialized;
 //! * **demand** — an admitted, compatible record is a candidate when its
 //!   count reaches its demand.
@@ -399,7 +399,7 @@ impl ProbeStats {
 /// `tier0` holds the indexed side's cached `(|T|, MP(T))` integers (one
 /// per record id); `probe_tier0` is the probe record's `(|S|, MP(S))`;
 /// `min_sim` is `θ − ε` — exactly the verifier's acceptance threshold, so
-/// a pair rejected here is a pair tier-0 verification would reject.
+/// a pair rejected here is one verification could never accept.
 #[derive(Debug, Clone, Copy)]
 pub struct CompatBound<'a> {
     /// Indexed-side `(n_tokens, min_partition)` per record id.
@@ -410,12 +410,15 @@ pub struct CompatBound<'a> {
     pub min_sim: f64,
 }
 
-/// The verifier's tier-0 record-level bound `USIM ≤ min(|S|,|T|) /
-/// max(MP(S),MP(T))` from cached integers (mirrors
-/// [`crate::engine::Engine::usim_upper_bound`], including the empty-record
-/// conventions — the two must agree or filtering would not be sound).
+/// The tier-0 record-level bound `USIM ≤ min(|S|,|T|) /
+/// max(MP(S),MP(T))` from cached integers, and `usim_approx`'s value
+/// when a side is empty (1 for both, else 0). Sound because every matched
+/// pair scores `msim ≤ 1`, an independent set has at most `min(|S|, |T|)`
+/// pairs (each consumes a token per side), and Eq. 6's denominator is at
+/// least `max(MP(S), MP(T))` (matched + residual segments partition each
+/// side). Also [`crate::engine::Engine::usim_upper_bound`].
 #[inline]
-fn tier0_upper_bound(ns: u32, mps: u32, nt: u32, mpt: u32) -> f64 {
+pub(crate) fn tier0_upper_bound(ns: u32, mps: u32, nt: u32, mpt: u32) -> f64 {
     if ns == 0 && nt == 0 {
         1.0
     } else if ns == 0 || nt == 0 {

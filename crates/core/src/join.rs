@@ -522,10 +522,11 @@ impl CandidatePass<'_> {
 /// enumerated. The joins verify each run the same way as they probe it
 /// (`CandidatePass::verify`); this collected-list form serves cost
 /// calibration and the shard-pair tasks. Only
-/// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs,
-/// similarities and tier counters are byte-identical to
-/// [`crate::oracle::verify_candidates_reference`] —
-/// `tests/verify_equivalence.rs` enforces it.
+/// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs
+/// and similarities are byte-identical to
+/// [`crate::oracle::verify_candidates_reference`], and the tier counters
+/// to per-pair [`crate::usim::Verifier::sim_at_least`] calls —
+/// `tests/verify_equivalence.rs` enforces both.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates(
     kn: &Knowledge,

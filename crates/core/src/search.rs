@@ -42,8 +42,8 @@ pub struct SearchOutcome {
     /// [`crate::engine::Engine::usim`] and top-k give the full value.
     pub matches: Vec<(u32, f64)>,
     /// Candidates that reached verification (≥ τ pebble overlaps; for a
-    /// filterless [`crate::engine::Engine::scan`], every row that passed
-    /// the tier-0 bound).
+    /// filterless [`crate::engine::Engine::scan`], every non-empty row
+    /// that passed the tier-0 bound, for a non-empty query).
     pub candidates: u64,
     /// Posting entries touched while counting overlaps (0 for a scan).
     pub processed: u64,
@@ -304,13 +304,15 @@ impl Engine {
 
     /// Filterless search over already-segmented `rows`: every row whose
     /// tier-0 bound can still reach the spec's θ is verified per pair
-    /// ([`Verifier::sim_at_least`]) — no order, signature or index to
-    /// build or rebuild when a row is appended, and completeness is
-    /// trivial. `matches` carry row indices into `rows` and equal, bit for
-    /// bit, what [`Searcher::query`] returns over the same records. Cost
-    /// is verification work linear in `rows.len()`, serially on the
-    /// caller's thread — the trade a small append-only segment
-    /// (`au-serve`'s delta) wants, and nothing larger does.
+    /// ([`Verifier::sim_at_least`]), and no row when either side is empty
+    /// (an empty record has no key, so the probe never admits one) — no
+    /// order, signature or index to build or rebuild when a row is
+    /// appended, and completeness is trivial. `matches` carry row indices
+    /// into `rows` and equal, bit for bit, what [`Searcher::query`]
+    /// returns over the same records. Cost is verification work linear in
+    /// `rows.len()`, serially on the caller's thread — the trade a small
+    /// append-only segment (`au-serve`'s delta) wants, and nothing larger
+    /// does.
     ///
     /// Only the spec's θ is read (there is no signature to select), so no
     /// spec can fail here. `query` ([`QuerySession::segment`]) and each
@@ -332,11 +334,11 @@ impl Engine {
         let mut scratch = session.checkout(0);
         let (mut candidates, mut matches) = (0u64, Vec::new());
         for (i, row) in rows.iter().enumerate() {
-            if tier0_compatible(
-                probe_tier0,
-                (row.n_tokens() as u32, row.min_partition),
-                min_sim,
-            ) {
+            let row_tier0 = (row.n_tokens() as u32, row.min_partition);
+            if probe_tier0.0 > 0
+                && row_tier0.0 > 0
+                && tier0_compatible(probe_tier0, row_tier0, min_sim)
+            {
                 candidates += 1;
                 let sim = verifier.sim_at_least(query, row, theta, &mut scratch.run.verify);
                 if sim >= min_sim {
@@ -601,8 +603,8 @@ mod tests {
 
     /// `Engine::scan` against `Searcher::query` over the same records:
     /// identical `matches` (rows, order, similarity bits); the scan's
-    /// `candidates` are exactly the rows the tier-0 bound admits, a
-    /// superset of what the index lets through.
+    /// `candidates` are exactly the non-empty rows the tier-0 bound admits
+    /// for a non-empty query, a superset of what the index lets through.
     fn assert_scan_equals_index(lines: &[String], queries: &[String]) {
         let mut kn = scan_knowledge();
         let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
@@ -636,8 +638,9 @@ mod tests {
                     let admitted = rows
                         .iter()
                         .filter(|r| {
-                            let n = sq.n_tokens().min(r.n_tokens()) as f64;
-                            n / sq.min_partition.max(r.min_partition) as f64 >= theta - cfg.eps
+                            let n = sq.n_tokens().min(r.n_tokens());
+                            let bound = n as f64 / sq.min_partition.max(r.min_partition) as f64;
+                            n > 0 && bound >= theta - cfg.eps
                         })
                         .count() as u64;
                     assert_eq!(scanned.candidates, admitted, "θ={theta} q={q:?}");
@@ -725,6 +728,18 @@ mod tests {
             "coffee shop latte helsinki".to_string(),
             "tea house zanzibar".to_string(),
         ];
+        assert_scan_equals_index(&lines, &queries);
+    }
+
+    /// Empty records get the probe's rule in the scan too: neither the
+    /// empty query nor a non-empty one matches an empty row, so the scan
+    /// agrees with the index on a corpus that holds `""`.
+    #[test]
+    fn scan_equals_indexed_search_with_empty_records() {
+        let lines: Vec<String> = ["", "coffee shop latte", "cafe latte", "", "tea"]
+            .map(String::from)
+            .into();
+        let queries = ["".to_string(), "coffee shop latte".to_string()];
         assert_scan_equals_index(&lines, &queries);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! PASS-JOIN partitions strings by length so only length-compatible
 //! partitions are ever compared. This module adapts the idea to the
-//! unified similarity: the verifier's tier-0 record bound
+//! unified similarity: the tier-0 record bound
 //!
 //! ```text
 //! USIM(S, T) ≤ min(|S|, |T|) / max(MP(S), MP(T))

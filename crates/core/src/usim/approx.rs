@@ -262,61 +262,6 @@ pub fn usim_upper_bound(s: &SegRecord, t: &SegRecord, g: &UsimGraph) -> f64 {
     vertex_upper_bound(s, t, &g.vertices)
 }
 
-/// Tier-1.5 **greedy-matching bound**: a provable upper bound of USIM
-/// that is strictly at least as tight as the row-max vertex bound, yet
-/// needs no conflict graph, no `GetSim` masks and no min-partition DP —
-/// only the per-side best-weight tables the row-max bound already built.
-///
-/// Any independent set `A` of size `m` uses `m` *distinct* segments per
-/// side (a segment overlaps itself), and each matched pair's weight is at
-/// most the best weight of its segment on **both** sides. Sorting the
-/// positive per-segment bests descending (`a₁ ≥ a₂ ≥ …` on S, `b₁ ≥ b₂ ≥
-/// …` on T), the sum-of-mins of the sorted-sorted pairing dominates every
-/// possible assignment of `m` distinct S-bests to `m` distinct T-bests
-/// (`min` is L-superadditive, so similarly-ordered pairing maximises the
-/// sum — and elementwise `xᵢ ≤ aᵢ`, `yᵢ ≤ bᵢ` for any choice of `m`
-/// entries per side). Eq. 6's denominator is at least `max(m, MP(S),
-/// MP(T))` (`|A| + residuals ≥ |A|` and matched + residual segments
-/// partition each side), hence
-///
-/// ```text
-/// USIM ≤ max over m of  Σ_{i≤m} min(aᵢ, bᵢ) / max(m, MP(S), MP(T))
-/// ```
-///
-/// with `m` capped by the positive-best counts and the token counts
-/// (each pair consumes ≥ 1 token per side). Every prefix term is ≤ the
-/// row-max bound (`Σ min(aᵢ,bᵢ) ≤ min(Σa, Σb)` and the denominator only
-/// grows), so this bound never rejects less than row-max does.
-///
-/// `buf_s`/`buf_t` are caller-owned sort buffers (per-worker scratch).
-pub(crate) fn greedy_matching_bound_with(
-    ns: usize,
-    nt: usize,
-    mp: u32,
-    best_s: &[f64],
-    best_t: &[f64],
-    buf_s: &mut Vec<f64>,
-    buf_t: &mut Vec<f64>,
-) -> f64 {
-    buf_s.clear();
-    buf_s.extend(best_s.iter().copied().filter(|&w| w > 0.0));
-    buf_t.clear();
-    buf_t.extend(best_t.iter().copied().filter(|&w| w > 0.0));
-    buf_s.sort_unstable_by(|a, b| b.total_cmp(a));
-    buf_t.sort_unstable_by(|a, b| b.total_cmp(a));
-    let m_max = buf_s.len().min(buf_t.len()).min(ns).min(nt);
-    let mut acc = 0.0f64;
-    let mut best = 0.0f64;
-    for m in 1..=m_max {
-        acc += buf_s[m - 1].min(buf_t[m - 1]);
-        let v = acc / (m as u32).max(mp) as f64;
-        if v > best {
-            best = v;
-        }
-    }
-    best
-}
-
 /// Approximate USIM over pre-segmented records (Algorithm 1).
 pub fn usim_approx_seg(kn: &Knowledge, cfg: &SimConfig, s: &SegRecord, t: &SegRecord) -> f64 {
     approx_set(kn, cfg, s, t, None).0

@@ -8,11 +8,10 @@
 //! * [`approx`] — Algorithm 1: SquareImp seed plus `1/t`-improvement claw
 //!   local search on the similarity objective (Theorem 2's guarantee).
 //! * [`verify`] — the bound-cascade verification engine behind the
-//!   join/search pipelines: record-level pre-graph rejection, a
-//!   shared-pebble-mass bound counted per pair or per probe run, sparse
-//!   vertex enumeration with in-enumeration aborts, a greedy-matching bound, and
-//!   an allocation-free Algorithm 1 over per-worker scratch —
-//!   byte-identical to the [`approx`] reference path.
+//!   join/search pipelines: a shared-pebble-mass bound counted per pair
+//!   or per probe run, the row-max bound over the sparsely enumerated
+//!   vertex list, and an allocation-free Algorithm 1 over per-worker
+//!   scratch — byte-identical to the [`approx`] reference path.
 
 pub mod approx;
 pub mod eval;
@@ -27,6 +26,4 @@ pub use approx::{
 pub use eval::{get_sim, get_sim_with, EvalScratch};
 pub use exact::{usim_exact, usim_exact_seg};
 pub use graph::{build_graph, build_vertices, finish_graph, UsimGraph, VertexPair};
-pub use verify::{
-    CascadeBounds, GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers,
-};
+pub use verify::{GramPostingsIndex, RunScratch, Verifier, VerifyScratch, VerifyTiers};

@@ -1,88 +1,59 @@
 //! Bound-cascade verification — the join's fifth stage.
 //!
-//! Stage 5 owns most of the join's wall-clock: tier 0 rejects less than
-//! half the candidates, and without sharing every survivor would re-run
-//! the full posting-table merge-join and row-max bound independently even
-//! though the candidate pass emits candidates sorted by probe record.
-//! This engine keeps the reference semantics — byte-identical accepted
-//! `(pair, sim)` results, enforced by `tests/verify_equivalence.rs` —
-//! while rejecting through a cascade of progressively stronger, still
-//! cheap upper bounds (AdaptJoin's filter-power-vs-cost trade). The
-//! shared pebble mass the cascade starts from has exactly **two count
-//! sources**: per pair, a two-pointer merge of the two records' posting
-//! tables ([`Verifier::sim_at_least`]); per probe run, one walk of the
-//! corpus-level [`GramPostingsIndex`] that counts every partner of the
-//! run at once ([`Verifier::verify_run_at_least`] — PASS-JOIN's
-//! shared-verification idea):
+//! Stage 5 owns most of the join's wall-clock, and without sharing every
+//! candidate would re-run a full posting-table merge-join of its own even
+//! though the candidate pass hands over each probe record's candidates
+//! as one run. This engine keeps the reference semantics — byte-identical
+//! accepted `(pair, sim)` results, enforced by
+//! `tests/verify_equivalence.rs` — while deciding each candidate through
+//! exactly three steps, each landing its decisions in one
+//! [`VerifyTiers`] bucket:
 //!
-//! * **Tier 0 — record-level pre-graph rejection.** Every matched pair
-//!   scores `msim ≤ 1` (gram measures and taxonomy similarity are ratios
-//!   in `[0, 1]`; rule closeness is validated into `(0, 1]`), an
-//!   independent set has at most `min(|S|, |T|)` pairs (each consumes a
-//!   token per side), and Eq. 6's denominator is at least
-//!   `max(MP(S), MP(T))` (matched + residual segments partition each
-//!   side). Hence `USIM ≤ min(|S|, |T|) / max(MP(S), MP(T))` — two cached
-//!   integers per record, O(1) per candidate, no segment-pair work at all.
-//! * **Tier "mass" — shared pebble mass, before any pair is surfaced.**
-//!   Each probe segment `sa` is credited the most it could score against
-//!   *any* segment of `T`: 1 when `T` carries its surface key or one of
-//!   its synonym rules, otherwise the gram score of `sa` against the
-//!   `c = |G(sa) ∩ G(T)|` of its distinct grams that occur anywhere in
-//!   `T` (`score(c, |G(sa)|, c)`) or its best taxonomy similarity to a
-//!   node of `T`. The credits, summed in segment order over
-//!   `max(MP(S), MP(T))`, dominate the row-max bound **as floats**
-//!   (`Verifier::mass_bound`), so this tier rejects only pairs tier 1
+//! * **Mass bound** (`mass_rejects`) — shared pebble mass, before any
+//!   segment pair is surfaced. Each probe segment `sa` is credited the
+//!   most it could score against *any* segment of `T`: 1 when `T` carries
+//!   its surface key or one of its synonym rules, otherwise the gram score
+//!   of `sa` against the `c = |G(sa) ∩ G(T)|` of its distinct grams that
+//!   occur anywhere in `T` (`score(c, |G(sa)|, c)`) or its best taxonomy
+//!   similarity to a node of `T`. The credits, summed in segment order
+//!   over `max(MP(S), MP(T))`, dominate the row-max bound **as floats**
+//!   (`Verifier::mass_bound`), so this step rejects only pairs row-max
 //!   rejects anyway — but it needs *which records* carry a key, not which
-//!   segment pairs share it: no stamp table, no pair list, no `msim`. A
-//!   probe record's whole candidate run is counted in one walk of the
-//!   corpus-level [`GramPostingsIndex`] ([`Verifier::verify_run_at_least`]);
-//!   per-pair calls count over the two records' own posting tables.
-//! * **Tier 1 — sparse vertex enumeration.** `msim > 0`
-//!   requires a shared gram (J), a shared synonym rule (S), taxonomy nodes
-//!   on both sides (T), or surface equality — so positive pairs are
-//!   surfaced from per-record posting tables
-//!   (`SegRecord::gram_postings` and friends) by
-//!   merge-joining the two tables — whichever source counted the mass,
-//!   only its survivors get here. Enumeration feeds a cascade:
-//!   - **surfaced-segment cap** — an independent set uses distinct,
-//!     positive-`msim` segments per side, so
-//!     `USIM ≤ min(#surfaced S-segs, #surfaced T-segs, |S|, |T|) /
-//!     max(MP(S), MP(T))`, checked *before* any `msim` is scored;
-//!   - **incremental abort** — while scoring surfaced pairs (s-major
-//!     order) the running S-side row-max sum is tracked, and scoring
-//!     aborts the moment even crediting every unscored segment with the
-//!     maximal weight 1 cannot reach θ.
-//! * **Tier 1 bound — row-max.** The classic vertex upper bound
-//!   `min(Σ_s best, Σ_t best) / max(MP(S), MP(T))`, float-identical to the
-//!   reference decision fast path.
-//! * **Tier 1.5 — greedy-matching bound.** A one-pass weight-sorted
-//!   greedy matching of the per-side bests (`greedy_matching_bound_with`
-//!   in `usim::approx`): provably ≥
-//!   exact USIM and provably ≤ the row-max bound, yet needs no conflict
-//!   graph, no `GetSim` masks and no min-partition DP — Algorithm 1 only
-//!   ever runs on candidates a matching-strength bound could not kill.
-//! * **Tier 2 — allocation-free Algorithm 1.** Survivors run the same
-//!   SquareImp + claw-improvement search as the reference
+//!   segment pairs share it. The mass has exactly **two count sources**:
+//!   per pair, a two-pointer merge of the two records' posting tables
+//!   ([`Verifier::sim_at_least`]); per probe run, one walk of the
+//!   corpus-level [`GramPostingsIndex`] that counts every partner of the
+//!   run at once ([`Verifier::verify_run_at_least`] — PASS-JOIN's
+//!   shared-verification idea).
+//! * **Row-max** (`rowmax_rejects`) — the survivors' segment pairs that
+//!   can have `msim > 0` (a shared gram, a shared synonym rule, taxonomy
+//!   nodes on both sides, or surface equality) are surfaced by
+//!   merge-joining the two records' posting tables and scored into
+//!   Algorithm 1's vertex list; the classic vertex upper bound
+//!   `min(Σ_s best, Σ_t best) / max(MP(S), MP(T))` over it is
+//!   float-identical to the reference decision fast path.
+//! * **Algorithm 1** (`tier2_rejects` / `accepted`) — the same SquareImp
+//!   and claw-improvement search as the reference
 //!   ([`crate::usim::approx`]'s `refine_set` *is* the shared
 //!   implementation) over reused [`VerifyScratch`] buffers.
 //!
-//! Every bound only ever *rejects* (never accepts), and every bound is a
-//! provable upper bound of exact USIM, so the accept set — and the
-//! accepted values, which always come from the shared `refine_set` — are
-//! byte-identical to the reference per-candidate path. Per-worker scratch
-//! composes with [`crate::parallel::par_fragments_scratch`]: workers never
-//! share mutable state, nothing is cached across candidates, and the per-tier
-//! rejection counters ([`VerifyTiers`]) are pure per-candidate functions,
-//! so counts and results are independent of scheduling.
+//! An empty side is decided before all three by `usim_approx`'s
+//! convention (both empty → 1, one empty → 0) and counted by its decision.
+//! Bounds only ever *reject* (never accept), and each is a provable
+//! upper bound of exact USIM, so the accept set — and the accepted values,
+//! which always come from the shared `refine_set` — are byte-identical to
+//! the reference per-candidate path. Per-worker scratch composes with
+//! [`crate::parallel::par_fragments_scratch`]: workers never share mutable
+//! state, nothing is cached across candidates, and the buckets are pure
+//! per-candidate functions, so counts and results are independent of
+//! scheduling.
 
 use crate::config::{GramMeasure, SimConfig};
 use crate::index::Transposed;
 use crate::knowledge::Knowledge;
 use crate::msim::MeasureKind;
 use crate::segment::{Postings, SegRecord};
-use crate::usim::approx::{
-    greedy_matching_bound_with, refine_set, vertex_upper_bound_with, RefineScratch,
-};
+use crate::usim::approx::{refine_set, vertex_upper_bound_with, RefineScratch};
 use crate::usim::eval::get_sim_with;
 use crate::usim::graph::{add_conflict_edges, UsimGraph, VertexPair};
 use std::ops::Range;
@@ -98,13 +69,10 @@ const FLAG_NODE: u8 = 2;
 const FULL: u32 = 1 << 31;
 
 /// Mass counters (`(sinks + partners) × probe segments`) one worker holds
-/// at a time; a run needing more is counted in partner chunks.
-#[cfg(not(test))]
-const RUN_COUNTERS_MAX: usize = 1 << 20;
-/// Shrunk under test, so that a query's few hundred candidates span
-/// several chunks and this crate's unit tests cross chunk boundaries.
-#[cfg(test)]
-const RUN_COUNTERS_MAX: usize = 256;
+/// at a time; a run needing more is counted in partner chunks. Shrunk
+/// under test, so that a query's few hundred candidates span several
+/// chunks and this crate's unit tests cross chunk boundaries.
+const RUN_COUNTERS_MAX: usize = if cfg!(test) { 256 } else { 1 << 20 };
 
 /// Counter rows at the front of [`RunScratch::acc`] that absorb the hits
 /// of records outside the current run chunk (record `b` → row `b % SINKS`),
@@ -112,7 +80,7 @@ const RUN_COUNTERS_MAX: usize = 256;
 /// non-partners on a single sink serialize on its store → load chain.
 const SINKS: usize = 8;
 
-/// Per-tier decision telemetry of the verification cascade. Every
+/// Per-step decision telemetry of the verification cascade. Every
 /// decision-mode call ([`Verifier::sim_at_least`] /
 /// [`Verifier::verify_run_at_least`]) lands in exactly one bucket, and every bucket is a **pure
 /// per-candidate function** of `(S, T, θ, config)` — independent of
@@ -120,32 +88,23 @@ const SINKS: usize = 8;
 /// over a candidate set are deterministic and CI gates them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyTiers {
-    /// Rejected by the tier-0 record-level bound (or an empty side).
-    pub tier0_rejects: u64,
     /// Rejected by the shared-pebble-mass bound, before any segment pair
-    /// was surfaced.
+    /// was surfaced (or by an empty side).
     pub mass_rejects: u64,
-    /// Rejected during sparse enumeration: the surfaced-segment cap, or
-    /// the incremental abort while scoring surfaced pairs.
-    pub enum_rejects: u64,
-    /// Rejected by the row-max vertex upper bound (tier 1).
+    /// Rejected by the row-max vertex upper bound.
     pub rowmax_rejects: u64,
-    /// Rejected by the tier-1.5 greedy-matching bound.
-    pub greedy_rejects: u64,
-    /// Rejected by Algorithm 1's exact decision (tier 2).
+    /// Rejected by Algorithm 1's exact decision.
     pub tier2_rejects: u64,
-    /// Accepted (always via Algorithm 1 — bounds only ever reject).
+    /// Accepted — by Algorithm 1, or by the empty-side convention (bounds
+    /// only ever reject).
     pub accepted: u64,
 }
 
 impl VerifyTiers {
     /// Fold another tally into this one (worker drain).
     pub fn merge(&mut self, o: &VerifyTiers) {
-        self.tier0_rejects += o.tier0_rejects;
         self.mass_rejects += o.mass_rejects;
-        self.enum_rejects += o.enum_rejects;
         self.rowmax_rejects += o.rowmax_rejects;
-        self.greedy_rejects += o.greedy_rejects;
         self.tier2_rejects += o.tier2_rejects;
         self.accepted += o.accepted;
     }
@@ -153,35 +112,8 @@ impl VerifyTiers {
     /// Total decision-mode verifications (every candidate lands in
     /// exactly one bucket).
     pub fn decisions(&self) -> u64 {
-        self.tier0_rejects
-            + self.mass_rejects
-            + self.enum_rejects
-            + self.rowmax_rejects
-            + self.greedy_rejects
-            + self.tier2_rejects
-            + self.accepted
+        self.mass_rejects + self.rowmax_rejects + self.tier2_rejects + self.accepted
     }
-}
-
-/// Every cascade upper bound of one pair, fully evaluated (no early
-/// exits) — the soundness-proptest and explain surface. Each bound
-/// dominates exact USIM; additionally `tier0 ≥ surfaced`,
-/// `mass ≥ rowmax` (as floats, not just up to rounding) and
-/// `rowmax ≥ greedy` (the surfaced cap counts *segments*, which can
-/// exceed the row-max weight sum when segments overlap, so those two are
-/// not mutually ordered).
-#[derive(Debug, Clone, Copy)]
-pub struct CascadeBounds {
-    /// Tier 0: `min(|S|,|T|) / max(MP(S),MP(T))`.
-    pub tier0: f64,
-    /// Tier "mass": shared pebble mass of the probe side.
-    pub mass: f64,
-    /// Tier 1a: surfaced-segment cap.
-    pub surfaced: f64,
-    /// Tier 1: row-max vertex bound.
-    pub rowmax: f64,
-    /// Tier 1.5: greedy-matching bound.
-    pub greedy: f64,
 }
 
 /// The gram credits of one probe record, tabulated once per run:
@@ -368,16 +300,12 @@ impl RunScratch {
     ///
     /// `n_t_records` is the partner-side record count; partner ids within
     /// one run must be unique (candidate lists are deduplicated pairs).
-    /// `keep(b)` filters which partners get a row at all — the run driver
-    /// passes the tier-0 pre-screen, so partners the record-level bound
-    /// already rejects count into a sink.
     fn count_run(
         &mut self,
         s: &SegRecord,
         n_t_records: usize,
         run: &[(u32, u32)],
         idx: &GramPostingsIndex,
-        keep: impl Fn(u32) -> bool,
     ) -> u64 {
         let ns = s.n_segments();
         let grown = self.row_of.len()..n_t_records;
@@ -385,9 +313,7 @@ impl RunScratch {
         self.acc.clear();
         self.acc.resize((SINKS + run.len()) * ns, 0);
         for (k, &(_, b)) in run.iter().enumerate() {
-            if keep(b) {
-                self.row_of[b as usize] = (SINKS + k) as u32;
-            }
+            self.row_of[b as usize] = (SINKS + k) as u32;
         }
         let Self {
             row_of,
@@ -469,26 +395,17 @@ pub struct VerifyScratch {
     counts: Vec<u32>,
     /// Surfacing-source flags per pair (valid where stamp == epoch).
     flags: Vec<u8>,
-    /// Per-segment epoch stamps for distinct surfaced-segment counting.
-    seen_s: Vec<u32>,
-    seen_t: Vec<u32>,
     epoch: u32,
     /// Surfaced pairs of the current candidate (surfacing order).
     pairs: Vec<(u32, u32)>,
-    /// Counting-sort buckets and output for the s-major scoring order.
-    sort_bucket: Vec<u32>,
-    pairs_sorted: Vec<(u32, u32)>,
     /// Vertex list of the current candidate.
     vertices: Vec<VertexPair>,
     /// Reused conflict graph + vertex annotations.
     graph: UsimGraph,
     weights: Vec<f64>,
-    /// Upper-bound per-side best-weight buffers.
+    /// Row-max bound per-side best-weight buffers.
     best_s: Vec<f64>,
     best_t: Vec<f64>,
-    /// Greedy-matching bound sort buffers.
-    gm_s: Vec<f64>,
-    gm_t: Vec<f64>,
     /// Algorithm 1 local-search buffers (shared with the reference path).
     refine: RefineScratch,
     /// Per-tier decision counters since the last [`VerifyScratch::take_tally`].
@@ -547,29 +464,19 @@ impl<'a> Verifier<'a> {
         Self { kn, cfg }
     }
 
-    /// The tier-0 record-level bound `min(|S|,|T|)/max(MP(S),MP(T))`
-    /// from the two cached integers. `None` when a side is empty (the
-    /// callers' empty-record conventions differ from any ratio). The
-    /// single formula behind both the per-candidate tier-0 check and the
-    /// run driver's pre-screen — the two must never drift.
+    /// `usim_approx`'s empty-record convention, the one decision made
+    /// before the mass bound: `Some(1.0)` when both sides are empty,
+    /// `Some(0.0)` when one is, `None` otherwise.
     #[inline]
-    fn tier0_bound(s: &SegRecord, t: &SegRecord) -> Option<f64> {
-        let ns = s.n_tokens();
-        let nt = t.n_tokens();
-        if ns == 0 || nt == 0 {
-            return None;
+    fn empty_side(s: &SegRecord, t: &SegRecord) -> Option<f64> {
+        match (s.n_tokens(), t.n_tokens()) {
+            (0, 0) => Some(1.0),
+            (0, _) | (_, 0) => Some(0.0),
+            _ => None,
         }
-        Some(ns.min(nt) as f64 / s.min_partition.max(t.min_partition) as f64)
     }
 
-    /// The tier-0 decision of [`Verifier::tier0_bound`] (the run
-    /// driver's pre-screen; empty sides are never counted).
-    #[inline]
-    fn passes_tier0(&self, s: &SegRecord, t: &SegRecord, theta: f64) -> bool {
-        Self::tier0_bound(s, t).is_some_and(|ub0| ub0 >= theta - self.cfg.eps)
-    }
-
-    /// Tier "mass": `Σ_sa credit(sa, T) / max(MP(S), MP(T))` from the
+    /// The mass bound: `Σ_sa credit(sa, T) / max(MP(S), MP(T))` from the
     /// mass counts `shared` of the pair (one per segment of `s`; see
     /// [`VerifyScratch::count_shared`]), where `credit(sa, T)` is 1 for a
     /// [`FULL`] count and otherwise the larger of
@@ -632,12 +539,23 @@ impl<'a> Verifier<'a> {
         mass / denom
     }
 
-    /// [`CreditTable`]'s entry computed on the spot (per-pair calls have
-    /// no run to tabulate for).
-    #[inline]
-    fn gram_credit(&self, s: &SegRecord, sa: usize, c: u32) -> f64 {
-        let c = c as usize;
-        self.cfg.gram.score(c, s.grams_of(sa).len(), c)
+    /// The mass bound of one pair counted by merging the two records'
+    /// posting tables, each gram credit computed on the spot (a per-pair
+    /// call has no run to tabulate [`CreditTable`] for) — the same `score`
+    /// call, so the same float.
+    fn pair_mass(
+        &self,
+        s: &SegRecord,
+        t: &SegRecord,
+        reject_below: Option<f64>,
+        scr: &mut VerifyScratch,
+    ) -> f64 {
+        scr.count_shared(s, t);
+        let gram_credit = |sa: usize, c: u32| {
+            let c = c as usize;
+            self.cfg.gram.score(c, s.grams_of(sa).len(), c)
+        };
+        self.mass_bound(s, t, &scr.shared, gram_credit, reject_below)
     }
 
     /// Decision-oriented verification: a valid lower bound of `USIM(s, t)`
@@ -679,13 +597,7 @@ impl<'a> Verifier<'a> {
         let mut walked = 0;
         let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
         for part in run.chunks(partners.max(1)) {
-            // Tier-0 pre-screen while assigning rows: partners the
-            // record-level bound rejects count into a sink (their
-            // per-candidate call below still lands them in the tier-0
-            // bucket without looking at the counts).
-            walked += rs.count_run(s, t_recs.len(), part, idx, |b| {
-                self.passes_tier0(s, &t_recs[b as usize], theta)
-            });
+            walked += rs.count_run(s, t_recs.len(), part, idx);
             for (k, &(a, b)) in part.iter().enumerate() {
                 let row = (SINKS + k) * ns;
                 let sim = self.sim_at_least_impl(
@@ -715,37 +627,22 @@ impl<'a> Verifier<'a> {
         counted: Option<&[u32]>,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        // Tier 0: record-level upper bound from two cached integers
-        // (None = an empty side; both empty scores 1 by convention).
-        let Some(ub0) = Self::tier0_bound(s, t) else {
-            if s.n_tokens() == 0 && t.n_tokens() == 0 {
-                if 1.0 >= theta - self.cfg.eps {
-                    scr.tally.accepted += 1;
-                } else {
-                    scr.tally.tier0_rejects += 1;
-                }
-                return 1.0;
-            }
-            scr.tally.tier0_rejects += 1;
-            return 0.0;
-        };
         let min_sim = theta - self.cfg.eps;
-        if ub0 < min_sim {
-            scr.tally.tier0_rejects += 1;
-            return ub0.min(theta);
+        if let Some(sim) = Self::empty_side(s, t) {
+            if sim >= min_sim {
+                scr.tally.accepted += 1;
+            } else {
+                // An empty side carries no mass.
+                scr.tally.mass_rejects += 1;
+            }
+            return sim;
         }
-        // Tier "mass": one bound, whichever source counted. A run walk
-        // tabulated the probe's gram credits; a per-pair call computes
-        // them on the spot — the same `score` call.
+        // One bound, whichever source counted.
         let mass = match counted {
             Some(shared) => {
                 self.mass_bound(s, t, shared, |sa, c| scr.credit.get(sa, c), Some(min_sim))
             }
-            None => {
-                scr.count_shared(s, t);
-                let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
-                self.mass_bound(s, t, &scr.shared, on_the_spot, Some(min_sim))
-            }
+            None => self.pair_mass(s, t, Some(min_sim), scr),
         };
         if mass < min_sim {
             scr.tally.mass_rejects += 1;
@@ -761,60 +658,19 @@ impl<'a> Verifier<'a> {
         self.sim_tiered(s, t, None, scr)
     }
 
-    /// Every cascade bound of one pair, fully evaluated with no early
-    /// exits — the surface the soundness proptests (and rejection
-    /// explanations) use. Does not touch the decision counters.
-    pub fn upper_bounds(
-        &self,
-        s: &SegRecord,
-        t: &SegRecord,
-        scr: &mut VerifyScratch,
-    ) -> CascadeBounds {
-        let ns = s.n_tokens();
-        let nt = t.n_tokens();
-        if ns == 0 || nt == 0 {
-            let v = if ns == 0 && nt == 0 { 1.0 } else { 0.0 };
-            return CascadeBounds {
-                tier0: v,
-                mass: v,
-                surfaced: v,
-                rowmax: v,
-                greedy: v,
-            };
-        }
-        let denom = s.min_partition.max(t.min_partition);
-        scr.count_shared(s, t);
-        let on_the_spot = |sa: usize, c: u32| self.gram_credit(s, sa, c);
-        let mass = self.mass_bound(s, t, &scr.shared, on_the_spot, None);
-        let (cnt_s, cnt_t) = self.surface_pairs(s, t, scr);
-        let aborted = self.score_pairs(s, t, denom, None, scr);
-        debug_assert!(aborted.is_none(), "no abort without a target");
-        let tier0 = ns.min(nt) as f64 / denom as f64;
-        let surfaced = (cnt_s as usize).min(cnt_t as usize).min(ns).min(nt) as f64 / denom as f64;
-        let rowmax = vertex_upper_bound_with(s, t, &scr.vertices, &mut scr.best_s, &mut scr.best_t);
-        let greedy = greedy_matching_bound_with(
-            ns,
-            nt,
-            denom,
-            &scr.best_s,
-            &scr.best_t,
-            &mut scr.gm_s,
-            &mut scr.gm_t,
-        );
-        CascadeBounds {
-            tier0,
-            mass,
-            surfaced,
-            rowmax,
-            greedy,
-        }
+    /// The exact mass bound of one pair, counted pair by pair (no lazy
+    /// shortcut; an empty side gets its convention value) — the surface
+    /// the soundness property checks against the row-max bound. Does not
+    /// touch the decision counters.
+    pub fn mass_upper_bound(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> f64 {
+        Self::empty_side(s, t).unwrap_or_else(|| self.pair_mass(s, t, None, scr))
     }
 
-    /// Tiers 1–2 (the caller has already applied tier 0 and the mass
-    /// bound when a target exists). Each cascade stage only ever rejects
-    /// with a provable upper bound below `θ − eps`; acceptance always
-    /// comes from the shared `refine_set`, so accepted values mirror the
-    /// reference bit for bit.
+    /// Row-max, then Algorithm 1 (the caller has already applied the mass
+    /// bound when a target exists). Row-max only ever rejects, with a
+    /// provable upper bound below `θ − eps`; acceptance always comes from
+    /// the shared `refine_set`, so accepted values mirror the reference
+    /// bit for bit.
     fn sim_tiered(
         &self,
         s: &SegRecord,
@@ -822,26 +678,8 @@ impl<'a> Verifier<'a> {
         target: Option<f64>,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        let (cnt_s, cnt_t) = self.surface_pairs(s, t, scr);
-        let denom = s.min_partition.max(t.min_partition);
-        if let Some(th) = target {
-            // Surfaced-segment cap: an independent set needs distinct
-            // surfaced segments per side, each weighing ≤ 1 — checked
-            // before a single `msim` is scored.
-            let cap_n = (cnt_s as usize)
-                .min(cnt_t as usize)
-                .min(s.n_tokens())
-                .min(t.n_tokens());
-            let cap = cap_n as f64 / denom as f64;
-            if cap < th - self.cfg.eps {
-                scr.tally.enum_rejects += 1;
-                return cap.min(th);
-            }
-        }
-        if let Some(rejected) = self.score_pairs(s, t, denom, target, scr) {
-            scr.tally.enum_rejects += 1;
-            return rejected;
-        }
+        self.surface_pairs(s, t, scr);
+        self.score_pairs(s, t, scr);
         if let Some(th) = target {
             // Pre-graph rejection on the vertex upper bound, exactly as
             // the reference decision fast path (same formula, same eps
@@ -851,25 +689,12 @@ impl<'a> Verifier<'a> {
                 scr.tally.rowmax_rejects += 1;
                 return ub.min(th);
             }
-            let gm = greedy_matching_bound_with(
-                s.n_tokens(),
-                t.n_tokens(),
-                denom,
-                &scr.best_s,
-                &scr.best_t,
-                &mut scr.gm_s,
-                &mut scr.gm_t,
-            );
-            if gm < th - self.cfg.eps {
-                scr.tally.greedy_rejects += 1;
-                return gm.min(th);
-            }
         }
-        // Tier 2: rebuild the conflict graph in reused buffers. The
+        // Algorithm 1: rebuild the conflict graph in reused buffers. The
         // vertex list is put in dense enumeration order (s-major,
-        // t-minor) only now — bounds are order-independent, and sorting
-        // just the cascade's rare survivors is far cheaper than sorting
-        // every candidate's pair list. Edge insertion replicates
+        // t-minor) only now — row-max is order-independent, and sorting
+        // just its survivors is far cheaper than sorting every
+        // candidate's pair list. Edge insertion replicates
         // `finish_graph`'s loop verbatim so adjacency order (which steers
         // tie-breaks in the local search) is identical.
         scr.vertices.sort_unstable_by_key(|v| (v.s_seg, v.t_seg));
@@ -894,21 +719,16 @@ impl<'a> Verifier<'a> {
         sim
     }
 
-    /// Tier 1, phase one: surface every segment pair that can have
-    /// `msim > 0` into the epoch-stamped tables, by merge-joining the two
-    /// records' posting tables. Returns the distinct surfaced segment
-    /// counts per side. Pairs are left in surfacing order in `scr.pairs`;
-    /// [`Verifier::score_pairs`] groups them by s-segment itself.
-    fn surface_pairs(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> (u32, u32) {
-        let ns_segs = s.n_segments();
+    /// Surface every segment pair that can have `msim > 0` into the
+    /// epoch-stamped tables, by merge-joining the two records' posting
+    /// tables. Pairs are left in surfacing order in `scr.pairs`.
+    fn surface_pairs(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) {
+        let slots = s.n_segments() * t.n_segments();
         let nt_segs = t.n_segments();
-        let slots = ns_segs * nt_segs;
         let VerifyScratch {
             stamps,
             counts,
             flags,
-            seen_s,
-            seen_t,
             epoch,
             pairs,
             ..
@@ -918,81 +738,53 @@ impl<'a> Verifier<'a> {
             counts.resize(slots, 0);
             flags.resize(slots, 0);
         }
-        if seen_s.len() < ns_segs {
-            seen_s.resize(ns_segs, 0);
-        }
-        if seen_t.len() < nt_segs {
-            seen_t.resize(nt_segs, 0);
-        }
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
             stamps.fill(0);
-            seen_s.fill(0);
-            seen_t.fill(0);
             *epoch = 1;
         }
         let epoch = *epoch;
         pairs.clear();
-        {
-            let mut touch = |sa: u32, ta: u32, dcount: u32, flag: u8| {
-                let slot = sa as usize * nt_segs + ta as usize;
-                if stamps[slot] != epoch {
-                    stamps[slot] = epoch;
-                    counts[slot] = 0;
-                    flags[slot] = 0;
-                    pairs.push((sa, ta));
-                }
-                counts[slot] += dcount;
-                flags[slot] |= flag;
-            };
-            // Surface identity (`msim`'s text-equality rule, every
-            // config).
-            let (sp, tp) = (s.key_postings(), t.key_postings());
-            shared_groups(sp, tp, |sg, tg| {
-                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, 0));
-            });
-            // J: a positive gram score needs a shared distinct gram;
-            // count them (postings are empty when J is disabled).
-            let (sp, tp) = (s.gram_postings(), t.gram_postings());
-            shared_groups(sp, tp, |sg, tg| {
-                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 1, 0));
-            });
-            // S: a positive synonym score needs a rule with both surfaces
-            // as sides — that rule is in both segments' rule lists.
-            let (sp, tp) = (s.rule_postings(), t.rule_postings());
-            shared_groups(sp, tp, |sg, tg| {
-                cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
-            });
-            // T: a positive taxonomy score needs nodes on both sides.
-            for &sa in s.node_segs() {
-                for &ta in t.node_segs() {
-                    touch(sa, ta, 0, FLAG_NODE);
-                }
+        let mut touch = |sa: u32, ta: u32, dcount: u32, flag: u8| {
+            let slot = sa as usize * nt_segs + ta as usize;
+            if stamps[slot] != epoch {
+                stamps[slot] = epoch;
+                counts[slot] = 0;
+                flags[slot] = 0;
+                pairs.push((sa, ta));
+            }
+            counts[slot] += dcount;
+            flags[slot] |= flag;
+        };
+        // Surface identity (`msim`'s text-equality rule, every config).
+        let (sp, tp) = (s.key_postings(), t.key_postings());
+        shared_groups(sp, tp, |sg, tg| {
+            cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, 0));
+        });
+        // J: a positive gram score needs a shared distinct gram; count
+        // them (postings are empty when J is disabled).
+        let (sp, tp) = (s.gram_postings(), t.gram_postings());
+        shared_groups(sp, tp, |sg, tg| {
+            cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 1, 0));
+        });
+        // S: a positive synonym score needs a rule with both surfaces as
+        // sides — that rule is in both segments' rule lists.
+        let (sp, tp) = (s.rule_postings(), t.rule_postings());
+        shared_groups(sp, tp, |sg, tg| {
+            cross(sp, sg, tp, tg, |sa, ta| touch(sa, ta, 0, FLAG_RULE));
+        });
+        // T: a positive taxonomy score needs nodes on both sides.
+        for &sa in s.node_segs() {
+            for &ta in t.node_segs() {
+                touch(sa, ta, 0, FLAG_NODE);
             }
         }
-        // Census over the deduplicated pairs (one pass, not one check
-        // per raw incidence): distinct surfaced segments per side for
-        // the surfaced-segment cap. Pairs stay in surfacing order — the
-        // scoring pass groups them by s-segment with a counting sort,
-        // and only tier-2 survivors need the full dense order.
-        let mut cnt_s = 0u32;
-        let mut cnt_t = 0u32;
-        for &(sa, ta) in pairs.iter() {
-            if seen_s[sa as usize] != epoch {
-                seen_s[sa as usize] = epoch;
-                cnt_s += 1;
-            }
-            if seen_t[ta as usize] != epoch {
-                seen_t[ta as usize] = epoch;
-                cnt_t += 1;
-            }
-        }
-        (cnt_s, cnt_t)
     }
 
-    /// Tier 1, phase two: score the surfaced pairs into the vertex list —
-    /// exactly the vertex list of [`crate::usim::build_vertices`] (same
-    /// order, same weights, same winning measures).
+    /// Score the surfaced pairs into the vertex list — once sorted by
+    /// `(s_seg, t_seg)`, exactly the vertex list of
+    /// [`crate::usim::build_vertices`] (same weights, same winning
+    /// measures).
     ///
     /// The gram merge **counted** shared distinct grams per pair as it
     /// surfaced, so the J score is `score(count, |A|, |B|)` with no
@@ -1001,77 +793,17 @@ impl<'a> Verifier<'a> {
     /// surfaced by the rule/node joins (for any other pair those measures
     /// score 0 and cannot beat the running best, mirroring `msim`'s
     /// strict-`>` J-then-S-then-T order).
-    ///
-    /// When `abort_target` is set, the running S-side row-max sum is
-    /// maintained as s-segment groups complete; scoring aborts — and the
-    /// rejected bound is returned — as soon as crediting every unscored
-    /// group with the maximal weight 1 cannot reach the target (the final
-    /// row-max bound can only be smaller). Returns `None` when scoring
-    /// ran to completion.
-    fn score_pairs(
-        &self,
-        s: &SegRecord,
-        t: &SegRecord,
-        denom: u32,
-        abort_target: Option<f64>,
-        scr: &mut VerifyScratch,
-    ) -> Option<f64> {
-        let ns_segs = s.n_segments();
+    fn score_pairs(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) {
         let nt_segs = t.n_segments();
         let VerifyScratch {
             counts,
             flags,
             pairs,
-            sort_bucket,
-            pairs_sorted,
             vertices,
             ..
         } = scr;
         vertices.clear();
-        // Group the surfaced pairs by s-segment with a stable counting
-        // sort (cheaper than a comparison sort, and the incremental
-        // abort below only needs group-contiguity — group maxima are
-        // order-independent, so the tier split is a pure function of the
-        // pair *set*).
-        sort_bucket.clear();
-        sort_bucket.resize(ns_segs + 1, 0);
-        let mut groups_left = 0u32;
-        for &(sa, _) in pairs.iter() {
-            if sort_bucket[sa as usize + 1] == 0 {
-                groups_left += 1;
-            }
-            sort_bucket[sa as usize + 1] += 1;
-        }
-        for i in 1..sort_bucket.len() {
-            sort_bucket[i] += sort_bucket[i - 1];
-        }
-        pairs_sorted.clear();
-        pairs_sorted.resize(pairs.len(), (0, 0));
         for &(sa, ta) in pairs.iter() {
-            let c = &mut sort_bucket[sa as usize];
-            pairs_sorted[*c as usize] = (sa, ta);
-            *c += 1;
-        }
-        let mut done_sum = 0.0f64;
-        let mut group_best = 0.0f64;
-        let mut cur_sa = u32::MAX;
-        for &(sa, ta) in pairs_sorted.iter() {
-            if sa != cur_sa {
-                if cur_sa != u32::MAX {
-                    done_sum += group_best;
-                    groups_left -= 1;
-                    if let Some(th) = abort_target {
-                        // Crediting every unscored group with weight 1:
-                        // the final Σ_s best can only be smaller.
-                        let potential = (done_sum + groups_left as f64) / denom as f64;
-                        if potential < th - self.cfg.eps {
-                            return Some(potential.min(th));
-                        }
-                    }
-                }
-                cur_sa = sa;
-                group_best = 0.0;
-            }
             let a = s.segment(sa as usize);
             let b = t.segment(ta as usize);
             let slot = sa as usize * nt_segs + ta as usize;
@@ -1118,9 +850,6 @@ impl<'a> Verifier<'a> {
                 a.text,
                 b.text
             );
-            if w > group_best {
-                group_best = w;
-            }
             if w > 0.0 {
                 vertices.push(VertexPair {
                     s_seg: sa as usize,
@@ -1130,17 +859,6 @@ impl<'a> Verifier<'a> {
                 });
             }
         }
-        None
-    }
-
-    /// Surface + score with no target: the full vertex list (tests).
-    #[cfg(test)]
-    fn enumerate_vertices(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) {
-        let denom = s.min_partition.max(t.min_partition).max(1);
-        self.surface_pairs(s, t, scr);
-        let aborted = self.score_pairs(s, t, denom, None, scr);
-        debug_assert!(aborted.is_none());
-        scr.vertices.sort_unstable_by_key(|v| (v.s_seg, v.t_seg));
     }
 }
 
@@ -1217,11 +935,10 @@ fn cross(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GramMeasure, MeasureSet};
+    use crate::config::MeasureSet;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
     use crate::segment::segment_record;
     use crate::usim::approx::{usim_approx_seg, usim_approx_seg_at_least};
-    use crate::usim::exact::usim_exact_seg;
     use crate::usim::graph::build_vertices;
 
     fn kn_figure1() -> Knowledge {
@@ -1232,6 +949,14 @@ mod tests {
         b.taxonomy_path(&["wikipedia", "food", "coffee", "coffee drinks", "espresso"]);
         b.taxonomy_path(&["wikipedia", "food", "cake", "apple cake"]);
         b.build()
+    }
+
+    /// Surface + score with no target: the full vertex list, in dense
+    /// enumeration order.
+    fn enumerate_vertices(v: &Verifier<'_>, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) {
+        v.surface_pairs(s, t, scr);
+        v.score_pairs(s, t, scr);
+        scr.vertices.sort_unstable_by_key(|v| (v.s_seg, v.t_seg));
     }
 
     fn corpus_texts() -> Vec<&'static str> {
@@ -1266,7 +991,7 @@ mod tests {
             for a in &segs {
                 for b in &segs {
                     let dense = build_vertices(&kn, &cfg, a, b);
-                    v.enumerate_vertices(a, b, &mut scr);
+                    enumerate_vertices(&v, a, b, &mut scr);
                     assert_eq!(dense.len(), scr.vertices.len(), "vertex count");
                     for (x, y) in dense.iter().zip(&scr.vertices) {
                         assert_eq!((x.s_seg, x.t_seg), (y.s_seg, y.t_seg));
@@ -1336,84 +1061,47 @@ mod tests {
         }
     }
 
-    /// Every cascade bound dominates exact USIM, with the provable
-    /// orderings `tier0 ≥ surfaced`, `rowmax ≥ greedy` and — **as
-    /// floats**, no tolerance — `mass ≥ rowmax`, under every measure
-    /// subset (J off: the key credit alone carries identity; S off; T
-    /// off) and every gram measure.
-    #[test]
-    fn cascade_bounds_are_sound_and_ordered() {
-        for measures in MeasureSet::all_combinations() {
-            for gram in GramMeasure::ALL {
-                let mut kn = kn_figure1();
-                let cfg = SimConfig::default().with_measures(measures).with_gram(gram);
-                let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
-                let segs: Vec<_> = ids
-                    .iter()
-                    .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
-                    .collect();
-                let v = Verifier::new(&kn, &cfg);
-                let mut scr = VerifyScratch::default();
-                for a in &segs {
-                    for b in &segs {
-                        let ctx = format!("{measures:?} {gram:?}");
-                        let bounds = v.upper_bounds(a, b, &mut scr);
-                        let approx = usim_approx_seg(&kn, &cfg, a, b);
-                        assert!(bounds.tier0 >= bounds.surfaced - 1e-12, "tier0 < surfaced");
-                        assert!(bounds.rowmax >= bounds.greedy - 1e-12, "rowmax < greedy");
-                        assert!(
-                            bounds.mass >= bounds.rowmax,
-                            "{ctx}: mass {} < rowmax {}",
-                            bounds.mass,
-                            bounds.rowmax
-                        );
-                        for (name, ub) in [
-                            ("tier0", bounds.tier0),
-                            ("mass", bounds.mass),
-                            ("surfaced", bounds.surfaced),
-                            ("rowmax", bounds.rowmax),
-                            ("greedy", bounds.greedy),
-                        ] {
-                            assert!(ub >= approx - 1e-12, "{ctx}: {name} {ub} < approx {approx}");
-                            if let Some(exact) = usim_exact_seg(&kn, &cfg, a, b) {
-                                assert!(ub >= exact - 1e-9, "{ctx}: {name} {ub} < exact {exact}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Every decision lands in exactly one tally bucket.
+    /// Every decision lands in exactly one tally bucket, and `accepted`
+    /// counts exactly the results a caller keeps — empty records included
+    /// (the corpus holds two), at θ = 0 where one empty side is kept and
+    /// at θ ∈ {0.5, 0.7} where only both-empty is.
     #[test]
     fn tally_buckets_partition_decisions() {
         let mut kn = kn_figure1();
         let cfg = SimConfig::default();
-        let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
+        let texts = corpus_texts().into_iter().chain([""]);
+        let ids: Vec<_> = texts.map(|t| kn.add_record(t)).collect();
         let segs: Vec<_> = ids
             .iter()
             .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
             .collect();
         let v = Verifier::new(&kn, &cfg);
         let mut scr = VerifyScratch::default();
-        for a in &segs {
-            for b in &segs {
-                v.sim_at_least(a, b, 0.7, &mut scr);
+        for theta in [0.0, 0.5, 0.7] {
+            let mut kept = 0u64;
+            for a in &segs {
+                for b in &segs {
+                    if v.sim_at_least(a, b, theta, &mut scr) >= theta - cfg.eps {
+                        kept += 1;
+                    }
+                }
+            }
+            let tally = scr.take_tally();
+            assert_eq!(tally.decisions(), (segs.len() * segs.len()) as u64);
+            assert_eq!(tally.accepted, kept, "θ={theta}");
+            if theta > 0.0 {
+                assert!(tally.mass_rejects > 0 && tally.accepted >= 4, "θ={theta}");
             }
         }
-        let tally = scr.take_tally();
-        assert_eq!(tally.decisions(), (segs.len() * segs.len()) as u64);
-        assert!(tally.accepted > 0 && tally.tier0_rejects > 0 && tally.mass_rejects > 0);
         // Taking the tally resets it.
         assert_eq!(scr.take_tally().decisions(), 0);
     }
 
     /// The run-batched driver (corpus-level posting index + run-level
-    /// mass count + tier-0 pre-screen) accepts exactly the pairs of
-    /// per-pair `sim_at_least` calls with identical bits, and both count
-    /// sources — the run walk and the per-pair merge — land every
-    /// candidate in the same one of the seven buckets.
+    /// mass count) accepts exactly the pairs of per-pair `sim_at_least`
+    /// calls with identical bits, and both count sources — the run walk
+    /// and the per-pair merge — land every candidate in the same one of
+    /// the four buckets.
     #[test]
     fn run_batched_equals_per_pair() {
         let mut kn = kn_figure1();
@@ -1502,8 +1190,7 @@ mod tests {
     /// A corpus built to stress the sink rows: record `i` and `i + 8` have
     /// the same text (so a partner and a non-partner congruent mod 8 carry
     /// the same keys), every record carries "tea" (so every non-partner
-    /// hits a sink on its grams), and lengths vary (so the tier-0
-    /// pre-screen refuses some partners at a high θ). Partners are the
+    /// hits a sink on its grams), and lengths vary. Partners are the
     /// records of the even blocks of eight — 96 of 192.
     fn sink_corpus() -> (Knowledge, SimConfig, Vec<Arc<SegRecord>>, Vec<u32>) {
         const PHRASES: [&str; 8] = [
@@ -1549,10 +1236,10 @@ mod tests {
         }
     }
 
-    /// `count_run` chunk by chunk: a kept partner's row holds exactly the
-    /// per-pair count, a refused partner's row stays zero (its hits went
-    /// to a sink), the walk reads every posting of the probe's distinct
-    /// keys once per chunk, and every record is back on its sink after.
+    /// `count_run` chunk by chunk: a partner's row holds exactly the
+    /// per-pair count (a non-partner's hits go to a sink), the walk reads
+    /// every posting of the probe's distinct keys once per chunk, and
+    /// every record is back on its sink after.
     #[test]
     fn run_rows_count_what_pairs_count_and_sinks_take_the_rest() {
         let (_, _, recs, partners) = sink_corpus();
@@ -1561,7 +1248,6 @@ mod tests {
             .any(|g| idx.grams.get(g).map(<[u32]>::len) == Some(recs.len()));
         assert!(everyone, "some gram is carried by every record");
         let (mut rs, mut pair) = (RunScratch::default(), VerifyScratch::default());
-        let keep = |b: u32| !b.is_multiple_of(3);
         for (a, s) in recs.iter().enumerate().take(16) {
             let ns = s.n_segments();
             let per_chunk = list_lengths(s.key_postings(), &idx.keys)
@@ -1569,16 +1255,12 @@ mod tests {
                 + list_lengths(s.rule_postings(), &idx.rules);
             let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
             for part in run.chunks(chunk_partners(ns)) {
-                let walked = rs.count_run(s, recs.len(), part, &idx, keep);
+                let walked = rs.count_run(s, recs.len(), part, &idx);
                 assert_eq!(walked, per_chunk, "a={a}: postings walked per chunk");
                 for (k, &(_, b)) in part.iter().enumerate() {
                     let row = &rs.acc[(SINKS + k) * ns..(SINKS + k + 1) * ns];
-                    if keep(b) {
-                        pair.count_shared(s, &recs[b as usize]);
-                        assert_eq!(row, &pair.shared[..], "a={a} b={b}: run row ≡ pair count");
-                    } else {
-                        assert!(row.iter().all(|&c| c == 0), "a={a} b={b}: refused row");
-                    }
+                    pair.count_shared(s, &recs[b as usize]);
+                    assert_eq!(row, &pair.shared[..], "a={a} b={b}: run row ≡ pair count");
                 }
                 assert_rows_restored(&rs);
             }
@@ -1586,9 +1268,8 @@ mod tests {
     }
 
     /// The run walk with sinks ≡ per-pair `sim_at_least` — accepted pairs,
-    /// similarity bits and all seven buckets — on the sink corpus: runs of
-    /// ≥ 3 chunks, partners the tier-0 pre-screen refuses, and every
-    /// record back on its sink after every run.
+    /// similarity bits and all four buckets — on the sink corpus: runs of
+    /// ≥ 3 chunks, and every record back on its sink after every run.
     #[test]
     fn run_walk_with_sinks_equals_per_pair() {
         let (kn, cfg, recs, partners) = sink_corpus();
@@ -1625,9 +1306,6 @@ mod tests {
             let (bt, pt) = (rs.take_tally(), per_pair.take_tally());
             assert_eq!(bt, pt, "θ={theta}: run walk vs per pair");
             assert_eq!(bt.decisions(), 16 * partners.len() as u64);
-            if theta == 0.9 {
-                assert!(bt.tier0_rejects > 0, "the pre-screen refuses some partners");
-            }
         }
     }
 
@@ -1703,28 +1381,5 @@ mod tests {
             }
         }
         assert!(recs.iter().any(|r| r.n_tokens() == 0));
-    }
-
-    /// Tier 0's bound dominates the reference similarity (soundness).
-    #[test]
-    fn tier0_bound_is_sound() {
-        let mut kn = kn_figure1();
-        let cfg = SimConfig::default();
-        let ids: Vec<_> = corpus_texts().iter().map(|t| kn.add_record(t)).collect();
-        let segs: Vec<_> = ids
-            .iter()
-            .map(|&id| segment_record(&kn, &cfg, &kn.record(id).tokens))
-            .collect();
-        for a in &segs {
-            for b in &segs {
-                if a.n_tokens() == 0 || b.n_tokens() == 0 {
-                    continue;
-                }
-                let ub0 = a.n_tokens().min(b.n_tokens()) as f64
-                    / a.min_partition.max(b.min_partition) as f64;
-                let sim = usim_approx_seg(&kn, &cfg, a, b);
-                assert!(ub0 >= sim - 1e-12, "tier0 {ub0} < sim {sim}");
-            }
-        }
     }
 }

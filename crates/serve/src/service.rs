@@ -977,6 +977,33 @@ pub(crate) mod tests {
         assert_eq!(s.stats().compactions, 1);
     }
 
+    /// An empty record gets one rule in the delta's scan and the base's
+    /// probe — it matches nothing — so compaction, which moves it from
+    /// one to the other, changes no answer.
+    #[test]
+    fn an_empty_record_answers_alike_before_and_after_compaction() {
+        let s = svc(ServeConfig {
+            theta: 0.5,
+            ..cfg()
+        });
+        s.insert_record("").unwrap();
+        let queries = ["", "tea house uptown"];
+        let before: Vec<_> = queries
+            .iter()
+            .map(|q| s.search(q).unwrap().matches)
+            .collect();
+        s.compact().unwrap();
+        assert_eq!(
+            s.snapshot().delta_len(),
+            0,
+            "the empty record moved to the base"
+        );
+        for (q, want) in queries.iter().zip(&before) {
+            assert_eq!(&s.search(q).unwrap().matches, want, "q={q:?}");
+            assert_eq!(reference_search(&s.snapshot(), s.config(), q), *want);
+        }
+    }
+
     #[test]
     fn topk_descends_below_service_theta() {
         let s = svc(ServeConfig {

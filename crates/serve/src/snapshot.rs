@@ -122,7 +122,8 @@ impl Batch<Arc<DeltaRow>> {
 /// inverted index exist for it, so nothing is rebuilt when a row is
 /// appended. A read answers it by scanning ([`Engine::scan`]) — every row
 /// passing the tier-0 bound is verified by the same verifier the base
-/// segment's candidates end in.
+/// segment's candidates end in, and an empty row or query matches
+/// nothing, as in the base, so a compaction moves no answer.
 ///
 /// Global record ids are ascending within the base (`base_ids`) and
 /// within the delta, and every delta id is greater than every base id

@@ -234,7 +234,7 @@ fn zero_and_one_thresholds() {
 /// A probe record whose run needs more mass counters than one worker may
 /// hold (520 segments × 2100 partners > 2²⁰): the run-batched source
 /// counts it in partner chunks, with the same pairs and the same
-/// seven-bucket tally as the reference and the per-pair source.
+/// four-bucket tally as the reference and the per-pair source.
 #[test]
 fn oversized_run_takes_the_batched_path_in_chunks() {
     // Five-letter pseudo-random words: few shared bigrams, so a pair's
@@ -281,7 +281,8 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
         .flat_map(|a| (0..tp.len() as u32).map(move |b| (a, b)))
         .collect();
     // 12 of 520 tokens is the most a partner can share with the giant:
-    // θ = 0.02 passes tier 0 (12/520) and accepts the 11- and 12-sharers.
+    // θ = 0.02 passes the tier-0 bound (12/520) and accepts the 11- and
+    // 12-sharers.
     let theta = 0.02;
     let reference = verify_candidates_reference(&kn, &cfg, &sp, &tp, &candidates, theta, false);
     assert!(reference.iter().any(|&(a, _, _)| a == 0));

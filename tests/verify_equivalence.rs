@@ -8,12 +8,12 @@
 //! parallel alike; so must the per-pair count source (a lone
 //! `Verifier::sim_at_least` call per candidate, what `Engine::scan`
 //! runs), and both must land every candidate in the same one of the
-//! seven tier buckets.
+//! four tier buckets.
 //!
 //! This is the contract that lets the engine reject candidates before any
-//! segment-pair enumeration (tier 0, the mass bound), count a whole run's
-//! mass in one index walk and reuse every per-candidate buffer (tier
-//! 2): none of it may change a single output bit.
+//! segment-pair enumeration (the mass bound), count a whole run's mass in
+//! one index walk and reuse every per-candidate buffer (Algorithm 1):
+//! none of it may change a single output bit.
 //!
 //! A *query* is one such run, verified in one walk of the collection's
 //! transposed posting index — built once per `Prepared`, shared by every
@@ -26,8 +26,9 @@ use au_join::core::engine::QuerySession;
 use au_join::core::join::verify_candidates;
 use au_join::core::oracle::verify_candidates_reference;
 use au_join::core::segment::{segment_record, SegRecord};
+use au_join::core::usim::approx::vertex_upper_bound;
 use au_join::core::usim::{
-    usim_approx_seg, usim_approx_seg_at_least, usim_exact_seg, GramPostingsIndex, Verifier,
+    build_vertices, usim_approx_seg, usim_approx_seg_at_least, GramPostingsIndex, Verifier,
     VerifyScratch,
 };
 use au_join::datagen::{DatasetProfile, LabeledDataset};
@@ -49,7 +50,7 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
 /// The production driver and the per-pair source vs the reference on one
 /// candidate list, serial and parallel — byte-identical `(pair, sim)`
 /// everywhere, plus the tier-telemetry invariants (every candidate in
-/// exactly one bucket, accepted == results, and the seven-bucket tally
+/// exactly one bucket, accepted == results, and the four-bucket tally
 /// identical across schedules *and* across the run walk and the per-pair
 /// count).
 fn check_candidates(
@@ -161,59 +162,6 @@ fn tiered_equals_reference_on_wiki() {
     }
 }
 
-/// Soundness sweep on generated data: every cascade bound (tier 0,
-/// shared mass, surfaced-segment cap, row-max, greedy matching) dominates the
-/// Algorithm 1 similarity on a broad sample of record pairs — planted
-/// matches and random non-matches alike.
-#[test]
-fn cascade_bounds_dominate_usim_on_datagen() {
-    for ds in [med_ds(), wiki_ds()] {
-        let cfg = SimConfig::default();
-        let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
-        let (ps, pt) = (
-            engine.prepare(&ds.s).unwrap(),
-            engine.prepare(&ds.t).unwrap(),
-        );
-        let (sp, tp) = (ps.seg_records(), pt.seg_records());
-        let v = Verifier::new(&ds.kn, &cfg);
-        let mut scr = VerifyScratch::default();
-        // Planted pairs (high similarity — bounds must not clip them).
-        for g in &ds.truth {
-            let (a, b) = (&sp[g.s as usize], &tp[g.t as usize]);
-            let bounds = v.upper_bounds(a, b, &mut scr);
-            let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
-            for (name, ub) in [
-                ("tier0", bounds.tier0),
-                ("mass", bounds.mass),
-                ("surfaced", bounds.surfaced),
-                ("rowmax", bounds.rowmax),
-                ("greedy", bounds.greedy),
-            ] {
-                assert!(
-                    ub >= sim - 1e-12,
-                    "{name} {ub} < sim {sim} ({}, {})",
-                    g.s,
-                    g.t
-                );
-            }
-            assert!(bounds.tier0 >= bounds.surfaced - 1e-12);
-            assert!(bounds.rowmax >= bounds.greedy - 1e-12);
-            assert!(bounds.mass >= bounds.rowmax, "mass < rowmax as floats");
-        }
-        // A deterministic stride of arbitrary pairs.
-        for i in (0..sp.len()).step_by(17) {
-            for j in (0..tp.len()).step_by(23) {
-                let (a, b) = (&sp[i], &tp[j]);
-                let bounds = v.upper_bounds(a, b, &mut scr);
-                let sim = usim_approx_seg(&ds.kn, &cfg, a, b);
-                assert!(bounds.greedy >= sim - 1e-12, "greedy < sim at ({i}, {j})");
-                assert!(bounds.rowmax >= bounds.greedy - 1e-12);
-                assert!(bounds.mass >= bounds.rowmax, "mass < rowmax at ({i}, {j})");
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Queries are runs.
 
@@ -236,8 +184,8 @@ fn match_bits(m: &[(u32, f64)]) -> Vec<(u32, u64)> {
 }
 
 /// `Searcher::query` (probe, then one run walk of the transposed index)
-/// against `Engine::scan` over *all* rows (no filter; every tier-0
-/// compatible row verified pair by pair): identical rows, order and
+/// against `Engine::scan` over *all* rows (no filter; every non-empty,
+/// tier-0 compatible row verified pair by pair): identical rows, order and
 /// similarity bits. The scan's candidates are a superset of the
 /// query's, so its tier tally dominates bucket by bucket, and both
 /// account for exactly their own candidates.
@@ -265,11 +213,8 @@ fn check_queries(ds: &LabeledDataset, theta: f64) {
         }
         let (w, s) = (walked.tiers, scanned.tiers);
         assert!(
-            w.tier0_rejects <= s.tier0_rejects
-                && w.mass_rejects <= s.mass_rejects
-                && w.enum_rejects <= s.enum_rejects
+            w.mass_rejects <= s.mass_rejects
                 && w.rowmax_rejects <= s.rowmax_rejects
-                && w.greedy_rejects <= s.greedy_rejects
                 && w.tier2_rejects <= s.tier2_rejects,
             "{ctx}: {w:?} vs {s:?}"
         );
@@ -468,8 +413,8 @@ proptest! {
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let c = kn.corpus_from_lines(refs);
         let sp: Vec<Arc<SegRecord>> = c.iter().map(|r| Arc::new(segment_record(&kn, &cfg, &r.tokens))).collect();
-        // All pairs as candidates — stresses tier 0 on pairs the filter
-        // would normally never surface.
+        // All pairs as candidates — stresses the mass bound on pairs the
+        // filter would normally never surface.
         let all: Vec<(u32, u32)> = (0..c.len() as u32)
             .flat_map(|x| (0..c.len() as u32).map(move |y| (x, y)))
             .collect();
@@ -482,12 +427,12 @@ proptest! {
         }
     }
 
-    /// Adversarial soundness: every cascade bound dominates **exact**
-    /// USIM (exponential enumeration) on small repeated-token corpora —
-    /// no recall loss by construction, for any bound in the cascade,
-    /// under every measure subset and gram measure.
+    /// The mass bound may only reject what row-max rejects: under every
+    /// measure subset and gram measure it dominates the reference row-max
+    /// bound (`vertex_upper_bound` over `build_vertices`) **as floats**,
+    /// no tolerance — and Algorithm 1's similarity.
     #[test]
-    fn cascade_bounds_dominate_exact_usim(
+    fn mass_bound_dominates_rowmax_and_usim(
         a in text_strategy(6),
         b in text_strategy(6),
         measures in 0usize..7,
@@ -502,29 +447,10 @@ proptest! {
         let sa = segment_record(&kn, &cfg, &kn.record(ra).tokens);
         let sb = segment_record(&kn, &cfg, &kn.record(rb).tokens);
         let v = Verifier::new(&kn, &cfg);
-        let mut scr = VerifyScratch::default();
-        let bounds = v.upper_bounds(&sa, &sb, &mut scr);
-        prop_assert!(bounds.tier0 >= bounds.surfaced - 1e-12);
-        prop_assert!(bounds.rowmax >= bounds.greedy - 1e-12);
-        // As floats, no tolerance: the mass tier may only reject what
-        // row-max rejects.
-        prop_assert!(bounds.mass >= bounds.rowmax, "mass {} < rowmax {}", bounds.mass, bounds.rowmax);
+        let mass = v.mass_upper_bound(&sa, &sb, &mut VerifyScratch::default());
+        let rowmax = vertex_upper_bound(&sa, &sb, &build_vertices(&kn, &cfg, &sa, &sb));
+        prop_assert!(mass >= rowmax, "mass {} < rowmax {}", mass, rowmax);
         let approx = usim_approx_seg(&kn, &cfg, &sa, &sb);
-        let floor = match usim_exact_seg(&kn, &cfg, &sa, &sb) {
-            Some(exact) => {
-                prop_assert!(exact >= approx - 1e-9, "approx above exact");
-                exact
-            }
-            None => approx, // enumeration budget exceeded — approx is still a valid floor
-        };
-        for (name, ub) in [
-            ("tier0", bounds.tier0),
-            ("mass", bounds.mass),
-            ("surfaced", bounds.surfaced),
-            ("rowmax", bounds.rowmax),
-            ("greedy", bounds.greedy),
-        ] {
-            prop_assert!(ub >= floor - 1e-9, "{} bound {} < exact {}", name, ub, floor);
-        }
+        prop_assert!(mass >= approx - 1e-12, "mass {} < approx {}", mass, approx);
     }
 }

@@ -56,7 +56,7 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
         for (x, y) in parallel.iter().zip(&reference) {
             assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
         }
-        // Tier counters are pure per-candidate functions — all seven
+        // Tier counters are pure per-candidate functions — all four
         // buckets identical under any worker count.
         assert_eq!(serial_tiers, parallel_tiers, "θ={theta}");
         assert_eq!(serial_tiers.decisions(), cands.len() as u64);
