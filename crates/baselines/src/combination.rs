@@ -6,7 +6,7 @@
 //! by *mixing* measures inside one string pair — the gap AU-Join closes.
 
 use crate::adaptjoin::{adapt_join, AdaptJoinConfig};
-use crate::kjoin::{k_join, KJoinConfig};
+use crate::kjoin::k_join;
 use crate::pkduck::{pkduck_join, PkduckConfig};
 use crate::BaselineResult;
 use au_core::knowledge::Knowledge;
@@ -18,7 +18,7 @@ use std::time::Instant;
 pub fn combination_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> BaselineResult {
     let start = Instant::now();
     let a = adapt_join(s, t, theta, &AdaptJoinConfig::default());
-    let k = k_join(kn, s, t, theta, &KJoinConfig::default());
+    let k = k_join(kn, s, t, theta);
     let p = pkduck_join(kn, s, t, theta, &PkduckConfig::default());
     let mut best: std::collections::BTreeMap<(u32, u32), f64> = std::collections::BTreeMap::new();
     for res in [&a, &k, &p] {

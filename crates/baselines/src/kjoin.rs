@@ -23,14 +23,6 @@ use au_text::hash::FxHashMap;
 use au_text::record::Corpus;
 use std::time::Instant;
 
-/// K-Join parameters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KJoinConfig {
-    /// Verify with the full Hungarian matching (always on; kept for
-    /// forward compatibility with greedy verification).
-    pub exact_matching: bool,
-}
-
 /// Entities of one record (deduplicated, keeps first occurrence order).
 fn entities_of(kn: &Knowledge, cfg: &SimConfig, tokens: &[au_text::TokenId]) -> Vec<NodeId> {
     let sr = segment_record(kn, cfg, tokens);
@@ -58,14 +50,9 @@ pub fn kjoin_similarity(kn: &Knowledge, ex: &[NodeId], ey: &[NodeId]) -> f64 {
     m.weight / ex.len().max(ey.len()) as f64
 }
 
-/// Run K-Join between two corpora at threshold `theta`.
-pub fn k_join(
-    kn: &Knowledge,
-    s: &Corpus,
-    t: &Corpus,
-    theta: f64,
-    _cfg: &KJoinConfig,
-) -> BaselineResult {
+/// Run K-Join between two corpora at threshold `theta`, verifying each
+/// candidate with the full max-weight (Hungarian) entity matching.
+pub fn k_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> BaselineResult {
     let start = Instant::now();
     let sim_cfg = SimConfig::default().with_measures(MeasureSet::T);
     let es: Vec<Vec<NodeId>> = s
@@ -176,7 +163,7 @@ mod tests {
         let mut kn = setup();
         let s = kn.corpus_from_lines(["morning latte", "apple cake slice"]);
         let t = kn.corpus_from_lines(["espresso evening", "cake stand"]);
-        let res = k_join(&kn, &s, &t, 0.5, &KJoinConfig::default());
+        let res = k_join(&kn, &s, &t, 0.5);
         // latte vs espresso: matching = 0.8, max entities 1 → 0.8
         assert!(res
             .pairs
@@ -203,7 +190,7 @@ mod tests {
         ]);
         for theta in [0.4, 0.6, 0.8] {
             let want = brute(&kn, &s, &t, theta);
-            let got = k_join(&kn, &s, &t, theta, &KJoinConfig::default()).id_pairs();
+            let got = k_join(&kn, &s, &t, theta).id_pairs();
             assert_eq!(got, want, "θ={theta}");
         }
     }
@@ -213,7 +200,7 @@ mod tests {
         let mut kn = setup();
         let s = kn.corpus_from_lines(["no entities here"]);
         let t = kn.corpus_from_lines(["latte"]);
-        let res = k_join(&kn, &s, &t, 0.1, &KJoinConfig::default());
+        let res = k_join(&kn, &s, &t, 0.1);
         assert!(res.pairs.is_empty());
     }
 

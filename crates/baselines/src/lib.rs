@@ -23,7 +23,7 @@ pub mod pkduck;
 
 pub use adaptjoin::{adapt_join, AdaptJoinConfig};
 pub use combination::combination_join;
-pub use kjoin::{k_join, KJoinConfig};
+pub use kjoin::k_join;
 pub use pkduck::{pkduck_join, PkduckConfig};
 
 use std::time::Duration;

@@ -7,7 +7,7 @@
 use crate::experiments::sized;
 use crate::harness::{med_dataset, score_pairs, wiki_dataset, Table};
 use au_baselines::{adapt_join, combination_join, k_join, pkduck_join};
-use au_baselines::{AdaptJoinConfig, KJoinConfig, PkduckConfig};
+use au_baselines::{AdaptJoinConfig, PkduckConfig};
 use au_core::config::SimConfig;
 use au_core::engine::{Engine, JoinSpec};
 
@@ -30,9 +30,7 @@ pub fn run(scale: f64) -> String {
         let methods: Vec<(&str, Runner)> = vec![
             (
                 "K-Join",
-                Box::new(|theta| {
-                    k_join(&ds.kn, &ds.s, &ds.t, theta, &KJoinConfig::default()).id_pairs()
-                }),
+                Box::new(|theta| k_join(&ds.kn, &ds.s, &ds.t, theta).id_pairs()),
             ),
             (
                 "AdaptJoin",

@@ -9,7 +9,7 @@
 use crate::experiments::sized;
 use crate::harness::{fmt_secs, med_dataset, wiki_dataset, Table};
 use au_baselines::{adapt_join, combination_join, k_join, pkduck_join};
-use au_baselines::{AdaptJoinConfig, KJoinConfig, PkduckConfig};
+use au_baselines::{AdaptJoinConfig, PkduckConfig};
 use au_core::config::{MeasureSet, SimConfig};
 use au_core::engine::{Engine, JoinSpec, Prepared};
 
@@ -55,11 +55,7 @@ pub fn run(scale: f64) -> String {
                 "K-Join".into(),
                 thetas
                     .iter()
-                    .map(|&th| {
-                        k_join(&ds.kn, &ds.s, &ds.t, th, &KJoinConfig::default())
-                            .time
-                            .as_secs_f64()
-                    })
+                    .map(|&th| k_join(&ds.kn, &ds.s, &ds.t, th).time.as_secs_f64())
                     .collect(),
             ),
             (

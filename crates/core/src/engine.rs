@@ -22,11 +22,12 @@
 //! Stages 2–3 and the CSR fetch are `candidate_pass` here; a join runs
 //! stages 4–5 as one pass per probe record (`join_run`: each record's
 //! candidates are verified on the worker that probed them, so no
-//! candidate list exists). Where the list is the product, `filter_run`
-//! collects it and `verify_stage` verifies it (every shard-pair task and
-//! [`Engine::calibrate`]); `count_run` only counts it (the Bernoulli
-//! estimator). Pebble lists are never resident: a record's pebbles
-//! exist only inside the pass that selects its signature
+//! candidate list exists), and [`Engine::calibrate`] times that same
+//! pass. Where the list is the product, `filter_run` collects it
+//! ([`Engine::filter_outcome`], and every shard-pair task, which verifies
+//! it with [`crate::join::verify_candidates`]); `count_run` only counts
+//! it (the Bernoulli estimator). Pebble lists are never resident: a
+//! record's pebbles exist only inside the pass that selects its signature
 //! ([`crate::join::record_signature`]). Output bytes are pinned by
 //! `tests/determinism_pin.rs`; completeness is checked against
 //! [`crate::oracle::brute_force_join`] throughout the test suites.
@@ -48,9 +49,7 @@ use crate::config::SimConfig;
 use crate::error::AuError;
 use crate::estimate::FilterCounts;
 use crate::index::tier0_upper_bound;
-use crate::join::{
-    verify_candidates, CandidatePass, CompatCtx, FilterOutcome, JoinResult, JoinStats, PassTotals,
-};
+use crate::join::{CandidatePass, CompatCtx, JoinResult, JoinStats, PassTotals};
 use crate::knowledge::Knowledge;
 use crate::pebble::DocFreqs;
 pub use crate::prepared::Prepared;
@@ -58,7 +57,7 @@ use crate::prepared::{OrderKey, SigKey};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
-use crate::usim::{usim_approx_seg, GramPostingsIndex, Verifier, VerifyTiers};
+use crate::usim::{usim_approx_seg, Verifier, VerifyTiers};
 use au_text::record::Corpus;
 use au_text::TokenId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -437,82 +436,34 @@ impl Engine {
         (pass, stats)
     }
 
-    /// Stages 2–4 with the collect consumer: the candidate list, for the
-    /// callers whose product it is ([`Engine::filter_outcome`],
-    /// [`Engine::calibrate`], the shard-pair tasks, which verify it with
-    /// [`Engine::verify_stage`]). The returned stats carry the filter's
-    /// funnel and times.
+    /// Stages 2–4 with the collect consumer: the candidate list, sorted by
+    /// `(s, t)`, for the callers whose product it is
+    /// ([`Engine::filter_outcome`] and the shard-pair tasks). The returned
+    /// stats carry the filter's funnel and times.
     pub(crate) fn filter_run(
         &self,
         s: &Prepared,
         t: &Prepared,
         self_join: bool,
         spec: &JoinSpec,
-    ) -> (FilterOutcome, JoinStats) {
+    ) -> (Vec<(u32, u32)>, JoinStats) {
         let (pass, mut stats) = self.candidate_pass(s, t, self_join, spec);
         let start = Instant::now();
         let (candidates, totals) = pass.collect(spec.parallel);
         stats.filter_time += start.elapsed();
         totals.funnel_into(&mut stats);
-        let outcome = FilterOutcome {
-            candidates,
-            processed_pairs: stats.processed_pairs,
-            compat_rejected: stats.compat_rejected,
-            avg_sig_len_s: stats.avg_sig_len_s,
-            avg_sig_len_t: stats.avg_sig_len_t,
-        };
-        (outcome, stats)
+        (candidates, stats)
     }
 
     /// Stages 2–4 with the count consumer: the serial R×S funnel `T′τ` /
     /// `V′τ` of the Bernoulli estimator (Eq. 17), and no candidate list.
     pub(crate) fn count_run(&self, s: &Prepared, t: &Prepared, spec: &JoinSpec) -> FilterCounts {
         let (pass, _) = self.candidate_pass(s, t, false, spec);
-        let totals = pass.count(spec.parallel);
+        let (_, totals) = pass.count(spec.parallel);
         FilterCounts {
             processed: totals.probe.processed,
             candidates: totals.candidates,
         }
-    }
-
-    /// Stage 5 on a collected list: verify `candidates` — ids into
-    /// `s` × `t`, probe-sorted — handing accepted pairs to `sink` in
-    /// candidate order, and add the time, accepted count and tier tallies
-    /// to `stats`. The transposed posting index over `t` is obtained from
-    /// `index` once and only when there is a candidate; its time counts as
-    /// verification. [`Engine::calibrate`] and the shard-pair tasks verify
-    /// through it; the joins verify as they probe ([`Engine::join_run`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn verify_stage(
-        &self,
-        s: &Prepared,
-        t: &Prepared,
-        candidates: &[(u32, u32)],
-        spec: &JoinSpec,
-        index: impl FnOnce() -> Arc<GramPostingsIndex>,
-        stats: &mut JoinStats,
-        mut sink: impl FnMut(u32, u32, f64),
-    ) {
-        if candidates.is_empty() {
-            return;
-        }
-        let start = Instant::now();
-        let (accepted, tiers) = verify_candidates(
-            &self.kn,
-            &self.cfg,
-            &s.segrecs,
-            &t.segrecs,
-            candidates,
-            spec.theta,
-            spec.parallel,
-            &index(),
-        );
-        stats.tiers.merge(&tiers);
-        stats.result_count += accepted.len();
-        for (a, b, sim) in accepted {
-            sink(a, b, sim);
-        }
-        stats.verify_time += start.elapsed();
     }
 
     /// Stages 2–5 on prepared state, with accepted pairs handed to `sink`
@@ -751,6 +702,67 @@ pub(crate) mod tests {
             engine.topk_self(&ps, &JoinSpec::threshold(0.8)),
             Err(AuError::InvalidSpec { field: "mode", .. })
         ));
+    }
+
+    /// θ = 0 would admit pairs sharing no key, which no probe finds, so
+    /// every threshold entry point refuses it — the filterless scan too,
+    /// which would otherwise answer with rows the indexed search never
+    /// admits.
+    #[test]
+    fn every_entry_point_rejects_theta_zero() {
+        use crate::estimate::CostModel;
+        use crate::suggest::SuggestConfig;
+        let (kn, s, t) = setup();
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let zero = JoinSpec::threshold(0.0);
+        let filter = zero.filter_kind();
+        let is_theta =
+            |r: Result<(), AuError>| matches!(r, Err(AuError::InvalidSpec { field: "theta", .. }));
+        let shards = ShardSpec::auto().with_shards(2);
+        let sharded = engine.prepare_sharded(&s, &shards).unwrap();
+        let session = QuerySession::default();
+        let query = session.segment(engine.knowledge(), engine.config(), "cafe latte");
+        let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
+        let model = CostModel {
+            c_f: 5e-8,
+            c_v: 5e-6,
+        };
+        let entry_points = [
+            is_theta(engine.join(&ps, &pt, &zero).map(drop)),
+            is_theta(engine.join_self(&ps, &zero).map(drop)),
+            is_theta(engine.join_sink(&ps, &pt, &zero, |_, _, _| {}).map(drop)),
+            is_theta(engine.join_self_sink(&ps, &zero, |_, _, _| {}).map(drop)),
+            is_theta(engine.join_sharded(&sharded, &sharded, &zero).map(drop)),
+            is_theta(engine.join_self_sharded(&sharded, &zero).map(drop)),
+            is_theta(engine.filter_outcome(&ps, Some(&pt), &zero).map(drop)),
+            is_theta(engine.filter_counts(&ps, &pt, 0.0, filter).map(drop)),
+            is_theta(engine.calibrate(&ps, &pt, 0.0, filter).map(drop)),
+            is_theta(
+                engine
+                    .suggest_tau(&ps, &pt, 0.0, &model, &SuggestConfig::default())
+                    .map(drop),
+            ),
+            is_theta(engine.searcher(&pt, &zero).map(drop)),
+            is_theta(
+                Engine::snapshot_searcher(
+                    Arc::new(
+                        Engine::new(engine.knowledge().clone(), SimConfig::default()).unwrap(),
+                    ),
+                    Arc::new(engine.prepare(&t).unwrap()),
+                    &zero,
+                )
+                .map(drop),
+            ),
+            is_theta(engine.scan(&session, &rows, &query, &zero).map(drop)),
+        ];
+        for (i, rejected) in entry_points.into_iter().enumerate() {
+            assert!(rejected, "entry point {i} accepted θ = 0");
+        }
+        // The smallest positive θ is a threshold like any other.
+        let tiny = JoinSpec::threshold(f64::MIN_POSITIVE);
+        assert!(engine.scan(&session, &rows, &query, &tiny).is_ok());
+        assert!(engine.join(&ps, &pt, &tiny).is_ok());
     }
 
     #[test]

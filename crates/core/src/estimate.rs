@@ -9,13 +9,16 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::join::{FilterOutcome, JoinStats};
+use crate::join::{verify_candidates, FilterOutcome};
 use crate::prepared::Prepared;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
+use crate::usim::{Verifier, VerifyTiers};
 use au_text::record::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Draw an independent Bernoulli sample of `corpus` with inclusion
 /// probability `p` (deterministic under `seed`).
@@ -53,7 +56,7 @@ pub fn estimate_from_counts(counts: FilterCounts, ps: f64, pt: f64) -> Bernoulli
     }
 }
 
-/// Candidates [`Engine::calibrate`] times stage 5 on.
+/// Candidates [`Engine::calibrate`] times stage 5 on, at least.
 const CALIBRATION_VERIFICATIONS: usize = 64;
 
 impl Engine {
@@ -74,7 +77,14 @@ impl Engine {
             self.check(t)?;
         }
         spec.validate_threshold()?;
-        Ok(self.filter_run(s, t.unwrap_or(s), t.is_none(), spec).0)
+        let (candidates, stats) = self.filter_run(s, t.unwrap_or(s), t.is_none(), spec);
+        Ok(FilterOutcome {
+            candidates,
+            processed_pairs: stats.processed_pairs,
+            compat_rejected: stats.compat_rejected,
+            avg_sig_len_s: stats.avg_sig_len_s,
+            avg_sig_len_t: stats.avg_sig_len_t,
+        })
     }
 
     /// The raw `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17):
@@ -95,14 +105,16 @@ impl Engine {
     }
 
     /// Measure the per-unit costs `c_f` / `c_v` of Eq. 15 on prepared
-    /// corpora, serially, through the join's own stages: `c_f` is one
-    /// filtering pass's stage-4 time (the CSR probe, not the order or
-    /// signature stages a memo miss adds) over its `Tτ`; `c_v` is the
-    /// time stage 5 (the join's own driver, walking `t`'s memoized
-    /// transposed index, built beforehand and untimed) takes per
-    /// candidate on the first 64 candidates — or on a small synthesized
-    /// cross product when filtering produced none. Preparation is never
-    /// repeated.
+    /// corpora, serially, through the join's own candidate pass, and
+    /// without building a candidate list: `c_f` is the count consumer's
+    /// summed probe spans (the CSR probe alone, not the order or signature
+    /// stages a memo miss adds) over its `Tτ`; `c_v` is the verify
+    /// consumer's summed spans — stage 5 as a join runs it, walking `t`'s
+    /// memoized transposed index, fetched (so built) beforehand and
+    /// untimed — per candidate over the leading probe records, until at
+    /// least 64 candidates are verified. A pass with no candidates times
+    /// the first 64 pairs of a small synthesized cross product instead.
+    /// Preparation is never repeated.
     pub fn calibrate(
         &self,
         s: &Prepared,
@@ -114,28 +126,49 @@ impl Engine {
         self.check(t)?;
         let spec = JoinSpec::threshold(theta).filter(filter).serial();
         spec.validate_threshold()?;
-        let (outcome, filtered) = self.filter_run(s, t, false, &spec);
-        let c_f = if filtered.processed_pairs > 0 {
-            filtered.filter_time.as_secs_f64() / filtered.processed_pairs as f64
+        let (pass, _) = self.candidate_pass(s, t, false, &spec);
+        let (hits, counted) = pass.count(false);
+        let c_f = if counted.probe.processed > 0 {
+            counted.probe_time.as_secs_f64() / counted.probe.processed as f64
         } else {
             5e-8
         };
-        let mut pairs = outcome.candidates;
-        if pairs.is_empty() {
-            let (ns, nt) = (s.len().min(16) as u32, t.len().min(16) as u32);
-            pairs = (0..ns).flat_map(|a| (0..nt).map(move |b| (a, b))).collect();
+        let mut lead = 0;
+        let mut verified = 0;
+        while lead < hits.len() && verified < CALIBRATION_VERIFICATIONS {
+            verified += hits[lead];
+            lead += 1;
         }
-        pairs.truncate(CALIBRATION_VERIFICATIONS);
-        let c_v = if pairs.is_empty() {
-            2e-6
+        let (ns, nt) = (s.len().min(16) as u32, t.len().min(16) as u32);
+        let c_v = if verified > 0 {
+            let index = t.transposed(false);
+            let tiers = Mutex::new(VerifyTiers::default());
+            let verifier = Verifier::new(&self.kn, &self.cfg);
+            let (_, run) = pass.verify(
+                0..lead as u32,
+                false,
+                &verifier,
+                &s.segrecs,
+                &t.segrecs,
+                &index,
+                theta,
+                &tiers,
+            );
+            (run.consume_time.as_secs_f64() / run.candidates as f64).max(1e-9)
+        } else if ns > 0 && nt > 0 {
+            let pairs: Vec<(u32, u32)> = (0..ns)
+                .flat_map(|a| (0..nt).map(move |b| (a, b)))
+                .take(CALIBRATION_VERIFICATIONS)
+                .collect();
+            let index = t.transposed(false);
+            let start = Instant::now();
+            let (kn, cfg) = (&self.kn, &self.cfg);
+            verify_candidates(
+                kn, cfg, &s.segrecs, &t.segrecs, &pairs, theta, false, &index,
+            );
+            (start.elapsed().as_secs_f64() / pairs.len() as f64).max(1e-9)
         } else {
-            // Warm `t`'s transposed index first, so `c_v` times the walk a
-            // join runs and not the index's one-time build.
-            t.transposed(false);
-            let index = || t.transposed(false);
-            let mut verified = JoinStats::default();
-            self.verify_stage(s, t, &pairs, &spec, index, &mut verified, |_, _, _| {});
-            (verified.verify_time.as_secs_f64() / pairs.len() as f64).max(1e-9)
+            2e-6
         };
         Ok(CostModel {
             c_f: c_f.max(1e-10),

@@ -20,10 +20,12 @@
 //!
 //! A join runs stages 4 and 5 as one pass per probe record: the worker
 //! that probed a record verifies its run there and then, so no candidate
-//! list exists (PASS-JOIN's shape). The list is built only where it is
-//! the product — [`crate::engine::Engine::filter_outcome`], cost
-//! calibration, the shard-pair tasks, which verify it with
-//! [`verify_candidates`] — and the Bernoulli estimator only counts it.
+//! list exists (PASS-JOIN's shape), and cost calibration times that same
+//! pass. The list is built only where it is the product —
+//! [`crate::engine::Engine::filter_outcome`] and the shard-pair tasks,
+//! which verify it with [`verify_candidates`] — and the Bernoulli
+//! estimator only counts it. Either way a probe record's run is the unit
+//! of parallel work: verified whole, on one worker.
 //!
 //! The engine owns stages 1–2 and the memoization of 3–4; this module
 //! holds the one implementation of stages 3, 4 and 5. Tests check them
@@ -298,9 +300,9 @@ pub(crate) struct CompatCtx<'a> {
 /// branch-free [`OverlapCounter`] and hands the record's hits to a
 /// consumer on the worker that probed them; no candidate list outlives
 /// the record unless the consumer keeps one. Three consumers exist:
-/// verify ([`CandidatePass::verify`], every join), collect
-/// ([`CandidatePass::collect`], the list itself) and count
-/// ([`CandidatePass::count`], the funnel only).
+/// verify ([`CandidatePass::verify`], every join and calibration's `c_v`),
+/// collect ([`CandidatePass::collect`], the list itself) and count
+/// ([`CandidatePass::count`], the funnel only, and calibration's `c_f`).
 #[derive(Debug)]
 pub(crate) struct CandidatePass<'a> {
     /// The probe side's signatures.
@@ -451,11 +453,11 @@ impl CandidatePass<'_> {
         (out, totals)
     }
 
-    /// The count consumer: the funnel of the whole probe side, and no
-    /// candidate kept.
-    pub fn count(&self, parallel: bool) -> PassTotals {
+    /// The count consumer: each probe record's candidate count and the
+    /// funnel of the whole probe side, and no candidate kept.
+    pub fn count(&self, parallel: bool) -> (Vec<usize>, PassTotals) {
         let all = 0..self.s.len() as u32;
-        self.run(all, parallel, || (), |_, _, _| (), |_| {}).1
+        self.run(all, parallel, || (), |_, _, hits| hits.len(), |_| {})
     }
 
     /// The collect consumer: every candidate pair of the whole probe side,
@@ -515,13 +517,13 @@ impl CandidatePass<'_> {
 /// accepted `(a, b, sim)` in candidate order plus the per-tier decision
 /// telemetry.
 ///
-/// The sorted candidate list is partitioned into per-probe-record runs,
-/// and each run's shared pebble mass is counted in one walk of `index`,
-/// the transposed posting index over `t` (work ∝ the probe's document
+/// The sorted candidate list is cut into per-probe-record runs, each run
+/// is one work unit of [`crate::parallel::par_map_scratch`], verified
+/// whole on one worker — the unit a join's `CandidatePass::verify` maps —
+/// and its shared pebble mass is counted in one walk of `index`, the
+/// transposed posting index over `t` (work ∝ the probe's document
 /// frequencies); only the candidates that bound cannot reject are
-/// enumerated. The joins verify each run the same way as they probe it
-/// (`CandidatePass::verify`); this collected-list form serves cost
-/// calibration and the shard-pair tasks. Only
+/// enumerated. The shard-pair tasks verify their lists here. Only
 /// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs
 /// and similarities are byte-identical to
 /// [`crate::oracle::verify_candidates_reference`], and the tier counters
@@ -543,29 +545,22 @@ pub fn verify_candidates(
     // tier buckets are pure per-candidate functions, so the aggregate is
     // deterministic regardless of scheduling.
     let tally = Mutex::new(VerifyTiers::default());
-    // Results stay in candidate order, so serial and parallel runs return
-    // identical vectors; the scratch — including a run's mass counters —
-    // is per worker, so the parallel path stays lock-free. A run is split
-    // across workers only when one probe record owns more than a worker's
-    // fair share of the list.
-    let pairs = crate::parallel::par_fragments_scratch(
-        candidates,
+    let runs: Vec<&[(u32, u32)]> = candidates.chunk_by(|x, y| x.0 == y.0).collect();
+    let per_run = crate::parallel::par_map_scratch(
+        &runs,
         parallel,
-        &|&(a, _): &(u32, u32)| a as u64,
         RunScratch::default,
-        |rs, frag| {
+        |rs, run| {
             let mut out = Vec::new();
-            for run in frag.chunk_by(|x, y| x.0 == y.0) {
-                let probe = &s[run[0].0 as usize];
-                engine.verify_run_at_least(probe, t, run, index, theta, rs, &mut out);
-            }
+            let probe = &s[run[0].0 as usize];
+            engine.verify_run_at_least(probe, t, run, index, theta, rs, &mut out);
             out
         },
         |rs| relock(&tally).merge(&rs.take_tally()),
     );
     let tiers = *relock(&tally);
     debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
-    (pairs, tiers)
+    (per_run.into_iter().flatten().collect(), tiers)
 }
 
 #[cfg(test)]

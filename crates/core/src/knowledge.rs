@@ -59,8 +59,6 @@ pub struct Knowledge {
     pub synonyms: Arc<SynonymSet>,
     /// Default corpus for one-off similarity calls and the examples.
     pub corpus: Corpus,
-    /// Tokenizer settings shared by all record ingestion.
-    pub tokenize: TokenizeConfig,
     /// Process-unique id minted at [`KnowledgeBuilder::build`] time and
     /// re-minted on every vocabulary mutation ([`Knowledge::add_record`],
     /// [`Knowledge::corpus_from_lines`]). Un-mutated clones share it
@@ -101,7 +99,8 @@ impl Knowledge {
     /// Tokenize `text` and append it to the built-in corpus.
     pub fn add_record(&mut self, text: &str) -> RecordId {
         self.remint_generation();
-        self.corpus.push_str(text, &mut self.vocab, &self.tokenize)
+        self.corpus
+            .push_str(text, &mut self.vocab, &TokenizeConfig::default())
     }
 
     /// Borrow a record of the built-in corpus.
@@ -131,7 +130,7 @@ impl Knowledge {
         self.remint_generation();
         let mut c = Corpus::new();
         for l in lines {
-            c.push_str(l, &mut self.vocab, &self.tokenize);
+            c.push_str(l, &mut self.vocab, &TokenizeConfig::default());
         }
         self.vocab.seal();
         c
@@ -147,7 +146,7 @@ impl Knowledge {
     /// keeps large-scale dataset generation memory-bounded.
     pub fn push_line(&mut self, corpus: &mut Corpus, line: &str) -> RecordId {
         self.remint_generation();
-        corpus.push_str(line, &mut self.vocab, &self.tokenize)
+        corpus.push_str(line, &mut self.vocab, &TokenizeConfig::default())
     }
 
     /// Longest multi-token span that can be a well-defined segment: the
@@ -187,24 +186,18 @@ pub struct KnowledgeBuilder {
     taxonomy: TaxonomyBuilder,
     entities: EntityDict,
     synonyms: SynonymSet,
-    tokenize: TokenizeConfig,
 }
 
 impl KnowledgeBuilder {
-    /// New empty builder with default tokenizer settings.
+    /// New empty builder. Rules, entity names and records are all
+    /// tokenized with `TokenizeConfig::default()` (lowercased, edge
+    /// punctuation stripped).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Override the tokenizer configuration (affects rules, entity names
-    /// and future records alike).
-    pub fn tokenizer(&mut self, cfg: TokenizeConfig) -> &mut Self {
-        self.tokenize = cfg;
-        self
-    }
-
     fn intern_phrase(&mut self, text: &str) -> Option<(PhraseId, usize)> {
-        let toks = tokenize(text, &self.tokenize);
+        let toks = tokenize(text, &TokenizeConfig::default());
         if toks.is_empty() {
             return None;
         }
@@ -254,7 +247,7 @@ impl KnowledgeBuilder {
     /// every label is valid).
     pub fn try_taxonomy_path(&mut self, labels: &[&str]) -> Result<NodeId, crate::error::AuError> {
         for l in labels {
-            if tokenize(l, &self.tokenize).is_empty() {
+            if tokenize(l, &TokenizeConfig::default()).is_empty() {
                 return Err(crate::error::AuError::EmptyPhrase {
                     text: (*l).to_string(),
                 });
@@ -279,7 +272,7 @@ impl KnowledgeBuilder {
         c: f64,
     ) -> Result<(), crate::error::AuError> {
         for side in [lhs, rhs] {
-            if tokenize(side, &self.tokenize).is_empty() {
+            if tokenize(side, &TokenizeConfig::default()).is_empty() {
                 return Err(crate::error::AuError::EmptyPhrase {
                     text: side.to_string(),
                 });
@@ -318,7 +311,6 @@ impl KnowledgeBuilder {
             entities: Arc::new(self.entities),
             synonyms: Arc::new(self.synonyms),
             corpus: Corpus::new(),
-            tokenize: self.tokenize,
             generation: mint_generation(),
         }
     }

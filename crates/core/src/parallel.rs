@@ -1,11 +1,13 @@
 //! Shared parallel execution for verification-style loops.
 //!
-//! `join`, `topk` and `search` all end in the same shape of work: a slice
-//! of independent items (candidate pairs, accepted pairs to re-score,
-//! per-query candidates), a pure function per item, and a result list that
-//! must come back in a deterministic order. This module is the single
-//! audited implementation of that pattern, so `JoinSpec::parallel` means
-//! one thing everywhere.
+//! Stage 1, signature selection, every candidate pass and the
+//! collected-list verifier all have the same shape of work: a slice of
+//! independent items (records to segment or sign, probe records to probe
+//! and verify, probe runs of a collected candidate list), a pure function
+//! per item, and a result list that must come back in a deterministic
+//! order. A probe record's run is always one item, verified whole on one
+//! worker. This module is the single audited implementation of that
+//! pattern, so `JoinSpec::parallel` means one thing everywhere.
 //!
 //! Design:
 //!
@@ -53,20 +55,6 @@ fn batch_size(len: usize, threads: usize) -> usize {
     (len / (threads * BATCHES_PER_WORKER)).clamp(MIN_BATCH, MAX_BATCH)
 }
 
-/// Unit size of a run-aligned plan ([`par_fragments_scratch`]): a run is
-/// a unit of work — its setup (the run-level posting walk) costs what the
-/// *run* costs, not what the fragment holds, so
-/// every cut of a run pays it again. Whole runs are packed up to a
-/// worker's fair share of the list, [`BATCHES_PER_WORKER`] units per
-/// worker, and a run is split only when it alone exceeds that:
-/// [`batch_size`] without the [`MAX_BATCH`] cap (which exists to bound
-/// cursor traffic per *item*, not to cut runs), so lists shorter than
-/// `MAX_BATCH × threads × BATCHES_PER_WORKER` plan exactly as uniform
-/// batches do.
-fn run_unit_size(len: usize, threads: usize) -> usize {
-    (len / (threads * BATCHES_PER_WORKER)).max(MIN_BATCH)
-}
-
 /// The one audited batch loop the item-wise entry points delegate to:
 /// workers claim adaptively-sized batches off an atomic cursor, run
 /// `run_batch` on each with a per-worker scratch from `init`, and the
@@ -94,81 +82,26 @@ where
         parallel,
         threads,
         MIN_PARALLEL_ITEMS,
-        |threads| uniform_units(items.len(), batch_size(items.len(), threads)),
+        |threads| batch_size(items.len(), threads),
         init,
         run_batch,
         drain,
     )
 }
 
-/// Uniform work-unit plan: `[start, end)` ranges of `batch_len` items.
-fn uniform_units(len: usize, batch_len: usize) -> Vec<(usize, usize)> {
-    (0..len.div_ceil(batch_len))
-        .map(|b| (b * batch_len, ((b + 1) * batch_len).min(len)))
-        .collect()
-}
-
-/// Work-unit plan aligned to *runs* — maximal stretches of consecutive
-/// items with equal `run_key`. Consecutive whole runs are packed into one
-/// unit of at most `target` items, and a single run longer than `target`
-/// is split into `target`-sized pieces, so one heavy run cannot starve
-/// the other workers. Every unit is ≤ `target` items, so the plan offers
-/// at least as many units as the uniform plan would.
-fn run_units<T>(
-    items: &[T],
-    run_key: &(impl Fn(&T) -> u64 + ?Sized),
-    target: usize,
-) -> Vec<(usize, usize)> {
-    let target = target.max(1);
-    let mut units = Vec::with_capacity(items.len().div_ceil(target) + 1);
-    // Invariant: the open unit `[unit_start, run_base)` holds ≤ target
-    // items, and `run_base` is the start of the run ending at `i`.
-    let mut unit_start = 0usize;
-    let mut run_base = 0usize;
-    for i in 1..=items.len() {
-        if i < items.len() && run_key(&items[i]) == run_key(&items[i - 1]) {
-            continue;
-        }
-        // A run `[run_base, i)` just ended.
-        if i - run_base > target {
-            // Oversized run: flush the packed prefix, split the run flat.
-            if run_base > unit_start {
-                units.push((unit_start, run_base));
-            }
-            let mut s = run_base;
-            while i - s > target {
-                units.push((s, s + target));
-                s += target;
-            }
-            unit_start = s;
-        } else if i - unit_start > target {
-            // Whole run fits but overflows the open unit: close before it.
-            units.push((unit_start, run_base));
-            unit_start = run_base;
-        }
-        run_base = i;
-    }
-    if unit_start < items.len() {
-        units.push((unit_start, items.len()));
-    }
-    units
-}
-
-/// Range-driven core of the batch loop (lists shorter than `floor` run
-/// serially): the unit plan is computed lazily
-/// from the worker count (the serial path never needs it), units are
-/// claimed off the atomic cursor exactly like uniform batches, and
-/// `drain` runs once per worker
-/// scratch after that worker's last unit (serial: once, at the end) — the
-/// hook callers use to fold per-worker statistics without sharing mutable
-/// state inside the loop.
+/// Core of the batch loop (lists shorter than `floor` run serially):
+/// units of `unit_len(threads)` consecutive items (the serial path never
+/// computes it) are claimed off the atomic cursor, and `drain` runs once
+/// per worker scratch after that worker's last unit (serial: once, at the
+/// end) — the hook callers use to fold per-worker statistics without
+/// sharing mutable state inside the loop.
 #[allow(clippy::too_many_arguments)]
-fn par_units_on<T, U, S, P, I, F, D>(
+fn par_units_on<T, U, S, I, F, D>(
     items: &[T],
     parallel: bool,
     threads: usize,
     floor: usize,
-    plan: P,
+    unit_len: impl Fn(usize) -> usize,
     init: I,
     run_unit: F,
     drain: D,
@@ -176,7 +109,6 @@ fn par_units_on<T, U, S, P, I, F, D>(
 where
     T: Sync,
     U: Send,
-    P: Fn(usize) -> Vec<(usize, usize)>,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
     D: Fn(&mut S) + Sync,
@@ -188,10 +120,10 @@ where
         return out;
     }
 
-    let units = plan(threads);
-    let n_units = units.len();
+    let unit_len = unit_len(threads);
+    let n_units = items.len().div_ceil(unit_len);
     let cursor = AtomicUsize::new(0);
-    // Unit outputs land in their slot; a Mutex per run (not per slot)
+    // Unit outputs land in their slot; one shared Mutex (not one per slot)
     // would serialise the tail, and per-slot locks are uncontended because
     // the cursor hands every unit index to exactly one worker.
     let slots: Vec<Mutex<Vec<U>>> = (0..n_units).map(|_| Mutex::new(Vec::new())).collect();
@@ -202,7 +134,7 @@ where
             // ordering: Relaxed — the cursor is a pure work ticket: RMW
             // atomicity alone guarantees each unit index is claimed exactly
             // once. No data is published through it — workers read
-            // `units`/`items` captured before spawn, and unit outputs are
+            // `items` captured before spawn, and unit outputs are
             // published to the calling thread by the slot Mutex plus the
             // join below, which orders every worker write before the
             // collection loop.
@@ -210,7 +142,8 @@ where
             if unit >= n_units {
                 break;
             }
-            let (start, end) = units[unit];
+            let start = unit * unit_len;
+            let end = (start + unit_len).min(items.len());
             let out = run_unit(&mut scratch, &items[start..end]);
             *slots[unit].lock().expect("parallel slot poisoned") = out;
         }
@@ -256,54 +189,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     par_map_scratch(items, parallel, || (), |_, x| f(x), |_| {})
-}
-
-/// Like [`par_map_scratch`], but the items form *runs* — maximal stretches
-/// of consecutive items sharing `run_key` — and work units are aligned to
-/// them: consecutive whole runs pack into one unit, and a unit never holds
-/// more items than a worker's fair share of the list (`run_unit_size`), so
-/// a single heavy run is split across workers instead of starving them.
-/// This is the shape of run-batched verification: candidates arrive sorted
-/// by probe record, and `frag_fn` receives each whole fragment slice and
-/// returns its outputs, batching work *across* a run's items (counting one
-/// run's shared pebble mass through a corpus-level index) instead of
-/// mapping them independently.
-///
-/// A fragment holds whole runs back to back, or a piece of a single run
-/// longer than `run_unit_size`; `frag_fn` must detect run boundaries
-/// itself (compare `run_key` of consecutive items) and must treat a
-/// fragment-initial item as a fresh run (fragments of one run may land on
-/// different workers). `drain(scratch)` fires once per worker after its
-/// last unit (serial: once at the end); callers use it to fold per-worker
-/// statistics. Outputs are concatenated in fragment order —
-/// byte-identical to the serial path regardless of thread count or
-/// scheduling.
-pub fn par_fragments_scratch<T, U, S, K, I, F, D>(
-    items: &[T],
-    parallel: bool,
-    run_key: &K,
-    init: I,
-    frag_fn: F,
-    drain: D,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    K: Fn(&T) -> u64 + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
-    D: Fn(&mut S) + Sync,
-{
-    par_units_on(
-        items,
-        parallel,
-        available_threads(),
-        MIN_PARALLEL_ITEMS,
-        |threads| run_units(items, run_key, run_unit_size(items.len(), threads)),
-        init,
-        frag_fn,
-        drain,
-    )
 }
 
 /// Like [`par_map`], but each worker carries a mutable scratch value
@@ -359,7 +244,7 @@ where
         true,
         threads,
         2,
-        |_| uniform_units(tasks.len(), 1),
+        |_| 1,
         || (),
         |_, unit| unit.iter().map(&f).collect(),
         |_| {},
@@ -533,70 +418,6 @@ mod tests {
         );
         let serial: Vec<u32> = items.iter().map(|&x| x * 3).collect();
         assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn run_units_align_and_split() {
-        // Runs of mixed sizes: key = value / 10 → runs of 10, plus one
-        // giant run.
-        let mut items: Vec<u64> = (0..200).map(|x| x / 10).collect();
-        items.extend(std::iter::repeat_n(99u64, 500)); // one heavy run
-        items.extend(100u64..120);
-        let key = |x: &u64| *x;
-        let target = 64;
-        let units = run_units(&items, &key, target);
-        // Full coverage, in order, no overlaps.
-        assert_eq!(units[0].0, 0);
-        assert_eq!(units.last().unwrap().1, items.len());
-        for w in units.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
-        for &(s, e) in &units {
-            assert!(e > s && e - s <= target, "unit ({s},{e}) exceeds target");
-            // A unit boundary is a run boundary unless it splits a run
-            // longer than the target.
-            if s > 0 && items[s] == items[s - 1] {
-                let run_start = (0..s)
-                    .rev()
-                    .find(|&i| items[i] != items[s])
-                    .map_or(0, |i| i + 1);
-                let run_end = (s..items.len())
-                    .find(|&i| items[i] != items[s])
-                    .unwrap_or(items.len());
-                assert!(run_end - run_start > target, "needless split at {s}");
-            }
-        }
-    }
-
-    /// A run is a unit of work: on a list long enough that a worker's
-    /// fair share exceeds a run, units pack whole runs and cut none; a
-    /// run that alone exceeds the share is still split; and below
-    /// `MAX_BATCH × threads × BATCHES_PER_WORKER` items the plan is the
-    /// uniform-batch-sized one.
-    #[test]
-    fn run_units_keep_runs_whole_up_to_a_fair_share() {
-        let threads = 2;
-        let runs: Vec<u64> = (0..64u64)
-            .flat_map(|r| std::iter::repeat_n(r, 700))
-            .collect();
-        let share = run_unit_size(runs.len(), threads);
-        assert_eq!(share, 64 * 700 / (threads * BATCHES_PER_WORKER));
-        let units = run_units(&runs, &|x: &u64| *x, share);
-        assert!(units.len() >= threads * BATCHES_PER_WORKER);
-        for &(start, end) in &units {
-            assert!(
-                start % 700 == 0 && end % 700 == 0,
-                "run cut at ({start}, {end})"
-            );
-        }
-        let giant: Vec<u64> = vec![7; 64 * 700];
-        let units = run_units(&giant, &|x: &u64| *x, run_unit_size(giant.len(), threads));
-        assert_eq!(units.len(), threads * BATCHES_PER_WORKER);
-        // Four runs of 700 are a short list: planned as before.
-        assert_eq!(
-            run_unit_size(4 * 700, threads),
-            batch_size(4 * 700, threads)
-        );
     }
 
     #[test]

@@ -49,9 +49,10 @@ pub struct SearchOutcome {
     pub processed: u64,
     /// Posting entries the mass walk of the transposed index read, summed
     /// over its counter chunks (0 without candidates, and for a scan).
-    /// Like `processed`, a pure function of the query and the index.
-    /// Joins report no such total: a run split across workers walks once
-    /// per fragment, so it would depend on the thread count.
+    /// Like `processed`, a pure function of the query and the index. A
+    /// join's total would be one too, whatever the thread count — every
+    /// probe record's run is walked whole on one worker — but
+    /// [`crate::join::JoinStats`] does not report it.
     pub walked: u64,
     /// Records rejected by the tier-0 compatibility bound before
     /// verification ([`crate::index::ProbeStats::compat_rejected`]).
@@ -89,7 +90,7 @@ impl QuerySession {
     /// Tokenize and segment a raw query string under `kn`; words `kn`'s
     /// vocabulary does not hold get this session's overlay ids.
     pub fn segment(&self, kn: &Knowledge, cfg: &SimConfig, text: &str) -> SegRecord {
-        let toks = au_text::tokenize::tokenize(text, &kn.tokenize);
+        let toks = au_text::tokenize::tokenize(text, &Default::default());
         // The overlay lock covers interning + a tiny per-query snapshot
         // only; segmentation (the expensive part) runs outside it, so
         // concurrent queries don't serialize.
@@ -314,8 +315,11 @@ impl Engine {
     /// append-only segment (`au-serve`'s delta) wants, and nothing larger
     /// does.
     ///
-    /// Only the spec's θ is read (there is no signature to select), so no
-    /// spec can fail here. `query` ([`QuerySession::segment`]) and each
+    /// Only the spec's θ is read (there is no signature to select), but
+    /// the spec is validated as every operation's is: a top-k spec or a θ
+    /// outside (0, 1] is [`AuError::InvalidSpec`], so a scan answers
+    /// exactly the specs an indexed search answers. `query`
+    /// ([`QuerySession::segment`]) and each
     /// row ([`crate::segment::segment_record`]) must have been segmented
     /// under this engine's configuration and under this knowledge or an
     /// earlier state of the same lineage — interning only appends, so
@@ -326,7 +330,8 @@ impl Engine {
         rows: &[&SegRecord],
         query: &SegRecord,
         spec: &JoinSpec,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, AuError> {
+        spec.validate_threshold()?;
         let theta = spec.theta();
         let min_sim = theta - self.cfg.eps;
         let probe_tier0 = (query.n_tokens() as u32, query.min_partition);
@@ -348,14 +353,14 @@ impl Engine {
         }
         let tiers = scratch.run.take_tally();
         session.check_in(scratch);
-        SearchOutcome {
+        Ok(SearchOutcome {
             matches: ranked(matches),
             candidates,
             processed: 0,
             walked: 0,
             compat_rejected: rows.len() as u64 - candidates,
             tiers,
-        }
+        })
     }
 }
 
@@ -625,7 +630,7 @@ mod tests {
                 for (qi, q) in queries.iter().enumerate() {
                     let indexed = searcher.query(q);
                     let segmented = session.segment(engine.knowledge(), engine.config(), q);
-                    let scanned = engine.scan(&session, &rows, &segmented, &spec);
+                    let scanned = engine.scan(&session, &rows, &segmented, &spec).unwrap();
                     let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
                         m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
                     };

@@ -43,13 +43,14 @@
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
 use crate::error::AuError;
-use crate::join::{JoinResult, JoinStats};
+use crate::join::{verify_candidates, JoinResult, JoinStats};
 use crate::prepared::Prepared;
 use crate::segment::segment_stats;
 use crate::spec::JoinSpec;
 use crate::usim::GramPostingsIndex;
 use au_text::record::{Corpus, RecordId};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a corpus should be sharded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -513,11 +514,11 @@ impl Engine {
     ) -> JoinResult {
         // On the diagonal both sides are the one resident shard.
         let diagonal = self_join && std::ptr::eq(pa, pb);
-        let (outcome, mut stats) = self.filter_run(pa, pb, diagonal, spec);
+        let (candidates, mut stats) = self.filter_run(pa, pb, diagonal, spec);
         // Candidates come sorted, so the forward group is probe-sorted;
         // the reverse one is sorted to keep the verifier's runs contiguous.
         let (mut fwd, mut rev) = (Vec::new(), Vec::new());
-        for (la, lb) in outcome.candidates {
+        for (la, lb) in candidates {
             // Distinct records: global ids never tie.
             if !self_join || ids_a[la as usize] < ids_b[lb as usize] {
                 fwd.push((la, lb));
@@ -530,10 +531,29 @@ impl Engine {
         for (s, t, group, ids_s, ids_t) in
             [(pa, pb, fwd, ids_a, ids_b), (pb, pa, rev, ids_b, ids_a)]
         {
-            let sink =
-                |a: u32, b: u32, sim| pairs.push((ids_s[a as usize], ids_t[b as usize], sim));
-            let index = || Arc::new(GramPostingsIndex::build_for(&t.segrecs, spec.parallel));
-            self.verify_stage(s, t, &group, spec, index, &mut stats, sink);
+            if group.is_empty() {
+                continue;
+            }
+            let start = Instant::now();
+            let index = GramPostingsIndex::build_for(&t.segrecs, spec.parallel);
+            let (accepted, tiers) = verify_candidates(
+                &self.kn,
+                &self.cfg,
+                &s.segrecs,
+                &t.segrecs,
+                &group,
+                spec.theta,
+                spec.parallel,
+                &index,
+            );
+            stats.tiers.merge(&tiers);
+            stats.result_count += accepted.len();
+            pairs.extend(
+                accepted
+                    .into_iter()
+                    .map(|(a, b, sim)| (ids_s[a as usize], ids_t[b as usize], sim)),
+            );
+            stats.verify_time += start.elapsed();
         }
         JoinResult { pairs, stats }
     }

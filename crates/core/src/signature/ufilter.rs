@@ -20,10 +20,10 @@ pub fn ufilter_prefix_len(sr: &SegRecord, pebbles: &[Pebble], theta: f64, eps: f
     let m = min_partition_bound(sr);
     let target = theta * m as f64;
     if target <= eps {
-        // θ = 0 (or an empty record): the removal budget θ·MP is zero, so
-        // no pebble is removable — the signature is the whole list. (Even
-        // so, a θ = 0 join is only complete up to pairs sharing at least
-        // one pebble; zero-similarity pairs have no overlap witness.)
+        // An empty record (or θ ≈ 0): the removal budget θ·MP is zero, so
+        // no pebble is removable — the signature is the whole list. (No
+        // threshold operation accepts θ = 0: zero-similarity pairs have no
+        // overlap witness, so such a join could not be complete.)
         return pebbles.len();
     }
     let mass = suffix_masses(sr, pebbles);

@@ -116,20 +116,23 @@ impl JoinSpec {
         AuError::InvalidSpec { field, message }
     }
 
-    /// Validate for a threshold-mode operation (the stage functions read
-    /// `theta` / `filter` / `parallel` straight off a spec that passed
-    /// this).
-    pub(crate) fn validate_threshold(&self) -> Result<(), AuError> {
+    /// Validate for a threshold-mode operation: threshold mode and
+    /// θ ∈ (0, 1]. At θ = 0 every pair qualifies, including pairs that
+    /// share no key, which no signature probe can find, so no operation
+    /// accepts it. Every `Engine` operation calls this first (the stage
+    /// functions read `theta` / `filter` / `parallel` straight off a spec
+    /// that passed it); a service calls it before it writes anything.
+    pub fn validate_threshold(&self) -> Result<(), AuError> {
         if self.mode != SpecMode::Threshold {
             return Err(Self::invalid(
                 "mode",
                 "top-k spec passed to a threshold operation; use Engine::topk".into(),
             ));
         }
-        if !(0.0..=1.0).contains(&self.theta) || self.theta.is_nan() {
+        if !(self.theta > 0.0 && self.theta <= 1.0) {
             return Err(Self::invalid(
                 "theta",
-                format!("threshold must be in [0, 1], got {}", self.theta),
+                format!("threshold must be in (0, 1], got {}", self.theta),
             ));
         }
         Ok(())

@@ -154,7 +154,8 @@ impl Engine {
     /// Algorithm 7 on prepared corpora: recommend the overlap constraint
     /// τ minimising the estimated join cost at `theta`. Bernoulli samples
     /// are drawn from the prepared corpora's records; the full corpora
-    /// themselves are never re-prepared.
+    /// themselves are never re-prepared. `theta` must lie in (0, 1], as
+    /// for every threshold operation.
     pub fn suggest_tau(
         &self,
         s: &Prepared,
@@ -165,6 +166,7 @@ impl Engine {
     ) -> Result<SuggestOutcome, AuError> {
         self.check(s)?;
         self.check(t)?;
+        JoinSpec::threshold(theta).validate_threshold()?;
         let empty = || AuError::InvalidSpec {
             field: "universe",
             message: "the τ universe must not be empty".into(),

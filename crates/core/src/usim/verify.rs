@@ -42,11 +42,13 @@
 //! Bounds only ever *reject* (never accept), and each is a provable
 //! upper bound of exact USIM, so the accept set — and the accepted values,
 //! which always come from the shared `refine_set` — are byte-identical to
-//! the reference per-candidate path. Per-worker scratch composes with
-//! [`crate::parallel::par_fragments_scratch`]: workers never share mutable
-//! state, nothing is cached across candidates, and the buckets are pure
-//! per-candidate functions, so counts and results are independent of
-//! scheduling.
+//! the reference per-candidate path. Scratch is per worker, and a probe
+//! record's run is verified whole by the worker that holds it (a join's
+//! candidate pass, or [`crate::join::verify_candidates`] over a collected
+//! list, each mapping runs through [`crate::parallel::par_map_scratch`]):
+//! workers never share mutable state, nothing is cached across
+//! candidates, and the buckets are pure per-candidate functions, so counts
+//! and results are independent of scheduling.
 
 use crate::config::{GramMeasure, SimConfig};
 use crate::index::Transposed;

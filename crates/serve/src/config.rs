@@ -14,7 +14,9 @@ pub struct ServeConfig {
     /// Similarity configuration shared by every engine the service
     /// builds (base, delta, compacted bases).
     pub sim: SimConfig,
-    /// Threshold θ that [`crate::Service::search`] answers at.
+    /// Threshold θ that [`crate::Service::search`] answers at, in
+    /// (0, 1]: every constructor refuses another before it touches the
+    /// log.
     pub theta: f64,
     /// Signature filter for every query/join spec.
     pub filter: FilterKind,

@@ -52,11 +52,18 @@ impl Service {
     /// corpus. The records get global ids `0..n` in input order. For a
     /// service that survives restarts see [`Service::create`] /
     /// [`Service::open`].
+    ///
+    /// Every constructor validates the service spec first
+    /// ([`JoinSpec::validate_threshold`]: θ ∈ (0, 1]), before it reads
+    /// or writes the log.
+    ///
+    /// [`JoinSpec::validate_threshold`]: au_core::engine::JoinSpec::validate_threshold
     pub fn build<'a>(
         kn: Knowledge,
         lines: impl IntoIterator<Item = &'a str>,
         cfg: ServeConfig,
     ) -> Result<Self, ServeError> {
+        cfg.spec().validate_threshold()?;
         Self::seeded(kn, cfg, lines, None, false)
     }
 
@@ -128,6 +135,7 @@ impl Service {
         seed: Option<&[&str]>,
         require_fresh: bool,
     ) -> Result<Self, ServeError> {
+        cfg.spec().validate_threshold()?;
         let (mut wal, ops) = Wal::open(storage, cfg.retry).map_err(|e| wal_error("open", &e))?;
         if require_fresh && !ops.is_empty() {
             return Err(ServeError::Wal {
@@ -349,6 +357,44 @@ pub(crate) mod tests {
             .iter()
             .map(|&(row, sim)| (gids[row as usize], sim))
             .collect()
+    }
+
+    /// A service at θ = 0 would answer pairs sharing no key from its
+    /// delta scan and lose them at the next compaction, so every
+    /// constructor refuses it — a durable one before it logs a frame.
+    #[test]
+    fn a_service_at_theta_zero_is_refused_before_its_log_is_touched() {
+        use crate::storage::MemStorage;
+        let zero = ServeConfig {
+            theta: 0.0,
+            ..cfg()
+        };
+        let refused = |r: Result<Service, ServeError>| {
+            matches!(
+                r,
+                Err(ServeError::Engine(au_core::AuError::InvalidSpec {
+                    field: "theta",
+                    ..
+                }))
+            )
+        };
+        let kn = || KnowledgeBuilder::new().build();
+        assert!(refused(Service::build(kn(), LINES, zero)));
+        let log = MemStorage::new();
+        let created = Service::create_with(kn(), LINES, zero, Box::new(log.clone()));
+        assert!(refused(created));
+        assert!(log.bytes().is_empty(), "a refused create logged frames");
+        assert!(refused(Service::open_with(
+            kn(),
+            zero,
+            Box::new(log.clone())
+        )));
+        let dir = std::env::temp_dir().join(format!("au_serve_theta0_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(refused(Service::create(kn(), LINES, zero, &dir)));
+        let logged = std::fs::metadata(dir.join("wal.log")).map_or(0, |m| m.len());
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(logged, 0, "a refused create wrote its log");
     }
 
     #[test]

@@ -396,7 +396,10 @@ impl Snapshot {
     ) -> SearchResponse {
         let delta = (!self.delta.is_empty()).then(|| {
             let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &*r.seg).collect();
-            self.engine.scan(&self.session, &rows, query, spec)
+            // `spec` is `base`'s, which passed the same validation when
+            // that searcher was built, so the scan never refuses it.
+            let scanned = self.engine.scan(&self.session, &rows, query, spec);
+            scanned.unwrap_or_default()
         });
         self.merge(base.query_record(query), delta)
     }

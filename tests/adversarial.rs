@@ -225,9 +225,17 @@ fn zero_and_one_thresholds() {
             .collect::<Vec<_>>(),
         vec![(0, 0)]
     );
-    // θ = 0: everything with any shared pebble is a result; must at least
-    // contain the oracle at any positive θ and never crash.
-    let res0 = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(0.0));
+    // θ = 0 would qualify pairs sharing no key, which no probe finds: it
+    // is refused with a typed error, never a crash.
+    let engine = Engine::new(kn.clone(), cfg).expect("valid config");
+    let ps = engine.prepare(&s).expect("prepare S");
+    let pt = engine.prepare(&t).expect("prepare T");
+    assert!(matches!(
+        engine.join(&ps, &pt, &JoinSpec::threshold(0.0)),
+        Err(AuError::InvalidSpec { field: "theta", .. })
+    ));
+    // Just above it, every pair with any shared pebble is a result.
+    let res0 = join(&kn, &cfg, &s, &t, &JoinSpec::threshold(f64::MIN_POSITIVE));
     assert!(!res0.pairs.is_empty());
 }
 

@@ -19,6 +19,9 @@
 //!     4,000 live heap bytes and 16 live allocations per record: a
 //!     segmented record is one flat row — segment headers, one gram
 //!     array, one text — not a heap object per segment.
+//! (d) A warm `Engine::calibrate` at the same θ and filter times that
+//!     same pass and builds no candidate list: its transient peak is
+//!     under 4 bytes per candidate too.
 
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
@@ -193,5 +196,28 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
         per_candidate < 4.0,
         "warm join peaked {transient} B above its start: {per_candidate:.2} B per candidate \
          over {candidates} candidates"
+    );
+
+    // (d) A warm `calibrate` at the same θ and filter times the join's own
+    //     pass — counted, then verified over a few leading probe records —
+    //     and so holds no candidate list either.
+    let filter = spec.filter_kind();
+    engine
+        .calibrate(&ps, &pt, 0.9, filter)
+        .expect("cold calibrate");
+    let start = reset_peak();
+    engine
+        .calibrate(&ps, &pt, 0.9, filter)
+        .expect("warm calibrate");
+    let calibrating = peak() - start;
+    let per_candidate = calibrating as f64 / candidates as f64;
+    eprintln!(
+        "warm calibrate: {calibrating} B peak, {per_candidate:.2} B per candidate over \
+         {candidates}"
+    );
+    assert!(
+        per_candidate < 4.0,
+        "warm calibrate peaked {calibrating} B above its start: {per_candidate:.2} B per \
+         candidate over {candidates} candidates"
     );
 }

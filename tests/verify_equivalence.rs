@@ -200,7 +200,9 @@ fn check_queries(ds: &LabeledDataset, theta: f64) {
     for q in query_set(ds) {
         let walked = searcher.query(&q);
         let segmented = session.segment(engine.knowledge(), engine.config(), &q);
-        let scanned = engine.scan(&session, &rows, &segmented, &spec);
+        let scanned = engine
+            .scan(&session, &rows, &segmented, &spec)
+            .expect("scan");
         let ctx = format!("θ={theta} q={q:?}");
         assert_eq!(
             match_bits(&walked.matches),

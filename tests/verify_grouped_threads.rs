@@ -7,9 +7,9 @@
 //! process, so this check lives in its own integration-test binary: the
 //! single test below sets the variable before any parallel code runs,
 //! guaranteeing the override is what the work-stealing layer sees. On
-//! multi-core hosts this exercises true 3-worker scheduling of the
-//! run-aligned fragments; on single-core CI it still pins the worker
-//! count deterministically. The same pin cuts the transposed posting
+//! multi-core hosts this exercises true 3-worker scheduling of whole
+//! probe runs, one heavy run among them; on single-core CI it still pins
+//! the worker count deterministically. The same pin cuts the transposed posting
 //! index's gram table into ranges built on three workers
 //! (`GramPostingsIndex::build`); queries verified through it must equal a
 //! per-pair scan that never touches it.
@@ -62,6 +62,46 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
         assert_eq!(serial_tiers.decisions(), cands.len() as u64);
     }
 
+    // A list dominated by one probe record: record 0 against every T
+    // record, beside one candidate per other record. Its run is far
+    // longer than a worker's fair share of the list (`len / (threads ×
+    // 8)`, where a run-cutting planner would have split it), and there
+    // are enough runs for the list to fan out: the run stays whole on
+    // one worker, and the output is still the serial and reference one.
+    let heavy = LabeledDataset::generate(&profile, 400, 400, 80, 23);
+    let engine = Engine::new(heavy.kn.clone(), cfg).expect("engine");
+    let ps = engine.prepare(&heavy.s).expect("prepare S");
+    let pt = engine.prepare(&heavy.t).expect("prepare T");
+    let (sp, tp) = (ps.seg_records(), pt.seg_records());
+    let index = GramPostingsIndex::build(tp);
+    let n_t = tp.len() as u32;
+    let cands: Vec<(u32, u32)> = (0..n_t)
+        .map(|b| (0, b))
+        .chain((1..sp.len() as u32).map(|a| (a, a % n_t)))
+        .collect();
+    assert!(n_t as usize > cands.len() / (3 * 8), "the run fits a share");
+    assert!(sp.len() >= au_join::core::parallel::MIN_PARALLEL_ITEMS);
+    let theta = 0.6;
+    let (serial, serial_tiers) =
+        verify_candidates(&heavy.kn, &cfg, sp, tp, &cands, theta, false, &index);
+    let (parallel, parallel_tiers) =
+        verify_candidates(&heavy.kn, &cfg, sp, tp, &cands, theta, true, &index);
+    let reference = verify_candidates_reference(&heavy.kn, &cfg, sp, tp, &cands, theta, true);
+    let bits = |pairs: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+        pairs
+            .iter()
+            .map(|&(a, b, sim)| (a, b, sim.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&serial), bits(&parallel));
+    assert_eq!(bits(&parallel), bits(&reference));
+    assert!(
+        serial.iter().any(|&(a, _, _)| a == 0),
+        "the heavy run accepts"
+    );
+    assert_eq!(serial_tiers, parallel_tiers);
+    assert_eq!(serial_tiers.decisions(), cands.len() as u64);
+
     // Past 512 records per range the index's gram table is built in
     // ranges (three here) and concatenated: every query through it must
     // answer as the filterless per-pair scan does, tiers accounted.
@@ -76,7 +116,9 @@ fn grouped_verify_is_byte_identical_with_pinned_workers() {
     for r in big.s.records().iter().step_by(40) {
         let walked = searcher.query(&r.raw);
         let segmented = session.segment(engine.knowledge(), engine.config(), &r.raw);
-        let scanned = engine.scan(&session, &rows, &segmented, &spec);
+        let scanned = engine
+            .scan(&session, &rows, &segmented, &spec)
+            .expect("scan");
         let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
             m.iter().map(|&(row, sim)| (row, sim.to_bits())).collect()
         };
