@@ -55,6 +55,9 @@ pub struct WorkloadRow {
     pub candidates: u64,
     /// `Tτ`: posting entries touched (Eq. 16).
     pub processed_pairs: u64,
+    /// Posting entries the verification mass walks read
+    /// ([`au_core::join::JoinStats::walked`]): the same in both modes.
+    pub walked_postings: u64,
     /// Pairs rejected in-probe by the tier-0 compatibility bound
     /// ([`au_core::join::JoinStats::compat_rejected`]).
     pub compat_rejected: u64,
@@ -640,6 +643,7 @@ pub fn run_workload(
                 mode,
                 candidates: res.stats.candidates,
                 processed_pairs: res.stats.processed_pairs,
+                walked_postings: res.stats.walked,
                 compat_rejected: res.stats.compat_rejected,
                 result_pairs: res.pairs.len() as u64,
                 tiers: res.stats.tiers,
@@ -735,6 +739,7 @@ impl WorkloadRow {
             ("mode", self.mode.into()),
             ("candidates", self.candidates.into()),
             ("processed_pairs", self.processed_pairs.into()),
+            ("walked_postings", self.walked_postings.into()),
             ("compat_rejected", self.compat_rejected.into()),
             ("result_pairs", self.result_pairs.into()),
         ];

@@ -49,7 +49,7 @@ use crate::config::SimConfig;
 use crate::error::AuError;
 use crate::estimate::FilterCounts;
 use crate::index::tier0_upper_bound;
-use crate::join::{CandidatePass, CompatCtx, JoinResult, JoinStats, PassTotals};
+use crate::join::{CandidatePass, CompatCtx, JoinResult, JoinStats, PassTotals, RunTotals};
 use crate::knowledge::Knowledge;
 use crate::pebble::DocFreqs;
 pub use crate::prepared::Prepared;
@@ -57,7 +57,7 @@ use crate::prepared::{OrderKey, SigKey};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
-use crate::usim::{usim_approx_seg, Verifier, VerifyTiers};
+use crate::usim::{usim_approx_seg, Verifier};
 use au_text::record::Corpus;
 use au_text::TokenId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -490,7 +490,8 @@ impl Engine {
         let index = t.transposed(spec.parallel);
         let fetched = start.elapsed();
         let verifier = Verifier::new(&self.kn, &self.cfg);
-        let tiers = Mutex::new(VerifyTiers::default());
+        let side = t.run_side(&index);
+        let verified = Mutex::new(RunTotals::default());
         let mut totals = PassTotals::default();
         let n = pass.s.len();
         for lo in (0..n).step_by(block.max(1)) {
@@ -500,10 +501,9 @@ impl Engine {
                 spec.parallel,
                 &verifier,
                 &s.segrecs,
-                &t.segrecs,
-                &index,
+                side,
                 spec.theta,
-                &tiers,
+                &verified,
             );
             totals.merge(&run);
             for (a, b, sim) in accepted.into_iter().flatten() {
@@ -515,7 +515,8 @@ impl Engine {
         stats.filter_time += probing;
         stats.verify_time += fetched + verifying;
         totals.funnel_into(&mut stats);
-        stats.tiers = *relock(&tiers);
+        let verified = *relock(&verified);
+        (stats.tiers, stats.walked) = (verified.tiers, verified.walked);
         debug_assert_eq!(stats.tiers.decisions(), stats.candidates);
         stats
     }
@@ -542,14 +543,14 @@ impl Engine {
     pub fn join(&self, s: &Prepared, t: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
         self.check(s)?;
         self.check(t)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_full(s, t, false, spec))
     }
 
     /// Threshold self-join (pairs reported with `s < t`).
     pub fn join_self(&self, c: &Prepared, spec: &JoinSpec) -> Result<JoinResult, AuError> {
         self.check(c)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_full(c, c, true, spec))
     }
 
@@ -566,7 +567,7 @@ impl Engine {
     ) -> Result<JoinStats, AuError> {
         self.check(s)?;
         self.check(t)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_run(s, t, false, spec, SINK_BLOCK, sink))
     }
 
@@ -578,7 +579,7 @@ impl Engine {
         sink: impl FnMut(u32, u32, f64),
     ) -> Result<JoinStats, AuError> {
         self.check(c)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_run(c, c, true, spec, SINK_BLOCK, sink))
     }
 
@@ -708,6 +709,10 @@ pub(crate) mod tests {
     /// every threshold entry point refuses it — the filterless scan too,
     /// which would otherwise answer with rows the indexed search never
     /// admits.
+    /// θ = 0, and any θ ≤ ε: the acceptance threshold θ − ε is ≤ 0, so
+    /// pairs sharing no key would qualify — a typed error at every
+    /// threshold entry point, and the smallest θ past ε is a threshold
+    /// like any other.
     #[test]
     fn every_entry_point_rejects_theta_zero() {
         use crate::estimate::CostModel;
@@ -715,8 +720,7 @@ pub(crate) mod tests {
         let (kn, s, t) = setup();
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
-        let zero = JoinSpec::threshold(0.0);
-        let filter = zero.filter_kind();
+        let eps = engine.config().eps;
         let is_theta =
             |r: Result<(), AuError>| matches!(r, Err(AuError::InvalidSpec { field: "theta", .. }));
         let shards = ShardSpec::auto().with_shards(2);
@@ -728,39 +732,42 @@ pub(crate) mod tests {
             c_f: 5e-8,
             c_v: 5e-6,
         };
-        let entry_points = [
-            is_theta(engine.join(&ps, &pt, &zero).map(drop)),
-            is_theta(engine.join_self(&ps, &zero).map(drop)),
-            is_theta(engine.join_sink(&ps, &pt, &zero, |_, _, _| {}).map(drop)),
-            is_theta(engine.join_self_sink(&ps, &zero, |_, _, _| {}).map(drop)),
-            is_theta(engine.join_sharded(&sharded, &sharded, &zero).map(drop)),
-            is_theta(engine.join_self_sharded(&sharded, &zero).map(drop)),
-            is_theta(engine.filter_outcome(&ps, Some(&pt), &zero).map(drop)),
-            is_theta(engine.filter_counts(&ps, &pt, 0.0, filter).map(drop)),
-            is_theta(engine.calibrate(&ps, &pt, 0.0, filter).map(drop)),
-            is_theta(
-                engine
-                    .suggest_tau(&ps, &pt, 0.0, &model, &SuggestConfig::default())
+        for theta in [0.0, f64::MIN_POSITIVE, 1e-12, eps] {
+            let zero = JoinSpec::threshold(theta);
+            let filter = zero.filter_kind();
+            let entry_points = [
+                is_theta(engine.join(&ps, &pt, &zero).map(drop)),
+                is_theta(engine.join_self(&ps, &zero).map(drop)),
+                is_theta(engine.join_sink(&ps, &pt, &zero, |_, _, _| {}).map(drop)),
+                is_theta(engine.join_self_sink(&ps, &zero, |_, _, _| {}).map(drop)),
+                is_theta(engine.join_sharded(&sharded, &sharded, &zero).map(drop)),
+                is_theta(engine.join_self_sharded(&sharded, &zero).map(drop)),
+                is_theta(engine.filter_outcome(&ps, Some(&pt), &zero).map(drop)),
+                is_theta(engine.filter_counts(&ps, &pt, theta, filter).map(drop)),
+                is_theta(engine.calibrate(&ps, &pt, theta, filter).map(drop)),
+                is_theta(
+                    engine
+                        .suggest_tau(&ps, &pt, theta, &model, &SuggestConfig::default())
+                        .map(drop),
+                ),
+                is_theta(engine.searcher(&pt, &zero).map(drop)),
+                is_theta(
+                    Engine::snapshot_searcher(
+                        Arc::new(
+                            Engine::new(engine.knowledge().clone(), SimConfig::default()).unwrap(),
+                        ),
+                        Arc::new(engine.prepare(&t).unwrap()),
+                        &zero,
+                    )
                     .map(drop),
-            ),
-            is_theta(engine.searcher(&pt, &zero).map(drop)),
-            is_theta(
-                Engine::snapshot_searcher(
-                    Arc::new(
-                        Engine::new(engine.knowledge().clone(), SimConfig::default()).unwrap(),
-                    ),
-                    Arc::new(engine.prepare(&t).unwrap()),
-                    &zero,
-                )
-                .map(drop),
-            ),
-            is_theta(engine.scan(&session, &rows, &query, &zero).map(drop)),
-        ];
-        for (i, rejected) in entry_points.into_iter().enumerate() {
-            assert!(rejected, "entry point {i} accepted θ = 0");
+                ),
+                is_theta(engine.scan(&session, &rows, &query, &zero).map(drop)),
+            ];
+            for (i, rejected) in entry_points.into_iter().enumerate() {
+                assert!(rejected, "entry point {i} accepted θ = {theta}");
+            }
         }
-        // The smallest positive θ is a threshold like any other.
-        let tiny = JoinSpec::threshold(f64::MIN_POSITIVE);
+        let tiny = JoinSpec::threshold(eps.next_up());
         assert!(engine.scan(&session, &rows, &query, &tiny).is_ok());
         assert!(engine.join(&ps, &pt, &tiny).is_ok());
     }

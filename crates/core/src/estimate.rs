@@ -9,11 +9,11 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::join::{verify_candidates, FilterOutcome};
+use crate::join::{verify_runs, FilterOutcome, RunTotals};
 use crate::prepared::Prepared;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
-use crate::usim::{Verifier, VerifyTiers};
+use crate::usim::Verifier;
 use au_text::record::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,7 +76,7 @@ impl Engine {
         if let Some(t) = t {
             self.check(t)?;
         }
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         let (candidates, stats) = self.filter_run(s, t.unwrap_or(s), t.is_none(), spec);
         Ok(FilterOutcome {
             candidates,
@@ -100,7 +100,7 @@ impl Engine {
         self.check(s)?;
         self.check(t)?;
         let spec = JoinSpec::threshold(theta).filter(filter).serial();
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.count_run(s, t, &spec))
     }
 
@@ -125,7 +125,7 @@ impl Engine {
         self.check(s)?;
         self.check(t)?;
         let spec = JoinSpec::threshold(theta).filter(filter).serial();
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         let (pass, _) = self.candidate_pass(s, t, false, &spec);
         let (hits, counted) = pass.count(false);
         let c_f = if counted.probe.processed > 0 {
@@ -142,17 +142,16 @@ impl Engine {
         let (ns, nt) = (s.len().min(16) as u32, t.len().min(16) as u32);
         let c_v = if verified > 0 {
             let index = t.transposed(false);
-            let tiers = Mutex::new(VerifyTiers::default());
+            let totals = Mutex::new(RunTotals::default());
             let verifier = Verifier::new(&self.kn, &self.cfg);
             let (_, run) = pass.verify(
                 0..lead as u32,
                 false,
                 &verifier,
                 &s.segrecs,
-                &t.segrecs,
-                &index,
+                t.run_side(&index),
                 theta,
-                &tiers,
+                &totals,
             );
             (run.consume_time.as_secs_f64() / run.candidates as f64).max(1e-9)
         } else if ns > 0 && nt > 0 {
@@ -163,8 +162,14 @@ impl Engine {
             let index = t.transposed(false);
             let start = Instant::now();
             let (kn, cfg) = (&self.kn, &self.cfg);
-            verify_candidates(
-                kn, cfg, &s.segrecs, &t.segrecs, &pairs, theta, false, &index,
+            verify_runs(
+                kn,
+                cfg,
+                &s.segrecs,
+                t.run_side(&index),
+                &pairs,
+                theta,
+                false,
             );
             (start.elapsed().as_secs_f64() / pairs.len() as f64).max(1e-9)
         } else {

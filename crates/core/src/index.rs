@@ -32,6 +32,10 @@
 //! * **demand** — an admitted, compatible record is a candidate when its
 //!   count reaches its demand.
 //!
+//! Candidates are marked in a bitmap of one bit per indexed record and
+//! read out word by word over the range the hits touched, so they leave
+//! in ascending id order without a sort.
+//!
 //! Neither test skips *reading* a posting entry, so the processed-pairs
 //! count `Tτ` of Eq. 16 is the plain sum of the scanned list lengths.
 //!
@@ -355,9 +359,11 @@ fn prefix_sums(counts: &[u32], total: usize) -> Vec<u32> {
 /// `counts[r]` is record `r`'s overlap with the current probe, and the
 /// first-touch log lists every record the probe touched, with the probe
 /// key it was first touched at. The emission pass zeroes exactly the
-/// counts the probe raised, so every probe starts from all-zero counts
-/// with no clearing pass and no per-pair hashing. Size it to the
-/// *indexed* side once and reuse it for every probe (see
+/// counts the probe raised and marks each hit in a bitmap, which it then
+/// reads out in id order, zeroing every word it reads — so every probe
+/// starts from all-zero counts and an all-zero bitmap with no clearing
+/// pass, no per-pair hashing and no sort. Size it to the *indexed* side
+/// once and reuse it for every probe (see
 /// [`crate::parallel::par_map_scratch`] for the parallel sharing pattern).
 #[derive(Debug, Clone)]
 pub struct OverlapCounter {
@@ -366,6 +372,8 @@ pub struct OverlapCounter {
     /// scan order; one slot more than there are records, because the scan
     /// writes a slot on every posting and advances only on a first touch.
     log: Vec<(u32, u32)>,
+    /// The current probe's hits, bit `r % 64` of word `r / 64`.
+    hits: Vec<u64>,
 }
 
 /// Funnel telemetry of one [`OverlapCounter::probe`] call.
@@ -443,13 +451,15 @@ impl OverlapCounter {
         Self {
             counts: vec![0; n_records],
             log: vec![(0, 0); n_records + 1],
+            hits: vec![0; n_records.div_ceil(64)],
         }
     }
 
     /// Count distinct-key overlaps between one probe record and every
-    /// indexed record, appending the ids whose overlap reaches
+    /// indexed record, and append the ids whose overlap reaches
     /// `min(τ, probe_level, levels[id]).max(1)` — and whose tier-0 bound
-    /// reaches `compat.min_sim` — to `out` in ascending order.
+    /// reaches `compat.min_sim` — to `out`, ascending: read out of the hit
+    /// bitmap over the range of words the hits touched.
     ///
     /// * `keys` — the probe record's distinct signature keys;
     /// * `levels` — per indexed record guarantee levels (see
@@ -462,8 +472,9 @@ impl OverlapCounter {
     /// each logged record from its first key index `i₀` — the τ-skip with
     /// `rem = m − i₀` (a record refused there would be refused at every
     /// later key, since `rem` only shrinks), then the compatibility bound
-    /// (counted once per record), then `count ≥ demand` — and zeroes its
-    /// count.
+    /// (counted once per record), then `count ≥ demand`, setting its hit
+    /// bit — and zeroes its count. The read-out costs one word per 64 ids
+    /// between the lowest hit and the highest.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
@@ -497,7 +508,8 @@ impl OverlapCounter {
                 *count += 1;
             }
         }
-        let first = out.len();
+        // The touched word range: `lo..hi`, empty until a hit.
+        let (mut lo, mut hi) = (self.hits.len(), 0);
         for &(b, i0) in &self.log[..touched] {
             let bi = b as usize;
             let count = std::mem::take(&mut self.counts[bi]);
@@ -508,10 +520,18 @@ impl OverlapCounter {
             if !tier0_compatible(compat.probe_tier0, compat.tier0[bi], compat.min_sim) {
                 stats.compat_rejected += 1;
             } else if count >= demand {
-                out.push(b);
+                self.hits[bi / 64] |= 1 << (bi % 64);
+                lo = lo.min(bi / 64);
+                hi = hi.max(bi / 64 + 1);
             }
         }
-        out[first..].sort_unstable();
+        for w in lo..hi {
+            let mut word = std::mem::take(&mut self.hits[w]);
+            while word != 0 {
+                out.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
         stats
     }
 }

@@ -38,7 +38,7 @@ use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortScratch};
 use crate::segment::SegRecord;
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
-use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
+use crate::usim::{GramPostingsIndex, RunScratch, RunSide, Verifier, VerifyTiers};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -91,6 +91,12 @@ pub struct JoinStats {
     /// deterministic across thread counts and runs — and
     /// `tiers.decisions() == candidates`.
     pub tiers: VerifyTiers,
+    /// Posting entries the verification walks read: per probe record, its
+    /// run's walk of the transposed posting index (every distinct key's
+    /// list, once per partner chunk), summed. A pure function of the
+    /// candidate runs, so independent of the thread count. A sharded run
+    /// sums its tasks' walks.
+    pub walked: u64,
     /// Shard-pair tasks actually executed by a sharded join
     /// ([`crate::engine::Engine::join_self_sharded`] /
     /// [`crate::engine::Engine::join_sharded`]; 0 on monolithic joins).
@@ -475,12 +481,13 @@ impl CandidatePass<'_> {
 
     /// The verify consumer — stages 4 and 5 fused over the probe records
     /// `block`: each record's hits become its run `(a, b…)` in a buffer
-    /// the worker reuses, verified on the spot through `index`, the
-    /// transposed posting index over `t` (see
-    /// [`Verifier::verify_run_at_least`]). Returns the accepted
+    /// the worker reuses, verified on the spot against `side`, the
+    /// indexed side's records, tier-0 column and transposed posting index
+    /// (see [`Verifier::verify_run_at_least`]). Returns the accepted
     /// `(a, b, sim)` per probe record, in record order; the workers' tier
-    /// tallies are folded into `tiers`. Pairs, similarity bits and tallies
-    /// are those [`verify_candidates`] gives the collected list.
+    /// tallies and walked postings are folded into `totals`. Pairs,
+    /// similarity bits and tallies are those [`verify_candidates`] gives
+    /// the collected list.
     #[allow(clippy::too_many_arguments)]
     pub fn verify(
         &self,
@@ -488,27 +495,45 @@ impl CandidatePass<'_> {
         parallel: bool,
         verifier: &Verifier<'_>,
         s: &[Arc<SegRecord>],
-        t: &[Arc<SegRecord>],
-        index: &GramPostingsIndex,
+        side: RunSide<'_>,
         theta: f64,
-        tiers: &Mutex<VerifyTiers>,
+        totals: &Mutex<RunTotals>,
     ) -> (Vec<Accepted>, PassTotals) {
         self.run(
             block,
             parallel,
-            || (RunScratch::default(), Vec::new()),
-            |(rs, run), a, hits| {
+            || (RunScratch::default(), Vec::new(), 0u64),
+            |(rs, run, walked), a, hits| {
                 let mut accepted = Vec::new();
                 if !hits.is_empty() {
                     run.clear();
                     run.extend(hits.iter().map(|&b| (a, b)));
                     let probe = &s[a as usize];
-                    verifier.verify_run_at_least(probe, t, run, index, theta, rs, &mut accepted);
+                    *walked +=
+                        verifier.verify_run_at_least(probe, side, run, theta, rs, &mut accepted);
                 }
                 accepted
             },
-            |(rs, _)| relock(tiers).merge(&rs.take_tally()),
+            |(rs, _, walked)| relock(totals).add(rs, std::mem::take(walked)),
         )
+    }
+}
+
+/// What stage 5 adds up over the runs it verifies: the tier buckets and
+/// the postings the runs' walks read.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunTotals {
+    /// Every candidate's bucket.
+    pub tiers: VerifyTiers,
+    /// Posting entries the run walks read.
+    pub walked: u64,
+}
+
+impl RunTotals {
+    /// Fold in a worker's tally (taken from `rs`) and its walked postings.
+    fn add(&mut self, rs: &mut RunScratch, walked: u64) {
+        self.tiers.merge(&rs.take_tally());
+        self.walked += walked;
     }
 }
 
@@ -523,9 +548,8 @@ impl CandidatePass<'_> {
 /// and its shared pebble mass is counted in one walk of `index`, the
 /// transposed posting index over `t` (work ∝ the probe's document
 /// frequencies); only the candidates that bound cannot reject are
-/// enumerated. The shard-pair tasks verify their lists here. Only
-/// [`crate::engine::Engine::scan`] counts pair by pair. Accepted pairs
-/// and similarities are byte-identical to
+/// enumerated. Only [`crate::engine::Engine::scan`] counts pair by pair.
+/// Accepted pairs and similarities are byte-identical to
 /// [`crate::oracle::verify_candidates_reference`], and the tier counters
 /// to per-pair [`crate::usim::Verifier::sim_at_least`] calls —
 /// `tests/verify_equivalence.rs` enforces both.
@@ -540,27 +564,53 @@ pub fn verify_candidates(
     parallel: bool,
     index: &GramPostingsIndex,
 ) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
+    // No `Prepared` here to hold `t`'s tier-0 column: derive it.
+    let tier0: Vec<(u32, u32)> = (t.iter())
+        .map(|r| (r.n_tokens() as u32, r.min_partition))
+        .collect();
+    let side = RunSide {
+        recs: t,
+        tier0: &tier0,
+        index,
+    };
+    let (accepted, totals) = verify_runs(kn, cfg, s, side, candidates, theta, parallel);
+    (accepted, totals.tiers)
+}
+
+/// [`verify_candidates`] against a verified side whose tier-0 column
+/// exists (the shard-pair tasks pass their shard's), with the walked
+/// postings reported beside the tiers.
+pub(crate) fn verify_runs(
+    kn: &Knowledge,
+    cfg: &SimConfig,
+    s: &[Arc<SegRecord>],
+    side: RunSide<'_>,
+    candidates: &[(u32, u32)],
+    theta: f64,
+    parallel: bool,
+) -> (Vec<(u32, u32, f64)>, RunTotals) {
     let engine = Verifier::new(kn, cfg);
     // Worker tallies are folded in the parallel layer's drain hook; the
-    // tier buckets are pure per-candidate functions, so the aggregate is
-    // deterministic regardless of scheduling.
-    let tally = Mutex::new(VerifyTiers::default());
+    // tier buckets are pure per-candidate functions and a run's walk a
+    // pure function of the run, so the aggregate is deterministic
+    // regardless of scheduling.
+    let totals = Mutex::new(RunTotals::default());
     let runs: Vec<&[(u32, u32)]> = candidates.chunk_by(|x, y| x.0 == y.0).collect();
     let per_run = crate::parallel::par_map_scratch(
         &runs,
         parallel,
-        RunScratch::default,
-        |rs, run| {
+        || (RunScratch::default(), 0u64),
+        |(rs, walked), run| {
             let mut out = Vec::new();
             let probe = &s[run[0].0 as usize];
-            engine.verify_run_at_least(probe, t, run, index, theta, rs, &mut out);
+            *walked += engine.verify_run_at_least(probe, side, run, theta, rs, &mut out);
             out
         },
-        |rs| relock(&tally).merge(&rs.take_tally()),
+        |(rs, walked)| relock(&totals).add(rs, std::mem::take(walked)),
     );
-    let tiers = *relock(&tally);
-    debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
-    (per_run.into_iter().flatten().collect(), tiers)
+    let totals = *relock(&totals);
+    debug_assert_eq!(totals.tiers.decisions(), candidates.len() as u64);
+    (per_run.into_iter().flatten().collect(), totals)
 }
 
 #[cfg(test)]

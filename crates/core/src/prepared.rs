@@ -17,7 +17,7 @@ use crate::pebble::{DocFreqs, PebbleOrder};
 use crate::segment::SegRecord;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
-use crate::usim::GramPostingsIndex;
+use crate::usim::{GramPostingsIndex, RunSide};
 use au_text::record::Corpus;
 use au_text::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,6 +333,16 @@ impl Prepared {
         let idx = Arc::new(GramPostingsIndex::build_for(&self.segrecs, parallel));
         m.transposed = Some(idx.clone());
         idx
+    }
+
+    /// This corpus as the verified side of probe runs walking `index`
+    /// (its transposed posting index).
+    pub(crate) fn run_side<'a>(&'a self, index: &'a GramPostingsIndex) -> RunSide<'a> {
+        RunSide {
+            recs: &self.segrecs,
+            tier0: &self.tier0,
+            index,
+        }
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {

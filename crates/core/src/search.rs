@@ -50,9 +50,9 @@ pub struct SearchOutcome {
     /// Posting entries the mass walk of the transposed index read, summed
     /// over its counter chunks (0 without candidates, and for a scan).
     /// Like `processed`, a pure function of the query and the index. A
-    /// join's total would be one too, whatever the thread count — every
-    /// probe record's run is walked whole on one worker — but
-    /// [`crate::join::JoinStats`] does not report it.
+    /// join reports the same count summed over its probe records
+    /// ([`crate::join::JoinStats::walked`]), whatever the thread count —
+    /// every probe record's run is walked whole on one worker.
     pub walked: u64,
     /// Records rejected by the tier-0 compatibility bound before
     /// verification ([`crate::index::ProbeStats::compat_rejected`]).
@@ -206,9 +206,8 @@ impl SearchCore {
         let mut accepted = Vec::new();
         let walked = Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
             sr,
-            prepared.seg_records(),
+            prepared.run_side(&self.transposed),
             &run,
-            &self.transposed,
             self.spec.theta,
             &mut scratch.run,
             &mut accepted,
@@ -287,7 +286,7 @@ impl Engine {
 
     fn search_core(&self, c: &Prepared, spec: &JoinSpec) -> Result<SearchCore, AuError> {
         self.check(c)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         let order = self.order_self(c);
         let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
         let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &order, &sel);
@@ -317,8 +316,10 @@ impl Engine {
     ///
     /// Only the spec's θ is read (there is no signature to select), but
     /// the spec is validated as every operation's is: a top-k spec or a θ
-    /// outside (0, 1] is [`AuError::InvalidSpec`], so a scan answers
-    /// exactly the specs an indexed search answers. `query`
+    /// outside (ε, 1] (ε = [`SimConfig::eps`](crate::SimConfig::eps)) is
+    /// [`AuError::InvalidSpec`], so a scan answers exactly the specs an
+    /// indexed search answers, and never keeps a row sharing nothing with
+    /// the query. `query`
     /// ([`QuerySession::segment`]) and each
     /// row ([`crate::segment::segment_record`]) must have been segmented
     /// under this engine's configuration and under this knowledge or an
@@ -331,7 +332,7 @@ impl Engine {
         query: &SegRecord,
         spec: &JoinSpec,
     ) -> Result<SearchOutcome, AuError> {
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         let theta = spec.theta();
         let min_sim = theta - self.cfg.eps;
         let probe_tier0 = (query.n_tokens() as u32, query.min_partition);
@@ -498,6 +499,7 @@ impl SnapshotSearcher {
 mod tests {
     use crate::config::SimConfig;
     use crate::engine::{Engine, JoinSpec, QuerySession};
+    use crate::error::AuError;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
     use crate::oracle::brute_force_join;
     use crate::segment::{segment_record, SegRecord};
@@ -746,6 +748,39 @@ mod tests {
             .into();
         let queries = ["".to_string(), "coffee shop latte".to_string()];
         assert_scan_equals_index(&lines, &queries);
+    }
+
+    /// At θ ≤ ε the acceptance threshold θ − ε is ≤ 0: a scan would keep
+    /// rows sharing nothing with the query at similarity 0, rows no
+    /// searcher ever admits. So both refuse such a θ (every other entry
+    /// point: `engine::tests::every_entry_point_rejects_theta_zero`), and
+    /// just above ε the two paths agree again.
+    #[test]
+    fn a_threshold_within_eps_is_refused_and_scan_agrees_with_the_index_above_it() {
+        let mut kn = KnowledgeBuilder::new().build();
+        let rows = kn.corpus_from_lines(["ab cd", "ef gh"]);
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
+        let pt = engine.prepare(&rows).expect("prepare");
+        let recs: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
+        let session = QuerySession::default();
+        let query = session.segment(engine.knowledge(), engine.config(), "qq");
+        let eps = engine.config().eps;
+        let refused =
+            |r: Result<(), AuError>| matches!(r, Err(AuError::InvalidSpec { field: "theta", .. }));
+        for theta in [1e-12, eps] {
+            let spec = JoinSpec::threshold(theta);
+            let scan = engine.scan(&session, &recs, &query, &spec);
+            assert!(refused(scan.map(drop)), "θ={theta}: scan");
+            assert!(refused(engine.searcher(&pt, &spec).map(drop)), "θ={theta}");
+        }
+        let spec = JoinSpec::threshold(2.0 * eps);
+        let scanned = engine.scan(&session, &recs, &query, &spec).expect("θ > ε");
+        let indexed = engine.searcher(&pt, &spec).expect("θ > ε").query("qq");
+        assert_eq!(scanned.matches, indexed.matches);
+        assert!(
+            scanned.matches.is_empty(),
+            "nothing shares a key with the query"
+        );
     }
 
     /// The pooled scratch is the only shared mutable state on the read

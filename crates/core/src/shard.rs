@@ -43,7 +43,7 @@
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
 use crate::error::AuError;
-use crate::join::{verify_candidates, JoinResult, JoinStats};
+use crate::join::{verify_runs, JoinResult, JoinStats};
 use crate::prepared::Prepared;
 use crate::segment::segment_stats;
 use crate::spec::JoinSpec;
@@ -364,7 +364,7 @@ impl Engine {
         spec: &JoinSpec,
     ) -> Result<JoinResult, AuError> {
         self.check_stamp(sp.gen, &sp.cfg)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_shards(sp, None, spec))
     }
 
@@ -378,7 +378,7 @@ impl Engine {
     ) -> Result<JoinResult, AuError> {
         self.check_stamp(s.gen, &s.cfg)?;
         self.check_stamp(t.gen, &t.cfg)?;
-        spec.validate_threshold()?;
+        spec.validate_threshold(self.cfg.eps)?;
         Ok(self.join_shards(s, Some(t), spec))
     }
 
@@ -536,17 +536,17 @@ impl Engine {
             }
             let start = Instant::now();
             let index = GramPostingsIndex::build_for(&t.segrecs, spec.parallel);
-            let (accepted, tiers) = verify_candidates(
+            let (accepted, verified) = verify_runs(
                 &self.kn,
                 &self.cfg,
                 &s.segrecs,
-                &t.segrecs,
+                t.run_side(&index),
                 &group,
                 spec.theta,
                 spec.parallel,
-                &index,
             );
-            stats.tiers.merge(&tiers);
+            stats.tiers.merge(&verified.tiers);
+            stats.walked += verified.walked;
             stats.result_count += accepted.len();
             pairs.extend(
                 accepted
@@ -587,6 +587,7 @@ impl StatAgg {
         sum.avg_sig_len_s += st.avg_sig_len_s * n_s as f64;
         sum.avg_sig_len_t += st.avg_sig_len_t * n_t as f64;
         sum.tiers.merge(&st.tiers);
+        sum.walked += st.walked;
         self.records.0 += n_s as u64;
         self.records.1 += n_t as u64;
     }

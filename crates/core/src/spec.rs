@@ -116,23 +116,29 @@ impl JoinSpec {
         AuError::InvalidSpec { field, message }
     }
 
-    /// Validate for a threshold-mode operation: threshold mode and
-    /// θ ∈ (0, 1]. At θ = 0 every pair qualifies, including pairs that
-    /// share no key, which no signature probe can find, so no operation
+    /// Validate for a threshold-mode operation under a configuration
+    /// whose float slack is `eps` ([`crate::SimConfig::eps`]): threshold
+    /// mode and θ ∈ (ε, 1]. At θ ≤ ε the acceptance threshold `θ − ε` is
+    /// ≤ 0, so every pair qualifies, including pairs that share no key,
+    /// which no signature probe can find — a filterless scan and an
+    /// indexed searcher would answer differently — so no operation
     /// accepts it. Every `Engine` operation calls this first (the stage
     /// functions read `theta` / `filter` / `parallel` straight off a spec
     /// that passed it); a service calls it before it writes anything.
-    pub fn validate_threshold(&self) -> Result<(), AuError> {
+    pub fn validate_threshold(&self, eps: f64) -> Result<(), AuError> {
         if self.mode != SpecMode::Threshold {
             return Err(Self::invalid(
                 "mode",
                 "top-k spec passed to a threshold operation; use Engine::topk".into(),
             ));
         }
-        if !(self.theta > 0.0 && self.theta <= 1.0) {
+        if !(self.theta > eps.max(0.0) && self.theta <= 1.0) {
             return Err(Self::invalid(
                 "theta",
-                format!("threshold must be in (0, 1], got {}", self.theta),
+                format!(
+                    "threshold must be in (ε, 1] with ε = {eps}, got {}",
+                    self.theta
+                ),
             ));
         }
         Ok(())

@@ -154,8 +154,8 @@ impl Engine {
     /// Algorithm 7 on prepared corpora: recommend the overlap constraint
     /// τ minimising the estimated join cost at `theta`. Bernoulli samples
     /// are drawn from the prepared corpora's records; the full corpora
-    /// themselves are never re-prepared. `theta` must lie in (0, 1], as
-    /// for every threshold operation.
+    /// themselves are never re-prepared. `theta` must lie in (ε, 1]
+    /// (ε = [`crate::SimConfig::eps`]), as for every threshold operation.
     pub fn suggest_tau(
         &self,
         s: &Prepared,
@@ -166,7 +166,7 @@ impl Engine {
     ) -> Result<SuggestOutcome, AuError> {
         self.check(s)?;
         self.check(t)?;
-        JoinSpec::threshold(theta).validate_threshold()?;
+        JoinSpec::threshold(theta).validate_threshold(self.cfg.eps)?;
         let empty = || AuError::InvalidSpec {
             field: "universe",
             message: "the τ universe must not be empty".into(),

@@ -24,7 +24,14 @@
 //!   ([`Verifier::sim_at_least`]); per probe run, one walk of the
 //!   corpus-level [`GramPostingsIndex`] that counts every partner of the
 //!   run at once ([`Verifier::verify_run_at_least`] — PASS-JOIN's
-//!   shared-verification idea).
+//!   shared-verification idea). A run's counters are segment-major — one
+//!   column per probe segment, one entry per partner — so the walk bumps
+//!   one column per posting group and the bound is decided column by
+//!   column for the whole run: per probe segment, one pass over every
+//!   partner adds its credit, and each partner's sum is the float the
+//!   per-pair loop adds, in the same order. `|T|`, `MP(T)` and "`T` has
+//!   a node segment" come from per-record columns ([`RunSide`]), so a
+//!   partner the bound rejects is never dereferenced.
 //! * **Row-max** (`rowmax_rejects`) — the survivors' segment pairs that
 //!   can have `msim > 0` (a shared gram, a shared synonym rule, taxonomy
 //!   nodes on both sides, or surface equality) are surfaced by
@@ -70,16 +77,17 @@ const FLAG_NODE: u8 = 2;
 /// live in the low bits (a segment's distinct grams never reach 2³¹).
 const FULL: u32 = 1 << 31;
 
-/// Mass counters (`(sinks + partners) × probe segments`) one worker holds
+/// Mass counters (`probe segments × (sinks + partners)`) one worker holds
 /// at a time; a run needing more is counted in partner chunks. Shrunk
 /// under test, so that a query's few hundred candidates span several
 /// chunks and this crate's unit tests cross chunk boundaries.
 const RUN_COUNTERS_MAX: usize = if cfg!(test) { 256 } else { 1 << 20 };
 
-/// Counter rows at the front of [`RunScratch::acc`] that absorb the hits
-/// of records outside the current run chunk (record `b` → row `b % SINKS`),
-/// so the walk never tests partnership. Eight, not one: consecutive
-/// non-partners on a single sink serialize on its store → load chain.
+/// Counter slots at the front of every column of [`RunScratch::acc`] that
+/// absorb the hits of records outside the current run chunk (record `b` →
+/// slot `b % SINKS`), so the walk never tests partnership. Eight, not one:
+/// consecutive non-partners on a single sink serialize on its store →
+/// load chain.
 const SINKS: usize = 8;
 
 /// Per-step decision telemetry of the verification cascade. Every
@@ -124,7 +132,8 @@ impl VerifyTiers {
 /// run pays no division per candidate.
 #[derive(Debug, Clone, Default)]
 struct CreditTable {
-    /// Start of each segment's `|G(sa)| + 1` entries in `val`.
+    /// Start of each segment's `|G(sa)| + 1` entries in `val`, then
+    /// `val.len()`.
     off: Vec<u32>,
     val: Vec<f64>,
 }
@@ -138,11 +147,13 @@ impl CreditTable {
             let n = seg.grams.len();
             self.val.extend((0..=n).map(|c| gram.score(c, n, c)));
         }
+        self.off.push(self.val.len() as u32);
     }
 
+    /// Segment `sa`'s credits, indexed by its gram count.
     #[inline]
-    fn get(&self, sa: usize, c: u32) -> f64 {
-        self.val[(self.off[sa] + c) as usize]
+    fn segment(&self, sa: usize) -> &[f64] {
+        &self.val[self.off[sa] as usize..self.off[sa + 1] as usize]
     }
 }
 
@@ -171,7 +182,8 @@ const GRAM_RANGE_RECORDS: usize = 512;
 
 /// Corpus-level transposed posting tables of one prepared collection
 /// (surface keys, grams, synonym rules; rule ids widened to u64): which
-/// *records* carry a key — the mass bound never asks which segment. An
+/// *records* carry a key — the mass bound never asks which segment — plus
+/// one bit per record saying whether it carries a taxonomy node. An
 /// artifact of the corpus alone (no order, no θ), built at most once per
 /// [`crate::engine::Prepared`] and shared read-only by every join against
 /// and query over it. A run's mass count
@@ -183,6 +195,8 @@ pub struct GramPostingsIndex {
     keys: Transposed<u64>,
     grams: Transposed<u64>,
     rules: Transposed<u64>,
+    /// Bit `b % 64` of word `b / 64`: record `b` has a node segment.
+    nodes: Vec<u64>,
 }
 
 impl GramPostingsIndex {
@@ -246,11 +260,22 @@ impl GramPostingsIndex {
             Task::Rules => table((0, n), |r| of(r).rule_postings()),
         })
         .into_iter();
+        let mut nodes = vec![0u64; recs.len().div_ceil(64)];
+        for (b, r) in recs.iter().enumerate() {
+            nodes[b / 64] |= u64::from(!r.node_segs().is_empty()) << (b % 64);
+        }
         Self {
             keys: built.next().unwrap_or_default(),
             rules: built.next_back().unwrap_or_default(),
             grams: Transposed::concat(built.collect()),
+            nodes,
         }
+    }
+
+    /// Whether record `b` has a node segment.
+    #[inline]
+    fn has_nodes(&self, b: u32) -> bool {
+        self.nodes[b as usize / 64] >> (b % 64) & 1 != 0
     }
 
     /// Total posting entries (diagnostics).
@@ -265,32 +290,60 @@ impl GramPostingsIndex {
 
     /// Heap footprint in bytes (length-based, deterministic).
     pub fn memory_bytes(&self) -> usize {
-        self.keys.memory_bytes() + self.grams.memory_bytes() + self.rules.memory_bytes()
+        self.keys.memory_bytes()
+            + self.grams.memory_bytes()
+            + self.rules.memory_bytes()
+            + self.nodes.len() * std::mem::size_of::<u64>()
     }
 }
 
+/// The verified side of a probe run: its records by id, their tier-0
+/// `(|T|, MP(T))` integers ([`crate::engine::Prepared`]'s column, the one
+/// the in-probe compatibility bound reads) and the transposed posting
+/// index over them. The run's mass decision reads only the columns and
+/// the index; a record is dereferenced only once the bound lets it by.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSide<'a> {
+    /// The records, by id.
+    pub recs: &'a [Arc<SegRecord>],
+    /// `(n_tokens, min_partition)` per record id.
+    pub tier0: &'a [(u32, u32)],
+    /// The transposed posting index over `recs`.
+    pub index: &'a GramPostingsIndex,
+}
+
 /// Per-worker state of run-batched verification: a [`VerifyScratch`] plus
-/// the run-level mass counters. Fields are module-private; the run driver
-/// ([`Verifier::verify_run_at_least`]) borrows the counter rows and the
-/// verify scratch disjointly.
+/// the run-level mass counters and the per-partner sums the column pass
+/// leaves. Fields are module-private; the run driver
+/// ([`Verifier::verify_run_at_least`]) borrows them and the verify scratch
+/// disjointly.
 ///
-/// Every record has a counter row: a partner of the current run chunk its
-/// own, everyone else one of eight sink rows nobody reads — so the walk
-/// does one `row_of` load and one add per posting and never branches on
-/// partnership.
+/// The counters are segment-major: one column of `stride = SINKS + chunk
+/// partners` slots per probe segment. Every record has a slot in every
+/// column — a partner of the current run chunk its own, everyone else one
+/// of eight sink slots nobody reads — so the walk does one `slot_of` load
+/// and one add per posting and never branches on partnership.
 #[derive(Debug, Clone, Default)]
 pub struct RunScratch {
     /// The per-candidate verification scratch.
     pub verify: VerifyScratch,
-    /// Record id `b` → its row in `acc`: `SINKS + k` for the chunk's `k`-th
-    /// partner, sink `b % SINKS` for everyone else (restored after every
-    /// chunk).
-    row_of: Vec<u32>,
-    /// Mass counters, one row of `s.n_segments()` per sink, then per
-    /// partner of the chunk: shared distinct grams, or [`FULL`].
+    /// Record id `b` → its slot in every column of `acc`: `SINKS + k` for
+    /// the chunk's `k`-th partner, sink `b % SINKS` for everyone else
+    /// (restored after every chunk).
+    slot_of: Vec<u32>,
+    /// Mass counters, column `sa` at `acc[sa * stride..][..stride]`: the
+    /// sinks, then the chunk's partners — shared distinct grams, or
+    /// [`FULL`].
     acc: Vec<u32>,
-    /// The probe segments of the posting group being walked.
-    group_segs: Vec<u32>,
+    /// Per partner of the chunk: the optimistic mass sum (node-bearing
+    /// segments credited 1 against a node-bearing partner)…
+    mass: Vec<f64>,
+    /// …whether that credit was taken (the bound is then lazy)…
+    lazy: Vec<bool>,
+    /// …and whether the partner has a node segment.
+    t_nodes: Vec<bool>,
+    /// Gram credits of the current run's probe record.
+    credit: CreditTable,
 }
 
 impl RunScratch {
@@ -309,34 +362,75 @@ impl RunScratch {
         run: &[(u32, u32)],
         idx: &GramPostingsIndex,
     ) -> u64 {
-        let ns = s.n_segments();
-        let grown = self.row_of.len()..n_t_records;
-        self.row_of.extend(grown.map(|b| (b % SINKS) as u32));
+        let stride = SINKS + run.len();
+        let grown = self.slot_of.len()..n_t_records;
+        self.slot_of.extend(grown.map(|b| (b % SINKS) as u32));
         self.acc.clear();
-        self.acc.resize((SINKS + run.len()) * ns, 0);
+        self.acc.resize(stride * s.n_segments(), 0);
         for (k, &(_, b)) in run.iter().enumerate() {
-            self.row_of[b as usize] = (SINKS + k) as u32;
+            self.slot_of[b as usize] = (SINKS + k) as u32;
         }
-        let Self {
-            row_of,
-            acc,
-            group_segs: segs,
-            ..
-        } = self;
+        let (slot_of, acc) = (&mut self.slot_of, &mut self.acc[..]);
         // Only a sink's gram count can approach 2³² (one add per posting
         // the chunk walks); nobody reads a sink, so it may wrap.
-        let walked =
-            walk_postings(s.key_postings(), &idx.keys, row_of, ns, acc, segs, |c| {
-                *c |= FULL
-            }) + walk_postings(s.gram_postings(), &idx.grams, row_of, ns, acc, segs, |c| {
-                *c = c.wrapping_add(1)
-            }) + walk_postings(s.rule_postings(), &idx.rules, row_of, ns, acc, segs, |c| {
-                *c |= FULL
-            });
+        let walked = walk_postings(s.key_postings(), &idx.keys, slot_of, stride, acc, |c| {
+            *c |= FULL
+        }) + walk_postings(s.gram_postings(), &idx.grams, slot_of, stride, acc, |c| {
+            *c = c.wrapping_add(1)
+        }) + walk_postings(s.rule_postings(), &idx.rules, slot_of, stride, acc, |c| {
+            *c |= FULL
+        });
         for &(_, b) in run {
-            row_of[b as usize] = b % SINKS as u32;
+            slot_of[b as usize] = b % SINKS as u32;
         }
         walked
+    }
+
+    /// The column pass over the chunk `run` just counted: per probe
+    /// segment, in segment order, one loop over every partner adds its
+    /// credit — 1 for [`FULL`]; 1 for a node segment against a
+    /// node-bearing partner (`idx`'s node bit), which marks the partner
+    /// lazy; otherwise the gram credit of its count. Each partner's sum in
+    /// `mass` is then the float [`Verifier::mass_bound`]'s optimistic loop
+    /// adds, bit for bit. No partner's record is read.
+    fn column_pass(&mut self, s: &SegRecord, run: &[(u32, u32)], idx: &GramPostingsIndex) {
+        let (m, stride) = (run.len(), SINKS + run.len());
+        let Self {
+            acc,
+            mass,
+            lazy,
+            t_nodes,
+            credit,
+            ..
+        } = self;
+        mass.clear();
+        mass.resize(m, 0.0);
+        lazy.clear();
+        lazy.resize(m, false);
+        t_nodes.clear();
+        if !s.node_segs().is_empty() {
+            t_nodes.extend(run.iter().map(|&(_, b)| idx.has_nodes(b)));
+        }
+        for sa in 0..s.n_segments() {
+            let col = &acc[sa * stride + SINKS..(sa + 1) * stride];
+            let tab = credit.segment(sa);
+            // A partner's count carries at most |G(sa)| in its low bits.
+            let gram = |c: u32| tab[(c & !FULL) as usize];
+            if s.node_of(sa).is_some() {
+                for (((sum, lz), &node), &c) in
+                    mass.iter_mut().zip(&mut *lazy).zip(&*t_nodes).zip(col)
+                {
+                    let full = c >= FULL;
+                    *lz |= node & !full;
+                    *sum += if full | node { 1.0 } else { gram(c) };
+                }
+            } else {
+                for (sum, &c) in mass.iter_mut().zip(col) {
+                    let credit = gram(c);
+                    *sum += if c >= FULL { 1.0 } else { credit };
+                }
+            }
+        }
     }
 
     /// Take (and reset) the inner verify scratch's tier tally.
@@ -346,34 +440,28 @@ impl RunScratch {
 }
 
 /// One table's share of [`RunScratch::count_run`]: `hit` fires on the
-/// counter of every `(row, probe segment)` whose record carries a key of
-/// that segment — once per distinct key. `segs` is scratch for a group's
-/// probe segments, looked up once per group rather than per record.
-/// Returns the posting entries read.
-#[allow(clippy::too_many_arguments)]
+/// counter of every `(slot, probe segment)` whose record carries a key of
+/// that segment — once per distinct key. Per probe segment of a key's
+/// group, the key's list is walked through that segment's one column, so
+/// a posting costs a `slot_of` load and an add, no multiply. Returns the
+/// posting entries read.
 fn walk_postings(
     posts: Postings<'_>,
     table: &Transposed<u64>,
-    row_of: &[u32],
-    ns: usize,
+    slot_of: &[u32],
+    stride: usize,
     acc: &mut [u32],
-    segs: &mut Vec<u32>,
     hit: impl Fn(&mut u32),
 ) -> u64 {
     let mut walked = 0u64;
     for_each_group(posts, |key, group| {
         let list = table.get(key).unwrap_or_default();
-        if list.is_empty() {
-            return;
-        }
         walked += list.len() as u64;
-        segs.clear();
-        segs.extend(group.map(|i| posts.seg(i)));
-        let group_segs = &segs[..];
-        for &b in list {
-            let row = row_of[b as usize] as usize * ns;
-            for &sa in group_segs {
-                hit(&mut acc[row + sa as usize]);
+        for i in group {
+            let sa = posts.seg(i) as usize;
+            let col = &mut acc[sa * stride..(sa + 1) * stride];
+            for &b in list {
+                hit(&mut col[slot_of[b as usize] as usize]);
             }
         }
     });
@@ -386,11 +474,9 @@ fn walk_postings(
 #[derive(Debug, Clone, Default)]
 pub struct VerifyScratch {
     /// Mass counters of the current candidate, one per probe segment
-    /// ([`VerifyScratch::count_shared`]).
+    /// ([`VerifyScratch::count_shared`], or a lazy run partner's counts
+    /// gathered from the run's columns).
     shared: Vec<u32>,
-    /// Gram credits of the current run's probe record
-    /// ([`Verifier::verify_run_at_least`]).
-    credit: CreditTable,
     /// Epoch stamps of the dense per-candidate `(s_seg, t_seg)` table.
     stamps: Vec<u32>,
     /// Shared-gram counts per surfaced pair (valid where stamp == epoch).
@@ -466,16 +552,29 @@ impl<'a> Verifier<'a> {
         Self { kn, cfg }
     }
 
-    /// `usim_approx`'s empty-record convention, the one decision made
-    /// before the mass bound: `Some(1.0)` when both sides are empty,
-    /// `Some(0.0)` when one is, `None` otherwise.
+    /// `usim_approx`'s empty-record convention on the two sides' token
+    /// counts, the one decision made before the mass bound: `Some(1.0)`
+    /// when both sides are empty, `Some(0.0)` when one is, `None`
+    /// otherwise.
     #[inline]
-    fn empty_side(s: &SegRecord, t: &SegRecord) -> Option<f64> {
-        match (s.n_tokens(), t.n_tokens()) {
+    fn empty_side(ns: usize, nt: usize) -> Option<f64> {
+        match (ns, nt) {
             (0, 0) => Some(1.0),
             (0, _) | (_, 0) => Some(0.0),
             _ => None,
         }
+    }
+
+    /// The empty-side decision of one candidate, tallied: accepted when
+    /// its convention value reaches `min_sim`, else a mass reject (an
+    /// empty side carries no mass).
+    fn decide_empty(sim: f64, min_sim: f64, scr: &mut VerifyScratch) -> f64 {
+        if sim >= min_sim {
+            scr.tally.accepted += 1;
+        } else {
+            scr.tally.mass_rejects += 1;
+        }
+        sim
     }
 
     /// The mass bound: `Σ_sa credit(sa, T) / max(MP(S), MP(T))` from the
@@ -527,6 +626,19 @@ impl<'a> Verifier<'a> {
         if !lazy || reject_below.is_some_and(|min| mass / denom < min) {
             return mass / denom;
         }
+        self.exact_mass(s, t, shared, gram_credit) / denom
+    }
+
+    /// The lazy bound's exact sum: the optimistic credit of every
+    /// node-bearing segment replaced by the larger of its gram credit and
+    /// its best taxonomy similarity to a node of `t`.
+    fn exact_mass(
+        &self,
+        s: &SegRecord,
+        t: &SegRecord,
+        shared: &[u32],
+        gram_credit: impl Fn(usize, u32) -> f64,
+    ) -> f64 {
         let mut mass = 0.0f64;
         for (sa, &c) in shared.iter().enumerate() {
             mass += match s.node_of(sa) {
@@ -538,7 +650,7 @@ impl<'a> Verifier<'a> {
                     .fold(gram_credit(sa, c), f64::max),
             };
         }
-        mass / denom
+        mass
     }
 
     /// The mass bound of one pair counted by merging the two records'
@@ -570,87 +682,86 @@ impl<'a> Verifier<'a> {
         theta: f64,
         scr: &mut VerifyScratch,
     ) -> f64 {
-        self.sim_at_least_impl(s, t, theta, None, scr)
-    }
-
-    /// Verify one whole probe run through the run-batched mass count: `s`
-    /// against every `(a, b)` candidate of `run` (ids into `t_recs`). One
-    /// walk of the corpus-level `idx` counts the shared pebble mass of
-    /// every partner at once — in partner chunks when the run needs more
-    /// than `RUN_COUNTERS_MAX` (2²⁰, sinks included) counters — and only
-    /// the candidates the mass bound cannot reject go on to per-pair
-    /// enumeration. Accepted `(a, b, sim)` triples are pushed to `out` in
-    /// run order — byte-identical, tallies included, to calling
-    /// [`Verifier::sim_at_least`] per candidate. Returns the posting
-    /// entries the walk read, summed over its chunks (0 for an empty run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn verify_run_at_least(
-        &self,
-        s: &SegRecord,
-        t_recs: &[Arc<SegRecord>],
-        run: &[(u32, u32)],
-        idx: &GramPostingsIndex,
-        theta: f64,
-        rs: &mut RunScratch,
-        out: &mut Vec<(u32, u32, f64)>,
-    ) -> u64 {
-        let ns = s.n_segments();
-        rs.verify.credit.build(s, self.cfg.gram);
-        let mut walked = 0;
-        let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
-        for part in run.chunks(partners.max(1)) {
-            walked += rs.count_run(s, t_recs.len(), part, idx);
-            for (k, &(a, b)) in part.iter().enumerate() {
-                let row = (SINKS + k) * ns;
-                let sim = self.sim_at_least_impl(
-                    s,
-                    &t_recs[b as usize],
-                    theta,
-                    Some(&rs.acc[row..row + ns]),
-                    &mut rs.verify,
-                );
-                if sim >= theta - self.cfg.eps {
-                    out.push((a, b, sim));
-                }
-            }
-        }
-        walked
-    }
-
-    /// The decision cascade of one candidate. `counted` carries the
-    /// pair's mass counts when a run walk already made them (the scratch
-    /// then holds the probe's credit table); otherwise they are counted
-    /// here by merging the two records' posting tables.
-    fn sim_at_least_impl(
-        &self,
-        s: &SegRecord,
-        t: &SegRecord,
-        theta: f64,
-        counted: Option<&[u32]>,
-        scr: &mut VerifyScratch,
-    ) -> f64 {
         let min_sim = theta - self.cfg.eps;
-        if let Some(sim) = Self::empty_side(s, t) {
-            if sim >= min_sim {
-                scr.tally.accepted += 1;
-            } else {
-                // An empty side carries no mass.
-                scr.tally.mass_rejects += 1;
-            }
-            return sim;
+        if let Some(sim) = Self::empty_side(s.n_tokens(), t.n_tokens()) {
+            return Self::decide_empty(sim, min_sim, scr);
         }
-        // One bound, whichever source counted.
-        let mass = match counted {
-            Some(shared) => {
-                self.mass_bound(s, t, shared, |sa, c| scr.credit.get(sa, c), Some(min_sim))
-            }
-            None => self.pair_mass(s, t, Some(min_sim), scr),
-        };
+        let mass = self.pair_mass(s, t, Some(min_sim), scr);
         if mass < min_sim {
             scr.tally.mass_rejects += 1;
             return mass.min(theta);
         }
         self.sim_tiered(s, t, Some(theta), scr)
+    }
+
+    /// Verify one whole probe run through the run-batched mass count: `s`
+    /// against every `(a, b)` candidate of `run` (ids into `side`). One
+    /// walk of the side's transposed index counts the shared pebble mass
+    /// of every partner at once — in partner chunks when the run needs
+    /// more than `RUN_COUNTERS_MAX` (2²⁰, sinks included) counters — and
+    /// the column pass sums every partner's mass; with `|T|` and `MP(T)`
+    /// from `side.tier0`, the bound rejects without touching the partner's
+    /// record. Only the candidates it cannot reject are dereferenced, for
+    /// the lazy taxonomy sum and per-pair enumeration. Accepted `(a, b,
+    /// sim)` triples are pushed to `out` in run order — byte-identical,
+    /// tallies included, to calling [`Verifier::sim_at_least`] per
+    /// candidate. Returns the posting entries the walk read, summed over
+    /// its chunks (0 for an empty run).
+    pub fn verify_run_at_least(
+        &self,
+        s: &SegRecord,
+        side: RunSide<'_>,
+        run: &[(u32, u32)],
+        theta: f64,
+        rs: &mut RunScratch,
+        out: &mut Vec<(u32, u32, f64)>,
+    ) -> u64 {
+        let min_sim = theta - self.cfg.eps;
+        let (ns, ns_tokens, mps) = (s.n_segments(), s.n_tokens(), s.min_partition);
+        rs.credit.build(s, self.cfg.gram);
+        let mut walked = 0;
+        let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
+        for part in run.chunks(partners.max(1)) {
+            let stride = SINKS + part.len();
+            walked += rs.count_run(s, side.recs.len(), part, side.index);
+            rs.column_pass(s, part, side.index);
+            let RunScratch {
+                verify: scr,
+                acc,
+                mass,
+                lazy,
+                credit,
+                ..
+            } = &mut *rs;
+            for (k, &(a, b)) in part.iter().enumerate() {
+                let (nt, mpt) = side.tier0[b as usize];
+                if let Some(sim) = Self::empty_side(ns_tokens, nt as usize) {
+                    if Self::decide_empty(sim, min_sim, scr) >= min_sim {
+                        out.push((a, b, sim));
+                    }
+                    continue;
+                }
+                let denom = mps.max(mpt) as f64;
+                let mut bound = mass[k] / denom;
+                if lazy[k] && bound >= min_sim {
+                    // Partner k's counts, one per probe segment.
+                    scr.shared.clear();
+                    scr.shared
+                        .extend((0..ns).map(|sa| acc[sa * stride + SINKS + k]));
+                    let tab = |sa: usize, c: u32| credit.segment(sa)[c as usize];
+                    bound = self.exact_mass(s, &side.recs[b as usize], &scr.shared, tab) / denom;
+                }
+                if bound < min_sim {
+                    scr.tally.mass_rejects += 1;
+                    continue;
+                }
+                let sim = self.sim_tiered(s, &side.recs[b as usize], Some(theta), scr);
+                if sim >= min_sim {
+                    out.push((a, b, sim));
+                }
+            }
+        }
+        walked
     }
 
     /// Full-value verification: same value as
@@ -665,7 +776,8 @@ impl<'a> Verifier<'a> {
     /// the soundness property checks against the row-max bound. Does not
     /// touch the decision counters.
     pub fn mass_upper_bound(&self, s: &SegRecord, t: &SegRecord, scr: &mut VerifyScratch) -> f64 {
-        Self::empty_side(s, t).unwrap_or_else(|| self.pair_mass(s, t, None, scr))
+        Self::empty_side(s.n_tokens(), t.n_tokens())
+            .unwrap_or_else(|| self.pair_mass(s, t, None, scr))
     }
 
     /// Row-max, then Algorithm 1 (the caller has already applied the mass
@@ -1115,6 +1227,12 @@ mod tests {
             .collect();
         let idx = GramPostingsIndex::build(&segs);
         assert!(!idx.is_empty());
+        let tier0 = tier0_of(&segs);
+        let side = RunSide {
+            recs: &segs,
+            tier0: &tier0,
+            index: &idx,
+        };
         let v = Verifier::new(&kn, &cfg);
         for theta in [0.3, 0.6, 0.9] {
             let mut rs = RunScratch::default();
@@ -1124,7 +1242,7 @@ mod tests {
                 // empty/degenerate partners).
                 let run: Vec<(u32, u32)> = (0..segs.len() as u32).map(|b| (a as u32, b)).collect();
                 let mut batched = Vec::new();
-                v.verify_run_at_least(sa, &segs, &run, &idx, theta, &mut rs, &mut batched);
+                v.verify_run_at_least(sa, side, &run, theta, &mut rs, &mut batched);
                 let mut expect = Vec::new();
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(sa, &segs[b as usize], theta, &mut per_pair);
@@ -1232,16 +1350,26 @@ mod tests {
             .sum()
     }
 
-    fn assert_rows_restored(rs: &RunScratch) {
-        for (b, &row) in rs.row_of.iter().enumerate() {
-            assert_eq!(row as usize, b % SINKS, "row_of[{b}] after a chunk");
+    fn assert_slots_restored(rs: &RunScratch) {
+        for (b, &slot) in rs.slot_of.iter().enumerate() {
+            assert_eq!(slot as usize, b % SINKS, "slot_of[{b}] after a chunk");
         }
     }
 
-    /// `count_run` chunk by chunk: a partner's row holds exactly the
-    /// per-pair count (a non-partner's hits go to a sink), the walk reads
-    /// every posting of the probe's distinct keys once per chunk, and
-    /// every record is back on its sink after.
+    /// Every record's `(|T|, MP(T))`, as `Prepared` caches them.
+    fn tier0_of(recs: &[Arc<SegRecord>]) -> Vec<(u32, u32)> {
+        (recs.iter())
+            .map(|r| (r.n_tokens() as u32, r.min_partition))
+            .collect()
+    }
+
+    /// `count_run` chunk by chunk, read column by column: partner `k`'s
+    /// slot of every probe segment's column holds exactly the per-pair
+    /// count, the gram hits of a column — partners' and sinks' together —
+    /// are every posting of that segment's grams' lists (so the sinks take
+    /// exactly what the partners do not), the walk reads every posting of
+    /// the probe's distinct keys once per chunk, and every record is back
+    /// on its sink after.
     #[test]
     fn run_rows_count_what_pairs_count_and_sinks_take_the_rest() {
         let (_, _, recs, partners) = sink_corpus();
@@ -1255,17 +1383,36 @@ mod tests {
             let per_chunk = list_lengths(s.key_postings(), &idx.keys)
                 + list_lengths(s.gram_postings(), &idx.grams)
                 + list_lengths(s.rule_postings(), &idx.rules);
+            // Per probe segment: the gram postings its column must take.
+            let mut gram_hits = vec![0u64; ns];
+            let posts = s.gram_postings();
+            for i in 0..posts.len() {
+                let list = idx.grams.get(posts.key(i)).unwrap_or_default();
+                gram_hits[posts.seg(i) as usize] += list.len() as u64;
+            }
             let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
+            let mut chunks = 0;
             for part in run.chunks(chunk_partners(ns)) {
+                chunks += 1;
                 let walked = rs.count_run(s, recs.len(), part, &idx);
                 assert_eq!(walked, per_chunk, "a={a}: postings walked per chunk");
+                let stride = SINKS + part.len();
+                assert_eq!(rs.acc.len(), ns * stride, "a={a}: one column per segment");
                 for (k, &(_, b)) in part.iter().enumerate() {
-                    let row = &rs.acc[(SINKS + k) * ns..(SINKS + k + 1) * ns];
+                    let column: Vec<u32> =
+                        (0..ns).map(|sa| rs.acc[sa * stride + SINKS + k]).collect();
                     pair.count_shared(s, &recs[b as usize]);
-                    assert_eq!(row, &pair.shared[..], "a={a} b={b}: run row ≡ pair count");
+                    assert_eq!(column, pair.shared, "a={a} b={b}: run counts ≡ pair count");
                 }
-                assert_rows_restored(&rs);
+                for (sa, &want) in gram_hits.iter().enumerate() {
+                    let col = &rs.acc[sa * stride..(sa + 1) * stride];
+                    let grams = |c: &[u32]| c.iter().map(|&c| u64::from(c & !FULL)).sum::<u64>();
+                    let (sinks, mine) = (grams(&col[..SINKS]), grams(&col[SINKS..]));
+                    assert_eq!(sinks + mine, want, "a={a} sa={sa}: column takes every hit");
+                }
+                assert_slots_restored(&rs);
             }
+            assert!(chunks >= 1);
         }
     }
 
@@ -1276,6 +1423,12 @@ mod tests {
     fn run_walk_with_sinks_equals_per_pair() {
         let (kn, cfg, recs, partners) = sink_corpus();
         let idx = GramPostingsIndex::build(&recs);
+        let tier0 = tier0_of(&recs);
+        let side = RunSide {
+            recs: &recs,
+            tier0: &tier0,
+            index: &idx,
+        };
         let v = Verifier::new(&kn, &cfg);
         let chunks = |a: usize| {
             partners
@@ -1290,8 +1443,8 @@ mod tests {
                 let s = &recs[a];
                 let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
                 let mut batched = Vec::new();
-                v.verify_run_at_least(s, &recs, &run, &idx, theta, &mut rs, &mut batched);
-                assert_rows_restored(&rs);
+                v.verify_run_at_least(s, side, &run, theta, &mut rs, &mut batched);
+                assert_slots_restored(&rs);
                 let mut expect = Vec::new();
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(s, &recs[b as usize], theta, &mut per_pair);
@@ -1309,6 +1462,89 @@ mod tests {
             assert_eq!(bt, pt, "θ={theta}: run walk vs per pair");
             assert_eq!(bt.decisions(), 16 * partners.len() as u64);
         }
+    }
+
+    /// The column pass ≡ per-pair `sim_at_least` — accepted pairs,
+    /// similarity bits and all four buckets — on a pooled corpus built to
+    /// reach every branch of the pass: node segments on both sides (with
+    /// pairs whose lazy optimistic bound passes and whose exact taxonomy
+    /// sum then rejects), an empty partner, [`FULL`] counts from shared
+    /// surface keys and from shared rules, and runs of every record that
+    /// cross chunk boundaries.
+    #[test]
+    fn column_pass_equals_per_pair() {
+        let (mut kn, cfg) = (kn_figure1(), SimConfig::default());
+        let recs = segment_lines(&mut kn, &cfg, &pooled_lines(260, 11));
+        let idx = GramPostingsIndex::build(&recs);
+        let tier0 = tier0_of(&recs);
+        let side = RunSide {
+            recs: &recs,
+            tier0: &tier0,
+            index: &idx,
+        };
+        let v = Verifier::new(&kn, &cfg);
+        let n = recs.len();
+        assert!(recs.iter().any(|r| r.n_tokens() == 0), "an empty partner");
+        let shares = |posts: fn(&SegRecord) -> Postings<'_>| {
+            (recs.iter()).any(|s| {
+                (recs.iter()).any(|t| {
+                    let mut any = false;
+                    shared_groups(posts(s), posts(t), |_, _| any = true);
+                    any && !std::ptr::eq(&**s, &**t)
+                })
+            })
+        };
+        assert!(shares(SegRecord::key_postings), "FULL from a surface key");
+        assert!(shares(SegRecord::rule_postings), "FULL from a rule");
+        let chunks = |r: &SegRecord| n.div_ceil(chunk_partners(r.n_segments()));
+        let mut probes = recs.iter().filter(|r| r.n_tokens() > 0);
+        assert!(
+            probes.all(|r| chunks(r) >= 2),
+            "every non-empty run crosses a chunk"
+        );
+        // Per non-empty pair: the lazy bound's optimistic and exact values.
+        let mut scr = VerifyScratch::default();
+        let mut bounds = Vec::new();
+        for s in &recs {
+            for t in &recs {
+                if Verifier::empty_side(s.n_tokens(), t.n_tokens()).is_none() {
+                    let optimistic = v.pair_mass(s, t, Some(f64::INFINITY), &mut scr);
+                    bounds.push((optimistic, v.pair_mass(s, t, None, &mut scr)));
+                }
+            }
+        }
+        let mut exact_rejects = 0;
+        for theta in [0.3, 0.5, 0.7, 0.9] {
+            let min_sim = theta - cfg.eps;
+            let lazy_rejects =
+                |&(optimistic, exact): &(f64, f64)| optimistic >= min_sim && exact < min_sim;
+            exact_rejects += bounds.iter().filter(|b| lazy_rejects(b)).count();
+            let (mut rs, mut per_pair) = (RunScratch::default(), VerifyScratch::default());
+            for (a, s) in recs.iter().enumerate() {
+                let run: Vec<(u32, u32)> = (0..n as u32).map(|b| (a as u32, b)).collect();
+                let mut batched = Vec::new();
+                v.verify_run_at_least(s, side, &run, theta, &mut rs, &mut batched);
+                let mut expect = Vec::new();
+                for &(x, b) in &run {
+                    let sim = v.sim_at_least(s, &recs[b as usize], theta, &mut per_pair);
+                    if sim >= min_sim {
+                        expect.push((x, b, sim.to_bits()));
+                    }
+                }
+                let got: Vec<_> = (batched.iter())
+                    .map(|&(x, b, sim)| (x, b, sim.to_bits()))
+                    .collect();
+                assert_eq!(got, expect, "θ={theta} a={a}");
+            }
+            let (bt, pt) = (rs.take_tally(), per_pair.take_tally());
+            assert_eq!(bt, pt, "θ={theta}: column pass vs per pair");
+            assert_eq!(bt.decisions(), (n * n) as u64);
+            assert!(bt.mass_rejects > 0 && bt.accepted > 0, "θ={theta}: {bt:?}");
+        }
+        assert!(
+            exact_rejects > 0,
+            "some lazy partner is rejected by the exact taxonomy sum"
+        );
     }
 
     /// The three tables of `idx` against the sort-based builder.

@@ -15,8 +15,8 @@ pub struct ServeConfig {
     /// builds (base, delta, compacted bases).
     pub sim: SimConfig,
     /// Threshold θ that [`crate::Service::search`] answers at, in
-    /// (0, 1]: every constructor refuses another before it touches the
-    /// log.
+    /// (ε, 1] with ε = `sim.eps`: every constructor refuses another
+    /// before it touches the log.
     pub theta: f64,
     /// Signature filter for every query/join spec.
     pub filter: FilterKind,

@@ -54,8 +54,8 @@ impl Service {
     /// [`Service::open`].
     ///
     /// Every constructor validates the service spec first
-    /// ([`JoinSpec::validate_threshold`]: θ ∈ (0, 1]), before it reads
-    /// or writes the log.
+    /// ([`JoinSpec::validate_threshold`]: θ ∈ (ε, 1] with ε =
+    /// [`ServeConfig::sim`]'s `eps`), before it reads or writes the log.
     ///
     /// [`JoinSpec::validate_threshold`]: au_core::engine::JoinSpec::validate_threshold
     pub fn build<'a>(
@@ -63,7 +63,7 @@ impl Service {
         lines: impl IntoIterator<Item = &'a str>,
         cfg: ServeConfig,
     ) -> Result<Self, ServeError> {
-        cfg.spec().validate_threshold()?;
+        cfg.spec().validate_threshold(cfg.sim.eps)?;
         Self::seeded(kn, cfg, lines, None, false)
     }
 
@@ -135,7 +135,7 @@ impl Service {
         seed: Option<&[&str]>,
         require_fresh: bool,
     ) -> Result<Self, ServeError> {
-        cfg.spec().validate_threshold()?;
+        cfg.spec().validate_threshold(cfg.sim.eps)?;
         let (mut wal, ops) = Wal::open(storage, cfg.retry).map_err(|e| wal_error("open", &e))?;
         if require_fresh && !ops.is_empty() {
             return Err(ServeError::Wal {
@@ -359,16 +359,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// A service at θ = 0 would answer pairs sharing no key from its
-    /// delta scan and lose them at the next compaction, so every
-    /// constructor refuses it — a durable one before it logs a frame.
-    #[test]
-    fn a_service_at_theta_zero_is_refused_before_its_log_is_touched() {
+    /// Every constructor refuses a service at `theta` — a durable one
+    /// before it logs a frame, in memory and on disk.
+    fn assert_refused_before_the_log(theta: f64) {
         use crate::storage::MemStorage;
-        let zero = ServeConfig {
-            theta: 0.0,
-            ..cfg()
-        };
+        let bad = ServeConfig { theta, ..cfg() };
         let refused = |r: Result<Service, ServeError>| {
             matches!(
                 r,
@@ -379,22 +374,50 @@ pub(crate) mod tests {
             )
         };
         let kn = || KnowledgeBuilder::new().build();
-        assert!(refused(Service::build(kn(), LINES, zero)));
+        assert!(refused(Service::build(kn(), LINES, bad)), "θ={theta}");
         let log = MemStorage::new();
-        let created = Service::create_with(kn(), LINES, zero, Box::new(log.clone()));
-        assert!(refused(created));
-        assert!(log.bytes().is_empty(), "a refused create logged frames");
+        let created = Service::create_with(kn(), LINES, bad, Box::new(log.clone()));
+        assert!(refused(created), "θ={theta}");
+        assert!(
+            log.bytes().is_empty(),
+            "θ={theta}: a refused create logged frames"
+        );
         assert!(refused(Service::open_with(
             kn(),
-            zero,
+            bad,
             Box::new(log.clone())
         )));
-        let dir = std::env::temp_dir().join(format!("au_serve_theta0_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "au_serve_theta_{}_{}",
+            theta.to_bits(),
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(refused(Service::create(kn(), LINES, zero, &dir)));
+        assert!(
+            refused(Service::create(kn(), LINES, bad, &dir)),
+            "θ={theta}"
+        );
+        assert!(refused(Service::open(kn(), bad, &dir)), "θ={theta}");
         let logged = std::fs::metadata(dir.join("wal.log")).map_or(0, |m| m.len());
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(logged, 0, "a refused create wrote its log");
+        assert_eq!(logged, 0, "θ={theta}: a refused create wrote its log");
+    }
+
+    /// A service at θ = 0 would answer pairs sharing no key from its
+    /// delta scan and lose them at the next compaction, so every
+    /// constructor refuses it — a durable one before it logs a frame.
+    #[test]
+    fn a_service_at_theta_zero_is_refused_before_its_log_is_touched() {
+        assert_refused_before_the_log(0.0);
+    }
+
+    /// The same holds for any θ ≤ ε: its acceptance threshold θ − ε is
+    /// ≤ 0, so the delta scan would keep zero-similarity rows that the
+    /// indexed base never admits.
+    #[test]
+    fn a_service_at_theta_within_eps_is_refused_before_its_log_is_touched() {
+        assert_refused_before_the_log(1e-12);
+        assert_refused_before_the_log(cfg().sim.eps);
     }
 
     #[test]

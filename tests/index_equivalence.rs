@@ -13,14 +13,21 @@
 //! the public stage functions, independently of the engine's memoized
 //! order / signature / index artifacts.
 //!
+//! The candidate pass's emission is checked the same way, one probe at a
+//! time: `OverlapCounter::probe` marks its hits in a bitmap and reads them
+//! out word by word, and what it emits must be ascending and exactly the
+//! definition's candidates of that probe record — on synthetic sides
+//! built to hit the bitmap's edges.
+//!
 //! (The `csr_matches_legacy_*` test ids are kept stable for the suite's
 //! pass-list: the oracle used to be the PR-1 hashmap engine, and
 //! `definition` is that engine's candidate rule with the engine removed.)
 
 use au_join::core::config::SimConfig;
 use au_join::core::engine::{Engine, JoinSpec, Prepared};
+use au_join::core::index::{CompatBound, CsrIndex, OverlapCounter, RecordKeys};
 use au_join::core::join::SelectedSignatures;
-use au_join::core::pebble::{generate_pebbles, Pebble, PebbleOrder};
+use au_join::core::pebble::{generate_pebbles, Pebble, PebbleKey, PebbleOrder};
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use proptest::prelude::*;
@@ -222,6 +229,116 @@ fn csr_matches_legacy_on_wiki_corpora() {
         for filter in all_filters() {
             let label = format!("wiki θ={theta} {}", filter.label());
             assert_scan_matches_definition(&ds, theta, filter, &label);
+        }
+    }
+}
+
+/// A synthetic join side of `n` records, deterministic in `salt`: every
+/// record carries gram 0 (so a probe holding it can hit ids 0 and
+/// `n − 1`), plus up to five grams of 1..24; guarantee levels 1–3 and
+/// tier-0 integers spread wide enough that the compatibility bound both
+/// admits and refuses.
+fn synthetic_side(n: usize, salt: u64) -> Side {
+    let mut x = 0x9e37_79b9_7f4a_7c15_u64 ^ salt;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        x >> 33
+    };
+    let mut keys = Vec::with_capacity(n);
+    let (mut levels, mut tier0) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let mut ks: Vec<PebbleKey> = std::iter::once(0)
+            .chain((0..next() % 6).map(|_| 1 + next() % 24))
+            .map(PebbleKey::Gram)
+            .collect();
+        ks.sort_unstable();
+        ks.dedup();
+        keys.push(ks);
+        levels.push(1 + (next() % 3) as u32);
+        let len = 1 + (next() % 8) as u32;
+        tier0.push((len, len.div_ceil(1 + (next() % 2) as u32)));
+    }
+    Side {
+        sel: SelectedSignatures {
+            record_keys: RecordKeys::build(&keys),
+            levels,
+        },
+        tier0,
+    }
+}
+
+/// Probe `indexed` with every record of `probe` (a self-join when
+/// `probe` is `None`: record `a` probes ids `> a` of its own side) through
+/// one reused `OverlapCounter`, twice over — a bit the first sweep left
+/// set would surface in the second — and check each probe's emission is
+/// strictly ascending and the definition's candidates of that record,
+/// and the summed `Tτ` and compatibility rejections the definition's.
+fn assert_emission_matches_definition(indexed: &Side, probe: Option<&Side>, tau: u32) {
+    let min_sim = 0.6;
+    let want = definition(
+        probe.unwrap_or(indexed),
+        probe.map(|_| indexed),
+        tau,
+        min_sim,
+    );
+    let index = CsrIndex::from_record_keys(&indexed.sel.record_keys);
+    let s = probe.unwrap_or(indexed);
+    let n = indexed.sel.len();
+    let mut counter = OverlapCounter::new(n);
+    let (mut edges, mut out) = ((false, false), Vec::new());
+    for sweep in 0..2 {
+        let (mut t_tau, mut compat_rejected) = (0, 0);
+        for a in 0..s.sel.len() as u32 {
+            out.clear();
+            let stats = counter.probe(
+                &index,
+                s.sel.record_keys.get(a),
+                s.sel.levels[a as usize],
+                tau,
+                &indexed.sel.levels,
+                probe.is_none().then_some(a),
+                &CompatBound {
+                    tier0: &indexed.tier0,
+                    probe_tier0: s.tier0[a as usize],
+                    min_sim,
+                },
+                &mut out,
+            );
+            t_tau += stats.processed;
+            compat_rejected += stats.compat_rejected;
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "a={a}: ascending");
+            let defined: Vec<u32> = (want.candidates.iter())
+                .filter(|&&(x, _)| x == a)
+                .map(|&(_, b)| b)
+                .collect();
+            assert_eq!(out, defined, "sweep {sweep} a={a} (n={n})");
+            edges.0 |= out.first() == Some(&0);
+            edges.1 |= out.last() == Some(&(n as u32 - 1));
+        }
+        assert_eq!((t_tau, compat_rejected), (want.t_tau, want.compat_rejected));
+    }
+    if probe.is_some() {
+        assert_eq!(edges, (true, true), "hits at ids 0 and n − 1 (n={n})");
+    } else if n > 1 {
+        assert!(edges.1, "a self-join hit at id n − 1 (n={n})");
+    }
+}
+
+/// `OverlapCounter::probe`'s bitmap emission against the definition:
+/// indexed sides of 1, 63, 130 and 200 records (none a multiple of 64,
+/// so the last word is partial), R×S probes whose hits include ids 0 and
+/// n − 1, and self-joins, whose `min_excl` starts each read-out past the
+/// probe's own id.
+#[test]
+fn bitmap_emission_matches_the_definition() {
+    for (n, salt) in [(1usize, 1u64), (63, 2), (130, 3), (200, 4)] {
+        let indexed = synthetic_side(n, salt);
+        let probe = synthetic_side(40, salt + 100);
+        for tau in [1, 2, 3] {
+            assert_emission_matches_definition(&indexed, Some(&probe), tau);
+            assert_emission_matches_definition(&indexed, None, tau);
         }
     }
 }
