@@ -28,8 +28,14 @@ fn main() {
     }
     for r in workloads.iter().filter_map(|w| w.search.as_ref()) {
         println!(
-            "{:<24} candidates={:<10} pairs={:<8} queries={} postings={} walked={}",
-            r.id, r.candidates, r.result_pairs, r.queries, r.processed_pairs, r.walked_postings
+            "{:<24} candidates={:<10} pairs={:<8} queries={} window={} postings={} walked={}",
+            r.id,
+            r.candidates,
+            r.result_pairs,
+            r.queries,
+            r.window_plan_queries,
+            r.processed_pairs,
+            r.walked_postings
         );
     }
     for r in &shard.rows {

@@ -23,6 +23,7 @@ pub mod json;
 use crate::harness::{med_dataset, score_join_at, wiki_dataset, Prf};
 use au_core::config::SimConfig;
 use au_core::engine::{Engine, JoinSpec};
+use au_core::search::QueryPlan;
 use au_core::shard::ShardSpec;
 use au_core::signature::FilterKind;
 use au_core::usim::VerifyTiers;
@@ -83,9 +84,13 @@ pub struct SearchRow {
     pub n_records: usize,
     /// Queries issued.
     pub queries: u64,
-    /// Σ candidates that reached verification.
+    /// Queries answered by the tier-0 window instead of a signature probe
+    /// ([`au_core::search::QueryPlan::Window`]).
+    pub window_plan_queries: u64,
+    /// Σ records that reached verification (a window-plan query's whole
+    /// window).
     pub candidates: u64,
-    /// Σ posting entries the probes read.
+    /// Σ posting entries the probes read (none for a window-plan query).
     pub processed_pairs: u64,
     /// Σ posting entries the verification mass walks read
     /// ([`au_core::search::SearchOutcome::walked`]).
@@ -256,8 +261,9 @@ pub struct ServeReport {
     /// (`ServeStats::records_signed`): the initial corpus, the rows each
     /// inheriting compaction appended, every live row at a re-rank.
     pub records_signed: u64,
-    /// `Vτ` of the query battery against the final served base, whose
-    /// pebble order the last compaction inherited …
+    /// Signature candidates of the query battery (`filter_candidates`,
+    /// the probe's `Vτ` whatever plan a query takes) against the final
+    /// served base, whose pebble order the last compaction inherited …
     pub inherited_candidates: u64,
     /// … and against a fresh prepare (fresh ranking) of the same records:
     /// the pair is the gated measure of what an aged order costs the
@@ -373,8 +379,8 @@ pub fn run_serve_workload(scale: f64, seed: u64) -> ServeReport {
             .map(|&(row, sim)| (gids[row as usize], sim))
             .collect();
         assert_eq!(served.matches, reference, "served ≠ monolithic for {q:?}");
-        inherited_candidates += served.candidates;
-        fresh_candidates += fresh.candidates;
+        inherited_candidates += snap.filter_candidates(q);
+        fresh_candidates += searcher.filter_candidates(q);
     }
 
     // The funnel across restarts: crash (copy the log bytes, forget the
@@ -697,6 +703,7 @@ pub fn run_search_row(seed: u64) -> SearchRow {
     {
         let out = searcher.query(&r.raw);
         row.queries += 1;
+        row.window_plan_queries += u64::from(out.plan == QueryPlan::Window);
         row.candidates += out.candidates;
         row.processed_pairs += out.processed;
         row.walked_postings += out.walked;
@@ -763,6 +770,7 @@ impl SearchRow {
             ("id", self.id.as_str().into()),
             ("n_records", self.n_records.into()),
             ("queries", self.queries.into()),
+            ("window_plan_queries", self.window_plan_queries.into()),
             ("candidates", self.candidates.into()),
             ("processed_pairs", self.processed_pairs.into()),
             ("walked_postings", self.walked_postings.into()),

@@ -1471,13 +1471,18 @@ pub(crate) mod tests {
     }
 
     /// A query is verified as one run of the transposed index; per-pair
-    /// verification (what a scan does) of the *same* candidates must agree
-    /// in rows, order, similarity bits and in every tier bucket. Covers
-    /// queries with out-of-vocabulary words (overlay ids no posting table
-    /// has seen), the empty query, an empty collection, and — the mass
-    /// counters are shrunk under test — runs counted in several chunks.
+    /// verification (what a scan does) of the *same* run — the one the
+    /// query's plan chose: the probe's candidates, or every record of the
+    /// tier-0 window — must agree in rows, order, similarity bits and in
+    /// every tier bucket. Each query runs under its own plan and under
+    /// each plan forced. Covers queries with out-of-vocabulary words
+    /// (overlay ids no posting table has seen), the empty query, an empty
+    /// collection, and — the mass counters are shrunk under test — runs
+    /// counted in several chunks.
     #[test]
     fn query_run_walk_equals_per_pair_verification_of_its_candidates() {
+        use crate::index::Tier0Window;
+        use crate::search::QueryPlan;
         let queries = [
             "coffee shop latte helsinki",
             "tea cake south garden",
@@ -1491,41 +1496,58 @@ pub(crate) mod tests {
             let engine = Engine::new(kn, SimConfig::default()).unwrap();
             let pt = engine.prepare(&c).unwrap();
             let spec = JoinSpec::threshold(theta).au_dp(2).serial();
-            let searcher = engine.searcher(&pt, &spec).unwrap();
-            let core = &searcher.core;
+            let mut searcher = engine.searcher(&pt, &spec).unwrap();
             let verifier = Verifier::new(&engine.kn, &engine.cfg);
             let (mut most, mut seen) = (0usize, VerifyTiers::default());
-            for q in queries {
-                let sr = core.session.segment(&engine.kn, &engine.cfg, q);
-                let walked = searcher.query(q);
-                let mut scratch = core.session.checkout(pt.len());
-                let (candidates, _) = core.probe_candidates(&engine, &pt, &sr, &mut scratch);
-                core.session.check_in(scratch);
-                let mut per_pair = VerifyScratch::default();
-                let mut matches: Vec<(u32, f64)> = candidates
-                    .iter()
-                    .map(|&r| {
-                        let sim = verifier.sim_at_least(
-                            &sr,
-                            &pt.segrecs[r as usize],
-                            theta,
-                            &mut per_pair,
-                        );
-                        (r, sim)
-                    })
-                    .filter(|&(_, sim)| sim >= theta - engine.cfg.eps)
-                    .collect();
-                matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
-                    m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
-                };
-                assert_eq!(bits(&walked.matches), bits(&matches), "θ={theta} q={q:?}");
-                assert_eq!(walked.tiers, per_pair.take_tally(), "θ={theta} q={q:?}");
-                assert_eq!(walked.candidates, candidates.len() as u64);
-                assert_eq!(walked.tiers.decisions(), walked.candidates);
-                assert_eq!(walked.tiers.accepted, walked.matches.len() as u64);
-                most = most.max(candidates.len() * sr.n_segments());
-                seen.merge(&walked.tiers);
+            for forced in [None, Some(QueryPlan::Probe), Some(QueryPlan::Window)] {
+                searcher.core.forced = forced;
+                let core = &searcher.core;
+                for q in queries {
+                    let sr = core.session.segment(&engine.kn, &engine.cfg, q);
+                    let walked = searcher.query(q);
+                    assert!(forced.is_none_or(|p| p == walked.plan), "{forced:?}");
+                    let run: Vec<u32> = match walked.plan {
+                        QueryPlan::Probe => {
+                            let mut scratch = core.session.checkout(pt.len());
+                            let (candidates, _) =
+                                core.probe_candidates(&engine, &pt, &sr, &mut scratch);
+                            core.session.check_in(scratch);
+                            candidates
+                        }
+                        QueryPlan::Window => {
+                            let window = Tier0Window::new(sr.tier0(), theta - engine.cfg.eps);
+                            (0..pt.len() as u32)
+                                .filter(|&r| window.admits(pt.tier0[r as usize]))
+                                .collect()
+                        }
+                    };
+                    let mut per_pair = VerifyScratch::default();
+                    let mut matches: Vec<(u32, f64)> = run
+                        .iter()
+                        .map(|&r| {
+                            let sim = verifier.sim_at_least(
+                                &sr,
+                                &pt.segrecs[r as usize],
+                                theta,
+                                &mut per_pair,
+                            );
+                            (r, sim)
+                        })
+                        .filter(|&(_, sim)| sim >= theta - engine.cfg.eps)
+                        .collect();
+                    matches.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    let bits = |m: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                        m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+                    };
+                    let at = format!("θ={theta} q={q:?} {:?}", walked.plan);
+                    assert_eq!(bits(&walked.matches), bits(&matches), "{at}");
+                    assert_eq!(walked.tiers, per_pair.take_tally(), "{at}");
+                    assert_eq!(walked.candidates, run.len() as u64, "{at}");
+                    assert_eq!(walked.tiers.decisions(), walked.candidates);
+                    assert_eq!(walked.tiers.accepted, walked.matches.len() as u64);
+                    most = most.max(run.len() * sr.n_segments());
+                    seen.merge(&walked.tiers);
+                }
             }
             // 256 counters per chunk under test: the big runs were cut.
             assert!(n == 0 || most > 4 * 256, "largest run: {most} counters");

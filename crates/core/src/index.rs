@@ -25,10 +25,11 @@
 //!   overlaps, so it is admitted only when `rem` at its first touch still
 //!   covers its overlap demand `min(τ, level_probe, level_record).max(1)`;
 //! * **compatibility** — the tier-0 record-level bound
-//!   `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))` evaluated from cached
-//!   integers; pairs whose bound falls below `θ − ε` could never be
-//!   accepted by verification, so they are dropped here, before they
-//!   are ever materialized;
+//!   `USIM ≤ min(|S|,|T|) / max(MP(S),MP(T))`, decided as two integer
+//!   cuts on the record's cached `(|T|, MP(T))` ([`Tier0Window`]); pairs
+//!   whose bound falls below `θ − ε` could never be accepted by
+//!   verification, so they are dropped here, before they are ever
+//!   materialized;
 //! * **demand** — an admitted, compatible record is a candidate when its
 //!   count reaches its demand.
 //!
@@ -307,10 +308,20 @@ impl<K: Copy + Eq + Hash> Transposed<K> {
     /// Ids of the records carrying `key` (ascending), `None` when no
     /// record does.
     pub fn get(&self, key: K) -> Option<&[u32]> {
-        self.slots.get(&key).map(|&slot| {
-            let (a, b) = (self.offsets[slot as usize], self.offsets[slot as usize + 1]);
-            &self.postings[a as usize..b as usize]
-        })
+        self.span(key)
+            .map(|(a, b)| &self.postings[a as usize..b as usize])
+    }
+
+    /// Where `key`'s list sits in [`Transposed::arena`], `None` when no
+    /// record carries it: a lookup a caller can keep and read again.
+    pub(crate) fn span(&self, key: K) -> Option<(u32, u32)> {
+        (self.slots.get(&key))
+            .map(|&slot| (self.offsets[slot as usize], self.offsets[slot as usize + 1]))
+    }
+
+    /// Every list back to back.
+    pub(crate) fn arena(&self) -> &[u32] {
+        &self.postings
     }
 
     /// Number of distinct keys.
@@ -414,7 +425,7 @@ pub struct CompatBound<'a> {
     pub tier0: &'a [(u32, u32)],
     /// Probe-side `(n_tokens, min_partition)`.
     pub probe_tier0: (u32, u32),
-    /// `θ − ε`: the verifier's acceptance threshold.
+    /// `θ − ε`: the verifier's acceptance threshold (≤ 1).
     pub min_sim: f64,
 }
 
@@ -436,13 +447,76 @@ pub(crate) fn tier0_upper_bound(ns: u32, mps: u32, nt: u32, mpt: u32) -> f64 {
     }
 }
 
-/// The in-probe compatibility decision on two records' tier-0 integers
-/// `(n_tokens, min_partition)`: false when the pair's tier-0 bound is
-/// already below `min_sim` (`θ − ε`). The one formula behind the indexed
-/// probe's first-touch reject and the filterless scan's row screen.
-#[inline]
-pub(crate) fn tier0_compatible(probe: (u32, u32), rec: (u32, u32), min_sim: f64) -> bool {
-    tier0_upper_bound(probe.0, probe.1, rec.0, rec.1) >= min_sim
+/// The tier-0 bound of one probe record `S` as two integer cuts on a
+/// partner `T`: `fl(min(|S|,|T|) / max(MP(S),MP(T))) ≥ min_sim` holds for
+/// a non-empty `T` exactly when `|T| ≥ L` and `MP(T) ≤ U`, where `L` is the
+/// least `|T|` with `fl(|T| / MP(S)) ≥ min_sim` and `U` the greatest
+/// `MP(T)` with `fl(|S| / MP(T)) ≥ min_sim` (and no `T` when
+/// `fl(|S| / MP(S))` already falls short, or `S` is empty).
+///
+/// Exact because correctly rounded division is monotone in both operands,
+/// so the bound is the least of the four quotients `fl(|·| / MP(·))`, and
+/// the fourth, `fl(|T| / MP(T))`, is ≥ 1 ≥ `min_sim` — which needs
+/// `MP ≤ n_tokens` (segmentation asserts it) and `min_sim ≤ 1` (θ ≤ 1).
+/// The one tier-0 test behind the probe's first-touch reject, the
+/// filterless scan's row screen and a query's window plan
+/// ([`crate::search::QueryPlan::Window`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tier0Window {
+    /// `L`: the fewest tokens a partner may have (≥ 1).
+    min_tokens: u32,
+    /// `U`: the largest minimum partition a partner may have.
+    max_mp: u32,
+}
+
+impl Tier0Window {
+    /// Admits nothing.
+    const CLOSED: Self = Self {
+        min_tokens: u32::MAX,
+        max_mp: 0,
+    };
+
+    /// The window of a probe record with tier-0 integers `(|S|, MP(S))`
+    /// at acceptance threshold `min_sim` (`θ − ε`): two binary searches
+    /// over monotone quotients.
+    pub fn new((ns, mps): (u32, u32), min_sim: f64) -> Self {
+        debug_assert!(mps <= ns && min_sim <= 1.0, "({ns}, {mps}) at {min_sim}");
+        let reaches = |num: u64, den: u64| num as f64 / den as f64 >= min_sim;
+        if ns == 0 || !reaches(ns.into(), mps.into()) {
+            return Self::CLOSED;
+        }
+        // The first `x` in `lo..=hi` where `ok(x)` holds, given that
+        // `ok(hi)` does and `ok` is monotone non-decreasing.
+        let first = |mut lo: u64, mut hi: u64, ok: &dyn Fn(u64) -> bool| {
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if ok(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            hi
+        };
+        let min_tokens = first(1, ns.into(), &|nt| reaches(nt, mps.into()));
+        // The greatest `MP(T)` reaching it is one below the first that
+        // does not (`u32::MAX + 1` when none does).
+        let past = u64::from(u32::MAX) + 1;
+        let max_mp = first(mps.into(), past, &|mpt| {
+            mpt == past || !reaches(ns.into(), mpt)
+        }) - 1;
+        Self {
+            min_tokens: min_tokens as u32,
+            max_mp: max_mp as u32,
+        }
+    }
+
+    /// Whether a partner with tier-0 integers `(|T|, MP(T))` passes the
+    /// bound. An empty partner never does.
+    #[inline]
+    pub fn admits(self, (nt, mpt): (u32, u32)) -> bool {
+        nt >= self.min_tokens && mpt <= self.max_mp
+    }
 }
 
 impl OverlapCounter {
@@ -491,6 +565,7 @@ impl OverlapCounter {
         // Maximum demand any indexed record can pose against this probe.
         let dmax = tau.min(probe_level).max(1);
         let mut stats = ProbeStats::default();
+        let window = Tier0Window::new(compat.probe_tier0, compat.min_sim);
         let m = keys.len();
         let mut touched = 0;
         for (i, &key) in keys.iter().enumerate() {
@@ -517,7 +592,7 @@ impl OverlapCounter {
             if m - (i0 as usize) < demand as usize {
                 continue; // τ-skip
             }
-            if !tier0_compatible(compat.probe_tier0, compat.tier0[bi], compat.min_sim) {
+            if !window.admits(compat.tier0[bi]) {
                 stats.compat_rejected += 1;
             } else if count >= demand {
                 self.hits[bi / 64] |= 1 << (bi % 64);
@@ -768,6 +843,66 @@ pub(crate) mod tests {
         assert_eq!(out, vec![0, 1]);
     }
 
+    /// `(|T|, MP(T))` of a record carrying keys: non-empty, and its
+    /// minimum partition at most its token count.
+    fn tier0_strategy() -> impl Strategy<Value = (u32, u32)> {
+        (1u32..6, 0u32..4).prop_map(|(n, k)| (n, 1 + k % n))
+    }
+
+    /// The two integer cuts decide every non-empty pair exactly as the
+    /// float bound does: all `(|S|, MP(S), |T|, MP(T))` with `MP ≤ n ≤ 24`
+    /// at thirteen thresholds, `θ − ε` from just above 0 to `1 − ε`. An
+    /// empty side is never admitted.
+    #[test]
+    fn tier0_window_decides_as_the_float_bound() {
+        let eps = crate::config::SimConfig::default().eps;
+        let thetas = [
+            2.0 * eps,
+            0.05,
+            0.1,
+            0.2,
+            0.3,
+            1.0 / 3.0,
+            0.5,
+            0.6,
+            2.0 / 3.0,
+            0.7,
+            0.8,
+            0.9,
+            1.0,
+        ];
+        let pairs: Vec<(u32, u32)> = (1..=24u32)
+            .flat_map(|n| (1..=n).map(move |mp| (n, mp)))
+            .collect();
+        let mut admitted = 0u64;
+        for theta in thetas {
+            let min_sim = theta - eps;
+            for &(ns, mps) in &pairs {
+                let window = Tier0Window::new((ns, mps), min_sim);
+                for &(nt, mpt) in &pairs {
+                    let want = tier0_upper_bound(ns, mps, nt, mpt) >= min_sim;
+                    assert_eq!(
+                        window.admits((nt, mpt)),
+                        want,
+                        "({ns},{mps}) ({nt},{mpt}) θ={theta}"
+                    );
+                    admitted += u64::from(want);
+                }
+                assert!(!window.admits((0, 0)), "an empty partner");
+            }
+            assert!(
+                !Tier0Window::new((0, 0), min_sim).admits((3, 1)),
+                "an empty probe"
+            );
+        }
+        // Neither all nor nothing: the cuts were exercised both ways.
+        let total = (thetas.len() * pairs.len() * pairs.len()) as u64;
+        assert!(
+            admitted > total / 10 && admitted < total * 9 / 10,
+            "{admitted} of {total}"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -837,11 +972,11 @@ pub(crate) mod tests {
             recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 1..10),
             probes in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 2),
             levels in prop::collection::vec(1u32..5, 10),
-            tier0 in prop::collection::vec((0u32..6, 1u32..4), 10),
+            tier0 in prop::collection::vec(tier0_strategy(), 10),
             probe_level in 1u32..5,
-            probe_tier0 in (0u32..6, 1u32..4),
+            probe_tier0 in tier0_strategy(),
             tau in 1u32..5,
-            min_sim in 0.0f64..1.2,
+            min_sim in 0.0f64..1.0,
             min_excl in prop::sample::select(vec![None, Some(0u32), Some(3)]),
         ) {
             let recs: Vec<&[u64]> = recs.iter().map(|r| r.as_slice()).collect();

@@ -41,7 +41,7 @@ pub use engine::{Engine, JoinSpec, Prepared, QuerySession, Searcher, SnapshotSea
 pub use error::AuError;
 pub use index::{CsrIndex, OverlapCounter, RecordKeys};
 pub use knowledge::{Knowledge, KnowledgeBuilder};
-pub use search::SearchOutcome;
+pub use search::{QueryPlan, SearchOutcome};
 pub use shard::{ShardPlan, ShardSpec, ShardedPrepared};
 pub use topk::TopkResult;
 pub use usim::{usim_approx, usim_approx_explained, usim_exact};

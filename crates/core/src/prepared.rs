@@ -164,10 +164,7 @@ impl Prepared {
         // A collect that reused the rows' own buffer in place, or a merge's
         // pushes, leave slack behind the pointers.
         segrecs.shrink_to_fit();
-        let tier0 = segrecs
-            .iter()
-            .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
-            .collect();
+        let tier0 = segrecs.iter().map(|sr| sr.tier0()).collect();
         Self {
             // ordering: Relaxed — the id only needs uniqueness, which the
             // RMW atomicity of fetch_add alone guarantees; no other memory

@@ -12,6 +12,14 @@
 //! the two strings, so a fresh query signature selected under the same
 //! `θ`/`τ` against the index's global order preserves completeness).
 //!
+//! The signature filter pays only when it is selective. Every query pays
+//! for a walk of the collection's transposed posting index, so before
+//! anything is probed it prices that walk against the records its tier-0
+//! window admits, and when the window is the cheaper run it skips the
+//! signature and the probe and verifies the whole window
+//! ([`QueryPlan`]). The window is complete as well, so the answer is the
+//! same either way.
+//!
 //! The global order here is computed from the indexed collection only.
 //! Query pebbles unseen in the collection get frequency 0 and sort first;
 //! that only changes the *heuristic* quality of the order, not
@@ -21,18 +29,20 @@
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
 use crate::error::AuError;
-use crate::index::{tier0_compatible, CompatBound, CsrIndex, OverlapCounter, ProbeStats};
+use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, Tier0Window};
 use crate::join::{record_signature, SelectedSignatures, SignatureScratch};
 use crate::knowledge::Knowledge;
 use crate::pebble::PebbleOrder;
 use crate::prepared::{OrderKey, Prepared, SigKey};
 use crate::segment::{segment_record_with, SegRecord};
 use crate::spec::JoinSpec;
-use crate::usim::{GramPostingsIndex, RunScratch, Verifier, VerifyTiers};
+use crate::usim::verify::chunk_partners;
+use crate::usim::{GramPostingsIndex, RunKeys, RunScratch, Verifier, VerifyTiers};
 use au_text::{ScratchVocab, TokenId};
 use std::sync::{Arc, Mutex};
 
-/// One query's outcome with filtering statistics.
+/// One query's outcome with filtering statistics. What the counters
+/// count depends on the [`QueryPlan`] that answered it; `matches` do not.
 #[derive(Debug, Clone, Default)]
 pub struct SearchOutcome {
     /// `(record id, sim)` of every record with similarity ≥ θ, sorted by
@@ -40,27 +50,89 @@ pub struct SearchOutcome {
     /// verifier accepted the record at: a lower bound on Algorithm 1's
     /// similarity that stops once θ is reached.
     /// [`crate::engine::Engine::usim`] and top-k give the full value.
+    /// The same rows and bits under either plan.
     pub matches: Vec<(u32, f64)>,
-    /// Candidates that reached verification (≥ τ pebble overlaps; for a
-    /// filterless [`crate::engine::Engine::scan`], every non-empty row
-    /// that passed the tier-0 bound, for a non-empty query).
+    /// Records that reached verification: under [`QueryPlan::Probe`] the
+    /// candidates (≥ τ pebble overlaps and the tier-0 bound); under
+    /// [`QueryPlan::Window`] — and for a filterless
+    /// [`crate::engine::Engine::scan`] — every non-empty record the tier-0
+    /// bound admits, for a non-empty query.
     pub candidates: u64,
-    /// Posting entries touched while counting overlaps (0 for a scan).
+    /// Posting entries the CSR probe read (`Tτ`); 0 under
+    /// [`QueryPlan::Window`], which does not probe, and for a scan.
     pub processed: u64,
     /// Posting entries the mass walk of the transposed index read, summed
-    /// over its counter chunks (0 without candidates, and for a scan).
-    /// Like `processed`, a pure function of the query and the index. A
-    /// join reports the same count summed over its probe records
+    /// over its counter chunks (0 without candidates, and for a scan): a
+    /// key's list counts once per chunk, though the walk reads it once per
+    /// probe segment carrying the key (83,087 list reads per query for
+    /// 53,977 `walked` on the `search_online` benchmark's queries, 1.54 ×).
+    /// Under [`QueryPlan::Window`] it is the walk the query was priced
+    /// with. Like `processed`, a pure function of the query and the index.
+    /// A join reports the same count summed over its probe records
     /// ([`crate::join::JoinStats::walked`]), whatever the thread count —
     /// every probe record's run is walked whole on one worker.
     pub walked: u64,
-    /// Records rejected by the tier-0 compatibility bound before
-    /// verification ([`crate::index::ProbeStats::compat_rejected`]).
+    /// Records the tier-0 bound kept from verification: under
+    /// [`QueryPlan::Probe`] the ones the probe touched and refused
+    /// ([`crate::index::ProbeStats::compat_rejected`]); under
+    /// [`QueryPlan::Window`], as for a scan, every record outside the
+    /// window, empty ones included.
     pub compat_rejected: u64,
     /// Which cascade stage decided each candidate — the join's
     /// [`crate::join::JoinStats::tiers`] for one probe record
-    /// (`tiers.decisions() == candidates`, whatever the thread count).
+    /// (`tiers.decisions() == candidates` under either plan, whatever the
+    /// thread count).
     pub tiers: VerifyTiers,
+    /// The plan that answered the query.
+    pub plan: QueryPlan,
+}
+
+/// How a query finds the records it verifies, chosen per query before
+/// anything is probed. Both are complete — the signature filter and the
+/// tier-0 bound each keep every record that can reach θ, and the mass walk
+/// is the same — so both return the same matches, bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum QueryPlan {
+    /// Select the query's signature, probe the CSR index, and walk the
+    /// candidates the probe keeps.
+    #[default]
+    Probe,
+    /// Walk every non-empty record the tier-0 window admits, in id order:
+    /// no signature and no probe. Taken when the window's mass bound costs
+    /// no more than the walk the query pays either way — `C · segments(S)
+    /// ≤ W`, `C` the records the window admits and `W` the postings the
+    /// walk reads — and the window is walked in one counter chunk.
+    Window,
+}
+
+/// How many non-empty records of a collection carry each `(|T|, MP(T))`:
+/// the size of a query's tier-0 window without a pass over the records.
+#[derive(Debug, Default)]
+struct Tier0Histogram {
+    cells: Vec<((u32, u32), u64)>,
+}
+
+impl Tier0Histogram {
+    fn build(tier0: &[(u32, u32)]) -> Self {
+        let mut sorted: Vec<(u32, u32)> = tier0.iter().copied().filter(|t| t.0 > 0).collect();
+        sorted.sort_unstable();
+        let mut cells: Vec<((u32, u32), u64)> = Vec::new();
+        for t in sorted {
+            match cells.last_mut() {
+                Some((cell, count)) if *cell == t => *count += 1,
+                _ => cells.push((t, 1)),
+            }
+        }
+        Self { cells }
+    }
+
+    /// The records `window` admits.
+    fn admitted(&self, window: Tier0Window) -> u64 {
+        (self.cells.iter())
+            .filter(|&&(t, _)| window.admits(t))
+            .map(|&(_, count)| count)
+            .sum()
+    }
 }
 
 /// Everything one query evaluation mutates: the probe's overlap counter,
@@ -72,6 +144,8 @@ pub(crate) struct QueryScratch {
     counter: OverlapCounter,
     signature: SignatureScratch,
     run: RunScratch,
+    /// The query's run: `(0, record)` per record it verifies.
+    pairs: Vec<(u32, u32)>,
 }
 
 /// The mutable per-session state every query path shares: the pool of
@@ -119,6 +193,7 @@ impl QuerySession {
             counter: OverlapCounter::new(n_indexed),
             signature: SignatureScratch::default(),
             run: RunScratch::default(),
+            pairs: Vec::new(),
         })
     }
 
@@ -149,11 +224,50 @@ pub(crate) struct SearchCore {
     pub(crate) index: Arc<CsrIndex>,
     /// A query is one probe run, verified in one walk of this.
     pub(crate) transposed: Arc<GramPostingsIndex>,
+    /// The collection's `(|T|, MP(T))` counts, which price a query's
+    /// window plan.
+    histogram: Tier0Histogram,
     pub(crate) session: QuerySession,
+    /// A plan every query takes, whatever its prices (tests only).
+    #[cfg(test)]
+    pub(crate) forced: Option<QueryPlan>,
+}
+
+/// What a query's two plans cost, known before either runs: the
+/// records its tier-0 window admits and, when there are any, the postings
+/// its mass walk reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct QueryPrice {
+    /// `C`: non-empty records the window admits.
+    pub window: u64,
+    /// `W`: Σ of the list lengths of the query's distinct surface keys,
+    /// grams and rules in the transposed index (0 when `window` is 0:
+    /// nothing to walk).
+    pub walk: u64,
+}
+
+impl QueryPrice {
+    /// The window plan when its mass bound — one counter per admitted
+    /// record and query segment — costs no more than the walk both plans
+    /// pay, and the window is walked in one counter chunk.
+    fn plan(self, n_segments: usize) -> QueryPlan {
+        let fits = self.window <= chunk_partners(n_segments) as u64;
+        if fits && self.window * n_segments as u64 <= self.walk {
+            QueryPlan::Window
+        } else {
+            QueryPlan::Probe
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Signature selections and CSR probes this thread's queries made.
+    pub(crate) static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl SearchCore {
-    /// The filter half of an indexed query: the same record → signature
+    /// The filter half of a probe-plan query: the same record → signature
     /// pass the indexed side went through ([`record_signature`]), then the
     /// CSR overlap probe. Returns the candidate rows, ascending.
     pub(crate) fn probe_candidates(
@@ -163,6 +277,8 @@ impl SearchCore {
         sr: &SegRecord,
         scratch: &mut QueryScratch,
     ) -> (Vec<u32>, ProbeStats) {
+        #[cfg(test)]
+        PROBES.with(|p| p.set(p.get() + 1));
         let (kn, cfg) = (engine.knowledge(), engine.config());
         let (choice, distinct) =
             record_signature(kn, cfg, &self.order, &self.spec, sr, &mut scratch.signature);
@@ -182,7 +298,7 @@ impl SearchCore {
             None,
             &CompatBound {
                 tier0: &prepared.tier0,
-                probe_tier0: (sr.n_tokens() as u32, sr.min_partition),
+                probe_tier0: sr.tier0(),
                 min_sim: self.spec.theta - cfg.eps,
             },
             &mut out,
@@ -190,38 +306,98 @@ impl SearchCore {
         (out, stats)
     }
 
+    /// Price a query's two plans ([`QueryPrice`]), with the query's keys
+    /// resolved against the collection when the window admits a record:
+    /// what either plan's walk then reads.
+    pub(crate) fn price<'a>(
+        &'a self,
+        window: Tier0Window,
+        sr: &'a SegRecord,
+        prepared: &'a Prepared,
+        run: &mut RunScratch,
+    ) -> (QueryPrice, Option<RunKeys<'a>>) {
+        let window = self.histogram.admitted(window);
+        // Nothing to walk when the window admits no record.
+        let side = prepared.run_side(&self.transposed);
+        let keys = (window > 0).then(|| run.resolve(sr, side));
+        let walk = keys.as_ref().map_or(0, RunKeys::walk);
+        (QueryPrice { window, walk }, keys)
+    }
+
     /// One segmented query against the prepared collection. A query *is* a
-    /// probe run — one probe record, its candidates — so it is verified as
-    /// the join verifies a run: one walk of the collection's transposed
-    /// posting index counts every candidate's shared pebble mass
-    /// ([`Verifier::verify_run_at_least`], byte-identical to per-pair
-    /// calls, tallies included). Serially, on the caller's thread, over one
-    /// pooled scratch — the walk costs less than starting threads for it,
-    /// and no lock is held while the query probes or verifies, so
-    /// concurrent queries never wait on each other.
+    /// probe run — one probe record, the records it verifies — so it is
+    /// verified as the join verifies a run: one walk of the collection's
+    /// transposed posting index counts the shared pebble mass of every
+    /// record of the run ([`Verifier::verify_run_at_least`], byte-identical
+    /// to per-pair calls, tallies included). Which records make the run is
+    /// decided first, from prices alone ([`QueryPlan`]): the whole tier-0
+    /// window, or the candidates of a signature probe. Serially, on the
+    /// caller's thread, over one pooled scratch — the walk costs less than
+    /// starting threads for it, and no lock is held while the query probes
+    /// or verifies, so concurrent queries never wait on each other.
     fn query_record(&self, engine: &Engine, prepared: &Prepared, sr: &SegRecord) -> SearchOutcome {
         let mut scratch = self.session.checkout(self.index.record_count());
-        let (candidates, probe_stats) = self.probe_candidates(engine, prepared, sr, &mut scratch);
-        let run: Vec<(u32, u32)> = candidates.iter().map(|&row| (0, row)).collect();
+        let window = Tier0Window::new(sr.tier0(), self.spec.theta - engine.config().eps);
+        let (price, keys) = self.price(window, sr, prepared, &mut scratch.run);
+        let plan = price.plan(sr.n_segments());
+        #[cfg(test)]
+        let plan = self.forced.unwrap_or(plan);
+        scratch.pairs.clear();
+        let probe_stats = match plan {
+            QueryPlan::Window => {
+                let admitted = prepared.tier0.iter().map(|&t| window.admits(t));
+                let rows = (0..).zip(admitted).filter(|&(_, a)| a);
+                scratch.pairs.extend(rows.map(|(row, _)| (0, row)));
+                debug_assert_eq!(scratch.pairs.len() as u64, price.window);
+                ProbeStats {
+                    processed: 0,
+                    compat_rejected: (prepared.len() - scratch.pairs.len()) as u64,
+                }
+            }
+            QueryPlan::Probe => {
+                let (candidates, stats) = self.probe_candidates(engine, prepared, sr, &mut scratch);
+                scratch.pairs.extend(candidates.iter().map(|&row| (0, row)));
+                stats
+            }
+        };
+        // Every record of either run is in the window, so a non-empty run
+        // has its keys resolved.
+        debug_assert!(keys.is_some() || scratch.pairs.is_empty());
         let mut accepted = Vec::new();
-        let walked = Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
-            sr,
-            prepared.run_side(&self.transposed),
-            &run,
-            self.spec.theta,
-            &mut scratch.run,
-            &mut accepted,
-        );
+        let walked = keys.map_or(0, |keys| {
+            Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
+                keys,
+                &scratch.pairs,
+                self.spec.theta,
+                &mut scratch.run,
+                &mut accepted,
+            )
+        });
         let tiers = scratch.run.take_tally();
+        let candidates = scratch.pairs.len() as u64;
         self.session.check_in(scratch);
         SearchOutcome {
             matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
-            candidates: candidates.len() as u64,
+            candidates,
             processed: probe_stats.processed,
             walked,
             compat_rejected: probe_stats.compat_rejected,
             tiers,
+            plan,
         }
+    }
+
+    /// The candidates the signature probe keeps for a raw string, whatever
+    /// plan its query takes: the filter's selectivity, which the pebble
+    /// order decides and the tier-0 window does not.
+    fn filter_candidates(&self, engine: &Engine, prepared: &Prepared, text: &str) -> u64 {
+        let sr = self
+            .session
+            .segment(engine.knowledge(), engine.config(), text);
+        let mut scratch = self.session.checkout(self.index.record_count());
+        let (candidates, _) = self.probe_candidates(engine, prepared, &sr, &mut scratch);
+        self.session.check_in(scratch);
+        candidates.len() as u64
     }
 
     /// Query with a raw string, segmented under this session's overlay.
@@ -298,14 +474,19 @@ impl Engine {
             // Forced: its build belongs to making the collection
             // searchable, not to a first query.
             transposed: c.transposed(spec.parallel),
+            histogram: Tier0Histogram::build(&c.tier0),
             session: QuerySession::default(),
+            #[cfg(test)]
+            forced: None,
         })
     }
 
-    /// Filterless search over already-segmented `rows`: every row whose
-    /// tier-0 bound can still reach the spec's θ is verified per pair
-    /// ([`Verifier::sim_at_least`]), and no row when either side is empty
-    /// (an empty record has no key, so the probe never admits one) — no
+    /// Filterless search over already-segmented `rows`: every row the
+    /// query's tier-0 window admits ([`Tier0Window`]) is verified per pair
+    /// ([`Verifier::sim_at_least`]) — the window plan, reported as
+    /// [`QueryPlan::Window`], counted pair by pair — and no row when either
+    /// side is empty (an empty record has no key, so the probe never
+    /// admits one) — no
     /// order, signature or index to build or rebuild when a row is
     /// appended, and completeness is trivial. `matches` carry row indices
     /// into `rows` and equal, bit for bit, what [`Searcher::query`]
@@ -335,16 +516,12 @@ impl Engine {
         spec.validate_threshold(self.cfg.eps)?;
         let theta = spec.theta();
         let min_sim = theta - self.cfg.eps;
-        let probe_tier0 = (query.n_tokens() as u32, query.min_partition);
+        let window = Tier0Window::new(query.tier0(), min_sim);
         let verifier = Verifier::new(&self.kn, &self.cfg);
         let mut scratch = session.checkout(0);
         let (mut candidates, mut matches) = (0u64, Vec::new());
         for (i, row) in rows.iter().enumerate() {
-            let row_tier0 = (row.n_tokens() as u32, row.min_partition);
-            if probe_tier0.0 > 0
-                && row_tier0.0 > 0
-                && tier0_compatible(probe_tier0, row_tier0, min_sim)
-            {
+            if window.admits(row.tier0()) {
                 candidates += 1;
                 let sim = verifier.sim_at_least(query, row, theta, &mut scratch.run.verify);
                 if sim >= min_sim {
@@ -361,6 +538,7 @@ impl Engine {
             walked: 0,
             compat_rejected: rows.len() as u64 - candidates,
             tiers,
+            plan: QueryPlan::Window,
         })
     }
 }
@@ -417,6 +595,14 @@ impl Searcher<'_> {
     /// searcher minted earlier).
     pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
         self.core.query_tokens(self.engine, self.prepared, tokens)
+    }
+
+    /// The candidates the signature probe keeps for `text` — what
+    /// [`SearchOutcome::candidates`] counts under [`QueryPlan::Probe`] —
+    /// whatever plan [`Searcher::query`] would take.
+    pub fn filter_candidates(&self, text: &str) -> u64 {
+        self.core
+            .filter_candidates(self.engine, self.prepared, text)
     }
 }
 
@@ -480,6 +666,15 @@ impl SnapshotSearcher {
     /// searcher minted earlier).
     pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
         self.core.query_tokens(&self.engine, &self.prepared, tokens)
+    }
+
+    /// The candidates the signature probe keeps for `text` — what
+    /// [`SearchOutcome::candidates`] counts under [`QueryPlan::Probe`] —
+    /// whatever plan [`SnapshotSearcher::query`] would take: how selective
+    /// the filter is under this collection's (perhaps inherited) order.
+    pub fn filter_candidates(&self, text: &str) -> u64 {
+        self.core
+            .filter_candidates(&self.engine, &self.prepared, text)
     }
 
     /// Query with a record the caller segmented ([`QuerySession::segment`])
@@ -842,6 +1037,131 @@ mod tests {
         });
         let pooled = searcher.core.session.pooled();
         assert!((1..=8).contains(&pooled), "{pooled} pooled scratches");
+    }
+
+    /// Both plans, forced, over one pooled collection that holds empty
+    /// records, a pair related only by a synonym rule ("car" /
+    /// "automobile", no shared gram) and one only by the taxonomy
+    /// ("latte" / "espresso"): each gives the oracle's brute-force
+    /// `(id, sim bits)`, so the two agree, and each tallies exactly its
+    /// own candidates, the probe plan's being what `filter_candidates`
+    /// reports. A query that takes the window plan by its prices
+    /// selects no signature and probes nothing, and walks the postings it
+    /// was priced with.
+    #[test]
+    fn both_plans_answer_as_the_oracle_and_the_window_plan_never_probes() {
+        use super::{QueryPlan, PROBES};
+        use crate::engine::tests::pooled_corpus;
+        use crate::index::Tier0Window;
+        use crate::usim::RunScratch;
+        let mut kb = KnowledgeBuilder::new();
+        kb.synonym("car", "automobile", 0.9);
+        kb.synonym("coffee shop", "cafe", 1.0);
+        kb.taxonomy_path(&["root", "drinks", "coffee", "latte"]);
+        kb.taxonomy_path(&["root", "drinks", "coffee", "espresso"]);
+        let mut kn = kb.build();
+        let pooled = pooled_corpus(&mut kn, 160, 1);
+        let mut lines: Vec<String> = pooled.iter().map(|r| r.raw.clone()).collect();
+        for (i, extra) in [
+            "",
+            "car",
+            "latte",
+            "",
+            "automobile",
+            "espresso",
+            "car latte",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            lines.insert(i * 23, extra.to_string());
+        }
+        let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        let mut queries: Vec<String> = lines.iter().step_by(11).cloned().collect();
+        queries.extend(
+            [
+                "",
+                "automobile",
+                "espresso",
+                "automobile espresso",
+                "zanzibar",
+            ]
+            .map(String::from),
+        );
+        let s = kn.corpus_from_lines(queries.iter().map(String::as_str));
+        let cfg = SimConfig::default();
+        let engine = Engine::new(kn.clone(), cfg).expect("valid config");
+        let pt = engine.prepare(&t).expect("prepare");
+        let bits = |m: &mut Vec<(u32, f64)>| -> Vec<(u32, u64)> {
+            m.sort_by_key(|&(r, _)| r);
+            m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+        };
+        let (mut natural_windows, mut rule_or_node_only) = (0, 0);
+        for theta in [0.3, 0.5, 0.8, 0.95] {
+            let oracle = brute_force_join(&kn, &cfg, &s, &t, theta);
+            let mut searcher = engine
+                .searcher(&pt, &JoinSpec::threshold(theta).au_dp(2))
+                .expect("searcher");
+            for (qi, q) in queries.iter().enumerate() {
+                // The oracle pairs two empty records at 1; a search never
+                // matches an empty row (it carries no key to probe).
+                let want: Vec<(u32, u64)> = (oracle.iter())
+                    .filter(|&&(a, b, _)| a == qi as u32 && !lines[b as usize].is_empty())
+                    .map(|&(_, b, sim)| (b, sim.to_bits()))
+                    .collect();
+                let mut answers = Vec::new();
+                for forced in [QueryPlan::Probe, QueryPlan::Window] {
+                    searcher.core.forced = Some(forced);
+                    let mut out = searcher.query(q);
+                    assert_eq!(out.plan, forced);
+                    assert_eq!(
+                        out.tiers.decisions(),
+                        out.candidates,
+                        "θ={theta} {q:?} {forced:?}"
+                    );
+                    assert_eq!(bits(&mut out.matches), want, "θ={theta} {q:?} {forced:?}");
+                    answers.push(out);
+                }
+                // The window holds every probe candidate, which the filter
+                // reports whatever plan runs.
+                assert!(answers[0].candidates <= answers[1].candidates);
+                assert_eq!(searcher.filter_candidates(q), answers[0].candidates);
+                let row =
+                    |line: &str| lines.iter().position(|l| l == line).expect("planted") as u32;
+                let partner = match q.as_str() {
+                    "automobile" => Some(row("car")),
+                    "espresso" => Some(row("latte")),
+                    _ => None,
+                };
+                rule_or_node_only +=
+                    usize::from(partner.is_some_and(|p| want.iter().any(|w| w.0 == p)));
+
+                searcher.core.forced = None;
+                let probes = PROBES.with(|p| p.get());
+                let out = searcher.query(q);
+                let probed = PROBES.with(|p| p.get()) - probes;
+                let sr = searcher.core.session.segment(engine.knowledge(), &cfg, q);
+                let window = Tier0Window::new(sr.tier0(), theta - cfg.eps);
+                let mut run = RunScratch::default();
+                let (price, _) = searcher
+                    .core
+                    .price(window, &sr, searcher.prepared, &mut run);
+                assert_eq!(price.plan(sr.n_segments()), out.plan, "θ={theta} {q:?}");
+                match out.plan {
+                    QueryPlan::Window => {
+                        assert_eq!(probed, 0, "θ={theta} {q:?}: a window-plan query probed");
+                        assert_eq!((out.candidates, out.walked), (price.window, price.walk));
+                        natural_windows += usize::from(out.candidates > 0);
+                    }
+                    QueryPlan::Probe => assert_eq!(probed, 1),
+                }
+            }
+        }
+        assert!(natural_windows > 0, "no query chose a non-empty window");
+        assert!(
+            rule_or_node_only >= 4,
+            "rule-only and node-only matches: {rule_or_node_only}"
+        );
     }
 
     #[test]

@@ -206,6 +206,11 @@ impl SegRecord {
         self.tokens.len()
     }
 
+    /// The tier-0 integers `(|S|, MP(S))`.
+    pub fn tier0(&self) -> (u32, u32) {
+        (self.tokens.len() as u32, self.min_partition)
+    }
+
     /// Number of well-defined segments.
     pub fn n_segments(&self) -> usize {
         self.segs.len()
@@ -524,6 +529,13 @@ fn build_row(
     let node_segs = (0..offset(segs.len()))
         .filter(|&i| segs[i as usize].node.get().is_some())
         .collect();
+    let min_partition = min_partition(n, multi);
+    // `Tier0Window`'s two cuts decide the tier-0 bound exactly only when
+    // no record's minimum partition exceeds its token count.
+    debug_assert!(
+        min_partition as usize <= n,
+        "MP {min_partition} > {n} tokens"
+    );
     SegRecord {
         tokens: tokens.into(),
         segs: segs.as_slice().into(),
@@ -531,7 +543,7 @@ fn build_row(
         rules: rules.as_slice().into(),
         text: text.as_str().into(),
         intervals_by_end: IntervalsByEnd::build(n, multi),
-        min_partition: min_partition(n, multi),
+        min_partition,
         gram_posts,
         rule_posts,
         key_posts,
@@ -585,7 +597,9 @@ pub fn segment_stats(kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> (u3
         multi_intervals.push((start, len));
     });
     let n = tokens.len();
-    (n as u32, min_partition(n, &multi_intervals))
+    let mp = min_partition(n, &multi_intervals);
+    debug_assert!(mp as usize <= n, "MP {mp} > {n} tokens");
+    (n as u32, mp)
 }
 
 #[cfg(test)]

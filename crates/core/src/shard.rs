@@ -514,19 +514,27 @@ impl Engine {
     ) -> JoinResult {
         // On the diagonal both sides are the one resident shard.
         let diagonal = self_join && std::ptr::eq(pa, pb);
-        let (candidates, mut stats) = self.filter_run(pa, pb, diagonal, spec);
-        // Candidates come sorted, so the forward group is probe-sorted;
-        // the reverse one is sorted to keep the verifier's runs contiguous.
-        let (mut fwd, mut rev) = (Vec::new(), Vec::new());
-        for (la, lb) in candidates {
-            // Distinct records: global ids never tie.
-            if !self_join || ids_a[la as usize] < ids_b[lb as usize] {
-                fwd.push((la, lb));
-            } else {
-                rev.push((lb, la));
+        let (mut candidates, mut stats) = self.filter_run(pa, pb, diagonal, spec);
+        // In R×S every candidate is forward. In a self-join the list is
+        // split in place: forward pairs (distinct records, so global ids
+        // never tie) move to the front in their order — candidates come
+        // sorted, so that group stays probe-sorted — and the rest, flipped
+        // to (b, a), are sorted to keep the verifier's runs contiguous.
+        let mut split = candidates.len();
+        if self_join {
+            split = 0;
+            for i in 0..candidates.len() {
+                let (la, lb) = candidates[i];
+                if ids_a[la as usize] < ids_b[lb as usize] {
+                    candidates.swap(split, i);
+                    split += 1;
+                }
             }
+            let rev = &mut candidates[split..];
+            rev.iter_mut().for_each(|p| *p = (p.1, p.0));
+            rev.sort_unstable();
         }
-        rev.sort_unstable();
+        let (fwd, rev) = candidates.split_at(split);
         let mut pairs = Vec::new();
         for (s, t, group, ids_s, ids_t) in
             [(pa, pb, fwd, ids_a, ids_b), (pb, pa, rev, ids_b, ids_a)]
@@ -541,7 +549,7 @@ impl Engine {
                 &self.cfg,
                 &s.segrecs,
                 t.run_side(&index),
-                &group,
+                group,
                 spec.theta,
                 spec.parallel,
             );

@@ -26,4 +26,6 @@ pub use approx::{
 pub use eval::{get_sim, get_sim_with, EvalScratch};
 pub use exact::{usim_exact, usim_exact_seg};
 pub use graph::{build_graph, build_vertices, finish_graph, UsimGraph, VertexPair};
-pub use verify::{GramPostingsIndex, RunScratch, RunSide, Verifier, VerifyScratch, VerifyTiers};
+pub use verify::{
+    GramPostingsIndex, RunKeys, RunScratch, RunSide, Verifier, VerifyScratch, VerifyTiers,
+};

@@ -83,6 +83,14 @@ const FULL: u32 = 1 << 31;
 /// chunks and this crate's unit tests cross chunk boundaries.
 const RUN_COUNTERS_MAX: usize = if cfg!(test) { 256 } else { 1 << 20 };
 
+/// Partners per counter chunk of a run whose probe record has
+/// `n_segments` segments: a run this long or shorter is walked once.
+pub(crate) fn chunk_partners(n_segments: usize) -> usize {
+    (RUN_COUNTERS_MAX / n_segments.max(1))
+        .saturating_sub(SINKS)
+        .max(1)
+}
+
 /// Counter slots at the front of every column of [`RunScratch::acc`] that
 /// absorb the hits of records outside the current run chunk (record `b` →
 /// slot `b % SINKS`), so the walk never tests partnership. Eight, not one:
@@ -344,24 +352,92 @@ pub struct RunScratch {
     t_nodes: Vec<bool>,
     /// Gram credits of the current run's probe record.
     credit: CreditTable,
+    /// The last run's key buffer ([`RunKeys`]), which the next
+    /// [`RunScratch::resolve`] reuses.
+    spare: Vec<KeyList>,
+}
+
+/// A probe record's distinct surface keys, grams and rules, looked up once
+/// in the verified side's transposed index ([`RunScratch::resolve`]) —
+/// what [`Verifier::verify_run_at_least`] walks, however many chunks the
+/// run takes. It carries the record and the side it was resolved for, so
+/// the walk cannot read another's lists.
+#[derive(Debug)]
+pub struct RunKeys<'a> {
+    s: &'a SegRecord,
+    side: RunSide<'a>,
+    /// The resolved keys, surface keys first, then grams, then rules;
+    /// keys no record carries left out…
+    lists: Vec<KeyList>,
+    /// …where the gram and the rule groups start in `lists`…
+    split: [usize; 2],
+    /// …and the postings one walk of them reads.
+    walk: u64,
+}
+
+impl RunKeys<'_> {
+    /// The postings one walk of the run reads: Σ of the resolved keys'
+    /// list lengths. A key's list is read once per probe segment carrying
+    /// it, but counted once.
+    pub fn walk(&self) -> u64 {
+        self.walk
+    }
+}
+
+/// One distinct key of a probe record, resolved: its list's span in the
+/// table's arena and the range of the record's postings carrying it (one
+/// per probe segment that has the key).
+#[derive(Debug, Clone, Copy)]
+struct KeyList {
+    span: (u32, u32),
+    group: (u32, u32),
 }
 
 impl RunScratch {
+    /// Look up every distinct surface key, gram and rule of `s` in
+    /// `side`'s transposed index once for the whole run, however many
+    /// chunks then walk them ([`RunKeys::walk`] prices the walk).
+    pub fn resolve<'a>(&mut self, s: &'a SegRecord, side: RunSide<'a>) -> RunKeys<'a> {
+        let mut lists = std::mem::take(&mut self.spare);
+        lists.clear();
+        let (mut split, mut walk) = ([0; 2], 0);
+        let idx = side.index;
+        let tables = [
+            (s.key_postings(), &idx.keys),
+            (s.gram_postings(), &idx.grams),
+            (s.rule_postings(), &idx.rules),
+        ];
+        for (t, (posts, table)) in tables.into_iter().enumerate() {
+            if t > 0 {
+                split[t - 1] = lists.len();
+            }
+            for_each_group(posts, |key, group| {
+                if let Some(span) = table.span(key) {
+                    walk += u64::from(span.1 - span.0);
+                    let group = (group.start as u32, group.end as u32);
+                    lists.push(KeyList { span, group });
+                }
+            });
+        }
+        RunKeys {
+            s,
+            side,
+            lists,
+            split,
+            walk,
+        }
+    }
+
     /// Mass-count one chunk of a probe run: for every distinct surface
-    /// key, gram and rule of `s`, walk the ids of the records carrying it
-    /// and bump their counters — for partners of `run`, exactly the counts
-    /// [`VerifyScratch::count_shared`] makes pair by pair. Returns the
-    /// posting entries read.
+    /// key, gram and rule `keys` resolved, walk the ids of the records
+    /// carrying it and bump their counters: for partners of `run`, exactly
+    /// the counts [`VerifyScratch::count_shared`] makes pair by pair.
+    /// Returns the posting entries read.
     ///
-    /// `n_t_records` is the partner-side record count; partner ids within
-    /// one run must be unique (candidate lists are deduplicated pairs).
-    fn count_run(
-        &mut self,
-        s: &SegRecord,
-        n_t_records: usize,
-        run: &[(u32, u32)],
-        idx: &GramPostingsIndex,
-    ) -> u64 {
+    /// Partner ids within one run must be unique (candidate lists are
+    /// deduplicated pairs).
+    fn count_run(&mut self, keys: &RunKeys<'_>, run: &[(u32, u32)]) -> u64 {
+        let (s, idx, n_t_records) = (keys.s, keys.side.index, keys.side.recs.len());
         let stride = SINKS + run.len();
         let grown = self.slot_of.len()..n_t_records;
         self.slot_of.extend(grown.map(|b| (b % SINKS) as u32));
@@ -370,20 +446,43 @@ impl RunScratch {
         for (k, &(_, b)) in run.iter().enumerate() {
             self.slot_of[b as usize] = (SINKS + k) as u32;
         }
-        let (slot_of, acc) = (&mut self.slot_of, &mut self.acc[..]);
+        let (slot_of, acc) = (&self.slot_of, &mut self.acc[..]);
         // Only a sink's gram count can approach 2³² (one add per posting
         // the chunk walks); nobody reads a sink, so it may wrap.
-        let walked = walk_postings(s.key_postings(), &idx.keys, slot_of, stride, acc, |c| {
-            *c |= FULL
-        }) + walk_postings(s.gram_postings(), &idx.grams, slot_of, stride, acc, |c| {
-            *c = c.wrapping_add(1)
-        }) + walk_postings(s.rule_postings(), &idx.rules, slot_of, stride, acc, |c| {
-            *c |= FULL
-        });
+        let (lists, [grams, rules]) = (&keys.lists, keys.split);
+        let (key_lists, gram_lists, rule_lists) =
+            (&lists[..grams], &lists[grams..rules], &lists[rules..]);
+        walk_postings(
+            key_lists,
+            s.key_postings(),
+            &idx.keys,
+            slot_of,
+            stride,
+            acc,
+            |c| *c |= FULL,
+        );
+        walk_postings(
+            gram_lists,
+            s.gram_postings(),
+            &idx.grams,
+            slot_of,
+            stride,
+            acc,
+            |c| *c = c.wrapping_add(1),
+        );
+        walk_postings(
+            rule_lists,
+            s.rule_postings(),
+            &idx.rules,
+            slot_of,
+            stride,
+            acc,
+            |c| *c |= FULL,
+        );
         for &(_, b) in run {
-            slot_of[b as usize] = b % SINKS as u32;
+            self.slot_of[b as usize] = b % SINKS as u32;
         }
-        walked
+        keys.walk
     }
 
     /// The column pass over the chunk `run` just counted: per probe
@@ -442,30 +541,29 @@ impl RunScratch {
 /// One table's share of [`RunScratch::count_run`]: `hit` fires on the
 /// counter of every `(slot, probe segment)` whose record carries a key of
 /// that segment — once per distinct key. Per probe segment of a key's
-/// group, the key's list is walked through that segment's one column, so
-/// a posting costs a `slot_of` load and an add, no multiply. Returns the
-/// posting entries read.
+/// group (`posts`' postings carrying it), the key's list is walked through
+/// that segment's one column, so a posting costs a `slot_of` load and an
+/// add, no multiply.
 fn walk_postings(
+    lists: &[KeyList],
     posts: Postings<'_>,
     table: &Transposed<u64>,
     slot_of: &[u32],
     stride: usize,
     acc: &mut [u32],
     hit: impl Fn(&mut u32),
-) -> u64 {
-    let mut walked = 0u64;
-    for_each_group(posts, |key, group| {
-        let list = table.get(key).unwrap_or_default();
-        walked += list.len() as u64;
-        for i in group {
-            let sa = posts.seg(i) as usize;
+) {
+    let arena = table.arena();
+    for &KeyList { span, group } in lists {
+        let list = &arena[span.0 as usize..span.1 as usize];
+        for i in group.0..group.1 {
+            let sa = posts.seg(i as usize) as usize;
             let col = &mut acc[sa * stride..(sa + 1) * stride];
             for &b in list {
                 hit(&mut col[slot_of[b as usize] as usize]);
             }
         }
-    });
-    walked
+    }
 }
 
 /// Reusable per-worker state of the verification engine. Create one per
@@ -694,8 +792,10 @@ impl<'a> Verifier<'a> {
         self.sim_tiered(s, t, Some(theta), scr)
     }
 
-    /// Verify one whole probe run through the run-batched mass count: `s`
-    /// against every `(a, b)` candidate of `run` (ids into `side`). One
+    /// Verify one whole probe run through the run-batched mass count: the
+    /// record `keys` were resolved for ([`RunScratch::resolve`]) against
+    /// every `(a, b)` candidate of `run` (ids into the side they were
+    /// resolved against). One
     /// walk of the side's transposed index counts the shared pebble mass
     /// of every partner at once — in partner chunks when the run needs
     /// more than `RUN_COUNTERS_MAX` (2²⁰, sinks included) counters — and
@@ -706,24 +806,27 @@ impl<'a> Verifier<'a> {
     /// sim)` triples are pushed to `out` in run order — byte-identical,
     /// tallies included, to calling [`Verifier::sim_at_least`] per
     /// candidate. Returns the posting entries the walk read, summed over
-    /// its chunks (0 for an empty run).
+    /// its chunks (0 for an empty run): a key's list counts once per
+    /// chunk, though the walk reads it once per probe segment carrying the
+    /// key (on the benchmark's q = 2 queries ≈ 1.5 × the count).
     pub fn verify_run_at_least(
         &self,
-        s: &SegRecord,
-        side: RunSide<'_>,
+        keys: RunKeys<'_>,
         run: &[(u32, u32)],
         theta: f64,
         rs: &mut RunScratch,
         out: &mut Vec<(u32, u32, f64)>,
     ) -> u64 {
+        let (s, side) = (keys.s, keys.side);
         let min_sim = theta - self.cfg.eps;
         let (ns, ns_tokens, mps) = (s.n_segments(), s.n_tokens(), s.min_partition);
-        rs.credit.build(s, self.cfg.gram);
+        if !run.is_empty() {
+            rs.credit.build(s, self.cfg.gram);
+        }
         let mut walked = 0;
-        let partners = (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS);
-        for part in run.chunks(partners.max(1)) {
+        for part in run.chunks(chunk_partners(ns)) {
             let stride = SINKS + part.len();
-            walked += rs.count_run(s, side.recs.len(), part, side.index);
+            walked += rs.count_run(&keys, part);
             rs.column_pass(s, part, side.index);
             let RunScratch {
                 verify: scr,
@@ -761,6 +864,7 @@ impl<'a> Verifier<'a> {
                 }
             }
         }
+        rs.spare = keys.lists;
         walked
     }
 
@@ -1242,7 +1346,8 @@ mod tests {
                 // empty/degenerate partners).
                 let run: Vec<(u32, u32)> = (0..segs.len() as u32).map(|b| (a as u32, b)).collect();
                 let mut batched = Vec::new();
-                v.verify_run_at_least(sa, side, &run, theta, &mut rs, &mut batched);
+                let keys = rs.resolve(sa, side);
+                v.verify_run_at_least(keys, &run, theta, &mut rs, &mut batched);
                 let mut expect = Vec::new();
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(sa, &segs[b as usize], theta, &mut per_pair);
@@ -1336,11 +1441,6 @@ mod tests {
         (kn, cfg, recs, partners)
     }
 
-    /// Partners per counter chunk of a probe with `ns` segments.
-    fn chunk_partners(ns: usize) -> usize {
-        (RUN_COUNTERS_MAX / ns.max(1)).saturating_sub(SINKS).max(1)
-    }
-
     /// Σ over the distinct keys of `posts` of their list lengths in `table`.
     fn list_lengths(posts: Postings<'_>, table: &Transposed<u64>) -> u64 {
         let mut keys = Vec::new();
@@ -1377,6 +1477,12 @@ mod tests {
         let everyone = (recs[0].gram_postings().keys())
             .any(|g| idx.grams.get(g).map(<[u32]>::len) == Some(recs.len()));
         assert!(everyone, "some gram is carried by every record");
+        let tier0 = tier0_of(&recs);
+        let side = RunSide {
+            recs: &recs,
+            tier0: &tier0,
+            index: &idx,
+        };
         let (mut rs, mut pair) = (RunScratch::default(), VerifyScratch::default());
         for (a, s) in recs.iter().enumerate().take(16) {
             let ns = s.n_segments();
@@ -1391,10 +1497,12 @@ mod tests {
                 gram_hits[posts.seg(i) as usize] += list.len() as u64;
             }
             let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
+            let keys = rs.resolve(s, side);
+            assert_eq!(keys.walk(), per_chunk, "a={a}: the priced walk");
             let mut chunks = 0;
             for part in run.chunks(chunk_partners(ns)) {
                 chunks += 1;
-                let walked = rs.count_run(s, recs.len(), part, &idx);
+                let walked = rs.count_run(&keys, part);
                 assert_eq!(walked, per_chunk, "a={a}: postings walked per chunk");
                 let stride = SINKS + part.len();
                 assert_eq!(rs.acc.len(), ns * stride, "a={a}: one column per segment");
@@ -1443,7 +1551,8 @@ mod tests {
                 let s = &recs[a];
                 let run: Vec<(u32, u32)> = partners.iter().map(|&b| (a as u32, b)).collect();
                 let mut batched = Vec::new();
-                v.verify_run_at_least(s, side, &run, theta, &mut rs, &mut batched);
+                let keys = rs.resolve(s, side);
+                v.verify_run_at_least(keys, &run, theta, &mut rs, &mut batched);
                 assert_slots_restored(&rs);
                 let mut expect = Vec::new();
                 for &(x, b) in &run {
@@ -1523,7 +1632,8 @@ mod tests {
             for (a, s) in recs.iter().enumerate() {
                 let run: Vec<(u32, u32)> = (0..n as u32).map(|b| (a as u32, b)).collect();
                 let mut batched = Vec::new();
-                v.verify_run_at_least(s, side, &run, theta, &mut rs, &mut batched);
+                let keys = rs.resolve(s, side);
+                v.verify_run_at_least(keys, &run, theta, &mut rs, &mut batched);
                 let mut expect = Vec::new();
                 for &(x, b) in &run {
                     let sim = v.sim_at_least(s, &recs[b as usize], theta, &mut per_pair);

@@ -773,8 +773,10 @@ pub(crate) mod tests {
     /// writes cycling insert, insert, insert, delete-the-oldest — through
     /// 40 threshold-triggered compactions, most of which inherit their
     /// order: at each one the live base must return the fresh rebuild's
-    /// matches, and its filter must stay about as selective — candidates
-    /// per query within 2 % of a fresh ranking's over the same queries.
+    /// matches, and its filter must stay about as selective — signature
+    /// candidates per query ([`Snapshot::filter_candidates`], whatever
+    /// plan the query takes) within 2 % of a fresh ranking's over the
+    /// same queries.
     /// A compaction lands off the writer's thread, so the writes keep
     /// going while it builds and the snapshot it lands in may already
     /// hold carried rows: it is seen by the `compactions` counter, and
@@ -832,8 +834,8 @@ pub(crate) mod tests {
             for q in &queries {
                 let (live, want) = (snap.base_search.query(q), fresh.query(q));
                 assert_eq!(live.matches, want.matches, "{q:?}");
-                live_candidates += live.candidates;
-                fresh_candidates += want.candidates;
+                live_candidates += snap.filter_candidates(q);
+                fresh_candidates += fresh.filter_candidates(q);
             }
             let drift = live_candidates as f64 / fresh_candidates as f64 - 1.0;
             let shape = s.stats().last_compact;

@@ -317,6 +317,14 @@ impl Snapshot {
         self.answer(&self.base_search, &self.segment(text), &self.spec)
     }
 
+    /// The candidates the base segment's signature probe keeps for `text`
+    /// ([`SnapshotSearcher::filter_candidates`]), whatever plan its search
+    /// takes: how selective the filter is under the base's pebble order,
+    /// which a compaction may have inherited. The delta has no filter.
+    pub fn filter_candidates(&self, text: &str) -> u64 {
+        self.base_search.filter_candidates(text)
+    }
+
     /// Top-k search by threshold descent ([`au_core::topk::descent`] from
     /// the service θ) until `k` matches are found or the floor is reached.
     /// A lower θ probes through a one-shot base searcher over the same

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use au_core::estimate::{CostModel, FilterCounts};
     pub use au_core::join::{JoinResult, JoinStats};
     pub use au_core::knowledge::{Knowledge, KnowledgeBuilder};
-    pub use au_core::search::SearchOutcome;
+    pub use au_core::search::{QueryPlan, SearchOutcome};
     pub use au_core::shard::{ShardPlan, ShardSpec, ShardedPrepared};
     pub use au_core::signature::FilterKind;
     pub use au_core::suggest::{SuggestConfig, SuggestOutcome};

@@ -22,6 +22,12 @@
 //! (d) A warm `Engine::calibrate` at the same θ and filter times that
 //!     same pass and builds no candidate list: its transient peak is
 //!     under 4 bytes per candidate too.
+//! (e) A sharded self-join's shard-pair task collects its candidate list
+//!     and verifies it in a forward and a reverse group split in place, so
+//!     the list is held once: the serial join's transient peak — shard
+//!     builds, artifacts and indexes included — stays under 27 bytes per
+//!     candidate (29.05 when each group was a copy of the list; 25.38
+//!     now, the same on every run).
 
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
@@ -218,6 +224,35 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
     assert!(
         per_candidate < 4.0,
         "warm calibrate peaked {calibrating} B above its start: {per_candidate:.2} B per \
+         candidate over {candidates} candidates"
+    );
+
+    // (e) A sharded self-join on two length shards: three tasks, each
+    //     building its shards' artifacts, collecting its list and
+    //     verifying it. Serial, so the peak does not depend on how
+    //     workers interleave their allocations.
+    let sharded = engine
+        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(2))
+        .expect("prepare sharded");
+    let spec = JoinSpec::threshold(0.5).au_dp(2).serial();
+    let start = reset_peak();
+    let joined = engine
+        .join_self_sharded(&sharded, &spec)
+        .expect("sharded self-join");
+    let transient = peak() - start;
+    let candidates = joined.stats.candidates;
+    assert!(
+        candidates > 50_000,
+        "too few candidates to measure: {candidates}"
+    );
+    let per_candidate = transient as f64 / candidates as f64;
+    eprintln!(
+        "sharded self-join: {transient} B peak, {per_candidate:.2} B per candidate over \
+         {candidates}"
+    );
+    assert!(
+        per_candidate < 27.0,
+        "a sharded self-join peaked {transient} B above its start: {per_candidate:.2} B per \
          candidate over {candidates} candidates"
     );
 }
