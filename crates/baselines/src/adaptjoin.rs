@@ -15,7 +15,6 @@ use au_text::hash::FxHashMap;
 use au_text::jaccard::jaccard_sorted;
 use au_text::qgram::qgrams;
 use au_text::record::Corpus;
-use std::time::Instant;
 
 /// AdaptJoin parameters.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +102,6 @@ fn prefix_len(n: usize, theta: f64, l: u32) -> usize {
 
 /// Run AdaptJoin between two corpora at Jaccard threshold `theta`.
 pub fn adapt_join(s: &Corpus, t: &Corpus, theta: f64, cfg: &AdaptJoinConfig) -> BaselineResult {
-    let start = Instant::now();
     let (gs, gt) = build_gram_sets([s, t], cfg.q);
 
     // Adaptive ℓ: estimate cost(ℓ) = index probes + ratio × candidates
@@ -153,7 +151,6 @@ pub fn adapt_join(s: &Corpus, t: &Corpus, theta: f64, cfg: &AdaptJoinConfig) -> 
     BaselineResult {
         candidates: candidates.len() as u64,
         pairs,
-        time: start.elapsed(),
     }
 }
 

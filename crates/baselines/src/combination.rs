@@ -11,12 +11,10 @@ use crate::pkduck::{pkduck_join, PkduckConfig};
 use crate::BaselineResult;
 use au_core::knowledge::Knowledge;
 use au_text::record::Corpus;
-use std::time::Instant;
 
 /// Run all three baselines and union their pairs (keeping each pair's
 /// best similarity).
 pub fn combination_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> BaselineResult {
-    let start = Instant::now();
     let a = adapt_join(s, t, theta, &AdaptJoinConfig::default());
     let k = k_join(kn, s, t, theta);
     let p = pkduck_join(kn, s, t, theta, &PkduckConfig::default());
@@ -32,7 +30,6 @@ pub fn combination_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> B
     BaselineResult {
         pairs: best.into_iter().map(|((x, y), s)| (x, y, s)).collect(),
         candidates: a.candidates + k.candidates + p.candidates,
-        time: start.elapsed(),
     }
 }
 

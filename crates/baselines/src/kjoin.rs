@@ -21,7 +21,6 @@ use au_matching::max_weight_matching;
 use au_taxonomy::NodeId;
 use au_text::hash::FxHashMap;
 use au_text::record::Corpus;
-use std::time::Instant;
 
 /// Entities of one record (deduplicated, keeps first occurrence order).
 fn entities_of(kn: &Knowledge, cfg: &SimConfig, tokens: &[au_text::TokenId]) -> Vec<NodeId> {
@@ -53,7 +52,6 @@ pub fn kjoin_similarity(kn: &Knowledge, ex: &[NodeId], ey: &[NodeId]) -> f64 {
 /// Run K-Join between two corpora at threshold `theta`, verifying each
 /// candidate with the full max-weight (Hungarian) entity matching.
 pub fn k_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> BaselineResult {
-    let start = Instant::now();
     let sim_cfg = SimConfig::default().with_measures(MeasureSet::T);
     let es: Vec<Vec<NodeId>> = s
         .iter()
@@ -125,7 +123,6 @@ pub fn k_join(kn: &Knowledge, s: &Corpus, t: &Corpus, theta: f64) -> BaselineRes
     BaselineResult {
         candidates: candidates.len() as u64,
         pairs,
-        time: start.elapsed(),
     }
 }
 

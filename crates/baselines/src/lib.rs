@@ -26,8 +26,6 @@ pub use combination::combination_join;
 pub use kjoin::k_join;
 pub use pkduck::{pkduck_join, PkduckConfig};
 
-use std::time::Duration;
-
 /// Result of one baseline join.
 #[derive(Debug, Clone, Default)]
 pub struct BaselineResult {
@@ -35,8 +33,6 @@ pub struct BaselineResult {
     pub pairs: Vec<(u32, u32, f64)>,
     /// Candidates that reached verification.
     pub candidates: u64,
-    /// Total wall-clock.
-    pub time: Duration,
 }
 
 impl BaselineResult {

@@ -18,7 +18,6 @@ use au_text::hash::FxHashMap;
 use au_text::jaccard::jaccard_sorted;
 use au_text::record::Corpus;
 use au_text::TokenId;
-use std::time::Instant;
 
 /// PKduck parameters.
 #[derive(Debug, Clone, Copy)]
@@ -156,7 +155,6 @@ pub fn pkduck_join(
     theta: f64,
     cfg: &PkduckConfig,
 ) -> BaselineResult {
-    let start = Instant::now();
     // Global token frequency for prefix ordering.
     let mut freq: FxHashMap<TokenId, u32> = FxHashMap::default();
     for r in s.iter().chain(t.iter()) {
@@ -228,7 +226,6 @@ pub fn pkduck_join(
     BaselineResult {
         candidates: candidates.len() as u64,
         pairs,
-        time: start.elapsed(),
     }
 }
 

@@ -1,4 +1,6 @@
-//! Machine-readable perf run: writes `BENCH_<name>.json` artifacts.
+//! Machine-readable perf run: writes `BENCH_<name>.json` artifacts — the
+//! `med` / `wiki` join funnels, `fig_shard`, and `repro`, the paper's
+//! count claims with their `holds`.
 //!
 //! ```text
 //! AU_SCALE=0.1 cargo run --release -p au-bench --bin perf [-- <out_dir>]
@@ -10,7 +12,7 @@
 //! `tools/perf_baseline/`. Time a stage with the repo benchmark's traced
 //! runs instead (`benchmark/README.md`).
 
-use au_bench::perf::{run_all, write_report, SEED};
+use au_bench::perf::{repro, run_all, write_report, SEED};
 use std::path::PathBuf;
 
 fn main() {
@@ -38,24 +40,16 @@ fn main() {
             r.walked_postings
         );
     }
-    for r in &shard.rows {
-        println!(
-            "{:<24} pairs={:<8} tasks={}+{}p mem={:.1}MiB",
-            r.id,
-            r.result_pairs,
-            r.shard_tasks,
-            r.shard_tasks_pruned,
-            r.memory_bytes as f64 / (1024.0 * 1024.0)
-        );
+    shard.print();
+    let claims = repro::run(scale);
+    for c in &claims {
+        println!("{:<24} holds={}", c.id, c.holds);
     }
-    println!(
-        "fig_shard: shards={} cache={} prune_fraction={:.3} memory_ratio={:.3}",
-        shard.shards, shard.cache_capacity, shard.prune_fraction, shard.memory_ratio
-    );
     let docs = workloads
         .iter()
-        .map(|w| (&w.name, w.to_value()))
-        .chain([(&shard.name, shard.to_value())]);
+        .map(|w| (w.name.as_str(), w.to_value()))
+        .chain([(shard.name.as_str(), shard.to_value())])
+        .chain([("repro", repro::to_value(scale, &claims))]);
     for (name, doc) in docs {
         let p = write_report(&out_dir, name, &doc).expect("write BENCH_*.json");
         eprintln!("wrote {}", p.display());

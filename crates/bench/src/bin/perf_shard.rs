@@ -18,24 +18,7 @@ fn main() {
     let scale = au_bench::scale_from_env(1.0);
     eprintln!("perf_shard: AU_SCALE={scale} seed={SEED}");
     let shard = run_shard_comparison(scale, SEED);
-    for r in &shard.rows {
-        println!(
-            "{:<24} pairs={:<8} tasks={}+{}p mem={:.1}MiB",
-            r.id,
-            r.result_pairs,
-            r.shard_tasks,
-            r.shard_tasks_pruned,
-            r.memory_bytes as f64 / (1024.0 * 1024.0)
-        );
-    }
-    println!(
-        "fig_shard: n={} shards={} cache={} prune_fraction={:.3} memory_ratio={:.3}",
-        shard.n_records,
-        shard.shards,
-        shard.cache_capacity,
-        shard.prune_fraction,
-        shard.memory_ratio
-    );
+    shard.print();
     let p =
         write_report(&out_dir, &shard.name, &shard.to_value()).expect("write BENCH_fig_shard.json");
     eprintln!("wrote {}", p.display());

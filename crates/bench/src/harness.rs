@@ -1,5 +1,4 @@
-//! Shared experiment plumbing: scaling, datasets, P/R/F scoring and ASCII
-//! tables.
+//! Shared harness plumbing: scaling, datasets and P/R/F scoring.
 
 use au_core::join::JoinResult;
 use au_datagen::{DatasetProfile, LabeledDataset};
@@ -19,6 +18,11 @@ fn scale_override(var: Option<&str>) -> Option<f64> {
             .filter(|&x: &f64| x > 0.0 && x.is_finite())
             .unwrap_or_else(|| panic!("AU_SCALE must be a positive number, got {s:?}"))
     })
+}
+
+/// Scale a base size, keeping a floor of 40 records.
+pub fn sized(base: usize, scale: f64) -> usize {
+    ((base as f64 * scale) as usize).max(40)
 }
 
 /// MED-like labeled dataset scaled to `n` records per side with 20%
@@ -54,28 +58,16 @@ pub struct Prf {
 fn prf_of(truth: &BTreeSet<(u32, u32)>, pairs: &[(u32, u32)]) -> Prf {
     let out: BTreeSet<(u32, u32)> = pairs.iter().copied().collect();
     let tp = out.intersection(truth).count() as f64;
-    let p = if out.is_empty() {
-        0.0
-    } else {
-        tp / out.len() as f64
-    };
-    let r = if truth.is_empty() {
-        0.0
-    } else {
-        tp / truth.len() as f64
-    };
-    let f = if p + r == 0.0 {
-        0.0
-    } else {
-        2.0 * p * r / (p + r)
-    };
+    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+    let (p, r) = (ratio(tp, out.len() as f64), ratio(tp, truth.len() as f64));
+    let f = ratio(2.0 * p * r, p + r);
     Prf { p, r, f }
 }
 
 /// Score id pairs against **all** planted pairs, regardless of whether
 /// they reach any θ. Kept for perturbation-recovery experiments (Table 8
 /// style: "how many planted relations does the pipeline recover?"); for
-/// scoring a θ-join use [`score_pairs_at`] — the generator plants related
+/// scoring a θ-join use [`score_join_at`] — the generator plants related
 /// pairs, not pairs guaranteed to clear θ (see
 /// [`au_datagen::GroundTruthPair::sim`]).
 pub fn score_pairs(ds: &LabeledDataset, pairs: &[(u32, u32)]) -> Prf {
@@ -83,122 +75,27 @@ pub fn score_pairs(ds: &LabeledDataset, pairs: &[(u32, u32)]) -> Prf {
     prf_of(&truth, pairs)
 }
 
-/// Score id pairs against the planted pairs whose unified similarity
-/// actually reaches `theta` — the correct ground truth for a θ-join
-/// (recall of a complete filter is 1.0 by construction; anything lower is
-/// a real pipeline bug, not a generator artifact).
-pub fn score_pairs_at(ds: &LabeledDataset, pairs: &[(u32, u32)], theta: f64) -> Prf {
-    let truth: BTreeSet<(u32, u32)> = ds.truth_at(theta).map(|g| (g.s, g.t)).collect();
-    prf_of(&truth, pairs)
-}
-
 /// Score a [`JoinResult`] against all planted truth (see [`score_pairs`]).
 pub fn score_join(ds: &LabeledDataset, res: &JoinResult) -> Prf {
-    let ids: Vec<(u32, u32)> = res.pairs.iter().map(|&(a, b, _)| (a, b)).collect();
-    score_pairs(ds, &ids)
+    score_pairs(ds, &pair_ids(res))
 }
 
-/// Score a θ-join [`JoinResult`] against the planted pairs reaching
-/// `theta` (see [`score_pairs_at`]).
+/// Score a θ-join [`JoinResult`] against the planted pairs whose unified
+/// similarity actually reaches `theta` — the correct ground truth for a
+/// θ-join (recall of a complete filter is 1.0 by construction; anything
+/// lower is a real pipeline bug, not a generator artifact).
 pub fn score_join_at(ds: &LabeledDataset, res: &JoinResult, theta: f64) -> Prf {
-    let ids: Vec<(u32, u32)> = res.pairs.iter().map(|&(a, b, _)| (a, b)).collect();
-    score_pairs_at(ds, &ids, theta)
+    let truth = ds.truth_at(theta).map(|g| (g.s, g.t)).collect();
+    prf_of(&truth, &pair_ids(res))
 }
 
-/// Minimal aligned ASCII table builder.
-#[derive(Debug, Clone, Default)]
-pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// New table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
-        Self {
-            title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append one row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells);
-        self
-    }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&format!("## {}\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Print to stdout and return the rendering.
-    pub fn emit(&self) -> String {
-        let s = self.render();
-        println!("{s}");
-        s
-    }
-}
-
-/// Format seconds adaptively (µs/ms/s).
-pub fn fmt_secs(s: f64) -> String {
-    if s < 1e-3 {
-        format!("{:.1}µs", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{s:.2}s")
-    }
+fn pair_ids(res: &JoinResult) -> Vec<(u32, u32)> {
+    res.pairs.iter().map(|&(a, b, _)| (a, b)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["a", "long-header", "c"]);
-        t.row(vec!["1".into(), "2".into(), "3".into()]);
-        t.row(vec!["100".into(), "x".into(), "yy".into()]);
-        let r = t.render();
-        assert!(r.contains("## demo"));
-        assert!(r.contains("long-header"));
-        let lines: Vec<&str> = r.lines().collect();
-        assert_eq!(lines.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "column count mismatch")]
-    fn row_width_checked() {
-        Table::new("x", &["a", "b"]).row(vec!["1".into()]);
-    }
 
     #[test]
     fn prf_scoring() {
@@ -234,13 +131,6 @@ mod tests {
                 format!("AU_SCALE must be a positive number, got {bad:?}")
             );
         }
-    }
-
-    #[test]
-    fn fmt_secs_ranges() {
-        assert!(fmt_secs(5e-7).ends_with("µs"));
-        assert!(fmt_secs(5e-3).ends_with("ms"));
-        assert!(fmt_secs(2.5).ends_with('s'));
     }
 
     #[test]

@@ -78,9 +78,35 @@ impl Value {
     }
 }
 
+/// A [`Value::Obj`] spelled like its JSON: `obj! { "key": value, .. }`,
+/// members in the order written, each value through `Value::from`.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::perf::json::Value::obj([$(($key, $crate::perf::json::Value::from($value))),*])
+    };
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Self {
+        Value::Arr(items)
+    }
+}
+
 impl From<u64> for Value {
     fn from(x: u64) -> Self {
         Value::Num(x as f64)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(x: u32) -> Self {
+        Value::Num(x.into())
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
     }
 }
 

@@ -6,10 +6,11 @@
 //! {U, AU-heuristic, AU-DP} × {serial, parallel}, the query funnel of a
 //! fixed 200-query set on scale-1 MED (one more row of `BENCH_med.json`),
 //! plus a `fig_shard` sharded-vs-monolithic self-join comparison (memory
-//! and pruning), and writes one `BENCH_<name>.json` per workload;
-//! `perf_shard` writes `fig_shard` alone and `perf_serve` the `fig_serve`
-//! serving workload. `bench_gate` diffs those artifacts value for value
-//! against the checked-in baselines under `tools/`.
+//! and pruning) and the paper's claims ([`repro`], `BENCH_repro.json`),
+//! and writes one `BENCH_<name>.json` per workload; `perf_shard` writes
+//! `fig_shard` alone and `perf_serve` the `fig_serve` serving workload.
+//! `bench_gate` diffs those artifacts value for value against the
+//! checked-in baselines under `tools/`.
 //!
 //! Determinism contract: every field is a count, a byte count, a ratio of
 //! counts or a run parameter — a pure function of (`AU_SCALE`, seed) — so
@@ -18,9 +19,11 @@
 //! (`benchmark/`, `BENCHMARK.json`), per unit of work in its traced
 //! layer metrics.
 
+#[macro_use]
 pub mod json;
+pub mod repro;
 
-use crate::harness::{med_dataset, score_join_at, wiki_dataset, Prf};
+use crate::harness::{med_dataset, score_join_at, sized, wiki_dataset, Prf};
 use au_core::config::SimConfig;
 use au_core::engine::{Engine, JoinSpec};
 use au_core::search::QueryPlan;
@@ -282,7 +285,7 @@ pub fn run_serve_workload(scale: f64, seed: u64) -> ServeReport {
     use au_serve::{MemStorage, RetryPolicy, ServeConfig, Service};
 
     let theta = 0.90;
-    let n = crate::experiments::sized(400, scale).max(8);
+    let n = sized(400, scale).max(8);
     let ds = med_dataset(n, seed);
     let cfg = ServeConfig {
         theta,
@@ -535,7 +538,7 @@ const SHARD_COMPARE_CACHE: usize = 2;
 /// the lean sharded path, byte-identical results asserted.
 pub fn run_shard_comparison(scale: f64, seed: u64) -> ShardReport {
     let theta = 0.90;
-    let n = crate::experiments::sized(1200, scale);
+    let n = sized(1200, scale);
     let ds = med_dataset(n, seed);
     // Self-join corpus = S ∪ T: MED plants its near-duplicate pairs
     // *across* the two sides, so the union is the corpus whose self-join
@@ -611,13 +614,15 @@ pub fn run_shard_comparison(scale: f64, seed: u64) -> ShardReport {
     }
 }
 
-type FilterSpec = (&'static str, fn() -> FilterKind);
-
-const FILTERS: [FilterSpec; 3] = [
-    ("U", || FilterKind::UFilter),
-    ("AU-heur", || FilterKind::AuHeuristic { tau: 3 }),
-    ("AU-DP", || FilterKind::AuDp { tau: 3 }),
-];
+/// The three filters at overlap constraint `tau` with their row names,
+/// U first.
+fn filters(tau: u32) -> [(&'static str, FilterKind); 3] {
+    [
+        ("U", FilterKind::UFilter),
+        ("AU-heur", FilterKind::AuHeuristic { tau }),
+        ("AU-DP", FilterKind::AuDp { tau }),
+    ]
+}
 
 /// Run one workload: every filter × {serial, parallel} on one dataset.
 pub fn run_workload(
@@ -637,11 +642,9 @@ pub fn run_workload(
     let pt = engine.prepare(&ds.t).expect("T side prepares");
     let prepare_memory_bytes = (ps.memory_bytes() + pt.memory_bytes()) as u64;
     let mut rows = Vec::new();
-    for (fname, mk_filter) in FILTERS {
+    for (fname, filter) in filters(3) {
         for (mode, parallel) in [("serial", false), ("parallel", true)] {
-            let spec = JoinSpec::threshold(theta)
-                .filter(mk_filter())
-                .parallel(parallel);
+            let spec = JoinSpec::threshold(theta).filter(filter).parallel(parallel);
             let res = engine.join(&ps, &pt, &spec).expect("prepared join");
             rows.push(WorkloadRow {
                 id: format!("{name}/{fname}/{mode}"),
@@ -717,7 +720,7 @@ pub fn run_search_row(seed: u64) -> SearchRow {
 /// Run the full suite at `scale`: `med` + `wiki` workloads and the
 /// `fig_shard` sharded-vs-monolithic comparison.
 pub fn run_all(scale: f64) -> (Vec<WorkloadReport>, ShardReport) {
-    let n = crate::experiments::sized(1200, scale);
+    let n = sized(1200, scale);
     let med = med_dataset(n, SEED);
     let wiki = wiki_dataset(n, SEED + 1);
     let mut reports = vec![
@@ -728,56 +731,31 @@ pub fn run_all(scale: f64) -> (Vec<WorkloadReport>, ShardReport) {
     (reports, run_shard_comparison(scale, SEED))
 }
 
-/// The funnel counters every join and search row carries after its
-/// own counts, in their fixed order.
-fn tier_fields(t: &VerifyTiers) -> [(&'static str, Value); 3] {
-    [
-        ("mass_rejects", t.mass_rejects.into()),
-        ("rowmax_rejects", t.rowmax_rejects.into()),
-        ("tier2_rejects", t.tier2_rejects.into()),
-    ]
-}
-
 impl WorkloadRow {
     fn to_value(&self) -> Value {
-        let counts = [
-            ("id", self.id.as_str().into()),
-            ("filter", self.filter.as_str().into()),
-            ("mode", self.mode.into()),
-            ("candidates", self.candidates.into()),
-            ("processed_pairs", self.processed_pairs.into()),
-            ("walked_postings", self.walked_postings.into()),
-            ("compat_rejected", self.compat_rejected.into()),
-            ("result_pairs", self.result_pairs.into()),
-        ];
-        let prf = [
-            ("precision", self.prf.p.into()),
-            ("recall", self.prf.r.into()),
-            ("f1", self.prf.f.into()),
-        ];
-        Value::obj(
-            counts
-                .into_iter()
-                .chain(tier_fields(&self.tiers))
-                .chain(prf),
-        )
+        let t = &self.tiers;
+        obj! {
+            "id": self.id.as_str(), "filter": self.filter.as_str(), "mode": self.mode,
+            "candidates": self.candidates, "processed_pairs": self.processed_pairs,
+            "walked_postings": self.walked_postings, "compat_rejected": self.compat_rejected,
+            "result_pairs": self.result_pairs, "mass_rejects": t.mass_rejects,
+            "rowmax_rejects": t.rowmax_rejects, "tier2_rejects": t.tier2_rejects,
+            "precision": self.prf.p, "recall": self.prf.r, "f1": self.prf.f,
+        }
     }
 }
 
 impl SearchRow {
     fn to_value(&self) -> Value {
-        let counts = [
-            ("id", self.id.as_str().into()),
-            ("n_records", self.n_records.into()),
-            ("queries", self.queries.into()),
-            ("window_plan_queries", self.window_plan_queries.into()),
-            ("candidates", self.candidates.into()),
-            ("processed_pairs", self.processed_pairs.into()),
-            ("walked_postings", self.walked_postings.into()),
-            ("compat_rejected", self.compat_rejected.into()),
-            ("result_pairs", self.result_pairs.into()),
-        ];
-        Value::obj(counts.into_iter().chain(tier_fields(&self.tiers)))
+        let t = &self.tiers;
+        obj! {
+            "id": self.id.as_str(), "n_records": self.n_records, "queries": self.queries,
+            "window_plan_queries": self.window_plan_queries, "candidates": self.candidates,
+            "processed_pairs": self.processed_pairs, "walked_postings": self.walked_postings,
+            "compat_rejected": self.compat_rejected, "result_pairs": self.result_pairs,
+            "mass_rejects": t.mass_rejects, "rowmax_rejects": t.rowmax_rejects,
+            "tier2_rejects": t.tier2_rejects,
+        }
     }
 }
 
@@ -786,87 +764,81 @@ impl WorkloadReport {
     /// `workloads` entry per row, the search row last.
     pub fn to_value(&self) -> Value {
         let rows = self.rows.iter().map(WorkloadRow::to_value);
-        let search = self.search.iter().map(SearchRow::to_value);
-        Value::obj([
-            ("schema", SCHEMA.into()),
-            ("name", self.name.as_str().into()),
-            ("au_scale", self.au_scale.into()),
-            ("seed", self.seed.into()),
-            ("n_records", self.n_records.into()),
-            ("theta", self.theta.into()),
-            ("prepare_memory_bytes", self.prepare_memory_bytes.into()),
-            ("workloads", Value::Arr(rows.chain(search).collect())),
-        ])
+        let rows: Vec<Value> = rows
+            .chain(self.search.iter().map(SearchRow::to_value))
+            .collect();
+        obj! {
+            "schema": SCHEMA, "name": self.name.as_str(), "au_scale": self.au_scale,
+            "seed": self.seed, "n_records": self.n_records, "theta": self.theta,
+            "prepare_memory_bytes": self.prepare_memory_bytes, "workloads": rows,
+        }
     }
 }
 
 impl ShardReport {
     /// The `BENCH_fig_shard.json` document.
     pub fn to_value(&self) -> Value {
-        let rows = self.rows.iter().map(|r| {
-            Value::obj([
-                ("id", r.id.as_str().into()),
-                ("engine", r.engine.into()),
-                ("candidates", r.candidates.into()),
-                ("result_pairs", r.result_pairs.into()),
-                ("shard_tasks", r.shard_tasks.into()),
-                ("shard_tasks_pruned", r.shard_tasks_pruned.into()),
-                ("memory_bytes", r.memory_bytes.into()),
-            ])
-        });
-        Value::obj([
-            ("schema", SCHEMA.into()),
-            ("name", self.name.as_str().into()),
-            ("au_scale", self.au_scale.into()),
-            ("seed", self.seed.into()),
-            ("n_records", self.n_records.into()),
-            ("theta", self.theta.into()),
-            ("shards", self.shards.into()),
-            ("cache_capacity", self.cache_capacity.into()),
-            ("workloads", Value::Arr(rows.collect())),
-            ("prune_fraction", self.prune_fraction.into()),
-            ("memory_ratio", self.memory_ratio.into()),
-        ])
+        let row = |r: &ShardRow| {
+            obj! {
+                "id": r.id.as_str(), "engine": r.engine, "candidates": r.candidates,
+                "result_pairs": r.result_pairs, "shard_tasks": r.shard_tasks,
+                "shard_tasks_pruned": r.shard_tasks_pruned, "memory_bytes": r.memory_bytes,
+            }
+        };
+        obj! {
+            "schema": SCHEMA, "name": self.name.as_str(), "au_scale": self.au_scale,
+            "seed": self.seed, "n_records": self.n_records, "theta": self.theta,
+            "shards": self.shards, "cache_capacity": self.cache_capacity,
+            "workloads": self.rows.iter().map(row).collect::<Vec<_>>(),
+            "prune_fraction": self.prune_fraction, "memory_ratio": self.memory_ratio,
+        }
+    }
+
+    /// One line per row and a summary line, as the perf bins print them.
+    pub fn print(&self) {
+        for r in &self.rows {
+            let mib = r.memory_bytes as f64 / (1024.0 * 1024.0);
+            let (tasks, pruned) = (r.shard_tasks, r.shard_tasks_pruned);
+            println!(
+                "{:<24} pairs={:<8} tasks={tasks}+{pruned}p mem={mib:.1}MiB",
+                r.id, r.result_pairs
+            );
+        }
+        println!(
+            "fig_shard: n={} shards={} cache={} prune_fraction={:.3} memory_ratio={:.3}",
+            self.n_records,
+            self.shards,
+            self.cache_capacity,
+            self.prune_fraction,
+            self.memory_ratio
+        );
     }
 }
 
 impl ServeReport {
     /// The `BENCH_fig_serve.json` document.
     pub fn to_value(&self) -> Value {
-        let rows = self.rows.iter().map(|r| {
-            Value::obj([
-                ("id", r.id.as_str().into()),
-                ("phase", r.phase.into()),
-                ("queries", r.queries.into()),
-                ("candidates", r.candidates.into()),
-                ("processed_pairs", r.processed_pairs.into()),
-                ("result_pairs", r.result_pairs.into()),
-            ])
-        });
-        Value::obj([
-            ("schema", SCHEMA.into()),
-            ("name", self.name.as_str().into()),
-            ("au_scale", self.au_scale.into()),
-            ("seed", self.seed.into()),
-            ("theta", self.theta.into()),
-            ("n_initial", self.n_initial.into()),
-            ("n_inserts", self.n_inserts.into()),
-            ("n_deletes", self.n_deletes.into()),
-            ("compactions", self.compactions.into()),
-            ("stale_anomalies", self.stale_anomalies.into()),
-            ("wal_frames", self.wal_frames.into()),
-            ("wal_replayed_frames", self.wal_replayed_frames.into()),
-            ("wal_retries", self.wal_retries.into()),
-            ("wal_backoff_waits", self.wal_backoff_waits.into()),
-            ("degraded_entries", self.degraded_entries.into()),
-            ("degraded_writes", self.degraded_writes.into()),
-            ("admission_rejected", self.admission_rejected.into()),
-            ("records_prepared", self.records_prepared.into()),
-            ("records_signed", self.records_signed.into()),
-            ("inherited_candidates", self.inherited_candidates.into()),
-            ("fresh_candidates", self.fresh_candidates.into()),
-            ("workloads", Value::Arr(rows.collect())),
-        ])
+        let row = |r: &ServeRow| {
+            obj! {
+                "id": r.id.as_str(), "phase": r.phase, "queries": r.queries,
+                "candidates": r.candidates, "processed_pairs": r.processed_pairs,
+                "result_pairs": r.result_pairs,
+            }
+        };
+        obj! {
+            "schema": SCHEMA, "name": self.name.as_str(), "au_scale": self.au_scale,
+            "seed": self.seed, "theta": self.theta, "n_initial": self.n_initial,
+            "n_inserts": self.n_inserts, "n_deletes": self.n_deletes,
+            "compactions": self.compactions, "stale_anomalies": self.stale_anomalies,
+            "wal_frames": self.wal_frames, "wal_replayed_frames": self.wal_replayed_frames,
+            "wal_retries": self.wal_retries, "wal_backoff_waits": self.wal_backoff_waits,
+            "degraded_entries": self.degraded_entries, "degraded_writes": self.degraded_writes,
+            "admission_rejected": self.admission_rejected,
+            "records_prepared": self.records_prepared, "records_signed": self.records_signed,
+            "inherited_candidates": self.inherited_candidates,
+            "fresh_candidates": self.fresh_candidates,
+            "workloads": self.rows.iter().map(row).collect::<Vec<_>>(),
+        }
     }
 }
 

@@ -15,7 +15,7 @@ use au_core::engine::{Engine, JoinSpec};
 use au_core::shard::ShardSpec;
 
 fn n_records() -> usize {
-    au_bench::experiments::sized(1200, au_bench::scale_from_env(0.5))
+    au_bench::harness::sized(1200, au_bench::scale_from_env(0.5))
 }
 
 #[test]
