@@ -6,17 +6,17 @@
 //! AU_SCALE=0.1 cargo run --release -p au-bench --bin perf [-- <out_dir>]
 //! ```
 //!
-//! `AU_SCALE` sizes the datasets (default 1.0; anything but a positive
-//! number panics). Every field written is a count or a run parameter, so
+//! `<out_dir>` (default `.`) is created, parents included, before the
+//! run starts. `AU_SCALE` sizes the datasets (default 1.0; anything but a
+//! positive number panics). Every field written is a count or a run parameter, so
 //! two runs write byte-identical files; `bench_gate` diffs them against
 //! `tools/perf_baseline/`. Time a stage with the repo benchmark's traced
 //! runs instead (`benchmark/README.md`).
 
-use au_bench::perf::{repro, run_all, write_report, SEED};
-use std::path::PathBuf;
+use au_bench::perf::{out_dir, repro, run_all, write_report, SEED};
 
 fn main() {
-    let out_dir: PathBuf = std::env::args().nth(1).unwrap_or_else(|| ".".into()).into();
+    let dir = out_dir(std::env::args().nth(1));
     let scale = au_bench::scale_from_env(1.0);
     eprintln!("perf: AU_SCALE={scale} seed={SEED}");
     let (workloads, shard) = run_all(scale);
@@ -51,7 +51,7 @@ fn main() {
         .chain([(shard.name.as_str(), shard.to_value())])
         .chain([("repro", repro::to_value(scale, &claims))]);
     for (name, doc) in docs {
-        let p = write_report(&out_dir, name, &doc).expect("write BENCH_*.json");
+        let p = write_report(&dir, name, &doc).expect("write BENCH_*.json");
         eprintln!("wrote {}", p.display());
     }
 }

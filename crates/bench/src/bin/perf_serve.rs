@@ -12,14 +12,13 @@
 //! acceptance invariants — zero stale-read anomalies, byte-identical
 //! answers vs a fresh monolithic prepare of the final corpus state and
 //! vs a crash-recovered service — so a violation fails the run before
-//! any JSON is written. `AU_SCALE` works as for `perf`; serve latencies
-//! are the repo benchmark's `serve_mixed` workload.
+//! any JSON is written. `AU_SCALE` and `<out_dir>` work as for `perf`;
+//! serve latencies are the repo benchmark's `serve_mixed` workload.
 
-use au_bench::perf::{run_serve_workload, write_report, SEED};
-use std::path::PathBuf;
+use au_bench::perf::{out_dir, run_serve_workload, write_report, SEED};
 
 fn main() {
-    let out_dir: PathBuf = std::env::args().nth(1).unwrap_or_else(|| ".".into()).into();
+    let dir = out_dir(std::env::args().nth(1));
     let scale = au_bench::scale_from_env(1.0);
     eprintln!("perf_serve: AU_SCALE={scale} seed={SEED}");
     let serve = run_serve_workload(scale, SEED);
@@ -53,7 +52,6 @@ fn main() {
         serve.degraded_writes,
         serve.admission_rejected
     );
-    let p =
-        write_report(&out_dir, &serve.name, &serve.to_value()).expect("write BENCH_fig_serve.json");
+    let p = write_report(&dir, &serve.name, &serve.to_value()).expect("write BENCH_fig_serve.json");
     eprintln!("wrote {}", p.display());
 }

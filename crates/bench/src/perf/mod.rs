@@ -153,15 +153,15 @@ pub struct ShardRow {
     /// Monolithic row: deep bytes of the whole-corpus [`Engine::prepare`]
     /// artifact, measured *before* the join (the comparator of the
     /// memory-lean claim). Sharded row:
-    /// [`au_core::shard::ShardedPrepared::peak_memory_bytes`] — the
-    /// high-water mark of segmented-shard bytes held simultaneously.
+    /// [`au_core::shard::ShardStats::peak_bytes`] — the high-water mark
+    /// of segmented-shard bytes the join held simultaneously.
     /// Length-based accounting, so deterministic.
     pub memory_bytes: u64,
 }
 
 /// The `fig_shard` comparison: a monolithic whole-corpus self-join vs
-/// the memory-lean sharded path ([`Engine::prepare_sharded`] +
-/// [`Engine::join_self_sharded`]) on the same corpus, same θ, same
+/// the memory-lean sharded path ([`Engine::join_self_sharded`], which
+/// plans and segments its shards itself) on the same corpus, same θ, same
 /// filter. Results are byte-identical; the interesting columns are
 /// memory and the pruned task fraction.
 #[derive(Debug, Clone)]
@@ -563,13 +563,10 @@ pub fn run_shard_comparison(scale: f64, seed: u64) -> ShardReport {
     let shard_spec = ShardSpec::auto()
         .with_shards(SHARD_COMPARE_SHARDS)
         .with_cache_capacity(SHARD_COMPARE_CACHE);
-    let sps = engine
-        .prepare_sharded(&corpus, &shard_spec)
-        .expect("sharded plan");
     let sharded = engine
-        .join_self_sharded(&sps, &spec)
+        .join_self_sharded(&corpus, &shard_spec, &spec)
         .expect("sharded self-join");
-    let shard_bytes = sps.peak_memory_bytes() as u64;
+    let shard_bytes = sharded.stats.shard.peak_bytes as u64;
 
     // The artifact must never report a sharded run that drifted from the
     // monolithic engine (tests/shard_equivalence.rs pins this broadly;
@@ -584,21 +581,21 @@ pub fn run_shard_comparison(scale: f64, seed: u64) -> ShardReport {
         engine,
         candidates: res.stats.candidates,
         result_pairs: res.pairs.len() as u64,
-        shard_tasks: res.stats.shard_tasks,
-        shard_tasks_pruned: res.stats.shard_tasks_pruned,
+        shard_tasks: res.stats.shard.tasks,
+        shard_tasks_pruned: res.stats.shard.tasks_pruned,
         memory_bytes: bytes,
     };
-    let total_tasks = sharded.stats.shard_tasks + sharded.stats.shard_tasks_pruned;
+    let total_tasks = sharded.stats.shard.tasks + sharded.stats.shard.tasks_pruned;
     ShardReport {
         name: "fig_shard".into(),
         au_scale: scale,
         seed,
         n_records: corpus.len(),
         theta,
-        shards: sps.plan().shard_count(),
+        shards: sharded.stats.shard.shards,
         cache_capacity: SHARD_COMPARE_CACHE,
         prune_fraction: if total_tasks > 0 {
-            sharded.stats.shard_tasks_pruned as f64 / total_tasks as f64
+            sharded.stats.shard.tasks_pruned as f64 / total_tasks as f64
         } else {
             0.0
         },
@@ -842,6 +839,19 @@ impl ServeReport {
     }
 }
 
+/// The output directory of a perf bin: `arg` (its first command-line
+/// argument; `.` when absent), created with any missing parents before
+/// any work starts. When it cannot be created the process exits with
+/// status 1 and a message naming the path.
+pub fn out_dir(arg: Option<String>) -> PathBuf {
+    let dir = PathBuf::from(arg.unwrap_or_else(|| ".".into()));
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("cannot create output directory {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+    dir
+}
+
 /// Write `doc` as `BENCH_<name>.json` under `dir`; returns the path.
 pub fn write_report(dir: &Path, name: &str, doc: &Value) -> std::io::Result<PathBuf> {
     let p = dir.join(format!("BENCH_{name}.json"));
@@ -940,6 +950,20 @@ mod tests {
         let row = rows.last().unwrap();
         assert_eq!(row.get("queries").unwrap().as_f64(), Some(200.0));
         assert!(row.get("mass_rejects").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn a_report_lands_in_a_nested_directory_that_did_not_exist() {
+        let root = std::env::temp_dir().join(format!("perf_out_dir_{}", std::process::id()));
+        let nested = root.join("a").join("b");
+        assert!(!root.exists());
+        let dir = out_dir(Some(nested.to_string_lossy().into_owned()));
+        let doc = obj! { "schema": SCHEMA };
+        let p = write_report(&dir, "nested", &doc).expect("report written");
+        let written = std::fs::read_to_string(&p).expect("report readable");
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(p, nested.join("BENCH_nested.json"));
+        assert_eq!(written, format!("{doc}\n"));
     }
 
     #[test]

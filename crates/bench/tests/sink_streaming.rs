@@ -75,8 +75,8 @@ fn self_sink_matches_batch_serial_and_parallel() {
 #[test]
 fn sharded_prepare_peak_stays_below_monolithic() {
     // The bounded-peak-memory half of the streaming contract, measured
-    // with the same deep accounting the perf gate uses: joining through
-    // `ShardedPrepared` must never become resident-heavier than simply
+    // with the same deep accounting the perf gate uses: a sharded join
+    // must never become resident-heavier than simply
     // preparing the whole corpus up front. (The perf harness pins the
     // much stronger ≤ 0.25 ratio at fixed 32/2 shard parameters; this
     // test uses the auto plan, so it asserts the direction, not the
@@ -91,10 +91,11 @@ fn sharded_prepare_peak_stays_below_monolithic() {
     let mono_bytes = mono.memory_bytes();
     drop(mono);
 
-    let sps = engine.prepare_sharded(&ds.s, &ShardSpec::auto()).unwrap();
-    let sharded = engine.join_self_sharded(&sps, &spec).unwrap();
+    let sharded = engine
+        .join_self_sharded(&ds.s, &ShardSpec::auto(), &spec)
+        .unwrap();
     assert_eq!(sharded.pairs, batch.pairs, "sharded join diverged");
-    let peak = sps.peak_memory_bytes();
+    let peak = sharded.stats.shard.peak_bytes;
     assert!(peak > 0, "peak accounting must have sampled something");
     assert!(
         peak < mono_bytes,

@@ -12,7 +12,7 @@
 //! Engine (Knowledge + SimConfig, validated once)             engine.rs
 //!   ├─ prepare / merge_prepared → Prepared  (stage 1)        engine.rs
 //!   ├─ join / join_self / join_sink  (threshold, streaming)  engine.rs
-//!   ├─ prepare_sharded → join_sharded / join_self_sharded    shard.rs
+//!   ├─ join_sharded / join_self_sharded (plans its shards)  shard.rs
 //!   ├─ topk / topk_self              (threshold descent)     topk.rs
 //!   ├─ searcher(..).query(..) / scan (online search, no &mut) search.rs
 //!   ├─ filter_outcome / filter_counts / calibrate (Eq. 15–17) estimate.rs
@@ -84,14 +84,14 @@ pub fn prepare_invocations() -> u64 {
 ///
 /// Every mutex in the session API guards cache or scratch state whose
 /// contents are correctness-neutral: memoized artifacts equal what a
-/// rebuild would produce byte-for-byte, the sharded-join counters are
-/// monotone telemetry, and the searcher overlay is a lookup-or-append
-/// interner. A panic on another thread while holding one of these locks
-/// therefore cannot leave state a later reader must not observe — at
-/// worst an entry is missing and gets rebuilt — so the poison flag is
-/// cleared and the guard handed out. This keeps `unwrap`/`expect` out of
-/// the public engine paths (the `P` lint): a long-lived service survives
-/// a stray panic in one request instead of unwinding every later caller.
+/// rebuild would produce byte-for-byte, and the searcher overlay is a
+/// lookup-or-append interner. A panic on another thread while holding
+/// one of these locks therefore cannot leave state a later reader must
+/// not observe — at worst an entry is missing and gets rebuilt — so the
+/// poison flag is cleared and the guard handed out. This keeps
+/// `unwrap`/`expect` out of the public engine paths (the `P` lint): a
+/// long-lived service survives a stray panic in one request instead of
+/// unwinding every later caller.
 pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -243,10 +243,9 @@ impl Engine {
     }
 
     /// Stage 1 on a corpus whose tokens are known to be in this engine's
-    /// vocabulary ([`Engine::prepare_owned`] and
-    /// [`Engine::prepare_sharded`] check; Bernoulli samples of an
-    /// already-prepared corpus and shards of an already-checked one need
-    /// no re-check).
+    /// vocabulary ([`Engine::prepare_owned`] and the sharded joins' plan
+    /// check; Bernoulli samples of an already-prepared corpus and shards
+    /// of an already-checked one need no re-check).
     pub(crate) fn prepare_trusted(&self, corpus: Corpus) -> Prepared {
         self.prepare_with(corpus, true)
     }
@@ -413,7 +412,7 @@ impl Engine {
         let sig_time = sig_start.elapsed();
 
         let filter_start = Instant::now();
-        let index = self.csr(t, SigKey::new(key_t, spec), &order, &sel_t);
+        let index = self.csr(t, SigKey::new(key_t, spec), &sel_t);
         let stats = JoinStats {
             sig_time,
             filter_time: filter_start.elapsed(),
@@ -629,7 +628,8 @@ pub(crate) mod tests {
     use crate::oracle::brute_force_join;
     use crate::prepared::tests::assert_memo_coherent;
     use crate::search::SearchOutcome;
-    use crate::shard::ShardSpec;
+    use crate::segment::segment_stats;
+    use crate::shard::{ShardSpec, ShardStats};
     use crate::usim::{Verifier, VerifyScratch, VerifyTiers};
 
     pub(crate) fn setup() -> (Knowledge, Corpus, Corpus) {
@@ -724,7 +724,6 @@ pub(crate) mod tests {
         let is_theta =
             |r: Result<(), AuError>| matches!(r, Err(AuError::InvalidSpec { field: "theta", .. }));
         let shards = ShardSpec::auto().with_shards(2);
-        let sharded = engine.prepare_sharded(&s, &shards).unwrap();
         let session = QuerySession::default();
         let query = session.segment(engine.knowledge(), engine.config(), "cafe latte");
         let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
@@ -740,8 +739,8 @@ pub(crate) mod tests {
                 is_theta(engine.join_self(&ps, &zero).map(drop)),
                 is_theta(engine.join_sink(&ps, &pt, &zero, |_, _, _| {}).map(drop)),
                 is_theta(engine.join_self_sink(&ps, &zero, |_, _, _| {}).map(drop)),
-                is_theta(engine.join_sharded(&sharded, &sharded, &zero).map(drop)),
-                is_theta(engine.join_self_sharded(&sharded, &zero).map(drop)),
+                is_theta(engine.join_sharded(&s, &s, &shards, &zero).map(drop)),
+                is_theta(engine.join_self_sharded(&s, &shards, &zero).map(drop)),
                 is_theta(engine.filter_outcome(&ps, Some(&pt), &zero).map(drop)),
                 is_theta(engine.filter_counts(&ps, &pt, theta, filter).map(drop)),
                 is_theta(engine.calibrate(&ps, &pt, theta, filter).map(drop)),
@@ -776,8 +775,8 @@ pub(crate) mod tests {
     fn clear_memo_reclaims_artifacts_and_rebuilds_lazily() {
         let (kn, s, t) = setup();
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
-        let ps = engine.prepare(&s).unwrap();
-        let pt = engine.prepare(&t).unwrap();
+        let mut ps = engine.prepare(&s).unwrap();
+        let mut pt = engine.prepare(&t).unwrap();
         // A fresh artifact is its corpus, its segmentation (each row
         // behind a pointer and two reference counts), the tier-0 integers
         // and the frequency table: nothing per pebble.
@@ -1184,7 +1183,7 @@ pub(crate) mod tests {
             .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
             .collect();
         let with_text = || new_rows.iter().zip(appended.iter().map(String::as_str));
-        let merged = engine
+        let mut merged = engine
             .merge_prepared(&base_p, &dropped, with_text())
             .unwrap();
         let fresh = engine.prepare_owned(merged.corpus().clone()).unwrap();
@@ -1327,11 +1326,10 @@ pub(crate) mod tests {
         );
     }
 
-    /// And for real: readers build searchers over a merged artifact and
-    /// query it while another thread clears the memo under them, so a
-    /// reader may hold the inherited order while the memo already files
-    /// selections under the re-ranked one. Every answer must be the brute
-    /// force one, and whatever is resident afterwards coherent.
+    /// And for real: readers build searchers over a merged artifact at the
+    /// same time, so concurrent builds race to file one selection under
+    /// the inherited order. Every answer must be the brute force one, and
+    /// whatever is resident afterwards coherent.
     #[test]
     fn memo_eviction_races_never_lose_a_pair() {
         let (mut kn, _, _) = setup();
@@ -1374,12 +1372,6 @@ pub(crate) mod tests {
                         }
                     });
                 }
-                scope.spawn(move || {
-                    for _ in 0..6 {
-                        std::thread::yield_now();
-                        merged.clear_memo();
-                    }
-                });
             });
             assert_memo_coherent(engine, merged);
         }
@@ -1600,25 +1592,28 @@ pub(crate) mod tests {
         let (kn, s, _) = setup();
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let ps = engine.prepare(&s).unwrap();
-        let sp = engine
-            .prepare_sharded(&s, &ShardSpec::auto().with_shards(2))
-            .unwrap();
-        let full: Vec<(u32, u32)> = (0..s.len() as u32)
-            .map(|i| {
-                let sr = ps.seg_record(i).unwrap();
-                (sr.n_tokens() as u32, sr.min_partition)
-            })
+        let shards = ShardSpec::auto().with_shards(2);
+        // The plan's lean pass computes the tier-0 integers a full prepare
+        // caches.
+        let lean: Vec<(u32, u32)> = (s.iter())
+            .map(|r| segment_stats(&engine.kn, &engine.cfg, &r.tokens))
             .collect();
-        assert_eq!(sp.tier0(), full.as_slice());
+        assert_eq!(lean, ps.tier0);
+        let plan = engine.plan_shards(&s, &shards).unwrap();
+        assert_eq!(plan.shard_count(), 2);
+        assert_eq!(plan.record_count(), s.len());
         let spec = JoinSpec::threshold(0.6);
         let mono = engine.join_self(&ps, &spec).unwrap();
-        let lazy = engine.join_self_sharded(&sp, &spec).unwrap();
+        let lazy = engine.join_self_sharded(&s, &shards, &spec).unwrap();
         assert_eq!(mono.pairs, lazy.pairs);
-        assert!(sp.shard_builds() >= 1);
-        assert!(sp.peak_memory_bytes() > 0);
-        let rs = engine.join_sharded(&sp, &sp, &spec).unwrap();
+        assert_eq!(lazy.stats.shard.shards, 2);
+        assert!(lazy.stats.shard.builds >= 1);
+        assert!(lazy.stats.shard.peak_bytes > 0);
+        assert_eq!(mono.stats.shard, ShardStats::default());
+        let rs = engine.join_sharded(&s, &s, &shards, &spec).unwrap();
         let mono_rs = engine.join(&ps, &ps, &spec).unwrap();
         assert_eq!(mono_rs.pairs, rs.pairs);
+        assert_eq!(rs.stats.shard.shards, 4);
     }
 
     #[test]
@@ -1634,19 +1629,14 @@ pub(crate) mod tests {
         let mono_rs = engine.join(&pc, &pc, &spec).unwrap();
         for cap in [2usize, 3, 5] {
             let sspec = ShardSpec::auto().with_shards(7).with_cache_capacity(cap);
-            let sp = engine.prepare_sharded(&c, &sspec).unwrap();
-            let lazy = engine.join_self_sharded(&sp, &spec).unwrap();
+            let lazy = engine.join_self_sharded(&c, &sspec, &spec).unwrap();
             assert_eq!(lazy.pairs, mono_self.pairs, "cap {cap}");
-            assert_eq!(relock(&sp.counters).most_resident, cap, "self, cap {cap}");
+            assert_eq!(lazy.stats.shard.most_resident, cap, "self, cap {cap}");
             // R×S: the band is a full `cap` wide and T streams beside it.
-            let sp = engine.prepare_sharded(&c, &sspec).unwrap();
-            let lazy = engine.join_sharded(&sp, &sp, &spec).unwrap();
+            let lazy = engine.join_sharded(&c, &c, &sspec, &spec).unwrap();
             assert_eq!(lazy.pairs, mono_rs.pairs, "cap {cap}");
-            assert_eq!(
-                relock(&sp.counters).most_resident,
-                cap + 1,
-                "R×S, cap {cap}"
-            );
+            let resident = lazy.stats.shard.most_resident;
+            assert_eq!(resident, cap + 1, "R×S, cap {cap}");
         }
     }
 

@@ -37,6 +37,7 @@ use crate::index::{CompatBound, CsrIndex, OverlapCounter, ProbeStats, RecordKeys
 use crate::knowledge::Knowledge;
 use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortScratch};
 use crate::segment::SegRecord;
+use crate::shard::ShardStats;
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
 use crate::usim::{GramPostingsIndex, RunScratch, RunSide, Verifier, VerifyTiers};
 use std::ops::Range;
@@ -100,14 +101,11 @@ pub struct JoinStats {
     /// function of the candidate runs, so independent of the thread count.
     /// A sharded run sums its tasks' walks.
     pub walked: u64,
-    /// Shard-pair tasks actually executed by a sharded join
+    /// A sharded join's plan, task grid and residency
     /// ([`crate::engine::Engine::join_self_sharded`] /
-    /// [`crate::engine::Engine::join_sharded`]; 0 on monolithic joins).
-    pub shard_tasks: u64,
-    /// Shard-pair tasks skipped wholesale by the shard-pair bound
-    /// ([`crate::shard::shard_pair_bound`] `< θ − ε`; 0 on monolithic
+    /// [`crate::engine::Engine::join_sharded`]; all zero on monolithic
     /// joins).
-    pub shard_tasks_pruned: u64,
+    pub shard: ShardStats,
 }
 
 impl JoinStats {

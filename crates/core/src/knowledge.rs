@@ -87,10 +87,11 @@ impl Knowledge {
     /// Every path that publishes a new knowledge state goes through this
     /// one helper — the in-crate vocabulary mutators below, and external
     /// publishers such as the `au-serve` snapshot swap. Sharing the mint
-    /// (one `fetch_add` counter) is what makes a compact-then-shard
-    /// sequence safe: artifacts stamped by [`crate::engine::Engine::prepare_sharded`]
+    /// (one `fetch_add` counter) is what makes a compact-then-join
+    /// sequence safe: artifacts stamped by [`crate::engine::Engine::prepare`]
     /// and snapshots published by a serving layer can never collide on a
-    /// generation, no matter how the two interleave.
+    /// generation, no matter how the two interleave. A sharded join
+    /// carries no stamp: it plans under the joining engine's knowledge.
     pub fn remint_generation(&mut self) -> u64 {
         self.generation = mint_generation();
         self.generation

@@ -42,6 +42,6 @@ pub use error::AuError;
 pub use index::{CsrIndex, OverlapCounter, RecordKeys};
 pub use knowledge::{Knowledge, KnowledgeBuilder};
 pub use search::{QueryPlan, SearchOutcome};
-pub use shard::{ShardPlan, ShardSpec, ShardedPrepared};
+pub use shard::{ShardPlan, ShardSpec, ShardStats};
 pub use topk::TopkResult;
 pub use usim::{usim_approx, usim_approx_explained, usim_exact};

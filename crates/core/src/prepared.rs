@@ -3,10 +3,9 @@
 //! [`PebbleOrder`], signature key sets ([`SelectedSignatures`]) and CSR
 //! indexes, built lazily by the memoized builders here. An order may be
 //! inherited ([`Engine::merge_prepared`]) rather than a function of the
-//! corpus, so what was selected under an order is served and filed only
-//! while that very order is resident, and an order leaves the memo only
-//! together with everything filed under it ([`Prepared::clear_memo`]; the
-//! memo never evicts).
+//! corpus, so an order leaves the memo only together with everything
+//! filed under it ([`Prepared::clear_memo`], which takes the artifact
+//! exclusively; the memo never evicts).
 
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
@@ -65,9 +64,8 @@ impl SigKey {
 }
 
 /// A resident order. It may be an inherited one ([`PebbleOrder::inherit`]),
-/// not a function of the corpus — so what was selected under it is filed
-/// and served only while it is resident ([`Memo::under`]), and leaves the
-/// memo with it ([`Prepared::clear_memo`]).
+/// not a function of the corpus — so what was selected under it leaves
+/// the memo with it ([`Prepared::clear_memo`]).
 #[derive(Debug)]
 struct Ranked {
     order: Arc<PebbleOrder>,
@@ -90,12 +88,6 @@ struct Memo {
 impl Memo {
     fn resident(&self) -> usize {
         self.orders.len() + self.sigs.len() + self.csr.len()
-    }
-
-    /// The entry of `key` while it still holds `order` itself (it may have
-    /// been cleared and re-ranked between a caller's two visits).
-    fn under(&mut self, key: OrderKey, order: &Arc<PebbleOrder>) -> Option<&mut Ranked> {
-        (self.orders.get_mut(&key)).filter(|e| Arc::ptr_eq(&e.order, order))
     }
 
     /// The resident order of `key`; `order`, filed, when there is none.
@@ -307,9 +299,13 @@ impl Prepared {
     /// memory for services that stream distinct thresholds or join
     /// partners through one long-lived `Prepared`. An inherited order
     /// ([`Engine::merge_prepared`]) goes too: the next operation ranks
-    /// this corpus's own frequencies, as a fresh prepare would.
-    pub fn clear_memo(&self) {
-        let mut m = relock(&self.memo);
+    /// this corpus's own frequencies, as a fresh prepare would. The clear
+    /// is exclusive, so no operation holds an order across it.
+    pub fn clear_memo(&mut self) {
+        let m = self
+            .memo
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         m.orders.clear();
         m.sigs.clear();
         m.csr.clear();
@@ -347,8 +343,9 @@ impl Prepared {
     }
 
     /// Bytes of the pair order `self` and `other` both file — one `Arc`
-    /// ([`Engine::order_pair`] stores it in both memos), so the sum of the
-    /// two artifacts' [`Prepared::memory_bytes`] counts it twice.
+    /// when [`Engine::order_pair`] ranked it for both (as in every sharded
+    /// task, whose shards start with empty memos), so the sum of the two
+    /// artifacts' [`Prepared::memory_bytes`] counts it twice.
     pub(crate) fn shared_order_bytes(&self, other: &Prepared) -> usize {
         if self.id == other.id {
             return 0;
@@ -405,33 +402,27 @@ impl Engine {
             m.order_or_insert(key_s, order)
         });
         if s.id != t.id {
-            let mut m = t.memo();
-            m.order_or_insert(key_t, order.clone());
             // A pair order is a pure function of the two frequency tables:
             // a copy `t` kept from an earlier join equals this one, so
             // what `t` selected under it stays valid under this one.
-            if let Some(ranked) = m.orders.get_mut(&key_t) {
-                ranked.order = order.clone();
-            }
+            t.memo().order_or_insert(key_t, order.clone());
         }
         order
     }
 
-    /// What `map` files under `k` — served, and a `build` filed, only
-    /// while `order` is the resident order of `k`'s key ([`Memo::under`]);
-    /// a filed build adds `signs` records to that order's stage-3 count.
+    /// What `map` files under `k`, else a `build` filed there, adding
+    /// `signs` records to the stage-3 count of `k`'s order — resident,
+    /// since the caller fetched it and only an exclusive clear drops it.
     fn memoized<T>(
         c: &Prepared,
         k: SigKey,
         signs: u64,
-        order: &Arc<PebbleOrder>,
         map: fn(&mut Memo) -> &mut FxHashMap<SigKey, Arc<T>>,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
         {
             let mut m = c.memo();
-            let resident = m.under(k.order, order).is_some();
-            if let Some(hit) = map(&mut m).get(&k).filter(|_| resident).cloned() {
+            if let Some(hit) = map(&mut m).get(&k).cloned() {
                 m.hits += 1;
                 return hit;
             }
@@ -439,10 +430,9 @@ impl Engine {
         let built = Arc::new(build());
         let mut m = c.memo();
         m.misses += 1;
-        let Some(ranked) = m.under(k.order, order) else {
-            return built;
-        };
-        ranked.signed += signs;
+        if let Some(ranked) = m.orders.get_mut(&k.order) {
+            ranked.signed += signs;
+        }
         map(&mut m).entry(k).or_insert(built).clone()
     }
 
@@ -456,20 +446,13 @@ impl Engine {
     ) -> Arc<SelectedSignatures> {
         let k = SigKey::new(key, spec);
         let select = || SelectedSignatures::select(&self.kn, &self.cfg, &c.segrecs, order, spec);
-        Self::memoized(c, k, c.len() as u64, order, |m| &mut m.sigs, select)
+        Self::memoized(c, k, c.len() as u64, |m| &mut m.sigs, select)
     }
 
-    /// CSR inverted index over `sel` — the signatures of memo key `k`,
-    /// selected under `order`.
-    pub(crate) fn csr(
-        &self,
-        c: &Prepared,
-        k: SigKey,
-        order: &Arc<PebbleOrder>,
-        sel: &SelectedSignatures,
-    ) -> Arc<CsrIndex> {
+    /// CSR inverted index over `sel`, the signatures of memo key `k`.
+    pub(crate) fn csr(&self, c: &Prepared, k: SigKey, sel: &SelectedSignatures) -> Arc<CsrIndex> {
         let build = || CsrIndex::from_record_keys(&sel.record_keys);
-        Self::memoized(c, k, 0, order, |m| &mut m.csr, build)
+        Self::memoized(c, k, 0, |m| &mut m.csr, build)
     }
 
     /// Seed the memo of `merged` — `base` minus `dropped` plus the rows
@@ -507,7 +490,7 @@ impl Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::engine::tests::{merge_lines, pair_bits, setup, MERGE_WORDS};
+    use crate::engine::tests::{merge_lines, pair_bits, setup};
     use crate::oracle::brute_force_join;
     use crate::segment::segment_record;
 
@@ -565,7 +548,7 @@ pub(crate) mod tests {
         for round in 0..6u32 {
             let new = (3 * round as usize..).take(3);
             let new = new.map(|i| (&rows[i], tail_lines[i].as_str()));
-            let merged = engine
+            let mut merged = engine
                 .merge_prepared(&current, &[round, round + 5], new)
                 .unwrap();
             assert!(merged.memo_len() > 0, "round {round}: inherited");
@@ -605,68 +588,5 @@ pub(crate) mod tests {
             }
             current = merged;
         }
-    }
-
-    /// The same hazard across threads, replayed in one: a caller that took
-    /// the inherited order before the memo was cleared and re-ranked comes
-    /// back with it. It must get what it asked for — the selection under
-    /// *its* order — and must neither be served nor overwrite what is
-    /// filed under the new one.
-    #[test]
-    fn a_stale_order_handle_is_served_but_never_filed() {
-        let (mut kn, _, _) = setup();
-        let cfg = SimConfig::default();
-        // Frequencies that move: "north" is everywhere in the base and the
-        // appended rows are all "tea".
-        let base_lines: Vec<String> = (0..16)
-            .map(|i| format!("north {} {}", MERGE_WORDS[i % 6], MERGE_WORDS[(i + 3) % 9]))
-            .collect();
-        let base = kn.corpus_from_lines(base_lines.iter().map(String::as_str));
-        let tail_lines: Vec<String> = (0..10)
-            .map(|i| format!("tea cake {}", MERGE_WORDS[i % 5]))
-            .collect();
-        let tail = kn.corpus_from_lines(tail_lines.iter().map(String::as_str));
-        let engine = Engine::new(kn, cfg).unwrap();
-        let rows: Vec<Arc<SegRecord>> = tail
-            .iter()
-            .map(|r| Arc::new(segment_record(&engine.kn, &cfg, &r.tokens)))
-            .collect();
-        let spec = JoinSpec::threshold(0.7).au_dp(2);
-        let base_p = engine.prepare(&base).unwrap();
-        engine.searcher(&base_p, &spec).unwrap();
-        let new = rows.iter().zip(tail_lines.iter().map(String::as_str));
-        let merged = engine.merge_prepared(&base_p, &[], new).unwrap();
-
-        let key = OrderKey::SelfOrder;
-        let sig_key = SigKey::new(key, &spec);
-        let stale = engine.order_self(&merged);
-        assert!(stale.age().1 > 0);
-        merged.clear_memo();
-        let ranked = engine.order_self(&merged);
-        assert_eq!(ranked.age().1, 0);
-        let filed = engine.signatures(&merged, key, &ranked, &spec);
-        let select = |order: &PebbleOrder| {
-            SelectedSignatures::select(&engine.kn, &cfg, &merged.segrecs, order, &spec)
-        };
-        assert_ne!(select(&stale), *filed, "the two orders select differently");
-
-        let served = engine.signatures(&merged, key, &stale, &spec);
-        assert_eq!(*served, select(&stale));
-        let index = engine.csr(&merged, sig_key, &stale, &served);
-        let want = CsrIndex::from_record_keys(&served.record_keys);
-        assert_eq!(index.sorted_lists(), want.sorted_lists());
-        // Nothing of the stale order's was filed…
-        assert!(!merged.memo().csr.contains_key(&sig_key));
-        assert!(Arc::ptr_eq(
-            &engine.signatures(&merged, key, &ranked, &spec),
-            &filed
-        ));
-        // … and with the new order's index filed, the stale caller is still
-        // not served it.
-        let filed_index = engine.csr(&merged, sig_key, &ranked, &filed);
-        let again = engine.csr(&merged, sig_key, &stale, &served);
-        assert!(!Arc::ptr_eq(&again, &filed_index));
-        assert_eq!(again.sorted_lists(), want.sorted_lists());
-        assert_memo_coherent(&engine, &merged);
     }
 }

@@ -465,7 +465,7 @@ impl Engine {
         spec.validate_threshold(self.cfg.eps)?;
         let order = self.order_self(c);
         let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
-        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &order, &sel);
+        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &sel);
         Ok(SearchCore {
             spec: *spec,
             order,

@@ -587,8 +587,9 @@ fn scan_multi_spans(
 /// The tier-0 integers `(|S|, MP(S))` of a record, computed without
 /// building anything else: no gram hashing, no surface text, no posting
 /// tables — just the multi-span scan plus the min-partition DP. This is
-/// what lets [`crate::engine::Engine::prepare_sharded`] plan a shard
-/// layout over a corpus far larger than any full prepare could hold.
+/// what lets a sharded join ([`crate::engine::Engine::join_self_sharded`])
+/// plan a shard layout over a corpus far larger than any full prepare
+/// could hold.
 pub fn segment_stats(kn: &Knowledge, cfg: &SimConfig, tokens: &[TokenId]) -> (u32, u32) {
     let want_syn = cfg.measures.contains(MeasureSet::S);
     let want_tax = cfg.measures.contains(MeasureSet::T);

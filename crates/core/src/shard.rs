@@ -28,20 +28,20 @@
 //! partition of the full cross product, so results are exactly the
 //! monolithic join's (`tests/shard_equivalence.rs` pins them bitwise).
 //!
-//! The one entry point is [`crate::engine::Engine::prepare_sharded`], for
-//! corpora too large to prepare whole: only the tier-0 integers are
-//! computed up front, and each shard is segmented on demand by the join
-//! ([`crate::engine::Engine::join_self_sharded`] /
-//! [`crate::engine::Engine::join_sharded`]), which keeps
-//! [`ShardSpec::cache_capacity`] of them live at a time and drops every
-//! one before it returns. [`ShardedPrepared::peak_memory_bytes`] reports
-//! the high-water mark, a small fraction of a whole-corpus prepare. It is
-//! a memory tool, not a speed-up: every task rebuilds its own pebble
-//! order, signatures and index, so a sharded join is slower than the
-//! monolithic one whenever the latter fits.
+//! The entry points are [`crate::engine::Engine::join_self_sharded`] and
+//! [`crate::engine::Engine::join_sharded`], for corpora too large to
+//! prepare whole. Like PASS-JOIN's length partitioning, the plan is part
+//! of the join: each call runs the lean stats pass over the corpora it is
+//! given, plans them under the joining engine's knowledge, and segments
+//! each shard on demand, keeping [`ShardSpec::cache_capacity`] of them
+//! live at a time and dropping every one before it returns.
+//! [`ShardStats::peak_bytes`] reports the high-water mark, a small
+//! fraction of a whole-corpus prepare. It is a memory tool, not a
+//! speed-up: every task rebuilds its own pebble order, signatures and
+//! index, so a sharded join is slower than the monolithic one whenever
+//! the latter fits.
 
-use crate::config::SimConfig;
-use crate::engine::{relock, Engine};
+use crate::engine::Engine;
 use crate::error::AuError;
 use crate::join::{verify_runs, JoinResult, JoinStats};
 use crate::prepared::Prepared;
@@ -49,7 +49,7 @@ use crate::segment::segment_stats;
 use crate::spec::JoinSpec;
 use crate::usim::GramPostingsIndex;
 use au_text::record::{Corpus, RecordId};
-use std::sync::{Arc, Mutex};
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// How a corpus should be sharded.
@@ -235,173 +235,115 @@ impl ShardPlan {
     }
 }
 
-/// What the joins over one [`ShardedPrepared`] have cost so far.
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
-    /// Most segmented-shard bytes any join held at once.
-    pub(crate) peak_bytes: usize,
-    /// Shards segmented.
-    pub(crate) builds: u64,
-    /// Most segmented shards any join held at once.
-    pub(crate) most_resident: usize,
-}
-
-/// A corpus prepared for sharded joins without ever segmenting it whole:
-/// the tier-0 integers come from the lean stats pass, shards are
-/// segmented on demand by each join and dropped before it returns (the
-/// artifact itself never holds one). Create with
-/// [`crate::engine::Engine::prepare_sharded`]; join with
-/// [`crate::engine::Engine::join_self_sharded`] /
-/// [`crate::engine::Engine::join_sharded`].
-#[derive(Debug)]
-pub struct ShardedPrepared {
-    pub(crate) gen: u64,
-    pub(crate) cfg: SimConfig,
-    pub(crate) corpus: Corpus,
-    pub(crate) tier0: Vec<(u32, u32)>,
-    pub(crate) plan: ShardPlan,
-    pub(crate) cache_capacity: usize,
-    pub(crate) counters: Mutex<ShardCounters>,
-}
-
-impl ShardedPrepared {
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.corpus.len()
-    }
-
-    /// True when the corpus has no records.
-    pub fn is_empty(&self) -> bool {
-        self.corpus.is_empty()
-    }
-
-    /// The corpus this artifact was planned from.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
-    }
-
-    /// Knowledge generation this artifact was planned under.
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// The length-ordered shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The per-record `(|S|, MP(S))` tier-0 integers (indexed by record
-    /// id) from the lean stats pass — identical to what a full prepare
-    /// caches, at a fraction of the cost.
-    pub fn tier0(&self) -> &[(u32, u32)] {
-        &self.tier0
-    }
-
-    /// High-water mark of the segmented-shard bytes a join over this
-    /// artifact held at once — both sides of an R×S join, each task's
-    /// order/signature/CSR memos included (deep accounting via
-    /// [`crate::engine::Prepared::memory_bytes`], the pair order the two
-    /// sides of a task share counted once). The memory-lean
+/// What a sharded join did beyond a monolithic one's funnel: its plan,
+/// its task grid and its residency. All zero on a monolithic join.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Shards planned over the joined corpora (both sides' of an R×S
+    /// join).
+    pub shards: usize,
+    /// Shard-pair tasks executed.
+    pub tasks: u64,
+    /// Shard-pair tasks skipped wholesale by the shard-pair bound
+    /// ([`shard_pair_bound`] `< θ − ε`).
+    pub tasks_pruned: u64,
+    /// Shards segmented. Nothing is kept between bands or joins: a shard
+    /// counts once per band in which it has a compatible task.
+    pub builds: u64,
+    /// Most segmented-shard bytes held at once — both sides of an R×S
+    /// join, each task's order/signature/CSR memos included (deep
+    /// accounting via [`crate::engine::Prepared::memory_bytes`], the pair
+    /// order the two sides of a task share counted once). The memory-lean
     /// claim: with `G` shards and `c` of them resident, this stays near
     /// `c/G` of a whole-corpus prepare.
-    pub fn peak_memory_bytes(&self) -> usize {
-        relock(&self.counters).peak_bytes
-    }
-
-    /// Shards of this artifact segmented so far. Nothing is retained
-    /// between bands or joins: a shard counts once per band in which it
-    /// has a compatible task, in every join.
-    pub fn shard_builds(&self) -> u64 {
-        relock(&self.counters).builds
-    }
+    pub peak_bytes: usize,
+    /// Most segmented shards held at once.
+    pub most_resident: usize,
 }
+
+/// One side of a sharded join: the caller's corpus and its plan.
+type Side<'a> = (&'a Corpus, &'a ShardPlan);
 
 // -- the sharded joins --------------------------------------------------------
 
 impl Engine {
-    /// Plan a corpus for sharded joins **without preparing it**: only the
-    /// per-record tier-0 integers are computed (the lean
-    /// [`segment_stats`] pass — no gram hashing, no posting tables), then
-    /// length-partitioned into a [`ShardPlan`]. Shards are segmented on
-    /// demand during [`Engine::join_self_sharded`] /
-    /// [`Engine::join_sharded`], `spec.cache_capacity` of them at a time
-    /// (plus one streaming partner in an R×S join), so peak memory stays
-    /// a small fraction of a whole-corpus [`Engine::prepare`]
-    /// ([`ShardedPrepared::peak_memory_bytes`]).
-    pub fn prepare_sharded(
+    /// Threshold self-join of `corpus` without preparing it whole (pairs
+    /// reported with `s < t`, byte-identical to [`Engine::join_self`] on a
+    /// full prepare of the same corpus). The join plans `corpus` itself —
+    /// refusing a token this engine's vocabulary lacks before anything
+    /// is segmented — and segments each shard on demand,
+    /// `shards.cache_capacity` of them at a time, so peak memory stays a
+    /// small fraction of a whole-corpus [`Engine::prepare`]
+    /// ([`ShardStats::peak_bytes`] on the result's stats).
+    pub fn join_self_sharded(
         &self,
         corpus: &Corpus,
-        spec: &ShardSpec,
-    ) -> Result<ShardedPrepared, AuError> {
+        shards: &ShardSpec,
+        spec: &JoinSpec,
+    ) -> Result<JoinResult, AuError> {
+        spec.validate_threshold(self.cfg.eps)?;
+        let plan = self.plan_shards(corpus, shards)?;
+        Ok(self.join_shards((corpus, &plan), None, shards, spec))
+    }
+
+    /// Threshold R×S join of `s` and `t`, each planned and segmented as
+    /// by [`Engine::join_self_sharded`] (byte-identical to [`Engine::join`]
+    /// on full prepares). The band of `s`-shards holds
+    /// `shards.cache_capacity` of them, plus one streaming `t`-shard.
+    pub fn join_sharded(
+        &self,
+        s: &Corpus,
+        t: &Corpus,
+        shards: &ShardSpec,
+        spec: &JoinSpec,
+    ) -> Result<JoinResult, AuError> {
+        spec.validate_threshold(self.cfg.eps)?;
+        let (plan_s, plan_t) = (self.plan_shards(s, shards)?, self.plan_shards(t, shards)?);
+        Ok(self.join_shards((s, &plan_s), Some((t, &plan_t)), shards, spec))
+    }
+
+    /// The length-ordered plan of `corpus` under this engine's knowledge:
+    /// the per-record tier-0 integers from the lean [`segment_stats`] pass
+    /// (no gram hashing, no posting tables), partitioned by
+    /// [`ShardPlan::build`] and dropped once the plan exists. Refuses a
+    /// token this engine's vocabulary lacks before anything is segmented.
+    pub(crate) fn plan_shards(
+        &self,
+        corpus: &Corpus,
+        shards: &ShardSpec,
+    ) -> Result<ShardPlan, AuError> {
         self.check_tokens(corpus)?;
         let tier0: Vec<(u32, u32)> = corpus
             .iter()
             .map(|r| segment_stats(&self.kn, &self.cfg, &r.tokens))
             .collect();
-        let g = if spec.shards == 0 {
+        let g = if shards.shards == 0 {
             ShardPlan::auto_shard_count(corpus.len())
         } else {
-            spec.shards
+            shards.shards
         };
-        let plan = ShardPlan::build(&tier0, g);
-        Ok(ShardedPrepared {
-            gen: self.kn.generation(),
-            cfg: self.cfg,
-            corpus: corpus.clone(),
-            tier0,
-            plan,
-            cache_capacity: spec.effective_cache_capacity(),
-            counters: Mutex::default(),
-        })
+        Ok(ShardPlan::build(&tier0, g))
     }
 
-    /// Threshold self-join over a lazily-segmented [`ShardedPrepared`]
-    /// (pairs reported with `s < t`, byte-identical to
-    /// [`Engine::join_self`] on a full prepare of the same corpus).
-    pub fn join_self_sharded(
+    /// The shard in `cell`, segmenting shard `idx` of `side` into it (one
+    /// more of `builds`) when the cell is empty. Cannot fail: the join's
+    /// plan checked every token.
+    fn resident<'c>(
         &self,
-        sp: &ShardedPrepared,
-        spec: &JoinSpec,
-    ) -> Result<JoinResult, AuError> {
-        self.check_stamp(sp.gen, &sp.cfg)?;
-        spec.validate_threshold(self.cfg.eps)?;
-        Ok(self.join_shards(sp, None, spec))
-    }
-
-    /// Threshold R×S join over two lazily-segmented [`ShardedPrepared`]
-    /// artifacts (byte-identical to [`Engine::join`] on full prepares).
-    pub fn join_sharded(
-        &self,
-        s: &ShardedPrepared,
-        t: &ShardedPrepared,
-        spec: &JoinSpec,
-    ) -> Result<JoinResult, AuError> {
-        self.check_stamp(s.gen, &s.cfg)?;
-        self.check_stamp(t.gen, &t.cfg)?;
-        spec.validate_threshold(self.cfg.eps)?;
-        Ok(self.join_shards(s, Some(t), spec))
-    }
-
-    /// The shard in `slot`, segmenting shard `idx` of `sp` into it first
-    /// when the slot is empty. Cannot fail: the tokens were checked by
-    /// [`Engine::prepare_sharded`], the generation stamp by the join's
-    /// entry point.
-    fn resident_shard(
-        &self,
-        slot: &mut Option<Arc<Prepared>>,
-        sp: &ShardedPrepared,
+        cell: &'c OnceCell<Prepared>,
+        (corpus, plan): Side,
         idx: usize,
-    ) -> Arc<Prepared> {
-        slot.get_or_insert_with(|| {
-            relock(&sp.counters).builds += 1;
+        builds: &mut u64,
+    ) -> &'c Prepared {
+        cell.get_or_init(|| {
+            *builds += 1;
             let mut sub = Corpus::new();
-            for &id in sp.plan.shard(idx).records() {
-                let r = sp.corpus.get(RecordId(id));
+            for &id in plan.shard(idx).records() {
+                let r = corpus.get(RecordId(id));
                 sub.push_tokens(r.tokens.clone(), r.raw.clone());
             }
-            Arc::new(self.prepare_trusted(sub))
+            self.prepare_trusted(sub)
         })
-        .clone()
     }
 
     /// The sharded join: every compatible shard-pair task of the grid —
@@ -431,58 +373,53 @@ impl Engine {
     /// of that stage, gone before the sample.
     fn join_shards(
         &self,
-        s: &ShardedPrepared,
-        t: Option<&ShardedPrepared>,
+        s: Side,
+        t: Option<Side>,
+        shards: &ShardSpec,
         spec: &JoinSpec,
     ) -> JoinResult {
         let self_join = t.is_none();
         let t = t.unwrap_or(s);
-        let (g_s, g_t) = (s.plan.shard_count(), t.plan.shard_count());
+        let (g_s, g_t) = (s.1.shard_count(), t.1.shard_count());
         // `effective_cache_capacity` is ≥ 2, so the band is never empty.
-        let band = s.cache_capacity - usize::from(self_join);
+        let band = shards.effective_cache_capacity() - usize::from(self_join);
         let mut agg = StatAgg::default();
+        agg.sum.shard.shards = if self_join { g_s } else { g_s + g_t };
         let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
-        let (mut peak_bytes, mut most_resident) = (0usize, 0usize);
         for b0 in (0..g_s).step_by(band) {
             let b1 = (b0 + band).min(g_s);
-            let mut held: Vec<Option<Arc<Prepared>>> = vec![None; b1 - b0];
+            let mut held: Vec<OnceCell<Prepared>> = (b0..b1).map(|_| OnceCell::new()).collect();
             let j0 = if self_join { b0 } else { 0 };
             for j in j0..g_t {
-                let mut partner: Option<Arc<Prepared>> = None;
+                let mut partner = OnceCell::new();
                 let i1 = if self_join { b1.min(j + 1) } else { b1 };
                 for i in b0..i1 {
-                    let (info_a, info_b) = (s.plan.shard(i), t.plan.shard(j));
+                    let (info_a, info_b) = (s.1.shard(i), t.1.shard(j));
                     if !shard_pair_compatible(info_a, info_b, spec.theta, self.cfg.eps) {
-                        agg.sum.shard_tasks_pruned += 1;
+                        agg.sum.shard.tasks_pruned += 1;
                         continue;
                     }
-                    agg.sum.shard_tasks += 1;
-                    let pa = self.resident_shard(&mut held[i - b0], s, i);
-                    let pb = if self_join && j < b1 {
-                        self.resident_shard(&mut held[j - b0], s, j)
-                    } else {
-                        self.resident_shard(&mut partner, t, j)
-                    };
+                    let builds = &mut agg.sum.shard.builds;
+                    let pa = self.resident(&held[i - b0], s, i, builds);
+                    let in_band = self_join && j < b1;
+                    let cell = if in_band { &held[j - b0] } else { &partner };
+                    let pb = self.resident(cell, t, j, builds);
                     let (ids_a, ids_b) = (info_a.records(), info_b.records());
-                    let task = self.shard_task(&pa, &pb, ids_a, ids_b, self_join, spec);
+                    let task = self.shard_task(pa, pb, ids_a, ids_b, self_join, spec);
                     agg.absorb(&task.stats, pa.len(), pb.len());
                     pairs.extend(task.pairs);
-                    let resident = || held.iter().flatten().chain(&partner);
+                    let shard = &mut agg.sum.shard;
+                    shard.tasks += 1;
+                    let live = || held.iter().chain([&partner]).filter_map(OnceCell::get);
                     // The task's pair order is one `Arc` in both memos.
-                    let bytes: usize = resident().map(|p| p.memory_bytes()).sum();
-                    peak_bytes = peak_bytes.max(bytes - pa.shared_order_bytes(&pb));
-                    most_resident = most_resident.max(resident().count());
-                    pa.clear_memo();
-                    pb.clear_memo();
+                    let bytes: usize = live().map(Prepared::memory_bytes).sum();
+                    shard.peak_bytes = shard.peak_bytes.max(bytes - pa.shared_order_bytes(pb));
+                    shard.most_resident = shard.most_resident.max(live().count());
+                    let live = held.iter_mut().chain([&mut partner]);
+                    live.filter_map(OnceCell::get_mut)
+                        .for_each(Prepared::clear_memo);
                 }
             }
-        }
-        // Both sides report the whole join's residency (`t` aliases `s`
-        // in a self-join; taking the max twice is harmless).
-        for sp in [s, t] {
-            let mut c = relock(&sp.counters);
-            c.peak_bytes = c.peak_bytes.max(peak_bytes);
-            c.most_resident = c.most_resident.max(most_resident);
         }
         pairs.sort_unstable_by_key(|x| (x.0, x.1));
         JoinResult {
@@ -576,7 +513,7 @@ impl Engine {
 #[derive(Default)]
 struct StatAgg {
     /// The tasks' stats summed, the two mean signature lengths weighted
-    /// by their shards' records; task counts filed by the join.
+    /// by their shards' records; its [`ShardStats`] filed by the join.
     sum: JoinStats,
     /// Records the S- and T-side signature lengths are weighted by.
     records: (u64, u64),

@@ -16,12 +16,11 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::estimate::{draw_sample_pair, estimate_from_counts, CostModel, FilterCounts};
+use crate::estimate::{draw_sample_pair, estimate_from_counts, CostModel};
 use crate::prepared::Prepared;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
 use crate::stats::OnlineStats;
-use au_text::record::Corpus;
 use std::time::{Duration, Instant};
 
 /// Student-t quantile t* of the stopping rule's confidence interval: the
@@ -75,87 +74,15 @@ pub struct SuggestOutcome {
     pub elapsed: Duration,
 }
 
-/// The Algorithm 7 loop, counting each sample pair through `counts_of`
-/// ([`Engine::suggest_tau`] counts through prepared state). `None` when
-/// the universe is empty: there is no τ to suggest.
-fn suggest_loop(
-    s: &Corpus,
-    t: &Corpus,
-    model: &CostModel,
-    sc: &SuggestConfig,
-    mut counts_of: impl FnMut(&Corpus, &Corpus, FilterKind) -> FilterCounts,
-) -> Option<SuggestOutcome> {
-    let start = Instant::now();
-    let make_filter = |tau: u32| -> FilterKind {
-        if sc.use_dp {
-            FilterKind::AuDp { tau }
-        } else {
-            FilterKind::AuHeuristic { tau }
-        }
-    };
-    let k = sc.universe.len();
-    let mut t_stats = vec![OnlineStats::new(); k];
-    let mut v_stats = vec![OnlineStats::new(); k];
-    let mut iter_cost_stats = OnlineStats::new();
-    let mut n = 0usize;
-
-    loop {
-        n += 1;
-        let sample = draw_sample_pair(s, t, sc.ps, sc.pt, sc.seed, n as u64);
-        let mut iter_cost = 0.0;
-        for (i, &tau) in sc.universe.iter().enumerate() {
-            let counts = counts_of(&sample.s, &sample.t, make_filter(tau));
-            let est = estimate_from_counts(counts, sc.ps, sc.pt);
-            t_stats[i].push(est.t_hat);
-            v_stats[i].push(est.v_hat);
-            iter_cost += model.c_f * counts.processed as f64;
-        }
-        iter_cost_stats.push(iter_cost);
-
-        if n >= sc.n_star.max(2) {
-            let cis: Vec<(f64, f64, f64)> = (0..k)
-                .map(|i| {
-                    let mean = model.c_f * t_stats[i].mean() + model.c_v * v_stats[i].mean();
-                    let var = model.cost_var(
-                        t_stats[i].sample_var() / n as f64,
-                        v_stats[i].sample_var() / n as f64,
-                    );
-                    let half = T_STAR * var.sqrt();
-                    (mean, mean - half, mean + half)
-                })
-                .collect();
-            let best = (0..k).min_by(|&a, &b| cis[a].0.total_cmp(&cis[b].0))?;
-            let upper_best = cis[best].2;
-            let min_other_lower = (0..k)
-                .filter(|&i| i != best)
-                .map(|i| cis[i].1)
-                .fold(f64::INFINITY, f64::min);
-            let penalty = upper_best - min_other_lower;
-            let next_iter_cost = iter_cost_stats.mean();
-            if penalty < next_iter_cost || n >= sc.max_iters {
-                let estimates = sc
-                    .universe
-                    .iter()
-                    .zip(&cis)
-                    .map(|(&tau, ci)| (tau, ci.0))
-                    .collect();
-                return Some(SuggestOutcome {
-                    tau: sc.universe[best],
-                    iterations: n,
-                    estimates,
-                    elapsed: start.elapsed(),
-                });
-            }
-        }
-    }
-}
-
 impl Engine {
     /// Algorithm 7 on prepared corpora: recommend the overlap constraint
     /// τ minimising the estimated join cost at `theta`. Bernoulli samples
     /// are drawn from the prepared corpora's records; the full corpora
-    /// themselves are never re-prepared. `theta` must lie in (ε, 1]
-    /// (ε = [`crate::SimConfig::eps`]), as for every threshold operation.
+    /// themselves are never re-prepared. Each sample pair is prepared
+    /// once and filtered through exactly the stages the full join runs,
+    /// once per τ, so Eq. 17 scales the production path's own counts.
+    /// `theta` must lie in (ε, 1] (ε = [`crate::SimConfig::eps`]), as for
+    /// every threshold operation.
     pub fn suggest_tau(
         &self,
         s: &Prepared,
@@ -164,6 +91,7 @@ impl Engine {
         model: &CostModel,
         sc: &SuggestConfig,
     ) -> Result<SuggestOutcome, AuError> {
+        let start = Instant::now();
         self.check(s)?;
         self.check(t)?;
         JoinSpec::threshold(theta).validate_threshold(self.cfg.eps)?;
@@ -182,29 +110,73 @@ impl Engine {
                 });
             }
         }
-        suggest_loop(&s.corpus, &t.corpus, model, sc, |a, b, f| {
-            self.sample_counts(a, b, theta, f)
-        })
-        .ok_or_else(empty)
-    }
+        let spec_of = |tau: u32| {
+            let filter = if sc.use_dp {
+                FilterKind::AuDp { tau }
+            } else {
+                FilterKind::AuHeuristic { tau }
+            };
+            JoinSpec::threshold(theta).filter(filter).serial()
+        };
+        let k = sc.universe.len();
+        let mut t_stats = vec![OnlineStats::new(); k];
+        let mut v_stats = vec![OnlineStats::new(); k];
+        let mut iter_cost_stats = OnlineStats::new();
+        let mut n = 0usize;
 
-    /// [`Engine::filter_counts`] on one Bernoulli sample pair drawn from
-    /// corpora this engine already prepared: each sample is prepared and
-    /// filtered through exactly the stages the full join runs, so Eq. 17
-    /// scales the production path's own counts.
-    fn sample_counts(
-        &self,
-        s: &Corpus,
-        t: &Corpus,
-        theta: f64,
-        filter: FilterKind,
-    ) -> FilterCounts {
-        let (ps, pt) = (
-            self.prepare_trusted(s.clone()),
-            self.prepare_trusted(t.clone()),
-        );
-        let spec = JoinSpec::threshold(theta).filter(filter).serial();
-        self.count_run(&ps, &pt, &spec)
+        loop {
+            n += 1;
+            let sample = draw_sample_pair(&s.corpus, &t.corpus, sc.ps, sc.pt, sc.seed, n as u64);
+            let a = self.prepare_trusted(sample.s);
+            let b = self.prepare_trusted(sample.t);
+            let mut iter_cost = 0.0;
+            for (i, &tau) in sc.universe.iter().enumerate() {
+                let counts = self.count_run(&a, &b, &spec_of(tau));
+                let est = estimate_from_counts(counts, sc.ps, sc.pt);
+                t_stats[i].push(est.t_hat);
+                v_stats[i].push(est.v_hat);
+                iter_cost += model.c_f * counts.processed as f64;
+            }
+            iter_cost_stats.push(iter_cost);
+
+            if n >= sc.n_star.max(2) {
+                let cis: Vec<(f64, f64, f64)> = (0..k)
+                    .map(|i| {
+                        let mean = model.c_f * t_stats[i].mean() + model.c_v * v_stats[i].mean();
+                        let var = model.cost_var(
+                            t_stats[i].sample_var() / n as f64,
+                            v_stats[i].sample_var() / n as f64,
+                        );
+                        let half = T_STAR * var.sqrt();
+                        (mean, mean - half, mean + half)
+                    })
+                    .collect();
+                let best = (0..k)
+                    .min_by(|&a, &b| cis[a].0.total_cmp(&cis[b].0))
+                    .ok_or_else(empty)?;
+                let upper_best = cis[best].2;
+                let min_other_lower = (0..k)
+                    .filter(|&i| i != best)
+                    .map(|i| cis[i].1)
+                    .fold(f64::INFINITY, f64::min);
+                let penalty = upper_best - min_other_lower;
+                let next_iter_cost = iter_cost_stats.mean();
+                if penalty < next_iter_cost || n >= sc.max_iters {
+                    let estimates = sc
+                        .universe
+                        .iter()
+                        .zip(&cis)
+                        .map(|(&tau, ci)| (tau, ci.0))
+                        .collect();
+                    return Ok(SuggestOutcome {
+                        tau: sc.universe[best],
+                        iterations: n,
+                        estimates,
+                        elapsed: start.elapsed(),
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -213,6 +185,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::knowledge::{Knowledge, KnowledgeBuilder};
+    use au_text::record::Corpus;
 
     /// τ suggestion through the session API (prepares fresh state per
     /// call, like the removed free function used to).

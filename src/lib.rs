@@ -101,7 +101,7 @@ pub mod prelude {
     pub use au_core::join::{JoinResult, JoinStats};
     pub use au_core::knowledge::{Knowledge, KnowledgeBuilder};
     pub use au_core::search::{QueryPlan, SearchOutcome};
-    pub use au_core::shard::{ShardPlan, ShardSpec, ShardedPrepared};
+    pub use au_core::shard::{ShardPlan, ShardSpec, ShardStats};
     pub use au_core::signature::FilterKind;
     pub use au_core::suggest::{SuggestConfig, SuggestOutcome};
     pub use au_core::topk::TopkResult;

@@ -231,13 +231,11 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
     //     building its shards' artifacts, collecting its list and
     //     verifying it. Serial, so the peak does not depend on how
     //     workers interleave their allocations.
-    let sharded = engine
-        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(2))
-        .expect("prepare sharded");
+    let shards = ShardSpec::auto().with_shards(2);
     let spec = JoinSpec::threshold(0.5).au_dp(2).serial();
     let start = reset_peak();
     let joined = engine
-        .join_self_sharded(&sharded, &spec)
+        .join_self_sharded(&ds.s, &shards, &spec)
         .expect("sharded self-join");
     let transient = peak() - start;
     let candidates = joined.stats.candidates;

@@ -60,20 +60,18 @@ fn sharded_join_identical_serial_vs_parallel() {
     let ds = dataset();
     let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
     let sspec = ShardSpec::auto().with_shards(4);
-    let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard");
     let spec = JoinSpec::threshold(0.6).au_dp(2);
     let serial = engine
-        .join_self_sharded(&sps, &spec.parallel(false))
+        .join_self_sharded(&ds.s, &sspec, &spec.parallel(false))
         .expect("join");
     let parallel = engine
-        .join_self_sharded(&sps, &spec.parallel(true))
+        .join_self_sharded(&ds.s, &sspec, &spec.parallel(true))
         .expect("join");
     assert_eq!(serial.pairs, parallel.pairs);
     // Cross-check against the R×S grid too: the sharded self-join must
     // equal the strict upper triangle of the sharded cross join.
-    let spt = engine.prepare_sharded(&ds.s, &sspec).expect("shard T-copy");
     let cross = engine
-        .join_sharded(&sps, &spt, &spec.parallel(false))
+        .join_sharded(&ds.s, &ds.s, &sspec, &spec.parallel(false))
         .expect("join");
     let upper: Vec<(u32, u32, f64)> = cross.pairs.into_iter().filter(|&(a, b, _)| a < b).collect();
     assert_eq!(serial.pairs, upper);

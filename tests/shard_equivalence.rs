@@ -1,9 +1,9 @@
 //! Sharded ↔ monolithic equivalence harness.
 //!
 //! The memory-lean sharded joins (length-partitioned shard pairs with the
-//! PASS-JOIN-style compatibility bound, segmented on demand from a
-//! `ShardedPrepared`) must be *observationally identical* to the
-//! monolithic engine:
+//! PASS-JOIN-style compatibility bound, planned by the join itself and
+//! segmented on demand) must be *observationally identical* to the
+//! monolithic engine and to the brute-force oracle:
 //! same pairs, same similarities (bitwise), same deterministic `(s, t)`
 //! order — on datagen MED/WIKI corpora and randomized proptest corpora,
 //! serial and parallel, for every filter. Join *statistics* are the one
@@ -17,6 +17,8 @@
 use au_join::core::config::SimConfig;
 use au_join::core::engine::{Engine, JoinSpec};
 use au_join::core::error::AuError;
+use au_join::core::knowledge::KnowledgeBuilder;
+use au_join::core::oracle::brute_force_join;
 use au_join::core::shard::ShardSpec;
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
@@ -43,14 +45,32 @@ fn all_filters() -> Vec<FilterKind> {
     ]
 }
 
+/// Pairs with their similarities' bits, for bitwise comparison.
+type Bits = Vec<(u32, u32, u64)>;
+
+fn pair_bits(pairs: &[(u32, u32, f64)]) -> Bits {
+    pairs.iter().map(|&(a, b, s)| (a, b, s.to_bits())).collect()
+}
+
+/// The brute-force oracle's R×S pairs of `ds` at `theta`, and its
+/// self-join pairs of `ds.s` (the upper triangle), as [`pair_bits`].
+fn oracle(ds: &LabeledDataset, theta: f64) -> (Bits, Bits) {
+    let cfg = SimConfig::default();
+    let rs = brute_force_join(&ds.kn, &cfg, &ds.s, &ds.t, theta);
+    let all = brute_force_join(&ds.kn, &cfg, &ds.s, &ds.s, theta);
+    let upper: Vec<_> = all.into_iter().filter(|&(a, b, _)| a < b).collect();
+    (pair_bits(&rs), pair_bits(&upper))
+}
+
 /// Joins (R×S and self), serial and parallel: pairs and sims must match
-/// the monolithic engine bitwise, and the shard-task accounting must
-/// cover the full pair grid.
+/// the monolithic engine and `want` — [`oracle`] at `theta` — bitwise,
+/// and the shard-task accounting must cover the full pair grid.
 fn assert_sharded_equivalent(
     ds: &LabeledDataset,
     theta: f64,
     filter: FilterKind,
     shards: usize,
+    want: &(Bits, Bits),
     label: &str,
 ) {
     let cfg = SimConfig::default();
@@ -58,39 +78,52 @@ fn assert_sharded_equivalent(
     let ps = engine.prepare(&ds.s).expect("prepare S");
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let sspec = ShardSpec::auto().with_shards(shards);
-    let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard S");
-    let spt = engine.prepare_sharded(&ds.t, &sspec).expect("shard T");
+    // Every corpus here has more records than shards asked for.
+    let (g_s, g_t) = (shards as u64, shards as u64);
     for parallel in [false, true] {
         let spec = JoinSpec::threshold(theta).filter(filter).parallel(parallel);
 
         let base = engine.join(&ps, &pt, &spec).expect("monolithic join");
-        assert_eq!(base.stats.shard_tasks, 0, "{label} mono task count");
+        assert_eq!(base.stats.shard.tasks, 0, "{label} mono task count");
 
-        // Shards segmented on demand from raw corpora.
-        let lazy = engine.join_sharded(&sps, &spt, &spec).expect("lazy join");
+        // Planned and segmented on demand from raw corpora.
+        let lazy = (engine.join_sharded(&ds.s, &ds.t, &sspec, &spec)).expect("lazy join");
         assert_eq!(
             base.pairs, lazy.pairs,
             "{label} lazy pairs (parallel={parallel})"
         );
+        assert_eq!(pair_bits(&lazy.pairs), want.0, "{label} R×S vs oracle");
 
         // Task accounting must cover the full shard-pair grid.
-        let grid = (sps.plan().shard_count() * spt.plan().shard_count()) as u64;
         assert_eq!(
-            lazy.stats.shard_tasks + lazy.stats.shard_tasks_pruned,
-            grid,
+            lazy.stats.shard.shards as u64,
+            g_s + g_t,
+            "{label} R×S plan"
+        );
+        assert_eq!(
+            lazy.stats.shard.tasks + lazy.stats.shard.tasks_pruned,
+            g_s * g_t,
             "{label} R×S task grid"
         );
 
         let base_self = engine.join_self(&ps, &spec).expect("monolithic self");
-        let lazy_self = engine.join_self_sharded(&sps, &spec).expect("lazy self");
+        let lazy_self = (engine.join_self_sharded(&ds.s, &sspec, &spec)).expect("lazy self");
         assert_eq!(
             base_self.pairs, lazy_self.pairs,
             "{label} lazy self pairs (parallel={parallel})"
         );
-        let g = sps.plan().shard_count() as u64;
         assert_eq!(
-            lazy_self.stats.shard_tasks + lazy_self.stats.shard_tasks_pruned,
-            g * (g + 1) / 2,
+            pair_bits(&lazy_self.pairs),
+            want.1,
+            "{label} self vs oracle"
+        );
+        assert_eq!(
+            lazy_self.stats.shard.shards as u64, g_s,
+            "{label} self plan"
+        );
+        assert_eq!(
+            lazy_self.stats.shard.tasks + lazy_self.stats.shard.tasks_pruned,
+            g_s * (g_s + 1) / 2,
             "{label} self task grid"
         );
 
@@ -119,12 +152,14 @@ fn sharded_joins_match_on_med_corpora() {
     for (n, seed, shards) in [(60usize, 11u64, 3usize), (140, 12, 5)] {
         let ds = med(n, seed);
         for theta in [0.7, 0.9] {
+            let want = oracle(&ds, theta);
             for filter in all_filters() {
                 assert_sharded_equivalent(
                     &ds,
                     theta,
                     filter,
                     shards,
+                    &want,
                     &format!("med n={n} θ={theta} {}", filter.label()),
                 );
             }
@@ -136,12 +171,14 @@ fn sharded_joins_match_on_med_corpora() {
 fn sharded_joins_match_on_wiki_corpora() {
     let ds = wiki(120, 21);
     for theta in [0.8, 0.95] {
+        let want = oracle(&ds, theta);
         for filter in all_filters() {
             assert_sharded_equivalent(
                 &ds,
                 theta,
                 filter,
                 4,
+                &want,
                 &format!("wiki θ={theta} {}", filter.label()),
             );
         }
@@ -159,17 +196,18 @@ fn high_theta_prunes_shard_pairs_without_losing_results() {
     let mono = engine
         .join_self(&ps, &JoinSpec::threshold(0.9).au_dp(2))
         .expect("monolithic");
-    let sps = engine
-        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(8))
-        .expect("shard");
     let sharded = engine
-        .join_self_sharded(&sps, &JoinSpec::threshold(0.9).au_dp(2))
+        .join_self_sharded(
+            &ds.s,
+            &ShardSpec::auto().with_shards(8),
+            &JoinSpec::threshold(0.9).au_dp(2),
+        )
         .expect("sharded");
     assert_eq!(mono.pairs, sharded.pairs);
     assert!(
-        sharded.stats.shard_tasks_pruned > 0,
+        sharded.stats.shard.tasks_pruned > 0,
         "θ=0.9 over 8 length shards pruned nothing: {:?}",
-        (sharded.stats.shard_tasks, sharded.stats.shard_tasks_pruned)
+        sharded.stats.shard
     );
 }
 
@@ -181,7 +219,6 @@ fn high_theta_prunes_shard_pairs_without_losing_results() {
 /// byte-identical to the monolithic run over the full corpus.
 #[test]
 fn sharded_t_tau_is_per_task_sum() {
-    use au_join::core::knowledge::KnowledgeBuilder;
     let short_lines = ["alpha beta", "alpha gamma", "beta gamma", "alpha beta"];
     let long_tail = "one two three four five six seven eight nine ten \
                      eleven twelve thirteen fourteen fifteen sixteen seventeen \
@@ -209,16 +246,15 @@ fn sharded_t_tau_is_per_task_sum() {
 
     let spec = JoinSpec::threshold(0.9);
     let mono = engine.join_self(&p_full, &spec).expect("monolithic");
-    let sp_full = engine
-        .prepare_sharded(&full, &ShardSpec::auto().with_shards(2))
-        .expect("shard full");
-    let sharded = engine.join_self_sharded(&sp_full, &spec).expect("sharded");
+    let sharded = engine
+        .join_self_sharded(&full, &ShardSpec::auto().with_shards(2), &spec)
+        .expect("sharded");
     assert_eq!(mono.pairs, sharded.pairs, "pairs must stay byte-identical");
 
     // 2-token vs ≥29-token shards cannot meet θ=0.9: the cross task of the
     // g(g+1)/2 = 3-task self-join grid is pruned.
-    assert_eq!(sharded.stats.shard_tasks, 2, "both diagonal tasks run");
-    assert_eq!(sharded.stats.shard_tasks_pruned, 1, "cross task pruned");
+    assert_eq!(sharded.stats.shard.tasks, 2, "both diagonal tasks run");
+    assert_eq!(sharded.stats.shard.tasks_pruned, 1, "cross task pruned");
 
     // Each diagonal task runs the full order/signature/filter pipeline on
     // its shard — identical to a standalone self-join over that group —
@@ -250,18 +286,15 @@ fn lazy_cache_evicts_and_rebuilds_without_changing_results() {
     let ps = engine.prepare(&ds.s).expect("prepare");
     let spec = JoinSpec::threshold(0.6).au_dp(2);
     let mono = engine.join_self(&ps, &spec).expect("monolithic");
-    let sp = engine
-        .prepare_sharded(
-            &ds.s,
-            &ShardSpec::auto().with_shards(6).with_cache_capacity(2),
-        )
-        .expect("shard");
-    let lazy = engine.join_self_sharded(&sp, &spec).expect("lazy");
+    let sspec = ShardSpec::auto().with_shards(6).with_cache_capacity(2);
+    let lazy = engine
+        .join_self_sharded(&ds.s, &sspec, &spec)
+        .expect("lazy");
     assert_eq!(mono.pairs, lazy.pairs);
     // No task of this grid is pruned, so band b₀ builds shards b₀..6.
-    assert_eq!(lazy.stats.shard_tasks_pruned, 0);
-    assert_eq!(sp.shard_builds(), 6 + 5 + 4 + 3 + 2 + 1);
-    assert!(sp.peak_memory_bytes() > 0);
+    assert_eq!(lazy.stats.shard.tasks_pruned, 0);
+    assert_eq!(lazy.stats.shard.builds, 6 + 5 + 4 + 3 + 2 + 1);
+    assert!(lazy.stats.shard.peak_bytes > 0);
 }
 
 #[test]
@@ -278,54 +311,47 @@ fn blocked_traversal_cuts_rebuilds_without_changing_results() {
     let spec = JoinSpec::threshold(0.5).au_dp(2);
     let mono = engine.join_self(&ps, &spec).expect("monolithic");
     let (g, cap) = (10usize, 5usize);
-    let sp = engine
-        .prepare_sharded(
-            &ds.s,
-            &ShardSpec::auto().with_shards(g).with_cache_capacity(cap),
-        )
-        .expect("shard");
-    let lazy = engine.join_self_sharded(&sp, &spec).expect("lazy");
+    let sspec = ShardSpec::auto().with_shards(g).with_cache_capacity(cap);
+    let lazy = engine
+        .join_self_sharded(&ds.s, &sspec, &spec)
+        .expect("lazy");
     assert_eq!(mono.pairs, lazy.pairs, "blocked traversal changed output");
-    assert_eq!(lazy.stats.shard_tasks_pruned, 0);
+    assert_eq!(lazy.stats.shard.tasks_pruned, 0);
     // Bands of width cap−1 = 4 (the partner takes the fifth slot) start
     // at 0, 4, 8: (10−0) + (10−4) + (10−8) = 18 builds.
     let per_join: u64 = (0..g).step_by(cap - 1).map(|b0| (g - b0) as u64).sum();
-    assert_eq!(sp.shard_builds(), per_join);
-    // No shard outlives the join that built it: a second join over the
-    // same artifact segments every one of them again.
-    let again = engine.join_self_sharded(&sp, &spec).expect("lazy again");
+    assert_eq!(lazy.stats.shard.builds, per_join);
+    // No shard outlives the join that built it: a second join segments
+    // every one of them again.
+    let again = engine
+        .join_self_sharded(&ds.s, &sspec, &spec)
+        .expect("lazy again");
     assert_eq!(again.pairs, lazy.pairs);
-    assert_eq!(sp.shard_builds(), 2 * per_join);
+    assert_eq!(again.stats.shard, lazy.stats.shard);
 
     // R×S: the S band is cap wide (T streams beside it), so each
     // S-shard is built once and each T-shard once per band.
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let mono_rs = engine.join(&ps, &pt, &spec).expect("monolithic R×S");
     let sspec = ShardSpec::auto().with_shards(6).with_cache_capacity(3);
-    let sps = engine.prepare_sharded(&ds.s, &sspec).expect("shard S");
-    let spt = engine.prepare_sharded(&ds.t, &sspec).expect("shard T");
-    let lazy_rs = engine.join_sharded(&sps, &spt, &spec).expect("lazy R×S");
+    let lazy_rs = (engine.join_sharded(&ds.s, &ds.t, &sspec, &spec)).expect("lazy R×S");
     assert_eq!(mono_rs.pairs, lazy_rs.pairs, "blocked R×S changed output");
-    assert_eq!(lazy_rs.stats.shard_tasks_pruned, 0);
+    assert_eq!(lazy_rs.stats.shard.tasks_pruned, 0);
     let bands = 6u64.div_ceil(3);
-    assert_eq!((sps.shard_builds(), spt.shard_builds()), (6, 6 * bands));
+    assert_eq!(lazy_rs.stats.shard.builds, 6 + 6 * bands);
 }
 
-/// The generation guard: artifacts built before a knowledge mutation must
-/// be rejected with `StaleKnowledge`, never silently rescored — on the
-/// sharded paths too.
+/// The generation guard: prepared artifacts built before a knowledge
+/// mutation must be rejected with `StaleKnowledge`, never silently
+/// rescored.
 #[test]
 fn staleness_guard_rejects_mutated_knowledge() {
     let ds = med(40, 71);
     let mut engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
     let ps = engine.prepare(&ds.s).expect("prepare S");
     let pt = engine.prepare(&ds.t).expect("prepare T");
-    let sps = engine
-        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(3))
-        .expect("shard S");
     let spec = JoinSpec::threshold(0.8);
     assert!(engine.join(&ps, &pt, &spec).is_ok());
-    assert!(engine.join_self_sharded(&sps, &spec).is_ok());
 
     // Interning a new record mints a new generation.
     engine
@@ -334,8 +360,6 @@ fn staleness_guard_rejects_mutated_knowledge() {
     for err in [
         engine.join(&ps, &pt, &spec).unwrap_err(),
         engine.join_self(&ps, &spec).unwrap_err(),
-        engine.join_self_sharded(&sps, &spec).unwrap_err(),
-        engine.join_sharded(&sps, &sps, &spec).unwrap_err(),
         engine.topk(&ps, &pt, &JoinSpec::topk(3)).unwrap_err(),
         engine.searcher(&pt, &spec).expect_err("stale searcher"),
         engine
@@ -352,18 +376,118 @@ fn staleness_guard_rejects_mutated_knowledge() {
     let ps2 = engine.prepare(&ds.s).expect("re-prepare S");
     let pt2 = engine.prepare(&ds.t).expect("re-prepare T");
     assert!(engine.join(&ps2, &pt2, &spec).is_ok());
-    let sps2 = engine
-        .prepare_sharded(&ds.s, &ShardSpec::auto().with_shards(3))
-        .expect("re-shard S");
-    assert!(engine.join_self_sharded(&sps2, &spec).is_ok());
+}
+
+/// A sharded join plans inside the call, under the joining engine's
+/// knowledge, so there is no plan to go stale. One corpus is joined under
+/// two engines whose knowledge segments it differently: one has the
+/// synonym `coffee shop → cafe`, whose two-token side gives every
+/// "coffee shop …" record a minimum partition of 2, the other has no rule
+/// (a partition of 3). The two length shards are the 2-token "cafe …"
+/// records and the 3-token "coffee shop …" ones; a plan made without the
+/// rule would bound their pairs by 2/3 and prune the pairs the rule makes
+/// equal. Each sharded join equals its own engine's monolithic join and
+/// oracle. And after a knowledge mutation mints a new generation, a
+/// sharded join of the corpus tokenized before it equals the monolithic
+/// join of a fresh prepare.
+#[test]
+fn a_sharded_plan_follows_the_joining_engines_knowledge() {
+    let lines = [
+        "coffee shop cafe",
+        "cafe latte",
+        "coffee shop latte",
+        "cafe mocha",
+        "coffee shop mocha",
+        "cafe espresso",
+        "coffee shop espresso",
+        "cafe tea",
+    ];
+    let mut kb = KnowledgeBuilder::new();
+    kb.synonym("coffee shop", "cafe", 1.0);
+    let mut with_rule = kb.build();
+    let mut without_rule = KnowledgeBuilder::new().build();
+    // Both vocabularies intern "coffee", "shop", "cafe" first, so the one
+    // corpus is valid under both.
+    let corpus = without_rule.corpus_from_lines(lines);
+    let same = with_rule.corpus_from_lines(lines);
+    let tokens = |c: &au_join::text::record::Corpus| -> Vec<Vec<u32>> {
+        c.iter()
+            .map(|r| r.tokens.iter().map(|t| t.0).collect())
+            .collect()
+    };
+    assert_eq!(tokens(&corpus), tokens(&same));
+    let theta = 0.8;
+    let spec = JoinSpec::threshold(theta).au_dp(2);
+    let sspec = ShardSpec::auto().with_shards(2);
+    let mut monolithic = Vec::new();
+    for kn in [with_rule, without_rule] {
+        let cfg = SimConfig::default();
+        let all = brute_force_join(&kn, &cfg, &corpus, &corpus, theta);
+        let want: Vec<_> = all.into_iter().filter(|&(a, b, _)| a < b).collect();
+        let mut engine = Engine::new(kn, cfg).expect("valid config");
+        let p = engine.prepare(&corpus).expect("prepare");
+        let mono = engine.join_self(&p, &spec).expect("monolithic");
+        let sharded = engine.join_self_sharded(&corpus, &sspec, &spec);
+        let sharded = sharded.expect("sharded");
+        assert_eq!(pair_bits(&sharded.pairs), pair_bits(&mono.pairs));
+        assert_eq!(pair_bits(&sharded.pairs), pair_bits(&want));
+        let rs = engine.join_sharded(&corpus, &corpus, &sspec, &spec);
+        let mono_rs = engine.join(&p, &p, &spec).expect("monolithic R×S");
+        assert_eq!(rs.expect("sharded R×S").pairs, mono_rs.pairs);
+
+        // A new generation: the sharded join of the old corpus is the
+        // monolithic join of a fresh prepare.
+        engine
+            .knowledge_mut()
+            .add_record("a freshly interned record");
+        let fresh = engine.prepare(&corpus).expect("fresh prepare");
+        let mono = engine.join_self(&fresh, &spec).expect("monolithic");
+        let sharded = engine.join_self_sharded(&corpus, &sspec, &spec);
+        assert_eq!(sharded.expect("sharded").pairs, mono.pairs);
+        monolithic.push(mono.pairs);
+    }
+    // The check bites: the rule joins "cafe latte" with "coffee shop
+    // latte", across the two shards.
+    assert!(monolithic[0].iter().any(|&(a, b, _)| (a, b) == (1, 2)));
+    assert!(!monolithic[1].iter().any(|&(a, b, _)| (a, b) == (1, 2)));
+}
+
+/// A corpus holding a token id the engine's vocabulary lacks is refused
+/// with a typed error by both sharded entry points, before any shard is
+/// segmented.
+#[test]
+fn a_sharded_join_refuses_an_unknown_token() {
+    let ds = med(40, 72);
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
+    let mut kn = ds.kn.clone();
+    let mut foreign = ds.s.clone();
+    kn.push_line(&mut foreign, "zyzzyva quux never seen");
+    let sspec = ShardSpec::auto().with_shards(3);
+    let spec = JoinSpec::threshold(0.8);
+    for err in [
+        engine
+            .join_self_sharded(&foreign, &sspec, &spec)
+            .unwrap_err(),
+        engine
+            .join_sharded(&ds.s, &foreign, &sspec, &spec)
+            .unwrap_err(),
+        engine
+            .join_sharded(&foreign, &ds.t, &sspec, &spec)
+            .unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, AuError::UnknownToken { .. }),
+            "expected UnknownToken, got {err:?}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Randomized corpora: sizes, seeds, θ, τ and shard counts drawn by
-    /// proptest; the sharded paths and the monolithic engine must agree
-    /// on every draw.
+    /// proptest; the sharded paths, the monolithic engine and the oracle
+    /// must agree on every draw.
     #[test]
     fn sharded_matches_monolithic_on_random_corpora(
         n in 20usize..80,
@@ -385,6 +509,7 @@ proptest! {
             theta,
             filter,
             shards,
+            &oracle(&ds, theta),
             &format!("random n={n} seed={seed} θ={theta} τ={tau} g={shards}"),
         );
     }

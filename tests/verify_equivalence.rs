@@ -314,7 +314,7 @@ fn joins_and_searchers_share_one_transposed_index() {
     // Searchers first: order + signatures + CSR + the index, then
     // signatures + CSR alone; the R×S join adds its pair order, its
     // signatures and CSR — and finds the index there.
-    let pt = engine.prepare(&ds.t).expect("prepare T");
+    let mut pt = engine.prepare(&ds.t).expect("prepare T");
     let fresh = pt.memory_bytes();
     assert_eq!(searcher_builds(&pt, 0.9), 4);
     let with_index = pt.memory_bytes();
