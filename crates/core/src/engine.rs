@@ -19,16 +19,15 @@
 //!   └─ suggest_tau                   (Algorithm 7)           suggest.rs
 //! ```
 //!
-//! Stages 2–3 and the CSR fetch are `candidate_pass` here; a join runs
-//! stages 4–5 as one pass per probe record (`join_run`: each record's
+//! Stages 2–3 and the CSR fetch are `candidate_pass` here; every join —
+//! monolithic (`join_run`) or a shard-pair task of a sharded one — runs
+//! stages 4–5 as one pass per probe record (`verify_pass`: each record's
 //! candidates are verified on the worker that probed them, so no
 //! candidate list exists), and [`Engine::calibrate`] times that same
-//! pass. Where the list is the product, `filter_run` collects it
-//! ([`Engine::filter_outcome`], and every shard-pair task, which verifies
-//! it with [`crate::join::verify_candidates`]); `count_run` only counts
-//! it (the Bernoulli estimator). Pebble lists are never resident: a
-//! record's pebbles exist only inside the pass that selects its signature
-//! ([`crate::join::record_signature`]). Output bytes are pinned by
+//! pass. Only [`Engine::filter_outcome`], whose product it is, collects
+//! the list; `count_run` only counts it (the Bernoulli estimator). Pebble
+//! lists are never resident: a record's pebbles exist only inside the
+//! pass that selects its signature ([`crate::join::record_signature`]). Output bytes are pinned by
 //! `tests/determinism_pin.rs`; completeness is checked against
 //! [`crate::oracle::brute_force_join`] throughout the test suites.
 //!
@@ -49,7 +48,9 @@ use crate::config::SimConfig;
 use crate::error::AuError;
 use crate::estimate::FilterCounts;
 use crate::index::tier0_upper_bound;
-use crate::join::{CandidatePass, CompatCtx, JoinResult, JoinStats, PassTotals, RunTotals};
+use crate::join::{
+    CandidatePass, CompatCtx, JoinResult, JoinStats, PassTotals, ProbeFloor, RunTotals,
+};
 use crate::knowledge::Knowledge;
 use crate::pebble::DocFreqs;
 pub use crate::prepared::Prepared;
@@ -57,7 +58,7 @@ use crate::prepared::{OrderKey, SigKey};
 pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
-use crate::usim::{usim_approx_seg, Verifier};
+use crate::usim::{usim_approx_seg, RunSide, Verifier};
 use au_text::record::Corpus;
 use au_text::TokenId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -424,7 +425,7 @@ impl Engine {
             s: sel_s,
             indexed: sel_t,
             index,
-            self_join,
+            floor: self_join.then_some(ProbeFloor::Own),
             tau: spec.filter.tau(),
             ctx: CompatCtx {
                 tier0_s: &s.tier0,
@@ -433,25 +434,6 @@ impl Engine {
             },
         };
         (pass, stats)
-    }
-
-    /// Stages 2–4 with the collect consumer: the candidate list, sorted by
-    /// `(s, t)`, for the callers whose product it is
-    /// ([`Engine::filter_outcome`] and the shard-pair tasks). The returned
-    /// stats carry the filter's funnel and times.
-    pub(crate) fn filter_run(
-        &self,
-        s: &Prepared,
-        t: &Prepared,
-        self_join: bool,
-        spec: &JoinSpec,
-    ) -> (Vec<(u32, u32)>, JoinStats) {
-        let (pass, mut stats) = self.candidate_pass(s, t, self_join, spec);
-        let start = Instant::now();
-        let (candidates, totals) = pass.collect(spec.parallel);
-        stats.filter_time += start.elapsed();
-        totals.funnel_into(&mut stats);
-        (candidates, stats)
     }
 
     /// Stages 2–4 with the count consumer: the serial R×S funnel `T′τ` /
@@ -466,12 +448,9 @@ impl Engine {
     }
 
     /// Stages 2–5 on prepared state, with accepted pairs handed to `sink`
-    /// in `(s, t)` order: the verify consumer over blocks of at most
-    /// `block` probe records, so one block's results at most are ever
-    /// materialized and no candidate list at all. Every block walks `t`'s
-    /// memoized transposed posting index ([`Prepared::transposed`]),
-    /// fetched once before the pass — unless the probe side or the CSR
-    /// index is empty, when no probe can hit and nothing is fetched.
+    /// ([`Engine::verify_pass`]), walking `t`'s memoized transposed
+    /// posting index ([`Prepared::transposed`]) — fetched once, and not
+    /// at all when no probe can hit (an empty probe side or CSR index).
     pub(crate) fn join_run(
         &self,
         s: &Prepared,
@@ -479,7 +458,7 @@ impl Engine {
         self_join: bool,
         spec: &JoinSpec,
         block: usize,
-        mut sink: impl FnMut(u32, u32, f64),
+        sink: impl FnMut(u32, u32, f64),
     ) -> JoinStats {
         let (pass, mut stats) = self.candidate_pass(s, t, self_join, spec);
         if pass.is_empty() {
@@ -487,9 +466,31 @@ impl Engine {
         }
         let start = Instant::now();
         let index = t.transposed(spec.parallel);
-        let fetched = start.elapsed();
-        let verifier = Verifier::new(&self.kn, &self.cfg);
+        stats.verify_time += start.elapsed();
         let side = t.run_side(&index);
+        self.verify_pass(&pass, &s.segrecs, side, spec, block, &mut stats, sink);
+        stats
+    }
+
+    /// Stages 4–5 of `pass` — its probe side's records `s` against `side`
+    /// — as the verify consumer over blocks of at most `block` probe
+    /// records, so at most one block's results and no candidate list are
+    /// ever materialized; accepted pairs go to `sink` in `(s, t)` order.
+    /// Adds the pass's probe / verify time split, funnel, tier buckets,
+    /// walked postings and results to `stats`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn verify_pass(
+        &self,
+        pass: &CandidatePass<'_>,
+        s: &[Arc<SegRecord>],
+        side: RunSide<'_>,
+        spec: &JoinSpec,
+        block: usize,
+        stats: &mut JoinStats,
+        mut sink: impl FnMut(u32, u32, f64),
+    ) {
+        let start = Instant::now();
+        let verifier = Verifier::new(&self.kn, &self.cfg);
         let verified = Mutex::new(RunTotals::default());
         let mut totals = PassTotals::default();
         let n = pass.s.len();
@@ -499,7 +500,7 @@ impl Engine {
                 lo as u32..hi as u32,
                 spec.parallel,
                 &verifier,
-                &s.segrecs,
+                s,
                 side,
                 spec.theta,
                 &verified,
@@ -510,14 +511,16 @@ impl Engine {
                 sink(a, b, sim);
             }
         }
-        let (probing, verifying) = totals.split(start.elapsed() - fetched);
+        let (probing, verifying) = totals.split(start.elapsed());
         stats.filter_time += probing;
-        stats.verify_time += fetched + verifying;
-        totals.funnel_into(&mut stats);
+        stats.verify_time += verifying;
+        stats.processed_pairs += totals.probe.processed;
+        stats.candidates += totals.candidates;
+        stats.compat_rejected += totals.probe.compat_rejected;
         let verified = *relock(&verified);
-        (stats.tiers, stats.walked) = (verified.tiers, verified.walked);
+        stats.tiers.merge(&verified.tiers);
+        stats.walked += verified.walked;
         debug_assert_eq!(stats.tiers.decisions(), stats.candidates);
-        stats
     }
 
     /// [`Engine::join_run`] materializing the whole result: the whole

@@ -9,7 +9,7 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::join::{verify_runs, FilterOutcome, RunTotals};
+use crate::join::{verify_candidates, FilterOutcome, RunTotals};
 use crate::prepared::Prepared;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
@@ -77,11 +77,12 @@ impl Engine {
             self.check(t)?;
         }
         spec.validate_threshold(self.cfg.eps)?;
-        let (candidates, stats) = self.filter_run(s, t.unwrap_or(s), t.is_none(), spec);
+        let (pass, stats) = self.candidate_pass(s, t.unwrap_or(s), t.is_none(), spec);
+        let (candidates, totals) = pass.collect(spec.parallel);
         Ok(FilterOutcome {
             candidates,
-            processed_pairs: stats.processed_pairs,
-            compat_rejected: stats.compat_rejected,
+            processed_pairs: totals.probe.processed,
+            compat_rejected: totals.probe.compat_rejected,
             avg_sig_len_s: stats.avg_sig_len_s,
             avg_sig_len_t: stats.avg_sig_len_t,
         })
@@ -162,14 +163,8 @@ impl Engine {
             let index = t.transposed(false);
             let start = Instant::now();
             let (kn, cfg) = (&self.kn, &self.cfg);
-            verify_runs(
-                kn,
-                cfg,
-                &s.segrecs,
-                t.run_side(&index),
-                &pairs,
-                theta,
-                false,
+            verify_candidates(
+                kn, cfg, &s.segrecs, &t.segrecs, &pairs, theta, false, &index,
             );
             (start.elapsed().as_secs_f64() / pairs.len() as f64).max(1e-9)
         } else {

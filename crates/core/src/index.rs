@@ -998,6 +998,67 @@ pub(crate) mod tests {
                 prop_assert_eq!(got, want);
             }
         }
+
+        /// The global-id floor of a cross-shard self-join task: two sides
+        /// whose records interleave in global id (`a_side[g]` puts record
+        /// `g` in A, else in B; keys, levels and tier-0 integers are drawn
+        /// per global id). A probing B's index and B probing A's, each
+        /// keeping partners of larger global id
+        /// ([`crate::join::ProbeFloor::Global`]), must read between them
+        /// exactly the postings of the one unfloored A → B pass and split
+        /// its hits into two disjoint halves.
+        #[test]
+        fn floored_probes_split_the_unfloored_probe(
+            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 12),
+            a_side in prop::collection::vec(prop::bool::weighted(0.5), 1..12),
+            levels in prop::collection::vec(1u32..5, 12),
+            tier0 in prop::collection::vec(tier0_strategy(), 12),
+            tau in 1u32..5,
+            min_sim in 0.0f64..1.0,
+        ) {
+            use crate::join::ProbeFloor;
+            // One side: its global ids, key sets, levels and tier-0 column.
+            type Side = (Vec<u32>, RecordKeys, Vec<u32>, Vec<(u32, u32)>);
+            let side = |on_a: bool| -> Side {
+                let ids: Vec<u32> =
+                    (0..a_side.len() as u32).filter(|&g| a_side[g as usize] == on_a).collect();
+                let keys: Vec<&[u64]> = ids.iter().map(|&g| recs[g as usize].as_slice()).collect();
+                let lv = ids.iter().map(|&g| levels[g as usize]).collect();
+                let t0 = ids.iter().map(|&g| tier0[g as usize]).collect();
+                (ids, record_keys(&keys), lv, t0)
+            };
+            let (a, b) = (side(true), side(false));
+            // Every `(probe, partner)` hit of `from` probing `to`'s index
+            // under `floor`, in global ids, and the postings read.
+            let probe_all = |from: &Side, to: &Side, floor: Option<ProbeFloor<'_>>| {
+                let idx = CsrIndex::from_record_keys(&to.1);
+                let mut ctr = OverlapCounter::new(idx.record_count());
+                let (mut hits, mut processed) = (Vec::new(), 0);
+                for r in 0..from.0.len() as u32 {
+                    let compat = CompatBound { tier0: &to.3, probe_tier0: from.3[r as usize], min_sim };
+                    let (keys, level) = (from.1.get(r), from.2[r as usize]);
+                    let min_excl = floor.and_then(|f| f.min_excl(r));
+                    let mut out = Vec::new();
+                    let st = ctr.probe(&idx, keys, level, tau, &to.2, min_excl, &compat, &mut out);
+                    processed += st.processed;
+                    hits.extend(out.iter().map(|&h| (from.0[r as usize], to.0[h as usize])));
+                }
+                (hits, processed)
+            };
+            let (mut whole, whole_processed) = probe_all(&a, &b, None);
+            let (fwd, fwd_processed) = probe_all(&a, &b, Some(ProbeFloor::Global(&a.0, &b.0)));
+            let (rev, rev_processed) = probe_all(&b, &a, Some(ProbeFloor::Global(&b.0, &a.0)));
+            prop_assert_eq!(fwd_processed + rev_processed, whole_processed);
+            prop_assert!(fwd.iter().chain(&rev).all(|&(probe, partner)| probe < partner));
+            let mut union = fwd;
+            union.extend(rev.iter().map(|&(gb, ga)| (ga, gb)));
+            let total = union.len();
+            union.sort_unstable();
+            union.dedup();
+            prop_assert_eq!(union.len(), total, "the two halves overlap");
+            whole.sort_unstable();
+            prop_assert_eq!(union, whole);
+        }
     }
 
     /// What [`OverlapCounter::probe`] reports, by definition, computed

@@ -18,14 +18,15 @@
 //!    verified side ([`crate::usim::Verifier::verify_run_at_least`]); only
 //!    [`crate::engine::Engine::scan`] (a serving delta) counts per pair.
 //!
-//! A join runs stages 4 and 5 as one pass per probe record: the worker
-//! that probed a record verifies its run there and then, so no candidate
-//! list exists (PASS-JOIN's shape), and cost calibration times that same
-//! pass. The list is built only where it is the product —
-//! [`crate::engine::Engine::filter_outcome`] and the shard-pair tasks,
-//! which verify it with [`verify_candidates`] — and the Bernoulli
-//! estimator only counts it. Either way a probe record's run is the unit
-//! of parallel work: verified whole, on one worker.
+//! Every join — monolithic, or one shard-pair task of a sharded join —
+//! runs stages 4 and 5 as one pass per probe record: the worker that
+//! probed a record verifies its run there and then, so no candidate list
+//! exists (PASS-JOIN's shape), and cost calibration times that same pass.
+//! The list is built only where it is the product —
+//! [`crate::engine::Engine::filter_outcome`], whose list
+//! [`verify_candidates`] verifies — and the Bernoulli estimator only
+//! counts it. Either way a probe record's run is the unit of parallel
+//! work: verified whole, on one worker.
 //!
 //! The engine owns stages 1–2 and the memoization of 3–4; this module
 //! holds the one implementation of stages 3, 4 and 5. Tests check them
@@ -79,7 +80,10 @@ pub struct JoinStats {
     /// compatibility bound.
     pub candidates: u64,
     /// Pairs rejected at first touch by the tier-0 compatibility bound
-    /// (see [`crate::index::ProbeStats::compat_rejected`]).
+    /// (see [`crate::index::ProbeStats::compat_rejected`]). A sharded run
+    /// sums its tasks' probe directions; the τ-skip before the bound
+    /// depends on which side probes, so a cross-shard self-join task,
+    /// probing both ways, may count slightly more or fewer than one way.
     pub compat_rejected: u64,
     /// Mean signature length (distinct pebbles), S side.
     pub avg_sig_len_s: f64,
@@ -299,9 +303,35 @@ pub(crate) struct CompatCtx<'a> {
     pub min_sim: f64,
 }
 
+/// Which indexed ids probe record `a` may pair with, where an R×S pass
+/// takes every id: ids above `a` (`Own`, a self-join: every pair once),
+/// or ids `b` whose global id `indexed[b]` exceeds `probe[a]`
+/// (`Global(probe, indexed)`, both maps ascending: a cross-shard self-join
+/// task keeps each pair for the direction probing with the smaller id —
+/// `Own` under the identity map).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ProbeFloor<'a> {
+    Own,
+    Global(&'a [u32], &'a [u32]),
+}
+
+impl ProbeFloor<'_> {
+    /// `a`'s floor as [`OverlapCounter::probe`]'s `min_excl`, the last
+    /// local id excluded: under a global map, one binary search.
+    pub(crate) fn min_excl(self, a: u32) -> Option<u32> {
+        match self {
+            Self::Own => Some(a),
+            Self::Global(probe, indexed) => {
+                let above = indexed.partition_point(|&g| g <= probe[a as usize]);
+                (above as u32).checked_sub(1)
+            }
+        }
+    }
+}
+
 /// Stage 4 of one join, ready to run: the probe side's signatures, the
-/// indexed side's, the CSR index over the latter, τ and the in-probe
-/// compatibility bound.
+/// indexed side's, the CSR index over the latter, the probe floor, τ and
+/// the in-probe compatibility bound.
 ///
 /// [`CandidatePass::run`] probes one record at a time through a dense,
 /// branch-free [`OverlapCounter`] and hands the record's hits to a
@@ -318,9 +348,8 @@ pub(crate) struct CandidatePass<'a> {
     pub indexed: Arc<SelectedSignatures>,
     /// CSR index over `indexed`.
     pub index: Arc<CsrIndex>,
-    /// A self-join, with `s` and `indexed` the same side: each record `a`
-    /// probes only ids `> a`, producing every pair exactly once.
-    pub self_join: bool,
+    /// The ids each probe record may pair with (`None`: every id).
+    pub floor: Option<ProbeFloor<'a>>,
     /// τ.
     pub tau: u32,
     /// The in-probe compatibility bound.
@@ -361,13 +390,6 @@ impl PassTotals {
         let probing = wall.mul_f64(self.probe_time.as_secs_f64() / spans.as_secs_f64());
         (probing, wall.saturating_sub(probing))
     }
-
-    /// Fold the funnel into `stats`; its times stay the caller's.
-    pub fn funnel_into(&self, stats: &mut JoinStats) {
-        stats.processed_pairs += self.probe.processed;
-        stats.candidates += self.candidates;
-        stats.compat_rejected += self.probe.compat_rejected;
-    }
 }
 
 /// One probe record's accepted `(a, b, sim)` triples, in `b` order.
@@ -390,6 +412,25 @@ impl CandidatePass<'_> {
         self.s.is_empty() || self.index.posting_count() == 0
     }
 
+    /// This pass the other way round: `indexed` probes a CSR index built
+    /// here over `s`'s signatures (the caller's transient, filed in no
+    /// memo), with the tier-0 columns and a global floor's maps swapped.
+    pub fn mirrored(&self) -> Self {
+        let (mut floor, mut ctx) = (self.floor, self.ctx);
+        if let Some(ProbeFloor::Global(probe, indexed)) = &mut floor {
+            std::mem::swap(probe, indexed);
+        }
+        std::mem::swap(&mut ctx.tier0_s, &mut ctx.tier0_t);
+        Self {
+            s: self.indexed.clone(),
+            indexed: self.s.clone(),
+            index: Arc::new(CsrIndex::from_record_keys(&self.s.record_keys)),
+            floor,
+            tau: self.tau,
+            ctx,
+        }
+    }
+
     /// The probe step: record `a`'s hits — ids of `indexed` sharing ≥ τ
     /// signature keys with it and passing the compatibility bound — into
     /// `w.hits`, ascending.
@@ -401,7 +442,7 @@ impl CandidatePass<'_> {
             self.s.levels[a as usize],
             self.tau,
             &self.indexed.levels,
-            self.self_join.then_some(a),
+            self.floor.and_then(|f| f.min_excl(a)),
             &CompatBound {
                 tier0: self.ctx.tier0_t,
                 probe_tier0: self.ctx.tier0_s[a as usize],
@@ -571,44 +612,26 @@ pub fn verify_candidates(
         tier0: &tier0,
         index,
     };
-    let (accepted, totals) = verify_runs(kn, cfg, s, side, candidates, theta, parallel);
-    (accepted, totals.tiers)
-}
-
-/// [`verify_candidates`] against a verified side whose tier-0 column
-/// exists (the shard-pair tasks pass their shard's), with the walked
-/// postings reported beside the tiers.
-pub(crate) fn verify_runs(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &[Arc<SegRecord>],
-    side: RunSide<'_>,
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-) -> (Vec<(u32, u32, f64)>, RunTotals) {
     let engine = Verifier::new(kn, cfg);
-    // Worker tallies are folded in the parallel layer's drain hook; the
-    // tier buckets are pure per-candidate functions and a run's walk a
-    // pure function of the run, so the aggregate is deterministic
-    // regardless of scheduling.
-    let totals = Mutex::new(RunTotals::default());
+    // Worker tallies fold in the drain hook; the buckets are pure
+    // per-candidate functions, so the sum is scheduling-free.
+    let tiers = Mutex::new(VerifyTiers::default());
     let runs: Vec<&[(u32, u32)]> = candidates.chunk_by(|x, y| x.0 == y.0).collect();
     let per_run = crate::parallel::par_map_scratch(
         &runs,
         parallel,
-        || (RunScratch::default(), 0u64),
-        |(rs, walked), run| {
+        RunScratch::default,
+        |rs, run| {
             let mut out = Vec::new();
             let keys = rs.resolve(&s[run[0].0 as usize], side);
-            *walked += engine.verify_run_at_least(keys, run, theta, rs, &mut out);
+            engine.verify_run_at_least(keys, run, theta, rs, &mut out);
             out
         },
-        |(rs, walked)| relock(&totals).add(rs, std::mem::take(walked)),
+        |rs| relock(&tiers).merge(&rs.take_tally()),
     );
-    let totals = *relock(&totals);
-    debug_assert_eq!(totals.tiers.decisions(), candidates.len() as u64);
-    (per_run.into_iter().flatten().collect(), totals)
+    let tiers = *relock(&tiers);
+    debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
+    (per_run.into_iter().flatten().collect(), tiers)
 }
 
 #[cfg(test)]

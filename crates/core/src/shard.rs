@@ -43,7 +43,7 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::join::{verify_runs, JoinResult, JoinStats};
+use crate::join::{CandidatePass, JoinResult, JoinStats, ProbeFloor};
 use crate::prepared::Prepared;
 use crate::segment::segment_stats;
 use crate::spec::JoinSpec;
@@ -369,8 +369,9 @@ impl Engine {
     /// dropped: they are keyed by join partner and every shard pair is
     /// visited once, so no later task could reuse them, while keeping
     /// them would let a band shard accumulate one partner's worth per
-    /// task. The posting indexes a task's stage 5 builds are transients
-    /// of that stage, gone before the sample.
+    /// task. The posting indexes a task's passes walk, and the CSR index
+    /// of a mirrored pass, are transients of the task, gone before the
+    /// sample.
     fn join_shards(
         &self,
         s: Side,
@@ -404,10 +405,8 @@ impl Engine {
                     let in_band = self_join && j < b1;
                     let cell = if in_band { &held[j - b0] } else { &partner };
                     let pb = self.resident(cell, t, j, builds);
-                    let (ids_a, ids_b) = (info_a.records(), info_b.records());
-                    let task = self.shard_task(pa, pb, ids_a, ids_b, self_join, spec);
-                    agg.absorb(&task.stats, pa.len(), pb.len());
-                    pairs.extend(task.pairs);
+                    let (a, b) = ((pa, info_a.records()), (pb, info_b.records()));
+                    self.shard_task(a, b, self_join, spec, &mut agg, &mut pairs);
                     let shard = &mut agg.sum.shard;
                     shard.tasks += 1;
                     let live = || held.iter().chain([&partner]).filter_map(OnceCell::get);
@@ -428,111 +427,87 @@ impl Engine {
         }
     }
 
-    /// One shard-pair task: filter shard `A` against shard `B` — as a
-    /// self-join on the diagonal of a self-join's grid, as an R×S pass
-    /// everywhere else — and verify, reporting global ids. Off that
-    /// diagonal a self-join's candidates are oriented by *global* id
-    /// first: shards partition by length, not by id range, so such a task
-    /// sees both orientations, while the monolithic self-join always
-    /// verifies `(min_id, max_id)` with the smaller id on the probe side,
-    /// and `usim` is not guaranteed bitwise-symmetric — a forward and a
-    /// reverse verification group reproduce its exact similarity values.
-    /// Each non-empty group verifies through a transposed index of its
-    /// own, never filed in the shard's memo and gone before the task's
-    /// residency sample.
+    /// One shard-pair task: shard `A` against shard `B`, each with its
+    /// global ids, verified as it probes ([`Engine::verify_pass`]) into
+    /// `agg` and, in global ids, `pairs`. An R×S task is one pass of `A`
+    /// against `B`'s CSR index, a self-join's diagonal task one self-join
+    /// pass. Off that diagonal a self-join task sees both orientations —
+    /// shards partition by length, not by id range — but `usim` is not
+    /// guaranteed bitwise-symmetric, so each pair must be verified with
+    /// the smaller global id probing, as the monolithic self-join does:
+    /// `A` probes `B`'s index, then `B` probes `A`'s
+    /// ([`CandidatePass::mirrored`]), each under a [`ProbeFloor::Global`].
+    /// Each pass walks a transposed index of its own, never filed in a
+    /// shard's memo and gone before the task's residency sample.
     fn shard_task(
         &self,
-        pa: &Prepared,
-        pb: &Prepared,
-        ids_a: &[u32],
-        ids_b: &[u32],
+        (pa, ids_a): (&Prepared, &[u32]),
+        (pb, ids_b): (&Prepared, &[u32]),
         self_join: bool,
         spec: &JoinSpec,
-    ) -> JoinResult {
+        agg: &mut StatAgg,
+        pairs: &mut Vec<(u32, u32, f64)>,
+    ) {
         // On the diagonal both sides are the one resident shard.
         let diagonal = self_join && std::ptr::eq(pa, pb);
-        let (mut candidates, mut stats) = self.filter_run(pa, pb, diagonal, spec);
-        // In R×S every candidate is forward. In a self-join the list is
-        // split in place: forward pairs (distinct records, so global ids
-        // never tie) move to the front in their order — candidates come
-        // sorted, so that group stays probe-sorted — and the rest, flipped
-        // to (b, a), are sorted to keep the verifier's runs contiguous.
-        let mut split = candidates.len();
-        if self_join {
-            split = 0;
-            for i in 0..candidates.len() {
-                let (la, lb) = candidates[i];
-                if ids_a[la as usize] < ids_b[lb as usize] {
-                    candidates.swap(split, i);
-                    split += 1;
-                }
-            }
-            let rev = &mut candidates[split..];
-            rev.iter_mut().for_each(|p| *p = (p.1, p.0));
-            rev.sort_unstable();
-        }
-        let (fwd, rev) = candidates.split_at(split);
-        let mut pairs = Vec::new();
-        for (s, t, group, ids_s, ids_t) in
-            [(pa, pb, fwd, ids_a, ids_b), (pb, pa, rev, ids_b, ids_a)]
-        {
-            if group.is_empty() {
-                continue;
+        let (mut pass, stats) = self.candidate_pass(pa, pb, diagonal, spec);
+        agg.absorb(&stats, pa.len(), pb.len());
+        let mut verify = |pass: &CandidatePass<'_>,
+                          (s, ids_s): (&Prepared, &[u32]),
+                          (t, ids_t): (&Prepared, &[u32]),
+                          sum: &mut JoinStats| {
+            if pass.is_empty() {
+                return;
             }
             let start = Instant::now();
             let index = GramPostingsIndex::build_for(&t.segrecs, spec.parallel);
-            let (accepted, verified) = verify_runs(
-                &self.kn,
-                &self.cfg,
-                &s.segrecs,
-                t.run_side(&index),
-                group,
-                spec.theta,
-                spec.parallel,
-            );
-            stats.tiers.merge(&verified.tiers);
-            stats.walked += verified.walked;
-            stats.result_count += accepted.len();
-            pairs.extend(
-                accepted
-                    .into_iter()
-                    .map(|(a, b, sim)| (ids_s[a as usize], ids_t[b as usize], sim)),
-            );
-            stats.verify_time += start.elapsed();
+            sum.verify_time += start.elapsed();
+            let side = t.run_side(&index);
+            let emit =
+                |a: u32, b: u32, sim| pairs.push((ids_s[a as usize], ids_t[b as usize], sim));
+            self.verify_pass(pass, &s.segrecs, side, spec, usize::MAX, sum, emit);
+        };
+        let cross = self_join && !diagonal;
+        if cross {
+            pass.floor = Some(ProbeFloor::Global(ids_a, ids_b));
         }
-        JoinResult { pairs, stats }
+        verify(&pass, (pa, ids_a), (pb, ids_b), &mut agg.sum);
+        if cross {
+            // Built once the first pass's transposed index is gone.
+            let start = Instant::now();
+            let mirrored = pass.mirrored();
+            agg.sum.filter_time += start.elapsed();
+            verify(&mirrored, (pb, ids_b), (pa, ids_a), &mut agg.sum);
+        }
     }
 }
 
-/// Accumulator merging per-task [`JoinStats`] into the honest aggregate
-/// of a sharded run: times, `Tτ` and `Vτ` are sums over the executed
-/// tasks (each task runs its own order/signature/filter pipeline, so the
-/// totals are comparable with a monolithic run's but not identical to
-/// them — see DESIGN.md "Memory-lean joins"); signature lengths are
-/// record-weighted means; tier telemetry merges exactly.
+/// The honest aggregate of a sharded run's tasks: times, `Tτ` and `Vτ`
+/// are sums over the executed tasks (each task runs its own
+/// order/signature/filter pipeline, so the totals are comparable with a
+/// monolithic run's but not identical to them — see DESIGN.md
+/// "Memory-lean joins"); signature lengths are record-weighted means;
+/// tier telemetry merges exactly.
 #[derive(Default)]
 struct StatAgg {
-    /// The tasks' stats summed, the two mean signature lengths weighted
-    /// by their shards' records; its [`ShardStats`] filed by the join.
+    /// The tasks' stats summed — each task's passes fold their funnel,
+    /// tiers and times in directly — the two mean signature lengths
+    /// weighted by their shards' records; its [`ShardStats`] filed by the
+    /// join.
     sum: JoinStats,
     /// Records the S- and T-side signature lengths are weighted by.
     records: (u64, u64),
 }
 
 impl StatAgg {
-    /// Fold in one task's stats; `n_s` / `n_t` are its two shards' sizes.
+    /// Fold in one task's signature stage and CSR fetch (its times and
+    /// mean signature lengths); `n_s` / `n_t` are its two shards' sizes.
     fn absorb(&mut self, st: &JoinStats, n_s: usize, n_t: usize) {
         let sum = &mut self.sum;
         sum.sig_time += st.sig_time;
         sum.filter_time += st.filter_time;
-        sum.verify_time += st.verify_time;
-        sum.processed_pairs += st.processed_pairs;
-        sum.candidates += st.candidates;
-        sum.compat_rejected += st.compat_rejected;
         sum.avg_sig_len_s += st.avg_sig_len_s * n_s as f64;
         sum.avg_sig_len_t += st.avg_sig_len_t * n_t as f64;
-        sum.tiers.merge(&st.tiers);
-        sum.walked += st.walked;
         self.records.0 += n_s as u64;
         self.records.1 += n_t as u64;
     }

@@ -22,12 +22,13 @@
 //! (d) A warm `Engine::calibrate` at the same θ and filter times that
 //!     same pass and builds no candidate list: its transient peak is
 //!     under 4 bytes per candidate too.
-//! (e) A sharded self-join's shard-pair task collects its candidate list
-//!     and verifies it in a forward and a reverse group split in place, so
-//!     the list is held once: the serial join's transient peak — shard
-//!     builds, artifacts and indexes included — stays under 27 bytes per
-//!     candidate (29.05 when each group was a copy of the list; 25.38
-//!     now, the same on every run).
+//! (e) A sharded self-join's shard-pair task verifies each probe
+//!     record's candidates as it probes, as the monolithic join does, so
+//!     it holds no candidate list either: the serial join's transient
+//!     peak — shard builds, their artifacts, and each pass's transient
+//!     transposed and mirrored CSR indexes — stays under 23 bytes per
+//!     candidate (25.40 when each task collected its list; 21.57 now, the
+//!     same on every run).
 
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
@@ -228,9 +229,9 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
     );
 
     // (e) A sharded self-join on two length shards: three tasks, each
-    //     building its shards' artifacts, collecting its list and
-    //     verifying it. Serial, so the peak does not depend on how
-    //     workers interleave their allocations.
+    //     building its shards' artifacts and verifying as it probes.
+    //     Serial, so the peak does not depend on how workers interleave
+    //     their allocations.
     let shards = ShardSpec::auto().with_shards(2);
     let spec = JoinSpec::threshold(0.5).au_dp(2).serial();
     let start = reset_peak();
@@ -249,7 +250,7 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
          {candidates}"
     );
     assert!(
-        per_candidate < 27.0,
+        per_candidate < 23.0,
         "a sharded self-join peaked {transient} B above its start: {per_candidate:.2} B per \
          candidate over {candidates} candidates"
     );

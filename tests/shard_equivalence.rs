@@ -128,8 +128,9 @@ fn assert_sharded_equivalent(
         );
 
         // The per-task tier tallies fold into one decision per candidate
-        // — a cross-shard task's forward and reverse groups included —
-        // and the folded result count is the merged pair list's.
+        // — both probe directions of a cross-shard self-join task
+        // included — and the folded result count is the merged pair
+        // list's.
         for (join, stats, n) in [
             ("R×S", &lazy.stats, lazy.pairs.len()),
             ("self", &lazy_self.stats, lazy_self.pairs.len()),
@@ -511,6 +512,55 @@ proptest! {
             shards,
             &oracle(&ds, theta),
             &format!("random n={n} seed={seed} θ={theta} τ={tau} g={shards}"),
+        );
+    }
+}
+
+/// The sharded funnel on one fixed MED fixture, serial and parallel:
+/// `Tτ`, `Vτ`, the walked postings, the four tier buckets, the shard
+/// builds and the resident peak of a sharded self-join over S ∪ T and a
+/// sharded R×S join, as shard tasks that collected and split a candidate
+/// list reported them. Verifying as the task probes moves none of them:
+/// the two floored passes of a cross-shard self-join task read exactly
+/// the postings and hits of the one unfloored pass. `compat_rejected` is left out: its
+/// τ-skip depends on which side probes, so a two-direction task counts
+/// it differently.
+#[test]
+fn sharded_funnel_is_pinned() {
+    let ds = med(140, 12);
+    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("valid config");
+    let mut both = ds.s.clone();
+    for r in ds.t.iter() {
+        both.push_tokens(r.tokens.clone(), r.raw.clone());
+    }
+    let sspec = ShardSpec::auto().with_shards(5);
+    let funnel = |r: &au_join::core::join::JoinResult| {
+        let (st, t) = (&r.stats, &r.stats.tiers);
+        [
+            st.processed_pairs,
+            st.candidates,
+            st.walked,
+            t.mass_rejects,
+            t.rowmax_rejects,
+            t.tier2_rejects,
+            t.accepted,
+            st.shard.builds,
+            st.shard.peak_bytes as u64,
+        ]
+    };
+    for parallel in [false, true] {
+        let spec = JoinSpec::threshold(0.5).au_dp(2).parallel(parallel);
+        let joined = engine.join_self_sharded(&both, &sspec, &spec);
+        assert_eq!(
+            funnel(&joined.expect("sharded self-join")),
+            [267_578, 34_734, 918_327, 34_535, 161, 10, 28, 9, 947_703],
+            "self-join (parallel={parallel})"
+        );
+        let joined = engine.join_sharded(&ds.s, &ds.t, &sspec, &spec);
+        assert_eq!(
+            funnel(&joined.expect("sharded R×S")),
+            [131_469, 17_363, 227_934, 17_250, 78, 7, 28, 15, 581_228],
+            "R×S (parallel={parallel})"
         );
     }
 }
