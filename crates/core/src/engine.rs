@@ -15,7 +15,7 @@
 //!   ├─ join_sharded / join_self_sharded (plans its shards)  shard.rs
 //!   ├─ topk / topk_self              (threshold descent)     topk.rs
 //!   ├─ searcher(..).query(..) / scan (online search, no &mut) search.rs
-//!   ├─ filter_outcome / filter_counts / calibrate (Eq. 15–17) estimate.rs
+//!   ├─ filter_counts / calibrate     (Eq. 15–17)             estimate.rs
 //!   └─ suggest_tau                   (Algorithm 7)           suggest.rs
 //! ```
 //!
@@ -24,12 +24,12 @@
 //! stages 4–5 as one pass per probe record (`verify_pass`: each record's
 //! candidates are verified on the worker that probed them, so no
 //! candidate list exists), and [`Engine::calibrate`] times that same
-//! pass. Only [`Engine::filter_outcome`], whose product it is, collects
-//! the list; `count_run` only counts it (the Bernoulli estimator). Pebble
-//! lists are never resident: a record's pebbles exist only inside the
-//! pass that selects its signature ([`crate::join::record_signature`]). Output bytes are pinned by
-//! `tests/determinism_pin.rs`; completeness is checked against
-//! [`crate::oracle::brute_force_join`] throughout the test suites.
+//! pass; `count_run`, behind [`Engine::filter_counts`] and
+//! [`Engine::suggest_tau`], only counts the candidates. Pebble lists are
+//! never resident: a record's pebbles exist only inside the pass that
+//! selects its signature ([`crate::join::record_signature`]). Output
+//! bytes are pinned by `tests/determinism_pin.rs`; completeness is
+//! checked against [`crate::oracle`] throughout the test suites.
 //!
 //! **Staleness guard.** Every vocabulary mutation mints a new
 //! [`Knowledge::generation`], and each [`Prepared`] stamps the generation
@@ -744,7 +744,6 @@ pub(crate) mod tests {
                 is_theta(engine.join_self_sink(&ps, &zero, |_, _, _| {}).map(drop)),
                 is_theta(engine.join_sharded(&s, &s, &shards, &zero).map(drop)),
                 is_theta(engine.join_self_sharded(&s, &shards, &zero).map(drop)),
-                is_theta(engine.filter_outcome(&ps, Some(&pt), &zero).map(drop)),
                 is_theta(engine.filter_counts(&ps, &pt, theta, filter).map(drop)),
                 is_theta(engine.calibrate(&ps, &pt, theta, filter).map(drop)),
                 is_theta(

@@ -9,11 +9,11 @@
 
 use crate::engine::Engine;
 use crate::error::AuError;
-use crate::join::{verify_candidates, FilterOutcome, RunTotals};
+use crate::join::RunTotals;
 use crate::prepared::Prepared;
 use crate::signature::FilterKind;
 use crate::spec::JoinSpec;
-use crate::usim::Verifier;
+use crate::usim::{RunScratch, Verifier};
 use au_text::record::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,37 +60,11 @@ pub fn estimate_from_counts(counts: FilterCounts, ps: f64, pt: f64) -> Bernoulli
 const CALIBRATION_VERIFICATIONS: usize = 64;
 
 impl Engine {
-    /// Stages 2–4 only (no verification) on prepared corpora: the
-    /// candidate list with its funnel counters — `Tτ`, the in-probe
-    /// compatibility rejections, mean signature lengths. `t = None` runs
-    /// the self-join of `s` (pairs with `s < t`). Served from the same
-    /// memoized order / signatures / CSR index as [`Engine::join`], whose
-    /// filtering stage this *is*.
-    pub fn filter_outcome(
-        &self,
-        s: &Prepared,
-        t: Option<&Prepared>,
-        spec: &JoinSpec,
-    ) -> Result<FilterOutcome, AuError> {
-        self.check(s)?;
-        if let Some(t) = t {
-            self.check(t)?;
-        }
-        spec.validate_threshold(self.cfg.eps)?;
-        let (pass, stats) = self.candidate_pass(s, t.unwrap_or(s), t.is_none(), spec);
-        let (candidates, totals) = pass.collect(spec.parallel);
-        Ok(FilterOutcome {
-            candidates,
-            processed_pairs: totals.probe.processed,
-            compat_rejected: totals.probe.compat_rejected,
-            avg_sig_len_s: stats.avg_sig_len_s,
-            avg_sig_len_t: stats.avg_sig_len_t,
-        })
-    }
-
     /// The raw `T′τ` / `V′τ` counts of the Bernoulli estimator (Eq. 17):
-    /// the funnel [`Engine::filter_outcome`] reports for a serial R×S
-    /// pass, counted as the pass probes — no candidate list is built.
+    /// stages 2–4 of a serial R×S join on prepared corpora — the same
+    /// memoized order, signatures and CSR index, the same probe — with a
+    /// consumer that only counts, so the `Tτ` / `Vτ` a join of `s` and
+    /// `t` reports. The one count entry point; no candidate is kept.
     pub fn filter_counts(
         &self,
         s: &Prepared,
@@ -141,10 +115,10 @@ impl Engine {
             lead += 1;
         }
         let (ns, nt) = (s.len().min(16) as u32, t.len().min(16) as u32);
+        let verifier = Verifier::new(&self.kn, &self.cfg);
         let c_v = if verified > 0 {
             let index = t.transposed(false);
             let totals = Mutex::new(RunTotals::default());
-            let verifier = Verifier::new(&self.kn, &self.cfg);
             let (_, run) = pass.verify(
                 0..lead as u32,
                 false,
@@ -161,11 +135,12 @@ impl Engine {
                 .take(CALIBRATION_VERIFICATIONS)
                 .collect();
             let index = t.transposed(false);
+            let (mut rs, mut out) = (RunScratch::default(), Vec::new());
             let start = Instant::now();
-            let (kn, cfg) = (&self.kn, &self.cfg);
-            verify_candidates(
-                kn, cfg, &s.segrecs, &t.segrecs, &pairs, theta, false, &index,
-            );
+            for run in pairs.chunk_by(|x, y| x.0 == y.0) {
+                let keys = rs.resolve(&s.segrecs[run[0].0 as usize], t.run_side(&index));
+                verifier.verify_run_at_least(keys, run, theta, &mut rs, &mut out);
+            }
             (start.elapsed().as_secs_f64() / pairs.len() as f64).max(1e-9)
         } else {
             2e-6

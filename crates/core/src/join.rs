@@ -22,11 +22,9 @@
 //! runs stages 4 and 5 as one pass per probe record: the worker that
 //! probed a record verifies its run there and then, so no candidate list
 //! exists (PASS-JOIN's shape), and cost calibration times that same pass.
-//! The list is built only where it is the product —
-//! [`crate::engine::Engine::filter_outcome`], whose list
-//! [`verify_candidates`] verifies — and the Bernoulli estimator only
-//! counts it. Either way a probe record's run is the unit of parallel
-//! work: verified whole, on one worker.
+//! The Bernoulli estimator (Eq. 17) only counts the candidates. A probe
+//! record's run is the unit of parallel work: verified whole, on one
+//! worker.
 //!
 //! The engine owns stages 1–2 and the memoization of 3–4; this module
 //! holds the one implementation of stages 3, 4 and 5. Tests check them
@@ -40,7 +38,7 @@ use crate::pebble::{generate_pebbles_into, Pebble, PebbleKey, PebbleOrder, SortS
 use crate::segment::SegRecord;
 use crate::shard::ShardStats;
 use crate::signature::{select_signature, DpScratch, SignatureChoice};
-use crate::usim::{GramPostingsIndex, RunScratch, RunSide, Verifier, VerifyTiers};
+use crate::usim::{RunScratch, RunSide, Verifier, VerifyTiers};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -212,8 +210,9 @@ impl SelectedSignatures {
     }
 
     /// Stage 3 on pebble lists the caller generated and sorted itself —
-    /// the definitional form (`tests/index_equivalence.rs` builds its
-    /// oracle with it, independently of the engine's fused pass).
+    /// the definitional form ([`crate::oracle::FilterSide`] builds the
+    /// filter oracle's sides with it, independently of the engine's
+    /// fused pass).
     pub fn select_from(
         segrecs: &[Arc<SegRecord>],
         pebbles: &[Vec<Pebble>],
@@ -273,23 +272,6 @@ impl SelectedSignatures {
     }
 }
 
-/// Output of the filtering stage (stages 2–4) run with the collect
-/// consumer (`CandidatePass::collect`).
-#[derive(Debug, Clone, Default)]
-pub struct FilterOutcome {
-    /// Candidate pairs with ≥ τ common signature pebbles that pass the
-    /// in-probe compatibility bound, sorted by `(s, t)`.
-    pub candidates: Vec<(u32, u32)>,
-    /// `Tτ` (Eq. 16).
-    pub processed_pairs: u64,
-    /// Pairs rejected in-probe by the tier-0 compatibility bound.
-    pub compat_rejected: u64,
-    /// Mean signature length on the S side.
-    pub avg_sig_len_s: f64,
-    /// Mean signature length on the T side.
-    pub avg_sig_len_t: f64,
-}
-
 /// What the in-probe compatibility bound needs from the two join sides:
 /// the cached tier-0 `(n_tokens, min_partition)` integers and the
 /// verifier's acceptance threshold `θ − ε`.
@@ -335,10 +317,9 @@ impl ProbeFloor<'_> {
 ///
 /// [`CandidatePass::run`] probes one record at a time through a dense,
 /// branch-free [`OverlapCounter`] and hands the record's hits to a
-/// consumer on the worker that probed them; no candidate list outlives
-/// the record unless the consumer keeps one. Three consumers exist:
-/// verify ([`CandidatePass::verify`], every join and calibration's `c_v`),
-/// collect ([`CandidatePass::collect`], the list itself) and count
+/// consumer on the worker that probed them; no candidate outlives its
+/// probe record. Two consumers exist: verify ([`CandidatePass::verify`],
+/// every join and calibration's `c_v`) and count
 /// ([`CandidatePass::count`], the funnel only, and calibration's `c_f`).
 #[derive(Debug)]
 pub(crate) struct CandidatePass<'a> {
@@ -508,19 +489,6 @@ impl CandidatePass<'_> {
         self.run(all, parallel, || (), |_, _, hits| hits.len(), |_| {})
     }
 
-    /// The collect consumer: every candidate pair of the whole probe side,
-    /// sorted by `(s, t)`.
-    pub fn collect(&self, parallel: bool) -> (Vec<(u32, u32)>, PassTotals) {
-        let all = 0..self.s.len() as u32;
-        let (per_record, totals) =
-            self.run(all, parallel, || (), |_, _, hits| hits.to_vec(), |_| {});
-        let mut candidates = Vec::with_capacity(totals.candidates as usize);
-        for (a, hits) in per_record.into_iter().enumerate() {
-            candidates.extend(hits.into_iter().map(|b| (a as u32, b)));
-        }
-        (candidates, totals)
-    }
-
     /// The verify consumer — stages 4 and 5 fused over the probe records
     /// `block`: each record's hits become its run `(a, b…)` in a buffer
     /// the worker reuses, verified on the spot against `side`, the
@@ -528,8 +496,8 @@ impl CandidatePass<'_> {
     /// (see [`Verifier::verify_run_at_least`]). Returns the accepted
     /// `(a, b, sim)` per probe record, in record order; the workers' tier
     /// tallies and walked postings are folded into `totals`. Pairs,
-    /// similarity bits and tallies are those [`verify_candidates`] gives
-    /// the collected list.
+    /// similarity bits and tallies are those of a per-pair
+    /// [`Verifier::sim_at_least`] over the record's candidates.
     #[allow(clippy::too_many_arguments)]
     pub fn verify(
         &self,
@@ -578,66 +546,10 @@ impl RunTotals {
     }
 }
 
-/// Stage 5: verify candidates `(a, b)` — ids into `s` and `t` — with the
-/// bound-cascade engine (see [`crate::usim::verify`]) and return the
-/// accepted `(a, b, sim)` in candidate order plus the per-tier decision
-/// telemetry.
-///
-/// The sorted candidate list is cut into per-probe-record runs, each run
-/// is one work unit of [`crate::parallel::par_map_scratch`], verified
-/// whole on one worker — the unit a join's `CandidatePass::verify` maps —
-/// and its shared pebble mass is counted in one walk of `index`, the
-/// transposed posting index over `t` (work ∝ the probe's document
-/// frequencies); only the candidates that bound cannot reject are
-/// enumerated. Only [`crate::engine::Engine::scan`] counts pair by pair.
-/// Accepted pairs and similarities are byte-identical to
-/// [`crate::oracle::verify_candidates_reference`], and the tier counters
-/// to per-pair [`crate::usim::Verifier::sim_at_least`] calls —
-/// `tests/verify_equivalence.rs` enforces both.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_candidates(
-    kn: &Knowledge,
-    cfg: &SimConfig,
-    s: &[Arc<SegRecord>],
-    t: &[Arc<SegRecord>],
-    candidates: &[(u32, u32)],
-    theta: f64,
-    parallel: bool,
-    index: &GramPostingsIndex,
-) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
-    // No `Prepared` here to hold `t`'s tier-0 column: derive it.
-    let tier0: Vec<(u32, u32)> = (t.iter()).map(|r| r.tier0()).collect();
-    let side = RunSide {
-        recs: t,
-        tier0: &tier0,
-        index,
-    };
-    let engine = Verifier::new(kn, cfg);
-    // Worker tallies fold in the drain hook; the buckets are pure
-    // per-candidate functions, so the sum is scheduling-free.
-    let tiers = Mutex::new(VerifyTiers::default());
-    let runs: Vec<&[(u32, u32)]> = candidates.chunk_by(|x, y| x.0 == y.0).collect();
-    let per_run = crate::parallel::par_map_scratch(
-        &runs,
-        parallel,
-        RunScratch::default,
-        |rs, run| {
-            let mut out = Vec::new();
-            let keys = rs.resolve(&s[run[0].0 as usize], side);
-            engine.verify_run_at_least(keys, run, theta, rs, &mut out);
-            out
-        },
-        |rs| relock(&tiers).merge(&rs.take_tally()),
-    );
-    let tiers = *relock(&tiers);
-    debug_assert_eq!(tiers.decisions(), candidates.len() as u64);
-    (per_run.into_iter().flatten().collect(), tiers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, Prepared};
     use crate::knowledge::KnowledgeBuilder;
     use crate::oracle::brute_force_join;
     use crate::signature::FilterKind;
@@ -838,14 +750,34 @@ mod tests {
         assert!(res.pairs.is_empty());
     }
 
+    /// The candidate pairs the engine's own memoized pass emits for `s`
+    /// against `t`, kept by an inline consumer, with the pass's totals.
+    fn emitted(
+        engine: &Engine,
+        s: &Prepared,
+        t: &Prepared,
+        self_join: bool,
+        spec: &JoinSpec,
+    ) -> (Vec<(u32, u32)>, PassTotals) {
+        let (pass, _) = engine.candidate_pass(s, t, self_join, spec);
+        let all = 0..pass.s.len() as u32;
+        let keep = |_: &mut (), a: u32, hits: &[u32]| -> Vec<(u32, u32)> {
+            hits.iter().map(|&b| (a, b)).collect()
+        };
+        let (per_record, totals) = pass.run(all, spec.parallel, || (), keep, |_| {});
+        (per_record.concat(), totals)
+    }
+
     #[test]
-    fn the_fused_pass_equals_the_collected_list_verified_and_counted() {
+    fn the_fused_pass_equals_per_pair_verification_and_the_count() {
         // Past `MIN_PARALLEL_ITEMS` probe records the pass fans out, and
         // every worker folds its funnel, times and tier tallies in the
-        // drain hook. The join's verify consumer, the collect consumer's
-        // list verified afterwards and the count consumer must agree on
-        // every pair, similarity bit and counter — R×S and self-join.
+        // drain hook. The join's verify consumer, a per-pair
+        // `sim_at_least` over the candidates the pass emits and the count
+        // consumer must agree on every pair, similarity bit and counter —
+        // R×S and self-join.
         use crate::engine::tests::{pair_bits, pooled_corpus};
+        use crate::usim::VerifyScratch;
         let mut kn = KnowledgeBuilder::new().build();
         let (s, t) = (
             pooled_corpus(&mut kn, 300, 0),
@@ -854,6 +786,7 @@ mod tests {
         let engine = Engine::new(kn, SimConfig::default()).unwrap();
         let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
         let theta = 0.7;
+        let verifier = Verifier::new(engine.knowledge(), engine.config());
         for parallel in [false, true] {
             let spec = JoinSpec::threshold(theta).au_dp(2).parallel(parallel);
             for other in [Some(&pt), None] {
@@ -863,37 +796,137 @@ mod tests {
                     None => engine.join_self(&ps, &spec),
                 };
                 let fused = fused.unwrap();
-                let listed = engine.filter_outcome(&ps, other, &spec).unwrap();
-                let (pairs, tiers) = verify_candidates(
-                    engine.knowledge(),
-                    engine.config(),
-                    ps.seg_records(),
-                    verified.seg_records(),
-                    &listed.candidates,
-                    theta,
-                    parallel,
-                    &verified.transposed(false),
-                );
+                let (candidates, totals) = emitted(&engine, &ps, verified, other.is_none(), &spec);
+                let (mut scr, mut pairs) = (VerifyScratch::default(), Vec::new());
+                for &(a, b) in &candidates {
+                    let (sa, tb) = (
+                        &ps.seg_records()[a as usize],
+                        &verified.seg_records()[b as usize],
+                    );
+                    let sim = verifier.sim_at_least(sa, tb, theta, &mut scr);
+                    if sim >= theta - engine.config().eps {
+                        pairs.push((a, b, sim));
+                    }
+                }
+                let tiers = scr.take_tally();
                 let at = format!("parallel={parallel} self={}", other.is_none());
                 assert!(!pairs.is_empty() && tiers.mass_rejects > 0, "{at}");
                 assert_eq!(pair_bits(&fused.pairs), pair_bits(&pairs), "{at}");
                 assert_eq!(fused.stats.tiers, tiers, "{at}");
                 assert_eq!(
                     (fused.stats.candidates, fused.stats.processed_pairs),
-                    (listed.candidates.len() as u64, listed.processed_pairs),
+                    (candidates.len() as u64, totals.probe.processed),
                     "{at}"
                 );
-                assert_eq!(fused.stats.compat_rejected, listed.compat_rejected);
+                assert_eq!(fused.stats.compat_rejected, totals.probe.compat_rejected);
                 assert_eq!(fused.stats.result_count, pairs.len());
             }
             let counts = engine
                 .filter_counts(&ps, &pt, theta, FilterKind::AuDp { tau: 2 })
                 .unwrap();
-            let listed = engine.filter_outcome(&ps, Some(&pt), &spec).unwrap();
+            let (candidates, totals) = emitted(&engine, &ps, &pt, false, &spec);
             assert_eq!(
                 (counts.processed, counts.candidates),
-                (listed.processed_pairs, listed.candidates.len() as u64)
+                (totals.probe.processed, candidates.len() as u64)
             );
+        }
+    }
+
+    /// `n` records of one to five words off `MERGE_WORDS`, drawn from
+    /// `seed`. Under `setup`'s knowledge the pool holds both sides of a
+    /// synonym rule ("coffee shop" / "cafe") and taxonomy nodes
+    /// ("coffee", "latte", "espresso").
+    fn drawn_corpus(kn: &mut Knowledge, n: usize, seed: u64) -> Corpus {
+        use crate::engine::tests::MERGE_WORDS;
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m) as usize
+        };
+        let lines: Vec<String> = (0..n)
+            .map(|_| {
+                let words: Vec<&str> = (0..1 + next(5)).map(|_| MERGE_WORDS[next(12)]).collect();
+                words.join(" ")
+            })
+            .collect();
+        kn.corpus_from_lines(lines.iter().map(String::as_str))
+    }
+
+    /// The set the engine's memoized pass emits — and its `Tτ`, `Vτ` and
+    /// compatibility rejections — is exactly the filter oracle's
+    /// ([`crate::oracle::candidate_definition`] over sides it selects by
+    /// hand), for all five filters, R×S and self-join, serial and
+    /// parallel.
+    fn assert_pass_emits_the_definition(n: usize, seed: u64, theta: f64) {
+        use crate::oracle::{candidate_definition, FilterSide};
+        let (mut kn, _, _) = crate::engine::tests::setup();
+        let s = drawn_corpus(&mut kn, n, seed);
+        let t = drawn_corpus(&mut kn, n, seed ^ 0x5bd1_e995);
+        let engine = Engine::new(kn, SimConfig::default()).unwrap();
+        let (ps, pt) = (engine.prepare(&s).unwrap(), engine.prepare(&t).unwrap());
+        let (kn, cfg) = (engine.knowledge(), engine.config());
+        let carries = |f: fn(&SegRecord) -> bool| ps.seg_records().iter().any(|r| f(r));
+        assert!(
+            carries(|r| !r.rule_postings().is_empty()) && carries(|r| !r.node_segs().is_empty())
+        );
+        for filter in [
+            FilterKind::UFilter,
+            FilterKind::AuHeuristic { tau: 2 },
+            FilterKind::AuHeuristic { tau: 4 },
+            FilterKind::AuDp { tau: 2 },
+            FilterKind::AuDp { tau: 4 },
+        ] {
+            let spec = JoinSpec::threshold(theta).filter(filter);
+            for other in [Some(&pt), None] {
+                let recs = other.map(|p| p.seg_records());
+                let (ds, dt) = FilterSide::pair(kn, cfg, ps.seg_records(), recs, &spec);
+                let want = candidate_definition(&ds, dt.as_ref(), filter.tau(), theta - cfg.eps);
+                let at = format!(
+                    "n={n} seed={seed} θ={theta} {} self={}",
+                    filter.label(),
+                    other.is_none()
+                );
+                assert!(!want.candidates.is_empty(), "{at}: no candidates");
+                for parallel in [false, true] {
+                    let spec = spec.parallel(parallel);
+                    let verified = other.unwrap_or(&ps);
+                    let (got, totals) = emitted(&engine, &ps, verified, other.is_none(), &spec);
+                    assert_eq!(got, want.candidates, "{at} parallel={parallel}");
+                    assert_eq!(
+                        (
+                            totals.candidates,
+                            totals.probe.processed,
+                            totals.probe.compat_rejected
+                        ),
+                        (got.len() as u64, want.t_tau, want.compat_rejected),
+                        "{at} parallel={parallel}"
+                    );
+                }
+            }
+        }
+    }
+
+    mod exact_set {
+        use super::*;
+        use crate::parallel::MIN_PARALLEL_ITEMS;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4))]
+
+            /// Past `MIN_PARALLEL_ITEMS` probe records, so the parallel
+            /// pass fans out.
+            #[test]
+            fn the_engine_pass_emits_the_oracle_candidate_set(
+                extra in 0usize..48,
+                seed in 0u64..1_000_000,
+                theta_pct in 50u32..96,
+            ) {
+                let n = MIN_PARALLEL_ITEMS + extra;
+                assert_pass_emits_the_definition(n, seed, theta_pct as f64 / 100.0);
+            }
         }
     }
 

@@ -9,7 +9,8 @@
 //! * [`pebble`] — the unified signature unit (Section 3.1).
 //! * [`signature`] — U-Filter (Alg. 2), AU-Filter heuristics (Alg. 4) and
 //!   AU-Filter DP (Alg. 5) signature selection.
-//! * [`oracle`] — the brute-force join the filters are checked against.
+//! * [`oracle`] — the brute-force join and the candidate definition the
+//!   filters are checked against.
 
 #![warn(missing_docs)]
 

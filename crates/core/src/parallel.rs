@@ -1,10 +1,9 @@
 //! Shared parallel execution for verification-style loops.
 //!
-//! Stage 1, signature selection, every candidate pass and the
-//! collected-list verifier all have the same shape of work: a slice of
-//! independent items (records to segment or sign, probe records to probe
-//! and verify, probe runs of a collected candidate list), a pure function
-//! per item, and a result list that must come back in a deterministic
+//! Stage 1, signature selection and every candidate pass all have the
+//! same shape of work: a slice of independent items (records to segment
+//! or sign, probe records to probe and verify), a pure function per
+//! item, and a result list that must come back in a deterministic
 //! order. A probe record's run is always one item, verified whole on one
 //! worker. This module is the single audited implementation of that
 //! pattern, so `JoinSpec::parallel` means one thing everywhere.

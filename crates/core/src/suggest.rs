@@ -30,9 +30,10 @@ const T_STAR: f64 = 1.036;
 /// Configuration of the suggestion loop.
 #[derive(Debug, Clone)]
 pub struct SuggestConfig {
-    /// Sampling probability for the S side.
+    /// Sampling probability for the S side, in (0, 1]: Eq. 17 scales
+    /// the sample's counts by `1 / (p_s·p_t)`.
     pub ps: f64,
-    /// Sampling probability for the T side.
+    /// Sampling probability for the T side, in (0, 1].
     pub pt: f64,
     /// Burn-in: minimum number of iterations before stopping (the paper's
     /// `n*`; Figure 8 uses 10).
@@ -103,7 +104,7 @@ impl Engine {
             return Err(empty());
         }
         for (name, p) in [("ps", sc.ps), ("pt", sc.pt)] {
-            if !(0.0..=1.0).contains(&p) {
+            if !(p > 0.0 && p <= 1.0) {
                 return Err(AuError::InvalidSpec {
                     field: name,
                     message: format!("sampling probability out of range: {p}"),
@@ -300,6 +301,27 @@ mod tests {
             }),
             "pt"
         );
+        // Eq. 17 divides by p_s·p_t: a zero (or NaN) probability has no
+        // estimate, so it is refused rather than answered with NaN costs.
+        for (ps, pt, want) in [(0.0, 0.5, "ps"), (0.5, 0.0, "pt"), (f64::NAN, 0.5, "ps")] {
+            let sc = SuggestConfig {
+                ps,
+                pt,
+                max_iters: 50,
+                universe: vec![1, 2, 3],
+                ..Default::default()
+            };
+            assert_eq!(field(sc), want, "ps = {ps}, pt = {pt}");
+        }
+        let one = SuggestConfig {
+            ps: 1.0,
+            pt: 1.0,
+            n_star: 1,
+            max_iters: 2,
+            ..Default::default()
+        };
+        let out = engine.suggest_tau(&ps, &pt, 0.8, &model, &one).unwrap();
+        assert!(out.estimates.iter().all(|&(_, c)| c.is_finite()));
     }
 
     #[test]

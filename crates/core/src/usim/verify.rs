@@ -50,9 +50,10 @@
 //! upper bound of exact USIM, so the accept set — and the accepted values,
 //! which always come from the shared `refine_set` — are byte-identical to
 //! the reference per-candidate path. Scratch is per worker, and a probe
-//! record's run is verified whole by the worker that holds it (a join's
-//! candidate pass, or [`crate::join::verify_candidates`] over a collected
-//! list, each mapping runs through [`crate::parallel::par_map_scratch`]):
+//! record's run is verified whole by the worker that probed it (a join's
+//! candidate pass maps probe records through
+//! [`crate::parallel::par_map_scratch`], and `Engine::verify_pass` is
+//! the one driver of that pass over runs):
 //! workers never share mutable state, nothing is cached across
 //! candidates, and the buckets are pure per-candidate functions, so counts
 //! and results are independent of scheduling.

@@ -2,16 +2,16 @@
 //! unicode, degenerate records, overlapping knowledge sources.
 
 mod common;
+#[path = "common/runs.rs"]
+mod runs;
 
-use au_join::core::join::verify_candidates;
 use au_join::core::oracle::{brute_force_join, verify_candidates_reference};
 use au_join::core::segment::{segment_record, SegRecord, SegView};
 use au_join::core::signature::FilterKind;
-use au_join::core::usim::{
-    usim_approx_seg, usim_exact_seg, GramPostingsIndex, Verifier, VerifyScratch,
-};
+use au_join::core::usim::{usim_approx_seg, usim_exact_seg, Verifier, VerifyScratch};
 use au_join::prelude::*;
 use common::join;
+use runs::verify_runs;
 use std::sync::Arc;
 
 #[test]
@@ -305,17 +305,13 @@ fn oversized_run_takes_the_batched_path_in_chunks() {
         scr.take_tally()
     };
     assert!(per_pair.mass_rejects > 0 && per_pair.accepted == reference.len() as u64);
-    // Serial keeps the giant's run whole.
-    let index = GramPostingsIndex::build(&tp);
-    for parallel in [false, true] {
-        let (pairs, tiers) =
-            verify_candidates(&kn, &cfg, &sp, &tp, &candidates, theta, parallel, &index);
-        let bits = |v: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
-            v.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
-        };
-        assert_eq!(bits(&pairs), bits(&reference), "parallel={parallel}");
-        assert_eq!(tiers, per_pair, "parallel={parallel}");
-    }
+    // The giant's run is one walk, in partner chunks.
+    let (pairs, tiers) = verify_runs(&kn, &cfg, &sp, &tp, &candidates, theta);
+    let bits = |v: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+        v.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
+    };
+    assert_eq!(bits(&pairs), bits(&reference));
+    assert_eq!(tiers, per_pair);
 }
 
 /// One record with more gram postings than `u16::MAX` — and a surface

@@ -2,130 +2,42 @@
 //!
 //! The production scan (CSR postings + dense counters with a first-touch
 //! log, settled by one emission pass: τ-skip, compatibility bound,
-//! overlap demand — reached through `Engine::filter_outcome`) must report
-//! exactly the candidate set, the `Tτ` (Eq. 16) and the compatibility
-//! rejections that the *definition* assigns to the selected signatures —
-//! on R×S joins and self-joins, every filter, serial and parallel, across
-//! `au-datagen` corpora and randomized small corpora.
+//! overlap demand) must report exactly the `Tτ` (Eq. 16), `Vτ` and
+//! compatibility rejections that the *definition*
+//! (`au_core::oracle::candidate_definition`) assigns to the selected
+//! signatures — through `Engine::join` / `join_self` on R×S joins and
+//! self-joins, every filter, serial and parallel, across `au-datagen`
+//! corpora and randomized small corpora. The exact set the engine's
+//! memoized pass emits is checked against the same definition inside
+//! au-core (`join::tests`).
 //!
-//! The oracle below is deliberately naive — O(|S|·|T|·k), no index, no
-//! skipping — and is computed from `SelectedSignatures` built here with
-//! the public stage functions, independently of the engine's memoized
-//! order / signature / index artifacts.
+//! The definition is deliberately naive — O(|S|·|T|·k), no index, no
+//! skipping — and is computed from signatures the oracle selects itself
+//! with the public stage functions (`au_core::oracle::FilterSide`),
+//! independently of the engine's memoized order / signature / index
+//! artifacts.
 //!
 //! The candidate pass's emission is checked the same way, one probe at a
 //! time: `OverlapCounter::probe` marks its hits in a bitmap and reads them
 //! out word by word, and what it emits must be ascending and exactly the
-//! definition's candidates of that probe record — on synthetic sides
-//! built to hit the bitmap's edges.
+//! definition's candidates of that probe record — over the oracle's sides
+//! of every corpus above, and on synthetic sides built to hit the
+//! bitmap's edges.
 //!
 //! (The `csr_matches_legacy_*` test ids are kept stable for the suite's
 //! pass-list: the oracle used to be the PR-1 hashmap engine, and
-//! `definition` is that engine's candidate rule with the engine removed.)
+//! `candidate_definition` is that engine's candidate rule with the engine
+//! removed.)
 
 use au_join::core::config::SimConfig;
-use au_join::core::engine::{Engine, JoinSpec, Prepared};
+use au_join::core::engine::{Engine, JoinSpec};
 use au_join::core::index::{CompatBound, CsrIndex, OverlapCounter, RecordKeys};
 use au_join::core::join::SelectedSignatures;
-use au_join::core::pebble::{generate_pebbles, Pebble, PebbleKey, PebbleOrder};
+use au_join::core::oracle::{candidate_definition, FilterSide};
+use au_join::core::pebble::PebbleKey;
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use proptest::prelude::*;
-
-/// Every side's pebble lists sorted under the global order built over
-/// exactly these sides (stage 2, done by hand).
-fn sorted_pebbles(
-    ds: &LabeledDataset,
-    cfg: &SimConfig,
-    sides: &[&Prepared],
-) -> Vec<Vec<Vec<Pebble>>> {
-    let mut lists: Vec<Vec<Vec<Pebble>>> = sides
-        .iter()
-        .map(|p| {
-            p.seg_records()
-                .iter()
-                .map(|sr| generate_pebbles(&ds.kn, cfg, sr))
-                .collect()
-        })
-        .collect();
-    let order = PebbleOrder::build(lists.iter().flatten().map(|v| v.as_slice()));
-    for list in lists.iter_mut().flatten() {
-        order.sort(list, &mut Default::default());
-    }
-    lists
-}
-
-/// One join side as the definition sees it: key sets, guarantee levels
-/// and the tier-0 integers `(|r|, MP(r))`.
-struct Side {
-    sel: SelectedSignatures,
-    tier0: Vec<(u32, u32)>,
-}
-
-impl Side {
-    fn new(p: &Prepared, sorted: &[Vec<Pebble>], spec: &JoinSpec, eps: f64) -> Self {
-        Self {
-            sel: SelectedSignatures::select_from(p.seg_records(), sorted, spec, eps),
-            tier0: p
-                .seg_records()
-                .iter()
-                .map(|sr| (sr.n_tokens() as u32, sr.min_partition))
-                .collect(),
-        }
-    }
-}
-
-/// What the definition assigns to one join: candidates, `Tτ` and the
-/// in-probe compatibility rejections.
-struct Defined {
-    candidates: Vec<(u32, u32)>,
-    t_tau: u64,
-    compat_rejected: u64,
-}
-
-/// The definition. `(a, b)` is a candidate ⇔
-/// `|keys(a) ∩ keys(b)| ≥ demand = max(1, min(τ, level_a, level_b))` and
-/// the tier-0 bound `min(|a|,|b|) / max(MP(a),MP(b)) ≥ θ − ε`; it is
-/// compat-rejected ⇔ the two share a key, `m − i₀ ≥ demand` (`m` keys in
-/// `a`'s signature, `i₀` the index of the first of them `b` carries) and
-/// the tier-0 bound is `< θ − ε`. `Tτ` is `Σ_key |L_S(key)|·|L_T(key)|`,
-/// which is the shared-key count summed over all pairs; a self-join
-/// (`t = None`) ranges over `a < b`, i.e. `n(n−1)/2` pairs per posting
-/// list.
-fn definition(s: &Side, t: Option<&Side>, tau: u32, min_sim: f64) -> Defined {
-    let indexed = t.unwrap_or(s);
-    let mut out = Defined {
-        candidates: Vec::new(),
-        t_tau: 0,
-        compat_rejected: 0,
-    };
-    for a in 0..s.sel.len() as u32 {
-        let keys_a = s.sel.record_keys.get(a);
-        let first = if t.is_none() { a + 1 } else { 0 };
-        for b in first..indexed.sel.len() as u32 {
-            let keys_b = indexed.sel.record_keys.get(b);
-            let carried = |i: &usize| keys_b.binary_search(&keys_a[*i]).is_ok();
-            let shared = (0..keys_a.len()).filter(carried).count();
-            out.t_tau += shared as u64;
-            let Some(i0) = (0..keys_a.len()).find(carried) else {
-                continue;
-            };
-            let demand = tau
-                .min(s.sel.levels[a as usize])
-                .min(indexed.sel.levels[b as usize])
-                .max(1) as usize;
-            let ((na, mpa), (nb, mpb)) = (s.tier0[a as usize], indexed.tier0[b as usize]);
-            if na.min(nb) as f64 / mpa.max(mpb) as f64 >= min_sim {
-                if shared >= demand {
-                    out.candidates.push((a, b));
-                }
-            } else if keys_a.len() - i0 >= demand {
-                out.compat_rejected += 1;
-            }
-        }
-    }
-    out
-}
 
 fn assert_scan_matches_definition(
     ds: &LabeledDataset,
@@ -141,25 +53,28 @@ fn assert_scan_matches_definition(
     let (tau, min_sim) = (filter.tau(), theta - cfg.eps);
 
     // R×S: the order counts frequencies across both sides.
-    let sorted = sorted_pebbles(ds, &cfg, &[&ps, &pt]);
-    let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
-    let t = Side::new(&pt, &sorted[1], &spec, cfg.eps);
-    let want = definition(&s, Some(&t), tau, min_sim);
+    let (s, t) = FilterSide::pair(
+        &ds.kn,
+        &cfg,
+        ps.seg_records(),
+        Some(pt.seg_records()),
+        &spec,
+    );
+    let t = t.expect("the T side");
+    let want = candidate_definition(&s, Some(&t), tau, min_sim);
     for parallel in [false, true] {
         let got = engine
-            .filter_outcome(&ps, Some(&pt), &spec.parallel(parallel))
-            .expect("R×S filter run");
+            .join(&ps, &pt, &spec.parallel(parallel))
+            .expect("R×S join")
+            .stats;
         assert_eq!(
-            got.candidates, want.candidates,
-            "{label} candidates (parallel={parallel})"
-        );
-        assert_eq!(
-            got.processed_pairs, want.t_tau,
-            "{label} Tτ (parallel={parallel})"
-        );
-        assert_eq!(
-            got.compat_rejected, want.compat_rejected,
-            "{label} compat_rejected (parallel={parallel})"
+            (got.candidates, got.processed_pairs, got.compat_rejected),
+            (
+                want.candidates.len() as u64,
+                want.t_tau,
+                want.compat_rejected
+            ),
+            "{label} Vτ, Tτ, compat_rejected (parallel={parallel})"
         );
         assert!(
             (got.avg_sig_len_s - s.sel.record_keys.avg_sig_len()).abs() < 1e-12
@@ -167,28 +82,31 @@ fn assert_scan_matches_definition(
             "{label} mean signature lengths"
         );
     }
+    assert_emission_matches_definition(&t, Some(&s), tau, min_sim);
 
     // Self-join on the S side: the order is built from S alone.
-    let sorted = sorted_pebbles(ds, &cfg, &[&ps]);
-    let s = Side::new(&ps, &sorted[0], &spec, cfg.eps);
-    let want = definition(&s, None, tau, min_sim);
+    let (s, _) = FilterSide::pair(&ds.kn, &cfg, ps.seg_records(), None, &spec);
+    let want = candidate_definition(&s, None, tau, min_sim);
     for parallel in [false, true] {
         let got = engine
-            .filter_outcome(&ps, None, &spec.parallel(parallel))
-            .expect("self filter run");
+            .join_self(&ps, &spec.parallel(parallel))
+            .expect("self join")
+            .stats;
         assert_eq!(
-            got.candidates, want.candidates,
-            "{label} self candidates (parallel={parallel})"
+            (got.candidates, got.processed_pairs, got.compat_rejected),
+            (
+                want.candidates.len() as u64,
+                want.t_tau,
+                want.compat_rejected
+            ),
+            "{label} self Vτ, Tτ, compat_rejected (parallel={parallel})"
         );
-        assert_eq!(
-            got.processed_pairs, want.t_tau,
-            "{label} self Tτ (parallel={parallel})"
-        );
-        assert_eq!(
-            got.compat_rejected, want.compat_rejected,
-            "{label} self compat_rejected (parallel={parallel})"
+        assert!(
+            (got.avg_sig_len_s - s.sel.record_keys.avg_sig_len()).abs() < 1e-12,
+            "{label} self mean signature length"
         );
     }
+    assert_emission_matches_definition(&s, None, tau, min_sim);
 }
 
 fn all_filters() -> Vec<FilterKind> {
@@ -238,7 +156,7 @@ fn csr_matches_legacy_on_wiki_corpora() {
 /// `n − 1`), plus up to five grams of 1..24; guarantee levels 1–3 and
 /// tier-0 integers spread wide enough that the compatibility bound both
 /// admits and refuses.
-fn synthetic_side(n: usize, salt: u64) -> Side {
+fn synthetic_side(n: usize, salt: u64) -> FilterSide {
     let mut x = 0x9e37_79b9_7f4a_7c15_u64 ^ salt;
     let mut next = move || {
         x = x
@@ -260,7 +178,7 @@ fn synthetic_side(n: usize, salt: u64) -> Side {
         let len = 1 + (next() % 8) as u32;
         tier0.push((len, len.div_ceil(1 + (next() % 2) as u32)));
     }
-    Side {
+    FilterSide {
         sel: SelectedSignatures {
             record_keys: RecordKeys::build(&keys),
             levels,
@@ -275,9 +193,14 @@ fn synthetic_side(n: usize, salt: u64) -> Side {
 /// set would surface in the second — and check each probe's emission is
 /// strictly ascending and the definition's candidates of that record,
 /// and the summed `Tτ` and compatibility rejections the definition's.
-fn assert_emission_matches_definition(indexed: &Side, probe: Option<&Side>, tau: u32) {
-    let min_sim = 0.6;
-    let want = definition(
+/// Returns whether some probe emitted id 0 and some id n − 1.
+fn assert_emission_matches_definition(
+    indexed: &FilterSide,
+    probe: Option<&FilterSide>,
+    tau: u32,
+    min_sim: f64,
+) -> (bool, bool) {
+    let want = candidate_definition(
         probe.unwrap_or(indexed),
         probe.map(|_| indexed),
         tau,
@@ -288,6 +211,13 @@ fn assert_emission_matches_definition(indexed: &Side, probe: Option<&Side>, tau:
     let n = indexed.sel.len();
     let mut counter = OverlapCounter::new(n);
     let (mut edges, mut out) = ((false, false), Vec::new());
+    let mut defined = want.candidates.chunk_by(|x, y| x.0 == y.0).peekable();
+    let defined: Vec<Vec<u32>> = (0..s.sel.len() as u32)
+        .map(|a| match defined.next_if(|run| run[0].0 == a) {
+            Some(run) => run.iter().map(|&(_, b)| b).collect(),
+            None => Vec::new(),
+        })
+        .collect();
     for sweep in 0..2 {
         let (mut t_tau, mut compat_rejected) = (0, 0);
         for a in 0..s.sel.len() as u32 {
@@ -309,21 +239,13 @@ fn assert_emission_matches_definition(indexed: &Side, probe: Option<&Side>, tau:
             t_tau += stats.processed;
             compat_rejected += stats.compat_rejected;
             assert!(out.windows(2).all(|w| w[0] < w[1]), "a={a}: ascending");
-            let defined: Vec<u32> = (want.candidates.iter())
-                .filter(|&&(x, _)| x == a)
-                .map(|&(_, b)| b)
-                .collect();
-            assert_eq!(out, defined, "sweep {sweep} a={a} (n={n})");
+            assert_eq!(out, defined[a as usize], "sweep {sweep} a={a} (n={n})");
             edges.0 |= out.first() == Some(&0);
-            edges.1 |= out.last() == Some(&(n as u32 - 1));
+            edges.1 |= n > 0 && out.last() == Some(&(n as u32 - 1));
         }
         assert_eq!((t_tau, compat_rejected), (want.t_tau, want.compat_rejected));
     }
-    if probe.is_some() {
-        assert_eq!(edges, (true, true), "hits at ids 0 and n − 1 (n={n})");
-    } else if n > 1 {
-        assert!(edges.1, "a self-join hit at id n − 1 (n={n})");
-    }
+    edges
 }
 
 /// `OverlapCounter::probe`'s bitmap emission against the definition:
@@ -337,8 +259,10 @@ fn bitmap_emission_matches_the_definition() {
         let indexed = synthetic_side(n, salt);
         let probe = synthetic_side(40, salt + 100);
         for tau in [1, 2, 3] {
-            assert_emission_matches_definition(&indexed, Some(&probe), tau);
-            assert_emission_matches_definition(&indexed, None, tau);
+            let edges = assert_emission_matches_definition(&indexed, Some(&probe), tau, 0.6);
+            assert_eq!(edges, (true, true), "hits at ids 0 and n − 1 (n={n})");
+            let edges = assert_emission_matches_definition(&indexed, None, tau, 0.6);
+            assert!(n == 1 || edges.1, "a self-join hit at id n − 1 (n={n})");
         }
     }
 }

@@ -18,7 +18,7 @@ const QUERIES: usize = 300;
 /// A MED-like collection at gram length `q` (the repository benchmark's
 /// dataset shape), a searcher over its T side at θ = 0.9, AU-DP τ = 2, and
 /// the query texts.
-fn collection(q: usize, seed: u64) -> (Arc<Engine>, Arc<Prepared>, Vec<String>) {
+fn indexed_corpus(q: usize, seed: u64) -> (Arc<Engine>, Arc<Prepared>, Vec<String>) {
     let ds = LabeledDataset::generate(&DatasetProfile::med_like(1.0), N, N, N / 5, seed);
     let cfg = SimConfig {
         q,
@@ -49,7 +49,7 @@ fn window_share(outcomes: &[SearchOutcome]) -> f64 {
 #[test]
 fn a_q2_collection_mostly_takes_the_window_plan_and_a_q3_one_hardly_ever() {
     for seed in [71, 72] {
-        let (engine, pt, queries) = collection(2, seed);
+        let (engine, pt, queries) = indexed_corpus(2, seed);
         let searcher = engine.searcher(&pt, &spec()).expect("searcher");
         let outcomes: Vec<SearchOutcome> = queries.iter().map(|q| searcher.query(q)).collect();
         let share = window_share(&outcomes);
@@ -73,7 +73,7 @@ fn a_q2_collection_mostly_takes_the_window_plan_and_a_q3_one_hardly_ever() {
             }
         }
 
-        let (engine, pt, queries) = collection(3, seed);
+        let (engine, pt, queries) = indexed_corpus(3, seed);
         let searcher = engine.searcher(&pt, &spec()).expect("searcher");
         let outcomes: Vec<SearchOutcome> = queries.iter().map(|q| searcher.query(q)).collect();
         let share = window_share(&outcomes);
@@ -86,7 +86,7 @@ fn a_q2_collection_mostly_takes_the_window_plan_and_a_q3_one_hardly_ever() {
 
 #[test]
 fn the_plan_is_the_same_at_one_and_at_eight_threads() {
-    let (engine, pt, queries) = collection(2, 73);
+    let (engine, pt, queries) = indexed_corpus(2, 73);
     let answer = |o: &SearchOutcome| {
         let bits: Vec<(u32, u64)> = o.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect();
         (o.plan, bits, o.candidates, o.walked, o.tiers)

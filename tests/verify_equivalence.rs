@@ -1,14 +1,18 @@
-//! Tier-equivalence harness: the production verification driver
-//! (`au_core::join::verify_candidates` over the tiered engine in
-//! `au_core::usim::verify`, which walks each probe run through the
-//! transposed posting index) must produce **byte-identical** `(pairs,
+//! Tier-equivalence harness: the production verifier (every join's
+//! fused pass, which hands each probe record's run to
+//! `Verifier::verify_run_at_least` in `au_core::usim::verify`, walking
+//! the transposed posting index) must produce **byte-identical** `(pairs,
 //! sims)` — compared through `f64::to_bits` — to the reference
-//! per-candidate path (`au_core::oracle::verify_candidates_reference`),
-//! on generated datasets and on adversarial proptest corpora, serial and
-//! parallel alike; so must the per-pair count source (a lone
-//! `Verifier::sim_at_least` call per candidate, what `Engine::scan`
-//! runs), and both must land every candidate in the same one of the
-//! four tier buckets.
+//! per-candidate path (`au_core::oracle::verify_candidates_reference`)
+//! over the filter oracle's candidate set
+//! (`au_core::oracle::candidate_definition`), on generated datasets,
+//! R×S and self-join, serial and parallel alike; so must the per-pair
+//! count source (a lone `Verifier::sim_at_least` call per candidate,
+//! what `Engine::scan` runs), and both must land every candidate in the
+//! same one of the four tier buckets. Lists no join emits — every pair
+//! of an adversarial proptest corpus, under every measure subset and
+//! gram measure — go through the run API directly
+//! (`tests/common/runs.rs`).
 //!
 //! This is the contract that lets the engine reject candidates before any
 //! segment-pair enumeration (the mass bound), count a whole run's mass in
@@ -22,18 +26,20 @@
 //! per-pair `Engine::scan` of the same rows, from many threads at once,
 //! with exactly one index build behind all of it.
 
+#[path = "common/runs.rs"]
+mod runs;
+
 use au_join::core::engine::QuerySession;
-use au_join::core::join::verify_candidates;
-use au_join::core::oracle::verify_candidates_reference;
+use au_join::core::oracle::{candidate_definition, verify_candidates_reference, FilterSide};
 use au_join::core::segment::{segment_record, SegRecord};
 use au_join::core::usim::approx::vertex_upper_bound;
 use au_join::core::usim::{
-    build_vertices, usim_approx_seg, usim_approx_seg_at_least, GramPostingsIndex, Verifier,
-    VerifyScratch,
+    build_vertices, usim_approx_seg, usim_approx_seg_at_least, Verifier, VerifyScratch, VerifyTiers,
 };
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
 use proptest::prelude::*;
+use runs::verify_runs;
 use std::sync::Arc;
 
 fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str) {
@@ -47,63 +53,51 @@ fn assert_bit_identical(a: &[(u32, u32, f64)], b: &[(u32, u32, f64)], ctx: &str)
     }
 }
 
-/// The production driver and the per-pair source vs the reference on one
-/// candidate list, serial and parallel — byte-identical `(pair, sim)`
-/// everywhere, plus the tier-telemetry invariants (every candidate in
-/// exactly one bucket, accepted == results, and the four-bucket tally
-/// identical across schedules *and* across the run walk and the per-pair
-/// count).
-fn check_candidates(
+/// The per-pair count source vs the reference on one candidate list:
+/// byte-identical `(pair, sim)`, and the per-pair tier tally, which
+/// partitions the list. The serial and parallel reference agree too.
+fn per_pair_matches_reference(
     kn: &Knowledge,
+    cfg: &SimConfig,
     s: &[Arc<SegRecord>],
     t: &[Arc<SegRecord>],
     candidates: &[(u32, u32)],
     theta: f64,
     ctx: &str,
-) {
-    let cfg = SimConfig::default();
-    let reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, false);
-    // The per-pair source: one `sim_at_least` call per candidate.
-    let per_pair = {
-        let v = Verifier::new(kn, &cfg);
-        let mut scr = VerifyScratch::default();
-        let mut accepted = Vec::new();
-        for &(a, b) in candidates {
-            let sim = v.sim_at_least(&s[a as usize], &t[b as usize], theta, &mut scr);
-            if sim >= theta - cfg.eps {
-                accepted.push((a, b, sim));
-            }
+) -> (Vec<(u32, u32, f64)>, VerifyTiers) {
+    let reference = verify_candidates_reference(kn, cfg, s, t, candidates, theta, false);
+    let v = Verifier::new(kn, cfg);
+    let mut scr = VerifyScratch::default();
+    let mut accepted = Vec::new();
+    for &(a, b) in candidates {
+        let sim = v.sim_at_least(&s[a as usize], &t[b as usize], theta, &mut scr);
+        if sim >= theta - cfg.eps {
+            accepted.push((a, b, sim));
         }
-        assert_bit_identical(&accepted, &reference, &format!("{ctx} per-pair"));
-        scr.take_tally()
-    };
-    let index = GramPostingsIndex::build(t);
-    for parallel in [false, true] {
-        let (production, tiers) =
-            verify_candidates(kn, &cfg, s, t, candidates, theta, parallel, &index);
-        let ctx = format!("{ctx} parallel={parallel}");
-        assert_bit_identical(&production, &reference, &ctx);
-        assert_eq!(
-            tiers.decisions(),
-            candidates.len() as u64,
-            "{ctx}: tier buckets must partition the candidate set"
-        );
-        assert_eq!(tiers.accepted, production.len() as u64, "{ctx}: accepted");
-        // Tier counters are pure per-candidate functions: whichever
-        // source counted, however the list was scheduled.
-        assert_eq!(tiers, per_pair, "{ctx}: tally differs from per-pair");
     }
-    let parallel_reference = verify_candidates_reference(kn, &cfg, s, t, candidates, theta, true);
+    assert_bit_identical(&accepted, &reference, &format!("{ctx} per-pair"));
+    let tiers = scr.take_tally();
+    assert_eq!(
+        tiers.decisions(),
+        candidates.len() as u64,
+        "{ctx}: partition"
+    );
+    assert_eq!(tiers.accepted, reference.len() as u64, "{ctx}: accepted");
+    let parallel_reference = verify_candidates_reference(kn, cfg, s, t, candidates, theta, true);
     assert_bit_identical(
         &parallel_reference,
         &reference,
         &format!("{ctx} parallel reference"),
     );
+    (reference, tiers)
 }
 
-/// Filter one dataset at θ, then check its whole candidate list.
+/// Join one dataset at θ, serial and parallel, and check the join's pairs
+/// and tier buckets against the reference and the per-pair source over
+/// the filter oracle's candidate set — the set the join's pass verifies.
 fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
-    let engine = Engine::new(ds.kn.clone(), SimConfig::default()).expect("engine");
+    let cfg = SimConfig::default();
+    let engine = Engine::new(ds.kn.clone(), cfg).expect("engine");
     let ps = engine.prepare(&ds.s).expect("prepare S");
     let pt = engine.prepare(&ds.t).expect("prepare T");
     let (t, label) = if self_join {
@@ -111,19 +105,40 @@ fn check_dataset(ds: &LabeledDataset, theta: f64, self_join: bool) {
     } else {
         (Some(&pt), format!("R×S θ={theta}"))
     };
-    let out = engine
-        .filter_outcome(&ps, t, &JoinSpec::threshold(theta))
-        .expect("filter run");
-    assert!(!out.candidates.is_empty(), "{label}: no candidates");
-    let t_recs = t.unwrap_or(&ps).seg_records();
-    check_candidates(
-        &ds.kn,
-        ps.seg_records(),
-        t_recs,
-        &out.candidates,
-        theta,
-        &label,
+    let spec = JoinSpec::threshold(theta);
+    let (sp, tp) = (ps.seg_records(), t.unwrap_or(&ps).seg_records());
+    let (ds_s, ds_t) = FilterSide::pair(&ds.kn, &cfg, sp, t.map(|_| tp), &spec);
+    let defined = candidate_definition(
+        &ds_s,
+        ds_t.as_ref(),
+        spec.filter_kind().tau(),
+        theta - cfg.eps,
     );
+    let candidates = defined.candidates;
+    assert!(!candidates.is_empty(), "{label}: no candidates");
+    let (reference, tiers) =
+        per_pair_matches_reference(&ds.kn, &cfg, sp, tp, &candidates, theta, &label);
+    for parallel in [false, true] {
+        let spec = spec.parallel(parallel);
+        let joined = match t {
+            Some(pt) => engine.join(&ps, pt, &spec),
+            None => engine.join_self(&ps, &spec),
+        }
+        .expect("join");
+        let ctx = format!("{label} parallel={parallel}");
+        assert_bit_identical(&joined.pairs, &reference, &ctx);
+        assert_eq!(
+            joined.stats.candidates,
+            candidates.len() as u64,
+            "{ctx}: Vτ"
+        );
+        // Tier counters are pure per-candidate functions: whichever
+        // source counted, however the pass was scheduled.
+        assert_eq!(
+            joined.stats.tiers, tiers,
+            "{ctx}: tally differs from per-pair"
+        );
+    }
 }
 
 fn med_ds() -> LabeledDataset {
@@ -406,27 +421,32 @@ proptest! {
         prop_assert_eq!(full_ref.to_bits(), full_tier.to_bits());
     }
 
-    /// Whole-corpus: the verify stage output is byte-identical to the
-    /// reference, serial and parallel.
+    /// Whole-corpus, under every measure subset and gram measure: the run
+    /// verifier over every pair — which stresses the mass bound on pairs
+    /// the filter would normally never surface — is byte-identical to the
+    /// reference, and its tier buckets are the per-pair tally's.
     #[test]
-    fn tiered_corpus_verify_matches(texts in prop::collection::vec(text_strategy(6), 4..16), theta in 0.3f64..0.95) {
+    fn tiered_corpus_verify_matches(
+        texts in prop::collection::vec(text_strategy(6), 4..16),
+        theta in 0.3f64..0.95,
+        measures in 0usize..7,
+        gram in 0usize..4,
+    ) {
         let mut kn = test_knowledge();
-        let cfg = SimConfig::default();
+        let cfg = SimConfig::default()
+            .with_measures(MeasureSet::all_combinations()[measures])
+            .with_gram(GramMeasure::ALL[gram]);
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let c = kn.corpus_from_lines(refs);
         let sp: Vec<Arc<SegRecord>> = c.iter().map(|r| Arc::new(segment_record(&kn, &cfg, &r.tokens))).collect();
-        // All pairs as candidates — stresses the mass bound on pairs the
-        // filter would normally never surface.
         let all: Vec<(u32, u32)> = (0..c.len() as u32)
             .flat_map(|x| (0..c.len() as u32).map(move |y| (x, y)))
             .collect();
-        let index = GramPostingsIndex::build(&sp);
-        for parallel in [false, true] {
-            let (tiered, _) = verify_candidates(&kn, &cfg, &sp, &sp, &all, theta, parallel, &index);
-            let reference =
-                verify_candidates_reference(&kn, &cfg, &sp, &sp, &all, theta, parallel);
-            assert_bit_identical(&tiered, &reference, "proptest corpus");
-        }
+        let ctx = format!("measures {measures} gram {gram}");
+        let (reference, per_pair) = per_pair_matches_reference(&kn, &cfg, &sp, &sp, &all, theta, &ctx);
+        let (tiered, tiers) = verify_runs(&kn, &cfg, &sp, &sp, &all, theta);
+        assert_bit_identical(&tiered, &reference, &ctx);
+        prop_assert_eq!(tiers, per_pair);
     }
 
     /// The mass bound may only reject what row-max rejects: under every
