@@ -1,17 +1,19 @@
 //! Pebble inverted index (the `L_S` / `L_T` of Algorithms 3 and 6).
 //!
-//! Keys are signature pebbles; values are the record ids whose signature
+//! Keys are signature pebbles, each named by its `u32` rank in the join's
+//! global order ([`crate::pebble::PebbleOrder`]) — the one thing the
+//! filter asks of a pebble; values are the record ids whose signature
 //! contains the key. Signatures are key *sets* (a record lists each key at
 //! most once), so the τ-overlap count of Algorithm 6 counts distinct
 //! common pebbles.
 //!
-//! [`CsrIndex`] is one `PebbleKey → (offset, len)` table over a single
-//! flattened postings arena (compressed sparse row), probed
-//! record-at-a-time with a dense [`OverlapCounter`]: overlap counts live
-//! in a plain `Vec<u32>` indexed by record id, so counting one posting
-//! entry is an array increment instead of a hash-map probe on a packed
-//! pair key. Per-record distinct keys come from [`RecordKeys`], the
-//! flattened output of signature selection.
+//! [`CsrIndex`] is `offsets[rank]` over a single flattened postings arena
+//! (compressed sparse row) — no hash directory: finding a key's list is
+//! two loads — probed record-at-a-time with a dense [`OverlapCounter`]:
+//! overlap counts live in a plain `Vec<u32>` indexed by record id, so
+//! counting one posting entry is an array increment instead of a hash-map
+//! probe on a packed pair key. Per-record ranks come from [`RecordKeys`],
+//! the flattened output of signature selection.
 //!
 //! [`OverlapCounter::probe`] is one scan and one emission pass. The scan
 //! reads each of the probe's posting lists and does one load and one add
@@ -65,21 +67,24 @@
 //! prefixes precisely so each tail holds *just under* `θ · MP` of mass,
 //! which drives any such bound's slack to ≈ 0.
 
-use crate::pebble::PebbleKey;
+use crate::pebble::UNSEEN_RANK;
 use au_text::FxHashMap;
-use std::hash::Hash;
 
-/// Per-record distinct signature keys in one flattened arena.
+/// Per-record signature keys, as ranks, in one flattened arena.
 ///
-/// `keys[offsets[r] .. offsets[r + 1]]` holds record `r`'s distinct
-/// signature keys, sorted by `PebbleKey` order. This is both the probe
-/// side of a join (each record's key set is streamed against the other
+/// `keys[offsets[r] .. offsets[r + 1]]` holds the ranks of record `r`'s
+/// distinct signature keys, listed in `PebbleKey` order — the order
+/// [`crate::join::record_signature`] emits them in and the probe walks
+/// them in (its τ-skip reads a key's place in the list), not rank order.
+/// A ranked key appears once; a key the order never saw (a query's) is
+/// [`UNSEEN_RANK`], once per distinct such key. This is both the probe
+/// side of a join (each record's ranks are streamed against the other
 /// side's [`CsrIndex`]) and the single input of
 /// [`CsrIndex::from_record_keys`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordKeys {
     offsets: Vec<u32>,
-    keys: Vec<PebbleKey>,
+    keys: Vec<u32>,
 }
 
 impl Default for RecordKeys {
@@ -94,10 +99,9 @@ impl Default for RecordKeys {
 }
 
 impl RecordKeys {
-    /// Flatten per-record signature key sets — each distinct and sorted by
-    /// `PebbleKey` order, as [`crate::join::record_signature`] emits them —
-    /// into one arena.
-    pub fn build(per_record: &[Vec<PebbleKey>]) -> Self {
+    /// Flatten per-record signature ranks — as
+    /// [`crate::join::record_signature`] emits them — into one arena.
+    pub fn build(per_record: &[Vec<u32>]) -> Self {
         let mut out = Self::default();
         out.offsets.reserve(per_record.len());
         out.keys.reserve(per_record.iter().map(Vec::len).sum());
@@ -105,25 +109,37 @@ impl RecordKeys {
         out
     }
 
-    /// The arena of the records `kept` (ids into this one) followed by
-    /// `appended`'s, copied arena to arena — no per-record allocation.
-    /// (The cost is first touch of the new arena, ≈ 0.7 µs per KiB; copying
-    /// run by run between dropped rows measured no faster.)
-    pub(crate) fn carry(&self, kept: impl Iterator<Item = u32>, appended: &Self) -> Self {
+    /// The arena of the records `kept` (ids into this one), each rank `r`
+    /// renumbered to `renumbered[r]`, followed by `appended`'s, copied
+    /// arena to arena — no per-record allocation. (The cost is first touch
+    /// of the new arena, ≈ 0.7 µs per KiB; copying run by run between
+    /// dropped rows measured no faster.)
+    pub(crate) fn carry(
+        &self,
+        kept: impl Iterator<Item = u32>,
+        renumbered: &[u32],
+        appended: &Self,
+    ) -> Self {
         let mut out = Self::default();
         out.keys.reserve(self.keys.len() + appended.keys.len());
-        kept.for_each(|r| out.push(self.get(r)));
+        for r in kept {
+            let keys = self.get(r).iter().map(|&k| renumbered[k as usize]);
+            out.keys.extend(keys);
+            out.close_record();
+        }
         (0..appended.len() as u32).for_each(|r| out.push(appended.get(r)));
+        debug_assert!(!out.keys.contains(&UNSEEN_RANK), "a kept key left");
         out
     }
 
-    /// Append one record's key set (distinct, sorted).
-    pub(crate) fn push(&mut self, keys: &[PebbleKey]) {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "record key sets must be sorted and distinct"
-        );
+    /// Append one record's ranks.
+    pub(crate) fn push(&mut self, keys: &[u32]) {
         self.keys.extend_from_slice(keys);
+        self.close_record();
+    }
+
+    /// End the record whose ranks were appended last.
+    fn close_record(&mut self) {
         // u32 offsets keep the arena cache-dense; a corpus whose flattened
         // key count crosses 2^32 must fail loudly, not wrap.
         let end = u32::try_from(self.keys.len());
@@ -131,8 +147,8 @@ impl RecordKeys {
             .push(end.expect("signature key arena exceeds u32 offsets"));
     }
 
-    /// Record `r`'s distinct keys (sorted).
-    pub fn get(&self, r: u32) -> &[PebbleKey] {
+    /// Record `r`'s ranks, in `PebbleKey` order.
+    pub fn get(&self, r: u32) -> &[u32] {
         let (a, b) = (self.offsets[r as usize], self.offsets[r as usize + 1]);
         &self.keys[a as usize..b as usize]
     }
@@ -162,30 +178,27 @@ impl RecordKeys {
 
     /// Heap footprint in bytes (length-based, deterministic).
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
-            + self.keys.len() * std::mem::size_of::<PebbleKey>()
+        (self.offsets.len() + self.keys.len()) * std::mem::size_of::<u32>()
     }
 }
 
 /// A transposed posting table: key → the ascending ids of the records
 /// carrying it, one `key → slot` directory over a single postings arena
-/// (compressed sparse row). The signature index ([`CsrIndex`]) and the
-/// verifier's [`crate::usim::GramPostingsIndex`] tables are both this.
+/// (compressed sparse row) — the verifier's
+/// [`crate::usim::GramPostingsIndex`] tables, whose gram and rule keys
+/// have no dense numbering. (Signature keys are ranks, so the signature
+/// index needs no directory: [`CsrIndex`].)
 #[derive(Debug, Clone)]
-pub struct Transposed<K> {
+pub struct Transposed {
     /// Key → slot. Slot `k` owns `postings[offsets[k] .. offsets[k + 1]]`.
-    slots: FxHashMap<K, u32>,
+    slots: FxHashMap<u64, u32>,
     offsets: Vec<u32>,
     postings: Vec<u32>,
     /// Records covered: ids `0..records` (of a range's table, its end).
     records: usize,
 }
 
-/// The signature inverted index of one join side (the `L_S` / `L_T` of
-/// Algorithms 3 and 6), probed with [`OverlapCounter::probe`].
-pub type CsrIndex = Transposed<PebbleKey>;
-
-impl<K> Default for Transposed<K> {
+impl Default for Transposed {
     fn default() -> Self {
         Self {
             slots: FxHashMap::default(),
@@ -196,31 +209,109 @@ impl<K> Default for Transposed<K> {
     }
 }
 
-impl CsrIndex {
-    /// Build from per-record distinct key sets — in one range: a signature
-    /// keeps a record's *rarest* keys, so lists are short and cutting the
-    /// records up would only buy directories to merge.
-    pub fn from_record_keys(rk: &RecordKeys) -> Self {
-        Self::build_range(0, rk.len() as u32, &|r, keys| {
-            keys.extend_from_slice(rk.get(r))
-        })
+/// The signature inverted index of one join side (the `L_S` / `L_T` of
+/// Algorithms 3 and 6), probed with [`OverlapCounter::probe`]: rank `k`'s
+/// list — the ascending ids of the records whose signature holds key `k`
+/// — is `postings[offsets[k] .. offsets[k + 1]]` of one postings arena.
+/// `offsets` runs to the highest rank the side's signatures hold, so a
+/// rank past it, [`UNSEEN_RANK`] included, has the empty list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CsrIndex {
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
+    /// Records covered: ids `0..records`.
+    records: usize,
+}
+
+impl Default for CsrIndex {
+    fn default() -> Self {
+        Self {
+            offsets: vec![0],
+            postings: Vec::new(),
+            records: 0,
+        }
     }
 }
 
-impl<K: Copy + Eq + Hash> Transposed<K> {
+impl CsrIndex {
+    /// Build from per-record ranks: count → prefix-sum → scatter, records
+    /// in id order, so every list ascends. In one range: a signature keeps
+    /// a record's *rarest* keys, so lists are short and cutting the
+    /// records up would only buy tables to merge.
+    pub fn from_record_keys(rk: &RecordKeys) -> Self {
+        let ranked = || rk.keys.iter().copied().filter(|&k| k != UNSEEN_RANK);
+        let width = ranked().max().map_or(0, |k| k as usize + 1);
+        // `offsets[k + 1]` holds rank `k`'s list length, then where the
+        // list starts, and once the scatter has advanced it past every
+        // entry, where the list ends: the CSR offsets.
+        let mut offsets = vec![0u32; width + 1];
+        ranked().for_each(|k| offsets[k as usize + 1] += 1);
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            (*slot, start) = (start, start + *slot);
+        }
+        let mut postings = vec![0u32; start as usize];
+        for r in 0..rk.len() as u32 {
+            for &k in rk.get(r).iter().filter(|&&k| k != UNSEEN_RANK) {
+                let at = &mut offsets[k as usize + 1];
+                postings[*at as usize] = r;
+                *at += 1;
+            }
+        }
+        Self {
+            offsets,
+            postings,
+            records: rk.len(),
+        }
+    }
+
+    /// Ids of the records whose signature holds rank `rank` (ascending;
+    /// empty when none does).
+    #[inline]
+    pub fn get(&self, rank: u32) -> &[u32] {
+        let k = rank as usize;
+        if k + 1 < self.offsets.len() {
+            &self.postings[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+        } else {
+            &[]
+        }
+    }
+
+    /// Number of ranks with a non-empty list.
+    pub fn key_count(&self) -> usize {
+        self.offsets.windows(2).filter(|w| w[0] < w[1]).count()
+    }
+
+    /// Number of indexed records.
+    pub fn record_count(&self) -> usize {
+        self.records
+    }
+
+    /// Total posting entries (the arena length).
+    pub fn posting_count(&self) -> usize {
+        self.postings.len()
+    }
+
+    /// Heap footprint in bytes (length-based, deterministic).
+    pub fn memory_bytes(&self) -> usize {
+        (self.offsets.len() + self.postings.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+impl Transposed {
     /// The table of records `lo..hi` (ids stay corpus-wide), `keys_into(r,
     /// buf)` filling the empty `buf` with record `r`'s **distinct** keys:
     /// count → prefix-sum → scatter with one hash per `(record, key)` —
     /// the counting pass notes each key's slot, the scatter replays the
     /// notes in record order, so every list is ascending. Ranges built on
     /// several threads are joined by [`Transposed::concat`].
-    pub(crate) fn build_range(lo: u32, hi: u32, keys_into: &impl Fn(u32, &mut Vec<K>)) -> Self {
-        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+    pub(crate) fn build_range(lo: u32, hi: u32, keys_into: &impl Fn(u32, &mut Vec<u64>)) -> Self {
+        let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
         let mut counts: Vec<u32> = Vec::new();
         // Slot of every `(record, key)`, records back to back, and how
         // many each record contributed.
         let (mut noted, mut lens) = (Vec::new(), Vec::with_capacity((hi - lo) as usize));
-        let mut keys: Vec<K> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         for r in lo..hi {
             keys.clear();
             keys_into(r, &mut keys);
@@ -262,12 +353,12 @@ impl<K: Copy + Eq + Hash> Transposed<K> {
         if parts.len() <= 1 {
             return parts.pop().unwrap_or_default();
         }
-        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+        let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
         let mut counts: Vec<u32> = Vec::new();
         // Per part: the merged slot of each of its slots.
         let mut merged: Vec<Vec<u32>> = Vec::new();
         for part in &parts {
-            let mut keys: Vec<Option<K>> = vec![None; part.slots.len()];
+            let mut keys: Vec<Option<u64>> = vec![None; part.slots.len()];
             // det: every key lands at its own slot's index, whatever
             // order the map yields them in.
             for (&key, &slot) in part.slots.iter() {
@@ -307,14 +398,14 @@ impl<K: Copy + Eq + Hash> Transposed<K> {
 
     /// Ids of the records carrying `key` (ascending), `None` when no
     /// record does.
-    pub fn get(&self, key: K) -> Option<&[u32]> {
+    pub fn get(&self, key: u64) -> Option<&[u32]> {
         self.span(key)
             .map(|(a, b)| &self.postings[a as usize..b as usize])
     }
 
     /// Where `key`'s list sits in [`Transposed::arena`], `None` when no
     /// record carries it: a lookup a caller can keep and read again.
-    pub(crate) fn span(&self, key: K) -> Option<(u32, u32)> {
+    pub(crate) fn span(&self, key: u64) -> Option<(u32, u32)> {
         (self.slots.get(&key))
             .map(|&slot| (self.offsets[slot as usize], self.offsets[slot as usize + 1]))
     }
@@ -343,7 +434,7 @@ impl<K: Copy + Eq + Hash> Transposed<K> {
     /// one entry's payload per key so the figure stays deterministic
     /// across load-factor/capacity differences).
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<(K, u32)>()
+        self.slots.len() * std::mem::size_of::<(u64, u32)>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.postings.len() * std::mem::size_of::<u32>()
     }
@@ -535,7 +626,9 @@ impl OverlapCounter {
     /// reaches `compat.min_sim` — to `out`, ascending: read out of the hit
     /// bitmap over the range of words the hits touched.
     ///
-    /// * `keys` — the probe record's distinct signature keys;
+    /// * `keys` — the probe record's signature ranks, in `PebbleKey`
+    ///   order ([`RecordKeys::get`]); an [`UNSEEN_RANK`] reads no list but
+    ///   is one of the `m` keys the τ-skip counts;
     /// * `levels` — per indexed record guarantee levels (see
     ///   [`crate::signature::SignatureChoice`]);
     /// * `min_excl` — for self-joins: only ids strictly greater than this
@@ -553,7 +646,7 @@ impl OverlapCounter {
     pub fn probe(
         &mut self,
         index: &CsrIndex,
-        keys: &[PebbleKey],
+        keys: &[u32],
         probe_level: u32,
         tau: u32,
         levels: &[u32],
@@ -569,9 +662,7 @@ impl OverlapCounter {
         let m = keys.len();
         let mut touched = 0;
         for (i, &key) in keys.iter().enumerate() {
-            let Some(mut list) = index.get(key) else {
-                continue;
-            };
+            let mut list = index.get(key);
             if let Some(a) = min_excl {
                 list = &list[list.partition_point(|&b| b <= a)..];
             }
@@ -616,15 +707,25 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl<K: Copy + Ord + Hash> Transposed<K> {
+    impl Transposed {
         /// Every `(key, list)`, by key — the table's whole content, free
         /// of slot numbering (what the builder-equivalence tests compare).
-        pub(crate) fn sorted_lists(&self) -> Vec<(K, Vec<u32>)> {
-            let mut lists: Vec<(K, Vec<u32>)> = (self.slots.keys())
+        pub(crate) fn sorted_lists(&self) -> Vec<(u64, Vec<u32>)> {
+            let mut lists: Vec<(u64, Vec<u32>)> = (self.slots.keys())
                 .map(|&k| (k, self.get(k).expect("listed key").to_vec()))
                 .collect();
             lists.sort_unstable();
             lists
+        }
+    }
+
+    impl CsrIndex {
+        /// Every non-empty `(rank, list)`, by rank — what the memo
+        /// coherence check compares.
+        pub(crate) fn sorted_lists(&self) -> Vec<(u32, Vec<u32>)> {
+            let ranks = 0..self.offsets.len() as u32 - 1;
+            let lists = ranks.map(|k| (k, self.get(k).to_vec()));
+            lists.filter(|(_, list)| !list.is_empty()).collect()
         }
     }
 
@@ -651,20 +752,26 @@ pub(crate) mod tests {
         lists
     }
 
-    /// A record's key set from gram ids in any order, repeats allowed.
-    fn gram_keys(ids: &[u64]) -> Vec<PebbleKey> {
-        let mut keys: Vec<PebbleKey> = ids.iter().map(|&g| PebbleKey::Gram(g)).collect();
-        keys.sort_unstable();
-        keys.dedup();
+    /// A record's signature ranks from ranks in any order, repeats
+    /// allowed: each rank once, where it first appears — a signature lists
+    /// its ranks in key order, not rank order — and every `UNSEEN_RANK`
+    /// (each stands for a distinct unseen key).
+    fn rank_keys(ids: &[u32]) -> Vec<u32> {
+        let mut keys: Vec<u32> = Vec::new();
+        for &k in ids {
+            if k == UNSEEN_RANK || !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
         keys
     }
 
-    fn record_keys(recs: &[&[u64]]) -> RecordKeys {
-        let per_record: Vec<Vec<PebbleKey>> = recs.iter().map(|r| gram_keys(r)).collect();
+    fn record_keys(recs: &[&[u32]]) -> RecordKeys {
+        let per_record: Vec<Vec<u32>> = recs.iter().map(|r| rank_keys(r)).collect();
         RecordKeys::build(&per_record)
     }
 
-    fn index_of(recs: &[&[u64]]) -> CsrIndex {
+    fn index_of(recs: &[&[u32]]) -> CsrIndex {
         CsrIndex::from_record_keys(&record_keys(recs))
     }
 
@@ -680,11 +787,12 @@ pub(crate) mod tests {
 
     #[test]
     fn builds_postings() {
-        let idx = index_of(&[&[1, 2], &[2, 3]]);
-        assert_eq!(idx.get(PebbleKey::Gram(1)), Some(&[0u32][..]));
-        assert_eq!(idx.get(PebbleKey::Gram(2)), Some(&[0u32, 1][..]));
-        assert_eq!(idx.get(PebbleKey::Gram(3)), Some(&[1u32][..]));
-        assert_eq!(idx.get(PebbleKey::Gram(9)), None);
+        let idx = index_of(&[&[1, 2], &[3, 2]]);
+        assert_eq!(idx.get(1), &[0u32][..]);
+        assert_eq!(idx.get(2), &[0u32, 1][..]);
+        assert_eq!(idx.get(3), &[1u32][..]);
+        assert!(idx.get(0).is_empty() && idx.get(9).is_empty());
+        assert!(idx.get(UNSEEN_RANK).is_empty());
         assert_eq!(idx.key_count(), 3);
         assert_eq!(idx.record_count(), 2);
         assert_eq!(idx.posting_count(), 4);
@@ -694,28 +802,35 @@ pub(crate) mod tests {
     fn dedups_keys_within_record() {
         // The dedup happens where the keys are selected: "aa aa" has the
         // pebble `Gram("aa")` in both segments, and its signature — the
-        // whole list at θ = 0 — lists the key once.
+        // whole list at θ = 0 — lists the key once: its rank under an
+        // order that ranks it, the unseen rank once under one that does
+        // not.
         use crate::engine::JoinSpec;
         use crate::join::{record_signature, SignatureScratch};
+        use crate::pebble::{PebbleKey, PebbleOrder};
         let mut kn = crate::knowledge::KnowledgeBuilder::new().build();
         let cfg = crate::config::SimConfig::default();
         let id = kn.add_record("aa aa");
         let sr = crate::segment::segment_record(&kn, &cfg, &kn.record(id).tokens);
-        let (choice, keys) = record_signature(
-            &kn,
-            &cfg,
-            &crate::pebble::PebbleOrder::default(),
-            &JoinSpec::threshold(0.0),
-            &sr,
-            &mut SignatureScratch::default(),
-        );
-        assert_eq!(choice.len, 2);
         let gram = PebbleKey::Gram(crate::segment::hash_gram("aa"));
-        assert_eq!(keys, vec![gram]);
-        let rk = RecordKeys::build(&[keys]);
-        assert_eq!(rk.sig_len(0), 1);
-        let idx = CsrIndex::from_record_keys(&rk);
-        assert_eq!(idx.get(gram), Some(&[0u32][..]));
+        let ranked = PebbleOrder::from_ranking([PebbleKey::Gram(1), gram]);
+        for (order, rank) in [(ranked, 1), (PebbleOrder::default(), UNSEEN_RANK)] {
+            let (choice, keys) = record_signature(
+                &kn,
+                &cfg,
+                &order,
+                &JoinSpec::threshold(0.0),
+                &sr,
+                &mut SignatureScratch::default(),
+            );
+            assert_eq!(choice.len, 2);
+            assert_eq!(keys, vec![rank]);
+            let rk = RecordKeys::build(&[keys]);
+            assert_eq!(rk.sig_len(0), 1);
+            let idx = CsrIndex::from_record_keys(&rk);
+            let want: &[u32] = if rank == UNSEEN_RANK { &[] } else { &[0] };
+            assert_eq!(idx.get(rank), want);
+        }
     }
 
     #[test]
@@ -728,16 +843,53 @@ pub(crate) mod tests {
 
     #[test]
     fn mixed_key_kinds_are_distinct() {
+        use crate::msim::MeasureKind;
+        use crate::pebble::{Pebble, PebbleKey, PebbleOrder};
         use au_taxonomy::NodeId;
         use au_text::PhraseId;
-        let a = vec![
+        let keys = [
             PebbleKey::Gram(7),
             PebbleKey::Rule(PhraseId(7)),
             PebbleKey::Node(NodeId(7)),
         ];
-        let rk = RecordKeys::build(&[a]);
+        let order = PebbleOrder::from_ranking(keys);
+        let mut pebbles: Vec<Pebble> = (keys.iter())
+            .map(|&key| Pebble {
+                key,
+                weight: 1.0,
+                seg: 0,
+                measure: MeasureKind::Jaccard,
+            })
+            .collect();
+        let mut ranks = order.sort(&mut pebbles, &mut Default::default()).to_vec();
+        ranks.sort_unstable();
+        assert_eq!(ranks, [0, 1, 2]);
+        let rk = RecordKeys::build(&[ranks]);
         assert_eq!(rk.sig_len(0), 3);
         assert_eq!(CsrIndex::from_record_keys(&rk).key_count(), 3);
+    }
+
+    /// An unseen rank reads no list, yet it is one of the probe's `m`
+    /// keys: ahead of it a record's first shared key leaves enough keys
+    /// to meet τ, so the tier-0 bound counts its rejection; without it the
+    /// τ-skip settles the record first.
+    #[test]
+    fn an_unseen_rank_reads_nothing_but_counts_for_the_tau_skip() {
+        let idx = index_of(&[&[2]]);
+        let tier0 = [(30, 15)];
+        let compat = CompatBound {
+            tier0: &tier0,
+            probe_tier0: (2, 1),
+            min_sim: 0.9,
+        };
+        let mut ctr = OverlapCounter::new(1);
+        let mut out = Vec::new();
+        let mut probe = |keys: &[u32]| ctr.probe(&idx, keys, 2, 2, &[2], None, &compat, &mut out);
+        let with = probe(&[2, UNSEEN_RANK]);
+        let without = probe(&[2]);
+        assert_eq!((with.processed, without.processed), (1, 1));
+        assert_eq!((with.compat_rejected, without.compat_rejected), (1, 0));
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -750,7 +902,7 @@ pub(crate) mod tests {
         // Probe with keys {2, 3}: overlaps → rec0: 2, rec1: 2, rec2: 0.
         let stats = ctr.probe(
             &idx,
-            &gram_keys(&[2, 3]),
+            &rank_keys(&[2, 3]),
             2,
             2,
             &levels,
@@ -772,7 +924,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         let stats = ctr.probe(
             &idx,
-            &gram_keys(&[1]),
+            &rank_keys(&[1]),
             1,
             1,
             &levels,
@@ -791,7 +943,7 @@ pub(crate) mod tests {
         // stays.
         let idx = index_of(&[&[1, 2], &[2]]);
         let tier0 = vec![(1, 1); 2];
-        let keys = gram_keys(&[1, 2]);
+        let keys = rank_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(2);
         let mut out = Vec::new();
         ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &loose(&tier0), &mut out);
@@ -808,7 +960,7 @@ pub(crate) mod tests {
     fn counter_epochs_do_not_leak_across_probes() {
         let idx = index_of(&[&[1, 2]]);
         let tier0 = vec![(1, 1)];
-        let keys = gram_keys(&[1, 2]);
+        let keys = rank_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(1);
         let mut out = Vec::new();
         for _ in 0..100 {
@@ -830,7 +982,7 @@ pub(crate) mod tests {
             probe_tier0: (2, 1),
             min_sim: 0.9,
         };
-        let keys = gram_keys(&[1, 2]);
+        let keys = rank_keys(&[1, 2]);
         let mut ctr = OverlapCounter::new(2);
         let mut out = Vec::new();
         let stats = ctr.probe(&idx, &keys, 2, 2, &[2, 2], None, &compat, &mut out);
@@ -938,25 +1090,61 @@ pub(crate) mod tests {
             }
         }
 
+        /// The rank-indexed CSR against the sort-based transposition:
+        /// ranks listed in any order, unseen ranks (drawn as 40) listed
+        /// nowhere, every list ascending, and the CSR shape holds together.
+        #[test]
+        fn csr_index_equals_the_sort_based_builder(
+            recs in prop::collection::vec(prop::collection::vec(0u32..41, 0..9), 0..30),
+        ) {
+            let unseen = |k: u32| if k == 40 { UNSEEN_RANK } else { k };
+            let sets: Vec<Vec<u32>> = (recs.iter())
+                .map(|r| rank_keys(&r.iter().map(|&k| unseen(k)).collect::<Vec<_>>()))
+                .collect();
+            let keys_into = |r: u32, out: &mut Vec<u32>| {
+                out.extend(sets[r as usize].iter().filter(|&&k| k != UNSEEN_RANK));
+            };
+            let want = transpose_by_sorting(sets.len(), keys_into);
+            let idx = CsrIndex::from_record_keys(&RecordKeys::build(&sets));
+            prop_assert_eq!(&idx.sorted_lists(), &want);
+            prop_assert_eq!(idx.key_count(), want.len());
+            let postings: usize = want.iter().map(|(_, list)| list.len()).sum();
+            prop_assert_eq!(idx.posting_count(), postings);
+            prop_assert_eq!(idx.record_count(), sets.len());
+            let width = want.last().map_or(0, |(k, _)| *k as usize + 1);
+            prop_assert_eq!(idx.offsets.len(), width + 1);
+            prop_assert!(idx.get(UNSEEN_RANK).is_empty());
+        }
+
         /// Carrying an arena across a merge against flattening the same
-        /// key sets afresh: any kept set (none, all, runs), any tail.
+        /// key sets afresh: any kept set (none, all, runs), any
+        /// renumbering of the kept ranks, any tail.
         #[test]
         fn carried_arena_equals_the_rebuilt_one(
-            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..6), 0..14),
+            recs in prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 0..14),
             drop in prop::collection::vec(prop::bool::weighted(0.4), 14),
-            tail in prop::collection::vec(prop::collection::vec(0u64..12, 0..6), 0..5),
+            tail in prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 0..5),
+            shift in 0u32..12,
         ) {
-            let sets = |recs: &[Vec<u64>]| -> Vec<Vec<PebbleKey>> {
-                recs.iter().map(|r| gram_keys(r)).collect()
+            let sets = |recs: &[Vec<u32>]| -> Vec<Vec<u32>> {
+                recs.iter().map(|r| rank_keys(r)).collect()
             };
             let (base, tail) = (sets(&recs), sets(&tail));
+            // A permutation of the twelve ranks (5 is prime to 12).
+            let renumbered: Vec<u32> = (0..12).map(|r| (5 * r + shift) % 12).collect();
             let kept = || (0..base.len()).filter(|&r| !drop[r]);
-            let want: Vec<_> = kept().map(|r| base[r].clone()).chain(tail.iter().cloned()).collect();
-            let got = RecordKeys::build(&base).carry(kept().map(|r| r as u32), &RecordKeys::build(&tail));
+            let moved = |r: usize| base[r].iter().map(|&k| renumbered[k as usize]).collect();
+            let want: Vec<Vec<u32>> = kept().map(moved).chain(tail.iter().cloned()).collect();
+            let got = RecordKeys::build(&base).carry(
+                kept().map(|r| r as u32),
+                &renumbered,
+                &RecordKeys::build(&tail),
+            );
             prop_assert_eq!(got, RecordKeys::build(&want));
         }
 
-        /// The scan against its definition on random key sets: `b` is
+        /// The scan against its definition on random rank sets, probe
+        /// ranks in any order and unseen ones among them: `b` is
         /// reported ⇔ `|keys(probe) ∩ keys(b)| ≥ max(1, min(τ, level_probe,
         /// level_b))` and the tier-0 bound holds (and `b > min_excl`);
         /// `Tτ` is the summed posting-list lengths; `compat_rejected` is
@@ -969,8 +1157,8 @@ pub(crate) mod tests {
         /// second.
         #[test]
         fn probe_matches_definition(
-            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 1..10),
-            probes in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 2),
+            recs in prop::collection::vec(prop::collection::vec(0u32..12, 0..8), 1..10),
+            probes in prop::collection::vec(prop::collection::vec(0u32..14, 0..8), 2),
             levels in prop::collection::vec(1u32..5, 10),
             tier0 in prop::collection::vec(tier0_strategy(), 10),
             probe_level in 1u32..5,
@@ -979,13 +1167,15 @@ pub(crate) mod tests {
             min_sim in 0.0f64..1.0,
             min_excl in prop::sample::select(vec![None, Some(0u32), Some(3)]),
         ) {
-            let recs: Vec<&[u64]> = recs.iter().map(|r| r.as_slice()).collect();
+            let recs: Vec<&[u32]> = recs.iter().map(|r| r.as_slice()).collect();
             let rk = record_keys(&recs);
             let idx = CsrIndex::from_record_keys(&rk);
             let compat = CompatBound { tier0: &tier0, probe_tier0, min_sim };
             let mut reused = OverlapCounter::new(idx.record_count());
             for probe in &probes {
-                let keys = &gram_keys(probe)[..];
+                // Ranks 12 and 13 stand for keys the order never saw.
+                let probe: Vec<u32> = probe.iter().map(|&k| if k < 12 { k } else { UNSEEN_RANK }).collect();
+                let keys = &rank_keys(&probe)[..];
                 let run = |ctr: &mut OverlapCounter| {
                     let mut got = Vec::new();
                     let stats =
@@ -1009,7 +1199,7 @@ pub(crate) mod tests {
         /// its hits into two disjoint halves.
         #[test]
         fn floored_probes_split_the_unfloored_probe(
-            recs in prop::collection::vec(prop::collection::vec(0u64..12, 0..8), 12),
+            recs in prop::collection::vec(prop::collection::vec(0u32..12, 0..8), 12),
             a_side in prop::collection::vec(prop::bool::weighted(0.5), 1..12),
             levels in prop::collection::vec(1u32..5, 12),
             tier0 in prop::collection::vec(tier0_strategy(), 12),
@@ -1022,7 +1212,7 @@ pub(crate) mod tests {
             let side = |on_a: bool| -> Side {
                 let ids: Vec<u32> =
                     (0..a_side.len() as u32).filter(|&g| a_side[g as usize] == on_a).collect();
-                let keys: Vec<&[u64]> = ids.iter().map(|&g| recs[g as usize].as_slice()).collect();
+                let keys: Vec<&[u32]> = ids.iter().map(|&g| recs[g as usize].as_slice()).collect();
                 let lv = ids.iter().map(|&g| levels[g as usize]).collect();
                 let t0 = ids.iter().map(|&g| tier0[g as usize]).collect();
                 (ids, record_keys(&keys), lv, t0)
@@ -1070,7 +1260,7 @@ pub(crate) mod tests {
     /// below `min_sim`. `Tτ` is the summed shared-key counts.
     fn definition(
         rk: &RecordKeys,
-        keys: &[PebbleKey],
+        keys: &[u32],
         probe_level: u32,
         tau: u32,
         levels: &[u32],

@@ -8,8 +8,8 @@
 //!    ([`crate::pebble::PebbleOrder`]);
 //! 3. **signature** — per record, in one pass: generate its pebbles into a
 //!    scratch buffer, sort them by rank, select a prefix with the chosen
-//!    filter (U / AU-heuristic / AU-DP) and keep the prefix's distinct
-//!    keys ([`record_signature`], [`SelectedSignatures`]);
+//!    filter (U / AU-heuristic / AU-DP) and keep the ranks of the prefix's
+//!    distinct keys ([`record_signature`], [`SelectedSignatures`]);
 //! 4. **filter** — probe the CSR index with one record at a time and keep
 //!    the ids sharing ≥ τ signature pebbles with it: `CandidatePass`;
 //! 5. **verify** — bound the unified similarity (Algorithm 1) of each
@@ -143,9 +143,10 @@ pub struct SignatureScratch {
 /// Stage 3 for one record, the one record → signature function of joins
 /// and queries alike: generate `sr`'s pebbles into the scratch buffer, sort
 /// them under `order`, select the signature prefix under `spec`'s θ and
-/// filter, and return the selection with the prefix's distinct keys
-/// (sorted by `PebbleKey` order). The pebble list does not outlive the
-/// call.
+/// filter, and return the selection with the ranks of the prefix's
+/// distinct keys, listed in `PebbleKey` order (the order the probe walks
+/// them in; a key `order` never saw is [`crate::pebble::UNSEEN_RANK`]).
+/// The pebble list does not outlive the call.
 pub fn record_signature(
     kn: &Knowledge,
     cfg: &SimConfig,
@@ -153,35 +154,39 @@ pub fn record_signature(
     spec: &JoinSpec,
     sr: &SegRecord,
     scratch: &mut SignatureScratch,
-) -> (SignatureChoice, Vec<PebbleKey>) {
+) -> (SignatureChoice, Vec<u32>) {
     generate_pebbles_into(kn, cfg, sr, &mut scratch.pebbles);
-    order.sort(&mut scratch.pebbles, &mut scratch.sort);
-    signature_of_sorted(sr, &scratch.pebbles, spec, cfg.eps, &mut scratch.dp)
+    let ranks = order.sort(&mut scratch.pebbles, &mut scratch.sort);
+    signature_of_sorted(sr, &scratch.pebbles, ranks, spec, cfg.eps, &mut scratch.dp)
 }
 
-/// The selection half of [`record_signature`], on an order-sorted list.
+/// The selection half of [`record_signature`], on an order-sorted list
+/// and its ranks.
 fn signature_of_sorted(
     sr: &SegRecord,
     sorted: &[Pebble],
+    ranks: &[u32],
     spec: &JoinSpec,
     eps: f64,
     dp: &mut DpScratch,
-) -> (SignatureChoice, Vec<PebbleKey>) {
+) -> (SignatureChoice, Vec<u32>) {
     let choice = select_signature(sr, sorted, spec.filter, spec.theta, eps, dp);
-    let mut keys: Vec<PebbleKey> = sorted[..choice.len].iter().map(|p| p.key).collect();
+    let prefix = sorted[..choice.len].iter().zip(ranks);
+    let mut keyed: Vec<(PebbleKey, u32)> = prefix.map(|(p, &r)| (p.key, r)).collect();
     // Equal keys are adjacent after the order sort, so this leaves each
-    // key once; then from rank order to `PebbleKey` order.
-    keys.dedup();
-    keys.sort_unstable();
-    (choice, keys)
+    // key once — distinct unseen keys too, though they share a rank; then
+    // from rank order to `PebbleKey` order.
+    keyed.dedup_by_key(|k| k.0);
+    keyed.sort_unstable_by_key(|k| k.0);
+    (choice, keyed.into_iter().map(|(_, r)| r).collect())
 }
 
-/// One join side after stage 3: per-record distinct signature key sets and
+/// One join side after stage 3: per-record distinct signature ranks and
 /// guarantee levels — everything the candidate pass needs. (The pebble
 /// lists the keys were selected from are gone by the time this exists.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectedSignatures {
-    /// Flattened per-record distinct signature keys.
+    /// Flattened per-record signature ranks.
     pub record_keys: RecordKeys,
     /// Per-record guarantee levels (see
     /// [`crate::signature::guarantee_level`]).
@@ -209,28 +214,28 @@ impl SelectedSignatures {
         ))
     }
 
-    /// Stage 3 on pebble lists the caller generated and sorted itself —
-    /// the definitional form ([`crate::oracle::FilterSide`] builds the
-    /// filter oracle's sides with it, independently of the engine's
-    /// fused pass).
+    /// Stage 3 on pebble lists the caller generated and sorted itself,
+    /// each with the ranks [`PebbleOrder::sort`] handed back — the
+    /// definitional form ([`crate::oracle::FilterSide`] builds the filter
+    /// oracle's sides with it, independently of the engine's fused pass).
     pub fn select_from(
         segrecs: &[Arc<SegRecord>],
-        pebbles: &[Vec<Pebble>],
+        sorted: &[(Vec<Pebble>, Vec<u32>)],
         spec: &JoinSpec,
         eps: f64,
     ) -> Self {
-        let items: Vec<(&Arc<SegRecord>, &Vec<Pebble>)> = segrecs.iter().zip(pebbles).collect();
+        let items: Vec<_> = segrecs.iter().zip(sorted).collect();
         Self::assemble(crate::parallel::par_map_scratch(
             &items,
             spec.parallel,
             DpScratch::default,
-            |dp, &(sr, p)| signature_of_sorted(sr, p, spec, eps, dp),
+            |dp, &(sr, (p, r))| signature_of_sorted(sr, p, r, spec, eps, dp),
             |_| {},
         ))
     }
 
-    fn assemble(per_record: Vec<(SignatureChoice, Vec<PebbleKey>)>) -> Self {
-        let (levels, keys): (Vec<u32>, Vec<Vec<PebbleKey>>) = per_record
+    fn assemble(per_record: Vec<(SignatureChoice, Vec<u32>)>) -> Self {
+        let (levels, keys): (Vec<u32>, Vec<Vec<u32>>) = per_record
             .into_iter()
             .map(|(choice, keys)| (choice.level, keys))
             .unzip();
@@ -242,16 +247,17 @@ impl SelectedSignatures {
 
     /// This side minus the strictly ascending rows `dropped`, then
     /// `appended`'s records: what [`SelectedSignatures::select`] returns
-    /// for those rows under the order (or one inherited from it) both
-    /// were selected under.
-    pub(crate) fn carry(&self, dropped: &[u32], appended: &Self) -> Self {
+    /// for those rows under the order `appended` was selected under, which
+    /// inherited this side's order and renumbered its rank `r` as
+    /// `renumbered[r]` ([`PebbleOrder::inherit`]).
+    pub(crate) fn carry(&self, dropped: &[u32], appended: &Self, renumbered: &[u32]) -> Self {
         let kept = || {
             let mut gone = dropped.iter().peekable();
             (0..self.len() as u32).filter(move |r| gone.next_if_eq(&r).is_none())
         };
         let levels = kept().map(|r| self.levels[r as usize]);
         Self {
-            record_keys: self.record_keys.carry(kept(), &appended.record_keys),
+            record_keys: (self.record_keys).carry(kept(), renumbered, &appended.record_keys),
             levels: levels.chain(appended.levels.iter().copied()).collect(),
         }
     }

@@ -12,7 +12,7 @@ use crate::config::SimConfig;
 use crate::join::SelectedSignatures;
 use crate::knowledge::Knowledge;
 use crate::parallel::par_map_scratch;
-use crate::pebble::{generate_pebbles, Pebble, PebbleOrder};
+use crate::pebble::{generate_pebbles, Pebble, PebbleOrder, SortScratch};
 use crate::segment::{segment_record, SegRecord};
 use crate::spec::JoinSpec;
 use crate::usim::approx::{usim_approx_seg_at_least_with, RefineScratch};
@@ -93,11 +93,16 @@ impl FilterSide {
                 .map(|sr| generate_pebbles(kn, cfg, sr))
                 .collect()
         };
-        let mut lists: Vec<_> = sides.iter().map(|recs| pebbles(recs)).collect();
+        let lists: Vec<_> = sides.iter().map(|recs| pebbles(recs)).collect();
         let order = PebbleOrder::build(lists.iter().flatten().map(Vec::as_slice));
-        for list in lists.iter_mut().flatten() {
-            order.sort(list, &mut Default::default());
-        }
+        let mut scratch = SortScratch::default();
+        let mut sort = |mut list: Vec<Pebble>| {
+            let ranks = order.sort(&mut list, &mut scratch).to_vec();
+            (list, ranks)
+        };
+        let lists: Vec<Vec<_>> = (lists.into_iter())
+            .map(|side| side.into_iter().map(&mut sort).collect())
+            .collect();
         let mut built = sides.iter().zip(&lists).map(|(recs, sorted)| Self {
             sel: SelectedSignatures::select_from(recs, sorted, spec, cfg.eps),
             tier0: recs.iter().map(|sr| sr.tier0()).collect(),
@@ -133,12 +138,21 @@ pub fn candidate_definition(
     min_sim: f64,
 ) -> DefinedCandidates {
     let indexed = t.unwrap_or(s);
+    // A record's ranks are listed in key order, not rank order: sort a
+    // copy of each indexed record's to search it.
+    let sorted: Vec<Vec<u32>> = (0..indexed.sel.len() as u32)
+        .map(|b| {
+            let mut ranks = indexed.sel.record_keys.get(b).to_vec();
+            ranks.sort_unstable();
+            ranks
+        })
+        .collect();
     let mut out = DefinedCandidates::default();
     for a in 0..s.sel.len() as u32 {
         let keys_a = s.sel.record_keys.get(a);
         let first = if t.is_none() { a + 1 } else { 0 };
         for b in first..indexed.sel.len() as u32 {
-            let keys_b = indexed.sel.record_keys.get(b);
+            let keys_b = &sorted[b as usize];
             let carried = |i: &usize| keys_b.binary_search(&keys_a[*i]).is_ok();
             let shared = (0..keys_a.len()).filter(carried).count();
             out.t_tau += shared as u64;

@@ -26,10 +26,11 @@
 //! tables (`DocFreqs`) that are counted once per prepared corpus.
 //!
 //! A record's pebble list is a *transient*: it is generated into a scratch
-//! buffer, rank-sorted, a signature prefix is selected from it, the
-//! prefix's distinct keys are kept, and the list is dropped (see
+//! buffer, rank-sorted, a signature prefix is selected from it, the ranks
+//! of the prefix's distinct keys are kept, and the list is dropped (see
 //! [`crate::join::record_signature`]). Nothing proportional to the pebble
-//! count stays resident.
+//! count stays resident, and from the order on a signature key is its
+//! `u32` rank: no `PebbleKey` reaches the index or the probe.
 
 use crate::config::{MeasureSet, SimConfig};
 use crate::knowledge::Knowledge;
@@ -246,20 +247,19 @@ pub struct PebbleOrder {
     age: (usize, usize),
 }
 
-/// Bit layout of one pebble's sort key in [`PebbleOrder::sort`]: `ranked`
-/// flag, rank, segment, measure, input position — most significant first,
-/// so comparing the integers compares that tuple.
-const SORT_RANKED: u128 = 1 << 98;
-const SORT_RANK_SHIFT: u32 = 66;
-const SORT_SEG_SHIFT: u32 = 34;
-const SORT_MEASURE_SHIFT: u32 = 32;
+/// The rank [`PebbleOrder::sort`] hands back for a key the order never
+/// saw (a query's out-of-vocabulary grams, say). It names no posting list,
+/// so a probe reads nothing for it, yet it is still one of the probe's
+/// keys: the τ-skip counts it. No ranked key has it.
+pub const UNSEEN_RANK: u32 = u32::MAX;
 
 /// Buffers of [`PebbleOrder::sort`], reused across records.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     unseen: Vec<PebbleKey>,
-    keyed: Vec<u128>,
+    keyed: Vec<u64>,
     sorted: Vec<Pebble>,
+    ranks: Vec<u32>,
 }
 
 impl PebbleOrder {
@@ -304,10 +304,8 @@ impl PebbleOrder {
             .into_iter()
             .enumerate()
             .map(|(r, k)| {
-                (
-                    k,
-                    u32::try_from(r).expect("more than 2^32 distinct pebble keys"),
-                )
+                let r = u32::try_from(r).ok().filter(|&r| r != UNSEEN_RANK);
+                (k, r.expect("more than 2^32 - 1 distinct pebble keys"))
             })
             .collect();
         let age = (0, 0);
@@ -319,9 +317,11 @@ impl PebbleOrder {
     /// of `df` it ranks keep their relative positions, keys that left `df`
     /// are gone, keys it never saw come first by `(frequency in df, key)`.
     /// A record all of whose keys it ranked sorts identically under both.
-    /// `None` once the accumulated churn exceeds the rows the ranking was
-    /// made from: rank afresh.
-    pub(crate) fn inherit(&self, df: &DocFreqs, churned: usize) -> Option<Self> {
+    /// Also returns the new rank of every old one ([`UNSEEN_RANK`] for a
+    /// key that left), which carries what was selected under this order
+    /// over. `None` once the accumulated churn exceeds the rows the ranking
+    /// was made from: rank afresh.
+    pub(crate) fn inherit(&self, df: &DocFreqs, churned: usize) -> Option<(Self, Vec<u32>)> {
         let age = (self.age.0, self.age.1 + churned);
         if age.1 > age.0 {
             return None;
@@ -331,11 +331,17 @@ impl PebbleOrder {
         let keys = df.counts.iter();
         let mut keys: Vec<_> = keys.map(|(&k, &f)| (self.rank.get(&k), f, k)).collect();
         keys.sort_unstable();
-        let keys = keys.into_iter().map(|(_, _, k)| k);
-        Some(Self {
+        let mut renumbered = vec![UNSEEN_RANK; self.rank.len()];
+        for (new, &(old, _, _)) in keys.iter().enumerate() {
+            if let Some(&old) = old {
+                renumbered[old as usize] = new as u32;
+            }
+        }
+        let order = Self {
             age,
-            ..Self::from_ranking(keys)
-        })
+            ..Self::from_ranking(keys.into_iter().map(|(_, _, k)| k))
+        };
+        Some((order, renumbered))
     }
 
     /// `(ranked_over, churn)`: rows counted in the frequencies this order
@@ -354,52 +360,76 @@ impl PebbleOrder {
 
     /// Sort a record's pebbles ascending by `(frequency, key, seg,
     /// measure)` — the paper's "global order" with deterministic ties
-    /// (stable: fully tied pebbles keep their input order). Afterwards all
-    /// instances of one key are adjacent, which the signature selectors
-    /// rely on.
+    /// (stable: fully tied pebbles keep their input order) — and return
+    /// each sorted pebble's rank ([`UNSEEN_RANK`] for a key the order
+    /// never saw). Afterwards all instances of one key are adjacent, which
+    /// the signature selectors rely on.
     ///
-    /// Each pebble's position in that order is packed into one integer up
-    /// front — a single rank lookup per pebble — so the sort itself
-    /// compares integers.
-    pub fn sort(&self, pebbles: &mut [Pebble], scratch: &mut SortScratch) {
+    /// Each pebble's place is packed into one `u64` up front — one rank
+    /// lookup per pebble — so the sort compares integers: `(rank',
+    /// position)`, where `rank'` is the key's sub-rank among the record's
+    /// distinct unseen keys (by key) for an unseen key and `U + rank` for a
+    /// ranked one (`U` unseen keys in the record). The position stands for
+    /// `(seg, measure, input index)`: the generation order
+    /// ([`generate_pebbles`]) is already sorted by `(seg, measure)`, and
+    /// other input is stably sorted so first.
+    pub fn sort<'s>(&self, pebbles: &mut [Pebble], scratch: &'s mut SortScratch) -> &'s [u32] {
         assert!(
             u32::try_from(pebbles.len()).is_ok(),
             "more than 2^32 pebbles in one record"
         );
+        let by_place = |p: &Pebble| (p.seg, p.measure.idx());
+        if !pebbles.is_sorted_by_key(by_place) {
+            pebbles.sort_by_key(by_place);
+        }
         let SortScratch {
             unseen,
             keyed,
             sorted,
+            ranks,
         } = scratch;
         unseen.clear();
         keyed.clear();
-        keyed.extend(pebbles.iter().enumerate().map(|(i, p)| {
-            let tail = (p.seg as u128) << SORT_SEG_SHIFT
-                | (p.measure.idx() as u128) << SORT_MEASURE_SHIFT
-                | i as u128;
-            match self.rank.get(&p.key) {
-                Some(&r) => SORT_RANKED | (r as u128) << SORT_RANK_SHIFT | tail,
-                None => {
-                    unseen.push(p.key);
-                    tail
-                }
-            }
+        keyed.extend(pebbles.iter().zip(0u64..).map(|(p, i)| {
+            let r = self.rank.get(&p.key).copied().unwrap_or_else(|| {
+                unseen.push(p.key);
+                UNSEEN_RANK
+            });
+            u64::from(r) << 32 | i
         }));
-        if !unseen.is_empty() {
-            // Frequency-0 keys order among themselves by key: rank them by
-            // their position in this record's sorted distinct unseen keys.
-            unseen.sort_unstable();
-            unseen.dedup();
-            for k in keyed.iter_mut().filter(|k| **k & SORT_RANKED == 0) {
-                let key = pebbles[*k as u32 as usize].key;
-                let r = unseen.binary_search(&key).expect("collected above");
-                *k |= (r as u128) << SORT_RANK_SHIFT;
+        // Frequency-0 keys sort first, among themselves by key: their
+        // sub-rank is their place among the record's distinct unseen keys.
+        unseen.sort_unstable();
+        unseen.dedup();
+        let n_unseen = unseen.len() as u64;
+        assert!(
+            n_unseen + self.rank.len() as u64 <= u64::from(u32::MAX),
+            "a record's unseen keys and the ranked ones overflow a u32 sort rank"
+        );
+        if n_unseen > 0 {
+            for k in keyed.iter_mut() {
+                *k = match (*k >> 32) as u32 {
+                    UNSEEN_RANK => {
+                        let key = pebbles[*k as u32 as usize].key;
+                        let sub = unseen.binary_search(&key).expect("collected above");
+                        (sub as u64) << 32 | (*k & u64::from(u32::MAX))
+                    }
+                    _ => *k + (n_unseen << 32),
+                };
             }
         }
         keyed.sort_unstable();
         sorted.clear();
         sorted.extend(keyed.iter().map(|&k| pebbles[k as u32 as usize]));
         pebbles.copy_from_slice(sorted);
+        let rank = |k: u64| {
+            (k >> 32)
+                .checked_sub(n_unseen)
+                .map_or(UNSEEN_RANK, |r| r as u32)
+        };
+        ranks.clear();
+        ranks.extend(keyed.iter().map(|&k| rank(k)));
+        ranks
     }
 
     /// Number of distinct keys seen.
@@ -714,8 +744,16 @@ mod tests {
         assert_eq!(parent.age(), (7, 0));
         let rows: Vec<&SegRecord> = stay.iter().chain([&came]).collect();
         let df = table(&rows, &mut keys);
-        let child = parent.inherit(&df, leave.len() + 1).expect("4 ≤ 7");
+        let (child, renumbered) = parent.inherit(&df, leave.len() + 1).expect("4 ≤ 7");
         assert_eq!(child.age(), (7, 4));
+        // Every parent rank renumbered to its key's child rank, or unseen
+        // when the key left.
+        assert_eq!(renumbered.len(), parent.len());
+        for (k, &r) in parent.rank.iter() {
+            let now = child.rank.get(k).copied().unwrap_or(UNSEEN_RANK);
+            assert_eq!(renumbered[r as usize], now, "{k:?}");
+        }
+        assert!(renumbered.contains(&UNSEEN_RANK), "keys of `leave` left");
         // Exactly the table's keys: private keys of `leave` are gone.
         assert_eq!(child.len(), df.counts.len());
         assert!(df.counts.keys().all(|k| child.rank.contains_key(k)));
@@ -736,22 +774,97 @@ mod tests {
         let mut want: Vec<(u32, PebbleKey)> = unseen.iter().map(|&k| (df.get(k), k)).collect();
         want.sort_unstable();
         assert_eq!(unseen, want.into_iter().map(|(_, k)| k).collect::<Vec<_>>());
-        // A carried record sorts exactly as it did.
+        // A carried record sorts exactly as it did, its ranks renumbered.
         for sr in &stay {
             let (mut a, mut b) = (
                 generate_pebbles(&kn, &cfg, sr),
                 generate_pebbles(&kn, &cfg, sr),
             );
-            parent.sort(&mut a, &mut SortScratch::default());
-            child.sort(&mut b, &mut SortScratch::default());
+            let (mut sa, mut sb) = (SortScratch::default(), SortScratch::default());
+            let was = parent.sort(&mut a, &mut sa);
+            let now = child.sort(&mut b, &mut sb);
             let key = |v: &[Pebble]| -> Vec<(PebbleKey, u32, usize)> {
                 v.iter().map(|p| (p.key, p.seg, p.measure.idx())).collect()
             };
             assert_eq!(key(&a), key(&b));
+            let moved: Vec<u32> = was.iter().map(|&r| renumbered[r as usize]).collect();
+            assert_eq!(moved, now);
         }
         // Churn adds up across generations; past the rows ranked, no more.
-        assert!(child.inherit(&df, 3).is_some_and(|o| o.age() == (7, 7)));
+        let grandchild = child.inherit(&df, 3);
+        assert!(grandchild.is_some_and(|(o, _)| o.age() == (7, 7)));
         assert!(child.inherit(&df, 4).is_none());
+    }
+
+    /// Fourteen keys of all three kinds, the pool the sort property draws
+    /// from.
+    fn key_pool() -> Vec<PebbleKey> {
+        let grams = (0..8).map(PebbleKey::Gram);
+        let rules = (0..3).map(|i| PebbleKey::Rule(PhraseId(i)));
+        grams
+            .chain(rules)
+            .chain((0..3).map(|i| PebbleKey::Node(NodeId(i))))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The one packed sort against a reference sort on `(ranked, rank
+        /// or unseen sub-rank, seg, measure, input index)`, the unseen
+        /// sub-rank being a key's place among the record's distinct
+        /// unseen keys: input as drawn (shuffled), reversed and in
+        /// generation order, frequency-0 keys, and one key at several
+        /// segments and measures. The ranks handed back are a per-pebble
+        /// rank lookup, `UNSEEN_RANK` for an unseen key.
+        #[test]
+        fn the_packed_sort_equals_the_reference_sort(
+            drawn in proptest::collection::vec((0usize..14, 0u32..4, 0usize..3), 0..40),
+            ranked in proptest::collection::vec(proptest::bool::weighted(0.7), 14),
+            shift in 0usize..14,
+        ) {
+            let pool = key_pool();
+            // A rotation of the pool's ranked keys: ranks follow no key order.
+            let ranking = (0..14).map(|i| (i + shift) % 14).filter(|&i| ranked[i]);
+            let order = PebbleOrder::from_ranking(ranking.map(|i| pool[i]));
+            let pebbles: Vec<Pebble> = (drawn.iter().enumerate())
+                .map(|(i, &(k, seg, m))| Pebble {
+                    key: pool[k],
+                    weight: i as f64,
+                    seg,
+                    measure: MeasureKind::ALL[m],
+                })
+                .collect();
+            let mut generated = pebbles.clone();
+            generated.sort_by_key(|p| (p.seg, p.measure.idx()));
+            let reversed: Vec<Pebble> = pebbles.iter().rev().copied().collect();
+            let mut scratch = SortScratch::default();
+            for input in [pebbles, reversed, generated] {
+                let rank = |k: &PebbleKey| order.rank.get(k).copied();
+                let mut unseen: Vec<PebbleKey> =
+                    input.iter().map(|p| p.key).filter(|k| rank(k).is_none()).collect();
+                unseen.sort_unstable();
+                unseen.dedup();
+                let place = |(i, p): (usize, &Pebble)| {
+                    let r = rank(&p.key).unwrap_or_else(|| {
+                        unseen.binary_search(&p.key).expect("collected") as u32
+                    });
+                    (rank(&p.key).is_some(), r, p.seg, p.measure.idx(), i)
+                };
+                let mut want: Vec<_> = input.iter().enumerate().map(place).collect();
+                want.sort_unstable();
+                let want: Vec<(PebbleKey, u32, usize, u64)> = (want.iter())
+                    .map(|&(.., i)| (input[i].key, input[i].seg, input[i].measure.idx(), input[i].weight.to_bits()))
+                    .collect();
+                let mut got = input.clone();
+                let ranks = order.sort(&mut got, &mut scratch);
+                let identity = |p: &Pebble| (p.key, p.seg, p.measure.idx(), p.weight.to_bits());
+                proptest::prop_assert_eq!(got.iter().map(identity).collect::<Vec<_>>(), want);
+                let looked_up: Vec<u32> =
+                    got.iter().map(|p| rank(&p.key).unwrap_or(UNSEEN_RANK)).collect();
+                proptest::prop_assert_eq!(ranks, &looked_up[..]);
+            }
+        }
     }
 
     #[test]

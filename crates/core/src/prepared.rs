@@ -473,15 +473,17 @@ impl Engine {
             (ranked.order.clone(), sets.collect::<Vec<_>>())
         };
         let churned = dropped.len() + appended.len();
-        let Some(order) = order.inherit(&merged.df, churned).map(Arc::new) else {
+        let Some((order, renumbered)) = order.inherit(&merged.df, churned) else {
             return;
         };
+        let order = Arc::new(order);
         // `merged` is new: nothing contends.
         let mut m = merged.memo();
         let signed = (appended.len() * sets.len()) as u64;
         for (k, sel) in sets {
             let tail = SelectedSignatures::select(&self.kn, &self.cfg, appended, &order, &k.spec());
-            m.sigs.insert(k, Arc::new(sel.carry(dropped, &tail)));
+            m.sigs
+                .insert(k, Arc::new(sel.carry(dropped, &tail, &renumbered)));
         }
         m.orders.insert(key, Ranked { order, signed });
     }

@@ -24,7 +24,10 @@
 //! Query pebbles unseen in the collection get frequency 0 and sort first;
 //! that only changes the *heuristic* quality of the order, not
 //! correctness, which merely requires both sides to sort keys by one
-//! consistent total order — `(frequency, key)` is one.
+//! consistent total order — `(frequency, key)` is one. Such a key's rank
+//! is [`crate::pebble::UNSEEN_RANK`]: it reads no posting list but stays
+//! among the probe's keys, so the τ-skip counts it as it would a key the
+//! index lacks.
 
 use crate::config::SimConfig;
 use crate::engine::{relock, Engine};
@@ -1227,5 +1230,39 @@ mod tests {
         for w in out.matches.windows(2) {
             assert!(w[0].1 >= w[1].1 - 1e-12);
         }
+    }
+
+    /// A probe-plan query mixing words the collection never saw with
+    /// known ones: its unseen grams take `UNSEEN_RANK` and read no list,
+    /// yet stay among the probe's `m` keys, so the τ-skip — and with it
+    /// `compat_rejected` — is that of the `PebbleKey` probe it replaced,
+    /// whose counts are pinned here (dropping the unseen ranks from the
+    /// probe reads 38 rejections, not 44).
+    #[test]
+    fn a_probe_plan_query_with_unknown_words_has_a_pinned_funnel() {
+        use super::QueryPlan;
+        let mut x = 0x51ed_2701_u32;
+        let mut word = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            WORDS[(x >> 16) as usize % WORDS.len()]
+        };
+        let lines: Vec<String> = (0..300)
+            .map(|i| (0..2 + i % 4).map(|_| word()).collect::<Vec<_>>().join(" "))
+            .collect();
+        let mut kn = scan_knowledge();
+        let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
+        let pt = engine.prepare(&t).expect("prepare");
+        let mut searcher = engine
+            .searcher(&pt, &JoinSpec::threshold(0.6).au_dp(3))
+            .expect("searcher");
+        searcher.core.forced = Some(QueryPlan::Probe);
+        let out = searcher.query("zanzibar coffee qwertz latte");
+        assert_eq!(out.plan, QueryPlan::Probe);
+        assert_eq!(
+            (out.candidates, out.processed, out.compat_rejected),
+            (95, 640, 44)
+        );
+        assert_eq!(out.tiers.decisions(), out.candidates);
     }
 }

@@ -201,9 +201,9 @@ const GRAM_RANGE_RECORDS: usize = 512;
 /// instead of every partner's full posting tables.
 #[derive(Debug, Clone, Default)]
 pub struct GramPostingsIndex {
-    keys: Transposed<u64>,
-    grams: Transposed<u64>,
-    rules: Transposed<u64>,
+    keys: Transposed,
+    grams: Transposed,
+    rules: Transposed,
     /// Bit `b % 64` of word `b / 64`: record `b` has a node segment.
     nodes: Vec<u64>,
 }
@@ -250,10 +250,7 @@ impl GramPostingsIndex {
             Grams(u32, u32),
             Rules,
         }
-        fn table<'r>(
-            (lo, hi): (u32, u32),
-            posts_of: impl Fn(u32) -> Postings<'r>,
-        ) -> Transposed<u64> {
+        fn table<'r>((lo, hi): (u32, u32), posts_of: impl Fn(u32) -> Postings<'r>) -> Transposed {
             Transposed::build_range(lo, hi, &|r, out| distinct_keys_into(posts_of(r), out))
         }
         let n = u32::try_from(recs.len()).expect("record ids exceed u32");
@@ -548,7 +545,7 @@ impl RunScratch {
 fn walk_postings(
     lists: &[KeyList],
     posts: Postings<'_>,
-    table: &Transposed<u64>,
+    table: &Transposed,
     slot_of: &[u32],
     stride: usize,
     acc: &mut [u32],
@@ -1443,7 +1440,7 @@ mod tests {
     }
 
     /// Σ over the distinct keys of `posts` of their list lengths in `table`.
-    fn list_lengths(posts: Postings<'_>, table: &Transposed<u64>) -> u64 {
+    fn list_lengths(posts: Postings<'_>, table: &Transposed) -> u64 {
         let mut keys = Vec::new();
         distinct_keys_into(posts, &mut keys);
         keys.iter()

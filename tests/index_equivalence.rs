@@ -34,7 +34,6 @@ use au_join::core::engine::{Engine, JoinSpec};
 use au_join::core::index::{CompatBound, CsrIndex, OverlapCounter, RecordKeys};
 use au_join::core::join::SelectedSignatures;
 use au_join::core::oracle::{candidate_definition, FilterSide};
-use au_join::core::pebble::PebbleKey;
 use au_join::core::signature::FilterKind;
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use proptest::prelude::*;
@@ -152,8 +151,8 @@ fn csr_matches_legacy_on_wiki_corpora() {
 }
 
 /// A synthetic join side of `n` records, deterministic in `salt`: every
-/// record carries gram 0 (so a probe holding it can hit ids 0 and
-/// `n − 1`), plus up to five grams of 1..24; guarantee levels 1–3 and
+/// record carries rank 0 (so a probe holding it can hit ids 0 and
+/// `n − 1`), plus up to five ranks of 1..24; guarantee levels 1–3 and
 /// tier-0 integers spread wide enough that the compatibility bound both
 /// admits and refuses.
 fn synthetic_side(n: usize, salt: u64) -> FilterSide {
@@ -167,9 +166,8 @@ fn synthetic_side(n: usize, salt: u64) -> FilterSide {
     let mut keys = Vec::with_capacity(n);
     let (mut levels, mut tier0) = (Vec::with_capacity(n), Vec::with_capacity(n));
     for _ in 0..n {
-        let mut ks: Vec<PebbleKey> = std::iter::once(0)
-            .chain((0..next() % 6).map(|_| 1 + next() % 24))
-            .map(PebbleKey::Gram)
+        let mut ks: Vec<u32> = std::iter::once(0)
+            .chain((0..next() % 6).map(|_| 1 + next() as u32 % 24))
             .collect();
         ks.sort_unstable();
         ks.dedup();

@@ -26,9 +26,15 @@
 //!     record's candidates as it probes, as the monolithic join does, so
 //!     it holds no candidate list either: the serial join's transient
 //!     peak — shard builds, their artifacts, and each pass's transient
-//!     transposed and mirrored CSR indexes — stays under 23 bytes per
-//!     candidate (25.40 when each task collected its list; 21.57 now, the
-//!     same on every run).
+//!     transposed and mirrored CSR indexes — stays under 18.4 bytes per
+//!     candidate (25.40 when each task collected its list; 21.57 with
+//!     `PebbleKey` signatures and a hashed CSR directory; 17.28 with rank
+//!     signatures and a rank-indexed CSR, the same on every run).
+//! (f) The memo a cold self-join files — order, signatures, CSR and
+//!     transposed indexes — grows the heap by 1.0–1.15× what
+//!     `Prepared::memory_bytes()` adds for it, as (b) holds for a
+//!     prepare: the rank-space `RecordKeys` and `CsrIndex` count what they
+//!     hold (1.146 here; the hash tables' slack is the excess).
 
 use au_join::datagen::{DatasetProfile, LabeledDataset};
 use au_join::prelude::*;
@@ -181,9 +187,25 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
         ps.memory_bytes()
     );
 
+    // (f) The memo a cold self-join files — order, signatures, CSR and
+    //     transposed indexes — against the growth of the artifact's own
+    //     accounting, in (b)'s band.
+    let spec = JoinSpec::threshold(0.9).au_dp(2);
+    let (before, accounted) = (live(), ps.memory_bytes());
+    drop(engine.join_self(&ps, &spec).expect("cold self-join"));
+    let (grown, filed) = (live() - before, ps.memory_bytes() - accounted);
+    let memo_ratio = grown as f64 / filed as f64;
+    eprintln!(
+        "cold self-join: its memo grew the heap {grown} B for {filed} accounted: {memo_ratio:.3}"
+    );
+    assert!(
+        (1.0..=1.15).contains(&memo_ratio),
+        "a cold self-join's memo grew the heap by {grown} B for {filed} accounted: \
+         ratio {memo_ratio:.3}"
+    );
+
     // (a) A warm join's transient peak, per candidate.
     let pt = engine.prepare(&ds.t).expect("prepare T");
-    let spec = JoinSpec::threshold(0.9).au_dp(2);
     let cold = engine.join(&ps, &pt, &spec).expect("cold join");
     let start = reset_peak();
     let warm = engine.join(&ps, &pt, &spec).expect("warm join");
@@ -250,7 +272,7 @@ fn a_join_holds_no_candidate_list_and_memory_bytes_tracks_the_heap() {
          {candidates}"
     );
     assert!(
-        per_candidate < 23.0,
+        per_candidate < 18.4,
         "a sharded self-join peaked {transient} B above its start: {per_candidate:.2} B per \
          candidate over {candidates} candidates"
     );

@@ -522,7 +522,10 @@ proptest! {
 /// sharded R×S join, as shard tasks that collected and split a candidate
 /// list reported them. Verifying as the task probes moves none of them:
 /// the two floored passes of a cross-shard self-join task read exactly
-/// the postings and hits of the one unfloored pass. `compat_rejected` is left out: its
+/// the postings and hits of the one unfloored pass. The resident peak is
+/// that of signatures held as `u32` ranks over a rank-indexed CSR index
+/// (947,703 and 581,228 bytes when they were `PebbleKey`s behind a hashed
+/// directory). `compat_rejected` is left out: its
 /// τ-skip depends on which side probes, so a two-direction task counts
 /// it differently.
 #[test]
@@ -553,13 +556,13 @@ fn sharded_funnel_is_pinned() {
         let joined = engine.join_self_sharded(&both, &sspec, &spec);
         assert_eq!(
             funnel(&joined.expect("sharded self-join")),
-            [267_578, 34_734, 918_327, 34_535, 161, 10, 28, 9, 947_703],
+            [267_578, 34_734, 918_327, 34_535, 161, 10, 28, 9, 777_963],
             "self-join (parallel={parallel})"
         );
         let joined = engine.join_sharded(&ds.s, &ds.t, &sspec, &spec);
         assert_eq!(
             funnel(&joined.expect("sharded R×S")),
-            [131_469, 17_363, 227_934, 17_250, 78, 7, 28, 15, 581_228],
+            [131_469, 17_363, 227_934, 17_250, 78, 7, 28, 15, 479_224],
             "R×S (parallel={parallel})"
         );
     }
