@@ -14,7 +14,8 @@
 //!   ├─ join / join_self / join_sink  (threshold, streaming)  engine.rs
 //!   ├─ join_sharded / join_self_sharded (plans its shards)  shard.rs
 //!   ├─ topk / topk_self              (threshold descent)     topk.rs
-//!   ├─ searcher(..).query(..) / scan (online search, no &mut) search.rs
+//!   ├─ searcher / snapshot_searcher → Searcher, scan         search.rs
+//!   │    (online search; engine + collection borrowed or Arc-held)
 //!   ├─ filter_counts / calibrate     (Eq. 15–17)             estimate.rs
 //!   └─ suggest_tau                   (Algorithm 7)           suggest.rs
 //! ```
@@ -55,7 +56,7 @@ use crate::knowledge::Knowledge;
 use crate::pebble::DocFreqs;
 pub use crate::prepared::Prepared;
 use crate::prepared::{OrderKey, SigKey};
-pub use crate::search::{QuerySession, Searcher, SnapshotSearcher};
+pub use crate::search::{QuerySession, Searcher};
 use crate::segment::{segment_record, SegRecord};
 pub use crate::spec::JoinSpec;
 use crate::usim::{usim_approx_seg, RunSide, Verifier};
@@ -1418,19 +1419,18 @@ pub(crate) mod tests {
             JoinSpec::threshold(0.6).au_dp(2),
         ] {
             let searcher = engine.searcher(&pt, &spec).unwrap();
-            let core = &searcher.core;
             for r in t.iter() {
-                let sr = core.session.segment(&engine.kn, &engine.cfg, &r.raw);
+                let sr = searcher.session().segment(&engine.kn, &engine.cfg, &r.raw);
                 let (choice, keys) = crate::join::record_signature(
                     &engine.kn,
                     &engine.cfg,
-                    &core.order,
+                    searcher.order(),
                     &spec,
                     &sr,
                     &mut Default::default(),
                 );
-                assert_eq!(keys, core.sel.record_keys.get(r.id.0), "{:?}", r.raw);
-                assert_eq!(choice.level, core.sel.levels[r.id.idx()]);
+                assert_eq!(keys, searcher.sel.record_keys.get(r.id.0), "{:?}", r.raw);
+                assert_eq!(choice.level, searcher.sel.levels[r.id.idx()]);
             }
         }
     }
@@ -1494,18 +1494,16 @@ pub(crate) mod tests {
             let verifier = Verifier::new(&engine.kn, &engine.cfg);
             let (mut most, mut seen) = (0usize, VerifyTiers::default());
             for forced in [None, Some(QueryPlan::Probe), Some(QueryPlan::Window)] {
-                searcher.core.forced = forced;
-                let core = &searcher.core;
+                searcher.forced = forced;
                 for q in queries {
-                    let sr = core.session.segment(&engine.kn, &engine.cfg, q);
+                    let sr = searcher.session().segment(&engine.kn, &engine.cfg, q);
                     let walked = searcher.query(q);
                     assert!(forced.is_none_or(|p| p == walked.plan), "{forced:?}");
                     let run: Vec<u32> = match walked.plan {
                         QueryPlan::Probe => {
-                            let mut scratch = core.session.checkout(pt.len());
-                            let (candidates, _) =
-                                core.probe_candidates(&engine, &pt, &sr, &mut scratch);
-                            core.session.check_in(scratch);
+                            let mut scratch = searcher.session().checkout(pt.len());
+                            let (candidates, _) = searcher.probe_candidates(&sr, &mut scratch);
+                            searcher.session().check_in(scratch);
                             candidates
                         }
                         QueryPlan::Window => {

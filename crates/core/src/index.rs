@@ -620,6 +620,14 @@ impl OverlapCounter {
         }
     }
 
+    /// Grow to fit an indexed side of `n_records` records, as a fresh
+    /// counter (a no-op when it already fits).
+    pub(crate) fn fit(&mut self, n_records: usize) {
+        if self.counts.len() < n_records {
+            *self = Self::new(n_records);
+        }
+    }
+
     /// Count distinct-key overlaps between one probe record and every
     /// indexed record, and append the ids whose overlap reaches
     /// `min(τ, probe_level, levels[id]).max(1)` — and whose tier-0 bound

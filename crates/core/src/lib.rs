@@ -38,7 +38,7 @@ pub mod topk;
 pub mod usim;
 
 pub use config::{GramMeasure, MeasureSet, SimConfig};
-pub use engine::{Engine, JoinSpec, Prepared, QuerySession, Searcher, SnapshotSearcher};
+pub use engine::{Engine, JoinSpec, Prepared, QuerySession, Searcher};
 pub use error::AuError;
 pub use index::{CsrIndex, OverlapCounter, RecordKeys};
 pub use knowledge::{Knowledge, KnowledgeBuilder};

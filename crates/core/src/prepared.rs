@@ -564,7 +564,7 @@ pub(crate) mod tests {
             engine.join(&merged, &partner, &spec).unwrap();
             assert_memo_coherent(&engine, &merged);
             let searcher = engine.searcher(&merged, &spec).unwrap();
-            assert_eq!(searcher.core.order.age().1 == 0, clear, "round {round}");
+            assert_eq!(searcher.order().age().1 == 0, clear, "round {round}");
             assert_memo_coherent(&engine, &merged);
 
             let c = merged.corpus();

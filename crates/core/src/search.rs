@@ -152,11 +152,12 @@ pub(crate) struct QueryScratch {
 }
 
 /// The mutable per-session state every query path shares: the pool of
-/// per-query scratches and the out-of-vocabulary overlay. An indexed
-/// search session owns one inside its `SearchCore`; a filterless
-/// [`Engine::scan`] borrows one from its caller, who keeps it for as long
-/// as overlay ids should stay stable (one knowledge lineage): a repeated
-/// unknown word keeps one identity for the session's lifetime.
+/// per-query scratches and the out-of-vocabulary overlay. A [`Searcher`]
+/// owns one; a filterless [`Engine::scan`] borrows one from its caller
+/// (`au-serve` lends its base searcher's, so one pool serves both), who
+/// keeps it for as long as overlay ids should stay stable (one knowledge
+/// lineage): a repeated unknown word keeps one identity for the session's
+/// lifetime.
 #[derive(Debug, Default)]
 pub struct QuerySession {
     pool: Mutex<Vec<QueryScratch>>,
@@ -188,16 +189,19 @@ impl QuerySession {
     }
 
     /// Check a scratch out of the pool (a new one when every pooled one is
-    /// in use), its overlap counter sized for `n_indexed` records. A
-    /// session serves one indexed collection — or scans, which never probe
-    /// (`n_indexed = 0`) — so pooled counters always fit.
+    /// in use), its overlap counter sized for at least `n_indexed`
+    /// records. A scan asks for 0 — it never probes — and may leave its
+    /// scratch in the pool of a searcher over many records, so a pooled
+    /// counter too small for the asking side is replaced.
     pub(crate) fn checkout(&self, n_indexed: usize) -> QueryScratch {
-        relock(&self.pool).pop().unwrap_or_else(|| QueryScratch {
+        let mut scratch = relock(&self.pool).pop().unwrap_or_else(|| QueryScratch {
             counter: OverlapCounter::new(n_indexed),
             signature: SignatureScratch::default(),
             run: RunScratch::default(),
             pairs: Vec::new(),
-        })
+        });
+        scratch.counter.fit(n_indexed);
+        scratch
     }
 
     /// Return a scratch to the pool.
@@ -210,30 +214,6 @@ impl QuerySession {
     pub(crate) fn pooled(&self) -> usize {
         relock(&self.pool).len()
     }
-}
-
-/// The engine-independent guts of a search session: the selected
-/// artifacts of one collection under one spec, plus the session's
-/// scratch pool and OOV overlay. Shared by the borrowing [`Searcher`] and
-/// the `Arc`-owning [`SnapshotSearcher`] so both answer queries through
-/// one code path. Built by [`Engine::searcher`] /
-/// [`Engine::snapshot_searcher`].
-#[derive(Debug)]
-pub(crate) struct SearchCore {
-    /// The (validated, threshold-mode) spec queries are answered under.
-    pub(crate) spec: JoinSpec,
-    pub(crate) order: Arc<PebbleOrder>,
-    pub(crate) sel: Arc<SelectedSignatures>,
-    pub(crate) index: Arc<CsrIndex>,
-    /// A query is one probe run, verified in one walk of this.
-    pub(crate) transposed: Arc<GramPostingsIndex>,
-    /// The collection's `(|T|, MP(T))` counts, which price a query's
-    /// window plan.
-    histogram: Tier0Histogram,
-    pub(crate) session: QuerySession,
-    /// A plan every query takes, whatever its prices (tests only).
-    #[cfg(test)]
-    pub(crate) forced: Option<QueryPlan>,
 }
 
 /// What a query's two plans cost, known before either runs: the
@@ -269,160 +249,70 @@ thread_local! {
     pub(crate) static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl SearchCore {
-    /// The filter half of a probe-plan query: the same record → signature
-    /// pass the indexed side went through ([`record_signature`]), then the
-    /// CSR overlap probe. Returns the candidate rows, ascending.
-    pub(crate) fn probe_candidates(
-        &self,
-        engine: &Engine,
-        prepared: &Prepared,
-        sr: &SegRecord,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<u32>, ProbeStats) {
-        #[cfg(test)]
-        PROBES.with(|p| p.set(p.get() + 1));
-        let (kn, cfg) = (engine.knowledge(), engine.config());
-        let (choice, distinct) =
-            record_signature(kn, cfg, &self.order, &self.spec, sr, &mut scratch.signature);
-        // Count distinct-key overlaps between the query signature and every
-        // indexed record via the CSR probe; keep records reaching `min(τ,
-        // query level, record level)` — the demand both sides can
-        // guarantee. The counter travels with the pooled scratch and each
-        // probe zeroes only the counts it raised, so per-query work is
-        // proportional to the postings touched, never to the collection.
-        let mut out = Vec::new();
-        let stats = scratch.counter.probe(
-            &self.index,
-            &distinct,
-            choice.level,
-            self.spec.filter.tau(),
-            &self.sel.levels,
-            None,
-            &CompatBound {
-                tier0: &prepared.tier0,
-                probe_tier0: sr.tier0(),
-                min_sim: self.spec.theta - cfg.eps,
-            },
-            &mut out,
-        );
-        (out, stats)
-    }
+/// The engine or the collection a [`Searcher`] reads: borrowed
+/// ([`Engine::searcher`]) or held by reference count
+/// ([`Engine::snapshot_searcher`]).
+#[derive(Debug)]
+enum Held<'e, T> {
+    Borrowed(&'e T),
+    Shared(Arc<T>),
+}
 
-    /// Price a query's two plans ([`QueryPrice`]), with the query's keys
-    /// resolved against the collection when the window admits a record:
-    /// what either plan's walk then reads.
-    pub(crate) fn price<'a>(
-        &'a self,
-        window: Tier0Window,
-        sr: &'a SegRecord,
-        prepared: &'a Prepared,
-        run: &mut RunScratch,
-    ) -> (QueryPrice, Option<RunKeys<'a>>) {
-        let window = self.histogram.admitted(window);
-        // Nothing to walk when the window admits no record.
-        let side = prepared.run_side(&self.transposed);
-        let keys = (window > 0).then(|| run.resolve(sr, side));
-        let walk = keys.as_ref().map_or(0, RunKeys::walk);
-        (QueryPrice { window, walk }, keys)
-    }
-
-    /// One segmented query against the prepared collection. A query *is* a
-    /// probe run — one probe record, the records it verifies — so it is
-    /// verified as the join verifies a run: one walk of the collection's
-    /// transposed posting index counts the shared pebble mass of every
-    /// record of the run ([`Verifier::verify_run_at_least`], byte-identical
-    /// to per-pair calls, tallies included). Which records make the run is
-    /// decided first, from prices alone ([`QueryPlan`]): the whole tier-0
-    /// window, or the candidates of a signature probe. Serially, on the
-    /// caller's thread, over one pooled scratch — the walk costs less than
-    /// starting threads for it, and no lock is held while the query probes
-    /// or verifies, so concurrent queries never wait on each other.
-    fn query_record(&self, engine: &Engine, prepared: &Prepared, sr: &SegRecord) -> SearchOutcome {
-        let mut scratch = self.session.checkout(self.index.record_count());
-        let window = Tier0Window::new(sr.tier0(), self.spec.theta - engine.config().eps);
-        let (price, keys) = self.price(window, sr, prepared, &mut scratch.run);
-        let plan = price.plan(sr.n_segments());
-        #[cfg(test)]
-        let plan = self.forced.unwrap_or(plan);
-        scratch.pairs.clear();
-        let probe_stats = match plan {
-            QueryPlan::Window => {
-                let admitted = prepared.tier0.iter().map(|&t| window.admits(t));
-                let rows = (0..).zip(admitted).filter(|&(_, a)| a);
-                scratch.pairs.extend(rows.map(|(row, _)| (0, row)));
-                debug_assert_eq!(scratch.pairs.len() as u64, price.window);
-                ProbeStats {
-                    processed: 0,
-                    compat_rejected: (prepared.len() - scratch.pairs.len()) as u64,
-                }
-            }
-            QueryPlan::Probe => {
-                let (candidates, stats) = self.probe_candidates(engine, prepared, sr, &mut scratch);
-                scratch.pairs.extend(candidates.iter().map(|&row| (0, row)));
-                stats
-            }
-        };
-        // Every record of either run is in the window, so a non-empty run
-        // has its keys resolved.
-        debug_assert!(keys.is_some() || scratch.pairs.is_empty());
-        let mut accepted = Vec::new();
-        let walked = keys.map_or(0, |keys| {
-            Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
-                keys,
-                &scratch.pairs,
-                self.spec.theta,
-                &mut scratch.run,
-                &mut accepted,
-            )
-        });
-        let tiers = scratch.run.take_tally();
-        let candidates = scratch.pairs.len() as u64;
-        self.session.check_in(scratch);
-        SearchOutcome {
-            matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
-            candidates,
-            processed: probe_stats.processed,
-            walked,
-            compat_rejected: probe_stats.compat_rejected,
-            tiers,
-            plan,
+impl<T> Clone for Held<'_, T> {
+    fn clone(&self) -> Self {
+        match self {
+            Held::Borrowed(t) => Held::Borrowed(t),
+            Held::Shared(t) => Held::Shared(Arc::clone(t)),
         }
     }
+}
 
-    /// The candidates the signature probe keeps for a raw string, whatever
-    /// plan its query takes: the filter's selectivity, which the pebble
-    /// order decides and the tier-0 window does not.
-    fn filter_candidates(&self, engine: &Engine, prepared: &Prepared, text: &str) -> u64 {
-        let sr = self
-            .session
-            .segment(engine.knowledge(), engine.config(), text);
-        let mut scratch = self.session.checkout(self.index.record_count());
-        let (candidates, _) = self.probe_candidates(engine, prepared, &sr, &mut scratch);
-        self.session.check_in(scratch);
-        candidates.len() as u64
-    }
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
 
-    /// Query with a raw string, segmented under this session's overlay.
-    fn query(&self, engine: &Engine, prepared: &Prepared, text: &str) -> SearchOutcome {
-        let sr = self
-            .session
-            .segment(engine.knowledge(), engine.config(), text);
-        self.query_record(engine, prepared, &sr)
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Shared(t) => t,
+        }
     }
+}
 
-    /// Query with pre-tokenized ids.
-    fn query_tokens(
-        &self,
-        engine: &Engine,
-        prepared: &Prepared,
-        tokens: &[TokenId],
-    ) -> SearchOutcome {
-        let sr = self
-            .session
-            .segment_tokens(engine.knowledge(), engine.config(), tokens);
-        self.query_record(engine, prepared, &sr)
-    }
+/// An online similarity-search session over one [`Prepared`] collection
+/// under one spec: the collection's selected artifacts (order,
+/// signatures, CSR index, transposed index), its `(|T|, MP(T))` counts,
+/// and a [`QuerySession`] — the pool of per-query scratches and the
+/// out-of-vocabulary overlay. Every query, whatever it arrives as, is
+/// answered by [`Searcher::query_record`].
+///
+/// The engine and the collection are borrowed ([`Engine::searcher`]) or
+/// held by `Arc` ([`Engine::snapshot_searcher`]): a `Searcher<'static>`
+/// can live inside an atomically-swapped service snapshot (`au-serve`)
+/// and be shared across worker threads for as long as the snapshot is
+/// referenced.
+///
+/// Queries take `&self`: out-of-vocabulary tokens go to the session's
+/// [`ScratchVocab`] overlay, whose ids are stable for the searcher's
+/// lifetime, so repeated unknown tokens keep one identity without ever
+/// mutating the shared knowledge context.
+#[derive(Debug)]
+pub struct Searcher<'e> {
+    engine: Held<'e, Engine>,
+    prepared: Held<'e, Prepared>,
+    /// The (validated, threshold-mode) spec queries are answered under.
+    spec: JoinSpec,
+    order: Arc<PebbleOrder>,
+    pub(crate) sel: Arc<SelectedSignatures>,
+    index: Arc<CsrIndex>,
+    /// A query is one probe run, verified in one walk of this.
+    transposed: Arc<GramPostingsIndex>,
+    /// The collection's `(|T|, MP(T))` counts, which price a query's
+    /// window plan.
+    histogram: Tier0Histogram,
+    session: QuerySession,
+    /// A plan every query takes, whatever its prices (tests only).
+    #[cfg(test)]
+    pub(crate) forced: Option<QueryPlan>,
 }
 
 impl Engine {
@@ -436,52 +326,20 @@ impl Engine {
         c: &'e Prepared,
         spec: &JoinSpec,
     ) -> Result<Searcher<'e>, AuError> {
-        Ok(Searcher {
-            engine: self,
-            prepared: c,
-            core: self.search_core(c, spec)?,
-        })
+        Searcher::build(Held::Borrowed(self), Held::Borrowed(c), spec)
     }
 
-    /// Owning variant of [`Engine::searcher`] for long-lived services:
-    /// the engine and collection travel by `Arc`, so the returned
-    /// [`SnapshotSearcher`] is `'static` and can be stored inside an
-    /// atomically-swapped snapshot and shared across worker threads.
-    /// Artifact selection is identical (and served from the same
-    /// [`Prepared`] memo, so building a second searcher against a warm
-    /// collection is cheap).
+    /// [`Engine::searcher`] with the engine and collection held by `Arc`,
+    /// for long-lived services: the searcher is `'static`. Artifact
+    /// selection is identical (and served from the same [`Prepared`]
+    /// memo, so building a second searcher against a warm collection is
+    /// cheap).
     pub fn snapshot_searcher(
         engine: Arc<Engine>,
         prepared: Arc<Prepared>,
         spec: &JoinSpec,
-    ) -> Result<SnapshotSearcher, AuError> {
-        let core = engine.search_core(&prepared, spec)?;
-        Ok(SnapshotSearcher {
-            engine,
-            prepared,
-            core,
-        })
-    }
-
-    fn search_core(&self, c: &Prepared, spec: &JoinSpec) -> Result<SearchCore, AuError> {
-        self.check(c)?;
-        spec.validate_threshold(self.cfg.eps)?;
-        let order = self.order_self(c);
-        let sel = self.signatures(c, OrderKey::SelfOrder, &order, spec);
-        let index = self.csr(c, SigKey::new(OrderKey::SelfOrder, spec), &sel);
-        Ok(SearchCore {
-            spec: *spec,
-            order,
-            sel,
-            index,
-            // Forced: its build belongs to making the collection
-            // searchable, not to a first query.
-            transposed: c.transposed(spec.parallel),
-            histogram: Tier0Histogram::build(&c.tier0),
-            session: QuerySession::default(),
-            #[cfg(test)]
-            forced: None,
-        })
+    ) -> Result<Searcher<'static>, AuError> {
+        Searcher::build(Held::Shared(engine), Held::Shared(prepared), spec)
     }
 
     /// Filterless search over already-segmented `rows`: every row the
@@ -553,21 +411,42 @@ fn ranked(mut matches: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     matches
 }
 
-/// An online similarity-search session bound to one [`Engine`] and one
-/// [`Prepared`] collection (see [`Engine::searcher`]).
-///
-/// Queries take `&self`: out-of-vocabulary tokens go to a
-/// searcher-private [`ScratchVocab`] overlay whose ids are stable for the
-/// searcher's lifetime, so repeated unknown tokens keep one identity
-/// without ever mutating the shared knowledge context.
-#[derive(Debug)]
-pub struct Searcher<'e> {
-    pub(crate) engine: &'e Engine,
-    pub(crate) prepared: &'e Prepared,
-    pub(crate) core: SearchCore,
-}
+impl<'e> Searcher<'e> {
+    /// The one constructor body: the collection's artifacts under `spec`,
+    /// from its memo, and a fresh session.
+    fn build(
+        engine: Held<'e, Engine>,
+        prepared: Held<'e, Prepared>,
+        spec: &JoinSpec,
+    ) -> Result<Self, AuError> {
+        engine.check(&prepared)?;
+        spec.validate_threshold(engine.cfg.eps)?;
+        let order = engine.order_self(&prepared);
+        let sel = engine.signatures(&prepared, OrderKey::SelfOrder, &order, spec);
+        let index = engine.csr(&prepared, SigKey::new(OrderKey::SelfOrder, spec), &sel);
+        Ok(Searcher {
+            spec: *spec,
+            order,
+            sel,
+            index,
+            // Forced: its build belongs to making the collection
+            // searchable, not to a first query.
+            transposed: prepared.transposed(spec.parallel),
+            histogram: Tier0Histogram::build(&prepared.tier0),
+            session: QuerySession::default(),
+            #[cfg(test)]
+            forced: None,
+            engine,
+            prepared,
+        })
+    }
 
-impl Searcher<'_> {
+    /// A searcher over the same engine and collection, held the same way,
+    /// at another spec — what a top-k descent probes its lower θ with.
+    pub fn with_spec(&self, spec: &JoinSpec) -> Result<Searcher<'e>, AuError> {
+        Self::build(self.engine.clone(), self.prepared.clone(), spec)
+    }
+
     /// Number of indexed records.
     pub fn len(&self) -> usize {
         self.prepared.len()
@@ -580,62 +459,17 @@ impl Searcher<'_> {
 
     /// The threshold θ this searcher answers at.
     pub fn theta(&self) -> f64 {
-        self.core.spec.theta
+        self.spec.theta
+    }
+
+    /// The (validated, threshold-mode) spec this searcher answers under.
+    pub fn spec(&self) -> &JoinSpec {
+        &self.spec
     }
 
     /// Mean signature length of the indexed records.
     pub fn avg_sig_len(&self) -> f64 {
-        self.core.sel.record_keys.avg_sig_len()
-    }
-
-    /// Query with a raw string: every indexed record with
-    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
-    pub fn query(&self, text: &str) -> SearchOutcome {
-        self.core.query(self.engine, self.prepared, text)
-    }
-
-    /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
-    /// searcher minted earlier).
-    pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
-        self.core.query_tokens(self.engine, self.prepared, tokens)
-    }
-
-    /// The candidates the signature probe keeps for `text` — what
-    /// [`SearchOutcome::candidates`] counts under [`QueryPlan::Probe`] —
-    /// whatever plan [`Searcher::query`] would take.
-    pub fn filter_candidates(&self, text: &str) -> u64 {
-        self.core
-            .filter_candidates(self.engine, self.prepared, text)
-    }
-}
-
-/// A `'static`, `Arc`-owning [`Searcher`]: same artifacts, same query
-/// path, but the engine and prepared collection are held by reference
-/// count instead of borrow, so the session can live inside an
-/// atomically-swapped service snapshot (`au-serve`) and be shared across
-/// worker threads for as long as the snapshot is referenced. Create with
-/// [`Engine::snapshot_searcher`].
-#[derive(Debug)]
-pub struct SnapshotSearcher {
-    pub(crate) engine: Arc<Engine>,
-    pub(crate) prepared: Arc<Prepared>,
-    pub(crate) core: SearchCore,
-}
-
-impl SnapshotSearcher {
-    /// Number of indexed records.
-    pub fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// True when the collection holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// The threshold θ this searcher answers at.
-    pub fn theta(&self) -> f64 {
-        self.core.spec.theta
+        self.sel.record_keys.avg_sig_len()
     }
 
     /// Knowledge generation of the indexed collection.
@@ -644,40 +478,55 @@ impl SnapshotSearcher {
     }
 
     /// The indexed collection.
-    pub fn prepared(&self) -> &Arc<Prepared> {
+    pub fn prepared(&self) -> &Prepared {
         &self.prepared
     }
 
-    /// The owning engine.
-    pub fn engine(&self) -> &Arc<Engine> {
+    /// The engine the collection was prepared by.
+    pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// The session — scratch pool and out-of-vocabulary overlay — this
+    /// searcher's queries run on; a caller may segment queries under it
+    /// ([`QuerySession::segment`]) and lend it to [`Engine::scan`].
+    pub fn session(&self) -> &QuerySession {
+        &self.session
     }
 
     /// The global order the collection is indexed — and every query
     /// signed — under; carries its age ([`PebbleOrder::age`]).
     pub fn order(&self) -> &PebbleOrder {
-        &self.core.order
+        &self.order
     }
 
-    /// Query with a raw string: every indexed record with
-    /// `USIM(query, record) ≥ θ`, sorted by descending similarity.
+    /// Query with a raw string, segmented under this searcher's overlay:
+    /// every indexed record with `USIM(query, record) ≥ θ`, sorted by
+    /// descending similarity.
     pub fn query(&self, text: &str) -> SearchOutcome {
-        self.core.query(&self.engine, &self.prepared, text)
+        let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
+        self.query_record(&self.session.segment(kn, cfg, text))
     }
 
     /// Query with pre-tokenized ids (vocabulary ids, or overlay ids this
     /// searcher minted earlier).
     pub fn query_tokens(&self, tokens: &[TokenId]) -> SearchOutcome {
-        self.core.query_tokens(&self.engine, &self.prepared, tokens)
+        let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
+        self.query_record(&self.session.segment_tokens(kn, cfg, tokens))
     }
 
     /// The candidates the signature probe keeps for `text` — what
     /// [`SearchOutcome::candidates`] counts under [`QueryPlan::Probe`] —
-    /// whatever plan [`SnapshotSearcher::query`] would take: how selective
-    /// the filter is under this collection's (perhaps inherited) order.
+    /// whatever plan [`Searcher::query`] would take: how selective the
+    /// filter is under this collection's (perhaps inherited) order, which
+    /// the tier-0 window does not decide.
     pub fn filter_candidates(&self, text: &str) -> u64 {
-        self.core
-            .filter_candidates(&self.engine, &self.prepared, text)
+        let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
+        let sr = self.session.segment(kn, cfg, text);
+        let mut scratch = self.session.checkout(self.index.record_count());
+        let (candidates, _) = self.probe_candidates(&sr, &mut scratch);
+        self.session.check_in(scratch);
+        candidates.len() as u64
     }
 
     /// Query with a record the caller segmented ([`QuerySession::segment`])
@@ -686,10 +535,125 @@ impl SnapshotSearcher {
     /// segment a query once for this collection and for rows appended
     /// since. Interning only appends: a word the indexed vocabulary never
     /// saw is in no indexed record whichever id it carries, so matches,
-    /// order and similarity bits equal [`SnapshotSearcher::query`]'s on
-    /// the query's text.
-    pub fn query_record(&self, query: &SegRecord) -> SearchOutcome {
-        self.core.query_record(&self.engine, &self.prepared, query)
+    /// order and similarity bits equal [`Searcher::query`]'s on the
+    /// query's text.
+    ///
+    /// A query *is* a probe run — one probe record, the records it
+    /// verifies — so it is verified as the join verifies a run: one walk
+    /// of the collection's transposed posting index counts the shared
+    /// pebble mass of every record of the run
+    /// ([`Verifier::verify_run_at_least`], byte-identical to per-pair
+    /// calls, tallies included). Which records make the run is decided
+    /// first, from prices alone ([`QueryPlan`]): the whole tier-0 window,
+    /// or the candidates of a signature probe. Serially, on the caller's
+    /// thread, over one pooled scratch — the walk costs less than starting
+    /// threads for it, and no lock is held while the query probes or
+    /// verifies, so concurrent queries never wait on each other.
+    pub fn query_record(&self, sr: &SegRecord) -> SearchOutcome {
+        let (engine, prepared) = (&*self.engine, &*self.prepared);
+        let mut scratch = self.session.checkout(self.index.record_count());
+        let window = Tier0Window::new(sr.tier0(), self.spec.theta - engine.config().eps);
+        let (price, keys) = self.price(window, sr, &mut scratch.run);
+        let plan = price.plan(sr.n_segments());
+        #[cfg(test)]
+        let plan = self.forced.unwrap_or(plan);
+        scratch.pairs.clear();
+        let probe_stats = match plan {
+            QueryPlan::Window => {
+                let admitted = prepared.tier0.iter().map(|&t| window.admits(t));
+                let rows = (0..).zip(admitted).filter(|&(_, a)| a);
+                scratch.pairs.extend(rows.map(|(row, _)| (0, row)));
+                debug_assert_eq!(scratch.pairs.len() as u64, price.window);
+                ProbeStats {
+                    processed: 0,
+                    compat_rejected: (prepared.len() - scratch.pairs.len()) as u64,
+                }
+            }
+            QueryPlan::Probe => {
+                let (candidates, stats) = self.probe_candidates(sr, &mut scratch);
+                scratch.pairs.extend(candidates.iter().map(|&row| (0, row)));
+                stats
+            }
+        };
+        // Every record of either run is in the window, so a non-empty run
+        // has its keys resolved.
+        debug_assert!(keys.is_some() || scratch.pairs.is_empty());
+        let mut accepted = Vec::new();
+        let walked = keys.map_or(0, |keys| {
+            Verifier::new(engine.knowledge(), engine.config()).verify_run_at_least(
+                keys,
+                &scratch.pairs,
+                self.spec.theta,
+                &mut scratch.run,
+                &mut accepted,
+            )
+        });
+        let tiers = scratch.run.take_tally();
+        let candidates = scratch.pairs.len() as u64;
+        self.session.check_in(scratch);
+        SearchOutcome {
+            matches: ranked(accepted.iter().map(|&(_, row, sim)| (row, sim)).collect()),
+            candidates,
+            processed: probe_stats.processed,
+            walked,
+            compat_rejected: probe_stats.compat_rejected,
+            tiers,
+            plan,
+        }
+    }
+
+    /// The filter half of a probe-plan query: the same record → signature
+    /// pass the indexed side went through ([`record_signature`]), then the
+    /// CSR overlap probe. Returns the candidate rows, ascending.
+    pub(crate) fn probe_candidates(
+        &self,
+        sr: &SegRecord,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<u32>, ProbeStats) {
+        #[cfg(test)]
+        PROBES.with(|p| p.set(p.get() + 1));
+        let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
+        let (choice, distinct) =
+            record_signature(kn, cfg, &self.order, &self.spec, sr, &mut scratch.signature);
+        // Count distinct-key overlaps between the query signature and every
+        // indexed record via the CSR probe; keep records reaching `min(τ,
+        // query level, record level)` — the demand both sides can
+        // guarantee. The counter travels with the pooled scratch and each
+        // probe zeroes only the counts it raised, so per-query work is
+        // proportional to the postings touched, never to the collection.
+        let mut out = Vec::new();
+        let stats = scratch.counter.probe(
+            &self.index,
+            &distinct,
+            choice.level,
+            self.spec.filter.tau(),
+            &self.sel.levels,
+            None,
+            &CompatBound {
+                tier0: &self.prepared.tier0,
+                probe_tier0: sr.tier0(),
+                min_sim: self.spec.theta - cfg.eps,
+            },
+            &mut out,
+        );
+        (out, stats)
+    }
+
+    /// Price a query's two plans ([`QueryPrice`]), with the query's keys
+    /// resolved against the collection when the window admits a record:
+    /// what either plan's walk then reads.
+    pub(crate) fn price<'a>(
+        &'a self,
+        window: Tier0Window,
+        sr: &'a SegRecord,
+        run: &mut RunScratch,
+    ) -> (QueryPrice, Option<RunKeys<'a>>) {
+        let window = self.histogram.admitted(window);
+        // Nothing to walk when the window admits no record.
+        let side = self.prepared.run_side(&self.transposed);
+        let keys = (window > 0).then(|| run.resolve(sr, side));
+        let walk = keys.as_ref().map_or(0, RunKeys::walk);
+        (QueryPrice { window, walk }, keys)
     }
 }
 
@@ -982,7 +946,7 @@ mod tests {
     }
 
     /// The pooled scratch is the only shared mutable state on the read
-    /// path: eight threads querying one `SnapshotSearcher` — known words,
+    /// path: eight threads querying one `Arc`-held `Searcher` — known words,
     /// unknown ones, the empty query — get the serial answers (matches,
     /// bits, candidates, tiers), and every query checked out one scratch
     /// and returned it, so at most eight rest in the pool afterwards.
@@ -1017,11 +981,7 @@ mod tests {
         };
         let serial: Vec<_> = queries.iter().map(answer).collect();
         assert!(serial.iter().any(|a| !a.0.is_empty()));
-        assert_eq!(
-            searcher.core.session.pooled(),
-            1,
-            "serial queries reuse one"
-        );
+        assert_eq!(searcher.session.pooled(), 1, "serial queries reuse one");
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for worker in 0..8 {
@@ -1038,7 +998,7 @@ mod tests {
                 });
             }
         });
-        let pooled = searcher.core.session.pooled();
+        let pooled = searcher.session.pooled();
         assert!((1..=8).contains(&pooled), "{pooled} pooled scratches");
     }
 
@@ -1048,7 +1008,8 @@ mod tests {
     /// ("latte" / "espresso"): each gives the oracle's brute-force
     /// `(id, sim bits)`, so the two agree, and each tallies exactly its
     /// own candidates, the probe plan's being what `filter_candidates`
-    /// reports. A query that takes the window plan by its prices
+    /// reports; an `Arc`-held searcher gives the borrowed one's outcome,
+    /// field for field. A query that takes the window plan by its prices
     /// selects no signature and probes nothing, and walks the postings it
     /// was priced with.
     #[test]
@@ -1057,6 +1018,7 @@ mod tests {
         use crate::engine::tests::pooled_corpus;
         use crate::index::Tier0Window;
         use crate::usim::RunScratch;
+        use std::sync::Arc;
         let mut kb = KnowledgeBuilder::new();
         kb.synonym("car", "automobile", 0.9);
         kb.synonym("coffee shop", "cafe", 1.0);
@@ -1093,8 +1055,8 @@ mod tests {
         );
         let s = kn.corpus_from_lines(queries.iter().map(String::as_str));
         let cfg = SimConfig::default();
-        let engine = Engine::new(kn.clone(), cfg).expect("valid config");
-        let pt = engine.prepare(&t).expect("prepare");
+        let engine = Arc::new(Engine::new(kn.clone(), cfg).expect("valid config"));
+        let pt = Arc::new(engine.prepare(&t).expect("prepare"));
         let bits = |m: &mut Vec<(u32, f64)>| -> Vec<(u32, u64)> {
             m.sort_by_key(|&(r, _)| r);
             m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
@@ -1102,9 +1064,9 @@ mod tests {
         let (mut natural_windows, mut rule_or_node_only) = (0, 0);
         for theta in [0.3, 0.5, 0.8, 0.95] {
             let oracle = brute_force_join(&kn, &cfg, &s, &t, theta);
-            let mut searcher = engine
-                .searcher(&pt, &JoinSpec::threshold(theta).au_dp(2))
-                .expect("searcher");
+            let spec = JoinSpec::threshold(theta).au_dp(2);
+            let mut searcher = engine.searcher(&pt, &spec).expect("searcher");
+            let mut held = Engine::snapshot_searcher(engine.clone(), pt.clone(), &spec).unwrap();
             for (qi, q) in queries.iter().enumerate() {
                 // The oracle pairs two empty records at 1; a search never
                 // matches an empty row (it carries no key to probe).
@@ -1114,8 +1076,9 @@ mod tests {
                     .collect();
                 let mut answers = Vec::new();
                 for forced in [QueryPlan::Probe, QueryPlan::Window] {
-                    searcher.core.forced = Some(forced);
+                    (searcher.forced, held.forced) = (Some(forced), Some(forced));
                     let mut out = searcher.query(q);
+                    assert_eq!(answer(&held.query(q)), answer(&out), "θ={theta} {q:?}");
                     assert_eq!(out.plan, forced);
                     assert_eq!(
                         out.tiers.decisions(),
@@ -1139,16 +1102,14 @@ mod tests {
                 rule_or_node_only +=
                     usize::from(partner.is_some_and(|p| want.iter().any(|w| w.0 == p)));
 
-                searcher.core.forced = None;
+                searcher.forced = None;
                 let probes = PROBES.with(|p| p.get());
                 let out = searcher.query(q);
                 let probed = PROBES.with(|p| p.get()) - probes;
-                let sr = searcher.core.session.segment(engine.knowledge(), &cfg, q);
+                let sr = searcher.session.segment(engine.knowledge(), &cfg, q);
                 let window = Tier0Window::new(sr.tier0(), theta - cfg.eps);
                 let mut run = RunScratch::default();
-                let (price, _) = searcher
-                    .core
-                    .price(window, &sr, searcher.prepared, &mut run);
+                let (price, _) = searcher.price(window, &sr, &mut run);
                 assert_eq!(price.plan(sr.n_segments()), out.plan, "θ={theta} {q:?}");
                 match out.plan {
                     QueryPlan::Window => {
@@ -1232,6 +1193,61 @@ mod tests {
         }
     }
 
+    /// `(row, similarity bits)` of each match.
+    fn bits(m: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        m.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+    }
+
+    /// Everything a query reports, similarity bits included.
+    fn answer(o: &super::SearchOutcome) -> impl PartialEq + std::fmt::Debug {
+        let counts = (o.candidates, o.processed, o.walked, o.compat_rejected);
+        (bits(&o.matches), counts, o.tiers, o.plan)
+    }
+
+    /// 300 generated records over [`WORDS`], seeded by `x`.
+    fn generated_lines(mut x: u32) -> Vec<String> {
+        let mut word = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            WORDS[(x >> 16) as usize % WORDS.len()]
+        };
+        (0..300)
+            .map(|i| (0..2 + i % 4).map(|_| word()).collect::<Vec<_>>().join(" "))
+            .collect()
+    }
+
+    /// One session's pool serves a searcher's probe and the scans its
+    /// caller lends the session to (`au-serve`'s delta): a scratch
+    /// [`Engine::scan`] checked out first, its counter sized for 0
+    /// records, is the one a probe-plan query over 300 records checks out
+    /// next, and the answer is a fresh session's.
+    #[test]
+    fn a_scan_scratch_in_the_pool_serves_a_probe_plan_query() {
+        use super::QueryPlan;
+        let lines = generated_lines(0x6a09_e667);
+        let mut kn = scan_knowledge();
+        let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
+        let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
+        let pt = engine.prepare(&t).expect("prepare");
+        let spec = JoinSpec::threshold(0.6).au_dp(2);
+        let q = "coffee shop latte helsinki";
+        let mut fresh = engine.searcher(&pt, &spec).expect("searcher");
+        fresh.forced = Some(QueryPlan::Probe);
+        let want = fresh.query(q);
+        assert!(want.candidates > 0 && !want.matches.is_empty());
+
+        let mut searcher = engine.searcher(&pt, &spec).expect("searcher");
+        searcher.forced = Some(QueryPlan::Probe);
+        let rows: Vec<&SegRecord> = pt.seg_records().iter().map(|r| &**r).collect();
+        let query = searcher
+            .session
+            .segment(engine.knowledge(), engine.config(), q);
+        let scanned = engine.scan(&searcher.session, &rows, &query, &spec);
+        assert_eq!(bits(&scanned.expect("scan").matches), bits(&want.matches));
+        assert_eq!(searcher.session.pooled(), 1, "the scan's scratch rests");
+        assert_eq!(answer(&searcher.query(q)), answer(&want));
+        assert_eq!(searcher.session.pooled(), 1, "the query took the scan's");
+    }
+
     /// A probe-plan query mixing words the collection never saw with
     /// known ones: its unseen grams take `UNSEEN_RANK` and read no list,
     /// yet stay among the probe's `m` keys, so the τ-skip — and with it
@@ -1241,14 +1257,7 @@ mod tests {
     #[test]
     fn a_probe_plan_query_with_unknown_words_has_a_pinned_funnel() {
         use super::QueryPlan;
-        let mut x = 0x51ed_2701_u32;
-        let mut word = || {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            WORDS[(x >> 16) as usize % WORDS.len()]
-        };
-        let lines: Vec<String> = (0..300)
-            .map(|i| (0..2 + i % 4).map(|_| word()).collect::<Vec<_>>().join(" "))
-            .collect();
+        let lines = generated_lines(0x51ed_2701);
         let mut kn = scan_knowledge();
         let t = kn.corpus_from_lines(lines.iter().map(String::as_str));
         let engine = Engine::new(kn, SimConfig::default()).expect("valid config");
@@ -1256,7 +1265,7 @@ mod tests {
         let mut searcher = engine
             .searcher(&pt, &JoinSpec::threshold(0.6).au_dp(3))
             .expect("searcher");
-        searcher.core.forced = Some(QueryPlan::Probe);
+        searcher.forced = Some(QueryPlan::Probe);
         let out = searcher.query("zanzibar coffee qwertz latte");
         assert_eq!(out.plan, QueryPlan::Probe);
         assert_eq!(

@@ -217,23 +217,17 @@ impl GramPostingsIndex {
     /// ranges (`parallel::par_tasks`, longest task first). Every
     /// list is the same whatever the thread count.
     pub fn build(recs: &[Arc<SegRecord>]) -> Self {
-        Self::build_on(recs, crate::parallel::available_threads())
+        Self::build_for(recs, true)
     }
 
-    /// [`GramPostingsIndex::build`] for a spec: serially on the caller's
-    /// thread unless `parallel`.
+    /// [`GramPostingsIndex::build`] for a spec: on every available thread
+    /// when `parallel`, else every table whole on the caller's thread.
     pub(crate) fn build_for(recs: &[Arc<SegRecord>], parallel: bool) -> Self {
         let workers = if parallel {
             crate::parallel::available_threads()
         } else {
             1
         };
-        Self::build_on(recs, workers)
-    }
-
-    /// [`GramPostingsIndex::build`] on `workers` threads; one builds every
-    /// table whole on the caller's thread.
-    pub(crate) fn build_on(recs: &[Arc<SegRecord>], workers: usize) -> Self {
         let ranges = match workers {
             0 | 1 => 1,
             _ => (recs.len() / GRAM_RANGE_RECORDS).clamp(1, 2 * workers),
@@ -241,8 +235,8 @@ impl GramPostingsIndex {
         Self::build_in(recs, ranges, workers)
     }
 
-    /// [`GramPostingsIndex::build_on`] with the gram table cut into
-    /// `ranges`.
+    /// [`GramPostingsIndex::build`] on `workers` threads with the gram
+    /// table cut into `ranges`.
     fn build_in(recs: &[Arc<SegRecord>], ranges: usize, workers: usize) -> Self {
         #[derive(Clone, Copy)]
         enum Task {
@@ -1697,7 +1691,7 @@ mod tests {
             );
             let whole = GramPostingsIndex::build_in(&recs, 1, 2);
             assert_index_equals_sorted(&whole, &recs, &format!("{measures:?} whole"));
-            let serial = GramPostingsIndex::build_on(&recs, 1);
+            let serial = GramPostingsIndex::build_for(&recs, false);
             assert_index_equals_sorted(&serial, &recs, &format!("{measures:?} serial"));
             for ranges in [2, 6, 701] {
                 let cut = GramPostingsIndex::build_in(&recs, ranges, 2);

@@ -4,7 +4,7 @@
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::tombstone::TombstoneSet;
-use au_core::engine::{Engine, JoinSpec, Prepared, QuerySession, SnapshotSearcher};
+use au_core::engine::{Engine, JoinSpec, Prepared, Searcher};
 use au_core::search::SearchOutcome;
 use au_core::segment::{segment_record, SegRecord};
 use au_core::usim::{Verifier, VerifyScratch, VerifyTiers};
@@ -133,17 +133,15 @@ impl Batch<Arc<DeltaRow>> {
 pub struct Snapshot {
     pub(crate) generation: u64,
     pub(crate) base_ids: Arc<Vec<u64>>,
-    pub(crate) base_search: Arc<SnapshotSearcher>,
-    /// The service's validated θ-spec (the base searcher's own: serial
-    /// for a base a compaction built, which no query path reads).
-    pub(crate) spec: JoinSpec,
+    /// The base segment's searcher at the service θ. Reads use its spec
+    /// (serial for a base a compaction built, a flag no query reads) and
+    /// its session: the out-of-vocabulary overlay every read segments its
+    /// query under, and the scratch pool of the base probe and the delta
+    /// scan alike.
+    pub(crate) base_search: Arc<Searcher<'static>>,
     /// Engine over the newest knowledge of the lineage: the base engine
     /// until an insert interns past it, then a cheap clone per insert.
     pub(crate) engine: Arc<Engine>,
-    /// Out-of-vocabulary overlay every read segments its query under, and
-    /// the delta scans' scratch pool; lives as long as the base segment it
-    /// was created with.
-    pub(crate) session: Arc<QuerySession>,
     pub(crate) delta: Arc<Vec<Arc<DeltaRow>>>,
     pub(crate) tombstones: Arc<TombstoneSet>,
 }
@@ -237,8 +235,6 @@ impl Snapshot {
             base_ids: Arc::new(base_ids),
             engine,
             base_search: Arc::new(base_search),
-            spec,
-            session: Arc::default(),
             delta: Arc::default(),
             tombstones: Arc::default(),
         })
@@ -314,11 +310,11 @@ impl Snapshot {
     /// rows, map row numbers to global ids, mask tombstones, and merge
     /// under the global ordering contract.
     pub fn search(&self, text: &str) -> SearchResponse {
-        self.answer(&self.base_search, &self.segment(text), &self.spec)
+        self.answer(&self.base_search, &self.segment(text))
     }
 
     /// The candidates the base segment's signature probe keeps for `text`
-    /// ([`SnapshotSearcher::filter_candidates`]), whatever plan its search
+    /// ([`Searcher::filter_candidates`]), whatever plan its search
     /// takes: how selective the filter is under the base's pebble order,
     /// which a compaction may have inherited. The delta has no filter.
     pub fn filter_candidates(&self, text: &str) -> u64 {
@@ -341,17 +337,12 @@ impl Snapshot {
     ) -> Result<TopkResponse, ServeError> {
         let query = self.segment(text);
         let mut theta = cfg.theta;
-        let mut resp = self.answer(&self.base_search, &query, &self.spec);
+        let mut resp = self.answer(&self.base_search, &query);
         let mut lower = au_core::topk::descent(theta).skip(1);
         while let Some(next) = lower.next().filter(|_| resp.matches.len() < k) {
             theta = next;
-            let spec = cfg.spec_at(theta);
-            let base = Engine::snapshot_searcher(
-                self.base_search.engine().clone(),
-                self.base_search.prepared().clone(),
-                &spec,
-            )?;
-            resp = self.answer(&base, &query, &spec);
+            let base = self.base_search.with_spec(&cfg.spec_at(theta))?;
+            resp = self.answer(&base, &query);
         }
         let verifier = Verifier::new(self.engine.knowledge(), self.engine.config());
         let mut scratch = VerifyScratch::default();
@@ -380,7 +371,7 @@ impl Snapshot {
     /// vocabulary would have given.
     fn segment(&self, text: &str) -> SegRecord {
         let (kn, cfg) = (self.engine.knowledge(), self.engine.config());
-        self.session.segment(kn, cfg, text)
+        self.base_search.session().segment(kn, cfg, text)
     }
 
     /// The segmented record of global id `id`, base or delta.
@@ -394,19 +385,14 @@ impl Snapshot {
         }
     }
 
-    /// Both segments' answers to one query, merged. The delta's answer
-    /// verifies every row the tier-0 bound admits.
-    fn answer(
-        &self,
-        base: &SnapshotSearcher,
-        query: &SegRecord,
-        spec: &JoinSpec,
-    ) -> SearchResponse {
+    /// Both segments' answers to one query at `base`'s θ, merged. The
+    /// delta's answer verifies every row the tier-0 bound admits.
+    fn answer(&self, base: &Searcher, query: &SegRecord) -> SearchResponse {
         let delta = (!self.delta.is_empty()).then(|| {
             let rows: Vec<&SegRecord> = self.delta.iter().map(|r| &*r.seg).collect();
-            // `spec` is `base`'s, which passed the same validation when
-            // that searcher was built, so the scan never refuses it.
-            let scanned = self.engine.scan(&self.session, &rows, query, spec);
+            // `base`'s spec passed the same validation when that searcher
+            // was built, so the scan never refuses it.
+            let scanned = self.engine.scan(base.session(), &rows, query, base.spec());
             scanned.unwrap_or_default()
         });
         self.merge(base.query_record(query), delta)

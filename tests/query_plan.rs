@@ -84,16 +84,22 @@ fn a_q2_collection_mostly_takes_the_window_plan_and_a_q3_one_hardly_ever() {
     }
 }
 
+/// A borrowed searcher on one thread and an `Arc`-held one shared by
+/// eight give every query the same outcome, field for field — matches and
+/// similarity bits, every counter, tiers and plan — under both plans.
 #[test]
 fn the_plan_is_the_same_at_one_and_at_eight_threads() {
     let (engine, pt, queries) = indexed_corpus(2, 73);
     let answer = |o: &SearchOutcome| {
         let bits: Vec<(u32, u64)> = o.matches.iter().map(|&(r, s)| (r, s.to_bits())).collect();
-        (o.plan, bits, o.candidates, o.walked, o.tiers)
+        let counts = (o.candidates, o.processed, o.walked, o.compat_rejected);
+        (o.plan, bits, counts, o.tiers)
     };
     let serial = engine.searcher(&pt, &spec().serial()).expect("searcher");
     let want: Vec<_> = queries.iter().map(|q| answer(&serial.query(q))).collect();
-    assert!(want.iter().any(|a| a.0 == QueryPlan::Window));
+    for plan in [QueryPlan::Window, QueryPlan::Probe] {
+        assert!(want.iter().any(|a| a.0 == plan), "no query took {plan:?}");
+    }
     assert!(want.iter().any(|a| !a.1.is_empty()));
     let shared = Engine::snapshot_searcher(engine.clone(), pt.clone(), &spec()).expect("searcher");
     let start = std::sync::Barrier::new(8);

@@ -262,7 +262,7 @@ fn queries_on_an_empty_collection_match_nothing() {
     }
 }
 
-/// Eight threads querying one `Searcher` and one `SnapshotSearcher` at
+/// Eight threads querying one borrowed and one `Arc`-held `Searcher` at
 /// once — every query from every thread, released together — get the
 /// answers (matches, counters, tiers) a lone caller gets: the pooled run
 /// scratches and the shared index carry nothing from one query to the
